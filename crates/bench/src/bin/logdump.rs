@@ -11,62 +11,19 @@
 //! Usage: cargo run -p dali-bench --bin logdump -- <db-dir> [--from LSN] [--txn N] [--residue] [--segments-only]
 
 use dali_common::{CodewordAlgebraKind, Lsn};
-use dali_wal::record::{unframe_with, LogRecord};
-use dali_wal::{segment, Frame};
+use dali_wal::segment::{self, SegmentBuf};
+use dali_wal::{LogRecordRef, LogicalUndoRef};
 
-/// One walked segment: frames parsed straight off the file bytes.
-struct SegmentDump {
-    info: segment::SegmentInfo,
-    /// (global LSN, record) for every record frame.
-    records: Vec<(Lsn, LogRecord)>,
-    /// Per-frame-type histogram keyed by record kind (plus "Seal").
-    histogram: std::collections::BTreeMap<&'static str, usize>,
-    /// Bytes at the tail that do not parse as a frame (torn final
-    /// flush), or bytes after a seal (corruption).
-    torn_bytes: u64,
-    /// The segment ends with a clean seal.
-    sealed: bool,
-}
-
-fn walk_segment(
-    dir: &std::path::Path,
-    info: segment::SegmentInfo,
-    algebra: CodewordAlgebraKind,
-) -> SegmentDump {
-    let bytes = std::fs::read(segment::path(dir, info.base)).unwrap_or_default();
-    let mut dump = SegmentDump {
-        info,
-        records: Vec::new(),
-        histogram: Default::default(),
-        torn_bytes: 0,
-        sealed: false,
-    };
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match unframe_with(algebra, &bytes[pos..]) {
-            Ok((Frame::Record(rec), used)) => {
-                *dump.histogram.entry(kind(&rec)).or_default() += 1;
-                dump.records.push((Lsn(info.base.0 + pos as u64), rec));
-                pos += used;
-            }
-            Ok((Frame::Seal, used)) => {
-                *dump.histogram.entry("Seal").or_default() += 1;
-                pos += used;
-                // A seal marks the end of the segment; anything after it
-                // is garbage (and open() would refuse mid-file seals).
-                dump.sealed = pos == bytes.len();
-                if !dump.sealed {
-                    dump.torn_bytes = (bytes.len() - pos) as u64;
-                }
-                break;
-            }
-            Err(_) => {
-                dump.torn_bytes = (bytes.len() - pos) as u64;
-                break;
-            }
-        }
+/// Histogram of a segment's frames keyed by record kind (plus "Seal").
+fn histogram(seg: &SegmentBuf) -> std::collections::BTreeMap<&'static str, usize> {
+    let mut histogram = std::collections::BTreeMap::new();
+    for (_, rec) in seg.records() {
+        *histogram.entry(kind(&rec)).or_default() += 1;
     }
-    dump
+    if seg.ends_with_seal() {
+        histogram.insert("Seal", 1);
+    }
+    histogram
 }
 
 fn main() {
@@ -103,19 +60,29 @@ fn main() {
     }
 
     // ---- per-segment summary ----
-    let dumps: Vec<SegmentDump> = segments
+    // Every segment is loaded on its own: the dump should describe what
+    // sits behind a torn segment too, where a recovery scan stops.
+    let dumps: Vec<(segment::SegmentInfo, SegmentBuf)> = segments
         .iter()
-        .map(|&s| walk_segment(&path, s, algebra))
+        .map(|&info| {
+            let seg = SegmentBuf::load(&path, info.base, 0, algebra).unwrap_or_else(|e| {
+                eprintln!("cannot read {}: {e}", segment::file_name(info.base));
+                std::process::exit(1);
+            });
+            (info, seg)
+        })
         .collect();
     eprintln!(
         "{} segment(s), {} bytes on disk:",
         dumps.len(),
         segment::bytes_on_disk(&path).unwrap_or(0)
     );
-    for (i, d) in dumps.iter().enumerate() {
-        let status = if d.torn_bytes > 0 {
-            format!("TORN ({} trailing bytes)", d.torn_bytes)
-        } else if d.sealed {
+    for (i, (info, seg)) in dumps.iter().enumerate() {
+        // Trailing bytes that do not parse as a frame (a torn final
+        // flush), or bytes after a seal (open() refuses mid-file seals).
+        let status = if seg.torn_bytes() > 0 {
+            format!("TORN ({} trailing bytes)", seg.torn_bytes())
+        } else if seg.ends_with_seal() {
             "sealed".into()
         } else if i == dumps.len() - 1 {
             "active".into()
@@ -124,18 +91,17 @@ fn main() {
             // chain, but the dump should still describe it.
             "UNSEALED".into()
         };
-        let hist = d
-            .histogram
+        let hist = histogram(seg)
             .iter()
             .map(|(k, n)| format!("{k}={n}"))
             .collect::<Vec<_>>()
             .join(" ");
         eprintln!(
             "  {:>24}  lsn {:>10}..{:<10}  {:>8}B  {:<10} {}",
-            segment::file_name(d.info.base),
-            d.info.base.0,
-            d.info.end().0,
-            d.info.len,
+            segment::file_name(info.base),
+            info.base.0,
+            info.end().0,
+            info.len,
             status,
             hist
         );
@@ -148,9 +114,9 @@ fn main() {
     let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
     let mut total = 0usize;
     println!();
-    for d in &dumps {
-        for (lsn, rec) in &d.records {
-            if *lsn < from {
+    for (_, seg) in &dumps {
+        for (lsn, rec) in seg.records() {
+            if lsn < from {
                 continue;
             }
             total += 1;
@@ -159,8 +125,8 @@ fn main() {
                     continue;
                 }
             }
-            *counts.entry(kind(rec)).or_default() += 1;
-            println!("{:>10}  {}", lsn.0, render(rec));
+            *counts.entry(kind(&rec)).or_default() += 1;
+            println!("{:>10}  {}", lsn.0, render(&rec));
         }
     }
     eprintln!("\n{total} records:");
@@ -169,35 +135,35 @@ fn main() {
     }
 }
 
-fn kind(rec: &LogRecord) -> &'static str {
+fn kind(rec: &LogRecordRef<'_>) -> &'static str {
     match rec {
-        LogRecord::TxnBegin { .. } => "TxnBegin",
-        LogRecord::OpBegin { .. } => "OpBegin",
-        LogRecord::PhysicalRedo { .. } => "PhysicalRedo",
-        LogRecord::ReadLog { .. } => "ReadLog",
-        LogRecord::OpCommit { .. } => "OpCommit",
-        LogRecord::TxnCommit { .. } => "TxnCommit",
-        LogRecord::TxnAbort { .. } => "TxnAbort",
-        LogRecord::AuditBegin { .. } => "AuditBegin",
-        LogRecord::AuditEnd { .. } => "AuditEnd",
-        LogRecord::CkptComplete { .. } => "CkptComplete",
-        LogRecord::CreateTable { .. } => "CreateTable",
+        LogRecordRef::TxnBegin { .. } => "TxnBegin",
+        LogRecordRef::OpBegin { .. } => "OpBegin",
+        LogRecordRef::PhysicalRedo { .. } => "PhysicalRedo",
+        LogRecordRef::ReadLog { .. } => "ReadLog",
+        LogRecordRef::OpCommit { .. } => "OpCommit",
+        LogRecordRef::TxnCommit { .. } => "TxnCommit",
+        LogRecordRef::TxnAbort { .. } => "TxnAbort",
+        LogRecordRef::AuditBegin { .. } => "AuditBegin",
+        LogRecordRef::AuditEnd { .. } => "AuditEnd",
+        LogRecordRef::CkptComplete { .. } => "CkptComplete",
+        LogRecordRef::CreateTable { .. } => "CreateTable",
     }
 }
 
-fn render(rec: &LogRecord) -> String {
+fn render(rec: &LogRecordRef<'_>) -> String {
     match rec {
-        LogRecord::TxnBegin { txn } => format!("BEGIN       {txn}"),
-        LogRecord::OpBegin { txn, op, kind, rec } => {
+        LogRecordRef::TxnBegin { txn } => format!("BEGIN       {txn}"),
+        LogRecordRef::OpBegin { txn, op, kind, rec } => {
             format!("OP-BEGIN    {txn} op{} {kind:?} {rec}", op.0)
         }
-        LogRecord::PhysicalRedo {
+        LogRecordRef::PhysicalRedo {
             txn,
             op,
             addr,
             data,
         } => format!("REDO        {txn} op{} {addr}+{}", op.0, data.len()),
-        LogRecord::ReadLog {
+        LogRecordRef::ReadLog {
             txn,
             addr,
             len,
@@ -206,29 +172,32 @@ fn render(rec: &LogRecord) -> String {
             if codewords.is_empty() {
                 format!("READ        {txn} {addr}+{len}")
             } else {
-                format!("READ        {txn} {addr}+{len} cw={:08x?}", codewords)
+                format!(
+                    "READ        {txn} {addr}+{len} cw={:08x?}",
+                    codewords.iter().collect::<Vec<_>>()
+                )
             }
         }
-        LogRecord::OpCommit { txn, op, undo } => format!(
+        LogRecordRef::OpCommit { txn, op, undo } => format!(
             "OP-COMMIT   {txn} op{} undo {}",
             op.0,
             match undo {
-                dali_wal::record::LogicalUndo::HeapInsert { rec } => format!("delete {rec}"),
-                dali_wal::record::LogicalUndo::HeapDelete { rec, .. } => format!("reinsert {rec}"),
-                dali_wal::record::LogicalUndo::HeapUpdate { rec, .. } => format!("writeback {rec}"),
+                LogicalUndoRef::HeapInsert { rec } => format!("delete {rec}"),
+                LogicalUndoRef::HeapDelete { rec, .. } => format!("reinsert {rec}"),
+                LogicalUndoRef::HeapUpdate { rec, .. } => format!("writeback {rec}"),
             }
         ),
-        LogRecord::TxnCommit { txn } => format!("COMMIT      {txn}"),
-        LogRecord::TxnAbort { txn } => format!("ABORT       {txn}"),
-        LogRecord::AuditBegin { audit_id } => format!("AUDIT-BEGIN #{audit_id}"),
-        LogRecord::AuditEnd { audit_id, clean } => {
+        LogRecordRef::TxnCommit { txn } => format!("COMMIT      {txn}"),
+        LogRecordRef::TxnAbort { txn } => format!("ABORT       {txn}"),
+        LogRecordRef::AuditBegin { audit_id } => format!("AUDIT-BEGIN #{audit_id}"),
+        LogRecordRef::AuditEnd { audit_id, clean } => {
             format!(
                 "AUDIT-END   #{audit_id} {}",
                 if *clean { "clean" } else { "CORRUPT" }
             )
         }
-        LogRecord::CkptComplete { ckpt_lsn } => format!("CKPT        at {ckpt_lsn}"),
-        LogRecord::CreateTable {
+        LogRecordRef::CkptComplete { ckpt_lsn } => format!("CKPT        at {ckpt_lsn}"),
+        LogRecordRef::CreateTable {
             table,
             name,
             rec_size,

@@ -26,6 +26,7 @@ use crate::db::{CkptState, Db, EngineStats};
 use bytes::{Buf, BufMut, BytesMut};
 use dali_codeword::AuditReport;
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result};
+use dali_mem::DbImage;
 use dali_wal::record::LogRecord;
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
@@ -618,17 +619,36 @@ pub fn audit(db: &Arc<Db>) -> Result<AuditReport> {
     Ok(report)
 }
 
-/// Load checkpoint pages of `image` into a fresh byte vector of the full
-/// database size (recovery).
-pub fn load_image_bytes(dir: &Path, image: usize, db_bytes: usize) -> Result<Vec<u8>> {
-    let bytes = std::fs::read(Db::img_path(dir, image))?;
-    if bytes.len() != db_bytes {
+/// Open checkpoint image file `image`, refusing one that is not exactly
+/// the database's size.
+fn open_image(dir: &Path, image: usize, db_bytes: usize) -> Result<std::fs::File> {
+    let f = std::fs::File::open(Db::img_path(dir, image))?;
+    let len = f.metadata()?.len();
+    if len != db_bytes as u64 {
         return Err(DaliError::RecoveryFailed(format!(
-            "checkpoint image is {} bytes, expected {}",
-            bytes.len(),
-            db_bytes
+            "checkpoint image is {len} bytes, expected {db_bytes}"
         )));
     }
+    Ok(f)
+}
+
+/// Load checkpoint image `image` straight into a database image that
+/// recovery has just allocated and not yet shared: one read, no staging
+/// buffer.
+pub fn load_image(dir: &Path, image: usize, into: &mut DbImage) -> Result<()> {
+    use std::io::Read;
+    let dst = into.bytes_mut();
+    open_image(dir, image, dst.len())?.read_exact(dst)?;
+    Ok(())
+}
+
+/// Load checkpoint image `image` into a fresh byte vector of the full
+/// database size (the offline scrub, which compares it *against* the
+/// live image).
+pub fn load_image_bytes(dir: &Path, image: usize, db_bytes: usize) -> Result<Vec<u8>> {
+    use std::io::Read;
+    let mut bytes = vec![0u8; db_bytes];
+    open_image(dir, image, db_bytes)?.read_exact(&mut bytes)?;
     Ok(bytes)
 }
 

@@ -7,8 +7,7 @@ use crate::ckpt;
 use crate::db::Db;
 use bytes::{Buf, BufMut, BytesMut};
 use dali_common::{DaliError, DbAddr, Lsn, PageId, Result};
-use dali_wal::record::LogRecord;
-use dali_wal::SystemLog;
+use dali_wal::{LogReader, LogRecord, LogRecordRef};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -257,18 +256,19 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     // ...replay committed history onto them (physical redo is positional
     // and idempotent, so replaying every record touching these pages
     // repeats history exactly)...
-    let records =
-        SystemLog::scan_stable_with(db.syslog.path(), meta.ck_end, db.config.codeword_algebra)?;
     let mut replayed = 0usize;
-    for (_lsn, rec) in records {
-        if let LogRecord::PhysicalRedo { addr, data, .. } = rec {
-            let touched = db.image.pages_overlapping(addr, data.len());
-            if touched.iter().any(|p| pages.binary_search(p).is_ok()) {
-                db.image.write(addr, &data)?;
-                replayed += 1;
+    LogReader::open(db.syslog.path(), meta.ck_end, db.config.codeword_algebra)?.for_each(
+        |_lsn, rec| {
+            if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
+                let touched = db.image.pages_overlapping(addr, data.len());
+                if touched.iter().any(|p| pages.binary_search(p).is_ok()) {
+                    db.image.write(addr, data)?;
+                    replayed += 1;
+                }
             }
-        }
-    }
+            Ok(())
+        },
+    )?;
 
     // ...and resynchronize the maintained codewords of the repaired pages.
     if db.config.scheme.maintains_codewords() {

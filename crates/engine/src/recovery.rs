@@ -40,21 +40,83 @@ use crate::lock::LockManager;
 use crate::txn::rollback_direct;
 use dali_codeword::CodewordProtection;
 use dali_common::align::split_by_chunks;
-use dali_common::{CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, Result, TxnId};
+use dali_common::{CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId};
 use dali_mem::{DbImage, PageProtector};
-use dali_wal::record::LogRecord;
-use dali_wal::SystemLog;
+use dali_wal::record::{CodewordsRef, LogRecord, LogRecordRef};
+use dali_wal::{LogReader, SystemLog, UndoKind};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// One buffered physical write. Its bytes are borrowed from the log
+/// segment being scanned; only a write that must outlive that segment
+/// (its operation's batch straddles a segment roll) is ever copied.
+type Write<'s> = (DbAddr, Cow<'s, [u8]>);
+
 /// Physical redo buffered per (transaction, operation) until the
 /// operation's commit record arrives.
-type PendingWrites = HashMap<(TxnId, dali_common::OpSeq), Vec<(DbAddr, Vec<u8>)>>;
+///
+/// An operation's records reach the log as one contiguous batch, so the
+/// entry a record belongs to is almost always the newest: a vector
+/// searched from the back finds it without hashing every record. What
+/// can sit in front of it is small — the compensation writes of
+/// transactions in mid-abort (until their TxnAbort) and the partial batch
+/// of one torn flush; every recovery ends in a checkpoint, so a scan
+/// never crosses two of those.
+struct PendingWrites<'s> {
+    ops: Vec<((TxnId, OpSeq), Vec<Write<'s>>)>,
+    /// The emptied buffer of the last released operation, for the next.
+    spare: Vec<Write<'s>>,
+}
 
-/// Released physical redo, partitioned by `page % threads` for the
-/// parallel apply phase of restart recovery.
+impl<'s> PendingWrites<'s> {
+    fn push(&mut self, op: (TxnId, OpSeq), write: Write<'s>) {
+        match self.ops.iter_mut().rev().find(|(k, _)| *k == op) {
+            Some((_, writes)) => writes.push(write),
+            None => {
+                let mut writes = std::mem::take(&mut self.spare);
+                writes.push(write);
+                self.ops.push((op, writes));
+            }
+        }
+    }
+
+    /// Remove and return the writes buffered for `op`, oldest first.
+    fn take(&mut self, op: (TxnId, OpSeq)) -> Option<Vec<Write<'s>>> {
+        let at = self.ops.iter().rposition(|(k, _)| *k == op)?;
+        Some(self.ops.remove(at).1)
+    }
+
+    /// Remove and return everything buffered for `txn`, in operation
+    /// order.
+    fn take_txn(&mut self, txn: TxnId) -> Vec<Vec<Write<'s>>> {
+        let mut taken = Vec::new();
+        self.ops.retain_mut(|((t, op), writes)| {
+            if *t == txn {
+                taken.push((*op, std::mem::take(writes)));
+            }
+            *t != txn
+        });
+        taken.sort_by_key(|(op, _)| op.0);
+        taken.into_iter().map(|(_, writes)| writes).collect()
+    }
+
+    /// What is still buffered when the segment ends, copied out of its
+    /// buffer: operations whose batch straddles the segment roll.
+    fn into_carried(self) -> Vec<((TxnId, OpSeq), Vec<Write<'static>>)> {
+        let own = |(addr, data): Write<'s>| (addr, Cow::Owned(data.into_owned()));
+        self.ops
+            .into_iter()
+            .map(|(op, writes)| (op, writes.into_iter().map(own).collect()))
+            .collect()
+    }
+}
+
+/// One segment's released physical redo, partitioned by `page % threads`
+/// for the parallel apply that ends the segment.
 ///
 /// The serial scan pushes writes here in the order they are released
 /// (operation-commit order, which is history order). A write spanning
@@ -63,26 +125,27 @@ type PendingWrites = HashMap<(TxnId, dali_common::OpSeq), Vec<(DbAddr, Vec<u8>)>
 /// apply byte-identical to a serial replay:
 ///
 /// * all writes to one page sit in one bucket, in release order, so
-///   same-page history replays in order;
+///   same-page history replays in order (and segments apply one after
+///   another, so that order holds across segments too);
 /// * different buckets own disjoint page sets, so their writes touch
 ///   disjoint bytes and commute.
 ///
 /// Corruption-mode recovery never uses this path: its scan reads the
 /// image mid-stream (`codewords_match`), so redo must stay inline.
-struct RedoBuckets {
+struct RedoBuckets<'s> {
     page_size: usize,
-    buckets: Vec<Vec<(DbAddr, Vec<u8>)>>,
+    buckets: Vec<Vec<Write<'s>>>,
 }
 
-impl RedoBuckets {
-    fn new(threads: usize, page_size: usize) -> RedoBuckets {
+impl<'s> RedoBuckets<'s> {
+    fn new(threads: usize, page_size: usize) -> RedoBuckets<'s> {
         RedoBuckets {
             page_size,
             buckets: vec![Vec::new(); threads.max(1)],
         }
     }
 
-    fn push(&mut self, addr: DbAddr, data: Vec<u8>) {
+    fn push(&mut self, addr: DbAddr, data: Cow<'s, [u8]>) {
         let n = self.buckets.len();
         let first = addr.0 / self.page_size;
         let last = if data.is_empty() {
@@ -96,22 +159,22 @@ impl RedoBuckets {
         }
         for (page, start, len) in split_by_chunks(addr.0, data.len(), self.page_size) {
             let off = start - addr.0;
-            self.buckets[page % n].push((DbAddr(start), data[off..off + len].to_vec()));
+            let chunk = match &data {
+                Cow::Borrowed(d) => Cow::Borrowed(&d[off..off + len]),
+                Cow::Owned(d) => Cow::Owned(d[off..off + len].to_vec()),
+            };
+            self.buckets[page % n].push((DbAddr(start), chunk));
         }
     }
 
     /// Apply every bucket to `image` on a scoped worker pool. Returns the
-    /// worker count actually used and the wall-clock nanoseconds of the
-    /// apply phase.
+    /// worker count actually used and the wall-clock nanoseconds spent.
     fn apply(self, image: &DbImage) -> Result<(usize, u64)> {
         let start = std::time::Instant::now();
-        let live: Vec<&Vec<(DbAddr, Vec<u8>)>> =
-            self.buckets.iter().filter(|b| !b.is_empty()).collect();
-        if self.buckets.len() == 1 || live.len() <= 1 {
-            for bucket in &live {
-                for (addr, data) in bucket.iter() {
-                    image.write(*addr, data)?;
-                }
+        let live: Vec<&Vec<Write<'s>>> = self.buckets.iter().filter(|b| !b.is_empty()).collect();
+        if live.len() <= 1 {
+            for (addr, data) in live.into_iter().flatten() {
+                image.write(*addr, data)?;
             }
             return Ok((1, start.elapsed().as_nanos() as u64));
         }
@@ -285,6 +348,453 @@ pub fn create(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
     Ok((db, RecoveryOutcome::fresh()))
 }
 
+/// The CorruptTransTable and CorruptDataTable of a corruption-mode redo
+/// scan (§4.3), and the rules that grow them.
+struct Taint<'m> {
+    /// Read records carry region codewords (CW ReadLog): a read is
+    /// judged by comparing them against the recovering image instead of
+    /// by overlap with the CorruptDataTable.
+    use_codewords: bool,
+    ctt: HashSet<TxnId>,
+    cdt: RangeSet,
+    /// Byte ranges targeted by operations in corrupt transactions' undo
+    /// logs: their rollback will change these bytes, so any *access* to
+    /// them after the owning transaction was tainted would observe values
+    /// the delete history does not contain. The paper quarantines
+    /// conflicting begin-operation records (§4.3); tracking the ranges
+    /// also catches plain reads and physical writes, which our engine does
+    /// not wrap in operations.
+    undo_ranges: RangeSet,
+    /// The failing audit's range list, until it has entered the CDT: at
+    /// `Audit_SN` if that is inside the scan, otherwise right at the
+    /// start.
+    marker_ranges: Option<&'m CorruptionMarker>,
+}
+
+impl<'m> Taint<'m> {
+    fn new(
+        use_codewords: bool,
+        marker: Option<&'m CorruptionMarker>,
+        scan_start: Lsn,
+    ) -> Taint<'m> {
+        let mut t = Taint {
+            use_codewords,
+            ctt: HashSet::new(),
+            cdt: RangeSet::new(),
+            undo_ranges: RangeSet::new(),
+            marker_ranges: marker.filter(|_| !use_codewords),
+        };
+        if t.marker_ranges
+            .is_some_and(|m| m.audit_sn.is_none_or(|sn| sn <= scan_start))
+        {
+            t.seed_marker_ranges();
+        }
+        t
+    }
+
+    fn seed_marker_ranges(&mut self) {
+        if let Some(m) = self.marker_ranges.take() {
+            for &(a, l) in &m.ranges {
+                self.cdt.insert(a, l);
+            }
+        }
+    }
+
+    /// Taint a transaction: freeze its undo log (subsequent logical
+    /// records are ignored) and protect its undo targets from later
+    /// interference.
+    fn taint(&mut self, txn: TxnId, att: &HashMap<TxnId, TxnState>, catalog: &Catalog) {
+        if !self.ctt.insert(txn) {
+            return;
+        }
+        let Some(st) = att.get(&txn) else { return };
+        for entry in st.undo.iter() {
+            match &entry.kind {
+                UndoKind::Logical(u) => {
+                    let target = u.target();
+                    if let Ok(meta) = catalog.get(target.table) {
+                        self.undo_ranges
+                            .insert(meta.slot_addr(target.slot), meta.rec_size);
+                    }
+                }
+                // Physical undo (an operation in flight at the
+                // checkpoint) restores these exact bytes.
+                UndoKind::Physical { addr, before, .. } => {
+                    self.undo_ranges.insert(*addr, before.len());
+                }
+            }
+        }
+    }
+}
+
+/// An operation committed: send its buffered writes to this segment's
+/// buckets, or — without buckets (corruption mode) — straight to `image`.
+fn release<'s>(
+    buckets: &mut Option<RedoBuckets<'s>>,
+    image: &DbImage,
+    writes: &mut Vec<Write<'s>>,
+) -> Result<()> {
+    for (addr, data) in writes.drain(..) {
+        match buckets {
+            Some(b) => b.push(addr, data),
+            None => image.write(addr, &data)?,
+        }
+    }
+    Ok(())
+}
+
+/// What the redo pass leaves for the rest of recovery.
+struct Redone {
+    /// The reconstructed ATT: every transaction still incomplete at the
+    /// end of the scan, with the undo log its rollback needs.
+    att: HashMap<TxnId, TxnState>,
+    catalog: Catalog,
+    /// Log records the scan processed.
+    records_scanned: usize,
+    next_txn: u64,
+    next_audit: u64,
+    redo_threads_used: usize,
+    redo_parallel_ns: u64,
+}
+
+/// The redo pass of every recovery mode: stream the stable log from the
+/// checkpoint's `CK_end` (stopping before `upto`, if given), rebuild the
+/// ATT and catalog, and repeat history on `image`.
+///
+/// The pipeline is reader → classify → per-segment apply. The reader
+/// ([`LogReader`]) holds one segment in memory and checks each frame as
+/// it is first walked over; classification works on records *borrowed*
+/// from it, so a physical write is a `(DbAddr, &[u8])` into the segment
+/// buffer until it lands in the image.
+/// What outlives the segment is copied exactly once: operation-commit
+/// undo images (a loser's undo log is needed after the whole scan) and
+/// the writes of an operation whose batch straddles a segment roll.
+///
+/// Physical redo is buffered per operation and released when the
+/// operation's commit record arrives. Operation commit migrates its
+/// records to the system log as one batch, so in an intact log every
+/// physical record is followed by its OpCommit; the exception is a *torn
+/// final flush* (or a prior-state cut), whose trailing partial batch must
+/// be discarded — applying it would write bytes that no undo information
+/// covers. (Compensation records of an abort are terminated by the
+/// TxnAbort record of the same batch instead.)
+///
+/// Released writes are bucketed by page and applied on the redo pool when
+/// their segment ends, before its buffer is dropped. With `taint` (the
+/// §4.3 corruption-mode scan) they are applied inline and serially
+/// instead, because that scan reads the image mid-stream.
+fn redo_pass(
+    config: &DaliConfig,
+    meta: &ckpt::CkptMeta,
+    image: &DbImage,
+    upto: Option<Lsn>,
+    mut taint: Option<&mut Taint<'_>>,
+) -> Result<Redone> {
+    let mut catalog = meta.catalog.clone();
+    let mut att: HashMap<TxnId, TxnState> = Att::decode_for_recovery(&meta.att_blob)?
+        .into_iter()
+        .map(|s| (s.id, s))
+        .collect();
+    let redo_threads = config.resolved_redo_threads();
+    let mut out_threads_used = 1;
+    let mut out_parallel_ns = 0u64;
+    let mut records_scanned = 0usize;
+    let mut max_txn_seen = 0u64;
+    let mut max_audit_seen = 0u64;
+    // The transaction last seen to have an ATT entry: consecutive records
+    // of one transaction need not look it up again to know it is there.
+    let mut in_att: Option<TxnId> = None;
+    // Writes of operations still uncommitted when their segment ended.
+    let mut carried = Vec::new();
+
+    let reader = LogReader::open(
+        Db::log_path(&config.dir),
+        meta.ck_end,
+        config.codeword_algebra,
+    )?;
+    reader.for_each_segment(|seg| {
+        let mut cut = false;
+        let mut pending = PendingWrites {
+            ops: std::mem::take(&mut carried),
+            spare: Vec::new(),
+        };
+        let mut buckets = taint
+            .is_none()
+            .then(|| RedoBuckets::new(redo_threads, config.page_size));
+        for (lsn, rec) in seg.records() {
+            if upto.is_some_and(|upto| lsn >= upto) {
+                cut = true;
+                break;
+            }
+            records_scanned += 1;
+            if let Some(t) = rec.txn() {
+                max_txn_seen = max_txn_seen.max(t.0 + 1);
+            }
+            match rec {
+                LogRecordRef::TxnBegin { txn } => {
+                    att.entry(txn)
+                        .or_insert_with(|| TxnState::new_for_recovery(txn));
+                    in_att = Some(txn);
+                }
+                LogRecordRef::OpBegin { txn, rec, .. } => {
+                    if in_att != Some(txn) {
+                        att.entry(txn)
+                            .or_insert_with(|| TxnState::new_for_recovery(txn));
+                        in_att = Some(txn);
+                    }
+                    if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
+                        // §4.3: quarantine transactions whose new
+                        // operation conflicts with an operation in a
+                        // corrupt transaction's undo log.
+                        let conflicts = t.ctt.iter().any(|ct| {
+                            att.get(ct)
+                                .is_some_and(|s| s.undo.logical_targets().any(|t| t == rec))
+                        });
+                        if conflicts {
+                            t.taint(txn, &att, &catalog);
+                        }
+                    }
+                }
+                LogRecordRef::PhysicalRedo {
+                    txn,
+                    op,
+                    addr,
+                    data,
+                } => {
+                    if let Some(t) = taint.as_mut() {
+                        if t.ctt.contains(&txn) {
+                            // Suppress the write; what it would have
+                            // written is now (conservatively) corrupt.
+                            t.cdt.insert(addr, data.len());
+                            continue;
+                        }
+                        if (!t.use_codewords && t.cdt.overlaps(addr, data.len()))
+                            || t.undo_ranges.overlaps(addr, data.len())
+                        {
+                            // Write record of a transaction touching
+                            // corrupt data (or data a corrupt
+                            // transaction's rollback will restore): the
+                            // transaction is corrupt and the write is
+                            // suppressed.
+                            t.taint(txn, &att, &catalog);
+                            t.cdt.insert(addr, data.len());
+                            continue;
+                        }
+                    }
+                    pending.push((txn, op), (addr, Cow::Borrowed(data)));
+                }
+                LogRecordRef::ReadLog {
+                    txn,
+                    addr,
+                    len,
+                    codewords,
+                } => {
+                    let len = len as usize;
+                    if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
+                        let tainted = if !codewords.is_empty() {
+                            !codewords_match(image, config, addr, len, codewords)?
+                        } else {
+                            t.cdt.overlaps(addr, len)
+                        };
+                        // A read of data that a corrupt transaction's
+                        // rollback will restore observes a value absent
+                        // from the delete history — the reader must be
+                        // deleted too, even under the codeword variant
+                        // (the recovering image at this scan position
+                        // still matches what the reader saw; the
+                        // divergence only appears at the undo phase).
+                        if tainted || t.undo_ranges.overlaps(addr, len) {
+                            t.taint(txn, &att, &catalog);
+                        }
+                    }
+                }
+                LogRecordRef::OpCommit { txn, op, undo } => {
+                    if taint.as_ref().is_some_and(|t| t.ctt.contains(&txn)) {
+                        pending.take((txn, op));
+                        continue; // logical records of corrupt txns are ignored
+                    }
+                    // The operation committed: its buffered physical
+                    // writes are covered by the logical undo below.
+                    if let Some(mut writes) = pending.take((txn, op)) {
+                        release(&mut buckets, image, &mut writes)?;
+                        pending.spare = writes;
+                    }
+                    let st = att
+                        .entry(txn)
+                        .or_insert_with(|| TxnState::new_for_recovery(txn));
+                    st.undo.commit_op(op, undo.to_owned());
+                    st.next_op = st.next_op.max(op.0 + 1);
+                    in_att = Some(txn);
+                }
+                LogRecordRef::TxnCommit { txn } | LogRecordRef::TxnAbort { txn } => {
+                    let ops = pending.take_txn(txn);
+                    if taint.as_ref().is_some_and(|t| t.ctt.contains(&txn)) {
+                        continue; // stays incomplete; undone in the undo phase
+                    }
+                    // An abort's compensation records are terminated by
+                    // the TxnAbort record of the same batch: apply them
+                    // now (in op, then insertion order — compensations
+                    // of one rollback share an op only with themselves).
+                    for mut writes in ops {
+                        release(&mut buckets, image, &mut writes)?;
+                    }
+                    att.remove(&txn);
+                    in_att = in_att.filter(|t| *t != txn);
+                }
+                LogRecordRef::AuditBegin { audit_id } => {
+                    max_audit_seen = max_audit_seen.max(audit_id + 1);
+                    if let Some(t) = taint.as_mut() {
+                        if t.marker_ranges.is_some_and(|m| m.audit_sn == Some(lsn)) {
+                            t.seed_marker_ranges();
+                        }
+                    }
+                }
+                LogRecordRef::AuditEnd { .. } | LogRecordRef::CkptComplete { .. } => {}
+                LogRecordRef::CreateTable {
+                    table,
+                    name,
+                    rec_size,
+                    capacity,
+                    bitmap_base,
+                    data_base,
+                } => {
+                    catalog.register(replayed_meta(
+                        table,
+                        name.to_string(),
+                        rec_size,
+                        capacity,
+                        bitmap_base,
+                        data_base,
+                        config.page_size,
+                    )?)?;
+                }
+            }
+        }
+
+        // ---- end of segment: apply what it released, keep what it owes ----
+        if let Some(buckets) = buckets {
+            let (used, ns) = buckets.apply(image)?;
+            out_threads_used = out_threads_used.max(used);
+            out_parallel_ns += ns;
+        }
+        if cut {
+            return Ok(ControlFlow::Break(()));
+        }
+        carried = pending.into_carried();
+        Ok(ControlFlow::Continue(()))
+    })?;
+    // If Audit_SN was never passed (e.g. its record sat in a lost tail),
+    // seed the ranges anyway: better to over-taint than to miss.
+    if let Some(t) = taint {
+        t.seed_marker_ranges();
+    }
+
+    Ok(Redone {
+        att,
+        catalog,
+        records_scanned,
+        next_txn: meta.next_txn.max(max_txn_seen),
+        next_audit: meta.next_audit.max(max_audit_seen),
+        redo_threads_used: out_threads_used,
+        redo_parallel_ns: out_parallel_ns,
+    })
+}
+
+/// Allocate the database image and load certified checkpoint image
+/// `image_idx` straight into it.
+fn load_checkpoint(config: &DaliConfig, image_idx: usize) -> Result<Arc<DbImage>> {
+    let mut image = DbImage::new(config.db_pages, config.page_size)?;
+    ckpt::load_image(&config.dir, image_idx, &mut image)?;
+    Ok(Arc::new(image))
+}
+
+/// Reopen the log for append and assemble the engine around the redone
+/// image (heaps are needed for logical undo). Returns the reconstructed
+/// ATT for the undo phase.
+fn build_recovered(
+    config: DaliConfig,
+    image: Arc<DbImage>,
+    image_idx: usize,
+    serial: u64,
+    redone: Redone,
+) -> Result<(Arc<Db>, HashMap<TxnId, TxnState>)> {
+    let syslog = SystemLog::open_with(
+        Db::log_path(&config.dir),
+        config.page_size,
+        config.codeword_algebra,
+        config.log_segment_bytes,
+    )?;
+    let db = build_db(
+        config,
+        image,
+        syslog,
+        redone.catalog,
+        CkptState {
+            next_image: 1 - image_idx,
+            serial,
+            ckpts_since_full: 0,
+            // The dirty-page footprint describes interface writes, not
+            // what the crash (or the repair we just did) touched: the
+            // first post-recovery certification must sweep everything.
+            force_full: true,
+        },
+        redone.next_txn,
+        redone.next_audit,
+        None,
+    )?;
+    db.stats
+        .redo_threads_used
+        .store(redone.redo_threads_used as u64, Ordering::Relaxed);
+    db.stats
+        .redo_parallel_ns
+        .store(redone.redo_parallel_ns, Ordering::Relaxed);
+    Ok((db, redone.att))
+}
+
+/// Undo phase and wrap-up: roll back every incomplete transaction level
+/// by level, log the aborts, rebuild runtime state, and take the
+/// mandatory certified checkpoint (only then is the corruption marker
+/// cleared). Returns the rolled-back ids, ascending, split into those in
+/// `ctt` (deleted from history) and the merely incomplete.
+fn undo_and_finish(
+    db: &Arc<Db>,
+    mut att: HashMap<TxnId, TxnState>,
+    ctt: &HashSet<TxnId>,
+) -> Result<(Vec<TxnId>, Vec<TxnId>)> {
+    let mut incomplete: Vec<TxnId> = att.keys().copied().collect();
+    incomplete.sort_unstable();
+    // Roll back in reverse id order (newest first) so that a quarantined
+    // transaction's writes are removed before the corrupt transaction it
+    // conflicted with is rolled back.
+    for id in incomplete.iter().rev() {
+        let st = att.get_mut(id).expect("present");
+        rollback_direct(db, &mut st.undo)?;
+    }
+    let (deleted, rolled_back): (Vec<TxnId>, Vec<TxnId>) =
+        incomplete.into_iter().partition(|id| ctt.contains(id));
+    // Record the aborts so the history reflects the rollback.
+    let aborts: Vec<LogRecord> = deleted
+        .iter()
+        .chain(rolled_back.iter())
+        .map(|&txn| LogRecord::TxnAbort { txn })
+        .collect();
+    db.syslog.append_batch(&aborts);
+    db.syslog.flush(false)?;
+
+    for h in db.heaps.read().iter() {
+        h.rebuild_from_image(&db.image)?;
+    }
+    db.prot.resync(&db.image)?;
+    // Every page may differ from both checkpoint images now.
+    db.syslog.dirty().note_range(db.config.db_pages);
+    ckpt::checkpoint(db)?;
+    corruption::clear_marker(&db.config.dir)?;
+    if db.config.scheme.uses_mprotect() {
+        db.protector.enable()?;
+    }
+    Ok((deleted, rolled_back))
+}
+
 /// Open an existing database: restart recovery (normal or corruption
 /// mode).
 pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
@@ -305,350 +815,20 @@ pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
         (Some(_), _) => RecoveryMode::CacheRecovery,
         (None, _) => RecoveryMode::Normal,
     };
+    let mut taint = (mode == RecoveryMode::DeleteTxn).then(|| {
+        Taint::new(
+            config.scheme.logs_read_codewords(),
+            marker.as_ref(),
+            meta.ck_end,
+        )
+    });
 
-    // ---- load the certified checkpoint ----
-    let image = Arc::new(DbImage::new(config.db_pages, config.page_size)?);
-    let bytes = ckpt::load_image_bytes(&dir, image_idx, config.db_bytes())?;
-    image.arena().write(0, &bytes)?;
-    drop(bytes);
-    let mut catalog = meta.catalog.clone();
-
-    // Reconstructed ATT, seeded from the checkpointed one.
-    let mut att: HashMap<TxnId, TxnState> = Att::decode_for_recovery(&meta.att_blob)?
-        .into_iter()
-        .map(|s| (s.id, s))
-        .collect();
-
-    // ---- redo phase ----
-    let corruption_mode = mode == RecoveryMode::DeleteTxn;
-    let use_codewords = config.scheme.logs_read_codewords();
-    let mut ctt: std::collections::HashSet<TxnId> = std::collections::HashSet::new();
-    let mut cdt = RangeSet::new();
-    // Byte ranges targeted by operations in corrupt transactions' undo
-    // logs: their rollback will change these bytes, so any *access* to
-    // them after the owning transaction was tainted would observe values
-    // the delete history does not contain. The paper quarantines
-    // conflicting begin-operation records (§4.3); tracking the ranges
-    // also catches plain reads and physical writes, which our engine does
-    // not wrap in operations.
-    let mut ctt_undo_ranges = RangeSet::new();
-    let region_size = config.region_size;
-    let algebra = config.codeword_algebra;
-
-    // Where does the failing audit's range list enter the CDT? At
-    // Audit_SN if it is inside the scan, otherwise right at the start.
-    let audit_sn = marker.as_ref().and_then(|m| m.audit_sn);
-    let mut marker_ranges_pending = corruption_mode && !use_codewords;
-    if marker_ranges_pending && audit_sn.is_none_or(|sn| sn <= meta.ck_end) {
-        seed_marker_ranges(&mut cdt, &marker);
-        marker_ranges_pending = false;
-    }
-
-    let records =
-        SystemLog::scan_stable_with(Db::log_path(&dir), meta.ck_end, config.codeword_algebra)?;
-    let records_scanned = records.len();
-    let mut max_txn_seen = 0u64;
-    let mut max_audit_seen = 0u64;
-    // Physical redo is buffered per operation and applied when the
-    // operation's commit record arrives. Operation commit migrates its
-    // records to the system log as one batch, so in an intact log every
-    // physical record is followed by its OpCommit; the exception is a
-    // *torn final flush*, whose trailing partial batch must be discarded
-    // — applying it would write bytes that no undo information covers.
-    // (Compensation records of an abort are terminated by the TxnAbort
-    // record of the same batch instead.)
-    let mut pending_writes: PendingWrites = HashMap::new();
-    // Normal-mode redo is two-phase: the serial scan classifies frames
-    // and buckets released writes by page; a scoped worker pool applies
-    // them afterwards. Corruption mode reads the image mid-scan, so its
-    // redo stays inline and serial.
-    let redo_threads = if corruption_mode {
-        1
-    } else {
-        config.resolved_redo_threads()
-    };
-    let mut redo = RedoBuckets::new(redo_threads, config.page_size);
-
-    // Taint a transaction: freeze its undo log (subsequent logical records
-    // are ignored) and protect its undo targets from later interference.
-    let taint = |txn: TxnId,
-                 ctt: &mut std::collections::HashSet<TxnId>,
-                 ctt_undo_ranges: &mut RangeSet,
-                 att: &HashMap<TxnId, TxnState>,
-                 catalog: &Catalog| {
-        if ctt.insert(txn) {
-            if let Some(st) = att.get(&txn) {
-                for entry in st.undo.iter() {
-                    match &entry.kind {
-                        dali_wal::UndoKind::Logical(u) => {
-                            let target = u.target();
-                            if let Ok(meta) = catalog.get(target.table) {
-                                ctt_undo_ranges.insert(meta.slot_addr(target.slot), meta.rec_size);
-                            }
-                        }
-                        dali_wal::UndoKind::Physical { addr, before, .. } => {
-                            // Physical undo (an operation in flight at the
-                            // checkpoint) restores these exact bytes.
-                            ctt_undo_ranges.insert(*addr, before.len());
-                        }
-                    }
-                }
-            }
-        }
-    };
-
-    for (lsn, rec) in records {
-        if let Some(t) = rec.txn() {
-            max_txn_seen = max_txn_seen.max(t.0 + 1);
-        }
-        match rec {
-            LogRecord::TxnBegin { txn } => {
-                att.entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-            }
-            LogRecord::OpBegin { txn, rec, .. } => {
-                att.entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-                if corruption_mode && !ctt.contains(&txn) {
-                    // §4.3: quarantine transactions whose new operation
-                    // conflicts with an operation in a corrupt
-                    // transaction's undo log.
-                    let conflicts = ctt.iter().any(|ct| {
-                        att.get(ct)
-                            .map(|s| s.undo.logical_targets().any(|t| t == rec))
-                            .unwrap_or(false)
-                    });
-                    if conflicts {
-                        taint(txn, &mut ctt, &mut ctt_undo_ranges, &att, &catalog);
-                    }
-                }
-            }
-            LogRecord::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data,
-            } => {
-                if corruption_mode {
-                    if ctt.contains(&txn) {
-                        // Suppress the write; what it would have written is
-                        // now (conservatively) corrupt data.
-                        cdt.insert(addr, data.len());
-                        continue;
-                    }
-                    if (!use_codewords && cdt.overlaps(addr, data.len()))
-                        || ctt_undo_ranges.overlaps(addr, data.len())
-                    {
-                        // Write record of a transaction touching corrupt
-                        // data (or data a corrupt transaction's rollback
-                        // will restore): the transaction is corrupt and
-                        // the write is suppressed.
-                        taint(txn, &mut ctt, &mut ctt_undo_ranges, &att, &catalog);
-                        cdt.insert(addr, data.len());
-                        continue;
-                    }
-                }
-                pending_writes
-                    .entry((txn, op))
-                    .or_default()
-                    .push((addr, data));
-            }
-            LogRecord::ReadLog {
-                txn,
-                addr,
-                len,
-                codewords,
-            } => {
-                if corruption_mode && !ctt.contains(&txn) {
-                    let tainted = if !codewords.is_empty() {
-                        !codewords_match(
-                            &image,
-                            algebra,
-                            region_size,
-                            addr,
-                            len as usize,
-                            &codewords,
-                        )?
-                    } else {
-                        cdt.overlaps(addr, len as usize)
-                    };
-                    // A read of data that a corrupt transaction's rollback
-                    // will restore observes a value absent from the delete
-                    // history — the reader must be deleted too, even under
-                    // the codeword variant (the recovering image at this
-                    // scan position still matches what the reader saw; the
-                    // divergence only appears at the undo phase).
-                    if tainted || ctt_undo_ranges.overlaps(addr, len as usize) {
-                        taint(txn, &mut ctt, &mut ctt_undo_ranges, &att, &catalog);
-                    }
-                }
-            }
-            LogRecord::OpCommit { txn, op, undo } => {
-                if corruption_mode && ctt.contains(&txn) {
-                    pending_writes.remove(&(txn, op));
-                    continue; // logical records of corrupt txns are ignored
-                }
-                // The operation committed: its buffered physical writes
-                // are covered by the logical undo below — release them.
-                if let Some(writes) = pending_writes.remove(&(txn, op)) {
-                    for (addr, data) in writes {
-                        if corruption_mode {
-                            image.write(addr, &data)?;
-                        } else {
-                            redo.push(addr, data);
-                        }
-                    }
-                }
-                let st = att
-                    .entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-                st.undo.commit_op(op, undo);
-                st.next_op = st.next_op.max(op.0 + 1);
-            }
-            LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
-                if corruption_mode && ctt.contains(&txn) {
-                    pending_writes.retain(|(t, _), _| *t != txn);
-                    continue; // stays incomplete; undone in the undo phase
-                }
-                // An abort's compensation records are terminated by the
-                // TxnAbort record of the same batch: apply them now (in
-                // op, then insertion order — compensations of one rollback
-                // share an op only with themselves).
-                let mut keys: Vec<_> = pending_writes
-                    .keys()
-                    .filter(|(t, _)| *t == txn)
-                    .copied()
-                    .collect();
-                keys.sort_unstable_by_key(|(_, op)| op.0);
-                for key in keys {
-                    if let Some(writes) = pending_writes.remove(&key) {
-                        for (addr, data) in writes {
-                            if corruption_mode {
-                                image.write(addr, &data)?;
-                            } else {
-                                redo.push(addr, data);
-                            }
-                        }
-                    }
-                }
-                att.remove(&txn);
-            }
-            LogRecord::AuditBegin { audit_id } => {
-                max_audit_seen = max_audit_seen.max(audit_id + 1);
-                if marker_ranges_pending && audit_sn == Some(lsn) {
-                    seed_marker_ranges(&mut cdt, &marker);
-                    marker_ranges_pending = false;
-                }
-            }
-            LogRecord::AuditEnd { .. } | LogRecord::CkptComplete { .. } => {}
-            LogRecord::CreateTable {
-                table,
-                name,
-                rec_size,
-                capacity,
-                bitmap_base,
-                data_base,
-            } => {
-                catalog.register(replayed_meta(
-                    table,
-                    name,
-                    rec_size,
-                    capacity,
-                    bitmap_base,
-                    data_base,
-                    config.page_size,
-                )?)?;
-            }
-        }
-    }
-    // If Audit_SN was never passed (e.g. its record sat in a lost tail),
-    // seed the ranges anyway: better to over-taint than to miss.
-    if marker_ranges_pending {
-        seed_marker_ranges(&mut cdt, &marker);
-    }
-
-    // ---- parallel apply: replay the bucketed physical redo ----
-    // (Empty in corruption mode, whose writes went inline above.)
-    let (redo_threads_used, redo_parallel_ns) = redo.apply(&image)?;
-
-    // ---- build the engine (heaps needed for logical undo) ----
-    let syslog = SystemLog::open_with(
-        Db::log_path(&dir),
-        config.page_size,
-        config.codeword_algebra,
-        config.log_segment_bytes,
-    )?;
-    let next_txn = meta.next_txn.max(max_txn_seen);
-    let next_audit = meta.next_audit.max(max_audit_seen);
-    let db = build_db(
-        config,
-        Arc::clone(&image),
-        syslog,
-        catalog,
-        CkptState {
-            next_image: 1 - image_idx,
-            serial,
-            ckpts_since_full: 0,
-            // The dirty-page footprint describes interface writes, not
-            // what the crash (or the repair we just did) touched: the
-            // first post-recovery certification must sweep everything.
-            force_full: true,
-        },
-        next_txn,
-        next_audit,
-        None,
-    )?;
-    db.stats
-        .redo_threads_used
-        .store(redo_threads_used as u64, Ordering::Relaxed);
-    db.stats
-        .redo_parallel_ns
-        .store(redo_parallel_ns, Ordering::Relaxed);
-
-    // ---- undo phase: roll back incomplete transactions level by level ----
-    let mut incomplete: Vec<TxnId> = att.keys().copied().collect();
-    incomplete.sort_unstable();
-    let mut deleted = Vec::new();
-    let mut rolled_back = Vec::new();
-    // Roll back in reverse id order (newest first) so that a quarantined
-    // transaction's writes are removed before the corrupt transaction it
-    // conflicted with is rolled back.
-    for id in incomplete.iter().rev() {
-        let st = att.get_mut(id).expect("present");
-        rollback_direct(&db, &mut st.undo)?;
-        if ctt.contains(id) {
-            deleted.push(*id);
-        } else {
-            rolled_back.push(*id);
-        }
-    }
-    deleted.sort_unstable();
-    rolled_back.sort_unstable();
-
-    // Record the aborts so the history reflects the rollback.
-    {
-        let aborts: Vec<LogRecord> = deleted
-            .iter()
-            .chain(rolled_back.iter())
-            .map(|&txn| LogRecord::TxnAbort { txn })
-            .collect();
-        db.syslog.append_batch(&aborts);
-        db.syslog.flush(false)?;
-    }
-
-    // ---- finish: rebuild runtime state, mandatory checkpoint ----
-    for h in db.heaps.read().iter() {
-        h.rebuild_from_image(&db.image)?;
-    }
-    db.prot.resync(&db.image)?;
-    // Every page may differ from both checkpoint images now.
-    db.syslog.dirty().note_range(db.config.db_pages);
-    ckpt::checkpoint(&db)?;
-    corruption::clear_marker(&db.config.dir)?;
-    if db.config.scheme.uses_mprotect() {
-        db.protector.enable()?;
-    }
-
+    let image = load_checkpoint(&config, image_idx)?;
+    let redone = redo_pass(&config, &meta, &image, None, taint.as_mut())?;
+    let records_scanned = redone.records_scanned;
+    let (db, att) = build_recovered(config, image, image_idx, serial, redone)?;
+    let (ctt, cdt) = taint.map(|t| (t.ctt, t.cdt)).unwrap_or_default();
+    let (deleted, rolled_back) = undo_and_finish(&db, att, &ctt)?;
     Ok((
         db,
         RecoveryOutcome {
@@ -678,7 +858,7 @@ pub fn restore_prior_state(config: DaliConfig, upto: Lsn) -> Result<(Arc<Db>, Re
     let (anchored, serial) = ckpt::read_anchor(&dir)?;
     // Prefer the anchored image; fall back to the other image when the
     // anchored checkpoint is too new.
-    let meta = match ckpt::read_meta(&dir, anchored) {
+    let (image_idx, meta) = match ckpt::read_meta(&dir, anchored) {
         Ok(m) if m.ck_end <= upto => (anchored, m),
         _ => {
             let other = 1 - anchored;
@@ -693,183 +873,27 @@ pub fn restore_prior_state(config: DaliConfig, upto: Lsn) -> Result<(Arc<Db>, Re
             (other, m)
         }
     };
-    let (image_idx, meta) = meta;
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
     check_ckpt_parity(&meta, config.resolved_parity_group_size())?;
 
-    let image = Arc::new(DbImage::new(config.db_pages, config.page_size)?);
-    let bytes = ckpt::load_image_bytes(&dir, image_idx, config.db_bytes())?;
-    image.arena().write(0, &bytes)?;
-    drop(bytes);
-    let mut catalog = meta.catalog.clone();
-
-    let mut att: HashMap<TxnId, TxnState> = Att::decode_for_recovery(&meta.att_blob)?
-        .into_iter()
-        .map(|s| (s.id, s))
-        .collect();
-
-    // Redo up to (not beyond) `upto`, buffering physical writes per
-    // operation (see restart(): a prefix cut can split an operation's
-    // batch, and unmatched physical records must be discarded).
-    let records =
-        SystemLog::scan_stable_with(Db::log_path(&dir), meta.ck_end, config.codeword_algebra)?;
-    let mut records_scanned = 0usize;
-    let mut max_txn_seen = 0u64;
-    let mut max_audit_seen = 0u64;
-    let mut pending_writes: PendingWrites = HashMap::new();
-    let mut redo = RedoBuckets::new(config.resolved_redo_threads(), config.page_size);
-    for (lsn, rec) in records {
-        if lsn >= upto {
-            break;
-        }
-        records_scanned += 1;
-        if let Some(t) = rec.txn() {
-            max_txn_seen = max_txn_seen.max(t.0 + 1);
-        }
-        match rec {
-            LogRecord::TxnBegin { txn } => {
-                att.entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-            }
-            LogRecord::OpBegin { txn, .. } => {
-                att.entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-            }
-            LogRecord::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data,
-            } => {
-                pending_writes
-                    .entry((txn, op))
-                    .or_default()
-                    .push((addr, data));
-            }
-            LogRecord::ReadLog { .. } => {}
-            LogRecord::OpCommit { txn, op, undo } => {
-                if let Some(writes) = pending_writes.remove(&(txn, op)) {
-                    for (addr, data) in writes {
-                        redo.push(addr, data);
-                    }
-                }
-                let st = att
-                    .entry(txn)
-                    .or_insert_with(|| TxnState::new_for_recovery(txn));
-                st.undo.commit_op(op, undo);
-                st.next_op = st.next_op.max(op.0 + 1);
-            }
-            LogRecord::TxnCommit { txn } | LogRecord::TxnAbort { txn } => {
-                let mut keys: Vec<_> = pending_writes
-                    .keys()
-                    .filter(|(t, _)| *t == txn)
-                    .copied()
-                    .collect();
-                keys.sort_unstable_by_key(|(_, op)| op.0);
-                for key in keys {
-                    if let Some(writes) = pending_writes.remove(&key) {
-                        for (addr, data) in writes {
-                            redo.push(addr, data);
-                        }
-                    }
-                }
-                att.remove(&txn);
-            }
-            LogRecord::AuditBegin { audit_id } => {
-                max_audit_seen = max_audit_seen.max(audit_id + 1);
-            }
-            LogRecord::AuditEnd { .. } | LogRecord::CkptComplete { .. } => {}
-            LogRecord::CreateTable {
-                table,
-                name,
-                rec_size,
-                capacity,
-                bitmap_base,
-                data_base,
-            } => {
-                catalog.register(replayed_meta(
-                    table,
-                    name,
-                    rec_size,
-                    capacity,
-                    bitmap_base,
-                    data_base,
-                    config.page_size,
-                )?)?;
-            }
-        }
-    }
-
-    // Apply the bucketed redo, then truncate the discarded future before
-    // reopening the log for append.
-    let (redo_threads_used, redo_parallel_ns) = redo.apply(&image)?;
+    // Redo up to (not beyond) `upto`; a prefix cut can split an
+    // operation's batch, whose unmatched physical records are discarded.
+    let image = load_checkpoint(&config, image_idx)?;
+    let redone = redo_pass(&config, &meta, &image, Some(upto), None)?;
+    let records_scanned = redone.records_scanned;
+    // Truncate the discarded future before reopening the log for append.
     dali_wal::segment::truncate_at(&Db::log_path(&dir), upto)?;
-
-    let syslog = SystemLog::open_with(
-        Db::log_path(&dir),
-        config.page_size,
-        config.codeword_algebra,
-        config.log_segment_bytes,
-    )?;
-    let db = build_db(
-        config,
-        Arc::clone(&image),
-        syslog,
-        catalog,
-        CkptState {
-            next_image: 1 - image_idx,
-            serial,
-            ckpts_since_full: 0,
-            // The dirty-page footprint describes interface writes, not
-            // what the crash (or the repair we just did) touched: the
-            // first post-recovery certification must sweep everything.
-            force_full: true,
-        },
-        meta.next_txn.max(max_txn_seen),
-        meta.next_audit.max(max_audit_seen),
-        None,
-    )?;
-    db.stats
-        .redo_threads_used
-        .store(redo_threads_used as u64, Ordering::Relaxed);
-    db.stats
-        .redo_parallel_ns
-        .store(redo_parallel_ns, Ordering::Relaxed);
-
-    // Roll back transactions in flight at `upto` (transaction-consistent
-    // prior state).
-    let mut incomplete: Vec<TxnId> = att.keys().copied().collect();
-    incomplete.sort_unstable();
-    for id in incomplete.iter().rev() {
-        let st = att.get_mut(id).expect("present");
-        rollback_direct(&db, &mut st.undo)?;
-    }
-    {
-        let aborts: Vec<LogRecord> = incomplete
-            .iter()
-            .map(|&txn| LogRecord::TxnAbort { txn })
-            .collect();
-        db.syslog.append_batch(&aborts);
-        db.syslog.flush(false)?;
-    }
-
-    for h in db.heaps.read().iter() {
-        h.rebuild_from_image(&db.image)?;
-    }
-    db.prot.resync(&db.image)?;
-    db.syslog.dirty().note_range(db.config.db_pages);
-    ckpt::checkpoint(&db)?;
-    corruption::clear_marker(&db.config.dir)?;
-    if db.config.scheme.uses_mprotect() {
-        db.protector.enable()?;
-    }
+    let (db, att) = build_recovered(config, image, image_idx, serial, redone)?;
+    // Transactions in flight at `upto` are rolled back: the prior state
+    // is transaction-consistent.
+    let (_, rolled_back) = undo_and_finish(&db, att, &HashSet::new())?;
 
     Ok((
         db,
         RecoveryOutcome {
             mode: RecoveryMode::PriorState,
             deleted_txns: Vec::new(),
-            rolled_back_txns: incomplete,
+            rolled_back_txns: rolled_back,
             corrupt_ranges: Vec::new(),
             records_scanned,
         },
@@ -902,14 +926,6 @@ fn replayed_meta(
         data_base,
         layout,
     })
-}
-
-fn seed_marker_ranges(cdt: &mut RangeSet, marker: &Option<CorruptionMarker>) {
-    if let Some(m) = marker {
-        for &(a, l) in &m.ranges {
-            cdt.insert(a, l);
-        }
-    }
 }
 
 /// Reject a checkpoint certified under a different codeword algebra: its
@@ -951,12 +967,12 @@ fn check_ckpt_parity(meta: &ckpt::CkptMeta, configured: usize) -> Result<()> {
 /// overlapped protection region.
 fn codewords_match(
     image: &DbImage,
-    algebra: CodewordAlgebraKind,
-    region_size: usize,
+    config: &DaliConfig,
     addr: DbAddr,
     len: usize,
-    logged: &[u32],
+    logged: CodewordsRef<'_>,
 ) -> Result<bool> {
+    let region_size = config.region_size;
     let first = addr.0 / region_size;
     let last = if len == 0 {
         first
@@ -967,9 +983,13 @@ fn codewords_match(
         // Geometry changed between runs; treat as mismatch (conservative).
         return Ok(false);
     }
-    for (i, r) in (first..=last).enumerate() {
-        let cw = image.fold(algebra, DbAddr(r * region_size), region_size)?;
-        if cw != logged[i] {
+    for (r, cw) in (first..=last).zip(logged.iter()) {
+        if image.fold(
+            config.codeword_algebra,
+            DbAddr(r * region_size),
+            region_size,
+        )? != cw
+        {
             return Ok(false);
         }
     }

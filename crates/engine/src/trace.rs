@@ -17,8 +17,7 @@
 
 use crate::corruption::RangeSet;
 use dali_common::{DbAddr, Lsn, Result, TxnId};
-use dali_wal::record::LogRecord;
-use dali_wal::SystemLog;
+use dali_wal::{LogReader, LogRecordRef};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -62,7 +61,6 @@ pub fn trace_taint(
     seeds: &[TxnId],
     kind: dali_common::CodewordAlgebraKind,
 ) -> Result<TaintReport> {
-    let records = SystemLog::scan_stable_with(log_path, from, kind)?;
     let mut tainted: HashSet<TxnId> = seeds.iter().copied().collect();
     let mut data = RangeSet::new();
     let mut read_records_seen = 0usize;
@@ -75,31 +73,32 @@ pub fn trace_taint(
     // leans on). A fixpoint loop would be WRONG, not just wasteful: it
     // would re-apply taint to writes that happened before the taint
     // existed and cascade over the entire history.
-    for (_lsn, rec) in &records {
+    LogReader::open(log_path, from, kind)?.for_each(|_lsn, rec| {
         records_scanned += 1;
         match rec {
-            LogRecord::PhysicalRedo {
+            LogRecordRef::PhysicalRedo {
                 txn, addr, data: d, ..
             } => {
-                if tainted.contains(txn) {
-                    data.insert(*addr, d.len());
-                } else if data.overlaps(*addr, d.len()) {
+                if tainted.contains(&txn) {
+                    data.insert(addr, d.len());
+                } else if data.overlaps(addr, d.len()) {
                     // Overwrote tainted bytes without (necessarily)
                     // reading them: conservatively taint the writer, as
                     // the basic §4.3 scan does for write records.
-                    tainted.insert(*txn);
-                    data.insert(*addr, d.len());
+                    tainted.insert(txn);
+                    data.insert(addr, d.len());
                 }
             }
-            LogRecord::ReadLog { txn, addr, len, .. } => {
+            LogRecordRef::ReadLog { txn, addr, len, .. } => {
                 read_records_seen += 1;
-                if !tainted.contains(txn) && data.overlaps(*addr, *len as usize) {
-                    tainted.insert(*txn);
+                if !tainted.contains(&txn) && data.overlaps(addr, len as usize) {
+                    tainted.insert(txn);
                 }
             }
             _ => {}
         }
-    }
+        Ok(())
+    })?;
     let mut tainted_txns: Vec<TxnId> = tainted.into_iter().collect();
     tainted_txns.sort_unstable();
     Ok(TaintReport {

@@ -10,7 +10,7 @@
 
 use dali_common::{DaliConfig, Lsn, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
-use dali_wal::SystemLog;
+use dali_wal::LogReader;
 use std::collections::HashMap;
 
 fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -88,8 +88,14 @@ fn every_log_prefix_recovers_to_the_committed_prefix() {
 
     // Enumerate stable-log record boundaries.
     let log_path = dir.join("system.log");
-    let records = SystemLog::scan_stable(&log_path, Lsn::ZERO).unwrap();
-    let mut points: Vec<u64> = records.iter().map(|(l, _)| l.0).collect();
+    let mut points: Vec<u64> = Vec::new();
+    LogReader::open(&log_path, Lsn::ZERO, config.codeword_algebra)
+        .unwrap()
+        .for_each(|lsn, _| {
+            points.push(lsn.0);
+            Ok(())
+        })
+        .unwrap();
     let segments = dali_wal::segment::list(&log_path).unwrap();
     assert!(
         segments.len() > 2,

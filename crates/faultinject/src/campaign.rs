@@ -333,7 +333,7 @@ pub fn run_wal_round(
     let kind = inner.config.codeword_algebra;
     inner.syslog.flush(false)?;
     let path = Db::log_path(&inner.config.dir);
-    let baseline = dali_wal::SystemLog::scan_stable_with(&path, Lsn(0), kind)?;
+    let baseline = wal_fingerprint(&path, kind)?;
 
     // `offset` is a global log position; map it into the containing
     // segment file and clamp the window at the segment's end.
@@ -357,27 +357,32 @@ pub fn run_wal_round(
     f.write_all(&corrupt)?;
     f.sync_data()?;
 
-    let outcome = match dali_wal::SystemLog::scan_stable_with(&path, Lsn(0), kind) {
+    let outcome = match wal_fingerprint(&path, kind) {
         Err(_) => WalScanOutcome::Rejected,
-        Ok(scanned) if scanned.len() < baseline.len() => WalScanOutcome::Rejected,
-        Ok(scanned) => {
-            let same = scanned.len() == baseline.len()
-                && scanned
-                    .iter()
-                    .zip(baseline.iter())
-                    .all(|((la, ra), (lb, rb))| la == lb && format!("{ra:?}") == format!("{rb:?}"));
-            if same {
-                WalScanOutcome::Unaffected
-            } else {
-                WalScanOutcome::SilentlyAltered
-            }
-        }
+        Ok((records, _)) if records < baseline.0 => WalScanOutcome::Rejected,
+        Ok(scanned) if scanned == baseline => WalScanOutcome::Unaffected,
+        Ok(_) => WalScanOutcome::SilentlyAltered,
     };
 
     f.seek(SeekFrom::Start(local))?;
     f.write_all(&original)?;
     f.sync_data()?;
     Ok(Some(outcome))
+}
+
+/// Record count and a hash of the `(LSN, record)` sequence of one scan of
+/// the stable log: what two scans are compared by, without holding
+/// either in memory.
+fn wal_fingerprint(path: &std::path::Path, kind: CodewordAlgebraKind) -> Result<(usize, u64)> {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    let mut records = 0usize;
+    dali_wal::LogReader::open(path, Lsn(0), kind)?.for_each(|lsn, rec| {
+        records += 1;
+        (lsn.0, format!("{rec:?}")).hash(&mut hasher);
+        Ok(())
+    })?;
+    Ok((records, hasher.finish()))
 }
 
 /// How a detected corruption was (or wasn't) healed by the self-healing

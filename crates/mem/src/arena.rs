@@ -100,6 +100,18 @@ impl Arena {
         self.ptr.as_ptr()
     }
 
+    /// The whole arena as one mutable slice, for bulk-loading it (a
+    /// checkpoint image read straight from its file) before it is shared.
+    /// The exclusive borrow is what makes a Rust reference into the
+    /// arena sound here, where [`base_ptr`](Arena::base_ptr) users must
+    /// stay on raw pointers.
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: `ptr` is valid for `len` initialized (zeroed or since
+        // written) bytes for the arena's lifetime, and `&mut self` rules
+        // out every other access for the slice's lifetime.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+
     #[inline]
     fn check(&self, offset: usize, len: usize) -> Result<()> {
         if offset.checked_add(len).is_none_or(|end| end > self.len) {

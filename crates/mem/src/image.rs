@@ -61,6 +61,13 @@ impl DbImage {
         &self.arena
     }
 
+    /// The image's bytes as one mutable slice: bulk-load access for a
+    /// recovery that still owns the image exclusively.
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.len();
+        &mut self.arena.as_mut_slice()[..len]
+    }
+
     #[inline]
     fn check(&self, addr: DbAddr, len: usize) -> Result<()> {
         if addr.0.checked_add(len).is_none_or(|end| end > self.len()) {

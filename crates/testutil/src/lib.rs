@@ -62,6 +62,21 @@ impl Drop for TempDir {
     }
 }
 
+/// Copy directory `src` and everything under it to `dst` (a crashed
+/// database directory snapshotted for several recoveries).
+pub fn copy_dir(src: &Path, dst: &Path) {
+    std::fs::create_dir_all(dst).expect("create copy target");
+    for entry in std::fs::read_dir(src).expect("read copy source") {
+        let entry = entry.expect("read copy source entry");
+        let to = dst.join(entry.file_name());
+        if entry.file_type().expect("copy source file type").is_dir() {
+            copy_dir(&entry.path(), &to);
+        } else {
+            std::fs::copy(entry.path(), &to).expect("copy file");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

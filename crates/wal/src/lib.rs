@@ -18,10 +18,12 @@
 //! * [`locallog`] — per-transaction undo and redo logs.
 //! * [`dpt`] — the dual dirty-page sets backing ping-pong checkpointing.
 //! * [`segment`] — the stable log's segment files: naming, chain
-//!   validation, byte-level truncation and bitcask-style retirement.
+//!   validation, byte-level truncation, bitcask-style retirement, and
+//!   the streaming [`LogReader`] every scan of the stable log goes
+//!   through (one segment in memory, records borrowed from it).
 //! * [`syslog`] — the system log: in-memory tail + stable segment
-//!   directory, append, flush under the system-log latch, segment rolls
-//!   and recovery scans.
+//!   directory, append, flush under the system-log latch and segment
+//!   rolls.
 
 pub mod dpt;
 pub mod locallog;
@@ -31,5 +33,6 @@ pub mod syslog;
 
 pub use dpt::{pages_to_regions, DualDirtySet};
 pub use locallog::{LocalRedoLog, LocalUndoLog, UndoEntry, UndoKind};
-pub use record::{Frame, LogRecord, LogicalUndo, OpKind};
+pub use record::{Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind};
+pub use segment::{LogReader, SegmentBuf};
 pub use syslog::{SegmentStats, SyncStats, SystemLog, DEFAULT_SEGMENT_BYTES};

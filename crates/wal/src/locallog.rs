@@ -106,9 +106,25 @@ impl LocalUndoLog {
     /// single logical entry in their place (paper §2: "the undo
     /// information for that operation is replaced with a logical undo
     /// record").
+    ///
+    /// A transaction has one level-1 operation in flight at a time, so
+    /// those physical entries are exactly the run on top of the stack:
+    /// popping them is O(entries of this operation), where filtering the
+    /// whole stack made a transaction of n operations O(n²).
     pub fn commit_op(&mut self, op: OpSeq, undo: LogicalUndo) {
-        self.entries
-            .retain(|e| !(e.op == op && matches!(e.kind, UndoKind::Physical { .. })));
+        while matches!(
+            self.entries.last(),
+            Some(UndoEntry { op: top, kind: UndoKind::Physical { .. } }) if *top == op
+        ) {
+            self.entries.pop();
+        }
+        debug_assert!(
+            !self
+                .entries
+                .iter()
+                .any(|e| e.op == op && matches!(e.kind, UndoKind::Physical { .. })),
+            "physical undo of {op:?} buried under another operation's entries"
+        );
         self.entries.push(UndoEntry {
             op,
             kind: UndoKind::Logical(undo),
@@ -355,6 +371,74 @@ mod tests {
         assert_eq!(log.len(), 2);
         let targets: Vec<_> = log.logical_targets().collect();
         assert_eq!(targets, vec![rec(1, 1), rec(1, 2)]);
+    }
+
+    /// `commit_op` as it was: filter the *whole* stack. The reference
+    /// the pop-from-top version must match.
+    fn commit_op_by_retain(entries: &mut Vec<UndoEntry>, op: OpSeq, undo: LogicalUndo) {
+        entries.retain(|e| !(e.op == op && matches!(e.kind, UndoKind::Physical { .. })));
+        entries.push(UndoEntry {
+            op,
+            kind: UndoKind::Logical(undo),
+        });
+    }
+
+    proptest::proptest! {
+        /// Under any history that keeps one operation in flight — each
+        /// operation pushes its physical entries, then either commits or
+        /// is rolled back (its entries popped) before the next begins —
+        /// popping the top run leaves exactly the stack that filtering
+        /// all of it left.
+        #[test]
+        fn commit_op_pops_what_retain_removed(
+            ops in proptest::collection::vec((0usize..5, proptest::prelude::any::<bool>()), 0..40),
+            in_flight_at_checkpoint in 0usize..4,
+        ) {
+            let mut log = LocalUndoLog::new();
+            let mut model: Vec<UndoEntry> = Vec::new();
+            // A stack restored from a checkpointed ATT may start with an
+            // operation's physical entries already on it.
+            let first = OpSeq(0);
+            for i in 0..in_flight_at_checkpoint {
+                log.push_physical(first, DbAddr(8 * i), vec![i as u8; 8]);
+                log.seal_top_physical(first).unwrap();
+            }
+            model.extend(log.iter().cloned());
+            for (seq, (physical, commits)) in ops.into_iter().enumerate() {
+                let op = OpSeq(seq as u32);
+                for i in 0..physical {
+                    log.push_physical(op, DbAddr(8 * i), vec![seq as u8; 8]);
+                    log.seal_top_physical(op).unwrap();
+                    model.push(log.last().unwrap().clone());
+                }
+                if commits {
+                    let undo = LogicalUndo::HeapInsert { rec: rec(1, seq as u32) };
+                    log.commit_op(op, undo.clone());
+                    commit_op_by_retain(&mut model, op, undo);
+                } else {
+                    let mine = if seq == 0 { in_flight_at_checkpoint } else { 0 } + physical;
+                    for _ in 0..mine {
+                        log.pop();
+                        model.pop();
+                    }
+                }
+                proptest::prop_assert_eq!(&log.entries, &model);
+            }
+        }
+    }
+
+    /// What the model above never does: a second operation commits over
+    /// the first one's physical entries. Debug builds refuse to bury
+    /// them silently.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "buried under another operation")]
+    fn commit_op_rejects_physical_entries_below_the_top_run() {
+        let mut log = LocalUndoLog::new();
+        log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
+        log.seal_top_physical(OpSeq(1)).unwrap();
+        log.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: rec(1, 2) });
+        log.commit_op(OpSeq(1), LogicalUndo::HeapInsert { rec: rec(1, 1) });
     }
 
     #[test]

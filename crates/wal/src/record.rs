@@ -95,16 +95,46 @@ impl LogicalUndo {
             }
         }
     }
+}
 
-    fn decode(buf: &mut &[u8]) -> Result<LogicalUndo> {
+/// [`LogicalUndo`] borrowed from the frame it was decoded from: the
+/// images are slices of the segment buffer, not copies.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LogicalUndoRef<'a> {
+    /// See [`LogicalUndo::HeapInsert`].
+    HeapInsert { rec: RecId },
+    /// See [`LogicalUndo::HeapDelete`].
+    HeapDelete { rec: RecId, image: &'a [u8] },
+    /// See [`LogicalUndo::HeapUpdate`].
+    HeapUpdate { rec: RecId, before: &'a [u8] },
+}
+
+impl<'a> LogicalUndoRef<'a> {
+    /// Copy the borrowed images out (an undo log outlives the segment
+    /// buffer its operation-commit records were read from).
+    pub fn to_owned(&self) -> LogicalUndo {
+        match *self {
+            LogicalUndoRef::HeapInsert { rec } => LogicalUndo::HeapInsert { rec },
+            LogicalUndoRef::HeapDelete { rec, image } => LogicalUndo::HeapDelete {
+                rec,
+                image: image.to_vec(),
+            },
+            LogicalUndoRef::HeapUpdate { rec, before } => LogicalUndo::HeapUpdate {
+                rec,
+                before: before.to_vec(),
+            },
+        }
+    }
+
+    fn decode(buf: &mut &'a [u8]) -> Result<LogicalUndoRef<'a>> {
         let tag = get_u8(buf)?;
         Ok(match tag {
-            0 => LogicalUndo::HeapInsert { rec: get_rec(buf)? },
-            1 => LogicalUndo::HeapDelete {
+            0 => LogicalUndoRef::HeapInsert { rec: get_rec(buf)? },
+            1 => LogicalUndoRef::HeapDelete {
                 rec: get_rec(buf)?,
                 image: get_blob(buf)?,
             },
-            2 => LogicalUndo::HeapUpdate {
+            2 => LogicalUndoRef::HeapUpdate {
                 rec: get_rec(buf)?,
                 before: get_blob(buf)?,
             },
@@ -278,8 +308,168 @@ impl LogRecord {
         }
     }
 
-    /// Decode a payload produced by [`encode`](Self::encode).
-    pub fn decode(mut buf: &[u8]) -> Result<LogRecord> {
+    /// Decode a payload produced by [`encode`](Self::encode): the
+    /// borrowed decoder, then one copy of whatever it borrowed.
+    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
+        LogRecordRef::decode(buf).map(|r| r.to_owned())
+    }
+}
+
+/// The codewords of a [`LogRecordRef::ReadLog`] as they sit in the
+/// frame: packed little-endian `u32`s at no particular alignment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CodewordsRef<'a>(&'a [u8]);
+
+impl CodewordsRef<'_> {
+    /// Number of codewords.
+    pub fn len(&self) -> usize {
+        self.0.len() / 4
+    }
+
+    /// True if the read record carries no codewords.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The codewords, in logged order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("chunks_exact(4)")))
+    }
+}
+
+/// A [`LogRecord`] decoded in place: every variable-length field is a
+/// slice of the buffer the record was decoded from, so walking a log
+/// segment allocates nothing. This is the only decoder; the owned
+/// [`LogRecord::decode`] is this plus [`to_owned`](Self::to_owned).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LogRecordRef<'a> {
+    /// See [`LogRecord::TxnBegin`].
+    TxnBegin { txn: TxnId },
+    /// See [`LogRecord::OpBegin`].
+    OpBegin {
+        txn: TxnId,
+        op: OpSeq,
+        kind: OpKind,
+        rec: RecId,
+    },
+    /// See [`LogRecord::PhysicalRedo`].
+    PhysicalRedo {
+        txn: TxnId,
+        op: OpSeq,
+        addr: DbAddr,
+        data: &'a [u8],
+    },
+    /// See [`LogRecord::ReadLog`].
+    ReadLog {
+        txn: TxnId,
+        addr: DbAddr,
+        len: u32,
+        codewords: CodewordsRef<'a>,
+    },
+    /// See [`LogRecord::OpCommit`].
+    OpCommit {
+        txn: TxnId,
+        op: OpSeq,
+        undo: LogicalUndoRef<'a>,
+    },
+    /// See [`LogRecord::TxnCommit`].
+    TxnCommit { txn: TxnId },
+    /// See [`LogRecord::TxnAbort`].
+    TxnAbort { txn: TxnId },
+    /// See [`LogRecord::AuditBegin`].
+    AuditBegin { audit_id: u64 },
+    /// See [`LogRecord::AuditEnd`].
+    AuditEnd { audit_id: u64, clean: bool },
+    /// See [`LogRecord::CkptComplete`].
+    CkptComplete { ckpt_lsn: Lsn },
+    /// See [`LogRecord::CreateTable`].
+    CreateTable {
+        table: TableId,
+        name: &'a str,
+        rec_size: u32,
+        capacity: u64,
+        bitmap_base: DbAddr,
+        data_base: DbAddr,
+    },
+}
+
+impl<'a> LogRecordRef<'a> {
+    /// The transaction this record belongs to, if any.
+    pub fn txn(&self) -> Option<TxnId> {
+        match self {
+            LogRecordRef::TxnBegin { txn }
+            | LogRecordRef::OpBegin { txn, .. }
+            | LogRecordRef::PhysicalRedo { txn, .. }
+            | LogRecordRef::ReadLog { txn, .. }
+            | LogRecordRef::OpCommit { txn, .. }
+            | LogRecordRef::TxnCommit { txn }
+            | LogRecordRef::TxnAbort { txn } => Some(*txn),
+            _ => None,
+        }
+    }
+
+    /// Copy everything borrowed into an owned [`LogRecord`].
+    pub fn to_owned(&self) -> LogRecord {
+        match *self {
+            LogRecordRef::TxnBegin { txn } => LogRecord::TxnBegin { txn },
+            LogRecordRef::OpBegin { txn, op, kind, rec } => {
+                LogRecord::OpBegin { txn, op, kind, rec }
+            }
+            LogRecordRef::PhysicalRedo {
+                txn,
+                op,
+                addr,
+                data,
+            } => LogRecord::PhysicalRedo {
+                txn,
+                op,
+                addr,
+                data: data.to_vec(),
+            },
+            LogRecordRef::ReadLog {
+                txn,
+                addr,
+                len,
+                codewords,
+            } => LogRecord::ReadLog {
+                txn,
+                addr,
+                len,
+                codewords: codewords.iter().collect(),
+            },
+            LogRecordRef::OpCommit { txn, op, undo } => LogRecord::OpCommit {
+                txn,
+                op,
+                undo: undo.to_owned(),
+            },
+            LogRecordRef::TxnCommit { txn } => LogRecord::TxnCommit { txn },
+            LogRecordRef::TxnAbort { txn } => LogRecord::TxnAbort { txn },
+            LogRecordRef::AuditBegin { audit_id } => LogRecord::AuditBegin { audit_id },
+            LogRecordRef::AuditEnd { audit_id, clean } => LogRecord::AuditEnd { audit_id, clean },
+            LogRecordRef::CkptComplete { ckpt_lsn } => LogRecord::CkptComplete { ckpt_lsn },
+            LogRecordRef::CreateTable {
+                table,
+                name,
+                rec_size,
+                capacity,
+                bitmap_base,
+                data_base,
+            } => LogRecord::CreateTable {
+                table,
+                name: name.to_string(),
+                rec_size,
+                capacity,
+                bitmap_base,
+                data_base,
+            },
+        }
+    }
+
+    /// Decode a payload produced by [`LogRecord::encode`], borrowing
+    /// from `buf`.
+    pub fn decode(mut buf: &'a [u8]) -> Result<LogRecordRef<'a>> {
         let rec = Self::decode_inner(&mut buf)?;
         if !buf.is_empty() {
             return Err(bad(format!("{} trailing bytes after record", buf.len())));
@@ -287,19 +477,19 @@ impl LogRecord {
         Ok(rec)
     }
 
-    fn decode_inner(buf: &mut &[u8]) -> Result<LogRecord> {
+    fn decode_inner(buf: &mut &'a [u8]) -> Result<LogRecordRef<'a>> {
         let tag = get_u8(buf)?;
         Ok(match tag {
-            0 => LogRecord::TxnBegin {
+            0 => LogRecordRef::TxnBegin {
                 txn: TxnId(get_u64(buf)?),
             },
-            1 => LogRecord::OpBegin {
+            1 => LogRecordRef::OpBegin {
                 txn: TxnId(get_u64(buf)?),
                 op: OpSeq(get_u32(buf)?),
                 kind: OpKind::from_u8(get_u8(buf)?)?,
                 rec: get_rec(buf)?,
             },
-            2 => LogRecord::PhysicalRedo {
+            2 => LogRecordRef::PhysicalRedo {
                 txn: TxnId(get_u64(buf)?),
                 op: OpSeq(get_u32(buf)?),
                 addr: DbAddr(get_u64(buf)? as usize),
@@ -310,41 +500,37 @@ impl LogRecord {
                 let addr = DbAddr(get_u64(buf)? as usize);
                 let len = get_u32(buf)?;
                 let n = get_u16(buf)? as usize;
-                let mut codewords = Vec::with_capacity(n);
-                for _ in 0..n {
-                    codewords.push(get_u32(buf)?);
-                }
-                LogRecord::ReadLog {
+                LogRecordRef::ReadLog {
                     txn,
                     addr,
                     len,
-                    codewords,
+                    codewords: CodewordsRef(take(buf, 4 * n)?),
                 }
             }
-            4 => LogRecord::OpCommit {
+            4 => LogRecordRef::OpCommit {
                 txn: TxnId(get_u64(buf)?),
                 op: OpSeq(get_u32(buf)?),
-                undo: LogicalUndo::decode(buf)?,
+                undo: LogicalUndoRef::decode(buf)?,
             },
-            5 => LogRecord::TxnCommit {
+            5 => LogRecordRef::TxnCommit {
                 txn: TxnId(get_u64(buf)?),
             },
-            6 => LogRecord::TxnAbort {
+            6 => LogRecordRef::TxnAbort {
                 txn: TxnId(get_u64(buf)?),
             },
-            7 => LogRecord::AuditBegin {
+            7 => LogRecordRef::AuditBegin {
                 audit_id: get_u64(buf)?,
             },
-            8 => LogRecord::AuditEnd {
+            8 => LogRecordRef::AuditEnd {
                 audit_id: get_u64(buf)?,
                 clean: get_u8(buf)? != 0,
             },
-            9 => LogRecord::CkptComplete {
+            9 => LogRecordRef::CkptComplete {
                 ckpt_lsn: Lsn(get_u64(buf)?),
             },
-            10 => LogRecord::CreateTable {
+            10 => LogRecordRef::CreateTable {
                 table: TableId(get_u32(buf)?),
-                name: String::from_utf8(get_blob(buf)?)
+                name: std::str::from_utf8(get_blob(buf)?)
                     .map_err(|_| bad("table name not utf-8".into()))?,
                 rec_size: get_u32(buf)?,
                 capacity: get_u64(buf)?,
@@ -451,6 +637,14 @@ pub enum Frame {
     Seal,
 }
 
+/// A [`Frame`] whose record borrows from the bytes it was parsed from.
+pub(crate) enum FrameRef<'a> {
+    /// An ordinary log record.
+    Record(LogRecordRef<'a>),
+    /// A segment seal (clean end-of-segment marker).
+    Seal,
+}
+
 /// Fold the frame type into the payload checksum. One extra `combine`
 /// under the configured algebra: cheap, and it makes a flipped type byte
 /// (Record↔Seal) a checksum failure instead of a stream resequencing.
@@ -499,15 +693,33 @@ pub fn unframe(buf: &[u8]) -> Result<(Frame, usize)> {
     unframe_with(CodewordAlgebraKind::XorFold, buf)
 }
 
-/// Parse one frame whose checksum was computed under `kind`.
+/// Parse one frame whose checksum was computed under `kind`, copying
+/// the record out of `buf`.
 pub fn unframe_with(kind: CodewordAlgebraKind, buf: &[u8]) -> Result<(Frame, usize)> {
+    let (frame, n) = parse_frame(Some(kind), buf)?;
+    let frame = match frame {
+        FrameRef::Record(rec) => Frame::Record(rec.to_owned()),
+        FrameRef::Seal => Frame::Seal,
+    };
+    Ok((frame, n))
+}
+
+/// Parse the frame at `buf[0]`, borrowing its record from `buf`; returns
+/// the frame and its encoded length. The checksum is verified under
+/// `verify` — or not at all, for a second walk over frames already
+/// accepted. Errors on truncation, checksum mismatch or an undecodable
+/// payload.
+pub(crate) fn parse_frame(
+    verify: Option<CodewordAlgebraKind>,
+    buf: &[u8],
+) -> Result<(FrameRef<'_>, usize)> {
     if buf.len() < FRAME_HDR {
         return Err(bad("truncated frame header".into()));
     }
     let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
     let sum = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
     let frame_type = buf[8];
-    if buf.len() < FRAME_HDR + len {
+    if buf.len() - FRAME_HDR < len {
         return Err(bad(format!(
             "truncated frame: need {} bytes, have {}",
             FRAME_HDR + len,
@@ -515,16 +727,16 @@ pub fn unframe_with(kind: CodewordAlgebraKind, buf: &[u8]) -> Result<(Frame, usi
         )));
     }
     let payload = &buf[FRAME_HDR..FRAME_HDR + len];
-    if frame_checksum(kind, frame_type, payload) != sum {
+    if verify.is_some_and(|kind| frame_checksum(kind, frame_type, payload) != sum) {
         return Err(bad("log frame checksum mismatch".into()));
     }
     let frame = match frame_type {
-        FRAME_RECORD => Frame::Record(LogRecord::decode(payload)?),
+        FRAME_RECORD => FrameRef::Record(LogRecordRef::decode(payload)?),
         FRAME_SEAL => {
             if len != 0 {
                 return Err(bad(format!("seal frame with {len}-byte payload")));
             }
-            Frame::Seal
+            FrameRef::Seal
         }
         other => return Err(bad(format!("unknown frame type {other}"))),
     };
@@ -551,14 +763,20 @@ fn put_blob(buf: &mut BytesMut, data: &[u8]) {
     buf.extend_from_slice(data);
 }
 
-fn get_blob(buf: &mut &[u8]) -> Result<Vec<u8>> {
+fn get_blob<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     let n = get_u32(buf)? as usize;
+    take(buf, n)
+}
+
+/// Split the next `n` bytes off `buf`, borrowed for the buffer's own
+/// lifetime.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     if buf.len() < n {
         return Err(bad(format!("blob truncated: need {n}, have {}", buf.len())));
     }
-    let v = buf[..n].to_vec();
-    buf.advance(n);
-    Ok(v)
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {

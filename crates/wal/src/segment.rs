@@ -17,8 +17,20 @@
 //! only durable after the parent directory is fsynced, and a crash point
 //! between the two (`segment.retire.post_unlink`) lets tests prove both
 //! post-crash states recover.
+//!
+//! Reading goes through [`LogReader`]: one segment file in memory at a
+//! time, each frame checked once as it is first walked over, its records
+//! handed out as [`LogRecordRef`]s that borrow from the segment's
+//! buffer. Every consumer of the stable log — restart, prior-state and
+//! corruption recovery, cache repair, taint tracing, the fault
+//! campaigns, `logdump` — walks it this way, so a scan's memory is one
+//! segment, not the log.
 
-use dali_common::{DaliError, Lsn, Result};
+use crate::record::{parse_frame, FrameRef, LogRecordRef};
+use dali_common::{CodewordAlgebraKind, DaliError, Lsn, Result};
+use std::cell::Cell;
+use std::io::Read;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// File-name suffix of a log segment.
@@ -208,6 +220,220 @@ pub fn retire_covered(dir: &Path, horizon: Lsn, keep_from: Lsn) -> Result<u64> {
         sync_dir(dir)?;
     }
     Ok(retired)
+}
+
+/// One segment file in memory: the unit the streaming reader hands out,
+/// and the buffer its [`LogRecordRef`]s borrow from.
+///
+/// Frames are checked — checksum under the log's algebra, payload
+/// through the decoder — as [`records`](Self::records) first walks over
+/// them, so a scan touches each frame once. Where the intact frames end
+/// (a seal, a torn flush, mid-file damage, or simply the end of the
+/// file) is known once a walk has got there; the accessors that report
+/// it finish the walk themselves if no caller has.
+pub struct SegmentBuf {
+    base: Lsn,
+    kind: CodewordAlgebraKind,
+    bytes: Vec<u8>,
+    /// Offset of the first frame to hand out.
+    start: usize,
+    /// Every frame in `start..checked` has passed checksum and decode.
+    checked: Cell<usize>,
+    /// Set once a walk has reached the end of the intact frames (which
+    /// is then `checked`): whether they end with a seal.
+    sealed: Cell<Option<bool>>,
+}
+
+impl SegmentBuf {
+    /// Read the segment based at `base`, to be walked from byte offset
+    /// `start`, its frames checksummed under `kind`.
+    pub fn load(
+        dir: &Path,
+        base: Lsn,
+        start: usize,
+        kind: CodewordAlgebraKind,
+    ) -> Result<SegmentBuf> {
+        Self::load_into(Vec::new(), dir, base, start, kind)
+    }
+
+    /// [`load`](Self::load) into a buffer whose allocation is reused.
+    fn load_into(
+        mut bytes: Vec<u8>,
+        dir: &Path,
+        base: Lsn,
+        start: usize,
+        kind: CodewordAlgebraKind,
+    ) -> Result<SegmentBuf> {
+        bytes.clear();
+        std::fs::File::open(path(dir, base))?.read_to_end(&mut bytes)?;
+        let start = start.min(bytes.len());
+        Ok(SegmentBuf {
+            base,
+            kind,
+            bytes,
+            start,
+            checked: Cell::new(start),
+            sealed: Cell::new(None),
+        })
+    }
+
+    /// Global LSN of the segment's first byte.
+    pub fn base(&self) -> Lsn {
+        self.base
+    }
+
+    /// Bytes in the segment file.
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// True if the segment file is empty (a freshly rolled successor).
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The segment's intact records from `start` on, in log order, each
+    /// with its global LSN. Seal frames carry no record; the walk ends at
+    /// one, or at the first byte that is not an intact frame.
+    pub fn records(&self) -> SegmentRecords<'_> {
+        SegmentRecords {
+            seg: self,
+            pos: self.start,
+        }
+    }
+
+    /// Whether the intact frames end with a seal frame.
+    pub fn ends_with_seal(&self) -> bool {
+        self.sealed.get().unwrap_or_else(|| {
+            let mut rest = SegmentRecords {
+                seg: self,
+                pos: self.checked.get(),
+            };
+            while rest.next().is_some() {}
+            self.sealed.get().expect("a finished walk records its end")
+        })
+    }
+
+    /// Bytes after the last intact frame: a torn final flush, mid-file
+    /// damage, or garbage after a seal. Zero means the stream continues
+    /// in the next segment.
+    pub fn torn_bytes(&self) -> usize {
+        self.ends_with_seal();
+        self.bytes.len() - self.checked.get()
+    }
+}
+
+/// Iterator over a [`SegmentBuf`]'s records.
+pub struct SegmentRecords<'a> {
+    seg: &'a SegmentBuf,
+    pos: usize,
+}
+
+impl<'a> Iterator for SegmentRecords<'a> {
+    type Item = (Lsn, LogRecordRef<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let seg = self.seg;
+        loop {
+            let checked = seg.checked.get();
+            if self.pos == checked && seg.sealed.get().is_some() {
+                return None;
+            }
+            // Frames an earlier walk accepted are only decoded again.
+            let verify = (self.pos == checked).then_some(seg.kind);
+            match parse_frame(verify, &seg.bytes[self.pos..]) {
+                Ok((frame, n)) => {
+                    let lsn = Lsn(seg.base.0 + self.pos as u64);
+                    self.pos += n;
+                    seg.checked.set(checked.max(self.pos));
+                    match frame {
+                        FrameRef::Record(rec) => return Some((lsn, rec)),
+                        FrameRef::Seal => seg.sealed.set(Some(true)),
+                    }
+                }
+                // Not a frame (or nothing left): the intact prefix ends.
+                Err(_) => seg.sealed.set(Some(false)),
+            }
+        }
+    }
+}
+
+/// Streaming reader over a stable log directory from `from` onward, one
+/// [`SegmentBuf`] at a time. (The in-memory tail of a live log is *not*
+/// visible: after a crash it is gone.) The scan crosses segment
+/// boundaries transparently and ends after the first segment with
+/// [`torn_bytes`](SegmentBuf::torn_bytes): nothing past a torn frame can
+/// be trusted to be in sequence.
+pub struct LogReader {
+    dir: PathBuf,
+    kind: CodewordAlgebraKind,
+    from: Lsn,
+    segments: Vec<SegmentInfo>,
+}
+
+impl LogReader {
+    /// Open the directory for a scan whose frame checksums use `kind`.
+    /// Errors if `from` predates the first retained segment (history the
+    /// caller wants was retired) or lies past the end of the log.
+    pub fn open(dir: impl AsRef<Path>, from: Lsn, kind: CodewordAlgebraKind) -> Result<LogReader> {
+        let dir = dir.as_ref().to_path_buf();
+        let mut segments = list(&dir)?;
+        let Some(&first) = segments.first() else {
+            return Err(DaliError::RecoveryFailed(format!(
+                "no log segments in {}",
+                dir.display()
+            )));
+        };
+        validate_chain(&segments)?;
+        let end = segments.last().expect("non-empty").end();
+        if from < first.base {
+            return Err(DaliError::RecoveryFailed(format!(
+                "scan start {from} predates first retained segment {}",
+                file_name(first.base)
+            )));
+        }
+        if from > end {
+            return Err(DaliError::RecoveryFailed(format!(
+                "scan start {from} beyond stable log ({end})"
+            )));
+        }
+        segments.retain(|s| s.end() > from || s.len == 0);
+        Ok(LogReader {
+            dir,
+            kind,
+            from,
+            segments,
+        })
+    }
+
+    /// Run `f` over each segment of the scan in turn, until it breaks or
+    /// the log ends. One segment is in memory at a time, in one buffer
+    /// reused for the next; what `f` keeps of a segment it must copy.
+    pub fn for_each_segment(
+        self,
+        mut f: impl FnMut(&SegmentBuf) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
+        let mut buf = Vec::new();
+        for info in self.segments {
+            let start = self.from.0.saturating_sub(info.base.0) as usize;
+            let seg = SegmentBuf::load_into(buf, &self.dir, info.base, start, self.kind)?;
+            if f(&seg)?.is_break() || seg.torn_bytes() > 0 {
+                break;
+            }
+            buf = seg.bytes;
+        }
+        Ok(())
+    }
+
+    /// Run `f` over every record of the scan, in log order.
+    pub fn for_each(self, mut f: impl FnMut(Lsn, LogRecordRef<'_>) -> Result<()>) -> Result<()> {
+        self.for_each_segment(|seg| {
+            for (lsn, rec) in seg.records() {
+                f(lsn, rec)?;
+            }
+            Ok(ControlFlow::Continue(()))
+        })
+    }
 }
 
 /// Total bytes currently on disk across all retained segments.

