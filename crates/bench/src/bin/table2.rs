@@ -18,7 +18,7 @@
 //!   --deferred     append the Deferred Maintenance extension row
 //!   --algebra A    codeword algebra: xor (default, the paper's) or residue
 //!
-//! Set DALI_BENCH_VERBOSE=1 to print every repetition.
+//! Every repetition is also printed to stderr as it finishes.
 
 use dali_bench::{build_rows, format_table2, run_row, run_rows_interleaved, table2_specs};
 use dali_workload::TpcbConfig;

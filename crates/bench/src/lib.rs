@@ -1,11 +1,17 @@
 //! Benchmark harness regenerating the paper's evaluation (§5).
 //!
 //! * **Table 1** — protect/unprotect pairs per second
-//!   ([`table1_paper_rows`] + [`table1_measure`]), measured with real
-//!   `mprotect` on this machine and printed next to the paper's four 1998
-//!   platforms.
+//!   ([`table1_paper_rows`] next to `dali_mem::protect::measure_protect_pairs`),
+//!   measured with real `mprotect` on this machine and printed next to the
+//!   paper's four 1998 platforms.
 //! * **Table 2** — TPC-B throughput under each protection scheme
-//!   ([`run_table2`]), with the paper's numbers for shape comparison.
+//!   ([`table2_specs`] → [`run_rows_interleaved`] → [`build_rows`]), with
+//!   the paper's numbers for shape comparison.
+//! * **§5.3** — the control-information layout remark
+//!   (`ablation_colocate`).
+//!
+//! Everything else the repository measures is the ledger:
+//! `BENCHMARK.json` + `benchmark/`.
 //!
 //! Absolute numbers will differ from 1999 hardware by orders of
 //! magnitude; what should reproduce is the *ordering* of schemes and the
@@ -15,7 +21,7 @@
 //! ## Measurement methodology
 //!
 //! The paper ran on a dedicated UltraSPARC and averaged six runs. This
-//! reproduction typically runs on a shared single-CPU VM where other
+//! reproduction typically runs on a small shared VM where other
 //! tenants steal cycles unpredictably, so the harness defends itself:
 //!
 //! * the primary metric is **process CPU time** per operation
@@ -175,7 +181,7 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
 }
 
 /// Build an engine + populated TPC-B driver for one scheme row.
-pub fn setup_engine(spec: &SchemeSpec, wl: &TpcbConfig, tag: &str) -> (DaliEngine, TpcbDriver) {
+fn setup_engine(spec: &SchemeSpec, wl: &TpcbConfig, tag: &str) -> (DaliEngine, TpcbDriver) {
     let mut config = DaliConfig::small(scratch_dir(tag))
         .with_scheme(spec.scheme)
         .with_codeword_algebra(spec.algebra);
@@ -255,34 +261,20 @@ pub fn run_rows_interleaved(
     checkpoint: bool,
     reps: usize,
 ) -> Vec<RowMeasurement> {
-    let verbose = std::env::var_os("DALI_BENCH_VERBOSE").is_some();
     let mut per_row: Vec<Vec<RowMeasurement>> = vec![Vec::new(); specs.len()];
     for rep in 0..reps.max(1) {
         for (i, spec) in specs.iter().enumerate() {
             let m = run_row(spec, wl, ops, checkpoint);
-            if verbose {
-                eprintln!(
-                    "  rep {rep} {:<34} cpu {:>9.0} ops/s   wall {:>9.0} ops/s",
-                    spec.label(),
-                    m.cpu_ops_per_sec,
-                    m.wall_ops_per_sec
-                );
-            }
+            eprintln!(
+                "  rep {rep} {:<34} cpu {:>9.0} ops/s   wall {:>9.0} ops/s",
+                spec.label(),
+                m.cpu_ops_per_sec,
+                m.wall_ops_per_sec
+            );
             per_row[i].push(m);
         }
     }
     per_row.into_iter().map(median_of).collect()
-}
-
-/// Run the full Table 2 (all eight rows): one discarded warmup pass, then
-/// `reps` interleaved repetitions per row with the median reported.
-pub fn run_table2(wl: &TpcbConfig, ops: usize, checkpoint: bool, reps: usize) -> Vec<Table2Row> {
-    let specs = table2_specs();
-    let _ = run_row(&specs[0], wl, ops, checkpoint); // warmup, discarded
-    build_rows(
-        specs.clone(),
-        run_rows_interleaved(&specs, wl, ops, checkpoint, reps),
-    )
 }
 
 /// Pair specs with measurements and compute slowdowns against the
@@ -317,598 +309,6 @@ pub fn deferred_spec() -> SchemeSpec {
     }
 }
 
-/// Schemes swept by the thread-scaling harness (`table_scale`), all with
-/// the paper's 64-byte regions.
-pub fn scale_schemes() -> Vec<ProtectionScheme> {
-    use ProtectionScheme::*;
-    vec![
-        Baseline,
-        DataCodeword,
-        ReadPrecheck,
-        ReadLogging,
-        DeferredMaintenance,
-    ]
-}
-
-/// One measured cell of the thread-scaling table.
-#[derive(Clone, Copy, Debug)]
-pub struct ScaleCell {
-    pub wall_ops_per_sec: f64,
-    pub cpu_us_per_op: f64,
-    /// Transactions re-run after lock denials (expected 0: TPC-B worker
-    /// partitions are disjoint).
-    pub retries: usize,
-}
-
-/// Measure one (scheme, threads) cell: fresh engine, populated TPC-B
-/// tables, `ops` operations split across `threads` workers.
-///
-/// Durable commits (`sync_commit`) are the interesting regime for
-/// scaling: with them off the workload is pure CPU and cannot beat one
-/// thread on a single-core host; with them on, worker threads overlap
-/// their commit fsyncs (and piggyback on each other's), which is where
-/// the extra threads pay off.
-pub fn run_scale_cell(
-    scheme: ProtectionScheme,
-    wl: &TpcbConfig,
-    threads: usize,
-    ops: usize,
-    sync_commit: bool,
-) -> ScaleCell {
-    let mut config =
-        DaliConfig::small(scratch_dir(&format!("scale-{scheme:?}-{threads}"))).with_scheme(scheme);
-    config.db_pages = wl.required_pages(config.page_size);
-    config.sync_commit = sync_commit;
-    let (db, _) = DaliEngine::create(config).expect("create db");
-    let mut driver = TpcbDriver::setup(&db, wl.clone()).expect("populate");
-    let stats = driver.run_concurrent(threads, ops).expect("concurrent run");
-    driver.verify_invariant().expect("invariant");
-    let dir = db.config().dir.clone();
-    drop(driver);
-    drop(db);
-    let _ = std::fs::remove_dir_all(dir);
-    ScaleCell {
-        wall_ops_per_sec: stats.ops_per_sec(),
-        cpu_us_per_op: stats.cpu_us_per_op(),
-        retries: stats.retries,
-    }
-}
-
-/// Run the thread-scaling sweep with repetitions interleaved round-robin
-/// across cells (host drift hits every cell equally); returns the
-/// per-cell median by wall throughput, indexed `[scheme][thread]`.
-pub fn run_scale_sweep(
-    schemes: &[ProtectionScheme],
-    wl: &TpcbConfig,
-    threads: &[usize],
-    ops: usize,
-    sync_commit: bool,
-    reps: usize,
-) -> Vec<Vec<ScaleCell>> {
-    let verbose = std::env::var_os("DALI_BENCH_VERBOSE").is_some();
-    let mut samples: Vec<Vec<Vec<ScaleCell>>> =
-        vec![vec![Vec::new(); threads.len()]; schemes.len()];
-    for rep in 0..reps.max(1) {
-        for (i, &scheme) in schemes.iter().enumerate() {
-            for (j, &t) in threads.iter().enumerate() {
-                let cell = run_scale_cell(scheme, wl, t, ops, sync_commit);
-                if verbose {
-                    eprintln!(
-                        "  rep {rep} {:<22} {t} thr: {:>9.0} ops/s  {:>6.1} cpu-us/op",
-                        scheme.label(64),
-                        cell.wall_ops_per_sec,
-                        cell.cpu_us_per_op
-                    );
-                }
-                samples[i][j].push(cell);
-            }
-        }
-    }
-    samples
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|mut reps| {
-                    reps.sort_by(|a, b| {
-                        a.wall_ops_per_sec.partial_cmp(&b.wall_ops_per_sec).unwrap()
-                    });
-                    reps[reps.len() / 2]
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Render a scale sweep as a markdown table: ops/s per thread count with
-/// the speedup over the scheme's own 1-thread cell in parentheses.
-pub fn format_scale_markdown(
-    schemes: &[ProtectionScheme],
-    threads: &[usize],
-    cells: &[Vec<ScaleCell>],
-) -> String {
-    let mut out = String::new();
-    out.push_str("| Scheme |");
-    for t in threads {
-        out.push_str(&format!(" {t} thr |"));
-    }
-    out.push_str(&format!(" cpu µs/op ({} thr) |\n|:--|", threads[0]));
-    for _ in threads {
-        out.push_str("--:|");
-    }
-    out.push_str("--:|\n");
-    for (i, &scheme) in schemes.iter().enumerate() {
-        out.push_str(&format!("| {} |", scheme.label(64)));
-        let base = cells[i][0].wall_ops_per_sec;
-        for (j, _) in threads.iter().enumerate() {
-            let c = &cells[i][j];
-            if j == 0 {
-                out.push_str(&format!(" {:.0} |", c.wall_ops_per_sec));
-            } else {
-                out.push_str(&format!(
-                    " {:.0} ({:.2}x) |",
-                    c.wall_ops_per_sec,
-                    c.wall_ops_per_sec / base
-                ));
-            }
-        }
-        out.push_str(&format!(" {:.1} |\n", cells[i][0].cpu_us_per_op));
-    }
-    out
-}
-
-// -------------------------------------------------------------------
-// Lock-manager scaling (`lock_scale` bin)
-// -------------------------------------------------------------------
-
-use dali_common::{RecId, SlotId, TableId, TxnId};
-use dali_engine::{LockManager, LockMode};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
-
-/// One cell of the raw lock-manager microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct LockMicroCell {
-    /// Granted lock acquisitions per wall-clock second (all threads).
-    pub locks_per_sec: f64,
-    /// Requests denied (timeout or deadlock victim), re-run after
-    /// `unlock_all`.
-    pub denials: usize,
-}
-
-/// Raw lock-manager throughput: `threads` workers each run `txns`
-/// mini-transactions of `locks_per_txn` exclusive locks followed by
-/// `unlock_all`, with no engine underneath — the lock table itself is
-/// the entire workload.
-///
-/// `overlap = false`: each worker draws from its own `space`-record
-/// range, so no request ever blocks and the measurement isolates lock
-/// *table* contention (the single mutex vs. sharded handoffs).
-/// `overlap = true`: all workers draw from one shared `space`-record
-/// range, adding real conflicts, condvar waits, wake-ups and (with
-/// unordered acquisition) genuine deadlocks, resolved by `detect` /
-/// the 100 ms timeout.
-pub fn run_lock_micro(
-    shards: usize,
-    threads: usize,
-    txns: usize,
-    locks_per_txn: usize,
-    space: u32,
-    overlap: bool,
-    detect: Option<Duration>,
-) -> LockMicroCell {
-    let mgr = Arc::new(LockManager::with_config(
-        Duration::from_millis(100),
-        shards,
-        detect,
-    ));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let table = TableId(1);
-    let (results, elapsed): (Vec<(usize, usize)>, Duration) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|k| {
-                let mgr = Arc::clone(&mgr);
-                let barrier = Arc::clone(&barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    let mut granted = 0usize;
-                    let mut denials = 0usize;
-                    // Cheap deterministic per-thread stream (splitmix-ish).
-                    let mut x: u64 = 0x9E37_79B9 ^ (k as u64) << 32 | 1;
-                    let mut step = |m: u32| -> u32 {
-                        x = x
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        ((x >> 33) as u32) % m
-                    };
-                    for i in 0..txns {
-                        let txn = TxnId(((k as u64) << 40) | i as u64);
-                        let mut held = 0usize;
-                        while held < locks_per_txn {
-                            let slot = if overlap {
-                                step(space)
-                            } else {
-                                k as u32 * space + step(space)
-                            };
-                            let rec = RecId::new(table, SlotId(slot));
-                            match mgr.lock(txn, rec, LockMode::Exclusive) {
-                                Ok(()) => held += 1,
-                                Err(_) => {
-                                    // Deadlock victim or timeout:
-                                    // release and re-run the txn.
-                                    mgr.unlock_all(txn);
-                                    denials += 1;
-                                    held = 0;
-                                }
-                            }
-                        }
-                        granted += held;
-                        mgr.unlock_all(txn);
-                    }
-                    (granted, denials)
-                })
-            })
-            .collect();
-        // Start the clock before releasing the barrier: on a 1-CPU host
-        // the workers can otherwise finish before this thread is
-        // rescheduled to read the clock, inflating the rate absurdly.
-        // The error is bounded by barrier-arrival skew and only
-        // underestimates throughput.
-        let start = Instant::now();
-        barrier.wait();
-        let results = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        (results, start.elapsed())
-    });
-    let granted: usize = results.iter().map(|r| r.0).sum();
-    let denials: usize = results.iter().map(|r| r.1).sum();
-    LockMicroCell {
-        locks_per_sec: granted as f64 / elapsed.as_secs_f64(),
-        denials,
-    }
-}
-
-/// Median time for a deadlock victim to be denied, over `reps`
-/// two-transaction X/X cross-waits. With `detect` enabled this is the
-/// detector latency (interval + walk); with `None` it is the full
-/// `timeout`.
-pub fn measure_deadlock_latency(
-    detect: Option<Duration>,
-    timeout: Duration,
-    reps: usize,
-) -> Duration {
-    let mut times = Vec::with_capacity(reps);
-    for i in 0..reps as u64 {
-        let m = Arc::new(LockManager::with_config(timeout, 4, detect));
-        let (t1, t2) = (TxnId(2 * i + 1), TxnId(2 * i + 2));
-        let (r1, r2) = (
-            RecId::new(TableId(1), SlotId(1)),
-            RecId::new(TableId(1), SlotId(2)),
-        );
-        m.lock(t1, r1, LockMode::Exclusive).unwrap();
-        m.lock(t2, r2, LockMode::Exclusive).unwrap();
-        let m2 = Arc::clone(&m);
-        let start = Instant::now();
-        let h = std::thread::spawn(move || {
-            let r = m2.lock(t2, r1, LockMode::Exclusive);
-            let at = start.elapsed();
-            m2.unlock_all(t2);
-            (r.is_err(), at)
-        });
-        let r1res = m.lock(t1, r2, LockMode::Exclusive);
-        let t1_at = start.elapsed();
-        let (t2_denied, t2_at) = h.join().unwrap();
-        m.unlock_all(t1);
-        // Time until the first denial (the victim's abort).
-        let mut denied_at = Vec::new();
-        if r1res.is_err() {
-            denied_at.push(t1_at);
-        }
-        if t2_denied {
-            denied_at.push(t2_at);
-        }
-        times.push(denied_at.into_iter().min().expect("no side was denied"));
-    }
-    times.sort();
-    times[times.len() / 2]
-}
-
-/// Measure one contended TPC-B cell: like [`run_scale_cell`] but the
-/// workers draw from overlapping (full) row ranges, with `lock_shards`
-/// shards, the given detector setting and lock timeout. Buffered
-/// commits: the interesting regime is lock-table traffic, not fsync
-/// overlap.
-pub fn run_contended_cell(
-    scheme: ProtectionScheme,
-    wl: &TpcbConfig,
-    threads: usize,
-    ops: usize,
-    lock_shards: usize,
-    detect: Option<Duration>,
-    lock_timeout: Duration,
-) -> ScaleCell {
-    let mut config = DaliConfig::small(scratch_dir(&format!(
-        "lockscale-{lock_shards}sh-{threads}t"
-    )))
-    .with_scheme(scheme)
-    .with_lock_shards(lock_shards);
-    config.deadlock_detect_interval = detect;
-    config.lock_timeout = lock_timeout;
-    config.db_pages = wl.required_pages(config.page_size);
-    config.sync_commit = false;
-    let (db, _) = DaliEngine::create(config).expect("create db");
-    let mut driver = TpcbDriver::setup(&db, wl.clone()).expect("populate");
-    let stats = driver
-        .run_concurrent_contended(threads, ops)
-        .expect("contended run");
-    driver.verify_invariant().expect("invariant");
-    assert_eq!(
-        db.db().locks.locked_records(),
-        0,
-        "locks leaked after quiesce"
-    );
-    let dir = db.config().dir.clone();
-    drop(driver);
-    drop(db);
-    let _ = std::fs::remove_dir_all(dir);
-    ScaleCell {
-        wall_ops_per_sec: stats.ops_per_sec(),
-        cpu_us_per_op: stats.cpu_us_per_op(),
-        retries: stats.retries,
-    }
-}
-
-// -------------------------------------------------------------------
-// Deferred-maintenance scaling (`deferred_scale` bin)
-// -------------------------------------------------------------------
-
-/// One measured cell of the deferred-maintenance sweep: throughput plus
-/// the dirty-set counters that explain it.
-#[derive(Clone, Copy, Debug)]
-pub struct DeferredCell {
-    pub cell: ScaleCell,
-    /// Non-empty shard drains over the run.
-    pub drains: u64,
-    /// Deltas absorbed into an already-dirty region (coalescing savings).
-    pub coalesced_deltas: u64,
-    /// Deepest any shard's dirty-region count got.
-    pub max_shard_depth: u64,
-}
-
-/// Measure one deferred-maintenance cell: like [`run_scale_cell`] with
-/// `ProtectionScheme::DeferredMaintenance`, but with explicit dirty-set
-/// shard count, background drain interval (`None` = no drainer thread),
-/// and per-shard watermark. Reports the dirty-set counters next to the
-/// throughput so the sweep shows *why* a configuration scales.
-pub fn run_deferred_cell(
-    wl: &TpcbConfig,
-    shards: usize,
-    threads: usize,
-    ops: usize,
-    drain_interval: Option<Duration>,
-    watermark: usize,
-    sync_commit: bool,
-) -> DeferredCell {
-    let mut config = DaliConfig::small(scratch_dir(&format!("defscale-{shards}sh-{threads}t")))
-        .with_scheme(ProtectionScheme::DeferredMaintenance)
-        .with_deferred_shards(shards)
-        .with_deferred_drain_interval(drain_interval)
-        .with_deferred_watermark(watermark);
-    config.db_pages = wl.required_pages(config.page_size);
-    config.sync_commit = sync_commit;
-    let (db, _) = DaliEngine::create(config).expect("create db");
-    let mut driver = TpcbDriver::setup(&db, wl.clone()).expect("populate");
-    let stats = driver.run_concurrent(threads, ops).expect("concurrent run");
-    driver.verify_invariant().expect("invariant");
-    let deferred = db.deferred_stats();
-    let dir = db.config().dir.clone();
-    drop(driver);
-    drop(db);
-    let _ = std::fs::remove_dir_all(dir);
-    DeferredCell {
-        cell: ScaleCell {
-            wall_ops_per_sec: stats.ops_per_sec(),
-            cpu_us_per_op: stats.cpu_us_per_op(),
-            retries: stats.retries,
-        },
-        drains: deferred.drains,
-        coalesced_deltas: deferred.coalesced_deltas,
-        max_shard_depth: deferred.max_shard_depth,
-    }
-}
-
-/// Sweep shard counts × thread counts at a fixed drain interval,
-/// repetitions interleaved round-robin; per-cell median by wall
-/// throughput, indexed `[shard][thread]`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_deferred_sweep(
-    shard_counts: &[usize],
-    threads: &[usize],
-    wl: &TpcbConfig,
-    ops: usize,
-    drain_interval: Option<Duration>,
-    watermark: usize,
-    sync_commit: bool,
-    reps: usize,
-) -> Vec<Vec<DeferredCell>> {
-    let verbose = std::env::var_os("DALI_BENCH_VERBOSE").is_some();
-    let mut samples: Vec<Vec<Vec<DeferredCell>>> =
-        vec![vec![Vec::new(); threads.len()]; shard_counts.len()];
-    for rep in 0..reps.max(1) {
-        for (i, &shards) in shard_counts.iter().enumerate() {
-            for (j, &t) in threads.iter().enumerate() {
-                let cell =
-                    run_deferred_cell(wl, shards, t, ops, drain_interval, watermark, sync_commit);
-                if verbose {
-                    eprintln!(
-                        "  rep {rep} {shards} shards, {t} thr: {:>9.0} ops/s  ({} drains, {} coalesced)",
-                        cell.cell.wall_ops_per_sec, cell.drains, cell.coalesced_deltas
-                    );
-                }
-                samples[i][j].push(cell);
-            }
-        }
-    }
-    samples
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|mut reps| {
-                    reps.sort_by(|a, b| {
-                        a.cell
-                            .wall_ops_per_sec
-                            .partial_cmp(&b.cell.wall_ops_per_sec)
-                            .unwrap()
-                    });
-                    reps[reps.len() / 2]
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Render a deferred sweep as a markdown table: rows = shard counts,
-/// columns = threads (speedup over that row's 1-thread cell), with the
-/// 4-thread dirty-set counters appended.
-pub fn format_deferred_markdown(
-    shard_counts: &[usize],
-    threads: &[usize],
-    cells: &[Vec<DeferredCell>],
-) -> String {
-    let mut out = String::new();
-    out.push_str("| Shards |");
-    for t in threads {
-        out.push_str(&format!(" {t} thr |"));
-    }
-    out.push_str(" drains | coalesced | max depth |\n|:--|");
-    for _ in threads {
-        out.push_str("--:|");
-    }
-    out.push_str("--:|--:|--:|\n");
-    for (i, &shards) in shard_counts.iter().enumerate() {
-        out.push_str(&format!("| {shards} |"));
-        let base = cells[i][0].cell.wall_ops_per_sec;
-        for (j, _) in threads.iter().enumerate() {
-            let c = &cells[i][j];
-            if j == 0 {
-                out.push_str(&format!(" {:.0} |", c.cell.wall_ops_per_sec));
-            } else {
-                out.push_str(&format!(
-                    " {:.0} ({:.2}x) |",
-                    c.cell.wall_ops_per_sec,
-                    c.cell.wall_ops_per_sec / base
-                ));
-            }
-        }
-        let last = &cells[i][threads.len() - 1];
-        out.push_str(&format!(
-            " {} | {} | {} |\n",
-            last.drains, last.coalesced_deltas, last.max_shard_depth
-        ));
-    }
-    out
-}
-
-// -------------------------------------------------------------------
-// Minimal JSON rendering (machine-readable bench output)
-// -------------------------------------------------------------------
-
-/// A JSON value, hand-rendered: the bench binaries emit machine-readable
-/// result files (`BENCH_net.json`, `audit_scale --json`) without pulling
-/// in a serialization dependency.
-#[derive(Clone, Debug)]
-pub enum Json {
-    Bool(bool),
-    Int(i64),
-    UInt(u64),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(&'static str, Json)>),
-}
-
-impl Json {
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => out.push_str(&n.to_string()),
-            Json::UInt(n) => out.push_str(&n.to_string()),
-            Json::Num(x) => {
-                // JSON has no NaN/Inf; benches use null for "not measured".
-                if x.is_finite() {
-                    out.push_str(&format!("{x}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("\"{k}\": "));
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Resident set size of this process (VmRSS), in KiB.
-pub fn vm_rss_kib() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            return rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-        }
-    }
-    0
-}
-
 /// Paper Table 1 reference rows: platform, pairs/second (1998 hardware).
 pub fn table1_paper_rows() -> Vec<(&'static str, f64)> {
     vec![
@@ -917,12 +317,6 @@ pub fn table1_paper_rows() -> Vec<(&'static str, f64)> {
         ("HP 9000 C110", 3_300.0),
         ("SGI Challenge DM", 8_200.0),
     ]
-}
-
-/// Measure Table 1 on this machine: 2000 pages protected/unprotected, 50
-/// repetitions (the paper's method).
-pub fn table1_measure() -> f64 {
-    dali_mem::protect::measure_protect_pairs(2000, 50).expect("mprotect measurement")
 }
 
 /// Render a Table 2 report as text.
@@ -1019,34 +413,6 @@ mod tests {
         let m = run_row(&spec, &wl, 60, false);
         let p = m.pages_per_op.unwrap();
         assert!(p > 1.0, "{p}");
-    }
-
-    #[test]
-    fn json_renders_nested_and_escaped() {
-        let v = Json::Obj(vec![
-            ("name", Json::Str("a\"b\\c\nd".into())),
-            ("n", Json::UInt(7)),
-            ("x", Json::Num(1.5)),
-            ("nan", Json::Num(f64::NAN)),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::Arr(vec![Json::Int(-1), Json::Obj(vec![])])),
-        ]);
-        let s = v.render();
-        assert!(s.contains("\"a\\\"b\\\\c\\nd\""), "{s}");
-        assert!(s.contains("\"n\": 7"));
-        assert!(s.contains("\"x\": 1.5"));
-        assert!(s.contains("\"nan\": null"));
-        assert!(s.contains("\"ok\": true"));
-        assert!(s.contains("-1"));
-        assert!(s.contains("{}"));
-        // Balanced braces/brackets (cheap well-formedness proxy).
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn vm_rss_is_positive_on_linux() {
-        assert!(vm_rss_kib() > 0);
     }
 
     #[test]

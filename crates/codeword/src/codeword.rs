@@ -92,8 +92,8 @@ pub fn fold(bytes: &[u8]) -> u32 {
 }
 
 /// One-word-at-a-time scalar reference fold: the kernel the wide path
-/// replaced, kept public for the `audit_scale` bench and the kernel
-/// equivalence suites. Same contract as [`fold`].
+/// replaced, kept public as the reference of the kernel equivalence
+/// suites. Same contract as [`fold`].
 ///
 /// # Panics
 ///

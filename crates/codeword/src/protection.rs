@@ -485,7 +485,7 @@ impl CodewordProtection {
     }
 
     /// [`audit`](Self::audit) with an explicit worker count (used by the
-    /// `audit_scale` bench and the parallel-vs-serial equivalence suite).
+    /// parallel-vs-serial equivalence suite).
     pub fn audit_with_threads(&self, image: &DbImage, threads: usize) -> Result<AuditReport> {
         if !self.scheme.maintains_codewords() {
             // Nothing to audit against; report an empty, clean pass.

@@ -3,154 +3,71 @@
 //! A crash point marks a spot where a process crash has interesting
 //! durability consequences — e.g. between a `rename` and the directory
 //! fsync that makes it durable. Production code calls
-//! [`check`] at the spot; the call is a no-op (one relaxed atomic load)
-//! unless a test has [`arm`]ed that name, in which case it returns an
+//! [`CrashPoints::check`] at the spot; the call is a no-op unless a test
+//! has [`arm`](CrashPoints::arm)ed that name, in which case it returns an
 //! error that unwinds the operation mid-flight, leaving exactly the
 //! on-disk state a crash at that instant would leave. The test then
 //! simulates the possible post-crash disk states and drives recovery.
 //!
-//! The registry is process-global (crash points are reached from
-//! arbitrary call depths), so tests using it must not share a process
-//! with other armed tests — keep them in their own integration-test
-//! binary. Trips are one-shot: a point disarms itself when it fires.
+//! A [`CrashPoints`] is a cloneable handle to one set of armed names.
+//! Each engine creates its own and passes it to the layers below it
+//! (segment retirement, the checkpointer's `atomic_write`), so a point
+//! armed on one database can only ever trip that database — tests
+//! arming points may share a process and run concurrently. Trips are
+//! one-shot: a point disarms itself when it fires.
 
 use crate::{DaliError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// Armed points: name → number of checks to let pass before tripping.
-static ARMED: Mutex<Option<HashMap<String, u32>>> = Mutex::new(None);
-/// Fast path: true only while at least one point is armed.
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Arm `name`: the next [`check`] of that name trips.
-pub fn arm(name: &str) {
-    arm_after(name, 0);
+/// Handle to one database's armed crash points; clones share the set.
+#[derive(Clone, Debug, Default)]
+pub struct CrashPoints {
+    /// Armed points: name → number of checks to let pass before tripping.
+    armed: Arc<Mutex<HashMap<String, u32>>>,
 }
 
-/// Arm `name`, letting `skip` checks pass first (the `skip + 1`-th check
-/// trips). Lets a test target one of several occurrences of the same
-/// point, e.g. the anchor write after the meta write.
-pub fn arm_after(name: &str, skip: u32) {
-    let mut armed = ARMED.lock().unwrap();
-    armed
-        .get_or_insert_with(HashMap::new)
-        .insert(name.to_string(), skip);
-    ANY_ARMED.store(true, Ordering::Release);
-}
-
-/// Disarm every crash point (test cleanup).
-pub fn disarm_all() {
-    let mut armed = ARMED.lock().unwrap();
-    *armed = None;
-    ANY_ARMED.store(false, Ordering::Release);
-}
-
-/// Declare a crash point. Returns an error if `name` is armed (and
-/// disarms it — trips are one-shot); otherwise a no-op.
-pub fn check(name: &str) -> Result<()> {
-    if !ANY_ARMED.load(Ordering::Acquire) {
-        return Ok(());
+impl CrashPoints {
+    fn armed(&self) -> std::sync::MutexGuard<'_, HashMap<String, u32>> {
+        // Every update leaves the map valid, so a panic elsewhere while
+        // the lock was held does not make it unusable.
+        self.armed.lock().unwrap_or_else(|e| e.into_inner())
     }
-    let mut armed = ARMED.lock().unwrap();
-    let Some(map) = armed.as_mut() else {
-        return Ok(());
-    };
-    match map.get_mut(name) {
-        Some(0) => {
-            map.remove(name);
-            if map.is_empty() {
-                *armed = None;
-                ANY_ARMED.store(false, Ordering::Release);
+
+    /// Arm `name`: the next [`check`](Self::check) of that name trips.
+    pub fn arm(&self, name: &str) {
+        self.arm_after(name, 0);
+    }
+
+    /// Arm `name`, letting `skip` checks pass first (the `skip + 1`-th
+    /// check trips). Lets a test target one of several occurrences of
+    /// the same point, e.g. the anchor write after the meta write.
+    pub fn arm_after(&self, name: &str, skip: u32) {
+        self.armed().insert(name.to_string(), skip);
+    }
+
+    /// Declare a crash point. Returns an error if `name` is armed (and
+    /// disarms it — trips are one-shot); otherwise a no-op.
+    pub fn check(&self, name: &str) -> Result<()> {
+        let mut armed = self.armed();
+        match armed.get_mut(name) {
+            Some(0) => {
+                armed.remove(name);
+                Err(DaliError::Io(std::io::Error::other(format!(
+                    "crash point tripped: {name}"
+                ))))
             }
-            Err(DaliError::Io(std::io::Error::other(format!(
-                "crash point tripped: {name}"
-            ))))
+            Some(skip) => {
+                *skip -= 1;
+                Ok(())
+            }
+            None => Ok(()),
         }
-        Some(skip) => {
-            *skip -= 1;
-            Ok(())
-        }
-        None => Ok(()),
     }
-}
 
-/// Is `name` currently armed? (Diagnostics/assertions in tests.)
-pub fn is_armed(name: &str) -> bool {
-    ARMED
-        .lock()
-        .unwrap()
-        .as_ref()
-        .is_some_and(|m| m.contains_key(name))
-}
-
-/// True if *any* crash point is armed. Tests assert this is false at
-/// their boundaries: the registry is process-global, so a point armed by
-/// one test and never tripped would fire in whichever test next reaches
-/// that name.
-pub fn any_armed() -> bool {
-    ARMED
-        .lock()
-        .unwrap()
-        .as_ref()
-        .is_some_and(|m| !m.is_empty())
-}
-
-/// Names currently armed (sorted), for leak diagnostics in tests.
-pub fn armed_names() -> Vec<String> {
-    let mut names: Vec<String> = ARMED
-        .lock()
-        .unwrap()
-        .as_ref()
-        .map(|m| m.keys().cloned().collect())
-        .unwrap_or_default();
-    names.sort_unstable();
-    names
-}
-
-/// Alias of [`disarm_all`] for test harnesses that reset the registry at
-/// a known boundary.
-pub fn reset() {
-    disarm_all();
-}
-
-/// RAII scope for crash-point tests: constructing it asserts the registry
-/// is clean (catching a leak from an *earlier* test), and dropping it
-/// disarms everything — even when the test body panics — so an armed
-/// point can never leak into the next test in the process.
-///
-/// ```
-/// let _guard = dali_common::crashpoint::ScopedCrashpoints::new();
-/// dali_common::crashpoint::arm("atomic_write.post_rename");
-/// // ... drive the operation; the guard cleans up on every exit path.
-/// ```
-pub struct ScopedCrashpoints {
-    _private: (),
-}
-
-impl ScopedCrashpoints {
-    /// Open a scope. Panics if a previous test leaked an armed point.
-    #[track_caller]
-    pub fn new() -> ScopedCrashpoints {
-        let leaked = armed_names();
-        assert!(
-            leaked.is_empty(),
-            "crash points leaked from a previous test: {leaked:?}"
-        );
-        ScopedCrashpoints { _private: () }
-    }
-}
-
-impl Default for ScopedCrashpoints {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for ScopedCrashpoints {
-    fn drop(&mut self) {
-        disarm_all();
+    /// Is `name` currently armed? (Diagnostics/assertions in tests.)
+    pub fn is_armed(&self, name: &str) -> bool {
+        self.armed().contains_key(name)
     }
 }
 
@@ -158,50 +75,34 @@ impl Drop for ScopedCrashpoints {
 mod tests {
     use super::*;
 
-    // One test exercises every transition: the registry is process-global
-    // and the crate's unit tests share a process.
     #[test]
-    fn arm_trip_skip_disarm() {
-        assert!(check("p").is_ok(), "unarmed point is a no-op");
+    fn arm_trip_skip() {
+        let points = CrashPoints::default();
+        assert!(points.check("p").is_ok(), "unarmed point is a no-op");
 
-        arm("p");
-        assert!(is_armed("p"));
-        assert!(check("q").is_ok(), "other names unaffected");
-        assert!(check("p").is_err(), "armed point trips");
-        assert!(!is_armed("p"), "trip is one-shot");
-        assert!(check("p").is_ok());
+        points.arm("p");
+        assert!(points.is_armed("p"));
+        assert!(points.check("q").is_ok(), "other names unaffected");
+        assert!(points.check("p").is_err(), "armed point trips");
+        assert!(!points.is_armed("p"), "trip is one-shot");
+        assert!(points.check("p").is_ok());
 
-        arm_after("p", 2);
-        assert!(check("p").is_ok());
-        assert!(check("p").is_ok());
-        assert!(check("p").is_err(), "third check trips");
+        points.arm_after("p", 2);
+        assert!(points.check("p").is_ok());
+        assert!(points.check("p").is_ok());
+        assert!(points.check("p").is_err(), "third check trips");
+    }
 
-        arm("p");
-        disarm_all();
-        assert!(check("p").is_ok());
-
-        // Scoped guard: clean registry on entry, disarms on drop — even
-        // across a panic.
-        {
-            let _g = ScopedCrashpoints::new();
-            arm("p");
-            assert!(any_armed());
-            assert_eq!(armed_names(), vec!["p".to_string()]);
-        }
-        assert!(!any_armed(), "guard drop disarms");
-        assert!(check("p").is_ok());
-
-        let result = std::panic::catch_unwind(|| {
-            let _g = ScopedCrashpoints::new();
-            arm("p");
-            panic!("test body panics");
-        });
-        assert!(result.is_err());
-        assert!(!any_armed(), "guard disarms across a panic");
-
-        arm("p");
-        let leaked = std::panic::catch_unwind(ScopedCrashpoints::new);
-        assert!(leaked.is_err(), "guard entry catches leaked points");
-        reset();
+    #[test]
+    fn clones_share_the_set_and_instances_do_not() {
+        let a = CrashPoints::default();
+        let a2 = a.clone();
+        let b = CrashPoints::default();
+        a.arm("p");
+        assert!(a2.is_armed("p"));
+        assert!(!b.is_armed("p"));
+        assert!(b.check("p").is_ok(), "another instance never trips");
+        assert!(a2.check("p").is_err(), "a clone trips the shared point");
+        assert!(!a.is_armed("p"));
     }
 }

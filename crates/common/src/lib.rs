@@ -11,8 +11,9 @@
 //!   selector corresponding to the rows of Table 2 in the paper.
 //! * [`align`] — alignment arithmetic used by codeword maintenance
 //!   (updates are widened to word boundaries so XOR deltas are computable).
-//! * [`crashpoint`] — named crash points fault-injection tests arm to
-//!   stop an operation at a durability-critical instant.
+//! * [`crashpoint`] — the per-database [`CrashPoints`] handle
+//!   fault-injection tests arm to stop an operation at a
+//!   durability-critical instant.
 
 pub mod align;
 pub mod config;
@@ -21,5 +22,6 @@ pub mod error;
 pub mod ids;
 
 pub use config::{CodewordAlgebraKind, DaliConfig, ProtectionScheme, RESIDUE_MODULUS};
+pub use crashpoint::CrashPoints;
 pub use error::{DaliError, Result};
 pub use ids::{DbAddr, Lsn, OpSeq, PageId, RecId, SlotId, TableId, TxnId};

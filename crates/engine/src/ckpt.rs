@@ -25,7 +25,7 @@ use crate::catalog::Catalog;
 use crate::db::{CkptState, Db, EngineStats};
 use bytes::{Buf, BufMut, BytesMut};
 use dali_codeword::AuditReport;
-use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result};
+use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
 use dali_mem::DbImage;
 use dali_wal::record::LogRecord;
 use std::fs::OpenOptions;
@@ -179,7 +179,7 @@ impl CkptMeta {
 /// bounds *when* the new state becomes the only possible one. The
 /// `atomic_write.post_rename` crash point sits exactly in that window so
 /// fault-injection tests can exercise both outcomes.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8], crash_points: &CrashPoints) -> Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = OpenOptions::new()
@@ -191,7 +191,7 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<()> {
         f.sync_data()?;
     }
     std::fs::rename(&tmp, path)?;
-    dali_common::crashpoint::check("atomic_write.post_rename")?;
+    crash_points.check("atomic_write.post_rename")?;
     sync_parent_dir(path)
 }
 
@@ -205,12 +205,17 @@ pub(crate) fn sync_parent_dir(path: &Path) -> Result<()> {
 }
 
 /// Write the checkpoint anchor.
-pub fn write_anchor(dir: &Path, image: usize, serial: u64) -> Result<()> {
+pub fn write_anchor(
+    dir: &Path,
+    image: usize,
+    serial: u64,
+    crash_points: &CrashPoints,
+) -> Result<()> {
     let mut buf = BytesMut::new();
     buf.put_u32_le(ANCHOR_MAGIC);
     buf.put_u8(image as u8);
     buf.put_u64_le(serial);
-    atomic_write(&Db::anchor_path(dir), &buf)
+    atomic_write(&Db::anchor_path(dir), &buf, crash_points)
 }
 
 /// Read the checkpoint anchor: (image index, serial).
@@ -232,8 +237,13 @@ pub fn read_anchor(dir: &Path) -> Result<(usize, u64)> {
 }
 
 /// Persist checkpoint metadata for an image.
-pub fn write_meta(dir: &Path, image: usize, meta: &CkptMeta) -> Result<()> {
-    atomic_write(&Db::meta_path(dir, image), &meta.encode())
+pub fn write_meta(
+    dir: &Path,
+    image: usize,
+    meta: &CkptMeta,
+    crash_points: &CrashPoints,
+) -> Result<()> {
+    atomic_write(&Db::meta_path(dir, image), &meta.encode(), crash_points)
 }
 
 /// Load checkpoint metadata for an image.
@@ -282,7 +292,7 @@ fn write_parity(dir: &Path, image: usize, db: &Arc<Db>) -> Result<()> {
     }
     let sum = dali_wal::record::checksum(&buf);
     buf.put_u32_le(sum);
-    atomic_write(&path, &buf)
+    atomic_write(&path, &buf, &db.crash_points)
 }
 
 /// Load the parity stripe persisted beside checkpoint image `image`;
@@ -555,8 +565,8 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         att_blob,
     };
     write_parity(&dir, image, db)?;
-    write_meta(&dir, image, &meta)?;
-    write_anchor(&dir, image, state.serial)?;
+    write_meta(&dir, image, &meta, &db.crash_points)?;
+    write_anchor(&dir, image, state.serial, &db.crash_points)?;
     state.next_image = 1 - image;
     {
         let _q = db.quiesce.read();
@@ -574,7 +584,7 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     if db.config.log_retire {
         if let Ok(other) = read_meta(&dir, 1 - image) {
             let horizon = Lsn(ck_end.0.min(other.ck_end.0));
-            db.syslog.retire_covered(horizon)?;
+            db.syslog.retire_covered(horizon, &db.crash_points)?;
         }
     }
     db.refresh_log_gauges()?;
@@ -740,9 +750,9 @@ mod tests {
     #[test]
     fn anchor_round_trip() {
         let d = tmpdir("anchor");
-        write_anchor(&d, 1, 42).unwrap();
+        write_anchor(&d, 1, 42, &CrashPoints::default()).unwrap();
         assert_eq!(read_anchor(&d).unwrap(), (1, 42));
-        write_anchor(&d, 0, 43).unwrap();
+        write_anchor(&d, 0, 43, &CrashPoints::default()).unwrap();
         assert_eq!(read_anchor(&d).unwrap(), (0, 43));
     }
 
@@ -765,7 +775,7 @@ mod tests {
             catalog,
             att_blob: att.encode_for_ckpt().unwrap(),
         };
-        write_meta(&d, 0, &meta).unwrap();
+        write_meta(&d, 0, &meta, &CrashPoints::default()).unwrap();
         let back = read_meta(&d, 0).unwrap();
         assert_eq!(back.serial, 3);
         assert_eq!(back.ck_end, Lsn(1000));
@@ -789,7 +799,7 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: Att::new().encode_for_ckpt().unwrap(),
         };
-        write_meta(&d, 1, &meta).unwrap();
+        write_meta(&d, 1, &meta, &CrashPoints::default()).unwrap();
         assert_eq!(read_meta(&d, 1).unwrap().audit_sn, None);
     }
 
@@ -807,7 +817,7 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: vec![0, 0, 0, 0],
         };
-        write_meta(&d, 0, &meta).unwrap();
+        write_meta(&d, 0, &meta, &CrashPoints::default()).unwrap();
         let p = Db::meta_path(&d, 0);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[6] ^= 0xff;

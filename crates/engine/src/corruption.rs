@@ -6,7 +6,7 @@ use crate::att::TxnStatus;
 use crate::ckpt;
 use crate::db::Db;
 use bytes::{Buf, BufMut, BytesMut};
-use dali_common::{DaliError, DbAddr, Lsn, PageId, Result};
+use dali_common::{CrashPoints, DaliError, DbAddr, Lsn, PageId, Result};
 use dali_wal::{LogReader, LogRecord, LogRecordRef};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -157,8 +157,12 @@ impl CorruptionMarker {
 /// recovery, so it must survive a crash that follows the report — see
 /// [`crate::ckpt`]'s `atomic_write` on why the rename alone is not
 /// enough).
-pub fn write_marker(dir: &Path, marker: &CorruptionMarker) -> Result<()> {
-    crate::ckpt::atomic_write(&Db::marker_path(dir), &marker.encode())
+pub fn write_marker(
+    dir: &Path,
+    marker: &CorruptionMarker,
+    crash_points: &CrashPoints,
+) -> Result<()> {
+    crate::ckpt::atomic_write(&Db::marker_path(dir), &marker.encode(), crash_points)
 }
 
 /// Read the corruption marker, if present.
@@ -193,7 +197,7 @@ pub fn report_corruption(db: &Db, ranges: &[(DbAddr, usize)]) -> Result<()> {
         ranges: ranges.to_vec(),
     };
     db.syslog.flush(false)?;
-    write_marker(&db.config.dir, &marker)?;
+    write_marker(&db.config.dir, &marker, &db.crash_points)?;
     db.poison();
     Ok(())
 }
@@ -382,7 +386,7 @@ mod tests {
             audit_sn: Some(Lsn(777)),
             ranges: vec![(DbAddr(64), 64), (DbAddr(4096), 128)],
         };
-        write_marker(&dir, &m).unwrap();
+        write_marker(&dir, &m, &CrashPoints::default()).unwrap();
         assert_eq!(read_marker(&dir).unwrap(), Some(m));
         clear_marker(&dir).unwrap();
         assert_eq!(read_marker(&dir).unwrap(), None);
@@ -397,7 +401,7 @@ mod tests {
             audit_sn: None,
             ranges: vec![(DbAddr(0), 64)],
         };
-        write_marker(&dir, &m).unwrap();
+        write_marker(&dir, &m, &CrashPoints::default()).unwrap();
         let p = Db::marker_path(&dir);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[5] ^= 1;

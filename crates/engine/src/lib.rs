@@ -49,7 +49,7 @@ pub use repair::RepairOutcome;
 pub use txn::TxnHandle;
 
 use dali_codeword::AuditReport;
-use dali_common::{DaliConfig, DaliError, DbAddr, Result, TableId};
+use dali_common::{CrashPoints, DaliConfig, DaliError, DbAddr, Result, TableId};
 use dali_wal::record::LogRecord;
 use db::Db;
 use std::sync::Arc;
@@ -244,6 +244,12 @@ impl DaliEngine {
     /// non-deferred schemes).
     pub fn deferred_stats(&self) -> dali_codeword::DeferredStatsSnapshot {
         self.db.prot.deferred_stats()
+    }
+
+    /// This database's crash points, for fault-injection tests: a point
+    /// armed here trips only this engine's checkpoints and retirements.
+    pub fn crash_points(&self) -> &CrashPoints {
+        &self.db.crash_points
     }
 
     /// The active configuration.

@@ -104,8 +104,7 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// Single-shard manager with timeout-only deadlock resolution (the
-    /// pre-sharding behaviour; used as the baseline in `lock_scale`).
+    /// Single-shard manager with timeout-only deadlock resolution.
     pub fn new(timeout: Duration) -> LockManager {
         LockManager::with_config(timeout, 1, None)
     }

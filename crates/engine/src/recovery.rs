@@ -40,7 +40,9 @@ use crate::lock::LockManager;
 use crate::txn::rollback_direct;
 use dali_codeword::CodewordProtection;
 use dali_common::align::split_by_chunks;
-use dali_common::{CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId};
+use dali_common::{
+    CodewordAlgebraKind, CrashPoints, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId,
+};
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::record::{CodewordsRef, LogRecord, LogRecordRef};
 use dali_wal::{LogReader, SystemLog, UndoKind};
@@ -307,6 +309,7 @@ pub(crate) fn build_db(
         last_clean_audit: Mutex::new(last_clean_audit),
         crashed: AtomicBool::new(false),
         stats: EngineStats::default(),
+        crash_points: CrashPoints::default(),
     });
     for h in db.heaps.read().iter() {
         h.rebuild_from_image(&db.image)?;

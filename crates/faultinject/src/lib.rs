@@ -17,12 +17,6 @@ use dali_common::{DbAddr, PageId, Result};
 use dali_engine::DaliEngine;
 use rand::Rng;
 
-/// Named crash points (re-exported from `dali-common` so fault-injection
-/// tests need only this crate): arm a point, drive the engine into it,
-/// and the operation errors out mid-flight exactly where a crash would
-/// have cut it.
-pub use dali_common::crashpoint;
-
 pub mod campaign;
 pub use campaign::{
     algebra_expected_detected, assert_matrix, assert_repair_matrix, campaign_payload,

@@ -297,7 +297,7 @@ impl Arena {
 
     /// One-word-at-a-time scalar reference for
     /// [`residue_fold`](Arena::residue_fold): same contract and result,
-    /// kept for the `audit_scale` bench and the kernel equivalence suites.
+    /// kept as the reference of the kernel equivalence suites.
     #[inline]
     pub fn residue_fold_scalar(&self, offset: usize, len: usize) -> Result<u32> {
         self.check(offset, len)?;
@@ -325,8 +325,8 @@ impl Arena {
     }
 
     /// One-word-at-a-time scalar reference for [`xor_fold`](Arena::xor_fold):
-    /// the kernel the wide path replaced, kept for the `audit_scale` bench
-    /// and the kernel equivalence suites. Same contract and result.
+    /// the kernel the wide path replaced, kept as the reference of the
+    /// kernel equivalence suites. Same contract and result.
     #[inline]
     pub fn xor_fold_scalar(&self, offset: usize, len: usize) -> Result<u32> {
         self.check(offset, len)?;

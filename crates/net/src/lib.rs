@@ -1,14 +1,13 @@
 //! dali-net: the engine over TCP.
 //!
 //! Turns the embedded engine into a networked database: an event-driven
-//! [`DaliServer`] runs readiness loops (epoll, with a portable `poll(2)`
-//! fallback) over nonblocking sessions and executes verbs on a bounded
-//! pool, a blocking [`DaliClient`] speaks the length-prefixed,
+//! [`DaliServer`] runs epoll readiness loops over nonblocking sessions
+//! and executes verbs on a bounded pool, a blocking [`DaliClient`] speaks the length-prefixed,
 //! checksummed binary protocol in [`protocol`] (with optional frame
 //! [`pipelining`](DaliClient::pipeline)), and [`NetTpcbDriver`] re-runs
 //! the contended TPC-B workload over N client connections.
 //!
-//! Design points (DESIGN.md §6 and §10):
+//! Design points (DESIGN.md §6):
 //!
 //! * **Framing**: `[len][checksum][payload]`, the same defensive idiom as
 //!   the WAL's on-disk records — a torn or corrupt frame is a structured
@@ -30,22 +29,16 @@
 //! * **Group commit**: with `DaliConfig::with_commit_window`, concurrent
 //!   committers from different connections share one fsync (see
 //!   `SystemLog::commit_durable`); the [`ServerStats`] verb exposes the
-//!   fsync/flush counters the `net_scale` bench reports.
+//!   fsync/flush counters.
 //! * **Observability**: per-verb log₂-bucket latency histograms via the
 //!   `Metrics` verb ([`MetricsReport`]), a cheap `Health` probe
 //!   ([`HealthReport`]), and loop/queue counters in [`ServerStats`].
-//!
-//! The pre-event-loop thread-per-connection server survives behind the
-//! `legacy-threaded` feature as [`legacy::ThreadedServer`] — the
-//! baseline `net_scale` measures connection scaling against.
 //!
 //! [`DaliError`]: dali_common::DaliError
 //! [`DaliError::ConnectionClosed`]: dali_common::DaliError::ConnectionClosed
 
 pub mod client;
 pub mod histogram;
-#[cfg(feature = "legacy-threaded")]
-pub mod legacy;
 pub mod poller;
 pub mod protocol;
 pub mod server;

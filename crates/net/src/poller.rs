@@ -1,18 +1,15 @@
-//! Readiness polling for the event-driven server: epoll on Linux with a
-//! portable `poll(2)` fallback, behind one `Poller` face.
+//! Readiness polling for the event-driven server: epoll.
 //!
-//! Level-triggered on both backends — a socket with unread bytes keeps
-//! signalling until drained, which lets the event loop stop reading
-//! mid-stream (backpressure parks) without losing the wakeup. Each event
-//! worker owns one `Poller`; cross-thread wakeups (a finished execution,
-//! shutdown) go through [`Waker`], a nonblocking socketpair whose read
-//! end is registered like any other source.
+//! Level-triggered — a socket with unread bytes keeps signalling until
+//! drained, which lets the event loop stop reading mid-stream
+//! (backpressure parks) without losing the wakeup. Each event worker owns
+//! one `Poller`; cross-thread wakeups (a finished execution, shutdown) go
+//! through [`Waker`], a nonblocking socketpair whose read end is
+//! registered like any other source.
 //!
-//! The fallback is selected automatically when `epoll_create1` is
-//! unavailable, or forced with `DALI_NET_FORCE_POLL=1` (the CI matrix
-//! exercises both).
+//! Linux only, like the rest of the workspace (`dali-mem` needs
+//! `mmap`/`mprotect` from the same vendored `libc`).
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -44,7 +41,7 @@ impl Interest {
     };
 }
 
-/// One readiness event, translated out of the backend's encoding.
+/// One readiness event, translated out of epoll's encoding.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// The token the fd was registered with.
@@ -56,46 +53,23 @@ pub struct Event {
     pub hangup: bool,
 }
 
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-    },
-    Poll {
-        fds: HashMap<RawFd, (u64, Interest)>,
-    },
-}
-
 /// A readiness poller owning a set of `(fd, token, interest)`
-/// registrations.
+/// registrations: one epoll instance.
 pub struct Poller {
-    backend: Backend,
+    epfd: RawFd,
 }
 
 impl Poller {
-    /// Open a poller, preferring epoll unless `DALI_NET_FORCE_POLL=1`.
+    /// Open an epoll instance. A failure (`EMFILE`, `ENFILE`, `ENOMEM`)
+    /// is returned as the OS error it is.
     pub fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var("DALI_NET_FORCE_POLL").is_ok_and(|v| v == "1");
-        if !force_poll {
-            let epfd = unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) };
-            if epfd >= 0 {
-                return Ok(Poller {
-                    backend: Backend::Epoll { epfd },
-                });
-            }
+        // SAFETY: epoll_create1 takes no pointers; a negative return is
+        // checked before the fd is used.
+        let epfd = unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        Ok(Poller {
-            backend: Backend::Poll {
-                fds: HashMap::new(),
-            },
-        })
-    }
-
-    /// Backend label for logs and bench output.
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
+        Ok(Poller { epfd })
     }
 
     fn epoll_events(interest: Interest) -> u32 {
@@ -109,18 +83,14 @@ impl Poller {
         ev
     }
 
-    fn epoll_ctl(
-        epfd: RawFd,
-        op: i32,
-        fd: RawFd,
-        token: u64,
-        interest: Interest,
-    ) -> io::Result<()> {
+    fn ctl(&mut self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         let mut ev = libc::epoll_event {
             events: Self::epoll_events(interest),
             u64: token,
         };
-        let rc = unsafe { libc::epoll_ctl(epfd, op, fd, &mut ev) };
+        // SAFETY: `ev` is a live, properly laid-out epoll_event for the
+        // duration of the call; the kernel copies it.
+        let rc = unsafe { libc::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -129,47 +99,24 @@ impl Poller {
 
     /// Start watching `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                Self::epoll_ctl(*epfd, libc::EPOLL_CTL_ADD, fd, token, interest)
-            }
-            Backend::Poll { fds } => {
-                fds.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        self.ctl(libc::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Change the interest set of a watched `fd`.
     pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                Self::epoll_ctl(*epfd, libc::EPOLL_CTL_MOD, fd, token, interest)
-            }
-            Backend::Poll { fds } => {
-                fds.insert(fd, (token, interest));
-                Ok(())
-            }
-        }
+        self.ctl(libc::EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Stop watching `fd`. Safe to call for an fd that is about to close.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                let rc = unsafe {
-                    libc::epoll_ctl(*epfd, libc::EPOLL_CTL_DEL, fd, std::ptr::null_mut())
-                };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { fds } => {
-                fds.remove(&fd);
-                Ok(())
-            }
+        // SAFETY: EPOLL_CTL_DEL ignores the event pointer (null is
+        // allowed since Linux 2.6.9).
+        let rc =
+            unsafe { libc::epoll_ctl(self.epfd, libc::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
     /// Block until at least one registered fd is ready (or `timeout`
@@ -180,89 +127,38 @@ impl Poller {
             None => -1,
             Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
         };
-        match &mut self.backend {
-            Backend::Epoll { epfd } => {
-                let mut buf = [libc::epoll_event { events: 0, u64: 0 }; 256];
-                let n = loop {
-                    let rc = unsafe {
-                        libc::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-                    };
-                    if rc >= 0 {
-                        break rc as usize;
-                    }
-                    let err = io::Error::last_os_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                for ev in &buf[..n] {
-                    let events = { ev.events };
-                    out.push(Event {
-                        token: { ev.u64 },
-                        readable: events & libc::EPOLLIN != 0,
-                        writable: events & libc::EPOLLOUT != 0,
-                        hangup: events & (libc::EPOLLERR | libc::EPOLLHUP | libc::EPOLLRDHUP) != 0,
-                    });
-                }
-                Ok(n)
+        let mut buf = [libc::epoll_event { events: 0, u64: 0 }; 256];
+        let n = loop {
+            // SAFETY: `buf` is a live array of `buf.len()` epoll_events
+            // the kernel may write into.
+            let rc = unsafe {
+                libc::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
+            };
+            if rc >= 0 {
+                break rc as usize;
             }
-            Backend::Poll { fds } => {
-                // Rebuild the pollfd array each wait: O(fds), which is
-                // why this is the fallback, not the default.
-                let mut pfds: Vec<libc::pollfd> = Vec::with_capacity(fds.len());
-                let mut tokens: Vec<u64> = Vec::with_capacity(fds.len());
-                for (&fd, &(token, interest)) in fds.iter() {
-                    let mut events = 0i16;
-                    if interest.read {
-                        events |= libc::POLLIN;
-                    }
-                    if interest.write {
-                        events |= libc::POLLOUT;
-                    }
-                    pfds.push(libc::pollfd {
-                        fd,
-                        events,
-                        revents: 0,
-                    });
-                    tokens.push(token);
-                }
-                let n = loop {
-                    let rc = unsafe {
-                        libc::poll(pfds.as_mut_ptr(), pfds.len() as libc::nfds_t, timeout_ms)
-                    };
-                    if rc >= 0 {
-                        break rc as usize;
-                    }
-                    let err = io::Error::last_os_error();
-                    if err.kind() != io::ErrorKind::Interrupted {
-                        return Err(err);
-                    }
-                };
-                if n > 0 {
-                    for (pfd, &token) in pfds.iter().zip(&tokens) {
-                        if pfd.revents == 0 {
-                            continue;
-                        }
-                        out.push(Event {
-                            token,
-                            readable: pfd.revents & libc::POLLIN != 0,
-                            writable: pfd.revents & libc::POLLOUT != 0,
-                            hangup: pfd.revents & (libc::POLLERR | libc::POLLHUP | libc::POLLNVAL)
-                                != 0,
-                        });
-                    }
-                }
-                Ok(n)
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
+        };
+        for ev in &buf[..n] {
+            let events = { ev.events };
+            out.push(Event {
+                token: { ev.u64 },
+                readable: events & libc::EPOLLIN != 0,
+                writable: events & libc::EPOLLOUT != 0,
+                hangup: events & (libc::EPOLLERR | libc::EPOLLHUP | libc::EPOLLRDHUP) != 0,
+            });
         }
+        Ok(n)
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd } = self.backend {
-            unsafe { libc::close(epfd) };
-        }
+        // SAFETY: `epfd` came from epoll_create1 and is closed only here.
+        unsafe { libc::close(self.epfd) };
     }
 }
 
@@ -312,7 +208,9 @@ mod tests {
     use std::os::unix::io::AsRawFd;
     use std::os::unix::net::UnixStream;
 
-    fn readiness_round_trip(mut poller: Poller) {
+    #[test]
+    fn readiness_round_trip() {
+        let mut poller = Poller::new().unwrap();
         let (mut tx, rx) = UnixStream::pair().unwrap();
         rx.set_nonblocking(true).unwrap();
         poller.register(rx.as_raw_fd(), 7, Interest::READ).unwrap();
@@ -359,52 +257,59 @@ mod tests {
     }
 
     #[test]
-    fn epoll_backend_round_trips() {
-        let poller = Poller::new().unwrap();
-        assert_eq!(poller.backend_name(), "epoll");
-        readiness_round_trip(poller);
-    }
-
-    #[test]
-    fn poll_backend_round_trips() {
-        // Construct the fallback directly rather than via the env var
-        // (tests in one process share the environment).
-        let poller = Poller {
-            backend: Backend::Poll {
-                fds: HashMap::new(),
-            },
-        };
-        assert_eq!(poller.backend_name(), "poll");
-        readiness_round_trip(poller);
-    }
-
-    #[test]
     fn hangup_is_reported() {
-        for backend in ["epoll", "poll"] {
-            let mut poller = if backend == "epoll" {
-                Poller::new().unwrap()
-            } else {
-                Poller {
-                    backend: Backend::Poll {
-                        fds: HashMap::new(),
-                    },
-                }
-            };
-            let (tx, rx) = UnixStream::pair().unwrap();
-            poller.register(rx.as_raw_fd(), 1, Interest::READ).unwrap();
-            drop(tx);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let ev = events
-                .iter()
-                .find(|e| e.token == 1)
-                .unwrap_or_else(|| panic!("{backend}: no event for dropped peer"));
-            // Level-triggered close may surface as hangup and/or a final
-            // zero-length readable; either lets the loop tear down.
-            assert!(ev.hangup || ev.readable, "{backend}: {ev:?}");
+        let mut poller = Poller::new().unwrap();
+        let (tx, rx) = UnixStream::pair().unwrap();
+        poller.register(rx.as_raw_fd(), 1, Interest::READ).unwrap();
+        drop(tx);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events
+            .iter()
+            .find(|e| e.token == 1)
+            .expect("no event for dropped peer");
+        // Level-triggered close may surface as hangup and/or a final
+        // zero-length readable; either lets the loop tear down.
+        assert!(ev.hangup || ev.readable, "{ev:?}");
+    }
+
+    /// `RLIMIT_NOFILE` is process-wide, so the limit is lowered in a
+    /// child: this test binary re-run on the one ignored test below.
+    #[test]
+    fn epoll_create_failure_is_returned_not_swallowed() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "--ignored",
+                "poller::tests::child_with_no_fd_left",
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success() && String::from_utf8_lossy(&out.stdout).contains("1 passed"),
+            "child failed:\n{}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    #[ignore = "lowers RLIMIT_NOFILE; run in a child by epoll_create_failure_is_returned_not_swallowed"]
+    fn child_with_no_fd_left() {
+        let mut lim = libc::rlimit {
+            rlim_cur: 0,
+            rlim_max: 0,
+        };
+        // SAFETY: valid resource id and in/out pointers to a live rlimit.
+        unsafe {
+            assert_eq!(libc::getrlimit(libc::RLIMIT_NOFILE, &mut lim), 0);
+            lim.rlim_cur = 0;
+            assert_eq!(libc::setrlimit(libc::RLIMIT_NOFILE, &lim), 0);
         }
+        let err = Poller::new().err().expect("epoll_create1 got an fd");
+        assert_eq!(err.raw_os_error(), Some(libc::EMFILE));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! nonblocking sessions as explicit state machines, with execution on a
 //! bounded worker pool.
 //!
-//! # Architecture (DESIGN.md §10)
+//! # Architecture (DESIGN.md §6)
 //!
 //! ```text
 //!            accept                    decode                 execute
@@ -44,10 +44,6 @@
 //! framing is suspect there is no trustworthy boundary to resume at —
 //! but the error frame queues *behind* earlier pipelined responses, so
 //! a half-good burst is answered before the close.
-//!
-//! The previous thread-per-connection server is preserved behind the
-//! `legacy-threaded` feature as [`crate::legacy::ThreadedServer`], as
-//! the baseline the `net_scale` bench measures against.
 
 use crate::histogram::LatencyHistograms;
 use crate::poller::{Interest, Poller, Waker};
@@ -71,19 +67,18 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// Token worker 0's listener registers under.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
-/// Server-side counters, shared by the event-driven server and the
-/// legacy threaded one (which leaves the event-loop-specific cells 0).
+/// Server-side counters.
 #[derive(Default)]
-pub(crate) struct ServerCounters {
-    pub sessions: AtomicU64,
-    pub orphans_rolled_back: AtomicU64,
-    pub conns_rejected: AtomicU64,
-    pub frames_pipelined: AtomicU64,
-    pub read_parks: AtomicU64,
-    pub exec_queue_depth: AtomicU64,
-    pub exec_queue_max: AtomicU64,
-    pub loop_iterations: AtomicU64,
-    pub outbound_buffered_max: AtomicU64,
+struct ServerCounters {
+    sessions: AtomicU64,
+    orphans_rolled_back: AtomicU64,
+    conns_rejected: AtomicU64,
+    frames_pipelined: AtomicU64,
+    read_parks: AtomicU64,
+    exec_queue_depth: AtomicU64,
+    exec_queue_max: AtomicU64,
+    loop_iterations: AtomicU64,
+    outbound_buffered_max: AtomicU64,
 }
 
 impl ServerCounters {
@@ -101,10 +96,10 @@ impl ServerCounters {
 
 /// Execute one *engine* verb against a session's transaction slot.
 /// `Stats`/`Health`/`Metrics` are intercepted by the caller (they need
-/// server state, not engine state). Shared by both server front-ends so
-/// session semantics — one txn per connection, `NoTxn`/`TxnAlreadyOpen`
-/// misuse errors, errors leave the txn open — cannot drift.
-pub(crate) fn execute_engine_request(
+/// server state, not engine state). Session semantics: one txn per
+/// connection, `NoTxn`/`TxnAlreadyOpen` misuse errors, errors leave the
+/// txn open.
+fn execute_engine_request(
     engine: &DaliEngine,
     txn_slot: &mut Option<TxnHandle>,
     req: Request,
@@ -213,8 +208,8 @@ fn execute_engine_inner(
     })
 }
 
-/// Build the stats snapshot both server front-ends serve.
-pub(crate) fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerStats {
+/// Build the snapshot the `Stats` verb serves.
+fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerStats {
     let log = engine.log_stats();
     let deferred = engine.deferred_stats();
     ServerStats {
@@ -1047,12 +1042,23 @@ impl DaliServer {
         let pipeline_depth = config.resolved_net_pipeline_depth();
         let outbound_budget = config.net_outbound_budget;
 
+        // Every fd the event workers need (waker pair, epoll instance,
+        // worker 0's listener handle) is created before any thread is
+        // spawned, so running out of descriptors fails `start` cleanly
+        // instead of leaving half a server running.
         let mut wakers = Vec::with_capacity(n_event);
         let mut inboxes = Vec::with_capacity(n_event);
+        let mut pollers = Vec::with_capacity(n_event);
         for _ in 0..n_event {
-            wakers.push(Waker::new()?);
+            let waker = Waker::new()?;
+            let mut poller = Poller::new()?;
+            poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
+            wakers.push(waker);
             inboxes.push(Mutex::new(Inbox::default()));
+            pollers.push(poller);
         }
+        pollers[0].register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        let mut listener = Some(listener);
 
         let shared = Arc::new(Shared {
             engine,
@@ -1074,26 +1080,14 @@ impl DaliServer {
 
         let next_conn_id = Arc::new(AtomicU64::new(0));
         let mut event_threads = Vec::with_capacity(n_event);
-        for id in 0..n_event {
-            let mut poller = Poller::new()?;
-            poller.register(shared.wakers[id].fd(), WAKER_TOKEN, Interest::READ)?;
-            // Register the *worker's own* listener handle, not the
-            // binding-scope one: `listener` is dropped when start()
-            // returns and its fd number can be reused, which would
-            // leave the poll backend watching an unrelated socket.
-            let worker_listener = if id == 0 {
-                let clone = listener.try_clone()?;
-                poller.register(clone.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-                Some(clone)
-            } else {
-                None
-            };
+        for (id, poller) in pollers.into_iter().enumerate() {
             let worker = EventWorker {
                 id,
                 shared: Arc::clone(&shared),
                 poller,
                 conns: HashMap::new(),
-                listener: worker_listener,
+                // Worker 0 owns the listener whose fd its poller watches.
+                listener: listener.take(),
                 listener_parked: false,
                 next_conn_id: Arc::clone(&next_conn_id),
             };
@@ -1130,12 +1124,6 @@ impl DaliServer {
     /// The engine this server fronts.
     pub fn engine(&self) -> &DaliEngine {
         &self.shared.engine
-    }
-
-    /// Which readiness backend the event loops run on ("epoll"/"poll").
-    pub fn backend_name(&self) -> &'static str {
-        // All workers share one selection path; probe a fresh poller.
-        Poller::new().map(|p| p.backend_name()).unwrap_or("poll")
     }
 
     /// Stop accepting, disconnect open sessions, drain orphan rollbacks,

@@ -27,7 +27,7 @@
 //! segment, not the log.
 
 use crate::record::{parse_frame, FrameRef, LogRecordRef};
-use dali_common::{CodewordAlgebraKind, DaliError, Lsn, Result};
+use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, Result};
 use std::cell::Cell;
 use std::io::Read;
 use std::ops::ControlFlow;
@@ -205,7 +205,12 @@ pub fn truncate_at(dir: &Path, upto: Lsn) -> Result<()> {
 /// segment is simply retired again next checkpoint. What the dir-fsync
 /// rules out is the unlink becoming durable while a *later* rename or
 /// create in the same directory is not.
-pub fn retire_covered(dir: &Path, horizon: Lsn, keep_from: Lsn) -> Result<u64> {
+pub fn retire_covered(
+    dir: &Path,
+    horizon: Lsn,
+    keep_from: Lsn,
+    crash_points: &CrashPoints,
+) -> Result<u64> {
     let segments = list(dir)?;
     let mut retired = 0u64;
     for s in &segments {
@@ -213,7 +218,7 @@ pub fn retire_covered(dir: &Path, horizon: Lsn, keep_from: Lsn) -> Result<u64> {
             continue;
         }
         std::fs::remove_file(path(dir, s.base))?;
-        dali_common::crashpoint::check("segment.retire.post_unlink")?;
+        crash_points.check("segment.retire.post_unlink")?;
         retired += 1;
     }
     if retired > 0 {
@@ -569,11 +574,12 @@ mod tests {
         mk(&dir, 100, 50);
         mk(&dir, 150, 30); // active
                            // Horizon mid-segment-2: only segment 1 is fully covered.
-        let n = retire_covered(&dir, Lsn(120), Lsn(150)).unwrap();
+        let unarmed = CrashPoints::default();
+        let n = retire_covered(&dir, Lsn(120), Lsn(150), &unarmed).unwrap();
         assert_eq!(n, 1);
         assert_eq!(list(&dir).unwrap().first().unwrap().base, Lsn(100));
         // Horizon past everything, but the active segment is kept.
-        let n = retire_covered(&dir, Lsn(10_000), Lsn(150)).unwrap();
+        let n = retire_covered(&dir, Lsn(10_000), Lsn(150), &unarmed).unwrap();
         assert_eq!(n, 1);
         let segs = list(&dir).unwrap();
         assert_eq!(segs.len(), 1);
@@ -586,9 +592,9 @@ mod tests {
         let dir = tmpdir("retirecrash");
         mk(&dir, 0, 100);
         mk(&dir, 100, 50);
-        let _guard = dali_common::crashpoint::ScopedCrashpoints::new();
-        dali_common::crashpoint::arm("segment.retire.post_unlink");
-        let err = retire_covered(&dir, Lsn(10_000), Lsn(100))
+        let crash_points = CrashPoints::default();
+        crash_points.arm("segment.retire.post_unlink");
+        let err = retire_covered(&dir, Lsn(10_000), Lsn(100), &crash_points)
             .unwrap_err()
             .to_string();
         assert!(err.contains("crash point tripped"), "{err}");

@@ -31,7 +31,7 @@ use crate::dpt::DualDirtySet;
 use crate::record::{frame_payload_with, frame_seal, LogRecord, FRAME_HDR};
 use crate::segment::{self, LogReader, SegmentBuf};
 use bytes::BytesMut;
-use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result};
+use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -84,8 +84,8 @@ struct SyncState {
 }
 
 /// Snapshot of the log's flush/fsync counters, the measurable side of
-/// group-commit amortization: `fsyncs / durable_commits` is the metric
-/// `net_scale` sweeps, and piggybacks count commits that rode a
+/// group-commit amortization: `fsyncs / durable_commits` is the ledger's
+/// `wal.fsyncs_per_txn`, and piggybacks count commits that rode a
 /// neighbour's fsync without waiting for one of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
@@ -588,10 +588,11 @@ impl SystemLog {
     /// segment is never retired. Returns how many segments were
     /// unlinked. Holding the append latch across the unlinks pins the
     /// active segment and keeps rolls out of the race window.
-    pub fn retire_covered(&self, horizon: Lsn) -> Result<u64> {
+    /// `crash_points` is the owning engine's (`segment.retire.post_unlink`).
+    pub fn retire_covered(&self, horizon: Lsn, crash_points: &CrashPoints) -> Result<u64> {
         let inner = self.inner.lock();
         let keep_from = inner.seg_base;
-        let retired = segment::retire_covered(&self.dir, horizon, keep_from)?;
+        let retired = segment::retire_covered(&self.dir, horizon, keep_from, crash_points)?;
         self.counters
             .segments_retired
             .fetch_add(retired, Ordering::Relaxed);
@@ -1133,7 +1134,9 @@ mod tests {
         let before = segment::list(&path).unwrap();
         assert!(before.len() > 2);
         let horizon = lsns[7];
-        let retired = log.retire_covered(horizon).unwrap();
+        let retired = log
+            .retire_covered(horizon, &CrashPoints::default())
+            .unwrap();
         assert!(retired > 0);
         let after = segment::list(&path).unwrap();
         assert_eq!(before.len() as u64 - retired, after.len() as u64);

@@ -255,7 +255,8 @@ fn retired_leading_segments_bound_where_a_scan_may_start() {
     let log = SystemLog::create_with(&scratch.0, 4096, KIND, SEGMENT).unwrap();
     let lsns: Vec<Lsn> = (0..14).map(|i| log.append(&record(i, 24))).collect();
     log.flush(true).unwrap();
-    assert!(log.retire_covered(lsns[8]).unwrap() > 0);
+    let unarmed = dali_common::CrashPoints::default();
+    assert!(log.retire_covered(lsns[8], &unarmed).unwrap() > 0);
     let first = segment::list(&scratch.0).unwrap()[0].base;
     assert!(first > Lsn::ZERO);
     // History below the first retained segment is gone for both.

@@ -10,39 +10,13 @@
 //!
 //! The `atomic_write.post_rename` crash point is armed to trip on its
 //! third occurrence within the checkpoint (the first is the parity-stripe
-//! write, the second the meta write, the third the anchor write). The
-//! crash-point registry is process-global, so this test lives alone in
-//! its own binary.
+//! write, the second the meta write, the third the anchor write). Crash
+//! points belong to the engine they are armed on: the last test runs two
+//! engines' checkpoints concurrently and only the armed one trips.
 
 use dali_common::{DaliConfig, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
-use dali_faultinject::crashpoint;
-
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-ckdur-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
+use dali_testutil::{copy_dir, TempDir};
 
 fn assert_recovers(dir: &std::path::Path, expected: &[(RecId, Vec<u8>)]) {
     let config = DaliConfig::small(dir).with_scheme(ProtectionScheme::DataCodeword);
@@ -60,12 +34,8 @@ fn assert_recovers(dir: &std::path::Path, expected: &[(RecId, Vec<u8>)]) {
 
 #[test]
 fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
-    // Guard the process-global registry: asserts no point leaked in from
-    // another test, and disarms everything on every exit path (including
-    // assertion failures below).
-    let _guard = crashpoint::ScopedCrashpoints::new();
-    let dir = tmpdir("anchor");
-    let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = TempDir::new("anchor");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 32, 16).unwrap();
 
@@ -74,7 +44,7 @@ fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
     let r1 = txn.insert(t, &[0x11; 32]).unwrap();
     txn.commit().unwrap();
     db.checkpoint().unwrap();
-    let anchor_path = dir.join("cur_ckpt");
+    let anchor_path = dir.path().join("cur_ckpt");
     let old_anchor = std::fs::read(&anchor_path).unwrap();
 
     // Transaction 2, committed but only checkpointed by the attempt that
@@ -86,13 +56,13 @@ fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
     // Arm the third atomic_write of the checkpoint: the parity-stripe and
     // meta writes pass, the anchor write trips *after* its rename,
     // *before* the directory sync.
-    crashpoint::arm_after("atomic_write.post_rename", 2);
+    db.crash_points().arm_after("atomic_write.post_rename", 2);
     let err = db.checkpoint().unwrap_err();
     assert!(
         err.to_string().contains("crash point tripped"),
         "unexpected error: {err}"
     );
-    assert!(!crashpoint::is_armed("atomic_write.post_rename"));
+    assert!(!db.crash_points().is_armed("atomic_write.post_rename"));
     db.crash();
 
     let expected = vec![(r1, vec![0x11; 32]), (r2, vec![0x22; 32])];
@@ -102,20 +72,58 @@ fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
     // Post-crash state A: the rename persisted — the anchor names the
     // just-written (fully certified: pages + audit + meta all preceded
     // the anchor write) image.
-    let persisted = tmpdir("anchor-persisted");
-    copy_dir(&dir, &persisted);
-    assert_recovers(&persisted, &expected);
+    let persisted = TempDir::new("anchor-persisted");
+    copy_dir(dir.path(), persisted.path());
+    assert_recovers(persisted.path(), &expected);
 
     // Post-crash state B: the unsynced rename was lost — the previous
     // anchor resurfaces and recovery replays the longer log tail from
     // the older certified checkpoint.
-    let reverted = tmpdir("anchor-reverted");
-    copy_dir(&dir, &reverted);
-    std::fs::write(reverted.join("cur_ckpt"), &old_anchor).unwrap();
-    assert_recovers(&reverted, &expected);
+    let reverted = TempDir::new("anchor-reverted");
+    copy_dir(dir.path(), reverted.path());
+    std::fs::write(reverted.path().join("cur_ckpt"), &old_anchor).unwrap();
+    assert_recovers(reverted.path(), &expected);
+}
 
+#[test]
+fn a_point_armed_on_one_engine_never_trips_another() {
+    let open = |name: &str| {
+        let dir = TempDir::new(name);
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (db, _) = DaliEngine::create(config).unwrap();
+        let t = db.create_table("t", 32, 16).unwrap();
+        let txn = db.begin().unwrap();
+        txn.insert(t, &[0x33; 32]).unwrap();
+        txn.commit().unwrap();
+        (db, dir)
+    };
+    let ((a, _dir_a), (b, _dir_b)) = (open("iso-a"), open("iso-b"));
+
+    // Both checkpoints pass every `atomic_write.post_rename` check while
+    // A's point is armed; the barrier puts them there together.
+    a.crash_points().arm("atomic_write.post_rename");
+    let start = std::sync::Barrier::new(2);
+    let (res_a, res_b) = std::thread::scope(|s| {
+        let ta = s.spawn(|| {
+            start.wait();
+            a.checkpoint()
+        });
+        let tb = s.spawn(|| {
+            start.wait();
+            b.checkpoint()
+        });
+        (ta.join().unwrap(), tb.join().unwrap())
+    });
+
+    let err = res_a.unwrap_err();
     assert!(
-        !crashpoint::any_armed(),
-        "no crash point may outlive the test"
+        err.to_string().contains("crash point tripped"),
+        "unexpected error: {err}"
     );
+    res_b.expect("B's checkpoint tripped a point armed on A");
+    assert!(!b.crash_points().is_armed("atomic_write.post_rename"));
+    assert!(!a.crash_points().is_armed("atomic_write.post_rename"));
+    // B carries on; A is where its crash left it.
+    b.checkpoint().unwrap();
+    assert!(b.audit().unwrap().clean());
 }

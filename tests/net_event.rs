@@ -149,3 +149,39 @@ fn orphan_rollback_with_pipelined_work_in_flight() {
     assert_eq!(engine.db().locks.locked_records(), 0);
     server.shutdown();
 }
+
+/// A few readiness loops hold hundreds of open connections at once:
+/// every one of 256 connections has a 100-frame pipelined burst
+/// outstanding before the first response is read, and every burst is
+/// answered in full, in order, with nobody rejected.
+#[test]
+fn hundreds_of_open_connections_each_pipelining_all_complete() {
+    use dali::net::protocol::{encode_request, frame, read_frame};
+    use std::io::Write;
+    const CONNS: usize = 256;
+    const FRAMES: usize = 100;
+
+    let (server, _dir) = server_with("net-many-conns", |c| c);
+    let burst: Vec<u8> = frame(&encode_request(&Request::Ping)).repeat(FRAMES);
+    let mut streams: Vec<std::net::TcpStream> = (0..CONNS)
+        .map(|_| {
+            let mut s = std::net::TcpStream::connect(server.addr()).unwrap();
+            s.write_all(&burst).unwrap();
+            s
+        })
+        .collect();
+    for s in &mut streams {
+        for _ in 0..FRAMES {
+            let payload = read_frame(s).unwrap().expect("response frame");
+            assert!(matches!(Response::decode(&payload).unwrap(), Response::Ok));
+        }
+    }
+
+    let mut admin = DaliClient::connect(server.addr()).unwrap();
+    let stats = admin.stats().unwrap();
+    assert_eq!(stats.sessions, CONNS as u64 + 1);
+    assert_eq!(stats.conns_rejected, 0);
+    assert!(admin.health().unwrap().conns_open > CONNS as u64);
+    drop(streams);
+    server.shutdown();
+}
