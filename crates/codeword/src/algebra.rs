@@ -13,182 +13,32 @@
 //!   the sharded deferred dirty set can merge any number of them in any
 //!   order (and concurrent updaters can publish them without ordering).
 //!
-//! [`CodewordAlgebra`] captures exactly that contract. Two
-//! implementations:
+//! Two algebras satisfy it, selected by [`CodewordAlgebraKind`] (a `Copy`
+//! enum in `dali-common`, stored in config and checkpoint metadata, which
+//! owns `combine`/`neg`) and dispatched through the free functions here:
 //!
-//! * [`XorFoldAlgebra`] — the paper's parity fold ([`crate::codeword`]).
-//!   Deltas are self-inverse (`neg` is the identity function); the fold is
-//!   blind to an even number of identical flips in one bit column.
-//! * [`ResidueAlgebra`] — the sum of the region's words modulo
-//!   `2^32 − 1`, canonical in `[0, 2^32 − 1)`. A same-direction pair of
-//!   identical bit-column flips perturbs the sum by `2^(k+1) ≠ 0`, so the
+//! * **XOR fold** — the paper's parity fold ([`crate::codeword`]). Deltas
+//!   are self-inverse (`neg` is the identity function); the fold is blind
+//!   to an even number of identical flips in one bit column.
+//! * **Residue** — the sum of the region's words modulo `2^32 − 1`,
+//!   canonical in `[0, 2^32 − 1)`. A same-direction pair of identical
+//!   bit-column flips perturbs the sum by `2^(k+1) ≠ 0`, so the
 //!   paired-flip class the XOR fold misses is detected — including flips
 //!   of bit 31, because `2^32 ≡ 1 (mod 2^32 − 1)` (the end-around carry).
 //!   Opposite-direction pairs (`+2^k` and `−2^k`) still cancel; see
 //!   DESIGN.md for the full blind-spot accounting.
 //!
-//! The hot paths dispatch on [`CodewordAlgebraKind`] (a `Copy` enum in
-//! `dali-common`, stored in config and checkpoint metadata) through the
-//! free functions in this module; the trait objects returned by
-//! [`algebra_for`] serve callers that want to hold an algebra as a value.
+//! The slice kernels themselves ([`fold`], [`fold_padded`],
+//! [`residue_fold`], [`residue_fold_padded`]) live in
+//! [`dali_common::fold`] — frame and trailer checksums fold through the
+//! same functions — and are re-exported here; this module adds the
+//! `*_scalar` references and the directed [`delta`].
 
-use crate::codeword::{self, load32, load64, BLOCK};
+use crate::codeword::{self, load32};
 use dali_common::align::WORD;
+pub use dali_common::fold::{fold, fold_padded, residue_fold, residue_fold_padded};
 pub use dali_common::CodewordAlgebraKind;
 use dali_common::RESIDUE_MODULUS;
-
-/// A codeword algebra: a commutative group on `u32` codewords together
-/// with fold kernels mapping byte ranges into it. See the module docs for
-/// the laws; both implementations are property-tested against them.
-pub trait CodewordAlgebra: Send + Sync {
-    /// The kind selector this implementation corresponds to.
-    fn kind(&self) -> CodewordAlgebraKind;
-
-    /// The codeword of an empty region (the group's neutral element).
-    #[inline]
-    fn identity(&self) -> u32 {
-        0
-    }
-
-    /// The group operation: combine two codewords or deltas.
-    fn combine(&self, a: u32, b: u32) -> u32;
-
-    /// The inverse under [`combine`](Self::combine).
-    fn neg(&self, a: u32) -> u32;
-
-    /// Fold a word-aligned byte slice into a codeword.
-    ///
-    /// # Panics
-    ///
-    /// Panics — in all build profiles — if `bytes.len()` is not a multiple
-    /// of 4, matching [`crate::codeword::fold`]'s contract.
-    fn fold(&self, bytes: &[u8]) -> u32;
-
-    /// [`fold`](Self::fold) through the one-word-at-a-time reference
-    /// kernel (for benches and kernel-equivalence suites).
-    fn fold_scalar(&self, bytes: &[u8]) -> u32;
-
-    /// Fold an arbitrary-length slice, zero-padding the trailing partial
-    /// word (value-checksum semantics; accepts any length).
-    fn fold_padded(&self, bytes: &[u8]) -> u32;
-
-    /// The *directed* delta produced by overwriting `old` with `new`
-    /// (equal word-aligned lengths): `combine(fold-before, delta)` equals
-    /// fold-after. Rolling an update back composes `neg(delta)` —
-    /// equivalently the delta computed with the roles swapped.
-    fn delta(&self, old: &[u8], new: &[u8]) -> u32;
-}
-
-/// The paper's XOR-parity codeword (§3), folding through the wide
-/// 4×`u64`-lane kernel in [`crate::codeword`].
-#[derive(Copy, Clone, Debug, Default)]
-pub struct XorFoldAlgebra;
-
-impl CodewordAlgebra for XorFoldAlgebra {
-    #[inline]
-    fn kind(&self) -> CodewordAlgebraKind {
-        CodewordAlgebraKind::XorFold
-    }
-
-    #[inline]
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        a ^ b
-    }
-
-    #[inline]
-    fn neg(&self, a: u32) -> u32 {
-        a
-    }
-
-    #[inline]
-    fn fold(&self, bytes: &[u8]) -> u32 {
-        codeword::fold(bytes)
-    }
-
-    #[inline]
-    fn fold_scalar(&self, bytes: &[u8]) -> u32 {
-        codeword::fold_scalar(bytes)
-    }
-
-    #[inline]
-    fn fold_padded(&self, bytes: &[u8]) -> u32 {
-        codeword::fold_padded(bytes)
-    }
-
-    #[inline]
-    fn delta(&self, old: &[u8], new: &[u8]) -> u32 {
-        codeword::delta(old, new)
-    }
-}
-
-/// The mod-(2^32−1) residue codeword: the sum of the region's 32-bit
-/// little-endian words reduced modulo [`RESIDUE_MODULUS`], canonical in
-/// `[0, 2^32 − 1)`.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct ResidueAlgebra;
-
-impl CodewordAlgebra for ResidueAlgebra {
-    #[inline]
-    fn kind(&self) -> CodewordAlgebraKind {
-        CodewordAlgebraKind::Residue
-    }
-
-    #[inline]
-    fn combine(&self, a: u32, b: u32) -> u32 {
-        CodewordAlgebraKind::Residue.combine(a, b)
-    }
-
-    #[inline]
-    fn neg(&self, a: u32) -> u32 {
-        CodewordAlgebraKind::Residue.neg(a)
-    }
-
-    #[inline]
-    fn fold(&self, bytes: &[u8]) -> u32 {
-        residue_fold(bytes)
-    }
-
-    #[inline]
-    fn fold_scalar(&self, bytes: &[u8]) -> u32 {
-        residue_fold_scalar(bytes)
-    }
-
-    #[inline]
-    fn fold_padded(&self, bytes: &[u8]) -> u32 {
-        residue_fold_padded(bytes)
-    }
-
-    #[inline]
-    fn delta(&self, old: &[u8], new: &[u8]) -> u32 {
-        assert_eq!(old.len(), new.len(), "delta over unequal lengths");
-        CodewordAlgebraKind::Residue.delta_of_folds(residue_fold(old), residue_fold(new))
-    }
-}
-
-static XOR_FOLD: XorFoldAlgebra = XorFoldAlgebra;
-static RESIDUE: ResidueAlgebra = ResidueAlgebra;
-
-/// The algebra implementation for a kind selector.
-#[inline]
-pub fn algebra_for(kind: CodewordAlgebraKind) -> &'static dyn CodewordAlgebra {
-    match kind {
-        CodewordAlgebraKind::XorFold => &XOR_FOLD,
-        CodewordAlgebraKind::Residue => &RESIDUE,
-    }
-}
-
-/// Fold a word-aligned slice under `kind` (enum dispatch for hot paths).
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 4.
-#[inline]
-pub fn fold(kind: CodewordAlgebraKind, bytes: &[u8]) -> u32 {
-    match kind {
-        CodewordAlgebraKind::XorFold => codeword::fold(bytes),
-        CodewordAlgebraKind::Residue => residue_fold(bytes),
-    }
-}
 
 /// [`fold`] through the one-word-at-a-time reference kernels.
 #[inline]
@@ -196,15 +46,6 @@ pub fn fold_scalar(kind: CodewordAlgebraKind, bytes: &[u8]) -> u32 {
     match kind {
         CodewordAlgebraKind::XorFold => codeword::fold_scalar(bytes),
         CodewordAlgebraKind::Residue => residue_fold_scalar(bytes),
-    }
-}
-
-/// Fold any-length `bytes` under `kind`, zero-padding the partial word.
-#[inline]
-pub fn fold_padded(kind: CodewordAlgebraKind, bytes: &[u8]) -> u32 {
-    match kind {
-        CodewordAlgebraKind::XorFold => codeword::fold_padded(bytes),
-        CodewordAlgebraKind::Residue => residue_fold_padded(bytes),
     }
 }
 
@@ -224,65 +65,6 @@ pub fn delta(kind: CodewordAlgebraKind, old: &[u8], new: &[u8]) -> u32 {
     }
 }
 
-/// Sum the 32-bit little-endian words of a word-multiple slice into a
-/// `u64`. Addition carries across bit columns, so unlike the XOR kernel a
-/// `u64` lane cannot carry two words side by side — each load is split
-/// into its halves (`v & MASK` + `v >> 32`) before accumulating; four
-/// independent lanes still break the serial dependency chain. The caller
-/// bounds the slice so lanes stay far from overflow.
-#[inline]
-fn residue_sum_words(bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len().is_multiple_of(WORD));
-    const MASK: u64 = 0xFFFF_FFFF;
-    let mut lanes = [0u64; 4];
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    for b in &mut blocks {
-        let v0 = load64(&b[0..8]);
-        let v1 = load64(&b[8..16]);
-        let v2 = load64(&b[16..24]);
-        let v3 = load64(&b[24..32]);
-        lanes[0] += (v0 & MASK) + (v0 >> 32);
-        lanes[1] += (v1 & MASK) + (v1 >> 32);
-        lanes[2] += (v2 & MASK) + (v2 >> 32);
-        lanes[3] += (v3 & MASK) + (v3 >> 32);
-    }
-    let tail = blocks.remainder();
-    let mut words2 = tail.chunks_exact(8);
-    let mut sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-    for w in &mut words2 {
-        let v = load64(w);
-        sum += (v & MASK) + (v >> 32);
-    }
-    let rem = words2.remainder();
-    if !rem.is_empty() {
-        sum += load32(rem) as u64;
-    }
-    sum
-}
-
-/// Residue-fold a word-aligned byte slice: the sum of its words modulo
-/// `2^32 − 1`, canonical in `[0, 2^32 − 1)`.
-///
-/// # Panics
-///
-/// Panics if `bytes.len()` is not a multiple of 4.
-#[inline]
-pub fn residue_fold(bytes: &[u8]) -> u32 {
-    assert!(
-        bytes.len().is_multiple_of(WORD),
-        "fold over unaligned length {}",
-        bytes.len()
-    );
-    // 1 GiB chunks keep the wide kernel's lane accumulators below 2^59
-    // regardless of total slice length.
-    const CHUNK: usize = 1 << 30;
-    let mut acc: u64 = 0;
-    for chunk in bytes.chunks(CHUNK) {
-        acc = (acc + residue_sum_words(chunk) % RESIDUE_MODULUS) % RESIDUE_MODULUS;
-    }
-    acc as u32
-}
-
 /// One-word-at-a-time scalar reference for [`residue_fold`]. Same
 /// contract and result.
 #[inline]
@@ -300,21 +82,6 @@ pub fn residue_fold_scalar(bytes: &[u8]) -> u32 {
         }
     }
     (sum % RESIDUE_MODULUS) as u32
-}
-
-/// Residue-fold an arbitrary-length slice, zero-padding the trailing
-/// partial word (accepts any length, like [`crate::codeword::fold_padded`]).
-#[inline]
-pub fn residue_fold_padded(bytes: &[u8]) -> u32 {
-    let full = bytes.len() / WORD * WORD;
-    let mut acc = residue_fold(&bytes[..full]) as u64;
-    let rem = &bytes[full..];
-    if !rem.is_empty() {
-        let mut w = [0u8; WORD];
-        w[..rem.len()].copy_from_slice(rem);
-        acc = (acc + u32::from_le_bytes(w) as u64) % RESIDUE_MODULUS;
-    }
-    acc as u32
 }
 
 #[cfg(test)]
@@ -348,7 +115,7 @@ mod tests {
 
     #[test]
     fn residue_wide_matches_reference_every_aligned_length() {
-        for len in (0..=4 * BLOCK + WORD).step_by(WORD) {
+        for len in (0..=4 * codeword::BLOCK + WORD).step_by(WORD) {
             let buf = patterned(len);
             assert_eq!(residue_fold(&buf), ref_residue(&buf), "len {len}");
             assert_eq!(
@@ -359,12 +126,29 @@ mod tests {
         }
     }
 
+    /// The one slice kernel per algebra equals the scalar reference on
+    /// the zero-padded input, for every length through four wide blocks
+    /// (each remainder shape: 0..3 `u64` words, 0/1 `u32`, 0..3 tail
+    /// bytes) — region codewords, log and wire frames and file trailers
+    /// all fold through it, so frames written by older builds keep
+    /// verifying. All-ones input walks the residue's end-around carry and
+    /// its canonical zero.
     #[test]
-    fn residue_fold_padded_matches_reference_every_length() {
-        for len in 0..=2 * BLOCK + 5 {
-            let buf = patterned(len);
-            assert_eq!(residue_fold_padded(&buf), ref_residue(&buf), "len {len}");
+    fn padded_kernel_equals_scalar_reference_every_length() {
+        for kind in CodewordAlgebraKind::ALL {
+            for input in [patterned(130), vec![0xFF; 130]] {
+                for len in 0..=input.len() {
+                    let mut padded = input[..len].to_vec();
+                    padded.resize(len.next_multiple_of(WORD), 0);
+                    assert_eq!(
+                        fold_padded(kind, &input[..len]),
+                        fold_scalar(kind, &padded),
+                        "{kind:?} len {len}"
+                    );
+                }
+            }
         }
+        assert_eq!(residue_fold_padded(&[0xFF; 4]), 0, "M is canonical 0");
     }
 
     #[test]
@@ -374,21 +158,19 @@ mod tests {
     }
 
     #[test]
-    fn trait_objects_agree_with_enum_dispatch() {
+    fn kind_dispatch_reaches_each_algebras_kernels() {
         let buf = patterned(100);
         let aligned = &buf[..96];
-        for kind in CodewordAlgebraKind::ALL {
-            let alg = algebra_for(kind);
-            assert_eq!(alg.kind(), kind);
-            assert_eq!(alg.fold(aligned), fold(kind, aligned));
-            assert_eq!(alg.fold_scalar(aligned), fold_scalar(kind, aligned));
-            assert_eq!(alg.fold_padded(&buf), fold_padded(kind, &buf));
-            let new: Vec<u8> = aligned.iter().map(|b| b.wrapping_add(3)).collect();
-            assert_eq!(alg.delta(aligned, &new), delta(kind, aligned, &new));
-            assert_eq!(alg.identity(), kind.identity());
-            assert_eq!(alg.combine(7, 9), kind.combine(7, 9));
-            assert_eq!(alg.neg(7), kind.neg(7));
-        }
+        let new: Vec<u8> = aligned.iter().map(|b| b.wrapping_add(3)).collect();
+        let (x, r) = (CodewordAlgebraKind::XorFold, CodewordAlgebraKind::Residue);
+        assert_eq!(fold(x, aligned), codeword::fold(aligned));
+        assert_eq!(fold_scalar(x, aligned), codeword::fold_scalar(aligned));
+        assert_eq!(fold_padded(x, &buf), codeword::fold_padded(&buf));
+        assert_eq!(delta(x, aligned, &new), codeword::delta(aligned, &new));
+        assert_eq!(fold(r, aligned), residue_fold(aligned));
+        assert_eq!(fold_scalar(r, aligned), residue_fold_scalar(aligned));
+        assert_eq!(fold_padded(r, &buf), residue_fold_padded(&buf));
+        assert_ne!(fold(x, aligned), fold(r, aligned));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!
 //! Latch batching: sweeps take one [`LatchTable::with_span`] bracket per
 //! *contiguous run* of regions (bounded by the caller's `max_run`,
-//! [`dali_common::DaliConfig::audit_latch_run`]) instead of one per
-//! region. The PR 4 ordering argument is unchanged — every deferred
+//! [`DEFAULT_LATCH_RUN`](crate::protection::DEFAULT_LATCH_RUN) from the
+//! façade) instead of one per region. The PR 4 ordering argument is unchanged — every deferred
 //! shard covering the run is drained inside the exclusive bracket, after
 //! which no delta for any run region can be missing (updaters hold the
 //! latch shared across write+enqueue) — while the latch traffic of a

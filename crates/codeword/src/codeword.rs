@@ -12,84 +12,19 @@
 //! Deltas commute, so concurrent updaters can publish them with an atomic
 //! `fetch_xor` without any ordering constraint.
 //!
-//! # The wide kernel
+//! # The kernels
 //!
-//! The fold is computed 32 bytes at a time with four independent `u64`
-//! accumulators. This is exact, not an approximation: a little-endian
-//! `u64` is the pair `[lo u32, hi u32]`, XOR operates on each bit column
-//! independently, so XOR-ing whole `u64` lanes accumulates the even words
-//! of the range in the low halves and the odd words in the high halves.
-//! Folding the final `u64` with `lo ^ hi` therefore yields exactly the
-//! XOR of all 32-bit words — the same value the one-word-at-a-time loop
-//! produces. Four accumulators break the serial XOR dependency chain so
-//! LLVM can auto-vectorize the loop to SSE/AVX and keep multiple loads in
-//! flight; the remainder is mopped up one `u64` and then one `u32` at a
-//! time. `u64::from_le_bytes` on byte chunks compiles to unaligned loads,
-//! so the slice path needs no alignment on the base pointer.
+//! [`fold`] and [`fold_padded`] are the workspace's one wide XOR slice
+//! kernel, which lives in [`dali_common::fold`] (log frames, wire frames
+//! and the recovery files' trailers fold through the same function) and
+//! is re-exported here under its historical path. This module adds what
+//! only codeword maintenance needs: the one-word-at-a-time
+//! [`fold_scalar`] reference the equivalence suites compare against, and
+//! the fused two-slice [`delta`].
 
 use dali_common::align::WORD;
-
-/// Bytes per wide block: 4 lanes x 8 bytes.
-pub(crate) const BLOCK: usize = 32;
-
-#[inline(always)]
-pub(crate) fn load64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().unwrap())
-}
-
-#[inline(always)]
-pub(crate) fn load32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().unwrap())
-}
-
-/// XOR all 32-bit little-endian words of `bytes`, whose length must be a
-/// word multiple, using the wide 4x`u64` kernel.
-#[inline]
-fn fold_words_wide(bytes: &[u8]) -> u32 {
-    debug_assert!(bytes.len().is_multiple_of(WORD));
-    let mut lanes = [0u64; 4];
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    for b in &mut blocks {
-        lanes[0] ^= load64(&b[0..8]);
-        lanes[1] ^= load64(&b[8..16]);
-        lanes[2] ^= load64(&b[16..24]);
-        lanes[3] ^= load64(&b[24..32]);
-    }
-    let tail = blocks.remainder();
-    let mut words2 = tail.chunks_exact(8);
-    let mut acc64 = (lanes[0] ^ lanes[1]) ^ (lanes[2] ^ lanes[3]);
-    for w in &mut words2 {
-        acc64 ^= load64(w);
-    }
-    let mut acc = (acc64 as u32) ^ ((acc64 >> 32) as u32);
-    let rem = words2.remainder();
-    if !rem.is_empty() {
-        // len is a word multiple, so the leftover is exactly one word.
-        acc ^= load32(rem);
-    }
-    acc
-}
-
-/// XOR-fold a word-aligned byte slice into a `u32` codeword.
-///
-/// # Panics
-///
-/// Panics — in **all** build profiles — if `bytes.len()` is not a multiple
-/// of 4. (Release builds used to silently drop the trailing partial word
-/// while [`Arena::xor_fold`](../../dali_mem/struct.Arena.html) rejected the
-/// same length with `InvalidArg`; the slice path now rejects too, so both
-/// fold entry points enforce the same contract.) Callers with unaligned
-/// ranges widen them with [`dali_common::align::widen_to_words`] first, or
-/// use [`fold_padded`] when zero-padding is the intended semantics.
-#[inline]
-pub fn fold(bytes: &[u8]) -> u32 {
-    assert!(
-        bytes.len().is_multiple_of(WORD),
-        "fold over unaligned length {}",
-        bytes.len()
-    );
-    fold_words_wide(bytes)
-}
+pub(crate) use dali_common::fold::{load32, load64, BLOCK};
+pub use dali_common::fold::{xor_fold as fold, xor_fold_padded as fold_padded};
 
 /// One-word-at-a-time scalar reference fold: the kernel the wide path
 /// replaced, kept public as the reference of the kernel equivalence
@@ -152,23 +87,6 @@ pub fn delta(old: &[u8], new: &[u8]) -> u32 {
     acc
 }
 
-/// XOR-fold an arbitrary-length byte slice, zero-padding the trailing
-/// partial word. Used for value checksums in read log records, where the
-/// logged range need not be word-aligned. Unlike [`fold`] this accepts any
-/// length by construction — padding, not rejection, is the contract here.
-#[inline]
-pub fn fold_padded(bytes: &[u8]) -> u32 {
-    let full = bytes.len() / WORD * WORD;
-    let mut acc = fold_words_wide(&bytes[..full]);
-    let rem = &bytes[full..];
-    if !rem.is_empty() {
-        let mut w = [0u8; WORD];
-        w[..rem.len()].copy_from_slice(rem);
-        acc ^= u32::from_le_bytes(w);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,15 +143,6 @@ mod tests {
             let buf = patterned(len);
             assert_eq!(fold(&buf), ref_fold(&buf), "len {len}");
             assert_eq!(fold_scalar(&buf), ref_fold(&buf), "scalar len {len}");
-        }
-    }
-
-    /// Every length 0..=2 blocks, including every partial-word tail.
-    #[test]
-    fn fold_padded_matches_reference_every_length() {
-        for len in 0..=2 * BLOCK + 5 {
-            let buf = patterned(len);
-            assert_eq!(fold_padded(&buf), ref_fold(&buf), "len {len}");
         }
     }
 

@@ -45,7 +45,6 @@ pub mod protection;
 pub mod region;
 pub mod table;
 
-pub use algebra::{algebra_for, CodewordAlgebra, ResidueAlgebra, XorFoldAlgebra};
 pub use audit::{AuditReport, CorruptRegion};
 pub use deferred::{DeferredConfig, DeferredSet, DeferredStatsSnapshot};
 pub use latch::{LatchMode, LatchTable};

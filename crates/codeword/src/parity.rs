@@ -343,19 +343,9 @@ impl ParityStripe {
         self.groups[group].word.load(Ordering::Acquire)
     }
 
-    /// Copy `group`'s parity buffer into `out` (checkpoint persistence).
+    /// Copy `group`'s parity buffer into `out`.
     pub fn copy_group(&self, group: ParityGroupId, out: &mut [u8]) {
         out.copy_from_slice(&self.groups[group].buf.lock());
-    }
-
-    /// Copy `group`'s parity buffer into `out` and return its maintained
-    /// codeword, as one consistent pair (the word only moves under the
-    /// buffer mutex). Checkpoint persistence snapshots groups through
-    /// this so the persisted stripe is internally verifiable.
-    pub fn export_group(&self, group: ParityGroupId, out: &mut [u8]) -> u32 {
-        let buf = self.groups[group].buf.lock();
-        out.copy_from_slice(&buf);
-        self.groups[group].word.load(Ordering::Acquire)
     }
 
     /// Reconstruct the bytes of `exclude` from its group: the parity

@@ -57,6 +57,14 @@ pub enum RepairFallback {
     },
 }
 
+/// How many consecutive regions an audit or certification sweep folds
+/// under one exclusive latch bracket unless told otherwise: one
+/// `with_span` per 64 regions instead of one per region, at the cost of
+/// holding writers off for at most 64 region folds. The audit report is
+/// identical for every bound (`1` is the paper's latch-per-region cadence,
+/// which `tests/delta_certification.rs` sweeps against).
+pub const DEFAULT_LATCH_RUN: usize = 64;
+
 /// Codeword state and latches for one database image.
 pub struct CodewordProtection {
     scheme: ProtectionScheme,
@@ -76,8 +84,8 @@ pub struct CodewordProtection {
     /// table fold); ≥ 1. Per-region scans are unaffected.
     audit_threads: usize,
     /// Longest contiguous run of regions audited under one exclusive
-    /// latch bracket ([`dali_common::DaliConfig::audit_latch_run`]); ≥ 1.
-    /// `1` is the paper's latch-per-region cadence.
+    /// latch bracket ([`DEFAULT_LATCH_RUN`] unless
+    /// [`set_latch_run`](Self::set_latch_run) changed it); ≥ 1.
     latch_run: usize,
     /// The codeword algebra folds, deltas, and the table live in.
     kind: CodewordAlgebraKind,
@@ -158,7 +166,7 @@ impl CodewordProtection {
             deferred,
             parity: None,
             audit_threads,
-            latch_run: 1,
+            latch_run: DEFAULT_LATCH_RUN,
             kind,
         })
     }

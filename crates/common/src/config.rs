@@ -273,14 +273,6 @@ pub struct DaliConfig {
     /// fsync covers the whole batch. Zero keeps the seed behaviour:
     /// fsync immediately, amortized only by durable-LSN piggybacking.
     pub commit_window: Duration,
-    /// Audit the whole database after writing a checkpoint and certify it
-    /// (paper §4.2). Required for corruption recovery; can be disabled for
-    /// microbenchmarks.
-    pub audit_on_checkpoint: bool,
-    /// Issue real `mprotect` syscalls for the MemoryProtection scheme. When
-    /// false only the protection bitmap is maintained (useful on platforms
-    /// where mprotect on the arena is unavailable).
-    pub mprotect_real: bool,
     /// How long a lock request waits before being denied (deadlock
     /// resolution by timeout).
     pub lock_timeout: Duration,
@@ -295,8 +287,6 @@ pub struct DaliConfig {
     /// youngest transaction in the cycle) within milliseconds instead of
     /// burning the full `lock_timeout`. `None`: timeout-only resolution.
     pub deadlock_detect_interval: Option<Duration>,
-    /// Capacity hint for the in-memory system-log tail, in bytes.
-    pub log_tail_capacity: usize,
     /// Number of deferred-maintenance dirty-set shards (rounded up to a
     /// power of two). `0` = auto: one per available CPU with a floor of
     /// four — dirty-set contention is driven by writer threads, which
@@ -332,14 +322,6 @@ pub struct DaliConfig {
     /// sweeps for the same reason. A failed certification or a restart
     /// forces the next sweep full regardless of cadence.
     pub full_certify_every: u32,
-    /// Upper bound on the number of consecutive regions audited under one
-    /// protection-latch bracket during audit/certification sweeps. `1`
-    /// keeps the paper's latch-per-region cadence; larger values amortize
-    /// latch traffic (one `with_span` per run instead of one per region)
-    /// at the cost of holding writers off a longer span — the bound keeps
-    /// writer latency proportional to `audit_latch_run` region folds.
-    /// `0` is treated as `1`.
-    pub audit_latch_run: usize,
     /// Which algebra folds region contents into codewords — the paper's
     /// XOR fold by default, or the mod-(2^32−1) residue code that also
     /// detects same-direction paired bit-column flips. The algebra is
@@ -364,20 +346,6 @@ pub struct DaliConfig {
     /// [`DaliConfig::resolved_parity_group_size`]). Space overhead is
     /// `1/parity_group_size` of the image.
     pub parity_group_size: usize,
-    /// Number of network event-loop (readiness-loop) workers in the
-    /// dali-net server. Each worker owns a slice of nonblocking sessions
-    /// and multiplexes them through epoll (or `poll(2)` as the portable
-    /// fallback). `0` = auto: one per available CPU, capped at four —
-    /// event loops do no blocking work, so a handful saturates the NIC
-    /// long before the execution pool does.
-    pub net_event_workers: usize,
-    /// Number of execution-pool workers in the dali-net server. Decoded
-    /// requests are executed here so a slow verb (lock wait, audit,
-    /// fsync) never stalls an event loop. `0` = auto:
-    /// `max(8, 2 × CPUs)` — the floor matters on small hosts, where a
-    /// lock holder's commit must always find a free worker even when
-    /// every other session is blocked waiting on its locks.
-    pub net_exec_workers: usize,
     /// Admission control: maximum concurrently open connections. At the
     /// cap the listener's read interest is parked (accept-pause) after
     /// rejecting the connections already in the backlog with a
@@ -418,6 +386,14 @@ pub struct DaliConfig {
     pub redo_threads: usize,
 }
 
+/// `n`, or one per available CPU when `n` is `0` (the knobs' "auto").
+fn or_cpus(n: usize) -> usize {
+    match n {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    }
+}
+
 impl DaliConfig {
     /// A small configuration rooted at `dir`, suitable for tests and
     /// examples: 4 MiB database, 64-byte regions, baseline scheme.
@@ -431,23 +407,17 @@ impl DaliConfig {
             regions_per_latch: 1,
             sync_commit: false,
             commit_window: Duration::ZERO,
-            audit_on_checkpoint: true,
-            mprotect_real: true,
             lock_timeout: Duration::from_secs(2),
             lock_shards: 0,
             deadlock_detect_interval: Some(Duration::from_millis(5)),
-            log_tail_capacity: 4 << 20,
             deferred_shards: 0,
             deferred_drain_interval: Some(Duration::from_millis(25)),
             deferred_shard_watermark: 4096,
             audit_threads: 0,
             full_certify_every: 0,
-            audit_latch_run: 64,
             codeword_algebra: CodewordAlgebraKind::XorFold,
             colocate_control: false,
             parity_group_size: 8,
-            net_event_workers: 0,
-            net_exec_workers: 0,
             net_max_conns: 16384,
             net_pipeline_depth: 64,
             net_outbound_budget: 1 << 20,
@@ -495,14 +465,7 @@ impl DaliConfig {
     /// The effective lock-shard count: `lock_shards`, or one per
     /// available CPU when `0`, rounded up to a power of two.
     pub fn resolved_lock_shards(&self) -> usize {
-        let n = if self.lock_shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.lock_shards
-        };
-        n.next_power_of_two()
+        or_cpus(self.lock_shards).next_power_of_two()
     }
 
     /// Builder-style deferred-maintenance shard count (`0` = auto).
@@ -528,13 +491,9 @@ impl DaliConfig {
     /// or (when `0`) one per available CPU with a floor of four, rounded
     /// up to a power of two.
     pub fn resolved_deferred_shards(&self) -> usize {
-        let n = if self.deferred_shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .max(4)
-        } else {
-            self.deferred_shards
+        let n = match self.deferred_shards {
+            0 => or_cpus(0).max(4),
+            n => n,
         };
         n.next_power_of_two()
     }
@@ -559,12 +518,6 @@ impl DaliConfig {
         self
     }
 
-    /// Builder-style audit latch-run bound (`0`/`1` = latch-per-region).
-    pub fn with_audit_latch_run(mut self, run: usize) -> Self {
-        self.audit_latch_run = run;
-        self
-    }
-
     /// Builder-style parity-group-size selection (`0` disables the parity
     /// stripe and with it online repair).
     pub fn with_parity_group_size(mut self, group_size: usize) -> Self {
@@ -585,18 +538,6 @@ impl DaliConfig {
         }
     }
 
-    /// Builder-style event-loop worker count (`0` = auto).
-    pub fn with_net_event_workers(mut self, n: usize) -> Self {
-        self.net_event_workers = n;
-        self
-    }
-
-    /// Builder-style execution-pool worker count (`0` = auto).
-    pub fn with_net_exec_workers(mut self, n: usize) -> Self {
-        self.net_exec_workers = n;
-        self
-    }
-
     /// Builder-style connection cap (`0` = unlimited).
     pub fn with_net_max_conns(mut self, n: usize) -> Self {
         self.net_max_conns = n;
@@ -615,34 +556,6 @@ impl DaliConfig {
         self
     }
 
-    /// The effective event-loop worker count: `net_event_workers`, or
-    /// (when `0`) one per available CPU capped at four.
-    pub fn resolved_net_event_workers(&self) -> usize {
-        if self.net_event_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(4)
-        } else {
-            self.net_event_workers
-        }
-    }
-
-    /// The effective execution-pool worker count: `net_exec_workers`, or
-    /// (when `0`) `max(8, 2 × CPUs)`. The floor of eight guarantees a
-    /// lock holder's commit always finds a free worker on small test
-    /// hosts even when every other session blocks on its locks.
-    pub fn resolved_net_exec_workers(&self) -> usize {
-        if self.net_exec_workers == 0 {
-            let cpus = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            (2 * cpus).max(8)
-        } else {
-            self.net_exec_workers
-        }
-    }
-
     /// The effective pipelining budget: `net_pipeline_depth` with `0`
     /// treated as `1` (strict request/response).
     #[inline]
@@ -650,24 +563,11 @@ impl DaliConfig {
         self.net_pipeline_depth.max(1)
     }
 
-    /// The effective latch-run bound: `audit_latch_run` with `0` treated
-    /// as `1` (latch-per-region).
-    #[inline]
-    pub fn resolved_audit_latch_run(&self) -> usize {
-        self.audit_latch_run.max(1)
-    }
-
     /// The effective audit-scan worker count: `audit_threads`, or one per
     /// available CPU when `0` (no power-of-two rounding — stripes are
     /// contiguous region chunks, not hash buckets).
     pub fn resolved_audit_threads(&self) -> usize {
-        if self.audit_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.audit_threads
-        }
+        or_cpus(self.audit_threads)
     }
 
     /// Builder-style log-segment capacity selection.
@@ -692,13 +592,7 @@ impl DaliConfig {
     /// per available CPU when `0` (no power-of-two rounding — buckets
     /// are `PageId % threads` classes, any count partitions cleanly).
     pub fn resolved_redo_threads(&self) -> usize {
-        if self.redo_threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.redo_threads
-        }
+        or_cpus(self.redo_threads)
     }
 
     /// Validate internal consistency; returns a description of the first
@@ -731,18 +625,6 @@ impl DaliConfig {
             // `0` but ambiguous at call sites; reject it so the two
             // spellings of always-full cannot drift apart.
             return Err("full_certify_every must be 0 (always full) or >= 2".into());
-        }
-        if self.net_event_workers > 1024 {
-            return Err(format!(
-                "net_event_workers {} is absurd (max 1024)",
-                self.net_event_workers
-            ));
-        }
-        if self.net_exec_workers > 65536 {
-            return Err(format!(
-                "net_exec_workers {} is absurd (max 65536)",
-                self.net_exec_workers
-            ));
         }
         if self.log_segment_bytes < 1024 {
             return Err(format!(
@@ -914,11 +796,8 @@ mod tests {
     fn certify_knobs_default_paper_faithful() {
         let c = DaliConfig::small("/tmp/x");
         assert_eq!(c.full_certify_every, 0, "always-full by default");
-        assert_eq!(c.audit_latch_run, 64);
-        assert_eq!(c.resolved_audit_latch_run(), 64);
-        let c = c.with_full_certify_every(8).with_audit_latch_run(0);
+        let c = c.with_full_certify_every(8);
         assert_eq!(c.full_certify_every, 8);
-        assert_eq!(c.resolved_audit_latch_run(), 1, "0 means per-region");
         assert_eq!(c.validate(), Ok(()));
     }
 
@@ -1052,37 +931,18 @@ mod tests {
     #[test]
     fn net_knobs_default_and_resolve() {
         let c = DaliConfig::small("/tmp/x");
-        assert_eq!(c.net_event_workers, 0, "auto by default");
-        assert_eq!(c.net_exec_workers, 0, "auto by default");
         assert_eq!(c.net_max_conns, 16384);
         assert_eq!(c.net_pipeline_depth, 64);
         assert_eq!(c.net_outbound_budget, 1 << 20);
 
-        let ev = c.resolved_net_event_workers();
-        assert!((1..=4).contains(&ev), "auto event workers {ev}");
-        let ex = c.resolved_net_exec_workers();
-        assert!(ex >= 8, "exec floor of 8, got {ex}");
-
         let c = c
-            .with_net_event_workers(2)
-            .with_net_exec_workers(3)
             .with_net_max_conns(100)
             .with_net_pipeline_depth(0)
             .with_net_outbound_budget(4096);
-        assert_eq!(c.resolved_net_event_workers(), 2);
-        assert_eq!(c.resolved_net_exec_workers(), 3);
         assert_eq!(c.net_max_conns, 100);
         assert_eq!(c.resolved_net_pipeline_depth(), 1, "0 means strict RPC");
         assert_eq!(c.net_outbound_budget, 4096);
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn net_knob_validation_rejects_absurd_counts() {
-        let c = DaliConfig::small("/tmp/x").with_net_event_workers(2000);
-        assert!(c.validate().is_err());
-        let c = DaliConfig::small("/tmp/x").with_net_exec_workers(100_000);
-        assert!(c.validate().is_err());
     }
 
     #[test]

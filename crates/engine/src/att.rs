@@ -5,8 +5,9 @@
 //! undo logs — into checkpoint metadata so that restart recovery has
 //! physical undo for operations that were in flight at checkpoint time.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dali_codeword::LatchMode;
+use dali_common::codec::Reader;
 use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
 use dali_wal::record::OpKind;
 use dali_wal::{LocalRedoLog, LocalUndoLog};
@@ -169,24 +170,20 @@ impl Att {
     }
 
     /// Decode a checkpointed ATT into recovery-time transaction states.
-    pub fn decode_for_recovery(mut bytes: &[u8]) -> Result<Vec<TxnState>> {
-        if bytes.len() < 4 {
-            return Err(DaliError::RecoveryFailed("ATT blob truncated".into()));
-        }
-        let n = bytes.get_u32_le() as usize;
+    pub fn decode_for_recovery(bytes: &[u8]) -> Result<Vec<TxnState>> {
+        let mut r = Reader::new(bytes, |msg| {
+            DaliError::RecoveryFailed(format!("checkpointed ATT: {msg}"))
+        });
+        // The smallest entry is id + next_op + an empty undo log's count.
+        let n = r.count(8 + 4 + 4)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            if bytes.len() < 12 {
-                return Err(DaliError::RecoveryFailed("ATT entry truncated".into()));
-            }
-            let id = TxnId(bytes.get_u64_le());
-            let next_op = bytes.get_u32_le();
-            let undo = LocalUndoLog::decode(&mut bytes)?;
-            let mut st = TxnState::new(id);
-            st.next_op = next_op;
-            st.undo = undo;
+            let mut st = TxnState::new(TxnId(r.u64()?));
+            st.next_op = r.u32()?;
+            st.undo = LocalUndoLog::decode(&mut r)?;
             out.push(st);
         }
+        r.finish()?;
         Ok(out)
     }
 }

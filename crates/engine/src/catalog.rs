@@ -11,7 +11,8 @@
 //! checkpoint metadata and re-created from `CreateTable` log records during
 //! recovery.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+use dali_common::codec::Reader;
 use dali_common::{DaliError, DbAddr, Result, SlotId, TableId};
 use std::collections::HashMap;
 
@@ -176,40 +177,23 @@ impl HeapMeta {
         }
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<HeapMeta> {
-        let table = TableId(get_u32(buf)?);
-        let name_len = get_u32(buf)? as usize;
-        if buf.len() < name_len {
-            return Err(DaliError::RecoveryFailed("catalog name truncated".into()));
-        }
-        let name = String::from_utf8(buf[..name_len].to_vec())
-            .map_err(|_| DaliError::RecoveryFailed("catalog name not utf-8".into()))?;
-        buf.advance(name_len);
-        let rec_size = get_u32(buf)? as usize;
-        let capacity = get_u64(buf)? as usize;
-        let bitmap_base = DbAddr(get_u64(buf)? as usize);
-        let data_base = DbAddr(get_u64(buf)? as usize);
-        let layout = match get_u8(buf)? {
-            0 => HeapLayout::Separate,
-            1 => HeapLayout::PageLocal {
-                records_per_page: get_u32(buf)?,
-                header_bytes: get_u32(buf)?,
-                page_size: get_u32(buf)?,
-            },
-            t => {
-                return Err(DaliError::RecoveryFailed(format!(
-                    "unknown heap layout tag {t}"
-                )))
-            }
-        };
+    fn decode(r: &mut Reader<'_>) -> Result<HeapMeta> {
         Ok(HeapMeta {
-            table,
-            name,
-            rec_size,
-            capacity,
-            bitmap_base,
-            data_base,
-            layout,
+            table: TableId(r.u32()?),
+            name: r.str()?.to_string(),
+            rec_size: r.u32()? as usize,
+            capacity: r.u64()? as usize,
+            bitmap_base: DbAddr(r.u64()? as usize),
+            data_base: DbAddr(r.u64()? as usize),
+            layout: match r.u8()? {
+                0 => HeapLayout::Separate,
+                1 => HeapLayout::PageLocal {
+                    records_per_page: r.u32()?,
+                    header_bytes: r.u32()?,
+                    page_size: r.u32()?,
+                },
+                t => return Err(r.fail(format_args!("unknown heap layout tag {t}"))),
+            },
         })
     }
 }
@@ -374,37 +358,16 @@ impl Catalog {
     }
 
     /// Deserialize from checkpoint metadata.
-    pub fn decode(buf: &mut &[u8]) -> Result<Catalog> {
-        let n = get_u32(buf)? as usize;
+    pub fn decode(r: &mut Reader<'_>) -> Result<Catalog> {
+        // The smallest table is its fixed fields with an empty name.
+        let n = r.count(4 + 4 + 4 + 3 * 8 + 1)?;
         let mut cat = Catalog::new();
         for _ in 0..n {
-            let meta = HeapMeta::decode(buf)?;
-            cat.register(meta)?;
+            cat.register(HeapMeta::decode(r)?)?;
         }
-        cat.watermark = get_u64(buf)? as usize;
+        cat.watermark = r.u64()? as usize;
         Ok(cat)
     }
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(DaliError::RecoveryFailed("catalog truncated".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(DaliError::RecoveryFailed("catalog truncated".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(DaliError::RecoveryFailed("catalog truncated".into()));
-    }
-    Ok(buf.get_u64_le())
 }
 
 #[cfg(test)]
@@ -495,9 +458,9 @@ mod tests {
         plan_and_register(&mut cat, "y", 16, 32);
         let mut buf = BytesMut::new();
         cat.encode(&mut buf);
-        let mut slice = &buf[..];
-        let back = Catalog::decode(&mut slice).unwrap();
-        assert!(slice.is_empty());
+        let mut r = Reader::new(&buf, DaliError::RecoveryFailed);
+        let back = Catalog::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.watermark(), cat.watermark());
         assert_eq!(back.by_name("y").unwrap(), cat.by_name("y").unwrap());
@@ -567,8 +530,7 @@ mod tests {
         cat.register(m.clone()).unwrap();
         let mut buf = BytesMut::new();
         cat.encode(&mut buf);
-        let mut slice = &buf[..];
-        let back = Catalog::decode(&mut slice).unwrap();
+        let back = Catalog::decode(&mut Reader::new(&buf, DaliError::RecoveryFailed)).unwrap();
         assert_eq!(back.get(m.table).unwrap(), &m);
     }
 }

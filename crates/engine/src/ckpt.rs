@@ -23,8 +23,9 @@
 
 use crate::catalog::Catalog;
 use crate::db::{CkptState, Db, EngineStats};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dali_codeword::AuditReport;
+use dali_common::codec::{self, Reader};
 use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
 use dali_mem::DbImage;
 use dali_wal::record::LogRecord;
@@ -40,7 +41,6 @@ use std::sync::Arc;
 // an image whose parity geometry disagrees with the configured one.
 const META_MAGIC: u32 = 0xDA11_CB03;
 const ANCHOR_MAGIC: u32 = 0xDA11_A0C1;
-const PARITY_MAGIC: u32 = 0xDA11_9A81;
 
 /// Outcome of a checkpoint attempt.
 #[derive(Debug)]
@@ -85,17 +85,31 @@ pub struct CkptMeta {
     pub algebra: CodewordAlgebraKind,
     /// Parity-stripe layout at checkpoint time: regions per parity group,
     /// `0` when the stripe is off. Recovery refuses a layout mismatch
-    /// (the persisted stripe and the repair ladder's assumptions would
-    /// silently disagree) and rebuilds the stripe from the replayed image.
+    /// (the image was certified under a stripe the repair ladder no longer
+    /// assumes) and rebuilds the stripe from the replayed image — the
+    /// stripe itself is never persisted.
     pub parity_group_size: u64,
     pub catalog: Catalog,
     /// Serialized ATT (decoded lazily by recovery).
     pub att_blob: Vec<u8>,
 }
 
+/// `u64::MAX` on disk is "no LSN".
+pub(crate) fn put_opt_lsn(buf: &mut Vec<u8>, lsn: Option<Lsn>) {
+    buf.put_u64_le(lsn.map_or(u64::MAX, |l| l.0));
+}
+
+pub(crate) fn get_opt_lsn(r: &mut Reader<'_>) -> Result<Option<Lsn>> {
+    Ok(Some(r.u64()?).filter(|&v| v != u64::MAX).map(Lsn))
+}
+
+fn bad_meta(msg: String) -> DaliError {
+    DaliError::RecoveryFailed(format!("ckpt meta: {msg}"))
+}
+
 impl CkptMeta {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(META_MAGIC);
         buf.put_u8(self.algebra.tag());
         buf.put_u64_le(self.parity_group_size);
@@ -103,68 +117,42 @@ impl CkptMeta {
         buf.put_u64_le(self.ck_end.0);
         buf.put_u64_le(self.next_txn);
         buf.put_u64_le(self.next_audit);
-        buf.put_u64_le(self.audit_sn.map_or(u64::MAX, |l| l.0));
+        put_opt_lsn(&mut buf, self.audit_sn);
         let mut cat = BytesMut::new();
         self.catalog.encode(&mut cat);
         buf.put_u32_le(cat.len() as u32);
-        buf.extend_from_slice(&cat);
+        buf.put_slice(&cat);
         buf.put_u32_le(self.att_blob.len() as u32);
-        buf.extend_from_slice(&self.att_blob);
-        let sum = dali_wal::record::checksum(&buf);
-        buf.put_u32_le(sum);
-        buf.to_vec()
+        buf.put_slice(&self.att_blob);
+        codec::seal(&mut buf);
+        buf
     }
 
     fn decode(bytes: &[u8]) -> Result<CkptMeta> {
-        if bytes.len() < 8 {
-            return Err(DaliError::RecoveryFailed("ckpt meta truncated".into()));
+        let mut r = codec::unseal(bytes, bad_meta)?;
+        if r.u32()? != META_MAGIC {
+            return Err(r.fail("bad magic"));
         }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-        if dali_wal::record::checksum(body) != stored {
-            return Err(DaliError::RecoveryFailed(
-                "ckpt meta checksum mismatch".into(),
-            ));
-        }
-        let mut buf = body;
-        if buf.get_u32_le() != META_MAGIC {
-            return Err(DaliError::RecoveryFailed("ckpt meta bad magic".into()));
-        }
-        let algebra = CodewordAlgebraKind::from_tag(buf.get_u8()).ok_or_else(|| {
-            DaliError::RecoveryFailed("ckpt meta unknown codeword algebra tag".into())
-        })?;
-        let parity_group_size = buf.get_u64_le();
-        let serial = buf.get_u64_le();
-        let ck_end = Lsn(buf.get_u64_le());
-        let next_txn = buf.get_u64_le();
-        let next_audit = buf.get_u64_le();
-        let audit_sn = match buf.get_u64_le() {
-            u64::MAX => None,
-            v => Some(Lsn(v)),
-        };
-        let cat_len = buf.get_u32_le() as usize;
-        if buf.len() < cat_len {
-            return Err(DaliError::RecoveryFailed("ckpt catalog truncated".into()));
-        }
-        let mut cat_slice = &buf[..cat_len];
-        let catalog = Catalog::decode(&mut cat_slice)?;
-        buf.advance(cat_len);
-        let att_len = buf.get_u32_le() as usize;
-        if buf.len() < att_len {
-            return Err(DaliError::RecoveryFailed("ckpt ATT truncated".into()));
-        }
-        let att_blob = buf[..att_len].to_vec();
-        Ok(CkptMeta {
-            serial,
-            ck_end,
-            next_txn,
-            next_audit,
-            audit_sn,
+        let algebra = CodewordAlgebraKind::from_tag(r.u8()?)
+            .ok_or_else(|| r.fail("unknown codeword algebra tag"))?;
+        let meta = CkptMeta {
             algebra,
-            parity_group_size,
-            catalog,
-            att_blob,
-        })
+            parity_group_size: r.u64()?,
+            serial: r.u64()?,
+            ck_end: Lsn(r.u64()?),
+            next_txn: r.u64()?,
+            next_audit: r.u64()?,
+            audit_sn: get_opt_lsn(&mut r)?,
+            catalog: {
+                let mut cat = Reader::new(r.blob()?, bad_meta);
+                let catalog = Catalog::decode(&mut cat)?;
+                cat.finish()?;
+                catalog
+            },
+            att_blob: r.blob()?.to_vec(),
+        };
+        r.finish()?;
+        Ok(meta)
     }
 }
 
@@ -211,7 +199,7 @@ pub fn write_anchor(
     serial: u64,
     crash_points: &CrashPoints,
 ) -> Result<()> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::with_capacity(13);
     buf.put_u32_le(ANCHOR_MAGIC);
     buf.put_u8(image as u8);
     buf.put_u64_le(serial);
@@ -221,17 +209,16 @@ pub fn write_anchor(
 /// Read the checkpoint anchor: (image index, serial).
 pub fn read_anchor(dir: &Path) -> Result<(usize, u64)> {
     let bytes = std::fs::read(Db::anchor_path(dir))?;
-    if bytes.len() != 13 {
-        return Err(DaliError::RecoveryFailed("anchor file malformed".into()));
+    let mut r = Reader::new(&bytes, |msg| {
+        DaliError::RecoveryFailed(format!("anchor: {msg}"))
+    });
+    if r.u32()? != ANCHOR_MAGIC {
+        return Err(r.fail("bad magic"));
     }
-    let mut buf = &bytes[..];
-    if buf.get_u32_le() != ANCHOR_MAGIC {
-        return Err(DaliError::RecoveryFailed("anchor bad magic".into()));
-    }
-    let image = buf.get_u8() as usize;
-    let serial = buf.get_u64_le();
+    let (image, serial) = (r.u8()? as usize, r.u64()?);
+    r.finish()?;
     if image > 1 {
-        return Err(DaliError::RecoveryFailed(format!("anchor image {image}")));
+        return Err(r.fail(format_args!("image {image}")));
     }
     Ok((image, serial))
 }
@@ -250,93 +237,6 @@ pub fn write_meta(
 pub fn read_meta(dir: &Path, image: usize) -> Result<CkptMeta> {
     let bytes = std::fs::read(Db::meta_path(dir, image))?;
     CkptMeta::decode(&bytes)
-}
-
-/// A parity stripe as persisted beside a checkpoint image: per group,
-/// the maintained parity codeword and the parity buffer bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParityFile {
-    pub group_size: u64,
-    pub region_size: u64,
-    /// `(maintained codeword, parity buffer)` per group, in group order.
-    pub groups: Vec<(u32, Vec<u8>)>,
-}
-
-/// Persist the parity stripe beside checkpoint image `image` (or remove a
-/// stale stripe file when parity is off). The snapshot is taken group by
-/// group under each group's buffer mutex, concurrent with updaters: the
-/// persisted stripe is *advisory* — recovery always rebuilds the live
-/// stripe from the replayed image — but each persisted group is
-/// internally consistent (buffer matches word), so offline verification
-/// can fold-check it like any other codeworded data.
-fn write_parity(dir: &Path, image: usize, db: &Arc<Db>) -> Result<()> {
-    let path = Db::parity_path(dir, image);
-    let Some(stripe) = db.prot.parity() else {
-        match std::fs::remove_file(&path) {
-            Ok(()) => return sync_parent_dir(&path),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
-        }
-    };
-    let region_size = db.prot.geometry().region_size();
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(PARITY_MAGIC);
-    buf.put_u64_le(stripe.group_size() as u64);
-    buf.put_u64_le(stripe.num_groups() as u64);
-    buf.put_u64_le(region_size as u64);
-    let mut group = vec![0u8; region_size];
-    for g in 0..stripe.num_groups() {
-        let word = stripe.export_group(g, &mut group);
-        buf.put_u32_le(word);
-        buf.extend_from_slice(&group);
-    }
-    let sum = dali_wal::record::checksum(&buf);
-    buf.put_u32_le(sum);
-    atomic_write(&path, &buf, &db.crash_points)
-}
-
-/// Load the parity stripe persisted beside checkpoint image `image`;
-/// `Ok(None)` when no stripe file exists (parity off at checkpoint time).
-pub fn read_parity(dir: &Path, image: usize) -> Result<Option<ParityFile>> {
-    let bytes = match std::fs::read(Db::parity_path(dir, image)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.len() < 32 {
-        return Err(DaliError::RecoveryFailed("parity file truncated".into()));
-    }
-    let (body, sum_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(sum_bytes.try_into().unwrap());
-    if dali_wal::record::checksum(body) != stored {
-        return Err(DaliError::RecoveryFailed(
-            "parity file checksum mismatch".into(),
-        ));
-    }
-    let mut buf = body;
-    if buf.get_u32_le() != PARITY_MAGIC {
-        return Err(DaliError::RecoveryFailed("parity file bad magic".into()));
-    }
-    let group_size = buf.get_u64_le();
-    let num_groups = buf.get_u64_le() as usize;
-    let region_size = buf.get_u64_le();
-    if buf.len() != num_groups * (4 + region_size as usize) {
-        return Err(DaliError::RecoveryFailed(
-            "parity file length disagrees with its header".into(),
-        ));
-    }
-    let mut groups = Vec::with_capacity(num_groups);
-    for _ in 0..num_groups {
-        let word = buf.get_u32_le();
-        let mut g = vec![0u8; region_size as usize];
-        buf.copy_to_slice(&mut g);
-        groups.push((word, g));
-    }
-    Ok(Some(ParityFile {
-        group_size,
-        region_size,
-        groups,
-    }))
 }
 
 /// Write `pages` of the in-memory snapshot into an image file (positioned
@@ -461,7 +361,7 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // `Audit_SN` (`last_clean_audit`, the corruption-recovery horizon)
     // only advances on full sweeps, and the cadence is overridden to
     // full after recovery or any failed certification (`force_full`).
-    if db.config.audit_on_checkpoint && db.config.scheme.maintains_codewords() {
+    if db.config.scheme.maintains_codewords() {
         let every = db.config.full_certify_every;
         let full =
             every == 0 || state.force_full || state.ckpts_since_full >= every.saturating_sub(1);
@@ -564,7 +464,6 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         catalog,
         att_blob,
     };
-    write_parity(&dir, image, db)?;
     write_meta(&dir, image, &meta, &db.crash_points)?;
     write_anchor(&dir, image, state.serial, &db.crash_points)?;
     state.next_image = 1 - image;
@@ -732,33 +631,26 @@ pub fn read_ckpt_pages(
     Ok(out)
 }
 
-#[allow(unused_imports)]
-use crate::att as _att_doc; // keep rustdoc link target in scope
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::att::Att;
-
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("dali-ckpt-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
+    use dali_testutil::TempDir;
 
     #[test]
     fn anchor_round_trip() {
-        let d = tmpdir("anchor");
-        write_anchor(&d, 1, 42, &CrashPoints::default()).unwrap();
-        assert_eq!(read_anchor(&d).unwrap(), (1, 42));
-        write_anchor(&d, 0, 43, &CrashPoints::default()).unwrap();
-        assert_eq!(read_anchor(&d).unwrap(), (0, 43));
+        let scratch = TempDir::new("ckpt-anchor");
+        let d = scratch.path();
+        write_anchor(d, 1, 42, &CrashPoints::default()).unwrap();
+        assert_eq!(read_anchor(d).unwrap(), (1, 42));
+        write_anchor(d, 0, 43, &CrashPoints::default()).unwrap();
+        assert_eq!(read_anchor(d).unwrap(), (0, 43));
     }
 
     #[test]
     fn meta_round_trip() {
-        let d = tmpdir("meta");
+        let scratch = TempDir::new("ckpt-meta");
+        let d = scratch.path();
         let mut catalog = Catalog::new();
         let m = catalog.plan_table("t", 8, 100, 4096, 1 << 20).unwrap();
         catalog.register(m).unwrap();
@@ -775,8 +667,8 @@ mod tests {
             catalog,
             att_blob: att.encode_for_ckpt().unwrap(),
         };
-        write_meta(&d, 0, &meta, &CrashPoints::default()).unwrap();
-        let back = read_meta(&d, 0).unwrap();
+        write_meta(d, 0, &meta, &CrashPoints::default()).unwrap();
+        let back = read_meta(d, 0).unwrap();
         assert_eq!(back.serial, 3);
         assert_eq!(back.ck_end, Lsn(1000));
         assert_eq!(back.audit_sn, Some(Lsn(900)));
@@ -787,7 +679,8 @@ mod tests {
 
     #[test]
     fn meta_none_audit_sn() {
-        let d = tmpdir("meta2");
+        let scratch = TempDir::new("ckpt-meta2");
+        let d = scratch.path();
         let meta = CkptMeta {
             serial: 1,
             ck_end: Lsn(0),
@@ -799,13 +692,14 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: Att::new().encode_for_ckpt().unwrap(),
         };
-        write_meta(&d, 1, &meta, &CrashPoints::default()).unwrap();
-        assert_eq!(read_meta(&d, 1).unwrap().audit_sn, None);
+        write_meta(d, 1, &meta, &CrashPoints::default()).unwrap();
+        assert_eq!(read_meta(d, 1).unwrap().audit_sn, None);
     }
 
     #[test]
     fn meta_corruption_detected() {
-        let d = tmpdir("meta3");
+        let scratch = TempDir::new("ckpt-meta3");
+        let d = scratch.path();
         let meta = CkptMeta {
             serial: 1,
             ck_end: Lsn(0),
@@ -817,37 +711,39 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: vec![0, 0, 0, 0],
         };
-        write_meta(&d, 0, &meta, &CrashPoints::default()).unwrap();
-        let p = Db::meta_path(&d, 0);
+        write_meta(d, 0, &meta, &CrashPoints::default()).unwrap();
+        let p = Db::meta_path(d, 0);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[6] ^= 0xff;
         std::fs::write(&p, &bytes).unwrap();
-        assert!(read_meta(&d, 0).is_err());
+        assert!(read_meta(d, 0).is_err());
     }
 
     #[test]
     fn pages_round_trip() {
-        let d = tmpdir("pages");
+        let scratch = TempDir::new("ckpt-pages");
+        let d = scratch.path();
         let ps = 4096;
         let pages = vec![(PageId(0), vec![1u8; ps]), (PageId(3), vec![3u8; ps])];
-        write_pages(&d, 0, ps, ps * 8, &pages).unwrap();
-        let bytes = load_image_bytes(&d, 0, ps * 8).unwrap();
+        write_pages(d, 0, ps, ps * 8, &pages).unwrap();
+        let bytes = load_image_bytes(d, 0, ps * 8).unwrap();
         assert!(bytes[..ps].iter().all(|&b| b == 1));
         assert!(bytes[ps..2 * ps].iter().all(|&b| b == 0));
         assert!(bytes[3 * ps..4 * ps].iter().all(|&b| b == 3));
 
-        let read = read_ckpt_pages(&d, 0, ps, &[PageId(3), PageId(1)]).unwrap();
+        let read = read_ckpt_pages(d, 0, ps, &[PageId(3), PageId(1)]).unwrap();
         assert_eq!(read[0].1, vec![3u8; ps]);
         assert_eq!(read[1].1, vec![0u8; ps]);
     }
 
     #[test]
     fn write_pages_updates_in_place() {
-        let d = tmpdir("inplace");
+        let scratch = TempDir::new("ckpt-inplace");
+        let d = scratch.path();
         let ps = 4096;
-        write_pages(&d, 0, ps, ps * 4, &[(PageId(1), vec![7u8; ps])]).unwrap();
-        write_pages(&d, 0, ps, ps * 4, &[(PageId(2), vec![9u8; ps])]).unwrap();
-        let bytes = load_image_bytes(&d, 0, ps * 4).unwrap();
+        write_pages(d, 0, ps, ps * 4, &[(PageId(1), vec![7u8; ps])]).unwrap();
+        write_pages(d, 0, ps, ps * 4, &[(PageId(2), vec![9u8; ps])]).unwrap();
+        let bytes = load_image_bytes(d, 0, ps * 4).unwrap();
         assert!(
             bytes[ps..2 * ps].iter().all(|&b| b == 7),
             "page 1 preserved"

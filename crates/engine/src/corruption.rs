@@ -5,7 +5,8 @@
 use crate::att::TxnStatus;
 use crate::ckpt;
 use crate::db::Db;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
+use dali_common::codec;
 use dali_common::{CrashPoints, DaliError, DbAddr, Lsn, PageId, Result};
 use dali_wal::{LogReader, LogRecord, LogRecordRef};
 use std::collections::BTreeMap;
@@ -109,45 +110,32 @@ pub struct CorruptionMarker {
 
 impl CorruptionMarker {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(MARKER_MAGIC);
-        buf.put_u64_le(self.audit_sn.map_or(u64::MAX, |l| l.0));
+        ckpt::put_opt_lsn(&mut buf, self.audit_sn);
         buf.put_u32_le(self.ranges.len() as u32);
         for (a, l) in &self.ranges {
             buf.put_u64_le(a.0 as u64);
             buf.put_u64_le(*l as u64);
         }
-        let sum = dali_wal::record::checksum(&buf);
-        buf.put_u32_le(sum);
-        buf.to_vec()
+        codec::seal(&mut buf);
+        buf
     }
 
     fn decode(bytes: &[u8]) -> Result<CorruptionMarker> {
-        if bytes.len() < 20 {
-            return Err(DaliError::RecoveryFailed("marker truncated".into()));
+        let mut r = codec::unseal(bytes, |msg| {
+            DaliError::RecoveryFailed(format!("corruption marker: {msg}"))
+        })?;
+        if r.u32()? != MARKER_MAGIC {
+            return Err(r.fail("bad magic"));
         }
-        let (body, sum) = bytes.split_at(bytes.len() - 4);
-        if dali_wal::record::checksum(body) != u32::from_le_bytes(sum.try_into().unwrap()) {
-            return Err(DaliError::RecoveryFailed("marker checksum mismatch".into()));
-        }
-        let mut buf = body;
-        if buf.get_u32_le() != MARKER_MAGIC {
-            return Err(DaliError::RecoveryFailed("marker bad magic".into()));
-        }
-        let audit_sn = match buf.get_u64_le() {
-            u64::MAX => None,
-            v => Some(Lsn(v)),
-        };
-        let n = buf.get_u32_le() as usize;
-        if buf.len() < n * 16 {
-            return Err(DaliError::RecoveryFailed("marker ranges truncated".into()));
-        }
+        let audit_sn = ckpt::get_opt_lsn(&mut r)?;
+        let n = r.count(16)?;
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
-            let a = buf.get_u64_le() as usize;
-            let l = buf.get_u64_le() as usize;
-            ranges.push((DbAddr(a), l));
+            ranges.push((DbAddr(r.u64()? as usize), r.u64()? as usize));
         }
+        r.finish()?;
         Ok(CorruptionMarker { audit_sn, ranges })
     }
 }
@@ -378,34 +366,33 @@ mod tests {
 
     #[test]
     fn marker_round_trip() {
-        let dir = std::env::temp_dir().join(format!("dali-marker-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let _ = clear_marker(&dir);
-        assert_eq!(read_marker(&dir).unwrap(), None);
+        let scratch = dali_testutil::TempDir::new("marker");
+        let dir = scratch.path();
+        assert_eq!(read_marker(dir).unwrap(), None);
         let m = CorruptionMarker {
             audit_sn: Some(Lsn(777)),
             ranges: vec![(DbAddr(64), 64), (DbAddr(4096), 128)],
         };
-        write_marker(&dir, &m, &CrashPoints::default()).unwrap();
-        assert_eq!(read_marker(&dir).unwrap(), Some(m));
-        clear_marker(&dir).unwrap();
-        assert_eq!(read_marker(&dir).unwrap(), None);
-        clear_marker(&dir).unwrap(); // idempotent
+        write_marker(dir, &m, &CrashPoints::default()).unwrap();
+        assert_eq!(read_marker(dir).unwrap(), Some(m));
+        clear_marker(dir).unwrap();
+        assert_eq!(read_marker(dir).unwrap(), None);
+        clear_marker(dir).unwrap(); // idempotent
     }
 
     #[test]
     fn marker_detects_tampering() {
-        let dir = std::env::temp_dir().join(format!("dali-marker2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let scratch = dali_testutil::TempDir::new("marker-tamper");
+        let dir = scratch.path();
         let m = CorruptionMarker {
             audit_sn: None,
             ranges: vec![(DbAddr(0), 64)],
         };
-        write_marker(&dir, &m, &CrashPoints::default()).unwrap();
-        let p = Db::marker_path(&dir);
+        write_marker(dir, &m, &CrashPoints::default()).unwrap();
+        let p = Db::marker_path(dir);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[5] ^= 1;
         std::fs::write(&p, bytes).unwrap();
-        assert!(read_marker(&dir).is_err());
+        assert!(read_marker(dir).is_err());
     }
 }

@@ -211,14 +211,6 @@ impl Db {
         dir.join("cur_ckpt")
     }
 
-    pub fn parity_path(dir: &std::path::Path, image: usize) -> PathBuf {
-        dir.join(if image == 0 {
-            "ckpt_a.parity"
-        } else {
-            "ckpt_b.parity"
-        })
-    }
-
     pub fn marker_path(dir: &std::path::Path) -> PathBuf {
         dir.join("corrupt.marker")
     }

@@ -81,15 +81,6 @@ impl DaliEngine {
         Ok((DaliEngine { db }, outcome))
     }
 
-    /// Open if checkpoints exist, otherwise create.
-    pub fn open_or_create(config: DaliConfig) -> Result<(DaliEngine, RecoveryOutcome)> {
-        if Db::anchor_path(&config.dir).exists() {
-            Self::open(config)
-        } else {
-            Self::create(config)
-        }
-    }
-
     /// Prior-state recovery (paper §4.1's second model): reopen the
     /// database at the transaction-consistent state it had at log
     /// position `upto`, discarding (and truncating) everything after it.

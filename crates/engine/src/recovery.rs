@@ -275,14 +275,13 @@ pub(crate) fn build_db(
         config.resolved_audit_threads(),
         config.codeword_algebra,
     )?;
-    prot.set_latch_run(config.resolved_audit_latch_run());
     prot.enable_parity(
         &image,
         config.resolved_parity_group_size(),
         config.resolved_deferred_shards(),
         config.deferred_shard_watermark,
     )?;
-    let protector = PageProtector::new(Arc::clone(&image), config.mprotect_real);
+    let protector = PageProtector::new(Arc::clone(&image), true);
     let heaps: Vec<Arc<HeapRuntime>> = catalog
         .iter()
         .map(|m| Arc::new(HeapRuntime::new(m.clone())))

@@ -114,13 +114,9 @@ mod tests {
     use super::*;
     use dali_common::{DaliConfig, ProtectionScheme};
 
-    fn tmpdir(name: &str) -> dali_testutil::TempDir {
-        dali_testutil::TempDir::new(&format!("trace-{name}"))
-    }
-
     #[test]
     fn taint_closure_follows_reads() {
-        let dir = tmpdir("closure");
+        let dir = dali_testutil::TempDir::new("trace-closure");
         let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadLogging);
         let (db, _) = crate::DaliEngine::create(config).unwrap();
         let t = db.create_table("t", 128, 32).unwrap();
@@ -176,7 +172,7 @@ mod tests {
 
     #[test]
     fn empty_seed_taints_nothing() {
-        let dir = tmpdir("empty");
+        let dir = dali_testutil::TempDir::new("trace-empty");
         let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadLogging);
         let (db, _) = crate::DaliEngine::create(config).unwrap();
         let t = db.create_table("t", 8, 8).unwrap();
@@ -197,7 +193,7 @@ mod tests {
 
     #[test]
     fn trace_without_read_logging_flags_it() {
-        let dir = tmpdir("noreads");
+        let dir = dali_testutil::TempDir::new("trace-noreads");
         let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::Baseline);
         let (db, _) = crate::DaliEngine::create(config).unwrap();
         let t = db.create_table("t", 8, 8).unwrap();

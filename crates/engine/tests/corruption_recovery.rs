@@ -6,20 +6,12 @@
 
 use dali_common::{DaliConfig, DaliError, DbAddr, ProtectionScheme, RecId, TxnId};
 use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
+use dali_testutil::TempDir;
 
 const REC: usize = 128;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-corr-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("corr-{name}"))
 }
 
 fn val(tag: u8) -> Vec<u8> {
@@ -33,6 +25,8 @@ fn wild_write(db: &DaliEngine, addr: DbAddr, bytes: &[u8]) {
 }
 
 struct Setup {
+    /// Deletes the scratch directory when the test ends.
+    _dir: TempDir,
     config: DaliConfig,
     db: DaliEngine,
     x: RecId,
@@ -48,7 +42,8 @@ struct Setup {
 /// recovery), which only run when the stripe cannot heal the damage
 /// first. `tests/repair_model.rs` covers the parity rung.
 fn setup(name: &str, scheme: ProtectionScheme) -> Setup {
-    let config = DaliConfig::small(tmpdir(name))
+    let dir = tmpdir(name);
+    let config = DaliConfig::small(dir.path())
         .with_scheme(scheme)
         .with_parity_group_size(0);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
@@ -64,6 +59,7 @@ fn setup(name: &str, scheme: ProtectionScheme) -> Setup {
         assert!(db.audit().unwrap().clean());
     }
     Setup {
+        _dir: dir,
         config,
         db,
         x,

@@ -10,20 +10,12 @@
 
 use dali_common::{DaliConfig, Lsn, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
+use dali_testutil::TempDir;
 use dali_wal::LogReader;
 use std::collections::HashMap;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-cp-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("cp-{name}"))
 }
 
 fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
@@ -49,7 +41,8 @@ fn val(txn_no: u64, rec_no: usize) -> Vec<u8> {
 
 #[test]
 fn every_log_prefix_recovers_to_the_committed_prefix() {
-    let dir = tmpdir("sweep");
+    let scratch = tmpdir("sweep");
+    let dir = scratch.path().to_path_buf();
     // Tiny segments so the sweep crosses several segment boundaries (the
     // cut then exercises unlink-whole-segment and cut-mid-segment paths).
     let config = DaliConfig::small(&dir)
@@ -113,7 +106,8 @@ fn every_log_prefix_recovers_to_the_committed_prefix() {
     for (i, &p) in points.iter().enumerate().step_by(3) {
         for torn in [0u64, 3] {
             let cut = p + torn;
-            let case = tmpdir(&format!("case-{i}-{torn}"));
+            let case_scratch = tmpdir(&format!("case-{i}-{torn}"));
+            let case = case_scratch.path().to_path_buf();
             copy_dir(&dir, &case);
             dali_wal::segment::truncate_at(&case.join("system.log"), Lsn(cut)).unwrap();
 
@@ -153,7 +147,8 @@ fn every_log_prefix_recovers_to_the_committed_prefix() {
 fn torn_tail_garbage_is_discarded() {
     // Garbage appended to the stable log (a torn final flush) must not
     // prevent recovery or resurrect anything.
-    let dir = tmpdir("garbage");
+    let scratch = tmpdir("garbage");
+    let dir = scratch.path().to_path_buf();
     let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 8).unwrap();

@@ -2,22 +2,17 @@
 
 use dali_common::{DaliConfig, DaliError, ProtectionScheme, RecId, SlotId};
 use dali_engine::{DaliEngine, RecoveryMode};
+use dali_testutil::TempDir;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-e2e-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("e2e-{name}"))
 }
 
-fn cfg(name: &str, scheme: ProtectionScheme) -> DaliConfig {
-    DaliConfig::small(tmpdir(name)).with_scheme(scheme)
+/// A config rooted in a fresh scratch directory, and the guard that
+/// deletes the directory when the test ends.
+fn cfg(name: &str, scheme: ProtectionScheme) -> (DaliConfig, TempDir) {
+    let dir = tmpdir(name);
+    (DaliConfig::small(dir.path()).with_scheme(scheme), dir)
 }
 
 fn rec100(tag: u8) -> Vec<u8> {
@@ -30,7 +25,8 @@ fn rec100(tag: u8) -> Vec<u8> {
 #[test]
 fn create_insert_read_commit() {
     for scheme in ProtectionScheme::ALL {
-        let (db, outcome) = DaliEngine::create(cfg("circ", scheme)).unwrap();
+        let (config, _dir) = cfg("circ", scheme);
+        let (db, outcome) = DaliEngine::create(config).unwrap();
         assert_eq!(outcome.mode, RecoveryMode::Fresh);
         let t = db.create_table("t", 100, 128).unwrap();
         let txn = db.begin().unwrap();
@@ -47,7 +43,8 @@ fn create_insert_read_commit() {
 
 #[test]
 fn update_and_delete() {
-    let (db, _) = DaliEngine::create(cfg("ud", ProtectionScheme::DataCodeword)).unwrap();
+    let (config, _dir) = cfg("ud", ProtectionScheme::DataCodeword);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 100, 128).unwrap();
     let txn = db.begin().unwrap();
     let rec = txn.insert(t, &rec100(1)).unwrap();
@@ -67,7 +64,8 @@ fn update_and_delete() {
 
 #[test]
 fn abort_rolls_back_everything() {
-    let (db, _) = DaliEngine::create(cfg("abort", ProtectionScheme::DataCodeword)).unwrap();
+    let (config, _dir) = cfg("abort", ProtectionScheme::DataCodeword);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 100, 128).unwrap();
 
     // Committed baseline record.
@@ -95,7 +93,8 @@ fn abort_rolls_back_everything() {
 
 #[test]
 fn drop_without_commit_aborts() {
-    let (db, _) = DaliEngine::create(cfg("drop", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("drop", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 16).unwrap();
     let rec;
     {
@@ -111,7 +110,8 @@ fn drop_without_commit_aborts() {
 #[test]
 fn crash_recovers_committed_loses_uncommitted() {
     for scheme in ProtectionScheme::ALL {
-        let dir = tmpdir("crash");
+        let scratch = tmpdir("crash");
+        let dir = scratch.path().to_path_buf();
         let config = DaliConfig::small(&dir).with_scheme(scheme);
         let committed;
         {
@@ -148,7 +148,8 @@ fn crash_recovers_committed_loses_uncommitted() {
 
 #[test]
 fn crash_after_checkpoint_and_more_commits() {
-    let dir = tmpdir("ckpt-more");
+    let scratch = tmpdir("ckpt-more");
+    let dir = scratch.path().to_path_buf();
     let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::ReadLogging);
     let (r1, r2);
     {
@@ -174,7 +175,8 @@ fn crash_after_checkpoint_and_more_commits() {
 
 #[test]
 fn repeated_crash_restart_cycles() {
-    let dir = tmpdir("cycles");
+    let scratch = tmpdir("cycles");
+    let dir = scratch.path().to_path_buf();
     let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 8, 256).unwrap();
@@ -198,7 +200,8 @@ fn repeated_crash_restart_cycles() {
 
 #[test]
 fn slot_reuse_after_delete_commit() {
-    let (db, _) = DaliEngine::create(cfg("reuse", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("reuse", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 2).unwrap();
     let txn = db.begin().unwrap();
     let a = txn.insert(t, &[1; 8]).unwrap();
@@ -224,7 +227,8 @@ fn slot_reuse_after_delete_commit() {
 
 #[test]
 fn lock_conflicts_between_transactions() {
-    let (db, _) = DaliEngine::create(cfg("locks", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("locks", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 16).unwrap();
     let txn = db.begin().unwrap();
     let rec = txn.insert(t, &[1; 8]).unwrap();
@@ -244,7 +248,8 @@ fn lock_conflicts_between_transactions() {
 
 #[test]
 fn reading_unallocated_slot_fails() {
-    let (db, _) = DaliEngine::create(cfg("unalloc", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("unalloc", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 16).unwrap();
     let txn = db.begin().unwrap();
     let rec = RecId::new(t, SlotId(3));
@@ -254,7 +259,8 @@ fn reading_unallocated_slot_fails() {
 
 #[test]
 fn wrong_record_size_rejected() {
-    let (db, _) = DaliEngine::create(cfg("size", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("size", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 16).unwrap();
     let txn = db.begin().unwrap();
     assert!(txn.insert(t, &[1; 7]).is_err());
@@ -267,7 +273,8 @@ fn wrong_record_size_rejected() {
 
 #[test]
 fn checkpoints_alternate_images() {
-    let dir = tmpdir("pingpong");
+    let scratch = tmpdir("pingpong");
+    let dir = scratch.path().to_path_buf();
     let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 8, 64).unwrap();
@@ -290,7 +297,8 @@ fn checkpoints_alternate_images() {
 
 #[test]
 fn many_tables_and_cross_table_txn() {
-    let (db, _) = DaliEngine::create(cfg("multi", ProtectionScheme::ReadLogging)).unwrap();
+    let (config, _dir) = cfg("multi", ProtectionScheme::ReadLogging);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let a = db.create_table("a", 8, 32).unwrap();
     let b = db.create_table("b", 12, 32).unwrap();
     let c = db.create_table("c", 100, 32).unwrap();
@@ -308,7 +316,8 @@ fn many_tables_and_cross_table_txn() {
 
 #[test]
 fn ddl_survives_crash_without_checkpoint() {
-    let dir = tmpdir("ddl");
+    let scratch = tmpdir("ddl");
+    let dir = scratch.path().to_path_buf();
     let config = DaliConfig::small(&dir).with_scheme(ProtectionScheme::Baseline);
     {
         let (db, _) = DaliEngine::create(config.clone()).unwrap();
@@ -329,7 +338,8 @@ fn ddl_survives_crash_without_checkpoint() {
 
 #[test]
 fn concurrent_transactions_disjoint_records() {
-    let (db, _) = DaliEngine::create(cfg("conc", ProtectionScheme::DataCodeword)).unwrap();
+    let (config, _dir) = cfg("conc", ProtectionScheme::DataCodeword);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 1024).unwrap();
     let mut handles = vec![];
     for k in 0..4u8 {
@@ -356,7 +366,8 @@ fn concurrent_updates_same_region_data_codeword() {
     // Shared-mode protection latches + atomic codeword deltas must stay
     // consistent under concurrent updates to neighbouring records (which
     // share 64-byte protection regions with 8-byte records).
-    let (db, _) = DaliEngine::create(cfg("concreg", ProtectionScheme::DataCodeword)).unwrap();
+    let (config, _dir) = cfg("concreg", ProtectionScheme::DataCodeword);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 64).unwrap();
     let mut recs = vec![];
     let txn = db.begin().unwrap();
@@ -384,7 +395,8 @@ fn concurrent_updates_same_region_data_codeword() {
 
 #[test]
 fn operations_after_crash_fail() {
-    let (db, _) = DaliEngine::create(cfg("dead", ProtectionScheme::Baseline)).unwrap();
+    let (config, _dir) = cfg("dead", ProtectionScheme::Baseline);
+    let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 8, 16).unwrap();
     let db2 = db.clone();
     db2.crash();

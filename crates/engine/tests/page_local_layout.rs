@@ -4,24 +4,19 @@
 
 use dali_common::{DaliConfig, DaliError, ProtectionScheme};
 use dali_engine::{DaliEngine, RecoveryMode};
+use dali_testutil::TempDir;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-pl-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("pl-{name}"))
 }
 
-fn cfg(name: &str, scheme: ProtectionScheme) -> DaliConfig {
-    let mut c = DaliConfig::small(tmpdir(name)).with_scheme(scheme);
+/// A page-local-layout config rooted in a fresh scratch directory, and
+/// the guard that deletes the directory when the test ends.
+fn cfg(name: &str, scheme: ProtectionScheme) -> (DaliConfig, TempDir) {
+    let dir = tmpdir(name);
+    let mut c = DaliConfig::small(dir.path()).with_scheme(scheme);
     c.colocate_control = true;
-    c
+    (c, dir)
 }
 
 fn val(tag: u8) -> Vec<u8> {
@@ -31,7 +26,8 @@ fn val(tag: u8) -> Vec<u8> {
 #[test]
 fn full_lifecycle_under_page_local_layout() {
     for scheme in ProtectionScheme::ALL {
-        let (db, _) = DaliEngine::create(cfg(&format!("life-{scheme:?}"), scheme)).unwrap();
+        let (config, _dir) = cfg(&format!("life-{scheme:?}"), scheme);
+        let (db, _) = DaliEngine::create(config).unwrap();
         let t = db.create_table("t", 100, 200).unwrap();
         let txn = db.begin().unwrap();
         let a = txn.insert(t, &val(1)).unwrap();
@@ -51,7 +47,7 @@ fn full_lifecycle_under_page_local_layout() {
 
 #[test]
 fn crash_recovery_with_page_local_layout() {
-    let config = cfg("crash", ProtectionScheme::DataCodeword);
+    let (config, _dir) = cfg("crash", ProtectionScheme::DataCodeword);
     let rec;
     {
         let (db, _) = DaliEngine::create(config.clone()).unwrap();
@@ -77,7 +73,7 @@ fn crash_recovery_with_page_local_layout() {
 fn ddl_replay_reconstructs_page_local_layout() {
     // A table created after the checkpoint is rebuilt from its CreateTable
     // log record; the layout must be re-inferred correctly.
-    let config = cfg("ddl", ProtectionScheme::DataCodeword);
+    let (config, _dir) = cfg("ddl", ProtectionScheme::DataCodeword);
     let rec;
     {
         let (db, _) = DaliEngine::create(config.clone()).unwrap();
@@ -100,7 +96,8 @@ fn ddl_replay_reconstructs_page_local_layout() {
 fn corruption_recovery_with_page_local_layout() {
     // Parity repair pinned off: this test exercises the delete-transaction
     // rung, which only runs when the stripe cannot heal the damage first.
-    let config = cfg("corr", ProtectionScheme::ReadLogging).with_parity_group_size(0);
+    let (config, _dir) = cfg("corr", ProtectionScheme::ReadLogging);
+    let config = config.with_parity_group_size(0);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 100, 200).unwrap();
     let txn = db.begin().unwrap();
@@ -138,7 +135,8 @@ fn page_local_uses_fewer_pages_per_insert() {
     // The observable §5.3 effect: with mprotect on, inserts expose fewer
     // pages under the page-local layout.
     let count_pages = |colocate: bool, name: &str| -> f64 {
-        let mut c = DaliConfig::small(tmpdir(name)).with_scheme(ProtectionScheme::MemoryProtection);
+        let dir = tmpdir(name);
+        let mut c = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::MemoryProtection);
         c.colocate_control = colocate;
         let (db, _) = DaliEngine::create(c).unwrap();
         let t = db.create_table("t", 100, 512).unwrap();

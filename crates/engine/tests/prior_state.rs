@@ -4,18 +4,10 @@
 
 use dali_common::{DaliConfig, ProtectionScheme};
 use dali_engine::{DaliEngine, RecoveryMode};
+use dali_testutil::TempDir;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-prior-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("prior-{name}"))
 }
 
 fn val(tag: u8) -> Vec<u8> {
@@ -24,7 +16,8 @@ fn val(tag: u8) -> Vec<u8> {
 
 #[test]
 fn discards_everything_after_the_chosen_point() {
-    let config = DaliConfig::small(tmpdir("basic")).with_scheme(ProtectionScheme::ReadLogging);
+    let dir = tmpdir("basic");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadLogging);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
 
@@ -54,7 +47,8 @@ fn discards_everything_after_the_chosen_point() {
 
 #[test]
 fn discarded_future_cannot_resurface() {
-    let config = DaliConfig::small(tmpdir("trunc")).with_scheme(ProtectionScheme::Baseline);
+    let dir = tmpdir("trunc");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::Baseline);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let txn = db.begin().unwrap();
@@ -91,7 +85,8 @@ fn discarded_future_cannot_resurface() {
 
 #[test]
 fn point_in_flight_transactions_are_rolled_back() {
-    let config = DaliConfig::small(tmpdir("inflight")).with_scheme(ProtectionScheme::Baseline);
+    let dir = tmpdir("inflight");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::Baseline);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let txn = db.begin().unwrap();
@@ -122,7 +117,8 @@ fn point_in_flight_transactions_are_rolled_back() {
 
 #[test]
 fn too_old_point_is_rejected() {
-    let config = DaliConfig::small(tmpdir("old")).with_scheme(ProtectionScheme::Baseline);
+    let dir = tmpdir("old");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::Baseline);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     // Advance both checkpoint images past a very early LSN.
@@ -147,7 +143,8 @@ fn prior_state_works_after_corruption_too() {
     // The prior-state model is the blunt instrument for corruption the
     // paper contrasts with delete-transaction recovery: wind back to
     // before the (known) corruption time, losing ALL later transactions.
-    let config = DaliConfig::small(tmpdir("corr")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("corr");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let txn = db.begin().unwrap();

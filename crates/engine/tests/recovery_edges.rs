@@ -3,18 +3,10 @@
 
 use dali_common::{DaliConfig, ProtectionScheme};
 use dali_engine::{DaliEngine, RecoveryMode};
+use dali_testutil::TempDir;
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-edge-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
+fn tmpdir(name: &str) -> TempDir {
+    TempDir::new(&format!("edge-{name}"))
 }
 
 fn val(tag: u8) -> Vec<u8> {
@@ -27,7 +19,8 @@ fn val(tag: u8) -> Vec<u8> {
 /// must roll back both.
 #[test]
 fn incomplete_txn_spanning_checkpoint_fully_rolled_back() {
-    let config = DaliConfig::small(tmpdir("span")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("span");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let setup = db.begin().unwrap();
@@ -65,7 +58,8 @@ fn incomplete_txn_spanning_checkpoint_fully_rolled_back() {
 /// compensations must remove them during recovery.
 #[test]
 fn abort_after_checkpoint_replays_compensations() {
-    let config = DaliConfig::small(tmpdir("abortckpt")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("abortckpt");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let setup = db.begin().unwrap();
@@ -91,7 +85,8 @@ fn abort_after_checkpoint_replays_compensations() {
 /// recovery sees only the TxnCommit in the log and must keep everything.
 #[test]
 fn op_before_ckpt_commit_after_ckpt_is_kept() {
-    let config = DaliConfig::small(tmpdir("opckpt")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("opckpt");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let setup = db.begin().unwrap();
@@ -115,7 +110,8 @@ fn op_before_ckpt_commit_after_ckpt_is_kept() {
 /// checkpoint and a rollback re-insert after it.
 #[test]
 fn delete_rollback_across_checkpoint() {
-    let config = DaliConfig::small(tmpdir("delckpt")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("delckpt");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let setup = db.begin().unwrap();
@@ -145,7 +141,8 @@ fn delete_rollback_across_checkpoint() {
 /// latest must be a no-op redo.
 #[test]
 fn empty_redo_interval() {
-    let config = DaliConfig::small(tmpdir("empty")).with_scheme(ProtectionScheme::DataCodeword);
+    let dir = tmpdir("empty");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let txn = db.begin().unwrap();
@@ -166,7 +163,8 @@ fn empty_redo_interval() {
 /// after reopening, twice in a row.
 #[test]
 fn double_crash_immediately_after_recovery() {
-    let config = DaliConfig::small(tmpdir("double")).with_scheme(ProtectionScheme::ReadLogging);
+    let dir = tmpdir("double");
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadLogging);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();
     let txn = db.begin().unwrap();

@@ -197,13 +197,9 @@ mod tests {
     use dali_common::{DaliConfig, ProtectionScheme};
     use rand::SeedableRng;
 
-    fn tmpdir(name: &str) -> dali_testutil::TempDir {
-        dali_testutil::TempDir::new(&format!("fi-{name}"))
-    }
-
     /// Engine plus the guard keeping its scratch directory alive.
     fn engine(scheme: ProtectionScheme, name: &str) -> (DaliEngine, dali_testutil::TempDir) {
-        let dir = tmpdir(name);
+        let dir = dali_testutil::TempDir::new(&format!("fi-{name}"));
         let (db, _) =
             DaliEngine::create(DaliConfig::small(dir.path()).with_scheme(scheme)).unwrap();
         (db, dir)

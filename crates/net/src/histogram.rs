@@ -109,44 +109,6 @@ impl LatencyHistograms {
     }
 }
 
-/// Bucketwise merge of two reports (for aggregating across servers or
-/// scrape intervals); `uptime_ns` takes the max.
-pub fn merge_reports(a: &MetricsReport, b: &MetricsReport) -> MetricsReport {
-    let mut out = MetricsReport {
-        uptime_ns: a.uptime_ns.max(b.uptime_ns),
-        verbs: Vec::new(),
-    };
-    for tag in 0..=u8::MAX {
-        let (ra, rb) = (a.verb(tag), b.verb(tag));
-        if ra.is_none() && rb.is_none() {
-            continue;
-        }
-        let mut cells = [0u64; BUCKETS];
-        let mut count = 0u64;
-        let mut total_ns = 0u64;
-        for r in [ra, rb].into_iter().flatten() {
-            count += r.count;
-            total_ns = total_ns.wrapping_add(r.total_ns);
-            for &(i, n) in &r.buckets {
-                if let Some(c) = cells.get_mut(i as usize) {
-                    *c += n;
-                }
-            }
-        }
-        out.verbs.push(VerbMetrics {
-            verb: tag,
-            count,
-            total_ns,
-            buckets: cells
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &n)| (n > 0).then_some((i as u8, n)))
-                .collect(),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,24 +163,6 @@ mod tests {
         // p100 catches the outlier: 2^19..2^20 → 2^20 ≈ 1.05 ms.
         assert_eq!(v.quantile(1.0), 1 << 20);
         assert_eq!(v.mean_ns(), (99 * 1_000 + 1_000_000) / 100);
-    }
-
-    #[test]
-    fn merge_is_bucketwise_addition() {
-        let h1 = LatencyHistograms::new();
-        let h2 = LatencyHistograms::new();
-        h1.record(13, 1_000);
-        h1.record(6, 2_000);
-        h2.record(13, 1_000_000);
-        let merged = merge_reports(&h1.report(5), &h2.report(9));
-        assert_eq!(merged.uptime_ns, 9);
-        let ping = merged.verb(13).unwrap();
-        assert_eq!(ping.count, 2);
-        assert_eq!(ping.buckets.len(), 2);
-        assert_eq!(merged.verb(6).unwrap().count, 1);
-        // Merging with an empty report is the identity.
-        let id = merge_reports(&h1.report(5), &MetricsReport::default());
-        assert_eq!(id.verb(13).unwrap().count, 1);
     }
 
     #[test]

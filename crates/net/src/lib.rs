@@ -45,7 +45,7 @@ pub mod server;
 pub mod tpcb;
 
 pub use client::DaliClient;
-pub use histogram::{merge_reports, LatencyHistograms};
+pub use histogram::LatencyHistograms;
 pub use protocol::{
     HealthReport, MetricsReport, RepairSummary, Request, Response, ServerStats, VerbMetrics,
     WireError, MAX_FRAME,

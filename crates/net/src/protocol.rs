@@ -1,20 +1,26 @@
 //! The wire protocol: request/response enums with a checksummed,
 //! length-prefixed binary encoding.
 //!
-//! Framing mirrors the system log (`crates/wal/src/record.rs`):
-//! `[len: u32][checksum: u32][payload]`, little-endian, where `checksum`
-//! is an XOR fold of the payload. The checksum catches torn writes on a
-//! half-closed socket the same way it catches torn log flushes; a frame
-//! that fails length, checksum, or payload validation surfaces as
+//! A frame is `[len: u32][checksum: u32][payload]`, little-endian, where
+//! `checksum` is the XOR fold of the payload (DESIGN.md "Encoding"). The
+//! checksum catches torn writes on a half-closed socket; a frame that
+//! fails length, checksum, or payload validation surfaces as
 //! [`DaliError::InvalidArg`] — never a panic — so a malicious or
 //! truncated peer cannot take the server down.
 //!
-//! Every decode helper is bounds-checked and every length field is
-//! validated against [`MAX_FRAME`] before any allocation, so garbage
-//! lengths cannot trigger huge allocations either.
+//! Every payload is decoded through the workspace's one checked
+//! [`Reader`]: no field is read past the bytes that remain, and every
+//! count or length is held against them before anything is allocated, so
+//! garbage lengths cannot trigger huge allocations either.
+//!
+//! Each message type is declared **once** — [`wire_enum!`] takes a
+//! variant's tag and fields in wire order, [`wire_struct!`] a struct's
+//! fields — and its Rust type, encoder, decoder and `tag()` are all
+//! derived from that declaration, so they cannot drift apart.
 
-use bytes::{Buf, BufMut, BytesMut};
-use dali_common::{DaliError, DbAddr, RecId, Result, SlotId, TableId, TxnId};
+use bytes::{BufMut, BytesMut};
+use dali_common::codec::Reader;
+use dali_common::{fold, DaliError, DbAddr, RecId, Result, TableId, TxnId};
 use std::io::{Read, Write};
 
 /// Hard cap on a frame's payload size (largest legitimate payload is a
@@ -22,186 +28,374 @@ use std::io::{Read, Write};
 /// size this engine supports).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// A client request. One transaction per connection at a time: `Begin`
-/// opens it, `Commit`/`Abort` close it, and the data verbs operate on
-/// the connection's current transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Begin a transaction on this connection.
-    Begin,
-    /// Read a record (shared lock).
-    Read { rec: RecId },
-    /// Insert a record into a table.
-    Insert { table: TableId, data: Vec<u8> },
-    /// Update a record in place (exclusive lock).
-    Update { rec: RecId, data: Vec<u8> },
-    /// Delete a record.
-    Delete { rec: RecId },
-    /// Take an exclusive lock without reading (read-for-update intent).
-    LockExclusive { rec: RecId },
-    /// Commit the connection's transaction.
-    Commit,
-    /// Abort the connection's transaction.
-    Abort,
-    /// DDL: create a table (auto-committed).
-    CreateTable {
-        name: String,
-        rec_size: u32,
-        capacity: u64,
-    },
-    /// Look up a table id by name.
-    OpenTable { name: String },
-    /// Number of allocated records in a table.
-    RecordCount { table: TableId },
-    /// Admin: run a full-database audit.
-    Audit,
-    /// Admin: engine + log + server counters.
-    Stats,
-    /// Liveness probe.
-    Ping,
-    /// Admin: online parity repair of one protection region — rebuild it
-    /// in place from its parity group, falling back to log-based cache
-    /// recovery when the group cannot be trusted.
-    Repair { region: u64 },
-    /// Admin: cheap liveness + load probe (answered without touching the
-    /// engine's data path).
-    Health,
-    /// Admin: per-verb latency histograms and loop counters.
-    Metrics,
+fn bad(msg: String) -> DaliError {
+    DaliError::InvalidArg(format!("protocol: {msg}"))
 }
 
-/// Server statistics returned by [`Request::Stats`]: the engine's
-/// operation counters, the system log's flush/fsync counters (group
-/// commit amortization is `fsyncs / durable_commits`), and the server's
-/// session bookkeeping.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    pub commits: u64,
-    pub aborts: u64,
-    /// `sync_data` calls issued by the log.
-    pub fsyncs: u64,
-    /// Tail-to-file log writes.
-    pub log_flushes: u64,
-    /// Durable-commit requests served by the log.
-    pub durable_commits: u64,
-    /// Durable commits that rode a neighbour's fsync.
-    pub piggybacked: u64,
-    /// Durable commits that waited out a group-commit window as followers.
-    pub group_followers: u64,
-    /// Currently connected sessions.
-    pub sessions: u64,
-    /// Transactions rolled back because their connection dropped.
-    pub orphans_rolled_back: u64,
-    /// Deferred maintenance: non-empty dirty-set shard drains performed.
-    pub deferred_drains: u64,
-    /// Deferred maintenance: deltas absorbed into an already-dirty
-    /// region (the savings coalescing bought).
-    pub deferred_coalesced: u64,
-    /// Deferred maintenance: high-watermark of any shard's dirty-region
-    /// depth.
-    pub deferred_max_shard_depth: u64,
-    /// Deferred maintenance: raw deltas currently queued.
-    pub deferred_pending: u64,
-    /// Full-database audit sweeps run (on-demand + checkpoint
-    /// certification).
-    pub audits_run: u64,
-    /// Regions folded-and-compared across all audit sweeps.
-    pub audit_regions: u64,
-    /// Bytes XOR-folded by audit sweeps.
-    pub audit_bytes_folded: u64,
-    /// Wall-clock nanoseconds spent inside audit sweeps.
-    pub audit_ns: u64,
-    /// Regions folded by checkpoint certification sweeps (full + delta).
-    pub certify_regions_certified: u64,
-    /// Regions delta certifications skipped relative to full sweeps.
-    pub certify_regions_skipped: u64,
-    /// Exclusive latch brackets taken by audit/certification sweeps.
-    pub audit_latch_brackets: u64,
-    /// Regions handed to the parity repair path.
-    pub repair_attempted: u64,
-    /// Regions rebuilt in place from their parity group.
-    pub repair_succeeded: u64,
-    /// Repair attempts that fell back to log-based recovery.
-    pub repair_fell_back: u64,
-    /// Bytes written back by successful in-place rebuilds.
-    pub repair_bytes_rebuilt: u64,
-    /// Parity groups verified by checkpoint certification.
-    pub certify_parity_groups: u64,
-    /// Connections rejected by admission control (at `net_max_conns`).
-    pub conns_rejected: u64,
-    /// Frames decoded while an earlier frame from the same connection was
-    /// still unanswered — the depth the pipelining budget actually bought.
-    pub frames_pipelined: u64,
-    /// Times a session's read interest was parked by backpressure
-    /// (pipeline budget exhausted or outbound budget exceeded).
-    pub read_parks: u64,
-    /// Requests currently queued for the execution pool.
-    pub exec_queue_depth: u64,
-    /// High-watermark of the execution-pool queue depth.
-    pub exec_queue_max: u64,
-    /// Readiness-loop wakeups across all event workers.
-    pub loop_iterations: u64,
-    /// High-watermark of any one connection's buffered outbound bytes.
-    pub outbound_buffered_max: u64,
-    /// Segment files currently retained in the log directory.
-    pub log_segments_active: u64,
-    /// Segments retired by checkpoint-driven retention since open.
-    pub log_segments_retired: u64,
-    /// Total bytes of retained log segments on disk.
-    pub log_bytes_on_disk: u64,
-    /// Worker threads the last restart's parallel redo apply used.
-    pub redo_threads_used: u64,
-    /// Wall-clock nanoseconds of the last restart's redo apply phase.
-    pub redo_parallel_ns: u64,
+// -------------------------------------------------------------------
+// Field codecs
+// -------------------------------------------------------------------
+
+/// A value with a wire encoding. Every field type of every message
+/// implements it, which is what lets the declaration macros derive a
+/// message's codec from its field list alone.
+trait Wire: Sized {
+    fn put(&self, buf: &mut BytesMut);
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
 }
 
-/// Outcome of a [`Request::Repair`] — a wire mirror of the engine's
-/// `RepairOutcome`, flattened to counters so the protocol stays free of
-/// engine types.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RepairSummary {
-    /// Whole batch stayed on the parity rung (no WAL replay).
-    pub in_place: bool,
-    /// Regions rebuilt from parity before any fallback.
-    pub regions_rebuilt: u64,
-    /// Bytes written back by parity rebuilds.
-    pub bytes_rebuilt: u64,
-    /// Stable-log records replayed by a fallback (0 when in place).
-    pub records_replayed: u64,
+/// `Type: |value, buf| encode, |reader| decode;` — one line per leaf type.
+macro_rules! wire_leaf {
+    ($($ty:ty: |$v:ident, $buf:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, $buf: &mut BytesMut) {
+                let $v = self;
+                $put
+            }
+            #[inline]
+            fn get($r: &mut Reader<'_>) -> Result<Self> {
+                Ok($get)
+            }
+        }
+    )*};
 }
 
-/// Outcome of a [`Request::Health`] probe — answered from server
-/// counters alone, so it stays cheap under load and meaningful when the
-/// data path is wedged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HealthReport {
-    /// The server is accepting work (not shutting down, engine alive).
-    pub healthy: bool,
-    /// Connections currently open.
-    pub conns_open: u64,
-    /// Requests queued for the execution pool right now.
-    pub exec_queue_depth: u64,
-    /// Nanoseconds since the server started.
-    pub uptime_ns: u64,
+wire_leaf! {
+    u8: |v, buf| buf.put_u8(*v), |r| r.u8()?;
+    bool: |v, buf| buf.put_u8(*v as u8), |r| r.bool()?;
+    u32: |v, buf| buf.put_u32_le(*v), |r| r.u32()?;
+    u64: |v, buf| buf.put_u64_le(*v), |r| r.u64()?;
+    TxnId: |v, buf| buf.put_u64_le(v.0), |r| TxnId(r.u64()?);
+    TableId: |v, buf| buf.put_u32_le(v.0), |r| TableId(r.u32()?);
+    DbAddr: |v, buf| buf.put_u64_le(v.0 as u64), |r| DbAddr(r.u64()? as usize);
+    RecId: |v, buf| { v.table.put(buf); buf.put_u32_le(v.slot.0) }, |r| r.rec()?;
+    Vec<u8>: |v, buf| put_blob(buf, v), |r| r.blob()?.to_vec();
+    String: |v, buf| put_blob(buf, v.as_bytes()), |r| r.str()?.to_string();
+    (u8, u64): |v, buf| { v.0.put(buf); v.1.put(buf) }, |r| (r.u8()?, r.u64()?);
+    // Lists: a u32 count, held against the smallest encoding of that many
+    // elements before the vector is reserved.
+    Vec<(u8, u64)>: |v, buf| put_list(v, buf), |r| get_list(r, 1 + 8)?;
+    Vec<VerbMetrics>: |v, buf| put_list(v, buf), |r| get_list(r, 1 + 8 + 8 + 4)?;
 }
 
-/// Per-verb latency distribution inside a [`MetricsReport`].
-///
-/// `buckets` are log₂-nanosecond histogram cells: `(i, n)` counts `n`
-/// requests whose decode→response latency fell in `[2^i, 2^(i+1))` ns.
-/// Only non-zero cells cross the wire; bucketwise addition merges
-/// reports from different servers or scrape intervals.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VerbMetrics {
-    /// The request tag this row describes (`Request` encoding tag).
-    pub verb: u8,
-    /// Requests completed.
-    pub count: u64,
-    /// Sum of latencies in nanoseconds (for means; percentiles come from
-    /// the buckets).
-    pub total_ns: u64,
-    /// Sparse `(log2_bucket, count)` cells, ascending by bucket.
-    pub buckets: Vec<(u8, u64)>,
+fn put_blob(buf: &mut BytesMut, data: &[u8]) {
+    buf.put_u32_le(data.len() as u32);
+    buf.extend_from_slice(data);
+}
+
+fn put_list<T: Wire>(items: &[T], buf: &mut BytesMut) {
+    buf.put_u32_le(items.len() as u32);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+fn get_list<T: Wire>(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<Vec<T>> {
+    let n = r.count(min_elem_bytes)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(T::get(r)?);
+    }
+    Ok(items)
+}
+
+/// Declare a struct whose wire encoding is its fields in declaration
+/// order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty, )*
+        }
+
+        impl Wire for $name {
+            fn put(&self, buf: &mut BytesMut) {
+                $( self.$field.put(buf); )*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($name { $( $field: Wire::get(r)?, )* })
+            }
+        }
+    };
+}
+
+/// Declare an enum whose wire encoding is a tag byte followed by the
+/// variant's fields in declaration order. A variant is its tag, its
+/// display name, then `Variant`, `Variant { field: Type, .. }`, or
+/// `Variant(name: Type)` for a one-field tuple variant (the name only
+/// binds the payload inside the generated code).
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])* $tag:literal $label:literal $variant:ident
+                $( { $( $field:ident: $fty:ty ),* $(,)? } )?
+                $( ( $tfield:ident: $tty:ty ) )?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant $( { $( $field: $fty ),* } )? $( ( $tty ) )?, )*
+        }
+
+        impl $name {
+            /// The encoding tag (for a request, the key [`MetricsReport`]
+            /// rows use for verbs).
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Human-readable name of a tag (metrics display).
+            pub fn tag_name(tag: u8) -> &'static str {
+                match tag {
+                    $( $tag => $label, )*
+                    _ => "unknown",
+                }
+            }
+
+            /// Encode the payload (without framing) into `buf`.
+            pub fn encode(&self, buf: &mut BytesMut) {
+                self.put(buf);
+            }
+
+            /// Decode a payload produced by [`encode`](Self::encode).
+            /// Total: any malformed input, trailing bytes included,
+            /// returns an error.
+            pub fn decode(payload: &[u8]) -> Result<$name> {
+                let mut r = Reader::new(payload, bad);
+                let value = Self::get(&mut r)?;
+                r.finish()?;
+                Ok(value)
+            }
+        }
+
+        impl Wire for $name {
+            fn put(&self, buf: &mut BytesMut) {
+                buf.put_u8(self.tag());
+                match self {
+                    $( $name::$variant $( { $( $field ),* } )? $( ( $tfield ) )? => {
+                        $( $( $field.put(buf); )* )?
+                        $( $tfield.put(buf); )?
+                    } )*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(match r.u8()? {
+                    $( $tag => $name::$variant
+                        $( { $( $field: Wire::get(r)? ),* } )?
+                        $( ( <$tty>::get(r)? ) )?, )*
+                    tag => {
+                        return Err(r.fail(format_args!(
+                            "unknown {} tag {tag}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+// -------------------------------------------------------------------
+// Messages
+// -------------------------------------------------------------------
+
+wire_enum! {
+    /// A client request. One transaction per connection at a time: `Begin`
+    /// opens it, `Commit`/`Abort` close it, and the data verbs operate on
+    /// the connection's current transaction.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Request {
+        /// Begin a transaction on this connection.
+        0 "begin" Begin,
+        /// Read a record (shared lock).
+        1 "read" Read { rec: RecId },
+        /// Insert a record into a table.
+        2 "insert" Insert { table: TableId, data: Vec<u8> },
+        /// Update a record in place (exclusive lock).
+        3 "update" Update { rec: RecId, data: Vec<u8> },
+        /// Delete a record.
+        4 "delete" Delete { rec: RecId },
+        /// Take an exclusive lock without reading (read-for-update intent).
+        5 "lock_exclusive" LockExclusive { rec: RecId },
+        /// Commit the connection's transaction.
+        6 "commit" Commit,
+        /// Abort the connection's transaction.
+        7 "abort" Abort,
+        /// DDL: create a table (auto-committed).
+        8 "create_table" CreateTable { name: String, rec_size: u32, capacity: u64 },
+        /// Look up a table id by name.
+        9 "open_table" OpenTable { name: String },
+        /// Number of allocated records in a table.
+        10 "record_count" RecordCount { table: TableId },
+        /// Admin: run a full-database audit.
+        11 "audit" Audit,
+        /// Admin: engine + log + server counters.
+        12 "stats" Stats,
+        /// Liveness probe.
+        13 "ping" Ping,
+        /// Admin: online parity repair of one protection region — rebuild it
+        /// in place from its parity group, falling back to log-based cache
+        /// recovery when the group cannot be trusted.
+        14 "repair" Repair { region: u64 },
+        /// Admin: cheap liveness + load probe (answered without touching the
+        /// engine's data path).
+        15 "health" Health,
+        /// Admin: per-verb latency histograms and loop counters.
+        16 "metrics" Metrics,
+    }
+}
+
+wire_struct! {
+    /// Server statistics returned by [`Request::Stats`]: the engine's
+    /// operation counters, the system log's flush/fsync counters (group
+    /// commit amortization is `fsyncs / durable_commits`), and the server's
+    /// session bookkeeping.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ServerStats {
+        pub commits: u64,
+        pub aborts: u64,
+        /// `sync_data` calls issued by the log.
+        pub fsyncs: u64,
+        /// Tail-to-file log writes.
+        pub log_flushes: u64,
+        /// Durable-commit requests served by the log.
+        pub durable_commits: u64,
+        /// Durable commits that rode a neighbour's fsync.
+        pub piggybacked: u64,
+        /// Durable commits that waited out a group-commit window as followers.
+        pub group_followers: u64,
+        /// Currently connected sessions.
+        pub sessions: u64,
+        /// Transactions rolled back because their connection dropped.
+        pub orphans_rolled_back: u64,
+        /// Deferred maintenance: non-empty dirty-set shard drains performed.
+        pub deferred_drains: u64,
+        /// Deferred maintenance: deltas absorbed into an already-dirty
+        /// region (the savings coalescing bought).
+        pub deferred_coalesced: u64,
+        /// Deferred maintenance: high-watermark of any shard's dirty-region
+        /// depth.
+        pub deferred_max_shard_depth: u64,
+        /// Deferred maintenance: raw deltas currently queued.
+        pub deferred_pending: u64,
+        /// Full-database audit sweeps run (on-demand + checkpoint
+        /// certification).
+        pub audits_run: u64,
+        /// Regions folded-and-compared across all audit sweeps.
+        pub audit_regions: u64,
+        /// Bytes XOR-folded by audit sweeps.
+        pub audit_bytes_folded: u64,
+        /// Wall-clock nanoseconds spent inside audit sweeps.
+        pub audit_ns: u64,
+        /// Regions folded by checkpoint certification sweeps (full + delta).
+        pub certify_regions_certified: u64,
+        /// Regions delta certifications skipped relative to full sweeps.
+        pub certify_regions_skipped: u64,
+        /// Exclusive latch brackets taken by audit/certification sweeps.
+        pub audit_latch_brackets: u64,
+        /// Regions handed to the parity repair path.
+        pub repair_attempted: u64,
+        /// Regions rebuilt in place from their parity group.
+        pub repair_succeeded: u64,
+        /// Repair attempts that fell back to log-based recovery.
+        pub repair_fell_back: u64,
+        /// Bytes written back by successful in-place rebuilds.
+        pub repair_bytes_rebuilt: u64,
+        /// Parity groups verified by checkpoint certification.
+        pub certify_parity_groups: u64,
+        /// Connections rejected by admission control (at `net_max_conns`).
+        pub conns_rejected: u64,
+        /// Frames decoded while an earlier frame from the same connection was
+        /// still unanswered — the depth the pipelining budget actually bought.
+        pub frames_pipelined: u64,
+        /// Times a session's read interest was parked by backpressure
+        /// (pipeline budget exhausted or outbound budget exceeded).
+        pub read_parks: u64,
+        /// Requests currently queued for the execution pool.
+        pub exec_queue_depth: u64,
+        /// High-watermark of the execution-pool queue depth.
+        pub exec_queue_max: u64,
+        /// Readiness-loop wakeups across all event workers.
+        pub loop_iterations: u64,
+        /// High-watermark of any one connection's buffered outbound bytes.
+        pub outbound_buffered_max: u64,
+        /// Segment files currently retained in the log directory.
+        pub log_segments_active: u64,
+        /// Segments retired by checkpoint-driven retention since open.
+        pub log_segments_retired: u64,
+        /// Total bytes of retained log segments on disk.
+        pub log_bytes_on_disk: u64,
+        /// Worker threads the last restart's parallel redo apply used.
+        pub redo_threads_used: u64,
+        /// Wall-clock nanoseconds of the last restart's redo apply phase.
+        pub redo_parallel_ns: u64,
+    }
+}
+
+wire_struct! {
+    /// Outcome of a [`Request::Repair`] — a wire mirror of the engine's
+    /// `RepairOutcome`, flattened to counters so the protocol stays free of
+    /// engine types.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RepairSummary {
+        /// Whole batch stayed on the parity rung (no WAL replay).
+        pub in_place: bool,
+        /// Regions rebuilt from parity before any fallback.
+        pub regions_rebuilt: u64,
+        /// Bytes written back by parity rebuilds.
+        pub bytes_rebuilt: u64,
+        /// Stable-log records replayed by a fallback (0 when in place).
+        pub records_replayed: u64,
+    }
+}
+
+wire_struct! {
+    /// Outcome of a [`Request::Health`] probe — answered from server
+    /// counters alone, so it stays cheap under load and meaningful when the
+    /// data path is wedged.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct HealthReport {
+        /// The server is accepting work (not shutting down, engine alive).
+        pub healthy: bool,
+        /// Connections currently open.
+        pub conns_open: u64,
+        /// Requests queued for the execution pool right now.
+        pub exec_queue_depth: u64,
+        /// Nanoseconds since the server started.
+        pub uptime_ns: u64,
+    }
+}
+
+wire_struct! {
+    /// Per-verb latency distribution inside a [`MetricsReport`].
+    ///
+    /// `buckets` are log₂-nanosecond histogram cells: `(i, n)` counts `n`
+    /// requests whose decode→response latency fell in `[2^i, 2^(i+1))` ns.
+    /// Only non-zero cells cross the wire; bucketwise addition merges
+    /// reports from different servers or scrape intervals.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct VerbMetrics {
+        /// The request tag this row describes (`Request` encoding tag).
+        pub verb: u8,
+        /// Requests completed.
+        pub count: u64,
+        /// Sum of latencies in nanoseconds (for means; percentiles come from
+        /// the buckets).
+        pub total_ns: u64,
+        /// Sparse `(log2_bucket, count)` cells, ascending by bucket.
+        pub buckets: Vec<(u8, u64)>,
+    }
 }
 
 impl VerbMetrics {
@@ -232,15 +426,17 @@ impl VerbMetrics {
     }
 }
 
-/// Outcome of a [`Request::Metrics`] — the server's per-verb latency
-/// histograms plus uptime, mergeable across servers by verb.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsReport {
-    /// Nanoseconds since the server started.
-    pub uptime_ns: u64,
-    /// One row per verb that has completed at least one request,
-    /// ascending by verb tag.
-    pub verbs: Vec<VerbMetrics>,
+wire_struct! {
+    /// Outcome of a [`Request::Metrics`] — the server's per-verb latency
+    /// histograms plus uptime, mergeable across servers by verb.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct MetricsReport {
+        /// Nanoseconds since the server started.
+        pub uptime_ns: u64,
+        /// One row per verb that has completed at least one request,
+        /// ascending by verb tag.
+        pub verbs: Vec<VerbMetrics>,
+    }
 }
 
 impl MetricsReport {
@@ -250,77 +446,71 @@ impl MetricsReport {
     }
 }
 
-/// A server response.
-///
-/// `Stats` dwarfs the other variants (32 counters), but responses are
-/// transient — decoded, delivered, dropped — and never stored in bulk,
-/// so boxing it would buy nothing and cost an allocation per stats poll.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// The request succeeded with nothing to return.
-    Ok,
-    /// `Begin` succeeded; the server-side transaction id (diagnostics —
-    /// clients retry by reconnecting the verb sequence, not by id).
-    Began { txn: TxnId },
-    /// A record's contents.
-    Data(Vec<u8>),
-    /// An insert's record id.
-    Inserted { rec: RecId },
-    /// A table id (create/open).
-    Table { table: TableId },
-    /// A record count.
-    Count(u64),
-    /// Audit outcome: clean flag and number of regions checked.
-    Audited { clean: bool, regions_checked: u64 },
-    /// Statistics snapshot.
-    Stats(ServerStats),
-    /// Repair outcome: how the region was brought back.
-    Repaired(RepairSummary),
-    /// The request failed; the error is structured so client retry loops
-    /// can match on it exactly like in-process code.
-    Err(WireError),
-    /// Liveness + load probe outcome.
-    Health(HealthReport),
-    /// Per-verb latency histograms.
-    Metrics(MetricsReport),
+wire_enum! {
+    /// A server response.
+    ///
+    /// `Stats` dwarfs the other variants (37 counters), but responses are
+    /// transient — decoded, delivered, dropped — and never stored in bulk,
+    /// so boxing it would buy nothing and cost an allocation per stats poll.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Response {
+        /// The request succeeded with nothing to return.
+        0 "ok" Ok,
+        /// `Begin` succeeded; the server-side transaction id (diagnostics —
+        /// clients retry by reconnecting the verb sequence, not by id).
+        1 "began" Began { txn: TxnId },
+        /// A record's contents.
+        2 "data" Data(data: Vec<u8>),
+        /// An insert's record id.
+        3 "inserted" Inserted { rec: RecId },
+        /// A table id (create/open).
+        4 "table" Table { table: TableId },
+        /// A record count.
+        5 "count" Count(count: u64),
+        /// Audit outcome: clean flag and number of regions checked.
+        6 "audited" Audited { clean: bool, regions_checked: u64 },
+        /// Statistics snapshot.
+        7 "stats" Stats(stats: ServerStats),
+        /// Repair outcome: how the region was brought back.
+        9 "repaired" Repaired(summary: RepairSummary),
+        /// The request failed; the error is structured so client retry loops
+        /// can match on it exactly like in-process code.
+        8 "err" Err(error: WireError),
+        /// Liveness + load probe outcome.
+        10 "health" Health(report: HealthReport),
+        /// Per-verb latency histograms.
+        11 "metrics" Metrics(report: MetricsReport),
+    }
 }
 
-/// Structured errors carried over the wire — a mirror of [`DaliError`]
-/// plus the protocol-level failure modes. Conversions both ways keep
-/// client retry loops (`matches!(e, DaliError::LockDenied { .. })`)
-/// identical to the in-process ones in `crates/workload`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    LockDenied {
-        txn: TxnId,
-        rec: RecId,
-    },
-    CorruptionDetected {
-        addr: DbAddr,
-        len: u64,
-        expected: u32,
-        actual: u32,
-    },
-    WriteFault {
-        addr: DbAddr,
-    },
-    TxnAborted(TxnId),
-    NotFound(String),
-    OutOfSpace(String),
-    InvalidArg(String),
-    RecoveryFailed(String),
-    Crashed,
-    Io(String),
-    /// The connection has no open transaction for a data verb, or an
-    /// open one where `Begin` requires none.
-    NoTxn,
-    TxnAlreadyOpen,
-    /// The peer closed the connection (cleanly or mid-request). Never
-    /// sent by the server — the client synthesizes it when a read or
-    /// write hits EOF/reset — but it has a wire tag so a proxy that does
-    /// send it round-trips.
-    ConnectionClosed,
+wire_enum! {
+    /// Structured errors carried over the wire — a mirror of [`DaliError`]
+    /// plus the protocol-level failure modes. Conversions both ways keep
+    /// client retry loops (`matches!(e, DaliError::LockDenied { .. })`)
+    /// identical to the in-process ones in `crates/workload`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum WireError {
+        0 "lock_denied" LockDenied { txn: TxnId, rec: RecId },
+        1 "corruption_detected" CorruptionDetected { addr: DbAddr, len: u64, expected: u32, actual: u32 },
+        2 "write_fault" WriteFault { addr: DbAddr },
+        3 "txn_aborted" TxnAborted(txn: TxnId),
+        4 "not_found" NotFound(what: String),
+        5 "out_of_space" OutOfSpace(what: String),
+        6 "invalid_arg" InvalidArg(what: String),
+        7 "recovery_failed" RecoveryFailed(what: String),
+        8 "crashed" Crashed,
+        9 "io" Io(what: String),
+        /// The connection has no open transaction for a data verb, or an
+        /// open one where `Begin` requires none.
+        10 "no_txn" NoTxn,
+        11 "txn_already_open" TxnAlreadyOpen,
+        /// The peer closed the connection (cleanly or mid-request). Never
+        /// sent by the server — the client synthesizes it when a read or
+        /// write hits EOF/reset — but it has a wire tag so a proxy that does
+        /// send it round-trips.
+        12 "connection_closed" ConnectionClosed,
+    }
 }
 
 impl From<&DaliError> for WireError {
@@ -392,511 +582,56 @@ impl From<WireError> for DaliError {
     }
 }
 
-// -------------------------------------------------------------------
-// Encoding
-// -------------------------------------------------------------------
-
-fn bad(msg: impl Into<String>) -> DaliError {
-    DaliError::InvalidArg(format!("protocol: {}", msg.into()))
+fn encode_payload(message: &impl Wire) -> Vec<u8> {
+    let mut payload = BytesMut::with_capacity(64);
+    message.put(&mut payload);
+    payload.to_vec()
 }
 
-impl Request {
-    /// Encode the payload (without framing) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Request::Begin => buf.put_u8(0),
-            Request::Read { rec } => {
-                buf.put_u8(1);
-                put_rec(buf, *rec);
-            }
-            Request::Insert { table, data } => {
-                buf.put_u8(2);
-                buf.put_u32_le(table.0);
-                put_blob(buf, data);
-            }
-            Request::Update { rec, data } => {
-                buf.put_u8(3);
-                put_rec(buf, *rec);
-                put_blob(buf, data);
-            }
-            Request::Delete { rec } => {
-                buf.put_u8(4);
-                put_rec(buf, *rec);
-            }
-            Request::LockExclusive { rec } => {
-                buf.put_u8(5);
-                put_rec(buf, *rec);
-            }
-            Request::Commit => buf.put_u8(6),
-            Request::Abort => buf.put_u8(7),
-            Request::CreateTable {
-                name,
-                rec_size,
-                capacity,
-            } => {
-                buf.put_u8(8);
-                put_blob(buf, name.as_bytes());
-                buf.put_u32_le(*rec_size);
-                buf.put_u64_le(*capacity);
-            }
-            Request::OpenTable { name } => {
-                buf.put_u8(9);
-                put_blob(buf, name.as_bytes());
-            }
-            Request::RecordCount { table } => {
-                buf.put_u8(10);
-                buf.put_u32_le(table.0);
-            }
-            Request::Audit => buf.put_u8(11),
-            Request::Stats => buf.put_u8(12),
-            Request::Ping => buf.put_u8(13),
-            Request::Repair { region } => {
-                buf.put_u8(14);
-                buf.put_u64_le(*region);
-            }
-            Request::Health => buf.put_u8(15),
-            Request::Metrics => buf.put_u8(16),
-        }
-    }
-
-    /// The encoding tag — the key [`MetricsReport`] rows use for verbs.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Request::Begin => 0,
-            Request::Read { .. } => 1,
-            Request::Insert { .. } => 2,
-            Request::Update { .. } => 3,
-            Request::Delete { .. } => 4,
-            Request::LockExclusive { .. } => 5,
-            Request::Commit => 6,
-            Request::Abort => 7,
-            Request::CreateTable { .. } => 8,
-            Request::OpenTable { .. } => 9,
-            Request::RecordCount { .. } => 10,
-            Request::Audit => 11,
-            Request::Stats => 12,
-            Request::Ping => 13,
-            Request::Repair { .. } => 14,
-            Request::Health => 15,
-            Request::Metrics => 16,
-        }
-    }
-
-    /// Human-readable verb name for a tag (metrics display).
-    pub fn tag_name(tag: u8) -> &'static str {
-        match tag {
-            0 => "begin",
-            1 => "read",
-            2 => "insert",
-            3 => "update",
-            4 => "delete",
-            5 => "lock_exclusive",
-            6 => "commit",
-            7 => "abort",
-            8 => "create_table",
-            9 => "open_table",
-            10 => "record_count",
-            11 => "audit",
-            12 => "stats",
-            13 => "ping",
-            14 => "repair",
-            15 => "health",
-            16 => "metrics",
-            _ => "unknown",
-        }
-    }
-
-    /// Decode a payload produced by [`encode`](Self::encode). Total: any
-    /// malformed input returns an error.
-    pub fn decode(mut buf: &[u8]) -> Result<Request> {
-        let req = Self::decode_inner(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(bad(format!("{} trailing bytes after request", buf.len())));
-        }
-        Ok(req)
-    }
-
-    fn decode_inner(buf: &mut &[u8]) -> Result<Request> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            0 => Request::Begin,
-            1 => Request::Read { rec: get_rec(buf)? },
-            2 => Request::Insert {
-                table: TableId(get_u32(buf)?),
-                data: get_blob(buf)?,
-            },
-            3 => Request::Update {
-                rec: get_rec(buf)?,
-                data: get_blob(buf)?,
-            },
-            4 => Request::Delete { rec: get_rec(buf)? },
-            5 => Request::LockExclusive { rec: get_rec(buf)? },
-            6 => Request::Commit,
-            7 => Request::Abort,
-            8 => Request::CreateTable {
-                name: get_string(buf)?,
-                rec_size: get_u32(buf)?,
-                capacity: get_u64(buf)?,
-            },
-            9 => Request::OpenTable {
-                name: get_string(buf)?,
-            },
-            10 => Request::RecordCount {
-                table: TableId(get_u32(buf)?),
-            },
-            11 => Request::Audit,
-            12 => Request::Stats,
-            13 => Request::Ping,
-            14 => Request::Repair {
-                region: get_u64(buf)?,
-            },
-            15 => Request::Health,
-            16 => Request::Metrics,
-            _ => return Err(bad(format!("unknown request tag {tag}"))),
-        })
-    }
+/// Encode a request payload into a fresh buffer (framing is write_frame's job).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    encode_payload(req)
 }
 
-impl Response {
-    /// Encode the payload (without framing) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Response::Ok => buf.put_u8(0),
-            Response::Began { txn } => {
-                buf.put_u8(1);
-                buf.put_u64_le(txn.0);
-            }
-            Response::Data(data) => {
-                buf.put_u8(2);
-                put_blob(buf, data);
-            }
-            Response::Inserted { rec } => {
-                buf.put_u8(3);
-                put_rec(buf, *rec);
-            }
-            Response::Table { table } => {
-                buf.put_u8(4);
-                buf.put_u32_le(table.0);
-            }
-            Response::Count(n) => {
-                buf.put_u8(5);
-                buf.put_u64_le(*n);
-            }
-            Response::Audited {
-                clean,
-                regions_checked,
-            } => {
-                buf.put_u8(6);
-                buf.put_u8(*clean as u8);
-                buf.put_u64_le(*regions_checked);
-            }
-            Response::Stats(s) => {
-                buf.put_u8(7);
-                for v in [
-                    s.commits,
-                    s.aborts,
-                    s.fsyncs,
-                    s.log_flushes,
-                    s.durable_commits,
-                    s.piggybacked,
-                    s.group_followers,
-                    s.sessions,
-                    s.orphans_rolled_back,
-                    s.deferred_drains,
-                    s.deferred_coalesced,
-                    s.deferred_max_shard_depth,
-                    s.deferred_pending,
-                    s.audits_run,
-                    s.audit_regions,
-                    s.audit_bytes_folded,
-                    s.audit_ns,
-                    s.certify_regions_certified,
-                    s.certify_regions_skipped,
-                    s.audit_latch_brackets,
-                    s.repair_attempted,
-                    s.repair_succeeded,
-                    s.repair_fell_back,
-                    s.repair_bytes_rebuilt,
-                    s.certify_parity_groups,
-                    s.conns_rejected,
-                    s.frames_pipelined,
-                    s.read_parks,
-                    s.exec_queue_depth,
-                    s.exec_queue_max,
-                    s.loop_iterations,
-                    s.outbound_buffered_max,
-                    s.log_segments_active,
-                    s.log_segments_retired,
-                    s.log_bytes_on_disk,
-                    s.redo_threads_used,
-                    s.redo_parallel_ns,
-                ] {
-                    buf.put_u64_le(v);
-                }
-            }
-            Response::Err(e) => {
-                buf.put_u8(8);
-                e.encode(buf);
-            }
-            Response::Repaired(r) => {
-                buf.put_u8(9);
-                buf.put_u8(r.in_place as u8);
-                buf.put_u64_le(r.regions_rebuilt);
-                buf.put_u64_le(r.bytes_rebuilt);
-                buf.put_u64_le(r.records_replayed);
-            }
-            Response::Health(h) => {
-                buf.put_u8(10);
-                buf.put_u8(h.healthy as u8);
-                buf.put_u64_le(h.conns_open);
-                buf.put_u64_le(h.exec_queue_depth);
-                buf.put_u64_le(h.uptime_ns);
-            }
-            Response::Metrics(m) => {
-                buf.put_u8(11);
-                buf.put_u64_le(m.uptime_ns);
-                buf.put_u32_le(m.verbs.len() as u32);
-                for v in &m.verbs {
-                    buf.put_u8(v.verb);
-                    buf.put_u64_le(v.count);
-                    buf.put_u64_le(v.total_ns);
-                    buf.put_u32_le(v.buckets.len() as u32);
-                    for &(bucket, n) in &v.buckets {
-                        buf.put_u8(bucket);
-                        buf.put_u64_le(n);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decode a payload produced by [`encode`](Self::encode).
-    pub fn decode(mut buf: &[u8]) -> Result<Response> {
-        let resp = Self::decode_inner(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(bad(format!("{} trailing bytes after response", buf.len())));
-        }
-        Ok(resp)
-    }
-
-    fn decode_inner(buf: &mut &[u8]) -> Result<Response> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            0 => Response::Ok,
-            1 => Response::Began {
-                txn: TxnId(get_u64(buf)?),
-            },
-            2 => Response::Data(get_blob(buf)?),
-            3 => Response::Inserted { rec: get_rec(buf)? },
-            4 => Response::Table {
-                table: TableId(get_u32(buf)?),
-            },
-            5 => Response::Count(get_u64(buf)?),
-            6 => Response::Audited {
-                clean: get_u8(buf)? != 0,
-                regions_checked: get_u64(buf)?,
-            },
-            7 => Response::Stats(ServerStats {
-                commits: get_u64(buf)?,
-                aborts: get_u64(buf)?,
-                fsyncs: get_u64(buf)?,
-                log_flushes: get_u64(buf)?,
-                durable_commits: get_u64(buf)?,
-                piggybacked: get_u64(buf)?,
-                group_followers: get_u64(buf)?,
-                sessions: get_u64(buf)?,
-                orphans_rolled_back: get_u64(buf)?,
-                deferred_drains: get_u64(buf)?,
-                deferred_coalesced: get_u64(buf)?,
-                deferred_max_shard_depth: get_u64(buf)?,
-                deferred_pending: get_u64(buf)?,
-                audits_run: get_u64(buf)?,
-                audit_regions: get_u64(buf)?,
-                audit_bytes_folded: get_u64(buf)?,
-                audit_ns: get_u64(buf)?,
-                certify_regions_certified: get_u64(buf)?,
-                certify_regions_skipped: get_u64(buf)?,
-                audit_latch_brackets: get_u64(buf)?,
-                repair_attempted: get_u64(buf)?,
-                repair_succeeded: get_u64(buf)?,
-                repair_fell_back: get_u64(buf)?,
-                repair_bytes_rebuilt: get_u64(buf)?,
-                certify_parity_groups: get_u64(buf)?,
-                conns_rejected: get_u64(buf)?,
-                frames_pipelined: get_u64(buf)?,
-                read_parks: get_u64(buf)?,
-                exec_queue_depth: get_u64(buf)?,
-                exec_queue_max: get_u64(buf)?,
-                loop_iterations: get_u64(buf)?,
-                outbound_buffered_max: get_u64(buf)?,
-                log_segments_active: get_u64(buf)?,
-                log_segments_retired: get_u64(buf)?,
-                log_bytes_on_disk: get_u64(buf)?,
-                redo_threads_used: get_u64(buf)?,
-                redo_parallel_ns: get_u64(buf)?,
-            }),
-            8 => Response::Err(WireError::decode_inner(buf)?),
-            9 => Response::Repaired(RepairSummary {
-                in_place: get_u8(buf)? != 0,
-                regions_rebuilt: get_u64(buf)?,
-                bytes_rebuilt: get_u64(buf)?,
-                records_replayed: get_u64(buf)?,
-            }),
-            10 => Response::Health(HealthReport {
-                healthy: get_u8(buf)? != 0,
-                conns_open: get_u64(buf)?,
-                exec_queue_depth: get_u64(buf)?,
-                uptime_ns: get_u64(buf)?,
-            }),
-            11 => {
-                let uptime_ns = get_u64(buf)?;
-                let n_verbs = get_u32(buf)? as usize;
-                // 17 verbs exist; 256 bounds any future tag space.
-                if n_verbs > 256 {
-                    return Err(bad(format!("metrics report with {n_verbs} verbs")));
-                }
-                let mut verbs = Vec::with_capacity(n_verbs);
-                for _ in 0..n_verbs {
-                    let verb = get_u8(buf)?;
-                    let count = get_u64(buf)?;
-                    let total_ns = get_u64(buf)?;
-                    let n_buckets = get_u32(buf)? as usize;
-                    // Latencies are log2-ns cells; 64 covers u64 range.
-                    if n_buckets > 64 {
-                        return Err(bad(format!("verb row with {n_buckets} buckets")));
-                    }
-                    let mut buckets = Vec::with_capacity(n_buckets);
-                    for _ in 0..n_buckets {
-                        buckets.push((get_u8(buf)?, get_u64(buf)?));
-                    }
-                    verbs.push(VerbMetrics {
-                        verb,
-                        count,
-                        total_ns,
-                        buckets,
-                    });
-                }
-                Response::Metrics(MetricsReport { uptime_ns, verbs })
-            }
-            _ => return Err(bad(format!("unknown response tag {tag}"))),
-        })
-    }
-}
-
-impl WireError {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            WireError::LockDenied { txn, rec } => {
-                buf.put_u8(0);
-                buf.put_u64_le(txn.0);
-                put_rec(buf, *rec);
-            }
-            WireError::CorruptionDetected {
-                addr,
-                len,
-                expected,
-                actual,
-            } => {
-                buf.put_u8(1);
-                buf.put_u64_le(addr.0 as u64);
-                buf.put_u64_le(*len);
-                buf.put_u32_le(*expected);
-                buf.put_u32_le(*actual);
-            }
-            WireError::WriteFault { addr } => {
-                buf.put_u8(2);
-                buf.put_u64_le(addr.0 as u64);
-            }
-            WireError::TxnAborted(t) => {
-                buf.put_u8(3);
-                buf.put_u64_le(t.0);
-            }
-            WireError::NotFound(s) => {
-                buf.put_u8(4);
-                put_blob(buf, s.as_bytes());
-            }
-            WireError::OutOfSpace(s) => {
-                buf.put_u8(5);
-                put_blob(buf, s.as_bytes());
-            }
-            WireError::InvalidArg(s) => {
-                buf.put_u8(6);
-                put_blob(buf, s.as_bytes());
-            }
-            WireError::RecoveryFailed(s) => {
-                buf.put_u8(7);
-                put_blob(buf, s.as_bytes());
-            }
-            WireError::Crashed => buf.put_u8(8),
-            WireError::Io(s) => {
-                buf.put_u8(9);
-                put_blob(buf, s.as_bytes());
-            }
-            WireError::NoTxn => buf.put_u8(10),
-            WireError::TxnAlreadyOpen => buf.put_u8(11),
-            WireError::ConnectionClosed => buf.put_u8(12),
-        }
-    }
-
-    fn decode_inner(buf: &mut &[u8]) -> Result<WireError> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            0 => WireError::LockDenied {
-                txn: TxnId(get_u64(buf)?),
-                rec: get_rec(buf)?,
-            },
-            1 => WireError::CorruptionDetected {
-                addr: DbAddr(get_u64(buf)? as usize),
-                len: get_u64(buf)?,
-                expected: get_u32(buf)?,
-                actual: get_u32(buf)?,
-            },
-            2 => WireError::WriteFault {
-                addr: DbAddr(get_u64(buf)? as usize),
-            },
-            3 => WireError::TxnAborted(TxnId(get_u64(buf)?)),
-            4 => WireError::NotFound(get_string(buf)?),
-            5 => WireError::OutOfSpace(get_string(buf)?),
-            6 => WireError::InvalidArg(get_string(buf)?),
-            7 => WireError::RecoveryFailed(get_string(buf)?),
-            8 => WireError::Crashed,
-            9 => WireError::Io(get_string(buf)?),
-            10 => WireError::NoTxn,
-            11 => WireError::TxnAlreadyOpen,
-            12 => WireError::ConnectionClosed,
-            _ => return Err(bad(format!("unknown error tag {tag}"))),
-        })
-    }
+/// Encode a response payload into a fresh buffer.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    encode_payload(resp)
 }
 
 // -------------------------------------------------------------------
 // Framing
 // -------------------------------------------------------------------
 
-/// XOR-fold checksum over a payload (zero-padded trailing word) — the
-/// same cheap parity the system log uses for its frames.
+/// XOR-fold checksum over a payload (zero-padded trailing word): the
+/// workspace's one XOR slice kernel, as the system log's frames use.
+#[inline]
 pub fn checksum(payload: &[u8]) -> u32 {
-    let mut acc = 0u32;
-    let mut chunks = payload.chunks_exact(4);
-    for c in &mut chunks {
-        acc ^= u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 4];
-        w[..rem.len()].copy_from_slice(rem);
-        acc ^= u32::from_le_bytes(w);
-    }
-    acc
+    fold::xor_fold_padded(payload)
 }
 
-/// Write one frame (`[len][checksum][payload]`) to `w`.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+/// The `[len][checksum]` header of `payload`'s frame.
+fn frame_header(payload: &[u8]) -> [u8; 8] {
     debug_assert!(payload.len() <= MAX_FRAME);
     let mut header = [0u8; 8];
     header[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..8].copy_from_slice(&checksum(payload).to_le_bytes());
-    w.write_all(&header)?;
+    header
+}
+
+/// Split a frame header into payload length and checksum, refusing an
+/// oversized length before anything is allocated for it.
+fn parse_header(header: &[u8]) -> Result<(usize, u32)> {
+    let mut r = Reader::new(header, bad);
+    let (len, sum) = (r.u32()? as usize, r.u32()?);
+    if len > MAX_FRAME {
+        return Err(r.fail(format_args!("frame of {len} bytes exceeds {MAX_FRAME}")));
+    }
+    Ok((len, sum))
+}
+
+/// Write one frame (`[len][checksum][payload]`) to `w`.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+    w.write_all(&frame_header(payload))?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(())
@@ -911,22 +646,18 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     while got < header.len() {
         match r.read(&mut header[got..]) {
             Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(bad("connection closed mid-frame header")),
+            Ok(0) => return Err(bad("connection closed mid-frame header".into())),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(DaliError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-    let sum = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(bad(format!("frame of {len} bytes exceeds {MAX_FRAME}")));
-    }
+    let (len, sum) = parse_header(&header)?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)
         .map_err(|e| bad(format!("connection closed mid-frame payload: {e}")))?;
     if checksum(&payload) != sum {
-        return Err(bad("frame checksum mismatch"));
+        return Err(bad("frame checksum mismatch".into()));
     }
     Ok(Some(payload))
 }
@@ -935,10 +666,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
 /// — the nonblocking server queues these for write-drain instead of
 /// writing through a stream.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME);
     let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -949,95 +678,23 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// an oversized length or checksum mismatch (the connection has no
 /// trustworthy frame boundary left and must close).
 pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
-    if buf.len() < 8 {
+    let Some((header, rest)) = buf.split_at_checked(8) else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let sum = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if len > MAX_FRAME {
-        return Err(bad(format!("frame of {len} bytes exceeds {MAX_FRAME}")));
-    }
-    if buf.len() < 8 + len {
+    };
+    let (len, sum) = parse_header(header)?;
+    let Some(payload) = rest.get(..len) else {
         return Ok(None);
+    };
+    if checksum(payload) != sum {
+        return Err(bad("frame checksum mismatch".into()));
     }
-    let payload = buf[8..8 + len].to_vec();
-    if checksum(&payload) != sum {
-        return Err(bad("frame checksum mismatch"));
-    }
-    Ok(Some((payload, 8 + len)))
-}
-
-/// Encode a request payload into a fresh buffer (framing is write_frame's job).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(64);
-    req.encode(&mut payload);
-    payload.to_vec()
-}
-
-/// Encode a response payload into a fresh buffer.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(64);
-    resp.encode(&mut payload);
-    payload.to_vec()
-}
-
-// ---- primitive helpers (all bounds-checked) ----
-
-fn put_rec(buf: &mut BytesMut, rec: RecId) {
-    buf.put_u32_le(rec.table.0);
-    buf.put_u32_le(rec.slot.0);
-}
-
-fn get_rec(buf: &mut &[u8]) -> Result<RecId> {
-    Ok(RecId::new(TableId(get_u32(buf)?), SlotId(get_u32(buf)?)))
-}
-
-fn put_blob(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.extend_from_slice(data);
-}
-
-fn get_blob(buf: &mut &[u8]) -> Result<Vec<u8>> {
-    let n = get_u32(buf)? as usize;
-    if n > MAX_FRAME {
-        return Err(bad(format!("blob of {n} bytes exceeds frame cap")));
-    }
-    if buf.len() < n {
-        return Err(bad(format!("blob truncated: need {n}, have {}", buf.len())));
-    }
-    let v = buf[..n].to_vec();
-    buf.advance(n);
-    Ok(v)
-}
-
-fn get_string(buf: &mut &[u8]) -> Result<String> {
-    String::from_utf8(get_blob(buf)?).map_err(|_| bad("string not utf-8"))
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(bad("unexpected end of payload"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(bad("unexpected end of payload"));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(bad("unexpected end of payload"));
-    }
-    Ok(buf.get_u64_le())
+    Ok(Some((payload.to_vec(), 8 + len)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dali_common::SlotId;
 
     #[test]
     fn request_round_trips() {

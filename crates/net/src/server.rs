@@ -1026,18 +1026,24 @@ pub struct DaliServer {
 
 impl DaliServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback port)
-    /// and start the event workers and exec pool. Worker/budget knobs
-    /// come from the engine's [`DaliConfig`](dali_common::DaliConfig)
-    /// (`net_event_workers`, `net_exec_workers`, `net_max_conns`,
-    /// `net_pipeline_depth`, `net_outbound_budget`).
+    /// and start the event workers and exec pool. The budgets come from
+    /// the engine's [`DaliConfig`](dali_common::DaliConfig)
+    /// (`net_max_conns`, `net_pipeline_depth`, `net_outbound_budget`);
+    /// the thread counts follow the host.
     pub fn start(engine: DaliEngine, addr: impl ToSocketAddrs) -> Result<DaliServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let config = engine.config();
-        let n_event = config.resolved_net_event_workers();
-        let n_exec = config.resolved_net_exec_workers();
+        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // Event loops do no blocking work, so a handful saturates the NIC
+        // long before the execution pool does.
+        let n_event = cpus.min(4);
+        // The floor of eight matters on small hosts: a lock holder's
+        // commit must find a free worker even when every other session is
+        // blocked waiting on its locks.
+        let n_exec = (2 * cpus).max(8);
         let max_conns = config.net_max_conns;
         let pipeline_depth = config.resolved_net_pipeline_depth();
         let outbound_budget = config.net_outbound_budget;

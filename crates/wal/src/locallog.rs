@@ -17,8 +17,9 @@
 //! quiesces physical updates first, so serialized physical entries always
 //! have the codeword-applied flag in its quiescent state.
 
-use crate::record::{LogRecord, LogicalUndo};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::record::{put_blob, LogRecord, LogicalUndo};
+use bytes::{BufMut, BytesMut};
+use dali_common::codec::Reader;
 use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result};
 
 /// What a single undo entry restores.
@@ -173,8 +174,7 @@ impl LocalUndoLog {
                     );
                     buf.put_u8(0);
                     buf.put_u64_le(addr.0 as u64);
-                    buf.put_u32_le(before.len() as u32);
-                    buf.extend_from_slice(before);
+                    put_blob(buf, before);
                 }
                 UndoKind::Logical(u) => {
                     buf.put_u8(1);
@@ -187,82 +187,35 @@ impl LocalUndoLog {
                         undo: u.clone(),
                     }
                     .encode(&mut tmp);
-                    buf.put_u32_le(tmp.len() as u32);
-                    buf.extend_from_slice(&tmp);
+                    put_blob(buf, &tmp);
                 }
             }
         }
     }
 
     /// Deserialize from a checkpointed ATT.
-    pub fn decode(buf: &mut &[u8]) -> Result<LocalUndoLog> {
-        let n = get_u32(buf)? as usize;
+    pub fn decode(r: &mut Reader<'_>) -> Result<LocalUndoLog> {
+        // The smallest entry is op + tag + an empty logical-undo blob.
+        let n = r.count(4 + 1 + 4)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            let op = OpSeq(get_u32(buf)?);
-            let tag = get_u8(buf)?;
-            let kind = match tag {
-                0 => {
-                    let addr = DbAddr(get_u64(buf)? as usize);
-                    let len = get_u32(buf)? as usize;
-                    if buf.len() < len {
-                        return Err(DaliError::RecoveryFailed("undo image truncated".into()));
-                    }
-                    let before = buf[..len].to_vec();
-                    buf.advance(len);
-                    UndoKind::Physical {
-                        addr,
-                        before,
-                        codeword_pending: false,
-                    }
-                }
-                1 => {
-                    let len = get_u32(buf)? as usize;
-                    if buf.len() < len {
-                        return Err(DaliError::RecoveryFailed("undo record truncated".into()));
-                    }
-                    let rec = LogRecord::decode(&buf[..len])?;
-                    buf.advance(len);
-                    match rec {
-                        LogRecord::OpCommit { undo, .. } => UndoKind::Logical(undo),
-                        _ => {
-                            return Err(DaliError::RecoveryFailed(
-                                "expected logical undo in ATT".into(),
-                            ))
-                        }
-                    }
-                }
-                _ => {
-                    return Err(DaliError::RecoveryFailed(format!(
-                        "unknown undo entry tag {tag}"
-                    )))
-                }
+            let op = OpSeq(r.u32()?);
+            let kind = match r.u8()? {
+                0 => UndoKind::Physical {
+                    addr: DbAddr(r.u64()? as usize),
+                    before: r.blob()?.to_vec(),
+                    codeword_pending: false,
+                },
+                1 => match LogRecord::decode(r.blob()?)? {
+                    LogRecord::OpCommit { undo, .. } => UndoKind::Logical(undo),
+                    _ => return Err(r.fail("expected logical undo in ATT")),
+                },
+                tag => return Err(r.fail(format_args!("unknown undo entry tag {tag}"))),
             };
             entries.push(UndoEntry { op, kind });
         }
         Ok(LocalUndoLog { entries })
     }
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(DaliError::RecoveryFailed("unexpected end of ATT".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(DaliError::RecoveryFailed("unexpected end of ATT".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(DaliError::RecoveryFailed("unexpected end of ATT".into()));
-    }
-    Ok(buf.get_u64_le())
 }
 
 /// Redo (and read) records of the transaction's current operation,
@@ -466,9 +419,9 @@ mod tests {
 
         let mut buf = BytesMut::new();
         log.encode(&mut buf);
-        let mut slice = &buf[..];
-        let back = LocalUndoLog::decode(&mut slice).unwrap();
-        assert!(slice.is_empty());
+        let mut r = Reader::new(&buf, DaliError::RecoveryFailed);
+        let back = LocalUndoLog::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.entries, log.entries);
     }
 
@@ -479,7 +432,7 @@ mod tests {
         log.seal_top_physical(OpSeq(1)).unwrap();
         let mut buf = BytesMut::new();
         log.encode(&mut buf);
-        let mut short = &buf[..buf.len() - 2];
+        let mut short = Reader::new(&buf[..buf.len() - 2], DaliError::RecoveryFailed);
         assert!(LocalUndoLog::decode(&mut short).is_err());
     }
 

@@ -15,9 +15,10 @@
 //! LSN is the *global* byte offset of a frame's first byte — segment
 //! files partition the offset space without renumbering it.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+use dali_common::codec::Reader;
 use dali_common::{
-    CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, SlotId, TableId, TxnId,
+    fold, CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, TableId, TxnId,
 };
 
 /// Kinds of level-1 (heap) operations, recorded in `OpBegin` so that
@@ -43,12 +44,12 @@ impl OpKind {
         }
     }
 
-    fn from_u8(b: u8) -> Result<OpKind> {
-        Ok(match b {
+    fn decode(r: &mut Reader<'_>) -> Result<OpKind> {
+        Ok(match r.u8()? {
             0 => OpKind::Insert,
             1 => OpKind::Delete,
             2 => OpKind::Update,
-            _ => return Err(bad(format!("unknown op kind {b}"))),
+            b => return Err(r.fail(format_args!("unknown op kind {b}"))),
         })
     }
 }
@@ -126,19 +127,18 @@ impl<'a> LogicalUndoRef<'a> {
         }
     }
 
-    fn decode(buf: &mut &'a [u8]) -> Result<LogicalUndoRef<'a>> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
-            0 => LogicalUndoRef::HeapInsert { rec: get_rec(buf)? },
+    fn decode(r: &mut Reader<'a>) -> Result<LogicalUndoRef<'a>> {
+        Ok(match r.u8()? {
+            0 => LogicalUndoRef::HeapInsert { rec: r.rec()? },
             1 => LogicalUndoRef::HeapDelete {
-                rec: get_rec(buf)?,
-                image: get_blob(buf)?,
+                rec: r.rec()?,
+                image: r.blob()?,
             },
             2 => LogicalUndoRef::HeapUpdate {
-                rec: get_rec(buf)?,
-                before: get_blob(buf)?,
+                rec: r.rec()?,
+                before: r.blob()?,
             },
-            _ => return Err(bad(format!("unknown logical undo tag {tag}"))),
+            tag => return Err(r.fail(format_args!("unknown logical undo tag {tag}"))),
         })
     }
 }
@@ -468,153 +468,87 @@ impl<'a> LogRecordRef<'a> {
     }
 
     /// Decode a payload produced by [`LogRecord::encode`], borrowing
-    /// from `buf`.
-    pub fn decode(mut buf: &'a [u8]) -> Result<LogRecordRef<'a>> {
-        let rec = Self::decode_inner(&mut buf)?;
-        if !buf.is_empty() {
-            return Err(bad(format!("{} trailing bytes after record", buf.len())));
-        }
+    /// from `buf`. Total: any malformed input returns an error.
+    pub fn decode(buf: &'a [u8]) -> Result<LogRecordRef<'a>> {
+        let mut r = Reader::new(buf, bad);
+        let rec = Self::decode_inner(&mut r)?;
+        r.finish()?;
         Ok(rec)
     }
 
-    fn decode_inner(buf: &mut &'a [u8]) -> Result<LogRecordRef<'a>> {
-        let tag = get_u8(buf)?;
-        Ok(match tag {
+    fn decode_inner(r: &mut Reader<'a>) -> Result<LogRecordRef<'a>> {
+        Ok(match r.u8()? {
             0 => LogRecordRef::TxnBegin {
-                txn: TxnId(get_u64(buf)?),
+                txn: TxnId(r.u64()?),
             },
             1 => LogRecordRef::OpBegin {
-                txn: TxnId(get_u64(buf)?),
-                op: OpSeq(get_u32(buf)?),
-                kind: OpKind::from_u8(get_u8(buf)?)?,
-                rec: get_rec(buf)?,
+                txn: TxnId(r.u64()?),
+                op: OpSeq(r.u32()?),
+                kind: OpKind::decode(r)?,
+                rec: r.rec()?,
             },
             2 => LogRecordRef::PhysicalRedo {
-                txn: TxnId(get_u64(buf)?),
-                op: OpSeq(get_u32(buf)?),
-                addr: DbAddr(get_u64(buf)? as usize),
-                data: get_blob(buf)?,
+                txn: TxnId(r.u64()?),
+                op: OpSeq(r.u32()?),
+                addr: DbAddr(r.u64()? as usize),
+                data: r.blob()?,
             },
-            3 => {
-                let txn = TxnId(get_u64(buf)?);
-                let addr = DbAddr(get_u64(buf)? as usize);
-                let len = get_u32(buf)?;
-                let n = get_u16(buf)? as usize;
-                LogRecordRef::ReadLog {
-                    txn,
-                    addr,
-                    len,
-                    codewords: CodewordsRef(take(buf, 4 * n)?),
-                }
-            }
+            3 => LogRecordRef::ReadLog {
+                txn: TxnId(r.u64()?),
+                addr: DbAddr(r.u64()? as usize),
+                len: r.u32()?,
+                codewords: {
+                    let n = r.u16()? as usize;
+                    CodewordsRef(r.take(4 * n)?)
+                },
+            },
             4 => LogRecordRef::OpCommit {
-                txn: TxnId(get_u64(buf)?),
-                op: OpSeq(get_u32(buf)?),
-                undo: LogicalUndoRef::decode(buf)?,
+                txn: TxnId(r.u64()?),
+                op: OpSeq(r.u32()?),
+                undo: LogicalUndoRef::decode(r)?,
             },
             5 => LogRecordRef::TxnCommit {
-                txn: TxnId(get_u64(buf)?),
+                txn: TxnId(r.u64()?),
             },
             6 => LogRecordRef::TxnAbort {
-                txn: TxnId(get_u64(buf)?),
+                txn: TxnId(r.u64()?),
             },
-            7 => LogRecordRef::AuditBegin {
-                audit_id: get_u64(buf)?,
-            },
+            7 => LogRecordRef::AuditBegin { audit_id: r.u64()? },
             8 => LogRecordRef::AuditEnd {
-                audit_id: get_u64(buf)?,
-                clean: get_u8(buf)? != 0,
+                audit_id: r.u64()?,
+                clean: r.bool()?,
             },
             9 => LogRecordRef::CkptComplete {
-                ckpt_lsn: Lsn(get_u64(buf)?),
+                ckpt_lsn: Lsn(r.u64()?),
             },
             10 => LogRecordRef::CreateTable {
-                table: TableId(get_u32(buf)?),
-                name: std::str::from_utf8(get_blob(buf)?)
-                    .map_err(|_| bad("table name not utf-8".into()))?,
-                rec_size: get_u32(buf)?,
-                capacity: get_u64(buf)?,
-                bitmap_base: DbAddr(get_u64(buf)? as usize),
-                data_base: DbAddr(get_u64(buf)? as usize),
+                table: TableId(r.u32()?),
+                name: r.str()?,
+                rec_size: r.u32()?,
+                capacity: r.u64()?,
+                bitmap_base: DbAddr(r.u64()? as usize),
+                data_base: DbAddr(r.u64()? as usize),
             },
-            _ => return Err(bad(format!("unknown log record tag {tag}"))),
+            tag => return Err(r.fail(format_args!("unknown log record tag {tag}"))),
         })
     }
 }
 
-/// XOR-fold checksum over a payload (zero-padded trailing word).
-///
-/// Same wide kernel as `dali-codeword`'s fold (the crates are
-/// deliberately independent): 32-byte blocks into four `u64` lanes — a
-/// little-endian `u64` is just two 32-bit words side by side, and XOR
-/// works per bit column, so folding the combined lane `lo ^ hi` at the
-/// end equals the word-at-a-time XOR — then a `u64`/`u32`/padded-word
-/// mop-up. The independent lanes let LLVM vectorize; group commit folds
-/// every framed record through here.
+/// XOR-fold checksum over a payload (zero-padded trailing word): the
+/// workspace's one XOR slice kernel.
+#[inline]
 pub fn checksum(payload: &[u8]) -> u32 {
-    let mut lanes = [0u64; 4];
-    let mut blocks = payload.chunks_exact(32);
-    let load = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-    for b in &mut blocks {
-        lanes[0] ^= load(&b[0..8]);
-        lanes[1] ^= load(&b[8..16]);
-        lanes[2] ^= load(&b[16..24]);
-        lanes[3] ^= load(&b[24..32]);
-    }
-    let mut acc64 = (lanes[0] ^ lanes[1]) ^ (lanes[2] ^ lanes[3]);
-    let mut words2 = blocks.remainder().chunks_exact(8);
-    for w in &mut words2 {
-        acc64 ^= load(w);
-    }
-    let mut acc = (acc64 as u32) ^ ((acc64 >> 32) as u32);
-    let mut words = words2.remainder().chunks_exact(4);
-    for c in &mut words {
-        acc ^= u32::from_le_bytes(c.try_into().unwrap());
-    }
-    let rem = words.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 4];
-        w[..rem.len()].copy_from_slice(rem);
-        acc ^= u32::from_le_bytes(w);
-    }
-    acc
+    fold::xor_fold_padded(payload)
 }
 
-/// Payload checksum under the configured codeword algebra: the XOR wide
-/// kernel for [`CodewordAlgebraKind::XorFold`], a mod-(2^32-1) residue
-/// sum of the zero-padded little-endian words for
-/// [`CodewordAlgebraKind::Residue`]. The residue variant is what lets a
-/// residue-configured database catch a paired same-direction bit-column
-/// flip *inside a log frame* — the XOR checksum's blind spot.
+/// Payload checksum under the configured codeword algebra — by
+/// construction the fold `dali-codeword` computes for region codewords.
+/// The residue variant is what lets a residue-configured database catch a
+/// paired same-direction bit-column flip *inside a log frame* — the XOR
+/// checksum's blind spot.
+#[inline]
 pub fn checksum_with(kind: CodewordAlgebraKind, payload: &[u8]) -> u32 {
-    match kind {
-        CodewordAlgebraKind::XorFold => checksum(payload),
-        CodewordAlgebraKind::Residue => {
-            // Defer end-around carries: sum words into a u64 and fold the
-            // high half back with `2^32 ≡ 1 (mod 2^32-1)` once per 2^32
-            // additions' worth of headroom (frames are far smaller).
-            let mut acc = 0u64;
-            let mut words = payload.chunks_exact(4);
-            for w in &mut words {
-                acc += u64::from(u32::from_le_bytes(w.try_into().unwrap()));
-            }
-            let rem = words.remainder();
-            if !rem.is_empty() {
-                let mut w = [0u8; 4];
-                w[..rem.len()].copy_from_slice(rem);
-                acc += u64::from(u32::from_le_bytes(w));
-            }
-            while acc >> 32 != 0 {
-                acc = (acc & 0xFFFF_FFFF) + (acc >> 32);
-            }
-            // Canonicalize the double representation of zero.
-            if acc == 0xFFFF_FFFF {
-                0
-            } else {
-                acc as u32
-            }
-        }
-    }
+    fold::fold_padded(kind, payload)
 }
 
 /// Size of a frame header: `[len: u32][checksum: u32][type: u8]`.
@@ -713,40 +647,25 @@ pub(crate) fn parse_frame(
     verify: Option<CodewordAlgebraKind>,
     buf: &[u8],
 ) -> Result<(FrameRef<'_>, usize)> {
-    if buf.len() < FRAME_HDR {
-        return Err(bad("truncated frame header".into()));
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    let sum = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let frame_type = buf[8];
-    if buf.len() - FRAME_HDR < len {
-        return Err(bad(format!(
-            "truncated frame: need {} bytes, have {}",
-            FRAME_HDR + len,
-            buf.len()
-        )));
-    }
-    let payload = &buf[FRAME_HDR..FRAME_HDR + len];
+    let mut r = Reader::new(buf, bad);
+    let len = r.u32()? as usize;
+    let sum = r.u32()?;
+    let frame_type = r.u8()?;
+    let payload = r.take(len)?;
     if verify.is_some_and(|kind| frame_checksum(kind, frame_type, payload) != sum) {
-        return Err(bad("log frame checksum mismatch".into()));
+        return Err(r.fail("log frame checksum mismatch"));
     }
     let frame = match frame_type {
         FRAME_RECORD => FrameRef::Record(LogRecordRef::decode(payload)?),
-        FRAME_SEAL => {
-            if len != 0 {
-                return Err(bad(format!("seal frame with {len}-byte payload")));
-            }
-            FrameRef::Seal
-        }
-        other => return Err(bad(format!("unknown frame type {other}"))),
+        FRAME_SEAL if len == 0 => FrameRef::Seal,
+        FRAME_SEAL => return Err(r.fail(format_args!("seal frame with {len}-byte payload"))),
+        other => return Err(r.fail(format_args!("unknown frame type {other}"))),
     };
     Ok((frame, FRAME_HDR + len))
 }
 
-// ---- primitive helpers ----
-
 fn bad(msg: String) -> DaliError {
-    DaliError::RecoveryFailed(msg)
+    DaliError::RecoveryFailed(format!("log record: {msg}"))
 }
 
 fn put_rec(buf: &mut BytesMut, rec: RecId) {
@@ -754,62 +673,15 @@ fn put_rec(buf: &mut BytesMut, rec: RecId) {
     buf.put_u32_le(rec.slot.0);
 }
 
-fn get_rec(buf: &mut &[u8]) -> Result<RecId> {
-    Ok(RecId::new(TableId(get_u32(buf)?), SlotId(get_u32(buf)?)))
-}
-
-fn put_blob(buf: &mut BytesMut, data: &[u8]) {
+pub(crate) fn put_blob(buf: &mut BytesMut, data: &[u8]) {
     buf.put_u32_le(data.len() as u32);
     buf.extend_from_slice(data);
-}
-
-fn get_blob<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
-    let n = get_u32(buf)? as usize;
-    take(buf, n)
-}
-
-/// Split the next `n` bytes off `buf`, borrowed for the buffer's own
-/// lifetime.
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(bad(format!("blob truncated: need {n}, have {}", buf.len())));
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(bad("unexpected end of record".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    if buf.len() < 2 {
-        return Err(bad("unexpected end of record".into()));
-    }
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(bad("unexpected end of record".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(bad("unexpected end of record".into()));
-    }
-    Ok(buf.get_u64_le())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dali_common::SlotId;
     use proptest::prelude::*;
 
     fn rec_samples() -> Vec<LogRecord> {
@@ -947,60 +819,6 @@ mod tests {
             let mut bytes = out.to_vec();
             bytes[8] = FRAME_RECORD;
             assert!(unframe_with(kind, &bytes).is_err(), "{kind:?}");
-        }
-    }
-
-    /// The wide checksum kernel must equal the one-word-at-a-time
-    /// zero-padded fold for every length through several 32-byte blocks
-    /// (log frames written by older builds must keep verifying).
-    #[test]
-    fn wide_checksum_matches_scalar_reference_every_length() {
-        let reference = |payload: &[u8]| -> u32 {
-            let mut acc = 0u32;
-            for (i, &b) in payload.iter().enumerate() {
-                acc ^= (b as u32) << (8 * (i & 3));
-            }
-            acc
-        };
-        let backing: Vec<u8> = (0..130u32)
-            .map(|i| (i.wrapping_mul(167).wrapping_add(13)) as u8)
-            .collect();
-        for len in 0..=backing.len() {
-            let p = &backing[..len];
-            assert_eq!(checksum(p), reference(p), "len {len}");
-        }
-    }
-
-    /// The residue frame checksum must agree with `dali-common`'s residue
-    /// `combine` folded word-at-a-time over the zero-padded payload.
-    #[test]
-    fn residue_checksum_matches_combine_reference_every_length() {
-        let r = CodewordAlgebraKind::Residue;
-        let reference = |payload: &[u8]| -> u32 {
-            let mut acc = 0u32;
-            let mut chunks = payload.chunks_exact(4);
-            for w in &mut chunks {
-                acc = r.combine(acc, u32::from_le_bytes(w.try_into().unwrap()));
-            }
-            let rem = chunks.remainder();
-            if !rem.is_empty() {
-                let mut w = [0u8; 4];
-                w[..rem.len()].copy_from_slice(rem);
-                acc = r.combine(acc, u32::from_le_bytes(w));
-            }
-            acc
-        };
-        let backing: Vec<u8> = (0..130u32)
-            .map(|i| (i.wrapping_mul(251).wrapping_add(7)) as u8)
-            .collect();
-        for len in 0..=backing.len() {
-            let p = &backing[..len];
-            assert_eq!(checksum_with(r, p), reference(p), "len {len}");
-        }
-        // All-ones payloads walk the end-around carry / canonical-zero path.
-        for len in [4usize, 8, 32, 36] {
-            let p = vec![0xFFu8; len];
-            assert_eq!(checksum_with(r, &p), reference(&p), "ones len {len}");
         }
     }
 

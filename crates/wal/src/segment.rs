@@ -449,13 +449,7 @@ pub fn bytes_on_disk(dir: &Path) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dali-segment-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use dali_testutil::TempDir;
 
     fn mk(dir: &Path, base: u64, len: usize) {
         std::fs::write(path(dir, Lsn(base)), vec![0u8; len]).unwrap();
@@ -474,11 +468,12 @@ mod tests {
 
     #[test]
     fn list_sorts_and_ignores_strangers() {
-        let dir = tmpdir("list");
-        mk(&dir, 100, 50);
-        mk(&dir, 0, 100);
+        let scratch = TempDir::new("segment-list");
+        let dir = scratch.path();
+        mk(dir, 100, 50);
+        mk(dir, 0, 100);
         std::fs::write(dir.join("anchor"), b"x").unwrap();
-        let segs = list(&dir).unwrap();
+        let segs = list(dir).unwrap();
         assert_eq!(
             segs,
             vec![
@@ -497,42 +492,46 @@ mod tests {
 
     #[test]
     fn chain_gap_is_detected() {
-        let dir = tmpdir("gap");
-        mk(&dir, 0, 100);
-        mk(&dir, 150, 10); // gap: should start at 100
-        let segs = list(&dir).unwrap();
+        let scratch = TempDir::new("segment-gap");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 150, 10); // gap: should start at 100
+        let segs = list(dir).unwrap();
         assert!(validate_chain(&segs).is_err());
     }
 
     #[test]
     fn locate_finds_containing_segment() {
-        let dir = tmpdir("locate");
-        mk(&dir, 0, 100);
-        mk(&dir, 100, 50);
-        assert_eq!(locate(&dir, Lsn(0)).unwrap().base, Lsn(0));
-        assert_eq!(locate(&dir, Lsn(99)).unwrap().base, Lsn(0));
-        assert_eq!(locate(&dir, Lsn(100)).unwrap().base, Lsn(100));
+        let scratch = TempDir::new("segment-locate");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 100, 50);
+        assert_eq!(locate(dir, Lsn(0)).unwrap().base, Lsn(0));
+        assert_eq!(locate(dir, Lsn(99)).unwrap().base, Lsn(0));
+        assert_eq!(locate(dir, Lsn(100)).unwrap().base, Lsn(100));
         // End-of-log LSN resolves to the last (active) segment.
-        assert_eq!(locate(&dir, Lsn(150)).unwrap().base, Lsn(100));
-        assert!(locate(&dir, Lsn(151)).is_err());
+        assert_eq!(locate(dir, Lsn(150)).unwrap().base, Lsn(100));
+        assert!(locate(dir, Lsn(151)).is_err());
     }
 
     #[test]
     fn locate_rejects_retired_lsn() {
-        let dir = tmpdir("retired");
-        mk(&dir, 100, 50);
-        let err = locate(&dir, Lsn(10)).unwrap_err().to_string();
+        let scratch = TempDir::new("segment-retired");
+        let dir = scratch.path();
+        mk(dir, 100, 50);
+        let err = locate(dir, Lsn(10)).unwrap_err().to_string();
         assert!(err.contains("predates"), "{err}");
     }
 
     #[test]
     fn truncate_drops_later_segments_and_cuts_containing() {
-        let dir = tmpdir("trunc");
-        mk(&dir, 0, 100);
-        mk(&dir, 100, 50);
-        mk(&dir, 150, 30);
-        truncate_at(&dir, Lsn(120)).unwrap();
-        let segs = list(&dir).unwrap();
+        let scratch = TempDir::new("segment-trunc");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 100, 50);
+        mk(dir, 150, 30);
+        truncate_at(dir, Lsn(120)).unwrap();
+        let segs = list(dir).unwrap();
         assert_eq!(
             segs,
             vec![
@@ -547,17 +546,18 @@ mod tests {
             ]
         );
         // Cut past the end: no-op.
-        truncate_at(&dir, Lsn(10_000)).unwrap();
-        assert_eq!(list(&dir).unwrap(), segs);
+        truncate_at(dir, Lsn(10_000)).unwrap();
+        assert_eq!(list(dir).unwrap(), segs);
     }
 
     #[test]
     fn truncate_to_zero_keeps_one_empty_segment() {
-        let dir = tmpdir("trunczero");
-        mk(&dir, 0, 100);
-        mk(&dir, 100, 50);
-        truncate_at(&dir, Lsn::ZERO).unwrap();
-        let segs = list(&dir).unwrap();
+        let scratch = TempDir::new("segment-trunczero");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 100, 50);
+        truncate_at(dir, Lsn::ZERO).unwrap();
+        let segs = list(dir).unwrap();
         assert_eq!(
             segs,
             vec![SegmentInfo {
@@ -569,38 +569,40 @@ mod tests {
 
     #[test]
     fn retire_unlinks_only_fully_covered_sealed_segments() {
-        let dir = tmpdir("retire");
-        mk(&dir, 0, 100);
-        mk(&dir, 100, 50);
-        mk(&dir, 150, 30); // active
-                           // Horizon mid-segment-2: only segment 1 is fully covered.
+        let scratch = TempDir::new("segment-retire");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 100, 50);
+        mk(dir, 150, 30); // active
+                          // Horizon mid-segment-2: only segment 1 is fully covered.
         let unarmed = CrashPoints::default();
-        let n = retire_covered(&dir, Lsn(120), Lsn(150), &unarmed).unwrap();
+        let n = retire_covered(dir, Lsn(120), Lsn(150), &unarmed).unwrap();
         assert_eq!(n, 1);
-        assert_eq!(list(&dir).unwrap().first().unwrap().base, Lsn(100));
+        assert_eq!(list(dir).unwrap().first().unwrap().base, Lsn(100));
         // Horizon past everything, but the active segment is kept.
-        let n = retire_covered(&dir, Lsn(10_000), Lsn(150), &unarmed).unwrap();
+        let n = retire_covered(dir, Lsn(10_000), Lsn(150), &unarmed).unwrap();
         assert_eq!(n, 1);
-        let segs = list(&dir).unwrap();
+        let segs = list(dir).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].base, Lsn(150));
-        assert_eq!(bytes_on_disk(&dir).unwrap(), 30);
+        assert_eq!(bytes_on_disk(dir).unwrap(), 30);
     }
 
     #[test]
     fn retire_crash_point_interrupts_between_unlink_and_dir_fsync() {
-        let dir = tmpdir("retirecrash");
-        mk(&dir, 0, 100);
-        mk(&dir, 100, 50);
+        let scratch = TempDir::new("segment-retirecrash");
+        let dir = scratch.path();
+        mk(dir, 0, 100);
+        mk(dir, 100, 50);
         let crash_points = CrashPoints::default();
         crash_points.arm("segment.retire.post_unlink");
-        let err = retire_covered(&dir, Lsn(10_000), Lsn(100), &crash_points)
+        let err = retire_covered(dir, Lsn(10_000), Lsn(100), &crash_points)
             .unwrap_err()
             .to_string();
         assert!(err.contains("crash point tripped"), "{err}");
         // The unlink itself happened; the chain now starts at 100 and
         // still validates — exactly the state recovery must tolerate.
-        let segs = list(&dir).unwrap();
+        let segs = list(dir).unwrap();
         assert_eq!(segs.len(), 1);
         validate_chain(&segs).unwrap();
     }

@@ -650,12 +650,7 @@ impl SystemLog {
 mod tests {
     use super::*;
     use dali_common::{DbAddr, OpSeq, TxnId};
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("dali-wal-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.log", std::process::id()))
-    }
+    use dali_testutil::TempDir;
 
     fn last_segment_path(dir: &Path) -> PathBuf {
         let segs = segment::list(dir).unwrap();
@@ -664,7 +659,8 @@ mod tests {
 
     #[test]
     fn append_flush_scan_round_trip() {
-        let path = tmp("round");
+        let scratch = TempDir::new("syslog-round");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         let l0 = log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         let l1 = log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
@@ -683,7 +679,8 @@ mod tests {
 
     #[test]
     fn unflushed_tail_is_lost_on_crash() {
-        let path = tmp("crashtail");
+        let scratch = TempDir::new("syslog-crashtail");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(false).unwrap();
@@ -695,7 +692,8 @@ mod tests {
 
     #[test]
     fn physical_redo_dirties_pages() {
-        let path = tmp("dirty");
+        let scratch = TempDir::new("syslog-dirty");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::PhysicalRedo {
             txn: TxnId(1),
@@ -709,7 +707,8 @@ mod tests {
 
     #[test]
     fn batch_append_is_contiguous() {
-        let path = tmp("batch");
+        let scratch = TempDir::new("syslog-batch");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         let recs = vec![
             LogRecord::TxnBegin { txn: TxnId(1) },
@@ -725,7 +724,8 @@ mod tests {
 
     #[test]
     fn scan_from_mid_lsn() {
-        let path = tmp("mid");
+        let scratch = TempDir::new("syslog-mid");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         let l1 = log.append(&LogRecord::TxnBegin { txn: TxnId(2) });
@@ -737,7 +737,8 @@ mod tests {
 
     #[test]
     fn open_truncates_torn_frame_and_resumes() {
-        let path = tmp("torn");
+        let scratch = TempDir::new("syslog-torn");
+        let path = scratch.path().join("system.log");
         {
             let log = SystemLog::create(&path, 4096).unwrap();
             log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
@@ -763,7 +764,8 @@ mod tests {
 
     #[test]
     fn flush_with_sync() {
-        let path = tmp("sync");
+        let scratch = TempDir::new("syslog-sync");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(true).unwrap();
@@ -775,7 +777,8 @@ mod tests {
         // Many threads each append-then-flush(sync); the fsync runs
         // outside the append latch and piggybacks, but every record a
         // flush(true) returned for must be in the stable file.
-        let path = tmp("concsync");
+        let scratch = TempDir::new("syslog-concsync");
+        let path = scratch.path().join("system.log");
         let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
         let mut handles = vec![];
         for t in 0..4u64 {
@@ -803,7 +806,8 @@ mod tests {
         // its commit_durable returns, and every commit is served by
         // exactly one fsync — its own or a neighbour's. (How many share
         // one is scheduling; the next test forces that.)
-        let path = tmp("group");
+        let scratch = TempDir::new("syslog-group");
+        let path = scratch.path().join("system.log");
         let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
         let window = Duration::from_millis(2);
         let mut handles = vec![];
@@ -839,7 +843,8 @@ mod tests {
         // return on that fsync (as followers or piggybackers, depending
         // on when they arrive) and none can lead a second one.
         const COMMITTERS: u64 = 8;
-        let path = tmp("groupbarrier");
+        let scratch = TempDir::new("syslog-groupbarrier");
+        let path = scratch.path().join("system.log");
         let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(COMMITTERS as usize));
         let handles: Vec<_> = (0..COMMITTERS)
@@ -868,7 +873,8 @@ mod tests {
 
     #[test]
     fn zero_window_commit_matches_flush_true() {
-        let path = tmp("zerowin");
+        let scratch = TempDir::new("syslog-zerowin");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(1) }]);
         let durable = log.commit_durable(end, Duration::ZERO).unwrap();
@@ -881,7 +887,8 @@ mod tests {
 
     #[test]
     fn sync_stats_count_flushes_and_piggybacks() {
-        let path = tmp("stats");
+        let scratch = TempDir::new("syslog-stats");
+        let path = scratch.path().join("system.log");
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(true).unwrap();
@@ -897,7 +904,8 @@ mod tests {
     #[test]
     fn residue_framed_log_round_trips_and_rejects_wrong_kind() {
         use dali_common::CodewordAlgebraKind;
-        let path = tmp("residue");
+        let scratch = TempDir::new("syslog-residue");
+        let path = scratch.path().join("system.log");
         let r = CodewordAlgebraKind::Residue;
         {
             let log = SystemLog::create_with(&path, 4096, r, DEFAULT_SEGMENT_BYTES).unwrap();
@@ -932,7 +940,8 @@ mod tests {
 
     #[test]
     fn concurrent_appends_do_not_interleave_frames() {
-        let path = tmp("conc");
+        let scratch = TempDir::new("syslog-conc");
+        let path = scratch.path().join("system.log");
         let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
         let mut handles = vec![];
         for t in 0..4u64 {
@@ -973,7 +982,8 @@ mod tests {
 
     #[test]
     fn appends_roll_into_multiple_sealed_segments() {
-        let path = tmp("roll");
+        let scratch = TempDir::new("syslog-roll");
+        let path = scratch.path().join("system.log");
         let log =
             SystemLog::create_with(&path, 4096, CodewordAlgebraKind::XorFold, TINY_SEG).unwrap();
         let lsns = fill(&log, 12);
@@ -1002,7 +1012,8 @@ mod tests {
 
     #[test]
     fn reopen_after_rolls_resumes_at_end() {
-        let path = tmp("rollreopen");
+        let scratch = TempDir::new("syslog-rollreopen");
+        let path = scratch.path().join("system.log");
         let end = {
             let log = SystemLog::create_with(&path, 4096, CodewordAlgebraKind::XorFold, TINY_SEG)
                 .unwrap();
@@ -1021,7 +1032,8 @@ mod tests {
 
     #[test]
     fn oversized_record_gets_its_own_segment() {
-        let path = tmp("oversz");
+        let scratch = TempDir::new("syslog-oversz");
+        let path = scratch.path().join("system.log");
         let log =
             SystemLog::create_with(&path, 4096, CodewordAlgebraKind::XorFold, TINY_SEG).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
@@ -1048,7 +1060,8 @@ mod tests {
     fn torn_seal_at_segment_boundary_is_truncated() {
         // A flush tears mid-seal: the segment's records survive, the
         // partial seal is cut, and appends resume *in that segment*.
-        let path = tmp("tornseal");
+        let scratch = TempDir::new("syslog-tornseal");
+        let path = scratch.path().join("system.log");
         let kind = CodewordAlgebraKind::XorFold;
         let (lsns, seal_lsn) = {
             let log = SystemLog::create_with(&path, 4096, kind, TINY_SEG).unwrap();
@@ -1094,7 +1107,8 @@ mod tests {
         // The other half of the boundary tear: the seal made it to disk
         // but the crash hit before (or during) the successor's first
         // flush. Reopen must start a fresh segment at the sealed end.
-        let path = tmp("sealedlast");
+        let scratch = TempDir::new("syslog-sealedlast");
+        let path = scratch.path().join("system.log");
         let kind = CodewordAlgebraKind::XorFold;
         let end = {
             let log = SystemLog::create_with(&path, 4096, kind, TINY_SEG).unwrap();
@@ -1126,7 +1140,8 @@ mod tests {
 
     #[test]
     fn retire_covered_unlinks_only_below_horizon_and_scan_still_works() {
-        let path = tmp("retirelog");
+        let scratch = TempDir::new("syslog-retirelog");
+        let path = scratch.path().join("system.log");
         let log =
             SystemLog::create_with(&path, 4096, CodewordAlgebraKind::XorFold, TINY_SEG).unwrap();
         let lsns = fill(&log, 12);

@@ -504,11 +504,6 @@ impl TpcbDriver {
         })
     }
 
-    /// The paper's full run: 50 000 operations.
-    pub fn run_paper_workload(&mut self) -> Result<RunStats> {
-        self.run_ops(50_000)
-    }
-
     /// Run `n_ops` operations split across `threads` worker threads.
     ///
     /// Each worker owns a disjoint contiguous partition of the account,
@@ -705,13 +700,9 @@ mod tests {
 
     use dali_testutil::TempDir;
 
-    fn tmpdir(name: &str) -> TempDir {
-        TempDir::new(&format!("tpcb-{name}"))
-    }
-
     /// Engine plus the guard keeping its scratch directory alive.
     fn engine(scheme: ProtectionScheme, name: &str, cfg: &TpcbConfig) -> (DaliEngine, TempDir) {
-        let dir = tmpdir(name);
+        let dir = TempDir::new(&format!("tpcb-{name}"));
         let mut c = DaliConfig::small(dir.path()).with_scheme(scheme);
         c.db_pages = cfg.required_pages(c.page_size);
         let (db, _) = DaliEngine::create(c).unwrap();
@@ -774,7 +765,7 @@ mod tests {
     #[test]
     fn invariant_survives_crash_recovery() {
         let cfg = TpcbConfig::small();
-        let dir = tmpdir("crashinv");
+        let dir = TempDir::new("tpcb-crashinv");
         let mut dbcfg = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadLogging);
         dbcfg.db_pages = cfg.required_pages(dbcfg.page_size);
         let (db, _) = DaliEngine::create(dbcfg.clone()).unwrap();
@@ -849,7 +840,7 @@ mod tests {
     fn contended_preserves_invariant() {
         let mut cfg = TpcbConfig::small();
         cfg.ops_per_txn = 5; // short transactions: conflicts resolve fast
-        let dir = tmpdir("cont-inv");
+        let dir = TempDir::new("tpcb-cont-inv");
         // Multiple shards so the cross-shard unlock sweep is exercised
         // even on a single-CPU host (where auto-sharding picks 1).
         let mut c = DaliConfig::small(dir.path())

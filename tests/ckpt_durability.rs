@@ -44,6 +44,13 @@ fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
     let r1 = txn.insert(t, &[0x11; 32]).unwrap();
     txn.commit().unwrap();
     db.checkpoint().unwrap();
+    // The parity stripe is rebuilt from the image at restart, never
+    // persisted beside it.
+    let files: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(files.iter().all(|f| !f.ends_with(".parity")), "{files:?}");
     let anchor_path = dir.path().join("cur_ckpt");
     let old_anchor = std::fs::read(&anchor_path).unwrap();
 
@@ -53,10 +60,10 @@ fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
     let r2 = txn.insert(t, &[0x22; 32]).unwrap();
     txn.commit().unwrap();
 
-    // Arm the third atomic_write of the checkpoint: the parity-stripe and
-    // meta writes pass, the anchor write trips *after* its rename,
-    // *before* the directory sync.
-    db.crash_points().arm_after("atomic_write.post_rename", 2);
+    // Arm the second atomic_write of the checkpoint: the meta write
+    // passes, the anchor write trips *after* its rename, *before* the
+    // directory sync.
+    db.crash_points().arm_after("atomic_write.post_rename", 1);
     let err = db.checkpoint().unwrap_err();
     assert!(
         err.to_string().contains("crash point tripped"),

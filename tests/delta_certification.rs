@@ -19,6 +19,7 @@ use dali_common::{DaliConfig, DbAddr, PageId};
 use dali_engine::{CheckpointOutcome, DaliEngine};
 use dali_faultinject::FaultInjector;
 use dali_mem::DbImage;
+use dali_testutil::TempDir;
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 
@@ -132,29 +133,17 @@ proptest! {
     }
 }
 
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-delta-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
 /// A wild write inside a page dirtied this interval is caught by the
 /// very next (delta) certification.
 #[test]
 fn delta_certification_catches_corruption_inside_footprint() {
-    let dir = tmpdir("inside");
+    let scratch = TempDir::new("delta-inside");
+    let dir = scratch.path();
     // Parity repair pinned off: this test pins down the *detection*
     // cadence one rung below the self-healing layer (with the stripe on,
     // the same wild write would be repaired in place and the checkpoint
     // would certify — see `tests/repair_model.rs` for that path).
-    let config = DaliConfig::small(&dir)
+    let config = DaliConfig::small(dir)
         .with_scheme(ProtectionScheme::DataCodeword)
         .with_full_certify_every(8)
         .with_parity_group_size(0);
@@ -192,10 +181,11 @@ fn delta_certification_catches_corruption_inside_footprint() {
 /// full sweep, which the failure then re-forces.
 #[test]
 fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
-    let dir = tmpdir("outside");
+    let scratch = TempDir::new("delta-outside");
+    let dir = scratch.path();
     // Parity pinned off, as above: the subject is the cadence bound and
     // the keep-prior-checkpoint / recover path, not the repair layer.
-    let config = DaliConfig::small(&dir)
+    let config = DaliConfig::small(dir)
         .with_scheme(ProtectionScheme::DataCodeword)
         .with_full_certify_every(3)
         .with_parity_group_size(0);
@@ -254,8 +244,9 @@ fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
 /// consumes that channel completely.
 #[test]
 fn delta_certification_covers_parity_groups_dirtied_by_drains() {
-    let dir = tmpdir("parity-footprint");
-    let config = DaliConfig::small(&dir)
+    let scratch = TempDir::new("delta-parity-footprint");
+    let dir = scratch.path();
+    let config = DaliConfig::small(dir)
         .with_scheme(ProtectionScheme::DataCodeword)
         .with_full_certify_every(8);
     assert!(

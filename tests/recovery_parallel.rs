@@ -11,33 +11,8 @@
 
 use dali_common::{DaliConfig, DbAddr, ProtectionScheme};
 use dali_engine::DaliEngine;
+use dali_testutil::{copy_dir, TempDir};
 use proptest::prelude::*;
-
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "dali-predo-{name}-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-fn copy_dir(src: &std::path::Path, dst: &std::path::Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        let to = dst.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &to);
-        } else {
-            std::fs::copy(entry.path(), &to).unwrap();
-        }
-    }
-}
 
 fn config_for(dir: &std::path::Path, redo_threads: usize) -> DaliConfig {
     let mut c = DaliConfig::small(dir)
@@ -87,8 +62,9 @@ proptest! {
             1..7,
         ),
     ) {
-        let dir = tmpdir("base");
-        let (db, _) = DaliEngine::create(config_for(&dir, 1)).unwrap();
+        let scratch = TempDir::new("predo-base");
+        let dir = scratch.path();
+        let (db, _) = DaliEngine::create(config_for(dir, 1)).unwrap();
         // 512-byte records spread the working set over several pages, so
         // the page-partitioned buckets genuinely interleave.
         let t = db.create_table("t", 512, 16).unwrap();
@@ -116,9 +92,9 @@ proptest! {
 
         let mut baseline: Option<(Vec<u8>, String)> = None;
         for threads in [1usize, 2, 8] {
-            let case = tmpdir(&format!("t{threads}"));
-            copy_dir(&dir, &case);
-            let (image, summary) = recover(&case, threads);
+            let case = TempDir::new(&format!("predo-t{threads}"));
+            copy_dir(dir, case.path());
+            let (image, summary) = recover(case.path(), threads);
             match &baseline {
                 None => baseline = Some((image, summary)),
                 Some((base_img, base_sum)) => {
@@ -132,6 +108,6 @@ proptest! {
             }
             let _ = std::fs::remove_dir_all(&case);
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
