@@ -4,8 +4,9 @@
 //! the log (§4.2: read log records make the transaction log "a limited
 //! form of audit trail"). The log is a directory of fixed-size segment
 //! files; this prints a per-segment summary (LSN range, frame-type
-//! histogram, sealed/active/torn status) followed by every record with
-//! its global LSN, so one can follow exactly which transactions read and
+//! histogram, sealed/active/torn status; a segment a roll left without
+//! its name shows as `PENDING`) followed by every record with its global
+//! LSN, so one can follow exactly which transactions read and
 //! wrote what, where audits ran, and where checkpoints completed.
 //!
 //! Usage: cargo run -p dali-bench --bin logdump -- <db-dir> [--from LSN] [--txn N] [--residue] [--segments-only]
@@ -104,6 +105,18 @@ fn main() {
             info.len,
             status,
             hist
+        );
+    }
+    // Segments a crash caught between creation and naming: restart will
+    // adopt or unlink them (`segment::adopt_pending`); no scan reads them.
+    for info in segment::list_pending(&path).unwrap_or_default() {
+        let pending = segment::pending_path(&path, info.base);
+        eprintln!(
+            "  {:>24}  lsn {:>10}..{:<10}  {:>8}B  PENDING",
+            pending.file_name().unwrap_or_default().to_string_lossy(),
+            info.base.0,
+            info.end().0,
+            info.len,
         );
     }
     if segments_only {

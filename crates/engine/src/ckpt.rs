@@ -29,8 +29,9 @@ use dali_common::codec::{self, Reader};
 use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
 use dali_mem::DbImage;
 use dali_wal::record::LogRecord;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -239,28 +240,32 @@ pub fn read_meta(dir: &Path, image: usize) -> Result<CkptMeta> {
     CkptMeta::decode(&bytes)
 }
 
-/// Write `pages` of the in-memory snapshot into an image file (positioned
-/// writes at `page * page_size`).
+/// Write the snapshot of `pages` — `snapshot` holds their bytes back to
+/// back, in `pages` order (sorted, as the dirty set drains them) — into
+/// an image file: one positioned write per maximal run of adjacent
+/// pages. Returns the file, not yet synced.
 fn write_pages(
     dir: &Path,
     image: usize,
     page_size: usize,
     db_bytes: usize,
-    pages: &[(PageId, Vec<u8>)],
-) -> Result<()> {
-    let mut f = OpenOptions::new()
+    pages: &[PageId],
+    snapshot: &[u8],
+) -> Result<File> {
+    debug_assert_eq!(snapshot.len(), pages.len() * page_size);
+    let f = OpenOptions::new()
         .create(true)
         .truncate(false) // partial page set: keep the untouched pages
         .write(true)
         .open(Db::img_path(dir, image))?;
     f.set_len(db_bytes as u64)?;
-    for (page, data) in pages {
-        debug_assert_eq!(data.len(), page_size);
-        f.seek(SeekFrom::Start(page.0 as u64 * page_size as u64))?;
-        f.write_all(data)?;
+    let mut rest = snapshot;
+    for run in pages.chunk_by(|a, b| b.0 == a.0 + 1) {
+        let (bytes, later) = rest.split_at(run.len() * page_size);
+        f.write_all_at(bytes, run[0].0 as u64 * page_size as u64)?;
+        rest = later;
     }
-    f.sync_data()?;
-    Ok(())
+    Ok(f)
 }
 
 /// Run a full-database audit. Every scheme — deferred maintenance
@@ -315,10 +320,14 @@ fn record_sweep_stats(db: &Arc<Db>, report: &dali_codeword::AuditReport, elapsed
 pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     db.check_alive()?;
     let dir = db.config.dir.clone();
+    let page_size = db.config.page_size;
     let mut state = db.ckpt_state.lock();
     let image = state.next_image;
 
     // ---- quiescent snapshot ----
+    // Updaters wait out this section, so it allocates nothing per page:
+    // the dirty pages are copied back to back into one buffer that
+    // outlives the checkpoint.
     let (ck_end, att_blob, catalog, dirty_pages) = {
         let _q = db.quiesce.write();
         db.syslog.flush(false)?;
@@ -326,130 +335,48 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         let att_blob = db.att.encode_for_ckpt()?;
         let catalog = db.catalog.read().clone();
         let dirty = db.syslog.dirty().take(image);
-        let mut pages = Vec::with_capacity(dirty.len());
-        for p in dirty {
-            let mut buf = vec![0u8; db.config.page_size];
-            db.image.read_page(p, &mut buf)?;
-            pages.push((p, buf));
+        let bytes = dirty.len() * page_size;
+        // Keep the allocation from one checkpoint to the next, but not
+        // the whole-database buffer the first one needed.
+        state.snapshot.truncate(bytes);
+        state.snapshot.shrink_to(2 * bytes);
+        state.snapshot.resize(bytes, 0);
+        for (p, buf) in dirty.iter().zip(state.snapshot.chunks_exact_mut(page_size)) {
+            db.image.read_page(*p, buf)?;
         }
-        (ck_end, att_blob, catalog, pages)
+        (ck_end, att_blob, catalog, dirty)
     };
 
     // ---- write the image ----
     let pages_written = dirty_pages.len();
-    write_pages(
+    let image_file = write_pages(
         &dir,
         image,
-        db.config.page_size,
+        page_size,
         db.config.db_bytes(),
         &dirty_pages,
+        &state.snapshot,
     )?;
 
-    // ---- certify: audit the database (full sweep or dirty delta) ----
-    //
-    // The paper's §4.2 certification audits every region. With the
-    // `full_certify_every` cadence, intermediate checkpoints instead
-    // delta-certify: they audit only the regions overlapped by the dirty
-    // pages just drained (a safe superset of everything written through
-    // the interface since this image's previous checkpoint — pages are
-    // noted to both images) plus any regions with queued deferred
-    // deltas. Corruption *inside* that footprint is caught exactly as a
-    // full sweep would catch it; a wild write to an untouched region is
-    // invisible to the maintained codewords' drift (nothing legitimate
-    // changed them) and is caught by the next full sweep — at most
-    // `full_certify_every - 1` checkpoints later. Because of that bound,
-    // `Audit_SN` (`last_clean_audit`, the corruption-recovery horizon)
-    // only advances on full sweeps, and the cadence is overridden to
-    // full after recovery or any failed certification (`force_full`).
-    if db.config.scheme.maintains_codewords() {
-        let every = db.config.full_certify_every;
-        let full =
-            every == 0 || state.force_full || state.ckpts_since_full >= every.saturating_sub(1);
-        let audit_id = db.next_audit_id();
-        let begin_lsn = {
-            let _q = db.quiesce.read();
-            db.syslog.append(&LogRecord::AuditBegin { audit_id })
-        };
-        let report = if full {
-            sweep_audit(db)?
-        } else {
-            let pages: Vec<PageId> = dirty_pages.iter().map(|(p, _)| *p).collect();
-            let mut regions = dali_wal::pages_to_regions(
-                &pages,
-                db.config.page_size,
-                db.prot.geometry().region_size(),
-            );
-            regions.extend(db.prot.deferred_dirty_regions());
-            regions.sort_unstable();
-            regions.dedup();
-            let skipped = db.prot.geometry().num_regions() - regions.len();
-            db.stats
-                .certify_regions_skipped
-                .fetch_add(skipped as u64, std::sync::atomic::Ordering::Relaxed);
-            sweep_audit_regions(db, &regions)?
-        };
-        db.stats.certify_regions_certified.fetch_add(
-            report.regions_checked as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        let clean = report.clean();
-        {
-            let _q = db.quiesce.read();
-            db.syslog.append(&LogRecord::AuditEnd { audit_id, clean });
-        }
-        db.syslog.flush(false)?;
-        EngineStats::bump(&db.stats.audits);
-        EngineStats::bump(if full {
-            &db.stats.certify_full
-        } else {
-            &db.stats.certify_delta
+    // ---- make image and log durable, and certify meanwhile ----
+    // The anchor may only name this image once the image is on disk and
+    // the log is durable up to `ck_end`: an image ahead of the stable log
+    // would, after a power failure, let new appends reuse LSNs the image
+    // already reflects. Both waits are the disk's; the certification
+    // sweep is the CPU's, so they overlap.
+    let (durable, verdict) = std::thread::scope(|s| {
+        let io = s.spawn(|| -> Result<()> {
+            image_file.sync_data()?;
+            db.syslog.wait_durable(ck_end)
         });
-        if !clean {
-            // Keep the previous certified checkpoint; the pages we drained
-            // must be re-noted so a future checkpoint rewrites them, and
-            // the next certification must sweep everything — the failed
-            // one proves the footprint no longer bounds the damage.
-            state.force_full = true;
-            db.syslog
-                .dirty()
-                .note_all(dirty_pages.iter().map(|(p, _)| *p));
-            // Try to heal online before bringing the database down: the
-            // ckpt_state lock is held across the repair, so no competing
-            // checkpoint interleaves with the rebuild.
-            if let Some(outcome) = crate::repair::auto_repair(db, &report)? {
-                return Ok(CheckpointOutcome::CorruptionRepaired { report, outcome });
-            }
-            crate::corruption::report_corruption(db, &report.corrupt_ranges())?;
-            return Ok(CheckpointOutcome::CorruptionDetected(report));
-        }
-        // Certify the parity stripe's dirty footprint: parity buffers are
-        // not backed by image pages, so the dirty-page → region mapping
-        // above cannot see them; the stripe's own dirty-group flags are
-        // their certification channel. A group failing verification means
-        // the stripe memory itself took a wild write — its members just
-        // audited clean, so rebuild the group from the image under its
-        // latch bracket rather than distrusting the data.
-        if let Some(stripe) = db.prot.parity() {
-            stripe.drain_all();
-            let dirty_groups = stripe.take_dirty_groups();
-            db.stats.certify_parity_groups.fetch_add(
-                dirty_groups.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            for g in dirty_groups {
-                if !stripe.verify_group(g) {
-                    db.prot.resync_parity_group(&db.image, g)?;
-                }
-            }
-        }
-        if full {
-            state.ckpts_since_full = 0;
-            state.force_full = false;
-            *db.last_clean_audit.lock() = Some(begin_lsn);
-        } else {
-            state.ckpts_since_full += 1;
-        }
+        let verdict = certify(db, &mut state, &dirty_pages);
+        (io.join(), verdict)
+    });
+    if let Some(refused) = verdict? {
+        return Ok(refused);
     }
+    durable
+        .map_err(|_| DaliError::Io(std::io::Error::other("checkpoint I/O thread panicked")))??;
 
     // ---- publish ----
     state.serial += 1;
@@ -479,11 +406,13 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // replay without it — `restore_prior_state` can fall back to the
     // older image — so the horizon is the minimum of the two metas'
     // `CK_end`. Before the second-ever checkpoint the other meta does
-    // not exist yet and nothing is retired.
+    // not exist yet and nothing is retired. The unlinks are the log
+    // worker's; a failure there surfaces at the next `settle()`, durable
+    // commit or checkpoint.
     if db.config.log_retire {
         if let Ok(other) = read_meta(&dir, 1 - image) {
             let horizon = Lsn(ck_end.0.min(other.ck_end.0));
-            db.syslog.retire_covered(horizon, &db.crash_points)?;
+            db.syslog.post_retire(horizon, db.crash_points.clone());
         }
     }
     db.refresh_log_gauges()?;
@@ -493,6 +422,121 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         ck_end,
         pages_written,
     })
+}
+
+/// Certify the checkpoint being taken: audit the database (full sweep or
+/// dirty delta) and the parity stripe's dirty footprint. `None` means
+/// certified (or a scheme with nothing to certify); otherwise the outcome
+/// [`checkpoint`] must return without toggling the anchor.
+fn certify(
+    db: &Arc<Db>,
+    state: &mut CkptState,
+    dirty_pages: &[PageId],
+) -> Result<Option<CheckpointOutcome>> {
+    // The paper's §4.2 certification audits every region. With the
+    // `full_certify_every` cadence, intermediate checkpoints instead
+    // delta-certify: they audit only the regions overlapped by the dirty
+    // pages just drained (a safe superset of everything written through
+    // the interface since this image's previous checkpoint — pages are
+    // noted to both images) plus any regions with queued deferred
+    // deltas. Corruption *inside* that footprint is caught exactly as a
+    // full sweep would catch it; a wild write to an untouched region is
+    // invisible to the maintained codewords' drift (nothing legitimate
+    // changed them) and is caught by the next full sweep — at most
+    // `full_certify_every - 1` checkpoints later. Because of that bound,
+    // `Audit_SN` (`last_clean_audit`, the corruption-recovery horizon)
+    // only advances on full sweeps, and the cadence is overridden to
+    // full after recovery or any failed certification (`force_full`).
+    if !db.config.scheme.maintains_codewords() {
+        return Ok(None);
+    }
+    let every = db.config.full_certify_every;
+    let full = every == 0 || state.force_full || state.ckpts_since_full >= every.saturating_sub(1);
+    let audit_id = db.next_audit_id();
+    let begin_lsn = {
+        let _q = db.quiesce.read();
+        db.syslog.append(&LogRecord::AuditBegin { audit_id })
+    };
+    let report = if full {
+        sweep_audit(db)?
+    } else {
+        let mut regions = dali_wal::pages_to_regions(
+            dirty_pages,
+            db.config.page_size,
+            db.prot.geometry().region_size(),
+        );
+        regions.extend(db.prot.deferred_dirty_regions());
+        regions.sort_unstable();
+        regions.dedup();
+        let skipped = db.prot.geometry().num_regions() - regions.len();
+        db.stats
+            .certify_regions_skipped
+            .fetch_add(skipped as u64, std::sync::atomic::Ordering::Relaxed);
+        sweep_audit_regions(db, &regions)?
+    };
+    db.stats.certify_regions_certified.fetch_add(
+        report.regions_checked as u64,
+        std::sync::atomic::Ordering::Relaxed,
+    );
+    let clean = report.clean();
+    {
+        let _q = db.quiesce.read();
+        db.syslog.append(&LogRecord::AuditEnd { audit_id, clean });
+    }
+    db.syslog.flush(false)?;
+    EngineStats::bump(&db.stats.audits);
+    EngineStats::bump(if full {
+        &db.stats.certify_full
+    } else {
+        &db.stats.certify_delta
+    });
+    if !clean {
+        // Keep the previous certified checkpoint; the pages we drained
+        // must be re-noted so a future checkpoint rewrites them, and
+        // the next certification must sweep everything — the failed
+        // one proves the footprint no longer bounds the damage.
+        state.force_full = true;
+        db.syslog.dirty().note_all(dirty_pages.iter().copied());
+        // Try to heal online before bringing the database down: the
+        // ckpt_state lock is held across the repair, so no competing
+        // checkpoint interleaves with the rebuild.
+        if let Some(outcome) = crate::repair::auto_repair(db, &report)? {
+            return Ok(Some(CheckpointOutcome::CorruptionRepaired {
+                report,
+                outcome,
+            }));
+        }
+        crate::corruption::report_corruption(db, &report.corrupt_ranges())?;
+        return Ok(Some(CheckpointOutcome::CorruptionDetected(report)));
+    }
+    // Certify the parity stripe's dirty footprint: parity buffers are
+    // not backed by image pages, so the dirty-page → region mapping
+    // above cannot see them; the stripe's own dirty-group flags are
+    // their certification channel. A group failing verification means
+    // the stripe memory itself took a wild write — its members just
+    // audited clean, so rebuild the group from the image under its
+    // latch bracket rather than distrusting the data.
+    if let Some(stripe) = db.prot.parity() {
+        stripe.drain_all();
+        let dirty_groups = stripe.take_dirty_groups();
+        db.stats.certify_parity_groups.fetch_add(
+            dirty_groups.len() as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
+        for g in dirty_groups {
+            if !stripe.verify_group(g) {
+                db.prot.resync_parity_group(&db.image, g)?;
+            }
+        }
+    }
+    if full {
+        state.ckpts_since_full = 0;
+        state.force_full = false;
+        *db.last_clean_audit.lock() = Some(begin_lsn);
+    } else {
+        state.ckpts_since_full += 1;
+    }
+    Ok(None)
 }
 
 /// Standalone audit of the whole database, logged with AuditBegin/End
@@ -570,6 +614,7 @@ pub fn initial_state() -> CkptState {
         // A fresh database has never been fully certified: the first
         // checkpoint sweeps everything before any delta cadence starts.
         force_full: true,
+        snapshot: Vec::new(),
     }
 }
 
@@ -719,13 +764,35 @@ mod tests {
         assert!(read_meta(d, 0).is_err());
     }
 
+    /// The snapshot `write_pages` takes: the pages' bytes back to back.
+    fn snapshot_of(pages: &[(PageId, Vec<u8>)]) -> (Vec<PageId>, Vec<u8>) {
+        (
+            pages.iter().map(|(p, _)| *p).collect(),
+            pages.iter().flat_map(|(_, d)| d.iter().copied()).collect(),
+        )
+    }
+
+    fn write_and_sync(
+        d: &Path,
+        image: usize,
+        ps: usize,
+        db_bytes: usize,
+        pages: &[(PageId, Vec<u8>)],
+    ) {
+        let (ids, snapshot) = snapshot_of(pages);
+        write_pages(d, image, ps, db_bytes, &ids, &snapshot)
+            .unwrap()
+            .sync_data()
+            .unwrap();
+    }
+
     #[test]
     fn pages_round_trip() {
         let scratch = TempDir::new("ckpt-pages");
         let d = scratch.path();
         let ps = 4096;
         let pages = vec![(PageId(0), vec![1u8; ps]), (PageId(3), vec![3u8; ps])];
-        write_pages(d, 0, ps, ps * 8, &pages).unwrap();
+        write_and_sync(d, 0, ps, ps * 8, &pages);
         let bytes = load_image_bytes(d, 0, ps * 8).unwrap();
         assert!(bytes[..ps].iter().all(|&b| b == 1));
         assert!(bytes[ps..2 * ps].iter().all(|&b| b == 0));
@@ -741,13 +808,98 @@ mod tests {
         let scratch = TempDir::new("ckpt-inplace");
         let d = scratch.path();
         let ps = 4096;
-        write_pages(d, 0, ps, ps * 4, &[(PageId(1), vec![7u8; ps])]).unwrap();
-        write_pages(d, 0, ps, ps * 4, &[(PageId(2), vec![9u8; ps])]).unwrap();
+        write_and_sync(d, 0, ps, ps * 4, &[(PageId(1), vec![7u8; ps])]);
+        write_and_sync(d, 0, ps, ps * 4, &[(PageId(2), vec![9u8; ps])]);
         let bytes = load_image_bytes(d, 0, ps * 4).unwrap();
         assert!(
             bytes[ps..2 * ps].iter().all(|&b| b == 7),
             "page 1 preserved"
         );
         assert!(bytes[2 * ps..3 * ps].iter().all(|&b| b == 9));
+    }
+
+    /// The writer `write_pages` replaced: one seek and one write per
+    /// page. Kept as the reference the coalescing writer must equal.
+    fn write_per_page(path: &Path, ps: usize, db_bytes: usize, pages: &[(PageId, Vec<u8>)]) {
+        let mut f = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)
+            .unwrap();
+        f.set_len(db_bytes as u64).unwrap();
+        for (page, data) in pages {
+            f.seek(SeekFrom::Start(page.0 as u64 * ps as u64)).unwrap();
+            f.write_all(data).unwrap();
+        }
+    }
+
+    #[test]
+    fn coalesced_runs_write_the_bytes_the_per_page_writer_did() {
+        let ps = 512;
+        let image_pages = 16u32;
+        let db_bytes = ps * image_pages as usize;
+        // Distinct bytes per page and per round, so a run written at the
+        // wrong offset or cut short cannot go unnoticed.
+        let page = |p: u32, round: u8| (PageId(p), vec![p as u8 * 8 + round + 1; ps]);
+        let rounds: [&[u32]; 5] = [
+            &[0, 1, 2, 5, 9, 10], // runs with gaps between them
+            &[7],                 // a single page
+            &[14, 15],            // a run ending on the image's last page
+            &[15],                // the last page alone
+            &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15], // everything
+        ];
+        let scratch = TempDir::new("ckpt-runs");
+        let d = scratch.path();
+        let reference = d.join("reference.img");
+        for (round, ids) in rounds.iter().enumerate() {
+            let pages: Vec<_> = ids.iter().map(|&p| page(p, round as u8)).collect();
+            write_and_sync(d, 0, ps, db_bytes, &pages);
+            write_per_page(&reference, ps, db_bytes, &pages);
+            assert_eq!(
+                load_image_bytes(d, 0, db_bytes).unwrap(),
+                std::fs::read(&reference).unwrap(),
+                "after round {round}"
+            );
+        }
+    }
+
+    /// The anchor never names a `ck_end` the disk has not seen: with
+    /// commits that only write (`sync_commit = false`), the log is still
+    /// durable up to every certified checkpoint's `ck_end` when
+    /// `checkpoint()` returns.
+    #[test]
+    fn log_is_durable_to_ck_end_before_the_anchor_moves() {
+        let scratch = TempDir::new("ckpt-durable");
+        let mut config = dali_common::DaliConfig::small(scratch.path())
+            .with_scheme(dali_common::ProtectionScheme::DataCodeword)
+            .with_log_segment_bytes(2048);
+        config.sync_commit = false;
+        let (db, _) = crate::DaliEngine::create(config).unwrap();
+        let t = db.create_table("t", 64, 32).unwrap();
+        let setup = db.begin().unwrap();
+        let recs: Vec<_> = (0..16u8)
+            .map(|i| setup.insert(t, &[i; 64]).unwrap())
+            .collect();
+        setup.commit().unwrap();
+        for round in 0..6u8 {
+            let txn = db.begin().unwrap();
+            for &rec in &recs {
+                txn.update(rec, &[round; 64]).unwrap();
+            }
+            txn.commit().unwrap();
+            let CheckpointOutcome::Certified { ck_end, .. } = db.checkpoint().unwrap() else {
+                panic!("checkpoint {round} was not certified");
+            };
+            let durable = db.db().syslog.durable_lsn();
+            assert!(durable >= ck_end, "round {round}: {durable} < {ck_end}");
+            let (image, _) = read_anchor(scratch.path()).unwrap();
+            assert_eq!(read_meta(scratch.path(), image).unwrap().ck_end, ck_end);
+        }
+        assert!(
+            db.log_stats().fsyncs > 0 && db.log_stats().durable_commits == 0,
+            "the waits are the checkpoints', not commits': {:?}",
+            db.log_stats()
+        );
     }
 }

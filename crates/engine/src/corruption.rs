@@ -228,6 +228,9 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
         }
     }
     db.syslog.flush(false)?;
+    // The replay below lists the live log directory: every segment just
+    // written must carry its name first.
+    db.syslog.settle()?;
 
     // Pages to repair.
     let mut pages: Vec<PageId> = ranges

@@ -97,6 +97,9 @@ pub struct CkptState {
     /// what a crash or a repair touched) and after any certification
     /// finds corruption.
     pub force_full: bool,
+    /// The last checkpoint's dirty-page snapshot, kept for its
+    /// allocation: the next one copies its pages into the same buffer.
+    pub snapshot: Vec<u8>,
 }
 
 /// Shared state of one open database.
@@ -183,6 +186,14 @@ impl Db {
             .log_bytes_on_disk
             .store(seg.bytes_on_disk, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Wait for the log worker to finish its queued segment syncs and
+    /// retirements, then refresh the gauges from the directory at rest.
+    /// Returns the first error a background job met.
+    pub fn settle(&self) -> Result<()> {
+        self.syslog.settle()?;
+        self.refresh_log_gauges()
     }
 
     // ---- file layout ----

@@ -111,6 +111,7 @@ impl DaliEngine {
     ) -> Result<trace::TaintReport> {
         self.db.check_alive()?;
         self.db.syslog.flush(false)?;
+        self.db.syslog.settle()?;
         trace::trace_taint(
             &Db::log_path(&self.db.config.dir),
             dali_common::Lsn::ZERO,
@@ -210,9 +211,21 @@ impl DaliEngine {
 
     /// Simulate a process crash: the in-memory image and any unflushed
     /// log tail are gone; files survive. All other handles to this
-    /// database become unusable.
+    /// database become unusable. The log worker finishes what was
+    /// already written and is joined, so the files are at rest — in one
+    /// state, whatever the scheduler did — when this returns.
     pub fn crash(self) {
         self.db.poison();
+        self.db.syslog.shutdown();
+    }
+
+    /// Wait for the log worker to finish its queued segment syncs and
+    /// retirements, refresh the log-directory gauges, and return the
+    /// first error a background job met (a failed fsync, a tripped
+    /// retirement crash point). Afterwards the log directory does not
+    /// change until the next append rolls or checkpoint retires.
+    pub fn settle(&self) -> Result<()> {
+        self.db.settle()
     }
 
     /// Engine statistics.

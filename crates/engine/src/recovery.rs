@@ -509,11 +509,10 @@ fn redo_pass(
     // Writes of operations still uncommitted when their segment ended.
     let mut carried = Vec::new();
 
-    let reader = LogReader::open(
-        Db::log_path(&config.dir),
-        meta.ck_end,
-        config.codeword_algebra,
-    )?;
+    // A roll the crash interrupted may have left its successor pending.
+    let log_dir = Db::log_path(&config.dir);
+    dali_wal::segment::adopt_pending(&log_dir, config.codeword_algebra)?;
+    let reader = LogReader::open(log_dir, meta.ck_end, config.codeword_algebra)?;
     reader.for_each_segment(|seg| {
         let mut cut = false;
         let mut pending = PendingWrites {
@@ -739,6 +738,7 @@ fn build_recovered(
             // what the crash (or the repair we just did) touched: the
             // first post-recovery certification must sweep everything.
             force_full: true,
+            snapshot: Vec::new(),
         },
         redone.next_txn,
         redone.next_audit,
@@ -790,6 +790,9 @@ fn undo_and_finish(
     // Every page may differ from both checkpoint images now.
     db.syslog.dirty().note_range(db.config.db_pages);
     ckpt::checkpoint(db)?;
+    // `open` hands back a directory at rest: whoever opened it may copy
+    // or replace it without racing the exit checkpoint's retirement.
+    db.settle()?;
     corruption::clear_marker(&db.config.dir)?;
     if db.config.scheme.uses_mprotect() {
         db.protector.enable()?;

@@ -452,7 +452,9 @@ fn commit_op(
 /// protect/unprotect syscall pair, which is how a page-based system with
 /// on-page control information gets its lower mprotect cost (§5.3).
 fn reprotect_op_exposures(db: &Db, st: &mut TxnState) -> Result<()> {
-    for (addr, len) in std::mem::take(&mut st.op_exposures) {
+    // Drained, not taken: the next operation pushes into the same
+    // allocation.
+    for (addr, len) in st.op_exposures.drain(..) {
         db.protector.reprotect(addr, len)?;
     }
     Ok(())
@@ -472,8 +474,12 @@ fn physical_update(
 ) -> Result<()> {
     let len = data.len();
     // --- beginUpdate ---
-    db.protector.expose(addr, len)?;
-    st.op_exposures.push((addr, len));
+    // Only a scheme that write-protects pages (fixed when the database is
+    // built) exposes them and remembers what to reprotect.
+    if db.config.scheme.uses_mprotect() {
+        db.protector.expose(addr, len)?;
+        st.op_exposures.push((addr, len));
+    }
     let (ws, wl) = dali_common::align::widen_to_words(addr.0, len);
     let waddr = DbAddr(ws);
     let mode = db.prot.update_latch_mode();

@@ -332,6 +332,7 @@ pub fn run_wal_round(
     let inner: &Db = db.db();
     let kind = inner.config.codeword_algebra;
     inner.syslog.flush(false)?;
+    inner.syslog.settle()?;
     let path = Db::log_path(&inner.config.dir);
     let baseline = wal_fingerprint(&path, kind)?;
 

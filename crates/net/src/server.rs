@@ -1150,7 +1150,14 @@ impl DaliServer {
         }
         // Event workers have enqueued every cleanup job; now let the
         // exec pool drain to empty and exit.
-        self.shared.exec.stop.store(true, Ordering::Release);
+        // The flag is raised under the queue's lock: a worker that has
+        // just read it clear is then already waiting, not about to, when
+        // the wake-up is sent.
+        {
+            // (Held whether or not it is poisoned; this runs in `Drop`.)
+            let _jobs = self.shared.exec.jobs.lock();
+            self.shared.exec.stop.store(true, Ordering::Release);
+        }
         self.shared.exec.cv.notify_all();
         for h in self.exec_threads.drain(..) {
             let _ = h.join();

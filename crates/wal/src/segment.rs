@@ -18,6 +18,14 @@
 //! between the two (`segment.retire.post_unlink`) lets tests prove both
 //! post-crash states recover.
 //!
+//! A segment is *born* under the name `{base:020}.seg.pending` and gets
+//! its `.seg` name only once its sealed predecessor is durable (see the
+//! roll protocol in [`crate::syslog`]). Nothing in this module but
+//! [`adopt_pending`] and [`list_pending`] ever looks at a pending file:
+//! to [`list`], [`validate_chain`], [`locate`] and the [`LogReader`] the
+//! log is exactly its `*.seg` files, so a name in the chain still means
+//! "everything before this is sealed and on disk".
+//!
 //! Reading goes through [`LogReader`]: one segment file in memory at a
 //! time, each frame checked once as it is first walked over, its records
 //! handed out as [`LogRecordRef`]s that borrow from the segment's
@@ -53,6 +61,9 @@ impl SegmentInfo {
     }
 }
 
+/// What a segment file's name carries until its predecessor is durable.
+const PENDING_SUFFIX: &str = "pending";
+
 /// File name for the segment whose first byte is `base`.
 pub fn file_name(base: Lsn) -> String {
     format!("{:020}.{SEGMENT_SUFFIX}", base.0)
@@ -61,6 +72,11 @@ pub fn file_name(base: Lsn) -> String {
 /// Path of the segment whose first byte is `base`.
 pub fn path(dir: &Path, base: Lsn) -> PathBuf {
     dir.join(file_name(base))
+}
+
+/// Path of the not-yet-named segment whose first byte is `base`.
+pub fn pending_path(dir: &Path, base: Lsn) -> PathBuf {
+    dir.join(format!("{}.{PENDING_SUFFIX}", file_name(base)))
 }
 
 /// Parse a segment file name back to its base LSN.
@@ -72,24 +88,83 @@ pub fn parse_file_name(name: &str) -> Option<Lsn> {
     stem.parse::<u64>().ok().map(Lsn)
 }
 
-/// List the segments under `dir`, sorted by base LSN. Non-segment files
-/// are ignored. Errors if the directory cannot be read.
-pub fn list(dir: &Path) -> Result<Vec<SegmentInfo>> {
+fn parse_pending_name(name: &str) -> Option<Lsn> {
+    parse_file_name(name.strip_suffix(&format!(".{PENDING_SUFFIX}"))?)
+}
+
+/// The files under `dir` whose names `parse` accepts, sorted by base
+/// LSN. A file unlinked between being listed and being sized (the log
+/// worker retiring it) is skipped: it is not there.
+fn list_named(dir: &Path, parse: fn(&str) -> Option<Lsn>) -> Result<Vec<SegmentInfo>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(base) = parse_file_name(name) else {
+        let Some(base) = name.to_str().and_then(parse) else {
             continue;
         };
-        out.push(SegmentInfo {
-            base,
-            len: entry.metadata()?.len(),
-        });
+        match entry.metadata() {
+            Ok(meta) => out.push(SegmentInfo {
+                base,
+                len: meta.len(),
+            }),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     out.sort_unstable_by_key(|s| s.base);
     Ok(out)
+}
+
+/// List the segments under `dir`, sorted by base LSN. Non-segment files
+/// (pending segments among them) are ignored. Errors if the directory
+/// cannot be read.
+pub fn list(dir: &Path) -> Result<Vec<SegmentInfo>> {
+    list_named(dir, parse_file_name)
+}
+
+/// List the `*.seg.pending` files under `dir`, sorted by base LSN.
+pub fn list_pending(dir: &Path) -> Result<Vec<SegmentInfo>> {
+    list_named(dir, parse_pending_name)
+}
+
+/// Restart's first step on a log directory, before the chain is listed:
+/// give every pending segment its `.seg` name or remove it.
+///
+/// A pending file joins the chain iff the chain's last segment is intact
+/// from its first byte to a seal frame that ends exactly at the pending
+/// file's base — the state a process death leaves while the log worker
+/// still owed the predecessor its fsync. The predecessor is fsynced
+/// before the rename, so a `.seg` name keeps meaning "everything before
+/// me is sealed and durable". Any other pending file (its predecessor
+/// lost part of its writeback to a power failure, or is gone) is
+/// unlinked: nothing in it was ever acknowledged durable, and appends
+/// resume at the end of the intact chain.
+pub fn adopt_pending(dir: &Path, kind: CodewordAlgebraKind) -> Result<()> {
+    let pending = list_pending(dir)?;
+    if pending.is_empty() {
+        return Ok(());
+    }
+    let mut last = list(dir)?.last().copied();
+    for p in pending {
+        let predecessor = match last {
+            Some(prev) if prev.end() == p.base => {
+                let seg = SegmentBuf::load(dir, prev.base, 0, kind)?;
+                (seg.ends_with_seal() && seg.torn_bytes() == 0).then_some(prev)
+            }
+            _ => None,
+        };
+        match predecessor {
+            Some(prev) => {
+                std::fs::File::open(path(dir, prev.base))?.sync_data()?;
+                std::fs::rename(pending_path(dir, p.base), path(dir, p.base))?;
+                last = Some(p);
+            }
+            None => std::fs::remove_file(pending_path(dir, p.base))?,
+        }
+        sync_dir(dir)?;
+    }
+    Ok(())
 }
 
 /// Check the chain invariant: each segment begins exactly where the

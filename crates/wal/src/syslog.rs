@@ -12,20 +12,49 @@
 //! of fixed-capacity files, each named by the global LSN of its first
 //! byte. When an append would overflow the active segment, a
 //! [`crate::record::FRAME_SEAL`] frame is written in its place and the
-//! record goes to a fresh segment; the roll itself happens in
-//! [`SystemLog::flush`]'s tail write, which fsyncs the sealed file,
-//! creates the successor, and fsyncs the directory before any byte lands
-//! in it. Sealed segments are immutable, which is what lets a certified
-//! checkpoint *retire* them ([`SystemLog::retire_covered`]) and bound
-//! the log directory by checkpoint cadence. Records never span segments,
-//! and LSNs stay global byte offsets, so no caller of the log had to
-//! renumber anything.
+//! record goes to a fresh segment. Sealed segments are immutable, which
+//! is what lets a certified checkpoint *retire* them
+//! ([`SystemLog::post_retire`]) and bound the log directory by checkpoint
+//! cadence. Records never span segments, and LSNs stay global byte
+//! offsets, so no caller of the log had to renumber anything.
 //!
-//! A *simulated crash* simply drops the `SystemLog` object: the unflushed
-//! tail is lost, exactly as Dali loses its in-memory tail. Recovery scans
-//! the stable segments with a [`LogReader`];
-//! [`SystemLog::open`] truncates a torn trailing frame (a partially
-//! completed flush) in the last segment before resuming appends.
+//! # The roll protocol
+//!
+//! The updater's thread pays for a roll with one `create_new`; the
+//! file-system calls that make a roll *durable* belong to whoever next
+//! needs them done — normally the **log worker**, a background thread
+//! every `SystemLog` owns:
+//!
+//! 1. *Appender, under the latch* ([`SystemLog::flush`]'s tail write):
+//!    the sealed segment's last bytes are written, its successor is
+//!    created as `{lsn}.seg.pending`, the sealed handle is queued, and
+//!    appends carry on into the pending file.
+//! 2. *Drainer* — the worker, or a durable committer / checkpoint / scan
+//!    that cannot wait for it, through the same `drain_sealed` — takes
+//!    the queue oldest first: `sync_data(sealed)`, `rename(.pending →
+//!    .seg)`, `sync_dir`, and only then advances `durable` to the sealed
+//!    segment's end.
+//!
+//! So `durable` only ever covers a contiguous, fsynced, `.seg`-named
+//! prefix of the log, and a `.seg` name exists only once everything
+//! before it is sealed and on disk. A crash between the two steps
+//! leaves a pending file, which [`segment::adopt_pending`] settles at
+//! restart. Retirement is the worker's other job: the unlinks (about
+//! 2 ms each on ext4) run outside the latch.
+//!
+//! A background job's first error is kept and returned by
+//! [`SystemLog::settle`], every durable flush or commit and
+//! [`SystemLog::wait_durable`] from then on: a failed fsync is never
+//! acknowledged over.
+//!
+//! A *simulated crash* shuts the log down ([`SystemLog::shutdown`], also
+//! what dropping it does): the unflushed tail is lost, exactly as Dali
+//! loses its in-memory tail, while the worker finishes what was already
+//! written and is joined, so the directory is in one deterministic state
+//! and no longer changes. Recovery scans the stable segments with a
+//! [`LogReader`]; [`SystemLog::open`] truncates a torn trailing frame (a
+//! partially completed flush) in the last segment before resuming
+//! appends.
 
 use crate::dpt::DualDirtySet;
 use crate::record::{frame_payload_with, frame_seal, LogRecord, FRAME_HDR};
@@ -38,6 +67,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Segment capacity used by the algebra-less convenience constructors
@@ -50,8 +81,9 @@ struct Inner {
     tail: BytesMut,
     /// LSN of the first byte of the tail (== bytes written to segments).
     tail_base: Lsn,
-    /// The active (last, unsealed) segment file.
-    file: File,
+    /// The active (last, unsealed) segment file; [`SyncState::file`] is
+    /// the same handle.
+    file: Arc<File>,
     /// Base LSN of the active segment *file*.
     seg_base: Lsn,
     /// Start LSN of the segment the next appended byte belongs to. Runs
@@ -62,19 +94,32 @@ struct Inner {
     /// just past each seal frame in the tail), oldest first. Fully
     /// drained by every tail write.
     seg_splits: VecDeque<Lsn>,
+    /// Set by [`SystemLog::shutdown`]: nothing is written any more.
+    closed: bool,
+}
+
+/// A sealed segment whose bytes are all written but not yet known to be
+/// on disk; its successor still carries the pending name.
+struct Sealed {
+    file: Arc<File>,
+    /// One past the seal frame: the successor's base.
+    end: Lsn,
 }
 
 /// fsync state, deliberately on its own mutex: syncing must not hold the
 /// append latch, or every concurrent committer serializes behind each
 /// fsync (~hundreds of microseconds each).
 struct SyncState {
-    /// Second handle to the active segment, used only for `sync_data`.
-    /// Swapped on every roll — by then the sealed predecessor has
-    /// already been fsynced and `durable` advanced past it, so this
-    /// handle only ever needs to cover the active segment's bytes.
-    file: File,
+    /// The active segment, for `sync_data`. Swapped on every roll.
+    file: Arc<File>,
+    /// Base of the active segment: everything below it lies in sealed
+    /// segments, so `durable >= active_base` says none of them still
+    /// waits for its fsync and the active segment has its `.seg` name.
+    active_base: Lsn,
     /// Everything below this LSN is known to be on disk.
     durable: Lsn,
+    /// Sealed segments waiting for `drain_sealed`, oldest first.
+    sealed: VecDeque<Sealed>,
     /// A group-commit leader is currently collecting a batch (waiting
     /// out its commit window) or fsyncing on the batch's behalf.
     leader: bool,
@@ -89,8 +134,9 @@ struct SyncState {
 /// neighbour's fsync without waiting for one of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// `sync_data` calls actually issued (including one per segment
-    /// roll, which makes the seal durable before its successor exists).
+    /// `sync_data` calls actually issued on segment files (including one
+    /// per segment roll, which makes the seal durable before its
+    /// successor gets its name), on whichever thread.
     pub fsyncs: u64,
     /// Tail→file writes (buffered flushes, durable or not).
     pub flushes: u64,
@@ -101,6 +147,13 @@ pub struct SyncStats {
     /// Durable commits that waited out a group-commit window as batch
     /// followers (their records covered by the leader's single fsync).
     pub group_followers: u64,
+    /// The share of `fsyncs` the log worker issued: sealed segments made
+    /// durable with no foreground thread waiting.
+    pub background_fsyncs: u64,
+    /// Times a durable commit, checkpoint or online scan had to perform
+    /// or wait for a sealed segment's sync itself — the foreground
+    /// stalls that background work did not absorb.
+    pub settle_waits: u64,
 }
 
 /// Gauges for the segmented layout: what is on disk right now, plus how
@@ -109,7 +162,7 @@ pub struct SyncStats {
 pub struct SegmentStats {
     /// Segment files currently retained in the log directory.
     pub segments: u64,
-    /// Segments unlinked by [`SystemLog::retire_covered`] since open.
+    /// Segments unlinked by retirement since open.
     pub retired: u64,
     /// Total bytes across the retained segment files.
     pub bytes_on_disk: u64,
@@ -122,13 +175,172 @@ struct Counters {
     durable_commits: AtomicU64,
     piggybacked: AtomicU64,
     group_followers: AtomicU64,
+    background_fsyncs: AtomicU64,
+    settle_waits: AtomicU64,
     segments_retired: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// What the log worker does, in the order it was asked.
+enum Job {
+    /// Drain the sealed-segment queue.
+    Sync,
+    /// Unlink the segments a certified checkpoint has passed. The crash
+    /// points are the posting engine's (`segment.retire.post_unlink`).
+    Retire {
+        horizon: Lsn,
+        crash_points: CrashPoints,
+    },
+}
+
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Job>,
+    /// The worker is running a job it took off the queue.
+    busy: bool,
+    /// Finish the queue and exit.
+    stop: bool,
+    /// Test hook ([`SystemLog::pause_worker`]): take no job, and on
+    /// `stop` leave the queue as a process death would.
+    paused: bool,
+    /// The first error of any background job.
+    error: Option<String>,
+}
+
+/// The stable side of the log: what the worker shares with the threads
+/// that append, commit and checkpoint.
+struct Core {
+    /// The log *directory* (segments live inside it).
+    dir: PathBuf,
+    inner: Mutex<Inner>,
+    sync: Mutex<SyncState>,
+    /// Signalled whenever `durable` advances, a leader steps down, or a
+    /// follower joins a collecting leader's batch.
+    sync_cv: Condvar,
+    /// Held across `drain_sealed`'s file-system calls, so sealed segments
+    /// become durable one at a time and in order whoever drains. Taken
+    /// before `sync`, never under it or under the append latch.
+    drain: Mutex<()>,
+    jobs: Mutex<Jobs>,
+    /// Signalled when a job is posted, the worker goes idle, or `stop` /
+    /// `paused` change.
+    jobs_cv: Condvar,
+    counters: Counters,
+}
+
+impl Core {
+    fn post(&self, job: Job) {
+        let mut jobs = self.jobs.lock();
+        if !jobs.stop {
+            jobs.queue.push_back(job);
+            self.jobs_cv.notify_all();
+        }
+    }
+
+    /// The kept error of a background job, if one has failed.
+    fn worker_error(&self) -> Result<()> {
+        match &self.jobs.lock().error {
+            None => Ok(()),
+            Some(e) => Err(DaliError::Io(std::io::Error::other(format!(
+                "log worker failed: {e}"
+            )))),
+        }
+    }
+
+    fn run_worker(&self) {
+        let mut jobs = self.jobs.lock();
+        loop {
+            jobs.busy = false;
+            self.jobs_cv.notify_all();
+            let job = loop {
+                if jobs.stop && (jobs.paused || jobs.queue.is_empty()) {
+                    jobs.queue.clear();
+                    self.jobs_cv.notify_all();
+                    return;
+                }
+                if !jobs.paused {
+                    if let Some(job) = jobs.queue.pop_front() {
+                        break job;
+                    }
+                }
+                self.jobs_cv.wait(&mut jobs);
+            };
+            jobs.busy = true;
+            drop(jobs);
+            let done = match job {
+                Job::Sync => self.drain_sealed(true),
+                Job::Retire {
+                    horizon,
+                    crash_points,
+                } => self.retire_covered(horizon, &crash_points).map(drop),
+            };
+            jobs = self.jobs.lock();
+            if let Err(e) = done {
+                jobs.error.get_or_insert_with(|| e.to_string());
+            }
+        }
+    }
+
+    /// Make every queued sealed segment durable, oldest first, and give
+    /// its successor its name: `sync_data(sealed)` → `rename(.pending →
+    /// .seg)` → `sync_dir`, then advance `durable` over it. A segment
+    /// whose step fails goes back to the head of the queue.
+    fn drain_sealed(&self, background: bool) -> Result<()> {
+        let _one_at_a_time = self.drain.lock();
+        loop {
+            let Some(sealed) = self.sync.lock().sealed.pop_front() else {
+                return Ok(());
+            };
+            let done = sealed
+                .file
+                .sync_data()
+                .map_err(DaliError::Io)
+                .and_then(|()| {
+                    bump(&self.counters.fsyncs);
+                    if background {
+                        bump(&self.counters.background_fsyncs);
+                    }
+                    std::fs::rename(
+                        segment::pending_path(&self.dir, sealed.end),
+                        segment::path(&self.dir, sealed.end),
+                    )?;
+                    segment::sync_dir(&self.dir)
+                });
+            let mut s = self.sync.lock();
+            if let Err(e) = done {
+                s.sealed.push_front(sealed);
+                return Err(e);
+            }
+            s.durable = s.durable.max(sealed.end);
+            self.sync_cv.notify_all();
+        }
+    }
+
+    /// Retire (unlink) sealed segments every byte of which is below
+    /// `horizon`. The active segment is pinned under the append latch,
+    /// the unlinks run outside it: later rolls only add segments above
+    /// the pin. Nothing at or past `durable` goes, whatever the horizon
+    /// says, so a segment is never unlinked while its successor still
+    /// waits for its name.
+    fn retire_covered(&self, horizon: Lsn, crash_points: &CrashPoints) -> Result<u64> {
+        let keep_from = self.inner.lock().seg_base;
+        let horizon = horizon.min(self.sync.lock().durable);
+        let retired = segment::retire_covered(&self.dir, horizon, keep_from, crash_points)?;
+        self.counters
+            .segments_retired
+            .fetch_add(retired, Ordering::Relaxed);
+        Ok(retired)
+    }
 }
 
 /// The system log.
 pub struct SystemLog {
-    /// The log *directory* (segments live inside it).
-    dir: PathBuf,
+    core: Arc<Core>,
+    /// The log worker, until [`shutdown`](Self::shutdown) joins it.
+    worker: Mutex<Option<JoinHandle<()>>>,
     page_size: usize,
     /// Algebra used for frame checksums — must match between writer and
     /// scanner (the engine derives both from `DaliConfig::codeword_algebra`
@@ -136,16 +348,10 @@ pub struct SystemLog {
     kind: CodewordAlgebraKind,
     /// Capacity at which the active segment is sealed and rolled.
     segment_bytes: u64,
-    inner: Mutex<Inner>,
-    sync: Mutex<SyncState>,
-    /// Signalled whenever `durable` advances, a leader steps down, or a
-    /// follower joins a collecting leader's batch.
-    sync_cv: Condvar,
     /// Threads currently inside a windowed `commit_durable` call. Every
     /// one of them has already appended the records it needs durable, so
     /// once a batch contains them all there is nothing to wait for.
     pending: AtomicU64,
-    counters: Counters,
     dirty: DualDirtySet,
 }
 
@@ -175,23 +381,24 @@ impl SystemLog {
         for s in segment::list(&dir)? {
             std::fs::remove_file(segment::path(&dir, s.base))?;
         }
+        for s in segment::list_pending(&dir)? {
+            std::fs::remove_file(segment::pending_path(&dir, s.base))?;
+        }
         let file = OpenOptions::new()
             .create(true)
             .write(true)
             .truncate(true)
             .open(segment::path(&dir, Lsn::ZERO))?;
         segment::sync_dir(&dir)?;
-        let sync_file = file.try_clone()?;
-        Ok(Self::assemble(
+        Self::assemble(
             dir,
             page_size,
             kind,
             segment_bytes,
             file,
-            sync_file,
             Lsn::ZERO,
             Lsn::ZERO,
-        ))
+        )
     }
 
     /// Open an existing XOR-checksummed log for appending, with the
@@ -205,11 +412,13 @@ impl SystemLog {
         )
     }
 
-    /// Open an existing log whose frame checksums use `kind`. Scans the
-    /// last segment to find the end of its last intact frame and
-    /// truncates anything after it (a torn flush); if the last segment
-    /// ends with a seal (the crash hit between sealing and creating the
-    /// successor), a fresh segment is created at the sealed end.
+    /// Open an existing log whose frame checksums use `kind`. Settles
+    /// what an interrupted roll left pending
+    /// ([`segment::adopt_pending`]), scans the last segment to find the
+    /// end of its last intact frame and truncates anything after it (a
+    /// torn flush); if the last segment ends with a seal (the crash hit
+    /// between sealing and creating the successor), a fresh segment is
+    /// created at the sealed end.
     pub fn open_with(
         path: impl AsRef<Path>,
         page_size: usize,
@@ -217,6 +426,7 @@ impl SystemLog {
         segment_bytes: u64,
     ) -> Result<SystemLog> {
         let dir = path.as_ref().to_path_buf();
+        segment::adopt_pending(&dir, kind)?;
         let segments = segment::list(&dir)?;
         let Some(&last) = segments.last() else {
             return Err(DaliError::RecoveryFailed(format!(
@@ -233,14 +443,14 @@ impl SystemLog {
         let end = Lsn(last.base.0 + valid as u64);
         let (file, seg_base) = if sealed {
             // The sealed file is immutable from here on; truncate any
-            // torn bytes after the seal and start its successor.
-            if torn > 0 {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(segment::path(&dir, last.base))?;
-                f.set_len(valid as u64)?;
-                f.sync_data()?;
-            }
+            // torn bytes after the seal, make it durable (the roll that
+            // sealed it may never have got that far) and start its
+            // successor.
+            let f = OpenOptions::new()
+                .write(true)
+                .open(segment::path(&dir, last.base))?;
+            f.set_len(valid as u64)?;
+            f.sync_data()?;
             let file = OpenOptions::new()
                 .create_new(true)
                 .write(true)
@@ -255,60 +465,65 @@ impl SystemLog {
             file.seek(SeekFrom::End(0))?;
             (file, last.base)
         };
-        let sync_file = file.try_clone()?;
-        Ok(Self::assemble(
-            dir,
-            page_size,
-            kind,
-            segment_bytes,
-            file,
-            sync_file,
-            seg_base,
-            end,
-        ))
+        Self::assemble(dir, page_size, kind, segment_bytes, file, seg_base, end)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         dir: PathBuf,
         page_size: usize,
         kind: CodewordAlgebraKind,
         segment_bytes: u64,
         file: File,
-        sync_file: File,
         seg_base: Lsn,
         end: Lsn,
-    ) -> SystemLog {
-        SystemLog {
+    ) -> Result<SystemLog> {
+        let file = Arc::new(file);
+        let core = Arc::new(Core {
             dir,
-            page_size,
-            kind,
-            // A segment must hold at least one seal and one small frame.
-            segment_bytes: segment_bytes.max(4 * FRAME_HDR as u64),
             inner: Mutex::new(Inner {
                 tail: BytesMut::with_capacity(1 << 20),
                 tail_base: end,
-                file,
+                file: Arc::clone(&file),
                 seg_base,
                 cur_seg_start: seg_base,
                 seg_splits: VecDeque::new(),
+                closed: false,
             }),
             sync: Mutex::new(SyncState {
-                file: sync_file,
+                file,
+                active_base: seg_base,
                 durable: end,
+                sealed: VecDeque::new(),
                 leader: false,
                 waiters: 0,
             }),
             sync_cv: Condvar::new(),
-            pending: AtomicU64::new(0),
+            drain: Mutex::new(()),
+            jobs: Mutex::new(Jobs::default()),
+            jobs_cv: Condvar::new(),
             counters: Counters::default(),
+        });
+        let worker = std::thread::Builder::new()
+            .name("dali-log-worker".into())
+            .spawn({
+                let core = Arc::clone(&core);
+                move || core.run_worker()
+            })?;
+        Ok(SystemLog {
+            core,
+            worker: Mutex::new(Some(worker)),
+            page_size,
+            kind,
+            // A segment must hold at least one seal and one small frame.
+            segment_bytes: segment_bytes.max(4 * FRAME_HDR as u64),
+            pending: AtomicU64::new(0),
             dirty: DualDirtySet::new(),
-        }
+        })
     }
 
     /// Path of the stable log directory.
     pub fn path(&self) -> &Path {
-        &self.dir
+        &self.core.dir
     }
 
     /// Dirty page table fed by physical-redo appends.
@@ -318,7 +533,7 @@ impl SystemLog {
 
     /// Append one record; returns its LSN.
     pub fn append(&self, rec: &LogRecord) -> Lsn {
-        let mut inner = self.inner.lock();
+        let mut inner = self.core.inner.lock();
         self.append_locked(&mut inner, rec)
     }
 
@@ -327,7 +542,7 @@ impl SystemLog {
     /// migrates its local redo log). Returns the LSN of the first record
     /// and of the next byte after the last.
     pub fn append_batch(&self, recs: &[LogRecord]) -> (Lsn, Lsn) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.core.inner.lock();
         let mut first = None;
         for rec in recs {
             let lsn = self.append_locked(&mut inner, rec);
@@ -367,13 +582,19 @@ impl SystemLog {
 
     /// LSN one past the last appended record.
     pub fn current_lsn(&self) -> Lsn {
-        let inner = self.inner.lock();
+        let inner = self.core.inner.lock();
         Lsn(inner.tail_base.0 + inner.tail.len() as u64)
     }
 
-    /// LSN up to which the log is on stable storage.
+    /// LSN up to which the log has been written to the stable segments.
     pub fn end_of_stable(&self) -> Lsn {
-        self.inner.lock().tail_base
+        self.core.inner.lock().tail_base
+    }
+
+    /// LSN below which the log is known to be on disk: a contiguous,
+    /// fsynced prefix of `.seg`-named segments.
+    pub fn durable_lsn(&self) -> Lsn {
+        self.core.sync.lock().durable
     }
 
     /// Flush the tail to the stable segments. The file writes happen
@@ -385,22 +606,23 @@ impl SystemLog {
     pub fn flush(&self, sync: bool) -> Result<Lsn> {
         let end = self.write_tail()?;
         if sync {
-            self.counters
-                .durable_commits
-                .fetch_add(1, Ordering::Relaxed);
+            bump(&self.core.counters.durable_commits);
             self.sync_upto(end)?;
         }
         Ok(end)
     }
 
-    /// Write the in-memory tail to the stable segments (no fsync of the
-    /// active segment); returns the new end of the written log. Rolls
-    /// happen here: the tail is cut at each pending seal, the sealed
-    /// file is fsynced (so the seal cannot be torn by a later crash
-    /// while its successor already exists), the successor is created and
-    /// the directory fsynced before any byte lands in it.
+    /// Write the in-memory tail to the stable segments (no fsync);
+    /// returns the new end of the written log. When it returns, every
+    /// appended byte has been handed to the kernel. Rolls happen here:
+    /// the tail is cut at each pending seal and the rest goes to a
+    /// successor born under the pending name (step 1 of the roll
+    /// protocol in the module docs).
     fn write_tail(&self) -> Result<Lsn> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.core.inner.lock();
+        if inner.closed {
+            return Err(DaliError::Crashed);
+        }
         if inner.tail.is_empty() {
             return Ok(inner.tail_base);
         }
@@ -410,67 +632,90 @@ impl SystemLog {
         while let Some(&split) = inner.seg_splits.front() {
             let off = (split.0 - base.0) as usize;
             debug_assert!(cursor < off && off <= tail.len());
-            inner.file.write_all(&tail[cursor..off])?;
+            (&*inner.file).write_all(&tail[cursor..off])?;
             cursor = off;
             inner.seg_splits.pop_front();
             self.roll_locked(&mut inner, split)?;
         }
-        inner.file.write_all(&tail[cursor..])?;
+        (&*inner.file).write_all(&tail[cursor..])?;
         inner.tail_base = Lsn(base.0 + tail.len() as u64);
         // Reuse the buffer's capacity.
         let mut tail = tail;
         tail.clear();
         inner.tail = tail;
-        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.core.counters.flushes);
         Ok(inner.tail_base)
     }
 
     /// Seal the active segment at `split` (its bytes, ending in a seal
-    /// frame, are already written) and open its successor. Called with
-    /// the append latch held; takes the sync lock briefly twice, which
-    /// is safe because no path acquires the append latch while holding
-    /// the sync lock.
+    /// frame, are already written): create the successor under its
+    /// pending name, queue the sealed handle for whoever drains next and
+    /// wake the worker. Called with the append latch held; takes the
+    /// sync lock briefly, which is safe because no path acquires the
+    /// append latch while holding the sync lock.
     fn roll_locked(&self, inner: &mut Inner, split: Lsn) -> Result<()> {
-        // 1. Make the sealed segment durable and publish that fact —
-        // durable must cover the seal *before* the sync handle is
-        // swapped, so a concurrent `sync_upto` for old-segment bytes
-        // piggybacks instead of fsyncing the wrong file.
-        inner.file.sync_data()?;
-        {
-            let mut s = self.sync.lock();
-            if s.durable < split {
-                s.durable = split;
-                self.sync_cv.notify_all();
-            }
-        }
-        self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-        // 2. Create the successor and make its directory entry durable
-        // before anything is written to it.
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment::path(&self.dir, split))?;
-        segment::sync_dir(&self.dir)?;
-        let sync_file = file.try_clone()?;
-        inner.file = file;
+        let file = Arc::new(
+            OpenOptions::new()
+                .create_new(true)
+                .write(true)
+                .open(segment::pending_path(&self.core.dir, split))?,
+        );
+        let sealed = std::mem::replace(&mut inner.file, Arc::clone(&file));
         inner.seg_base = split;
-        self.sync.lock().file = sync_file;
+        {
+            let mut s = self.core.sync.lock();
+            s.sealed.push_back(Sealed {
+                file: sealed,
+                end: split,
+            });
+            s.file = file;
+            s.active_base = split;
+        }
+        self.core.post(Job::Sync);
         Ok(())
+    }
+
+    /// Make everything below `upto` (already written) durable. Sealed
+    /// segments come first — drained here if the worker has not got to
+    /// them — then one `sync_data` of the active segment. Returns
+    /// whether that fsync was needed, or a neighbour's (or the drain)
+    /// had already covered `upto`.
+    fn ensure_durable(&self, upto: Lsn) -> Result<bool> {
+        self.core.worker_error()?;
+        loop {
+            let mut s = self.core.sync.lock();
+            if s.durable >= upto {
+                return Ok(false);
+            }
+            if s.durable < s.active_base {
+                drop(s);
+                bump(&self.core.counters.settle_waits);
+                self.core.drain_sealed(false)?;
+                continue;
+            }
+            s.file.sync_data()?;
+            s.durable = upto;
+            bump(&self.core.counters.fsyncs);
+            self.core.sync_cv.notify_all();
+            return Ok(true);
+        }
     }
 
     /// fsync so that everything below `upto` is durable, unless a
     /// neighbour's fsync already covered it (commit piggybacking).
     fn sync_upto(&self, upto: Lsn) -> Result<Lsn> {
-        let mut s = self.sync.lock();
-        if s.durable < upto {
-            s.file.sync_data()?;
-            s.durable = upto;
-            self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.sync_cv.notify_all();
-        } else {
-            self.counters.piggybacked.fetch_add(1, Ordering::Relaxed);
+        if !self.ensure_durable(upto)? {
+            bump(&self.core.counters.piggybacked);
         }
-        Ok(s.durable)
+        Ok(self.durable_lsn())
+    }
+
+    /// Block until everything below `upto` — which the caller has
+    /// already flushed — is on disk. What a checkpoint waits for before
+    /// it toggles the anchor to an image consistent with `upto`; not a
+    /// commit, so it leaves the durable-commit counters alone.
+    pub fn wait_durable(&self, upto: Lsn) -> Result<()> {
+        self.ensure_durable(upto).map(drop)
     }
 
     /// Make the log durable up to `upto`, batching with concurrent
@@ -496,9 +741,7 @@ impl SystemLog {
     /// (`upto` is typically the end LSN returned by
     /// [`append_batch`](Self::append_batch)).
     pub fn commit_durable(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
-        self.counters
-            .durable_commits
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.core.counters.durable_commits);
         if window.is_zero() {
             let end = self.write_tail()?;
             return self.sync_upto(end.max(upto));
@@ -510,16 +753,18 @@ impl SystemLog {
     }
 
     fn commit_durable_windowed(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
+        // A follower or piggybacker returns without passing through
+        // `ensure_durable`, which is where the other paths check this.
+        self.core.worker_error()?;
+        let (sync, sync_cv) = (&self.core.sync, &self.core.sync_cv);
         let mut followed = false;
         {
-            let mut s = self.sync.lock();
+            let mut s = sync.lock();
             loop {
                 if s.durable >= upto {
-                    self.counters.piggybacked.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.core.counters.piggybacked);
                     if followed {
-                        self.counters
-                            .group_followers
-                            .fetch_add(1, Ordering::Relaxed);
+                        bump(&self.core.counters.group_followers);
                     }
                     return Ok(s.durable);
                 }
@@ -535,9 +780,8 @@ impl SystemLog {
                 // follower raced a leader whose fsync failed.
                 followed = true;
                 s.waiters += 1;
-                self.sync_cv.notify_all();
-                self.sync_cv
-                    .wait_until(&mut s, Instant::now() + window + Duration::from_millis(100));
+                sync_cv.notify_all();
+                sync_cv.wait_until(&mut s, Instant::now() + window + Duration::from_millis(100));
                 s.waiters -= 1;
             }
         }
@@ -545,79 +789,113 @@ impl SystemLog {
         // committer has joined, then flush the batch with one fsync.
         let deadline = Instant::now() + window;
         {
-            let mut s = self.sync.lock();
+            let mut s = sync.lock();
             while s.waiters + 1 < self.pending.load(Ordering::SeqCst) {
-                if self.sync_cv.wait_until(&mut s, deadline).timed_out() {
+                if sync_cv.wait_until(&mut s, deadline).timed_out() {
                     break;
                 }
             }
         }
-        let res = self.write_tail().and_then(|end| {
-            let mut s = self.sync.lock();
-            let r = if s.durable < end {
-                match s.file.sync_data() {
-                    Ok(()) => {
-                        s.durable = end;
-                        self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        Ok(s.durable)
-                    }
-                    Err(e) => Err(DaliError::Io(e)),
-                }
-            } else {
-                self.counters.piggybacked.fetch_add(1, Ordering::Relaxed);
-                Ok(s.durable)
-            };
-            s.leader = false;
-            self.sync_cv.notify_all();
-            r
-        });
-        // On the error path the leader flag must still be cleared.
-        if res.is_err() {
-            let mut s = self.sync.lock();
-            if s.leader {
-                s.leader = false;
-                self.sync_cv.notify_all();
-            }
-        }
+        let res = self.write_tail().and_then(|end| self.sync_upto(end));
+        // Step down on the error path too.
+        sync.lock().leader = false;
+        sync_cv.notify_all();
         res
     }
 
     /// Retire (unlink) sealed segments every byte of which is below
-    /// `horizon` — called by the checkpointer with the oldest `CK_end`
-    /// that any retained checkpoint image might replay from. The active
+    /// `horizon` — the oldest `CK_end` that any retained checkpoint
+    /// image might replay from — on the caller's thread. The active
     /// segment is never retired. Returns how many segments were
-    /// unlinked. Holding the append latch across the unlinks pins the
-    /// active segment and keeps rolls out of the race window.
+    /// unlinked. This is the routine the worker runs for
+    /// [`post_retire`](Self::post_retire).
     /// `crash_points` is the owning engine's (`segment.retire.post_unlink`).
     pub fn retire_covered(&self, horizon: Lsn, crash_points: &CrashPoints) -> Result<u64> {
-        let inner = self.inner.lock();
-        let keep_from = inner.seg_base;
-        let retired = segment::retire_covered(&self.dir, horizon, keep_from, crash_points)?;
-        self.counters
-            .segments_retired
-            .fetch_add(retired, Ordering::Relaxed);
-        Ok(retired)
+        self.core.retire_covered(horizon, crash_points)
+    }
+
+    /// Hand [`retire_covered`](Self::retire_covered) to the log worker:
+    /// what the checkpointer calls, so the unlinks are off its path. An
+    /// error (or a tripped crash point) surfaces at the next
+    /// [`settle`](Self::settle) or durable commit.
+    pub fn post_retire(&self, horizon: Lsn, crash_points: CrashPoints) {
+        self.core.post(Job::Retire {
+            horizon,
+            crash_points,
+        });
+    }
+
+    /// Wait until the log worker has nothing left to do, and return the
+    /// first error any background job met. Afterwards every written
+    /// segment carries its `.seg` name and — until the next roll or
+    /// posted retirement — the directory no longer changes: what an
+    /// online scan of the directory needs before it lists the chain.
+    pub fn settle(&self) -> Result<()> {
+        let mut jobs = self.core.jobs.lock();
+        if jobs.busy || !jobs.queue.is_empty() {
+            bump(&self.core.counters.settle_waits);
+        }
+        while jobs.busy || !jobs.queue.is_empty() {
+            self.core.jobs_cv.wait(&mut jobs);
+        }
+        drop(jobs);
+        self.core.worker_error()
+    }
+
+    /// Stop the log: refuse further writes, let the worker finish what
+    /// is queued, and join it. When this returns the log directory no
+    /// longer changes. Idempotent; dropping the log does the same.
+    pub fn shutdown(&self) {
+        self.core.inner.lock().closed = true;
+        {
+            let mut jobs = self.core.jobs.lock();
+            jobs.stop = true;
+            self.core.jobs_cv.notify_all();
+        }
+        let worker = self.worker.lock().take();
+        if let Some(worker) = worker {
+            // A panicked worker has nothing more to report than the
+            // error it could not record.
+            let _ = worker.join();
+        }
+    }
+
+    /// Test hook: the worker finishes the job it is running and takes no
+    /// other, and a later drop or [`shutdown`](Self::shutdown) leaves
+    /// the queue — pending names and unsynced sealed segments — exactly
+    /// as the death of the process would. Foreground drains (durable
+    /// commits) still work; [`settle`](Self::settle) would not return.
+    #[doc(hidden)]
+    pub fn pause_worker(&self) {
+        let mut jobs = self.core.jobs.lock();
+        jobs.paused = true;
+        while jobs.busy {
+            self.core.jobs_cv.wait(&mut jobs);
+        }
     }
 
     /// Gauges for the segmented layout (directory listing + lifetime
     /// retirement counter).
     pub fn segment_stats(&self) -> Result<SegmentStats> {
-        let segments = segment::list(&self.dir)?;
+        let segments = segment::list(&self.core.dir)?;
         Ok(SegmentStats {
             segments: segments.len() as u64,
-            retired: self.counters.segments_retired.load(Ordering::Relaxed),
+            retired: self.core.counters.segments_retired.load(Ordering::Relaxed),
             bytes_on_disk: segments.iter().map(|s| s.len).sum(),
         })
     }
 
     /// Snapshot of the flush/fsync counters.
     pub fn sync_stats(&self) -> SyncStats {
+        let c = &self.core.counters;
         SyncStats {
-            fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
-            flushes: self.counters.flushes.load(Ordering::Relaxed),
-            durable_commits: self.counters.durable_commits.load(Ordering::Relaxed),
-            piggybacked: self.counters.piggybacked.load(Ordering::Relaxed),
-            group_followers: self.counters.group_followers.load(Ordering::Relaxed),
+            fsyncs: c.fsyncs.load(Ordering::Relaxed),
+            flushes: c.flushes.load(Ordering::Relaxed),
+            durable_commits: c.durable_commits.load(Ordering::Relaxed),
+            piggybacked: c.piggybacked.load(Ordering::Relaxed),
+            group_followers: c.group_followers.load(Ordering::Relaxed),
+            background_fsyncs: c.background_fsyncs.load(Ordering::Relaxed),
+            settle_waits: c.settle_waits.load(Ordering::Relaxed),
         }
     }
 
@@ -643,6 +921,12 @@ impl SystemLog {
             Ok(())
         })?;
         Ok(out)
+    }
+}
+
+impl Drop for SystemLog {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -1025,6 +1309,7 @@ mod tests {
         assert_eq!(log.current_lsn(), end);
         let l = log.append(&LogRecord::TxnCommit { txn: TxnId(99) });
         log.flush(false).unwrap();
+        log.settle().unwrap();
         let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
         assert_eq!(recs.len(), 10);
         assert_eq!(recs.last().unwrap().0, l);
@@ -1045,6 +1330,9 @@ mod tests {
         });
         let after = log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
         log.flush(false).unwrap();
+        // The scan below lists a live log's directory: the segments the
+        // flush rolled into must have their names first.
+        log.settle().unwrap();
         let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[1].0, big);
@@ -1134,6 +1422,7 @@ mod tests {
         assert!(log.current_lsn() <= end);
         let l = log.append(&LogRecord::TxnCommit { txn: TxnId(5) });
         log.flush(false).unwrap();
+        log.settle().unwrap();
         let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, kind).unwrap();
         assert_eq!(recs.last().unwrap().0, l);
     }

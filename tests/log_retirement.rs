@@ -9,6 +9,11 @@
 //! states must recover. The crash point is armed on the one engine under
 //! test, so it cannot trip the checkpoints of the tests running beside
 //! it.
+//!
+//! Retirement (like a rolled segment's fsync and naming) is the log
+//! worker's job: a checkpoint posts it and returns. A test that looks at
+//! the directory of a live engine therefore calls `settle()` first, and
+//! that is also where a retirement that failed reports.
 
 use dali_common::{DaliConfig, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
@@ -86,6 +91,7 @@ fn retirement_bounds_the_log_and_retained_segments_recover_everything() {
     let mut sizes = Vec::new();
     for cycle in 0..4u64 {
         run_cycles(&db, &recs, &mut expected, cycle..cycle + 1);
+        db.settle().unwrap();
         sizes.push(dali::wal::segment::bytes_on_disk(&log_dir).unwrap());
     }
 
@@ -138,6 +144,7 @@ fn retirement_off_keeps_every_segment() {
     let config = config_for(dir.path()).with_log_retire(false);
     let (db, recs, mut expected) = create_seeded(config);
     run_cycles(&db, &recs, &mut expected, 0..3);
+    db.settle().unwrap();
 
     let log_dir = dir.path().join("system.log");
     let segments = dali::wal::segment::list(&log_dir).unwrap();
@@ -164,6 +171,7 @@ fn crash_during_retirement_recovers_in_both_unlink_states() {
     run_cycles(&db, &recs, &mut expected, 0..2);
 
     run_cycles(&db, &recs, &mut expected, 2..3); // work for the tripping ckpt
+    db.settle().unwrap();
 
     // Snapshot the directory immediately before the checkpoint whose
     // retirement trips: any segment that retirement can unlink is sealed
@@ -172,7 +180,11 @@ fn crash_during_retirement_recovers_in_both_unlink_states() {
     let pre = TempDir::new("crash-pre");
     copy_dir(dir.path(), pre.path());
     db.crash_points().arm("segment.retire.post_unlink");
-    let err = db.checkpoint().unwrap_err();
+    // The checkpoint itself certifies and returns; the retirement it
+    // posted trips on the log worker, which keeps the error for whoever
+    // settles next.
+    db.checkpoint().unwrap();
+    let err = db.settle().unwrap_err();
     assert!(
         err.to_string().contains("crash point tripped"),
         "unexpected error: {err}"
