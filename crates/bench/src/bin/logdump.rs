@@ -9,7 +9,7 @@
 //! LSN, so one can follow exactly which transactions read and
 //! wrote what, where audits ran, and where checkpoints completed.
 //!
-//! Usage: cargo run -p dali-bench --bin logdump -- <db-dir> [--from LSN] [--txn N] [--residue] [--segments-only]
+//! Usage: `cargo run -p dali-bench --bin logdump -- <db-dir> [--from LSN] [--txn N] [--residue] [--segments-only]`
 
 use dali_common::{CodewordAlgebraKind, Lsn};
 use dali_wal::segment::{self, SegmentBuf};

@@ -21,19 +21,22 @@
 //! * [`latch`] — the *protection latch* table: striped reader-writer
 //!   spin latches with explicit lock/unlock (guards must survive across the
 //!   beginUpdate/endUpdate window, which RAII lifetimes cannot express).
-//! * [`audit`] — region and whole-database audits producing
-//!   [`AuditReport`](audit::AuditReport)s; full-database scans can be
-//!   striped across scoped worker threads
-//!   ([`audit_all_parallel`](audit::audit_all_parallel)) with reports
-//!   identical to the serial scan.
+//! * [`deferred`] — the sharded, coalescing delta set, one
+//!   implementation with two payloads: queued codeword deltas for
+//!   deferred maintenance and `old ⊕ new` byte deltas for the parity
+//!   stripe.
+//! * [`audit`] — [`AuditReport`]s from one region sweep over a list of
+//!   region ranges (a full audit is the single range `0..n`), striped
+//!   across scoped worker threads with reports identical to a serial
+//!   scan.
 //! * [`parity`] — the optional parity stripe: one XOR parity buffer per
-//!   group of protection regions, maintained through the same
-//!   enqueue/drain path as deferred codewords, from which a region that
-//!   fails its audit can be rebuilt *in place* without log replay.
-//! * [`protection`] — [`CodewordProtection`](protection::CodewordProtection),
-//!   the façade bundling geometry + table + latches and implementing the
+//!   group of protection regions, maintained through the same delta set
+//!   as deferred codewords, from which a region that fails its audit can
+//!   be rebuilt *in place* without log replay.
+//! * [`protection`] — [`CodewordProtection`], the façade bundling
+//!   geometry + table + latches + delta sets and implementing the
 //!   per-scheme read/update protocols, including
-//!   [`repair_region`](protection::CodewordProtection::repair_region).
+//!   [`repair_region`](CodewordProtection::repair_region).
 
 pub mod algebra;
 pub mod audit;
@@ -46,7 +49,7 @@ pub mod region;
 pub mod table;
 
 pub use audit::{AuditReport, CorruptRegion};
-pub use deferred::{DeferredConfig, DeferredSet, DeferredStatsSnapshot};
+pub use deferred::{DeferredConfig, DeferredStatsSnapshot};
 pub use latch::{LatchMode, LatchTable};
 pub use parity::{ParityGroupId, ParityStatsSnapshot, ParityStripe};
 pub use protection::{CodewordProtection, RepairFallback};

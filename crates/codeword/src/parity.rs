@@ -1,21 +1,20 @@
 //! Parity stripe for online repair: rebuild a corrupted region in place.
 //!
 //! Codewords *detect* direct corruption; they cannot say what the bytes
-//! used to be. This module adds the redundancy that can: every group of
+//! used to be. The stripe adds the redundancy that can: every group of
 //! `group_size` consecutive protection regions is XOR-accumulated into a
 //! region-sized *parity buffer*, so any single member region is
 //! reconstructible as `parity ⊕ (⊕ siblings)` — no checkpoint read, no
 //! WAL replay (the Pangolin approach, grafted onto the paper's region
 //! geometry).
 //!
-//! Maintenance rides the exact discipline of the codeword path:
+//! Maintenance rides the codeword path:
 //!
-//! * Updaters, still inside their shared protection-latch bracket,
-//!   enqueue the *directed byte delta* `old ⊕ new` of each region piece
-//!   into a sharded, coalescing dirty set (the [`crate::deferred`]
-//!   pattern: region-hash shards, per-shard map mutex, deltas coalesce by
-//!   XOR — XOR byte vectors form a commutative group just like codeword
-//!   deltas, so order never matters).
+//! * Updaters, still inside their shared protection-latch bracket, push
+//!   the *directed byte delta* `old ⊕ new` of each region piece into the
+//!   stripe's [`crate::deferred`] delta set — the same sharded,
+//!   coalescing set that queues deferred codeword deltas, here with a
+//!   region-sized byte payload that coalesces by XOR.
 //! * Drains fold the coalesced delta into the group's parity buffer and
 //!   move the group's maintained *parity codeword* through the configured
 //!   [`CodewordAlgebraKind`]'s `combine`/`delta_of_folds` contract — the
@@ -24,50 +23,23 @@
 //!   repair.
 //!
 //! Consistency: for an observer holding the whole group's protection
-//! latches exclusively, draining the group's shards makes the parity
+//! latches exclusively, [`ParityStripe::drain_group`] makes the parity
 //! buffer exactly the XOR of the member regions' bytes (updaters hold
-//! the latch shared across write+enqueue, so no delta can be in flight).
+//! the latch shared across write+push, so no delta can be in flight).
 //! That is precisely the bracket [`crate::protection::CodewordProtection`]
-//! takes to repair.
-//!
-//! Lock ordering: protection latches → per-shard drain mutex → per-shard
-//! map mutex → per-group buffer mutex. Pushes take only the map mutex;
-//! drains hold the drain mutex across swap *and* apply (same catch-up
-//! guarantee as [`crate::deferred::DeferredSet::drain_shard`]).
+//! takes to repair. Lock order: latches → drain mutex → map mutex →
+//! group buffer.
 
 use crate::algebra;
-use crate::deferred::RegionHasher;
+use crate::deferred::{DeferredConfig, DeferredSet};
 use crate::region::{RegionGeometry, RegionId};
 use dali_common::{CodewordAlgebraKind, DaliError, Result};
 use dali_mem::DbImage;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Index of a parity group (`region / group_size`).
 pub type ParityGroupId = usize;
-
-/// Same Fibonacci multiplicative-hash constant as the deferred dirty set.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-type ParityMap = HashMap<RegionId, PendingParity, BuildHasherDefault<RegionHasher>>;
-
-/// Coalesced byte delta for one dirty region: the XOR of every
-/// `old ⊕ new` window enqueued since the last drain, positioned at its
-/// region-relative offset in a region-sized buffer.
-struct PendingParity {
-    delta: Vec<u8>,
-    pushes: u64,
-}
-
-struct ParityShard {
-    dirty: Mutex<ParityMap>,
-    /// Serializes whole drains (swap **and** apply), for the same reason
-    /// as the deferred set's drain mutex: a completed drain call must
-    /// mean *applied to the stripe*, not merely *swapped out*.
-    draining: Mutex<()>,
-}
 
 struct Group {
     /// XOR of the member regions' bytes (once the group's shards are
@@ -104,30 +76,29 @@ pub struct ParityStatsSnapshot {
     pub dirty_groups: u64,
 }
 
+/// `dst ^= src`, byte by byte.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= s;
+    }
+}
+
 /// The parity stripe: one region-sized XOR accumulator per group of
-/// `group_size` consecutive regions, plus the sharded dirty set feeding
-/// it.
+/// `group_size` consecutive regions, plus the delta set feeding it.
 pub struct ParityStripe {
     group_size: usize,
     region_size: usize,
     num_regions: usize,
     kind: CodewordAlgebraKind,
     groups: Box<[Group]>,
-    shards: Box<[ParityShard]>,
-    mask: usize,
-    watermark: usize,
-    pending: AtomicU64,
-    drains: AtomicU64,
-    coalesced: AtomicU64,
+    deltas: DeferredSet<Vec<u8>>,
     delta_bytes: AtomicU64,
 }
 
 impl ParityStripe {
     /// Build a stripe over `geom` with `group_size` regions per group.
-    /// `shards` follows the deferred set's rule (rounded up to a power of
-    /// two; `0` = one per CPU with a floor of four); `watermark` bounds a
-    /// shard's dirty-region depth before a push asks its caller to drain
-    /// inline (`0` = unbounded).
+    /// `shards` and `watermark` size its delta set exactly as
+    /// [`DeferredConfig`] sizes the codeword one.
     pub fn new(
         geom: &RegionGeometry,
         group_size: usize,
@@ -139,44 +110,20 @@ impl ParityStripe {
             return Err(DaliError::InvalidArg("parity group size 0".into()));
         }
         let num_regions = geom.num_regions();
-        let num_groups = num_regions.div_ceil(group_size);
         let region_size = geom.region_size();
-        let groups = (0..num_groups)
-            .map(|_| Group {
-                buf: Mutex::new(vec![0u8; region_size]),
-                word: AtomicU32::new(kind.identity()),
-                dirty: AtomicBool::new(false),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let n = if shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .max(4)
-        } else {
-            shards
-        }
-        .next_power_of_two();
-        let shards = (0..n)
-            .map(|_| ParityShard {
-                dirty: Mutex::new(ParityMap::default()),
-                draining: Mutex::new(()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Ok(ParityStripe {
             group_size,
             region_size,
             num_regions,
             kind,
-            groups,
-            shards,
-            mask: n - 1,
-            watermark,
-            pending: AtomicU64::new(0),
-            drains: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            groups: (0..num_regions.div_ceil(group_size))
+                .map(|_| Group {
+                    buf: Mutex::new(vec![0u8; region_size]),
+                    word: AtomicU32::new(kind.identity()),
+                    dirty: AtomicBool::new(false),
+                })
+                .collect(),
+            deltas: DeferredSet::new(DeferredConfig { shards, watermark }),
             delta_bytes: AtomicU64::new(0),
         })
     }
@@ -214,47 +161,34 @@ impl ParityStripe {
         (first, last)
     }
 
-    /// The shard a region's parity deltas land in (same multiplicative
-    /// hash as the codeword dirty set).
-    #[inline]
-    pub fn shard_of(&self, region: RegionId) -> usize {
-        (((region as u64).wrapping_mul(HASH_MUL)) >> 33) as usize & self.mask
-    }
-
     /// Enqueue the directed byte delta of overwriting `old` with `new` at
     /// region-relative offset `rel` of `region`. Called by updaters under
     /// their shared protection-latch bracket, right next to the codeword
-    /// delta push. Returns `true` when the shard is over its watermark
-    /// and the caller should [`drain_shard`](Self::drain_shard) inline.
+    /// delta. Returns `true` when the shard is over its watermark and the
+    /// caller should [`drain_region`](Self::drain_region) inline.
     pub fn record_delta(&self, region: RegionId, rel: usize, old: &[u8], new: &[u8]) -> bool {
         debug_assert_eq!(old.len(), new.len());
         debug_assert!(rel + new.len() <= self.region_size);
-        let s = self.shard_of(region);
-        let depth = {
-            let mut map = self.shards[s].dirty.lock();
-            let (entry, coalesced) = match map.entry(region) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.into_mut(), true),
-                std::collections::hash_map::Entry::Vacant(v) => (
-                    v.insert(PendingParity {
-                        delta: vec![0u8; self.region_size],
-                        pushes: 0,
-                    }),
-                    false,
-                ),
-            };
-            for i in 0..new.len() {
-                entry.delta[rel + i] ^= old[i] ^ new[i];
+        let window = |delta: &mut [u8]| {
+            for (d, (o, n)) in delta[rel..rel + new.len()]
+                .iter_mut()
+                .zip(old.iter().zip(new))
+            {
+                *d ^= o ^ n;
             }
-            entry.pushes += 1;
-            if coalesced {
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-            }
-            map.len() as u64
         };
-        self.pending.fetch_add(1, Ordering::Relaxed);
+        let over = self.deltas.push(
+            region,
+            || {
+                let mut delta = vec![0u8; self.region_size];
+                window(&mut delta);
+                delta
+            },
+            |delta| window(delta),
+        );
         self.delta_bytes
             .fetch_add(new.len() as u64, Ordering::Relaxed);
-        self.watermark != 0 && depth as usize > self.watermark
+        over
     }
 
     /// Fold a coalesced region delta into its group: XOR the bytes into
@@ -264,13 +198,10 @@ impl ParityStripe {
     /// stale/corrupt word stays inconsistent and is caught by
     /// [`verify_group`](Self::verify_group)).
     fn apply_to_group(&self, region: RegionId, delta: &[u8]) {
-        let g = self.group_of(region);
-        let group = &self.groups[g];
+        let group = &self.groups[self.group_of(region)];
         let mut buf = group.buf.lock();
         let before = algebra::fold(self.kind, &buf);
-        for (b, d) in buf.iter_mut().zip(delta) {
-            *b ^= d;
-        }
+        xor_into(&mut buf, delta);
         let after = algebra::fold(self.kind, &buf);
         let word = group.word.load(Ordering::Acquire);
         group.word.store(
@@ -281,52 +212,24 @@ impl ParityStripe {
         group.dirty.store(true, Ordering::Release);
     }
 
-    /// Drain one shard: swap its map out under the map mutex, apply the
-    /// coalesced byte deltas to the group buffers outside it. Whole
-    /// drains serialize on the shard's drain mutex, so a completed call
-    /// means every delta pushed before it has reached the stripe.
-    pub fn drain_shard(&self, shard: usize) {
-        let _drain = self.shards[shard].draining.lock();
-        let drained: ParityMap = {
-            let mut map = self.shards[shard].dirty.lock();
-            if map.is_empty() {
-                return;
-            }
-            std::mem::take(&mut *map)
-        };
-        let mut pushes = 0u64;
-        for (region, p) in drained {
-            self.apply_to_group(region, &p.delta);
-            pushes += p.pushes;
-        }
-        self.pending.fetch_sub(pushes, Ordering::Relaxed);
-        self.drains.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Drain the shard holding `region`'s parity deltas.
-    #[inline]
     pub fn drain_region(&self, region: RegionId) {
-        self.drain_shard(self.shard_of(region));
+        self.deltas
+            .drain_span(region, region, |r, d| self.apply_to_group(r, &d));
     }
 
-    /// Drain every shard covering the members of `group`, deduplicated.
-    /// The caller holds the group's protection latches exclusively; on
-    /// return the parity buffer reflects every update to the group.
+    /// Drain every shard covering the members of `group`. The caller
+    /// holds the group's protection latches exclusively; on return the
+    /// parity buffer reflects every update to the group.
     pub fn drain_group(&self, group: ParityGroupId) {
         let (first, last) = self.members(group);
-        let mut shards: Vec<usize> = (first..=last).map(|r| self.shard_of(r)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        for s in shards {
-            self.drain_shard(s);
-        }
+        self.deltas
+            .drain_span(first, last, |r, d| self.apply_to_group(r, &d));
     }
 
     /// Drain every shard, one at a time.
     pub fn drain_all(&self) {
-        for s in 0..self.shards.len() {
-            self.drain_shard(s);
-        }
+        self.deltas.drain_all(|r, d| self.apply_to_group(r, &d));
     }
 
     /// Verify `group`'s parity buffer against its maintained codeword.
@@ -348,6 +251,28 @@ impl ParityStripe {
         out.copy_from_slice(&self.groups[group].buf.lock());
     }
 
+    /// XOR into `out` the image bytes of every member of `group` except
+    /// `skip`, read through the reusable buffer `span`.
+    fn xor_members(
+        &self,
+        image: &DbImage,
+        geom: &RegionGeometry,
+        group: ParityGroupId,
+        skip: Option<RegionId>,
+        out: &mut [u8],
+        span: &mut Vec<u8>,
+    ) -> Result<()> {
+        let (first, last) = self.members(group);
+        span.resize((last - first + 1) * self.region_size, 0);
+        image.read(geom.region_base(first), span)?;
+        for (r, bytes) in (first..).zip(span.chunks_exact(self.region_size)) {
+            if Some(r) != skip {
+                xor_into(out, bytes);
+            }
+        }
+        Ok(())
+    }
+
     /// Reconstruct the bytes of `exclude` from its group: the parity
     /// buffer XOR every *sibling* region's current image bytes. The
     /// caller holds the whole group's latches exclusively and has drained
@@ -362,51 +287,18 @@ impl ParityStripe {
     ) -> Result<()> {
         debug_assert_eq!(out.len(), self.region_size);
         let g = self.group_of(exclude);
-        out.copy_from_slice(&self.groups[g].buf.lock());
-        let (first, last) = self.members(g);
-        let mut sibling = vec![0u8; self.region_size];
-        for r in first..=last {
-            if r == exclude {
-                continue;
-            }
-            image.read(geom.region_base(r), &mut sibling)?;
-            for (o, s) in out.iter_mut().zip(&sibling) {
-                *o ^= s;
-            }
-        }
-        Ok(())
+        self.copy_group(g, out);
+        self.xor_members(image, geom, g, Some(exclude), out, &mut Vec::new())
     }
 
-    /// Rebuild the whole stripe from the image: zero every buffer, XOR
-    /// every region's bytes into its group, recompute the parity
-    /// codewords, and discard queued deltas (they are superseded, exactly
-    /// like the codeword dirty set under
-    /// [`crate::deferred::DeferredSet::clear`]). The caller quiesces
-    /// updaters (recovery resync, initial build).
+    /// Rebuild the whole stripe from the image: discard queued deltas
+    /// (they are superseded) and [`rebuild_group`](Self::rebuild_group)
+    /// every group. The caller quiesces updaters (recovery resync,
+    /// initial build).
     pub fn resync(&self, image: &DbImage, geom: &RegionGeometry) -> Result<()> {
-        for shard in self.shards.iter() {
-            let _drain = shard.draining.lock();
-            let dropped: ParityMap = std::mem::take(&mut *shard.dirty.lock());
-            let pushes: u64 = dropped.values().map(|p| p.pushes).sum();
-            self.pending.fetch_sub(pushes, Ordering::Relaxed);
-        }
-        let mut region = vec![0u8; self.region_size];
-        for (g, group) in self.groups.iter().enumerate() {
-            let mut buf = group.buf.lock();
-            buf.fill(0);
-            let (first, last) = self.members(g);
-            for r in first..=last {
-                image.read(geom.region_base(r), &mut region)?;
-                for (b, s) in buf.iter_mut().zip(&region) {
-                    *b ^= s;
-                }
-            }
-            group
-                .word
-                .store(algebra::fold(self.kind, &buf), Ordering::Release);
-            group.dirty.store(false, Ordering::Release);
-        }
-        Ok(())
+        self.deltas.clear();
+        let mut span = Vec::new();
+        (0..self.groups.len()).try_for_each(|g| self.rebuild(image, geom, g, &mut span))
     }
 
     /// Rebuild one group's parity buffer and codeword from the image.
@@ -421,17 +313,20 @@ impl ParityStripe {
         geom: &RegionGeometry,
         group: ParityGroupId,
     ) -> Result<()> {
+        self.rebuild(image, geom, group, &mut Vec::new())
+    }
+
+    fn rebuild(
+        &self,
+        image: &DbImage,
+        geom: &RegionGeometry,
+        group: ParityGroupId,
+        span: &mut Vec<u8>,
+    ) -> Result<()> {
         let grp = &self.groups[group];
         let mut buf = grp.buf.lock();
         buf.fill(0);
-        let (first, last) = self.members(group);
-        let mut region = vec![0u8; self.region_size];
-        for r in first..=last {
-            image.read(geom.region_base(r), &mut region)?;
-            for (b, s) in buf.iter_mut().zip(&region) {
-                *b ^= s;
-            }
-        }
+        self.xor_members(image, geom, group, None, &mut buf, span)?;
         grp.word
             .store(algebra::fold(self.kind, &buf), Ordering::Release);
         grp.dirty.store(false, Ordering::Release);
@@ -444,9 +339,7 @@ impl ParityStripe {
     /// stale-parity fallback case.
     pub fn wild_xor_group(&self, group: ParityGroupId, rel: usize, bytes: &[u8]) {
         let mut buf = self.groups[group].buf.lock();
-        for (i, b) in bytes.iter().enumerate() {
-            buf[rel + i] ^= b;
-        }
+        xor_into(&mut buf[rel..rel + bytes.len()], bytes);
     }
 
     /// Collect and clear the groups flagged dirty since the last call,
@@ -470,17 +363,18 @@ impl ParityStripe {
     /// Raw byte-deltas currently queued (before coalescing).
     #[inline]
     pub fn pending_deltas(&self) -> u64 {
-        self.pending.load(Ordering::Relaxed)
+        self.deltas.snapshot().pending_deltas
     }
 
     /// Snapshot the gauges and lifetime counters.
     pub fn snapshot(&self) -> ParityStatsSnapshot {
+        let deltas = self.deltas.snapshot();
         ParityStatsSnapshot {
             groups: self.groups.len() as u64,
             group_size: self.group_size as u64,
-            pending_deltas: self.pending_deltas(),
-            drains: self.drains.load(Ordering::Relaxed),
-            coalesced_deltas: self.coalesced.load(Ordering::Relaxed),
+            pending_deltas: deltas.pending_deltas,
+            drains: deltas.drains,
+            coalesced_deltas: deltas.coalesced_deltas,
             delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
             dirty_groups: self.dirty_group_count() as u64,
         }

@@ -15,8 +15,9 @@
 //! identical for every codeword scheme, and generic over the configured
 //! [`CodewordAlgebraKind`] — the XOR fold or the mod-(2^32−1) residue
 //! code (see [`crate::algebra`]). The deferred scheme queues its deltas
-//! in a sharded, coalescing dirty set ([`crate::deferred`]) instead of
-//! touching the codeword table at `endUpdate`.
+//! in the sharded, coalescing delta set ([`crate::deferred`]) instead of
+//! touching the codeword table at `endUpdate`; the parity stripe queues
+//! its byte deltas in a second instance of the same set.
 
 use crate::algebra;
 use crate::audit::{self, AuditReport};
@@ -72,9 +73,9 @@ pub struct CodewordProtection {
     table: CodewordTable,
     latches: LatchTable,
     /// Deferred-maintenance dirty set: per-shard maps of
-    /// `region → accumulated XOR delta` awaiting application (only for
+    /// `region → coalesced codeword delta` awaiting application (only for
     /// [`ProtectionScheme::DeferredMaintenance`]).
-    deferred: Option<DeferredSet>,
+    deferred: Option<DeferredSet<u32>>,
     /// Parity stripe for online repair (see [`crate::parity`]); present
     /// when the config enables a parity group size and the scheme
     /// maintains codewords. Updaters enqueue byte deltas next to their
@@ -92,51 +93,13 @@ pub struct CodewordProtection {
 }
 
 impl CodewordProtection {
-    /// Build protection state for `image` with default deferred-set
-    /// sizing. The codeword table is folded from the current image
-    /// contents.
-    pub fn new(
-        image: &DbImage,
-        scheme: ProtectionScheme,
-        region_size: usize,
-        regions_per_latch: usize,
-    ) -> Result<CodewordProtection> {
-        Self::with_deferred(
-            image,
-            scheme,
-            region_size,
-            regions_per_latch,
-            DeferredConfig::default(),
-        )
-    }
-
-    /// [`new`](Self::new) with explicit deferred dirty-set sizing
-    /// (ignored unless the scheme defers maintenance). Full-image scans
-    /// stay serial; use [`with_config`](Self::with_config) to parallelize
-    /// them.
-    pub fn with_deferred(
-        image: &DbImage,
-        scheme: ProtectionScheme,
-        region_size: usize,
-        regions_per_latch: usize,
-        deferred_cfg: DeferredConfig,
-    ) -> Result<CodewordProtection> {
-        Self::with_config(
-            image,
-            scheme,
-            region_size,
-            regions_per_latch,
-            deferred_cfg,
-            1,
-            CodewordAlgebraKind::XorFold,
-        )
-    }
-
-    /// Fully-parameterized constructor: deferred dirty-set sizing, the
-    /// worker count used for every full-image scan this protection runs —
-    /// [`audit`](Self::audit), [`resync`](Self::resync), and the initial
-    /// codeword-table fold (`audit_threads` is clamped to ≥ 1) — and the
-    /// codeword algebra every fold, delta, and table slot lives in.
+    /// Build protection state for `image`, folding the codeword table from
+    /// its current contents: deferred dirty-set sizing (ignored unless the
+    /// scheme defers maintenance), the worker count used for every
+    /// full-image scan this protection runs — [`audit`](Self::audit),
+    /// [`resync`](Self::resync), and the initial codeword-table fold
+    /// (`audit_threads` is clamped to ≥ 1) — and the codeword algebra
+    /// every fold, delta, and table slot lives in.
     pub fn with_config(
         image: &DbImage,
         scheme: ProtectionScheme,
@@ -157,7 +120,7 @@ impl CodewordProtection {
         let latches = LatchTable::new(geom.num_regions(), regions_per_latch);
         let deferred = scheme
             .defers_maintenance()
-            .then(|| DeferredSet::new(deferred_cfg, kind));
+            .then(|| DeferredSet::new(deferred_cfg));
         Ok(CodewordProtection {
             scheme,
             geom,
@@ -314,14 +277,18 @@ impl CodewordProtection {
             let new_fold = image.fold(self.kind, s, l)?;
             let delta = self.kind.delta_of_folds(old_fold, new_fold);
             match &self.deferred {
+                // A zero delta leaves the codeword where it is: nothing
+                // to queue.
+                Some(_) if delta == 0 => {}
                 Some(set) => {
-                    if set.push(region, delta) {
+                    let kind = self.kind;
+                    if set.push(region, || delta, |d| *d = kind.combine(*d, delta)) {
                         // Shard over its high-watermark: the pusher pays
                         // for the drain (backpressure). Applying queued
                         // deltas needs no latch — each was enqueued after
                         // its bytes landed, and the table publish is a
                         // commuting atomic (fetch_xor / CAS'd mod-add).
-                        set.drain_region(region, &self.table);
+                        self.drain_codewords(region, region);
                     }
                 }
                 None => self.table.apply_delta(region, delta),
@@ -350,7 +317,7 @@ impl CodewordProtection {
     /// schemes.
     pub fn drain_deferred(&self) {
         if let Some(set) = &self.deferred {
-            set.drain_all(&self.table);
+            set.drain_all(|r, d| self.table.apply_delta(r, d));
         }
         if let Some(stripe) = &self.parity {
             stripe.drain_all();
@@ -361,9 +328,7 @@ impl CodewordProtection {
     /// incremental catch-up path used by audits: latch the region
     /// exclusively, drain its shard, then fold and compare).
     pub fn drain_region(&self, region: RegionId) {
-        if let Some(set) = &self.deferred {
-            set.drain_region(region, &self.table);
-        }
+        self.drain_codewords(region, region);
         if let Some(stripe) = &self.parity {
             stripe.drain_region(region);
         }
@@ -375,13 +340,13 @@ impl CodewordProtection {
     /// [`deferred_pending_deltas`](Self::deferred_pending_deltas) for the
     /// raw count.
     pub fn deferred_len(&self) -> usize {
-        self.deferred.as_ref().map_or(0, |set| set.dirty_regions())
+        self.deferred_stats().dirty_regions as usize
     }
 
     /// Total accumulated (not yet drained) raw deltas across the dirty
     /// set, before coalescing.
     pub fn deferred_pending_deltas(&self) -> u64 {
-        self.deferred.as_ref().map_or(0, |set| set.pending_deltas())
+        self.deferred_stats().pending_deltas
     }
 
     /// Deferred dirty-set gauges and lifetime counters (zeroed default
@@ -390,23 +355,6 @@ impl CodewordProtection {
         self.deferred
             .as_ref()
             .map_or_else(DeferredStatsSnapshot::default, |set| set.snapshot())
-    }
-
-    /// Reverse the codeword effect of an update that had already been
-    /// applied (used when rolling back a physical update whose
-    /// codeword-applied flag is clear: the undo image restores the bytes,
-    /// and this restores the codeword).
-    ///
-    /// Identical math to [`apply_update`](Self::apply_update) for *every*
-    /// algebra: the rollback is itself a directed transition (current
-    /// bytes → restored bytes), and `apply_update` computes the directed
-    /// delta from the passed before-image to what the image now holds —
-    /// which for a rollback is exactly the inverse of the original
-    /// update's delta (for XOR the two coincide because deltas are
-    /// self-inverse). Provided as a named alias for clarity at call sites.
-    #[inline]
-    pub fn unapply_update(&self, image: &DbImage, waddr: DbAddr, old_widened: &[u8]) -> Result<()> {
-        self.apply_update(image, waddr, old_widened)
     }
 
     /// Read with precheck (paper §3.1): take the protection latches of the
@@ -482,53 +430,60 @@ impl CodewordProtection {
             })
     }
 
-    /// Audit the whole database (region-by-region, latched; for the
-    /// deferred scheme each region's dirty-set shard is drained under
-    /// that region's exclusive latch before the fold — no global
-    /// quiesce). Runs with the configured
-    /// [`audit_threads`](Self::audit_threads) stripe workers; the report is
-    /// identical to a serial scan regardless of the worker count.
+    /// Audit the whole database: the `audit::sweep` of the single range
+    /// `0..n`, latched in runs of [`latch_run`](Self::latch_run) regions
+    /// (for the deferred scheme each run's dirty-set shards are drained
+    /// under its exclusive bracket before the fold — no global quiesce),
+    /// striped across the configured [`audit_threads`](Self::audit_threads)
+    /// workers. The report is identical for every worker count.
     pub fn audit(&self, image: &DbImage) -> Result<AuditReport> {
         self.audit_with_threads(image, self.audit_threads)
     }
 
     /// [`audit`](Self::audit) with an explicit worker count (used by the
     /// parallel-vs-serial equivalence suite).
+    #[allow(clippy::single_range_in_vec_init)] // one range: the whole database
     pub fn audit_with_threads(&self, image: &DbImage, threads: usize) -> Result<AuditReport> {
+        self.sweep(image, &[0..self.geom.num_regions()], threads)
+    }
+
+    /// Audit only the given regions (sorted ascending, deduplicated) —
+    /// the delta-certification sweep, over the runs of consecutive ids in
+    /// `regions`. The report is identical to restricting a full sweep to
+    /// `regions`.
+    pub fn audit_regions(&self, image: &DbImage, regions: &[RegionId]) -> Result<AuditReport> {
+        self.sweep(image, &audit::runs(regions), self.audit_threads)
+    }
+
+    /// The one region sweep behind every audit; non-codeword schemes have
+    /// nothing to audit against and report an empty, clean pass.
+    fn sweep(
+        &self,
+        image: &DbImage,
+        ranges: &[std::ops::Range<RegionId>],
+        threads: usize,
+    ) -> Result<AuditReport> {
         if !self.scheme.maintains_codewords() {
-            // Nothing to audit against; report an empty, clean pass.
             return Ok(AuditReport::default());
         }
-        audit::audit_all_parallel(
+        audit::sweep(
             image,
             &self.geom,
             &self.table,
             &self.latches,
             self.deferred.as_ref(),
+            ranges,
             threads,
             self.latch_run,
         )
     }
 
-    /// Audit only the given regions (sorted ascending, deduplicated) —
-    /// the delta-certification sweep. Runs with the configured
-    /// [`audit_threads`](Self::audit_threads) and latch-run bound; the
-    /// report is identical to restricting a full sweep to `regions`.
-    /// Non-codeword schemes report an empty, clean pass.
-    pub fn audit_regions(&self, image: &DbImage, regions: &[RegionId]) -> Result<AuditReport> {
-        if !self.scheme.maintains_codewords() {
-            return Ok(AuditReport::default());
+    /// Apply the queued codeword deltas of every dirty-set shard covering
+    /// `first..=last` (no-op unless the scheme defers maintenance).
+    fn drain_codewords(&self, first: RegionId, last: RegionId) {
+        if let Some(set) = &self.deferred {
+            set.drain_span(first, last, |r, d| self.table.apply_delta(r, d));
         }
-        audit::audit_regions(
-            image,
-            &self.geom,
-            &self.table,
-            &self.latches,
-            self.deferred.as_ref(),
-            regions,
-            self.audit_threads,
-            self.latch_run,
-        )
     }
 
     /// Sorted, deduplicated ids of regions with queued deferred deltas
@@ -539,7 +494,7 @@ impl CodewordProtection {
     pub fn deferred_dirty_regions(&self) -> Vec<RegionId> {
         self.deferred
             .as_ref()
-            .map_or_else(Vec::new, |set| set.dirty_region_ids())
+            .map_or_else(Vec::new, DeferredSet::dirty_region_ids)
     }
 
     /// Recompute every codeword from the image (after recovery rebuilds or
@@ -591,14 +546,7 @@ impl CodewordProtection {
         let (first, last) = stripe.members(group);
         self.latches
             .with_span(first, last, LatchMode::Exclusive, || {
-                if let Some(set) = &self.deferred {
-                    let mut shards: Vec<usize> = (first..=last).map(|r| set.shard_of(r)).collect();
-                    shards.sort_unstable();
-                    shards.dedup();
-                    for s in shards {
-                        set.drain_shard(s, &self.table);
-                    }
-                }
+                self.drain_codewords(first, last);
                 stripe.drain_group(group);
                 if !stripe.verify_group(group) {
                     return Ok(Err(RepairFallback::StaleParity { group }));
@@ -642,10 +590,29 @@ impl CodewordProtection {
 mod tests {
     use super::*;
 
-    fn setup(scheme: ProtectionScheme) -> (DbImage, CodewordProtection) {
+    /// A 4-page image under `scheme` with 64-byte regions, `threads` scan
+    /// workers and a `cfg`-sized deferred set.
+    fn setup_with(
+        scheme: ProtectionScheme,
+        kind: CodewordAlgebraKind,
+        cfg: DeferredConfig,
+        threads: usize,
+    ) -> (DbImage, CodewordProtection) {
         let image = DbImage::new(4, 4096).unwrap();
-        let prot = CodewordProtection::new(&image, scheme, 64, 1).unwrap();
+        let prot =
+            CodewordProtection::with_config(&image, scheme, 64, 1, cfg, threads, kind).unwrap();
         (image, prot)
+    }
+
+    fn setup_algebra(
+        scheme: ProtectionScheme,
+        kind: CodewordAlgebraKind,
+    ) -> (DbImage, CodewordProtection) {
+        setup_with(scheme, kind, DeferredConfig::default(), 1)
+    }
+
+    fn setup(scheme: ProtectionScheme) -> (DbImage, CodewordProtection) {
+        setup_algebra(scheme, CodewordAlgebraKind::XorFold)
     }
 
     /// Simulate one prescribed update: capture widened before-image, write,
@@ -728,26 +695,6 @@ mod tests {
     }
 
     #[test]
-    fn unapply_restores_codeword_on_rollback() {
-        let (image, prot) = setup(ProtectionScheme::DataCodeword);
-        let addr = DbAddr(256);
-        let (ws, wl) = dali_common::align::widen_to_words(addr.0, 6);
-        let mut old = vec![0u8; wl];
-        image.read(DbAddr(ws), &mut old).unwrap();
-        image.write(addr, &[1, 2, 3, 4, 5, 6]).unwrap();
-        prot.apply_update(&image, DbAddr(ws), &old).unwrap();
-        assert!(prot.audit(&image).unwrap().clean());
-
-        // Roll back: capture the *current* widened bytes as the new "old",
-        // restore the original bytes, unapply.
-        let mut cur = vec![0u8; wl];
-        image.read(DbAddr(ws), &mut cur).unwrap();
-        image.write(DbAddr(ws), &old).unwrap();
-        prot.unapply_update(&image, DbAddr(ws), &cur).unwrap();
-        assert!(prot.audit(&image).unwrap().clean());
-    }
-
-    #[test]
     fn baseline_scheme_skips_maintenance() {
         let (image, prot) = setup(ProtectionScheme::Baseline);
         prescribed_update(&image, &prot, DbAddr(0), &[1, 2, 3]);
@@ -756,6 +703,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::single_range_in_vec_init)] // the full sweep
     fn deferred_maintenance_queues_until_drain() {
         let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
         // Updaters hold the latch shared across write+enqueue so audits
@@ -764,14 +712,16 @@ mod tests {
         prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4]);
         assert_eq!(prot.deferred_len(), 1);
         assert_eq!(prot.deferred_pending_deltas(), 1);
-        // Without draining, the table is stale: a raw sweep (audit_all
-        // with no dirty set wired in) would flag the region.
-        let raw = crate::audit::audit_all(
+        // Without draining, the table is stale: a raw sweep (no dirty set
+        // wired in) would flag the region.
+        let raw = crate::audit::sweep(
             &image,
             prot.geometry(),
             prot.table(),
             prot.latches(),
             None,
+            &[0..prot.geometry().num_regions()],
+            1,
             1,
         )
         .unwrap();
@@ -780,6 +730,9 @@ mod tests {
         assert_eq!(prot.deferred_len(), 0);
         assert_eq!(prot.deferred_pending_deltas(), 0);
         assert!(prot.audit(&image).unwrap().clean());
+        // Rewriting the same bytes moves no codeword: nothing is queued.
+        prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4]);
+        assert_eq!(prot.deferred_pending_deltas(), 0);
     }
 
     #[test]
@@ -823,27 +776,18 @@ mod tests {
 
     #[test]
     fn deferred_drain_region_is_partial() {
-        let image = DbImage::new(4, 4096).unwrap();
-        let prot = CodewordProtection::with_deferred(
-            &image,
+        let cfg = DeferredConfig {
+            shards: 4,
+            watermark: 0,
+        };
+        let (image, prot) = setup_with(
             ProtectionScheme::DeferredMaintenance,
-            64,
-            1,
-            crate::deferred::DeferredConfig {
-                shards: 4,
-                watermark: 0,
-            },
-        )
-        .unwrap();
-        // A probe set with the same shard count gives the region→shard
-        // map; pick a region that hashes away from region 0.
-        let probe = crate::deferred::DeferredSet::new(
-            crate::deferred::DeferredConfig {
-                shards: 4,
-                watermark: 0,
-            },
             CodewordAlgebraKind::XorFold,
+            cfg,
+            1,
         );
+        // Pick a region that hashes away from region 0.
+        let probe = prot.deferred.as_ref().unwrap();
         let other = (1..prot.geometry().num_regions())
             .find(|&r| probe.shard_of(r) != probe.shard_of(0))
             .expect("some region in another shard");
@@ -857,20 +801,15 @@ mod tests {
 
     #[test]
     fn parallel_audit_equals_serial_with_deferred_queue_and_corruption() {
-        let image = DbImage::new(4, 4096).unwrap();
-        let prot = CodewordProtection::with_config(
-            &image,
+        let (image, prot) = setup_with(
             ProtectionScheme::DeferredMaintenance,
-            64,
-            1,
-            crate::deferred::DeferredConfig {
+            CodewordAlgebraKind::XorFold,
+            DeferredConfig {
                 shards: 4,
                 watermark: 0,
             },
             4,
-            CodewordAlgebraKind::XorFold,
-        )
-        .unwrap();
+        );
         assert_eq!(prot.audit_threads(), 4);
         // Maintained updates queue deltas; stray writes corrupt.
         prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4, 5]);
@@ -894,18 +833,19 @@ mod tests {
             .map(|i| (i.wrapping_mul(2246822519) >> 9) as u8)
             .collect();
         image.write(DbAddr(0), &noise).unwrap();
-        let serial =
-            CodewordProtection::new(&image, ProtectionScheme::DataCodeword, 64, 1).unwrap();
-        let par = CodewordProtection::with_config(
-            &image,
-            ProtectionScheme::DataCodeword,
-            64,
-            1,
-            DeferredConfig::default(),
-            3,
-            CodewordAlgebraKind::XorFold,
-        )
-        .unwrap();
+        let build = |threads| {
+            CodewordProtection::with_config(
+                &image,
+                ProtectionScheme::DataCodeword,
+                64,
+                1,
+                DeferredConfig::default(),
+                threads,
+                CodewordAlgebraKind::XorFold,
+            )
+            .unwrap()
+        };
+        let (serial, par) = (build(1), build(3));
         for r in 0..serial.geometry().num_regions() {
             assert_eq!(serial.table().get(r), par.table().get(r), "region {r}");
         }
@@ -950,24 +890,6 @@ mod tests {
         assert!(prot.audit_regions(&image, &[0, 1]).unwrap().clean());
     }
 
-    fn setup_algebra(
-        scheme: ProtectionScheme,
-        kind: CodewordAlgebraKind,
-    ) -> (DbImage, CodewordProtection) {
-        let image = DbImage::new(4, 4096).unwrap();
-        let prot = CodewordProtection::with_config(
-            &image,
-            scheme,
-            64,
-            1,
-            DeferredConfig::default(),
-            1,
-            kind,
-        )
-        .unwrap();
-        (image, prot)
-    }
-
     #[test]
     fn residue_protection_maintains_and_audits() {
         for scheme in [
@@ -990,24 +912,27 @@ mod tests {
     }
 
     #[test]
-    fn residue_rollback_restores_codeword() {
-        // The directed-delta rollback path: unapply must invert the
-        // residue delta, not re-apply it (XOR's self-inverse shortcut
-        // does not hold here).
-        let (image, prot) =
-            setup_algebra(ProtectionScheme::DataCodeword, CodewordAlgebraKind::Residue);
-        let addr = DbAddr(256);
-        let (ws, wl) = dali_common::align::widen_to_words(addr.0, 6);
-        let mut old = vec![0u8; wl];
-        image.read(DbAddr(ws), &mut old).unwrap();
-        image.write(addr, &[1, 2, 3, 4, 5, 6]).unwrap();
-        prot.apply_update(&image, DbAddr(ws), &old).unwrap();
-        assert!(prot.audit(&image).unwrap().clean());
-        let mut cur = vec![0u8; wl];
-        image.read(DbAddr(ws), &mut cur).unwrap();
-        image.write(DbAddr(ws), &old).unwrap();
-        prot.unapply_update(&image, DbAddr(ws), &cur).unwrap();
-        assert!(prot.audit(&image).unwrap().clean());
+    fn rollback_restores_codeword_both_algebras() {
+        // Rolling back is itself a directed transition (current bytes →
+        // restored bytes), so apply_update with the *current* bytes as
+        // the before-image inverts the residue delta rather than
+        // re-applying it (XOR's self-inverse shortcut does not hold
+        // there).
+        for kind in CodewordAlgebraKind::ALL {
+            let (image, prot) = setup_algebra(ProtectionScheme::DataCodeword, kind);
+            let addr = DbAddr(256);
+            let (ws, wl) = dali_common::align::widen_to_words(addr.0, 6);
+            let mut old = vec![0u8; wl];
+            image.read(DbAddr(ws), &mut old).unwrap();
+            image.write(addr, &[1, 2, 3, 4, 5, 6]).unwrap();
+            prot.apply_update(&image, DbAddr(ws), &old).unwrap();
+            assert!(prot.audit(&image).unwrap().clean(), "{kind:?}");
+            let mut cur = vec![0u8; wl];
+            image.read(DbAddr(ws), &mut cur).unwrap();
+            image.write(DbAddr(ws), &old).unwrap();
+            prot.apply_update(&image, DbAddr(ws), &cur).unwrap();
+            assert!(prot.audit(&image).unwrap().clean(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -8,9 +8,37 @@
 
 use dali_common::align::split_by_chunks;
 use dali_common::{DaliError, DbAddr, Result};
+use std::ops::Range;
 
 /// Index of a protection region.
 pub type RegionId = usize;
+
+/// Split `0..n` into `threads` contiguous stripes of `ceil(n / threads)`
+/// (clamped to `1..=n`), run `work` on each — on scoped workers when
+/// there is more than one stripe — and return the results in stripe
+/// order. The one stripe-and-merge pool behind full-image scans: audits
+/// and the codeword-table recompute.
+pub(crate) fn striped<T: Send>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(Range<usize>) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return Ok(vec![work(0..n)?]);
+    }
+    let per = n.div_ceil(threads);
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| s.spawn(move || work((t * per).min(n)..((t + 1) * per).min(n))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("stripe worker panicked"))
+            .collect()
+    })
+}
 
 /// Geometry of the protection regions tiling an address space.
 #[derive(Clone, Copy, Debug)]

@@ -9,7 +9,7 @@
 //! *contents* and its codeword is only guaranteed to an observer holding
 //! the protection latch exclusively (an auditor or a prechecking reader).
 
-use crate::region::{RegionGeometry, RegionId};
+use crate::region::{striped, RegionGeometry, RegionId};
 use dali_common::{CodewordAlgebraKind, Result};
 use dali_mem::DbImage;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -27,15 +27,6 @@ impl CodewordTable {
         let mut words = Vec::with_capacity(n);
         words.resize_with(n, || AtomicU32::new(kind.identity()));
         CodewordTable { words, kind }
-    }
-
-    /// Build a table by folding every region of `image` under `kind`.
-    pub fn from_image(
-        image: &DbImage,
-        geom: &RegionGeometry,
-        kind: CodewordAlgebraKind,
-    ) -> Result<CodewordTable> {
-        CodewordTable::from_image_parallel(image, geom, 1, kind)
     }
 
     /// Build a table by folding every region of `image` with `threads`
@@ -104,52 +95,22 @@ impl CodewordTable {
         }
     }
 
-    /// Recompute every codeword from the image (used at initialization and
-    /// after recovery rebuilds the image).
-    pub fn recompute_all(&self, image: &DbImage, geom: &RegionGeometry) -> Result<()> {
-        self.recompute_all_parallel(image, geom, 1)
-    }
-
-    /// Recompute every codeword from the image with `threads` scoped
-    /// workers, each folding a contiguous stripe of regions. Slot stores
-    /// are atomic and the stripes are disjoint, so the result is identical
-    /// to the serial recompute; the caller must quiesce updaters (as at
-    /// initialization and recovery resync) since a recompute is not an
-    /// incremental delta.
+    /// Recompute every codeword from the image (at initialization and
+    /// after recovery rebuilds the image) with `threads` scoped workers,
+    /// each folding a contiguous stripe of regions. Slot stores are atomic
+    /// and the stripes are disjoint, so the result is identical to the
+    /// serial recompute; the caller must quiesce updaters since a
+    /// recompute is not an incremental delta.
     pub fn recompute_all_parallel(
         &self,
         image: &DbImage,
         geom: &RegionGeometry,
         threads: usize,
     ) -> Result<()> {
-        let n = geom.num_regions();
-        let threads = threads.clamp(1, n.max(1));
-        if threads <= 1 {
-            for r in 0..n {
-                let cw = image.fold(self.kind, geom.region_base(r), geom.region_size())?;
-                self.set(r, cw);
-            }
-            return Ok(());
-        }
-        let per = n.div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let (lo, hi) = (t * per, ((t + 1) * per).min(n));
-                    s.spawn(move || -> Result<()> {
-                        for r in lo..hi {
-                            let cw =
-                                image.fold(self.kind, geom.region_base(r), geom.region_size())?;
-                            self.set(r, cw);
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("recompute stripe worker panicked"))
-        })
+        striped(geom.num_regions(), threads, |mut stripe| {
+            stripe.try_for_each(|r| self.recompute_region(image, geom, r))
+        })?;
+        Ok(())
     }
 
     /// Recompute the codeword of a single region from the image.
@@ -173,7 +134,7 @@ mod tests {
     fn setup_kind(kind: CodewordAlgebraKind) -> (DbImage, RegionGeometry, CodewordTable) {
         let image = DbImage::new(2, 4096).unwrap();
         let geom = RegionGeometry::new(image.len(), 64).unwrap();
-        let table = CodewordTable::from_image(&image, &geom, kind).unwrap();
+        let table = CodewordTable::from_image_parallel(&image, &geom, 1, kind).unwrap();
         (image, geom, table)
     }
 
@@ -258,7 +219,7 @@ mod tests {
                 .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
                 .collect();
             image.write(DbAddr(0), &noise).unwrap();
-            let serial = CodewordTable::from_image(&image, &geom, kind).unwrap();
+            let serial = CodewordTable::from_image_parallel(&image, &geom, 1, kind).unwrap();
             for threads in [2, 3, 8, geom.num_regions() + 1] {
                 let par = CodewordTable::from_image_parallel(&image, &geom, threads, kind).unwrap();
                 for r in 0..geom.num_regions() {

@@ -49,7 +49,7 @@ pub enum ProtectionScheme {
     /// view-consistent and runs on every restart.
     CwReadLogging,
     /// Hardware protection: mprotect pages read-only, expose them for the
-    /// duration of each beginUpdate/endUpdate pair (paper §3, after [21]).
+    /// duration of each beginUpdate/endUpdate pair (paper §3, after \[21\]).
     MemoryProtection,
 }
 

@@ -5,8 +5,8 @@
 //!
 //! * [`ids`] — strongly typed identifiers (pages, transactions, tables,
 //!   slots, log sequence numbers, database addresses).
-//! * [`error`] — the [`DaliError`](error::DaliError) error type and
-//!   [`Result`](error::Result) alias.
+//! * [`error`] — the [`error::DaliError`] error type and
+//!   [`error::Result`] alias.
 //! * [`config`] — engine configuration, including the protection-scheme
 //!   selector corresponding to the rows of Table 2 in the paper.
 //! * [`align`] — alignment arithmetic used by codeword maintenance

@@ -141,17 +141,23 @@ impl HeapMeta {
         }
     }
 
-    /// Bytes of data storage (including embedded page headers for the
-    /// page-local layout).
-    pub fn data_bytes(&self) -> usize {
-        match self.layout {
-            HeapLayout::Separate => self.capacity * self.rec_size,
+    /// End of the data extent (including embedded page headers for the
+    /// page-local layout), or `None` when the extents cannot exist: a
+    /// page-local layout with no records per page, or sizes that overflow
+    /// the address space. Decoded metadata (a checkpoint catalog, a
+    /// replayed `CreateTable`) is only checksum-valid, not sane.
+    fn data_end(&self) -> Option<usize> {
+        let bytes = match self.layout {
+            HeapLayout::Separate => self.capacity.checked_mul(self.rec_size)?,
             HeapLayout::PageLocal {
                 records_per_page,
                 page_size,
                 ..
-            } => self.capacity.div_ceil(records_per_page as usize) * page_size as usize,
-        }
+            } => (records_per_page > 0)
+                .then(|| self.capacity.div_ceil(records_per_page as usize))?
+                .checked_mul(page_size as usize)?,
+        };
+        self.data_base.0.checked_add(bytes)
     }
 
     fn encode(&self, buf: &mut BytesMut) {
@@ -291,7 +297,7 @@ impl Catalog {
             data_base,
             layout,
         };
-        let end = meta.data_base.0 + meta.data_bytes();
+        let end = meta.data_end().unwrap_or(usize::MAX);
         if end > image_bytes {
             return Err(DaliError::OutOfSpace(format!(
                 "table '{name}' needs {end} bytes, image has {image_bytes}"
@@ -320,7 +326,9 @@ impl Catalog {
                 meta.table
             )));
         }
-        let end = meta.data_base.0 + meta.data_bytes();
+        let end = meta.data_end().ok_or_else(|| {
+            DaliError::InvalidArg(format!("table {} has impossible extents", meta.table))
+        })?;
         self.watermark = self.watermark.max(end);
         self.by_name.insert(meta.name.clone(), meta.table);
         self.tables.push(meta);
@@ -363,7 +371,8 @@ impl Catalog {
         let n = r.count(4 + 4 + 4 + 3 * 8 + 1)?;
         let mut cat = Catalog::new();
         for _ in 0..n {
-            cat.register(HeapMeta::decode(r)?)?;
+            let meta = HeapMeta::decode(r)?;
+            cat.register(meta).map_err(|e| r.fail(e))?;
         }
         cat.watermark = r.u64()? as usize;
         Ok(cat)
@@ -393,7 +402,7 @@ mod tests {
         // Bitmap and data never share a page.
         assert!(a.data_base.0 >= a.bitmap_base.0 + PAGE);
         // Table b starts after table a.
-        assert!(b.bitmap_base.0 >= a.data_base.0 + a.data_bytes());
+        assert!(b.bitmap_base.0 >= a.data_end().unwrap());
     }
 
     #[test]

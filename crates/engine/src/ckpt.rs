@@ -268,40 +268,22 @@ fn write_pages(
     Ok(f)
 }
 
-/// Run a full-database audit. Every scheme — deferred maintenance
-/// included — sweeps region by region under the protection latches,
-/// concurrently with updaters: deferred updaters hold their region
-/// latch shared across the write+enqueue bracket, so the audit drains
-/// each region's dirty-set shard under that region's exclusive latch
-/// before folding (a queued-but-unapplied delta would otherwise read as
-/// a spurious mismatch). No global quiesce anywhere. The sweep is striped
-/// across [`DaliConfig::audit_threads`](dali_common::DaliConfig) workers
-/// (each region still individually latched, so the concurrency argument
-/// is unchanged), and the sweep's region count, bytes folded, and
-/// wall-clock time are recorded in [`EngineStats`].
-fn sweep_audit(db: &Arc<Db>) -> Result<dali_codeword::AuditReport> {
-    let start = std::time::Instant::now();
-    let report = db.prot.audit(&db.image)?;
-    record_sweep_stats(db, &report, start.elapsed().as_nanos() as u64);
-    Ok(report)
-}
-
-/// Run a delta-certification sweep over exactly `regions` (sorted,
-/// deduplicated), with the same latching, deferred catch-up, and stats
-/// recording as the full sweep. See [`checkpoint`] for how the region
-/// list is derived and why the restriction is sound.
-fn sweep_audit_regions(
-    db: &Arc<Db>,
-    regions: &[dali_codeword::RegionId],
-) -> Result<dali_codeword::AuditReport> {
-    let start = std::time::Instant::now();
-    let report = db.prot.audit_regions(&db.image, regions)?;
-    record_sweep_stats(db, &report, start.elapsed().as_nanos() as u64);
-    Ok(report)
-}
-
-fn record_sweep_stats(db: &Arc<Db>, report: &dali_codeword::AuditReport, elapsed_ns: u64) {
+/// Run an audit sweep — of the whole database, or of exactly `regions`
+/// (sorted, deduplicated: a delta certification, see [`certify`] for how
+/// the list is derived and why the restriction is sound) — and record its
+/// region count, bytes folded, latch brackets and wall-clock time in
+/// [`EngineStats`]. The sweep runs under the protection latches,
+/// concurrently with updaters (deferred dirty-set shards are drained
+/// inside each exclusive bracket; no global quiesce), striped across
+/// [`DaliConfig::audit_threads`](dali_common::DaliConfig) workers.
+fn sweep_audit(db: &Arc<Db>, regions: Option<&[dali_codeword::RegionId]>) -> Result<AuditReport> {
     use std::sync::atomic::Ordering::Relaxed;
+    let start = std::time::Instant::now();
+    let report = match regions {
+        None => db.prot.audit(&db.image)?,
+        Some(regions) => db.prot.audit_regions(&db.image, regions)?,
+    };
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
     let region_size = db.prot.geometry().region_size() as u64;
     let stats = &db.stats;
     stats
@@ -314,6 +296,7 @@ fn record_sweep_stats(db: &Arc<Db>, report: &dali_codeword::AuditReport, elapsed
         .audit_latch_brackets
         .fetch_add(report.latch_brackets as u64, Relaxed);
     stats.audit_ns.fetch_add(elapsed_ns, Relaxed);
+    Ok(report)
 }
 
 /// Take a checkpoint (paper §2.1 + §4.2 certification). See module docs.
@@ -458,7 +441,7 @@ fn certify(
         db.syslog.append(&LogRecord::AuditBegin { audit_id })
     };
     let report = if full {
-        sweep_audit(db)?
+        sweep_audit(db, None)?
     } else {
         let mut regions = dali_wal::pages_to_regions(
             dirty_pages,
@@ -472,7 +455,7 @@ fn certify(
         db.stats
             .certify_regions_skipped
             .fetch_add(skipped as u64, std::sync::atomic::Ordering::Relaxed);
-        sweep_audit_regions(db, &regions)?
+        sweep_audit(db, Some(&regions))?
     };
     db.stats.certify_regions_certified.fetch_add(
         report.regions_checked as u64,
@@ -549,7 +532,7 @@ pub fn audit(db: &Arc<Db>) -> Result<AuditReport> {
         let _q = db.quiesce.read();
         db.syslog.append(&LogRecord::AuditBegin { audit_id })
     };
-    let report = sweep_audit(db)?;
+    let report = sweep_audit(db, None)?;
     let clean = report.clean();
     {
         let _q = db.quiesce.read();

@@ -18,7 +18,7 @@
 //!    (no parity and no certified checkpoint path), via the corruption
 //!    marker as before.
 //!
-//! [`auto_repair`] is the hook the audit and checkpoint-certification
+//! `auto_repair` is the hook the audit and checkpoint-certification
 //! paths call on a dirty report: it walks the ladder, then *re-audits*
 //! the affected regions — only a clean re-audit counts as healed, so a
 //! reconstruction that somehow reproduced corrupt bytes can never

@@ -623,7 +623,10 @@ fn rollback_physical(
             let mut cur = vec![0u8; before.len()];
             db.image.read(addr, &mut cur)?;
             db.image.write(addr, &before)?;
-            db.prot.unapply_update(&db.image, addr, &cur)?;
+            // The restore is itself a directed update (current bytes →
+            // before-image), so publishing its delta inverts the original
+            // one under every algebra.
+            db.prot.apply_update(&db.image, addr, &cur)?;
             st.redo.push(LogRecord::PhysicalRedo {
                 txn,
                 op,

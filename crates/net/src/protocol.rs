@@ -13,8 +13,8 @@
 //! count or length is held against them before anything is allocated, so
 //! garbage lengths cannot trigger huge allocations either.
 //!
-//! Each message type is declared **once** — [`wire_enum!`] takes a
-//! variant's tag and fields in wire order, [`wire_struct!`] a struct's
+//! Each message type is declared **once** — `wire_enum!` takes a
+//! variant's tag and fields in wire order, `wire_struct!` a struct's
 //! fields — and its Rust type, encoder, decoder and `tag()` are all
 //! derived from that declaration, so they cannot drift apart.
 

@@ -899,17 +899,12 @@ impl SystemLog {
         }
     }
 
-    /// Scan every intact record in an XOR-checksummed stable log
-    /// directory from `from` onward. (The in-memory tail is *not*
-    /// visible: after a crash it is gone.)
-    pub fn scan_stable(path: impl AsRef<Path>, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
-        Self::scan_stable_with(path, from, CodewordAlgebraKind::XorFold)
-    }
-
-    /// Scan a stable log directory whose frame checksums use `kind`
-    /// into owned records: [`LogReader`] collected. Callers that can work
-    /// on borrowed records should drive the reader themselves and keep
-    /// one segment in memory instead of the whole log.
+    /// Scan every intact record of a stable log directory whose frame
+    /// checksums use `kind`, from `from` onward, into owned records:
+    /// [`LogReader`] collected. (The in-memory tail is *not* visible:
+    /// after a crash it is gone.) Callers that can work on borrowed
+    /// records should drive the reader themselves and keep one segment in
+    /// memory instead of the whole log.
     pub fn scan_stable_with(
         path: impl AsRef<Path>,
         from: Lsn,
@@ -933,6 +928,7 @@ impl Drop for SystemLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dali_common::CodewordAlgebraKind::XorFold;
     use dali_common::{DbAddr, OpSeq, TxnId};
     use dali_testutil::TempDir;
 
@@ -954,7 +950,7 @@ mod tests {
         let stable = log.flush(false).unwrap();
         assert_eq!(stable, log.current_lsn());
 
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].0, l0);
         assert_eq!(recs[1].0, l1);
@@ -970,7 +966,7 @@ mod tests {
         log.flush(false).unwrap();
         log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
         drop(log); // crash: tail never flushed
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 1);
     }
 
@@ -1002,7 +998,7 @@ mod tests {
         assert_eq!(first, Lsn::ZERO);
         assert_eq!(end, log.current_lsn());
         log.flush(false).unwrap();
-        let scanned = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let scanned = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(scanned.len(), 2);
     }
 
@@ -1014,7 +1010,7 @@ mod tests {
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         let l1 = log.append(&LogRecord::TxnBegin { txn: TxnId(2) });
         log.flush(false).unwrap();
-        let recs = SystemLog::scan_stable(&path, l1).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, l1, XorFold).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].1, LogRecord::TxnBegin { txn: TxnId(2) });
     }
@@ -1041,7 +1037,7 @@ mod tests {
         let resume = log.current_lsn();
         log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
         log.flush(false).unwrap();
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].0, resume);
     }
@@ -1053,7 +1049,12 @@ mod tests {
         let log = SystemLog::create(&path, 4096).unwrap();
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(true).unwrap();
-        assert_eq!(SystemLog::scan_stable(&path, Lsn::ZERO).unwrap().len(), 1);
+        assert_eq!(
+            SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold)
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -1080,7 +1081,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 400);
     }
 
@@ -1110,7 +1111,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 100);
         let stats = log.sync_stats();
         assert_eq!(stats.durable_commits, 100);
@@ -1150,7 +1151,9 @@ mod tests {
         assert_eq!(stats.fsyncs, 1, "{stats:?}");
         assert_eq!(stats.piggybacked, COMMITTERS - 1, "{stats:?}");
         assert_eq!(
-            SystemLog::scan_stable(&path, Lsn::ZERO).unwrap().len(),
+            SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold)
+                .unwrap()
+                .len(),
             COMMITTERS as usize
         );
     }
@@ -1163,7 +1166,12 @@ mod tests {
         let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(1) }]);
         let durable = log.commit_durable(end, Duration::ZERO).unwrap();
         assert_eq!(durable, end);
-        assert_eq!(SystemLog::scan_stable(&path, Lsn::ZERO).unwrap().len(), 1);
+        assert_eq!(
+            SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold)
+                .unwrap()
+                .len(),
+            1
+        );
         let stats = log.sync_stats();
         assert_eq!(stats.fsyncs, 1);
         assert_eq!(stats.durable_commits, 1);
@@ -1207,7 +1215,7 @@ mod tests {
         // Scanned under the wrong algebra, the first frame fails its
         // checksum and the scan stops at LSN 0 — a mismatched scanner
         // sees a torn log, never silently different records.
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 0);
         // Reopening with the right kind resumes after the intact frames.
         let log = SystemLog::open_with(&path, 4096, r, DEFAULT_SEGMENT_BYTES).unwrap();
@@ -1242,7 +1250,7 @@ mod tests {
             h.join().unwrap();
         }
         log.flush(false).unwrap();
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 2000);
     }
 
@@ -1284,13 +1292,13 @@ mod tests {
             assert!(seg.ends_with_seal(), "{s:?} not sealed");
         }
         // The scan sees every record at its append LSN, across segments.
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 12);
         for (got, want) in recs.iter().map(|(l, _)| *l).zip(lsns) {
             assert_eq!(got, want);
         }
         // And a scan from a mid-log record LSN works too.
-        let recs = SystemLog::scan_stable(&path, recs[7].0).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, recs[7].0, XorFold).unwrap();
         assert_eq!(recs.len(), 5);
     }
 
@@ -1310,7 +1318,7 @@ mod tests {
         let l = log.append(&LogRecord::TxnCommit { txn: TxnId(99) });
         log.flush(false).unwrap();
         log.settle().unwrap();
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 10);
         assert_eq!(recs.last().unwrap().0, l);
     }
@@ -1333,7 +1341,7 @@ mod tests {
         // The scan below lists a live log's directory: the segments the
         // flush rolled into must have their names first.
         log.settle().unwrap();
-        let recs = SystemLog::scan_stable(&path, Lsn::ZERO).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[1].0, big);
         assert_eq!(recs[2].0, after);
@@ -1450,10 +1458,10 @@ mod tests {
             .iter()
             .all(|s| s.end() > horizon || s == after.last().unwrap()));
         // A scan from the horizon (what recovery would do) still works...
-        let recs = SystemLog::scan_stable(&path, horizon).unwrap();
+        let recs = SystemLog::scan_stable_with(&path, horizon, XorFold).unwrap();
         assert_eq!(recs.len(), 5);
         // ...while a scan from before the first retained segment errors.
-        let err = SystemLog::scan_stable(&path, Lsn::ZERO)
+        let err = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold)
             .unwrap_err()
             .to_string();
         assert!(err.contains("predates"), "{err}");

@@ -14,7 +14,6 @@
 //! and corruption recovery in the test suite.
 
 pub mod records;
-pub mod varlen;
 
 use dali_common::{DaliError, RecId, Result, TableId};
 use dali_engine::{DaliEngine, TxnHandle};

@@ -29,14 +29,14 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`common`](dali_common) | ids, errors, configuration, alignment math |
-//! | [`mem`](dali_mem) | page-aligned arena, database image, mprotect wrapper |
-//! | [`codeword`](dali_codeword) | codewords, regions, protection latches, audits |
-//! | [`wal`](dali_wal) | log records (incl. read logging), local logs, system log |
-//! | [`engine`](dali_engine) | transactions, MLR, checkpoints, restart + corruption recovery |
-//! | [`faultinject`](dali_faultinject) | wild writes / overruns / bit flips |
-//! | [`workload`](dali_workload) | the paper's TPC-B style workload |
-//! | [`net`](dali_net) | TCP server + client library, wire protocol, networked TPC-B |
+//! | [`common`] | ids, errors, configuration, alignment math |
+//! | [`mem`] | page-aligned arena, database image, mprotect wrapper |
+//! | [`codeword`] | codewords, regions, protection latches, audits |
+//! | [`wal`] | log records (incl. read logging), local logs, system log |
+//! | [`engine`] | transactions, MLR, checkpoints, restart + corruption recovery |
+//! | [`faultinject`] | wild writes / overruns / bit flips |
+//! | [`workload`] | the paper's TPC-B style workload |
+//! | [`net`] | TCP server + client library, wire protocol, networked TPC-B |
 //!
 //! ## Quick start
 //!
@@ -81,5 +81,4 @@ pub use dali_faultinject::{
 };
 pub use dali_net::{DaliClient, DaliServer, NetTpcbDriver, RepairSummary, ServerStats, WireError};
 pub use dali_wal::SyncStats;
-pub use dali_workload::varlen::{VarlenConfig, VarlenStore, VarlenWorkload};
 pub use dali_workload::{RunStats, TpcbConfig, TpcbDriver};

@@ -90,6 +90,38 @@ fn every_resealed_truncation_of_a_meta_file_is_an_error() {
     assert!(is_recovery_failed(ckpt::read_meta(dir.path(), 0)));
 }
 
+/// A checksum-valid catalog is not a sane one: a page-local table with
+/// zero records per page (a division by zero) or a capacity whose data
+/// extent overflows the address space must be `RecoveryFailed`, not a
+/// panic or a wrapped space watermark.
+#[test]
+fn impossible_catalog_extents_are_errors_not_panics() {
+    let dir = TempDir::new("meta-extents");
+    let file = meta_file(&dir);
+    let body = &file[..file.len() - 4];
+    // Table 0 ("acct", separate layout) starts after the table count:
+    // id, name length, name, rec_size, then its capacity. Table 1
+    // ("hist", page-local) follows table 0's 41 bytes; its
+    // records-per-page follows rec_size, three u64s and the layout tag.
+    let acct = 4 + 1 + 6 * 8 + 4 + 4;
+    let capacity_at = acct + 4 + 4 + 4 + 4;
+    let rpp_at = acct + 41 + 4 + 4 + 4 + 4 + 3 * 8 + 1;
+    assert_eq!(&body[acct + 8..acct + 12], b"acct");
+    assert_eq!(&body[acct + 49..acct + 53], b"hist");
+    assert_eq!(body[rpp_at - 1], 1, "page-local layout tag");
+    let huge_capacity = (u64::MAX / 2).to_le_bytes();
+    let zero_rpp = 0u32.to_le_bytes();
+    for (at, bytes) in [(capacity_at, &huge_capacity[..]), (rpp_at, &zero_rpp[..])] {
+        let mut bad = body.to_vec();
+        bad[at..at + bytes.len()].copy_from_slice(bytes);
+        std::fs::write(Db::meta_path(dir.path(), 0), sealed(&bad)).unwrap();
+        assert!(
+            is_recovery_failed(ckpt::read_meta(dir.path(), 0)),
+            "field at byte {at}"
+        );
+    }
+}
+
 #[test]
 fn every_resealed_truncation_of_a_marker_is_an_error() {
     let dir = TempDir::new("marker-truncations");

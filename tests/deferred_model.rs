@@ -1,14 +1,18 @@
-//! Model-based test of the deferred-maintenance dirty set.
+//! Model-based test of the sharded delta set, under both of its
+//! payloads: deferred codeword deltas and parity byte deltas.
 //!
 //! Generates arbitrary scripts of prescribed updates, partial shard
 //! drains, full drains and audits, and applies each script to one shared
-//! database image through three protection instances at once:
+//! database image through three protection instances at once, each with
+//! a parity stripe (groups of 8 regions):
 //!
 //! * an **eager** `DataCodeword` protection — the trivially-correct
-//!   reference: every delta hits the codeword table at `endUpdate`;
-//! * a **1-shard** deferred protection (the old global-queue geometry);
+//!   reference: every delta hits the codeword table at `endUpdate`; its
+//!   parity deltas queue in 8 shards;
+//! * a **1-shard** deferred protection (the old global-queue geometry),
+//!   parity in 1 shard;
 //! * an **8-shard** deferred protection (the sharded dirty set, where a
-//!   `DrainRegion` really is partial).
+//!   `DrainRegion` really is partial), parity in 8 shards.
 //!
 //! Checked invariants, after every op:
 //!
@@ -20,16 +24,20 @@
 //!   lock-model suite's 1-vs-8-shard comparison;
 //! * a full audit leaves both dirty sets empty;
 //! * the eager reference audits clean throughout (sanity on the harness
-//!   itself).
+//!   itself);
+//! * after every drain that empties a stripe's delta set (any drain of a
+//!   1-shard set, every full drain), each parity group's buffer equals
+//!   the XOR of its member regions read from the image, and its
+//!   maintained parity codeword verifies.
 //!
 //! At the end of every script, after a full drain, the three codeword
-//! tables must agree region by region: deferral may *lag* the eager
-//! table, never diverge from it.
+//! tables must agree region by region — deferral may *lag* the eager
+//! table, never diverge from it — and every stripe must be exact.
 //!
 //! CI raises the case count via `PROPTEST_CASES`, as with the lock-model
 //! suite.
 
-use dali::codeword::{CodewordProtection, DeferredConfig};
+use dali::codeword::{CodewordAlgebraKind, CodewordProtection, DeferredConfig};
 use dali::mem::DbImage;
 use dali::{DbAddr, ProtectionScheme};
 use proptest::prelude::*;
@@ -39,6 +47,8 @@ const PAGES: usize = 4;
 const PAGE: usize = 4096;
 const REGION: usize = 64;
 const NREGIONS: usize = PAGES * PAGE / REGION;
+/// Regions per parity group.
+const GROUP: usize = 8;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -88,24 +98,31 @@ struct Harness {
 impl Harness {
     fn new() -> Harness {
         let image = DbImage::new(PAGES, PAGE).unwrap();
-        let deferred = |shards| {
-            CodewordProtection::with_deferred(
+        let prot = |scheme, shards| {
+            // Watermark 0 = unbounded: no inline drains, so the only
+            // catch-up is the script's, keeping runs deterministic.
+            let cfg = DeferredConfig {
+                shards,
+                watermark: 0,
+            };
+            let mut prot = CodewordProtection::with_config(
                 &image,
-                ProtectionScheme::DeferredMaintenance,
+                scheme,
                 REGION,
                 1,
-                // Watermark 0 = unbounded: no inline drains, so the only
-                // catch-up is the script's, keeping runs deterministic.
-                DeferredConfig {
-                    shards,
-                    watermark: 0,
-                },
+                cfg,
+                1,
+                CodewordAlgebraKind::XorFold,
             )
-            .unwrap()
+            .unwrap();
+            prot.enable_parity(&image, GROUP, shards, 0).unwrap();
+            prot
         };
-        let eager =
-            CodewordProtection::new(&image, ProtectionScheme::DataCodeword, REGION, 1).unwrap();
-        let (def1, def8) = (deferred(1), deferred(8));
+        let eager = prot(ProtectionScheme::DataCodeword, 8);
+        let (def1, def8) = (
+            prot(ProtectionScheme::DeferredMaintenance, 1),
+            prot(ProtectionScheme::DeferredMaintenance, 8),
+        );
         Harness {
             image,
             eager,
@@ -116,6 +133,44 @@ impl Harness {
 
     fn each(&self) -> [&CodewordProtection; 3] {
         [&self.eager, &self.def1, &self.def8]
+    }
+
+    fn named(&self) -> [(&'static str, &CodewordProtection); 3] {
+        [
+            ("eager", &self.eager),
+            ("1 shard", &self.def1),
+            ("8 shards", &self.def8),
+        ]
+    }
+
+    /// Every parity group of `prot`'s stripe equals the XOR of its member
+    /// regions read from the image, and its maintained codeword verifies.
+    fn parity_exact(&self, name: &str, prot: &CodewordProtection) -> Result<(), String> {
+        let stripe = prot.parity().expect("stripe enabled");
+        let mut buf = vec![0u8; REGION];
+        for g in 0..stripe.num_groups() {
+            let (first, last) = stripe.members(g);
+            let mut members = vec![0u8; (last - first + 1) * REGION];
+            self.image
+                .read(DbAddr(first * REGION), &mut members)
+                .unwrap();
+            let mut want = vec![0u8; REGION];
+            for region in members.chunks_exact(REGION) {
+                for (w, b) in want.iter_mut().zip(region) {
+                    *w ^= b;
+                }
+            }
+            stripe.copy_group(g, &mut buf);
+            if buf != want {
+                return Err(format!(
+                    "{name}: parity group {g} is not the XOR of its members"
+                ));
+            }
+            if !stripe.verify_group(g) {
+                return Err(format!("{name}: parity group {g} fails its codeword"));
+            }
+        }
+        Ok(())
     }
 
     /// One prescribed update: capture the widened before-image once,
@@ -137,12 +192,19 @@ impl Harness {
             match op {
                 Op::Update { addr, len, fill } => self.update(addr, &vec![fill; len]),
                 Op::DrainRegion(r) => {
-                    self.def1.drain_region(r);
-                    self.def8.drain_region(r);
+                    for prot in self.each() {
+                        prot.drain_region(r);
+                    }
+                    // One shard: draining any region drains everything.
+                    self.parity_exact("1 shard", &self.def1)
+                        .map_err(|e| format!("op {i}: {e}"))?;
                 }
                 Op::DrainAll => {
-                    self.def1.drain_deferred();
-                    self.def8.drain_deferred();
+                    for (name, prot) in self.named() {
+                        prot.drain_deferred();
+                        self.parity_exact(name, prot)
+                            .map_err(|e| format!("op {i}: {e}"))?;
+                    }
                 }
                 Op::Audit => {
                     let a1 = self.def1.audit(&self.image).map_err(|e| e.to_string())?;
@@ -183,9 +245,11 @@ impl Harness {
         }
 
         // Fully drained, the deferred tables must equal the eager one —
-        // deferral lags, never diverges.
-        self.def1.drain_deferred();
-        self.def8.drain_deferred();
+        // deferral lags, never diverges — and every stripe is exact.
+        for (name, prot) in self.named() {
+            prot.drain_deferred();
+            self.parity_exact(name, prot)?;
+        }
         for r in 0..NREGIONS {
             let (e, d1, d8) = (
                 self.eager.table().get(r),
@@ -293,6 +357,29 @@ fn pinned_deferred_scripts() {
                 fill: 7,
             },
             Audit,
+            DrainAll,
+            Audit,
+        ],
+        // Parity: an update straddling the group boundary between
+        // regions 7 and 8, a sibling update in group 0, a partial drain,
+        // more coalescing into the drained region, then a full drain.
+        &[
+            Update {
+                addr: 488,
+                len: 40,
+                fill: 8,
+            },
+            Update {
+                addr: 130,
+                len: 12,
+                fill: 9,
+            },
+            DrainRegion(8),
+            Update {
+                addr: 500,
+                len: 8,
+                fill: 10,
+            },
             DrainAll,
             Audit,
         ],

@@ -15,12 +15,12 @@
 //!   alignment head at offsets ≡ 4 mod 8);
 //! * property-based, over random contents / lengths / offsets (CI raises
 //!   the case count via `PROPTEST_CASES`, as with the other suites);
-//! * and at the scan layer: a parallel `audit_all` must produce a report
+//! * and at the scan layer: a parallel audit must produce a report
 //!   byte-identical to the serial scan on a deliberately corrupted image,
 //!   for every worker count.
 
 use dali::codeword::codeword::{delta, fold, fold_padded, fold_scalar};
-use dali::codeword::{CodewordProtection, ProtectionScheme};
+use dali::codeword::{CodewordAlgebraKind, CodewordProtection, DeferredConfig, ProtectionScheme};
 use dali::mem::DbImage;
 use dali::DbAddr;
 use proptest::prelude::*;
@@ -114,7 +114,16 @@ fn image_fold_matches_reference_exhaustively() {
 #[test]
 fn parallel_audit_report_identical_to_serial_on_corrupt_image() {
     let image = DbImage::new(8, 4096).unwrap();
-    let prot = CodewordProtection::new(&image, ProtectionScheme::DataCodeword, 64, 1).unwrap();
+    let prot = CodewordProtection::with_config(
+        &image,
+        ProtectionScheme::DataCodeword,
+        64,
+        1,
+        DeferredConfig::default(),
+        1,
+        CodewordAlgebraKind::XorFold,
+    )
+    .unwrap();
     // Maintained updates first, so codewords are non-trivial.
     for r in (0..prot.geometry().num_regions()).step_by(7) {
         let addr = DbAddr(r * 64 + 8);

@@ -17,12 +17,11 @@
 
 use dali::faultinject::{
     algebra_expected_detected, assert_matrix, assert_repair_matrix, campaign_payload,
-    run_arena_round, run_double_fault_round, run_matrix, run_repair_matrix, run_wal_round,
-    CampaignTarget, CorruptionPattern, RepairVerdict, WalScanOutcome,
+    run_double_fault_round, run_matrix, run_repair_matrix, run_wal_round, CampaignTarget,
+    CorruptionPattern, RepairVerdict, WalScanOutcome,
 };
 use dali::{
-    CheckpointOutcome, CodewordAlgebraKind, DaliConfig, DaliEngine, FaultInjector,
-    ProtectionScheme, VarlenConfig, VarlenWorkload,
+    CheckpointOutcome, CodewordAlgebraKind, DaliConfig, DaliEngine, FaultInjector, ProtectionScheme,
 };
 use std::sync::atomic::Ordering;
 
@@ -249,48 +248,6 @@ fn wal_single_flips_reject_and_paired_flips_split_by_algebra() {
                 );
             }
         }
-    }
-}
-
-/// The variable-length workload's live slots are protected the same
-/// way: the paired flip against a varlen record splits the algebras,
-/// everything is repaired, and the workload (with its secondary index)
-/// keeps running and verifying afterwards.
-#[test]
-fn varlen_records_split_by_algebra_and_survive_repair() {
-    for kind in CodewordAlgebraKind::ALL {
-        let dir = dali_testutil::TempDir::new(&format!("hostile-varlen-{}", kind.tag()));
-        let config = DaliConfig::small(dir.path())
-            .with_scheme(ProtectionScheme::DataCodeword)
-            .with_codeword_algebra(kind);
-        let (db, _) = DaliEngine::create(config).unwrap();
-        let mut wl = VarlenWorkload::setup(&db, VarlenConfig::small()).unwrap();
-        wl.run_ops(300).unwrap();
-        wl.verify().unwrap();
-
-        let inj = FaultInjector::new(&db);
-        let rec = wl.sample_rec().expect("workload left live records");
-        let addr = db.record_addr(rec).unwrap();
-        for pattern in [
-            CorruptionPattern::SingleFlip,
-            CorruptionPattern::PairedSameColumn,
-            CorruptionPattern::Burst,
-        ] {
-            let v = run_arena_round(&db, &inj, pattern, addr, 96)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{pattern:?} must land on a varlen slot"));
-            assert_eq!(
-                v.detected,
-                algebra_expected_detected(kind, pattern),
-                "{kind:?} / {pattern:?} on a varlen slot"
-            );
-        }
-
-        // Repaired in place: the workload continues and still agrees
-        // with its shadow, and the database audits clean.
-        wl.run_ops(200).unwrap();
-        wl.verify().unwrap();
-        assert!(db.audit().unwrap().clean(), "{kind:?}");
     }
 }
 
