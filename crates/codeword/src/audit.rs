@@ -128,7 +128,7 @@ pub(crate) fn sweep(
     geom: &RegionGeometry,
     table: &CodewordTable,
     latches: &LatchTable,
-    deferred: Option<&DeferredSet<u32>>,
+    deferred: Option<&DeferredSet>,
     ranges: &[Range<RegionId>],
     threads: usize,
     max_run: usize,
@@ -177,14 +177,14 @@ fn audit_run(
     geom: &RegionGeometry,
     table: &CodewordTable,
     latches: &LatchTable,
-    deferred: Option<&DeferredSet<u32>>,
+    deferred: Option<&DeferredSet>,
     first: RegionId,
     last: RegionId,
     report: &mut AuditReport,
 ) -> Result<()> {
     latches.with_span(first, last, LatchMode::Exclusive, || {
         if let Some(set) = deferred {
-            set.drain_span(first, last, |r, d| table.apply_delta(r, d));
+            set.drain_span(first, last, table);
         }
         for r in first..=last {
             if let Some(c) = check_region(image, geom, table, r)? {
@@ -238,7 +238,7 @@ mod tests {
         fn sweep(
             &self,
             ranges: &[Range<RegionId>],
-            deferred: Option<&DeferredSet<u32>>,
+            deferred: Option<&DeferredSet>,
             threads: usize,
             max_run: usize,
         ) -> AuditReport {
@@ -446,7 +446,7 @@ mod tests {
     #[test]
     fn batched_run_drains_deferred_shards() {
         let f = Fixture::xor();
-        let set = DeferredSet::<u32>::new(DeferredConfig {
+        let set = DeferredSet::new(DeferredConfig {
             shards: 4,
             watermark: 0,
         });
@@ -455,7 +455,7 @@ mod tests {
             let new = [region as u8 + 1; 4];
             f.image.write(f.geom.region_base(region), &new).unwrap();
             let delta = crate::codeword::delta(&[0u8; 4], &new);
-            set.push(region, || delta, |d| *d ^= delta);
+            set.push(region, delta, CodewordAlgebraKind::XorFold);
         }
         assert!(!f.full().clean(), "a sweep without the set sees the lag");
         let report = f.sweep(&[0..f.n()], Some(&set), 2, 8);

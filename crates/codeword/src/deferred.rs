@@ -1,32 +1,31 @@
-//! The sharded, coalescing delta set: one implementation, two payloads.
+//! The sharded, coalescing set of deferred codeword deltas.
 //!
 //! Deferred codeword maintenance (§4.3 extension) queues a region's `u32`
-//! codeword delta instead of applying it at `endUpdate`; the parity
-//! stripe ([`crate::parity`]) queues the region-sized `old ⊕ new` byte
-//! delta every updater hands it. Both ride `DeferredSet<P>`, generic
-//! over the pending payload `P`:
+//! codeword delta instead of applying it at `endUpdate`:
 //!
 //! * The set is split into `shards` (power of two, region-hash
 //!   partitioned) so concurrent updaters almost never contend on the
 //!   same mutex.
-//! * Deltas *coalesce*: both payloads form commutative groups (the
-//!   codeword algebra's `combine`, byte-wise XOR), so N updates to a hot
-//!   region cost one map entry and one apply at drain time.
+//! * Deltas *coalesce* under the algebra's `combine` (a commutative
+//!   group), so N updates to a hot region cost one map entry and one
+//!   apply at drain time.
 //! * Drains are *incremental*: a drain swaps one shard's map out under
-//!   its map mutex and applies the payloads outside it. An audit or
-//!   repair of `first..=last` latches the span exclusively and drains
-//!   only the shards covering it (`DeferredSet::drain_span`); it never
-//!   quiesces writers globally.
+//!   its map mutex and applies the deltas outside it. An audit or repair
+//!   of `first..=last` latches the span exclusively and drains only the
+//!   shards covering it (`DeferredSet::drain_span`); it never quiesces
+//!   writers globally.
 //!
 //! Lock ordering: protection latches → per-shard drain mutex → per-shard
-//! map mutex → (parity) group buffer. Updaters push while holding their
-//! shared latch span; auditors drain while holding the exclusive one;
-//! no shard mutex is held while acquiring a latch, so the order is
-//! acyclic. Pushes take only the map mutex; drains take the drain mutex
-//! for the whole swap+apply so that a completed drain means *applied*,
-//! not merely *swapped out* (the audit catch-up guarantee).
+//! map mutex. Updaters push while holding their shared latch span;
+//! auditors drain while holding the exclusive one; no shard mutex is held
+//! while acquiring a latch, so the order is acyclic. Pushes take only the
+//! map mutex; drains take the drain mutex for the whole swap+apply so
+//! that a completed drain means *applied*, not merely *swapped out* (the
+//! audit catch-up guarantee).
 
 use crate::region::RegionId;
+use crate::table::CodewordTable;
+use dali_common::CodewordAlgebraKind;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -64,7 +63,7 @@ impl Hasher for RegionHasher {
     }
 }
 
-/// Sizing knobs for a delta set (mirrored by `DaliConfig`).
+/// Sizing knobs for the delta set (mirrored by `DaliConfig`).
 #[derive(Clone, Copy, Debug)]
 pub struct DeferredConfig {
     /// Shard count; rounded up to a power of two. `0` = auto: one per
@@ -87,7 +86,7 @@ impl Default for DeferredConfig {
     }
 }
 
-/// Point-in-time view of a delta set and its lifetime counters.
+/// Point-in-time view of the delta set and its lifetime counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeferredStatsSnapshot {
     /// Number of shards.
@@ -105,16 +104,16 @@ pub struct DeferredStatsSnapshot {
     pub max_shard_depth: u64,
 }
 
-/// One dirty region's coalesced payload and the raw pushes it absorbed.
-struct Pending<P> {
-    delta: P,
+/// One dirty region's coalesced delta and the raw pushes it absorbed.
+struct Pending {
+    delta: u32,
     pushes: u64,
 }
 
-struct Shard<P> {
-    dirty: Mutex<HashMap<RegionId, Pending<P>, BuildHasherDefault<RegionHasher>>>,
+struct Shard {
+    dirty: Mutex<HashMap<RegionId, Pending, BuildHasherDefault<RegionHasher>>>,
     /// Serializes whole drains (swap **and** apply). Without it a
-    /// drainer could swap the map out and still be applying its payloads
+    /// drainer could swap the map out and still be applying its deltas
     /// when an auditor — already holding a region's exclusive latch —
     /// drains the now-empty shard and folds the image against state that
     /// does not yet include the in-flight deltas: a false corruption
@@ -123,9 +122,9 @@ struct Shard<P> {
     draining: Mutex<()>,
 }
 
-/// The sharded, coalescing set of per-region pending payloads `P`.
-pub(crate) struct DeferredSet<P> {
-    shards: Box<[Shard<P>]>,
+/// The sharded, coalescing set of per-region pending codeword deltas.
+pub(crate) struct DeferredSet {
+    shards: Box<[Shard]>,
     /// `shards.len() - 1`; shard index = mixed hash masked.
     mask: usize,
     watermark: usize,
@@ -136,10 +135,10 @@ pub(crate) struct DeferredSet<P> {
     max_depth: AtomicU64,
 }
 
-impl<P> DeferredSet<P> {
+impl DeferredSet {
     /// Build a set per `cfg` (see [`DeferredConfig`] for the `shards = 0`
     /// auto rule).
-    pub(crate) fn new(cfg: DeferredConfig) -> DeferredSet<P> {
+    pub(crate) fn new(cfg: DeferredConfig) -> DeferredSet {
         let n = match cfg.shards {
             0 => std::thread::available_parallelism()
                 .map_or(1, |p| p.get())
@@ -169,31 +168,23 @@ impl<P> DeferredSet<P> {
         (((region as u64).wrapping_mul(HASH_MUL)) >> 33) as usize & self.mask
     }
 
-    /// Queue a delta against `region`: `absorb` coalesces it into the
-    /// region's pending payload, `fresh` builds the payload of a region
-    /// not yet dirty. Returns `true` if the shard is now over its
-    /// high-watermark and the caller should drain it.
+    /// Queue `delta` against `region`, coalescing it into the region's
+    /// pending delta under `kind`'s `combine`. Returns `true` if the
+    /// shard is now over its high-watermark and the caller should drain
+    /// it.
     #[inline]
-    pub(crate) fn push(
-        &self,
-        region: RegionId,
-        fresh: impl FnOnce() -> P,
-        absorb: impl FnOnce(&mut P),
-    ) -> bool {
+    pub(crate) fn push(&self, region: RegionId, delta: u32, kind: CodewordAlgebraKind) -> bool {
         let (depth, coalesced) = {
             let mut map = self.shards[self.shard_of(region)].dirty.lock();
             let coalesced = match map.entry(region) {
                 Entry::Occupied(mut e) => {
                     let p = e.get_mut();
-                    absorb(&mut p.delta);
+                    p.delta = kind.combine(p.delta, delta);
                     p.pushes += 1;
                     true
                 }
                 Entry::Vacant(v) => {
-                    v.insert(Pending {
-                        delta: fresh(),
-                        pushes: 1,
-                    });
+                    v.insert(Pending { delta, pushes: 1 });
                     false
                 }
             };
@@ -211,15 +202,15 @@ impl<P> DeferredSet<P> {
         self.watermark != 0 && depth as usize > self.watermark
     }
 
-    /// Drain one shard: swap its map out under the map mutex, `apply`
-    /// each coalesced payload outside it (a pusher that races the swap
-    /// lands its delta in the fresh map, still strictly after its image
-    /// bytes, so the maintained state only ever *lags* the image by what
-    /// remains queued). Concurrent drains of the same shard serialize on
-    /// the drain mutex: when this returns, every delta pushed before the
-    /// call — including any swapped out by a racing drainer — has been
-    /// applied.
-    fn drain_shard(&self, shard: usize, apply: &mut impl FnMut(RegionId, P)) {
+    /// Drain one shard: swap its map out under the map mutex, apply each
+    /// coalesced delta to `table` outside it (a pusher that races the
+    /// swap lands its delta in the fresh map, still strictly after its
+    /// image bytes, so the maintained table only ever *lags* the image by
+    /// what remains queued). Concurrent drains of the same shard
+    /// serialize on the drain mutex: when this returns, every delta
+    /// pushed before the call — including any swapped out by a racing
+    /// drainer — has been applied.
+    fn drain_shard(&self, shard: usize, table: &CodewordTable) {
         let shard = &self.shards[shard];
         let _drain = shard.draining.lock();
         let drained = {
@@ -231,39 +222,35 @@ impl<P> DeferredSet<P> {
         };
         let mut pushes = 0u64;
         for (region, p) in drained {
-            apply(region, p.delta);
+            table.apply_delta(region, p.delta);
             pushes += p.pushes;
         }
         self.pending.fetch_sub(pushes, Ordering::Relaxed);
         self.drains.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drain every shard covering regions `first..=last`, each once. A
-    /// caller holding the span's protection latches exclusively sees,
-    /// on return, state that includes every delta for the span (updaters
-    /// hold the latch shared across write+push, so none is in flight).
-    pub(crate) fn drain_span(
-        &self,
-        first: RegionId,
-        last: RegionId,
-        mut apply: impl FnMut(RegionId, P),
-    ) {
+    /// Drain every shard covering regions `first..=last` into `table`,
+    /// each once. A caller holding the span's protection latches
+    /// exclusively sees, on return, a table that includes every delta
+    /// for the span (updaters hold the latch shared across write+push, so
+    /// none is in flight).
+    pub(crate) fn drain_span(&self, first: RegionId, last: RegionId, table: &CodewordTable) {
         let mut shards: Vec<usize> = (first..=last).map(|r| self.shard_of(r)).collect();
         shards.sort_unstable();
         shards.dedup();
         for s in shards {
-            self.drain_shard(s, &mut apply);
+            self.drain_shard(s, table);
         }
     }
 
-    /// Drain every shard, one at a time (no global quiesce).
-    pub(crate) fn drain_all(&self, mut apply: impl FnMut(RegionId, P)) {
+    /// Drain every shard into `table`, one at a time (no global quiesce).
+    pub(crate) fn drain_all(&self, table: &CodewordTable) {
         for s in 0..self.shards.len() {
-            self.drain_shard(s, &mut apply);
+            self.drain_shard(s, table);
         }
     }
 
-    /// Discard every queued delta without applying (resync: the state is
+    /// Discard every queued delta without applying (resync: the table is
     /// about to be rebuilt from the image, superseding them). Takes each
     /// drain mutex so an in-flight drain's apply phase lands *before* the
     /// rebuild, never after.
@@ -312,47 +299,29 @@ impl<P> DeferredSet<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::CodewordTable;
-    use dali_common::CodewordAlgebraKind;
 
-    /// The codeword payload exactly as `CodewordProtection` drives it.
-    struct Codewords {
-        set: DeferredSet<u32>,
-        table: CodewordTable,
+    /// A set and the 64-region table it drains into.
+    fn setup(
+        shards: usize,
+        watermark: usize,
+        kind: CodewordAlgebraKind,
+    ) -> (DeferredSet, CodewordTable) {
+        (
+            DeferredSet::new(DeferredConfig { shards, watermark }),
+            CodewordTable::new_zeroed(64, kind),
+        )
     }
 
-    impl Codewords {
-        fn new(shards: usize, watermark: usize, kind: CodewordAlgebraKind) -> Codewords {
-            Codewords {
-                set: DeferredSet::new(DeferredConfig { shards, watermark }),
-                table: CodewordTable::new_zeroed(64, kind),
-            }
-        }
-
-        fn push(&self, region: RegionId, delta: u32) -> bool {
-            let kind = self.table.kind();
-            self.set
-                .push(region, || delta, |d| *d = kind.combine(*d, delta))
-        }
-
-        fn drain(&self, first: RegionId, last: RegionId) {
-            self.set
-                .drain_span(first, last, |r, d| self.table.apply_delta(r, d));
-        }
-
-        fn drain_all(&self) {
-            self.set.drain_all(|r, d| self.table.apply_delta(r, d));
-        }
+    fn xor(shards: usize, watermark: usize) -> (DeferredSet, CodewordTable) {
+        setup(shards, watermark, CodewordAlgebraKind::XorFold)
     }
 
-    fn xor(shards: usize, watermark: usize) -> Codewords {
-        Codewords::new(shards, watermark, CodewordAlgebraKind::XorFold)
-    }
+    const X: CodewordAlgebraKind = CodewordAlgebraKind::XorFold;
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let shards = |n| {
-            DeferredSet::<u32>::new(DeferredConfig {
+            DeferredSet::new(DeferredConfig {
                 shards: n,
                 watermark: 0,
             })
@@ -368,11 +337,11 @@ mod tests {
 
     #[test]
     fn push_coalesces_per_region() {
-        let d = xor(4, 0);
-        d.push(7, 0xaaaa);
-        d.push(7, 0x5555);
-        d.push(9, 0x1111);
-        let snap = d.set.snapshot();
+        let (set, _) = xor(4, 0);
+        set.push(7, 0xaaaa, X);
+        set.push(7, 0x5555, X);
+        set.push(9, 0x1111, X);
+        let snap = set.snapshot();
         assert_eq!(snap.dirty_regions, 2);
         assert_eq!(snap.pending_deltas, 3);
         assert_eq!(snap.coalesced_deltas, 1);
@@ -381,52 +350,52 @@ mod tests {
 
     #[test]
     fn drain_applies_coalesced_delta_once() {
-        let d = xor(2, 0);
-        d.push(5, 0xff00);
-        d.push(5, 0x00ff);
-        d.drain(5, 5);
-        assert_eq!(d.table.get(5), 0xffff);
-        let snap = d.set.snapshot();
+        let (set, table) = xor(2, 0);
+        set.push(5, 0xff00, X);
+        set.push(5, 0x00ff, X);
+        set.drain_span(5, 5, &table);
+        assert_eq!(table.get(5), 0xffff);
+        let snap = set.snapshot();
         assert_eq!(
             (snap.dirty_regions, snap.pending_deltas, snap.drains),
             (0, 0, 1)
         );
         // Second drain of an empty shard is a no-op and not counted.
-        d.drain(5, 5);
-        assert_eq!(d.set.snapshot().drains, 1);
+        set.drain_span(5, 5, &table);
+        assert_eq!(set.snapshot().drains, 1);
     }
 
     #[test]
     fn drain_span_leaves_other_shards_queued() {
-        let d = xor(8, 0);
+        let (set, table) = xor(8, 0);
         // Find two regions hashing to different shards.
         let a = 0;
         let b = (1..64)
-            .find(|&r| d.set.shard_of(r) != d.set.shard_of(a))
+            .find(|&r| set.shard_of(r) != set.shard_of(a))
             .expect("some region maps to another shard");
-        d.push(a, 1);
-        d.push(b, 2);
-        d.drain(a, a);
-        assert_eq!(d.table.get(a), 1);
-        assert_eq!(d.table.get(b), 0, "other shard untouched");
-        assert_eq!(d.set.snapshot().dirty_regions, 1);
-        d.drain_all();
-        assert_eq!(d.table.get(b), 2);
-        assert_eq!(d.set.snapshot().dirty_regions, 0);
+        set.push(a, 1, X);
+        set.push(b, 2, X);
+        set.drain_span(a, a, &table);
+        assert_eq!(table.get(a), 1);
+        assert_eq!(table.get(b), 0, "other shard untouched");
+        assert_eq!(set.snapshot().dirty_regions, 1);
+        set.drain_all(&table);
+        assert_eq!(table.get(b), 2);
+        assert_eq!(set.snapshot().dirty_regions, 0);
     }
 
     #[test]
     fn drain_span_drains_each_covering_shard_once() {
-        let d = xor(4, 0);
+        let (set, table) = xor(4, 0);
         for r in 0..16 {
-            d.push(r, 1 << r);
+            set.push(r, 1 << r, X);
         }
-        d.drain(2, 13);
+        set.drain_span(2, 13, &table);
         for r in 2..=13 {
-            assert_eq!(d.table.get(r), 1 << r, "region {r}");
+            assert_eq!(table.get(r), 1 << r, "region {r}");
         }
         // 12 regions over 4 shards: every shard drained, each once.
-        let snap = d.set.snapshot();
+        let snap = set.snapshot();
         assert_eq!(
             (snap.drains, snap.dirty_regions, snap.pending_deltas),
             (4, 0, 0)
@@ -435,23 +404,26 @@ mod tests {
 
     #[test]
     fn watermark_signals_overflow() {
-        let d = xor(1, 2);
-        assert!(!d.push(1, 1));
-        assert!(!d.push(2, 1));
-        assert!(d.push(3, 1), "third distinct region exceeds watermark 2");
+        let (set, _) = xor(1, 2);
+        assert!(!set.push(1, 1, X));
+        assert!(!set.push(2, 1, X));
+        assert!(
+            set.push(3, 1, X),
+            "third distinct region exceeds watermark 2"
+        );
         // Coalescing pushes do not deepen the shard.
-        assert!(d.push(3, 5));
+        assert!(set.push(3, 5, X));
     }
 
     #[test]
     fn dirty_region_ids_sorted_across_shards() {
-        let d = xor(4, 0);
+        let (set, table) = xor(4, 0);
         for r in [9usize, 1, 30, 9, 17] {
-            d.push(r, 0xff);
+            set.push(r, 0xff, X);
         }
-        assert_eq!(d.set.dirty_region_ids(), vec![1, 9, 17, 30]);
-        d.drain_all();
-        assert!(d.set.dirty_region_ids().is_empty());
+        assert_eq!(set.dirty_region_ids(), vec![1, 9, 17, 30]);
+        set.drain_all(&table);
+        assert!(set.dirty_region_ids().is_empty());
     }
 
     #[test]
@@ -460,28 +432,28 @@ mod tests {
         // coalesced pushes drain to the same codeword as N eager
         // apply_delta calls.
         let kind = CodewordAlgebraKind::Residue;
-        let d = Codewords::new(2, 0, kind);
+        let (set, table) = setup(2, 0, kind);
         let eager = CodewordTable::new_zeroed(16, kind);
         for x in [0xFFFF_FFF0u32, 0x20, 1, 0x8000_0000, 0x7FFF_FFFF] {
-            d.push(5, x);
+            set.push(5, x, kind);
             eager.apply_delta(5, x);
         }
-        d.drain(5, 5);
-        assert_eq!(d.table.get(5), eager.get(5));
-        assert_eq!(d.set.snapshot().pending_deltas, 0);
+        set.drain_span(5, 5, &table);
+        assert_eq!(table.get(5), eager.get(5));
+        assert_eq!(set.snapshot().pending_deltas, 0);
     }
 
     #[test]
     fn clear_discards_without_applying() {
-        let d = xor(2, 0);
-        d.push(1, 0xdead);
-        d.set.clear();
-        let snap = d.set.snapshot();
+        let (set, table) = xor(2, 0);
+        set.push(1, 0xdead, X);
+        set.clear();
+        let snap = set.snapshot();
         assert_eq!(
             (snap.pending_deltas, snap.dirty_regions, snap.drains),
             (0, 0, 0)
         );
-        d.drain_all();
-        assert_eq!(d.table.get(1), 0, "cleared delta must not apply");
+        set.drain_all(&table);
+        assert_eq!(table.get(1), 0, "cleared delta must not apply");
     }
 }

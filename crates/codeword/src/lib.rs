@@ -21,20 +21,18 @@
 //! * [`latch`] — the *protection latch* table: striped reader-writer
 //!   spin latches with explicit lock/unlock (guards must survive across the
 //!   beginUpdate/endUpdate window, which RAII lifetimes cannot express).
-//! * [`deferred`] — the sharded, coalescing delta set, one
-//!   implementation with two payloads: queued codeword deltas for
-//!   deferred maintenance and `old ⊕ new` byte deltas for the parity
-//!   stripe.
+//! * [`deferred`] — the sharded, coalescing set of queued codeword
+//!   deltas behind deferred maintenance.
 //! * [`audit`] — [`AuditReport`]s from one region sweep over a list of
 //!   region ranges (a full audit is the single range `0..n`), striped
 //!   across scoped worker threads with reports identical to a serial
 //!   scan.
 //! * [`parity`] — the optional parity stripe: one XOR parity buffer per
-//!   group of protection regions, maintained through the same delta set
-//!   as deferred codewords, from which a region that fails its audit can
-//!   be rebuilt *in place* without log replay.
+//!   group of protection regions, updated eagerly inside each update's
+//!   latch bracket, from which a region that fails its audit can be
+//!   rebuilt *in place* without log replay.
 //! * [`protection`] — [`CodewordProtection`], the façade bundling
-//!   geometry + table + latches + delta sets and implementing the
+//!   geometry + table + latches + delta set + stripe and implementing the
 //!   per-scheme read/update protocols, including
 //!   [`repair_region`](CodewordProtection::repair_region).
 

@@ -8,32 +8,26 @@
 //! WAL replay (the Pangolin approach, grafted onto the paper's region
 //! geometry).
 //!
-//! Maintenance rides the codeword path:
+//! Maintenance is eager and rides the codeword path: an updater, still
+//! inside its protection-latch bracket, hands each written region piece
+//! to [`ParityStripe::apply_update`], which XORs the piece's `old ⊕ new`
+//! straight into its group's buffer under the group mutex and moves the
+//! group's maintained *parity codeword* by the configured
+//! [`CodewordAlgebraKind`]'s `delta_of_folds` of the touched window —
+//! the contract the codeword table uses for region pieces. The stripe is
+//! itself codeword-protected, so a wild write into parity memory is
+//! detected (stale parity) instead of being trusted by a repair.
 //!
-//! * Updaters, still inside their shared protection-latch bracket, push
-//!   the *directed byte delta* `old ⊕ new` of each region piece into the
-//!   stripe's [`crate::deferred`] delta set — the same sharded,
-//!   coalescing set that queues deferred codeword deltas, here with a
-//!   region-sized byte payload that coalesces by XOR.
-//! * Drains fold the coalesced delta into the group's parity buffer and
-//!   move the group's maintained *parity codeword* through the configured
-//!   [`CodewordAlgebraKind`]'s `combine`/`delta_of_folds` contract — the
-//!   stripe itself is codeword-protected, so a wild write into parity
-//!   memory is detected (stale parity) instead of being trusted by a
-//!   repair.
-//!
-//! Consistency: for an observer holding the whole group's protection
-//! latches exclusively, [`ParityStripe::drain_group`] makes the parity
-//! buffer exactly the XOR of the member regions' bytes (updaters hold
-//! the latch shared across write+push, so no delta can be in flight).
-//! That is precisely the bracket [`crate::protection::CodewordProtection`]
-//! takes to repair. Lock order: latches → drain mutex → map mutex →
-//! group buffer.
+//! Consistency: updaters hold their latch span across write + apply, so
+//! any holder of a group's protection latches exclusively sees the
+//! parity buffer equal to the XOR of the member regions' bytes, with
+//! nothing to drain first. That is precisely the bracket
+//! [`crate::protection::CodewordProtection`] takes to repair. Lock
+//! order: latches → group buffer.
 
 use crate::algebra;
-use crate::deferred::{DeferredConfig, DeferredSet};
 use crate::region::{RegionGeometry, RegionId};
-use dali_common::{CodewordAlgebraKind, DaliError, Result};
+use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, Result};
 use dali_mem::DbImage;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -42,14 +36,14 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 pub type ParityGroupId = usize;
 
 struct Group {
-    /// XOR of the member regions' bytes (once the group's shards are
-    /// drained under the group's exclusive latches).
+    /// XOR of the member regions' bytes whenever no updater of the group
+    /// is inside its latch bracket.
     buf: Mutex<Vec<u8>>,
-    /// Maintained codeword of `buf` under the stripe's algebra; moved by
-    /// `delta_of_folds` on every drain, verified against a fresh fold
-    /// before any repair trusts the buffer.
+    /// Maintained codeword of `buf` under the stripe's algebra; moved
+    /// under the `buf` mutex by every update, verified against a fresh
+    /// fold before any repair trusts the buffer.
     word: AtomicU32,
-    /// Set when a drain mutates `buf`; the delta-certification sweep
+    /// Set when an update mutates `buf`; the delta-certification sweep
     /// collects and verifies dirty groups (parity buffers are not backed
     /// by image pages, so the dirty-page → region footprint cannot see
     /// them — this flag is their certification channel).
@@ -63,13 +57,7 @@ pub struct ParityStatsSnapshot {
     pub groups: u64,
     /// Regions per group (the configured `parity_group_size`).
     pub group_size: u64,
-    /// Raw byte-deltas currently queued (before coalescing).
-    pub pending_deltas: u64,
-    /// Lifetime: non-empty shard drains performed.
-    pub drains: u64,
-    /// Lifetime: pushes absorbed into an existing entry.
-    pub coalesced_deltas: u64,
-    /// Lifetime: delta bytes XORed toward the stripe (the parity write
+    /// Lifetime: delta bytes XORed into the stripe (the parity write
     /// amplification numerator).
     pub delta_bytes: u64,
     /// Groups currently flagged dirty for certification.
@@ -84,26 +72,21 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
 }
 
 /// The parity stripe: one region-sized XOR accumulator per group of
-/// `group_size` consecutive regions, plus the delta set feeding it.
+/// `group_size` consecutive regions.
 pub struct ParityStripe {
     group_size: usize,
     region_size: usize,
     num_regions: usize,
     kind: CodewordAlgebraKind,
     groups: Box<[Group]>,
-    deltas: DeferredSet<Vec<u8>>,
     delta_bytes: AtomicU64,
 }
 
 impl ParityStripe {
     /// Build a stripe over `geom` with `group_size` regions per group.
-    /// `shards` and `watermark` size its delta set exactly as
-    /// [`DeferredConfig`] sizes the codeword one.
     pub fn new(
         geom: &RegionGeometry,
         group_size: usize,
-        shards: usize,
-        watermark: usize,
         kind: CodewordAlgebraKind,
     ) -> Result<ParityStripe> {
         if group_size == 0 {
@@ -123,7 +106,6 @@ impl ParityStripe {
                     dirty: AtomicBool::new(false),
                 })
                 .collect(),
-            deltas: DeferredSet::new(DeferredConfig { shards, watermark }),
             delta_bytes: AtomicU64::new(0),
         })
     }
@@ -161,48 +143,36 @@ impl ParityStripe {
         (first, last)
     }
 
-    /// Enqueue the directed byte delta of overwriting `old` with `new` at
-    /// region-relative offset `rel` of `region`. Called by updaters under
-    /// their shared protection-latch bracket, right next to the codeword
-    /// delta. Returns `true` when the shard is over its watermark and the
-    /// caller should [`drain_region`](Self::drain_region) inline.
-    pub fn record_delta(&self, region: RegionId, rel: usize, old: &[u8], new: &[u8]) -> bool {
-        debug_assert_eq!(old.len(), new.len());
-        debug_assert!(rel + new.len() <= self.region_size);
-        let window = |delta: &mut [u8]| {
-            for (d, (o, n)) in delta[rel..rel + new.len()]
-                .iter_mut()
-                .zip(old.iter().zip(new))
-            {
+    /// Fold one completed region piece into its group: the word-aligned
+    /// bytes at `at` (within one region) changed from `old` to what the
+    /// image now holds. XORs `old ⊕ new` into the parity buffer and moves
+    /// the parity codeword by `delta_of_folds` of the touched window,
+    /// both under the group mutex, and flags the group dirty. Called by
+    /// updaters inside their protection-latch bracket, after the
+    /// codeword delta of the same piece.
+    pub fn apply_update(&self, image: &DbImage, at: DbAddr, old: &[u8]) -> Result<()> {
+        let rel = at.0 % self.region_size;
+        debug_assert!(
+            rel + old.len() <= self.region_size,
+            "piece crosses a region"
+        );
+        let group = &self.groups[self.group_of(at.0 / self.region_size)];
+        let mut buf = group.buf.lock();
+        let window = &mut buf[rel..rel + old.len()];
+        let before = algebra::fold(self.kind, window);
+        // The new bytes come from the image a stack chunk at a time; a
+        // failed read leaves the word unmoved, so the group reads as stale
+        // parity rather than being trusted.
+        const CHUNK: usize = 64;
+        let mut new = [0u8; CHUNK];
+        for (i, (w, o)) in window.chunks_mut(CHUNK).zip(old.chunks(CHUNK)).enumerate() {
+            let new = &mut new[..o.len()];
+            image.read(at.add(i * CHUNK), new)?;
+            for (d, (o, n)) in w.iter_mut().zip(o.iter().zip(new.iter())) {
                 *d ^= o ^ n;
             }
-        };
-        let over = self.deltas.push(
-            region,
-            || {
-                let mut delta = vec![0u8; self.region_size];
-                window(&mut delta);
-                delta
-            },
-            |delta| window(delta),
-        );
-        self.delta_bytes
-            .fetch_add(new.len() as u64, Ordering::Relaxed);
-        over
-    }
-
-    /// Fold a coalesced region delta into its group: XOR the bytes into
-    /// the parity buffer and move the maintained parity codeword by the
-    /// algebra's directed delta (`combine(word, delta_of_folds(before,
-    /// after))` — the same contract codeword maintenance uses, so a
-    /// stale/corrupt word stays inconsistent and is caught by
-    /// [`verify_group`](Self::verify_group)).
-    fn apply_to_group(&self, region: RegionId, delta: &[u8]) {
-        let group = &self.groups[self.group_of(region)];
-        let mut buf = group.buf.lock();
-        let before = algebra::fold(self.kind, &buf);
-        xor_into(&mut buf, delta);
-        let after = algebra::fold(self.kind, &buf);
+        }
+        let after = algebra::fold(self.kind, window);
         let word = group.word.load(Ordering::Acquire);
         group.word.store(
             self.kind
@@ -210,26 +180,9 @@ impl ParityStripe {
             Ordering::Release,
         );
         group.dirty.store(true, Ordering::Release);
-    }
-
-    /// Drain the shard holding `region`'s parity deltas.
-    pub fn drain_region(&self, region: RegionId) {
-        self.deltas
-            .drain_span(region, region, |r, d| self.apply_to_group(r, &d));
-    }
-
-    /// Drain every shard covering the members of `group`. The caller
-    /// holds the group's protection latches exclusively; on return the
-    /// parity buffer reflects every update to the group.
-    pub fn drain_group(&self, group: ParityGroupId) {
-        let (first, last) = self.members(group);
-        self.deltas
-            .drain_span(first, last, |r, d| self.apply_to_group(r, &d));
-    }
-
-    /// Drain every shard, one at a time.
-    pub fn drain_all(&self) {
-        self.deltas.drain_all(|r, d| self.apply_to_group(r, &d));
+        self.delta_bytes
+            .fetch_add(old.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Verify `group`'s parity buffer against its maintained codeword.
@@ -275,9 +228,9 @@ impl ParityStripe {
 
     /// Reconstruct the bytes of `exclude` from its group: the parity
     /// buffer XOR every *sibling* region's current image bytes. The
-    /// caller holds the whole group's latches exclusively and has drained
-    /// the group's shards; it must verify the siblings' codewords and
-    /// [`verify_group`](Self::verify_group) before trusting the result.
+    /// caller holds the whole group's latches exclusively; it must verify
+    /// the siblings' codewords and [`verify_group`](Self::verify_group)
+    /// before trusting the result.
     pub fn reconstruct(
         &self,
         image: &DbImage,
@@ -291,22 +244,20 @@ impl ParityStripe {
         self.xor_members(image, geom, g, Some(exclude), out, &mut Vec::new())
     }
 
-    /// Rebuild the whole stripe from the image: discard queued deltas
-    /// (they are superseded) and [`rebuild_group`](Self::rebuild_group)
-    /// every group. The caller quiesces updaters (recovery resync,
-    /// initial build).
+    /// Rebuild the whole stripe from the image:
+    /// [`rebuild_group`](Self::rebuild_group) every group. The caller
+    /// quiesces updaters (recovery resync, initial build).
     pub fn resync(&self, image: &DbImage, geom: &RegionGeometry) -> Result<()> {
-        self.deltas.clear();
         let mut span = Vec::new();
         (0..self.groups.len()).try_for_each(|g| self.rebuild(image, geom, g, &mut span))
     }
 
     /// Rebuild one group's parity buffer and codeword from the image.
-    /// The caller holds the group's protection latches exclusively and
-    /// has drained the group's shards (otherwise an in-flight or queued
-    /// delta would be double-counted when it later drains) — the online
-    /// complement of [`resync`](Self::resync) for healing a single stale
-    /// group whose members are known clean.
+    /// The caller holds the group's protection latches exclusively
+    /// (otherwise an updater between its write and its `apply_update`
+    /// would be counted twice) — the online complement of
+    /// [`resync`](Self::resync) for healing a single stale group whose
+    /// members are known clean.
     pub fn rebuild_group(
         &self,
         image: &DbImage,
@@ -360,21 +311,11 @@ impl ParityStripe {
             .count()
     }
 
-    /// Raw byte-deltas currently queued (before coalescing).
-    #[inline]
-    pub fn pending_deltas(&self) -> u64 {
-        self.deltas.snapshot().pending_deltas
-    }
-
     /// Snapshot the gauges and lifetime counters.
     pub fn snapshot(&self) -> ParityStatsSnapshot {
-        let deltas = self.deltas.snapshot();
         ParityStatsSnapshot {
             groups: self.groups.len() as u64,
             group_size: self.group_size as u64,
-            pending_deltas: deltas.pending_deltas,
-            drains: deltas.drains,
-            coalesced_deltas: deltas.coalesced_deltas,
             delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
             dirty_groups: self.dirty_group_count() as u64,
         }
@@ -384,13 +325,21 @@ impl ParityStripe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dali_common::DbAddr;
 
     fn setup(kind: CodewordAlgebraKind) -> (DbImage, RegionGeometry, ParityStripe) {
         let image = DbImage::new(2, 4096).unwrap();
         let geom = RegionGeometry::new(image.len(), 64).unwrap();
-        let stripe = ParityStripe::new(&geom, 8, 4, 0, kind).unwrap();
+        let stripe = ParityStripe::new(&geom, 8, kind).unwrap();
         (image, geom, stripe)
+    }
+
+    /// One maintained write of `new` at the word-aligned `addr` (within
+    /// one region): capture the before-image, write, apply.
+    fn update(image: &DbImage, stripe: &ParityStripe, addr: DbAddr, new: &[u8]) {
+        let mut old = vec![0u8; new.len()];
+        image.read(addr, &mut old).unwrap();
+        image.write(addr, new).unwrap();
+        stripe.apply_update(image, addr, &old).unwrap();
     }
 
     /// Reference parity: XOR of all member regions read straight from
@@ -406,11 +355,23 @@ mod tests {
         let mut region = vec![0u8; geom.region_size()];
         for r in first..=last {
             image.read(geom.region_base(r), &mut region).unwrap();
-            for (o, s) in out.iter_mut().zip(&region) {
-                *o ^= s;
-            }
+            xor_into(&mut out, &region);
         }
         out
+    }
+
+    /// Every group's buffer equals the XOR of its members and verifies.
+    fn assert_exact(image: &DbImage, geom: &RegionGeometry, stripe: &ParityStripe, ctx: &str) {
+        let mut buf = vec![0u8; geom.region_size()];
+        for g in 0..stripe.num_groups() {
+            stripe.copy_group(g, &mut buf);
+            assert_eq!(
+                buf,
+                expect_parity(image, geom, stripe, g),
+                "{ctx}: group {g}"
+            );
+            assert!(stripe.verify_group(g), "{ctx}: group {g} word maintained");
+        }
     }
 
     #[test]
@@ -428,50 +389,46 @@ mod tests {
     #[test]
     fn ragged_last_group() {
         let geom = RegionGeometry::new(64 * 10, 64).unwrap();
-        let stripe = ParityStripe::new(&geom, 4, 2, 0, CodewordAlgebraKind::XorFold).unwrap();
+        let stripe = ParityStripe::new(&geom, 4, CodewordAlgebraKind::XorFold).unwrap();
         assert_eq!(stripe.num_groups(), 3);
         assert_eq!(stripe.members(2), (8, 9), "short last group");
     }
 
     #[test]
-    fn maintained_deltas_track_image_both_algebras() {
+    fn maintained_updates_track_image_both_algebras() {
         for kind in CodewordAlgebraKind::ALL {
             let (image, geom, stripe) = setup(kind);
-            // A maintained write: old bytes, new bytes, delta enqueued.
-            let addr = DbAddr(64 * 3 + 16);
-            let old = [0u8; 8];
-            let new = [1u8, 2, 3, 4, 5, 6, 7, 8];
-            image.write(addr, &new).unwrap();
-            stripe.record_delta(3, 16, &old, &new);
-            stripe.drain_region(3);
-            let g = stripe.group_of(3);
-            let mut buf = vec![0u8; 64];
-            stripe.copy_group(g, &mut buf);
-            assert_eq!(buf, expect_parity(&image, &geom, &stripe, g), "{kind:?}");
-            assert!(stripe.verify_group(g), "{kind:?} word maintained");
+            // Eager: the group is exact right after the update returns.
+            update(
+                &image,
+                &stripe,
+                DbAddr(64 * 3 + 16),
+                &[1, 2, 3, 4, 5, 6, 7, 8],
+            );
+            assert_exact(&image, &geom, &stripe, &format!("{kind:?}"));
+            // Rewriting one window repeatedly moves the word by the
+            // window's directed delta each time, never the whole buffer.
+            for round in 1..=3u8 {
+                update(&image, &stripe, DbAddr(64 * 9), &[round; 4]);
+                assert_exact(&image, &geom, &stripe, &format!("{kind:?} round {round}"));
+            }
+            assert_eq!(stripe.snapshot().delta_bytes, 8 + 3 * 4, "{kind:?}");
         }
     }
 
     #[test]
-    fn coalesced_deltas_drain_once() {
-        let (image, geom, stripe) = setup(CodewordAlgebraKind::XorFold);
-        let mut old = [0u8; 4];
-        for round in 1..=3u8 {
-            let new = [round; 4];
-            image.write(DbAddr(64 * 9), &new).unwrap();
-            stripe.record_delta(9, 0, &old, &new);
-            old = new;
+    fn pieces_longer_than_one_read_chunk_stay_exact() {
+        // 256-byte regions: a 200-byte piece spans four 64-byte image
+        // reads inside `apply_update`.
+        for kind in CodewordAlgebraKind::ALL {
+            let image = DbImage::new(2, 4096).unwrap();
+            let geom = RegionGeometry::new(image.len(), 256).unwrap();
+            let stripe = ParityStripe::new(&geom, 4, kind).unwrap();
+            let ramp: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+            update(&image, &stripe, DbAddr(256 * 5 + 52), &ramp);
+            update(&image, &stripe, DbAddr(256 * 6 + 4), &[0xFF; 252]);
+            assert_exact(&image, &geom, &stripe, &format!("{kind:?}"));
         }
-        assert_eq!(stripe.pending_deltas(), 3);
-        let snap = stripe.snapshot();
-        assert_eq!(snap.coalesced_deltas, 2);
-        assert_eq!(snap.delta_bytes, 12);
-        stripe.drain_all();
-        let g = stripe.group_of(9);
-        let mut buf = vec![0u8; 64];
-        stripe.copy_group(g, &mut buf);
-        assert_eq!(buf, expect_parity(&image, &geom, &stripe, g));
-        assert_eq!(stripe.pending_deltas(), 0);
     }
 
     #[test]
@@ -480,11 +437,8 @@ mod tests {
             let (image, geom, stripe) = setup(kind);
             // Populate the group with maintained writes.
             for r in 0..8usize {
-                let new = [r as u8 + 10; 16];
-                image.write(geom.region_base(r), &new).unwrap();
-                stripe.record_delta(r, 0, &[0u8; 16], &new);
+                update(&image, &stripe, geom.region_base(r), &[r as u8 + 10; 16]);
             }
-            stripe.drain_all();
             // Save intended content of region 5, then corrupt it.
             let mut intended = vec![0u8; 64];
             image.read(geom.region_base(5), &mut intended).unwrap();
@@ -507,46 +461,31 @@ mod tests {
     }
 
     #[test]
-    fn resync_rebuilds_from_image_and_discards_queued() {
+    fn resync_rebuilds_from_image() {
         let (image, geom, stripe) = setup(CodewordAlgebraKind::Residue);
+        // An unmaintained image write plus a stale buffer: resync
+        // supersedes both.
         image.write(DbAddr(64 * 2), &[7u8; 64]).unwrap();
-        // A queued delta that resync must supersede, plus a stale buffer.
-        stripe.record_delta(40, 0, &[0u8; 4], &[9u8; 4]);
+        update(&image, &stripe, DbAddr(64 * 40), &[9u8; 4]);
         stripe.wild_xor_group(3, 0, &[0xAA]);
         stripe.resync(&image, &geom).unwrap();
-        assert_eq!(stripe.pending_deltas(), 0);
-        for g in 0..stripe.num_groups() {
-            assert!(stripe.verify_group(g), "group {g}");
-            let mut buf = vec![0u8; 64];
-            stripe.copy_group(g, &mut buf);
-            assert_eq!(buf, expect_parity(&image, &geom, &stripe, g), "group {g}");
-        }
+        assert_exact(&image, &geom, &stripe, "after resync");
         assert_eq!(stripe.take_dirty_groups(), Vec::<usize>::new());
     }
 
     #[test]
     fn dirty_groups_flag_and_clear() {
-        let (_i, _g, stripe) = setup(CodewordAlgebraKind::XorFold);
-        stripe.record_delta(0, 0, &[0u8; 4], &[1u8; 4]);
-        stripe.record_delta(17, 0, &[0u8; 4], &[2u8; 4]);
-        assert_eq!(stripe.dirty_group_count(), 0, "dirty only after drain");
-        stripe.drain_all();
+        let (image, _g, stripe) = setup(CodewordAlgebraKind::XorFold);
+        update(&image, &stripe, DbAddr(0), &[1u8; 4]);
+        assert_eq!(stripe.dirty_group_count(), 1, "dirty as the update lands");
+        update(&image, &stripe, DbAddr(64 * 17), &[2u8; 4]);
         assert_eq!(stripe.take_dirty_groups(), vec![0, 2]);
         assert_eq!(stripe.take_dirty_groups(), Vec::<usize>::new());
     }
 
     #[test]
-    fn watermark_signals_inline_drain() {
-        let geom = RegionGeometry::new(4096, 64).unwrap();
-        let stripe = ParityStripe::new(&geom, 8, 1, 2, CodewordAlgebraKind::XorFold).unwrap();
-        assert!(!stripe.record_delta(1, 0, &[0u8; 4], &[1u8; 4]));
-        assert!(!stripe.record_delta(2, 0, &[0u8; 4], &[1u8; 4]));
-        assert!(stripe.record_delta(3, 0, &[0u8; 4], &[1u8; 4]));
-    }
-
-    #[test]
     fn rejects_zero_group_size() {
         let geom = RegionGeometry::new(4096, 64).unwrap();
-        assert!(ParityStripe::new(&geom, 0, 1, 0, CodewordAlgebraKind::XorFold).is_err());
+        assert!(ParityStripe::new(&geom, 0, CodewordAlgebraKind::XorFold).is_err());
     }
 }

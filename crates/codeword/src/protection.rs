@@ -16,8 +16,9 @@
 //! [`CodewordAlgebraKind`] — the XOR fold or the mod-(2^32−1) residue
 //! code (see [`crate::algebra`]). The deferred scheme queues its deltas
 //! in the sharded, coalescing delta set ([`crate::deferred`]) instead of
-//! touching the codeword table at `endUpdate`; the parity stripe queues
-//! its byte deltas in a second instance of the same set.
+//! touching the codeword table at `endUpdate`. The parity stripe is
+//! maintained eagerly under every codeword scheme: each update's
+//! `old ⊕ new` lands in its group buffer inside the same latch bracket.
 
 use crate::algebra;
 use crate::audit::{self, AuditReport};
@@ -75,11 +76,11 @@ pub struct CodewordProtection {
     /// Deferred-maintenance dirty set: per-shard maps of
     /// `region → coalesced codeword delta` awaiting application (only for
     /// [`ProtectionScheme::DeferredMaintenance`]).
-    deferred: Option<DeferredSet<u32>>,
+    deferred: Option<DeferredSet>,
     /// Parity stripe for online repair (see [`crate::parity`]); present
     /// when the config enables a parity group size and the scheme
-    /// maintains codewords. Updaters enqueue byte deltas next to their
-    /// codeword deltas, under the same shared latch bracket.
+    /// maintains codewords. Updaters fold their byte deltas into it next
+    /// to their codeword deltas, under the same latch bracket.
     parity: Option<ParityStripe>,
     /// Worker count for full-image scans (audits, resync, the initial
     /// table fold); ≥ 1. Per-region scans are unaffected.
@@ -139,18 +140,23 @@ impl CodewordProtection {
     /// parity rides the codeword update path). The stripe is built from
     /// the image's current contents; the caller must be quiesced, as at
     /// construction and recovery.
+    ///
+    /// `_shards` and `_watermark` are unused: they sized the stripe's
+    /// delta queue, which eager maintenance removed. They stay only
+    /// because the frozen ledger (`benchmark/src/cells.rs`) passes them;
+    /// ROADMAP item 8 queues their removal.
     pub fn enable_parity(
         &mut self,
         image: &DbImage,
         group_size: usize,
-        shards: usize,
-        watermark: usize,
+        _shards: usize,
+        _watermark: usize,
     ) -> Result<()> {
         if group_size == 0 || !self.scheme.maintains_codewords() {
             self.parity = None;
             return Ok(());
         }
-        let stripe = ParityStripe::new(&self.geom, group_size, shards, watermark, self.kind)?;
+        let stripe = ParityStripe::new(&self.geom, group_size, self.kind)?;
         stripe.resync(image, &self.geom)?;
         self.parity = Some(stripe);
         Ok(())
@@ -163,11 +169,10 @@ impl CodewordProtection {
     }
 
     /// Rebuild one parity group from the image under the group's
-    /// exclusive latch bracket: drain its shards (pending deltas are
-    /// superseded by the fresh image read) and recompute buffer + parity
-    /// codeword. Used by checkpoint certification to heal a group whose
-    /// stripe memory took a wild write, after the member regions
-    /// themselves audited clean. No-op without a stripe.
+    /// exclusive latch bracket: recompute buffer + parity codeword. Used
+    /// by checkpoint certification to heal a group whose stripe memory
+    /// took a wild write, after the member regions themselves audited
+    /// clean. No-op without a stripe.
     pub fn resync_parity_group(&self, image: &DbImage, group: ParityGroupId) -> Result<()> {
         let Some(stripe) = &self.parity else {
             return Ok(());
@@ -175,7 +180,6 @@ impl CodewordProtection {
         let (first, last) = stripe.members(group);
         self.latches
             .with_span(first, last, LatchMode::Exclusive, || {
-                stripe.drain_group(group);
                 stripe.rebuild_group(image, &self.geom, group)
             })
     }
@@ -260,7 +264,8 @@ impl CodewordProtection {
         }
     }
 
-    /// Publish the codeword delta for a completed physical update.
+    /// Publish the codeword delta for a completed physical update, and
+    /// fold its `old ⊕ new` into the parity stripe when one is enabled.
     ///
     /// `waddr`/`old_widened` are the word-aligned address and before-image
     /// captured at `beginUpdate` (see
@@ -270,10 +275,10 @@ impl CodewordProtection {
         if !self.scheme.maintains_codewords() || old_widened.is_empty() {
             return Ok(());
         }
-        let mut new_bytes = Vec::new();
         for (region, s, l) in self.geom.split(waddr, old_widened.len()) {
             let rel = s.0 - waddr.0;
-            let old_fold = algebra::fold(self.kind, &old_widened[rel..rel + l]);
+            let old = &old_widened[rel..rel + l];
+            let old_fold = algebra::fold(self.kind, old);
             let new_fold = image.fold(self.kind, s, l)?;
             let delta = self.kind.delta_of_folds(old_fold, new_fold);
             match &self.deferred {
@@ -281,8 +286,7 @@ impl CodewordProtection {
                 // to queue.
                 Some(_) if delta == 0 => {}
                 Some(set) => {
-                    let kind = self.kind;
-                    if set.push(region, || delta, |d| *d = kind.combine(*d, delta)) {
+                    if set.push(region, delta, self.kind) {
                         // Shard over its high-watermark: the pusher pays
                         // for the drain (backpressure). Applying queued
                         // deltas needs no latch — each was enqueued after
@@ -294,16 +298,7 @@ impl CodewordProtection {
                 None => self.table.apply_delta(region, delta),
             }
             if let Some(stripe) = &self.parity {
-                // Parity byte delta, enqueued under the same latch
-                // bracket as the codeword delta: old ⊕ new of this
-                // region piece, positioned at its region-relative
-                // offset.
-                new_bytes.resize(l, 0);
-                image.read(s, &mut new_bytes)?;
-                let region_rel = s.0 - self.geom.region_base(region).0;
-                if stripe.record_delta(region, region_rel, &old_widened[rel..rel + l], &new_bytes) {
-                    stripe.drain_region(region);
-                }
+                stripe.apply_update(image, s, old)?;
             }
         }
         Ok(())
@@ -317,10 +312,7 @@ impl CodewordProtection {
     /// schemes.
     pub fn drain_deferred(&self) {
         if let Some(set) = &self.deferred {
-            set.drain_all(|r, d| self.table.apply_delta(r, d));
-        }
-        if let Some(stripe) = &self.parity {
-            stripe.drain_all();
+            set.drain_all(&self.table);
         }
     }
 
@@ -329,9 +321,6 @@ impl CodewordProtection {
     /// exclusively, drain its shard, then fold and compare).
     pub fn drain_region(&self, region: RegionId) {
         self.drain_codewords(region, region);
-        if let Some(stripe) = &self.parity {
-            stripe.drain_region(region);
-        }
     }
 
     /// Number of *distinct dirty regions* in the deferred dirty set
@@ -482,7 +471,7 @@ impl CodewordProtection {
     /// `first..=last` (no-op unless the scheme defers maintenance).
     fn drain_codewords(&self, first: RegionId, last: RegionId) {
         if let Some(set) = &self.deferred {
-            set.drain_span(first, last, |r, d| self.table.apply_delta(r, d));
+            set.drain_span(first, last, &self.table);
         }
     }
 
@@ -518,8 +507,9 @@ impl CodewordProtection {
     /// Attempt to rebuild `region` in place from its parity group.
     ///
     /// Takes the group's protection latches exclusively (quiescing
-    /// updaters for exactly that span), drains both the codeword and
-    /// parity shards covering the group, then walks the fallback ladder:
+    /// updaters for exactly that span, so the parity buffer is the XOR of
+    /// the members), drains the deferred codeword shards covering the
+    /// group, then walks the fallback ladder:
     ///
     /// 1. parity buffer must fold to its maintained parity codeword
     ///    (else [`RepairFallback::StaleParity`]);
@@ -547,7 +537,6 @@ impl CodewordProtection {
         self.latches
             .with_span(first, last, LatchMode::Exclusive, || {
                 self.drain_codewords(first, last);
-                stripe.drain_group(group);
                 if !stripe.verify_group(group) {
                     return Ok(Err(RepairFallback::StaleParity { group }));
                 }

@@ -296,7 +296,8 @@ pub struct DaliConfig {
     /// `Some(interval)`: a background maintenance thread drains the
     /// deferred dirty set every `interval`, bounding how far the
     /// codeword table lags the image. `None`: catch-up happens only at
-    /// audits and at the per-shard watermark.
+    /// audits and at the per-shard watermark. Ignored unless the scheme
+    /// defers maintenance (the parity stripe has no queue to drain).
     pub deferred_drain_interval: Option<Duration>,
     /// Per-shard dirty-region high-watermark: an update that leaves its
     /// shard deeper than this drains the shard inline (backpressure when
@@ -338,13 +339,16 @@ pub struct DaliConfig {
     pub colocate_control: bool,
     /// Parity-based online repair: number of protection regions per parity
     /// group. Every group of consecutive regions is XOR-accumulated into a
-    /// region-sized parity buffer maintained through the same deferred
-    /// path as codewords, letting a corrupted region be *rebuilt in place*
-    /// from its siblings instead of replaying checkpoint + WAL. `0`
-    /// disables the stripe. Parity rides the codeword update path, so it
-    /// is only effective when the scheme maintains codewords (see
+    /// region-sized parity buffer, updated eagerly with each update's
+    /// `old ⊕ new` inside its protection-latch bracket, letting a
+    /// corrupted region be *rebuilt in place* from its siblings instead
+    /// of replaying checkpoint + WAL. `0` disables the stripe. Parity
+    /// rides the codeword update path, so it is only effective when the
+    /// scheme maintains codewords (see
     /// [`DaliConfig::resolved_parity_group_size`]). Space overhead is
-    /// `1/parity_group_size` of the image.
+    /// `1/parity_group_size` of the image. The stripe is never persisted
+    /// — restart rebuilds it from the recovered image — so the size may
+    /// change between opens.
     pub parity_group_size: usize,
     /// Admission control: maximum concurrently open connections. At the
     /// cap the listener's read interest is parked (accept-pause) after
@@ -526,8 +530,8 @@ impl DaliConfig {
     }
 
     /// The effective parity group size: `parity_group_size`, or `0` when
-    /// the scheme does not maintain codewords — parity deltas ride the
-    /// codeword update path, so without codeword maintenance the stripe
+    /// the scheme does not maintain codewords — parity maintenance rides
+    /// the codeword update path, so without codeword maintenance the stripe
     /// could never be kept current and repair would rebuild garbage.
     #[inline]
     pub fn resolved_parity_group_size(&self) -> usize {

@@ -38,8 +38,8 @@ use std::sync::Arc;
 // CB01 had no algebra tag; CB02 appends the codeword-algebra byte right
 // after the magic so recovery can reject an image certified under a
 // different algebra than the one configured. CB03 adds the parity-stripe
-// layout (`parity_group_size`, `0` = stripe off) so recovery can reject
-// an image whose parity geometry disagrees with the configured one.
+// layout (`parity_group_size`, `0` = stripe off), recorded for the
+// operator; recovery rebuilds the stripe under the configured layout.
 const META_MAGIC: u32 = 0xDA11_CB03;
 const ANCHOR_MAGIC: u32 = 0xDA11_A0C1;
 
@@ -85,10 +85,9 @@ pub struct CkptMeta {
     /// refuses an image whose algebra differs from the configured one.
     pub algebra: CodewordAlgebraKind,
     /// Parity-stripe layout at checkpoint time: regions per parity group,
-    /// `0` when the stripe is off. Recovery refuses a layout mismatch
-    /// (the image was certified under a stripe the repair ladder no longer
-    /// assumes) and rebuilds the stripe from the replayed image — the
-    /// stripe itself is never persisted.
+    /// `0` when the stripe is off. Informational: the stripe itself is
+    /// never persisted, so recovery rebuilds it from the replayed image
+    /// under whatever layout is configured now.
     pub parity_group_size: u64,
     pub catalog: Catalog,
     /// Serialized ATT (decoded lazily by recovery).
@@ -500,7 +499,6 @@ fn certify(
     // audited clean, so rebuild the group from the image under its
     // latch bracket rather than distrusting the data.
     if let Some(stripe) = db.prot.parity() {
-        stripe.drain_all();
         let dirty_groups = stripe.take_dirty_groups();
         db.stats.certify_parity_groups.fetch_add(
             dirty_groups.len() as u64,

@@ -1,7 +1,9 @@
 //! Background deferred-maintenance drainer.
 //!
 //! The deferred scheme lets the codeword table lag the image by whatever
-//! sits in the sharded dirty set. Audits catch up incrementally on their
+//! sits in the sharded dirty set. (The parity stripe has no queue: it is
+//! maintained eagerly inside every update, so it never needs draining.)
+//! Audits catch up incrementally on their
 //! own, and the per-shard watermark backstops runaway growth, but
 //! between audits an unbounded lag means more catch-up work at the worst
 //! time (inside the audit's latch). When
@@ -19,16 +21,12 @@ use crate::db::Db;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
-/// Spawn the drainer for `db` if a drain interval is configured and
-/// there is something to drain: the scheme defers codeword maintenance,
-/// or the parity stripe is enabled (parity deltas queue under *every*
-/// codeword scheme — eager schemes still need their stripe drained
-/// between audits). Detached: exits on its own when the database goes
-/// away.
+/// Spawn the drainer for `db` if a drain interval is configured and the
+/// scheme defers codeword maintenance. Detached: exits on its own when
+/// the database goes away.
 pub(crate) fn spawn_drainer(db: &Arc<Db>) {
-    let drains_something = db.config.scheme.defers_maintenance() || db.prot.parity().is_some();
     let interval = match db.config.deferred_drain_interval {
-        Some(i) if drains_something && !i.is_zero() => i,
+        Some(i) if db.config.scheme.defers_maintenance() && !i.is_zero() => i,
         _ => return,
     };
     let weak: Weak<Db> = Arc::downgrade(db);

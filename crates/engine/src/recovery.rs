@@ -808,7 +808,6 @@ pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
     let (image_idx, serial) = ckpt::read_anchor(&dir)?;
     let meta = ckpt::read_meta(&dir, image_idx)?;
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
-    check_ckpt_parity(&meta, config.resolved_parity_group_size())?;
     let marker = corruption::read_marker(&dir)?;
 
     // Decide the mode. The CW ReadLog scheme runs corruption recovery on
@@ -879,7 +878,6 @@ pub fn restore_prior_state(config: DaliConfig, upto: Lsn) -> Result<(Arc<Db>, Re
         }
     };
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
-    check_ckpt_parity(&meta, config.resolved_parity_group_size())?;
 
     // Redo up to (not beyond) `upto`; a prefix cut can split an
     // operation's batch, whose unmatched physical records are discarded.
@@ -945,23 +943,6 @@ fn check_ckpt_algebra(meta: &ckpt::CkptMeta, configured: CodewordAlgebraKind) ->
              before switching",
             meta.algebra.label(),
             configured.label()
-        )));
-    }
-    Ok(())
-}
-
-/// Reject a checkpoint whose parity-stripe layout differs from the
-/// configured one (`0` = stripe off). The persisted stripe file and the
-/// repair ladder's group geometry must agree with what certification ran
-/// under; the live stripe itself is rebuilt from the image after replay
-/// regardless, so only the *layout* is checked here.
-fn check_ckpt_parity(meta: &ckpt::CkptMeta, configured: usize) -> Result<()> {
-    if meta.parity_group_size != configured as u64 {
-        return Err(DaliError::RecoveryFailed(format!(
-            "checkpoint was taken with parity group size {} but the engine \
-             is configured for {}; re-checkpoint with the original layout \
-             before switching",
-            meta.parity_group_size, configured
         )));
     }
     Ok(())

@@ -16,12 +16,16 @@
 //!
 //! Lock ordering throughout the engine: `quiesce` (shared) → transaction
 //! state mutex → heap alloc mutex → protection latches (ascending
-//! stripes) → deferred dirty-set shard mutex. The checkpointer takes
-//! `quiesce` exclusively and then transaction state mutexes, which is
-//! consistent with this order; the dirty-set shard mutex is only ever
-//! taken after latches (updaters enqueue inside their bracket, auditors
-//! drain under the exclusive stripe latch) and never while acquiring
-//! one.
+//! stripes) → deferred dirty-set shard mutex *or* parity group-buffer
+//! mutex. The checkpointer takes `quiesce` exclusively and then
+//! transaction state mutexes, which is consistent with this order; the
+//! dirty-set shard mutex is only ever taken after latches (updaters
+//! enqueue inside their bracket, auditors drain under the exclusive
+//! stripe latch) and never while acquiring one. The group-buffer mutex
+//! is a leaf: updaters take it inside their bracket (after releasing
+//! any shard mutex), repair and resync under the group's exclusive
+//! latches, certification's `verify_group` under no latch, and nothing
+//! else is acquired while it is held.
 
 use crate::att::{InFlightUpdate, OpState, TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};

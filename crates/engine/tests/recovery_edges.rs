@@ -229,3 +229,52 @@ fn segments_left_pending_by_a_dead_process_are_replayed() {
     check.commit().unwrap();
     assert!(db.audit().unwrap().clean());
 }
+
+/// The parity stripe is rebuilt from the recovered image on every open
+/// and never persisted, so restart takes whatever layout is configured
+/// now: a database checkpointed with groups of 8 reopens with the
+/// stripe off, with groups of 4 (and repairs in place under them), and
+/// under `Baseline`, which resolves the stripe off.
+#[test]
+fn parity_layout_may_change_across_restart() {
+    let dir = tmpdir("parity-layout");
+    let config = DaliConfig::small(dir.path())
+        .with_scheme(ProtectionScheme::DataCodeword)
+        .with_parity_group_size(8);
+    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let t = db.create_table("t", 64, 32).unwrap();
+    let txn = db.begin().unwrap();
+    let recs: Vec<_> = (0..8u8).map(|i| txn.insert(t, &val(i)).unwrap()).collect();
+    txn.commit().unwrap();
+    db.checkpoint().unwrap();
+    db.crash();
+
+    for (label, config) in [
+        ("stripe off", config.clone().with_parity_group_size(0)),
+        ("groups of 4", config.clone().with_parity_group_size(4)),
+        (
+            "Baseline",
+            config.clone().with_scheme(ProtectionScheme::Baseline),
+        ),
+    ] {
+        let (db, _) =
+            DaliEngine::open(config).unwrap_or_else(|e| panic!("{label}: open refused: {e}"));
+        assert!(db.audit().unwrap().clean(), "{label}");
+        let expect_size = if label == "groups of 4" { 4 } else { 0 };
+        assert_eq!(db.parity_stats().group_size, expect_size, "{label}");
+        if expect_size != 0 {
+            // A wild write under the new layout is rebuilt in place.
+            let addr = db.record_addr(recs[3]).unwrap();
+            db.db().image.write(addr, &[0xEE; 8]).unwrap();
+            let region = db.db().prot.geometry().region_of(addr);
+            assert!(db.repair(region).unwrap().in_place(), "{label}");
+            assert!(db.audit().unwrap().clean(), "{label}: healed");
+        }
+        let check = db.begin().unwrap();
+        for (i, &rec) in recs.iter().enumerate() {
+            assert_eq!(check.read_vec(rec).unwrap(), val(i as u8), "{label}");
+        }
+        check.commit().unwrap();
+        db.crash();
+    }
+}

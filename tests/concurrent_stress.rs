@@ -5,12 +5,26 @@
 //! codeword maintenance, exclusive for prechecked reads) must hold up
 //! under real contention: no deadlock, no spurious corruption report
 //! from an audit racing an update bracket, and the TPC-B invariant
-//! intact at the end.
+//! intact at the end. After every scenario, with the engine quiesced,
+//! each parity group equals the XOR of its members and verifies — the
+//! stripe is maintained eagerly inside every update bracket, including
+//! the rollbacks of deadlock victims.
 
 use dali::{
     DaliConfig, DaliEngine, DaliError, ProtectionScheme, RecId, SlotId, TpcbConfig, TpcbDriver,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
+
+#[path = "support/parity.rs"]
+mod parity;
+
+/// Every parity group of the quiesced engine's stripe is exact.
+fn assert_parity_exact(db: &DaliEngine, ctx: &str) {
+    let db = db.db();
+    if let Err(e) = parity::stripe_exact(&db.image, &db.prot) {
+        panic!("{ctx}: {e}");
+    }
+}
 
 const THREADS: usize = 4;
 const OPS: usize = 4_000;
@@ -81,6 +95,7 @@ fn stress(scheme: ProtectionScheme, audit_threads: usize) {
     assert!(audits_done >= 1, "audit loop never completed a sweep");
     driver.verify_invariant().unwrap();
     assert!(db.audit().unwrap().clean());
+    assert_parity_exact(&db, &format!("{scheme:?}"));
 }
 
 #[test]
@@ -182,6 +197,7 @@ fn stress_contended(scheme: ProtectionScheme, shards: usize) {
         0,
         "locks leaked after quiesce"
     );
+    assert_parity_exact(&db, &format!("contended {scheme:?}"));
 }
 
 #[test]
@@ -287,6 +303,7 @@ fn stress_deferred(
     );
     assert!(deferred.drains > 0, "no drain ever ran: {deferred:?}");
     assert_eq!(deferred.shards, shards as u64);
+    assert_parity_exact(&db, &format!("deferred ({shards} shards)"));
 }
 
 #[test]

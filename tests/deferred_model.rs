@@ -1,5 +1,5 @@
-//! Model-based test of the sharded delta set, under both of its
-//! payloads: deferred codeword deltas and parity byte deltas.
+//! Model-based test of the sharded deferred codeword set and of the
+//! eagerly maintained parity stripe.
 //!
 //! Generates arbitrary scripts of prescribed updates, partial shard
 //! drains, full drains and audits, and applies each script to one shared
@@ -7,12 +7,10 @@
 //! a parity stripe (groups of 8 regions):
 //!
 //! * an **eager** `DataCodeword` protection — the trivially-correct
-//!   reference: every delta hits the codeword table at `endUpdate`; its
-//!   parity deltas queue in 8 shards;
-//! * a **1-shard** deferred protection (the old global-queue geometry),
-//!   parity in 1 shard;
+//!   reference: every delta hits the codeword table at `endUpdate`;
+//! * a **1-shard** deferred protection (the old global-queue geometry);
 //! * an **8-shard** deferred protection (the sharded dirty set, where a
-//!   `DrainRegion` really is partial), parity in 8 shards.
+//!   `DrainRegion` really is partial).
 //!
 //! Checked invariants, after every op:
 //!
@@ -25,14 +23,14 @@
 //! * a full audit leaves both dirty sets empty;
 //! * the eager reference audits clean throughout (sanity on the harness
 //!   itself);
-//! * after every drain that empties a stripe's delta set (any drain of a
-//!   1-shard set, every full drain), each parity group's buffer equals
-//!   the XOR of its member regions read from the image, and its
-//!   maintained parity codeword verifies.
+//! * for all three protections, each parity group's buffer equals the
+//!   XOR of its member regions read from the image, and its maintained
+//!   parity codeword verifies — parity is applied inside `apply_update`,
+//!   so no drain is needed first, under either scheme.
 //!
 //! At the end of every script, after a full drain, the three codeword
 //! tables must agree region by region — deferral may *lag* the eager
-//! table, never diverge from it — and every stripe must be exact.
+//! table, never diverge from it.
 //!
 //! CI raises the case count via `PROPTEST_CASES`, as with the lock-model
 //! suite.
@@ -41,6 +39,9 @@ use dali::codeword::{CodewordAlgebraKind, CodewordProtection, DeferredConfig};
 use dali::mem::DbImage;
 use dali::{DbAddr, ProtectionScheme};
 use proptest::prelude::*;
+
+#[path = "support/parity.rs"]
+mod parity;
 
 /// 4 pages x 4096 bytes, 64-byte regions => 256 regions.
 const PAGES: usize = 4;
@@ -115,7 +116,8 @@ impl Harness {
                 CodewordAlgebraKind::XorFold,
             )
             .unwrap();
-            prot.enable_parity(&image, GROUP, shards, 0).unwrap();
+            // The stripe's queue-sizing arguments are unused (eager).
+            prot.enable_parity(&image, GROUP, 0, 0).unwrap();
             prot
         };
         let eager = prot(ProtectionScheme::DataCodeword, 8);
@@ -143,36 +145,6 @@ impl Harness {
         ]
     }
 
-    /// Every parity group of `prot`'s stripe equals the XOR of its member
-    /// regions read from the image, and its maintained codeword verifies.
-    fn parity_exact(&self, name: &str, prot: &CodewordProtection) -> Result<(), String> {
-        let stripe = prot.parity().expect("stripe enabled");
-        let mut buf = vec![0u8; REGION];
-        for g in 0..stripe.num_groups() {
-            let (first, last) = stripe.members(g);
-            let mut members = vec![0u8; (last - first + 1) * REGION];
-            self.image
-                .read(DbAddr(first * REGION), &mut members)
-                .unwrap();
-            let mut want = vec![0u8; REGION];
-            for region in members.chunks_exact(REGION) {
-                for (w, b) in want.iter_mut().zip(region) {
-                    *w ^= b;
-                }
-            }
-            stripe.copy_group(g, &mut buf);
-            if buf != want {
-                return Err(format!(
-                    "{name}: parity group {g} is not the XOR of its members"
-                ));
-            }
-            if !stripe.verify_group(g) {
-                return Err(format!("{name}: parity group {g} fails its codeword"));
-            }
-        }
-        Ok(())
-    }
-
     /// One prescribed update: capture the widened before-image once,
     /// write the image once, publish the delta through all three
     /// protections (the delta math is pure, so sharing the image is
@@ -195,15 +167,10 @@ impl Harness {
                     for prot in self.each() {
                         prot.drain_region(r);
                     }
-                    // One shard: draining any region drains everything.
-                    self.parity_exact("1 shard", &self.def1)
-                        .map_err(|e| format!("op {i}: {e}"))?;
                 }
                 Op::DrainAll => {
-                    for (name, prot) in self.named() {
+                    for prot in self.each() {
                         prot.drain_deferred();
-                        self.parity_exact(name, prot)
-                            .map_err(|e| format!("op {i}: {e}"))?;
                     }
                 }
                 Op::Audit => {
@@ -242,13 +209,17 @@ impl Harness {
             if !e.clean() {
                 return Err(format!("op {i}: eager reference audit unclean: {e:?}"));
             }
+            // Eager parity: every stripe is exact after every op.
+            for (name, prot) in self.named() {
+                parity::stripe_exact(&self.image, prot)
+                    .map_err(|e| format!("op {i}: {name}: {e}"))?;
+            }
         }
 
         // Fully drained, the deferred tables must equal the eager one —
-        // deferral lags, never diverges — and every stripe is exact.
-        for (name, prot) in self.named() {
+        // deferral lags, never diverges.
+        for prot in self.each() {
             prot.drain_deferred();
-            self.parity_exact(name, prot)?;
         }
         for r in 0..NREGIONS {
             let (e, d1, d8) = (
@@ -362,7 +333,7 @@ fn pinned_deferred_scripts() {
         ],
         // Parity: an update straddling the group boundary between
         // regions 7 and 8, a sibling update in group 0, a partial drain,
-        // more coalescing into the drained region, then a full drain.
+        // another update to the drained region, then a full drain.
         &[
             Update {
                 addr: 488,

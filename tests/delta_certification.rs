@@ -239,9 +239,10 @@ fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
 
 /// The certification footprint must include the parity stripe: parity
 /// buffers live outside the image, so the dirty-page → region mapping
-/// can never cover them — the groups dirtied by drains are certified
-/// through the stripe's own dirty-group channel, and a delta checkpoint
-/// consumes that channel completely.
+/// can never cover them — the groups dirtied by updates (eager parity
+/// maintenance; the test name predates it, when a drain dirtied them)
+/// are certified through the stripe's own dirty-group channel, and a
+/// delta checkpoint consumes that channel completely.
 #[test]
 fn delta_certification_covers_parity_groups_dirtied_by_drains() {
     let scratch = TempDir::new("delta-parity-footprint");
@@ -258,7 +259,7 @@ fn delta_certification_covers_parity_groups_dirtied_by_drains() {
     db.checkpoint().unwrap(); // flush the initial all-pages footprints
 
     // One committed insert dirties at least the record's parity group
-    // (plus allocator metadata) via the stripe's deferred-delta path.
+    // (plus allocator metadata) as its update lands in the stripe.
     let txn = db.begin().unwrap();
     let rec = txn.insert(t, &[0x77; 32]).unwrap();
     txn.commit().unwrap();
@@ -272,24 +273,27 @@ fn delta_certification_covers_parity_groups_dirtied_by_drains() {
         CheckpointOutcome::Certified { .. } => {}
         other => panic!("clean workload must certify: {other:?}"),
     }
-    // This was a delta sweep, and it still certified the drained groups.
+    // This was a delta sweep, and it still certified the dirtied groups.
     assert!(db.stats().certify_delta.load(Ordering::Relaxed) >= 1);
     let certified = db.stats().certify_parity_groups.load(Ordering::Relaxed) - before;
-    assert!(certified >= 1, "drain-dirtied groups are in the footprint");
-    // The channel is fully consumed: nothing queued, nothing still dirty,
-    // and the record's group verifies against its own codeword.
+    assert!(certified >= 1, "update-dirtied groups are in the footprint");
+    // The channel is fully consumed: nothing still dirty, and the
+    // record's group verifies against its own codeword.
     let snap = db.parity_stats();
-    assert_eq!(snap.pending_deltas, 0);
     assert_eq!(snap.dirty_groups, 0);
     assert!(stripe.verify_group(rec_group));
 
-    // A wild write to a *drain-dirtied* parity buffer (not the image) is
-    // healed by the next certification: the members just audited clean,
-    // so the checkpoint rebuilds the group instead of distrusting data.
+    // A wild write to an *update-dirtied* parity buffer (not the image)
+    // is healed by the next certification: the members just audited
+    // clean, so the checkpoint rebuilds the group instead of distrusting
+    // data.
     let txn = db.begin().unwrap();
     txn.update(rec, &[0x78; 32]).unwrap();
     txn.commit().unwrap();
-    db.db().prot.drain_deferred(); // flush the stripe delta → group dirty
+    assert!(
+        db.parity_stats().dirty_groups >= 1,
+        "the update dirtied its group"
+    );
     stripe.wild_xor_group(rec_group, 0, &[0xA5, 0x5A]);
     match db.checkpoint().unwrap() {
         CheckpointOutcome::Certified { .. } => {}
