@@ -11,7 +11,7 @@
 //!
 //! Usage: `cargo run -p dali-bench --bin logdump -- <db-dir> [--from LSN] [--txn N] [--residue] [--segments-only]`
 
-use dali_common::{CodewordAlgebraKind, Lsn};
+use dali_common::{CodewordAlgebraKind, Lsn, OsStorage};
 use dali_wal::segment::{self, SegmentBuf};
 use dali_wal::{LogRecordRef, LogicalUndoRef};
 
@@ -66,17 +66,18 @@ fn main() {
     let dumps: Vec<(segment::SegmentInfo, SegmentBuf)> = segments
         .iter()
         .map(|&info| {
-            let seg = SegmentBuf::load(&path, info.base, 0, algebra).unwrap_or_else(|e| {
-                eprintln!("cannot read {}: {e}", segment::file_name(info.base));
-                std::process::exit(1);
-            });
+            let seg =
+                SegmentBuf::load(&OsStorage, &path, info.base, 0, algebra).unwrap_or_else(|e| {
+                    eprintln!("cannot read {}: {e}", segment::file_name(info.base));
+                    std::process::exit(1);
+                });
             (info, seg)
         })
         .collect();
     eprintln!(
         "{} segment(s), {} bytes on disk:",
         dumps.len(),
-        segment::bytes_on_disk(&path).unwrap_or(0)
+        segment::bytes_on_disk(&OsStorage, &path).unwrap_or(0)
     );
     for (i, (info, seg)) in dumps.iter().enumerate() {
         // Trailing bytes that do not parse as a frame (a torn final
@@ -109,7 +110,7 @@ fn main() {
     }
     // Segments a crash caught between creation and naming: restart will
     // adopt or unlink them (`segment::adopt_pending`); no scan reads them.
-    for info in segment::list_pending(&path).unwrap_or_default() {
+    for info in segment::list_pending(&OsStorage, &path).unwrap_or_default() {
         let pending = segment::pending_path(&path, info.base);
         eprintln!(
             "  {:>24}  lsn {:>10}..{:<10}  {:>8}B  PENDING",

@@ -193,12 +193,6 @@ impl ParityStripe {
         algebra::fold(self.kind, &buf) == self.groups[group].word.load(Ordering::Acquire)
     }
 
-    /// The maintained parity codeword of `group`.
-    #[inline]
-    pub fn parity_word(&self, group: ParityGroupId) -> u32 {
-        self.groups[group].word.load(Ordering::Acquire)
-    }
-
     /// Copy `group`'s parity buffer into `out`.
     pub fn copy_group(&self, group: ParityGroupId, out: &mut [u8]) {
         out.copy_from_slice(&self.groups[group].buf.lock());

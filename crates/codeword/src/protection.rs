@@ -393,32 +393,6 @@ impl CodewordProtection {
             })
     }
 
-    /// Compute the contents codewords of the regions overlapping
-    /// `[addr, addr+len)` under an exclusive latch span (the write-as-read
-    /// record of the CW ReadLog scheme).
-    ///
-    /// Callers that already hold the span — an updater inside its
-    /// beginUpdate/endUpdate bracket (the latches are not reentrant), or
-    /// single-threaded recovery — must use
-    /// [`compute_region_codewords`](Self::compute_region_codewords)
-    /// instead.
-    pub fn snapshot_region_codewords(
-        &self,
-        image: &DbImage,
-        addr: DbAddr,
-        len: usize,
-    ) -> Result<Vec<u32>> {
-        let (first, last) = self.geom.region_span(addr, len);
-        self.latches
-            .with_span(first, last, LatchMode::Exclusive, || {
-                (first..=last)
-                    .map(|r| {
-                        image.fold(self.kind, self.geom.region_base(r), self.geom.region_size())
-                    })
-                    .collect()
-            })
-    }
-
     /// Audit the whole database: the `audit::sweep` of the single range
     /// `0..n`, latched in runs of [`latch_run`](Self::latch_run) regions
     /// (for the deferred scheme each run's dirty-set shards are drained

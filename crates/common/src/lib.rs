@@ -15,19 +15,18 @@
 //!   behind every codeword and checksum in the workspace.
 //! * [`codec`] — the one checked byte [`Reader`](codec::Reader) every
 //!   decoder reads through, and the sealed-file trailer.
-//! * [`crashpoint`] — the per-database [`CrashPoints`] handle
-//!   fault-injection tests arm to stop an operation at a
-//!   durability-critical instant.
+//! * [`storage`] — the [`Storage`] seam every durable file operation of
+//!   the log and the checkpointer goes through, and its OS implementation.
 
 pub mod align;
 pub mod codec;
 pub mod config;
-pub mod crashpoint;
 pub mod error;
 pub mod fold;
 pub mod ids;
+pub mod storage;
 
 pub use config::{CodewordAlgebraKind, DaliConfig, ProtectionScheme, RESIDUE_MODULUS};
-pub use crashpoint::CrashPoints;
 pub use error::{DaliError, Result};
 pub use ids::{DbAddr, Lsn, OpSeq, PageId, RecId, SlotId, TableId, TxnId};
+pub use storage::{OsStorage, Storage, Store};

@@ -113,14 +113,6 @@ impl Att {
         state
     }
 
-    /// Register a transaction with pre-existing state (recovery).
-    pub fn insert_state(&self, state: TxnState) -> Arc<Mutex<TxnState>> {
-        let id = state.id;
-        let state = Arc::new(Mutex::new(state));
-        self.map.lock().insert(id, Arc::clone(&state));
-        state
-    }
-
     /// Remove a finished transaction.
     pub fn remove(&self, id: TxnId) {
         self.map.lock().remove(&id);

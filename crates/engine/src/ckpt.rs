@@ -13,6 +13,12 @@
 //! 4. only if the audit is clean, toggles the anchor — the checkpoint is
 //!    *certified free of corruption*.
 //!
+//! Step 2 first durably unlinks the target image's meta, so a
+//! half-rewritten image is never taken for the checkpoint it used to
+//! hold. A checkpoint that fails before the anchor moves hands its
+//! drained pages back to the dirty set; a failure *writing* the anchor
+//! poisons the engine, since which image it names is then unknown.
+//!
 //! A failed audit leaves the previous certified checkpoint in place,
 //! records the corrupt regions in a marker file, and poisons the engine so
 //! the caller restarts into corruption recovery.
@@ -26,12 +32,10 @@ use crate::db::{CkptState, Db, EngineStats};
 use bytes::{BufMut, BytesMut};
 use dali_codeword::AuditReport;
 use dali_common::codec::{self, Reader};
-use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
+use dali_common::storage::{self, Open, StorageFile};
+use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result, Storage};
 use dali_mem::DbImage;
 use dali_wal::record::LogRecord;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -156,59 +160,19 @@ impl CkptMeta {
     }
 }
 
-/// Atomically (write-temp + rename + parent-dir fsync) persist `bytes`
-/// at `path`.
-///
-/// The directory sync is not optional: `rename` only updates the
-/// directory entry in memory, so a crash after the rename but before the
-/// directory block reaches disk can resurface the *old* file — for the
-/// anchor, a certified-checkpoint pointer silently rolling back. Either
-/// post-crash state (old or new bytes) is individually sound; the sync
-/// bounds *when* the new state becomes the only possible one. The
-/// `atomic_write.post_rename` crash point sits exactly in that window so
-/// fault-injection tests can exercise both outcomes.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8], crash_points: &CrashPoints) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    crash_points.check("atomic_write.post_rename")?;
-    sync_parent_dir(path)
-}
-
-/// Fsync the directory containing `path`, making a rename into it
-/// durable.
-pub(crate) fn sync_parent_dir(path: &Path) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::File::open(parent)?.sync_all()?;
-    }
-    Ok(())
-}
-
 /// Write the checkpoint anchor.
-pub fn write_anchor(
-    dir: &Path,
-    image: usize,
-    serial: u64,
-    crash_points: &CrashPoints,
-) -> Result<()> {
+pub fn write_anchor(store: &dyn Storage, dir: &Path, image: usize, serial: u64) -> Result<()> {
     let mut buf = Vec::with_capacity(13);
     buf.put_u32_le(ANCHOR_MAGIC);
     buf.put_u8(image as u8);
     buf.put_u64_le(serial);
-    atomic_write(&Db::anchor_path(dir), &buf, crash_points)
+    Ok(storage::atomic_write(store, &Db::anchor_path(dir), &buf)?)
 }
 
 /// Read the checkpoint anchor: (image index, serial).
-pub fn read_anchor(dir: &Path) -> Result<(usize, u64)> {
-    let bytes = std::fs::read(Db::anchor_path(dir))?;
+pub fn read_anchor(store: &dyn Storage, dir: &Path) -> Result<(usize, u64)> {
+    let mut bytes = Vec::new();
+    store.read(&Db::anchor_path(dir), &mut bytes)?;
     let mut r = Reader::new(&bytes, |msg| {
         DaliError::RecoveryFailed(format!("anchor: {msg}"))
     });
@@ -224,18 +188,18 @@ pub fn read_anchor(dir: &Path) -> Result<(usize, u64)> {
 }
 
 /// Persist checkpoint metadata for an image.
-pub fn write_meta(
-    dir: &Path,
-    image: usize,
-    meta: &CkptMeta,
-    crash_points: &CrashPoints,
-) -> Result<()> {
-    atomic_write(&Db::meta_path(dir, image), &meta.encode(), crash_points)
+pub fn write_meta(store: &dyn Storage, dir: &Path, image: usize, meta: &CkptMeta) -> Result<()> {
+    Ok(storage::atomic_write(
+        store,
+        &Db::meta_path(dir, image),
+        &meta.encode(),
+    )?)
 }
 
 /// Load checkpoint metadata for an image.
-pub fn read_meta(dir: &Path, image: usize) -> Result<CkptMeta> {
-    let bytes = std::fs::read(Db::meta_path(dir, image))?;
+pub fn read_meta(store: &dyn Storage, dir: &Path, image: usize) -> Result<CkptMeta> {
+    let mut bytes = Vec::new();
+    store.read(&Db::meta_path(dir, image), &mut bytes)?;
     CkptMeta::decode(&bytes)
 }
 
@@ -244,27 +208,41 @@ pub fn read_meta(dir: &Path, image: usize) -> Result<CkptMeta> {
 /// an image file: one positioned write per maximal run of adjacent
 /// pages. Returns the file, not yet synced.
 fn write_pages(
+    store: &dyn Storage,
     dir: &Path,
     image: usize,
     page_size: usize,
     db_bytes: usize,
     pages: &[PageId],
     snapshot: &[u8],
-) -> Result<File> {
+) -> Result<Box<dyn StorageFile>> {
     debug_assert_eq!(snapshot.len(), pages.len() * page_size);
-    let f = OpenOptions::new()
-        .create(true)
-        .truncate(false) // partial page set: keep the untouched pages
-        .write(true)
-        .open(Db::img_path(dir, image))?;
+    // A partial page set: the untouched pages are kept.
+    let f = store.open(&Db::img_path(dir, image), Open::Create)?;
     f.set_len(db_bytes as u64)?;
     let mut rest = snapshot;
     for run in pages.chunk_by(|a, b| b.0 == a.0 + 1) {
         let (bytes, later) = rest.split_at(run.len() * page_size);
-        f.write_all_at(bytes, run[0].0 as u64 * page_size as u64)?;
+        f.write_at(bytes, run[0].0 as u64 * page_size as u64)?;
         rest = later;
     }
     Ok(f)
+}
+
+/// Pages drained from the dirty set for an image the anchor does not
+/// name yet: dropped unpublished, they go back to the dirty set.
+struct Drained<'a> {
+    db: &'a Db,
+    pages: Vec<PageId>,
+    published: bool,
+}
+
+impl Drop for Drained<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            self.db.syslog.dirty().note_all(self.pages.iter().copied());
+        }
+    }
 }
 
 /// Run an audit sweep — of the whole database, or of exactly `regions`
@@ -301,7 +279,7 @@ fn sweep_audit(db: &Arc<Db>, regions: Option<&[dali_codeword::RegionId]>) -> Res
 /// Take a checkpoint (paper §2.1 + §4.2 certification). See module docs.
 pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     db.check_alive()?;
-    let dir = db.config.dir.clone();
+    let (store, dir) = (&*db.store, &db.config.dir);
     let page_size = db.config.page_size;
     let mut state = db.ckpt_state.lock();
     let image = state.next_image;
@@ -310,33 +288,43 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // Updaters wait out this section, so it allocates nothing per page:
     // the dirty pages are copied back to back into one buffer that
     // outlives the checkpoint.
-    let (ck_end, att_blob, catalog, dirty_pages) = {
+    let (ck_end, att_blob, catalog, mut drained) = {
         let _q = db.quiesce.write();
         db.syslog.flush(false)?;
         let ck_end = db.syslog.current_lsn();
         let att_blob = db.att.encode_for_ckpt()?;
         let catalog = db.catalog.read().clone();
-        let dirty = db.syslog.dirty().take(image);
-        let bytes = dirty.len() * page_size;
+        let drained = Drained {
+            db,
+            pages: db.syslog.dirty().take(image),
+            published: false,
+        };
+        let bytes = drained.pages.len() * page_size;
         // Keep the allocation from one checkpoint to the next, but not
         // the whole-database buffer the first one needed.
         state.snapshot.truncate(bytes);
         state.snapshot.shrink_to(2 * bytes);
         state.snapshot.resize(bytes, 0);
-        for (p, buf) in dirty.iter().zip(state.snapshot.chunks_exact_mut(page_size)) {
+        for (p, buf) in drained
+            .pages
+            .iter()
+            .zip(state.snapshot.chunks_exact_mut(page_size))
+        {
             db.image.read_page(*p, buf)?;
         }
-        (ck_end, att_blob, catalog, dirty)
+        (ck_end, att_blob, catalog, drained)
     };
 
     // ---- write the image ----
-    let pages_written = dirty_pages.len();
+    storage::remove_durably(store, &Db::meta_path(dir, image))?;
+    let pages_written = drained.pages.len();
     let image_file = write_pages(
-        &dir,
+        store,
+        dir,
         image,
         page_size,
         db.config.db_bytes(),
-        &dirty_pages,
+        &drained.pages,
         &state.snapshot,
     )?;
 
@@ -348,10 +336,10 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // sweep is the CPU's, so they overlap.
     let (durable, verdict) = std::thread::scope(|s| {
         let io = s.spawn(|| -> Result<()> {
-            image_file.sync_data()?;
+            image_file.fsync()?;
             db.syslog.wait_durable(ck_end)
         });
-        let verdict = certify(db, &mut state, &dirty_pages);
+        let verdict = certify(db, &mut state, &drained.pages);
         (io.join(), verdict)
     });
     if let Some(refused) = verdict? {
@@ -373,8 +361,12 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         catalog,
         att_blob,
     };
-    write_meta(&dir, image, &meta, &db.crash_points)?;
-    write_anchor(&dir, image, state.serial, &db.crash_points)?;
+    write_meta(store, dir, image, &meta)?;
+    if let Err(e) = write_anchor(store, dir, image, state.serial) {
+        db.poison();
+        return Err(e);
+    }
+    drained.published = true;
     state.next_image = 1 - image;
     {
         let _q = db.quiesce.read();
@@ -392,9 +384,8 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // worker's; a failure there surfaces at the next `settle()`, durable
     // commit or checkpoint.
     if db.config.log_retire {
-        if let Ok(other) = read_meta(&dir, 1 - image) {
-            let horizon = Lsn(ck_end.0.min(other.ck_end.0));
-            db.syslog.post_retire(horizon, db.crash_points.clone());
+        if let Ok(other) = read_meta(store, dir, 1 - image) {
+            db.syslog.post_retire(Lsn(ck_end.0.min(other.ck_end.0)));
         }
     }
     db.refresh_log_gauges()?;
@@ -473,12 +464,11 @@ fn certify(
         &db.stats.certify_delta
     });
     if !clean {
-        // Keep the previous certified checkpoint; the pages we drained
-        // must be re-noted so a future checkpoint rewrites them, and
-        // the next certification must sweep everything — the failed
-        // one proves the footprint no longer bounds the damage.
+        // Keep the previous certified checkpoint (the drained pages go
+        // back to the dirty set when the caller returns), and sweep
+        // everything next time — the failed certification proves the
+        // footprint no longer bounds the damage.
         state.force_full = true;
-        db.syslog.dirty().note_all(dirty_pages.iter().copied());
         // Try to heal online before bringing the database down: the
         // ckpt_state lock is held across the repair, so no competing
         // checkpoint interleaves with the rebuild.
@@ -555,9 +545,14 @@ pub fn audit(db: &Arc<Db>) -> Result<AuditReport> {
 
 /// Open checkpoint image file `image`, refusing one that is not exactly
 /// the database's size.
-fn open_image(dir: &Path, image: usize, db_bytes: usize) -> Result<std::fs::File> {
-    let f = std::fs::File::open(Db::img_path(dir, image))?;
-    let len = f.metadata()?.len();
+fn open_image(
+    store: &dyn Storage,
+    dir: &Path,
+    image: usize,
+    db_bytes: usize,
+) -> Result<Box<dyn StorageFile>> {
+    let f = store.open(&Db::img_path(dir, image), Open::Read)?;
+    let len = f.size()?;
     if len != db_bytes as u64 {
         return Err(DaliError::RecoveryFailed(format!(
             "checkpoint image is {len} bytes, expected {db_bytes}"
@@ -569,20 +564,23 @@ fn open_image(dir: &Path, image: usize, db_bytes: usize) -> Result<std::fs::File
 /// Load checkpoint image `image` straight into a database image that
 /// recovery has just allocated and not yet shared: one read, no staging
 /// buffer.
-pub fn load_image(dir: &Path, image: usize, into: &mut DbImage) -> Result<()> {
-    use std::io::Read;
+pub fn load_image(store: &dyn Storage, dir: &Path, image: usize, into: &mut DbImage) -> Result<()> {
     let dst = into.bytes_mut();
-    open_image(dir, image, dst.len())?.read_exact(dst)?;
+    open_image(store, dir, image, dst.len())?.read_at(dst, 0)?;
     Ok(())
 }
 
 /// Load checkpoint image `image` into a fresh byte vector of the full
 /// database size (the offline scrub, which compares it *against* the
 /// live image).
-pub fn load_image_bytes(dir: &Path, image: usize, db_bytes: usize) -> Result<Vec<u8>> {
-    use std::io::Read;
+pub fn load_image_bytes(
+    store: &dyn Storage,
+    dir: &Path,
+    image: usize,
+    db_bytes: usize,
+) -> Result<Vec<u8>> {
     let mut bytes = vec![0u8; db_bytes];
-    open_image(dir, image, db_bytes)?.read_exact(&mut bytes)?;
+    open_image(store, dir, image, db_bytes)?.read_at(&mut bytes, 0)?;
     Ok(bytes)
 }
 
@@ -612,9 +610,9 @@ pub fn initial_state() -> CkptState {
 /// the image was written from); tests and offline verification tools
 /// satisfy this trivially.
 pub fn scrub_anchored_image(db: &Arc<Db>) -> Result<AuditReport> {
-    let dir = db.config.dir.clone();
-    let (image_idx, _serial) = read_anchor(&dir)?;
-    let bytes = load_image_bytes(&dir, image_idx, db.config.db_bytes())?;
+    let (store, dir) = (&*db.store, &db.config.dir);
+    let (image_idx, _serial) = read_anchor(store, dir)?;
+    let bytes = load_image_bytes(store, dir, image_idx, db.config.db_bytes())?;
     let geom = db.prot.geometry();
     let kind = db.prot.kind();
     let mut report = AuditReport::default();
@@ -640,18 +638,17 @@ pub fn scrub_anchored_image(db: &Arc<Db>) -> Result<AuditReport> {
 /// Read selected pages straight from a checkpoint image file (cache
 /// recovery repairs regions from the certified checkpoint).
 pub fn read_ckpt_pages(
+    store: &dyn Storage,
     dir: &Path,
     image: usize,
     page_size: usize,
     pages: &[PageId],
 ) -> Result<Vec<(PageId, Vec<u8>)>> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(Db::img_path(dir, image))?;
+    let f = store.open(&Db::img_path(dir, image), Open::Read)?;
     let mut out = Vec::with_capacity(pages.len());
     for &p in pages {
         let mut buf = vec![0u8; page_size];
-        f.seek(SeekFrom::Start(p.0 as u64 * page_size as u64))?;
-        f.read_exact(&mut buf)?;
+        f.read_at(&mut buf, p.0 as u64 * page_size as u64)?;
         out.push((p, buf));
     }
     Ok(out)
@@ -661,16 +658,19 @@ pub fn read_ckpt_pages(
 mod tests {
     use super::*;
     use crate::att::Att;
+    use dali_common::OsStorage;
     use dali_testutil::TempDir;
+    use std::fs::OpenOptions;
+    use std::io::{Seek, SeekFrom, Write};
 
     #[test]
     fn anchor_round_trip() {
         let scratch = TempDir::new("ckpt-anchor");
         let d = scratch.path();
-        write_anchor(d, 1, 42, &CrashPoints::default()).unwrap();
-        assert_eq!(read_anchor(d).unwrap(), (1, 42));
-        write_anchor(d, 0, 43, &CrashPoints::default()).unwrap();
-        assert_eq!(read_anchor(d).unwrap(), (0, 43));
+        write_anchor(&OsStorage, d, 1, 42).unwrap();
+        assert_eq!(read_anchor(&OsStorage, d).unwrap(), (1, 42));
+        write_anchor(&OsStorage, d, 0, 43).unwrap();
+        assert_eq!(read_anchor(&OsStorage, d).unwrap(), (0, 43));
     }
 
     #[test]
@@ -693,8 +693,8 @@ mod tests {
             catalog,
             att_blob: att.encode_for_ckpt().unwrap(),
         };
-        write_meta(d, 0, &meta, &CrashPoints::default()).unwrap();
-        let back = read_meta(d, 0).unwrap();
+        write_meta(&OsStorage, d, 0, &meta).unwrap();
+        let back = read_meta(&OsStorage, d, 0).unwrap();
         assert_eq!(back.serial, 3);
         assert_eq!(back.ck_end, Lsn(1000));
         assert_eq!(back.audit_sn, Some(Lsn(900)));
@@ -718,8 +718,8 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: Att::new().encode_for_ckpt().unwrap(),
         };
-        write_meta(d, 1, &meta, &CrashPoints::default()).unwrap();
-        assert_eq!(read_meta(d, 1).unwrap().audit_sn, None);
+        write_meta(&OsStorage, d, 1, &meta).unwrap();
+        assert_eq!(read_meta(&OsStorage, d, 1).unwrap().audit_sn, None);
     }
 
     #[test]
@@ -737,12 +737,12 @@ mod tests {
             catalog: Catalog::new(),
             att_blob: vec![0, 0, 0, 0],
         };
-        write_meta(d, 0, &meta, &CrashPoints::default()).unwrap();
+        write_meta(&OsStorage, d, 0, &meta).unwrap();
         let p = Db::meta_path(d, 0);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[6] ^= 0xff;
         std::fs::write(&p, &bytes).unwrap();
-        assert!(read_meta(d, 0).is_err());
+        assert!(read_meta(&OsStorage, d, 0).is_err());
     }
 
     /// The snapshot `write_pages` takes: the pages' bytes back to back.
@@ -761,9 +761,9 @@ mod tests {
         pages: &[(PageId, Vec<u8>)],
     ) {
         let (ids, snapshot) = snapshot_of(pages);
-        write_pages(d, image, ps, db_bytes, &ids, &snapshot)
+        write_pages(&OsStorage, d, image, ps, db_bytes, &ids, &snapshot)
             .unwrap()
-            .sync_data()
+            .fsync()
             .unwrap();
     }
 
@@ -774,12 +774,12 @@ mod tests {
         let ps = 4096;
         let pages = vec![(PageId(0), vec![1u8; ps]), (PageId(3), vec![3u8; ps])];
         write_and_sync(d, 0, ps, ps * 8, &pages);
-        let bytes = load_image_bytes(d, 0, ps * 8).unwrap();
+        let bytes = load_image_bytes(&OsStorage, d, 0, ps * 8).unwrap();
         assert!(bytes[..ps].iter().all(|&b| b == 1));
         assert!(bytes[ps..2 * ps].iter().all(|&b| b == 0));
         assert!(bytes[3 * ps..4 * ps].iter().all(|&b| b == 3));
 
-        let read = read_ckpt_pages(d, 0, ps, &[PageId(3), PageId(1)]).unwrap();
+        let read = read_ckpt_pages(&OsStorage, d, 0, ps, &[PageId(3), PageId(1)]).unwrap();
         assert_eq!(read[0].1, vec![3u8; ps]);
         assert_eq!(read[1].1, vec![0u8; ps]);
     }
@@ -791,7 +791,7 @@ mod tests {
         let ps = 4096;
         write_and_sync(d, 0, ps, ps * 4, &[(PageId(1), vec![7u8; ps])]);
         write_and_sync(d, 0, ps, ps * 4, &[(PageId(2), vec![9u8; ps])]);
-        let bytes = load_image_bytes(d, 0, ps * 4).unwrap();
+        let bytes = load_image_bytes(&OsStorage, d, 0, ps * 4).unwrap();
         assert!(
             bytes[ps..2 * ps].iter().all(|&b| b == 7),
             "page 1 preserved"
@@ -838,7 +838,7 @@ mod tests {
             write_and_sync(d, 0, ps, db_bytes, &pages);
             write_per_page(&reference, ps, db_bytes, &pages);
             assert_eq!(
-                load_image_bytes(d, 0, db_bytes).unwrap(),
+                load_image_bytes(&OsStorage, d, 0, db_bytes).unwrap(),
                 std::fs::read(&reference).unwrap(),
                 "after round {round}"
             );
@@ -874,8 +874,11 @@ mod tests {
             };
             let durable = db.db().syslog.durable_lsn();
             assert!(durable >= ck_end, "round {round}: {durable} < {ck_end}");
-            let (image, _) = read_anchor(scratch.path()).unwrap();
-            assert_eq!(read_meta(scratch.path(), image).unwrap().ck_end, ck_end);
+            let (image, _) = read_anchor(&OsStorage, scratch.path()).unwrap();
+            assert_eq!(
+                read_meta(&OsStorage, scratch.path(), image).unwrap().ck_end,
+                ck_end
+            );
         }
         assert!(
             db.log_stats().fsyncs > 0 && db.log_stats().durable_commits == 0,

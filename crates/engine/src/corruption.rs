@@ -6,8 +6,8 @@ use crate::att::TxnStatus;
 use crate::ckpt;
 use crate::db::Db;
 use bytes::BufMut;
-use dali_common::codec;
-use dali_common::{CrashPoints, DaliError, DbAddr, Lsn, PageId, Result};
+use dali_common::storage;
+use dali_common::{codec, DaliError, DbAddr, Lsn, PageId, Result, Storage};
 use dali_wal::{LogReader, LogRecord, LogRecordRef};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -85,11 +85,6 @@ impl RangeSet {
     pub fn ranges(&self) -> Vec<(DbAddr, usize)> {
         self.map.iter().map(|(&s, &e)| (DbAddr(s), e - s)).collect()
     }
-
-    /// Total bytes covered.
-    pub fn covered_bytes(&self) -> usize {
-        self.map.iter().map(|(&s, &e)| e - s).sum()
-    }
 }
 
 const MARKER_MAGIC: u32 = 0xDA11_BAD1;
@@ -142,21 +137,20 @@ impl CorruptionMarker {
 
 /// Write the corruption marker for `dir` (durably: the marker is what
 /// tells a restart to run corruption recovery instead of plain restart
-/// recovery, so it must survive a crash that follows the report — see
-/// [`crate::ckpt`]'s `atomic_write` on why the rename alone is not
-/// enough).
-pub fn write_marker(
-    dir: &Path,
-    marker: &CorruptionMarker,
-    crash_points: &CrashPoints,
-) -> Result<()> {
-    crate::ckpt::atomic_write(&Db::marker_path(dir), &marker.encode(), crash_points)
+/// recovery, so it must survive a crash that follows the report).
+pub fn write_marker(store: &dyn Storage, dir: &Path, marker: &CorruptionMarker) -> Result<()> {
+    Ok(storage::atomic_write(
+        store,
+        &Db::marker_path(dir),
+        &marker.encode(),
+    )?)
 }
 
 /// Read the corruption marker, if present.
-pub fn read_marker(dir: &Path) -> Result<Option<CorruptionMarker>> {
-    match std::fs::read(Db::marker_path(dir)) {
-        Ok(bytes) => Ok(Some(CorruptionMarker::decode(&bytes)?)),
+pub fn read_marker(store: &dyn Storage, dir: &Path) -> Result<Option<CorruptionMarker>> {
+    let mut bytes = Vec::new();
+    match store.read(&Db::marker_path(dir), &mut bytes) {
+        Ok(()) => CorruptionMarker::decode(&bytes).map(Some),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
     }
@@ -167,12 +161,8 @@ pub fn read_marker(dir: &Path) -> Result<Option<CorruptionMarker>> {
 /// restart back into corruption recovery it already finished (harmless
 /// but wasteful), while losing one is only possible before recovery
 /// declared itself done.
-pub fn clear_marker(dir: &Path) -> Result<()> {
-    match std::fs::remove_file(Db::marker_path(dir)) {
-        Ok(()) => crate::ckpt::sync_parent_dir(&Db::marker_path(dir)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
-    }
+pub fn clear_marker(store: &dyn Storage, dir: &Path) -> Result<()> {
+    Ok(storage::remove_durably(store, &Db::marker_path(dir))?)
 }
 
 /// Note detected corruption and bring the database down for recovery:
@@ -185,7 +175,7 @@ pub fn report_corruption(db: &Db, ranges: &[(DbAddr, usize)]) -> Result<()> {
         ranges: ranges.to_vec(),
     };
     db.syslog.flush(false)?;
-    write_marker(&db.config.dir, &marker, &db.crash_points)?;
+    write_marker(&*db.store, &db.config.dir, &marker)?;
     db.poison();
     Ok(())
 }
@@ -241,9 +231,10 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     pages.dedup();
 
     // Rebuild from the certified checkpoint...
-    let (image_idx, _serial) = ckpt::read_anchor(&db.config.dir)?;
-    let meta = ckpt::read_meta(&db.config.dir, image_idx)?;
-    let ckpt_pages = ckpt::read_ckpt_pages(&db.config.dir, image_idx, db.config.page_size, &pages)?;
+    let (store, dir) = (&*db.store, &db.config.dir);
+    let (image_idx, _serial) = ckpt::read_anchor(store, dir)?;
+    let meta = ckpt::read_meta(store, dir, image_idx)?;
+    let ckpt_pages = ckpt::read_ckpt_pages(store, dir, image_idx, db.config.page_size, &pages)?;
     for (p, data) in &ckpt_pages {
         db.image.write_page(*p, data)?;
     }
@@ -252,18 +243,22 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     // and idempotent, so replaying every record touching these pages
     // repeats history exactly)...
     let mut replayed = 0usize;
-    LogReader::open(db.syslog.path(), meta.ck_end, db.config.codeword_algebra)?.for_each(
-        |_lsn, rec| {
-            if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
-                let touched = db.image.pages_overlapping(addr, data.len());
-                if touched.iter().any(|p| pages.binary_search(p).is_ok()) {
-                    db.image.write(addr, data)?;
-                    replayed += 1;
-                }
+    LogReader::open_on(
+        store,
+        db.syslog.path(),
+        meta.ck_end,
+        db.config.codeword_algebra,
+    )?
+    .for_each(|_lsn, rec| {
+        if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
+            let touched = db.image.pages_overlapping(addr, data.len());
+            if touched.iter().any(|p| pages.binary_search(p).is_ok()) {
+                db.image.write(addr, data)?;
+                replayed += 1;
             }
-            Ok(())
-        },
-    )?;
+        }
+        Ok(())
+    })?;
 
     // ...and resynchronize the maintained codewords of the repaired pages.
     if db.config.scheme.maintains_codewords() {
@@ -307,6 +302,7 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dali_common::OsStorage;
 
     #[test]
     fn rangeset_insert_and_overlap() {
@@ -335,7 +331,7 @@ mod tests {
         s.insert(DbAddr(0), 10);
         s.insert(DbAddr(10), 10);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.covered_bytes(), 20);
+        assert_eq!(s.ranges(), vec![(DbAddr(0), 20)]);
     }
 
     #[test]
@@ -345,7 +341,7 @@ mod tests {
         s.insert(DbAddr(100), 10);
         s.insert(DbAddr(50), 10);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.covered_bytes(), 30);
+        assert_eq!(s.ranges().iter().map(|r| r.1).sum::<usize>(), 30);
     }
 
     #[test]
@@ -371,16 +367,16 @@ mod tests {
     fn marker_round_trip() {
         let scratch = dali_testutil::TempDir::new("marker");
         let dir = scratch.path();
-        assert_eq!(read_marker(dir).unwrap(), None);
+        assert_eq!(read_marker(&OsStorage, dir).unwrap(), None);
         let m = CorruptionMarker {
             audit_sn: Some(Lsn(777)),
             ranges: vec![(DbAddr(64), 64), (DbAddr(4096), 128)],
         };
-        write_marker(dir, &m, &CrashPoints::default()).unwrap();
-        assert_eq!(read_marker(dir).unwrap(), Some(m));
-        clear_marker(dir).unwrap();
-        assert_eq!(read_marker(dir).unwrap(), None);
-        clear_marker(dir).unwrap(); // idempotent
+        write_marker(&OsStorage, dir, &m).unwrap();
+        assert_eq!(read_marker(&OsStorage, dir).unwrap(), Some(m));
+        clear_marker(&OsStorage, dir).unwrap();
+        assert_eq!(read_marker(&OsStorage, dir).unwrap(), None);
+        clear_marker(&OsStorage, dir).unwrap(); // idempotent
     }
 
     #[test]
@@ -391,11 +387,11 @@ mod tests {
             audit_sn: None,
             ranges: vec![(DbAddr(0), 64)],
         };
-        write_marker(dir, &m, &CrashPoints::default()).unwrap();
+        write_marker(&OsStorage, dir, &m).unwrap();
         let p = Db::marker_path(dir);
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[5] ^= 1;
         std::fs::write(&p, bytes).unwrap();
-        assert!(read_marker(dir).is_err());
+        assert!(read_marker(&OsStorage, dir).is_err());
     }
 }

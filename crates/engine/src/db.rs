@@ -5,7 +5,7 @@ use crate::catalog::Catalog;
 use crate::heap::HeapRuntime;
 use crate::lock::LockManager;
 use dali_codeword::CodewordProtection;
-use dali_common::{CrashPoints, DaliConfig, DaliError, Lsn, Result, TableId};
+use dali_common::{DaliConfig, DaliError, Lsn, Result, Store, TableId};
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::SystemLog;
 use parking_lot::{Mutex, RwLock};
@@ -130,9 +130,9 @@ pub struct Db {
     /// public operation fails with [`DaliError::Crashed`] afterwards.
     pub crashed: AtomicBool,
     pub stats: EngineStats,
-    /// This database's crash points, handed to the checkpointer's
-    /// `atomic_write` and to segment retirement.
-    pub crash_points: CrashPoints,
+    /// Where the checkpoint images, their metas, the anchor, the marker
+    /// and the log live.
+    pub store: Store,
 }
 
 impl Db {

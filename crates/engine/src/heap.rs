@@ -111,22 +111,6 @@ impl HeapRuntime {
         )))
     }
 
-    /// Reserve a *specific* slot (recovery-time re-insert during logical
-    /// undo of a delete). Errors if already reserved.
-    pub fn reserve_slot(&self, slot: SlotId) -> Result<()> {
-        let mut st = self.alloc.lock();
-        let (w, b) = (slot.0 as usize / 32, slot.0 % 32);
-        if st.mirror[w] & (1 << b) != 0 {
-            return Err(DaliError::InvalidArg(format!(
-                "slot {} of '{}' already allocated",
-                slot.0, self.meta.name
-            )));
-        }
-        st.mirror[w] |= 1 << b;
-        st.in_use += 1;
-        Ok(())
-    }
-
     /// Release a slot's mirror bit (deferred free at transaction end, or
     /// abandoning a reservation).
     pub fn release(&self, slot: SlotId) {
@@ -215,20 +199,6 @@ mod tests {
         assert!(h.reserve().is_err());
         h.release(a);
         assert_eq!(h.reserve().unwrap(), a);
-    }
-
-    #[test]
-    fn reserve_specific_slot() {
-        let (_img, h) = setup(64);
-        h.reserve_slot(SlotId(40)).unwrap();
-        assert!(h.reserve_slot(SlotId(40)).is_err());
-        assert_eq!(h.in_use(), 1);
-        // General reservation skips it.
-        for _ in 0..63 {
-            let s = h.reserve().unwrap();
-            assert_ne!(s, SlotId(40));
-        }
-        assert!(h.reserve().is_err());
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use repair::RepairOutcome;
 pub use txn::TxnHandle;
 
 use dali_codeword::AuditReport;
-use dali_common::{CrashPoints, DaliConfig, DaliError, DbAddr, Result, TableId};
+use dali_common::{DaliConfig, DaliError, DbAddr, OsStorage, Result, Store, TableId};
 use dali_wal::record::LogRecord;
 use db::Db;
 use std::sync::Arc;
@@ -69,7 +69,12 @@ pub struct DaliEngine {
 impl DaliEngine {
     /// Create a fresh database in `config.dir`.
     pub fn create(config: DaliConfig) -> Result<(DaliEngine, RecoveryOutcome)> {
-        let (db, outcome) = recovery::create(config)?;
+        Self::create_on(config, OsStorage::store())
+    }
+
+    /// [`create`](Self::create) with every file on `store`.
+    pub fn create_on(config: DaliConfig, store: Store) -> Result<(DaliEngine, RecoveryOutcome)> {
+        let (db, outcome) = recovery::create(config, store)?;
         Ok((DaliEngine { db }, outcome))
     }
 
@@ -77,7 +82,12 @@ impl DaliEngine {
     /// corruption mode, depending on what brought the database down and
     /// which protection scheme is configured).
     pub fn open(config: DaliConfig) -> Result<(DaliEngine, RecoveryOutcome)> {
-        let (db, outcome) = recovery::restart(config)?;
+        Self::open_on(config, OsStorage::store())
+    }
+
+    /// [`open`](Self::open) a database whose files are on `store`.
+    pub fn open_on(config: DaliConfig, store: Store) -> Result<(DaliEngine, RecoveryOutcome)> {
+        let (db, outcome) = recovery::restart(config, store)?;
         Ok((DaliEngine { db }, outcome))
     }
 
@@ -89,7 +99,16 @@ impl DaliEngine {
         config: DaliConfig,
         upto: dali_common::Lsn,
     ) -> Result<(DaliEngine, RecoveryOutcome)> {
-        let (db, outcome) = recovery::restore_prior_state(config, upto)?;
+        Self::open_prior_state_on(config, upto, OsStorage::store())
+    }
+
+    /// [`open_prior_state`](Self::open_prior_state) on `store`.
+    pub fn open_prior_state_on(
+        config: DaliConfig,
+        upto: dali_common::Lsn,
+        store: Store,
+    ) -> Result<(DaliEngine, RecoveryOutcome)> {
+        let (db, outcome) = recovery::restore_prior_state(config, upto, store)?;
         Ok((DaliEngine { db }, outcome))
     }
 
@@ -113,6 +132,7 @@ impl DaliEngine {
         self.db.syslog.flush(false)?;
         self.db.syslog.settle()?;
         trace::trace_taint(
+            &*self.db.store,
             &Db::log_path(&self.db.config.dir),
             dali_common::Lsn::ZERO,
             seeds,
@@ -163,11 +183,6 @@ impl DaliEngine {
     /// Look up a table id by name.
     pub fn table(&self, name: &str) -> Result<TableId> {
         Ok(self.db.catalog.read().by_name(name)?.table)
-    }
-
-    /// Record size of a table.
-    pub fn record_size(&self, table: TableId) -> Result<usize> {
-        Ok(self.db.heap(table)?.meta().rec_size)
     }
 
     /// Number of allocated records in a table.
@@ -221,9 +236,9 @@ impl DaliEngine {
 
     /// Wait for the log worker to finish its queued segment syncs and
     /// retirements, refresh the log-directory gauges, and return the
-    /// first error a background job met (a failed fsync, a tripped
-    /// retirement crash point). Afterwards the log directory does not
-    /// change until the next append rolls or checkpoint retires.
+    /// first failure the log kept (a failed fsync or retirement).
+    /// Afterwards the log directory does not change until the next
+    /// append rolls or checkpoint retires.
     pub fn settle(&self) -> Result<()> {
         self.db.settle()
     }
@@ -248,12 +263,6 @@ impl DaliEngine {
     /// non-deferred schemes).
     pub fn deferred_stats(&self) -> dali_codeword::DeferredStatsSnapshot {
         self.db.prot.deferred_stats()
-    }
-
-    /// This database's crash points, for fault-injection tests: a point
-    /// armed here trips only this engine's checkpoints and retirements.
-    pub fn crash_points(&self) -> &CrashPoints {
-        &self.db.crash_points
     }
 
     /// The active configuration.

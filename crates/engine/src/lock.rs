@@ -125,11 +125,6 @@ impl LockManager {
         }
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shard index for a record: multiplicative (Fibonacci) hash of the
     /// (table, slot) pair, so consecutive slots spread across shards.
     #[inline]

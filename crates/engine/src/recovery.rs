@@ -41,7 +41,7 @@ use crate::txn::rollback_direct;
 use dali_codeword::CodewordProtection;
 use dali_common::align::split_by_chunks;
 use dali_common::{
-    CodewordAlgebraKind, CrashPoints, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId,
+    CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, Store, TxnId,
 };
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::record::{CodewordsRef, LogRecord, LogRecordRef};
@@ -255,6 +255,7 @@ impl RecoveryOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_db(
     config: DaliConfig,
+    store: Store,
     image: Arc<DbImage>,
     syslog: SystemLog,
     catalog: Catalog,
@@ -308,7 +309,7 @@ pub(crate) fn build_db(
         last_clean_audit: Mutex::new(last_clean_audit),
         crashed: AtomicBool::new(false),
         stats: EngineStats::default(),
-        crash_points: CrashPoints::default(),
+        store,
     });
     for h in db.heaps.read().iter() {
         h.rebuild_from_image(&db.image)?;
@@ -318,12 +319,13 @@ pub(crate) fn build_db(
     Ok(db)
 }
 
-/// Create a fresh database in `config.dir`.
-pub fn create(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
+/// Create a fresh database in `config.dir` on `store`.
+pub fn create(config: DaliConfig, store: Store) -> Result<(Arc<Db>, RecoveryOutcome)> {
     config.validate().map_err(DaliError::InvalidArg)?;
-    std::fs::create_dir_all(&config.dir)?;
+    store.create_dir_all(&config.dir)?;
     let image = Arc::new(DbImage::new(config.db_pages, config.page_size)?);
-    let syslog = SystemLog::create_with(
+    let syslog = SystemLog::create_on(
+        Arc::clone(&store),
         Db::log_path(&config.dir),
         config.page_size,
         config.codeword_algebra,
@@ -334,6 +336,7 @@ pub fn create(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
     syslog.dirty().note_range(config.db_pages);
     let db = build_db(
         config,
+        store,
         image,
         syslog,
         Catalog::new(),
@@ -487,6 +490,7 @@ struct Redone {
 /// instead, because that scan reads the image mid-stream.
 fn redo_pass(
     config: &DaliConfig,
+    store: &Store,
     meta: &ckpt::CkptMeta,
     image: &DbImage,
     upto: Option<Lsn>,
@@ -511,8 +515,8 @@ fn redo_pass(
 
     // A roll the crash interrupted may have left its successor pending.
     let log_dir = Db::log_path(&config.dir);
-    dali_wal::segment::adopt_pending(&log_dir, config.codeword_algebra)?;
-    let reader = LogReader::open(log_dir, meta.ck_end, config.codeword_algebra)?;
+    dali_wal::segment::adopt_pending(&**store, &log_dir, config.codeword_algebra)?;
+    let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, config.codeword_algebra)?;
     reader.for_each_segment(|seg| {
         let mut cut = false;
         let mut pending = PendingWrites {
@@ -703,9 +707,9 @@ fn redo_pass(
 
 /// Allocate the database image and load certified checkpoint image
 /// `image_idx` straight into it.
-fn load_checkpoint(config: &DaliConfig, image_idx: usize) -> Result<Arc<DbImage>> {
+fn load_checkpoint(config: &DaliConfig, store: &Store, image_idx: usize) -> Result<Arc<DbImage>> {
     let mut image = DbImage::new(config.db_pages, config.page_size)?;
-    ckpt::load_image(&config.dir, image_idx, &mut image)?;
+    ckpt::load_image(&**store, &config.dir, image_idx, &mut image)?;
     Ok(Arc::new(image))
 }
 
@@ -714,12 +718,14 @@ fn load_checkpoint(config: &DaliConfig, image_idx: usize) -> Result<Arc<DbImage>
 /// ATT for the undo phase.
 fn build_recovered(
     config: DaliConfig,
+    store: Store,
     image: Arc<DbImage>,
     image_idx: usize,
     serial: u64,
     redone: Redone,
 ) -> Result<(Arc<Db>, HashMap<TxnId, TxnState>)> {
-    let syslog = SystemLog::open_with(
+    let syslog = SystemLog::open_on(
+        Arc::clone(&store),
         Db::log_path(&config.dir),
         config.page_size,
         config.codeword_algebra,
@@ -727,6 +733,7 @@ fn build_recovered(
     )?;
     let db = build_db(
         config,
+        store,
         image,
         syslog,
         redone.catalog,
@@ -774,14 +781,6 @@ fn undo_and_finish(
     }
     let (deleted, rolled_back): (Vec<TxnId>, Vec<TxnId>) =
         incomplete.into_iter().partition(|id| ctt.contains(id));
-    // Record the aborts so the history reflects the rollback.
-    let aborts: Vec<LogRecord> = deleted
-        .iter()
-        .chain(rolled_back.iter())
-        .map(|&txn| LogRecord::TxnAbort { txn })
-        .collect();
-    db.syslog.append_batch(&aborts);
-    db.syslog.flush(false)?;
 
     for h in db.heaps.read().iter() {
         h.rebuild_from_image(&db.image)?;
@@ -790,25 +789,36 @@ fn undo_and_finish(
     // Every page may differ from both checkpoint images now.
     db.syslog.dirty().note_range(db.config.db_pages);
     ckpt::checkpoint(db)?;
+    // Record the aborts so the history reflects the rollback — only now:
+    // the rollback itself is not logged, so until the exit checkpoint
+    // holds it a restart must find these transactions incomplete and
+    // roll them back again, not read an abort and skip them.
+    let aborts: Vec<LogRecord> = deleted
+        .iter()
+        .chain(rolled_back.iter())
+        .map(|&txn| LogRecord::TxnAbort { txn })
+        .collect();
+    db.syslog.append_batch(&aborts);
+    db.syslog.flush(false)?;
     // `open` hands back a directory at rest: whoever opened it may copy
     // or replace it without racing the exit checkpoint's retirement.
     db.settle()?;
-    corruption::clear_marker(&db.config.dir)?;
+    corruption::clear_marker(&*db.store, &db.config.dir)?;
     if db.config.scheme.uses_mprotect() {
         db.protector.enable()?;
     }
     Ok((deleted, rolled_back))
 }
 
-/// Open an existing database: restart recovery (normal or corruption
-/// mode).
-pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
+/// Open an existing database on `store`: restart recovery (normal or
+/// corruption mode).
+pub fn restart(config: DaliConfig, store: Store) -> Result<(Arc<Db>, RecoveryOutcome)> {
     config.validate().map_err(DaliError::InvalidArg)?;
     let dir = config.dir.clone();
-    let (image_idx, serial) = ckpt::read_anchor(&dir)?;
-    let meta = ckpt::read_meta(&dir, image_idx)?;
+    let (image_idx, serial) = ckpt::read_anchor(&*store, &dir)?;
+    let meta = ckpt::read_meta(&*store, &dir, image_idx)?;
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
-    let marker = corruption::read_marker(&dir)?;
+    let marker = corruption::read_marker(&*store, &dir)?;
 
     // Decide the mode. The CW ReadLog scheme runs corruption recovery on
     // every restart (§4.3: codewords in read records detect corruption
@@ -827,10 +837,10 @@ pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
         )
     });
 
-    let image = load_checkpoint(&config, image_idx)?;
-    let redone = redo_pass(&config, &meta, &image, None, taint.as_mut())?;
+    let image = load_checkpoint(&config, &store, image_idx)?;
+    let redone = redo_pass(&config, &store, &meta, &image, None, taint.as_mut())?;
     let records_scanned = redone.records_scanned;
-    let (db, att) = build_recovered(config, image, image_idx, serial, redone)?;
+    let (db, att) = build_recovered(config, store, image, image_idx, serial, redone)?;
     let (ctt, cdt) = taint.map(|t| (t.ctt, t.cdt)).unwrap_or_default();
     let (deleted, rolled_back) = undo_and_finish(&db, att, &ctt)?;
     Ok((
@@ -856,37 +866,45 @@ pub fn restart(config: DaliConfig) -> Result<(Arc<Db>, RecoveryOutcome)> {
 /// Requires a certified checkpoint with `ck_end <= upto`; the stable log
 /// is truncated at `upto` afterwards, so the discarded future cannot
 /// resurface in a later recovery.
-pub fn restore_prior_state(config: DaliConfig, upto: Lsn) -> Result<(Arc<Db>, RecoveryOutcome)> {
+pub fn restore_prior_state(
+    config: DaliConfig,
+    upto: Lsn,
+    store: Store,
+) -> Result<(Arc<Db>, RecoveryOutcome)> {
     config.validate().map_err(DaliError::InvalidArg)?;
     let dir = config.dir.clone();
-    let (anchored, serial) = ckpt::read_anchor(&dir)?;
+    let (anchored, serial) = ckpt::read_anchor(&*store, &dir)?;
     // Prefer the anchored image; fall back to the other image when the
-    // anchored checkpoint is too new.
-    let (image_idx, meta) = match ckpt::read_meta(&dir, anchored) {
+    // anchored checkpoint is too new. The other image qualifies only if
+    // its meta exists: a checkpoint unlinks it before it overwrites the
+    // image's first page.
+    let (image_idx, meta) = match ckpt::read_meta(&*store, &dir, anchored) {
         Ok(m) if m.ck_end <= upto => (anchored, m),
-        _ => {
-            let other = 1 - anchored;
-            let m = ckpt::read_meta(&dir, other)?;
-            if m.ck_end > upto {
+        _ => match ckpt::read_meta(&*store, &dir, 1 - anchored) {
+            Ok(m) if m.ck_end <= upto => (1 - anchored, m),
+            _ => {
                 return Err(DaliError::RecoveryFailed(format!(
-                    "no checkpoint is old enough to recover to {upto} \
-                     (oldest usable checkpoint is at {})",
-                    m.ck_end
-                )));
+                    "no checkpoint is old enough to recover to {upto}"
+                )))
             }
-            (other, m)
-        }
+        },
     };
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
 
     // Redo up to (not beyond) `upto`; a prefix cut can split an
     // operation's batch, whose unmatched physical records are discarded.
-    let image = load_checkpoint(&config, image_idx)?;
-    let redone = redo_pass(&config, &meta, &image, Some(upto), None)?;
+    let image = load_checkpoint(&config, &store, image_idx)?;
+    let redone = redo_pass(&config, &store, &meta, &image, Some(upto), None)?;
     let records_scanned = redone.records_scanned;
-    // Truncate the discarded future before reopening the log for append.
-    dali_wal::segment::truncate_at(&Db::log_path(&dir), upto)?;
-    let (db, att) = build_recovered(config, image, image_idx, serial, redone)?;
+    // Anchor the image this recovery starts from before the log is cut
+    // below the other one's `CK_end`, so a crash from here on restarts
+    // from it; then truncate the discarded future before reopening the
+    // log for append.
+    if image_idx != anchored {
+        ckpt::write_anchor(&*store, &dir, image_idx, serial)?;
+    }
+    dali_wal::segment::truncate_at_on(&*store, &Db::log_path(&dir), upto)?;
+    let (db, att) = build_recovered(config, store, image, image_idx, serial, redone)?;
     // Transactions in flight at `upto` are rolled back: the prior state
     // is transaction-consistent.
     let (_, rolled_back) = undo_and_finish(&db, att, &HashSet::new())?;

@@ -56,6 +56,7 @@ impl TaintReport {
 /// * a tainted transaction's rollback (abort) *un*taints nothing — the
 ///   trace is conservative.
 pub fn trace_taint(
+    store: &dyn dali_common::Storage,
     log_path: &Path,
     from: Lsn,
     seeds: &[TxnId],
@@ -73,7 +74,7 @@ pub fn trace_taint(
     // leans on). A fixpoint loop would be WRONG, not just wasteful: it
     // would re-apply taint to writes that happened before the taint
     // existed and cascade over the entire history.
-    LogReader::open(log_path, from, kind)?.for_each(|_lsn, rec| {
+    LogReader::open_on(store, log_path, from, kind)?.for_each(|_lsn, rec| {
         records_scanned += 1;
         match rec {
             LogRecordRef::PhysicalRedo {
@@ -156,6 +157,7 @@ mod tests {
 
         db.db().syslog.flush(false).unwrap();
         let report = trace_taint(
+            &dali_common::OsStorage,
             &db.config().dir.join("system.log"),
             Lsn::ZERO,
             &[t1_id],
@@ -181,6 +183,7 @@ mod tests {
         txn.commit().unwrap();
         db.db().syslog.flush(false).unwrap();
         let report = trace_taint(
+            &dali_common::OsStorage,
             &db.config().dir.join("system.log"),
             Lsn::ZERO,
             &[],
@@ -206,6 +209,7 @@ mod tests {
         t2.commit().unwrap();
         db.db().syslog.flush(false).unwrap();
         let report = trace_taint(
+            &dali_common::OsStorage,
             &db.config().dir.join("system.log"),
             Lsn::ZERO,
             &[t1_id],

@@ -180,56 +180,6 @@ fn double_crash_immediately_after_recovery() {
     }
 }
 
-/// The process dies between the two steps of a segment roll: the newest
-/// segments still carry their `.pending` names, which no scan reads.
-/// Restart must give them their names *before* it lists the chain for the
-/// redo scan, or every transaction committed into them is lost.
-#[test]
-fn segments_left_pending_by_a_dead_process_are_replayed() {
-    let dir = tmpdir("pending");
-    let config = DaliConfig::small(dir.path())
-        .with_scheme(ProtectionScheme::DataCodeword)
-        .with_log_segment_bytes(1024);
-    let (db, _) = DaliEngine::create(config.clone()).unwrap();
-    let t = db.create_table("t", 64, 32).unwrap();
-    let setup = db.begin().unwrap();
-    let recs: Vec<_> = (0..8u8)
-        .map(|i| setup.insert(t, &val(i)).unwrap())
-        .collect();
-    setup.commit().unwrap();
-    db.settle().unwrap();
-
-    // From here on the log worker does nothing, and the "crash" below
-    // leaves its queue as the death of the process would.
-    db.db().syslog.pause_worker();
-    for round in 1..=6u8 {
-        let txn = db.begin().unwrap();
-        for &rec in &recs {
-            txn.update(rec, &val(round)).unwrap();
-        }
-        txn.commit().unwrap();
-    }
-    db.crash();
-    let log_dir = dir.path().join("system.log");
-    let pending = dali_wal::segment::list_pending(&log_dir).unwrap();
-    assert!(
-        pending.len() >= 2,
-        "the rounds should have rolled: {pending:?}"
-    );
-
-    let (db, outcome) = DaliEngine::open(config).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::Normal);
-    assert!(dali_wal::segment::list_pending(&log_dir)
-        .unwrap()
-        .is_empty());
-    let check = db.begin().unwrap();
-    for &rec in &recs {
-        assert_eq!(check.read_vec(rec).unwrap(), val(6));
-    }
-    check.commit().unwrap();
-    assert!(db.audit().unwrap().clean());
-}
-
 /// The parity stripe is rebuilt from the recovered image on every open
 /// and never persisted, so restart takes whatever layout is configured
 /// now: a database checkpointed with groups of 8 reopens with the

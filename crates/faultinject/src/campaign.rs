@@ -42,7 +42,8 @@
 //! [`CodewordProtection::audit`]: dali_codeword::CodewordProtection::audit
 
 use crate::{FaultInjector, InjectionEffect};
-use dali_common::{CodewordAlgebraKind, DbAddr, Lsn, Result};
+use dali_common::storage::Open;
+use dali_common::{CodewordAlgebraKind, DbAddr, Lsn, Result, Storage};
 use dali_engine::db::Db;
 use dali_engine::DaliEngine;
 
@@ -260,31 +261,22 @@ pub fn run_ckpt_image_round(
     offset: usize,
     window_len: usize,
 ) -> Result<Option<CampaignVerdict>> {
-    use std::io::{Read, Seek, SeekFrom, Write};
     let inner: &Db = db.db();
-    let dir = inner.config.dir.clone();
-    let (image_idx, _) = dali_engine::ckpt::read_anchor(&dir)?;
-    let path = Db::img_path(&dir, image_idx);
-
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&path)?;
+    let (store, dir) = (&*inner.store, &inner.config.dir);
+    let (image_idx, _) = dali_engine::ckpt::read_anchor(store, dir)?;
+    let f = store.open(&Db::img_path(dir, image_idx), Open::Write)?;
     let mut original = vec![0u8; window_len];
-    f.seek(SeekFrom::Start(offset as u64))?;
-    f.read_exact(&mut original)?;
+    f.read_at(&mut original, offset as u64)?;
     let Some(corrupt) = pattern.apply(&original) else {
         return Ok(None);
     };
-    f.seek(SeekFrom::Start(offset as u64))?;
-    f.write_all(&corrupt)?;
-    f.sync_data()?;
+    f.write_at(&corrupt, offset as u64)?;
+    f.fsync()?;
 
     let report = dali_engine::ckpt::scrub_anchored_image(inner_arc(db))?;
 
-    f.seek(SeekFrom::Start(offset as u64))?;
-    f.write_all(&original)?;
-    f.sync_data()?;
+    f.write_at(&original, offset as u64)?;
+    f.fsync()?;
 
     Ok(Some(CampaignVerdict {
         target: CampaignTarget::CheckpointImage,
@@ -328,57 +320,59 @@ pub fn run_wal_round(
     offset: usize,
     window_len: usize,
 ) -> Result<Option<WalScanOutcome>> {
-    use std::io::{Read, Seek, SeekFrom, Write};
     let inner: &Db = db.db();
-    let kind = inner.config.codeword_algebra;
+    let (store, kind) = (&*inner.store, inner.config.codeword_algebra);
     inner.syslog.flush(false)?;
     inner.syslog.settle()?;
     let path = Db::log_path(&inner.config.dir);
-    let baseline = wal_fingerprint(&path, kind)?;
+    let baseline = wal_fingerprint(store, &path, kind)?;
 
     // `offset` is a global log position; map it into the containing
     // segment file and clamp the window at the segment's end.
-    let seg = dali_wal::segment::locate(&path, Lsn(offset as u64))?;
+    let Some(seg) = dali_wal::segment::list_on(store, &path)?
+        .into_iter()
+        .find(|s| s.base.0 <= offset as u64 && (offset as u64) < s.end().0)
+    else {
+        return Ok(None);
+    };
     let local = offset as u64 - seg.base.0;
     let window = window_len.min(seg.len.saturating_sub(local) as usize);
     if window == 0 {
         return Ok(None);
     }
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(dali_wal::segment::path(&path, seg.base))?;
+    let f = store.open(&dali_wal::segment::path(&path, seg.base), Open::Write)?;
     let mut original = vec![0u8; window];
-    f.seek(SeekFrom::Start(local))?;
-    f.read_exact(&mut original)?;
+    f.read_at(&mut original, local)?;
     let Some(corrupt) = pattern.apply(&original) else {
         return Ok(None);
     };
-    f.seek(SeekFrom::Start(local))?;
-    f.write_all(&corrupt)?;
-    f.sync_data()?;
+    f.write_at(&corrupt, local)?;
+    f.fsync()?;
 
-    let outcome = match wal_fingerprint(&path, kind) {
+    let outcome = match wal_fingerprint(store, &path, kind) {
         Err(_) => WalScanOutcome::Rejected,
         Ok((records, _)) if records < baseline.0 => WalScanOutcome::Rejected,
         Ok(scanned) if scanned == baseline => WalScanOutcome::Unaffected,
         Ok(_) => WalScanOutcome::SilentlyAltered,
     };
 
-    f.seek(SeekFrom::Start(local))?;
-    f.write_all(&original)?;
-    f.sync_data()?;
+    f.write_at(&original, local)?;
+    f.fsync()?;
     Ok(Some(outcome))
 }
 
 /// Record count and a hash of the `(LSN, record)` sequence of one scan of
 /// the stable log: what two scans are compared by, without holding
 /// either in memory.
-fn wal_fingerprint(path: &std::path::Path, kind: CodewordAlgebraKind) -> Result<(usize, u64)> {
+fn wal_fingerprint(
+    store: &dyn Storage,
+    path: &std::path::Path,
+    kind: CodewordAlgebraKind,
+) -> Result<(usize, u64)> {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     let mut records = 0usize;
-    dali_wal::LogReader::open(path, Lsn(0), kind)?.for_each(|lsn, rec| {
+    dali_wal::LogReader::open_on(store, path, Lsn(0), kind)?.for_each(|lsn, rec| {
         records += 1;
         (lsn.0, format!("{rec:?}")).hash(&mut hasher);
         Ok(())

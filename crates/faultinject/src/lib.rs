@@ -13,7 +13,7 @@
 //! a real SIGSEGV, which models the trap semantics ("the offending write
 //! is not completed").
 
-use dali_common::{DbAddr, PageId, Result};
+use dali_common::{DbAddr, Result};
 use dali_engine::DaliEngine;
 use rand::Rng;
 
@@ -151,11 +151,6 @@ impl FaultInjector {
     /// Pages of the image (for targeting specific pages).
     pub fn pages(&self) -> usize {
         self.engine.raw_image().pages()
-    }
-
-    /// Address of the first byte of a page.
-    pub fn page_base(&self, page: u32) -> DbAddr {
-        PageId(page).base(self.engine.raw_image().page_size())
     }
 }
 

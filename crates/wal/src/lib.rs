@@ -35,4 +35,4 @@ pub use dpt::{pages_to_regions, DualDirtySet};
 pub use locallog::{LocalRedoLog, LocalUndoLog, UndoEntry, UndoKind};
 pub use record::{Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind};
 pub use segment::{LogReader, SegmentBuf};
-pub use syslog::{SegmentStats, SyncStats, SystemLog, DEFAULT_SEGMENT_BYTES};
+pub use syslog::{SegmentStats, SyncStats, SystemLog};

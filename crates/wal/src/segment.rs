@@ -12,17 +12,18 @@
 //! a [`crate::record::FRAME_SEAL`] frame and are never written again.
 //! That is what makes bitcask-style *retirement* safe: once a certified
 //! checkpoint's `CK_end` is past a sealed segment's last byte, restart
-//! recovery will never read it, and it can be unlinked. Retirement is
-//! crash-safe the same way `atomic_write`'s rename is: the unlink is
-//! only durable after the parent directory is fsynced, and a crash point
-//! between the two (`segment.retire.post_unlink`) lets tests prove both
-//! post-crash states recover.
+//! recovery will never read it, and it can be unlinked. Retirement
+//! unlinks a run of segments under one directory sync, so a power loss
+//! can keep any subset of the unlinks: an old segment may come back
+//! while a newer one does not. A scan therefore checks only the
+//! segments it reads, and [`unlink_stranded`] removes what lies before
+//! such a gap when the log is opened.
 //!
 //! A segment is *born* under the name `{base:020}.seg.pending` and gets
 //! its `.seg` name only once its sealed predecessor is durable (see the
 //! roll protocol in [`crate::syslog`]). Nothing in this module but
 //! [`adopt_pending`] and [`list_pending`] ever looks at a pending file:
-//! to [`list`], [`validate_chain`], [`locate`] and the [`LogReader`] the
+//! to [`list`], [`validate_chain`] and the [`LogReader`] the
 //! log is exactly its `*.seg` files, so a name in the chain still means
 //! "everything before this is sealed and on disk".
 //!
@@ -35,9 +36,9 @@
 //! segment, not the log.
 
 use crate::record::{parse_frame, FrameRef, LogRecordRef};
-use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, Result};
+use dali_common::storage::{self, Open, Storage, StorageFile};
+use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, Result};
 use std::cell::Cell;
-use std::io::Read;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
@@ -93,39 +94,51 @@ fn parse_pending_name(name: &str) -> Option<Lsn> {
 }
 
 /// The files under `dir` whose names `parse` accepts, sorted by base
-/// LSN. A file unlinked between being listed and being sized (the log
-/// worker retiring it) is skipped: it is not there.
-fn list_named(dir: &Path, parse: fn(&str) -> Option<Lsn>) -> Result<Vec<SegmentInfo>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(base) = name.to_str().and_then(parse) else {
-            continue;
-        };
-        match entry.metadata() {
-            Ok(meta) => out.push(SegmentInfo {
-                base,
-                len: meta.len(),
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+/// LSN.
+fn list_named(
+    store: &dyn Storage,
+    dir: &Path,
+    parse: fn(&str) -> Option<Lsn>,
+) -> Result<Vec<SegmentInfo>> {
+    let mut out: Vec<SegmentInfo> = store
+        .list(dir)?
+        .into_iter()
+        .filter_map(|(name, len)| parse(&name).map(|base| SegmentInfo { base, len }))
+        .collect();
     out.sort_unstable_by_key(|s| s.base);
     Ok(out)
 }
 
-/// List the segments under `dir`, sorted by base LSN. Non-segment files
-/// (pending segments among them) are ignored. Errors if the directory
-/// cannot be read.
+/// List the segments under `dir` on the OS file system, sorted by base
+/// LSN. Non-segment files (pending segments among them) are ignored.
+/// Errors if the directory cannot be read.
 pub fn list(dir: &Path) -> Result<Vec<SegmentInfo>> {
-    list_named(dir, parse_file_name)
+    list_on(&OsStorage, dir)
+}
+
+/// [`list`] through `store`.
+pub fn list_on(store: &dyn Storage, dir: &Path) -> Result<Vec<SegmentInfo>> {
+    list_named(store, dir, parse_file_name)
 }
 
 /// List the `*.seg.pending` files under `dir`, sorted by base LSN.
-pub fn list_pending(dir: &Path) -> Result<Vec<SegmentInfo>> {
-    list_named(dir, parse_pending_name)
+pub fn list_pending(store: &dyn Storage, dir: &Path) -> Result<Vec<SegmentInfo>> {
+    list_named(store, dir, parse_pending_name)
+}
+
+/// Name the successor born pending at `base`: `fsync(sealed)` →
+/// `rename(.pending → .seg)` → `sync_dir`. The roll and restart's
+/// adoption both name successors here.
+pub fn name_successor(
+    store: &dyn Storage,
+    dir: &Path,
+    sealed: &dyn StorageFile,
+    base: Lsn,
+) -> Result<()> {
+    sealed.fsync()?;
+    store.rename(&pending_path(dir, base), &path(dir, base))?;
+    store.sync_dir(dir)?;
+    Ok(())
 }
 
 /// Restart's first step on a log directory, before the chain is listed:
@@ -134,37 +147,52 @@ pub fn list_pending(dir: &Path) -> Result<Vec<SegmentInfo>> {
 /// A pending file joins the chain iff the chain's last segment is intact
 /// from its first byte to a seal frame that ends exactly at the pending
 /// file's base — the state a process death leaves while the log worker
-/// still owed the predecessor its fsync. The predecessor is fsynced
-/// before the rename, so a `.seg` name keeps meaning "everything before
-/// me is sealed and durable". Any other pending file (its predecessor
-/// lost part of its writeback to a power failure, or is gone) is
-/// unlinked: nothing in it was ever acknowledged durable, and appends
-/// resume at the end of the intact chain.
-pub fn adopt_pending(dir: &Path, kind: CodewordAlgebraKind) -> Result<()> {
-    let pending = list_pending(dir)?;
+/// still owed the predecessor its fsync. Any other pending file (its
+/// predecessor lost part of its writeback to a power failure, or is
+/// gone) is unlinked: nothing in it was ever acknowledged durable, and
+/// appends resume at the end of the intact chain.
+pub fn adopt_pending(store: &dyn Storage, dir: &Path, kind: CodewordAlgebraKind) -> Result<()> {
+    let pending = list_pending(store, dir)?;
     if pending.is_empty() {
         return Ok(());
     }
-    let mut last = list(dir)?.last().copied();
+    let mut last = list_on(store, dir)?.last().copied();
     for p in pending {
         let predecessor = match last {
             Some(prev) if prev.end() == p.base => {
-                let seg = SegmentBuf::load(dir, prev.base, 0, kind)?;
+                let seg = SegmentBuf::load(store, dir, prev.base, 0, kind)?;
                 (seg.ends_with_seal() && seg.torn_bytes() == 0).then_some(prev)
             }
             _ => None,
         };
         match predecessor {
             Some(prev) => {
-                std::fs::File::open(path(dir, prev.base))?.sync_data()?;
-                std::fs::rename(pending_path(dir, p.base), path(dir, p.base))?;
+                let sealed = store.open(&path(dir, prev.base), Open::Read)?;
+                name_successor(store, dir, &*sealed, p.base)?;
                 last = Some(p);
             }
-            None => std::fs::remove_file(pending_path(dir, p.base))?,
+            None => storage::remove_durably(store, &pending_path(dir, p.base))?,
         }
-        sync_dir(dir)?;
     }
     Ok(())
+}
+
+/// Unlink the *stranded prefix* — every segment before the chain's last
+/// gap, which only a power loss mid-retirement leaves, below both
+/// images' `CK_end` — and return the chain that is left.
+pub fn unlink_stranded(store: &dyn Storage, dir: &Path) -> Result<Vec<SegmentInfo>> {
+    let mut segments = list_on(store, dir)?;
+    let start = segments
+        .windows(2)
+        .rposition(|w| w[1].base != w[0].end())
+        .map_or(0, |gap| gap + 1);
+    for s in segments.drain(..start) {
+        store.remove(&path(dir, s.base))?;
+    }
+    if start > 0 {
+        store.sync_dir(dir)?;
+    }
+    Ok(segments)
 }
 
 /// Check the chain invariant: each segment begins exactly where the
@@ -185,54 +213,18 @@ pub fn validate_chain(segments: &[SegmentInfo]) -> Result<()> {
     Ok(())
 }
 
-/// The segment containing global byte offset `lsn` (or, for the log's
-/// end LSN, the last segment). Errors if `lsn` predates the first
-/// retained segment or lies past the end of the log.
-pub fn locate(dir: &Path, lsn: Lsn) -> Result<SegmentInfo> {
-    let segments = list(dir)?;
-    let Some(first) = segments.first() else {
-        return Err(DaliError::RecoveryFailed(format!(
-            "no log segments in {}",
-            dir.display()
-        )));
-    };
-    if lsn < first.base {
-        return Err(DaliError::RecoveryFailed(format!(
-            "LSN {lsn} predates first retained segment {}",
-            file_name(first.base)
-        )));
-    }
-    validate_chain(&segments)?;
-    let last = *segments.last().expect("non-empty");
-    if lsn > last.end() {
-        return Err(DaliError::RecoveryFailed(format!(
-            "LSN {lsn} beyond end of log ({})",
-            last.end()
-        )));
-    }
-    // The chain is contiguous, so the segment with the greatest base at
-    // or below `lsn` contains it (for the end-of-log LSN: the last one).
-    Ok(*segments
-        .iter()
-        .rev()
-        .find(|s| s.base <= lsn)
-        .expect("bounds checked"))
-}
-
-/// fsync a directory so renames/unlinks/creates inside it are durable.
-pub fn sync_dir(dir: &Path) -> Result<()> {
-    std::fs::File::open(dir)?.sync_data()?;
-    Ok(())
-}
-
-/// Truncate the log so that nothing at or past `upto` remains: unlink
-/// segments based at or after `upto`, cut the containing segment, fsync
-/// it and the directory. Used by prior-state recovery, which must make a
-/// byte-level cut of history. A cut past the end of the log is a no-op
-/// (matching `set_len(len.min(upto))` on the old single-file layout).
+/// Truncate the log on the OS file system so that nothing at or past
+/// `upto` remains; see [`truncate_at_on`].
 pub fn truncate_at(dir: &Path, upto: Lsn) -> Result<()> {
-    let segments = list(dir)?;
-    validate_chain(&segments)?;
+    truncate_at_on(&OsStorage, dir, upto)
+}
+
+/// Truncate the log so that nothing at or past `upto` remains (for
+/// prior-state recovery): unlink later segments newest first, each
+/// durably, then cut and fsync the containing one, so a crash at any
+/// point leaves a contiguous chain. A cut past the end is a no-op.
+pub fn truncate_at_on(store: &dyn Storage, dir: &Path, upto: Lsn) -> Result<()> {
+    let segments = list_on(store, dir)?;
     let Some(first) = segments.first() else {
         return Ok(());
     };
@@ -242,26 +234,17 @@ pub fn truncate_at(dir: &Path, upto: Lsn) -> Result<()> {
             file_name(first.base)
         )));
     }
-    let mut changed = false;
-    for s in &segments {
-        if s.base >= upto && s.base > first.base {
-            // Whole segment past the cut. The first segment is never
-            // unlinked, so the log stays openable even for a cut at its
-            // base (it is truncated to zero length below instead).
-            std::fs::remove_file(path(dir, s.base))?;
-            changed = true;
-        } else if upto < s.end() {
-            // Containing segment: cut it at the boundary.
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(path(dir, s.base))?;
-            f.set_len(upto.0 - s.base.0)?;
-            f.sync_data()?;
-            changed = true;
-        }
+    // The first segment is never unlinked, so the log stays openable even
+    // for a cut at its base (it is truncated to zero length instead).
+    let keep = segments.iter().take_while(|s| s.base < upto).count().max(1);
+    for s in segments[keep..].iter().rev() {
+        storage::remove_durably(store, &path(dir, s.base))?;
     }
-    if changed {
-        sync_dir(dir)?;
+    let containing = segments[keep - 1];
+    if upto < containing.end() {
+        let f = store.open(&path(dir, containing.base), Open::Write)?;
+        f.set_len(upto.0 - containing.base.0)?;
+        f.fsync()?;
     }
     Ok(())
 }
@@ -272,32 +255,24 @@ pub fn truncate_at(dir: &Path, upto: Lsn) -> Result<()> {
 /// touched, whatever the horizon says. Returns how many segments were
 /// unlinked.
 ///
-/// Crash safety: each unlink is followed by the crash point
-/// `segment.retire.post_unlink`, and the parent directory is fsynced
-/// after the batch. A crash between unlink and dir-fsync can leave the
-/// unlink *undone* (the file reappears) or *done*; both are benign —
-/// recovery never reads below the checkpoint horizon, and a reappeared
-/// segment is simply retired again next checkpoint. What the dir-fsync
-/// rules out is the unlink becoming durable while a *later* rename or
-/// create in the same directory is not.
+/// The unlinks share one directory sync; a crash before it may keep any
+/// subset of them, which recovers (see the module docs).
 pub fn retire_covered(
+    store: &dyn Storage,
     dir: &Path,
     horizon: Lsn,
     keep_from: Lsn,
-    crash_points: &CrashPoints,
 ) -> Result<u64> {
-    let segments = list(dir)?;
     let mut retired = 0u64;
-    for s in &segments {
+    for s in list_on(store, dir)? {
         if s.base >= keep_from || s.end() > horizon {
             continue;
         }
-        std::fs::remove_file(path(dir, s.base))?;
-        crash_points.check("segment.retire.post_unlink")?;
+        store.remove(&path(dir, s.base))?;
         retired += 1;
     }
     if retired > 0 {
-        sync_dir(dir)?;
+        store.sync_dir(dir)?;
     }
     Ok(retired)
 }
@@ -328,24 +303,26 @@ impl SegmentBuf {
     /// Read the segment based at `base`, to be walked from byte offset
     /// `start`, its frames checksummed under `kind`.
     pub fn load(
+        store: &dyn Storage,
         dir: &Path,
         base: Lsn,
         start: usize,
         kind: CodewordAlgebraKind,
     ) -> Result<SegmentBuf> {
-        Self::load_into(Vec::new(), dir, base, start, kind)
+        Self::load_into(Vec::new(), store, dir, base, start, kind)
     }
 
     /// [`load`](Self::load) into a buffer whose allocation is reused.
     fn load_into(
         mut bytes: Vec<u8>,
+        store: &dyn Storage,
         dir: &Path,
         base: Lsn,
         start: usize,
         kind: CodewordAlgebraKind,
     ) -> Result<SegmentBuf> {
         bytes.clear();
-        std::fs::File::open(path(dir, base))?.read_to_end(&mut bytes)?;
+        store.read(&path(dir, base), &mut bytes)?;
         let start = start.min(bytes.len());
         Ok(SegmentBuf {
             base,
@@ -444,27 +421,41 @@ impl<'a> Iterator for SegmentRecords<'a> {
 /// boundaries transparently and ends after the first segment with
 /// [`torn_bytes`](SegmentBuf::torn_bytes): nothing past a torn frame can
 /// be trusted to be in sequence.
-pub struct LogReader {
+pub struct LogReader<'s> {
+    store: &'s dyn Storage,
     dir: PathBuf,
     kind: CodewordAlgebraKind,
     from: Lsn,
     segments: Vec<SegmentInfo>,
 }
 
-impl LogReader {
+impl LogReader<'static> {
+    /// [`open_on`](LogReader::open_on) the OS file system.
+    pub fn open(dir: impl AsRef<Path>, from: Lsn, kind: CodewordAlgebraKind) -> Result<Self> {
+        LogReader::open_on(&OsStorage, dir, from, kind)
+    }
+}
+
+impl<'s> LogReader<'s> {
     /// Open the directory for a scan whose frame checksums use `kind`.
     /// Errors if `from` predates the first retained segment (history the
-    /// caller wants was retired) or lies past the end of the log.
-    pub fn open(dir: impl AsRef<Path>, from: Lsn, kind: CodewordAlgebraKind) -> Result<LogReader> {
+    /// caller wants was retired) or lies past the end of the log, or if
+    /// the segments from the one holding `from` on do not chain. (A gap
+    /// below them is a stranded prefix the scan does not need.)
+    pub fn open_on(
+        store: &'s dyn Storage,
+        dir: impl AsRef<Path>,
+        from: Lsn,
+        kind: CodewordAlgebraKind,
+    ) -> Result<LogReader<'s>> {
         let dir = dir.as_ref().to_path_buf();
-        let mut segments = list(&dir)?;
+        let mut segments = list_on(store, &dir)?;
         let Some(&first) = segments.first() else {
             return Err(DaliError::RecoveryFailed(format!(
                 "no log segments in {}",
                 dir.display()
             )));
         };
-        validate_chain(&segments)?;
         let end = segments.last().expect("non-empty").end();
         if from < first.base {
             return Err(DaliError::RecoveryFailed(format!(
@@ -478,7 +469,14 @@ impl LogReader {
             )));
         }
         segments.retain(|s| s.end() > from || s.len == 0);
+        validate_chain(&segments)?;
+        if segments.first().is_some_and(|s| from < s.base) {
+            return Err(DaliError::RecoveryFailed(format!(
+                "segment chain broken: no segment holds scan start {from}"
+            )));
+        }
         Ok(LogReader {
+            store,
             dir,
             kind,
             from,
@@ -496,7 +494,8 @@ impl LogReader {
         let mut buf = Vec::new();
         for info in self.segments {
             let start = self.from.0.saturating_sub(info.base.0) as usize;
-            let seg = SegmentBuf::load_into(buf, &self.dir, info.base, start, self.kind)?;
+            let seg =
+                SegmentBuf::load_into(buf, self.store, &self.dir, info.base, start, self.kind)?;
             if f(&seg)?.is_break() || seg.torn_bytes() > 0 {
                 break;
             }
@@ -517,8 +516,8 @@ impl LogReader {
 }
 
 /// Total bytes currently on disk across all retained segments.
-pub fn bytes_on_disk(dir: &Path) -> Result<u64> {
-    Ok(list(dir)?.iter().map(|s| s.len).sum())
+pub fn bytes_on_disk(store: &dyn Storage, dir: &Path) -> Result<u64> {
+    Ok(list_on(store, dir)?.iter().map(|s| s.len).sum())
 }
 
 #[cfg(test)]
@@ -576,29 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_finds_containing_segment() {
-        let scratch = TempDir::new("segment-locate");
-        let dir = scratch.path();
-        mk(dir, 0, 100);
-        mk(dir, 100, 50);
-        assert_eq!(locate(dir, Lsn(0)).unwrap().base, Lsn(0));
-        assert_eq!(locate(dir, Lsn(99)).unwrap().base, Lsn(0));
-        assert_eq!(locate(dir, Lsn(100)).unwrap().base, Lsn(100));
-        // End-of-log LSN resolves to the last (active) segment.
-        assert_eq!(locate(dir, Lsn(150)).unwrap().base, Lsn(100));
-        assert!(locate(dir, Lsn(151)).is_err());
-    }
-
-    #[test]
-    fn locate_rejects_retired_lsn() {
-        let scratch = TempDir::new("segment-retired");
-        let dir = scratch.path();
-        mk(dir, 100, 50);
-        let err = locate(dir, Lsn(10)).unwrap_err().to_string();
-        assert!(err.contains("predates"), "{err}");
-    }
-
-    #[test]
     fn truncate_drops_later_segments_and_cuts_containing() {
         let scratch = TempDir::new("segment-trunc");
         let dir = scratch.path();
@@ -649,36 +625,39 @@ mod tests {
         mk(dir, 0, 100);
         mk(dir, 100, 50);
         mk(dir, 150, 30); // active
-                          // Horizon mid-segment-2: only segment 1 is fully covered.
-        let unarmed = CrashPoints::default();
-        let n = retire_covered(dir, Lsn(120), Lsn(150), &unarmed).unwrap();
+        let store = &OsStorage;
+        // Horizon mid-segment-2: only segment 1 is fully covered.
+        let n = retire_covered(store, dir, Lsn(120), Lsn(150)).unwrap();
         assert_eq!(n, 1);
         assert_eq!(list(dir).unwrap().first().unwrap().base, Lsn(100));
         // Horizon past everything, but the active segment is kept.
-        let n = retire_covered(dir, Lsn(10_000), Lsn(150), &unarmed).unwrap();
+        let n = retire_covered(store, dir, Lsn(10_000), Lsn(150)).unwrap();
         assert_eq!(n, 1);
         let segs = list(dir).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].base, Lsn(150));
-        assert_eq!(bytes_on_disk(dir).unwrap(), 30);
+        assert_eq!(bytes_on_disk(store, dir).unwrap(), 30);
     }
 
+    /// Retirement of 0 and 100 under one directory sync, and a power loss
+    /// that kept only the second unlink: the scan from past the gap still
+    /// works and opening unlinks what the gap stranded.
     #[test]
-    fn retire_crash_point_interrupts_between_unlink_and_dir_fsync() {
-        let scratch = TempDir::new("segment-retirecrash");
+    fn a_gap_left_by_retirement_strands_only_what_no_scan_needs() {
+        let scratch = TempDir::new("segment-stranded");
         let dir = scratch.path();
         mk(dir, 0, 100);
-        mk(dir, 100, 50);
-        let crash_points = CrashPoints::default();
-        crash_points.arm("segment.retire.post_unlink");
-        let err = retire_covered(dir, Lsn(10_000), Lsn(100), &crash_points)
-            .unwrap_err()
+        mk(dir, 150, 30);
+        mk(dir, 180, 20);
+        let err = LogReader::open(dir, Lsn(120), CodewordAlgebraKind::XorFold)
+            .err()
+            .unwrap()
             .to_string();
-        assert!(err.contains("crash point tripped"), "{err}");
-        // The unlink itself happened; the chain now starts at 100 and
-        // still validates — exactly the state recovery must tolerate.
-        let segs = list(dir).unwrap();
-        assert_eq!(segs.len(), 1);
-        validate_chain(&segs).unwrap();
+        assert!(err.contains("no segment holds"), "{err}");
+        assert!(LogReader::open(dir, Lsn(150), CodewordAlgebraKind::XorFold).is_ok());
+        let chain = unlink_stranded(&OsStorage, dir).unwrap();
+        assert_eq!(list(dir).unwrap(), chain);
+        assert_eq!(chain[0].base, Lsn(150));
+        validate_chain(&chain).unwrap();
     }
 }

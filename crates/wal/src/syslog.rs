@@ -3,8 +3,8 @@
 //!
 //! Appends go to the tail under the *system log latch* (a mutex, as in
 //! Dali). [`SystemLog::flush`] writes the tail to the stable segments —
-//! on transaction commit and during checkpoints. `end_of_stable_log` is
-//! the LSN up to which records are known durable. While appending
+//! on transaction commit and during checkpoints. [`SystemLog::durable_lsn`]
+//! is the LSN up to which records are known durable. While appending
 //! physical redo records, the pages they touch are noted in the dirty
 //! page table ([`crate::dpt::DualDirtySet`]).
 //!
@@ -20,39 +20,31 @@
 //!
 //! # The roll protocol
 //!
-//! The updater's thread pays for a roll with one `create_new`; the
-//! file-system calls that make a roll *durable* belong to whoever next
-//! needs them done — normally the **log worker**, a background thread
-//! every `SystemLog` owns:
+//! The appender pays for a roll with one `create_new` of the successor
+//! as `{lsn}.seg.pending`, under the latch. Making the roll durable —
+//! [`segment::name_successor`]: fsync the sealed segment, rename the
+//! successor to `.seg`, sync the directory, and only then advance
+//! `durable` — belongs to the **log worker**, a background thread every
+//! `SystemLog` owns, or to a durable committer that cannot wait for it.
+//! So `durable` covers a contiguous, fsynced, named prefix of the log; a
+//! crash in between leaves a pending file, which
+//! [`segment::adopt_pending`] settles at restart. Retirement's unlinks
+//! are the worker's other job.
 //!
-//! 1. *Appender, under the latch* ([`SystemLog::flush`]'s tail write):
-//!    the sealed segment's last bytes are written, its successor is
-//!    created as `{lsn}.seg.pending`, the sealed handle is queued, and
-//!    appends carry on into the pending file.
-//! 2. *Drainer* — the worker, or a durable committer / checkpoint / scan
-//!    that cannot wait for it, through the same `drain_sealed` — takes
-//!    the queue oldest first: `sync_data(sealed)`, `rename(.pending →
-//!    .seg)`, `sync_dir`, and only then advances `durable` to the sealed
-//!    segment's end.
-//!
-//! So `durable` only ever covers a contiguous, fsynced, `.seg`-named
-//! prefix of the log, and a `.seg` name exists only once everything
-//! before it is sealed and on disk. A crash between the two steps
-//! leaves a pending file, which [`segment::adopt_pending`] settles at
-//! restart. Retirement is the worker's other job: the unlinks (about
-//! 2 ms each on ext4) run outside the latch.
-//!
-//! A background job's first error is kept and returned by
-//! [`SystemLog::settle`], every durable flush or commit and
-//! [`SystemLog::wait_durable`] from then on: a failed fsync is never
-//! acknowledged over.
+//! Every file operation goes through the log's
+//! [`Storage`](dali_common::Storage). The first failure on the
+//! durability path — a background job's or a foreground fsync's — is
+//! kept and returned by [`SystemLog::settle`], every durable flush or
+//! commit and [`SystemLog::wait_durable`] from then on: a failed fsync is
+//! never acknowledged over. A failed tail write also closes the log to
+//! writes, since what reached the file is unknown.
 //!
 //! A *simulated crash* shuts the log down ([`SystemLog::shutdown`], also
 //! what dropping it does): the unflushed tail is lost, exactly as Dali
 //! loses its in-memory tail, while the worker finishes what was already
 //! written and is joined, so the directory is in one deterministic state
 //! and no longer changes. Recovery scans the stable segments with a
-//! [`LogReader`]; [`SystemLog::open`] truncates a torn trailing frame (a
+//! [`LogReader`]; [`SystemLog::open_on`] truncates a torn trailing frame (a
 //! partially completed flush) in the last segment before resuming
 //! appends.
 
@@ -60,21 +52,15 @@ use crate::dpt::DualDirtySet;
 use crate::record::{frame_payload_with, frame_seal, LogRecord, FRAME_HDR};
 use crate::segment::{self, LogReader, SegmentBuf};
 use bytes::BytesMut;
-use dali_common::{CodewordAlgebraKind, CrashPoints, DaliError, Lsn, PageId, Result};
+use dali_common::storage::{Open, StorageFile};
+use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, PageId, Result, Store};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Segment capacity used by the algebra-less convenience constructors
-/// ([`SystemLog::create`] / [`SystemLog::open`]); large enough that unit
-/// tests exercising only the append/flush protocol never roll.
-pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 
 struct Inner {
     /// Unflushed frames.
@@ -83,7 +69,7 @@ struct Inner {
     tail_base: Lsn,
     /// The active (last, unsealed) segment file; [`SyncState::file`] is
     /// the same handle.
-    file: Arc<File>,
+    file: Arc<dyn StorageFile>,
     /// Base LSN of the active segment *file*.
     seg_base: Lsn,
     /// Start LSN of the segment the next appended byte belongs to. Runs
@@ -94,14 +80,15 @@ struct Inner {
     /// just past each seal frame in the tail), oldest first. Fully
     /// drained by every tail write.
     seg_splits: VecDeque<Lsn>,
-    /// Set by [`SystemLog::shutdown`]: nothing is written any more.
+    /// Set by [`SystemLog::shutdown`] or a failed tail write: nothing is
+    /// written any more.
     closed: bool,
 }
 
 /// A sealed segment whose bytes are all written but not yet known to be
 /// on disk; its successor still carries the pending name.
 struct Sealed {
-    file: Arc<File>,
+    file: Arc<dyn StorageFile>,
     /// One past the seal frame: the successor's base.
     end: Lsn,
 }
@@ -110,8 +97,8 @@ struct Sealed {
 /// append latch, or every concurrent committer serializes behind each
 /// fsync (~hundreds of microseconds each).
 struct SyncState {
-    /// The active segment, for `sync_data`. Swapped on every roll.
-    file: Arc<File>,
+    /// The active segment, for `fsync`. Swapped on every roll.
+    file: Arc<dyn StorageFile>,
     /// Base of the active segment: everything below it lies in sealed
     /// segments, so `durable >= active_base` says none of them still
     /// waits for its fsync and the active segment has its `.seg` name.
@@ -134,7 +121,7 @@ struct SyncState {
 /// neighbour's fsync without waiting for one of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// `sync_data` calls actually issued on segment files (including one
+    /// `fsync` calls actually issued on segment files (including one
     /// per segment roll, which makes the seal durable before its
     /// successor gets its name), on whichever thread.
     pub fsyncs: u64,
@@ -188,12 +175,8 @@ fn bump(counter: &AtomicU64) {
 enum Job {
     /// Drain the sealed-segment queue.
     Sync,
-    /// Unlink the segments a certified checkpoint has passed. The crash
-    /// points are the posting engine's (`segment.retire.post_unlink`).
-    Retire {
-        horizon: Lsn,
-        crash_points: CrashPoints,
-    },
+    /// Unlink the segments a certified checkpoint has passed.
+    Retire(Lsn),
 }
 
 #[derive(Default)]
@@ -203,16 +186,14 @@ struct Jobs {
     busy: bool,
     /// Finish the queue and exit.
     stop: bool,
-    /// Test hook ([`SystemLog::pause_worker`]): take no job, and on
-    /// `stop` leave the queue as a process death would.
-    paused: bool,
-    /// The first error of any background job.
+    /// The first failure on the durability path (see the module docs).
     error: Option<String>,
 }
 
 /// The stable side of the log: what the worker shares with the threads
 /// that append, commit and checkpoint.
 struct Core {
+    store: Store,
     /// The log *directory* (segments live inside it).
     dir: PathBuf,
     inner: Mutex<Inner>,
@@ -225,8 +206,8 @@ struct Core {
     /// before `sync`, never under it or under the append latch.
     drain: Mutex<()>,
     jobs: Mutex<Jobs>,
-    /// Signalled when a job is posted, the worker goes idle, or `stop` /
-    /// `paused` change.
+    /// Signalled when a job is posted, the worker goes idle, or `stop`
+    /// is set.
     jobs_cv: Condvar,
     counters: Counters,
 }
@@ -240,14 +221,20 @@ impl Core {
         }
     }
 
-    /// The kept error of a background job, if one has failed.
-    fn worker_error(&self) -> Result<()> {
+    /// The kept failure, if the durability path has failed.
+    fn failed(&self) -> Result<()> {
         match &self.jobs.lock().error {
             None => Ok(()),
             Some(e) => Err(DaliError::Io(std::io::Error::other(format!(
-                "log worker failed: {e}"
+                "log failed: {e}"
             )))),
         }
+    }
+
+    /// Keep `e` unless an earlier failure is kept already; returns it.
+    fn keep(&self, e: DaliError) -> DaliError {
+        self.jobs.lock().error.get_or_insert_with(|| e.to_string());
+        e
     }
 
     fn run_worker(&self) {
@@ -256,63 +243,45 @@ impl Core {
             jobs.busy = false;
             self.jobs_cv.notify_all();
             let job = loop {
-                if jobs.stop && (jobs.paused || jobs.queue.is_empty()) {
-                    jobs.queue.clear();
-                    self.jobs_cv.notify_all();
-                    return;
+                if let Some(job) = jobs.queue.pop_front() {
+                    break job;
                 }
-                if !jobs.paused {
-                    if let Some(job) = jobs.queue.pop_front() {
-                        break job;
-                    }
+                if jobs.stop {
+                    return;
                 }
                 self.jobs_cv.wait(&mut jobs);
             };
             jobs.busy = true;
             drop(jobs);
-            let done = match job {
+            if let Err(e) = match job {
                 Job::Sync => self.drain_sealed(true),
-                Job::Retire {
-                    horizon,
-                    crash_points,
-                } => self.retire_covered(horizon, &crash_points).map(drop),
-            };
-            jobs = self.jobs.lock();
-            if let Err(e) = done {
-                jobs.error.get_or_insert_with(|| e.to_string());
+                Job::Retire(horizon) => self.retire_covered(horizon),
+            } {
+                self.keep(e);
             }
+            jobs = self.jobs.lock();
         }
     }
 
     /// Make every queued sealed segment durable, oldest first, and give
-    /// its successor its name: `sync_data(sealed)` → `rename(.pending →
-    /// .seg)` → `sync_dir`, then advance `durable` over it. A segment
-    /// whose step fails goes back to the head of the queue.
+    /// its successor its name ([`segment::name_successor`]), then advance
+    /// `durable` over it. A segment whose step fails goes back to the
+    /// head of the queue, and the failure is kept.
     fn drain_sealed(&self, background: bool) -> Result<()> {
         let _one_at_a_time = self.drain.lock();
         loop {
             let Some(sealed) = self.sync.lock().sealed.pop_front() else {
                 return Ok(());
             };
-            let done = sealed
-                .file
-                .sync_data()
-                .map_err(DaliError::Io)
-                .and_then(|()| {
-                    bump(&self.counters.fsyncs);
-                    if background {
-                        bump(&self.counters.background_fsyncs);
-                    }
-                    std::fs::rename(
-                        segment::pending_path(&self.dir, sealed.end),
-                        segment::path(&self.dir, sealed.end),
-                    )?;
-                    segment::sync_dir(&self.dir)
-                });
+            let done = segment::name_successor(&*self.store, &self.dir, &*sealed.file, sealed.end);
             let mut s = self.sync.lock();
             if let Err(e) = done {
                 s.sealed.push_front(sealed);
-                return Err(e);
+                return Err(self.keep(e));
+            }
+            bump(&self.counters.fsyncs);
+            if background {
+                bump(&self.counters.background_fsyncs);
             }
             s.durable = s.durable.max(sealed.end);
             self.sync_cv.notify_all();
@@ -321,18 +290,16 @@ impl Core {
 
     /// Retire (unlink) sealed segments every byte of which is below
     /// `horizon`. The active segment is pinned under the append latch,
-    /// the unlinks run outside it: later rolls only add segments above
-    /// the pin. Nothing at or past `durable` goes, whatever the horizon
-    /// says, so a segment is never unlinked while its successor still
-    /// waits for its name.
-    fn retire_covered(&self, horizon: Lsn, crash_points: &CrashPoints) -> Result<u64> {
+    /// the unlinks run outside it. Nothing at or past `durable` goes, so
+    /// a segment is never unlinked while its successor waits for a name.
+    fn retire_covered(&self, horizon: Lsn) -> Result<()> {
         let keep_from = self.inner.lock().seg_base;
         let horizon = horizon.min(self.sync.lock().durable);
-        let retired = segment::retire_covered(&self.dir, horizon, keep_from, crash_points)?;
+        let retired = segment::retire_covered(&*self.store, &self.dir, horizon, keep_from)?;
         self.counters
             .segments_retired
             .fetch_add(retired, Ordering::Relaxed);
-        Ok(retired)
+        Ok(())
     }
 }
 
@@ -356,41 +323,37 @@ pub struct SystemLog {
 }
 
 impl SystemLog {
-    /// Create a fresh, empty log directory at `path` (removing any
-    /// existing segments), with XOR-checksummed frames and the default
-    /// segment capacity.
-    pub fn create(path: impl AsRef<Path>, page_size: usize) -> Result<SystemLog> {
-        Self::create_with(
-            path,
-            page_size,
-            CodewordAlgebraKind::XorFold,
-            DEFAULT_SEGMENT_BYTES,
-        )
-    }
-
     /// Create a fresh, empty log whose frame checksums use `kind` and
-    /// whose segments roll at `segment_bytes`.
+    /// whose segments roll at `segment_bytes`, on the OS file system.
     pub fn create_with(
         path: impl AsRef<Path>,
         page_size: usize,
         kind: CodewordAlgebraKind,
         segment_bytes: u64,
     ) -> Result<SystemLog> {
+        Self::create_on(OsStorage::store(), path, page_size, kind, segment_bytes)
+    }
+
+    /// [`create_with`](Self::create_with) through `store`.
+    pub fn create_on(
+        store: Store,
+        path: impl AsRef<Path>,
+        page_size: usize,
+        kind: CodewordAlgebraKind,
+        segment_bytes: u64,
+    ) -> Result<SystemLog> {
         let dir = path.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        for s in segment::list(&dir)? {
-            std::fs::remove_file(segment::path(&dir, s.base))?;
+        store.create_dir_all(&dir)?;
+        for s in segment::list_on(&*store, &dir)? {
+            store.remove(&segment::path(&dir, s.base))?;
         }
-        for s in segment::list_pending(&dir)? {
-            std::fs::remove_file(segment::pending_path(&dir, s.base))?;
+        for s in segment::list_pending(&*store, &dir)? {
+            store.remove(&segment::pending_path(&dir, s.base))?;
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(segment::path(&dir, Lsn::ZERO))?;
-        segment::sync_dir(&dir)?;
+        let file = store.open(&segment::path(&dir, Lsn::ZERO), Open::Truncate)?;
+        store.sync_dir(&dir)?;
         Self::assemble(
+            store,
             dir,
             page_size,
             kind,
@@ -401,84 +364,84 @@ impl SystemLog {
         )
     }
 
-    /// Open an existing XOR-checksummed log for appending, with the
-    /// default segment capacity.
-    pub fn open(path: impl AsRef<Path>, page_size: usize) -> Result<SystemLog> {
-        Self::open_with(
-            path,
-            page_size,
-            CodewordAlgebraKind::XorFold,
-            DEFAULT_SEGMENT_BYTES,
-        )
-    }
-
-    /// Open an existing log whose frame checksums use `kind`. Settles
-    /// what an interrupted roll left pending
-    /// ([`segment::adopt_pending`]), scans the last segment to find the
-    /// end of its last intact frame and truncates anything after it (a
-    /// torn flush); if the last segment ends with a seal (the crash hit
-    /// between sealing and creating the successor), a fresh segment is
-    /// created at the sealed end.
+    /// Open an existing log on the OS file system whose frame checksums
+    /// use `kind`; see [`open_on`](Self::open_on).
     pub fn open_with(
         path: impl AsRef<Path>,
         page_size: usize,
         kind: CodewordAlgebraKind,
         segment_bytes: u64,
     ) -> Result<SystemLog> {
+        Self::open_on(OsStorage::store(), path, page_size, kind, segment_bytes)
+    }
+
+    /// Open an existing log through `store`: settle what a crash left
+    /// pending ([`segment::adopt_pending`]) or stranded
+    /// ([`segment::unlink_stranded`]), cut the last segment after its
+    /// last intact frame and fsync it and the directory; after a seal,
+    /// start a fresh segment at the sealed end.
+    pub fn open_on(
+        store: Store,
+        path: impl AsRef<Path>,
+        page_size: usize,
+        kind: CodewordAlgebraKind,
+        segment_bytes: u64,
+    ) -> Result<SystemLog> {
         let dir = path.as_ref().to_path_buf();
-        segment::adopt_pending(&dir, kind)?;
-        let segments = segment::list(&dir)?;
-        let Some(&last) = segments.last() else {
+        segment::adopt_pending(&*store, &dir, kind)?;
+        let Some(last) = segment::unlink_stranded(&*store, &dir)?.pop() else {
             return Err(DaliError::RecoveryFailed(format!(
                 "no log segments in {}",
                 dir.display()
             )));
         };
-        segment::validate_chain(&segments)?;
         // One borrowed walk over the last segment's frames: nothing is
         // decoded into owned records just to find where they end.
-        let tail = SegmentBuf::load(&dir, last.base, 0, kind)?;
+        let tail = SegmentBuf::load(&*store, &dir, last.base, 0, kind)?;
         let (sealed, torn) = (tail.ends_with_seal(), tail.torn_bytes());
-        let valid = tail.len() - torn;
-        let end = Lsn(last.base.0 + valid as u64);
+        let valid = (tail.len() - torn) as u64;
+        let end = Lsn(last.base.0 + valid);
+        // What a process death left unsynced — the last segment's bytes,
+        // a roll's rename — is durable from here on, as `durable` will
+        // claim: a checkpoint may name `end` at once.
+        let f = store.open(&segment::path(&dir, last.base), Open::Write)?;
+        f.set_len(valid)?;
+        f.fsync()?;
         let (file, seg_base) = if sealed {
-            // The sealed file is immutable from here on; truncate any
-            // torn bytes after the seal, make it durable (the roll that
-            // sealed it may never have got that far) and start its
+            // The sealed file is immutable from here on; start its
             // successor.
-            let f = OpenOptions::new()
-                .write(true)
-                .open(segment::path(&dir, last.base))?;
-            f.set_len(valid as u64)?;
-            f.sync_data()?;
-            let file = OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(segment::path(&dir, end))?;
-            segment::sync_dir(&dir)?;
+            let file = store.open(&segment::path(&dir, end), Open::CreateNew)?;
             (file, end)
         } else {
-            let mut file = OpenOptions::new()
-                .write(true)
-                .open(segment::path(&dir, last.base))?;
-            file.set_len(valid as u64)?;
-            file.seek(SeekFrom::End(0))?;
-            (file, last.base)
+            (f, last.base)
         };
-        Self::assemble(dir, page_size, kind, segment_bytes, file, seg_base, end)
+        store.sync_dir(&dir)?;
+        Self::assemble(
+            store,
+            dir,
+            page_size,
+            kind,
+            segment_bytes,
+            file,
+            seg_base,
+            end,
+        )
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
+        store: Store,
         dir: PathBuf,
         page_size: usize,
         kind: CodewordAlgebraKind,
         segment_bytes: u64,
-        file: File,
+        file: Box<dyn StorageFile>,
         seg_base: Lsn,
         end: Lsn,
     ) -> Result<SystemLog> {
-        let file = Arc::new(file);
+        let file: Arc<dyn StorageFile> = Arc::from(file);
         let core = Arc::new(Core {
+            store,
             dir,
             inner: Mutex::new(Inner {
                 tail: BytesMut::with_capacity(1 << 20),
@@ -586,11 +549,6 @@ impl SystemLog {
         Lsn(inner.tail_base.0 + inner.tail.len() as u64)
     }
 
-    /// LSN up to which the log has been written to the stable segments.
-    pub fn end_of_stable(&self) -> Lsn {
-        self.core.inner.lock().tail_base
-    }
-
     /// LSN below which the log is known to be on disk: a contiguous,
     /// fsynced prefix of `.seg`-named segments.
     pub fn durable_lsn(&self) -> Lsn {
@@ -617,7 +575,7 @@ impl SystemLog {
     /// appended byte has been handed to the kernel. Rolls happen here:
     /// the tail is cut at each pending seal and the rest goes to a
     /// successor born under the pending name (step 1 of the roll
-    /// protocol in the module docs).
+    /// protocol in the module docs). A failure closes the log.
     fn write_tail(&self) -> Result<Lsn> {
         let mut inner = self.core.inner.lock();
         if inner.closed {
@@ -626,25 +584,40 @@ impl SystemLog {
         if inner.tail.is_empty() {
             return Ok(inner.tail_base);
         }
-        let tail = std::mem::take(&mut inner.tail);
-        let base = inner.tail_base;
-        let mut cursor = 0usize;
-        while let Some(&split) = inner.seg_splits.front() {
-            let off = (split.0 - base.0) as usize;
-            debug_assert!(cursor < off && off <= tail.len());
-            (&*inner.file).write_all(&tail[cursor..off])?;
-            cursor = off;
-            inner.seg_splits.pop_front();
-            self.roll_locked(&mut inner, split)?;
+        let mut tail = std::mem::take(&mut inner.tail);
+        if let Err(e) = self.write_locked(&mut inner, &tail) {
+            // The bytes stay in the tail so later LSNs stay consistent;
+            // they are never written.
+            inner.tail = tail;
+            inner.closed = true;
+            return Err(self.core.keep(e));
         }
-        (&*inner.file).write_all(&tail[cursor..])?;
-        inner.tail_base = Lsn(base.0 + tail.len() as u64);
+        inner.tail_base = Lsn(inner.tail_base.0 + tail.len() as u64);
         // Reuse the buffer's capacity.
-        let mut tail = tail;
         tail.clear();
         inner.tail = tail;
         bump(&self.core.counters.flushes);
         Ok(inner.tail_base)
+    }
+
+    /// Write `tail`, which starts at `inner.tail_base`, rolling at each
+    /// split.
+    fn write_locked(&self, inner: &mut Inner, tail: &[u8]) -> Result<()> {
+        let base = inner.tail_base;
+        let mut cursor = 0usize;
+        loop {
+            let split = inner.seg_splits.front().copied();
+            let off = split.map_or(tail.len(), |split| (split.0 - base.0) as usize);
+            debug_assert!(cursor <= off && off <= tail.len());
+            let at = base.0 + cursor as u64 - inner.seg_base.0;
+            inner.file.write_at(&tail[cursor..off], at)?;
+            let Some(split) = split else {
+                return Ok(());
+            };
+            cursor = off;
+            inner.seg_splits.pop_front();
+            self.roll_locked(inner, split)?;
+        }
     }
 
     /// Seal the active segment at `split` (its bytes, ending in a seal
@@ -654,12 +627,10 @@ impl SystemLog {
     /// sync lock briefly, which is safe because no path acquires the
     /// append latch while holding the sync lock.
     fn roll_locked(&self, inner: &mut Inner, split: Lsn) -> Result<()> {
-        let file = Arc::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(segment::pending_path(&self.core.dir, split))?,
-        );
+        let file: Arc<dyn StorageFile> = Arc::from(self.core.store.open(
+            &segment::pending_path(&self.core.dir, split),
+            Open::CreateNew,
+        )?);
         let sealed = std::mem::replace(&mut inner.file, Arc::clone(&file));
         inner.seg_base = split;
         {
@@ -677,11 +648,11 @@ impl SystemLog {
 
     /// Make everything below `upto` (already written) durable. Sealed
     /// segments come first — drained here if the worker has not got to
-    /// them — then one `sync_data` of the active segment. Returns
+    /// them — then one `fsync` of the active segment. Returns
     /// whether that fsync was needed, or a neighbour's (or the drain)
     /// had already covered `upto`.
     fn ensure_durable(&self, upto: Lsn) -> Result<bool> {
-        self.core.worker_error()?;
+        self.core.failed()?;
         loop {
             let mut s = self.core.sync.lock();
             if s.durable >= upto {
@@ -693,7 +664,7 @@ impl SystemLog {
                 self.core.drain_sealed(false)?;
                 continue;
             }
-            s.file.sync_data()?;
+            s.file.fsync().map_err(|e| self.core.keep(e.into()))?;
             s.durable = upto;
             bump(&self.core.counters.fsyncs);
             self.core.sync_cv.notify_all();
@@ -755,7 +726,7 @@ impl SystemLog {
     fn commit_durable_windowed(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
         // A follower or piggybacker returns without passing through
         // `ensure_durable`, which is where the other paths check this.
-        self.core.worker_error()?;
+        self.core.failed()?;
         let (sync, sync_cv) = (&self.core.sync, &self.core.sync_cv);
         let mut followed = false;
         {
@@ -803,26 +774,14 @@ impl SystemLog {
         res
     }
 
-    /// Retire (unlink) sealed segments every byte of which is below
-    /// `horizon` — the oldest `CK_end` that any retained checkpoint
-    /// image might replay from — on the caller's thread. The active
-    /// segment is never retired. Returns how many segments were
-    /// unlinked. This is the routine the worker runs for
-    /// [`post_retire`](Self::post_retire).
-    /// `crash_points` is the owning engine's (`segment.retire.post_unlink`).
-    pub fn retire_covered(&self, horizon: Lsn, crash_points: &CrashPoints) -> Result<u64> {
-        self.core.retire_covered(horizon, crash_points)
-    }
-
-    /// Hand [`retire_covered`](Self::retire_covered) to the log worker:
-    /// what the checkpointer calls, so the unlinks are off its path. An
-    /// error (or a tripped crash point) surfaces at the next
-    /// [`settle`](Self::settle) or durable commit.
-    pub fn post_retire(&self, horizon: Lsn, crash_points: CrashPoints) {
-        self.core.post(Job::Retire {
-            horizon,
-            crash_points,
-        });
+    /// Have the log worker retire (unlink) sealed segments every byte of
+    /// which is below `horizon` — the oldest `CK_end` that any retained
+    /// checkpoint image might replay from — so the unlinks are off the
+    /// checkpointer's path. The active segment is never retired. An
+    /// error surfaces at the next [`settle`](Self::settle) or durable
+    /// commit.
+    pub fn post_retire(&self, horizon: Lsn) {
+        self.core.post(Job::Retire(horizon));
     }
 
     /// Wait until the log worker has nothing left to do, and return the
@@ -839,7 +798,7 @@ impl SystemLog {
             self.core.jobs_cv.wait(&mut jobs);
         }
         drop(jobs);
-        self.core.worker_error()
+        self.core.failed()
     }
 
     /// Stop the log: refuse further writes, let the worker finish what
@@ -860,24 +819,10 @@ impl SystemLog {
         }
     }
 
-    /// Test hook: the worker finishes the job it is running and takes no
-    /// other, and a later drop or [`shutdown`](Self::shutdown) leaves
-    /// the queue — pending names and unsynced sealed segments — exactly
-    /// as the death of the process would. Foreground drains (durable
-    /// commits) still work; [`settle`](Self::settle) would not return.
-    #[doc(hidden)]
-    pub fn pause_worker(&self) {
-        let mut jobs = self.core.jobs.lock();
-        jobs.paused = true;
-        while jobs.busy {
-            self.core.jobs_cv.wait(&mut jobs);
-        }
-    }
-
     /// Gauges for the segmented layout (directory listing + lifetime
     /// retirement counter).
     pub fn segment_stats(&self) -> Result<SegmentStats> {
-        let segments = segment::list(&self.core.dir)?;
+        let segments = segment::list_on(&*self.core.store, &self.core.dir)?;
         Ok(SegmentStats {
             segments: segments.len() as u64,
             retired: self.core.counters.segments_retired.load(Ordering::Relaxed),
@@ -931,6 +876,15 @@ mod tests {
     use dali_common::CodewordAlgebraKind::XorFold;
     use dali_common::{DbAddr, OpSeq, TxnId};
     use dali_testutil::TempDir;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+
+    /// Large enough that tests of the append/flush protocol never roll.
+    const BIG: u64 = 8 << 20;
+
+    fn create(path: &Path) -> SystemLog {
+        SystemLog::create_with(path, 4096, XorFold, BIG).unwrap()
+    }
 
     fn last_segment_path(dir: &Path) -> PathBuf {
         let segs = segment::list(dir).unwrap();
@@ -941,12 +895,12 @@ mod tests {
     fn append_flush_scan_round_trip() {
         let scratch = TempDir::new("syslog-round");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         let l0 = log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         let l1 = log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
         assert_eq!(l0, Lsn::ZERO);
         assert!(l1 > l0);
-        assert_eq!(log.end_of_stable(), Lsn::ZERO);
+        assert_eq!(log.durable_lsn(), Lsn::ZERO);
         let stable = log.flush(false).unwrap();
         assert_eq!(stable, log.current_lsn());
 
@@ -961,7 +915,7 @@ mod tests {
     fn unflushed_tail_is_lost_on_crash() {
         let scratch = TempDir::new("syslog-crashtail");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(false).unwrap();
         log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
@@ -974,7 +928,7 @@ mod tests {
     fn physical_redo_dirties_pages() {
         let scratch = TempDir::new("syslog-dirty");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         log.append(&LogRecord::PhysicalRedo {
             txn: TxnId(1),
             op: OpSeq(0),
@@ -989,7 +943,7 @@ mod tests {
     fn batch_append_is_contiguous() {
         let scratch = TempDir::new("syslog-batch");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         let recs = vec![
             LogRecord::TxnBegin { txn: TxnId(1) },
             LogRecord::TxnCommit { txn: TxnId(1) },
@@ -1006,7 +960,7 @@ mod tests {
     fn scan_from_mid_lsn() {
         let scratch = TempDir::new("syslog-mid");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         let l1 = log.append(&LogRecord::TxnBegin { txn: TxnId(2) });
         log.flush(false).unwrap();
@@ -1020,7 +974,7 @@ mod tests {
         let scratch = TempDir::new("syslog-torn");
         let path = scratch.path().join("system.log");
         {
-            let log = SystemLog::create(&path, 4096).unwrap();
+            let log = create(&path);
             log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
             log.flush(false).unwrap();
         }
@@ -1033,7 +987,7 @@ mod tests {
                 .unwrap();
             f.write_all(&[0xff, 0x13, 0x22]).unwrap();
         }
-        let log = SystemLog::open(&path, 4096).unwrap();
+        let log = SystemLog::open_with(&path, 4096, XorFold, BIG).unwrap();
         let resume = log.current_lsn();
         log.append(&LogRecord::TxnCommit { txn: TxnId(1) });
         log.flush(false).unwrap();
@@ -1046,7 +1000,7 @@ mod tests {
     fn flush_with_sync() {
         let scratch = TempDir::new("syslog-sync");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(true).unwrap();
         assert_eq!(
@@ -1064,7 +1018,7 @@ mod tests {
         // flush(true) returned for must be in the stable file.
         let scratch = TempDir::new("syslog-concsync");
         let path = scratch.path().join("system.log");
-        let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
+        let log = std::sync::Arc::new(create(&path));
         let mut handles = vec![];
         for t in 0..4u64 {
             let log = std::sync::Arc::clone(&log);
@@ -1093,7 +1047,7 @@ mod tests {
         // one is scheduling; the next test forces that.)
         let scratch = TempDir::new("syslog-group");
         let path = scratch.path().join("system.log");
-        let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
+        let log = std::sync::Arc::new(create(&path));
         let window = Duration::from_millis(2);
         let mut handles = vec![];
         for t in 0..4u64 {
@@ -1130,7 +1084,7 @@ mod tests {
         const COMMITTERS: u64 = 8;
         let scratch = TempDir::new("syslog-groupbarrier");
         let path = scratch.path().join("system.log");
-        let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
+        let log = std::sync::Arc::new(create(&path));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(COMMITTERS as usize));
         let handles: Vec<_> = (0..COMMITTERS)
             .map(|t| {
@@ -1162,7 +1116,7 @@ mod tests {
     fn zero_window_commit_matches_flush_true() {
         let scratch = TempDir::new("syslog-zerowin");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(1) }]);
         let durable = log.commit_durable(end, Duration::ZERO).unwrap();
         assert_eq!(durable, end);
@@ -1181,7 +1135,7 @@ mod tests {
     fn sync_stats_count_flushes_and_piggybacks() {
         let scratch = TempDir::new("syslog-stats");
         let path = scratch.path().join("system.log");
-        let log = SystemLog::create(&path, 4096).unwrap();
+        let log = create(&path);
         log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
         log.flush(true).unwrap();
         // Nothing new appended: a second durable flush piggybacks.
@@ -1200,7 +1154,7 @@ mod tests {
         let path = scratch.path().join("system.log");
         let r = CodewordAlgebraKind::Residue;
         {
-            let log = SystemLog::create_with(&path, 4096, r, DEFAULT_SEGMENT_BYTES).unwrap();
+            let log = SystemLog::create_with(&path, 4096, r, BIG).unwrap();
             // Overlapping bit columns so the XOR and residue folds differ.
             log.append(&LogRecord::TxnBegin {
                 txn: TxnId(0x0000_FFFF_FFFF_FFFF),
@@ -1218,7 +1172,7 @@ mod tests {
         let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
         assert_eq!(recs.len(), 0);
         // Reopening with the right kind resumes after the intact frames.
-        let log = SystemLog::open_with(&path, 4096, r, DEFAULT_SEGMENT_BYTES).unwrap();
+        let log = SystemLog::open_with(&path, 4096, r, BIG).unwrap();
         assert!(log.current_lsn() > Lsn::ZERO);
         log.append(&LogRecord::TxnAbort { txn: TxnId(3) });
         log.flush(false).unwrap();
@@ -1234,7 +1188,7 @@ mod tests {
     fn concurrent_appends_do_not_interleave_frames() {
         let scratch = TempDir::new("syslog-conc");
         let path = scratch.path().join("system.log");
-        let log = std::sync::Arc::new(SystemLog::create(&path, 4096).unwrap());
+        let log = std::sync::Arc::new(create(&path));
         let mut handles = vec![];
         for t in 0..4u64 {
             let log = std::sync::Arc::clone(&log);
@@ -1287,7 +1241,7 @@ mod tests {
         // with a seal frame.
         for s in &segs[..segs.len() - 1] {
             assert!(s.len <= TINY_SEG, "{s:?} over capacity");
-            let seg = SegmentBuf::load(&path, s.base, 0, CodewordAlgebraKind::XorFold).unwrap();
+            let seg = SegmentBuf::load(&OsStorage, &path, s.base, 0, XorFold).unwrap();
             assert_eq!(seg.torn_bytes(), 0);
             assert!(seg.ends_with_seal(), "{s:?} not sealed");
         }
@@ -1446,9 +1400,9 @@ mod tests {
         let before = segment::list(&path).unwrap();
         assert!(before.len() > 2);
         let horizon = lsns[7];
-        let retired = log
-            .retire_covered(horizon, &CrashPoints::default())
-            .unwrap();
+        log.post_retire(horizon);
+        log.settle().unwrap();
+        let retired = log.segment_stats().unwrap().retired;
         assert!(retired > 0);
         let after = segment::list(&path).unwrap();
         assert_eq!(before.len() as u64 - retired, after.len() as u64);
@@ -1472,5 +1426,58 @@ mod tests {
             stats.bytes_on_disk,
             after.iter().map(|s| s.len).sum::<u64>()
         );
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn worker_drains_rolls_in_the_background_and_settle_leaves_the_directory_at_rest() {
+        let scratch = TempDir::new("syslog-settle");
+        let path = scratch.path().join("system.log");
+        let log = SystemLog::create_with(&path, 4096, XorFold, TINY_SEG).unwrap();
+        fill(&log, 12);
+        log.flush(false).unwrap();
+        log.settle().unwrap();
+        // Every roll was the worker's: no commit asked for durability.
+        let segs = segment::list(&path).unwrap();
+        let rolls = segs.len() as u64 - 1;
+        assert!(rolls >= 3);
+        let stats = log.sync_stats();
+        assert_eq!(stats.background_fsyncs, rolls, "{stats:?}");
+        assert_eq!(stats.fsyncs, rolls, "{stats:?}");
+        assert!(segment::list_pending(&OsStorage, &path).unwrap().is_empty());
+        // `durable` stops at the last sealed segment's end: nobody has
+        // fsynced the active segment.
+        assert_eq!(log.durable_lsn(), segs.last().unwrap().base);
+        // At rest after settle(), and still so after shutdown and drop.
+        let at_rest = names(&path);
+        log.shutdown();
+        assert_eq!(names(&path), at_rest);
+        fill(&log, 1);
+        assert!(log.flush(false).is_err(), "a shut-down log refuses writes");
+        drop(log);
+        assert_eq!(names(&path), at_rest);
+    }
+
+    #[test]
+    fn drop_finishes_queued_rolls() {
+        // No settle, no durable commit: the drop joins the worker after
+        // it has drained, so a later scan sees a whole directory.
+        let scratch = TempDir::new("syslog-drop");
+        let path = scratch.path().join("system.log");
+        let log = SystemLog::create_with(&path, 4096, XorFold, TINY_SEG).unwrap();
+        let lsns = fill(&log, 12);
+        log.flush(false).unwrap();
+        drop(log);
+        assert!(segment::list_pending(&OsStorage, &path).unwrap().is_empty());
+        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
+        assert_eq!(recs.iter().map(|(l, _)| *l).collect::<Vec<_>>(), lsns);
     }
 }

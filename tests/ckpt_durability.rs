@@ -1,136 +1,128 @@
-//! Checkpoint-anchor durability under a crash between the anchor rename
-//! and the directory fsync that makes the rename durable.
+//! A checkpoint that fails part-way must leave both images usable for
+//! what they still claim to be.
 //!
-//! `atomic_write` renames the new anchor over the old and then fsyncs
-//! the parent directory. A crash inside that window leaves the disk in
-//! one of two states: the rename persisted (new anchor) or it was lost
-//! (old anchor resurfaces). Either way the anchor must name a
-//! *certified* checkpoint and recovery must reproduce every committed
-//! transaction — the older anchor simply replays a longer log tail.
-//!
-//! The `atomic_write.post_rename` crash point is armed to trip on its
-//! third occurrence within the checkpoint (the first is the parity-stripe
-//! write, the second the meta write, the third the anchor write). Crash
-//! points belong to the engine they are armed on: the last test runs two
-//! engines' checkpoints concurrently and only the armed one trips.
+//! Each failure is made with plain file-system means: a directory where
+//! the checkpointer expects a file makes its `open` fail with `EISDIR`.
+//! Crashes anywhere in the checkpoint protocol are the crash simulator's
+//! (`tests/crash_sim.rs`); these two are the sequences it first found,
+//! pinned.
 
-use dali_common::{DaliConfig, ProtectionScheme, RecId};
-use dali_engine::DaliEngine;
-use dali_testutil::{copy_dir, TempDir};
+use dali_common::{DaliConfig, Lsn, ProtectionScheme, RecId};
+use dali_engine::{CheckpointOutcome, DaliEngine};
+use dali_testutil::TempDir;
+use std::path::Path;
 
-fn assert_recovers(dir: &std::path::Path, expected: &[(RecId, Vec<u8>)]) {
-    let config = DaliConfig::small(dir).with_scheme(ProtectionScheme::DataCodeword);
-    let (db, _outcome) = DaliEngine::open(config).unwrap();
-    // The anchor named a certified image: the database opens and every
-    // committed record is present with its committed value.
+fn config(dir: &Path) -> DaliConfig {
+    let mut c = DaliConfig::small(dir).with_scheme(ProtectionScheme::DataCodeword);
+    c.db_pages = 16;
+    c
+}
+
+fn write(db: &DaliEngine, rec: RecId, byte: u8) {
     let txn = db.begin().unwrap();
-    for (rec, val) in expected {
-        assert_eq!(&txn.read_vec(*rec).unwrap(), val, "record {rec:?}");
-    }
+    txn.update(rec, &[byte; 32]).unwrap();
     txn.commit().unwrap();
-    // And the recovered database is itself audit-clean.
+}
+
+fn read(db: &DaliEngine, rec: RecId) -> u8 {
+    let txn = db.begin().unwrap();
+    let value = txn.read_vec(rec).unwrap()[0];
+    txn.commit().unwrap();
+    value
+}
+
+fn certified(db: &DaliEngine) -> (Lsn, usize) {
+    match db.checkpoint().unwrap() {
+        CheckpointOutcome::Certified {
+            ck_end,
+            pages_written,
+        } => (ck_end, pages_written),
+        other => panic!("checkpoint not certified: {other:?}"),
+    }
+}
+
+/// Run `f` with a directory standing where each of `names` is expected
+/// (existing files are moved aside and put back afterwards).
+fn with_directories_at<T>(dir: &Path, names: &[&str], f: impl FnOnce() -> T) -> T {
+    for name in names {
+        let path = dir.join(name);
+        if path.exists() {
+            std::fs::rename(&path, dir.join(format!("{name}.aside"))).unwrap();
+        }
+        std::fs::create_dir(&path).unwrap();
+    }
+    let out = f();
+    for name in names {
+        let path = dir.join(name);
+        std::fs::remove_dir(&path).unwrap();
+        let aside = dir.join(format!("{name}.aside"));
+        if aside.exists() {
+            std::fs::rename(aside, path).unwrap();
+        }
+    }
+    out
+}
+
+/// A checkpoint that fails after draining the dirty-page set must hand
+/// the pages back: otherwise the next checkpoint to the same image skips
+/// them and certifies an image that still holds an older value.
+#[test]
+fn a_failed_checkpoint_keeps_its_dirty_pages_for_the_next() {
+    let scratch = TempDir::new("ckpt-refail");
+    let dir = scratch.path();
+    let (db, _) = DaliEngine::create(config(dir)).unwrap();
+    let t = db.create_table("t", 32, 8).unwrap();
+    let txn = db.begin().unwrap();
+    let rec = txn.insert(t, &[b'A'; 32]).unwrap();
+    txn.commit().unwrap();
+    certified(&db);
+    write(&db, rec, b'B');
+    certified(&db);
+    write(&db, rec, b'C');
+
+    let images = ["ckpt_a.img", "ckpt_b.img"];
+    let failed = with_directories_at(dir, &images, || db.checkpoint());
+    assert!(failed.is_err(), "{failed:?}");
+    let (_, pages_written) = certified(&db);
+    assert!(pages_written > 0, "the drained pages were dropped");
+
+    db.crash();
+    let (db, _) = DaliEngine::open(config(dir)).unwrap();
+    assert_eq!(read(&db, rec), b'C');
     assert!(db.audit().unwrap().clean());
 }
 
+/// A checkpoint that dies between its page writes and its meta write
+/// leaves an image whose old meta no longer describes it. Prior-state
+/// recovery must refuse that image, not replay onto it.
 #[test]
-fn crash_between_anchor_rename_and_dir_sync_recovers_both_ways() {
-    let dir = TempDir::new("anchor");
-    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
-    let (db, _) = DaliEngine::create(config).unwrap();
-    let t = db.create_table("t", 32, 16).unwrap();
-
-    // Transaction 1, then a certified checkpoint (anchor → image 0).
+fn prior_state_refuses_an_image_a_later_checkpoint_began_to_overwrite() {
+    let scratch = TempDir::new("ckpt-stale-meta");
+    let dir = scratch.path();
+    let (db, _) = DaliEngine::create(config(dir)).unwrap();
+    let t = db.create_table("t", 32, 8).unwrap();
     let txn = db.begin().unwrap();
-    let r1 = txn.insert(t, &[0x11; 32]).unwrap();
+    let rec = txn.insert(t, &[b'A'; 32]).unwrap();
     txn.commit().unwrap();
-    db.checkpoint().unwrap();
-    // The parity stripe is rebuilt from the image at restart, never
-    // persisted beside it.
-    let files: Vec<_> = std::fs::read_dir(dir.path())
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    assert!(files.iter().all(|f| !f.ends_with(".parity")), "{files:?}");
-    let anchor_path = dir.path().join("cur_ckpt");
-    let old_anchor = std::fs::read(&anchor_path).unwrap();
+    let (e1, _) = certified(&db);
+    write(&db, rec, b'B');
+    certified(&db);
+    write(&db, rec, b'C');
 
-    // Transaction 2, committed but only checkpointed by the attempt that
-    // crashes mid-anchor-write.
-    let txn = db.begin().unwrap();
-    let r2 = txn.insert(t, &[0x22; 32]).unwrap();
-    txn.commit().unwrap();
-
-    // Arm the second atomic_write of the checkpoint: the meta write
-    // passes, the anchor write trips *after* its rename, *before* the
-    // directory sync.
-    db.crash_points().arm_after("atomic_write.post_rename", 1);
-    let err = db.checkpoint().unwrap_err();
-    assert!(
-        err.to_string().contains("crash point tripped"),
-        "unexpected error: {err}"
-    );
-    assert!(!db.crash_points().is_armed("atomic_write.post_rename"));
+    let temps = ["ckpt_a.tmp", "ckpt_b.tmp"];
+    let failed = with_directories_at(dir, &temps, || db.checkpoint());
+    assert!(failed.is_err(), "{failed:?}");
     db.crash();
 
-    let expected = vec![(r1, vec![0x11; 32]), (r2, vec![0x22; 32])];
-    let new_anchor = std::fs::read(&anchor_path).unwrap();
-    assert_ne!(old_anchor, new_anchor, "the rename itself happened");
-
-    // Post-crash state A: the rename persisted — the anchor names the
-    // just-written (fully certified: pages + audit + meta all preceded
-    // the anchor write) image.
-    let persisted = TempDir::new("anchor-persisted");
-    copy_dir(dir.path(), persisted.path());
-    assert_recovers(persisted.path(), &expected);
-
-    // Post-crash state B: the unsynced rename was lost — the previous
-    // anchor resurfaces and recovery replays the longer log tail from
-    // the older certified checkpoint.
-    let reverted = TempDir::new("anchor-reverted");
-    copy_dir(dir.path(), reverted.path());
-    std::fs::write(reverted.path().join("cur_ckpt"), &old_anchor).unwrap();
-    assert_recovers(reverted.path(), &expected);
-}
-
-#[test]
-fn a_point_armed_on_one_engine_never_trips_another() {
-    let open = |name: &str| {
-        let dir = TempDir::new(name);
-        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
-        let (db, _) = DaliEngine::create(config).unwrap();
-        let t = db.create_table("t", 32, 16).unwrap();
-        let txn = db.begin().unwrap();
-        txn.insert(t, &[0x33; 32]).unwrap();
-        txn.commit().unwrap();
-        (db, dir)
-    };
-    let ((a, _dir_a), (b, _dir_b)) = (open("iso-a"), open("iso-b"));
-
-    // Both checkpoints pass every `atomic_write.post_rename` check while
-    // A's point is armed; the barrier puts them there together.
-    a.crash_points().arm("atomic_write.post_rename");
-    let start = std::sync::Barrier::new(2);
-    let (res_a, res_b) = std::thread::scope(|s| {
-        let ta = s.spawn(|| {
-            start.wait();
-            a.checkpoint()
-        });
-        let tb = s.spawn(|| {
-            start.wait();
-            b.checkpoint()
-        });
-        (ta.join().unwrap(), tb.join().unwrap())
-    });
-
-    let err = res_a.unwrap_err();
-    assert!(
-        err.to_string().contains("crash point tripped"),
-        "unexpected error: {err}"
-    );
-    res_b.expect("B's checkpoint tripped a point armed on A");
-    assert!(!b.crash_points().is_armed("atomic_write.post_rename"));
-    assert!(!a.crash_points().is_armed("atomic_write.post_rename"));
-    // B carries on; A is where its crash left it.
-    b.checkpoint().unwrap();
-    assert!(b.audit().unwrap().clean());
+    match DaliEngine::open_prior_state(config(dir), e1) {
+        Ok((db, _)) => panic!(
+            "recovered {:?} from a half-written image",
+            read(&db, rec) as char
+        ),
+        Err(e) => assert!(e.to_string().contains("old enough"), "{e}"),
+    }
+    // The database itself is intact: the anchored checkpoint was never
+    // touched.
+    let (db, _) = DaliEngine::open(config(dir)).unwrap();
+    assert_eq!(read(&db, rec), b'C');
 }

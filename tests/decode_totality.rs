@@ -5,7 +5,7 @@
 //! Each file is cut at every length and re-sealed, so the decoder gets
 //! past the checksum and has to bounds-check every field itself.
 
-use dali::common::CrashPoints;
+use dali::common::OsStorage;
 use dali::engine::att::Att;
 use dali::engine::catalog::Catalog;
 use dali::engine::ckpt::{self, CkptMeta};
@@ -49,7 +49,7 @@ fn meta_file(dir: &TempDir) -> Vec<u8> {
         catalog,
         att_blob: att.encode_for_ckpt().unwrap(),
     };
-    ckpt::write_meta(dir.path(), 0, &meta, &CrashPoints::default()).unwrap();
+    ckpt::write_meta(&OsStorage, dir.path(), 0, &meta).unwrap();
     std::fs::read(Db::meta_path(dir.path(), 0)).unwrap()
 }
 
@@ -65,7 +65,11 @@ fn magic_magic_meta_file_is_an_error_not_a_panic() {
         [&magic[..], &magic[..]].concat(),
     )
     .unwrap();
-    assert!(is_recovery_failed(ckpt::read_meta(dir.path(), 0)));
+    assert!(is_recovery_failed(ckpt::read_meta(
+        &OsStorage,
+        dir.path(),
+        0
+    )));
 }
 
 #[test]
@@ -77,7 +81,7 @@ fn every_resealed_truncation_of_a_meta_file_is_an_error() {
     for cut in 0..body.len() {
         std::fs::write(&path, sealed(&body[..cut])).unwrap();
         assert!(
-            is_recovery_failed(ckpt::read_meta(dir.path(), 0)),
+            is_recovery_failed(ckpt::read_meta(&OsStorage, dir.path(), 0)),
             "body cut to {cut} bytes"
         );
     }
@@ -87,7 +91,11 @@ fn every_resealed_truncation_of_a_meta_file_is_an_error() {
     let tables_at = 4 + 1 + 6 * 8 + 4;
     body[tables_at..tables_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     std::fs::write(&path, sealed(&body)).unwrap();
-    assert!(is_recovery_failed(ckpt::read_meta(dir.path(), 0)));
+    assert!(is_recovery_failed(ckpt::read_meta(
+        &OsStorage,
+        dir.path(),
+        0
+    )));
 }
 
 /// A checksum-valid catalog is not a sane one: a page-local table with
@@ -116,7 +124,7 @@ fn impossible_catalog_extents_are_errors_not_panics() {
         bad[at..at + bytes.len()].copy_from_slice(bytes);
         std::fs::write(Db::meta_path(dir.path(), 0), sealed(&bad)).unwrap();
         assert!(
-            is_recovery_failed(ckpt::read_meta(dir.path(), 0)),
+            is_recovery_failed(ckpt::read_meta(&OsStorage, dir.path(), 0)),
             "field at byte {at}"
         );
     }
@@ -129,14 +137,14 @@ fn every_resealed_truncation_of_a_marker_is_an_error() {
         audit_sn: Some(Lsn(777)),
         ranges: vec![(DbAddr(64), 64), (DbAddr(4096), 128)],
     };
-    write_marker(dir.path(), &marker, &CrashPoints::default()).unwrap();
+    write_marker(&OsStorage, dir.path(), &marker).unwrap();
     let path = Db::marker_path(dir.path());
     let file = std::fs::read(&path).unwrap();
     let body = &file[..file.len() - 4];
     for cut in 0..body.len() {
         std::fs::write(&path, sealed(&body[..cut])).unwrap();
         assert!(
-            is_recovery_failed(read_marker(dir.path())),
+            is_recovery_failed(read_marker(&OsStorage, dir.path())),
             "body cut to {cut} bytes"
         );
     }

@@ -5,7 +5,7 @@
 //! log, checkpoint or peer.
 
 use bytes::BytesMut;
-use dali::common::CrashPoints;
+use dali::common::OsStorage;
 use dali::engine::catalog::Catalog;
 use dali::engine::ckpt::{self, CkptMeta};
 use dali::engine::corruption::{read_marker, write_marker};
@@ -184,12 +184,12 @@ const META_FILE: &str = "\
 fn ckpt_meta_file() {
     let dir = TempDir::new("golden-meta");
     let value = sample_meta();
-    ckpt::write_meta(dir.path(), 1, &value, &CrashPoints::default()).unwrap();
+    ckpt::write_meta(&OsStorage, dir.path(), 1, &value).unwrap();
     let path = Db::meta_path(dir.path(), 1);
     assert_bytes(&std::fs::read(&path).unwrap(), META_FILE);
 
     std::fs::write(&path, hex(META_FILE)).unwrap();
-    let back = ckpt::read_meta(dir.path(), 1).unwrap();
+    let back = ckpt::read_meta(&OsStorage, dir.path(), 1).unwrap();
     assert_eq!(back.serial, value.serial);
     assert_eq!(back.ck_end, value.ck_end);
     assert_eq!(back.next_txn, value.next_txn);
@@ -219,10 +219,10 @@ fn corruption_marker_file() {
         audit_sn: Some(Lsn(777)),
         ranges: vec![(DbAddr(64), 64), (DbAddr(4096), 128)],
     };
-    write_marker(dir.path(), &value, &CrashPoints::default()).unwrap();
+    write_marker(&OsStorage, dir.path(), &value).unwrap();
     let path = Db::marker_path(dir.path());
     assert_bytes(&std::fs::read(&path).unwrap(), MARKER_FILE);
 
     std::fs::write(&path, hex(MARKER_FILE)).unwrap();
-    assert_eq!(read_marker(dir.path()).unwrap(), Some(value));
+    assert_eq!(read_marker(&OsStorage, dir.path()).unwrap(), Some(value));
 }
