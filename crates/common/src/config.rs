@@ -380,14 +380,6 @@ pub struct DaliConfig {
     /// prior-state recovery to points before the previous checkpoint, or
     /// for offline log forensics with `logdump`.
     pub log_retire: bool,
-    /// Number of worker threads applying physical redo during restart.
-    /// Redo is bucketed by `PageId % redo_threads` in a serial
-    /// classification scan (per-page ordering preserved), then the
-    /// buckets are applied in parallel — the recovered image is
-    /// byte-identical to serial replay. `0` = auto: one per available
-    /// CPU; `1` keeps replay serial. Corruption-mode recovery is always
-    /// serial regardless (its scan is control-flow-dependent).
-    pub redo_threads: usize,
 }
 
 /// `n`, or one per available CPU when `n` is `0` (the knobs' "auto").
@@ -427,7 +419,6 @@ impl DaliConfig {
             net_outbound_budget: 1 << 20,
             log_segment_bytes: 4 << 20,
             log_retire: true,
-            redo_threads: 0,
         }
     }
 
@@ -586,19 +577,6 @@ impl DaliConfig {
         self
     }
 
-    /// Builder-style restart-redo worker count (`0` = auto, `1` = serial).
-    pub fn with_redo_threads(mut self, redo_threads: usize) -> Self {
-        self.redo_threads = redo_threads;
-        self
-    }
-
-    /// The effective restart-redo worker count: `redo_threads`, or one
-    /// per available CPU when `0` (no power-of-two rounding — buckets
-    /// are `PageId % threads` classes, any count partitions cleanly).
-    pub fn resolved_redo_threads(&self) -> usize {
-        or_cpus(self.redo_threads)
-    }
-
     /// Validate internal consistency; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> std::result::Result<(), String> {
@@ -635,12 +613,6 @@ impl DaliConfig {
                 "log_segment_bytes {} must be >= 1024 (a segment must hold \
                  real frames, not just its seal)",
                 self.log_segment_bytes
-            ));
-        }
-        if self.redo_threads > 1024 {
-            return Err(format!(
-                "redo_threads {} is absurd (max 1024)",
-                self.redo_threads
             ));
         }
         Ok(())
@@ -783,16 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn log_and_redo_knobs_resolve_and_validate() {
+    fn log_knobs_validate() {
         let c = DaliConfig::small("/tmp/x");
         assert!(c.log_retire, "retirement on by default");
-        assert_eq!(c.redo_threads, 0, "auto by default");
-        assert!(c.resolved_redo_threads() >= 1);
-        assert_eq!(c.clone().with_redo_threads(1).resolved_redo_threads(), 1);
-        assert_eq!(c.clone().with_redo_threads(6).resolved_redo_threads(), 6);
         assert!(c.clone().with_log_segment_bytes(4096).validate().is_ok());
         assert!(c.clone().with_log_segment_bytes(100).validate().is_err());
-        assert!(c.clone().with_redo_threads(100_000).validate().is_err());
         assert!(!c.with_log_retire(false).log_retire);
     }
 

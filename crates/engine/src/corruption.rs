@@ -6,6 +6,7 @@ use crate::att::TxnStatus;
 use crate::ckpt;
 use crate::db::Db;
 use bytes::BufMut;
+use dali_common::align::split_by_chunks;
 use dali_common::storage;
 use dali_common::{codec, DaliError, DbAddr, Lsn, PageId, Result, Storage};
 use dali_wal::{LogReader, LogRecord, LogRecordRef};
@@ -240,8 +241,11 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     }
 
     // ...replay committed history onto them (physical redo is positional
-    // and idempotent, so replaying every record touching these pages
-    // repeats history exactly)...
+    // and idempotent, so replaying each record's share of these pages
+    // repeats their history exactly; the rest of a record that spans
+    // into another page is not replayed, since that page is live and may
+    // hold a newer write)...
+    let page_size = db.config.page_size;
     let mut replayed = 0usize;
     LogReader::open_on(
         store,
@@ -251,11 +255,15 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     )?
     .for_each(|_lsn, rec| {
         if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
-            let touched = db.image.pages_overlapping(addr, data.len());
-            if touched.iter().any(|p| pages.binary_search(p).is_ok()) {
-                db.image.write(addr, data)?;
-                replayed += 1;
+            let mut hit = false;
+            for (page, start, len) in split_by_chunks(addr.0, data.len(), page_size) {
+                if pages.binary_search(&PageId(page as u32)).is_ok() {
+                    let off = start - addr.0;
+                    db.image.write(DbAddr(start), &data[off..off + len])?;
+                    hit = true;
+                }
             }
+            replayed += usize::from(hit);
         }
         Ok(())
     })?;

@@ -69,11 +69,6 @@ pub struct EngineStats {
     pub log_segments_retired: AtomicU64,
     /// Total bytes of retained log segments on disk (gauge).
     pub log_bytes_on_disk: AtomicU64,
-    /// Worker threads the last restart's parallel redo apply actually
-    /// used (1 on a serial or corruption-mode replay).
-    pub redo_threads_used: AtomicU64,
-    /// Wall-clock nanoseconds of the last restart's redo apply phase.
-    pub redo_parallel_ns: AtomicU64,
 }
 
 impl EngineStats {

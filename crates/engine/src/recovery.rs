@@ -39,7 +39,6 @@ use crate::heap::HeapRuntime;
 use crate::lock::LockManager;
 use crate::txn::rollback_direct;
 use dali_codeword::CodewordProtection;
-use dali_common::align::split_by_chunks;
 use dali_common::{
     CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, Store, TxnId,
 };
@@ -50,7 +49,7 @@ use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 
 /// One buffered physical write. Its bytes are borrowed from the log
@@ -114,92 +113,6 @@ impl<'s> PendingWrites<'s> {
             .into_iter()
             .map(|(op, writes)| (op, writes.into_iter().map(own).collect()))
             .collect()
-    }
-}
-
-/// One segment's released physical redo, partitioned by `page % threads`
-/// for the parallel apply that ends the segment.
-///
-/// The serial scan pushes writes here in the order they are released
-/// (operation-commit order, which is history order). A write spanning
-/// several pages is split at page boundaries so every buffered chunk
-/// lands in the bucket that owns its page. Two facts make the parallel
-/// apply byte-identical to a serial replay:
-///
-/// * all writes to one page sit in one bucket, in release order, so
-///   same-page history replays in order (and segments apply one after
-///   another, so that order holds across segments too);
-/// * different buckets own disjoint page sets, so their writes touch
-///   disjoint bytes and commute.
-///
-/// Corruption-mode recovery never uses this path: its scan reads the
-/// image mid-stream (`codewords_match`), so redo must stay inline.
-struct RedoBuckets<'s> {
-    page_size: usize,
-    buckets: Vec<Vec<Write<'s>>>,
-}
-
-impl<'s> RedoBuckets<'s> {
-    fn new(threads: usize, page_size: usize) -> RedoBuckets<'s> {
-        RedoBuckets {
-            page_size,
-            buckets: vec![Vec::new(); threads.max(1)],
-        }
-    }
-
-    fn push(&mut self, addr: DbAddr, data: Cow<'s, [u8]>) {
-        let n = self.buckets.len();
-        let first = addr.0 / self.page_size;
-        let last = if data.is_empty() {
-            first
-        } else {
-            (addr.0 + data.len() - 1) / self.page_size
-        };
-        if n == 1 || first == last {
-            self.buckets[first % n].push((addr, data));
-            return;
-        }
-        for (page, start, len) in split_by_chunks(addr.0, data.len(), self.page_size) {
-            let off = start - addr.0;
-            let chunk = match &data {
-                Cow::Borrowed(d) => Cow::Borrowed(&d[off..off + len]),
-                Cow::Owned(d) => Cow::Owned(d[off..off + len].to_vec()),
-            };
-            self.buckets[page % n].push((DbAddr(start), chunk));
-        }
-    }
-
-    /// Apply every bucket to `image` on a scoped worker pool. Returns the
-    /// worker count actually used and the wall-clock nanoseconds spent.
-    fn apply(self, image: &DbImage) -> Result<(usize, u64)> {
-        let start = std::time::Instant::now();
-        let live: Vec<&Vec<Write<'s>>> = self.buckets.iter().filter(|b| !b.is_empty()).collect();
-        if live.len() <= 1 {
-            for (addr, data) in live.into_iter().flatten() {
-                image.write(*addr, data)?;
-            }
-            return Ok((1, start.elapsed().as_nanos() as u64));
-        }
-        let used = live.len();
-        std::thread::scope(|s| -> Result<()> {
-            let handles: Vec<_> = live
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || -> Result<()> {
-                        for (addr, data) in bucket.iter() {
-                            image.write(*addr, data)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join()
-                    .map_err(|_| DaliError::RecoveryFailed("redo worker panicked".into()))??;
-            }
-            Ok(())
-        })?;
-        Ok((used, start.elapsed().as_nanos() as u64))
     }
 }
 
@@ -432,18 +345,11 @@ impl<'m> Taint<'m> {
     }
 }
 
-/// An operation committed: send its buffered writes to this segment's
-/// buckets, or — without buckets (corruption mode) — straight to `image`.
-fn release<'s>(
-    buckets: &mut Option<RedoBuckets<'s>>,
-    image: &DbImage,
-    writes: &mut Vec<Write<'s>>,
-) -> Result<()> {
+/// An operation committed (or an abort's compensations were
+/// terminated): apply its buffered writes to `image`, oldest first.
+fn apply(image: &DbImage, writes: &mut Vec<Write<'_>>) -> Result<()> {
     for (addr, data) in writes.drain(..) {
-        match buckets {
-            Some(b) => b.push(addr, data),
-            None => image.write(addr, &data)?,
-        }
+        image.write(addr, &data)?;
     }
     Ok(())
 }
@@ -458,36 +364,31 @@ struct Redone {
     records_scanned: usize,
     next_txn: u64,
     next_audit: u64,
-    redo_threads_used: usize,
-    redo_parallel_ns: u64,
 }
 
 /// The redo pass of every recovery mode: stream the stable log from the
 /// checkpoint's `CK_end` (stopping before `upto`, if given), rebuild the
 /// ATT and catalog, and repeat history on `image`.
 ///
-/// The pipeline is reader → classify → per-segment apply. The reader
-/// ([`LogReader`]) holds one segment in memory and checks each frame as
-/// it is first walked over; classification works on records *borrowed*
-/// from it, so a physical write is a `(DbAddr, &[u8])` into the segment
-/// buffer until it lands in the image.
-/// What outlives the segment is copied exactly once: operation-commit
-/// undo images (a loser's undo log is needed after the whole scan) and
-/// the writes of an operation whose batch straddles a segment roll.
+/// The reader ([`LogReader`]) holds one segment in memory and checks
+/// each frame as it is first walked over; the scan works on records
+/// *borrowed* from it, so a physical write is a `(DbAddr, &[u8])` into
+/// the segment buffer until it lands in the image. What outlives the
+/// segment is copied exactly once: operation-commit undo images (a
+/// loser's undo log is needed after the whole scan) and the writes of an
+/// operation whose batch straddles a segment roll.
 ///
-/// Physical redo is buffered per operation and released when the
-/// operation's commit record arrives. Operation commit migrates its
-/// records to the system log as one batch, so in an intact log every
-/// physical record is followed by its OpCommit; the exception is a *torn
-/// final flush* (or a prior-state cut), whose trailing partial batch must
-/// be discarded — applying it would write bytes that no undo information
-/// covers. (Compensation records of an abort are terminated by the
-/// TxnAbort record of the same batch instead.)
-///
-/// Released writes are bucketed by page and applied on the redo pool when
-/// their segment ends, before its buffer is dropped. With `taint` (the
-/// §4.3 corruption-mode scan) they are applied inline and serially
-/// instead, because that scan reads the image mid-stream.
+/// Physical redo is buffered per operation and applied to `image` when
+/// the operation's commit record arrives, on the scanning thread, so the
+/// image is always the history up to the last applied commit — which is
+/// what the §4.3 scan's `codewords_match` reads mid-stream. Operation
+/// commit migrates its records to the system log as one batch, so in an
+/// intact log every physical record is followed by its OpCommit; the
+/// exception is a *torn final flush* (or a prior-state cut), whose
+/// trailing partial batch must be discarded — applying it would write
+/// bytes that no undo information covers. (Compensation records of an
+/// abort are terminated by the TxnAbort record of the same batch
+/// instead.)
 fn redo_pass(
     config: &DaliConfig,
     store: &Store,
@@ -501,9 +402,6 @@ fn redo_pass(
         .into_iter()
         .map(|s| (s.id, s))
         .collect();
-    let redo_threads = config.resolved_redo_threads();
-    let mut out_threads_used = 1;
-    let mut out_parallel_ns = 0u64;
     let mut records_scanned = 0usize;
     let mut max_txn_seen = 0u64;
     let mut max_audit_seen = 0u64;
@@ -523,9 +421,6 @@ fn redo_pass(
             ops: std::mem::take(&mut carried),
             spare: Vec::new(),
         };
-        let mut buckets = taint
-            .is_none()
-            .then(|| RedoBuckets::new(redo_threads, config.page_size));
         for (lsn, rec) in seg.records() {
             if upto.is_some_and(|upto| lsn >= upto) {
                 cut = true;
@@ -621,7 +516,7 @@ fn redo_pass(
                     // The operation committed: its buffered physical
                     // writes are covered by the logical undo below.
                     if let Some(mut writes) = pending.take((txn, op)) {
-                        release(&mut buckets, image, &mut writes)?;
+                        apply(image, &mut writes)?;
                         pending.spare = writes;
                     }
                     let st = att
@@ -641,7 +536,7 @@ fn redo_pass(
                     // now (in op, then insertion order — compensations
                     // of one rollback share an op only with themselves).
                     for mut writes in ops {
-                        release(&mut buckets, image, &mut writes)?;
+                        apply(image, &mut writes)?;
                     }
                     att.remove(&txn);
                     in_att = in_att.filter(|t| *t != txn);
@@ -676,12 +571,7 @@ fn redo_pass(
             }
         }
 
-        // ---- end of segment: apply what it released, keep what it owes ----
-        if let Some(buckets) = buckets {
-            let (used, ns) = buckets.apply(image)?;
-            out_threads_used = out_threads_used.max(used);
-            out_parallel_ns += ns;
-        }
+        // ---- end of segment: keep what it owes the next ----
         if cut {
             return Ok(ControlFlow::Break(()));
         }
@@ -700,8 +590,6 @@ fn redo_pass(
         records_scanned,
         next_txn: meta.next_txn.max(max_txn_seen),
         next_audit: meta.next_audit.max(max_audit_seen),
-        redo_threads_used: out_threads_used,
-        redo_parallel_ns: out_parallel_ns,
     })
 }
 
@@ -751,12 +639,6 @@ fn build_recovered(
         redone.next_audit,
         None,
     )?;
-    db.stats
-        .redo_threads_used
-        .store(redone.redo_threads_used as u64, Ordering::Relaxed);
-    db.stats
-        .redo_parallel_ns
-        .store(redone.redo_parallel_ns, Ordering::Relaxed);
     Ok((db, redone.att))
 }
 

@@ -4,9 +4,10 @@
 //! so that corruption of one record never taints a neighbour's region and
 //! the expected deletion sets are exact.
 
-use dali_common::{DaliConfig, DaliError, DbAddr, ProtectionScheme, RecId, TxnId};
+use dali_common::{DaliConfig, DaliError, DbAddr, OpSeq, ProtectionScheme, RecId, TxnId};
 use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
 use dali_testutil::TempDir;
+use dali_wal::LogRecord;
 
 const REC: usize = 128;
 
@@ -309,6 +310,54 @@ fn online_cache_repair_aborts_active_transactions() {
     assert_eq!(read_one(&s.db, s.y), val(2));
     assert!(s.db.audit().unwrap().clean());
     drop(txn);
+}
+
+/// Online repair replays only the repaired pages' share of each logged
+/// write. The rest of a record that spans into a healthy page is live:
+/// a later write of just that span (what a changed-span redo record
+/// carries) must survive the repair.
+#[test]
+fn online_cache_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
+    let dir = tmpdir("online-span");
+    let config = DaliConfig::small(dir.path()).with_parity_group_size(0);
+    let page = config.page_size;
+    let (db, _) = DaliEngine::create(config).unwrap();
+    // 100-byte records: some cross a page boundary.
+    let t = db.create_table("t", 100, 128).unwrap();
+    let txn = db.begin().unwrap();
+    let recs: Vec<RecId> = (0..128u8)
+        .map(|i| txn.insert(t, &[i; 100]).unwrap())
+        .collect();
+    txn.commit().unwrap();
+    db.checkpoint().unwrap();
+    let (rec, addr) = recs
+        .iter()
+        .map(|&r| (r, db.record_addr(r).unwrap()))
+        .find(|(_, a)| a.0 / page != (a.0 + 99) / page)
+        .unwrap();
+    let boundary = (addr.0 / page + 1) * page;
+
+    let txn = db.begin().unwrap();
+    txn.update(rec, &[0xAA; 100]).unwrap();
+    txn.commit().unwrap();
+    // A later write of only the half past the boundary, logged and
+    // applied.
+    let tail = vec![0xBB; addr.0 + 100 - boundary];
+    db.db().syslog.append_batch(&[LogRecord::PhysicalRedo {
+        txn: TxnId(u64::MAX),
+        op: OpSeq(0),
+        addr: DbAddr(boundary),
+        data: tail.clone(),
+    }]);
+    db.db().syslog.flush(false).unwrap();
+    wild_write(&db, DbAddr(boundary), &tail);
+
+    // Damage the half before the boundary and repair its page online.
+    wild_write(&db, addr, &[0xEE; 8]);
+    db.cache_repair(&[(addr, 8)]).unwrap();
+    let mut expect = vec![0xAA; 100];
+    expect[boundary - addr.0..].fill(0xBB);
+    assert_eq!(read_one(&db, rec), expect);
 }
 
 #[test]

@@ -336,9 +336,10 @@ wire_struct! {
         pub log_segments_retired: u64,
         /// Total bytes of retained log segments on disk.
         pub log_bytes_on_disk: u64,
-        /// Worker threads the last restart's parallel redo apply used.
+        /// Retired: restart redo is applied by the scanning thread, so
+        /// the server always sends `1`. The slot keeps the frame layout.
         pub redo_threads_used: u64,
-        /// Wall-clock nanoseconds of the last restart's redo apply phase.
+        /// Retired: redo apply is no longer a separate phase; always `0`.
         pub redo_parallel_ns: u64,
     }
 }

@@ -254,8 +254,8 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         log_segments_active: engine.stats().log_segments_active.load(Ordering::Relaxed),
         log_segments_retired: engine.stats().log_segments_retired.load(Ordering::Relaxed),
         log_bytes_on_disk: engine.stats().log_bytes_on_disk.load(Ordering::Relaxed),
-        redo_threads_used: engine.stats().redo_threads_used.load(Ordering::Relaxed),
-        redo_parallel_ns: engine.stats().redo_parallel_ns.load(Ordering::Relaxed),
+        redo_threads_used: 1,
+        redo_parallel_ns: 0,
     }
 }
 
