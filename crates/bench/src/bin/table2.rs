@@ -15,7 +15,6 @@
 //!   --reps N       interleaved repetitions per row, median reported (default 5)
 //!   --stats        print §5.3-style mprotect statistics
 //!   --row LABEL    run only rows whose label contains LABEL (plus Baseline)
-//!   --deferred     append the Deferred Maintenance extension row
 //!   --algebra A    codeword algebra: xor (default, the paper's) or residue
 //!
 //! Every repetition is also printed to stderr as it finishes.
@@ -45,7 +44,7 @@ fn main() {
         .unwrap_or(5);
     let row_filter = get("--row");
 
-    let mut specs: Vec<_> = match &row_filter {
+    let specs: Vec<_> = match &row_filter {
         Some(filter) => table2_specs()
             .into_iter()
             .filter(|s| {
@@ -55,19 +54,14 @@ fn main() {
             .collect(),
         None => table2_specs(),
     };
-    if has("--deferred") {
-        specs.push(dali_bench::deferred_spec());
-    }
-    match get("--algebra").as_deref() {
-        None | Some("xor") => {}
-        Some("residue") => {
-            specs = specs
-                .into_iter()
-                .map(|s| s.with_algebra(dali_common::CodewordAlgebraKind::Residue))
-                .collect();
-        }
+    let specs: Vec<_> = match get("--algebra").as_deref() {
+        None | Some("xor") => specs,
+        Some("residue") => specs
+            .into_iter()
+            .map(|s| s.with_algebra(dali_common::CodewordAlgebraKind::Residue))
+            .collect(),
         Some(other) => panic!("--algebra must be xor or residue, got {other}"),
-    }
+    };
 
     println!("Table 2. Cost of Corruption Protection");
     println!(

@@ -297,18 +297,6 @@ pub fn build_rows(specs: Vec<SchemeSpec>, measurements: Vec<RowMeasurement>) -> 
         .collect()
 }
 
-/// Extension row: the Deferred Maintenance variant (named in the paper's
-/// §4.3 but not measured there) — codeword deltas queue until audits.
-pub fn deferred_spec() -> SchemeSpec {
-    SchemeSpec {
-        algebra: CodewordAlgebraKind::XorFold,
-        scheme: ProtectionScheme::DeferredMaintenance,
-        region_size: 64,
-        paper_ops_per_sec: f64::NAN,
-        paper_pct_slower: f64::NAN,
-    }
-}
-
 /// Paper Table 1 reference rows: platform, pairs/second (1998 hardware).
 pub fn table1_paper_rows() -> Vec<(&'static str, f64)> {
     vec![
@@ -329,20 +317,14 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     out.push_str(&"-".repeat(92));
     out.push('\n');
     for r in rows {
-        let paper = if r.spec.paper_ops_per_sec.is_nan() {
-            format!("{:>11} {:>8}", "-", "-")
-        } else {
-            format!(
-                "{:>11.0} {:>7.1}%",
-                r.spec.paper_ops_per_sec, r.spec.paper_pct_slower
-            )
-        };
         out.push_str(&format!(
-            "{:<34} {:>11.0} {:>8.1}% {:>11.0}   {paper}\n",
+            "{:<34} {:>11.0} {:>8.1}% {:>11.0}   {:>11.0} {:>7.1}%\n",
             r.spec.label(),
             r.measurement.cpu_ops_per_sec,
             r.pct_slower,
             r.measurement.wall_ops_per_sec,
+            r.spec.paper_ops_per_sec,
+            r.spec.paper_pct_slower,
         ));
     }
     out
@@ -357,12 +339,6 @@ mod tests {
         let specs = table2_specs();
         assert_eq!(specs.len(), 8);
         for s in ProtectionScheme::ALL {
-            if s == ProtectionScheme::DeferredMaintenance {
-                // Extension row (not in the paper's table); appended via
-                // deferred_spec() / table2 --deferred.
-                assert_eq!(deferred_spec().scheme, s);
-                continue;
-            }
             assert!(specs.iter().any(|spec| spec.scheme == s), "{s:?} missing");
         }
         let precheck: Vec<_> = specs

@@ -10,8 +10,8 @@
 //!   region codeword by `delta = combine(fold(new), neg(fold(old)))`, and
 //!   `combine(codeword, delta)` equals recompute-from-image.
 //! * **Coalescing** — deltas combine associatively and commutatively, so
-//!   the sharded deferred dirty set can merge any number of them in any
-//!   order (and concurrent updaters can publish them without ordering).
+//!   concurrent updaters can publish them into the codeword table in any
+//!   order.
 //!
 //! Two algebras satisfy it, selected by [`CodewordAlgebraKind`] (a `Copy`
 //! enum in `dali-common`, stored in config and checkpoint metadata, which

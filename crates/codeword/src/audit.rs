@@ -20,17 +20,13 @@
 //! * takes one exclusive [`LatchTable::with_span`] bracket per run of at
 //!   most `max_run` consecutive regions (`max_run = 1` is exactly the
 //!   paper's latch-per-region cadence), holding writers off for at most
-//!   `max_run` region folds;
-//! * for deferred maintenance, drains every dirty-set shard covering the
-//!   run *inside* the bracket and before the fold, so queued-but-
-//!   unapplied deltas never read as spurious mismatches — updaters hold
-//!   the latch shared across write+enqueue, so once the exclusive bracket
-//!   is held no delta for a run region can be missing.
+//!   `max_run` region folds. Updaters hold the latch at least shared
+//!   across write + codeword publish, so once the exclusive bracket is
+//!   held every landed byte's delta is in the table.
 //!
 //! Brackets within a chunk are taken in ascending order and brackets of
 //! different chunks are disjoint, so latch acquisition cannot deadlock.
 
-use crate::deferred::DeferredSet;
 use crate::latch::{LatchMode, LatchTable};
 use crate::region::{striped, RegionGeometry, RegionId};
 use crate::table::CodewordTable;
@@ -104,8 +100,8 @@ pub fn check_region(
 }
 
 /// The maximal runs of consecutive ids in `regions`, which must be sorted
-/// ascending and deduplicated (the dirty-page → region mapping and the
-/// deferred set's dirty ids both produce this form).
+/// ascending and deduplicated (the dirty-page → region mapping produces
+/// this form).
 pub(crate) fn runs(regions: &[RegionId]) -> Vec<Range<RegionId>> {
     debug_assert!(regions.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
     let mut runs: Vec<Range<RegionId>> = Vec::new();
@@ -122,13 +118,11 @@ pub(crate) fn runs(regions: &[RegionId]) -> Vec<Range<RegionId>> {
 /// workers in latch brackets of at most `max_run` regions; see the module
 /// docs. Corrupt regions are reported in ascending order, and the report
 /// is identical for every `threads`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     image: &DbImage,
     geom: &RegionGeometry,
     table: &CodewordTable,
     latches: &LatchTable,
-    deferred: Option<&DeferredSet>,
     ranges: &[Range<RegionId>],
     threads: usize,
     max_run: usize,
@@ -145,16 +139,7 @@ pub(crate) fn sweep(
             let hi = range.start + chunk.end.saturating_sub(offset).min(range.len());
             for first in (lo..hi).step_by(max_run) {
                 let last = (first + max_run).min(hi) - 1;
-                audit_run(
-                    image,
-                    geom,
-                    table,
-                    latches,
-                    deferred,
-                    first,
-                    last,
-                    &mut report,
-                )?;
+                audit_run(image, geom, table, latches, first, last, &mut report)?;
             }
             offset += range.len();
         }
@@ -171,21 +156,16 @@ pub(crate) fn sweep(
 
 /// Audit the contiguous run `first..=last` under **one** exclusive latch
 /// bracket, appending results to `report`.
-#[allow(clippy::too_many_arguments)]
 fn audit_run(
     image: &DbImage,
     geom: &RegionGeometry,
     table: &CodewordTable,
     latches: &LatchTable,
-    deferred: Option<&DeferredSet>,
     first: RegionId,
     last: RegionId,
     report: &mut AuditReport,
 ) -> Result<()> {
     latches.with_span(first, last, LatchMode::Exclusive, || {
-        if let Some(set) = deferred {
-            set.drain_span(first, last, table);
-        }
         for r in first..=last {
             if let Some(c) = check_region(image, geom, table, r)? {
                 report.corrupt.push(c);
@@ -202,7 +182,6 @@ fn audit_run(
 #[allow(clippy::single_range_in_vec_init)] // `&[0..n]` is the full sweep
 mod tests {
     use super::*;
-    use crate::deferred::DeferredConfig;
     use dali_common::CodewordAlgebraKind;
 
     struct Fixture {
@@ -235,23 +214,17 @@ mod tests {
             self.geom.num_regions()
         }
 
-        fn sweep(
-            &self,
-            ranges: &[Range<RegionId>],
-            deferred: Option<&DeferredSet>,
-            threads: usize,
-            max_run: usize,
-        ) -> AuditReport {
+        fn sweep(&self, ranges: &[Range<RegionId>], threads: usize, max_run: usize) -> AuditReport {
             let f = self;
             sweep(
-                &f.image, &f.geom, &f.table, &f.latches, deferred, ranges, threads, max_run,
+                &f.image, &f.geom, &f.table, &f.latches, ranges, threads, max_run,
             )
             .unwrap()
         }
 
         /// The serial latch-per-region sweep of the whole database.
         fn full(&self) -> AuditReport {
-            self.sweep(&[0..self.n()], None, 1, 1)
+            self.sweep(&[0..self.n()], 1, 1)
         }
 
         /// Corrupt one byte of each region in `regions` (bypassing
@@ -316,14 +289,14 @@ mod tests {
             for max_run in [1, 7, 64] {
                 for (name, ids) in lists {
                     let want = reference(&f, ids, threads, max_run);
-                    let got = f.sweep(&runs(ids), None, threads, max_run);
+                    let got = f.sweep(&runs(ids), threads, max_run);
                     let ctx = format!("{name}, {threads} threads, run {max_run}");
                     assert_eq!(got.corrupt, want.corrupt, "{ctx}");
                     assert_eq!(got.regions_checked, want.regions_checked, "{ctx}");
                     assert_eq!(got.latch_brackets, want.latch_brackets, "{ctx}");
                 }
                 // The full sweep is the single range 0..n, no id list.
-                let got = f.sweep(&[0..n], None, threads, max_run);
+                let got = f.sweep(&[0..n], threads, max_run);
                 let want = reference(&f, &full, threads, max_run);
                 assert_eq!(got.corrupt, want.corrupt);
                 assert_eq!(
@@ -380,11 +353,11 @@ mod tests {
         f.image.write(DbAddr(10), &[1]).unwrap();
         f.image.write(DbAddr(2 * 4096 + 10), &[1]).unwrap();
         let page = |p: usize| p * 64..(p + 1) * 64;
-        let report = f.sweep(&[page(0)], None, 1, 1);
+        let report = f.sweep(&[page(0)], 1, 1);
         assert_eq!(report.corrupt.len(), 1);
         assert_eq!(report.regions_checked, 4096 / 64);
-        assert!(f.sweep(&[page(1)], None, 2, 7).clean());
-        assert_eq!(f.sweep(&[page(0), page(2)], None, 3, 64).corrupt.len(), 2);
+        assert!(f.sweep(&[page(1)], 2, 7).clean());
+        assert_eq!(f.sweep(&[page(0), page(2)], 3, 64).corrupt.len(), 2);
     }
 
     #[test]
@@ -413,7 +386,7 @@ mod tests {
             assert_eq!(serial.corrupt.len(), 5, "{kind:?}");
             for threads in [1, 2, 3, 4, 7, 64, f.n() + 5] {
                 for max_run in [1, 2, 4, 16, 64, f.n() * 2] {
-                    let par = f.sweep(&[0..f.n()], None, threads, max_run);
+                    let par = f.sweep(&[0..f.n()], threads, max_run);
                     let ctx = format!("{kind:?} t={threads} run={max_run}");
                     assert_eq!(par.corrupt, serial.corrupt, "{ctx}");
                     assert_eq!(par.regions_checked, serial.regions_checked, "{ctx}");
@@ -436,31 +409,11 @@ mod tests {
         f.corrupt(&[4]);
         let subset = [0, 1, 2, 4, 7];
         for threads in [2, 3, 4, 5, 9] {
-            let report = f.sweep(&runs(&subset), None, threads, 2);
+            let report = f.sweep(&runs(&subset), threads, 2);
             assert_eq!(report.corrupt.len(), 1, "{threads} threads");
             assert_eq!(report.corrupt[0].region, 4);
             assert_eq!(report.regions_checked, subset.len());
         }
-    }
-
-    #[test]
-    fn batched_run_drains_deferred_shards() {
-        let f = Fixture::xor();
-        let set = DeferredSet::new(DeferredConfig {
-            shards: 4,
-            watermark: 0,
-        });
-        // Maintained updates whose deltas are queued, not yet applied.
-        for region in [0, 1, 5, 9] {
-            let new = [region as u8 + 1; 4];
-            f.image.write(f.geom.region_base(region), &new).unwrap();
-            let delta = crate::codeword::delta(&[0u8; 4], &new);
-            set.push(region, delta, CodewordAlgebraKind::XorFold);
-        }
-        assert!(!f.full().clean(), "a sweep without the set sees the lag");
-        let report = f.sweep(&[0..f.n()], Some(&set), 2, 8);
-        assert!(report.clean(), "queued deltas drained inside brackets");
-        assert_eq!(set.snapshot().dirty_regions, 0);
     }
 
     #[test]

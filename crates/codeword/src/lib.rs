@@ -21,8 +21,6 @@
 //! * [`latch`] — the *protection latch* table: striped reader-writer
 //!   spin latches with explicit lock/unlock (guards must survive across the
 //!   beginUpdate/endUpdate window, which RAII lifetimes cannot express).
-//! * [`deferred`] — the sharded, coalescing set of queued codeword
-//!   deltas behind deferred maintenance.
 //! * [`audit`] — [`AuditReport`]s from one region sweep over a list of
 //!   region ranges (a full audit is the single range `0..n`), striped
 //!   across scoped worker threads with reports identical to a serial
@@ -32,14 +30,13 @@
 //!   latch bracket, from which a region that fails its audit can be
 //!   rebuilt *in place* without log replay.
 //! * [`protection`] — [`CodewordProtection`], the façade bundling
-//!   geometry + table + latches + delta set + stripe and implementing the
+//!   geometry + table + latches + stripe and implementing the
 //!   per-scheme read/update protocols, including
 //!   [`repair_region`](CodewordProtection::repair_region).
 
 pub mod algebra;
 pub mod audit;
 pub mod codeword;
-pub mod deferred;
 pub mod latch;
 pub mod parity;
 pub mod protection;
@@ -47,10 +44,9 @@ pub mod region;
 pub mod table;
 
 pub use audit::{AuditReport, CorruptRegion};
-pub use deferred::{DeferredConfig, DeferredStatsSnapshot};
 pub use latch::{LatchMode, LatchTable};
 pub use parity::{ParityGroupId, ParityStatsSnapshot, ParityStripe};
-pub use protection::{CodewordProtection, RepairFallback};
+pub use protection::{CodewordProtection, DeferredConfig, RepairFallback};
 pub use region::{RegionGeometry, RegionId};
 pub use table::CodewordTable;
 

@@ -8,21 +8,17 @@
 //! | Baseline / MemoryProtection | none | plain copy |
 //! | DataCodeword / ReadLogging | shared | plain copy (+ read log in the engine) |
 //! | CwReadLogging | exclusive (write-as-read folds the whole region) | plain copy + read log with codewords |
-//! | DeferredMaintenance | shared (audits drain shard-by-shard under the stripe latch) | plain copy |
 //! | ReadPrecheck | exclusive | [`checked_read`](CodewordProtection::checked_read) |
 //!
-//! Codeword *maintenance* (the delta published at `endUpdate`) is
-//! identical for every codeword scheme, and generic over the configured
+//! Codeword *maintenance* (the delta published at `endUpdate`) is one
+//! path for every codeword scheme, generic over the configured
 //! [`CodewordAlgebraKind`] — the XOR fold or the mod-(2^32−1) residue
-//! code (see [`crate::algebra`]). The deferred scheme queues its deltas
-//! in the sharded, coalescing delta set ([`crate::deferred`]) instead of
-//! touching the codeword table at `endUpdate`. The parity stripe is
-//! maintained eagerly under every codeword scheme: each update's
-//! `old ⊕ new` lands in its group buffer inside the same latch bracket.
+//! code (see [`crate::algebra`]): each update's codeword delta lands in
+//! the table, and its `old ⊕ new` in its parity group buffer, inside the
+//! update's latch bracket. Nothing is queued, so nothing drains.
 
 use crate::algebra;
 use crate::audit::{self, AuditReport};
-use crate::deferred::{DeferredConfig, DeferredSet, DeferredStatsSnapshot};
 use crate::latch::{LatchMode, LatchTable};
 use crate::parity::{ParityGroupId, ParityStatsSnapshot, ParityStripe};
 use crate::region::{RegionGeometry, RegionId};
@@ -67,16 +63,22 @@ pub enum RepairFallback {
 /// which `tests/delta_certification.rs` sweeps against).
 pub const DEFAULT_LATCH_RUN: usize = 64;
 
+/// Unused; kept only because the frozen ledger (`benchmark/src/cells.rs`)
+/// passes it to [`CodewordProtection::with_config`] (ROADMAP item 8).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DeferredConfig {
+    /// Unused.
+    pub shards: usize,
+    /// Unused.
+    pub watermark: usize,
+}
+
 /// Codeword state and latches for one database image.
 pub struct CodewordProtection {
     scheme: ProtectionScheme,
     geom: RegionGeometry,
     table: CodewordTable,
     latches: LatchTable,
-    /// Deferred-maintenance dirty set: per-shard maps of
-    /// `region → coalesced codeword delta` awaiting application (only for
-    /// [`ProtectionScheme::DeferredMaintenance`]).
-    deferred: Option<DeferredSet>,
     /// Parity stripe for online repair (see [`crate::parity`]); present
     /// when the config enables a parity group size and the scheme
     /// maintains codewords. Updaters fold their byte deltas into it next
@@ -95,18 +97,18 @@ pub struct CodewordProtection {
 
 impl CodewordProtection {
     /// Build protection state for `image`, folding the codeword table from
-    /// its current contents: deferred dirty-set sizing (ignored unless the
-    /// scheme defers maintenance), the worker count used for every
-    /// full-image scan this protection runs — [`audit`](Self::audit),
+    /// its current contents: the worker count used for every full-image
+    /// scan this protection runs — [`audit`](Self::audit),
     /// [`resync`](Self::resync), and the initial codeword-table fold
     /// (`audit_threads` is clamped to ≥ 1) — and the codeword algebra
-    /// every fold, delta, and table slot lives in.
+    /// every fold, delta, and table slot lives in. `_deferred` is unused
+    /// (see [`DeferredConfig`]).
     pub fn with_config(
         image: &DbImage,
         scheme: ProtectionScheme,
         region_size: usize,
         regions_per_latch: usize,
-        deferred_cfg: DeferredConfig,
+        _deferred: DeferredConfig,
         audit_threads: usize,
         kind: CodewordAlgebraKind,
     ) -> Result<CodewordProtection> {
@@ -119,15 +121,11 @@ impl CodewordProtection {
             CodewordTable::new_zeroed(0, kind)
         };
         let latches = LatchTable::new(geom.num_regions(), regions_per_latch);
-        let deferred = scheme
-            .defers_maintenance()
-            .then(|| DeferredSet::new(deferred_cfg));
         Ok(CodewordProtection {
             scheme,
             geom,
             table,
             latches,
-            deferred,
             parity: None,
             audit_threads,
             latch_run: DEFAULT_LATCH_RUN,
@@ -252,13 +250,6 @@ impl CodewordProtection {
             // pre-update region, which only describes a consistent state
             // if no other updater is mutating the region mid-fold.
             ProtectionScheme::CwReadLogging => LatchMode::Exclusive,
-            // Deferred maintenance holds the latch shared across the
-            // write+enqueue bracket so an auditor holding it exclusively
-            // knows every landed byte has its delta queued — the delta
-            // may lag in the dirty set, never be missing. That one
-            // shared CAS replaces the old global update quiesce that
-            // audits used to impose.
-            ProtectionScheme::DeferredMaintenance => LatchMode::Shared,
             s if s.maintains_codewords() => LatchMode::Shared,
             _ => LatchMode::None,
         }
@@ -280,70 +271,13 @@ impl CodewordProtection {
             let old = &old_widened[rel..rel + l];
             let old_fold = algebra::fold(self.kind, old);
             let new_fold = image.fold(self.kind, s, l)?;
-            let delta = self.kind.delta_of_folds(old_fold, new_fold);
-            match &self.deferred {
-                // A zero delta leaves the codeword where it is: nothing
-                // to queue.
-                Some(_) if delta == 0 => {}
-                Some(set) => {
-                    if set.push(region, delta, self.kind) {
-                        // Shard over its high-watermark: the pusher pays
-                        // for the drain (backpressure). Applying queued
-                        // deltas needs no latch — each was enqueued after
-                        // its bytes landed, and the table publish is a
-                        // commuting atomic (fetch_xor / CAS'd mod-add).
-                        self.drain_codewords(region, region);
-                    }
-                }
-                None => self.table.apply_delta(region, delta),
-            }
+            self.table
+                .apply_delta(region, self.kind.delta_of_folds(old_fold, new_fold));
             if let Some(stripe) = &self.parity {
                 stripe.apply_update(image, s, old)?;
             }
         }
         Ok(())
-    }
-
-    /// Apply every queued deferred-maintenance delta to the codeword
-    /// table, shard by shard. Safe concurrently with updaters: a delta
-    /// enters the dirty set only after its image bytes landed, so the
-    /// maintained codeword only ever *lags* the image by what remains
-    /// queued — it is never wrong once drained. No-op for non-deferred
-    /// schemes.
-    pub fn drain_deferred(&self) {
-        if let Some(set) = &self.deferred {
-            set.drain_all(&self.table);
-        }
-    }
-
-    /// Drain the dirty-set shard holding `region`'s deltas (the
-    /// incremental catch-up path used by audits: latch the region
-    /// exclusively, drain its shard, then fold and compare).
-    pub fn drain_region(&self, region: RegionId) {
-        self.drain_codewords(region, region);
-    }
-
-    /// Number of *distinct dirty regions* in the deferred dirty set
-    /// (diagnostics). Deltas coalesce per region, so this counts map
-    /// entries, not raw queued deltas — see
-    /// [`deferred_pending_deltas`](Self::deferred_pending_deltas) for the
-    /// raw count.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred_stats().dirty_regions as usize
-    }
-
-    /// Total accumulated (not yet drained) raw deltas across the dirty
-    /// set, before coalescing.
-    pub fn deferred_pending_deltas(&self) -> u64 {
-        self.deferred_stats().pending_deltas
-    }
-
-    /// Deferred dirty-set gauges and lifetime counters (zeroed default
-    /// for non-deferred schemes).
-    pub fn deferred_stats(&self) -> DeferredStatsSnapshot {
-        self.deferred
-            .as_ref()
-            .map_or_else(DeferredStatsSnapshot::default, |set| set.snapshot())
     }
 
     /// Read with precheck (paper §3.1): take the protection latches of the
@@ -394,9 +328,7 @@ impl CodewordProtection {
     }
 
     /// Audit the whole database: the `audit::sweep` of the single range
-    /// `0..n`, latched in runs of [`latch_run`](Self::latch_run) regions
-    /// (for the deferred scheme each run's dirty-set shards are drained
-    /// under its exclusive bracket before the fold — no global quiesce),
+    /// `0..n`, latched in runs of [`latch_run`](Self::latch_run) regions,
     /// striped across the configured [`audit_threads`](Self::audit_threads)
     /// workers. The report is identical for every worker count.
     pub fn audit(&self, image: &DbImage) -> Result<AuditReport> {
@@ -434,40 +366,16 @@ impl CodewordProtection {
             &self.geom,
             &self.table,
             &self.latches,
-            self.deferred.as_ref(),
             ranges,
             threads,
             self.latch_run,
         )
     }
 
-    /// Apply the queued codeword deltas of every dirty-set shard covering
-    /// `first..=last` (no-op unless the scheme defers maintenance).
-    fn drain_codewords(&self, first: RegionId, last: RegionId) {
-        if let Some(set) = &self.deferred {
-            set.drain_span(first, last, &self.table);
-        }
-    }
-
-    /// Sorted, deduplicated ids of regions with queued deferred deltas
-    /// (empty for non-deferred schemes). A delta certification must audit
-    /// these in addition to the checkpoint's dirty-page footprint: a
-    /// queued delta means the region's maintained codeword lags the
-    /// image.
-    pub fn deferred_dirty_regions(&self) -> Vec<RegionId> {
-        self.deferred
-            .as_ref()
-            .map_or_else(Vec::new, DeferredSet::dirty_region_ids)
-    }
-
     /// Recompute every codeword from the image (after recovery rebuilds or
     /// repairs the image), striped across the configured
-    /// [`audit_threads`](Self::audit_threads). Any queued deferred deltas
-    /// are superseded and dropped.
+    /// [`audit_threads`](Self::audit_threads).
     pub fn resync(&self, image: &DbImage) -> Result<()> {
-        if let Some(set) = &self.deferred {
-            set.clear();
-        }
         if self.scheme.maintains_codewords() {
             self.table
                 .recompute_all_parallel(image, &self.geom, self.audit_threads)?;
@@ -482,8 +390,7 @@ impl CodewordProtection {
     ///
     /// Takes the group's protection latches exclusively (quiescing
     /// updaters for exactly that span, so the parity buffer is the XOR of
-    /// the members), drains the deferred codeword shards covering the
-    /// group, then walks the fallback ladder:
+    /// the members), then walks the fallback ladder:
     ///
     /// 1. parity buffer must fold to its maintained parity codeword
     ///    (else [`RepairFallback::StaleParity`]);
@@ -510,7 +417,6 @@ impl CodewordProtection {
         let (first, last) = stripe.members(group);
         self.latches
             .with_span(first, last, LatchMode::Exclusive, || {
-                self.drain_codewords(first, last);
                 if !stripe.verify_group(group) {
                     return Ok(Err(RepairFallback::StaleParity { group }));
                 }
@@ -553,17 +459,24 @@ impl CodewordProtection {
 mod tests {
     use super::*;
 
-    /// A 4-page image under `scheme` with 64-byte regions, `threads` scan
-    /// workers and a `cfg`-sized deferred set.
+    /// A 4-page image under `scheme` with 64-byte regions and `threads`
+    /// scan workers.
     fn setup_with(
         scheme: ProtectionScheme,
         kind: CodewordAlgebraKind,
-        cfg: DeferredConfig,
         threads: usize,
     ) -> (DbImage, CodewordProtection) {
         let image = DbImage::new(4, 4096).unwrap();
-        let prot =
-            CodewordProtection::with_config(&image, scheme, 64, 1, cfg, threads, kind).unwrap();
+        let prot = CodewordProtection::with_config(
+            &image,
+            scheme,
+            64,
+            1,
+            DeferredConfig::default(),
+            threads,
+            kind,
+        )
+        .unwrap();
         (image, prot)
     }
 
@@ -571,7 +484,7 @@ mod tests {
         scheme: ProtectionScheme,
         kind: CodewordAlgebraKind,
     ) -> (DbImage, CodewordProtection) {
-        setup_with(scheme, kind, DeferredConfig::default(), 1)
+        setup_with(scheme, kind, 1)
     }
 
     fn setup(scheme: ProtectionScheme) -> (DbImage, CodewordProtection) {
@@ -666,127 +579,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::single_range_in_vec_init)] // the full sweep
-    fn deferred_maintenance_queues_until_drain() {
-        let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
-        // Updaters hold the latch shared across write+enqueue so audits
-        // can drain per region under the exclusive latch (no quiesce).
-        assert_eq!(prot.update_latch_mode(), LatchMode::Shared);
-        prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4]);
-        assert_eq!(prot.deferred_len(), 1);
-        assert_eq!(prot.deferred_pending_deltas(), 1);
-        // Without draining, the table is stale: a raw sweep (no dirty set
-        // wired in) would flag the region.
-        let raw = crate::audit::sweep(
-            &image,
-            prot.geometry(),
-            prot.table(),
-            prot.latches(),
-            None,
-            &[0..prot.geometry().num_regions()],
-            1,
-            1,
-        )
-        .unwrap();
-        assert!(!raw.clean(), "queued delta not yet applied");
-        prot.drain_deferred();
-        assert_eq!(prot.deferred_len(), 0);
-        assert_eq!(prot.deferred_pending_deltas(), 0);
-        assert!(prot.audit(&image).unwrap().clean());
-        // Rewriting the same bytes moves no codeword: nothing is queued.
-        prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4]);
-        assert_eq!(prot.deferred_pending_deltas(), 0);
-    }
-
-    #[test]
-    fn deferred_drain_is_idempotent_and_order_free() {
-        let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
-        prescribed_update(&image, &prot, DbAddr(0), &[1, 1, 1, 1]);
-        prescribed_update(&image, &prot, DbAddr(4), &[2, 2, 2, 2]);
-        prescribed_update(&image, &prot, DbAddr(0), &[3, 3, 3, 3]);
-        // Three raw deltas, but regions 0 and 4 share region 0 of the
-        // 64-byte geometry: the dirty set coalesces them into one entry.
-        assert_eq!(prot.deferred_len(), 1, "coalesced to one dirty region");
-        assert_eq!(prot.deferred_pending_deltas(), 3);
-        prot.drain_deferred();
-        prot.drain_deferred(); // second drain: nothing left
-        assert!(prot.audit(&image).unwrap().clean());
-        assert!(prot.deferred_stats().coalesced_deltas >= 2);
-    }
-
-    #[test]
-    fn deferred_resync_clears_queue() {
-        let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
-        prescribed_update(&image, &prot, DbAddr(8), &[9, 9, 9, 9]);
-        assert_eq!(prot.deferred_len(), 1);
-        prot.resync(&image).unwrap();
-        assert_eq!(prot.deferred_len(), 0);
-        assert_eq!(prot.deferred_pending_deltas(), 0);
-        assert!(prot.audit(&image).unwrap().clean());
-    }
-
-    #[test]
-    fn deferred_audit_drains_incrementally() {
-        let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
-        prescribed_update(&image, &prot, DbAddr(100), &[4, 5, 6]);
-        prescribed_update(&image, &prot, DbAddr(900), &[7, 8]);
-        assert_eq!(prot.deferred_len(), 2);
-        // The audit itself performs the catch-up, region by region.
-        assert!(prot.audit(&image).unwrap().clean());
-        assert_eq!(prot.deferred_len(), 0);
-        assert_eq!(prot.deferred_pending_deltas(), 0);
-    }
-
-    #[test]
-    fn deferred_drain_region_is_partial() {
-        let cfg = DeferredConfig {
-            shards: 4,
-            watermark: 0,
-        };
+    fn parallel_audit_equals_serial_with_updates_and_corruption() {
         let (image, prot) = setup_with(
-            ProtectionScheme::DeferredMaintenance,
+            ProtectionScheme::DataCodeword,
             CodewordAlgebraKind::XorFold,
-            cfg,
-            1,
-        );
-        // Pick a region that hashes away from region 0.
-        let probe = prot.deferred.as_ref().unwrap();
-        let other = (1..prot.geometry().num_regions())
-            .find(|&r| probe.shard_of(r) != probe.shard_of(0))
-            .expect("some region in another shard");
-        prescribed_update(&image, &prot, DbAddr(4), &[1, 2, 3]);
-        prescribed_update(&image, &prot, DbAddr(64 * other + 4), &[4, 5]);
-        assert_eq!(prot.deferred_len(), 2);
-        prot.drain_region(0);
-        assert_eq!(prot.deferred_len(), 1, "only shard(0) drained");
-        assert!(prot.audit(&image).unwrap().clean());
-    }
-
-    #[test]
-    fn parallel_audit_equals_serial_with_deferred_queue_and_corruption() {
-        let (image, prot) = setup_with(
-            ProtectionScheme::DeferredMaintenance,
-            CodewordAlgebraKind::XorFold,
-            DeferredConfig {
-                shards: 4,
-                watermark: 0,
-            },
             4,
         );
         assert_eq!(prot.audit_threads(), 4);
-        // Maintained updates queue deltas; stray writes corrupt.
+        // Maintained updates move codewords; stray writes corrupt.
         prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3, 4, 5]);
         prescribed_update(&image, &prot, DbAddr(5000), &[6, 7]);
         image.write(DbAddr(300), &[0xee]).unwrap();
         image.write(DbAddr(3 * 4096 + 9), &[0xdd]).unwrap();
-        // The parallel audit (threads = 4) must both absorb the queued
-        // deltas and report exactly what a fresh serial pass reports.
+        // The parallel audit (threads = 4) reports exactly what a serial
+        // pass reports.
         let par = prot.audit(&image).unwrap();
         let serial = prot.audit_with_threads(&image, 1).unwrap();
         assert_eq!(par.corrupt, serial.corrupt);
         assert_eq!(par.regions_checked, serial.regions_checked);
         assert_eq!(par.corrupt.len(), 2);
-        assert_eq!(prot.deferred_len(), 0, "parallel audit drained the set");
     }
 
     #[test]
@@ -834,22 +645,9 @@ mod tests {
         // Regions outside the footprint are not consulted.
         let miss = prot.audit_regions(&image, &[0, 10, 11]).unwrap();
         assert!(miss.clean());
-    }
-
-    #[test]
-    fn deferred_dirty_regions_feed_delta_sweeps() {
-        let (image, prot) = setup(ProtectionScheme::DeferredMaintenance);
-        prescribed_update(&image, &prot, DbAddr(100), &[1, 2, 3]); // region 1
-        prescribed_update(&image, &prot, DbAddr(900), &[7, 8]); // region 14
-        let dirty = prot.deferred_dirty_regions();
-        assert_eq!(dirty, vec![1, 14]);
-        // Sweeping exactly the dirty regions absorbs the queued deltas.
-        assert!(prot.audit_regions(&image, &dirty).unwrap().clean());
-        assert_eq!(prot.deferred_len(), 0);
-        assert!(prot.deferred_dirty_regions().is_empty());
-        // Non-codeword schemes: empty dirty set, clean no-op sweeps.
+        // Non-codeword schemes: clean no-op sweeps.
         let (image, prot) = setup(ProtectionScheme::Baseline);
-        assert!(prot.deferred_dirty_regions().is_empty());
+        image.write(DbAddr(0), &[0xff]).unwrap();
         assert!(prot.audit_regions(&image, &[0, 1]).unwrap().clean());
     }
 
@@ -857,7 +655,6 @@ mod tests {
     fn residue_protection_maintains_and_audits() {
         for scheme in [
             ProtectionScheme::DataCodeword,
-            ProtectionScheme::DeferredMaintenance,
             ProtectionScheme::ReadPrecheck,
         ] {
             let (image, prot) = setup_algebra(scheme, CodewordAlgebraKind::Residue);

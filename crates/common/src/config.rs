@@ -19,7 +19,6 @@ use std::time::Duration;
 /// | `ReadLogging` | Data CW w/ReadLog | detect | correct (delete-txn recovery) |
 /// | `CwReadLogging` | Data CW w/CW ReadLog | detect | correct (view-consistent) |
 /// | `MemoryProtection` | Memory Protection | prevent (mprotect) | unneeded |
-/// | `DeferredMaintenance` | *(extension, named in §4.3)* | detect (audit drains shard-by-shard) | none |
 ///
 /// The precheck region size is configured separately
 /// ([`DaliConfig::region_size`]) to allow the 64 B / 512 B / 8 K rows and
@@ -34,13 +33,6 @@ pub enum ProtectionScheme {
     /// Codeword maintenance plus a codeword consistency check on every read
     /// (paper §3.1); prevents transaction-carried corruption.
     ReadPrecheck,
-    /// Data Codeword with *deferred maintenance* (named in §4.3): updaters
-    /// queue `(region, delta)` pairs in a sharded, coalescing dirty set
-    /// instead of touching the codeword table; audits drain each region's
-    /// shard under that region's protection latch before checking (no
-    /// global quiesce). Trades update-path table writes for drain-time
-    /// catch-up.
-    DeferredMaintenance,
     /// Codeword maintenance plus logging of the identity of every item read
     /// (paper §4.2); enables delete-transaction corruption recovery.
     ReadLogging,
@@ -56,22 +48,14 @@ pub enum ProtectionScheme {
 impl ProtectionScheme {
     /// All schemes, in the order they appear in Table 2 (for the 64-byte
     /// region size).
-    pub const ALL: [ProtectionScheme; 7] = [
+    pub const ALL: [ProtectionScheme; 6] = [
         ProtectionScheme::Baseline,
         ProtectionScheme::DataCodeword,
-        ProtectionScheme::DeferredMaintenance,
         ProtectionScheme::ReadPrecheck,
         ProtectionScheme::ReadLogging,
         ProtectionScheme::CwReadLogging,
         ProtectionScheme::MemoryProtection,
     ];
-
-    /// Does the scheme queue codeword deltas for audit-time application
-    /// instead of applying them at `endUpdate`?
-    #[inline]
-    pub fn defers_maintenance(self) -> bool {
-        matches!(self, ProtectionScheme::DeferredMaintenance)
-    }
 
     /// Does the scheme maintain a codeword per protection region on every
     /// update?
@@ -123,7 +107,6 @@ impl ProtectionScheme {
         match self {
             ProtectionScheme::Baseline => "Baseline".to_string(),
             ProtectionScheme::DataCodeword => "Data CW".to_string(),
-            ProtectionScheme::DeferredMaintenance => "Data CW (deferred)".to_string(),
             ProtectionScheme::ReadPrecheck => {
                 format!("Data CW w/Precheck, {} byte", region_size)
             }
@@ -151,9 +134,9 @@ pub const RESIDUE_MODULUS: u64 = 0xFFFF_FFFF;
 /// (§3); this enum makes it pluggable so the detection/overhead trade-off
 /// can be measured. Every algebra is a commutative group on `u32`
 /// codewords: `combine` is associative and commutative with `identity()`
-/// as neutral element and `neg` as inverse, which is exactly what the
-/// sharded deferred dirty set's delta coalescing and incremental
-/// maintenance rely on.
+/// as neutral element and `neg` as inverse, which is exactly what
+/// incremental maintenance and order-free concurrent delta publishing
+/// rely on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum CodewordAlgebraKind {
     /// Bitwise XOR of the region's 32-bit words (the paper's codeword).
@@ -287,21 +270,7 @@ pub struct DaliConfig {
     /// youngest transaction in the cycle) within milliseconds instead of
     /// burning the full `lock_timeout`. `None`: timeout-only resolution.
     pub deadlock_detect_interval: Option<Duration>,
-    /// Number of deferred-maintenance dirty-set shards (rounded up to a
-    /// power of two). `0` = auto: one per available CPU with a floor of
-    /// four — dirty-set contention is driven by writer threads, which
-    /// may oversubscribe a small host. Ignored unless the scheme defers
-    /// maintenance.
-    pub deferred_shards: usize,
-    /// `Some(interval)`: a background maintenance thread drains the
-    /// deferred dirty set every `interval`, bounding how far the
-    /// codeword table lags the image. `None`: catch-up happens only at
-    /// audits and at the per-shard watermark. Ignored unless the scheme
-    /// defers maintenance (the parity stripe has no queue to drain).
-    pub deferred_drain_interval: Option<Duration>,
-    /// Per-shard dirty-region high-watermark: an update that leaves its
-    /// shard deeper than this drains the shard inline (backpressure when
-    /// the background drainer falls behind). `0` = unbounded.
+    /// Unused; read only by the frozen ledger (ROADMAP item 8).
     pub deferred_shard_watermark: usize,
     /// Number of worker threads striping full-image codeword scans —
     /// whole-database audits, checkpoint certification, the startup
@@ -313,14 +282,13 @@ pub struct DaliConfig {
     /// Checkpoint certification cadence: every `full_certify_every`-th
     /// checkpoint audits the *entire* database (paper §4.2); the
     /// checkpoints in between *delta-certify* only the protection regions
-    /// covered by pages dirtied since the image was last written (plus any
-    /// regions queued in the deferred dirty set). `0` = every checkpoint
-    /// is a full sweep — the paper-faithful mode and the default. Delta
-    /// certification cannot see a wild write that lands entirely outside
-    /// the dirty footprint, so a corrupt checkpoint can be certified for
-    /// at most `full_certify_every - 1` intervals before the next full
-    /// sweep catches it (see DESIGN.md); `Audit_SN` only advances on full
-    /// sweeps for the same reason. A failed certification or a restart
+    /// covered by pages dirtied since the image was last written. `0` =
+    /// every checkpoint is a full sweep — the paper-faithful mode and the
+    /// default. Delta certification cannot see a wild write that lands
+    /// entirely outside the dirty footprint, so a corrupt checkpoint can be
+    /// certified for at most `full_certify_every - 1` intervals before the
+    /// next full sweep catches it (see DESIGN.md); `Audit_SN` only advances
+    /// on full sweeps for the same reason. A failed certification or a restart
     /// forces the next sweep full regardless of cadence.
     pub full_certify_every: u32,
     /// Which algebra folds region contents into codewords — the paper's
@@ -406,8 +374,6 @@ impl DaliConfig {
             lock_timeout: Duration::from_secs(2),
             lock_shards: 0,
             deadlock_detect_interval: Some(Duration::from_millis(5)),
-            deferred_shards: 0,
-            deferred_drain_interval: Some(Duration::from_millis(25)),
             deferred_shard_watermark: 4096,
             audit_threads: 0,
             full_certify_every: 0,
@@ -463,34 +429,9 @@ impl DaliConfig {
         or_cpus(self.lock_shards).next_power_of_two()
     }
 
-    /// Builder-style deferred-maintenance shard count (`0` = auto).
-    pub fn with_deferred_shards(mut self, deferred_shards: usize) -> Self {
-        self.deferred_shards = deferred_shards;
-        self
-    }
-
-    /// Builder-style background drain interval (`None` disables the
-    /// maintenance thread).
-    pub fn with_deferred_drain_interval(mut self, interval: Option<Duration>) -> Self {
-        self.deferred_drain_interval = interval;
-        self
-    }
-
-    /// Builder-style per-shard dirty-region watermark (`0` = unbounded).
-    pub fn with_deferred_watermark(mut self, watermark: usize) -> Self {
-        self.deferred_shard_watermark = watermark;
-        self
-    }
-
-    /// The effective deferred-maintenance shard count: `deferred_shards`,
-    /// or (when `0`) one per available CPU with a floor of four, rounded
-    /// up to a power of two.
+    /// Unused; called only by the frozen ledger (ROADMAP item 8).
     pub fn resolved_deferred_shards(&self) -> usize {
-        let n = match self.deferred_shards {
-            0 => or_cpus(0).max(4),
-            n => n,
-        };
-        n.next_power_of_two()
+        1
     }
 
     /// Builder-style audit-scan worker count (`0` = auto, `1` = serial).
@@ -602,6 +543,11 @@ impl DaliConfig {
         if self.regions_per_latch == 0 || !self.regions_per_latch.is_power_of_two() {
             return Err("regions_per_latch must be a power of two >= 1".into());
         }
+        if self.deadlock_detect_interval == Some(Duration::ZERO) {
+            // A zero interval makes every wait time out at once, so a
+            // blocked waiter re-walks the wait-for graph in a busy loop.
+            return Err("deadlock_detect_interval must be positive (or None)".into());
+        }
         if self.full_certify_every == 1 {
             // `1` would mean "every checkpoint is the Nth" — identical to
             // `0` but ambiguous at call sites; reject it so the two
@@ -628,19 +574,9 @@ mod tests {
         use ProtectionScheme::*;
         assert!(!Baseline.maintains_codewords());
         assert!(!MemoryProtection.maintains_codewords());
-        for s in [
-            DataCodeword,
-            DeferredMaintenance,
-            ReadPrecheck,
-            ReadLogging,
-            CwReadLogging,
-        ] {
+        for s in [DataCodeword, ReadPrecheck, ReadLogging, CwReadLogging] {
             assert!(s.maintains_codewords(), "{s:?}");
         }
-        assert!(DeferredMaintenance.defers_maintenance());
-        assert!(!DataCodeword.defers_maintenance());
-        assert!(!DeferredMaintenance.logs_reads());
-        assert!(!DeferredMaintenance.prechecks_reads());
         assert!(ReadPrecheck.prechecks_reads());
         assert!(!DataCodeword.prechecks_reads());
         assert!(ReadLogging.logs_reads() && CwReadLogging.logs_reads());
@@ -656,7 +592,6 @@ mod tests {
         use ProtectionScheme::*;
         assert_eq!(Baseline.label(64), "Baseline");
         assert_eq!(DataCodeword.label(64), "Data CW");
-        assert_eq!(DeferredMaintenance.label(64), "Data CW (deferred)");
         assert_eq!(ReadPrecheck.label(64), "Data CW w/Precheck, 64 byte");
         assert_eq!(ReadPrecheck.label(8192), "Data CW w/Precheck, 8192 byte");
         assert_eq!(ReadLogging.label(64), "Data CW w/ReadLog");
@@ -686,6 +621,11 @@ mod tests {
         let mut c = DaliConfig::small("/tmp/x");
         c.regions_per_latch = 3;
         assert!(c.validate().is_err());
+        let mut c = DaliConfig::small("/tmp/x");
+        c.deadlock_detect_interval = Some(Duration::ZERO);
+        assert!(c.validate().is_err());
+        c.deadlock_detect_interval = None;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -726,22 +666,6 @@ mod tests {
         assert_eq!(c.clone().with_lock_shards(1).resolved_lock_shards(), 1);
         assert_eq!(c.clone().with_lock_shards(6).resolved_lock_shards(), 8);
         assert_eq!(c.with_lock_shards(8).resolved_lock_shards(), 8);
-    }
-
-    #[test]
-    fn deferred_shards_resolve_with_floor() {
-        let c = DaliConfig::small("/tmp/x");
-        let auto = c.resolved_deferred_shards();
-        assert!(auto >= 4 && auto.is_power_of_two());
-        assert_eq!(
-            c.clone().with_deferred_shards(1).resolved_deferred_shards(),
-            1
-        );
-        assert_eq!(
-            c.clone().with_deferred_shards(6).resolved_deferred_shards(),
-            8
-        );
-        assert_eq!(c.with_deferred_shards(8).resolved_deferred_shards(), 8);
     }
 
     #[test]
@@ -914,18 +838,5 @@ mod tests {
         assert_eq!(c.resolved_net_pipeline_depth(), 1, "0 means strict RPC");
         assert_eq!(c.net_outbound_budget, 4096);
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn deferred_builders_chain() {
-        let c = DaliConfig::small("/tmp/x")
-            .with_deferred_shards(16)
-            .with_deferred_drain_interval(Some(Duration::from_millis(1)))
-            .with_deferred_watermark(128);
-        assert_eq!(c.deferred_shards, 16);
-        assert_eq!(c.deferred_drain_interval, Some(Duration::from_millis(1)));
-        assert_eq!(c.deferred_shard_watermark, 128);
-        let c = c.with_deferred_drain_interval(None);
-        assert_eq!(c.deferred_drain_interval, None);
     }
 }

@@ -6,7 +6,6 @@
 //! physical undo for operations that were in flight at checkpoint time.
 
 use bytes::{BufMut, BytesMut};
-use dali_codeword::LatchMode;
 use dali_common::codec::Reader;
 use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
 use dali_wal::record::OpKind;
@@ -21,22 +20,6 @@ pub enum TxnStatus {
     Active,
     Committed,
     Aborted,
-}
-
-/// A physical update in its beginUpdate/endUpdate window.
-#[derive(Clone, Debug)]
-pub struct InFlightUpdate {
-    /// Word-widened address of the undo image.
-    pub waddr: DbAddr,
-    /// Word-widened length.
-    pub wlen: usize,
-    /// Exact updated range (what the redo record will cover).
-    pub exact_addr: DbAddr,
-    pub exact_len: usize,
-    /// Protection-latch span held for the window.
-    pub latch_first: usize,
-    pub latch_last: usize,
-    pub latch_mode: LatchMode,
 }
 
 /// A level-1 operation in progress.
@@ -55,7 +38,9 @@ pub struct TxnState {
     pub redo: LocalRedoLog,
     pub next_op: u32,
     pub cur_op: Option<OpState>,
-    pub cur_update: Option<InFlightUpdate>,
+    /// A physical update is between its beginUpdate and endUpdate: the
+    /// checkpointer must not serialize this entry's undo log.
+    pub update_in_flight: bool,
     /// Ranges exposed (mprotect-unprotected) by the current operation's
     /// physical updates; reprotected together when the operation ends, so
     /// control information sharing a page with data costs no extra
@@ -80,7 +65,7 @@ impl TxnState {
             redo: LocalRedoLog::new(),
             next_op: 0,
             cur_op: None,
-            cur_update: None,
+            update_in_flight: false,
             op_exposures: Vec::new(),
             deferred_frees: Vec::new(),
         }
@@ -149,7 +134,7 @@ impl Att {
         buf.put_u32_le(entries.len() as u32);
         for entry in entries {
             let st = entry.lock();
-            if st.cur_update.is_some() {
+            if st.update_in_flight {
                 return Err(DaliError::InvalidArg(
                     "checkpointing ATT with a physical update in flight".into(),
                 ));
@@ -239,15 +224,7 @@ mod tests {
     fn ckpt_rejects_in_flight_update() {
         let att = Att::new();
         let st = att.insert(TxnId(1));
-        st.lock().cur_update = Some(InFlightUpdate {
-            waddr: DbAddr(0),
-            wlen: 4,
-            exact_addr: DbAddr(0),
-            exact_len: 4,
-            latch_first: 0,
-            latch_last: 0,
-            latch_mode: LatchMode::None,
-        });
+        st.lock().update_in_flight = true;
         assert!(att.encode_for_ckpt().is_err());
     }
 

@@ -250,8 +250,7 @@ impl Drop for Drained<'_> {
 /// the list is derived and why the restriction is sound) — and record its
 /// region count, bytes folded, latch brackets and wall-clock time in
 /// [`EngineStats`]. The sweep runs under the protection latches,
-/// concurrently with updaters (deferred dirty-set shards are drained
-/// inside each exclusive bracket; no global quiesce), striped across
+/// concurrently with updaters (no global quiesce), striped across
 /// [`DaliConfig::audit_threads`](dali_common::DaliConfig) workers.
 fn sweep_audit(db: &Arc<Db>, regions: Option<&[dali_codeword::RegionId]>) -> Result<AuditReport> {
     use std::sync::atomic::Ordering::Relaxed;
@@ -411,8 +410,7 @@ fn certify(
     // delta-certify: they audit only the regions overlapped by the dirty
     // pages just drained (a safe superset of everything written through
     // the interface since this image's previous checkpoint — pages are
-    // noted to both images) plus any regions with queued deferred
-    // deltas. Corruption *inside* that footprint is caught exactly as a
+    // noted to both images). Corruption *inside* that footprint is caught exactly as a
     // full sweep would catch it; a wild write to an untouched region is
     // invisible to the maintained codewords' drift (nothing legitimate
     // changed them) and is caught by the next full sweep — at most
@@ -433,14 +431,11 @@ fn certify(
     let report = if full {
         sweep_audit(db, None)?
     } else {
-        let mut regions = dali_wal::pages_to_regions(
+        let regions = dali_wal::pages_to_regions(
             dirty_pages,
             db.config.page_size,
             db.prot.geometry().region_size(),
         );
-        regions.extend(db.prot.deferred_dirty_regions());
-        regions.sort_unstable();
-        regions.dedup();
         let skipped = db.prot.geometry().num_regions() - regions.len();
         db.stats
             .certify_regions_skipped

@@ -2,14 +2,13 @@
 //! marker that carries a failed audit across the deliberate crash, and the
 //! online cache-recovery repair (paper §4.2's cache-recovery model).
 
-use crate::att::TxnStatus;
 use crate::ckpt;
 use crate::db::Db;
 use bytes::BufMut;
 use dali_common::align::split_by_chunks;
 use dali_common::storage;
 use dali_common::{codec, DaliError, DbAddr, Lsn, PageId, Result, Storage};
-use dali_wal::{LogReader, LogRecord, LogRecordRef};
+use dali_wal::{LogReader, LogRecordRef};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -196,26 +195,11 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
     db.check_alive()?;
     let _q = db.quiesce.write();
 
-    // Roll back every active transaction (their compensations are logged).
+    // Roll back every active transaction (their compensations are
+    // logged); their handles fail with `TxnAborted` from now on.
     for id in db.att.ids() {
         if let Some(state) = db.att.get(id) {
-            let mut st = state.lock();
-            if st.status != TxnStatus::Active {
-                continue;
-            }
-            crate::txn::rollback_txn(db, &mut st, id)?;
-            let mut batch = st.redo.drain();
-            batch.push(LogRecord::TxnAbort { txn: id });
-            db.syslog.append_batch(&batch);
-            st.status = TxnStatus::Aborted;
-            for rec in std::mem::take(&mut st.deferred_frees) {
-                if let Ok(h) = db.heap(rec.table) {
-                    h.release(rec.slot);
-                }
-            }
-            drop(st);
-            db.locks.unlock_all(id);
-            db.att.remove(id);
+            crate::txn::abort_txn(db, &state, id)?;
         }
     }
     db.syslog.flush(false)?;
@@ -270,10 +254,6 @@ pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Resu
 
     // ...and resynchronize the maintained codewords of the repaired pages.
     if db.config.scheme.maintains_codewords() {
-        // Queued deferred deltas for the repaired regions are superseded;
-        // apply the whole queue first so unrelated regions stay correct,
-        // then recompute the repaired ones from the image.
-        db.prot.drain_deferred();
         let geom = db.prot.geometry();
         for &p in &pages {
             let base = p.base(db.config.page_size);

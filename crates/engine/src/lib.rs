@@ -35,7 +35,6 @@ pub mod corruption;
 pub mod db;
 pub mod heap;
 pub mod lock;
-pub mod maintenance;
 pub mod recovery;
 pub mod repair;
 pub mod trace;
@@ -205,7 +204,9 @@ impl DaliEngine {
     /// Online cache recovery (paper §4.2 cache-recovery model): repair
     /// the given directly-corrupted ranges in place from the certified
     /// checkpoint and the stable log. All active transactions are rolled
-    /// back. Returns the number of redo records replayed.
+    /// back; every later call on their handles fails with
+    /// [`DaliError::TxnAborted`]. Returns the number of redo records
+    /// replayed.
     pub fn cache_repair(&self, ranges: &[(DbAddr, usize)]) -> Result<usize> {
         corruption::cache_repair(&self.db, ranges)
     }
@@ -257,12 +258,6 @@ impl DaliEngine {
     /// mprotect statistics (Hardware Protection scheme, §5.3).
     pub fn protect_stats(&self) -> &dali_mem::ProtectStats {
         self.db.protector.stats()
-    }
-
-    /// Deferred-maintenance dirty-set gauges and counters (zeroed for
-    /// non-deferred schemes).
-    pub fn deferred_stats(&self) -> dali_codeword::DeferredStatsSnapshot {
-        self.db.prot.deferred_stats()
     }
 
     /// The active configuration.

@@ -182,19 +182,11 @@ pub(crate) fn build_db(
         config.scheme,
         config.region_size,
         config.regions_per_latch,
-        dali_codeword::DeferredConfig {
-            shards: config.resolved_deferred_shards(),
-            watermark: config.deferred_shard_watermark,
-        },
+        dali_codeword::DeferredConfig::default(),
         config.resolved_audit_threads(),
         config.codeword_algebra,
     )?;
-    prot.enable_parity(
-        &image,
-        config.resolved_parity_group_size(),
-        config.resolved_deferred_shards(),
-        config.deferred_shard_watermark,
-    )?;
+    prot.enable_parity(&image, config.resolved_parity_group_size(), 0, 0)?;
     let protector = PageProtector::new(Arc::clone(&image), true);
     let heaps: Vec<Arc<HeapRuntime>> = catalog
         .iter()
@@ -228,7 +220,6 @@ pub(crate) fn build_db(
         h.rebuild_from_image(&db.image)?;
     }
     db.refresh_log_gauges()?;
-    crate::maintenance::spawn_drainer(&db);
     Ok(db)
 }
 

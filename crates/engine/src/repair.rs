@@ -5,8 +5,8 @@
 //! ([`CodewordProtection::repair_region`](dali_codeword::CodewordProtection::repair_region))
 //! before anyone reaches for the log. The fallback ladder:
 //!
-//! 1. **Parity rebuild** — exclusive latch bracket over the group, drain
-//!    its deferred shards, reconstruct `parity ⊕ (⊕ siblings)`, verify
+//! 1. **Parity rebuild** — exclusive latch bracket over the group,
+//!    reconstruct `parity ⊕ (⊕ siblings)`, verify
 //!    the result against the maintained codeword, write it back. No WAL
 //!    replay, no transaction rollback, latency proportional to one group.
 //! 2. **Online cache recovery** ([`corruption::cache_repair`]) — when
@@ -25,7 +25,7 @@
 //! silently mask a fault.
 //!
 //! **Scheme boundary.** The ladder only exists for the direct-corruption
-//! schemes (`DataCodeword`, `ReadPrecheck`, `DeferredMaintenance`).
+//! schemes (`DataCodeword`, `ReadPrecheck`).
 //! Under the read-logging schemes a detected region may already have
 //! been *read* by committed transactions — carried corruption that no
 //! byte-level rebuild can undo — so repair refuses and the

@@ -16,18 +16,19 @@
 //!
 //! Lock ordering throughout the engine: `quiesce` (shared) → transaction
 //! state mutex → heap alloc mutex → protection latches (ascending
-//! stripes) → deferred dirty-set shard mutex *or* parity group-buffer
-//! mutex. The checkpointer takes `quiesce` exclusively and then
-//! transaction state mutexes, which is consistent with this order; the
-//! dirty-set shard mutex is only ever taken after latches (updaters
-//! enqueue inside their bracket, auditors drain under the exclusive
-//! stripe latch) and never while acquiring one. The group-buffer mutex
-//! is a leaf: updaters take it inside their bracket (after releasing
-//! any shard mutex), repair and resync under the group's exclusive
-//! latches, certification's `verify_group` under no latch, and nothing
-//! else is acquired while it is held.
+//! stripes) → parity group-buffer mutex. The checkpointer and online
+//! cache repair take `quiesce` exclusively and then transaction state
+//! mutexes, which is consistent with this order. The group-buffer mutex
+//! is a leaf: updaters take it inside their bracket, repair and resync
+//! under the group's exclusive latches, certification's `verify_group`
+//! under no latch, and nothing else is acquired while it is held.
+//!
+//! Online cache repair rolls back every active transaction behind its
+//! handle's back, so each handle call checks, under `quiesce` and the
+//! state mutex, that its transaction is still active and fails with
+//! [`DaliError::TxnAborted`] otherwise.
 
-use crate::att::{InFlightUpdate, OpState, TxnState, TxnStatus};
+use crate::att::{OpState, TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
 use crate::lock::LockMode;
 use dali_common::{DaliError, DbAddr, RecId, Result, TableId, TxnId};
@@ -60,6 +61,18 @@ impl TxnHandle {
         self.id
     }
 
+    /// Fail with [`DaliError::TxnAborted`] once the transaction is no
+    /// longer active, releasing any record lock the failing call took
+    /// (the rollback already released the rest). Called under `quiesce`
+    /// and the state mutex, so no repair can abort it after the check.
+    fn ensure_active(&self, st: &TxnState) -> Result<()> {
+        if st.status == TxnStatus::Active {
+            return Ok(());
+        }
+        self.db.locks.unlock_all(self.id);
+        Err(DaliError::TxnAborted(self.id))
+    }
+
     // ---------------------------------------------------------------
     // Reads
     // ---------------------------------------------------------------
@@ -81,6 +94,9 @@ impl TxnHandle {
             )));
         }
         self.db.locks.lock(self.id, rec, LockMode::Shared)?;
+        let _q = self.db.quiesce.read();
+        let mut st = self.state.lock();
+        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
@@ -113,7 +129,6 @@ impl TxnHandle {
                 .db
                 .prot
                 .read_with_codewords(&self.db.image, addr, buf)?;
-            let mut st = self.state.lock();
             st.redo.push(LogRecord::ReadLog {
                 txn: self.id,
                 addr,
@@ -123,7 +138,6 @@ impl TxnHandle {
             EngineStats::bump(&self.db.stats.read_log_records);
         } else if scheme.logs_reads() {
             self.db.image.read(addr, buf)?;
-            let mut st = self.state.lock();
             st.redo.push(LogRecord::ReadLog {
                 txn: self.id,
                 addr,
@@ -169,6 +183,10 @@ impl TxnHandle {
         }
         let _q = self.db.quiesce.read();
         let mut st = self.state.lock();
+        if let Err(e) = self.ensure_active(&st) {
+            heap.release(slot);
+            return Err(e);
+        }
         let op = begin_op(&mut st, self.id, OpKind::Insert, rec);
 
         // Physical update 1: set the allocation bit (control information
@@ -213,7 +231,9 @@ impl TxnHandle {
     /// with respect to that record.
     pub fn lock_exclusive(&self, rec: RecId) -> Result<()> {
         self.db.check_alive()?;
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)
+        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
+        let _q = self.db.quiesce.read();
+        self.ensure_active(&self.state.lock())
     }
 
     /// Update a record in place.
@@ -228,12 +248,13 @@ impl TxnHandle {
             )));
         }
         self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
+        let _q = self.db.quiesce.read();
+        let mut st = self.state.lock();
+        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
         let addr = heap.meta().slot_addr(rec.slot);
-        let _q = self.db.quiesce.read();
-        let mut st = self.state.lock();
         let op = begin_op(&mut st, self.id, OpKind::Update, rec);
         let mut before = vec![0u8; data.len()];
         read_persistent(&self.db, addr, &mut before)?;
@@ -254,12 +275,13 @@ impl TxnHandle {
         self.db.check_alive()?;
         let heap = self.db.heap(rec.table)?;
         self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
+        let _q = self.db.quiesce.read();
+        let mut st = self.state.lock();
+        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
         let addr = heap.meta().slot_addr(rec.slot);
-        let _q = self.db.quiesce.read();
-        let mut st = self.state.lock();
         let op = begin_op(&mut st, self.id, OpKind::Delete, rec);
         let mut image = vec![0u8; heap.meta().rec_size];
         read_persistent(&self.db, addr, &mut image)?;
@@ -302,6 +324,7 @@ impl TxnHandle {
         {
             let _q = self.db.quiesce.read();
             let mut st = self.state.lock();
+            self.ensure_active(&st)?;
             if st.cur_op.is_some() {
                 return Err(DaliError::InvalidArg(
                     "commit with an operation in progress".into(),
@@ -341,24 +364,38 @@ impl TxnHandle {
         self.db.check_alive()?;
         {
             let _q = self.db.quiesce.read();
-            let mut st = self.state.lock();
-            rollback_txn(&self.db, &mut st, self.id)?;
-            let mut batch = st.redo.drain();
-            batch.push(LogRecord::TxnAbort { txn: self.id });
-            self.db.syslog.append_batch(&batch);
-            st.status = TxnStatus::Aborted;
-            for rec in std::mem::take(&mut st.deferred_frees) {
-                if let Ok(h) = self.db.heap(rec.table) {
-                    h.release(rec.slot);
-                }
-            }
+            abort_txn(&self.db, &self.state, self.id)?;
         }
         self.db.syslog.flush(false)?;
-        self.db.locks.unlock_all(self.id);
-        self.db.att.remove(self.id);
-        EngineStats::bump(&self.db.stats.aborts);
         Ok(())
     }
+}
+
+/// Roll back transaction `id` level by level, log its compensations and
+/// abort record, and release its slots, locks and ATT entry — the one
+/// abort path, for [`TxnHandle::abort`] and for online cache repair. A
+/// transaction that already finished is left alone. The caller holds
+/// `quiesce` (shared or exclusive) and flushes the log afterwards.
+pub(crate) fn abort_txn(db: &Db, state: &Mutex<TxnState>, id: TxnId) -> Result<()> {
+    let mut st = state.lock();
+    if st.status != TxnStatus::Active {
+        return Ok(());
+    }
+    rollback_txn(db, &mut st, id)?;
+    let mut batch = st.redo.drain();
+    batch.push(LogRecord::TxnAbort { txn: id });
+    db.syslog.append_batch(&batch);
+    st.status = TxnStatus::Aborted;
+    for rec in std::mem::take(&mut st.deferred_frees) {
+        if let Ok(h) = db.heap(rec.table) {
+            h.release(rec.slot);
+        }
+    }
+    drop(st);
+    db.locks.unlock_all(id);
+    db.att.remove(id);
+    EngineStats::bump(&db.stats.aborts);
+    Ok(())
 }
 
 impl Drop for TxnHandle {
@@ -500,15 +537,7 @@ fn physical_update(
         let mut old = vec![0u8; wl];
         db.image.read(waddr, &mut old)?;
         st.undo.push_physical(op, waddr, old.clone());
-        st.cur_update = Some(InFlightUpdate {
-            waddr,
-            wlen: wl,
-            exact_addr: addr,
-            exact_len: len,
-            latch_first: first,
-            latch_last: last,
-            latch_mode: mode,
-        });
+        st.update_in_flight = true;
 
         // CW ReadLog treats a write as a read followed by a write (§4.3):
         // log the pre-update region codewords, computed from the contents
@@ -542,14 +571,14 @@ fn physical_update(
     db.prot.latches().unlock_span(first, last, mode);
     // Reprotection is deferred to the end of the operation (see
     // reprotect_op_exposures).
-    st.cur_update = None;
+    st.update_in_flight = false;
     res
 }
 
 /// Roll back everything in the transaction's undo log, level by level:
 /// physical restores first (they are always on top of the stack), then
 /// logical compensations executed as fresh operations.
-pub(crate) fn rollback_txn(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
+fn rollback_txn(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
     // Close the failed operation's exposure window first.
     reprotect_op_exposures(db, st)?;
     // If an operation is in progress, its unmigrated redo records must not

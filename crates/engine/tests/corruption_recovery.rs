@@ -8,6 +8,7 @@ use dali_common::{DaliConfig, DaliError, DbAddr, OpSeq, ProtectionScheme, RecId,
 use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
 use dali_testutil::TempDir;
 use dali_wal::LogRecord;
+use std::sync::atomic::Ordering;
 
 const REC: usize = 128;
 
@@ -309,7 +310,25 @@ fn online_cache_repair_aborts_active_transactions() {
     // The open transaction was rolled back by the repair.
     assert_eq!(read_one(&s.db, s.y), val(2));
     assert!(s.db.audit().unwrap().clean());
-    drop(txn);
+
+    // Its handle is dead: nothing more it does may run or commit, or the
+    // operations after the repair would commit without the ones before.
+    let id = txn.id();
+    assert!(matches!(
+        txn.update(s.y, &val(88)),
+        Err(DaliError::TxnAborted(t)) if t == id
+    ));
+    assert!(matches!(txn.read_vec(s.y), Err(DaliError::TxnAborted(_))));
+    assert!(matches!(txn.commit(), Err(DaliError::TxnAborted(_))));
+    assert_eq!(s.db.stats().aborts.load(Ordering::Relaxed), 1);
+    // The failed calls left no lock behind.
+    let other = s.db.begin().unwrap();
+    other.lock_exclusive(s.y).unwrap();
+    other.commit().unwrap();
+
+    drop(s.db);
+    let (db, _) = DaliEngine::open(s.config.clone()).unwrap();
+    assert_eq!(read_one(&db, s.y), val(2));
 }
 
 /// Online repair replays only the repaired pages' share of each logged

@@ -28,6 +28,9 @@ pub struct Arena {
 // SAFETY: the arena is just memory; all access is via raw pointers with the
 // caller responsible for synchronization, as documented.
 unsafe impl Send for Arena {}
+// SAFETY: `&Arena` hands out no references into the memory, only
+// bounds-checked raw-pointer copies, so sharing it across threads adds no
+// aliasing; ordering concurrent copies of one range is the latches' job.
 unsafe impl Sync for Arena {}
 
 impl Arena {

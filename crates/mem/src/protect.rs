@@ -257,10 +257,16 @@ pub fn measure_protect_pairs(pages: usize, reps: usize) -> Result<f64> {
         for p in 0..pages {
             // SAFETY: in-bounds page within the arena.
             let addr = unsafe { base.add(p * ps) } as *mut libc::c_void;
+            // SAFETY: `addr` is page-aligned (the arena is, and `ps` is the
+            // OS page size) and one page lies within the live mapping;
+            // `image` is local, so no other thread writes while the page is
+            // read-only.
             let rc = unsafe { libc::mprotect(addr, ps, libc::PROT_READ) };
             if rc != 0 {
                 return Err(DaliError::Io(std::io::Error::last_os_error()));
             }
+            // SAFETY: the same page, restored to the arena's original
+            // protection.
             let rc = unsafe { libc::mprotect(addr, ps, libc::PROT_READ | libc::PROT_WRITE) };
             if rc != 0 {
                 return Err(DaliError::Io(std::io::Error::last_os_error()));

@@ -279,15 +279,14 @@ wire_struct! {
         pub sessions: u64,
         /// Transactions rolled back because their connection dropped.
         pub orphans_rolled_back: u64,
-        /// Deferred maintenance: non-empty dirty-set shard drains performed.
+        /// Retired with the deferred-maintenance scheme; always `0`. The
+        /// four `deferred_*` slots keep the frame layout.
         pub deferred_drains: u64,
-        /// Deferred maintenance: deltas absorbed into an already-dirty
-        /// region (the savings coalescing bought).
+        /// Retired; always `0`.
         pub deferred_coalesced: u64,
-        /// Deferred maintenance: high-watermark of any shard's dirty-region
-        /// depth.
+        /// Retired; always `0`.
         pub deferred_max_shard_depth: u64,
-        /// Deferred maintenance: raw deltas currently queued.
+        /// Retired; always `0`.
         pub deferred_pending: u64,
         /// Full-database audit sweeps run (on-demand + checkpoint
         /// certification).

@@ -211,7 +211,6 @@ fn execute_engine_inner(
 /// Build the snapshot the `Stats` verb serves.
 fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerStats {
     let log = engine.log_stats();
-    let deferred = engine.deferred_stats();
     ServerStats {
         commits: engine.stats().commits.load(Ordering::Relaxed),
         aborts: engine.stats().aborts.load(Ordering::Relaxed),
@@ -222,10 +221,10 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         group_followers: log.group_followers,
         sessions: counters.sessions.load(Ordering::Relaxed),
         orphans_rolled_back: counters.orphans_rolled_back.load(Ordering::Relaxed),
-        deferred_drains: deferred.drains,
-        deferred_coalesced: deferred.coalesced_deltas,
-        deferred_max_shard_depth: deferred.max_shard_depth,
-        deferred_pending: deferred.pending_deltas,
+        deferred_drains: 0,
+        deferred_coalesced: 0,
+        deferred_max_shard_depth: 0,
+        deferred_pending: 0,
         audits_run: engine.stats().audits.load(Ordering::Relaxed),
         audit_regions: engine.stats().regions_audited.load(Ordering::Relaxed),
         audit_bytes_folded: engine.stats().bytes_folded.load(Ordering::Relaxed),

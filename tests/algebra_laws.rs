@@ -4,8 +4,8 @@
 //! list of equations (see `dali_codeword::algebra`): folds compose over
 //! concatenation, the directed update delta moves a codeword exactly to
 //! the recompute-from-image value, deltas coalesce associatively and
-//! commutatively (the deferred dirty set merges them in whatever order
-//! shards drain), and the zero-padded fold agrees with the aligned fold
+//! commutatively (concurrent updaters publish them into the codeword
+//! table in whatever order they finish), and the zero-padded fold agrees with the aligned fold
 //! on zero-padded input. These hold trivially for XOR; for the
 //! mod-(2^32−1) residue they depend on the end-around carry and the
 //! canonicalization being right. So: random data, both algebras, every
@@ -91,8 +91,8 @@ proptest! {
 
     /// Deltas coalesce associatively and commutatively: any grouping and
     /// any order of combining the same multiset of deltas produces the
-    /// same merged delta. This is the invariant that lets the sharded
-    /// deferred set merge concurrent publications without ordering.
+    /// same merged delta. This is the invariant that lets concurrent
+    /// updaters publish into one codeword slot without ordering.
     #[test]
     fn deltas_coalesce_in_any_order_and_grouping(
         raws in proptest::collection::vec(any::<u32>(), 1..24),

@@ -9,8 +9,7 @@
 //! group's latches exclusively, as `repair_region` does, and requires the
 //! parity buffer to equal the XOR of the members read from the image and
 //! the group's codeword to verify. After the threads join, every group
-//! must be exact. Runs under both algebras, with eager and deferred
-//! codeword maintenance (the stripe is eager under both).
+//! must be exact. Runs under both algebras.
 
 use dali::codeword::{CodewordAlgebraKind, CodewordProtection, DeferredConfig, LatchMode};
 use dali::mem::DbImage;
@@ -46,11 +45,11 @@ fn update(image: &DbImage, prot: &CodewordProtection, addr: usize, len: usize, f
     prot.latches().unlock_span(first, last, LatchMode::Shared);
 }
 
-fn run(scheme: ProtectionScheme, kind: CodewordAlgebraKind, seed: u64) {
+fn run(kind: CodewordAlgebraKind, seed: u64) {
     let image = DbImage::new(PAGES, PAGE).unwrap();
     let mut prot = CodewordProtection::with_config(
         &image,
-        scheme,
+        ProtectionScheme::DataCodeword,
         REGION,
         1,
         DeferredConfig::default(),
@@ -62,7 +61,7 @@ fn run(scheme: ProtectionScheme, kind: CodewordAlgebraKind, seed: u64) {
     let (image, prot) = (&image, &prot);
     let groups = prot.parity().unwrap().num_groups();
     let done = AtomicUsize::new(0);
-    let ctx = format!("{scheme:?} {kind:?} seed {seed}");
+    let ctx = format!("{kind:?} seed {seed}");
 
     std::thread::scope(|s| {
         for t in 0..UPDATERS {
@@ -105,7 +104,6 @@ fn run(scheme: ProtectionScheme, kind: CodewordAlgebraKind, seed: u64) {
     });
 
     parity::stripe_exact(image, prot).unwrap_or_else(|e| panic!("{ctx}: after join: {e}"));
-    prot.drain_deferred();
     assert!(
         prot.audit(image).unwrap().clean(),
         "{ctx}: audit after join"
@@ -115,14 +113,6 @@ fn run(scheme: ProtectionScheme, kind: CodewordAlgebraKind, seed: u64) {
 #[test]
 fn eager_parity_holds_under_concurrent_updaters_both_algebras() {
     for kind in CodewordAlgebraKind::ALL {
-        for (i, scheme) in [
-            ProtectionScheme::DataCodeword,
-            ProtectionScheme::DeferredMaintenance,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            run(scheme, kind, 0x5EED_0000 + i as u64);
-        }
+        run(kind, 0x5EED_0000);
     }
 }

@@ -216,116 +216,3 @@ fn stress_contended_read_precheck_sharded() {
 fn stress_contended_data_codeword_single_shard() {
     stress_contended(ProtectionScheme::DataCodeword, 1);
 }
-
-/// Deferred-maintenance under the full mixed workload: TPC-B writers
-/// queueing coalesced deltas, the background drainer applying them every
-/// millisecond, an ad-hoc reader, and an audit loop racing all of it.
-/// Every audit must come back clean — the incremental latch-then-drain
-/// catch-up replaced the global quiesce, so a false corruption report
-/// here means a delta was visible in the image but missed by the audit's
-/// shard drain. After quiesce the dirty set must be empty and the
-/// drainer must actually have run.
-fn stress_deferred(
-    shards: usize,
-    drain_interval: Option<std::time::Duration>,
-    watermark: usize,
-    audit_threads: usize,
-) {
-    let cfg = TpcbConfig::small();
-    let dir = dali_testutil::TempDir::new(&format!("stress-deferred-{shards}-{audit_threads}"));
-    let mut config = DaliConfig::small(dir.path())
-        .with_scheme(ProtectionScheme::DeferredMaintenance)
-        .with_deferred_shards(shards)
-        .with_deferred_drain_interval(drain_interval)
-        .with_deferred_watermark(watermark)
-        .with_audit_threads(audit_threads);
-    config.db_pages = cfg.required_pages(config.page_size);
-    let (db, _) = DaliEngine::create(config).unwrap();
-    let mut driver = TpcbDriver::setup(&db, cfg.clone()).unwrap();
-
-    let stop = AtomicBool::new(false);
-    let (accounts, _, _, _) = driver.tables();
-    let audits_done = std::thread::scope(|s| {
-        let auditor = s.spawn(|| {
-            let mut audits = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let report = db.audit().unwrap();
-                assert!(
-                    report.clean(),
-                    "deferred ({shards} shards): audit #{audits} reported corruption in an \
-                     uncorrupted database: {report:?}"
-                );
-                audits += 1;
-            }
-            audits
-        });
-
-        s.spawn(|| {
-            let mut i = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                let txn = db.begin().unwrap();
-                let mut res = Ok(Vec::new());
-                for k in 0..8 {
-                    let rec =
-                        RecId::new(accounts, SlotId(((i * 37 + k * 131) % cfg.accounts) as u32));
-                    res = txn.read_vec(rec);
-                    if res.is_err() {
-                        break;
-                    }
-                }
-                match res {
-                    Ok(_) => txn.commit().unwrap(),
-                    Err(DaliError::LockDenied { .. }) => txn.abort().unwrap(),
-                    Err(e) => panic!("deferred: reader failed: {e}"),
-                }
-                i += 1;
-            }
-        });
-
-        let stats = driver.run_concurrent(THREADS, OPS).unwrap();
-        stop.store(true, Ordering::Relaxed);
-        assert_eq!(stats.ops, OPS);
-        auditor.join().unwrap()
-    });
-
-    assert!(audits_done >= 1, "audit loop never completed a sweep");
-    driver.verify_invariant().unwrap();
-    assert!(db.audit().unwrap().clean());
-    // Quiesced and fully audited: every queued delta has been applied.
-    let deferred = db.deferred_stats();
-    assert_eq!(
-        deferred.pending_deltas, 0,
-        "deltas left queued: {deferred:?}"
-    );
-    assert_eq!(
-        deferred.dirty_regions, 0,
-        "regions left dirty: {deferred:?}"
-    );
-    assert!(deferred.drains > 0, "no drain ever ran: {deferred:?}");
-    assert_eq!(deferred.shards, shards as u64);
-    assert_parity_exact(&db, &format!("deferred ({shards} shards)"));
-}
-
-#[test]
-fn stress_deferred_sharded_with_background_drainer() {
-    stress_deferred(8, Some(std::time::Duration::from_millis(1)), 4096, 1);
-}
-
-/// No background drainer and a tiny watermark: catch-up rides entirely
-/// on audit drains and inline backpressure drains.
-#[test]
-fn stress_deferred_watermark_only() {
-    stress_deferred(4, None, 16, 1);
-}
-
-/// The hardest combination: concurrent TPC-B updaters queueing deferred
-/// deltas, the background drainer applying them, an ad-hoc reader, and a
-/// *4-way-striped* audit loop doing the latch-then-drain-shard catch-up
-/// from four threads at once. Every audit must stay clean and the dirty
-/// set must still be empty at quiesce — stripe workers draining shards
-/// concurrently with each other, the drainer, and watermark pushers must
-/// never lose or double-apply a delta.
-#[test]
-fn stress_deferred_parallel_audit() {
-    stress_deferred(8, Some(std::time::Duration::from_millis(1)), 4096, 4);
-}

@@ -1,10 +1,9 @@
 //! Delta certification equivalence and cadence.
 //!
 //! Property: a delta certification — auditing only the protection
-//! regions covered by the dirty footprint (dirty pages' regions plus
-//! queued deferred-delta regions) — returns *exactly* the full sweep's
-//! verdict restricted to that footprint, for every latch-run bound and
-//! worker count, on eager and deferred maintenance alike.
+//! regions covered by the dirty footprint (the dirty pages' regions) —
+//! returns *exactly* the full sweep's verdict restricted to that
+//! footprint, for every latch-run bound, worker count and algebra.
 //!
 //! The deterministic engine tests pin down the cadence semantics: a
 //! wild write *inside* the footprint is caught by the very next delta
@@ -36,12 +35,6 @@ fn prescribed_update(image: &DbImage, prot: &CodewordProtection, addr: usize, da
     prot.apply_update(image, DbAddr(ws), &old).unwrap();
 }
 
-fn sorted_dedup(mut v: Vec<usize>) -> Vec<usize> {
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: std::env::var("PROPTEST_CASES")
@@ -59,14 +52,8 @@ proptest! {
             (0..PAGES * PAGE, any::<u8>()), 0..6),
         latch_run in 1..96usize,
         threads in 1..4usize,
-        deferred in any::<bool>(),
         residue in any::<bool>(),
     ) {
-        let scheme = if deferred {
-            ProtectionScheme::DeferredMaintenance
-        } else {
-            ProtectionScheme::DataCodeword
-        };
         let kind = if residue {
             dali_common::CodewordAlgebraKind::Residue
         } else {
@@ -74,8 +61,8 @@ proptest! {
         };
         let image = DbImage::new(PAGES, PAGE).unwrap();
         let mut prot = CodewordProtection::with_config(
-            &image, scheme, REGION, 1,
-            DeferredConfig { shards: 4, watermark: 0 },
+            &image, ProtectionScheme::DataCodeword, REGION, 1,
+            DeferredConfig::default(),
             threads,
             kind,
         ).unwrap();
@@ -101,10 +88,7 @@ proptest! {
         }
 
         // The footprint a delta certification derives.
-        let mut footprint =
-            dali_wal::pages_to_regions(&dirty_pages, PAGE, REGION);
-        footprint.extend(prot.deferred_dirty_regions());
-        let footprint = sorted_dedup(footprint);
+        let footprint = dali_wal::pages_to_regions(&dirty_pages, PAGE, REGION);
 
         let delta = prot.audit_regions(&image, &footprint).unwrap();
         let full = prot.audit(&image).unwrap();
@@ -120,8 +104,7 @@ proptest! {
         prop_assert_eq!(delta.regions_checked, footprint.len());
 
         // The per-region (latch_run = 1) path is byte-equivalent to the
-        // batched path, on both sweep shapes. (Everything queued is
-        // drained by now, so repeat audits are stable.)
+        // batched path, on both sweep shapes.
         prot.set_latch_run(1);
         let delta_lr1 = prot.audit_regions(&image, &footprint).unwrap();
         let full_lr1 = prot.audit(&image).unwrap();

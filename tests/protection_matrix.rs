@@ -87,35 +87,33 @@ fn data_codeword_detects_direct_only() {
 }
 
 #[test]
-fn deferred_maintenance_detects_direct_at_audit() {
-    // Same guarantee as Data CW, but codeword deltas sit in a queue until
-    // the audit drains them: legitimate updates must NOT trip the audit,
-    // wild writes must.
-    let w = world("defer", ProtectionScheme::DeferredMaintenance);
-    // Legitimate updates first — their deltas are queued, not applied.
+fn data_codeword_detects_direct_at_audit() {
+    // Legitimate updates move the codewords with the bytes: they must NOT
+    // trip the audit, wild writes must.
+    let w = world("dcw-audit", ProtectionScheme::DataCodeword);
     let txn = w.db.begin().unwrap();
     txn.update(w.y, &val(7)).unwrap();
     txn.update(w.x, &val(8)).unwrap();
     txn.commit().unwrap();
     assert!(
         w.db.audit().unwrap().clean(),
-        "drain reconciles queued deltas"
+        "legitimate updates keep codewords in step"
     );
 
     assert!(corrupt_x(&w).landed());
     assert!(
         !w.db.audit().unwrap().clean(),
-        "wild write has no queued delta"
+        "wild write has no codeword update"
     );
 }
 
 #[test]
-fn deferred_maintenance_recovers_like_data_cw() {
+fn data_codeword_recovers_by_restart_with_stripe_off() {
     // Parity stripe off: pins the legacy detect → poison → restart path.
     // (With the stripe on — the default — the audit heals the region
     // online instead; the next test covers that.)
-    let w = world_cfg("defer-rec", |c| {
-        c.with_scheme(ProtectionScheme::DeferredMaintenance)
+    let w = world_cfg("dcw-rec", |c| {
+        c.with_scheme(ProtectionScheme::DataCodeword)
             .with_parity_group_size(0)
     });
     assert!(corrupt_x(&w).landed());
@@ -129,11 +127,11 @@ fn deferred_maintenance_recovers_like_data_cw() {
 }
 
 #[test]
-fn deferred_maintenance_self_heals_with_stripe_on() {
+fn data_codeword_self_heals_with_stripe_on() {
     // Same fault with the parity stripe on (the default): the dirty
     // audit walks the repair ladder, the engine never poisons, and the
     // restart is Normal with the bytes already healed.
-    let w = world("defer-heal", ProtectionScheme::DeferredMaintenance);
+    let w = world("dcw-heal", ProtectionScheme::DataCodeword);
     assert!(corrupt_x(&w).landed());
     assert!(
         !w.db.audit().unwrap().clean(),
