@@ -13,6 +13,7 @@ use crate::protocol::{
     Response, ServerStats,
 };
 use dali_common::{DaliError, RecId, Result, TableId, TxnId};
+use dali_workload::Session;
 use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -269,5 +270,49 @@ impl DaliClient {
     pub fn drop_connection(self) {
         // Dropping the streams closes the socket; consuming self makes
         // the intent explicit at call sites.
+    }
+}
+
+/// A connection is a [`Session`]: `dali-workload`'s TPC-B driver runs over
+/// N connections exactly as it runs over N in-process sessions.
+impl Session for DaliClient {
+    fn begin(&mut self) -> Result<()> {
+        DaliClient::begin(self).map(drop)
+    }
+
+    fn read(&mut self, rec: RecId) -> Result<Vec<u8>> {
+        DaliClient::read(self, rec)
+    }
+
+    fn update(&mut self, rec: RecId, data: &[u8]) -> Result<()> {
+        DaliClient::update(self, rec, data)
+    }
+
+    fn insert(&mut self, table: TableId, data: &[u8]) -> Result<RecId> {
+        DaliClient::insert(self, table, data)
+    }
+
+    fn delete(&mut self, rec: RecId) -> Result<()> {
+        DaliClient::delete(self, rec)
+    }
+
+    fn lock_exclusive(&mut self, rec: RecId) -> Result<()> {
+        DaliClient::lock_exclusive(self, rec)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        DaliClient::commit(self)
+    }
+
+    fn abort(&mut self) -> Result<()> {
+        DaliClient::abort(self)
+    }
+
+    fn create_table(&mut self, name: &str, rec_size: usize, capacity: usize) -> Result<TableId> {
+        DaliClient::create_table(self, name, rec_size, capacity)
+    }
+
+    fn table(&mut self, name: &str) -> Result<TableId> {
+        DaliClient::table(self, name)
     }
 }

@@ -4,8 +4,9 @@
 //! [`DaliServer`] runs epoll readiness loops over nonblocking sessions
 //! and executes verbs on a bounded pool, a blocking [`DaliClient`] speaks the length-prefixed,
 //! checksummed binary protocol in [`protocol`] (with optional frame
-//! [`pipelining`](DaliClient::pipeline)), and [`NetTpcbDriver`] re-runs
-//! the contended TPC-B workload over N client connections.
+//! [`pipelining`](DaliClient::pipeline)). A [`DaliClient`] is a
+//! `dali_workload::Session`, so the one TPC-B driver runs over N client
+//! connections as it runs over N in-process sessions.
 //!
 //! Design points (DESIGN.md §6):
 //!
@@ -42,7 +43,6 @@ pub mod histogram;
 pub mod poller;
 pub mod protocol;
 pub mod server;
-pub mod tpcb;
 
 pub use client::DaliClient;
 pub use histogram::LatencyHistograms;
@@ -51,4 +51,3 @@ pub use protocol::{
     WireError, MAX_FRAME,
 };
 pub use server::DaliServer;
-pub use tpcb::{NetRunStats, NetTpcbDriver};

@@ -12,17 +12,22 @@
 //! account, teller and branch balances all equal the sum of history
 //! deltas — which doubles as a whole-database integrity check after crash
 //! and corruption recovery in the test suite.
+//!
+//! The transaction is written once, against the [`Session`] trait: an
+//! [`EngineSession`] runs it in process, and `dali-net` implements
+//! [`Session`] for its `DaliClient`, so the same driver runs over N
+//! network connections.
 
 pub mod records;
 
-use dali_common::{DaliError, RecId, Result, TableId};
+use dali_common::{DaliError, RecId, Result, SlotId, TableId};
 use dali_engine::{DaliEngine, TxnHandle};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use records::{balance_of, encode_account, encode_branch, encode_history, encode_teller, REC_SIZE};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Workload sizing.
@@ -49,23 +54,6 @@ impl TpcbConfig {
             branches: 1_000,
             history_capacity: 60_000,
             ops_per_txn: 500,
-            seed: 0xDA11,
-        }
-    }
-
-    /// Configuration for thread-scaling runs: 10% of the paper's table
-    /// sizes (so per-cell setup stays cheap across a sweep) and short
-    /// transactions. Commit-heavy transactions put the run in the
-    /// durable-commit-dominated regime where multi-threaded overlap of
-    /// commit fsyncs is visible even on a single CPU; the paper's
-    /// 500-op transactions amortize commit cost away entirely.
-    pub fn scale() -> TpcbConfig {
-        TpcbConfig {
-            accounts: 10_000,
-            tellers: 1_000,
-            branches: 100,
-            history_capacity: 30_000,
-            ops_per_txn: 10,
             seed: 0xDA11,
         }
     }
@@ -98,6 +86,23 @@ impl TpcbConfig {
             + 4 * page_size; // slack for alignment
         bytes.div_ceil(page_size)
     }
+
+    /// Rows of the account, teller and branch tables.
+    fn rows(&self) -> [usize; 3] {
+        [self.accounts, self.tellers, self.branches]
+    }
+}
+
+/// The four tables, in creation order; an operation touches the first
+/// three in this order and appends to the fourth.
+const TABLE_NAMES: [&str; 4] = ["account", "teller", "branch", "history"];
+
+/// Record encoders of the account, teller and branch tables.
+const ENCODE: [fn(u64, i64) -> Vec<u8>; 3] = [encode_account, encode_teller, encode_branch];
+
+/// Row `i` of a table: population inserts rows in slot order.
+fn row(table: TableId, i: usize) -> RecId {
+    RecId::new(table, SlotId(i as u32))
 }
 
 /// Result of a timed run.
@@ -105,6 +110,7 @@ impl TpcbConfig {
 pub struct RunStats {
     pub ops: usize,
     pub txns: usize,
+    /// Wall-clock time from the first worker's start to the last's end.
     pub elapsed_secs: f64,
 }
 
@@ -115,174 +121,205 @@ impl RunStats {
     }
 }
 
-/// Statistics from one worker thread of [`TpcbDriver::run_concurrent`].
-#[derive(Clone, Debug)]
-pub struct ThreadStats {
-    pub thread: usize,
-    pub ops: usize,
-    pub txns: usize,
-    /// Transactions re-run after a lock denial.
-    pub retries: usize,
-    /// CPU time this worker thread consumed (`CLOCK_THREAD_CPUTIME_ID`).
-    pub cpu_secs: f64,
+/// The verbs a TPC-B transaction uses, on a connection that holds at most
+/// one open transaction. Errors are the engine's structured
+/// [`DaliError`]s however they travelled, so one
+/// [`DaliError::LockDenied`] retry loop serves every implementation.
+pub trait Session {
+    /// Begin a transaction.
+    fn begin(&mut self) -> Result<()>;
+    /// Read a record (shared lock).
+    fn read(&mut self, rec: RecId) -> Result<Vec<u8>>;
+    /// Overwrite a record.
+    fn update(&mut self, rec: RecId, data: &[u8]) -> Result<()>;
+    /// Insert a record; returns its id.
+    fn insert(&mut self, table: TableId, data: &[u8]) -> Result<RecId>;
+    /// Delete a record.
+    fn delete(&mut self, rec: RecId) -> Result<()>;
+    /// Take a record's exclusive lock before reading it for update.
+    fn lock_exclusive(&mut self, rec: RecId) -> Result<()>;
+    /// Commit the open transaction.
+    fn commit(&mut self) -> Result<()>;
+    /// Abort the open transaction.
+    fn abort(&mut self) -> Result<()>;
+    /// Create a table (auto-committed DDL).
+    fn create_table(&mut self, name: &str, rec_size: usize, capacity: usize) -> Result<TableId>;
+    /// Look up a table id by name.
+    fn table(&mut self, name: &str) -> Result<TableId>;
 }
 
-/// Aggregate result of [`TpcbDriver::run_concurrent`].
-#[derive(Clone, Debug)]
-pub struct ConcurrentStats {
-    pub threads: usize,
-    pub ops: usize,
-    pub txns: usize,
-    pub retries: usize,
-    /// Wall-clock time from first spawn to last join.
-    pub elapsed_secs: f64,
-    /// Total CPU time summed over the worker threads.
-    pub cpu_secs: f64,
-    pub per_thread: Vec<ThreadStats>,
+/// The in-process [`Session`]: an engine plus its one open transaction.
+pub struct EngineSession {
+    engine: DaliEngine,
+    txn: Option<TxnHandle>,
 }
 
-impl ConcurrentStats {
-    /// Aggregate operations per wall-clock second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed_secs
+impl EngineSession {
+    /// A session on `engine` with no transaction open.
+    pub fn new(engine: &DaliEngine) -> EngineSession {
+        EngineSession {
+            engine: engine.clone(),
+            txn: None,
+        }
     }
 
-    /// CPU microseconds per operation (preemption-immune cost metric).
-    pub fn cpu_us_per_op(&self) -> f64 {
-        self.cpu_secs * 1e6 / self.ops as f64
+    fn txn(&self) -> Result<&TxnHandle> {
+        self.txn.as_ref().ok_or_else(no_txn)
     }
 }
 
-/// CPU time consumed by the calling thread, in seconds.
-fn thread_cpu_seconds() -> f64 {
-    let mut ts = libc::timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // SAFETY: clock_gettime with a valid clock id and out-pointer.
-    let rc = unsafe { libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime failed");
-    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+fn no_txn() -> DaliError {
+    DaliError::InvalidArg("no transaction open on session".into())
 }
 
-/// Thread `k`'s contiguous share of `n` row indices.
-///
-/// Public so other drivers (the networked TPC-B driver in `dali-net`)
-/// partition identically to the in-process one.
-pub fn partition(n: usize, threads: usize, k: usize) -> std::ops::Range<usize> {
-    (k * n / threads)..((k + 1) * n / threads)
+impl Session for EngineSession {
+    fn begin(&mut self) -> Result<()> {
+        if self.txn.is_some() {
+            return Err(DaliError::InvalidArg(
+                "transaction already open on session".into(),
+            ));
+        }
+        self.txn = Some(self.engine.begin()?);
+        Ok(())
+    }
+
+    fn read(&mut self, rec: RecId) -> Result<Vec<u8>> {
+        self.txn()?.read_vec(rec)
+    }
+
+    fn update(&mut self, rec: RecId, data: &[u8]) -> Result<()> {
+        self.txn()?.update(rec, data)
+    }
+
+    fn insert(&mut self, table: TableId, data: &[u8]) -> Result<RecId> {
+        self.txn()?.insert(table, data)
+    }
+
+    fn delete(&mut self, rec: RecId) -> Result<()> {
+        self.txn()?.delete(rec)
+    }
+
+    fn lock_exclusive(&mut self, rec: RecId) -> Result<()> {
+        self.txn()?.lock_exclusive(rec)
+    }
+
+    fn commit(&mut self) -> Result<()> {
+        self.txn.take().ok_or_else(no_txn)?.commit()
+    }
+
+    fn abort(&mut self) -> Result<()> {
+        self.txn.take().ok_or_else(no_txn)?.abort()
+    }
+
+    fn create_table(&mut self, name: &str, rec_size: usize, capacity: usize) -> Result<TableId> {
+        self.engine.create_table(name, rec_size, capacity)
+    }
+
+    fn table(&mut self, name: &str) -> Result<TableId> {
+        self.engine.table(name)
+    }
 }
 
-/// RNG seed of worker `k` for a run seeded with `seed` — the per-worker
-/// stream derivation shared by [`TpcbDriver::run_concurrent`] and the
-/// networked driver, so both produce the same deterministic balance sums
-/// for a given `(seed, workers, n_ops)` triple.
+/// Worker `k`'s contiguous share of `n` row indices when a run is split
+/// `workers` ways.
+pub fn partition(n: usize, workers: usize, k: usize) -> Range<usize> {
+    (k * n / workers)..((k + 1) * n / workers)
+}
+
+/// RNG seed of worker `k` for a run seeded with `seed`: each worker's
+/// operation sequence depends only on its own stream, so a run's balance
+/// sums do not depend on scheduling.
 pub fn worker_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add((k as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
+
+/// Lock denials one transaction may suffer before the run gives up.
+const MAX_RETRIES: usize = 1_000;
 
 /// Back-off before re-running a lock-denied transaction: a victim
 /// restarts with a fresh (larger) TxnId, so the youngest-victim deadlock
 /// policy dooms an immediate retry again in any repeat collision; a
 /// short, growing pause breaks these retry storms. Sleeping changes only
 /// timing, never the replayed operation sequence.
-pub fn retry_backoff(retries: usize) {
+fn retry_backoff(retries: usize) {
     std::thread::sleep(Duration::from_micros(50u64 << retries.min(6)));
 }
 
-/// One worker thread's state: a slice of the account, teller and branch
-/// rows plus its own RNG stream and history-ring share. In partitioned
-/// mode the slices are disjoint, keeping TPC-B workers conflict-free in
-/// the lock manager (protection latches on shared region boundaries
-/// still contend); in contended mode every worker gets the full ranges
-/// and lock conflicts are resolved by abort-and-retry. Either way a run
-/// is deterministic for a given `(seed, threads)` pair: each worker's
-/// operation sequence depends only on its own RNG, and retries rewind
-/// it.
-struct Worker {
-    engine: DaliEngine,
+/// One session's share of a run: the rows it draws from, its own RNG
+/// stream and its share of the history ring.
+struct Worker<'a, S> {
+    session: S,
+    /// Account, teller and branch tables, and the rows of each this
+    /// worker draws from.
+    tables: [TableId; 3],
+    rows: [Range<usize>; 3],
     history: TableId,
-    account_recs: Vec<RecId>,
-    teller_recs: Vec<RecId>,
-    branch_recs: Vec<RecId>,
-    /// Global index of the first row of each partition, so history
-    /// records carry table-wide indices.
-    a_base: usize,
-    t_base: usize,
-    b_base: usize,
     ops_per_txn: usize,
     /// This worker's slice of the history table's capacity.
     ring_share: usize,
     rng: StdRng,
+    /// Committed history records this worker may trim, oldest first.
     ring: VecDeque<RecId>,
     /// Shared monotonic op counter feeding history record ids.
-    op_counter: Arc<AtomicU64>,
-    /// Contended workers exclusive-lock a record before the
-    /// read-modify-write (read-for-update), because two workers taking
-    /// shared locks on the same record and then upgrading deadlock every
-    /// time. Partitioned workers never share rows, so they keep the
-    /// plain shared-read path.
+    op_counter: &'a AtomicU64,
+    /// Exclusive-lock each record before its read-modify-write: two
+    /// workers sharing rows that take shared locks and then upgrade
+    /// deadlock every time they collide. Workers that own disjoint rows
+    /// keep the plain shared-read path.
     lock_for_update: bool,
+    /// Operations and transactions committed so far.
+    ops: usize,
+    txns: usize,
 }
 
-impl Worker {
-    /// Run one transaction of `ops` operations; returns the number of
-    /// retries. A lock denial aborts the transaction and re-runs it from
-    /// the same RNG state. Partitioned workers only conflict with
-    /// concurrent ad-hoc transactions (e.g. invariant checks); contended
-    /// workers also conflict — and deadlock — with each other.
-    fn run_txn(&mut self, ops: usize) -> Result<usize> {
+impl<S: Session> Worker<'_, S> {
+    /// Run `n` operations in transactions of `ops_per_txn`.
+    fn run(&mut self, n: usize) -> Result<()> {
+        while self.ops < n {
+            let ops = self.ops_per_txn.min(n - self.ops);
+            self.run_txn(ops)?;
+            self.txns += 1;
+            self.ops += ops;
+        }
+        Ok(())
+    }
+
+    /// Run one transaction of `ops` operations. A lock denial aborts it
+    /// and re-runs it from the same RNG state, so every planned operation
+    /// commits exactly once.
+    fn run_txn(&mut self, ops: usize) -> Result<()> {
+        // Circular history: once the ring nears its share, each operation
+        // deletes the oldest record, leaving slack for the slots the
+        // open transaction's deletes only free at commit.
         let margin = 2 * self.ops_per_txn + 64;
-        let mut retries = 0usize;
+        let mut retries = 0;
         loop {
             let rng_snapshot = self.rng.clone();
-            let txn = self.engine.begin()?;
-            // Ring mutations are staged and applied only on commit so an
+            self.session.begin()?;
+            // Ring changes are staged and applied only on commit, so an
             // aborted transaction leaves the ring (and RNG) untouched.
             let mut inserted: Vec<RecId> = Vec::with_capacity(ops);
             let mut drop_front = 0usize;
             let res = (|| -> Result<()> {
                 for _ in 0..ops {
-                    let a = self.rng.gen_range(0..self.account_recs.len());
-                    let t = self.rng.gen_range(0..self.teller_recs.len());
-                    let b = self.rng.gen_range(0..self.branch_recs.len());
+                    let rows: [usize; 3] =
+                        std::array::from_fn(|i| self.rng.gen_range(self.rows[i].clone()));
                     let delta = self.rng.gen_range(-999_999i64..=999_999);
-                    for (rec, encode) in [
-                        (
-                            self.account_recs[a],
-                            encode_account as fn(u64, i64) -> Vec<u8>,
-                        ),
-                        (
-                            self.teller_recs[t],
-                            encode_teller as fn(u64, i64) -> Vec<u8>,
-                        ),
-                        (
-                            self.branch_recs[b],
-                            encode_branch as fn(u64, i64) -> Vec<u8>,
-                        ),
-                    ] {
+                    for ((table, i), encode) in self.tables.into_iter().zip(rows).zip(ENCODE) {
+                        let rec = row(table, i);
                         if self.lock_for_update {
-                            txn.lock_exclusive(rec)?;
+                            self.session.lock_exclusive(rec)?;
                         }
-                        let cur = txn.read_vec(rec)?;
-                        let bal = balance_of(&cur);
-                        txn.update(rec, &encode(rec.slot.0 as u64, bal + delta))?;
+                        let bal = balance_of(&self.session.read(rec)?);
+                        self.session.update(rec, &encode(i as u64, bal + delta))?;
                     }
                     let op = self.op_counter.fetch_add(1, Ordering::Relaxed);
-                    let h = txn.insert(
-                        self.history,
-                        &encode_history(
-                            op,
-                            (self.a_base + a) as u64,
-                            (self.t_base + t) as u64,
-                            (self.b_base + b) as u64,
-                            delta,
-                        ),
-                    )?;
-                    inserted.push(h);
+                    let [a, t, b] = rows.map(|i| i as u64);
+                    let history = encode_history(op, a, t, b, delta);
+                    inserted.push(self.session.insert(self.history, &history)?);
                     let live = self.ring.len() - drop_front + inserted.len();
                     if live + margin >= self.ring_share && drop_front < self.ring.len() {
-                        txn.delete(self.ring[drop_front])?;
+                        self.session.delete(self.ring[drop_front])?;
                         drop_front += 1;
                     }
                 }
@@ -290,51 +327,23 @@ impl Worker {
             })();
             match res {
                 Ok(()) => {
-                    txn.commit()?;
+                    self.session.commit()?;
                     self.ring.drain(..drop_front);
                     self.ring.extend(inserted);
-                    return Ok(retries);
+                    return Ok(());
                 }
-                Err(DaliError::LockDenied { .. }) => {
-                    txn.abort()?;
+                Err(DaliError::LockDenied { .. }) if retries < MAX_RETRIES => {
+                    self.session.abort()?;
                     self.rng = rng_snapshot;
                     retries += 1;
-                    if retries > 1_000 {
-                        return Err(DaliError::InvalidArg(
-                            "concurrent TPC-B worker starved: 1000 lock denials".into(),
-                        ));
-                    }
                     retry_backoff(retries);
                 }
                 Err(e) => {
-                    let _ = txn.abort();
+                    let _ = self.session.abort();
                     return Err(e);
                 }
             }
         }
-    }
-
-    /// Run `n` operations in transactions of `ops_per_txn`.
-    fn run(mut self, thread: usize, n: usize) -> Result<(Worker, ThreadStats)> {
-        let cpu0 = thread_cpu_seconds();
-        let mut done = 0usize;
-        let mut txns = 0usize;
-        let mut retries = 0usize;
-        while done < n {
-            let in_this = self.ops_per_txn.min(n - done);
-            retries += self.run_txn(in_this)?;
-            txns += 1;
-            done += in_this;
-        }
-        let cpu_secs = thread_cpu_seconds() - cpu0;
-        let stats = ThreadStats {
-            thread,
-            ops: done,
-            txns,
-            retries,
-            cpu_secs,
-        };
-        Ok((self, stats))
     }
 }
 
@@ -342,50 +351,33 @@ impl Worker {
 pub struct TpcbDriver {
     engine: DaliEngine,
     cfg: TpcbConfig,
-    accounts: TableId,
-    tellers: TableId,
-    branches: TableId,
+    /// Account, teller and branch tables.
+    tables: [TableId; 3],
     history: TableId,
-    account_recs: Vec<RecId>,
-    teller_recs: Vec<RecId>,
-    branch_recs: Vec<RecId>,
+    /// Seeds each run's worker streams and picks fault-injection victims.
     rng: StdRng,
     /// Monotonic op counter (feeds history records).
     op_counter: u64,
-    /// FIFO of live history records; when the table approaches capacity
-    /// the oldest entry is deleted in the same transaction (circular
-    /// history). Keeps unbounded benchmark loops from exhausting the
-    /// heap; never triggers in the paper-sized 50 000-op run.
-    history_ring: std::collections::VecDeque<RecId>,
+    /// FIFO of live history records, handed out to each run's workers and
+    /// taken back after it, so unbounded benchmark loops never exhaust
+    /// the history table; trimming never triggers in the paper-sized
+    /// 50 000-op run.
+    history_ring: VecDeque<RecId>,
 }
 
 impl TpcbDriver {
-    /// Create the four tables and populate them with zero balances.
+    /// Create the four tables and populate them with zero balances, in
+    /// slot order, 2 000 rows per transaction.
     pub fn setup(engine: &DaliEngine, cfg: TpcbConfig) -> Result<TpcbDriver> {
-        let accounts = engine.create_table("account", REC_SIZE, cfg.accounts)?;
-        let tellers = engine.create_table("teller", REC_SIZE, cfg.tellers)?;
-        let branches = engine.create_table("branch", REC_SIZE, cfg.branches)?;
-        let history = engine.create_table("history", REC_SIZE, cfg.history_capacity)?;
-
-        let mut driver = TpcbDriver {
-            engine: engine.clone(),
-            cfg,
-            accounts,
-            tellers,
-            branches,
-            history,
-            account_recs: Vec::new(),
-            teller_recs: Vec::new(),
-            branch_recs: Vec::new(),
-            rng: StdRng::seed_from_u64(0),
-            op_counter: 0,
-            history_ring: std::collections::VecDeque::new(),
-        };
-        driver.rng = StdRng::seed_from_u64(driver.cfg.seed);
-
-        driver.account_recs = populate(engine, accounts, driver.cfg.accounts, encode_account)?;
-        driver.teller_recs = populate(engine, tellers, driver.cfg.tellers, encode_teller)?;
-        driver.branch_recs = populate(engine, branches, driver.cfg.branches, encode_branch)?;
+        let mut session = EngineSession::new(engine);
+        let capacities = cfg.rows().into_iter().chain([cfg.history_capacity]);
+        for (name, capacity) in TABLE_NAMES.into_iter().zip(capacities) {
+            session.create_table(name, REC_SIZE, capacity)?;
+        }
+        let driver = TpcbDriver::attach(engine, cfg)?;
+        for ((table, n), encode) in driver.tables.into_iter().zip(driver.cfg.rows()).zip(ENCODE) {
+            populate(&mut session, table, n, encode)?;
+        }
         Ok(driver)
     }
 
@@ -393,221 +385,124 @@ impl TpcbDriver {
     /// crash/recovery cycle). Record ids are reconstructed positionally:
     /// population inserts rows in slot order.
     pub fn attach(engine: &DaliEngine, cfg: TpcbConfig) -> Result<TpcbDriver> {
-        let accounts = engine.table("account")?;
-        let tellers = engine.table("teller")?;
-        let branches = engine.table("branch")?;
-        let history = engine.table("history")?;
-        let recs = |t: TableId, n: usize| -> Vec<RecId> {
-            (0..n)
-                .map(|i| RecId::new(t, dali_common::SlotId(i as u32)))
-                .collect()
-        };
+        let mut session = EngineSession::new(engine);
+        let mut table = |name| session.table(name);
         Ok(TpcbDriver {
             engine: engine.clone(),
-            cfg: cfg.clone(),
-            accounts,
-            tellers,
-            branches,
-            history,
-            account_recs: recs(accounts, cfg.accounts),
-            teller_recs: recs(tellers, cfg.tellers),
-            branch_recs: recs(branches, cfg.branches),
+            tables: [table("account")?, table("teller")?, table("branch")?],
+            history: table("history")?,
             rng: StdRng::seed_from_u64(cfg.seed),
+            cfg,
             op_counter: 0,
-            history_ring: std::collections::VecDeque::new(),
+            history_ring: VecDeque::new(),
         })
-    }
-
-    /// The engine this driver runs against.
-    pub fn engine(&self) -> &DaliEngine {
-        &self.engine
     }
 
     /// Table ids (account, teller, branch, history).
     pub fn tables(&self) -> (TableId, TableId, TableId, TableId) {
-        (self.accounts, self.tellers, self.branches, self.history)
+        let [a, t, b] = self.tables;
+        (a, t, b, self.history)
     }
 
     /// A random account record id (for fault-injection targeting).
     pub fn random_account(&mut self) -> RecId {
-        self.account_recs[self.rng.gen_range(0..self.account_recs.len())]
+        row(self.tables[0], self.rng.gen_range(0..self.cfg.accounts))
     }
 
     /// A deterministic account record id (for fault-injection tests that
     /// must corrupt the same record across separate engines).
     pub fn account(&self, i: usize) -> RecId {
-        self.account_recs[i % self.account_recs.len()]
+        row(self.tables[0], i % self.cfg.accounts)
     }
 
-    /// Execute one TPC-B operation inside `txn`.
-    pub fn run_op(&mut self, txn: &TxnHandle) -> Result<()> {
-        let a = self.rng.gen_range(0..self.account_recs.len());
-        let t = self.rng.gen_range(0..self.teller_recs.len());
-        let b = self.rng.gen_range(0..self.branch_recs.len());
-        let delta = self.rng.gen_range(-999_999i64..=999_999);
-
-        for (rec, encode) in [
-            (
-                self.account_recs[a],
-                encode_account as fn(u64, i64) -> Vec<u8>,
-            ),
-            (
-                self.teller_recs[t],
-                encode_teller as fn(u64, i64) -> Vec<u8>,
-            ),
-            (
-                self.branch_recs[b],
-                encode_branch as fn(u64, i64) -> Vec<u8>,
-            ),
-        ] {
-            let cur = txn.read_vec(rec)?;
-            let bal = balance_of(&cur);
-            txn.update(rec, &encode(rec.slot.0 as u64, bal + delta))?;
-        }
-        let h = txn.insert(
-            self.history,
-            &encode_history(self.op_counter, a as u64, t as u64, b as u64, delta),
-        )?;
-        self.history_ring.push_back(h);
-        // Circular history: keep enough slack that deferred frees within
-        // the current transaction cannot exhaust the heap.
-        let margin = 2 * self.cfg.ops_per_txn + 64;
-        if self.history_ring.len() + margin >= self.cfg.history_capacity {
-            if let Some(old) = self.history_ring.pop_front() {
-                txn.delete(old)?;
-            }
-        }
-        self.op_counter += 1;
-        Ok(())
-    }
-
-    /// Run `n` operations in transactions of `ops_per_txn`, timed.
+    /// Run `n` operations on one in-process session, in transactions of
+    /// `ops_per_txn`.
     pub fn run_ops(&mut self, n: usize) -> Result<RunStats> {
-        let start = Instant::now();
-        let mut done = 0usize;
-        let mut txns = 0usize;
-        while done < n {
-            let txn = self.engine.begin()?;
-            let in_this = self.cfg.ops_per_txn.min(n - done);
-            for _ in 0..in_this {
-                self.run_op(&txn)?;
-            }
-            txn.commit()?;
-            txns += 1;
-            done += in_this;
-        }
-        Ok(RunStats {
-            ops: done,
-            txns,
-            elapsed_secs: start.elapsed().as_secs_f64(),
-        })
+        self.run_sessions(vec![EngineSession::new(&self.engine)], false, n)
     }
 
-    /// Run `n_ops` operations split across `threads` worker threads.
+    /// Run `n_ops` operations split evenly across `sessions`, one thread
+    /// per session, each committing every `ops_per_txn` operations.
     ///
-    /// Each worker owns a disjoint contiguous partition of the account,
-    /// teller and branch rows and its own RNG stream derived from
-    /// `cfg.seed` and the thread index, so a run is deterministic for a
-    /// given `(seed, threads, n_ops)` triple: the final balance sums do
-    /// not depend on scheduling. Workers share the history table (ids
-    /// from one atomic counter, capacity split evenly) and commit every
-    /// `ops_per_txn` operations, as in the serial driver.
+    /// Partitioned (`contended == false`): each session owns a disjoint
+    /// contiguous slice of the account, teller and branch rows, so
+    /// sessions never conflict with each other in the lock manager.
+    /// Contended: every session draws from the full ranges and
+    /// exclusive-locks each record before its read-modify-write; lock
+    /// conflicts and genuine deadlocks (each operation locks an account,
+    /// a teller and a branch in that order, but a transaction's
+    /// operations interleave those orders across rows) are routine, and a
+    /// denied session aborts, rewinds its RNG and re-runs the
+    /// transaction.
     ///
-    /// The TPC-B invariant holds afterwards — each operation applies one
-    /// delta to exactly one account, teller and branch — and is checked
-    /// by callers via [`TpcbDriver::verify_invariant`].
-    pub fn run_concurrent(&mut self, threads: usize, n_ops: usize) -> Result<ConcurrentStats> {
-        self.run_workers(threads, n_ops, false)
-    }
-
-    /// Run `n_ops` operations split across `threads` workers that all
-    /// draw from the *full* account, teller and branch ranges — the
-    /// contended counterpart of [`TpcbDriver::run_concurrent`].
-    ///
-    /// Overlapping ranges make record-lock conflicts (and genuine
-    /// deadlocks: each operation locks an account, a teller and a branch
-    /// in that order, but a transaction's operations interleave those
-    /// orders across rows) a routine event rather than an impossibility.
-    /// A denied worker aborts, rewinds its RNG, and re-runs the
-    /// transaction, so every planned operation still executes exactly
-    /// once; the balance sums — and therefore the TPC-B invariant — stay
-    /// deterministic for a given `(seed, threads, n_ops)` triple because
-    /// each delta is applied to its row exactly once regardless of
-    /// interleaving.
-    pub fn run_concurrent_contended(
+    /// Session `k` draws from its own RNG stream ([`worker_seed`] of a
+    /// seed taken from the driver's RNG), and every planned operation
+    /// commits exactly once, so the balance sums are a function of
+    /// `(cfg.seed, sessions, n_ops)` whether the sessions are in-process
+    /// or network connections, and whatever the interleaving. Sessions
+    /// share the history table: ids from one counter, capacity split
+    /// evenly. The TPC-B invariant holds afterwards — each operation
+    /// applies one delta to exactly one account, teller and branch — and
+    /// is checked by [`TpcbDriver::verify_invariant`].
+    pub fn run_sessions<S: Session + Send>(
         &mut self,
-        threads: usize,
-        n_ops: usize,
-    ) -> Result<ConcurrentStats> {
-        self.run_workers(threads, n_ops, true)
-    }
-
-    fn run_workers(
-        &mut self,
-        threads: usize,
-        n_ops: usize,
+        sessions: Vec<S>,
         contended: bool,
-    ) -> Result<ConcurrentStats> {
-        if threads == 0 {
-            return Err(DaliError::InvalidArg("run_concurrent: zero threads".into()));
+        n_ops: usize,
+    ) -> Result<RunStats> {
+        let n = sessions.len();
+        if n == 0 {
+            return Err(DaliError::InvalidArg("run_sessions: no sessions".into()));
         }
-        if !contended && threads > self.branch_recs.len() {
+        if !contended && n > self.cfg.branches {
             return Err(DaliError::InvalidArg(format!(
-                "run_concurrent: {threads} threads but only {} branches; \
-                 a worker's branch partition would be empty",
-                self.branch_recs.len()
+                "run_sessions: {n} partitioned sessions but only {} branches; \
+                 a session's branch partition would be empty",
+                self.cfg.branches
             )));
         }
-
-        let op_counter = Arc::new(AtomicU64::new(self.op_counter));
-        // Hand each worker a contiguous slice of any history records the
-        // serial driver already owns, so they stay eligible for ring
-        // reclamation.
-        let mut existing: VecDeque<RecId> = std::mem::take(&mut self.history_ring);
-        let mut workers = Vec::with_capacity(threads);
-        for k in 0..threads {
-            // Contended workers share every row; partitioned workers own
-            // disjoint contiguous slices.
-            let (ar, tr, br) = if contended {
-                (
-                    0..self.account_recs.len(),
-                    0..self.teller_recs.len(),
-                    0..self.branch_recs.len(),
-                )
-            } else {
-                (
-                    partition(self.account_recs.len(), threads, k),
-                    partition(self.teller_recs.len(), threads, k),
-                    partition(self.branch_recs.len(), threads, k),
-                )
-            };
-            let ring_take = existing.len() / (threads - k);
-            workers.push(Worker {
-                engine: self.engine.clone(),
+        let run_seed = self.rng.next_u64();
+        let op_counter = AtomicU64::new(self.op_counter);
+        // Hand each worker a contiguous slice of the live history records,
+        // so they stay eligible for trimming.
+        let mut ring = std::mem::take(&mut self.history_ring);
+        let rows = self.cfg.rows();
+        let workers: Vec<Worker<S>> = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(k, session)| Worker {
+                session,
+                tables: self.tables,
+                rows: rows.map(|len| {
+                    if contended {
+                        0..len
+                    } else {
+                        partition(len, n, k)
+                    }
+                }),
                 history: self.history,
-                a_base: ar.start,
-                t_base: tr.start,
-                b_base: br.start,
-                account_recs: self.account_recs[ar].to_vec(),
-                teller_recs: self.teller_recs[tr].to_vec(),
-                branch_recs: self.branch_recs[br].to_vec(),
                 ops_per_txn: self.cfg.ops_per_txn,
-                ring_share: self.cfg.history_capacity / threads,
-                rng: StdRng::seed_from_u64(worker_seed(self.cfg.seed, k)),
-                ring: existing.drain(..ring_take).collect(),
-                op_counter: Arc::clone(&op_counter),
+                ring_share: self.cfg.history_capacity / n,
+                rng: StdRng::seed_from_u64(worker_seed(run_seed, k)),
+                ring: ring.drain(..ring.len() / (n - k)).collect(),
+                op_counter: &op_counter,
                 lock_for_update: contended,
-            });
-        }
+                ops: 0,
+                txns: 0,
+            })
+            .collect();
 
         let start = Instant::now();
-        let results: Vec<Result<(Worker, ThreadStats)>> = std::thread::scope(|s| {
+        let finished: Vec<(Worker<S>, Result<()>)> = std::thread::scope(|s| {
             let handles: Vec<_> = workers
                 .into_iter()
                 .enumerate()
-                .map(|(k, w)| {
-                    let ops = n_ops / threads + usize::from(k < n_ops % threads);
-                    s.spawn(move || w.run(k, ops))
+                .map(|(k, mut w)| {
+                    let ops = n_ops / n + usize::from(k < n_ops % n);
+                    s.spawn(move || {
+                        let res = w.run(ops);
+                        (w, res)
+                    })
                 })
                 .collect();
             handles
@@ -615,52 +510,37 @@ impl TpcbDriver {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        let elapsed_secs = start.elapsed().as_secs_f64();
-
+        let mut stats = RunStats {
+            ops: 0,
+            txns: 0,
+            elapsed_secs: start.elapsed().as_secs_f64(),
+        };
         self.op_counter = op_counter.load(Ordering::Relaxed);
-        let mut per_thread = Vec::with_capacity(threads);
-        let mut err = None;
-        for res in results {
-            match res {
-                Ok((w, stats)) => {
-                    // Reclaim the worker's ring so later serial ops (or
-                    // another concurrent run) keep trimming history.
-                    self.history_ring.extend(w.ring);
-                    per_thread.push(stats);
-                }
-                Err(e) => err = Some(e),
-            }
+        let mut result = Ok(());
+        for (w, res) in finished {
+            // A failed worker's ring holds only committed records too.
+            self.history_ring.extend(w.ring);
+            stats.ops += w.ops;
+            stats.txns += w.txns;
+            result = result.and(res);
         }
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(ConcurrentStats {
-            threads,
-            ops: per_thread.iter().map(|t| t.ops).sum(),
-            txns: per_thread.iter().map(|t| t.txns).sum(),
-            retries: per_thread.iter().map(|t| t.retries).sum(),
-            elapsed_secs,
-            cpu_secs: per_thread.iter().map(|t| t.cpu_secs).sum(),
-            per_thread,
-        })
+        result.map(|()| stats)
     }
 
     /// Check the TPC-B consistency invariant: the sums of account, teller
     /// and branch balances are equal (each history delta was applied to
     /// exactly one of each). Returns the common sum.
     pub fn verify_invariant(&self) -> Result<i64> {
-        let txn = self.engine.begin()?;
-        let sum = |recs: &[RecId]| -> Result<i64> {
-            let mut s = 0i64;
-            for &r in recs {
-                s += balance_of(&txn.read_vec(r)?);
+        let mut session = EngineSession::new(&self.engine);
+        session.begin()?;
+        let mut sums = [0i64; 3];
+        for ((sum, table), n) in sums.iter_mut().zip(self.tables).zip(self.cfg.rows()) {
+            for i in 0..n {
+                *sum += balance_of(&session.read(row(table, i))?);
             }
-            Ok(s)
-        };
-        let sa = sum(&self.account_recs)?;
-        let st = sum(&self.teller_recs)?;
-        let sb = sum(&self.branch_recs)?;
-        txn.commit()?;
+        }
+        session.commit()?;
+        let [sa, st, sb] = sums;
         if sa != st || st != sb {
             return Err(DaliError::InvalidArg(format!(
                 "TPC-B invariant violated: accounts {sa}, tellers {st}, branches {sb}"
@@ -670,32 +550,30 @@ impl TpcbDriver {
     }
 }
 
-/// Populate a table with `n` zero-balance rows (committed in batches so
-/// the local logs stay small).
+/// Populate a table with `n` zero-balance rows in slot order, committed
+/// in batches of 2 000 so the local logs stay small.
 fn populate(
-    engine: &DaliEngine,
+    session: &mut impl Session,
     table: TableId,
     n: usize,
     encode: fn(u64, i64) -> Vec<u8>,
-) -> Result<Vec<RecId>> {
-    let mut recs = Vec::with_capacity(n);
-    let mut i = 0usize;
-    while i < n {
-        let txn = engine.begin()?;
-        let batch_end = (i + 2_000).min(n);
-        for k in i..batch_end {
-            recs.push(txn.insert(table, &encode(k as u64, 0))?);
+) -> Result<()> {
+    for batch in (0..n).step_by(2_000) {
+        session.begin()?;
+        for k in batch..(batch + 2_000).min(n) {
+            let rec = session.insert(table, &encode(k as u64, 0))?;
+            assert_eq!(rec, row(table, k), "population left slot order");
         }
-        txn.commit()?;
-        i = batch_end;
+        session.commit()?;
     }
-    Ok(recs)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dali_common::{DaliConfig, ProtectionScheme};
+    use std::sync::atomic::AtomicUsize;
 
     use dali_testutil::TempDir;
 
@@ -706,6 +584,11 @@ mod tests {
         c.db_pages = cfg.required_pages(c.page_size);
         let (db, _) = DaliEngine::create(c).unwrap();
         (db, dir)
+    }
+
+    /// `n` in-process sessions on `db`.
+    fn sessions(db: &DaliEngine, n: usize) -> Vec<EngineSession> {
+        (0..n).map(|_| EngineSession::new(db)).collect()
     }
 
     #[test]
@@ -782,11 +665,8 @@ mod tests {
         let cfg = TpcbConfig::small();
         let (db, _dir) = engine(ProtectionScheme::DataCodeword, "conc-inv", &cfg);
         let mut d = TpcbDriver::setup(&db, cfg).unwrap();
-        let stats = d.run_concurrent(4, 400).unwrap();
+        let stats = d.run_sessions(sessions(&db, 4), false, 400).unwrap();
         assert_eq!(stats.ops, 400);
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.per_thread.len(), 4);
-        assert_eq!(stats.per_thread.iter().map(|t| t.ops).sum::<usize>(), 400);
         d.verify_invariant().unwrap();
         let (_, _, _, h) = d.tables();
         assert_eq!(db.record_count(h).unwrap(), 400);
@@ -798,12 +678,12 @@ mod tests {
         let cfg = TpcbConfig::small();
         let (db1, _dir1) = engine(ProtectionScheme::Baseline, "conc-det1", &cfg);
         let mut d1 = TpcbDriver::setup(&db1, cfg.clone()).unwrap();
-        d1.run_concurrent(3, 300).unwrap();
+        d1.run_sessions(sessions(&db1, 3), false, 300).unwrap();
         let v1 = d1.verify_invariant().unwrap();
 
         let (db2, _dir2) = engine(ProtectionScheme::Baseline, "conc-det2", &cfg);
         let mut d2 = TpcbDriver::setup(&db2, cfg).unwrap();
-        d2.run_concurrent(3, 300).unwrap();
+        d2.run_sessions(sessions(&db2, 3), false, 300).unwrap();
         assert_eq!(v1, d2.verify_invariant().unwrap());
     }
 
@@ -813,7 +693,7 @@ mod tests {
             let cfg = TpcbConfig::small();
             let (db, _dir) = engine(scheme, &format!("conc-all-{scheme:?}"), &cfg);
             let mut d = TpcbDriver::setup(&db, cfg).unwrap();
-            d.run_concurrent(4, 200)
+            d.run_sessions(sessions(&db, 4), false, 200)
                 .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
             d.verify_invariant()
                 .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
@@ -828,11 +708,104 @@ mod tests {
         let (db, _dir) = engine(ProtectionScheme::Baseline, "conc-ring", &cfg);
         let mut d = TpcbDriver::setup(&db, cfg.clone()).unwrap();
         d.run_ops(500).unwrap();
-        d.run_concurrent(4, 4_000).unwrap();
+        d.run_sessions(sessions(&db, 4), false, 4_000).unwrap();
         d.run_ops(500).unwrap();
         d.verify_invariant().unwrap();
         let (_, _, _, h) = d.tables();
         assert!(db.record_count(h).unwrap() <= cfg.history_capacity);
+    }
+
+    /// An in-process session that denies every `every`-th history insert
+    /// once `armed_after` of them have gone through — a lock conflict in
+    /// the middle of an operation, which the caller must abort.
+    struct DenyHistoryInserts<'a> {
+        inner: EngineSession,
+        history: TableId,
+        inserts: usize,
+        armed_after: usize,
+        every: usize,
+        denied: &'a AtomicUsize,
+    }
+
+    impl Session for DenyHistoryInserts<'_> {
+        fn begin(&mut self) -> Result<()> {
+            self.inner.begin()
+        }
+        fn read(&mut self, rec: RecId) -> Result<Vec<u8>> {
+            self.inner.read(rec)
+        }
+        fn update(&mut self, rec: RecId, data: &[u8]) -> Result<()> {
+            self.inner.update(rec, data)
+        }
+        fn insert(&mut self, table: TableId, data: &[u8]) -> Result<RecId> {
+            if table == self.history {
+                self.inserts += 1;
+                if self.inserts > self.armed_after && self.inserts.is_multiple_of(self.every) {
+                    self.denied.fetch_add(1, Ordering::Relaxed);
+                    return Err(DaliError::LockDenied {
+                        txn: dali_common::TxnId(0),
+                        rec: row(table, 0),
+                    });
+                }
+            }
+            self.inner.insert(table, data)
+        }
+        fn delete(&mut self, rec: RecId) -> Result<()> {
+            self.inner.delete(rec)
+        }
+        fn lock_exclusive(&mut self, rec: RecId) -> Result<()> {
+            self.inner.lock_exclusive(rec)
+        }
+        fn commit(&mut self) -> Result<()> {
+            self.inner.commit()
+        }
+        fn abort(&mut self) -> Result<()> {
+            self.inner.abort()
+        }
+        fn create_table(&mut self, name: &str, rec_size: usize, cap: usize) -> Result<TableId> {
+            self.inner.create_table(name, rec_size, cap)
+        }
+        fn table(&mut self, name: &str) -> Result<TableId> {
+            self.inner.table(name)
+        }
+    }
+
+    #[test]
+    fn aborts_at_a_full_history_ring_leave_it_at_steady_state() {
+        // Aborted transactions must neither keep the history slots they
+        // inserted (freed by the rollback, then handed out again) nor
+        // forget the records whose deletes they rolled back.
+        let mut cfg = TpcbConfig::small();
+        cfg.history_capacity = 256;
+        cfg.ops_per_txn = 5;
+        let n_ops = 5 * cfg.history_capacity; // wraps the ring several times
+
+        let (clean_db, _clean_dir) = engine(ProtectionScheme::Baseline, "ring-clean", &cfg);
+        let mut clean = TpcbDriver::setup(&clean_db, cfg.clone()).unwrap();
+        clean.run_ops(n_ops).unwrap();
+        let steady = clean_db.record_count(clean.tables().3).unwrap();
+        assert!(steady < cfg.history_capacity);
+
+        let (db, _dir) = engine(ProtectionScheme::Baseline, "ring-abort", &cfg);
+        let mut d = TpcbDriver::setup(&db, cfg.clone()).unwrap();
+        let denied = AtomicUsize::new(0);
+        let session = DenyHistoryInserts {
+            inner: EngineSession::new(&db),
+            history: d.tables().3,
+            inserts: 0,
+            armed_after: cfg.history_capacity,
+            // More than `ops_per_txn`, so every retry can get through.
+            every: 7,
+            denied: &denied,
+        };
+        let stats = d.run_sessions(vec![session], false, n_ops).unwrap();
+        assert_eq!(stats.ops, n_ops);
+        assert!(denied.load(Ordering::Relaxed) > 50);
+        assert_eq!(db.record_count(d.tables().3).unwrap(), steady);
+        d.verify_invariant().unwrap();
+        // The driver's ring is the table's content: another run trims it.
+        d.run_ops(n_ops).unwrap();
+        assert_eq!(db.record_count(d.tables().3).unwrap(), steady);
     }
 
     #[test]
@@ -848,7 +821,7 @@ mod tests {
         c.db_pages = cfg.required_pages(c.page_size);
         let (db, _) = DaliEngine::create(c).unwrap();
         let mut d = TpcbDriver::setup(&db, cfg).unwrap();
-        let stats = d.run_concurrent_contended(4, 400).unwrap();
+        let stats = d.run_sessions(sessions(&db, 4), true, 400).unwrap();
         assert_eq!(stats.ops, 400);
         d.verify_invariant().unwrap();
         let (_, _, _, h) = d.tables();
@@ -866,12 +839,12 @@ mod tests {
         cfg.ops_per_txn = 5;
         let (db1, _dir1) = engine(ProtectionScheme::Baseline, "cont-det1", &cfg);
         let mut d1 = TpcbDriver::setup(&db1, cfg.clone()).unwrap();
-        d1.run_concurrent_contended(3, 300).unwrap();
+        d1.run_sessions(sessions(&db1, 3), true, 300).unwrap();
         let v1 = d1.verify_invariant().unwrap();
 
         let (db2, _dir2) = engine(ProtectionScheme::Baseline, "cont-det2", &cfg);
         let mut d2 = TpcbDriver::setup(&db2, cfg).unwrap();
-        d2.run_concurrent_contended(3, 300).unwrap();
+        d2.run_sessions(sessions(&db2, 3), true, 300).unwrap();
         assert_eq!(v1, d2.verify_invariant().unwrap());
     }
 
@@ -883,7 +856,7 @@ mod tests {
         cfg.ops_per_txn = 5;
         let (db, _dir) = engine(ProtectionScheme::Baseline, "cont-wide", &cfg);
         let mut d = TpcbDriver::setup(&db, cfg).unwrap();
-        d.run_concurrent_contended(4, 100).unwrap();
+        d.run_sessions(sessions(&db, 4), true, 100).unwrap();
         d.verify_invariant().unwrap();
     }
 
@@ -892,9 +865,11 @@ mod tests {
         let cfg = TpcbConfig::small();
         let (db, _dir) = engine(ProtectionScheme::Baseline, "conc-bad", &cfg);
         let mut d = TpcbDriver::setup(&db, cfg.clone()).unwrap();
-        assert!(d.run_concurrent(0, 10).is_err());
+        assert!(d.run_sessions(sessions(&db, 0), false, 10).is_err());
         // More threads than branches → empty partition, refused.
-        assert!(d.run_concurrent(cfg.branches + 1, 10).is_err());
+        assert!(d
+            .run_sessions(sessions(&db, cfg.branches + 1), false, 10)
+            .is_err());
     }
 
     #[test]

@@ -70,21 +70,12 @@ fn main() {
         })
     };
 
-    // Writer: keep the database busy until the audit fires.
+    // Writer: keep the database busy until the audit fires, in whole
+    // transactions — a failed one is rolled back, never half committed.
     let mut ops = 0usize;
     while !stop.load(Ordering::Acquire) {
-        match db.begin() {
-            Ok(txn) => {
-                for _ in 0..10 {
-                    if driver.run_op(&txn).is_err() {
-                        break;
-                    }
-                }
-                if txn.commit().is_err() {
-                    break;
-                }
-                ops += 10;
-            }
+        match driver.run_ops(10) {
+            Ok(stats) => ops += stats.ops,
             Err(_) => break, // engine poisoned by the failed audit
         }
     }

@@ -36,7 +36,7 @@
 //! | [`engine`] | transactions, MLR, checkpoints, restart + corruption recovery |
 //! | [`faultinject`] | wild writes / overruns / bit flips |
 //! | [`workload`] | the paper's TPC-B style workload |
-//! | [`net`] | TCP server + client library, wire protocol, networked TPC-B |
+//! | [`net`] | TCP server + client library, wire protocol |
 //!
 //! ## Quick start
 //!
@@ -79,6 +79,6 @@ pub use dali_faultinject::{
     CampaignTarget, CampaignVerdict, CorruptionPattern, FaultInjector, InjectionEffect,
     RepairRound, RepairVerdict, WalScanOutcome,
 };
-pub use dali_net::{DaliClient, DaliServer, NetTpcbDriver, RepairSummary, ServerStats, WireError};
+pub use dali_net::{DaliClient, DaliServer, RepairSummary, ServerStats, WireError};
 pub use dali_wal::SyncStats;
-pub use dali_workload::{RunStats, TpcbConfig, TpcbDriver};
+pub use dali_workload::{EngineSession, Session, TpcbConfig, TpcbDriver};

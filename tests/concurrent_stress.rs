@@ -11,7 +11,8 @@
 //! the rollbacks of deadlock victims.
 
 use dali::{
-    DaliConfig, DaliEngine, DaliError, ProtectionScheme, RecId, SlotId, TpcbConfig, TpcbDriver,
+    DaliConfig, DaliEngine, DaliError, EngineSession, ProtectionScheme, RecId, SlotId, TpcbConfig,
+    TpcbDriver,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -27,6 +28,11 @@ fn assert_parity_exact(db: &DaliEngine, ctx: &str) {
 }
 
 const THREADS: usize = 4;
+
+/// One in-process session per updater thread.
+fn sessions(db: &DaliEngine) -> Vec<EngineSession> {
+    (0..THREADS).map(|_| EngineSession::new(db)).collect()
+}
 const OPS: usize = 4_000;
 
 fn stress(scheme: ProtectionScheme, audit_threads: usize) {
@@ -86,7 +92,7 @@ fn stress(scheme: ProtectionScheme, audit_threads: usize) {
             }
         });
 
-        let stats = driver.run_concurrent(THREADS, OPS).unwrap();
+        let stats = driver.run_sessions(sessions(&db), false, OPS).unwrap();
         stop.store(true, Ordering::Relaxed);
         assert_eq!(stats.ops, OPS);
         auditor.join().unwrap()
@@ -181,7 +187,7 @@ fn stress_contended(scheme: ProtectionScheme, shards: usize) {
             }
         });
 
-        let stats = driver.run_concurrent_contended(THREADS, OPS).unwrap();
+        let stats = driver.run_sessions(sessions(&db), true, OPS).unwrap();
         stop.store(true, Ordering::Relaxed);
         assert_eq!(stats.ops, OPS);
         auditor.join().unwrap()

@@ -1,11 +1,14 @@
-//! Networked TPC-B integration: N concurrent client *connections*
-//! hammering one server over loopback TCP must leave the database in
-//! exactly the state the in-process contended driver leaves it in —
-//! invariant intact, audit clean, every lock released — including under
-//! forced mid-transaction disconnects.
+//! Networked TPC-B integration: the TPC-B driver run over N concurrent
+//! client *connections* hammering one server over loopback TCP must leave
+//! the database in exactly the state it leaves it in over N in-process
+//! sessions — invariant intact, audit clean, every lock released —
+//! including under forced mid-transaction disconnects.
 
-use dali::net::{DaliClient, DaliServer, NetTpcbDriver};
-use dali::{DaliConfig, DaliEngine, DaliError, ProtectionScheme, TpcbConfig, TpcbDriver};
+use dali::net::{DaliClient, DaliServer};
+use dali::{
+    DaliConfig, DaliEngine, DaliError, EngineSession, ProtectionScheme, TpcbConfig, TpcbDriver,
+};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Engine sized for `cfg`, with sharded locks so the cross-shard unlock
@@ -28,8 +31,13 @@ fn server_engine(
     (server, dir)
 }
 
+/// `n` connections to the server at `addr`.
+fn clients(addr: SocketAddr, n: usize) -> Vec<DaliClient> {
+    (0..n).map(|_| DaliClient::connect(addr).unwrap()).collect()
+}
+
 /// Poll the server until `pred(stats)` holds or the deadline passes.
-fn wait_for(addr: std::net::SocketAddr, pred: impl Fn(&dali::ServerStats) -> bool) {
+fn wait_for(addr: SocketAddr, pred: impl Fn(&dali::ServerStats) -> bool) {
     let mut client = DaliClient::connect(addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -50,11 +58,12 @@ fn networked_contended_tpcb_preserves_invariants() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
     let (server, _dir) = server_engine("contended", &cfg, None);
-    let mut driver = NetTpcbDriver::setup(server.addr(), cfg.clone()).unwrap();
+    let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
 
-    let stats = driver.run_clients(4, 400).unwrap();
+    let stats = driver
+        .run_sessions(clients(server.addr(), 4), true, 400)
+        .unwrap();
     assert_eq!(stats.ops, 400);
-    assert_eq!(stats.clients, 4);
     driver.verify_invariant().unwrap();
 
     // Same checks the in-process contended test makes, through the wire.
@@ -70,16 +79,16 @@ fn networked_contended_tpcb_preserves_invariants() {
 
 #[test]
 fn networked_run_matches_in_process_run() {
-    // The networked driver shares the in-process driver's per-worker RNG
-    // streams, so the same (seed, workers, n_ops) triple must land on the
-    // same balance sums whether the operations arrive by function call or
-    // by TCP frame.
+    // One driver, one per-session RNG stream derivation: the same
+    // (seed, sessions, n_ops) triple must land on the same balance sums
+    // whether the operations arrive by function call or by TCP frame.
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
 
     let (server, _dir) = server_engine("match-net", &cfg, None);
-    let mut net = NetTpcbDriver::setup(server.addr(), cfg.clone()).unwrap();
-    net.run_clients(3, 300).unwrap();
+    let mut net = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
+    net.run_sessions(clients(server.addr(), 3), true, 300)
+        .unwrap();
     let net_sum = net.verify_invariant().unwrap();
 
     let dir = dali_testutil::TempDir::new("net-tpcb-match-local");
@@ -87,7 +96,8 @@ fn networked_run_matches_in_process_run() {
     c.db_pages = cfg.required_pages(c.page_size);
     let (db, _) = DaliEngine::create(c).unwrap();
     let mut local = TpcbDriver::setup(&db, cfg).unwrap();
-    local.run_concurrent_contended(3, 300).unwrap();
+    let sessions = (0..3).map(|_| EngineSession::new(&db)).collect();
+    local.run_sessions(sessions, true, 300).unwrap();
     assert_eq!(net_sum, local.verify_invariant().unwrap());
 }
 
@@ -95,7 +105,7 @@ fn networked_run_matches_in_process_run() {
 fn disconnect_mid_transaction_rolls_back_and_releases_locks() {
     let cfg = TpcbConfig::small();
     let (server, _dir) = server_engine("orphan", &cfg, None);
-    let driver = NetTpcbDriver::setup(server.addr(), cfg.clone()).unwrap();
+    let driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
     let before = driver.verify_invariant().unwrap();
 
     // A client locks and dirties an account, then vanishes pre-commit.
@@ -129,7 +139,7 @@ fn forced_disconnects_during_contended_run_leave_invariants_intact() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
     let (server, _dir) = server_engine("crashy", &cfg, None);
-    let mut driver = NetTpcbDriver::setup(server.addr(), cfg.clone()).unwrap();
+    let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
     let addr = server.addr();
 
     const CRASHES: u64 = 8;
@@ -157,7 +167,7 @@ fn forced_disconnects_during_contended_run_leave_invariants_intact() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        driver.run_clients(3, 300).unwrap();
+        driver.run_sessions(clients(addr, 3), true, 300).unwrap();
     });
 
     // Every saboteur connection left an open transaction behind.
@@ -176,11 +186,13 @@ fn group_commit_shares_fsyncs_across_connections() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 2; // commit-heavy: the group-commit regime
     let (server, _dir) = server_engine("group", &cfg, Some(Duration::from_millis(2)));
-    let mut driver = NetTpcbDriver::setup(server.addr(), cfg.clone()).unwrap();
+    let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
 
     let mut client = DaliClient::connect(server.addr()).unwrap();
     let base = client.stats().unwrap();
-    driver.run_clients(4, 160).unwrap();
+    driver
+        .run_sessions(clients(server.addr(), 4), true, 160)
+        .unwrap();
     let stats = client.stats().unwrap();
 
     let durable = stats.durable_commits - base.durable_commits;
