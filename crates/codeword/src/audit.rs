@@ -182,7 +182,10 @@ fn audit_run(
 #[allow(clippy::single_range_in_vec_init)] // `&[0..n]` is the full sweep
 mod tests {
     use super::*;
+    use crate::algebra::fold;
     use dali_common::CodewordAlgebraKind;
+
+    const XOR: CodewordAlgebraKind = CodewordAlgebraKind::XorFold;
 
     struct Fixture {
         image: DbImage,
@@ -332,7 +335,7 @@ mod tests {
         f.image.write(addr, &new).unwrap();
         f.table.apply_delta(
             f.geom.region_of(addr),
-            crate::codeword::delta(&[0; 4], &new),
+            XOR.delta_of_folds(fold(XOR, &[0; 4]), fold(XOR, &new)),
         );
         assert!(f.full().clean());
         // Corrupt without maintaining the codeword.

@@ -10,9 +10,9 @@
 //!
 //! Modules:
 //!
-//! * [`codeword`] — the XOR-fold algebra (fold, delta, incremental
-//!   maintenance identities), computed by a wide 4×`u64`-lane kernel that
-//!   auto-vectorizes.
+//! * [`algebra`] — the codeword algebras (the paper's XOR fold and a
+//!   mod-(2^32−1) residue) and their laws; the fold kernels, one per
+//!   algebra, live in [`dali_common::fold`].
 //! * [`region`] — protection-region geometry over the database address
 //!   space.
 //! * [`table`] — the codeword table, one atomic `u32` per region.
@@ -36,7 +36,6 @@
 
 pub mod algebra;
 pub mod audit;
-pub mod codeword;
 pub mod latch;
 pub mod parity;
 pub mod protection;

@@ -129,6 +129,7 @@ impl CodewordTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::fold;
     use dali_common::DbAddr;
 
     fn setup_kind(kind: CodewordAlgebraKind) -> (DbImage, RegionGeometry, CodewordTable) {
@@ -163,7 +164,7 @@ mod tests {
             let old = [0u8; 8];
             let new = [1u8, 2, 3, 4, 5, 6, 7, 8];
             image.write(addr, &new).unwrap();
-            let d = crate::algebra::delta(kind, &old, &new);
+            let d = kind.delta_of_folds(fold(kind, &old), fold(kind, &new));
             let region = geom.region_of(addr);
             t.apply_delta(region, d);
             let computed = image

@@ -11,8 +11,9 @@
 //!   selector corresponding to the rows of Table 2 in the paper.
 //! * [`align`] — alignment arithmetic used by codeword maintenance
 //!   (updates are widened to word boundaries so XOR deltas are computable).
-//! * [`fold`] — the slice fold kernels (XOR and mod-(2^32−1) residue)
-//!   behind every codeword and checksum in the workspace.
+//! * [`fold`] — the fold kernels, one per algebra (XOR and mod-(2^32−1)
+//!   residue), over a byte slice or a raw image range: behind every
+//!   codeword and checksum in the workspace.
 //! * [`codec`] — the one checked byte [`Reader`](codec::Reader) every
 //!   decoder reads through, and the sealed-file trailer.
 //! * [`storage`] — the [`Storage`] seam every durable file operation of

@@ -12,6 +12,7 @@
 //! recovery.
 
 use bytes::{BufMut, BytesMut};
+use dali_common::align::WORD;
 use dali_common::codec::Reader;
 use dali_common::{DaliError, DbAddr, Result, SlotId, TableId};
 use std::collections::HashMap;
@@ -142,11 +143,16 @@ impl HeapMeta {
     }
 
     /// End of the data extent (including embedded page headers for the
-    /// page-local layout), or `None` when the extents cannot exist: a
-    /// page-local layout with no records per page, or sizes that overflow
-    /// the address space. Decoded metadata (a checkpoint catalog, a
-    /// replayed `CreateTable`) is only checksum-valid, not sane.
+    /// page-local layout), or `None` when the extents cannot exist: a base
+    /// that is not word aligned (`plan_table` only makes page-aligned
+    /// ones; bitmap words are `u32`s), a page-local layout with no records
+    /// per page, or sizes that overflow the address space. Decoded
+    /// metadata (a checkpoint catalog, a replayed `CreateTable`) is only
+    /// checksum-valid, not sane.
     fn data_end(&self) -> Option<usize> {
+        if !(self.bitmap_base.0 | self.data_base.0).is_multiple_of(WORD) {
+            return None;
+        }
         let bytes = match self.layout {
             HeapLayout::Separate => self.capacity.checked_mul(self.rec_size)?,
             HeapLayout::PageLocal {

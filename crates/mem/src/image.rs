@@ -64,25 +64,12 @@ impl DbImage {
     /// The image's bytes as one mutable slice: bulk-load access for a
     /// recovery that still owns the image exclusively.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        let len = self.len();
-        &mut self.arena.as_mut_slice()[..len]
-    }
-
-    #[inline]
-    fn check(&self, addr: DbAddr, len: usize) -> Result<()> {
-        if addr.0.checked_add(len).is_none_or(|end| end > self.len()) {
-            return Err(DaliError::InvalidArg(format!(
-                "range {addr}+{len} out of image bounds ({})",
-                self.len()
-            )));
-        }
-        Ok(())
+        self.arena.as_mut_slice()
     }
 
     /// Copy bytes out of the image.
     #[inline]
     pub fn read(&self, addr: DbAddr, buf: &mut [u8]) -> Result<()> {
-        self.check(addr, buf.len())?;
         self.arena.read(addr.0, buf)
     }
 
@@ -91,7 +78,6 @@ impl DbImage {
     /// recovery should call it.
     #[inline]
     pub fn write(&self, addr: DbAddr, data: &[u8]) -> Result<()> {
-        self.check(addr, data.len())?;
         self.arena.write(addr.0, data)
     }
 
@@ -119,55 +105,11 @@ impl DbImage {
         self.write(page.base(self.page_size), buf)
     }
 
-    /// XOR-fold the words of `[addr, addr+len)` — the codeword computation
-    /// primitive. `addr` and `len` must be 4-byte aligned.
-    #[inline]
-    pub fn xor_fold(&self, addr: DbAddr, len: usize) -> Result<u32> {
-        self.check(addr, len)?;
-        self.arena.xor_fold(addr.0, len)
-    }
-
-    /// [`xor_fold`](Self::xor_fold) through the one-word-at-a-time kernel
-    /// — the baseline the wide kernel is benchmarked against.
-    #[inline]
-    pub fn xor_fold_scalar(&self, addr: DbAddr, len: usize) -> Result<u32> {
-        self.check(addr, len)?;
-        self.arena.xor_fold_scalar(addr.0, len)
-    }
-
-    /// Residue-fold the words of `[addr, addr+len)`: their sum modulo
-    /// `2^32 - 1`, canonical in `[0, 2^32 - 1)`. Same alignment contract
-    /// as [`xor_fold`](Self::xor_fold).
-    #[inline]
-    pub fn residue_fold(&self, addr: DbAddr, len: usize) -> Result<u32> {
-        self.check(addr, len)?;
-        self.arena.residue_fold(addr.0, len)
-    }
-
-    /// [`residue_fold`](Self::residue_fold) through the one-word-at-a-time
-    /// kernel — the baseline the wide kernel is benchmarked against.
-    #[inline]
-    pub fn residue_fold_scalar(&self, addr: DbAddr, len: usize) -> Result<u32> {
-        self.check(addr, len)?;
-        self.arena.residue_fold_scalar(addr.0, len)
-    }
-
-    /// Fold `[addr, addr+len)` under the given codeword algebra.
+    /// Fold the words of `[addr, addr+len)` under `kind` — the codeword
+    /// computation primitive. `addr` and `len` must be 4-byte aligned.
     #[inline]
     pub fn fold(&self, kind: CodewordAlgebraKind, addr: DbAddr, len: usize) -> Result<u32> {
-        match kind {
-            CodewordAlgebraKind::XorFold => self.xor_fold(addr, len),
-            CodewordAlgebraKind::Residue => self.residue_fold(addr, len),
-        }
-    }
-
-    /// [`fold`](Self::fold) through the one-word-at-a-time kernels.
-    #[inline]
-    pub fn fold_scalar(&self, kind: CodewordAlgebraKind, addr: DbAddr, len: usize) -> Result<u32> {
-        match kind {
-            CodewordAlgebraKind::XorFold => self.xor_fold_scalar(addr, len),
-            CodewordAlgebraKind::Residue => self.residue_fold_scalar(addr, len),
-        }
+        self.arena.fold(kind, addr.0, len)
     }
 
     /// The pages overlapped by `[addr, addr+len)`.
@@ -181,6 +123,7 @@ impl DbImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dali_common::fold;
 
     fn img() -> DbImage {
         DbImage::new(8, 4096).unwrap()
@@ -243,10 +186,10 @@ mod tests {
     #[test]
     fn xor_fold_detects_change() {
         let i = img();
-        let before = i.xor_fold(DbAddr(0), 64).unwrap();
+        let xor = CodewordAlgebraKind::XorFold;
+        let before = i.fold(xor, DbAddr(0), 64).unwrap();
         i.write(DbAddr(8), &[1, 0, 0, 0]).unwrap();
-        let after = i.xor_fold(DbAddr(0), 64).unwrap();
-        assert_ne!(before, after);
+        let after = i.fold(xor, DbAddr(0), 64).unwrap();
         assert_eq!(after, before ^ 1);
     }
 
@@ -255,19 +198,54 @@ mod tests {
         let i = img();
         i.write(DbAddr(8), &0x8000_0001u32.to_le_bytes()).unwrap();
         i.write(DbAddr(12), &0x8000_0002u32.to_le_bytes()).unwrap();
-        for kind in CodewordAlgebraKind::ALL {
-            let direct = match kind {
-                CodewordAlgebraKind::XorFold => i.xor_fold(DbAddr(0), 64).unwrap(),
-                CodewordAlgebraKind::Residue => i.residue_fold(DbAddr(0), 64).unwrap(),
-            };
-            assert_eq!(i.fold(kind, DbAddr(0), 64).unwrap(), direct);
-            assert_eq!(i.fold_scalar(kind, DbAddr(0), 64).unwrap(), direct);
-        }
-        // The two algebras genuinely differ on this content.
-        assert_ne!(
+        assert_eq!(
             i.fold(CodewordAlgebraKind::XorFold, DbAddr(0), 64).unwrap(),
-            i.fold(CodewordAlgebraKind::Residue, DbAddr(0), 64).unwrap()
+            0x0000_0003
         );
+        assert_eq!(
+            i.fold(CodewordAlgebraKind::Residue, DbAddr(0), 64).unwrap(),
+            0x0000_0004, // 2^32 + 3 ≡ 4 (mod 2^32 − 1)
+        );
+    }
+
+    /// The raw entry ≡ the one-word-at-a-time slice reference of each
+    /// algebra over the same bytes, for every word-aligned offset mod 8
+    /// and every tail shape through a few 32-byte blocks.
+    #[test]
+    fn wide_fold_matches_scalar_every_shape() {
+        let i = img();
+        let noise: Vec<u8> = (0..512u32)
+            .map(|n| (n.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        i.write(DbAddr(0), &noise).unwrap();
+        for off in [0usize, 4, 8, 12, 36] {
+            for len in (0..=3 * 32 + 4).step_by(4) {
+                let bytes = &noise[off..off + len];
+                assert_eq!(
+                    i.fold(CodewordAlgebraKind::XorFold, DbAddr(off), len)
+                        .unwrap(),
+                    fold::xor_fold_scalar(bytes),
+                    "XOR offset {off} len {len}"
+                );
+                assert_eq!(
+                    i.fold(CodewordAlgebraKind::Residue, DbAddr(off), len)
+                        .unwrap(),
+                    fold::residue_fold_scalar(bytes),
+                    "residue offset {off} len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_are_the_image_not_the_os_page() {
+        let mut i = DbImage::new(3, 1024).unwrap();
+        assert_eq!(i.len(), 3072);
+        assert!(i.write(DbAddr(3070), &[0; 4]).is_err());
+        assert!(i
+            .fold(CodewordAlgebraKind::XorFold, DbAddr(3068), 8)
+            .is_err());
+        assert_eq!(i.bytes_mut().len(), 3072);
     }
 
     #[test]

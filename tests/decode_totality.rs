@@ -99,9 +99,10 @@ fn every_resealed_truncation_of_a_meta_file_is_an_error() {
 }
 
 /// A checksum-valid catalog is not a sane one: a page-local table with
-/// zero records per page (a division by zero) or a capacity whose data
-/// extent overflows the address space must be `RecoveryFailed`, not a
-/// panic or a wrapped space watermark.
+/// zero records per page (a division by zero), a capacity whose data
+/// extent overflows the address space or a bitmap base off a word
+/// boundary (its bitmap words would be unaligned reads) must be
+/// `RecoveryFailed`, not a panic or a wrapped space watermark.
 #[test]
 fn impossible_catalog_extents_are_errors_not_panics() {
     let dir = TempDir::new("meta-extents");
@@ -117,9 +118,16 @@ fn impossible_catalog_extents_are_errors_not_panics() {
     assert_eq!(&body[acct + 8..acct + 12], b"acct");
     assert_eq!(&body[acct + 49..acct + 53], b"hist");
     assert_eq!(body[rpp_at - 1], 1, "page-local layout tag");
+    let bitmap_at = capacity_at + 8;
     let huge_capacity = (u64::MAX / 2).to_le_bytes();
     let zero_rpp = 0u32.to_le_bytes();
-    for (at, bytes) in [(capacity_at, &huge_capacity[..]), (rpp_at, &zero_rpp[..])] {
+    let bitmap_base = u64::from_le_bytes(body[bitmap_at..bitmap_at + 8].try_into().unwrap());
+    let misaligned_bitmap = (bitmap_base + 2).to_le_bytes();
+    for (at, bytes) in [
+        (capacity_at, &huge_capacity[..]),
+        (rpp_at, &zero_rpp[..]),
+        (bitmap_at, &misaligned_bitmap[..]),
+    ] {
         let mut bad = body.to_vec();
         bad[at..at + bytes.len()].copy_from_slice(bytes);
         std::fs::write(Db::meta_path(dir.path(), 0), sealed(&bad)).unwrap();

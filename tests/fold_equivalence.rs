@@ -1,38 +1,60 @@
-//! Kernel-equivalence suite for the wide XOR-fold.
+//! Kernel-equivalence suite for the fold kernels of both algebras.
 //!
-//! The fold kernels (`codeword::fold`/`fold_padded`/`delta` on slices,
-//! `Arena::xor_fold` behind `DbImage`) process 32-byte blocks with four
-//! independent `u64` accumulators. That rewrite is only a win if it is
-//! *exactly* the old one-word-at-a-time fold, so everything here compares
-//! against an independent byte-at-a-time reference — byte `i` contributes
-//! to bit column `8 * (i mod 4)` — that shares no code with the kernels:
+//! `dali_common::fold` holds one wide kernel per algebra, generic over
+//! its word source: a byte slice (`fold`/`fold_padded`, which every log
+//! and wire frame checksum also runs) or a raw range of the database
+//! image (`DbImage::fold`, which every region codeword, audit and
+//! precheck runs). Both walk 32-byte blocks through four independent
+//! `u64` accumulators with unaligned little-endian loads. That is only
+//! right if it is *exactly* the one-word-at-a-time fold, so everything
+//! here compares against independent byte-at-a-time references that
+//! share no code with the kernels — byte `i` lands in bit column
+//! `8 * (i mod 4)` of its word, XOR-ed for the XOR fold and summed mod
+//! `2^32 − 1` for the residue:
 //!
 //! * exhaustively, every word-aligned length through several wide blocks
 //!   (all `u64`-remainder and final-`u32` tail shapes), every partial-word
-//!   tail length 1..32 for the padded fold, and every sub-slice offset
-//!   0..8 (misaligned base pointers — the slice kernels must be
-//!   alignment-oblivious; the raw-pointer kernel must take its one-word
-//!   alignment head at offsets ≡ 4 mod 8);
+//!   tail length for the padded fold, every slice offset 0..8 and every
+//!   word-aligned image offset mod 8 (so bases ≡ 4 mod 8 too — no source
+//!   needs an aligned base);
 //! * property-based, over random contents / lengths / offsets (CI raises
 //!   the case count via `PROPTEST_CASES`, as with the other suites);
 //! * and at the scan layer: a parallel audit must produce a report
 //!   byte-identical to the serial scan on a deliberately corrupted image,
 //!   for every worker count.
 
-use dali::codeword::codeword::{delta, fold, fold_padded, fold_scalar};
+use dali::codeword::algebra::{fold, fold_padded};
 use dali::codeword::{CodewordAlgebraKind, CodewordProtection, DeferredConfig, ProtectionScheme};
+use dali::common::fold::{residue_fold_scalar, xor_fold_scalar};
 use dali::mem::DbImage;
 use dali::DbAddr;
 use proptest::prelude::*;
 
-/// Independent byte-wise reference fold (zero-pad semantics: agrees with
-/// `fold` on aligned lengths and with `fold_padded` on any length).
-fn ref_fold(bytes: &[u8]) -> u32 {
-    let mut acc = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        acc ^= (b as u32) << (8 * (i & 3));
+/// Independent byte-wise reference fold under `kind` (zero-pad
+/// semantics: agrees with `fold` on aligned lengths and with
+/// `fold_padded` on any length).
+fn ref_fold(kind: CodewordAlgebraKind, bytes: &[u8]) -> u32 {
+    match kind {
+        CodewordAlgebraKind::XorFold => bytes
+            .iter()
+            .enumerate()
+            .fold(0u32, |acc, (i, &b)| acc ^ (b as u32) << (8 * (i & 3))),
+        CodewordAlgebraKind::Residue => {
+            let sum: u128 = bytes
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| (b as u128) << (8 * (i & 3)))
+                .sum();
+            (sum % 0xFFFF_FFFF) as u32
+        }
     }
-    acc
+}
+
+fn scalar(kind: CodewordAlgebraKind, bytes: &[u8]) -> u32 {
+    match kind {
+        CodewordAlgebraKind::XorFold => xor_fold_scalar(bytes),
+        CodewordAlgebraKind::Residue => residue_fold_scalar(bytes),
+    }
 }
 
 fn patterned(len: usize) -> Vec<u8> {
@@ -42,67 +64,63 @@ fn patterned(len: usize) -> Vec<u8> {
 }
 
 /// Every word-aligned length 0..=288 (several 32-byte blocks plus every
-/// tail shape) at every sub-slice offset 0..8.
+/// tail shape) at every sub-slice offset 0..8, under both algebras.
 #[test]
 fn slice_fold_matches_reference_exhaustively() {
     let backing = patterned(8 + 288);
-    for off in 0..8 {
-        for len in (0..=288).step_by(4) {
-            let sub = &backing[off..off + len];
-            assert_eq!(fold(sub), ref_fold(sub), "offset {off} len {len}");
-            assert_eq!(fold_scalar(sub), ref_fold(sub), "offset {off} len {len}");
+    for kind in CodewordAlgebraKind::ALL {
+        for off in 0..8 {
+            for len in (0..=288).step_by(4) {
+                let sub = &backing[off..off + len];
+                let want = ref_fold(kind, sub);
+                assert_eq!(fold(kind, sub), want, "{kind:?} offset {off} len {len}");
+                assert_eq!(scalar(kind, sub), want, "{kind:?} offset {off} len {len}");
+            }
         }
     }
 }
 
 /// Every tail length 1..32 (and beyond, through two blocks) for the
-/// zero-padded fold, again at every base offset.
+/// zero-padded fold, again at every base offset and under both algebras.
 #[test]
 fn padded_fold_matches_reference_every_tail() {
     let backing = patterned(8 + 2 * 32 + 31);
-    for off in 0..8 {
-        for len in 0..=2 * 32 + 31 {
-            let sub = &backing[off..off + len];
-            assert_eq!(fold_padded(sub), ref_fold(sub), "offset {off} len {len}");
+    for kind in CodewordAlgebraKind::ALL {
+        for off in 0..8 {
+            for len in 0..=2 * 32 + 31 {
+                let sub = &backing[off..off + len];
+                assert_eq!(
+                    fold_padded(kind, sub),
+                    ref_fold(kind, sub),
+                    "{kind:?} offset {off} len {len}"
+                );
+            }
         }
     }
 }
 
-/// The fused interleaved delta equals the reference symmetric difference
-/// for every aligned length and offset pair.
-#[test]
-fn fused_delta_matches_reference_exhaustively() {
-    let old_backing = patterned(8 + 128);
-    let new_backing: Vec<u8> = old_backing
-        .iter()
-        .map(|b| b.wrapping_mul(73) ^ 0x5a)
-        .collect();
-    for off in 0..8 {
-        for len in (0..=128).step_by(4) {
-            let (o, n) = (&old_backing[off..off + len], &new_backing[off..off + len]);
-            assert_eq!(
-                delta(o, n),
-                ref_fold(o) ^ ref_fold(n),
-                "offset {off} len {len}"
-            );
-        }
-    }
-}
-
-/// The raw-pointer kernel behind `DbImage::xor_fold`, for every offset
-/// alignment mod 8 (the wide path takes a one-`u32` head at ≡ 4 mod 8)
-/// and every tail shape.
+/// The raw entry, `DbImage::fold`, under both algebras: every word-aligned
+/// offset mod 8 (≡ 0 and ≡ 4), through several blocks, and every tail
+/// shape, on noise and on all-ones words (the residue's end-around carry).
 #[test]
 fn image_fold_matches_reference_exhaustively() {
     let image = DbImage::new(1, 4096).unwrap();
-    let noise = patterned(4096);
-    image.write(DbAddr(0), &noise).unwrap();
-    for off in [0usize, 4, 8, 12, 20, 36] {
-        for len in (0..=3 * 32 + 4).step_by(4) {
+    for noise in [patterned(4096), vec![0xFF; 4096]] {
+        image.write(DbAddr(0), &noise).unwrap();
+        for kind in CodewordAlgebraKind::ALL {
+            for off in [0usize, 4, 8, 12, 20, 36, 3988] {
+                for len in (0..=3 * 32 + 4).step_by(4) {
+                    assert_eq!(
+                        image.fold(kind, DbAddr(off), len).unwrap(),
+                        ref_fold(kind, &noise[off..off + len]),
+                        "{kind:?} offset {off} len {len}"
+                    );
+                }
+            }
             assert_eq!(
-                image.xor_fold(DbAddr(off), len).unwrap(),
-                ref_fold(&noise[off..off + len]),
-                "offset {off} len {len}"
+                image.fold(kind, DbAddr(4), 4092).unwrap(),
+                ref_fold(kind, &noise[4..]),
+                "{kind:?} to the end of the image"
             );
         }
     }
@@ -160,24 +178,16 @@ proptest! {
     ) {
         let sub = &bytes[off.min(bytes.len())..];
         let aligned = &sub[..sub.len() / 4 * 4];
-        prop_assert_eq!(fold(aligned), ref_fold(aligned));
-        prop_assert_eq!(fold_scalar(aligned), ref_fold(aligned));
-        prop_assert_eq!(fold_padded(sub), ref_fold(sub));
+        for kind in CodewordAlgebraKind::ALL {
+            prop_assert_eq!(fold(kind, aligned), ref_fold(kind, aligned));
+            prop_assert_eq!(scalar(kind, aligned), ref_fold(kind, aligned));
+            prop_assert_eq!(fold_padded(kind, sub), ref_fold(kind, sub));
+        }
     }
 
-    /// Fused delta ≡ reference symmetric difference on random pairs.
-    #[test]
-    fn fused_delta_equals_reference(
-        a in proptest::collection::vec(any::<u8>(), 0..768),
-        b in proptest::collection::vec(any::<u8>(), 0..768),
-    ) {
-        let n = a.len().min(b.len()) / 4 * 4;
-        let (old, new) = (&a[..n], &b[..n]);
-        prop_assert_eq!(delta(old, new), ref_fold(old) ^ ref_fold(new));
-    }
-
-    /// Raw-pointer kernel ≡ reference on random word-aligned ranges of a
-    /// noisy image (offsets cover both 8-aligned and 4-mod-8 bases).
+    /// Raw entry ≡ reference under both algebras on random word-aligned
+    /// ranges of a noisy image (offsets cover both 8-aligned and 4-mod-8
+    /// bases).
     #[test]
     fn image_fold_equals_reference(
         seed in any::<u32>(),
@@ -191,9 +201,11 @@ proptest! {
         image.write(DbAddr(0), &noise).unwrap();
         let (off, len) = (word_off * 4, word_len * 4);
         prop_assume!(off + len <= 4096);
-        prop_assert_eq!(
-            image.xor_fold(DbAddr(off), len).unwrap(),
-            ref_fold(&noise[off..off + len])
-        );
+        for kind in CodewordAlgebraKind::ALL {
+            prop_assert_eq!(
+                image.fold(kind, DbAddr(off), len).unwrap(),
+                ref_fold(kind, &noise[off..off + len])
+            );
+        }
     }
 }
