@@ -7,7 +7,7 @@
 
 use bytes::{BufMut, BytesMut};
 use dali_common::codec::Reader;
-use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
+use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
 use dali_wal::record::OpKind;
 use dali_wal::{LocalRedoLog, LocalUndoLog};
 use parking_lot::Mutex;
@@ -52,17 +52,19 @@ pub struct TxnState {
 }
 
 impl TxnState {
-    /// Fresh state for a transaction discovered during recovery.
+    /// Fresh state for a transaction discovered during recovery, which
+    /// only ever undoes it: its redo log stays empty.
     pub fn new_for_recovery(id: TxnId) -> TxnState {
-        TxnState::new(id)
+        TxnState::new(id, CodewordAlgebraKind::XorFold)
     }
 
-    fn new(id: TxnId) -> TxnState {
+    /// Fresh state whose redo frames are checksummed under `kind`.
+    fn new(id: TxnId, kind: CodewordAlgebraKind) -> TxnState {
         TxnState {
             id,
             status: TxnStatus::Active,
             undo: LocalUndoLog::new(),
-            redo: LocalRedoLog::new(),
+            redo: LocalRedoLog::with_algebra(kind),
             next_op: 0,
             cur_op: None,
             update_in_flight: false,
@@ -83,17 +85,27 @@ impl TxnState {
 #[derive(Default)]
 pub struct Att {
     map: Mutex<HashMap<TxnId, Arc<Mutex<TxnState>>>>,
+    /// Algebra of the transactions' redo frame checksums: the log's.
+    kind: CodewordAlgebraKind,
 }
 
 impl Att {
-    /// Empty table.
+    /// Empty table whose transactions frame redo under the XOR fold.
     pub fn new() -> Att {
         Att::default()
     }
 
+    /// Empty table whose transactions frame redo under `kind`.
+    pub fn with_algebra(kind: CodewordAlgebraKind) -> Att {
+        Att {
+            kind,
+            ..Att::default()
+        }
+    }
+
     /// Register a new transaction.
     pub fn insert(&self, id: TxnId) -> Arc<Mutex<TxnState>> {
-        let state = Arc::new(Mutex::new(TxnState::new(id)));
+        let state = Arc::new(Mutex::new(TxnState::new(id, self.kind)));
         self.map.lock().insert(id, Arc::clone(&state));
         state
     }
@@ -155,7 +167,7 @@ impl Att {
         let n = r.count(8 + 4 + 4)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut st = TxnState::new(TxnId(r.u64()?));
+            let mut st = TxnState::new_for_recovery(TxnId(r.u64()?));
             st.next_op = r.u32()?;
             st.undo = LocalUndoLog::decode(&mut r)?;
             out.push(st);

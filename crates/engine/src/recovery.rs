@@ -198,12 +198,12 @@ pub(crate) fn build_db(
         config.deadlock_detect_interval,
     );
     let db = Arc::new(Db {
+        att: Att::with_algebra(config.codeword_algebra),
         config,
         image,
         prot,
         protector,
         syslog,
-        att: Att::new(),
         locks,
         catalog: RwLock::new(catalog),
         heaps: RwLock::new(heaps),
@@ -329,7 +329,7 @@ impl<'m> Taint<'m> {
                 // Physical undo (an operation in flight at the
                 // checkpoint) restores these exact bytes.
                 UndoKind::Physical { addr, before, .. } => {
-                    self.undo_ranges.insert(*addr, before.len());
+                    self.undo_ranges.insert(*addr, before.len);
                 }
             }
         }
@@ -513,7 +513,8 @@ fn redo_pass(
                     let st = att
                         .entry(txn)
                         .or_insert_with(|| TxnState::new_for_recovery(txn));
-                    st.undo.commit_op(op, undo.to_owned());
+                    let undo = undo.map(|image| st.undo.copy_in(image));
+                    st.undo.commit_op(op, undo);
                     st.next_op = st.next_op.max(op.0 + 1);
                     in_att = Some(txn);
                 }
@@ -650,7 +651,7 @@ fn undo_and_finish(
     // conflicted with is rolled back.
     for id in incomplete.iter().rev() {
         let st = att.get_mut(id).expect("present");
-        rollback_direct(db, &mut st.undo)?;
+        rollback_direct(db, &st.undo)?;
     }
     let (deleted, rolled_back): (Vec<TxnId>, Vec<TxnId>) =
         incomplete.into_iter().partition(|id| ctt.contains(id));
@@ -666,12 +667,9 @@ fn undo_and_finish(
     // the rollback itself is not logged, so until the exit checkpoint
     // holds it a restart must find these transactions incomplete and
     // roll them back again, not read an abort and skip them.
-    let aborts: Vec<LogRecord> = deleted
-        .iter()
-        .chain(rolled_back.iter())
-        .map(|&txn| LogRecord::TxnAbort { txn })
-        .collect();
-    db.syslog.append_batch(&aborts);
+    for &txn in deleted.iter().chain(&rolled_back) {
+        db.syslog.append(&LogRecord::TxnAbort { txn });
+    }
     db.syslog.flush(false)?;
     // `open` hands back a directory at rest: whoever opened it may copy
     // or replace it without racing the exit checkpoint's retirement.

@@ -9,7 +9,9 @@
 //! with an `OpBegin` record, perform physical updates, and commit by
 //! migrating their redo records plus an `OpCommit` record (carrying the
 //! logical undo description) to the system log — Dali's local logging
-//! discipline.
+//! discipline. Images go into the transaction's undo arena and records
+//! are framed into its redo buffer as they are produced, so the update
+//! path allocates nothing and an operation reaches the log as one copy.
 //!
 //! Reads dispatch per scheme: plain copy, precheck (§3.1), or read
 //! logging (§4.2, with codewords per the §4.3 extension).
@@ -32,8 +34,8 @@ use crate::att::{OpState, TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
 use crate::lock::LockMode;
 use dali_common::{DaliError, DbAddr, RecId, Result, TableId, TxnId};
-use dali_wal::record::{LogRecord, LogicalUndo, OpKind};
-use dali_wal::{UndoEntry, UndoKind};
+use dali_wal::record::{LogRecord, LogicalUndo, LogicalUndoRef, OpKind};
+use dali_wal::{LocalUndoLog, Span, UndoKind};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -256,8 +258,9 @@ impl TxnHandle {
         }
         let addr = heap.meta().slot_addr(rec.slot);
         let op = begin_op(&mut st, self.id, OpKind::Update, rec);
-        let mut before = vec![0u8; data.len()];
-        read_persistent(&self.db, addr, &mut before)?;
+        let before = st
+            .undo
+            .stage(data.len(), |b| read_persistent(&self.db, addr, b))?;
         physical_update(&self.db, &mut st, self.id, op, addr, data)?;
         commit_op(
             &self.db,
@@ -283,8 +286,9 @@ impl TxnHandle {
         }
         let addr = heap.meta().slot_addr(rec.slot);
         let op = begin_op(&mut st, self.id, OpKind::Delete, rec);
-        let mut image = vec![0u8; heap.meta().rec_size];
-        read_persistent(&self.db, addr, &mut image)?;
+        let image = st
+            .undo
+            .stage(heap.meta().rec_size, |b| read_persistent(&self.db, addr, b))?;
         let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
         heap.with_alloc_locked(|| -> Result<()> {
             let word = read_bitmap_word(&self.db, word_addr)?;
@@ -330,10 +334,9 @@ impl TxnHandle {
                     "commit with an operation in progress".into(),
                 ));
             }
-            let mut batch = st.redo.drain();
-            batch.push(LogRecord::TxnCommit { txn: self.id });
-            let (_, end) = self.db.syslog.append_batch(&batch);
-            commit_end = end;
+            st.redo.push(LogRecord::TxnCommit { txn: self.id });
+            commit_end = self.db.syslog.append_frames(&st.redo);
+            st.redo.discard();
             st.status = TxnStatus::Committed;
             for rec in std::mem::take(&mut st.deferred_frees) {
                 if let Ok(h) = self.db.heap(rec.table) {
@@ -382,9 +385,9 @@ pub(crate) fn abort_txn(db: &Db, state: &Mutex<TxnState>, id: TxnId) -> Result<(
         return Ok(());
     }
     rollback_txn(db, &mut st, id)?;
-    let mut batch = st.redo.drain();
-    batch.push(LogRecord::TxnAbort { txn: id });
-    db.syslog.append_batch(&batch);
+    st.redo.push(LogRecord::TxnAbort { txn: id });
+    db.syslog.append_frames(&st.redo);
+    st.redo.discard();
     st.status = TxnStatus::Aborted;
     for rec in std::mem::take(&mut st.deferred_frees) {
         if let Ok(h) = db.heap(rec.table) {
@@ -465,22 +468,19 @@ fn begin_op(st: &mut TxnState, txn: TxnId, kind: OpKind, rec: RecId) -> dali_com
 }
 
 /// Commit a level-1 operation: migrate its redo records plus the OpCommit
-/// record to the system log (one atomic batch), and replace its physical
-/// undo with the logical undo description.
+/// record to the system log (one copy of its frames), and replace its
+/// physical undo with the logical undo description, whose image the
+/// operation staged in the undo arena.
 fn commit_op(
     db: &Db,
     st: &mut TxnState,
     txn: TxnId,
     op: dali_common::OpSeq,
-    undo: LogicalUndo,
+    undo: LogicalUndo<Span>,
 ) -> Result<()> {
-    let mut batch = st.redo.drain();
-    batch.push(LogRecord::OpCommit {
-        txn,
-        op,
-        undo: undo.clone(),
-    });
-    db.syslog.append_batch(&batch);
+    st.redo.push_op_commit(txn, op, st.undo.logical(&undo));
+    db.syslog.append_frames(&st.redo);
+    st.redo.discard();
     st.undo.commit_op(op, undo);
     st.cur_op = None;
     reprotect_op_exposures(db, st)?;
@@ -529,14 +529,13 @@ fn physical_update(
     // Every fallible step runs inside this closure so the latch span is
     // released on the error paths too.
     let res = (|| -> Result<()> {
-        // Capture the before-image *inside* the latch span: under
-        // exclusive update latching a concurrent updater could otherwise
-        // slip a write between our read and our span acquisition, and the
-        // stale before-image would corrupt the codeword delta at
-        // endUpdate.
-        let mut old = vec![0u8; wl];
-        db.image.read(waddr, &mut old)?;
-        st.undo.push_physical(op, waddr, old.clone());
+        // Capture the before-image into the undo arena *inside* the latch
+        // span: under exclusive update latching a concurrent updater
+        // could otherwise slip a write between our read and our span
+        // acquisition, and the stale before-image would corrupt the
+        // codeword delta at endUpdate.
+        let before = st.undo.stage(wl, |b| db.image.read(waddr, b))?;
+        st.undo.push_physical_at(op, waddr, before);
         st.update_in_flight = true;
 
         // CW ReadLog treats a write as a read followed by a write (§4.3):
@@ -558,14 +557,10 @@ fn physical_update(
         // --- the in-place write ---
         db.image.write(addr, data)?;
         // --- endUpdate ---
-        db.prot.apply_update(&db.image, waddr, &old)?;
+        db.prot
+            .apply_update(&db.image, waddr, st.undo.bytes(before))?;
         st.undo.seal_top_physical(op)?;
-        st.redo.push(LogRecord::PhysicalRedo {
-            txn,
-            op,
-            addr,
-            data: data.to_vec(),
-        });
+        st.redo.push_redo(txn, op, addr, data);
         Ok(())
     })();
     db.prot.latches().unlock_span(first, last, mode);
@@ -586,48 +581,30 @@ fn rollback_txn(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
     // the reads really happened, and corruption tracing may only
     // overestimate reads, never underestimate (§4.2).
     if let Some(op) = st.cur_op.take() {
-        let kept: Vec<LogRecord> = st
-            .redo
-            .drain()
-            .into_iter()
-            .filter(|r| {
-                !matches!(
-                    r,
-                    LogRecord::OpBegin { op: o, .. } | LogRecord::PhysicalRedo { op: o, .. }
-                    if *o == op.seq
-                )
-            })
-            .collect();
-        for r in kept {
-            st.redo.push(r);
-        }
+        st.redo.cut_op(op.seq);
     }
 
-    // Snapshot the undo stack before compensating: the compensating
+    // Take the undo stack before compensating: the compensating
     // operations themselves push fresh logical-undo entries (needed on the
     // *log* so a crash mid-rollback resumes correctly), but processing
     // those in this same loop would undo the compensations just made —
     // an infinite regress. The in-memory entries they leave behind are
     // discarded at the end; the transaction is over.
-    let mut entries = Vec::with_capacity(st.undo.len());
-    while let Some(e) = st.undo.pop() {
-        entries.push(e);
-    }
-    for entry in entries {
-        match entry.kind {
-            UndoKind::Physical {
+    let undo = std::mem::take(&mut st.undo);
+    for entry in undo.iter().rev() {
+        match &entry.kind {
+            &UndoKind::Physical {
                 addr,
                 before,
                 codeword_pending,
             } => {
+                let before = undo.bytes(before);
                 rollback_physical(db, st, txn, entry.op, addr, before, codeword_pending)?;
             }
-            UndoKind::Logical(undo) => {
-                compensate_logical(db, st, txn, undo)?;
-            }
+            UndoKind::Logical(u) => compensate_logical(db, st, txn, undo.logical(u))?,
         }
     }
-    while st.undo.pop().is_some() {}
+    st.undo = LocalUndoLog::new();
     Ok(())
 }
 
@@ -642,7 +619,7 @@ fn rollback_physical(
     txn: TxnId,
     op: dali_common::OpSeq,
     addr: DbAddr,
-    before: Vec<u8>,
+    before: &[u8],
     codeword_pending: bool,
 ) -> Result<()> {
     let mode = db.prot.update_latch_mode();
@@ -651,21 +628,16 @@ fn rollback_physical(
     db.prot.latches().lock_span(first, last, mode);
     let res = (|| -> Result<()> {
         if codeword_pending {
-            db.image.write(addr, &before)?;
+            db.image.write(addr, before)?;
         } else {
             let mut cur = vec![0u8; before.len()];
             db.image.read(addr, &mut cur)?;
-            db.image.write(addr, &before)?;
+            db.image.write(addr, before)?;
             // The restore is itself a directed update (current bytes →
             // before-image), so publishing its delta inverts the original
             // one under every algebra.
             db.prot.apply_update(&db.image, addr, &cur)?;
-            st.redo.push(LogRecord::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data: before.clone(),
-            });
+            st.redo.push_redo(txn, op, addr, before);
         }
         Ok(())
     })();
@@ -679,15 +651,16 @@ fn rollback_physical(
 /// an OpCommit with *its own* logical undo, so a crash mid-rollback
 /// resumes correctly (undoing the compensation re-establishes the original
 /// operation, which is then undone again).
-fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndo) -> Result<()> {
+fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndoRef) -> Result<()> {
     match undo {
         LogicalUndo::HeapInsert { rec } => {
             // Compensating delete.
             let heap = db.heap(rec.table)?;
             let addr = heap.meta().slot_addr(rec.slot);
             let op = begin_op(st, txn, OpKind::Delete, rec);
-            let mut image = vec![0u8; heap.meta().rec_size];
-            db.image.read(addr, &mut image)?;
+            let image = st
+                .undo
+                .stage(heap.meta().rec_size, |b| db.image.read(addr, b))?;
             let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
             heap.with_alloc_locked(|| -> Result<()> {
                 let word = db.image.arena().read_u32(word_addr.0)?;
@@ -721,7 +694,7 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndo)
                     &(word | (1 << bit)).to_le_bytes(),
                 )
             })?;
-            physical_update(db, st, txn, op, addr, &image)?;
+            physical_update(db, st, txn, op, addr, image)?;
             commit_op(db, st, txn, op, LogicalUndo::HeapInsert { rec })?;
             st.deferred_frees.retain(|r| *r != rec);
         }
@@ -730,9 +703,8 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndo)
             let heap = db.heap(rec.table)?;
             let addr = heap.meta().slot_addr(rec.slot);
             let op = begin_op(st, txn, OpKind::Update, rec);
-            let mut cur = vec![0u8; before.len()];
-            db.image.read(addr, &mut cur)?;
-            physical_update(db, st, txn, op, addr, &before)?;
+            let cur = st.undo.stage(before.len(), |b| db.image.read(addr, b))?;
+            physical_update(db, st, txn, op, addr, before)?;
             commit_op(
                 db,
                 st,
@@ -748,7 +720,7 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndo)
 /// Apply a logical undo *directly* to the image without transactions,
 /// latching, or logging — used by restart recovery's undo phase, which is
 /// single-threaded and followed by a checkpoint.
-pub(crate) fn apply_logical_undo_direct(db: &Db, undo: &LogicalUndo) -> Result<()> {
+pub(crate) fn apply_logical_undo_direct(db: &Db, undo: LogicalUndoRef<'_>) -> Result<()> {
     match undo {
         LogicalUndo::HeapInsert { rec } => {
             let heap = db.heap(rec.table)?;
@@ -781,20 +753,80 @@ pub(crate) fn apply_physical_undo_direct(db: &Db, addr: DbAddr, before: &[u8]) -
 /// Recovery-time helper: the undo entries of a transaction, applied
 /// directly in reverse (physical first — they are on top of the stack —
 /// then logical compensations).
-pub(crate) fn rollback_direct(db: &Db, undo: &mut dali_wal::LocalUndoLog) -> Result<()> {
-    let mut entries: Vec<UndoEntry> = Vec::new();
-    while let Some(e) = undo.pop() {
-        entries.push(e);
-    }
-    for e in &entries {
+pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<()> {
+    for e in undo.iter().rev() {
         match &e.kind {
             UndoKind::Physical { addr, before, .. } => {
-                apply_physical_undo_direct(db, *addr, before)?;
+                apply_physical_undo_direct(db, *addr, undo.bytes(*before))?;
             }
-            UndoKind::Logical(u) => {
-                apply_logical_undo_direct(db, u)?;
-            }
+            UndoKind::Logical(u) => apply_logical_undo_direct(db, undo.logical(u))?,
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DaliEngine;
+    use dali_common::{DaliConfig, ProtectionScheme};
+    use dali_testutil::TempDir;
+    use dali_wal::SystemLog;
+
+    /// An operation that fails after its first physical update is rolled
+    /// back: its `OpBegin` and after-image never reach the log, while
+    /// the read records — the transaction's own read and the one Cw
+    /// ReadLogging logs for the write itself (§4.3) — survive in order,
+    /// followed by the compensation and the abort.
+    #[test]
+    fn a_failed_operation_rolls_back_but_keeps_its_read_records() {
+        let dir = TempDir::new("txn-failed-op");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::CwReadLogging);
+        let (engine, _) = DaliEngine::create(config).unwrap();
+        let table = engine.create_table("t", 16, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        let rec = setup.insert(table, &[1; 16]).unwrap();
+        setup.commit().unwrap();
+
+        let db = engine.db();
+        let start = db.syslog.current_lsn();
+        let txn = engine.begin().unwrap();
+        let mut buf = [0u8; 16];
+        txn.read(rec, &mut buf).unwrap();
+        let addr = db.heap(table).unwrap().meta().slot_addr(rec.slot);
+        {
+            let _q = db.quiesce.read();
+            let mut st = txn.state.lock();
+            let op = begin_op(&mut st, txn.id, OpKind::Update, rec);
+            physical_update(db, &mut st, txn.id, op, addr, &[2; 16]).unwrap();
+            // ...and the operation fails here, before it commits.
+        }
+        let id = txn.id;
+        txn.abort().unwrap();
+
+        let recs: Vec<LogRecord> =
+            SystemLog::scan_stable_with(db.syslog.path(), start, db.config.codeword_algebra)
+                .unwrap()
+                .into_iter()
+                .map(|(_, r)| r)
+                .filter(|r| r.txn() == Some(id))
+                .collect();
+        assert!(matches!(recs[0], LogRecord::TxnBegin { .. }), "{recs:?}");
+        assert!(
+            matches!(&recs[1], LogRecord::ReadLog { addr: a, len: 16, .. } if *a == addr),
+            "the transaction's read: {recs:?}"
+        );
+        assert!(
+            matches!(&recs[2], LogRecord::ReadLog { codewords, .. } if !codewords.is_empty()),
+            "the write's read: {recs:?}"
+        );
+        assert!(
+            matches!(&recs[3], LogRecord::PhysicalRedo { data, .. } if data.iter().all(|&b| b == 1)),
+            "the compensation restores the before-image: {recs:?}"
+        );
+        assert!(matches!(recs[4], LogRecord::TxnAbort { .. }), "{recs:?}");
+        assert_eq!(recs.len(), 5, "{recs:?}");
+        db.image.read(addr, &mut buf).unwrap();
+        assert_eq!(buf, [1; 16]);
+    }
 }

@@ -362,12 +362,12 @@ fn online_cache_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
     // A later write of only the half past the boundary, logged and
     // applied.
     let tail = vec![0xBB; addr.0 + 100 - boundary];
-    db.db().syslog.append_batch(&[LogRecord::PhysicalRedo {
+    db.db().syslog.append(&LogRecord::PhysicalRedo {
         txn: TxnId(u64::MAX),
         op: OpSeq(0),
         addr: DbAddr(boundary),
         data: tail.clone(),
-    }]);
+    });
     db.db().syslog.flush(false).unwrap();
     wild_write(&db, DbAddr(boundary), &tail);
 

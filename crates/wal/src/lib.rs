@@ -32,7 +32,7 @@ pub mod segment;
 pub mod syslog;
 
 pub use dpt::{pages_to_regions, DualDirtySet};
-pub use locallog::{LocalRedoLog, LocalUndoLog, UndoEntry, UndoKind};
+pub use locallog::{LocalRedoLog, LocalUndoLog, Span, UndoEntry, UndoKind};
 pub use record::{Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind};
 pub use segment::{LogReader, SegmentBuf};
 pub use syslog::{SegmentStats, SyncStats, SystemLog};

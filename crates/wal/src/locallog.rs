@@ -2,8 +2,8 @@
 //! stored on a per-transaction basis").
 //!
 //! * [`LocalRedoLog`] — redo (and read) records accumulated by the
-//!   transaction's current operation; migrated to the system log when the
-//!   operation commits.
+//!   transaction's current operation, framed as they are pushed; migrated
+//!   to the system log as one copy when the operation commits.
 //! * [`LocalUndoLog`] — the transaction's undo stack: physical undo
 //!   entries for updates of in-flight operations, replaced by one logical
 //!   entry when the operation commits. The physical entry carries the
@@ -12,24 +12,38 @@
 //!   change, so a rollback in that window must restore the bytes *without*
 //!   touching the codeword.
 //!
+//! Every image the undo stack holds is a [`Span`] of one per-transaction
+//! byte arena, and the redo log is one reused frame buffer, so once both
+//! have grown an update allocates nothing.
+//!
 //! The undo log is serializable because checkpoints persist the ATT
 //! including each transaction's local undo log (§2.1). The checkpointer
 //! quiesces physical updates first, so serialized physical entries always
 //! have the codeword-applied flag in its quiescent state.
 
-use crate::record::{put_blob, LogRecord, LogicalUndo};
+use crate::record::{
+    encode_op_commit, encode_physical_redo, frame_encoded, frame_len, put_blob, LogRecord,
+    LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
+};
 use bytes::{BufMut, BytesMut};
 use dali_common::codec::Reader;
-use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result};
+use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
+
+/// A byte range of a [`LocalUndoLog`]'s arena.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Span {
+    pub off: usize,
+    pub len: usize,
+}
 
 /// What a single undo entry restores.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UndoKind {
-    /// Restore `before` at `addr` (both widened to word alignment so the
-    /// codeword delta is computable).
+    /// Restore the `before` bytes at `addr` (both widened to word
+    /// alignment so the codeword delta is computable).
     Physical {
         addr: DbAddr,
-        before: Vec<u8>,
+        before: Span,
         /// Paper §3.1 "codeword-applied" flag. `true` means the update is
         /// still inside its beginUpdate/endUpdate window: the codeword has
         /// *not* yet been updated for it, so undoing must skip the
@@ -37,7 +51,7 @@ pub enum UndoKind {
         codeword_pending: bool,
     },
     /// Execute a logical (level-1) compensation.
-    Logical(LogicalUndo),
+    Logical(LogicalUndo<Span>),
 }
 
 /// One entry of a transaction's undo stack.
@@ -48,10 +62,13 @@ pub struct UndoEntry {
     pub kind: UndoKind,
 }
 
-/// The transaction-local undo stack.
+/// The transaction-local undo stack and the arena its images live in.
 #[derive(Clone, Debug, Default)]
 pub struct LocalUndoLog {
     entries: Vec<UndoEntry>,
+    /// The entries' images, in push order (plus images staged for the
+    /// operation in flight).
+    arena: Vec<u8>,
 }
 
 impl LocalUndoLog {
@@ -70,8 +87,39 @@ impl LocalUndoLog {
         self.entries.is_empty()
     }
 
-    /// Push a physical undo entry (at `beginUpdate`).
-    pub fn push_physical(&mut self, op: OpSeq, addr: DbAddr, before: Vec<u8>) {
+    /// Append `len` bytes to the arena, written by `f` — which reads
+    /// them from the image: a before-image or a record image captured for
+    /// an entry. On error the arena is left as it was.
+    pub fn stage(&mut self, len: usize, f: impl FnOnce(&mut [u8]) -> Result<()>) -> Result<Span> {
+        let off = self.arena.len();
+        self.arena.resize(off + len, 0);
+        f(&mut self.arena[off..]).inspect_err(|_| self.arena.truncate(off))?;
+        Ok(Span { off, len })
+    }
+
+    /// Append a copy of `bytes` to the arena.
+    pub fn copy_in(&mut self, bytes: &[u8]) -> Span {
+        let span = Span {
+            off: self.arena.len(),
+            len: bytes.len(),
+        };
+        self.arena.extend_from_slice(bytes);
+        span
+    }
+
+    /// The arena bytes of `span`.
+    pub fn bytes(&self, span: Span) -> &[u8] {
+        &self.arena[span.off..][..span.len]
+    }
+
+    /// A logical entry with its image borrowed from the arena.
+    pub fn logical(&self, undo: &LogicalUndo<Span>) -> LogicalUndoRef<'_> {
+        undo.map(|s| self.bytes(*s))
+    }
+
+    /// Push a physical undo entry (at `beginUpdate`) whose before-image
+    /// is the staged `before`.
+    pub fn push_physical_at(&mut self, op: OpSeq, addr: DbAddr, before: Span) {
         self.entries.push(UndoEntry {
             op,
             kind: UndoKind::Physical {
@@ -80,6 +128,12 @@ impl LocalUndoLog {
                 codeword_pending: true,
             },
         });
+    }
+
+    /// Push a physical undo entry holding a copy of `before`.
+    pub fn push_physical(&mut self, op: OpSeq, addr: DbAddr, before: Vec<u8>) {
+        let before = self.copy_in(&before);
+        self.push_physical_at(op, addr, before);
     }
 
     /// Clear the codeword-applied flag of the most recent physical entry
@@ -106,17 +160,25 @@ impl LocalUndoLog {
     /// Operation commit: drop the operation's physical entries and push a
     /// single logical entry in their place (paper §2: "the undo
     /// information for that operation is replaced with a logical undo
-    /// record").
+    /// record"), whose image is already in the arena.
     ///
     /// A transaction has one level-1 operation in flight at a time, so
     /// those physical entries are exactly the run on top of the stack:
     /// popping them is O(entries of this operation), where filtering the
-    /// whole stack made a transaction of n operations O(n²).
-    pub fn commit_op(&mut self, op: OpSeq, undo: LogicalUndo) {
-        while matches!(
-            self.entries.last(),
-            Some(UndoEntry { op: top, kind: UndoKind::Physical { .. } }) if *top == op
-        ) {
+    /// whole stack made a transaction of n operations O(n²). Their
+    /// before-images are the top of the arena, above the image the
+    /// operation staged first, and are cut with them.
+    pub fn commit_op(&mut self, op: OpSeq, undo: LogicalUndo<Span>) {
+        let mut cut = self.arena.len();
+        while let Some(&UndoEntry {
+            op: top,
+            kind: UndoKind::Physical { before, .. },
+        }) = self.entries.last()
+        {
+            if top != op {
+                break;
+            }
+            cut = before.off;
             self.entries.pop();
         }
         debug_assert!(
@@ -126,20 +188,12 @@ impl LocalUndoLog {
                 .any(|e| e.op == op && matches!(e.kind, UndoKind::Physical { .. })),
             "physical undo of {op:?} buried under another operation's entries"
         );
+        self.arena
+            .truncate(cut.max(undo.image().map_or(0, |s| s.off + s.len)));
         self.entries.push(UndoEntry {
             op,
             kind: UndoKind::Logical(undo),
         });
-    }
-
-    /// Pop the most recent entry (rollback order).
-    pub fn pop(&mut self) -> Option<UndoEntry> {
-        self.entries.pop()
-    }
-
-    /// Peek at the most recent entry.
-    pub fn last(&self) -> Option<&UndoEntry> {
-        self.entries.last()
     }
 
     /// Records targeted by the logical (committed-operation) entries —
@@ -153,7 +207,7 @@ impl LocalUndoLog {
     }
 
     /// Iterate entries bottom (oldest) to top.
-    pub fn iter(&self) -> impl Iterator<Item = &UndoEntry> {
+    pub fn iter(&self) -> std::slice::Iter<'_, UndoEntry> {
         self.entries.iter()
     }
 
@@ -174,20 +228,17 @@ impl LocalUndoLog {
                     );
                     buf.put_u8(0);
                     buf.put_u64_le(addr.0 as u64);
-                    put_blob(buf, before);
+                    put_blob(buf, self.bytes(*before));
                 }
                 UndoKind::Logical(u) => {
+                    // A blob holding the logical undo in an OpCommit
+                    // payload's shape; its length is patched in after.
                     buf.put_u8(1);
-                    let mut tmp = BytesMut::new();
-                    // Reuse LogRecord encoding for the logical undo by
-                    // wrapping it in an OpCommit payload shape.
-                    LogRecord::OpCommit {
-                        txn: dali_common::TxnId(0),
-                        op: e.op,
-                        undo: u.clone(),
-                    }
-                    .encode(&mut tmp);
-                    put_blob(buf, &tmp);
+                    let at = buf.len();
+                    buf.put_u32_le(0);
+                    encode_op_commit(buf, TxnId(0), e.op, self.logical(u));
+                    let len = (buf.len() - at - 4) as u32;
+                    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
                 }
             }
         }
@@ -197,76 +248,145 @@ impl LocalUndoLog {
     pub fn decode(r: &mut Reader<'_>) -> Result<LocalUndoLog> {
         // The smallest entry is op + tag + an empty logical-undo blob.
         let n = r.count(4 + 1 + 4)?;
-        let mut entries = Vec::with_capacity(n);
+        let mut log = LocalUndoLog::new();
+        log.entries.reserve(n);
         for _ in 0..n {
             let op = OpSeq(r.u32()?);
             let kind = match r.u8()? {
                 0 => UndoKind::Physical {
                     addr: DbAddr(r.u64()? as usize),
-                    before: r.blob()?.to_vec(),
+                    before: log.copy_in(r.blob()?),
                     codeword_pending: false,
                 },
-                1 => match LogRecord::decode(r.blob()?)? {
-                    LogRecord::OpCommit { undo, .. } => UndoKind::Logical(undo),
+                1 => match LogRecordRef::decode(r.blob()?)? {
+                    LogRecordRef::OpCommit { undo, .. } => {
+                        UndoKind::Logical(undo.map(|b| log.copy_in(b)))
+                    }
                     _ => return Err(r.fail("expected logical undo in ATT")),
                 },
                 tag => return Err(r.fail(format_args!("unknown undo entry tag {tag}"))),
             };
-            entries.push(UndoEntry { op, kind });
+            log.entries.push(UndoEntry { op, kind });
         }
-        Ok(LocalUndoLog { entries })
+        Ok(log)
     }
 }
 
 /// Redo (and read) records of the transaction's current operation,
-/// awaiting migration to the system log at operation commit.
+/// awaiting migration to the system log at operation commit. Each record
+/// is framed (`[len][checksum][type][payload]`, the system log's bytes)
+/// into one reused buffer as it is pushed, so encoding and checksumming
+/// happen outside the log latch.
 #[derive(Clone, Debug, Default)]
 pub struct LocalRedoLog {
-    recs: Vec<LogRecord>,
+    /// Algebra of the frame checksums: the system log's.
+    kind: CodewordAlgebraKind,
+    frames: BytesMut,
+    count: usize,
+    /// `(addr, len)` of each physical redo record, oldest first: the
+    /// writes whose pages the system log notes dirty.
+    writes: Vec<(DbAddr, usize)>,
 }
 
 impl LocalRedoLog {
-    /// Empty redo log.
+    /// Empty redo log with XOR-checksummed frames.
     pub fn new() -> LocalRedoLog {
         LocalRedoLog::default()
     }
 
+    /// Empty redo log whose frame checksums fold under `kind`.
+    pub fn with_algebra(kind: CodewordAlgebraKind) -> LocalRedoLog {
+        LocalRedoLog {
+            kind,
+            ..LocalRedoLog::default()
+        }
+    }
+
     /// Append a record.
     pub fn push(&mut self, rec: LogRecord) {
-        self.recs.push(rec);
+        if let LogRecord::PhysicalRedo { addr, data, .. } = &rec {
+            self.writes.push((*addr, data.len()));
+        }
+        self.push_with(|buf| rec.encode(buf));
+    }
+
+    /// Append a physical redo record of `data` written at `addr`.
+    pub fn push_redo(&mut self, txn: TxnId, op: OpSeq, addr: DbAddr, data: &[u8]) {
+        self.push_with(|buf| encode_physical_redo(buf, txn, op, addr, data));
+        self.writes.push((addr, data.len()));
+    }
+
+    /// Append an operation commit record.
+    pub fn push_op_commit(&mut self, txn: TxnId, op: OpSeq, undo: LogicalUndoRef<'_>) {
+        self.push_with(|buf| encode_op_commit(buf, txn, op, undo));
+    }
+
+    fn push_with(&mut self, encode: impl FnOnce(&mut BytesMut)) {
+        frame_encoded(self.kind, &mut self.frames, encode);
+        self.count += 1;
     }
 
     /// Number of pending records.
     pub fn len(&self) -> usize {
-        self.recs.len()
+        self.count
     }
 
     /// True if nothing pending.
     pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
+        self.count == 0
     }
 
-    /// Take all pending records (operation commit migrates them).
-    pub fn drain(&mut self) -> Vec<LogRecord> {
-        std::mem::take(&mut self.recs)
+    /// The pending records' frames, oldest first.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.frames
     }
 
-    /// Discard pending records (operation rollback: the operation never
-    /// committed, so its redo never reaches the system log).
+    /// `(addr, len)` of each pending physical redo record, oldest first.
+    pub(crate) fn writes(&self) -> &[(DbAddr, usize)] {
+        &self.writes
+    }
+
+    /// Discard pending records: after they migrated to the system log, or
+    /// at rollback (they never reach it).
     pub fn discard(&mut self) {
-        self.recs.clear();
+        self.frames.clear();
+        self.count = 0;
+        self.writes.clear();
     }
 
-    /// Iterate pending records.
-    pub fn iter(&self) -> impl Iterator<Item = &LogRecord> {
-        self.recs.iter()
+    /// Roll back operation `op`, in flight: cut its `OpBegin` and
+    /// physical redo frames. Every other frame stays byte-identical and in
+    /// order — above all its read records: the reads really happened, and
+    /// corruption tracing may only overestimate reads, never underestimate
+    /// (§4.2).
+    pub fn cut_op(&mut self, op: OpSeq) {
+        let (mut read, mut kept) = (0, 0);
+        self.writes.clear();
+        while read < self.frames.len() {
+            let len = frame_len(&self.frames[read..]);
+            match LogRecordRef::decode(&self.frames[read + FRAME_HDR..read + len]) {
+                Ok(
+                    LogRecordRef::OpBegin { op: o, .. } | LogRecordRef::PhysicalRedo { op: o, .. },
+                ) if o == op => self.count -= 1,
+                rec => {
+                    if let Ok(LogRecordRef::PhysicalRedo { addr, data, .. }) = rec {
+                        self.writes.push((addr, data.len()));
+                    }
+                    self.frames.copy_within(read..read + len, kept);
+                    kept += len;
+                }
+            }
+            read += len;
+        }
+        self.frames.truncate(kept);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dali_common::{SlotId, TableId, TxnId};
+    use crate::record::{frame_with, LogicalUndo};
+    use dali_common::{SlotId, TableId};
 
     fn rec(t: u32, s: u32) -> RecId {
         RecId::new(TableId(t), SlotId(s))
@@ -276,14 +396,14 @@ mod tests {
     fn begin_end_update_flag_protocol() {
         let mut log = LocalUndoLog::new();
         log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
-        match &log.last().unwrap().kind {
+        match &log.entries.last().unwrap().kind {
             UndoKind::Physical {
                 codeword_pending, ..
             } => assert!(*codeword_pending),
             _ => panic!(),
         }
         log.seal_top_physical(OpSeq(1)).unwrap();
-        match &log.last().unwrap().kind {
+        match &log.entries.last().unwrap().kind {
             UndoKind::Physical {
                 codeword_pending, ..
             } => assert!(!*codeword_pending),
@@ -296,6 +416,8 @@ mod tests {
     #[test]
     fn commit_op_replaces_physical_with_logical() {
         let mut log = LocalUndoLog::new();
+        // The operation stages its record image first, then updates.
+        let before = log.copy_in(&[1, 2, 3]);
         log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
         log.seal_top_physical(OpSeq(1)).unwrap();
         log.push_physical(OpSeq(1), DbAddr(8), vec![0; 4]);
@@ -304,14 +426,44 @@ mod tests {
             OpSeq(1),
             LogicalUndo::HeapUpdate {
                 rec: rec(1, 2),
-                before: vec![1, 2, 3],
+                before,
             },
         );
         assert_eq!(log.len(), 1);
-        assert!(matches!(
-            log.last().unwrap().kind,
-            UndoKind::Logical(LogicalUndo::HeapUpdate { .. })
-        ));
+        let UndoKind::Logical(undo) = &log.entries.last().unwrap().kind else {
+            panic!("expected a logical entry");
+        };
+        assert_eq!(
+            log.logical(undo),
+            LogicalUndo::HeapUpdate {
+                rec: rec(1, 2),
+                before: &[1, 2, 3][..],
+            }
+        );
+        // The physical before-images left the arena with their entries.
+        assert_eq!(log.arena.len(), 3);
+    }
+
+    #[test]
+    fn stage_failure_leaves_the_arena_as_it_was() {
+        let mut log = LocalUndoLog::new();
+        let kept = log.copy_in(&[9; 5]);
+        let err = log.stage(8, |buf| {
+            buf.fill(1);
+            Err(DaliError::InvalidArg("unreadable".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(log.arena.len(), 5);
+        let staged = log
+            .stage(2, |buf| {
+                buf.copy_from_slice(&[4, 2]);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            (log.bytes(kept), log.bytes(staged)),
+            (&[9; 5][..], &[4, 2][..])
+        );
     }
 
     #[test]
@@ -328,7 +480,7 @@ mod tests {
 
     /// `commit_op` as it was: filter the *whole* stack. The reference
     /// the pop-from-top version must match.
-    fn commit_op_by_retain(entries: &mut Vec<UndoEntry>, op: OpSeq, undo: LogicalUndo) {
+    fn commit_op_by_retain(entries: &mut Vec<UndoEntry>, op: OpSeq, undo: LogicalUndo<Span>) {
         entries.retain(|e| !(e.op == op && matches!(e.kind, UndoKind::Physical { .. })));
         entries.push(UndoEntry {
             op,
@@ -362,16 +514,16 @@ mod tests {
                 for i in 0..physical {
                     log.push_physical(op, DbAddr(8 * i), vec![seq as u8; 8]);
                     log.seal_top_physical(op).unwrap();
-                    model.push(log.last().unwrap().clone());
+                    model.push(log.entries.last().unwrap().clone());
                 }
                 if commits {
                     let undo = LogicalUndo::HeapInsert { rec: rec(1, seq as u32) };
-                    log.commit_op(op, undo.clone());
+                    log.commit_op(op, undo);
                     commit_op_by_retain(&mut model, op, undo);
                 } else {
                     let mine = if seq == 0 { in_flight_at_checkpoint } else { 0 } + physical;
                     for _ in 0..mine {
-                        log.pop();
+                        log.entries.pop();
                         model.pop();
                     }
                 }
@@ -395,23 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn pop_is_lifo() {
-        let mut log = LocalUndoLog::new();
-        log.commit_op(OpSeq(1), LogicalUndo::HeapInsert { rec: rec(1, 1) });
-        log.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: rec(1, 2) });
-        assert_eq!(log.pop().unwrap().op, OpSeq(2));
-        assert_eq!(log.pop().unwrap().op, OpSeq(1));
-        assert!(log.pop().is_none());
-    }
-
-    #[test]
     fn undo_log_encode_decode_round_trip() {
         let mut log = LocalUndoLog::new();
+        let image = log.copy_in(&[7; 16]);
         log.commit_op(
             OpSeq(1),
             LogicalUndo::HeapDelete {
                 rec: rec(2, 3),
-                image: vec![7; 16],
+                image,
             },
         );
         log.push_physical(OpSeq(2), DbAddr(400), vec![1, 2, 3, 4]);
@@ -423,6 +566,7 @@ mod tests {
         let back = LocalUndoLog::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.entries, log.entries);
+        assert_eq!(back.arena, log.arena);
     }
 
     #[test]
@@ -437,17 +581,81 @@ mod tests {
     }
 
     #[test]
-    fn redo_log_drain_and_discard() {
-        let mut r = LocalRedoLog::new();
-        r.push(LogRecord::TxnBegin { txn: TxnId(1) });
-        r.push(LogRecord::TxnCommit { txn: TxnId(1) });
-        assert_eq!(r.len(), 2);
-        let drained = r.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(r.is_empty());
+    fn redo_log_frames_records_and_discards() {
+        let recs = [
+            LogRecord::TxnBegin { txn: TxnId(1) },
+            LogRecord::PhysicalRedo {
+                txn: TxnId(1),
+                op: OpSeq(0),
+                addr: DbAddr(40),
+                data: vec![5; 12],
+            },
+            LogRecord::TxnCommit { txn: TxnId(1) },
+        ];
+        for kind in CodewordAlgebraKind::ALL {
+            let mut r = LocalRedoLog::with_algebra(kind);
+            let mut framed = BytesMut::new();
+            for rec in &recs {
+                r.push(rec.clone());
+                frame_with(kind, rec, &mut framed);
+            }
+            assert_eq!(r.len(), 3);
+            assert_eq!(r.bytes(), &framed[..], "{kind:?}");
+            assert_eq!(r.writes(), &[(DbAddr(40), 12)]);
+            r.discard();
+            assert!(r.is_empty() && r.bytes().is_empty() && r.writes().is_empty());
+        }
+    }
 
-        r.push(LogRecord::TxnAbort { txn: TxnId(1) });
-        r.discard();
-        assert!(r.is_empty());
+    /// Rolling back an in-flight operation cuts its own `OpBegin` and
+    /// physical redo frames and keeps every other frame — the read
+    /// records pushed during it among them — byte for byte and in order.
+    #[test]
+    fn cut_op_keeps_read_frames_byte_identical_and_in_order() {
+        let (txn, op) = (TxnId(4), OpSeq(2));
+        let read = |addr: usize, codewords: Vec<u32>| LogRecord::ReadLog {
+            txn,
+            addr: DbAddr(addr),
+            len: 64,
+            codewords,
+        };
+        let redo = |op, addr: usize| LogRecord::PhysicalRedo {
+            txn,
+            op,
+            addr: DbAddr(addr),
+            data: vec![addr as u8; 8],
+        };
+        for kind in CodewordAlgebraKind::ALL {
+            let mut r = LocalRedoLog::with_algebra(kind);
+            r.push(LogRecord::TxnBegin { txn });
+            r.push(read(0, vec![]));
+            r.push(redo(OpSeq(1), 8)); // another operation's record survives
+            r.push(LogRecord::OpBegin {
+                txn,
+                op,
+                kind: crate::record::OpKind::Update,
+                rec: rec(1, 1),
+            });
+            r.push(read(64, vec![0xdead_beef]));
+            r.push(redo(op, 64));
+            r.push(read(128, vec![1, 2]));
+            r.push(redo(op, 128));
+            r.cut_op(op);
+
+            let mut want = BytesMut::new();
+            let survivors = [
+                LogRecord::TxnBegin { txn },
+                read(0, vec![]),
+                redo(OpSeq(1), 8),
+                read(64, vec![0xdead_beef]),
+                read(128, vec![1, 2]),
+            ];
+            for rec in &survivors {
+                frame_with(kind, rec, &mut want);
+            }
+            assert_eq!(r.bytes(), &want[..], "{kind:?}");
+            assert_eq!(r.len(), survivors.len());
+            assert_eq!(r.writes(), &[(DbAddr(8), 8)]);
+        }
     }
 }

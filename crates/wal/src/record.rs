@@ -57,18 +57,25 @@ impl OpKind {
 /// Logical undo description, carried in operation commit log records and
 /// in the checkpointed ATT (paper §2.1: "a copy of the logical undo
 /// description is included in the operation commit log record for use in
-/// restart recovery").
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogicalUndo {
+/// restart recovery"). `B` holds the saved record image: owned bytes by
+/// default, a slice of the frame it was decoded from in
+/// [`LogicalUndoRef`], or a range of a transaction's undo arena in
+/// [`LocalUndoLog`](crate::LocalUndoLog).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LogicalUndo<B = Vec<u8>> {
     /// Undo an insert by deleting the slot.
     HeapInsert { rec: RecId },
     /// Undo a delete by re-inserting the saved image into the slot.
-    HeapDelete { rec: RecId, image: Vec<u8> },
+    HeapDelete { rec: RecId, image: B },
     /// Undo an in-place update by writing back the before-image.
-    HeapUpdate { rec: RecId, before: Vec<u8> },
+    HeapUpdate { rec: RecId, before: B },
 }
 
-impl LogicalUndo {
+/// [`LogicalUndo`] borrowed from the bytes it was decoded from or lives
+/// in: the image is a slice, not a copy.
+pub type LogicalUndoRef<'a> = LogicalUndo<&'a [u8]>;
+
+impl<B> LogicalUndo<B> {
     /// The record this operation targeted (conflict granule for §4.3).
     pub fn target(&self) -> RecId {
         match self {
@@ -78,63 +85,58 @@ impl LogicalUndo {
         }
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
+    /// The saved record image, if the undo carries one.
+    pub(crate) fn image(&self) -> Option<&B> {
         match self {
-            LogicalUndo::HeapInsert { rec } => {
-                buf.put_u8(0);
-                put_rec(buf, *rec);
-            }
-            LogicalUndo::HeapDelete { rec, image } => {
-                buf.put_u8(1);
-                put_rec(buf, *rec);
-                put_blob(buf, image);
-            }
-            LogicalUndo::HeapUpdate { rec, before } => {
-                buf.put_u8(2);
-                put_rec(buf, *rec);
-                put_blob(buf, before);
-            }
+            LogicalUndo::HeapInsert { .. } => None,
+            LogicalUndo::HeapDelete { image: b, .. }
+            | LogicalUndo::HeapUpdate { before: b, .. } => Some(b),
+        }
+    }
+
+    /// The same undo with its image mapped through `f`.
+    pub fn map<'a, C>(&'a self, f: impl FnOnce(&'a B) -> C) -> LogicalUndo<C> {
+        match self {
+            LogicalUndo::HeapInsert { rec } => LogicalUndo::HeapInsert { rec: *rec },
+            LogicalUndo::HeapDelete { rec, image } => LogicalUndo::HeapDelete {
+                rec: *rec,
+                image: f(image),
+            },
+            LogicalUndo::HeapUpdate { rec, before } => LogicalUndo::HeapUpdate {
+                rec: *rec,
+                before: f(before),
+            },
         }
     }
 }
 
-/// [`LogicalUndo`] borrowed from the frame it was decoded from: the
-/// images are slices of the segment buffer, not copies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LogicalUndoRef<'a> {
-    /// See [`LogicalUndo::HeapInsert`].
-    HeapInsert { rec: RecId },
-    /// See [`LogicalUndo::HeapDelete`].
-    HeapDelete { rec: RecId, image: &'a [u8] },
-    /// See [`LogicalUndo::HeapUpdate`].
-    HeapUpdate { rec: RecId, before: &'a [u8] },
-}
-
 impl<'a> LogicalUndoRef<'a> {
-    /// Copy the borrowed images out (an undo log outlives the segment
+    /// Copy the borrowed image out (an undo log outlives the segment
     /// buffer its operation-commit records were read from).
     pub fn to_owned(&self) -> LogicalUndo {
-        match *self {
-            LogicalUndoRef::HeapInsert { rec } => LogicalUndo::HeapInsert { rec },
-            LogicalUndoRef::HeapDelete { rec, image } => LogicalUndo::HeapDelete {
-                rec,
-                image: image.to_vec(),
-            },
-            LogicalUndoRef::HeapUpdate { rec, before } => LogicalUndo::HeapUpdate {
-                rec,
-                before: before.to_vec(),
-            },
+        self.map(|b| b.to_vec())
+    }
+
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            LogicalUndo::HeapInsert { .. } => buf.put_u8(0),
+            LogicalUndo::HeapDelete { .. } => buf.put_u8(1),
+            LogicalUndo::HeapUpdate { .. } => buf.put_u8(2),
+        }
+        put_rec(buf, self.target());
+        if let Some(image) = self.image() {
+            put_blob(buf, image);
         }
     }
 
     fn decode(r: &mut Reader<'a>) -> Result<LogicalUndoRef<'a>> {
         Ok(match r.u8()? {
-            0 => LogicalUndoRef::HeapInsert { rec: r.rec()? },
-            1 => LogicalUndoRef::HeapDelete {
+            0 => LogicalUndo::HeapInsert { rec: r.rec()? },
+            1 => LogicalUndo::HeapDelete {
                 rec: r.rec()?,
                 image: r.blob()?,
             },
-            2 => LogicalUndoRef::HeapUpdate {
+            2 => LogicalUndo::HeapUpdate {
                 rec: r.rec()?,
                 before: r.blob()?,
             },
@@ -240,13 +242,7 @@ impl LogRecord {
                 op,
                 addr,
                 data,
-            } => {
-                buf.put_u8(2);
-                buf.put_u64_le(txn.0);
-                buf.put_u32_le(op.0);
-                buf.put_u64_le(addr.0 as u64);
-                put_blob(buf, data);
-            }
+            } => encode_physical_redo(buf, *txn, *op, *addr, data),
             LogRecord::ReadLog {
                 txn,
                 addr,
@@ -263,10 +259,7 @@ impl LogRecord {
                 }
             }
             LogRecord::OpCommit { txn, op, undo } => {
-                buf.put_u8(4);
-                buf.put_u64_le(txn.0);
-                buf.put_u32_le(op.0);
-                undo.encode(buf);
+                encode_op_commit(buf, *txn, *op, undo.map(|b| b.as_slice()))
             }
             LogRecord::TxnCommit { txn } => {
                 buf.put_u8(5);
@@ -313,6 +306,23 @@ impl LogRecord {
     pub fn decode(buf: &[u8]) -> Result<LogRecord> {
         LogRecordRef::decode(buf).map(|r| r.to_owned())
     }
+}
+
+/// Encode a [`LogRecord::PhysicalRedo`] payload whose data is borrowed.
+pub fn encode_physical_redo(buf: &mut BytesMut, txn: TxnId, op: OpSeq, addr: DbAddr, data: &[u8]) {
+    buf.put_u8(2);
+    buf.put_u64_le(txn.0);
+    buf.put_u32_le(op.0);
+    buf.put_u64_le(addr.0 as u64);
+    put_blob(buf, data);
+}
+
+/// Encode a [`LogRecord::OpCommit`] payload whose undo image is borrowed.
+pub fn encode_op_commit(buf: &mut BytesMut, txn: TxnId, op: OpSeq, undo: LogicalUndoRef<'_>) {
+    buf.put_u8(4);
+    buf.put_u64_le(txn.0);
+    buf.put_u32_le(op.0);
+    undo.encode(buf);
 }
 
 /// The codewords of a [`LogRecordRef::ReadLog`] as they sit in the
@@ -595,20 +605,25 @@ pub fn frame(rec: &LogRecord, out: &mut BytesMut) -> usize {
 
 /// Frame a record with the payload checksummed under `kind`.
 pub fn frame_with(kind: CodewordAlgebraKind, rec: &LogRecord, out: &mut BytesMut) -> usize {
-    let mut payload = BytesMut::with_capacity(64);
-    rec.encode(&mut payload);
-    frame_payload_with(kind, &payload, out)
+    frame_encoded(kind, out, |buf| rec.encode(buf))
 }
 
-/// Frame an already-encoded record payload. Split out from
-/// [`frame_with`] so the segmented append path can measure the frame
-/// (`FRAME_HDR + payload.len()`) for its roll decision before writing it.
-pub fn frame_payload_with(kind: CodewordAlgebraKind, payload: &[u8], out: &mut BytesMut) -> usize {
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(frame_checksum(kind, FRAME_RECORD, payload));
-    out.put_u8(FRAME_RECORD);
-    out.extend_from_slice(payload);
-    FRAME_HDR + payload.len()
+/// Frame the one record payload `encode` appends to `out`, in place:
+/// reserve the header, encode, then patch the length and checksum in.
+/// Returns bytes appended.
+pub(crate) fn frame_encoded(
+    kind: CodewordAlgebraKind,
+    out: &mut BytesMut,
+    encode: impl FnOnce(&mut BytesMut),
+) -> usize {
+    let start = out.len();
+    out.resize(start + FRAME_HDR, FRAME_RECORD);
+    encode(out);
+    let len = out.len() - start - FRAME_HDR;
+    let sum = frame_checksum(kind, FRAME_RECORD, &out[start + FRAME_HDR..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&sum.to_le_bytes());
+    FRAME_HDR + len
 }
 
 /// Frame a segment seal (empty payload). Returns bytes appended
@@ -618,6 +633,12 @@ pub fn frame_seal(kind: CodewordAlgebraKind, out: &mut BytesMut) -> usize {
     out.put_u32_le(frame_checksum(kind, FRAME_SEAL, &[]));
     out.put_u8(FRAME_SEAL);
     FRAME_HDR
+}
+
+/// Length of the whole frame that starts at `buf[0]`, read from its
+/// header (the frame must be intact: one this process framed).
+pub(crate) fn frame_len(buf: &[u8]) -> usize {
+    FRAME_HDR + u32::from_le_bytes(buf[..4].try_into().expect("frame header")) as usize
 }
 
 /// Parse one XOR-checksummed frame starting at `buf[0]`; returns the
@@ -912,11 +933,11 @@ mod tests {
     #[test]
     fn logical_undo_target() {
         let r = RecId::new(TableId(1), SlotId(2));
-        assert_eq!(LogicalUndo::HeapInsert { rec: r }.target(), r);
+        assert_eq!(LogicalUndo::<Vec<u8>>::HeapInsert { rec: r }.target(), r);
         assert_eq!(
             LogicalUndo::HeapDelete {
                 rec: r,
-                image: vec![]
+                image: Vec::<u8>::new()
             }
             .target(),
             r

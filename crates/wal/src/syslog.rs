@@ -49,7 +49,8 @@
 //! appends.
 
 use crate::dpt::DualDirtySet;
-use crate::record::{frame_payload_with, frame_seal, LogRecord, FRAME_HDR};
+use crate::locallog::LocalRedoLog;
+use crate::record::{frame_len, frame_seal, frame_with, LogRecord, FRAME_HDR};
 use crate::segment::{self, LogReader, SegmentBuf};
 use bytes::BytesMut;
 use dali_common::storage::{Open, StorageFile};
@@ -494,53 +495,79 @@ impl SystemLog {
         &self.dirty
     }
 
-    /// Append one record; returns its LSN.
+    /// Append one record, encoded in place in the tail; returns its LSN.
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let mut inner = self.core.inner.lock();
         self.append_locked(&mut inner, rec)
     }
 
-    /// Append a batch of records atomically with respect to other
-    /// appenders (one lock acquisition — this is how an operation commit
-    /// migrates its local redo log). Returns the LSN of the first record
-    /// and of the next byte after the last.
-    pub fn append_batch(&self, recs: &[LogRecord]) -> (Lsn, Lsn) {
+    /// Migrate a local redo log's frames — an operation's records, or a
+    /// transaction's last ones — atomically with respect to other
+    /// appenders: one copy into the tail under one lock acquisition, and
+    /// the pages of its physical redo records noted dirty. Only a run
+    /// that would overflow the active segment is walked frame by frame,
+    /// so seals land exactly where one-record appends put them. Returns
+    /// the LSN of the next byte after the run.
+    pub fn append_frames(&self, run: &LocalRedoLog) -> Lsn {
+        let frames = run.bytes();
         let mut inner = self.core.inner.lock();
-        let mut first = None;
-        for rec in recs {
-            let lsn = self.append_locked(&mut inner, rec);
-            first.get_or_insert(lsn);
+        let seg_used = inner.tail_base.0 + inner.tail.len() as u64 - inner.cur_seg_start.0;
+        // A run that fits is placed whole, as if it were one frame.
+        let fits = seg_used + frames.len() as u64 <= self.segment_bytes - FRAME_HDR as u64;
+        let mut at = 0;
+        while at < frames.len() {
+            let len = if fits {
+                frames.len()
+            } else {
+                frame_len(&frames[at..])
+            };
+            let start = inner.tail.len();
+            inner.tail.extend_from_slice(&frames[at..at + len]);
+            self.place(&mut inner, start, len);
+            at += len;
         }
-        let end = Lsn(inner.tail_base.0 + inner.tail.len() as u64);
-        (first.unwrap_or(end), end)
+        for &(addr, len) in run.writes() {
+            self.note_dirty(addr.0, len);
+        }
+        Lsn(inner.tail_base.0 + inner.tail.len() as u64)
     }
 
     fn append_locked(&self, inner: &mut Inner, rec: &LogRecord) -> Lsn {
-        let mut payload = BytesMut::with_capacity(64);
-        rec.encode(&mut payload);
-        let frame_len = (FRAME_HDR + payload.len()) as u64;
-        let mut lsn = Lsn(inner.tail_base.0 + inner.tail.len() as u64);
-        // Roll decision, made while the record's bytes are still in
-        // hand: if this frame would push the active segment past its
-        // capacity (reserving room for the seal that must always fit),
-        // seal here and let the record open the next segment. A frame
-        // larger than a whole segment gets a segment to itself — records
-        // never span segments.
-        let seg_used = lsn.0 - inner.cur_seg_start.0;
-        if seg_used > 0 && seg_used + frame_len > self.segment_bytes - FRAME_HDR as u64 {
-            frame_seal(self.kind, &mut inner.tail);
-            let split = Lsn(lsn.0 + FRAME_HDR as u64);
-            inner.cur_seg_start = split;
-            inner.seg_splits.push_back(split);
-            lsn = split;
-        }
-        frame_payload_with(self.kind, &payload, &mut inner.tail);
+        let start = inner.tail.len();
+        let len = frame_with(self.kind, rec, &mut inner.tail);
         if let LogRecord::PhysicalRedo { addr, data, .. } = rec {
-            let pages = dali_common::align::split_by_chunks(addr.0, data.len(), self.page_size)
-                .map(|(ci, _, _)| PageId(ci as u32));
-            self.dirty.note_all(pages);
+            self.note_dirty(addr.0, data.len());
         }
-        lsn
+        self.place(inner, start, len)
+    }
+
+    /// Roll decision for the `len`-byte frame just appended at tail
+    /// offset `start`: if it pushes the active segment past its capacity
+    /// (reserving room for the seal that must always fit), move it past
+    /// a seal so that it opens the next segment. A frame larger than a
+    /// whole segment gets a segment to itself — records never span
+    /// segments. Returns the frame's LSN.
+    fn place(&self, inner: &mut Inner, start: usize, len: usize) -> Lsn {
+        let lsn = Lsn(inner.tail_base.0 + start as u64);
+        let seg_used = lsn.0 - inner.cur_seg_start.0;
+        if seg_used == 0 || seg_used + len as u64 <= self.segment_bytes - FRAME_HDR as u64 {
+            return lsn;
+        }
+        frame_seal(self.kind, &mut inner.tail);
+        inner.tail[start..].rotate_right(FRAME_HDR);
+        let split = Lsn(lsn.0 + FRAME_HDR as u64);
+        inner.cur_seg_start = split;
+        inner.seg_splits.push_back(split);
+        split
+    }
+
+    /// Note the pages of a `len`-byte write at `addr` dirty. Called under
+    /// the append latch, so a checkpoint's dirty-set toggle orders it
+    /// with the record's LSN.
+    fn note_dirty(&self, addr: usize, len: usize) {
+        let pages = dali_common::align::split_by_chunks(addr, len, self.page_size)
+            .map(|(ci, _, _)| PageId(ci as u32));
+        self.dirty.note_all(pages);
     }
 
     /// LSN one past the last appended record.
@@ -710,7 +737,7 @@ impl SystemLog {
     ///
     /// Callers must have already appended the records they need durable
     /// (`upto` is typically the end LSN returned by
-    /// [`append_batch`](Self::append_batch)).
+    /// [`append_frames`](Self::append_frames)).
     pub fn commit_durable(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
         bump(&self.core.counters.durable_commits);
         if window.is_zero() {
@@ -886,6 +913,17 @@ mod tests {
         SystemLog::create_with(path, 4096, XorFold, BIG).unwrap()
     }
 
+    /// Append `recs` as one framed run, the way an operation or
+    /// transaction commit migrates its local redo log; returns the end
+    /// LSN.
+    fn commit_run(log: &SystemLog, recs: &[LogRecord]) -> Lsn {
+        let mut run = LocalRedoLog::new();
+        for rec in recs {
+            run.push(rec.clone());
+        }
+        log.append_frames(&run)
+    }
+
     fn last_segment_path(dir: &Path) -> PathBuf {
         let segs = segment::list(dir).unwrap();
         segment::path(dir, segs.last().unwrap().base)
@@ -948,8 +986,7 @@ mod tests {
             LogRecord::TxnBegin { txn: TxnId(1) },
             LogRecord::TxnCommit { txn: TxnId(1) },
         ];
-        let (first, end) = log.append_batch(&recs);
-        assert_eq!(first, Lsn::ZERO);
+        let end = commit_run(&log, &recs);
         assert_eq!(end, log.current_lsn());
         log.flush(false).unwrap();
         let scanned = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
@@ -1054,9 +1091,12 @@ mod tests {
             let log = std::sync::Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
                 for i in 0..25u64 {
-                    let (_, end) = log.append_batch(&[LogRecord::TxnCommit {
-                        txn: TxnId(t * 1000 + i),
-                    }]);
+                    let end = commit_run(
+                        &log,
+                        &[LogRecord::TxnCommit {
+                            txn: TxnId(t * 1000 + i),
+                        }],
+                    );
                     let durable = log.commit_durable(end, window).unwrap();
                     assert!(durable >= end, "commit returned before durability");
                 }
@@ -1090,7 +1130,7 @@ mod tests {
             .map(|t| {
                 let (log, barrier) = (log.clone(), barrier.clone());
                 std::thread::spawn(move || {
-                    let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(t) }]);
+                    let end = commit_run(&log, &[LogRecord::TxnCommit { txn: TxnId(t) }]);
                     barrier.wait();
                     let durable = log.commit_durable(end, Duration::from_millis(50)).unwrap();
                     assert!(durable >= end, "commit returned before durability");
@@ -1117,7 +1157,7 @@ mod tests {
         let scratch = TempDir::new("syslog-zerowin");
         let path = scratch.path().join("system.log");
         let log = create(&path);
-        let (_, end) = log.append_batch(&[LogRecord::TxnCommit { txn: TxnId(1) }]);
+        let end = commit_run(&log, &[LogRecord::TxnCommit { txn: TxnId(1) }]);
         let durable = log.commit_durable(end, Duration::ZERO).unwrap();
         assert_eq!(durable, end);
         assert_eq!(
@@ -1304,6 +1344,51 @@ mod tests {
         let segs = segment::list(&path).unwrap();
         let holder = segs.iter().find(|s| s.base == big).unwrap();
         assert!(holder.len > 3 * TINY_SEG);
+    }
+
+    /// A framed run lands in the tail exactly as its records appended one
+    /// by one would — the same bytes, the same seals at the same offsets,
+    /// whether the run fits the active segment, crosses it or outgrows a
+    /// whole segment — and dirties the same pages.
+    #[test]
+    fn append_frames_matches_one_record_appends_across_rolls() {
+        let scratch = TempDir::new("syslog-frames");
+        let recs: Vec<LogRecord> = (0..40u64)
+            .map(|i| LogRecord::PhysicalRedo {
+                txn: TxnId(i),
+                op: OpSeq(0),
+                addr: DbAddr(3000 * i as usize),
+                data: vec![i as u8; if i == 20 { 300 } else { (7 * i as usize) % 50 }],
+            })
+            .collect();
+        let (one, runs) = (scratch.path().join("one"), scratch.path().join("runs"));
+        let a = SystemLog::create_with(&one, 4096, XorFold, TINY_SEG).unwrap();
+        let b = SystemLog::create_with(&runs, 4096, XorFold, TINY_SEG).unwrap();
+        for rec in &recs {
+            a.append(rec);
+        }
+        let mut rest = &recs[..];
+        for n in [1, 2, 5, 3].into_iter().cycle() {
+            let (run, tail) = rest.split_at(n.min(rest.len()));
+            commit_run(&b, run);
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
+        assert_eq!(a.current_lsn(), b.current_lsn());
+        assert_eq!(a.dirty().take(0), b.dirty().take(0));
+        for log in [&a, &b] {
+            log.flush(false).unwrap();
+            log.settle().unwrap();
+        }
+        let segs = segment::list(&one).unwrap();
+        assert!(segs.len() > 10, "{segs:?}");
+        assert_eq!(segs, segment::list(&runs).unwrap());
+        for s in &segs {
+            let read = |dir: &Path| std::fs::read(segment::path(dir, s.base)).unwrap();
+            assert_eq!(read(&one), read(&runs), "segment {:?}", s.base);
+        }
     }
 
     #[test]

@@ -526,7 +526,8 @@ fn background_failure_is_returned_by_every_later_durability_request() {
     assert!(err.contains("os error 5"), "{err}");
 
     // Kept, not consumed: nothing durable is acknowledged from here on.
-    let (_, end) = log.append_batch(&[record(60)]);
+    log.append(&record(60));
+    let end = log.current_lsn();
     for refused in [
         log.settle().map(drop),
         log.flush(true).map(drop),

@@ -5,6 +5,8 @@
 //! log, checkpoint or peer.
 
 use bytes::BytesMut;
+use dali::common::codec::Reader;
+use dali::common::OpSeq;
 use dali::common::OsStorage;
 use dali::engine::catalog::Catalog;
 use dali::engine::ckpt::{self, CkptMeta};
@@ -14,8 +16,11 @@ use dali::engine::CorruptionMarker;
 use dali::net::protocol::{encode_request, encode_response, frame, parse_frame};
 use dali::net::{Request, Response, ServerStats};
 use dali::wal::record::{frame_with, unframe_with};
-use dali::wal::{Frame, LogRecord};
-use dali::{CodewordAlgebraKind, DbAddr, Lsn, RecId, SlotId, TableId, TxnId};
+use dali::wal::{segment, Frame, LocalUndoLog, LogRecord, LogicalUndo, OpKind};
+use dali::{
+    CodewordAlgebraKind, DaliConfig, DaliEngine, DaliError, DbAddr, Lsn, RecId, SlotId, TableId,
+    TxnId,
+};
 use dali_testutil::TempDir;
 
 fn hex(s: &str) -> Vec<u8> {
@@ -225,4 +230,152 @@ fn corruption_marker_file() {
 
     std::fs::write(&path, hex(MARKER_FILE)).unwrap();
     assert_eq!(read_marker(&OsStorage, dir.path()).unwrap(), Some(value));
+}
+
+// [len][checksum][type] tag txn op undo.tag rec.table rec.slot
+// before.len before
+const OP_COMMIT_FRAME: &str = "\
+    23000000 7a796f7f 01 \
+    04 0700000000000000 03000000 02 01000000 11000000 09000000 fffefdfc8081828309";
+
+#[test]
+fn op_commit_heap_update_log_frame() {
+    let value = LogRecord::OpCommit {
+        txn: TxnId(7),
+        op: OpSeq(3),
+        undo: LogicalUndo::HeapUpdate {
+            rec: RecId::new(TableId(1), SlotId(17)),
+            before: vec![0xFF, 0xFE, 0xFD, 0xFC, 0x80, 0x81, 0x82, 0x83, 9],
+        },
+    };
+    let kind = CodewordAlgebraKind::XorFold;
+    let mut out = BytesMut::new();
+    let n = frame_with(kind, &value, &mut out);
+    assert_bytes(&out, OP_COMMIT_FRAME);
+    let (back, used) = unframe_with(kind, &hex(OP_COMMIT_FRAME)).unwrap();
+    assert_eq!(used, n);
+    assert_eq!(back, Frame::Record(value));
+}
+
+// count / op tag addr before.len before / op tag blob.len, then the
+// blob: an OpCommit payload (tag txn=0 op) holding the logical undo
+// (undo.tag rec.table rec.slot image.len image)
+const UNDO_LOG: &str = "\
+    02000000 \
+    01000000 01 1f000000 \
+    04 0000000000000000 01000000 01 02000000 03000000 05000000 ababababab \
+    02000000 00 4000000000000000 08000000 0102030405060708";
+
+#[test]
+fn att_undo_log_with_a_logical_and_a_physical_entry() {
+    let mut value = LocalUndoLog::new();
+    let image = value.copy_in(&[0xAB; 5]);
+    let rec = RecId::new(TableId(2), SlotId(3));
+    value.commit_op(OpSeq(1), LogicalUndo::HeapDelete { rec, image });
+    value.push_physical(OpSeq(2), DbAddr(0x40), vec![1, 2, 3, 4, 5, 6, 7, 8]);
+    value.seal_top_physical(OpSeq(2)).unwrap();
+    let mut out = BytesMut::new();
+    value.encode(&mut out);
+    assert_bytes(&out, UNDO_LOG);
+
+    let golden = hex(UNDO_LOG);
+    let mut r = Reader::new(&golden, DaliError::RecoveryFailed);
+    let back = LocalUndoLog::decode(&mut r).unwrap();
+    r.finish().unwrap();
+    assert!(back.iter().eq(value.iter()));
+    let mut again = BytesMut::new();
+    back.encode(&mut again);
+    assert_eq!(again, out);
+}
+
+/// One transaction's insert, update and delete on a fresh engine: the
+/// stable log holds exactly the frames of the records they stand for,
+/// in order, under each algebra.
+#[test]
+fn update_path_log_bytes_under_each_algebra() {
+    for kind in CodewordAlgebraKind::ALL {
+        let dir = TempDir::new("golden-update-path");
+        let mut config = DaliConfig::small(dir.path());
+        config.codeword_algebra = kind;
+        let (engine, _) = DaliEngine::create(config).unwrap();
+        let table = engine.create_table("t", 16, 64).unwrap();
+        let db = engine.db();
+        let start = db.syslog.current_lsn();
+        let (a, b) = ([0x11u8; 16], [0xEEu8; 16]);
+        let txn = engine.begin().unwrap();
+        let txn_id = txn.id();
+        let rec = txn.insert(table, &a).unwrap();
+        txn.update(rec, &b).unwrap();
+        txn.delete(rec).unwrap();
+        txn.commit().unwrap();
+        let end = db.syslog.flush(false).unwrap();
+        engine.settle().unwrap();
+
+        let (word, bit, slot) = {
+            let catalog = db.catalog.read();
+            let meta = catalog.get(table).unwrap();
+            let (word, bit) = meta.bit_word_addr(rec.slot);
+            (word, bit, meta.slot_addr(rec.slot))
+        };
+        let op_begin = |op, kind| LogRecord::OpBegin {
+            txn: txn_id,
+            op: OpSeq(op),
+            kind,
+            rec,
+        };
+        let redo = |op, addr, data: &[u8]| LogRecord::PhysicalRedo {
+            txn: txn_id,
+            op: OpSeq(op),
+            addr,
+            data: data.to_vec(),
+        };
+        let op_commit = |op, undo| LogRecord::OpCommit {
+            txn: txn_id,
+            op: OpSeq(op),
+            undo,
+        };
+        let records = [
+            LogRecord::TxnBegin { txn: txn_id },
+            op_begin(0, OpKind::Insert),
+            redo(0, word, &(1u32 << bit).to_le_bytes()),
+            redo(0, slot, &a),
+            op_commit(0, LogicalUndo::HeapInsert { rec }),
+            op_begin(1, OpKind::Update),
+            redo(1, slot, &b),
+            op_commit(
+                1,
+                LogicalUndo::HeapUpdate {
+                    rec,
+                    before: a.to_vec(),
+                },
+            ),
+            op_begin(2, OpKind::Delete),
+            redo(2, word, &0u32.to_le_bytes()),
+            op_commit(
+                2,
+                LogicalUndo::HeapDelete {
+                    rec,
+                    image: b.to_vec(),
+                },
+            ),
+            LogRecord::TxnCommit { txn: txn_id },
+        ];
+        let mut want = BytesMut::new();
+        for r in &records {
+            frame_with(kind, r, &mut want);
+        }
+        let segs = segment::list(db.syslog.path()).unwrap();
+        let seg = segs.iter().rfind(|s| s.base <= start).unwrap();
+        assert!(
+            end.0 <= seg.base.0 + seg.len,
+            "{kind:?}: the run left its segment"
+        );
+        let stable = std::fs::read(segment::path(db.syslog.path(), seg.base)).unwrap();
+        let at = |lsn: Lsn| (lsn.0 - seg.base.0) as usize;
+        assert_eq!(
+            to_hex(&stable[at(start)..at(end)]),
+            to_hex(&want),
+            "{kind:?}"
+        );
+    }
 }
