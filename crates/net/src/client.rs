@@ -9,12 +9,12 @@
 //! [`TxnHandle`]: dali_engine::TxnHandle
 
 use crate::protocol::{
-    encode_request, read_frame, write_frame, HealthReport, MetricsReport, RepairSummary, Request,
-    Response, ServerStats,
+    read_frame, HealthReport, MetricsReport, RepairSummary, Request, Response, ServerStats,
 };
+use bytes::BytesMut;
 use dali_common::{DaliError, RecId, Result, TableId, TxnId};
 use dali_workload::Session;
-use std::io::BufWriter;
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Fold transport-level "the peer went away" errors into the structured
@@ -36,8 +36,10 @@ fn map_closed(e: DaliError) -> DaliError {
 
 /// A connection to a [`DaliServer`](crate::DaliServer).
 pub struct DaliClient {
-    reader: TcpStream,
-    writer: BufWriter<TcpStream>,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    /// The outgoing batch, framed in place and written in one go.
+    wire: BytesMut,
 }
 
 impl DaliClient {
@@ -45,42 +47,50 @@ impl DaliClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<DaliClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = stream.try_clone()?;
+        let reader = BufReader::new(stream.try_clone()?);
         Ok(DaliClient {
             reader,
-            writer: BufWriter::new(stream),
+            writer: stream,
+            wire: BytesMut::new(),
         })
     }
 
-    /// Send one request and wait for its response. A connection the
-    /// server closed — mid-request or between requests — surfaces as
-    /// [`DaliError::ConnectionClosed`], not a raw I/O error.
+    /// Send one request and wait for its response: one frame, one write.
+    /// A connection the server closed — mid-request or between requests —
+    /// surfaces as [`DaliError::ConnectionClosed`], not a raw I/O error.
     fn call(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.writer, &encode_request(req)).map_err(map_closed)?;
+        self.send(std::slice::from_ref(req))?;
+        self.receive()
+    }
+
+    /// Send a batch of requests, then collect the responses, which the
+    /// server returns in receive order. Every request is framed into one
+    /// buffer that is written once, so the batch leaves as one write; the
+    /// replies are read through the connection's buffered reader. The
+    /// server overlaps the frames in its execution pool up to the
+    /// connection's pipeline budget, amortizing round trips.
+    pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>> {
+        self.send(reqs)?;
+        reqs.iter().map(|_| self.receive()).collect()
+    }
+
+    /// Frame `reqs` back to back and send them in one write.
+    fn send(&mut self, reqs: &[Request]) -> Result<()> {
+        self.wire.clear();
+        for req in reqs {
+            req.frame_into(&mut self.wire);
+        }
+        self.writer
+            .write_all(&self.wire)
+            .map_err(|e| map_closed(e.into()))
+    }
+
+    /// Read and decode the next response frame.
+    fn receive(&mut self) -> Result<Response> {
         match read_frame(&mut self.reader).map_err(map_closed)? {
             Some(payload) => Response::decode(&payload),
             None => Err(DaliError::ConnectionClosed),
         }
-    }
-
-    /// Send a batch of requests back-to-back, then collect the
-    /// responses, which the server returns in receive order. With the
-    /// event-driven server the frames overlap in the execution pool up
-    /// to the connection's pipeline budget, amortizing round trips.
-    pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>> {
-        use std::io::Write;
-        for req in reqs {
-            write_frame(&mut self.writer, &encode_request(req)).map_err(map_closed)?;
-        }
-        self.writer.flush().map_err(|e| map_closed(e.into()))?;
-        let mut resps = Vec::with_capacity(reqs.len());
-        for _ in reqs {
-            match read_frame(&mut self.reader).map_err(map_closed)? {
-                Some(payload) => resps.push(Response::decode(&payload)?),
-                None => return Err(DaliError::ConnectionClosed),
-            }
-        }
-        Ok(resps)
     }
 
     /// Send a request and translate a structured error response back

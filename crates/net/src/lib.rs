@@ -20,8 +20,8 @@
 //!   [`DaliError::ConnectionClosed`].
 //! * **Event-driven sessions**: each connection is a state machine
 //!   (read-accumulate → decode → execute → write-drain) owned by an
-//!   event loop; pipelined frames overlap in the execution pool and are
-//!   answered in receive order, and per-connection budgets
+//!   event loop; a session's queued frames execute as one run, answered
+//!   in receive order with one write per run, and per-connection budgets
 //!   (`net_pipeline_depth`, `net_outbound_budget`) park the read side
 //!   instead of buffering without bound. `net_max_conns` caps admission.
 //! * **Orphan cleanup**: a dropped connection's open transaction is

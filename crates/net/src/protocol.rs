@@ -21,7 +21,7 @@
 use bytes::{BufMut, BytesMut};
 use dali_common::codec::Reader;
 use dali_common::{fold, DaliError, DbAddr, RecId, Result, TableId, TxnId};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Hard cap on a frame's payload size (largest legitimate payload is a
 /// record image plus fixed overhead; 16 MiB leaves room for any record
@@ -166,6 +166,17 @@ macro_rules! wire_enum {
             /// Encode the payload (without framing) into `buf`.
             pub fn encode(&self, buf: &mut BytesMut) {
                 self.put(buf);
+            }
+
+            /// Append this message's frame to `out`: reserve the header,
+            /// encode the payload in place, then patch its length and
+            /// checksum. Byte-identical to [`frame`] of the encoded payload.
+            pub fn frame_into(&self, out: &mut BytesMut) {
+                let start = out.len();
+                out.extend_from_slice(&[0; 8]);
+                self.put(out);
+                let header = frame_header(&out[start + 8..]);
+                out[start..start + 8].copy_from_slice(&header);
             }
 
             /// Decode a payload produced by [`encode`](Self::encode).
@@ -588,7 +599,8 @@ fn encode_payload(message: &impl Wire) -> Vec<u8> {
     payload.to_vec()
 }
 
-/// Encode a request payload into a fresh buffer (framing is write_frame's job).
+/// Encode a request payload into a fresh buffer (`frame` adds the
+/// header).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     encode_payload(req)
 }
@@ -629,14 +641,6 @@ fn parse_header(header: &[u8]) -> Result<(usize, u32)> {
     Ok((len, sum))
 }
 
-/// Write one frame (`[len][checksum][payload]`) to `w`.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    w.write_all(&frame_header(payload))?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Read one frame from `r`. Returns `Ok(None)` on a clean EOF at a frame
 /// boundary (the peer closed the connection); errors on truncation
 /// mid-frame, an oversized length, or a checksum mismatch.
@@ -663,8 +667,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
 }
 
 /// Build one wire frame (`[len][checksum][payload]`) as an owned buffer
-/// — the nonblocking server queues these for write-drain instead of
-/// writing through a stream.
+/// — the bytes a message's `frame_into` appends in place.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&frame_header(payload));
@@ -673,11 +676,11 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Incremental frame parser for a nonblocking accumulate buffer: returns
-/// `Ok(Some((payload, consumed)))` when `buf` starts with a complete
-/// valid frame, `Ok(None)` when more bytes are needed, and an error on
-/// an oversized length or checksum mismatch (the connection has no
-/// trustworthy frame boundary left and must close).
-pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
+/// `Ok(Some((payload, consumed)))`, the payload borrowed from `buf`, when
+/// `buf` starts with a complete valid frame, `Ok(None)` when more bytes
+/// are needed, and an error on an oversized length or checksum mismatch
+/// (the connection has no trustworthy frame boundary left and must close).
+pub fn parse_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>> {
     let Some((header, rest)) = buf.split_at_checked(8) else {
         return Ok(None);
     };
@@ -688,7 +691,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
     if checksum(payload) != sum {
         return Err(bad("frame checksum mismatch".into()));
     }
-    Ok(Some((payload.to_vec(), 8 + len)))
+    Ok(Some((payload, 8 + len)))
 }
 
 #[cfg(test)]
@@ -892,9 +895,7 @@ mod tests {
 
     #[test]
     fn frame_round_trip_over_cursor() {
-        let payload = encode_request(&Request::Ping);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
+        let buf = frame(&encode_request(&Request::Ping));
         let mut cursor = &buf[..];
         let got = read_frame(&mut cursor).unwrap().unwrap();
         assert_eq!(Request::decode(&got).unwrap(), Request::Ping);
@@ -904,19 +905,14 @@ mod tests {
 
     #[test]
     fn incremental_parser_matches_blocking_reader() {
-        let payload = encode_request(&Request::Ping);
-        let wire = frame(&payload);
-        // Byte-identical to write_frame's output.
-        let mut blocking = Vec::new();
-        write_frame(&mut blocking, &payload).unwrap();
-        assert_eq!(wire, blocking);
+        let wire = frame(&encode_request(&Request::Ping));
         // Every strict prefix needs more bytes; the full frame parses.
         for cut in 0..wire.len() {
             assert!(matches!(parse_frame(&wire[..cut]), Ok(None)), "cut {cut}");
         }
         let (got, consumed) = parse_frame(&wire).unwrap().unwrap();
         assert_eq!(consumed, wire.len());
-        assert_eq!(Request::decode(&got).unwrap(), Request::Ping);
+        assert_eq!(Request::decode(got).unwrap(), Request::Ping);
         // Two frames back to back: consumed points at the second.
         let mut twice = wire.clone();
         twice.extend_from_slice(&wire);
@@ -933,9 +929,7 @@ mod tests {
 
     #[test]
     fn torn_and_corrupt_frames_error_without_panic() {
-        let payload = encode_request(&Request::Begin);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
+        let buf = frame(&encode_request(&Request::Begin));
         // Truncated payload.
         let mut cursor = &buf[..buf.len() - 1];
         assert!(read_frame(&mut cursor).is_err());

@@ -19,13 +19,15 @@
 //!   responses. Event workers never block on a socket or the engine.
 //! * **Exec pool** runs the verbs (which may block: lock waits, fsyncs,
 //!   audits). One session is served by at most one exec worker at a
-//!   time, so pipelined responses come back in receive order.
+//!   time, so pipelined responses come back in receive order. A worker
+//!   takes a session's whole queued *run* at once, frames its replies
+//!   into one buffer and wakes the event loop once for it.
 //! * **Pipelining**: up to `net_pipeline_depth` decoded-but-unanswered
 //!   frames per connection. At the budget the session's read interest is
 //!   *parked* — TCP backpressure, not disconnect.
 //! * **Outbound budget**: a slow consumer whose queued response bytes
 //!   exceed `net_outbound_budget` also parks reads; buffering is bounded
-//!   by `budget + one frame`, never unbounded.
+//!   by `budget + pipeline_depth × frame`, never unbounded.
 //! * **Admission control**: at `net_max_conns` open connections, newly
 //!   accepted sockets get a best-effort structured error and close
 //!   (counted in [`ServerStats::conns_rejected`]), and the listener's
@@ -51,6 +53,7 @@ use crate::protocol::{
     encode_response, frame, parse_frame, HealthReport, RepairSummary, Request, Response,
     ServerStats, WireError,
 };
+use bytes::BytesMut;
 use dali_common::Result;
 use dali_engine::{DaliEngine, TxnHandle};
 use std::collections::{HashMap, VecDeque};
@@ -272,20 +275,20 @@ enum Work {
         started: Instant,
         req: Request,
     },
-    /// A pre-encoded protocol-error frame; the connection closes after
-    /// it flushes (framing is no longer trustworthy).
-    ProtocolError(Vec<u8>),
+    /// A protocol error; the connection closes after its error frame
+    /// flushes (framing is no longer trustworthy).
+    ProtocolError(WireError),
     /// The connection died: abort its open transaction (if any).
     Cleanup,
 }
 
 struct CoreState {
     work: VecDeque<Work>,
-    /// Encoded response frames ready for the event loop to write-drain.
-    resps: Vec<Vec<u8>>,
-    /// How many entries appended to `resps` since the last drain answer
-    /// a decoded request (protocol-error frames don't count against the
-    /// pipeline budget).
+    /// Framed replies ready for the event loop to write-drain, one
+    /// buffer per exec run.
+    resps: Vec<BytesMut>,
+    /// How many replies in `resps` answer a decoded request (protocol
+    /// error frames don't count against the pipeline budget).
     answered: usize,
     /// The close-after-flush flag set by a protocol error.
     close_after_resps: bool,
@@ -295,8 +298,6 @@ struct CoreState {
     exec_scheduled: bool,
     /// The event loop dropped the connection; responses are discarded.
     closed: bool,
-    /// Cleanup ran (exactly-once guard for the orphan rollback).
-    cleaned: bool,
 }
 
 /// The session state shared between its owning event worker and the
@@ -321,7 +322,6 @@ impl SessionCore {
                 txn: None,
                 exec_scheduled: false,
                 closed: false,
-                cleaned: false,
             }),
         }
     }
@@ -372,7 +372,7 @@ impl Shared {
         }
     }
 
-    /// Tell a session's event worker it has responses to drain.
+    /// Tell a session's event worker it has replies to drain.
     fn notify_ready(&self, core: &SessionCore) {
         self.inboxes[core.worker]
             .lock()
@@ -414,83 +414,85 @@ fn exec_worker(shared: Arc<Shared>) {
     }
 }
 
-/// Drain one session's work FIFO, one item at a time, until empty. The
-/// `exec_scheduled` flag guarantees a single worker per session, so
-/// responses are pushed in exactly the order frames were decoded.
+/// Drain one session's work FIFO a run at a time until it is empty. A
+/// run is everything queued when the worker looks: taken with the txn
+/// slot under one lock, executed in receive order with the slot
+/// threaded through, its replies framed into one buffer. One more lock
+/// publishes the buffer with one loop wake and takes the next run, or,
+/// when none is queued, restores the slot and releases the session, so
+/// the loop that drains the last run already sees the exec side idle.
+/// The `exec_scheduled` flag guarantees a single worker per session, so
+/// replies are pushed in exactly the order frames were decoded.
 fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
+    let mut run = VecDeque::new();
+    let mut txn = {
+        let mut state = core.state.lock().unwrap();
+        std::mem::swap(&mut state.work, &mut run);
+        state.txn.take()
+    };
     loop {
-        let item = {
-            let mut state = core.state.lock().unwrap();
-            match state.work.pop_front() {
-                Some(item) => item,
-                None => {
-                    state.exec_scheduled = false;
-                    return;
+        let mut out = BytesMut::new();
+        let (mut answered, mut close_after, mut cleanup) = (0, false, false);
+        for item in run.drain(..) {
+            match item {
+                Work::Req { tag, started, req } => {
+                    // Server verbs answer from shared state; engine verbs
+                    // may block (locks, fsync), so the state lock is not
+                    // held across the run.
+                    let resp = match req {
+                        Request::Stats => {
+                            Response::Stats(build_server_stats(&shared.engine, &shared.counters))
+                        }
+                        Request::Health => Response::Health(shared.health()),
+                        Request::Metrics => Response::Metrics(
+                            shared
+                                .histograms
+                                .report(shared.start.elapsed().as_nanos() as u64),
+                        ),
+                        req => execute_engine_request(&shared.engine, &mut txn, req),
+                    };
+                    resp.frame_into(&mut out);
+                    answered += 1;
+                    shared
+                        .histograms
+                        .record(tag, started.elapsed().as_nanos() as u64);
                 }
+                Work::ProtocolError(e) => {
+                    Response::Err(e).frame_into(&mut out);
+                    close_after = true;
+                }
+                Work::Cleanup => cleanup = true,
             }
-        };
-        match item {
-            Work::Req { tag, started, req } => {
-                shared
-                    .counters
-                    .exec_queue_depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                // Server verbs answer from shared state; engine verbs may
-                // block (locks, fsync), so the txn is taken OUT of the
-                // session and the state lock released around execution.
-                let resp = match req {
-                    Request::Stats => {
-                        Response::Stats(build_server_stats(&shared.engine, &shared.counters))
-                    }
-                    Request::Health => Response::Health(shared.health()),
-                    Request::Metrics => Response::Metrics(
-                        shared
-                            .histograms
-                            .report(shared.start.elapsed().as_nanos() as u64),
-                    ),
-                    req => {
-                        let mut txn = core.state.lock().unwrap().txn.take();
-                        let resp = execute_engine_request(&shared.engine, &mut txn, req);
-                        core.state.lock().unwrap().txn = txn;
-                        resp
-                    }
-                };
-                let bytes = frame(&encode_response(&resp));
-                {
-                    let mut state = core.state.lock().unwrap();
-                    if !state.closed {
-                        state.resps.push(bytes);
-                        state.answered += 1;
-                    }
-                }
-                shared
-                    .histograms
-                    .record(tag, started.elapsed().as_nanos() as u64);
+        }
+        shared
+            .counters
+            .exec_queue_depth
+            .fetch_sub(answered as u64, Ordering::Relaxed);
+        let orphan = if cleanup { txn.take() } else { None };
+        let idle = {
+            let mut state = core.state.lock().unwrap();
+            if !state.closed && !out.is_empty() {
+                state.resps.push(out);
+                state.answered += answered;
+                state.close_after_resps |= close_after;
                 shared.notify_ready(core);
             }
-            Work::ProtocolError(bytes) => {
-                let mut state = core.state.lock().unwrap();
-                if !state.closed {
-                    state.resps.push(bytes);
-                    state.close_after_resps = true;
-                    drop(state);
-                    shared.notify_ready(core);
-                }
+            std::mem::swap(&mut state.work, &mut run);
+            if run.is_empty() {
+                state.txn = txn.take();
+                state.exec_scheduled = false;
             }
-            Work::Cleanup => {
-                let txn = {
-                    let mut state = core.state.lock().unwrap();
-                    state.cleaned = true;
-                    state.txn.take()
-                };
-                if let Some(txn) = txn {
-                    let _ = txn.abort();
-                    shared
-                        .counters
-                        .orphans_rolled_back
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            run.is_empty()
+        };
+        if let Some(txn) = orphan {
+            let _ = txn.abort();
+            shared
+                .counters
+                .orphans_rolled_back
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        if idle {
+            return;
         }
     }
 }
@@ -507,8 +509,8 @@ struct Conn {
     core: Arc<SessionCore>,
     /// Unparsed inbound bytes (read-accumulate).
     read_buf: Vec<u8>,
-    /// Encoded response frames being drained, front partially written.
-    write_bufs: VecDeque<Vec<u8>>,
+    /// Reply runs being drained, front partially written.
+    write_bufs: VecDeque<BytesMut>,
     write_pos: usize,
     /// Bytes across `write_bufs` not yet written (outbound budget).
     outbound: usize,
@@ -558,10 +560,6 @@ impl EventWorker {
                 .loop_iterations
                 .fetch_add(1, Ordering::Relaxed);
 
-            if self.shared.stop.load(Ordering::Acquire) {
-                break;
-            }
-
             let mut accept_ready = false;
             let mut touched: Vec<u64> = Vec::new();
             for ev in &events {
@@ -574,7 +572,7 @@ impl EventWorker {
                                 Self::read_accumulate(&self.shared, conn);
                             }
                             if ev.writable {
-                                Self::write_drain(&self.shared, conn);
+                                Self::write_drain(conn);
                             }
                             if ev.hangup && conn.write_bufs.is_empty() {
                                 // Peer gone and nothing left to flush.
@@ -585,6 +583,11 @@ impl EventWorker {
                         }
                     }
                 }
+            }
+            // Only after the waker is drained: a drain may swallow the
+            // stop wake, which is then seen here instead of lost.
+            if self.shared.stop.load(Ordering::Acquire) {
+                break;
             }
 
             // Inbox: adopt new connections, drain ready sessions.
@@ -690,10 +693,12 @@ impl EventWorker {
     }
 
     /// Decode as many complete frames from the accumulate buffer as the
-    /// budgets allow, handing work to the exec pool in one batch.
+    /// budgets allow, handing work to the exec pool in one batch stamped
+    /// with one decode time.
     fn decode_frames(shared: &Arc<Shared>, conn: &mut Conn) {
         let mut consumed_total = 0usize;
-        let mut enqueued = 0u64;
+        let (mut enqueued, mut pipelined) = (0u64, 0u64);
+        let started = Instant::now();
         {
             let mut state = conn.core.state.lock().unwrap();
             loop {
@@ -706,46 +711,38 @@ impl EventWorker {
                     }
                     break;
                 }
-                match parse_frame(&conn.read_buf[consumed_total..]) {
+                let parsed = match parse_frame(&conn.read_buf[consumed_total..]) {
                     Ok(None) => break,
                     Ok(Some((payload, consumed))) => {
                         consumed_total += consumed;
-                        match Request::decode(&payload) {
-                            Ok(req) => {
-                                if conn.pending > 0 {
-                                    shared
-                                        .counters
-                                        .frames_pipelined
-                                        .fetch_add(1, Ordering::Relaxed);
-                                }
-                                conn.pending += 1;
-                                enqueued += 1;
-                                state.work.push_back(Work::Req {
-                                    tag: req.tag(),
-                                    started: Instant::now(),
-                                    req,
-                                });
-                            }
-                            Err(e) => {
-                                let resp = Response::Err(WireError::from(&e));
-                                state
-                                    .work
-                                    .push_back(Work::ProtocolError(frame(&encode_response(&resp))));
-                                conn.read_dead = true;
-                                break;
-                            }
-                        }
+                        Request::decode(payload)
+                    }
+                    Err(e) => Err(e),
+                };
+                match parsed {
+                    Ok(req) => {
+                        pipelined += u64::from(conn.pending > 0);
+                        conn.pending += 1;
+                        enqueued += 1;
+                        state.work.push_back(Work::Req {
+                            tag: req.tag(),
+                            started,
+                            req,
+                        });
                     }
                     Err(e) => {
-                        let resp = Response::Err(WireError::from(&e));
                         state
                             .work
-                            .push_back(Work::ProtocolError(frame(&encode_response(&resp))));
+                            .push_back(Work::ProtocolError(WireError::from(&e)));
                         conn.read_dead = true;
                         break;
                     }
                 }
             }
+            shared
+                .counters
+                .frames_pipelined
+                .fetch_add(pipelined, Ordering::Relaxed);
             // Bump the queue gauge *before* the work becomes visible to
             // the exec pool, or a fast worker's decrement could race
             // ahead of this increment and underflow the gauge.
@@ -766,10 +763,11 @@ impl EventWorker {
         }
     }
 
-    /// Move freshly encoded responses from the session core into the
-    /// write queue, then try to drain them to the socket immediately.
+    /// Move the reply runs from the session core into the write queue,
+    /// then try to drain them to the socket immediately. After a
+    /// protocol error's frame the connection closes once the queue drains.
     fn pump_responses(shared: &Arc<Shared>, conn: &mut Conn) {
-        let (frames, answered, close_after) = {
+        let (runs, answered, close_after) = {
             let mut state = conn.core.state.lock().unwrap();
             (
                 std::mem::take(&mut state.resps),
@@ -778,19 +776,18 @@ impl EventWorker {
             )
         };
         conn.pending = conn.pending.saturating_sub(answered);
-        for f in frames {
-            conn.outbound += f.len();
-            conn.write_bufs.push_back(f);
+        for run in runs {
+            conn.outbound += run.len();
+            conn.write_bufs.push_back(run);
         }
         ServerCounters::raise_max(&shared.counters.outbound_buffered_max, conn.outbound as u64);
-        Self::write_drain(shared, conn);
-        if close_after && conn.write_bufs.is_empty() {
-            conn.closing = true;
-        }
+        conn.closing |= close_after;
+        Self::write_drain(conn);
     }
 
-    /// Write queued frames until the socket would block.
-    fn write_drain(_shared: &Arc<Shared>, conn: &mut Conn) {
+    /// Write queued reply runs, one `write` each, until the socket would
+    /// block.
+    fn write_drain(conn: &mut Conn) {
         while let Some(front) = conn.write_bufs.front() {
             match conn.stream.write(&front[conn.write_pos..]) {
                 Ok(n) => {
@@ -810,13 +807,6 @@ impl EventWorker {
                     conn.outbound = 0;
                     break;
                 }
-            }
-        }
-        if conn.write_bufs.is_empty() {
-            let state = conn.core.state.lock().unwrap();
-            if state.close_after_resps && state.resps.is_empty() {
-                drop(state);
-                conn.closing = true;
             }
         }
     }
@@ -902,10 +892,8 @@ impl EventWorker {
             }
             state.work.clear();
             state.resps.clear();
-            if !state.cleaned {
-                state.work.push_back(Work::Cleanup);
-                self.shared.schedule_locked(&conn.core, &mut state);
-            }
+            state.work.push_back(Work::Cleanup);
+            self.shared.schedule_locked(&conn.core, &mut state);
         }
         // A slot freed: worker 0 may need to resume accepting.
         if self.shared.max_conns > 0 {

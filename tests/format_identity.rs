@@ -51,9 +51,11 @@ fn request_update_wire_frame() {
         data: vec![0x5A, 1, 2, 3, 4, 5, 6],
     };
     assert_bytes(&frame(&encode_request(&value)), UPDATE_FRAME);
-    let (payload, used) = parse_frame(&hex(UPDATE_FRAME)).unwrap().unwrap();
-    assert_eq!(used, hex(UPDATE_FRAME).len());
-    assert_eq!(Request::decode(&payload).unwrap(), value);
+    let wire = hex(UPDATE_FRAME);
+    let (payload, used) = parse_frame(&wire).unwrap().unwrap();
+    assert_eq!(used, wire.len());
+    assert_eq!(payload, &wire[8..]);
+    assert_eq!(Request::decode(&wire[8..]).unwrap(), value);
 }
 
 // [len][checksum] tag, then 37 little-endian u64 counters
@@ -113,8 +115,10 @@ fn response_stats_wire_frame() {
         redo_parallel_ns: 0x0102_0304_0506_0708,
     });
     assert_bytes(&frame(&encode_response(&value)), STATS_FRAME);
-    let (payload, _) = parse_frame(&hex(STATS_FRAME)).unwrap().unwrap();
-    assert_eq!(Response::decode(&payload).unwrap(), value);
+    let wire = hex(STATS_FRAME);
+    let (payload, _) = parse_frame(&wire).unwrap().unwrap();
+    assert_eq!(payload, &wire[8..]);
+    assert_eq!(Response::decode(&wire[8..]).unwrap(), value);
 }
 
 // [len][checksum][type] tag txn op addr data.len data

@@ -1,6 +1,6 @@
 //! Frame pipelining and backpressure on the event-driven server.
 //!
-//! Three families:
+//! Five families:
 //!
 //! * **Ordering under fragmentation** (proptest): K pipelined frames,
 //!   written to the socket in arbitrary chunk sizes so the server's
@@ -15,13 +15,22 @@
 //!   the response volume.
 //! * **Budget sanity**: pipelined bursts still land correctly through a
 //!   depth-1 pipeline budget (every extra frame parks), just slower.
+//! * **One session run**: a burst the server may execute as one run
+//!   threads the connection's transaction through it — engine errors,
+//!   `NoTxn` and a trailing protocol error land at their positions, and
+//!   no transaction outlives the connection.
+//! * **Client wire bytes**: `DaliClient::pipeline` sends exactly the
+//!   concatenated request frames and reassembles replies that arrive in
+//!   arbitrary fragments.
 
-use dali::net::protocol::{encode_request, frame, read_frame, Request, Response};
+use dali::net::protocol::{
+    encode_request, encode_response, frame, read_frame, Request, Response, WireError,
+};
 use dali::net::{DaliClient, DaliServer};
-use dali::{DaliConfig, DaliEngine, ProtectionScheme};
+use dali::{DaliConfig, DaliEngine, ProtectionScheme, RecId, SlotId};
 use proptest::prelude::*;
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn server_with(
@@ -223,4 +232,129 @@ fn depth_one_pipeline_still_serves_bursts() {
         "a depth-1 budget must park a 32-frame burst at least once"
     );
     server.shutdown();
+}
+
+/// One raw burst — `Begin, Update, Commit, Begin, Read(free slot), Read,
+/// Abort, Read`, then a garbage frame — written in one go, so the
+/// server can take it as one run. The transaction slot is threaded
+/// through the run: the replies arrive in order with the engine error
+/// and the trailing `NoTxn` at their positions, then the protocol error,
+/// then the close; and a second connection can lock the updated record,
+/// so no transaction leaked out of the run.
+#[test]
+fn txn_slot_threads_through_one_coalesced_run() {
+    let (server, _dir) = server_with("net-pipe-run", |c| c);
+    let mut seeder = DaliClient::connect(server.addr()).unwrap();
+    let table = seeder.create_table("t", 8, 16).unwrap();
+    seeder.begin().unwrap();
+    let rec = seeder.insert(table, &[1u8; 8]).unwrap();
+    seeder.commit().unwrap();
+    let free = RecId::new(table, SlotId(rec.slot.0 + 1));
+
+    let burst = [
+        Request::Begin,
+        Request::Update {
+            rec,
+            data: vec![2u8; 8],
+        },
+        Request::Commit,
+        Request::Begin,
+        Request::Read { rec: free },
+        Request::Read { rec },
+        Request::Abort,
+        Request::Read { rec },
+    ];
+    let mut wire: Vec<u8> = burst
+        .iter()
+        .flat_map(|r| frame(&encode_request(r)))
+        .collect();
+    // A frame whose checksum does not match its payload.
+    wire.extend_from_slice(&[4, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4]);
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.write_all(&wire).unwrap();
+
+    let resps = read_n_responses(&mut stream, burst.len() + 1);
+    assert!(matches!(resps[0], Response::Began { .. }), "{resps:?}");
+    assert_eq!(resps[1..3], [Response::Ok, Response::Ok], "{resps:?}");
+    assert!(matches!(resps[3], Response::Began { .. }), "{resps:?}");
+    assert!(
+        matches!(resps[4], Response::Err(WireError::NotFound(_))),
+        "{resps:?}"
+    );
+    assert_eq!(resps[5], Response::Data(vec![2u8; 8]), "{resps:?}");
+    assert_eq!(resps[6], Response::Ok, "{resps:?}");
+    assert_eq!(resps[7], Response::Err(WireError::NoTxn), "{resps:?}");
+    assert!(
+        matches!(resps[8], Response::Err(WireError::InvalidArg(_))),
+        "{resps:?}"
+    );
+    assert!(
+        matches!(read_frame(&mut stream), Ok(None)),
+        "the connection must close after the protocol error"
+    );
+
+    let mut other = DaliClient::connect(server.addr()).unwrap();
+    other.begin().unwrap();
+    other.lock_exclusive(rec).unwrap();
+    assert_eq!(other.read(rec).unwrap(), vec![2u8; 8]);
+    other.commit().unwrap();
+    server.shutdown();
+}
+
+/// A raw listener stands in for the server. `pipeline` must send
+/// exactly the concatenated request frames (and a later single call
+/// exactly its one frame), and must reassemble replies written in
+/// fragments cut mid-header and mid-payload. Bytes only: no timing.
+#[test]
+fn client_pipeline_sends_concatenated_frames_and_reassembles_fragments() {
+    let rec = RecId::new(dali::TableId(3), SlotId(9));
+    let reqs = vec![
+        Request::Begin,
+        Request::Read { rec },
+        Request::Update {
+            rec,
+            data: vec![7u8; 100],
+        },
+        Request::Ping,
+        Request::Commit,
+    ];
+    let resps: Vec<Response> = (0..reqs.len())
+        .map(|i| match i % 2 {
+            0 => Response::Ok,
+            _ => Response::Data(vec![i as u8; 13]),
+        })
+        .collect();
+    let expected: Vec<u8> = reqs
+        .iter()
+        .flat_map(|r| frame(&encode_request(r)))
+        .collect();
+    let replies: Vec<u8> = resps
+        .iter()
+        .flat_map(|r| frame(&encode_response(r)))
+        .collect();
+    let ping = frame(&encode_request(&Request::Ping));
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut got = vec![0u8; expected.len()];
+        stream.read_exact(&mut got).unwrap();
+        assert_eq!(got, expected, "pipelined batch bytes");
+        // Fragments of 5 bytes cut every 9-byte `Ok` frame mid-header
+        // and every 21-byte `Data` frame mid-header and mid-payload.
+        let cuts: Vec<usize> = (5..replies.len()).step_by(5).collect();
+        write_fragmented(&mut stream, &replies, &cuts);
+        let mut got = vec![0u8; ping.len()];
+        stream.read_exact(&mut got).unwrap();
+        assert_eq!(got, ping, "single call bytes");
+        stream
+            .write_all(&frame(&encode_response(&Response::Ok)))
+            .unwrap();
+    });
+
+    let mut client = DaliClient::connect(addr).unwrap();
+    assert_eq!(client.pipeline(&reqs).unwrap(), resps);
+    client.ping().unwrap();
+    peer.join().unwrap();
 }

@@ -1,10 +1,14 @@
 //! Property tests of the dali-net wire protocol.
 //!
-//! Two families:
+//! Three families:
 //!
 //! * **Round-trip**: arbitrary requests, responses and wire errors
 //!   survive encode → frame → unframe → decode unchanged, so the client
 //!   and server can never disagree about a well-formed message.
+//! * **In-place framing**: a run of messages framed back to back into
+//!   one buffer (the server's reply run, the client's pipelined batch)
+//!   is byte-identical to the concatenation of their one-frame
+//!   encodings, and the incremental parser walks it back.
 //! * **Adversarial input**: arbitrary garbage bytes, bit-flipped frames
 //!   and truncations of valid frames produce a structured protocol
 //!   error (`DaliError::InvalidArg` / `Io`) — never a panic and never a
@@ -14,8 +18,9 @@
 //! CI raises the case count via `PROPTEST_CASES`, as with the lock-model
 //! suite.
 
+use bytes::BytesMut;
 use dali::net::protocol::{
-    encode_request, encode_response, read_frame, write_frame, HealthReport, MetricsReport,
+    encode_request, encode_response, frame, parse_frame, read_frame, HealthReport, MetricsReport,
     RepairSummary, Request, Response, ServerStats, VerbMetrics, WireError, MAX_FRAME,
 };
 use dali::{DbAddr, RecId, SlotId, TableId, TxnId};
@@ -213,8 +218,7 @@ proptest! {
     #[test]
     fn request_round_trips_through_a_frame(req in arb_request()) {
         let payload = encode_request(&req);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let wire = frame(&payload);
         let mut cursor = &wire[..];
         let got = read_frame(&mut cursor).unwrap().expect("one frame");
         prop_assert_eq!(Request::decode(&got).unwrap(), req);
@@ -226,11 +230,54 @@ proptest! {
     #[test]
     fn response_round_trips_through_a_frame(resp in arb_response()) {
         let payload = encode_response(&resp);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let wire = frame(&payload);
         let mut cursor = &wire[..];
         let got = read_frame(&mut cursor).unwrap().expect("one frame");
         prop_assert_eq!(Response::decode(&got).unwrap(), resp);
+    }
+
+    /// A reply run framed in place equals the concatenation of
+    /// `frame(&encode_response(r))`, and `parse_frame` walks it back to
+    /// the same replies.
+    #[test]
+    fn reply_run_framed_in_place_is_byte_identical(
+        resps in proptest::collection::vec(arb_response(), 0..8),
+    ) {
+        let mut run = BytesMut::new();
+        let mut reference = Vec::new();
+        for resp in &resps {
+            resp.frame_into(&mut run);
+            reference.extend_from_slice(&frame(&encode_response(resp)));
+        }
+        prop_assert_eq!(&run[..], &reference[..]);
+        let mut rest = &run[..];
+        for resp in &resps {
+            let (payload, consumed) = parse_frame(rest).unwrap().expect("a whole frame");
+            prop_assert_eq!(&Response::decode(payload).unwrap(), resp);
+            rest = &rest[consumed..];
+        }
+        prop_assert!(rest.is_empty());
+    }
+
+    /// The same for a pipelined request batch, the client's side.
+    #[test]
+    fn request_batch_framed_in_place_is_byte_identical(
+        reqs in proptest::collection::vec(arb_request(), 0..8),
+    ) {
+        let mut batch = BytesMut::new();
+        let mut reference = Vec::new();
+        for req in &reqs {
+            req.frame_into(&mut batch);
+            reference.extend_from_slice(&frame(&encode_request(req)));
+        }
+        prop_assert_eq!(&batch[..], &reference[..]);
+        let mut rest = &batch[..];
+        for req in &reqs {
+            let (payload, consumed) = parse_frame(rest).unwrap().expect("a whole frame");
+            prop_assert_eq!(&Request::decode(payload).unwrap(), req);
+            rest = &rest[consumed..];
+        }
+        prop_assert!(rest.is_empty());
     }
 
     /// Arbitrary garbage fed to the frame reader returns a structured
@@ -250,8 +297,7 @@ proptest! {
     #[test]
     fn truncated_frames_error_not_panic(req in arb_request(), cut in any::<u16>()) {
         let payload = encode_request(&req);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let wire = frame(&payload);
         let cut = cut as usize % wire.len();
         let mut cursor = &wire[..cut];
         match read_frame(&mut cursor) {
@@ -271,8 +317,7 @@ proptest! {
     #[test]
     fn bit_flips_are_detected(req in arb_request(), pos in any::<u16>(), bit in 0u8..8) {
         let payload = encode_request(&req);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        let mut wire = frame(&payload);
         let pos = pos as usize % wire.len();
         wire[pos] ^= 1 << bit;
         let mut cursor = &wire[..];

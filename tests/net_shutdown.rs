@@ -1,12 +1,11 @@
 //! Server shutdown must not hang on idle clients.
 //!
-//! The accept thread joins every session thread, and a session blocks in
-//! `read_frame` while its client is quiet. Shutdown therefore
-//! `Shutdown::Both`s every registered connection so parked reads return
-//! EOF — without that, `shutdown()` with one idle connected client never
-//! returns. The test runs the shutdown on a watchdog thread and fails if
-//! it misses a generous deadline; orphaned open transactions must still
-//! be rolled back through the usual path.
+//! Shutdown raises the stop flag, wakes every event loop and joins it;
+//! each loop closes its connections, whose orphaned open transactions
+//! must still be rolled back through the usual path. A loop that misses
+//! the stop wake parks in `epoll_wait` forever, so every test runs the
+//! shutdown on a watchdog thread and fails if it misses a generous
+//! deadline.
 
 use dali::net::{DaliClient, DaliServer};
 use dali::{DaliConfig, DaliEngine, ProtectionScheme};
@@ -29,7 +28,7 @@ fn assert_shutdown_within(server: DaliServer, deadline: Duration) {
     });
     assert!(
         rx.recv_timeout(deadline).is_ok(),
-        "shutdown hung past {deadline:?} (idle session never unblocked)"
+        "shutdown hung past {deadline:?} (an event loop or session never unblocked)"
     );
     assert!(start.elapsed() < deadline);
 }
@@ -97,5 +96,27 @@ fn request_against_closed_server_is_connection_closed() {
         Err(DaliError::ConnectionClosed) => {}
         Err(other) => panic!("expected ConnectionClosed, got {other:?}"),
         Ok(()) => panic!("ping succeeded against a shut-down server"),
+    }
+}
+
+/// Shutdown right behind a wave of client disconnects. Every closed
+/// connection wakes event worker 0 (a freed slot may resume accepting),
+/// so the shutdown's own wake can land while a loop is between its stop
+/// check and the drain of an earlier wake. Draining must not swallow
+/// it: the loop would park in `epoll_wait` with nothing left to wake it,
+/// and `shutdown()` would never return.
+#[test]
+fn shutdown_right_after_clients_disconnect() {
+    for round in 0..20 {
+        let (server, _dir) = server(&format!("wave-{round}"));
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                let mut c = DaliClient::connect(server.addr()).unwrap();
+                c.ping().unwrap();
+                c
+            })
+            .collect();
+        drop(clients);
+        assert_shutdown_within(server, Duration::from_secs(10));
     }
 }
