@@ -12,6 +12,13 @@
 //! sweeps the shards one at a time; it never holds more than one shard
 //! lock, so release cannot deadlock against concurrent acquirers.
 //!
+//! An immediately granted request takes one shard-mutex lock and one map
+//! probe, and neither allocates nor reads the clock: a record's first
+//! holder is kept inline (only further holders of a shared record go to
+//! a `Vec`), the maps hash a record id with the shard's multiplicative
+//! hash folded into the low bits they pick buckets by (the shard takes
+//! bits 32 and up), and the deadline is set when a request first waits.
+//!
 //! Deadlocks are resolved two ways:
 //!
 //! * **Timeout** ([`dali_common::DaliConfig::lock_timeout`]), always on:
@@ -37,6 +44,7 @@
 use dali_common::{DaliError, RecId, Result, TxnId};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Lock mode.
@@ -46,38 +54,91 @@ pub enum LockMode {
     Exclusive,
 }
 
+/// A record's holders with their strongest granted mode. Invariant: an
+/// empty `first` means no holders at all.
 #[derive(Debug, Default)]
 struct LockState {
-    /// Current holders with their strongest granted mode.
-    holders: Vec<(TxnId, LockMode)>,
+    first: Option<(TxnId, LockMode)>,
+    /// Holders after the first: allocated only for a shared record.
+    rest: Vec<(TxnId, LockMode)>,
 }
 
 impl LockState {
+    fn holders(&self) -> impl Iterator<Item = &(TxnId, LockMode)> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn held_by(&self, txn: TxnId) -> Option<LockMode> {
+        self.holders().find(|(t, _)| *t == txn).map(|&(_, m)| m)
+    }
+
     fn can_grant(&self, txn: TxnId, mode: LockMode) -> bool {
         match mode {
             LockMode::Shared => self
-                .holders
-                .iter()
+                .holders()
                 .all(|&(t, m)| t == txn || m == LockMode::Shared),
-            LockMode::Exclusive => self.holders.iter().all(|&(t, _)| t == txn),
+            LockMode::Exclusive => self.holders().all(|&(t, _)| t == txn),
         }
     }
 
     fn grant(&mut self, txn: TxnId, mode: LockMode) {
-        if let Some(h) = self.holders.iter_mut().find(|(t, _)| *t == txn) {
+        let mut held = self.first.iter_mut().chain(&mut self.rest);
+        if let Some(h) = held.find(|(t, _)| *t == txn) {
             if mode == LockMode::Exclusive {
-                h.1 = LockMode::Exclusive;
+                h.1 = mode;
             }
+        } else if self.first.is_none() {
+            self.first = Some((txn, mode));
         } else {
-            self.holders.push((txn, mode));
+            self.rest.push((txn, mode));
         }
     }
+
+    /// Drop `txn`'s hold; returns whether it held the record. A leaving
+    /// inline holder is replaced by one of the rest.
+    fn release(&mut self, txn: TxnId) -> bool {
+        if self.first.is_some_and(|(t, _)| t == txn) {
+            self.first = self.rest.pop();
+            return true;
+        }
+        let before = self.rest.len();
+        self.rest.retain(|&(t, _)| t != txn);
+        self.rest.len() != before
+    }
 }
+
+/// The record hash, for both the shard maps and the shard index: a
+/// multiplicative (Fibonacci) hash of the key that `RecId`'s derived
+/// `Hash` shifts in, the table id in the high half and the slot in the
+/// low. `finish` folds the product's high half into the low bits the
+/// maps pick buckets by, and leaves bits 32 and up, the shard's, as is.
+#[derive(Default)]
+struct RecHasher(u64);
+
+impl Hasher for RecHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | b as u64;
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | n as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let p = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        p ^ (p >> 32)
+    }
+}
+
+type RecHash = BuildHasherDefault<RecHasher>;
+type RecMap = HashMap<RecId, LockState, RecHash>;
 
 /// One shard of the lock table.
 #[derive(Default)]
 struct Shard {
-    table: Mutex<HashMap<RecId, LockState>>,
+    table: Mutex<RecMap>,
     waiters: Condvar,
 }
 
@@ -125,20 +186,18 @@ impl LockManager {
         }
     }
 
-    /// Shard index for a record: multiplicative (Fibonacci) hash of the
-    /// (table, slot) pair, so consecutive slots spread across shards.
+    /// Shard index for a record: bits 32 and up of its hash, so
+    /// consecutive slots spread across shards.
     #[inline]
     fn shard_of(&self, rec: RecId) -> usize {
-        let key = ((rec.table.0 as u64) << 32) | rec.slot.0 as u64;
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (self.shards.len() - 1)
+        (RecHash::default().hash_one(rec) >> 32) as usize & (self.shards.len() - 1)
     }
 
     /// Remove `rec`'s entry if it has no holders (a waiter's
     /// `or_default` insertion must not outlive the wait — without this,
     /// denied requests leak empty [`LockState`]s over long runs).
-    fn drop_if_empty(table: &mut HashMap<RecId, LockState>, rec: RecId) {
-        if table.get(&rec).is_some_and(|s| s.holders.is_empty()) {
+    fn drop_if_empty(table: &mut RecMap, rec: RecId) {
+        if table.get(&rec).is_some_and(|s| s.first.is_none()) {
             table.remove(&rec);
         }
     }
@@ -155,15 +214,15 @@ impl LockManager {
     /// mode (or a weaker one) succeeds immediately; shared→exclusive
     /// upgrades wait for other readers to drain.
     pub fn lock(&self, txn: TxnId, rec: RecId, mode: LockMode) -> Result<()> {
-        let deadline = Instant::now() + self.timeout;
         let shard = &self.shards[self.shard_of(rec)];
         let mut table = shard.table.lock();
-        let mut waiting = false;
+        // Read from the clock only once the request has to wait.
+        let mut deadline: Option<Instant> = None;
         loop {
             let state = table.entry(rec).or_default();
-            let granted = match state.holders.iter().find(|(t, _)| *t == txn) {
+            let granted = match state.held_by(txn) {
                 // Already holding a sufficient mode?
-                Some(&(_, held)) if held == LockMode::Exclusive || mode == LockMode::Shared => true,
+                Some(held) if held == LockMode::Exclusive || mode == LockMode::Shared => true,
                 _ if state.can_grant(txn, mode) => {
                     state.grant(txn, mode);
                     true
@@ -171,20 +230,20 @@ impl LockManager {
                 _ => false,
             };
             if granted {
-                if waiting && self.detect_every.is_some() {
+                if deadline.is_some() && self.detect_every.is_some() {
                     self.stop_waiting(txn);
                 }
                 return Ok(());
             }
-            if !waiting && self.detect_every.is_some() {
+            if deadline.is_none() && self.detect_every.is_some() {
                 self.detector.lock().waiting.insert(txn, rec);
             }
-            waiting = true;
+            let until = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
             // With detection on, wake every interval to run a cycle check
             // even if nobody releases.
             let slice = match self.detect_every {
-                Some(iv) => deadline.min(Instant::now() + iv),
-                None => deadline,
+                Some(iv) => until.min(Instant::now() + iv),
+                None => until,
             };
             let slice_timed_out = shard.waiters.wait_until(&mut table, slice).timed_out();
             if self.detect_every.is_some() && self.detector.lock().doomed.contains(&txn) {
@@ -193,8 +252,8 @@ impl LockManager {
                 return Err(DaliError::LockDenied { txn, rec });
             }
             if slice_timed_out {
-                if Instant::now() >= deadline {
-                    if waiting && self.detect_every.is_some() {
+                if Instant::now() >= until {
+                    if self.detect_every.is_some() {
                         self.stop_waiting(txn);
                     }
                     Self::drop_if_empty(&mut table, rec);
@@ -236,8 +295,7 @@ impl LockManager {
                 edges.insert(
                     w,
                     state
-                        .holders
-                        .iter()
+                        .holders()
                         .map(|&(t, _)| t)
                         .filter(|&t| t != w)
                         .collect(),
@@ -266,9 +324,7 @@ impl LockManager {
             let b = cycle[(i + 1) % cycle.len()];
             let rec = regs[&a];
             let table = self.shards[self.shard_of(rec)].table.lock();
-            let edge_holds = table
-                .get(&rec)
-                .is_some_and(|s| s.holders.iter().any(|&(t, _)| t == b));
+            let edge_holds = table.get(&rec).is_some_and(|s| s.held_by(b).is_some());
             if !edge_holds {
                 return false;
             }
@@ -300,10 +356,8 @@ impl LockManager {
             let mut changed = false;
             let mut table = shard.table.lock();
             table.retain(|_, state| {
-                let before = state.holders.len();
-                state.holders.retain(|&(t, _)| t != txn);
-                changed |= state.holders.len() != before;
-                !state.holders.is_empty()
+                changed |= state.release(txn);
+                state.first.is_some()
             });
             drop(table);
             if changed {
@@ -318,9 +372,7 @@ impl LockManager {
     /// The strongest mode `txn` holds on `rec`, if any.
     pub fn held_mode(&self, txn: TxnId, rec: RecId) -> Option<LockMode> {
         let table = self.shards[self.shard_of(rec)].table.lock();
-        table
-            .get(&rec)
-            .and_then(|s| s.holders.iter().find(|(t, _)| *t == txn).map(|&(_, m)| m))
+        table.get(&rec).and_then(|s| s.held_by(txn))
     }
 
     /// Number of records currently locked (diagnostics). Sums the shards
@@ -445,6 +497,28 @@ mod tests {
     }
 
     #[test]
+    fn inline_holder_leaving_keeps_the_other_holders() {
+        for m in [mgr(), sharded()] {
+            for t in 1..=3 {
+                m.lock(TxnId(t), rec(1), LockMode::Shared).unwrap();
+            }
+            // Txn 1 is the inline holder.
+            m.unlock_all(TxnId(1));
+            assert_eq!(m.held_mode(TxnId(1), rec(1)), None);
+            assert_eq!(m.held_mode(TxnId(2), rec(1)), Some(LockMode::Shared));
+            assert_eq!(m.held_mode(TxnId(3), rec(1)), Some(LockMode::Shared));
+            assert!(m.lock(TxnId(4), rec(1), LockMode::Exclusive).is_err());
+            // With one holder left, its upgrade is granted at once.
+            m.unlock_all(TxnId(2));
+            m.lock(TxnId(3), rec(1), LockMode::Exclusive).unwrap();
+            assert_eq!(m.held_mode(TxnId(3), rec(1)), Some(LockMode::Exclusive));
+            assert!(m.lock(TxnId(4), rec(1), LockMode::Shared).is_err());
+            m.unlock_all(TxnId(3));
+            assert_eq!(m.locked_records(), 0);
+        }
+    }
+
+    #[test]
     fn different_records_do_not_conflict() {
         for m in [mgr(), sharded()] {
             m.lock(TxnId(1), rec(1), LockMode::Exclusive).unwrap();
@@ -457,6 +531,28 @@ mod tests {
         let m = sharded();
         let hit: HashSet<usize> = (0..64u32).map(|n| m.shard_of(rec(n))).collect();
         assert!(hit.len() > 1, "64 records all hashed to one shard");
+    }
+
+    #[test]
+    fn record_hash_spreads_one_shards_records_over_low_bits() {
+        let m = sharded();
+        let hash = |r: RecId| RecHash::default().hash_one(r);
+        for n in [0, 1, 77, u32::MAX] {
+            // The derived `Hash` reaches the hasher as the record key, and
+            // the shard index is the one the (table, slot) product gives.
+            let p = ((1u64 << 32) | n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            assert_eq!(hash(rec(n)), p ^ (p >> 32));
+            assert_eq!(m.shard_of(rec(n)), (p >> 32) as usize & 7);
+        }
+        let mine: Vec<RecId> = (0..4096u32)
+            .map(rec)
+            .filter(|&r| m.shard_of(r) == 0)
+            .take(256)
+            .collect();
+        assert_eq!(mine.len(), 256);
+        // 256 records of one shard over 64 buckets: nearly all are used.
+        let buckets: HashSet<u64> = mine.iter().map(|&r| hash(r) & 63).collect();
+        assert!(buckets.len() > 48, "{} of 64 buckets used", buckets.len());
     }
 
     #[test]

@@ -6,15 +6,18 @@
 //! images before it is clean everywhere: we keep one dirty set per image
 //! and add every dirtied page to both; the checkpointer drains the set of
 //! the image it is about to write.
+//!
+//! Each set is a page bitmap (bit `p % 64` of word `p / 64`), grown on
+//! demand: noting a page sets two bits, and a drain yields its pages
+//! ascending and deduplicated, as [`pages_to_regions`] requires.
 
 use dali_common::PageId;
 use parking_lot::Mutex;
-use std::collections::HashSet;
 
-/// A pair of dirty-page sets, one per checkpoint image.
+/// A pair of dirty-page bitmaps, one per checkpoint image.
 #[derive(Default)]
 pub struct DualDirtySet {
-    sets: Mutex<[HashSet<PageId>; 2]>,
+    maps: Mutex<[Vec<u64>; 2]>,
 }
 
 impl DualDirtySet {
@@ -25,33 +28,43 @@ impl DualDirtySet {
 
     /// Note that `page` was dirtied (adds to both images' sets).
     pub fn note(&self, page: PageId) {
-        let mut sets = self.sets.lock();
-        sets[0].insert(page);
-        sets[1].insert(page);
+        self.note_all([page]);
     }
 
     /// Note several pages at once.
     pub fn note_all(&self, pages: impl IntoIterator<Item = PageId>) {
-        let mut sets = self.sets.lock();
-        for p in pages {
-            sets[0].insert(p);
-            sets[1].insert(p);
+        let mut maps = self.maps.lock();
+        for page in pages {
+            let (word, bit) = (page.0 as usize / 64, page.0 % 64);
+            for map in maps.iter_mut() {
+                if map.len() <= word {
+                    map.resize(word + 1, 0);
+                }
+                map[word] |= 1 << bit;
+            }
         }
     }
 
     /// Drain the dirty set for checkpoint image `image` (0 or 1), returning
-    /// the pages that must be written to that image.
+    /// the pages that must be written to that image, ascending.
     pub fn take(&self, image: usize) -> Vec<PageId> {
         assert!(image < 2);
-        let mut sets = self.sets.lock();
-        let mut pages: Vec<PageId> = sets[image].drain().collect();
-        pages.sort_unstable();
+        let mut maps = self.maps.lock();
+        let mut pages = Vec::new();
+        for (i, word) in maps[image].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                pages.push(PageId(i as u32 * 64 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
         pages
     }
 
     /// Peek at the number of dirty pages for an image.
     pub fn len(&self, image: usize) -> usize {
-        self.sets.lock()[image].len()
+        let maps = self.maps.lock();
+        maps[image].iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True if no page is dirty for `image`.
@@ -99,6 +112,8 @@ pub fn pages_to_regions(pages: &[PageId], page_size: usize, region_size: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn note_marks_both_images() {
@@ -171,5 +186,69 @@ mod tests {
         d.note_range(4);
         assert_eq!(d.take(0).len(), 4);
         assert_eq!(d.take(1).len(), 4);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Note(u32),
+        NoteAll(Vec<u32>),
+        NoteRange(usize),
+        Take(usize),
+        Len(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Ids up to a few thousand, so the bitmaps grow mid-sequence.
+        let page = 0u32..4000;
+        prop_oneof![
+            page.clone().prop_map(Op::Note),
+            proptest::collection::vec(page, 0..20).prop_map(Op::NoteAll),
+            (0usize..300).prop_map(Op::NoteRange),
+            (0usize..2).prop_map(Op::Take),
+            (0usize..2).prop_map(Op::Len),
+        ]
+    }
+
+    fn add(model: &mut [BTreeSet<PageId>; 2], pages: &[u32]) {
+        for set in model {
+            set.extend(pages.iter().map(|&p| PageId(p)));
+        }
+    }
+
+    proptest! {
+        /// The bitmaps against one ordered set per image: every drain is
+        /// the set's sorted contents, and every count its size.
+        #[test]
+        fn matches_a_set_per_image(ops in proptest::collection::vec(op(), 0..60)) {
+            let d = DualDirtySet::new();
+            let mut model: [BTreeSet<PageId>; 2] = Default::default();
+            for op in ops {
+                match op {
+                    Op::Note(p) => {
+                        d.note(PageId(p));
+                        add(&mut model, &[p]);
+                    }
+                    Op::NoteAll(ps) => {
+                        d.note_all(ps.iter().map(|&p| PageId(p)));
+                        add(&mut model, &ps);
+                    }
+                    Op::NoteRange(n) => {
+                        d.note_range(n);
+                        add(&mut model, &(0..n as u32).collect::<Vec<_>>());
+                    }
+                    Op::Take(i) => {
+                        let want: Vec<PageId> = std::mem::take(&mut model[i]).into_iter().collect();
+                        prop_assert_eq!(d.take(i), want);
+                    }
+                    Op::Len(i) => {
+                        prop_assert_eq!(d.len(i), model[i].len());
+                        prop_assert_eq!(d.is_empty(i), model[i].is_empty());
+                    }
+                }
+            }
+            for (i, set) in model.iter().enumerate() {
+                prop_assert_eq!(d.take(i), set.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 }

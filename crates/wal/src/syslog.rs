@@ -211,6 +211,10 @@ struct Core {
     /// is set.
     jobs_cv: Condvar,
     counters: Counters,
+    /// End of the bytes handed to the kernel, stored under the append
+    /// latch. An fsync begun after reading it under the sync lock (which
+    /// a roll needs to swap the active file) covers everything below it.
+    written: AtomicU64,
 }
 
 impl Core {
@@ -466,6 +470,7 @@ impl SystemLog {
             jobs: Mutex::new(Jobs::default()),
             jobs_cv: Condvar::new(),
             counters: Counters::default(),
+            written: AtomicU64::new(end.0),
         });
         let worker = std::thread::Builder::new()
             .name("dali-log-worker".into())
@@ -620,6 +625,9 @@ impl SystemLog {
             return Err(self.core.keep(e));
         }
         inner.tail_base = Lsn(inner.tail_base.0 + tail.len() as u64);
+        self.core
+            .written
+            .store(inner.tail_base.0, Ordering::Release);
         // Reuse the buffer's capacity.
         tail.clear();
         inner.tail = tail;
@@ -675,9 +683,9 @@ impl SystemLog {
 
     /// Make everything below `upto` (already written) durable. Sealed
     /// segments come first — drained here if the worker has not got to
-    /// them — then one `fsync` of the active segment. Returns
-    /// whether that fsync was needed, or a neighbour's (or the drain)
-    /// had already covered `upto`.
+    /// them — then one `fsync` of the active segment, covering all bytes
+    /// written before it. Returns whether that fsync was needed, or a
+    /// neighbour's (or the drain) had already covered `upto`.
     fn ensure_durable(&self, upto: Lsn) -> Result<bool> {
         self.core.failed()?;
         loop {
@@ -691,8 +699,9 @@ impl SystemLog {
                 self.core.drain_sealed(false)?;
                 continue;
             }
+            let written = Lsn(self.core.written.load(Ordering::Acquire));
             s.file.fsync().map_err(|e| self.core.keep(e.into()))?;
-            s.durable = upto;
+            s.durable = upto.max(written);
             bump(&self.core.counters.fsyncs);
             self.core.sync_cv.notify_all();
             return Ok(true);
@@ -1185,6 +1194,26 @@ mod tests {
         assert_eq!(stats.fsyncs, 1);
         assert_eq!(stats.durable_commits, 2);
         assert_eq!(stats.piggybacked, 1);
+    }
+
+    #[test]
+    fn fsync_covers_every_byte_written_before_it() {
+        // Two committers' records are both written before the first one
+        // asks for its fsync: that one fsync makes both durable, so the
+        // second committer piggybacks instead of syncing again.
+        let scratch = TempDir::new("syslog-fsync-coverage");
+        let log = create(&scratch.path().join("system.log"));
+        log.append(&LogRecord::TxnBegin { txn: TxnId(1) });
+        let first = log.flush(false).unwrap();
+        log.append(&LogRecord::TxnBegin { txn: TxnId(2) });
+        let second = log.flush(false).unwrap();
+        assert!(first < second);
+        log.wait_durable(first).unwrap();
+        assert_eq!(log.durable_lsn(), second);
+        assert_eq!(log.commit_durable(second, Duration::ZERO).unwrap(), second);
+        let stats = log.sync_stats();
+        assert_eq!(stats.fsyncs, 1, "{stats:?}");
+        assert_eq!(stats.piggybacked, 1, "{stats:?}");
     }
 
     #[test]
