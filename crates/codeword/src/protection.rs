@@ -53,6 +53,14 @@ pub enum RepairFallback {
         /// The region whose rebuild failed verification.
         region: RegionId,
     },
+    /// The rebuild verifies but contradicts a write the log holds: an
+    /// update read its before-image from the damaged bytes, so the parity
+    /// buffer and the maintained codeword both moved by the damage, and
+    /// the rebuild would put it back. Only the log knows the bytes.
+    LogDisagrees {
+        /// The region whose rebuild the log contradicts.
+        region: RegionId,
+    },
 }
 
 /// How many consecutive regions an audit or certification sweep folds
@@ -398,9 +406,11 @@ impl CodewordProtection {
     ///    [`RepairFallback::SiblingCorrupt`] — a double fault);
     /// 3. the reconstruction `parity ⊕ (⊕ siblings)` must fold to the
     ///    region's *maintained* codeword (else
-    ///    [`RepairFallback::VerifyFailed`]).
+    ///    [`RepairFallback::VerifyFailed`]);
+    /// 4. `agrees` must accept it (else [`RepairFallback::LogDisagrees`]):
+    ///    the caller's check against the bytes the log says were written.
     ///
-    /// Only a rebuild passing all three is written back — the returned
+    /// Only a rebuild passing all four is written back — the returned
     /// `Ok(Ok(bytes))` means the region's bytes once again match the
     /// codeword the prescribed-update history maintained, with no log
     /// replay. `Ok(Err(reason))` leaves the image untouched; the caller
@@ -409,6 +419,7 @@ impl CodewordProtection {
         &self,
         image: &DbImage,
         region: RegionId,
+        agrees: impl FnOnce(&[u8]) -> bool,
     ) -> Result<std::result::Result<usize, RepairFallback>> {
         let Some(stripe) = &self.parity else {
             return Ok(Err(RepairFallback::NotEnabled));
@@ -432,6 +443,9 @@ impl CodewordProtection {
                 stripe.reconstruct(image, &self.geom, region, &mut rebuilt)?;
                 if algebra::fold(self.kind, &rebuilt) != self.table.get(region) {
                     return Ok(Err(RepairFallback::VerifyFailed { region }));
+                }
+                if !agrees(&rebuilt) {
+                    return Ok(Err(RepairFallback::LogDisagrees { region }));
                 }
                 image.write(self.geom.region_base(region), &rebuilt)?;
                 Ok(Ok(rebuilt.len()))

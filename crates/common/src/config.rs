@@ -250,11 +250,9 @@ pub struct DaliConfig {
     /// fsync the stable log on transaction commit. When false the log is
     /// still written (buffered) at commit, but durability is left to the OS.
     pub sync_commit: bool,
-    /// Group-commit window. When non-zero (and `sync_commit` is set), a
-    /// committer that finds no fsync already covering its commit record
-    /// waits up to this long for neighbours to enqueue theirs, then one
-    /// fsync covers the whole batch. Zero keeps the seed behaviour:
-    /// fsync immediately, amortized only by durable-LSN piggybacking.
+    /// Unused: durable commits never wait for neighbours (one fsync
+    /// still covers every commit written before it). Kept only because
+    /// the frozen ledger (`benchmark/src/harness.rs`) prints it.
     pub commit_window: Duration,
     /// How long a lock request waits before being denied (deadlock
     /// resolution by timeout).
@@ -409,17 +407,6 @@ impl DaliConfig {
     /// Builder-style lock-shard-count selection (`0` = auto).
     pub fn with_lock_shards(mut self, lock_shards: usize) -> Self {
         self.lock_shards = lock_shards;
-        self
-    }
-
-    /// Builder-style group-commit window selection (implies durable
-    /// commits: sets `sync_commit` as well, since delaying a commit to
-    /// batch fsyncs is meaningless without an fsync to batch).
-    pub fn with_commit_window(mut self, window: Duration) -> Self {
-        self.commit_window = window;
-        if !window.is_zero() {
-            self.sync_commit = true;
-        }
         self
     }
 
@@ -643,19 +630,6 @@ mod tests {
         assert_eq!(c.scheme, ProtectionScheme::ReadPrecheck);
         assert_eq!(c.region_size, 512);
         assert_eq!(c.lock_shards, 6);
-    }
-
-    #[test]
-    fn commit_window_builder_implies_sync_commit() {
-        let c = DaliConfig::small("/tmp/x");
-        assert!(!c.sync_commit);
-        assert_eq!(c.commit_window, Duration::ZERO);
-        let c = c.with_commit_window(Duration::from_micros(500));
-        assert!(c.sync_commit);
-        assert_eq!(c.commit_window, Duration::from_micros(500));
-        // A zero window never flips durability on.
-        let c = DaliConfig::small("/tmp/x").with_commit_window(Duration::ZERO);
-        assert!(!c.sync_commit);
     }
 
     #[test]

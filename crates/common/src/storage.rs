@@ -61,6 +61,15 @@ pub trait Storage: Send + Sync {
     /// Make the entries of `dir` — creates, renames and unlinks in it —
     /// durable.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+    /// May work on this store run on background threads — the log
+    /// worker's segment syncs and unlinks, a checkpoint's fsync beside
+    /// its certification? Yes by default. A store that says no has that
+    /// work run in line by the thread that asks for it, so the order of
+    /// its calls follows from the caller's alone (a simulator replays a
+    /// seed call for call).
+    fn background_threads(&self) -> bool {
+        true
+    }
 }
 
 /// The shared handle engines and logs hold.

@@ -332,15 +332,21 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
     // the log is durable up to `ck_end`: an image ahead of the stable log
     // would, after a power failure, let new appends reuse LSNs the image
     // already reflects. Both waits are the disk's; the certification
-    // sweep is the CPU's, so they overlap.
-    let (durable, verdict) = std::thread::scope(|s| {
-        let io = s.spawn(|| -> Result<()> {
-            image_file.fsync()?;
-            db.syslog.wait_durable(ck_end)
-        });
-        let verdict = certify(db, &mut state, &drained.pages);
-        (io.join(), verdict)
-    });
+    // sweep is the CPU's, so they overlap — unless the store runs no
+    // background threads, and then they run in that order.
+    let io = || -> Result<()> {
+        image_file.fsync()?;
+        db.syslog.wait_durable(ck_end)
+    };
+    let (durable, verdict) = if store.background_threads() {
+        std::thread::scope(|s| {
+            let io = s.spawn(io);
+            let verdict = certify(db, &mut state, &drained.pages);
+            (io.join(), verdict)
+        })
+    } else {
+        (Ok(io()), certify(db, &mut state, &drained.pages))
+    };
     if let Some(refused) = verdict? {
         return Ok(refused);
     }

@@ -9,9 +9,14 @@
 //!    reconstruct `parity ⊕ (⊕ siblings)`, verify
 //!    the result against the maintained codeword, write it back. No WAL
 //!    replay, no transaction rollback, latency proportional to one group.
+//!    The rebuild must also agree with every byte the stable log says
+//!    committed work wrote since the anchored checkpoint: an update that
+//!    read its before-image from the damaged bytes moved the parity buffer
+//!    and the codeword by the damage too, so a rebuild would restore the
+//!    damage and still verify ([`RepairFallback::LogDisagrees`]).
 //! 2. **Online cache recovery** ([`corruption::cache_repair`]) — when
 //!    parity declines (stale stripe, double fault in one group, failed
-//!    re-verification): rebuild the affected pages from the certified
+//!    re-verification, a disagreeing log): rebuild the affected pages from the certified
 //!    checkpoint plus a physical-redo replay. Rolls back active
 //!    transactions; still no restart.
 //! 3. **Restart recovery** — only if the caller chose to poison instead
@@ -32,10 +37,12 @@
 //! delete-transaction recovery model (paper §4) handles the fault, taint
 //! closure and all.
 
-use crate::corruption;
 use crate::db::Db;
+use crate::{ckpt, corruption};
 use dali_codeword::{AuditReport, RegionId, RepairFallback};
 use dali_common::{DaliError, Result};
+use dali_wal::{LogReader, LogRecordRef};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -67,8 +74,8 @@ impl RepairOutcome {
     }
 }
 
-/// Repair one region (the `Repair(region)` admin verb). See
-/// [`repair_regions`].
+/// Repair one region (the `Repair(region)` admin verb): the ladder of
+/// the module docs, for one region.
 pub fn repair_region(db: &Arc<Db>, region: RegionId) -> Result<RepairOutcome> {
     let outcome = repair_regions(db, &[region])?;
     // A wild write happened somewhere; the dirty-page footprint no longer
@@ -88,7 +95,7 @@ pub fn repair_region(db: &Arc<Db>, region: RegionId) -> Result<RepairOutcome> {
 /// Does **not** touch `ckpt_state` (the checkpoint path calls in with
 /// that lock held): callers outside the checkpoint must force the next
 /// certification full themselves, as [`repair_region`] does.
-pub fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
+fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
     db.check_alive()?;
     if !db.config.scheme.maintains_codewords() {
         return Err(DaliError::InvalidArg(
@@ -121,9 +128,20 @@ pub fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcom
     let mut bytes = 0usize;
     let mut fallback: Option<RepairFallback> = None;
     let mut unrepaired: Vec<RegionId> = Vec::new();
+    // No update may run while the parity rung decides: every write the
+    // image holds must be in the log it is checked against.
+    let quiesced = db.quiesce.write();
+    let logged = logged_bytes(db, regions)?;
+    let geom = db.prot.geometry();
     for (i, &r) in regions.iter().enumerate() {
         stats.repair_attempted.fetch_add(1, Relaxed);
-        match db.prot.repair_region(&db.image, r)? {
+        let base = geom.region_base(r).0;
+        let agrees = |rebuilt: &[u8]| {
+            (base..base + rebuilt.len())
+                .zip(rebuilt)
+                .all(|(at, b)| logged.get(&at).is_none_or(|l| l == b))
+        };
+        match db.prot.repair_region(&db.image, r, agrees)? {
             Ok(n) => {
                 rebuilt += 1;
                 bytes += n;
@@ -145,6 +163,7 @@ pub fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcom
             }
         }
     }
+    drop(quiesced);
     stats
         .repair_ns
         .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
@@ -157,7 +176,6 @@ pub fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcom
             bytes_rebuilt: bytes,
         }),
         Some(why) => {
-            let geom = db.prot.geometry();
             let ranges: Vec<_> = unrepaired
                 .iter()
                 .map(|&r| (geom.region_base(r), geom.region_size()))
@@ -171,6 +189,34 @@ pub fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcom
             })
         }
     }
+}
+
+/// The last byte committed work wrote at each address of `regions` since
+/// the anchored checkpoint, read from the stable log. The caller holds
+/// `quiesce`, so every completed operation's redo is in the log.
+fn logged_bytes(db: &Db, regions: &[RegionId]) -> Result<BTreeMap<usize, u8>> {
+    db.syslog.flush(false)?;
+    // The scan lists the live log directory: every segment must carry its
+    // name first.
+    db.syslog.settle()?;
+    let (store, dir) = (&*db.store, &db.config.dir);
+    let from = ckpt::read_meta(store, dir, ckpt::read_anchor(store, dir)?.0)?.ck_end;
+    let geom = db.prot.geometry();
+    let mut bytes = BTreeMap::new();
+    LogReader::open_on(store, db.syslog.path(), from, db.config.codeword_algebra)?.for_each(
+        |_, rec| {
+            if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
+                for &r in regions {
+                    let base = geom.region_base(r).0;
+                    let span =
+                        addr.0.max(base)..(addr.0 + data.len()).min(base + geom.region_size());
+                    bytes.extend(span.map(|at| (at, data[at - addr.0])));
+                }
+            }
+            Ok(())
+        },
+    )?;
+    Ok(bytes)
 }
 
 fn note_region_pages(db: &Arc<Db>, regions: impl Iterator<Item = RegionId>) {

@@ -319,9 +319,8 @@ impl TxnHandle {
     // ---------------------------------------------------------------
 
     /// Commit: migrate leftover local records plus the commit record to
-    /// the system log, flush it (durably, group-committed under
-    /// [`DaliConfig::commit_window`](dali_common::DaliConfig) when
-    /// `sync_commit` is set), release locks.
+    /// the system log, flush it (durably when `sync_commit` is set),
+    /// release locks.
     pub fn commit(self) -> Result<()> {
         self.db.check_alive()?;
         let commit_end;
@@ -345,9 +344,7 @@ impl TxnHandle {
             }
         }
         if self.db.config.sync_commit {
-            self.db
-                .syslog
-                .commit_durable(commit_end, self.db.config.commit_window)?;
+            self.db.syslog.commit_durable(commit_end)?;
         } else {
             self.db.syslog.flush(false)?;
         }

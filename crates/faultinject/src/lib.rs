@@ -18,12 +18,7 @@ use dali_engine::DaliEngine;
 use rand::Rng;
 
 pub mod campaign;
-pub use campaign::{
-    algebra_expected_detected, assert_matrix, assert_repair_matrix, campaign_payload,
-    run_arena_round, run_ckpt_image_round, run_double_fault_round, run_matrix, run_repair_matrix,
-    run_repair_round, run_wal_round, wal_expected_verdict, CampaignTarget, CampaignVerdict,
-    CorruptionPattern, RepairRound, RepairVerdict, WalScanOutcome,
-};
+pub use campaign::{algebra_expected_detected, campaign_payload, CorruptionPattern};
 
 /// What happened when a fault was injected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,11 +141,6 @@ impl FaultInjector {
         let mut bytes = vec![0u8; len];
         rng.fill(&mut bytes[..]);
         self.inject(addr, &bytes)
-    }
-
-    /// Pages of the image (for targeting specific pages).
-    pub fn pages(&self) -> usize {
-        self.engine.raw_image().pages()
     }
 }
 

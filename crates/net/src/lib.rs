@@ -27,10 +27,10 @@
 //! * **Orphan cleanup**: a dropped connection's open transaction is
 //!   rolled back level by level through the engine's ATT rollback,
 //!   releasing all its locks.
-//! * **Group commit**: with `DaliConfig::with_commit_window`, concurrent
-//!   committers from different connections share one fsync (see
-//!   `SystemLog::commit_durable`); the [`ServerStats`] verb exposes the
-//!   fsync/flush counters.
+//! * **Group commit**: durable committers from different connections
+//!   share an fsync — one covers every commit written before it, and a
+//!   committer it covered skips its own (see `SystemLog::commit_durable`);
+//!   the [`ServerStats`] verb exposes the fsync/flush counters.
 //! * **Observability**: per-verb log₂-bucket latency histograms via the
 //!   `Metrics` verb ([`MetricsReport`]), a cheap `Health` probe
 //!   ([`HealthReport`]), and loop/queue counters in [`ServerStats`].

@@ -284,7 +284,7 @@ wire_struct! {
         pub durable_commits: u64,
         /// Durable commits that rode a neighbour's fsync.
         pub piggybacked: u64,
-        /// Durable commits that waited out a group-commit window as followers.
+        /// Always 0; kept so the wire layout does not change.
         pub group_followers: u64,
         /// Currently connected sessions.
         pub sessions: u64,

@@ -221,7 +221,7 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         log_flushes: log.flushes,
         durable_commits: log.durable_commits,
         piggybacked: log.piggybacked,
-        group_followers: log.group_followers,
+        group_followers: 0,
         sessions: counters.sessions.load(Ordering::Relaxed),
         orphans_rolled_back: counters.orphans_rolled_back.load(Ordering::Relaxed),
         deferred_drains: 0,

@@ -29,7 +29,10 @@
 //! So `durable` covers a contiguous, fsynced, named prefix of the log; a
 //! crash in between leaves a pending file, which
 //! [`segment::adopt_pending`] settles at restart. Retirement's unlinks
-//! are the worker's other job.
+//! are the worker's other job. A store that runs no background threads
+//! ([`Storage::background_threads`](dali_common::Storage::background_threads))
+//! gets no worker: its jobs queue until [`SystemLog::settle`] runs them on
+//! the caller, so when a sync or unlink lands is the caller's choice.
 //!
 //! Every file operation goes through the log's
 //! [`Storage`](dali_common::Storage). The first failure on the
@@ -61,7 +64,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 struct Inner {
     /// Unflushed frames.
@@ -108,12 +110,6 @@ struct SyncState {
     durable: Lsn,
     /// Sealed segments waiting for `drain_sealed`, oldest first.
     sealed: VecDeque<Sealed>,
-    /// A group-commit leader is currently collecting a batch (waiting
-    /// out its commit window) or fsyncing on the batch's behalf.
-    leader: bool,
-    /// Committers blocked waiting for the current leader's fsync. The
-    /// leader compares this against `pending` to close its batch early.
-    waiters: u64,
 }
 
 /// Snapshot of the log's flush/fsync counters, the measurable side of
@@ -132,9 +128,6 @@ pub struct SyncStats {
     pub durable_commits: u64,
     /// Durable commits satisfied by an fsync some other committer issued.
     pub piggybacked: u64,
-    /// Durable commits that waited out a group-commit window as batch
-    /// followers (their records covered by the leader's single fsync).
-    pub group_followers: u64,
     /// The share of `fsyncs` the log worker issued: sealed segments made
     /// durable with no foreground thread waiting.
     pub background_fsyncs: u64,
@@ -162,7 +155,6 @@ struct Counters {
     flushes: AtomicU64,
     durable_commits: AtomicU64,
     piggybacked: AtomicU64,
-    group_followers: AtomicU64,
     background_fsyncs: AtomicU64,
     settle_waits: AtomicU64,
     segments_retired: AtomicU64,
@@ -199,9 +191,6 @@ struct Core {
     dir: PathBuf,
     inner: Mutex<Inner>,
     sync: Mutex<SyncState>,
-    /// Signalled whenever `durable` advances, a leader steps down, or a
-    /// follower joins a collecting leader's batch.
-    sync_cv: Condvar,
     /// Held across `drain_sealed`'s file-system calls, so sealed segments
     /// become durable one at a time and in order whoever drains. Taken
     /// before `sync`, never under it or under the append latch.
@@ -242,29 +231,42 @@ impl Core {
         e
     }
 
+    /// Take the oldest job off the queue, run it and keep its failure;
+    /// `false` if the queue was empty. The log worker's loop body, and
+    /// what [`SystemLog::settle`] runs on the caller when the store has no
+    /// worker thread.
+    fn run_next(&self) -> bool {
+        let job = {
+            let mut jobs = self.jobs.lock();
+            let Some(job) = jobs.queue.pop_front() else {
+                return false;
+            };
+            jobs.busy = true;
+            job
+        };
+        if let Err(e) = match job {
+            Job::Sync => self.drain_sealed(true),
+            Job::Retire(horizon) => self.retire_covered(horizon),
+        } {
+            self.keep(e);
+        }
+        self.jobs.lock().busy = false;
+        self.jobs_cv.notify_all();
+        true
+    }
+
     fn run_worker(&self) {
-        let mut jobs = self.jobs.lock();
         loop {
-            jobs.busy = false;
-            self.jobs_cv.notify_all();
-            let job = loop {
-                if let Some(job) = jobs.queue.pop_front() {
-                    break job;
-                }
+            if self.run_next() {
+                continue;
+            }
+            let mut jobs = self.jobs.lock();
+            while jobs.queue.is_empty() {
                 if jobs.stop {
                     return;
                 }
                 self.jobs_cv.wait(&mut jobs);
-            };
-            jobs.busy = true;
-            drop(jobs);
-            if let Err(e) = match job {
-                Job::Sync => self.drain_sealed(true),
-                Job::Retire(horizon) => self.retire_covered(horizon),
-            } {
-                self.keep(e);
             }
-            jobs = self.jobs.lock();
         }
     }
 
@@ -289,7 +291,6 @@ impl Core {
                 bump(&self.counters.background_fsyncs);
             }
             s.durable = s.durable.max(sealed.end);
-            self.sync_cv.notify_all();
         }
     }
 
@@ -320,10 +321,6 @@ pub struct SystemLog {
     kind: CodewordAlgebraKind,
     /// Capacity at which the active segment is sealed and rolled.
     segment_bytes: u64,
-    /// Threads currently inside a windowed `commit_durable` call. Every
-    /// one of them has already appended the records it needs durable, so
-    /// once a batch contains them all there is nothing to wait for.
-    pending: AtomicU64,
     dirty: DualDirtySet,
 }
 
@@ -462,30 +459,29 @@ impl SystemLog {
                 active_base: seg_base,
                 durable: end,
                 sealed: VecDeque::new(),
-                leader: false,
-                waiters: 0,
             }),
-            sync_cv: Condvar::new(),
             drain: Mutex::new(()),
             jobs: Mutex::new(Jobs::default()),
             jobs_cv: Condvar::new(),
             counters: Counters::default(),
             written: AtomicU64::new(end.0),
         });
-        let worker = std::thread::Builder::new()
-            .name("dali-log-worker".into())
-            .spawn({
-                let core = Arc::clone(&core);
-                move || core.run_worker()
-            })?;
+        let worker = if core.store.background_threads() {
+            let core = Arc::clone(&core);
+            let spawned = std::thread::Builder::new()
+                .name("dali-log-worker".into())
+                .spawn(move || core.run_worker())?;
+            Some(spawned)
+        } else {
+            None
+        };
         Ok(SystemLog {
             core,
-            worker: Mutex::new(Some(worker)),
+            worker: Mutex::new(worker),
             page_size,
             kind,
             // A segment must hold at least one seal and one small frame.
             segment_bytes: segment_bytes.max(4 * FRAME_HDR as u64),
-            pending: AtomicU64::new(0),
             dirty: DualDirtySet::new(),
         })
     }
@@ -703,7 +699,6 @@ impl SystemLog {
             s.file.fsync().map_err(|e| self.core.keep(e.into()))?;
             s.durable = upto.max(written);
             bump(&self.core.counters.fsyncs);
-            self.core.sync_cv.notify_all();
             return Ok(true);
         }
     }
@@ -725,89 +720,14 @@ impl SystemLog {
         self.ensure_durable(upto).map(drop)
     }
 
-    /// Make the log durable up to `upto`, batching with concurrent
-    /// committers under a group-commit `window` (the ROADMAP group-commit
-    /// item).
-    ///
-    /// * `window == 0` behaves exactly like `flush(true)`: write the
-    ///   tail, fsync unless a neighbour's fsync already covered `upto`.
-    /// * `window > 0`: the first committer to arrive becomes the batch
-    ///   *leader*; committers arriving while it collects become
-    ///   *followers* and block until the leader's single fsync covers
-    ///   their LSN (or, if they appended after the leader's tail
-    ///   snapshot, take over as the next leader). The window is a
-    ///   *maximum* delay, not a fixed one: every thread inside a
-    ///   windowed `commit_durable` has already appended what it needs
-    ///   durable, so once the batch holds every in-flight committer the
-    ///   leader fires immediately — waiting longer could only help
-    ///   commits that have not started yet. An uncontended commit
-    ///   therefore pays no window delay at all, and the full window is
-    ///   waited only when stragglers are still on their way.
-    ///
-    /// Callers must have already appended the records they need durable
-    /// (`upto` is typically the end LSN returned by
+    /// Make the log durable up to `upto`: [`flush(true)`](Self::flush).
+    /// One fsync covers every byte written before it, so concurrent
+    /// committers share it without waiting for one another. Callers must
+    /// have already appended the records they need durable (`upto` is
+    /// typically the end LSN returned by
     /// [`append_frames`](Self::append_frames)).
-    pub fn commit_durable(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
-        bump(&self.core.counters.durable_commits);
-        if window.is_zero() {
-            let end = self.write_tail()?;
-            return self.sync_upto(end.max(upto));
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let res = self.commit_durable_windowed(upto, window);
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        res
-    }
-
-    fn commit_durable_windowed(&self, upto: Lsn, window: Duration) -> Result<Lsn> {
-        // A follower or piggybacker returns without passing through
-        // `ensure_durable`, which is where the other paths check this.
-        self.core.failed()?;
-        let (sync, sync_cv) = (&self.core.sync, &self.core.sync_cv);
-        let mut followed = false;
-        {
-            let mut s = sync.lock();
-            loop {
-                if s.durable >= upto {
-                    bump(&self.core.counters.piggybacked);
-                    if followed {
-                        bump(&self.core.counters.group_followers);
-                    }
-                    return Ok(s.durable);
-                }
-                if !s.leader {
-                    s.leader = true;
-                    break;
-                }
-                // A leader is collecting a batch: join it (the notify
-                // lets the leader close the batch early once everyone
-                // in flight is aboard) and wait for its fsync. The
-                // deadline is defensive only (a leader always steps
-                // down, even on error): it bounds the wait if this
-                // follower raced a leader whose fsync failed.
-                followed = true;
-                s.waiters += 1;
-                sync_cv.notify_all();
-                sync_cv.wait_until(&mut s, Instant::now() + window + Duration::from_millis(100));
-                s.waiters -= 1;
-            }
-        }
-        // Leader: collect until the window closes or every in-flight
-        // committer has joined, then flush the batch with one fsync.
-        let deadline = Instant::now() + window;
-        {
-            let mut s = sync.lock();
-            while s.waiters + 1 < self.pending.load(Ordering::SeqCst) {
-                if sync_cv.wait_until(&mut s, deadline).timed_out() {
-                    break;
-                }
-            }
-        }
-        let res = self.write_tail().and_then(|end| self.sync_upto(end));
-        // Step down on the error path too.
-        sync.lock().leader = false;
-        sync_cv.notify_all();
-        res
+    pub fn commit_durable(&self, upto: Lsn) -> Result<Lsn> {
+        Ok(self.flush(true)?.max(upto))
     }
 
     /// Have the log worker retire (unlink) sealed segments every byte of
@@ -825,7 +745,15 @@ impl SystemLog {
     /// segment carries its `.seg` name and — until the next roll or
     /// posted retirement — the directory no longer changes: what an
     /// online scan of the directory needs before it lists the chain.
+    ///
+    /// On a store without background threads
+    /// ([`Storage::background_threads`](dali_common::Storage::background_threads))
+    /// there is no worker: jobs only queue, and this is where they run,
+    /// on the caller, oldest first.
     pub fn settle(&self) -> Result<()> {
+        if !self.core.store.background_threads() {
+            while self.core.run_next() {}
+        }
         let mut jobs = self.core.jobs.lock();
         if jobs.busy || !jobs.queue.is_empty() {
             bump(&self.core.counters.settle_waits);
@@ -840,6 +768,8 @@ impl SystemLog {
     /// Stop the log: refuse further writes, let the worker finish what
     /// is queued, and join it. When this returns the log directory no
     /// longer changes. Idempotent; dropping the log does the same.
+    /// Without a worker thread, jobs still queued are never run, as a
+    /// crash would leave them.
     pub fn shutdown(&self) {
         self.core.inner.lock().closed = true;
         {
@@ -874,7 +804,6 @@ impl SystemLog {
             flushes: c.flushes.load(Ordering::Relaxed),
             durable_commits: c.durable_commits.load(Ordering::Relaxed),
             piggybacked: c.piggybacked.load(Ordering::Relaxed),
-            group_followers: c.group_followers.load(Ordering::Relaxed),
             background_fsyncs: c.background_fsyncs.load(Ordering::Relaxed),
             settle_waits: c.settle_waits.load(Ordering::Relaxed),
         }
@@ -1058,43 +987,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_synced_flushes_keep_every_record() {
-        // Many threads each append-then-flush(sync); the fsync runs
-        // outside the append latch and piggybacks, but every record a
-        // flush(true) returned for must be in the stable file.
-        let scratch = TempDir::new("syslog-concsync");
-        let path = scratch.path().join("system.log");
-        let log = std::sync::Arc::new(create(&path));
-        let mut handles = vec![];
-        for t in 0..4u64 {
-            let log = std::sync::Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    let lsn = log.append(&LogRecord::TxnBegin {
-                        txn: TxnId(t * 1000 + i),
-                    });
-                    let stable = log.flush(true).unwrap();
-                    assert!(stable > lsn, "flush end {stable:?} <= appended {lsn:?}");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let recs = SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold).unwrap();
-        assert_eq!(recs.len(), 400);
-    }
-
-    #[test]
     fn group_commit_batches_fsyncs() {
-        // 4 committers, 2 ms window: every record must be durable when
-        // its commit_durable returns, and every commit is served by
-        // exactly one fsync — its own or a neighbour's. (How many share
-        // one is scheduling; the next test forces that.)
+        // 4 committers: every record must be durable when its
+        // commit_durable returns, and every commit is served by exactly
+        // one fsync — its own or a neighbour's. (How many share one is
+        // scheduling; the next test forces that.)
         let scratch = TempDir::new("syslog-group");
         let path = scratch.path().join("system.log");
         let log = std::sync::Arc::new(create(&path));
-        let window = Duration::from_millis(2);
         let mut handles = vec![];
         for t in 0..4u64 {
             let log = std::sync::Arc::clone(&log);
@@ -1106,7 +1006,7 @@ mod tests {
                             txn: TxnId(t * 1000 + i),
                         }],
                     );
-                    let durable = log.commit_durable(end, window).unwrap();
+                    let durable = log.commit_durable(end).unwrap();
                     assert!(durable >= end, "commit returned before durability");
                 }
             }));
@@ -1126,10 +1026,9 @@ mod tests {
         // The sharing claim of group commit, with the interleaving forced
         // instead of hoped for: all eight committers append, *then* a
         // barrier releases them into commit_durable together. Whichever
-        // becomes leader writes a tail that already holds all eight
-        // records, so its one fsync covers everyone: the other seven
-        // return on that fsync (as followers or piggybackers, depending
-        // on when they arrive) and none can lead a second one.
+        // reaches the sync lock first fsyncs a file that already holds
+        // all eight records, so its one fsync covers everyone: the other
+        // seven find `durable` past their records and piggyback.
         const COMMITTERS: u64 = 8;
         let scratch = TempDir::new("syslog-groupbarrier");
         let path = scratch.path().join("system.log");
@@ -1141,7 +1040,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let end = commit_run(&log, &[LogRecord::TxnCommit { txn: TxnId(t) }]);
                     barrier.wait();
-                    let durable = log.commit_durable(end, Duration::from_millis(50)).unwrap();
+                    let durable = log.commit_durable(end).unwrap();
                     assert!(durable >= end, "commit returned before durability");
                 })
             })
@@ -1159,25 +1058,6 @@ mod tests {
                 .len(),
             COMMITTERS as usize
         );
-    }
-
-    #[test]
-    fn zero_window_commit_matches_flush_true() {
-        let scratch = TempDir::new("syslog-zerowin");
-        let path = scratch.path().join("system.log");
-        let log = create(&path);
-        let end = commit_run(&log, &[LogRecord::TxnCommit { txn: TxnId(1) }]);
-        let durable = log.commit_durable(end, Duration::ZERO).unwrap();
-        assert_eq!(durable, end);
-        assert_eq!(
-            SystemLog::scan_stable_with(&path, Lsn::ZERO, XorFold)
-                .unwrap()
-                .len(),
-            1
-        );
-        let stats = log.sync_stats();
-        assert_eq!(stats.fsyncs, 1);
-        assert_eq!(stats.durable_commits, 1);
     }
 
     #[test]
@@ -1210,7 +1090,7 @@ mod tests {
         assert!(first < second);
         log.wait_durable(first).unwrap();
         assert_eq!(log.durable_lsn(), second);
-        assert_eq!(log.commit_durable(second, Duration::ZERO).unwrap(), second);
+        assert_eq!(log.commit_durable(second).unwrap(), second);
         let stats = log.sync_stats();
         assert_eq!(stats.fsyncs, 1, "{stats:?}");
         assert_eq!(stats.piggybacked, 1, "{stats:?}");

@@ -75,10 +75,7 @@ pub use dali_engine::{
     CheckpointOutcome, DaliEngine, LockManager, LockMode, RecoveryMode, RecoveryOutcome,
     RepairOutcome, TxnHandle,
 };
-pub use dali_faultinject::{
-    CampaignTarget, CampaignVerdict, CorruptionPattern, FaultInjector, InjectionEffect,
-    RepairRound, RepairVerdict, WalScanOutcome,
-};
+pub use dali_faultinject::{CorruptionPattern, FaultInjector, InjectionEffect};
 pub use dali_net::{DaliClient, DaliServer, RepairSummary, ServerStats, WireError};
 pub use dali_wal::SyncStats;
 pub use dali_workload::{EngineSession, Session, TpcbConfig, TpcbDriver};

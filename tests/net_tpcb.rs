@@ -16,15 +16,13 @@ use std::time::{Duration, Instant};
 fn server_engine(
     name: &str,
     cfg: &TpcbConfig,
-    window: Option<Duration>,
+    sync_commit: bool,
 ) -> (DaliServer, dali_testutil::TempDir) {
     let dir = dali_testutil::TempDir::new(&format!("net-tpcb-{name}"));
     let mut c = DaliConfig::small(dir.path())
         .with_scheme(ProtectionScheme::DataCodeword)
         .with_lock_shards(8);
-    if let Some(w) = window {
-        c = c.with_commit_window(w);
-    }
+    c.sync_commit = sync_commit;
     c.db_pages = cfg.required_pages(c.page_size);
     let (db, _) = DaliEngine::create(c).unwrap();
     let server = DaliServer::start(db, "127.0.0.1:0").unwrap();
@@ -57,7 +55,7 @@ fn wait_for(addr: SocketAddr, pred: impl Fn(&dali::ServerStats) -> bool) {
 fn networked_contended_tpcb_preserves_invariants() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
-    let (server, _dir) = server_engine("contended", &cfg, None);
+    let (server, _dir) = server_engine("contended", &cfg, false);
     let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
 
     let stats = driver
@@ -85,7 +83,7 @@ fn networked_run_matches_in_process_run() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
 
-    let (server, _dir) = server_engine("match-net", &cfg, None);
+    let (server, _dir) = server_engine("match-net", &cfg, false);
     let mut net = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
     net.run_sessions(clients(server.addr(), 3), true, 300)
         .unwrap();
@@ -104,7 +102,7 @@ fn networked_run_matches_in_process_run() {
 #[test]
 fn disconnect_mid_transaction_rolls_back_and_releases_locks() {
     let cfg = TpcbConfig::small();
-    let (server, _dir) = server_engine("orphan", &cfg, None);
+    let (server, _dir) = server_engine("orphan", &cfg, false);
     let driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
     let before = driver.verify_invariant().unwrap();
 
@@ -138,7 +136,7 @@ fn disconnect_mid_transaction_rolls_back_and_releases_locks() {
 fn forced_disconnects_during_contended_run_leave_invariants_intact() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 5;
-    let (server, _dir) = server_engine("crashy", &cfg, None);
+    let (server, _dir) = server_engine("crashy", &cfg, false);
     let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
     let addr = server.addr();
 
@@ -185,7 +183,7 @@ fn forced_disconnects_during_contended_run_leave_invariants_intact() {
 fn group_commit_shares_fsyncs_across_connections() {
     let mut cfg = TpcbConfig::small();
     cfg.ops_per_txn = 2; // commit-heavy: the group-commit regime
-    let (server, _dir) = server_engine("group", &cfg, Some(Duration::from_millis(2)));
+    let (server, _dir) = server_engine("group", &cfg, true);
     let mut driver = TpcbDriver::setup(server.engine(), cfg.clone()).unwrap();
 
     let mut client = DaliClient::connect(server.addr()).unwrap();
@@ -201,7 +199,7 @@ fn group_commit_shares_fsyncs_across_connections() {
         durable >= 80,
         "expected >= 80 durable commits, got {durable}"
     );
-    // What holds on every schedule: a windowed commit never costs more
+    // What holds on every schedule: a durable commit never costs more
     // than one fsync of its own. *How many* commits one fsync serves
     // depends on which connections the scheduler runs together, so that
     // is asserted where the interleaving can be forced: dali-wal's
@@ -218,7 +216,7 @@ fn group_commit_shares_fsyncs_across_connections() {
 #[test]
 fn session_protocol_misuse_is_rejected_structurally() {
     let cfg = TpcbConfig::small();
-    let (server, _dir) = server_engine("misuse", &cfg, None);
+    let (server, _dir) = server_engine("misuse", &cfg, false);
     let mut c = DaliClient::connect(server.addr()).unwrap();
     c.create_table("t", 8, 64).unwrap();
     let t = c.table("t").unwrap();

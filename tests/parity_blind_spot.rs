@@ -14,7 +14,7 @@
 //! ([`dali::CorruptionPattern`]) under *both* algebras and pins every
 //! cell of the detection table.
 
-use dali::faultinject::{algebra_expected_detected, campaign_payload, run_arena_round};
+use dali::faultinject::{algebra_expected_detected, campaign_payload};
 use dali::{
     CodewordAlgebraKind, CorruptionPattern, DaliConfig, DaliEngine, FaultInjector,
     ProtectionScheme, RecId,
@@ -157,21 +157,29 @@ fn detection_matrix_splits_by_algebra() {
         let (db, rec, _dir) = setup_kind(kind, &format!("matrix-{}", kind.tag()), &payload);
         let inj = FaultInjector::new(&db);
         let addr = db.record_addr(rec).unwrap();
+        let (image, prot) = (&db.db().image, &db.db().prot);
         let mut landed = Vec::new();
         for pattern in CorruptionPattern::ALL {
-            let v = run_arena_round(&db, &inj, pattern, addr, 128)
-                .unwrap()
+            let corrupt = pattern
+                .apply(&payload)
                 .unwrap_or_else(|| panic!("{pattern:?} must land on ramp contents"));
+            inj.wild_write_bytes(addr, &corrupt).unwrap();
+            // The protection's own audit: the engine's would poison the
+            // engine on the first hit.
+            let detected = !prot.audit(image).unwrap().clean();
             assert_eq!(
-                v.detected,
+                detected,
                 algebra_expected_detected(kind, pattern),
                 "{kind:?} / {pattern:?}: wrong verdict"
             );
+            // The wild write maintained no codeword, so writing the
+            // original bytes back restores image/codeword consistency.
+            inj.wild_write_bytes(addr, &payload).unwrap();
             landed.push(pattern);
         }
         assert_eq!(landed, CorruptionPattern::ALL.to_vec());
-        // The repairs in run_arena_round restored image/codeword
-        // consistency: the database audits clean afterwards.
+        // The bytes written back restored image/codeword consistency:
+        // the database audits clean afterwards.
         assert!(db.audit().unwrap().clean(), "{kind:?}: repair left residue");
     }
 }

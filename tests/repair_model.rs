@@ -255,3 +255,49 @@ fn stale_parity_falls_back_instead_of_writing_garbage() {
         txn.commit().unwrap();
     }
 }
+
+/// A wild write that a committed update then overwrites: the update read
+/// its before-image from the damaged bytes, so the parity buffer and the
+/// maintained codeword both moved by the damage. A parity rebuild would
+/// verify and write the damage back (`3b 33 33 33` for `33 33 33 33`);
+/// it must disagree with the log instead, and the log rung must restore
+/// the committed bytes — on the audit, the checkpoint certification and
+/// the repair verb, under both algebras.
+#[test]
+fn a_wild_write_a_committed_update_overwrote_is_repaired_from_the_log() {
+    for (scheme, kind) in CORNERS {
+        let (db, _dir) = make_engine(scheme, kind, "repair-model-overwritten");
+        let table = db.create_table("t", REC, 16).unwrap();
+        let rec = run_workload(&db, table, &[(0, 0x11)])[0];
+        assert!(matches!(
+            db.checkpoint().unwrap(),
+            CheckpointOutcome::Certified { .. }
+        ));
+        let addr = db.record_addr(rec).unwrap();
+        let region = db.db().prot.geometry().region_of(addr);
+        for (value, path) in [(0x33, "audit"), (0x44, "checkpoint"), (0x55, "repair")] {
+            assert!(FaultInjector::new(&db).bit_flip(addr, 3).unwrap().landed());
+            let txn = db.begin().unwrap();
+            txn.update(rec, &[value; REC]).unwrap();
+            txn.commit().unwrap();
+            let outcome = match path {
+                "audit" => {
+                    assert!(!db.audit().unwrap().clean(), "{kind:?}");
+                    None
+                }
+                "checkpoint" => match db.checkpoint().unwrap() {
+                    CheckpointOutcome::CorruptionRepaired { outcome, .. } => Some(outcome),
+                    other => panic!("{kind:?}: certification must repair, got {other:?}"),
+                },
+                _ => Some(db.repair(region).unwrap()),
+            };
+            let txn = db.begin().unwrap();
+            let got = txn.read_vec(rec).unwrap();
+            txn.commit().unwrap();
+            let why = format!("{kind:?} / {path}: the committed update must survive the repair");
+            assert_eq!(&got[..4], &[value; 4], "{why}");
+            assert!(outcome.is_none_or(|o| !o.in_place()), "{why}");
+            assert!(db.audit().unwrap().clean(), "{kind:?} / {path}");
+        }
+    }
+}

@@ -20,12 +20,20 @@
 //! crash makes that call and every later one fail without effect, so
 //! the threads of the dead engine cannot touch the disk that
 //! [`SimStore::restart`] hands to recovery.
+//!
+//! The store runs no background threads
+//! ([`Storage::background_threads`]): the log's segment syncs and
+//! unlinks wait for `settle()`, and a checkpoint's fsync runs before its
+//! certification, so the calls arrive in an order the workload alone
+//! fixes. [`SimStore::trace`] hashes them, arguments and written bytes
+//! included, across restarts.
 
 use dali_common::storage::{Open, Storage, StorageFile};
 use dali_common::Store;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -60,10 +68,10 @@ struct State {
     inodes: Vec<Inode>,
     dirs: BTreeMap<PathBuf, Dir>,
     calls: u64,
-    /// Calls that changed something.
-    mutations: u64,
     armed: Option<(u64, Fault)>,
     dead: bool,
+    /// Every call so far, hashed in order.
+    trace: DefaultHasher,
 }
 
 fn dead() -> io::Error {
@@ -80,8 +88,9 @@ fn split(path: &Path) -> (&Path, String) {
 }
 
 impl State {
-    /// Count a call and apply what is armed for it.
-    fn enter(&mut self, mutates: bool) -> io::Result<()> {
+    /// Trace a call, count it and apply what is armed for it.
+    fn enter(&mut self, call: impl Hash) -> io::Result<()> {
+        call.hash(&mut self.trace);
         if self.dead {
             return Err(dead());
         }
@@ -98,7 +107,6 @@ impl State {
                 });
             }
         }
-        self.mutations += mutates as u64;
         Ok(())
     }
 
@@ -147,11 +155,6 @@ impl SimStore {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Calls made so far that changed something.
-    pub fn mutations(&self) -> u64 {
-        self.lock().mutations
-    }
-
     /// Have the `n`-th call from now do `fault` instead of its work.
     pub fn arm(&self, n: u64, fault: Fault) {
         let mut s = self.lock();
@@ -160,6 +163,26 @@ impl SimStore {
 
     pub fn disarm(&self) {
         self.lock().armed = None;
+    }
+
+    /// Disarm, returning what was armed with its distance from now, for
+    /// [`resume`](Self::resume): the calls in between do not count.
+    pub fn hold(&self) -> Option<(u64, Fault)> {
+        let mut s = self.lock();
+        let calls = s.calls;
+        s.armed.take().map(|(at, fault)| (at - calls, fault))
+    }
+
+    pub fn resume(&self, held: Option<(u64, Fault)>) {
+        if let Some((n, fault)) = held {
+            self.arm(n, fault);
+        }
+    }
+
+    /// A hash of every call made so far, on this disk and the ones it
+    /// was restarted from.
+    pub fn trace(&self) -> u64 {
+        self.lock().trace.finish()
     }
 
     /// Crash now: every later call fails without effect.
@@ -176,7 +199,7 @@ impl SimStore {
     /// loss what the crash model lets survive, chosen by the generator.
     pub fn restart(&self, power_loss: Option<&mut StdRng>) -> SimStore {
         let s = self.lock();
-        let next = match power_loss {
+        let mut next = match power_loss {
             None => State {
                 inodes: s.inodes.clone(),
                 dirs: s.dirs.clone(),
@@ -184,6 +207,7 @@ impl SimStore {
             },
             Some(rng) => power_loss_image(&s, rng),
         };
+        next.trace = s.trace.clone();
         SimStore {
             state: Arc::new(Mutex::new(next)),
         }
@@ -262,7 +286,7 @@ fn torn(inode: &Inode, rng: &mut StdRng) -> Vec<u8> {
 impl Storage for SimStore {
     fn open(&self, path: &Path, how: Open) -> io::Result<Box<dyn StorageFile>> {
         let mut s = self.lock();
-        s.enter(how != Open::Read && how != Open::Write)?;
+        s.enter(("open", path, how as u8))?;
         let ino = match (s.lookup(path), how) {
             (Ok(_), Open::CreateNew) => {
                 return Err(io::Error::new(io::ErrorKind::AlreadyExists, "exists"))
@@ -288,7 +312,7 @@ impl Storage for SimStore {
 
     fn read(&self, path: &Path, into: &mut Vec<u8>) -> io::Result<()> {
         let mut s = self.lock();
-        s.enter(false)?;
+        s.enter(("read", path))?;
         let ino = s.lookup(path)?;
         into.extend_from_slice(&s.inodes[ino].data);
         Ok(())
@@ -296,7 +320,7 @@ impl Storage for SimStore {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut s = self.lock();
-        s.enter(true)?;
+        s.enter(("rename", from, to))?;
         let ino = s.lookup(from)?;
         let (dir, name) = split(from);
         s.dir(dir)?.live.remove(&name);
@@ -305,16 +329,20 @@ impl Storage for SimStore {
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         let mut s = self.lock();
-        s.enter(true)?;
+        s.enter(("remove", path))?;
         s.lookup(path)?;
         let (dir, name) = split(path);
         s.dir(dir)?.live.remove(&name);
         Ok(())
     }
 
+    fn background_threads(&self) -> bool {
+        false
+    }
+
     fn list(&self, dir: &Path) -> io::Result<Vec<(String, u64)>> {
         let mut s = self.lock();
-        s.enter(false)?;
+        s.enter(("list", dir))?;
         let entries = s.dir(dir)?.live.clone();
         Ok(entries
             .into_iter()
@@ -324,7 +352,7 @@ impl Storage for SimStore {
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         let mut s = self.lock();
-        s.enter(true)?;
+        s.enter(("create_dir_all", dir))?;
         for d in dir.ancestors() {
             s.dirs.entry(d.to_path_buf()).or_default();
         }
@@ -333,7 +361,7 @@ impl Storage for SimStore {
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         let mut s = self.lock();
-        s.enter(true)?;
+        s.enter(("sync_dir", dir))?;
         let d = s.dir(dir)?;
         d.synced = d.live.clone();
         Ok(())
@@ -341,16 +369,20 @@ impl Storage for SimStore {
 }
 
 impl SimFile {
-    fn with<T>(&self, mutates: bool, f: impl FnOnce(&mut Inode) -> io::Result<T>) -> io::Result<T> {
+    fn with<T>(
+        &self,
+        call: impl Hash,
+        f: impl FnOnce(&mut Inode) -> io::Result<T>,
+    ) -> io::Result<T> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.enter(mutates)?;
+        s.enter((self.ino, call))?;
         f(&mut s.inodes[self.ino])
     }
 }
 
 impl StorageFile for SimFile {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        self.with(false, |i| {
+        self.with(("read_at", buf.len(), offset), |i| {
             let at = offset as usize;
             let bytes = i
                 .data
@@ -362,7 +394,7 @@ impl StorageFile for SimFile {
     }
 
     fn write_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
-        self.with(true, |i| {
+        self.with(("write_at", buf, offset), |i| {
             let end = offset as usize + buf.len();
             if i.data.len() < end {
                 i.data.resize(end, 0);
@@ -373,18 +405,18 @@ impl StorageFile for SimFile {
     }
 
     fn size(&self) -> io::Result<u64> {
-        self.with(false, |i| Ok(i.data.len() as u64))
+        self.with("size", |i| Ok(i.data.len() as u64))
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        self.with(true, |i| {
+        self.with(("set_len", len), |i| {
             i.data.resize(len as usize, 0);
             Ok(())
         })
     }
 
     fn fsync(&self) -> io::Result<()> {
-        self.with(true, |i| {
+        self.with("fsync", |i| {
             i.synced = i.data.clone();
             Ok(())
         })
