@@ -72,7 +72,7 @@ pub enum RepairFallback {
 pub const DEFAULT_LATCH_RUN: usize = 64;
 
 /// Unused; kept only because the frozen ledger (`benchmark/src/cells.rs`)
-/// passes it to [`CodewordProtection::with_config`] (ROADMAP item 8).
+/// passes it to [`CodewordProtection::with_config`] (ROADMAP item 9).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeferredConfig {
     /// Unused.
@@ -150,7 +150,7 @@ impl CodewordProtection {
     /// `_shards` and `_watermark` are unused: they sized the stripe's
     /// delta queue, which eager maintenance removed. They stay only
     /// because the frozen ledger (`benchmark/src/cells.rs`) passes them;
-    /// ROADMAP item 8 queues their removal.
+    /// ROADMAP item 9 queues their removal.
     pub fn enable_parity(
         &mut self,
         image: &DbImage,

@@ -268,7 +268,7 @@ pub struct DaliConfig {
     /// youngest transaction in the cycle) within milliseconds instead of
     /// burning the full `lock_timeout`. `None`: timeout-only resolution.
     pub deadlock_detect_interval: Option<Duration>,
-    /// Unused; read only by the frozen ledger (ROADMAP item 8).
+    /// Unused; read only by the frozen ledger (ROADMAP item 9).
     pub deferred_shard_watermark: usize,
     /// Number of worker threads striping full-image codeword scans —
     /// whole-database audits, checkpoint certification, the startup
@@ -416,7 +416,7 @@ impl DaliConfig {
         or_cpus(self.lock_shards).next_power_of_two()
     }
 
-    /// Unused; called only by the frozen ledger (ROADMAP item 8).
+    /// Unused; called only by the frozen ledger (ROADMAP item 9).
     pub fn resolved_deferred_shards(&self) -> usize {
         1
     }

@@ -27,8 +27,10 @@ pub enum DaliError {
     /// A write through the prescribed interface targeted a page that the
     /// hardware-protection scheme currently has read-only (simulated trap).
     WriteFault { addr: DbAddr },
-    /// The transaction was aborted (by the caller, by deadlock resolution,
-    /// or because corruption recovery deleted it).
+    /// The transaction was aborted. No engine call returns it today
+    /// (online repair leaves live transactions alone, and a deadlock
+    /// victim gets `LockDenied`); it stays because the wire format
+    /// carries it.
     TxnAborted(TxnId),
     /// A lock request timed out or would deadlock.
     LockDenied { txn: TxnId, rec: RecId },

@@ -115,16 +115,6 @@ impl Att {
         self.map.lock().remove(&id);
     }
 
-    /// Look up a transaction.
-    pub fn get(&self, id: TxnId) -> Option<Arc<Mutex<TxnState>>> {
-        self.map.lock().get(&id).cloned()
-    }
-
-    /// Ids of all registered transactions.
-    pub fn ids(&self) -> Vec<TxnId> {
-        self.map.lock().keys().copied().collect()
-    }
-
     /// Number of registered transactions.
     pub fn len(&self) -> usize {
         self.map.lock().len()
@@ -184,15 +174,17 @@ mod tests {
     use dali_wal::record::LogicalUndo;
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_and_remove_track_len() {
         let att = Att::new();
         att.insert(TxnId(1));
         att.insert(TxnId(2));
         assert_eq!(att.len(), 2);
-        assert!(att.get(TxnId(1)).is_some());
         att.remove(TxnId(1));
-        assert!(att.get(TxnId(1)).is_none());
         assert_eq!(att.len(), 1);
+        att.remove(TxnId(1));
+        assert_eq!(att.len(), 1, "removing an absent id changes nothing");
+        att.remove(TxnId(2));
+        assert!(att.is_empty());
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! Corruption bookkeeping: the CorruptDataTable range set, the corruption
-//! marker that carries a failed audit across the deliberate crash, and the
-//! online cache-recovery repair (paper §4.2's cache-recovery model).
+//! Corruption bookkeeping: the CorruptDataTable range set and the
+//! corruption marker that carries a failed audit across the deliberate
+//! crash. Online repair, cache recovery's in-place form included, is
+//! [`crate::repair`].
 
 use crate::ckpt;
 use crate::db::Db;
 use bytes::BufMut;
-use dali_common::align::split_by_chunks;
 use dali_common::storage;
-use dali_common::{codec, DaliError, DbAddr, Lsn, PageId, Result, Storage};
-use dali_wal::{LogReader, LogRecordRef};
+use dali_common::{codec, DaliError, DbAddr, Lsn, Result, Storage};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -178,113 +177,6 @@ pub fn report_corruption(db: &Db, ranges: &[(DbAddr, usize)]) -> Result<()> {
     write_marker(&*db.store, &db.config.dir, &marker)?;
     db.poison();
     Ok(())
-}
-
-/// Online cache recovery (paper §4.2 cache-recovery model): repair
-/// directly corrupted regions in place, without a restart, assuming no
-/// indirect corruption (valid when every checkpoint is certified and the
-/// corruption was caught by a precheck or audit before any transaction
-/// read it).
-///
-/// Active transactions with updates on the affected pages cannot be
-/// disentangled from the on-disk state cheaply, so every active
-/// transaction is rolled back first; then the affected pages are rebuilt
-/// from the certified checkpoint plus a physical-redo replay of the
-/// stable log, and the region codewords are recomputed.
-pub fn cache_repair(db: &std::sync::Arc<Db>, ranges: &[(DbAddr, usize)]) -> Result<usize> {
-    db.check_alive()?;
-    let _q = db.quiesce.write();
-
-    // Roll back every active transaction (their compensations are
-    // logged); their handles fail with `TxnAborted` from now on.
-    for id in db.att.ids() {
-        if let Some(state) = db.att.get(id) {
-            crate::txn::abort_txn(db, &state, id)?;
-        }
-    }
-    db.syslog.flush(false)?;
-    // The replay below lists the live log directory: every segment just
-    // written must carry its name first.
-    db.syslog.settle()?;
-
-    // Pages to repair.
-    let mut pages: Vec<PageId> = ranges
-        .iter()
-        .flat_map(|&(a, l)| db.image.pages_overlapping(a, l))
-        .collect();
-    pages.sort_unstable();
-    pages.dedup();
-
-    // Rebuild from the certified checkpoint...
-    let (store, dir) = (&*db.store, &db.config.dir);
-    let (image_idx, _serial) = ckpt::read_anchor(store, dir)?;
-    let meta = ckpt::read_meta(store, dir, image_idx)?;
-    let ckpt_pages = ckpt::read_ckpt_pages(store, dir, image_idx, db.config.page_size, &pages)?;
-    for (p, data) in &ckpt_pages {
-        db.image.write_page(*p, data)?;
-    }
-
-    // ...replay committed history onto them (physical redo is positional
-    // and idempotent, so replaying each record's share of these pages
-    // repeats their history exactly; the rest of a record that spans
-    // into another page is not replayed, since that page is live and may
-    // hold a newer write)...
-    let page_size = db.config.page_size;
-    let mut replayed = 0usize;
-    LogReader::open_on(
-        store,
-        db.syslog.path(),
-        meta.ck_end,
-        db.config.codeword_algebra,
-    )?
-    .for_each(|_lsn, rec| {
-        if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
-            let mut hit = false;
-            for (page, start, len) in split_by_chunks(addr.0, data.len(), page_size) {
-                if pages.binary_search(&PageId(page as u32)).is_ok() {
-                    let off = start - addr.0;
-                    db.image.write(DbAddr(start), &data[off..off + len])?;
-                    hit = true;
-                }
-            }
-            replayed += usize::from(hit);
-        }
-        Ok(())
-    })?;
-
-    // ...and resynchronize the maintained codewords of the repaired pages.
-    if db.config.scheme.maintains_codewords() {
-        let geom = db.prot.geometry();
-        for &p in &pages {
-            let base = p.base(db.config.page_size);
-            let (first, last) = geom.region_span(base, db.config.page_size);
-            for r in first..=last {
-                db.prot.table().recompute_region(&db.image, geom, r)?;
-            }
-        }
-        // The page rewrites above bypassed parity maintenance, so the
-        // stripe groups covering the repaired span are stale; rebuild
-        // them from the image so the next in-place repair can trust them.
-        if let Some(stripe) = db.prot.parity() {
-            let mut groups: Vec<_> = pages
-                .iter()
-                .flat_map(|&p| {
-                    let base = p.base(db.config.page_size);
-                    let (first, last) = geom.region_span(base, db.config.page_size);
-                    stripe.group_of(first)..=stripe.group_of(last)
-                })
-                .collect();
-            groups.sort_unstable();
-            groups.dedup();
-            for g in groups {
-                db.prot.resync_parity_group(&db.image, g)?;
-            }
-        }
-    }
-
-    // Repaired pages differ from both checkpoint images now.
-    db.syslog.dirty().note_all(pages.iter().copied());
-    Ok(replayed)
 }
 
 #[cfg(test)]

@@ -55,8 +55,8 @@ pub struct EngineStats {
     pub repair_fell_back: AtomicU64,
     /// Bytes written back by successful in-place rebuilds.
     pub repair_bytes_rebuilt: AtomicU64,
-    /// Wall-clock nanoseconds spent inside repair attempts (parity path
-    /// only; a log-based fallback's replay time is not included).
+    /// Wall-clock nanoseconds spent inside repair ladder calls: the one
+    /// log scan, the parity rung and any log-rung fallback.
     pub repair_ns: AtomicU64,
     /// Parity groups verified by checkpoint certification (the dirty
     /// parity footprint — see `ckpt`'s certification step).

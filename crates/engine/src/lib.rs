@@ -201,20 +201,20 @@ impl DaliEngine {
         ckpt::audit(&self.db)
     }
 
-    /// Online cache recovery (paper §4.2 cache-recovery model): repair
-    /// the given directly-corrupted ranges in place from the certified
-    /// checkpoint and the stable log. All active transactions are rolled
-    /// back; every later call on their handles fails with
-    /// [`DaliError::TxnAborted`]. Returns the number of redo records
-    /// replayed.
+    /// Online cache recovery (paper §4.2 cache-recovery model): rebuild
+    /// the pages under the given directly-corrupted ranges from the
+    /// certified checkpoint plus the stable log — the repair ladder's log
+    /// rung. Active transactions are left alone: their completed
+    /// operations are in the log, so they survive, and each may still
+    /// commit or abort. Returns the number of redo records replayed.
     pub fn cache_repair(&self, ranges: &[(DbAddr, usize)]) -> Result<usize> {
-        corruption::cache_repair(&self.db, ranges)
+        repair::cache_repair(&self.db, ranges)
     }
 
     /// Online parity repair of one protection region: rebuild it in place
-    /// from its parity group (no WAL replay, no transaction disturbed),
-    /// falling back to online cache recovery when the group's parity
-    /// cannot be trusted. See [`repair::RepairOutcome`].
+    /// from its parity group, falling back to online cache recovery when
+    /// the group's parity cannot be trusted. No transaction is disturbed
+    /// on either rung. See [`repair::RepairOutcome`].
     pub fn repair(&self, region: dali_codeword::RegionId) -> Result<RepairOutcome> {
         repair::repair_region(&self.db, region)
     }

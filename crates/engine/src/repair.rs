@@ -1,27 +1,41 @@
-//! Parity-based online repair: the self-healing layer above the auditor.
+//! Online repair: the self-healing layer above the auditor.
 //!
-//! A failed audit names the corrupt regions; this module tries to rebuild
-//! each one *in place* from its parity group
-//! ([`CodewordProtection::repair_region`](dali_codeword::CodewordProtection::repair_region))
-//! before anyone reaches for the log. The fallback ladder:
+//! A failed audit names the corrupt regions; this module rebuilds them
+//! without a restart. Each ladder call holds `quiesce` exclusively from
+//! start to finish, so no update is inside its bracket and every
+//! completed operation's redo is in the log (an operation reaches the log
+//! at `commit_op`, inside the same shared `quiesce` span as its writes).
+//! The anchored checkpoint equals memory at its `CK_end`, so the anchored
+//! copy of a page plus every `PhysicalRedo` logged since is the live page
+//! without the damage — including the completed operations of
+//! transactions that are still active. One scan of the log builds that
+//! copy of every page under the damaged regions, and both rungs read it:
 //!
 //! 1. **Parity rebuild** — exclusive latch bracket over the group,
-//!    reconstruct `parity ⊕ (⊕ siblings)`, verify
-//!    the result against the maintained codeword, write it back. No WAL
-//!    replay, no transaction rollback, latency proportional to one group.
-//!    The rebuild must also agree with every byte the stable log says
-//!    committed work wrote since the anchored checkpoint: an update that
-//!    read its before-image from the damaged bytes moved the parity buffer
-//!    and the codeword by the damage too, so a rebuild would restore the
-//!    damage and still verify ([`RepairFallback::LogDisagrees`]).
-//! 2. **Online cache recovery** ([`corruption::cache_repair`]) — when
-//!    parity declines (stale stripe, double fault in one group, failed
-//!    re-verification, a disagreeing log): rebuild the affected pages from the certified
-//!    checkpoint plus a physical-redo replay. Rolls back active
-//!    transactions; still no restart.
-//! 3. **Restart recovery** — only if the caller chose to poison instead
-//!    (no parity and no certified checkpoint path), via the corruption
-//!    marker as before.
+//!    reconstruct `parity ⊕ (⊕ siblings)`, verify the result against the
+//!    maintained codeword
+//!    ([`CodewordProtection::repair_region`](dali_codeword::CodewordProtection::repair_region)),
+//!    write it back. The rebuild must also agree with every byte the log
+//!    wrote since the anchored checkpoint: an update that read its
+//!    before-image from the damaged bytes moved the parity buffer and the
+//!    codeword by the damage too, so a rebuild would restore the damage
+//!    and still verify ([`RepairFallback::LogDisagrees`]).
+//! 2. **The log** — when parity declines for a region (stale stripe,
+//!    double fault in one group, failed re-verification, a disagreeing
+//!    log), that region and the rest of the batch get their pages from
+//!    the log-built copies; their codewords are recomputed and their
+//!    parity groups resynced.
+//!    [`DaliEngine::cache_repair`](crate::DaliEngine::cache_repair) is
+//!    this rung on its own, for arbitrary byte ranges (paper §4.2's
+//!    cache-recovery model).
+//! 3. **Restart recovery** — only if neither rung heals the damage, via
+//!    the corruption marker.
+//!
+//! Neither rung aborts anyone: a live transaction keeps its completed
+//! operations and may go on to commit or abort. An operation that failed
+//! after a write (its writes in the image, not in the log) loses those
+//! writes to a log rebuild early; its transaction can only abort, and
+//! the rollback restores the same before-image.
 //!
 //! `auto_repair` is the hook the audit and checkpoint-certification
 //! paths call on a dirty report: it walks the ladder, then *re-audits*
@@ -37,38 +51,38 @@
 //! delete-transaction recovery model (paper §4) handles the fault, taint
 //! closure and all.
 
+use crate::ckpt;
 use crate::db::Db;
-use crate::{ckpt, corruption};
 use dali_codeword::{AuditReport, RegionId, RepairFallback};
-use dali_common::{DaliError, Result};
+use dali_common::align::split_by_chunks;
+use dali_common::{DaliError, DbAddr, PageId, Result};
 use dali_wal::{LogReader, LogRecordRef};
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// How a batch of corrupt regions was brought back.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RepairOutcome {
-    /// Every region was rebuilt in place from its parity group; no log
-    /// replay, no transaction was disturbed.
+    /// Every region was rebuilt in place from its parity group.
     RepairedInPlace {
         regions_rebuilt: usize,
         bytes_rebuilt: usize,
     },
     /// Parity declined for at least one region (`fallback` says why); the
-    /// remaining regions were rebuilt from the certified checkpoint plus
-    /// a stable-log replay (active transactions rolled back).
+    /// remaining regions got their pages from the anchored checkpoint
+    /// plus the log. Live transactions are left as they were.
     RecoveredViaLog {
         /// Regions parity did rebuild before the ladder dropped a rung.
         regions_rebuilt: usize,
         bytes_rebuilt: usize,
         fallback: RepairFallback,
+        /// Log records with a share in the batch's pages.
         records_replayed: usize,
     },
 }
 
 impl RepairOutcome {
-    /// Did the whole batch stay on the parity rung (no WAL replay)?
+    /// Did the whole batch stay on the parity rung?
     pub fn in_place(&self) -> bool {
         matches!(self, RepairOutcome::RepairedInPlace { .. })
     }
@@ -86,11 +100,26 @@ pub fn repair_region(db: &Arc<Db>, region: RegionId) -> Result<RepairOutcome> {
     Ok(outcome)
 }
 
+/// Online cache recovery (paper §4.2): rebuild the pages under `ranges`
+/// from the anchored checkpoint plus the log, assuming no indirect
+/// corruption (valid when every checkpoint is certified and the damage
+/// was caught before any transaction read it). The log rung of the
+/// ladder, on its own. Returns the number of log records replayed.
+pub(crate) fn cache_repair(db: &Db, ranges: &[(DbAddr, usize)]) -> Result<usize> {
+    db.check_alive()?;
+    let _q = db.quiesce.write();
+    let pages = pages_under(db, ranges.iter().copied());
+    let rebuild = Rebuild::scan(db, &pages)?;
+    rebuild.install(db, &pages)?;
+    db.syslog.dirty().note_all(pages);
+    Ok(rebuild.records)
+}
+
 /// Walk the repair ladder for `regions`: parity rebuild per region, with
-/// one collective drop to online cache recovery the moment any region's
-/// parity declines. Counters land in
-/// [`EngineStats`](crate::db::EngineStats) and the repaired pages are
-/// re-noted dirty so the next checkpoint rewrites them.
+/// one collective drop to the log rung the moment any region's parity
+/// declines. Counters land in [`EngineStats`](crate::db::EngineStats)
+/// and the batch's pages are re-noted dirty so the next checkpoint
+/// rewrites them.
 ///
 /// Does **not** touch `ckpt_state` (the checkpoint path calls in with
 /// that lock held): callers outside the checkpoint must force the next
@@ -105,7 +134,7 @@ fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
     if db.config.scheme.supports_delete_txn_recovery() {
         // Read-logging schemes track *carried* corruption: a transaction
         // may already have read the corrupt bytes and committed writes
-        // derived from them. No byte-level rebuild — parity or cache —
+        // derived from them. No byte-level rebuild — parity or log —
         // can undo that; only delete-transaction recovery (§4) computes
         // the taint closure from the read log. Repairing in place here
         // would silently keep the carried corruption, so the online
@@ -116,32 +145,31 @@ fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
                 .into(),
         ));
     }
-    let num_regions = db.prot.geometry().num_regions();
+    let geom = db.prot.geometry();
+    let num_regions = geom.num_regions();
     if let Some(&bad) = regions.iter().find(|&&r| r >= num_regions) {
         return Err(DaliError::InvalidArg(format!(
             "region {bad} out of range (database has {num_regions} regions)"
         )));
     }
+    let span = |r: RegionId| (geom.region_base(r), geom.region_size());
     let stats = &db.stats;
     let start = std::time::Instant::now();
     let mut rebuilt = 0usize;
     let mut bytes = 0usize;
     let mut fallback: Option<RepairFallback> = None;
-    let mut unrepaired: Vec<RegionId> = Vec::new();
-    // No update may run while the parity rung decides: every write the
-    // image holds must be in the log it is checked against.
+    // No update may run from the scan to the last page written back:
+    // every write the image holds must be in the log the rungs read.
     let quiesced = db.quiesce.write();
-    let logged = logged_bytes(db, regions)?;
-    let geom = db.prot.geometry();
+    let pages = pages_under(db, regions.iter().map(|&r| span(r)));
+    let rebuild = Rebuild::scan(db, &pages)?;
     for (i, &r) in regions.iter().enumerate() {
         stats.repair_attempted.fetch_add(1, Relaxed);
-        let base = geom.region_base(r).0;
-        let agrees = |rebuilt: &[u8]| {
-            (base..base + rebuilt.len())
-                .zip(rebuilt)
-                .all(|(at, b)| logged.get(&at).is_none_or(|l| l == b))
-        };
-        match db.prot.repair_region(&db.image, r, agrees)? {
+        let base = geom.region_base(r);
+        match db
+            .prot
+            .repair_region(&db.image, r, |b| rebuild.agrees(base, b))?
+        {
             Ok(n) => {
                 rebuilt += 1;
                 bytes += n;
@@ -149,16 +177,13 @@ fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
                 stats.repair_bytes_rebuilt.fetch_add(n as u64, Relaxed);
             }
             Err(why) => {
-                stats.repair_fell_back.fetch_add(1, Relaxed);
+                // The rest of the batch rides the log rung with it.
+                let rest = (regions.len() - i) as u64;
+                stats.repair_attempted.fetch_add(rest - 1, Relaxed);
+                stats.repair_fell_back.fetch_add(rest, Relaxed);
+                let unrepaired = pages_under(db, regions[i..].iter().map(|&r| span(r)));
+                rebuild.install(db, &unrepaired)?;
                 fallback = Some(why);
-                unrepaired = regions[i..].to_vec();
-                // The rest of the batch rides the same log-based repair.
-                stats
-                    .repair_attempted
-                    .fetch_add((regions.len() - i - 1) as u64, Relaxed);
-                stats
-                    .repair_fell_back
-                    .fetch_add((regions.len() - i - 1) as u64, Relaxed);
                 break;
             }
         }
@@ -167,69 +192,148 @@ fn repair_regions(db: &Arc<Db>, regions: &[RegionId]) -> Result<RepairOutcome> {
     stats
         .repair_ns
         .fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+    db.syslog.dirty().note_all(pages);
 
-    note_region_pages(db, regions.iter().copied());
-
-    match fallback {
-        None => Ok(RepairOutcome::RepairedInPlace {
+    Ok(match fallback {
+        None => RepairOutcome::RepairedInPlace {
             regions_rebuilt: rebuilt,
             bytes_rebuilt: bytes,
-        }),
-        Some(why) => {
-            let ranges: Vec<_> = unrepaired
-                .iter()
-                .map(|&r| (geom.region_base(r), geom.region_size()))
-                .collect();
-            let records_replayed = corruption::cache_repair(db, &ranges)?;
-            Ok(RepairOutcome::RecoveredViaLog {
-                regions_rebuilt: rebuilt,
-                bytes_rebuilt: bytes,
-                fallback: why,
-                records_replayed,
-            })
-        }
-    }
-}
-
-/// The last byte committed work wrote at each address of `regions` since
-/// the anchored checkpoint, read from the stable log. The caller holds
-/// `quiesce`, so every completed operation's redo is in the log.
-fn logged_bytes(db: &Db, regions: &[RegionId]) -> Result<BTreeMap<usize, u8>> {
-    db.syslog.flush(false)?;
-    // The scan lists the live log directory: every segment must carry its
-    // name first.
-    db.syslog.settle()?;
-    let (store, dir) = (&*db.store, &db.config.dir);
-    let from = ckpt::read_meta(store, dir, ckpt::read_anchor(store, dir)?.0)?.ck_end;
-    let geom = db.prot.geometry();
-    let mut bytes = BTreeMap::new();
-    LogReader::open_on(store, db.syslog.path(), from, db.config.codeword_algebra)?.for_each(
-        |_, rec| {
-            if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
-                for &r in regions {
-                    let base = geom.region_base(r).0;
-                    let span =
-                        addr.0.max(base)..(addr.0 + data.len()).min(base + geom.region_size());
-                    bytes.extend(span.map(|at| (at, data[at - addr.0])));
-                }
-            }
-            Ok(())
         },
-    )?;
-    Ok(bytes)
+        Some(why) => RepairOutcome::RecoveredViaLog {
+            regions_rebuilt: rebuilt,
+            bytes_rebuilt: bytes,
+            fallback: why,
+            records_replayed: rebuild.records,
+        },
+    })
 }
 
-fn note_region_pages(db: &Arc<Db>, regions: impl Iterator<Item = RegionId>) {
-    let geom = db.prot.geometry();
-    let mut pages: Vec<_> = regions
-        .flat_map(|r| {
-            db.image
-                .pages_overlapping(geom.region_base(r), geom.region_size())
-        })
+/// The pages under `ranges`, sorted, each once.
+fn pages_under(db: &Db, ranges: impl Iterator<Item = (DbAddr, usize)>) -> Vec<PageId> {
+    let mut pages: Vec<PageId> = ranges
+        .flat_map(|(a, l)| db.image.pages_overlapping(a, l))
         .collect();
     pages.sort_unstable();
     pages.dedup();
-    db.syslog.dirty().note_all(pages);
+    pages
+}
+
+/// Pages as the log says they are: each page's anchored checkpoint copy
+/// with every write logged since its `CK_end` applied in log order, and
+/// which of its bytes those writes covered.
+struct Rebuild {
+    page_size: usize,
+    /// The pages, sorted.
+    pages: Vec<PageId>,
+    /// Their rebuilt copies, end to end.
+    bytes: Vec<u8>,
+    /// Per byte of `bytes`: did a logged write cover it?
+    logged: Vec<bool>,
+    /// Log records with a share in these pages.
+    records: usize,
+}
+
+impl Rebuild {
+    /// Read `pages` (sorted) from the anchored checkpoint and replay the
+    /// stable log onto them, in one pass. The caller holds `quiesce`
+    /// exclusively. Physical redo is positional and idempotent, so
+    /// replaying each record's share of these pages repeats their
+    /// history exactly; the rest of a record that spans into another page
+    /// is not replayed, since that page is live and may hold a newer
+    /// write.
+    fn scan(db: &Db, pages: &[PageId]) -> Result<Rebuild> {
+        db.syslog.flush(false)?;
+        // The scan lists the live log directory: every segment must carry
+        // its name first.
+        db.syslog.settle()?;
+        let (store, dir, page_size) = (&*db.store, &db.config.dir, db.config.page_size);
+        let (image, _serial) = ckpt::read_anchor(store, dir)?;
+        let from = ckpt::read_meta(store, dir, image)?.ck_end;
+        let copies = ckpt::read_ckpt_pages(store, dir, image, page_size, pages)?;
+        let mut bytes: Vec<u8> = copies.into_iter().flat_map(|(_, b)| b).collect();
+        let mut logged = vec![false; bytes.len()];
+        let mut records = 0;
+        LogReader::open_on(store, db.syslog.path(), from, db.config.codeword_algebra)?.for_each(
+            |_, rec| {
+                if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
+                    let mut hit = false;
+                    for (at, off, len) in shares(pages, page_size, addr, data.len()) {
+                        bytes[at..at + len].copy_from_slice(&data[off..off + len]);
+                        logged[at..at + len].fill(true);
+                        hit = true;
+                    }
+                    records += usize::from(hit);
+                }
+                Ok(())
+            },
+        )?;
+        Ok(Rebuild {
+            page_size,
+            pages: pages.to_vec(),
+            bytes,
+            logged,
+            records,
+        })
+    }
+
+    /// Does `bytes` at `addr` hold every byte the log wrote there?
+    fn agrees(&self, addr: DbAddr, bytes: &[u8]) -> bool {
+        shares(&self.pages, self.page_size, addr, bytes.len()).all(|(at, off, len)| {
+            (0..len).all(|k| !self.logged[at + k] || self.bytes[at + k] == bytes[off + k])
+        })
+    }
+
+    /// Write the rebuilt copies of `only` (scanned pages) into the image,
+    /// then recompute their codewords and resync their parity groups: the
+    /// page writes bypassed maintenance.
+    fn install(&self, db: &Db, only: &[PageId]) -> Result<()> {
+        let page_size = self.page_size;
+        for &p in only {
+            if let Ok(i) = self.pages.binary_search(&p) {
+                db.image
+                    .write_page(p, &self.bytes[i * page_size..][..page_size])?;
+            }
+        }
+        if !db.config.scheme.maintains_codewords() {
+            return Ok(());
+        }
+        let geom = db.prot.geometry();
+        let spans = || {
+            only.iter()
+                .map(|p| geom.region_span(p.base(page_size), page_size))
+        };
+        for (first, last) in spans() {
+            for r in first..=last {
+                db.prot.table().recompute_region(&db.image, geom, r)?;
+            }
+        }
+        if let Some(stripe) = db.prot.parity() {
+            let mut groups: Vec<_> = spans()
+                .flat_map(|(first, last)| stripe.group_of(first)..=stripe.group_of(last))
+                .collect();
+            groups.sort_unstable();
+            groups.dedup();
+            for g in groups {
+                db.prot.resync_parity_group(&db.image, g)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where `[addr, addr + len)` falls in copies of `pages` (sorted) laid end
+/// to end: per share on one of them, its offset in the copies, its
+/// offset in the range, and its length.
+fn shares(
+    pages: &[PageId],
+    page_size: usize,
+    addr: DbAddr,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    split_by_chunks(addr.0, len, page_size).filter_map(move |(page, start, n)| {
+        let i = pages.binary_search(&PageId(page as u32)).ok()?;
+        Some((i * page_size + start % page_size, start - addr.0, n))
+    })
 }
 
 /// The automatic hook behind a dirty audit or certification report: walk

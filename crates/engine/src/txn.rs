@@ -18,17 +18,20 @@
 //!
 //! Lock ordering throughout the engine: `quiesce` (shared) → transaction
 //! state mutex → heap alloc mutex → protection latches (ascending
-//! stripes) → parity group-buffer mutex. The checkpointer and online
-//! cache repair take `quiesce` exclusively and then transaction state
-//! mutexes, which is consistent with this order. The group-buffer mutex
-//! is a leaf: updaters take it inside their bracket, repair and resync
-//! under the group's exclusive latches, certification's `verify_group`
-//! under no latch, and nothing else is acquired while it is held.
+//! stripes) → parity group-buffer mutex. The checkpointer takes
+//! `quiesce` exclusively and then transaction state mutexes, which is
+//! consistent with this order; online repair takes `quiesce` exclusively
+//! and no state mutex. The group-buffer mutex is a leaf: updaters take it
+//! inside their bracket, repair and resync under the group's exclusive
+//! latches, certification's `verify_group` under no latch, and nothing
+//! else is acquired while it is held.
 //!
-//! Online cache repair rolls back every active transaction behind its
-//! handle's back, so each handle call checks, under `quiesce` and the
-//! state mutex, that its transaction is still active and fails with
-//! [`DaliError::TxnAborted`] otherwise.
+//! Only [`TxnHandle::abort`] and the handle's drop roll a live
+//! transaction back. Online repair leaves it alone: an operation's redo
+//! reaches the system log in the same shared `quiesce` span as its
+//! writes, so a repair — which holds `quiesce` exclusively and rebuilds
+//! from the log — keeps every completed operation. Reads still take
+//! `quiesce`, because a repair rewrites whole pages.
 
 use crate::att::{OpState, TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
@@ -63,18 +66,6 @@ impl TxnHandle {
         self.id
     }
 
-    /// Fail with [`DaliError::TxnAborted`] once the transaction is no
-    /// longer active, releasing any record lock the failing call took
-    /// (the rollback already released the rest). Called under `quiesce`
-    /// and the state mutex, so no repair can abort it after the check.
-    fn ensure_active(&self, st: &TxnState) -> Result<()> {
-        if st.status == TxnStatus::Active {
-            return Ok(());
-        }
-        self.db.locks.unlock_all(self.id);
-        Err(DaliError::TxnAborted(self.id))
-    }
-
     // ---------------------------------------------------------------
     // Reads
     // ---------------------------------------------------------------
@@ -97,8 +88,6 @@ impl TxnHandle {
         }
         self.db.locks.lock(self.id, rec, LockMode::Shared)?;
         let _q = self.db.quiesce.read();
-        let mut st = self.state.lock();
-        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
@@ -131,7 +120,7 @@ impl TxnHandle {
                 .db
                 .prot
                 .read_with_codewords(&self.db.image, addr, buf)?;
-            st.redo.push(LogRecord::ReadLog {
+            self.state.lock().redo.push(LogRecord::ReadLog {
                 txn: self.id,
                 addr,
                 len: buf.len() as u32,
@@ -140,7 +129,7 @@ impl TxnHandle {
             EngineStats::bump(&self.db.stats.read_log_records);
         } else if scheme.logs_reads() {
             self.db.image.read(addr, buf)?;
-            st.redo.push(LogRecord::ReadLog {
+            self.state.lock().redo.push(LogRecord::ReadLog {
                 txn: self.id,
                 addr,
                 len: buf.len() as u32,
@@ -185,10 +174,6 @@ impl TxnHandle {
         }
         let _q = self.db.quiesce.read();
         let mut st = self.state.lock();
-        if let Err(e) = self.ensure_active(&st) {
-            heap.release(slot);
-            return Err(e);
-        }
         let op = begin_op(&mut st, self.id, OpKind::Insert, rec);
 
         // Physical update 1: set the allocation bit (control information
@@ -233,9 +218,7 @@ impl TxnHandle {
     /// with respect to that record.
     pub fn lock_exclusive(&self, rec: RecId) -> Result<()> {
         self.db.check_alive()?;
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
-        let _q = self.db.quiesce.read();
-        self.ensure_active(&self.state.lock())
+        self.db.locks.lock(self.id, rec, LockMode::Exclusive)
     }
 
     /// Update a record in place.
@@ -252,7 +235,6 @@ impl TxnHandle {
         self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
         let _q = self.db.quiesce.read();
         let mut st = self.state.lock();
-        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
@@ -280,7 +262,6 @@ impl TxnHandle {
         self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
         let _q = self.db.quiesce.read();
         let mut st = self.state.lock();
-        self.ensure_active(&st)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
@@ -327,7 +308,6 @@ impl TxnHandle {
         {
             let _q = self.db.quiesce.read();
             let mut st = self.state.lock();
-            self.ensure_active(&st)?;
             if st.cur_op.is_some() {
                 return Err(DaliError::InvalidArg(
                     "commit with an operation in progress".into(),
@@ -364,38 +344,24 @@ impl TxnHandle {
         self.db.check_alive()?;
         {
             let _q = self.db.quiesce.read();
-            abort_txn(&self.db, &self.state, self.id)?;
+            let mut st = self.state.lock();
+            rollback_txn(&self.db, &mut st, self.id)?;
+            st.redo.push(LogRecord::TxnAbort { txn: self.id });
+            self.db.syslog.append_frames(&st.redo);
+            st.redo.discard();
+            st.status = TxnStatus::Aborted;
+            for rec in std::mem::take(&mut st.deferred_frees) {
+                if let Ok(h) = self.db.heap(rec.table) {
+                    h.release(rec.slot);
+                }
+            }
         }
+        self.db.locks.unlock_all(self.id);
+        self.db.att.remove(self.id);
+        EngineStats::bump(&self.db.stats.aborts);
         self.db.syslog.flush(false)?;
         Ok(())
     }
-}
-
-/// Roll back transaction `id` level by level, log its compensations and
-/// abort record, and release its slots, locks and ATT entry — the one
-/// abort path, for [`TxnHandle::abort`] and for online cache repair. A
-/// transaction that already finished is left alone. The caller holds
-/// `quiesce` (shared or exclusive) and flushes the log afterwards.
-pub(crate) fn abort_txn(db: &Db, state: &Mutex<TxnState>, id: TxnId) -> Result<()> {
-    let mut st = state.lock();
-    if st.status != TxnStatus::Active {
-        return Ok(());
-    }
-    rollback_txn(db, &mut st, id)?;
-    st.redo.push(LogRecord::TxnAbort { txn: id });
-    db.syslog.append_frames(&st.redo);
-    st.redo.discard();
-    st.status = TxnStatus::Aborted;
-    for rec in std::mem::take(&mut st.deferred_frees) {
-        if let Ok(h) = db.heap(rec.table) {
-            h.release(rec.slot);
-        }
-    }
-    drop(st);
-    db.locks.unlock_all(id);
-    db.att.remove(id);
-    EngineStats::bump(&db.stats.aborts);
-    Ok(())
 }
 
 impl Drop for TxnHandle {
@@ -825,5 +791,45 @@ mod tests {
         assert_eq!(recs.len(), 5, "{recs:?}");
         db.image.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1; 16]);
+    }
+
+    /// An operation that failed after its write leaves the write in the
+    /// image but not in the log. An online repair of that page rebuilds
+    /// it from the log, so the write is gone early; the abort that must
+    /// follow restores the same before-image and leaves the audit clean.
+    #[test]
+    fn a_repair_drops_a_failed_operations_write_and_the_abort_agrees() {
+        let dir = TempDir::new("txn-failed-op-repair");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (engine, _) = DaliEngine::create(config).unwrap();
+        let table = engine.create_table("t", 16, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        let rec = setup.insert(table, &[1; 16]).unwrap();
+        setup.commit().unwrap();
+
+        let db = engine.db();
+        let txn = engine.begin().unwrap();
+        let addr = db.heap(table).unwrap().meta().slot_addr(rec.slot);
+        {
+            let _q = db.quiesce.read();
+            let mut st = txn.state.lock();
+            let op = begin_op(&mut st, txn.id, OpKind::Update, rec);
+            physical_update(db, &mut st, txn.id, op, addr, &[2; 16]).unwrap();
+            // ...and the operation fails here, before it commits.
+            assert!(st.cur_op.is_some());
+        }
+        let mut buf = [0u8; 16];
+        db.image.read(addr, &mut buf).unwrap();
+        assert_eq!(buf, [2; 16]);
+
+        engine.cache_repair(&[(addr, 16)]).unwrap();
+        db.image.read(addr, &mut buf).unwrap();
+        assert_eq!(buf, [1; 16], "the rebuild holds only what the log holds");
+        assert!(engine.audit().unwrap().clean());
+
+        txn.abort().unwrap();
+        db.image.read(addr, &mut buf).unwrap();
+        assert_eq!(buf, [1; 16]);
+        assert!(engine.audit().unwrap().clean());
     }
 }

@@ -297,38 +297,63 @@ fn online_cache_repair_fixes_region_in_place() {
     assert!(s.db.audit().unwrap().clean());
 }
 
+/// A transaction open across an online repair of its page keeps the
+/// update it made before the repair: the log holds it, so the rebuild
+/// does too. The transaction goes on and commits.
 #[test]
-fn online_cache_repair_aborts_active_transactions() {
+fn online_cache_repair_keeps_active_transactions() {
     let s = setup("online2", ProtectionScheme::DataCodeword);
+    let txn = s.db.begin().unwrap();
+    txn.update(s.y, &val(77)).unwrap();
+
+    let addr = s.db.record_addr(s.x).unwrap();
+    let image = s.db.raw_image();
+    let page = image.pages_overlapping(s.db.record_addr(s.y).unwrap(), REC);
+    assert_eq!(
+        image.pages_overlapping(addr, 8),
+        page,
+        "x and y share a page"
+    );
+    wild_write(&s.db, addr, &[0xEE; 8]);
+    s.db.cache_repair(&[(addr, 8)]).unwrap();
+
+    assert_eq!(txn.read_vec(s.y).unwrap(), val(77), "the update survived");
+    assert_eq!(read_one(&s.db, s.x), val(1), "the damage is gone");
+    txn.update(s.y, &val(88)).unwrap();
+    txn.commit().unwrap();
+    assert_eq!(read_one(&s.db, s.y), val(88));
+    assert!(s.db.audit().unwrap().clean());
+    assert_eq!(s.db.stats().aborts.load(Ordering::Relaxed), 0);
+
+    drop(s.db);
+    let (db, _) = DaliEngine::open(s.config.clone()).unwrap();
+    assert_eq!(read_one(&db, s.x), val(1));
+    assert_eq!(read_one(&db, s.y), val(88));
+    assert!(db.audit().unwrap().clean());
+}
+
+/// A transaction open across an online repair can still abort: its
+/// update, kept by the rebuild, is rolled back as any other.
+#[test]
+fn a_transaction_open_across_online_cache_repair_can_abort() {
+    let s = setup("online3", ProtectionScheme::DataCodeword);
     let txn = s.db.begin().unwrap();
     txn.update(s.y, &val(77)).unwrap();
 
     let addr = s.db.record_addr(s.x).unwrap();
     wild_write(&s.db, addr, &[0xEE; 8]);
     s.db.cache_repair(&[(addr, 8)]).unwrap();
+    txn.abort().unwrap();
 
-    // The open transaction was rolled back by the repair.
     assert_eq!(read_one(&s.db, s.y), val(2));
+    assert_eq!(read_one(&s.db, s.x), val(1));
     assert!(s.db.audit().unwrap().clean());
-
-    // Its handle is dead: nothing more it does may run or commit, or the
-    // operations after the repair would commit without the ones before.
-    let id = txn.id();
-    assert!(matches!(
-        txn.update(s.y, &val(88)),
-        Err(DaliError::TxnAborted(t)) if t == id
-    ));
-    assert!(matches!(txn.read_vec(s.y), Err(DaliError::TxnAborted(_))));
-    assert!(matches!(txn.commit(), Err(DaliError::TxnAborted(_))));
     assert_eq!(s.db.stats().aborts.load(Ordering::Relaxed), 1);
-    // The failed calls left no lock behind.
-    let other = s.db.begin().unwrap();
-    other.lock_exclusive(s.y).unwrap();
-    other.commit().unwrap();
 
     drop(s.db);
     let (db, _) = DaliEngine::open(s.config.clone()).unwrap();
     assert_eq!(read_one(&db, s.y), val(2));
+    assert!(db.audit().unwrap().clean());
 }
 
 /// Online repair replays only the repaired pages' share of each logged

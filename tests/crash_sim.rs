@@ -41,7 +41,12 @@
 //! `DataCodeword` (parity in place, parity then the log, or poison and
 //! `CacheRecovery`), and the shadow replayed without the deleted
 //! transactions, every carrier among them, under `CwReadLogging`. A
-//! predicted miss runs no carriers and puts the bytes back.
+//! predicted miss runs no carriers and puts the bytes back. Half the
+//! arena moves hold a transaction open across detection, with 1–3
+//! updates of live records the damage missed (often the damaged
+//! region's other record); once the rung has run it commits or aborts,
+//! and its writes must be whole or absent whichever rung fired. Those
+//! draws come from a stream of their own, so the others are as before.
 //!
 //! `cargo test --test crash_sim` runs a small fixed seed range.
 //! `CRASH_SIM_SEEDS=n` runs seeds `0..n` (`CRASH_SIM_FIRST` moves the
@@ -76,14 +81,15 @@ use std::sync::atomic::Ordering::Relaxed;
 const DEFAULT_SEEDS: u64 = 64;
 /// Seeds that found a bug, run besides the range: each fails on the tree
 /// without its fix.
-const REGRESSION_SEEDS: [u64; 7] = [
+const REGRESSION_SEEDS: [u64; 8] = [
     96,  // a failed checkpoint dropped its dirty pages
     493, // (the same, seen by a checkpoint-image move)
     37,  // prior-state recovery replayed onto a half-overwritten image
-    596, // a retirement gap stopped restart
+    681, // a retirement gap stopped restart
     144, // restart logged its aborts before the exit checkpoint held the rollback
     330, // open claimed durable a log tail a process death left unsynced
     41,  // the parity rung wrote back a wild write a committed update overwrote
+    124, // the log rung rolled back a transaction open across it
 ];
 const REC: usize = 32;
 const CAPACITY: usize = 48;
@@ -168,14 +174,16 @@ impl Shadow {
 struct Tally {
     /// `target pattern algebra` → (injected, detected).
     cells: BTreeMap<String, (u64, u64)>,
-    /// How detected damage was resolved, and predicted misses per target.
-    rungs: BTreeMap<&'static str, u64>,
+    /// How detected damage was resolved, and predicted misses per target:
+    /// (moves, moves that held a transaction open across detection).
+    rungs: BTreeMap<&'static str, (u64, u64)>,
 }
 
-impl Tally {
-    fn rung(&mut self, rung: &'static str) {
-        *self.rungs.entry(rung).or_default() += 1;
-    }
+/// A transaction an arena move holds open across detection, and the
+/// values it wrote.
+struct OpenTxn {
+    txn: dali_engine::TxnHandle,
+    writes: Vec<(RecId, Vec<u8>)>,
 }
 
 fn config(rng: &mut StdRng) -> DaliConfig {
@@ -248,6 +256,11 @@ struct Run<'a> {
     config: &'a DaliConfig,
     t: TableId,
     rng: &'a mut StdRng,
+    /// The draws for transactions held open across detection, apart from
+    /// `rng` so that adding them moved no other draw.
+    side: StdRng,
+    /// Does the current move hold a transaction open?
+    txn_open: bool,
     shadow: Shadow,
     tally: &'a mut Tally,
 }
@@ -390,6 +403,7 @@ impl Run<'_> {
             return Ok(false);
         }
         let held = self.sim.hold();
+        self.txn_open = false;
         let pattern = CorruptionPattern::ALL[self.rng.gen_range(0..5usize)];
         let (target, detected) = match self.rng.gen_range(0..3) {
             0 => ("arena", self.arena(pattern)?),
@@ -408,6 +422,66 @@ impl Run<'_> {
         }
         self.sim.resume(held);
         Ok(true)
+    }
+
+    /// Count a rung for the current move.
+    fn rung(&mut self, rung: &'static str) {
+        let (n, open) = self.tally.rungs.entry(rung).or_default();
+        (*n, *open) = (*n + 1, *open + u64::from(self.txn_open));
+    }
+
+    /// Perhaps (the side stream decides) begin a transaction that updates
+    /// 1–3 live records the damage missed, the first maybe the one
+    /// sharing a damaged region, and leave it open. Each update reaches
+    /// the log at its operation's commit.
+    fn open_txn(&mut self, damaged: &[RecId]) -> Result<Option<OpenTxn>, String> {
+        let now = &self.shadow.states[self.shadow.written];
+        let live: Vec<RecId> = (now.keys().copied())
+            .filter(|r| !damaged.contains(r))
+            .collect();
+        if live.is_empty() || !self.side.gen_bool(0.5) {
+            return Ok(None);
+        }
+        let region = self.rec_region(damaged[0]);
+        let neighbour = live.iter().copied().find(|&r| self.rec_region(r) == region);
+        let txn = self.engine.begin().map_err(err)?;
+        let mut writes = Vec::new();
+        for i in 0..self.side.gen_range(1..=3) {
+            let rec = match neighbour {
+                Some(rec) if i == 0 && self.side.gen_bool(0.5) => rec,
+                _ => live[self.side.gen_range(0..live.len())],
+            };
+            let v = value(&mut self.side);
+            txn.update(rec, &v).map_err(err)?;
+            self.shadow.logged.insert(rec);
+            writes.push((rec, v));
+        }
+        self.txn_open = true;
+        Ok(Some(OpenTxn { txn, writes }))
+    }
+
+    /// Commit or abort the open transaction, as the side stream says.
+    fn finish(&mut self, open: OpenTxn) -> Result<(), String> {
+        let OpenTxn { txn, writes } = open;
+        if self.side.gen_bool(0.5) {
+            return txn.abort().map_err(err);
+        }
+        let mut next = self.shadow.states[self.shadow.written].clone();
+        let mut c = Commit {
+            txn: txn.id(),
+            writes: Vec::new(),
+            touched: Vec::new(),
+        };
+        for (rec, v) in writes {
+            next.insert(rec, v.clone());
+            c.touched.push(rec);
+            c.writes.push((rec, Some(v)));
+        }
+        self.shadow.states.push(next);
+        self.shadow.commits.push(c);
+        txn.commit().map_err(err)?;
+        self.shadow.committed(self.config.sync_commit);
+        Ok(())
     }
 
     fn region(&self, addr: DbAddr) -> usize {
@@ -520,6 +594,8 @@ impl Run<'_> {
                 return Err("a carrier transaction failed".into());
             }
         }
+        // Open only now: a carrier would wait on its locks.
+        let open = self.open_txn(&recs)?;
         let carried = &self.shadow.commits[mark..];
         // The commits the delete-transaction model must remove: every
         // carrier that touched a region whose fold moved.
@@ -565,7 +641,7 @@ impl Run<'_> {
                         return Err("a full certification missed detectable damage".into());
                     }
                     carriers.clear();
-                    self.tally.rung("a delta certification skipped it");
+                    self.rung("a delta certification skipped it");
                     !self.engine.audit().map_err(err)?.clean()
                 }
                 CheckpointOutcome::Certified { ck_end, .. } => {
@@ -583,8 +659,15 @@ impl Run<'_> {
                 }
                 _ => true,
             },
+            // The open transaction, if any, dies with the process.
             _ => return self.reopen(&carriers, false).map(Some),
         };
+        // The rung has run: the transaction open across it ends now,
+        // unless detection poisoned the engine and takes it down.
+        let alive = self.engine.db().check_alive().is_ok();
+        if let Some(open) = open.filter(|_| alive) {
+            self.finish(open)?;
+        }
         if detected != predicted {
             return Err(format!("arena: detected {detected}, predicted {predicted}"));
         }
@@ -593,7 +676,7 @@ impl Run<'_> {
             for d in &damage {
                 self.poke(d.addr, &d.before)?;
             }
-            self.tally.rung("miss: arena");
+            self.rung("miss: arena");
             return self.holds(latest, "a missed write").map(|()| Some(false));
         }
         if self.engine.db().check_alive().is_err() {
@@ -629,7 +712,7 @@ impl Run<'_> {
             }
             rung = "parity in place, a blind sibling leaked";
         }
-        self.tally.rung(rung);
+        self.rung(rung);
         self.holds(latest, "a repair").map(|()| Some(true))
     }
 
@@ -655,7 +738,7 @@ impl Run<'_> {
         if let Some(c) = carriers.iter().find(|c| !deleted_txns.contains(c)) {
             return Err(format!("carrier {c:?} survived, deleted {deleted_txns:?}"));
         }
-        self.tally.rung(match mode {
+        self.rung(match mode {
             RecoveryMode::Normal => "discarded by restart",
             RecoveryMode::CacheRecovery => "CacheRecovery",
             _ => "DeleteTxn",
@@ -707,7 +790,7 @@ impl Run<'_> {
             ));
         }
         if !moved {
-            self.tally.rung("miss: image");
+            self.rung("miss: image");
         }
         Ok(Some(moved))
     }
@@ -767,7 +850,7 @@ impl Run<'_> {
             return Err("WAL: a frame with one or three flips was accepted".into());
         }
         if kept {
-            self.tally.rung("miss: wal");
+            self.rung("miss: wal");
         }
         Ok(Some(!kept))
     }
@@ -835,6 +918,7 @@ fn reopen(
 impl Case {
     fn run(&mut self, tally: &mut Tally) -> Result<(), String> {
         let Case {
+            seed,
             rng,
             config,
             crashed,
@@ -856,6 +940,8 @@ impl Case {
             config: &*config,
             t,
             rng,
+            side: StdRng::seed_from_u64(!*seed),
+            txn_open: false,
             shadow: Shadow::new(table),
             tally,
         };
@@ -1049,8 +1135,9 @@ fn crash_anywhere_recovers_the_committed_prefix() {
         for (cell, (n, hit)) in &tally.cells {
             let _ = writeln!(out, "{cell} {n:>8} {hit:>8}");
         }
-        for (rung, n) in &tally.rungs {
-            let _ = writeln!(out, "{rung:<40} {n:>8}");
+        let _ = writeln!(out, "{:<40} {:>8} {:>8}", "rung", "moves", "txn open");
+        for (rung, (n, open)) in &tally.rungs {
+            let _ = writeln!(out, "{rung:<40} {n:>8} {open:>8}");
         }
     }
     assert!(
