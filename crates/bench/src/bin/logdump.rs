@@ -19,7 +19,7 @@ use dali_wal::{LogRecordRef, LogicalUndoRef};
 fn histogram(seg: &SegmentBuf) -> std::collections::BTreeMap<&'static str, usize> {
     let mut histogram = std::collections::BTreeMap::new();
     for (_, rec) in seg.records() {
-        *histogram.entry(kind(&rec)).or_default() += 1;
+        *histogram.entry(rec.label()).or_default() += 1;
     }
     if seg.ends_with_seal() {
         histogram.insert("Seal", 1);
@@ -139,29 +139,13 @@ fn main() {
                     continue;
                 }
             }
-            *counts.entry(kind(&rec)).or_default() += 1;
+            *counts.entry(rec.label()).or_default() += 1;
             println!("{:>10}  {}", lsn.0, render(&rec));
         }
     }
     eprintln!("\n{total} records:");
     for (k, n) in counts {
         eprintln!("  {k:<14} {n}");
-    }
-}
-
-fn kind(rec: &LogRecordRef<'_>) -> &'static str {
-    match rec {
-        LogRecordRef::TxnBegin { .. } => "TxnBegin",
-        LogRecordRef::OpBegin { .. } => "OpBegin",
-        LogRecordRef::PhysicalRedo { .. } => "PhysicalRedo",
-        LogRecordRef::ReadLog { .. } => "ReadLog",
-        LogRecordRef::OpCommit { .. } => "OpCommit",
-        LogRecordRef::TxnCommit { .. } => "TxnCommit",
-        LogRecordRef::TxnAbort { .. } => "TxnAbort",
-        LogRecordRef::AuditBegin { .. } => "AuditBegin",
-        LogRecordRef::AuditEnd { .. } => "AuditEnd",
-        LogRecordRef::CkptComplete { .. } => "CkptComplete",
-        LogRecordRef::CreateTable { .. } => "CreateTable",
     }
 }
 

@@ -287,7 +287,9 @@ pub struct DaliConfig {
     /// certified for at most `full_certify_every - 1` intervals before the
     /// next full sweep catches it (see DESIGN.md); `Audit_SN` only advances
     /// on full sweeps for the same reason. A failed certification or a restart
-    /// forces the next sweep full regardless of cadence.
+    /// forces the next sweep full regardless of cadence, and the
+    /// read-logging schemes always sweep fully: a delta certification
+    /// would anchor restart past the read records of carriers it missed.
     pub full_certify_every: u32,
     /// Which algebra folds region contents into codewords — the paper's
     /// XOR fold by default, or the mod-(2^32−1) residue code that also

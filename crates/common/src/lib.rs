@@ -14,8 +14,10 @@
 //! * [`fold`] — the fold kernels, one per algebra (XOR and mod-(2^32−1)
 //!   residue), over a byte slice or a raw image range: behind every
 //!   codeword and checksum in the workspace.
-//! * [`codec`] — the one checked byte [`Reader`](codec::Reader) every
-//!   decoder reads through, and the sealed-file trailer.
+//! * [`codec`] — the one codec every byte format goes through: the
+//!   checked [`Reader`](codec::Reader), the [`Wire`](codec::Wire) trait
+//!   that writes into a `Vec<u8>`, the `wire_struct!`/`wire_enum!`
+//!   declarations, and the sealed-file trailer.
 //! * [`storage`] — the [`Storage`] seam every durable file operation of
 //!   the log and the checkpointer goes through, and its OS implementation.
 

@@ -5,8 +5,7 @@
 //! undo logs — into checkpoint metadata so that restart recovery has
 //! physical undo for operations that were in flight at checkpoint time.
 
-use bytes::{BufMut, BytesMut};
-use dali_common::codec::Reader;
+use dali_common::codec::{Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
 use dali_wal::record::OpKind;
 use dali_wal::{LocalRedoLog, LocalUndoLog};
@@ -130,10 +129,10 @@ impl Att {
     /// quiesced (no entry may have an update in flight).
     pub fn encode_for_ckpt(&self) -> Result<Vec<u8>> {
         let map = self.map.lock();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut entries: Vec<_> = map.values().collect();
         entries.sort_by_key(|s| s.lock().id);
-        buf.put_u32_le(entries.len() as u32);
+        (entries.len() as u32).put(&mut buf);
         for entry in entries {
             let st = entry.lock();
             if st.update_in_flight {
@@ -141,11 +140,11 @@ impl Att {
                     "checkpointing ATT with a physical update in flight".into(),
                 ));
             }
-            buf.put_u64_le(st.id.0);
-            buf.put_u32_le(st.next_op);
+            st.id.put(&mut buf);
+            st.next_op.put(&mut buf);
             st.undo.encode(&mut buf);
         }
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Decode a checkpointed ATT into recovery-time transaction states.

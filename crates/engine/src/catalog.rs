@@ -11,9 +11,8 @@
 //! checkpoint metadata and re-created from `CreateTable` log records during
 //! recovery.
 
-use bytes::{BufMut, BytesMut};
 use dali_common::align::WORD;
-use dali_common::codec::Reader;
+use dali_common::codec::{Reader, Wire};
 use dali_common::{DaliError, DbAddr, Result, SlotId, TableId};
 use std::collections::HashMap;
 
@@ -166,37 +165,36 @@ impl HeapMeta {
         self.data_base.0.checked_add(bytes)
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.table.0);
-        buf.put_u32_le(self.name.len() as u32);
-        buf.extend_from_slice(self.name.as_bytes());
-        buf.put_u32_le(self.rec_size as u32);
-        buf.put_u64_le(self.capacity as u64);
-        buf.put_u64_le(self.bitmap_base.0 as u64);
-        buf.put_u64_le(self.data_base.0 as u64);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.table.put(buf);
+        self.name.put(buf);
+        (self.rec_size as u32).put(buf);
+        (self.capacity as u64).put(buf);
+        self.bitmap_base.put(buf);
+        self.data_base.put(buf);
         match self.layout {
-            HeapLayout::Separate => buf.put_u8(0),
+            HeapLayout::Separate => 0u8.put(buf),
             HeapLayout::PageLocal {
                 records_per_page,
                 header_bytes,
                 page_size,
             } => {
-                buf.put_u8(1);
-                buf.put_u32_le(records_per_page);
-                buf.put_u32_le(header_bytes);
-                buf.put_u32_le(page_size);
+                1u8.put(buf);
+                records_per_page.put(buf);
+                header_bytes.put(buf);
+                page_size.put(buf);
             }
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<HeapMeta> {
         Ok(HeapMeta {
-            table: TableId(r.u32()?),
-            name: r.str()?.to_string(),
+            table: Wire::get(r)?,
+            name: Wire::get(r)?,
             rec_size: r.u32()? as usize,
             capacity: r.u64()? as usize,
-            bitmap_base: DbAddr(r.u64()? as usize),
-            data_base: DbAddr(r.u64()? as usize),
+            bitmap_base: Wire::get(r)?,
+            data_base: Wire::get(r)?,
             layout: match r.u8()? {
                 0 => HeapLayout::Separate,
                 1 => HeapLayout::PageLocal {
@@ -363,12 +361,12 @@ impl Catalog {
     }
 
     /// Serialize for checkpoint metadata.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.tables.len() as u32);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        (self.tables.len() as u32).put(buf);
         for t in &self.tables {
             t.encode(buf);
         }
-        buf.put_u64_le(self.watermark as u64);
+        (self.watermark as u64).put(buf);
     }
 
     /// Deserialize from checkpoint metadata.
@@ -471,7 +469,7 @@ mod tests {
         let mut cat = Catalog::new();
         plan_and_register(&mut cat, "x", 100, 1000);
         plan_and_register(&mut cat, "y", 16, 32);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cat.encode(&mut buf);
         let mut r = Reader::new(&buf, DaliError::RecoveryFailed);
         let back = Catalog::decode(&mut r).unwrap();
@@ -543,7 +541,7 @@ mod tests {
             .plan_table_with_layout("t", 100, 500, PAGE, IMAGE, true)
             .unwrap();
         cat.register(m.clone()).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         cat.encode(&mut buf);
         let back = Catalog::decode(&mut Reader::new(&buf, DaliError::RecoveryFailed)).unwrap();
         assert_eq!(back.get(m.table).unwrap(), &m);

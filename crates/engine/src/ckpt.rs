@@ -29,9 +29,8 @@
 
 use crate::catalog::Catalog;
 use crate::db::{CkptState, Db, EngineStats};
-use bytes::{BufMut, BytesMut};
 use dali_codeword::AuditReport;
-use dali_common::codec::{self, Reader};
+use dali_common::codec::{self, Reader, Wire};
 use dali_common::storage::{self, Open, StorageFile};
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, PageId, Result, Storage};
 use dali_mem::DbImage;
@@ -98,15 +97,6 @@ pub struct CkptMeta {
     pub att_blob: Vec<u8>,
 }
 
-/// `u64::MAX` on disk is "no LSN".
-pub(crate) fn put_opt_lsn(buf: &mut Vec<u8>, lsn: Option<Lsn>) {
-    buf.put_u64_le(lsn.map_or(u64::MAX, |l| l.0));
-}
-
-pub(crate) fn get_opt_lsn(r: &mut Reader<'_>) -> Result<Option<Lsn>> {
-    Ok(Some(r.u64()?).filter(|&v| v != u64::MAX).map(Lsn))
-}
-
 fn bad_meta(msg: String) -> DaliError {
     DaliError::RecoveryFailed(format!("ckpt meta: {msg}"))
 }
@@ -114,20 +104,16 @@ fn bad_meta(msg: String) -> DaliError {
 impl CkptMeta {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.put_u32_le(META_MAGIC);
-        buf.put_u8(self.algebra.tag());
-        buf.put_u64_le(self.parity_group_size);
-        buf.put_u64_le(self.serial);
-        buf.put_u64_le(self.ck_end.0);
-        buf.put_u64_le(self.next_txn);
-        buf.put_u64_le(self.next_audit);
-        put_opt_lsn(&mut buf, self.audit_sn);
-        let mut cat = BytesMut::new();
-        self.catalog.encode(&mut cat);
-        buf.put_u32_le(cat.len() as u32);
-        buf.put_slice(&cat);
-        buf.put_u32_le(self.att_blob.len() as u32);
-        buf.put_slice(&self.att_blob);
+        META_MAGIC.put(&mut buf);
+        self.algebra.tag().put(&mut buf);
+        self.parity_group_size.put(&mut buf);
+        self.serial.put(&mut buf);
+        self.ck_end.put(&mut buf);
+        self.next_txn.put(&mut buf);
+        self.next_audit.put(&mut buf);
+        self.audit_sn.put(&mut buf);
+        codec::put_blob_with(&mut buf, |buf| self.catalog.encode(buf));
+        self.att_blob.put(&mut buf);
         codec::seal(&mut buf);
         buf
     }
@@ -143,10 +129,10 @@ impl CkptMeta {
             algebra,
             parity_group_size: r.u64()?,
             serial: r.u64()?,
-            ck_end: Lsn(r.u64()?),
+            ck_end: Lsn::get(&mut r)?,
             next_txn: r.u64()?,
             next_audit: r.u64()?,
-            audit_sn: get_opt_lsn(&mut r)?,
+            audit_sn: Wire::get(&mut r)?,
             catalog: {
                 let mut cat = Reader::new(r.blob()?, bad_meta);
                 let catalog = Catalog::decode(&mut cat)?;
@@ -163,9 +149,9 @@ impl CkptMeta {
 /// Write the checkpoint anchor.
 pub fn write_anchor(store: &dyn Storage, dir: &Path, image: usize, serial: u64) -> Result<()> {
     let mut buf = Vec::with_capacity(13);
-    buf.put_u32_le(ANCHOR_MAGIC);
-    buf.put_u8(image as u8);
-    buf.put_u64_le(serial);
+    ANCHOR_MAGIC.put(&mut buf);
+    (image as u8).put(&mut buf);
+    serial.put(&mut buf);
     Ok(storage::atomic_write(store, &Db::anchor_path(dir), &buf)?)
 }
 
@@ -427,8 +413,14 @@ fn certify(
     if !db.config.scheme.maintains_codewords() {
         return Ok(None);
     }
+    // A delta certification would also anchor the next restart's scan
+    // past read records of pages it skipped, so the read-logging schemes
+    // certify fully: their restarts must still see every carrier (§4.3).
     let every = db.config.full_certify_every;
-    let full = every == 0 || state.force_full || state.ckpts_since_full >= every.saturating_sub(1);
+    let full = every == 0
+        || state.force_full
+        || state.ckpts_since_full >= every.saturating_sub(1)
+        || db.config.scheme.logs_reads();
     let audit_id = db.next_audit_id();
     let begin_lsn = {
         let _q = db.quiesce.read();

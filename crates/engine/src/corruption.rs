@@ -3,11 +3,10 @@
 //! crash. Online repair, cache recovery's in-place form included, is
 //! [`crate::repair`].
 
-use crate::ckpt;
 use crate::db::Db;
-use bytes::BufMut;
+use dali_common::codec::{self, Wire};
 use dali_common::storage;
-use dali_common::{codec, DaliError, DbAddr, Lsn, Result, Storage};
+use dali_common::{DaliError, DbAddr, Lsn, Result, Storage};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -105,12 +104,12 @@ pub struct CorruptionMarker {
 impl CorruptionMarker {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.put_u32_le(MARKER_MAGIC);
-        ckpt::put_opt_lsn(&mut buf, self.audit_sn);
-        buf.put_u32_le(self.ranges.len() as u32);
-        for (a, l) in &self.ranges {
-            buf.put_u64_le(a.0 as u64);
-            buf.put_u64_le(*l as u64);
+        MARKER_MAGIC.put(&mut buf);
+        self.audit_sn.put(&mut buf);
+        (self.ranges.len() as u32).put(&mut buf);
+        for (addr, len) in &self.ranges {
+            addr.put(&mut buf);
+            (*len as u64).put(&mut buf);
         }
         codec::seal(&mut buf);
         buf
@@ -123,11 +122,11 @@ impl CorruptionMarker {
         if r.u32()? != MARKER_MAGIC {
             return Err(r.fail("bad magic"));
         }
-        let audit_sn = ckpt::get_opt_lsn(&mut r)?;
+        let audit_sn = Wire::get(&mut r)?;
         let n = r.count(16)?;
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
-            ranges.push((DbAddr(r.u64()? as usize), r.u64()? as usize));
+            ranges.push((DbAddr::get(&mut r)?, r.u64()? as usize));
         }
         r.finish()?;
         Ok(CorruptionMarker { audit_sn, ranges })

@@ -48,6 +48,7 @@ pub use repair::RepairOutcome;
 pub use txn::TxnHandle;
 
 use dali_codeword::AuditReport;
+use dali_common::codec;
 use dali_common::{DaliConfig, DaliError, DbAddr, OsStorage, Result, Store, TableId};
 use dali_wal::record::LogRecord;
 use db::Db;
@@ -147,10 +148,22 @@ impl DaliEngine {
     /// Create a table of fixed-size records (auto-committed DDL).
     ///
     /// `rec_size` must be a multiple of 4 (records are word-aligned for
-    /// codeword maintenance). Allocation bitmaps get their own pages,
+    /// codeword maintenance) and, under CW ReadLogging, at most 65 534
+    /// protection regions long. Allocation bitmaps get their own pages,
     /// separate from record data (the Dali layout, paper §2).
     pub fn create_table(&self, name: &str, rec_size: usize, capacity: usize) -> Result<TableId> {
         self.db.check_alive()?;
+        // A read log record carries one codeword per protection region a
+        // read or write covers: refuse records that could cover more
+        // regions than one record can count.
+        let regions = rec_size.div_ceil(self.db.config.region_size) + 1;
+        if self.db.config.scheme.logs_read_codewords() && regions > codec::MAX_CODEWORDS {
+            return Err(DaliError::InvalidArg(format!(
+                "a {rec_size}-byte record can span {regions} regions; a read log record \
+                 carries at most {} codewords",
+                codec::MAX_CODEWORDS
+            )));
+        }
         let _q = self.db.quiesce.read();
         let mut catalog = self.db.catalog.write();
         let meta = catalog.plan_table_with_layout(

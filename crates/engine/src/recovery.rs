@@ -39,11 +39,12 @@ use crate::heap::HeapRuntime;
 use crate::lock::LockManager;
 use crate::txn::rollback_direct;
 use dali_codeword::CodewordProtection;
+use dali_common::codec::CodewordsRef;
 use dali_common::{
     CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, Store, TxnId,
 };
 use dali_mem::{DbImage, PageProtector};
-use dali_wal::record::{CodewordsRef, LogRecord, LogRecordRef};
+use dali_wal::record::{LogRecord, LogRecordRef};
 use dali_wal::{LogReader, SystemLog, UndoKind};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;

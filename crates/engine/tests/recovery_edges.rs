@@ -1,7 +1,7 @@
 //! Recovery edge cases around the checkpoint boundary — the paths that
 //! make Dali-style local logging subtle (paper §2.1).
 
-use dali_common::{DaliConfig, ProtectionScheme};
+use dali_common::{DaliConfig, DaliError, ProtectionScheme};
 use dali_engine::{DaliEngine, RecoveryMode};
 use dali_testutil::TempDir;
 
@@ -227,4 +227,46 @@ fn parity_layout_may_change_across_restart() {
         check.commit().unwrap();
         db.crash();
     }
+}
+
+/// A read log record counts its codewords in a `u16`. Under CW
+/// ReadLogging a table whose records could span more regions than that
+/// is refused; the largest record accepted is read-logged whole, and a
+/// commit after its read survives a crash (a wrapped count once made
+/// restart take the read's frame for the torn end of the log).
+#[test]
+fn read_codeword_count_bounds_the_record_size() {
+    let dir = tmpdir("cw-count");
+    let config = DaliConfig::small(dir.path())
+        .with_scheme(ProtectionScheme::CwReadLogging)
+        .with_region_size(4);
+    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    // 65 536 regions when aligned: one more than the count holds.
+    assert!(matches!(
+        db.create_table("huge", 256 << 10, 1),
+        Err(DaliError::InvalidArg(_))
+    ));
+    // 65 535 regions wherever a read of it starts.
+    let size = 4 * (u16::MAX as usize - 1);
+    let big = db.create_table("big", size, 1).unwrap();
+    let small = db.create_table("small", 16, 4).unwrap();
+    let setup = db.begin().unwrap();
+    let rec = setup.insert(big, &vec![7; size]).unwrap();
+    setup.commit().unwrap();
+    let reader = db.begin().unwrap();
+    assert_eq!(reader.read_vec(rec).unwrap(), vec![7; size]);
+    reader.commit().unwrap();
+    let writer = db.begin().unwrap();
+    let after = writer.insert(small, &[9; 16]).unwrap();
+    writer.commit().unwrap();
+    db.settle().unwrap();
+    db.crash();
+
+    let (db, outcome) = DaliEngine::open(config).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::DeleteTxn);
+    assert!(outcome.deleted_txns.is_empty() && outcome.rolled_back_txns.is_empty());
+    let check = db.begin().unwrap();
+    assert_eq!(check.read_vec(rec).unwrap(), vec![7; size]);
+    assert_eq!(check.read_vec(after).unwrap(), vec![9; 16]);
+    check.commit().unwrap();
 }

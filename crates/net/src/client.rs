@@ -11,7 +11,6 @@
 use crate::protocol::{
     read_frame, HealthReport, MetricsReport, RepairSummary, Request, Response, ServerStats,
 };
-use bytes::BytesMut;
 use dali_common::{DaliError, RecId, Result, TableId, TxnId};
 use dali_workload::Session;
 use std::io::{BufReader, Write};
@@ -39,7 +38,7 @@ pub struct DaliClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     /// The outgoing batch, framed in place and written in one go.
-    wire: BytesMut,
+    wire: Vec<u8>,
 }
 
 impl DaliClient {
@@ -51,7 +50,7 @@ impl DaliClient {
         Ok(DaliClient {
             reader,
             writer: stream,
-            wire: BytesMut::new(),
+            wire: Vec::new(),
         })
     }
 

@@ -13,14 +13,14 @@
 //! count or length is held against them before anything is allocated, so
 //! garbage lengths cannot trigger huge allocations either.
 //!
-//! Each message type is declared **once** — `wire_enum!` takes a
-//! variant's tag and fields in wire order, `wire_struct!` a struct's
-//! fields — and its Rust type, encoder, decoder and `tag()` are all
-//! derived from that declaration, so they cannot drift apart.
+//! Each message type is declared **once**, with the workspace codec's
+//! `wire_enum!` (a variant's tag and fields in wire order) or
+//! `wire_struct!` (a struct's fields), and its Rust type, encoder,
+//! decoder and `tag()` are all derived from that declaration, so they
+//! cannot drift apart. Only the framing below is the protocol's own.
 
-use bytes::{BufMut, BytesMut};
-use dali_common::codec::Reader;
-use dali_common::{fold, DaliError, DbAddr, RecId, Result, TableId, TxnId};
+use dali_common::codec::{Listed, Reader, Wire};
+use dali_common::{fold, wire_enum, wire_struct, DaliError, DbAddr, RecId, Result, TableId, TxnId};
 use std::io::Read;
 
 /// Hard cap on a frame's payload size (largest legitimate payload is a
@@ -30,191 +30,6 @@ pub const MAX_FRAME: usize = 16 << 20;
 
 fn bad(msg: String) -> DaliError {
     DaliError::InvalidArg(format!("protocol: {msg}"))
-}
-
-// -------------------------------------------------------------------
-// Field codecs
-// -------------------------------------------------------------------
-
-/// A value with a wire encoding. Every field type of every message
-/// implements it, which is what lets the declaration macros derive a
-/// message's codec from its field list alone.
-trait Wire: Sized {
-    fn put(&self, buf: &mut BytesMut);
-    fn get(r: &mut Reader<'_>) -> Result<Self>;
-}
-
-/// `Type: |value, buf| encode, |reader| decode;` — one line per leaf type.
-macro_rules! wire_leaf {
-    ($($ty:ty: |$v:ident, $buf:ident| $put:expr, |$r:ident| $get:expr;)*) => {$(
-        impl Wire for $ty {
-            #[inline]
-            fn put(&self, $buf: &mut BytesMut) {
-                let $v = self;
-                $put
-            }
-            #[inline]
-            fn get($r: &mut Reader<'_>) -> Result<Self> {
-                Ok($get)
-            }
-        }
-    )*};
-}
-
-wire_leaf! {
-    u8: |v, buf| buf.put_u8(*v), |r| r.u8()?;
-    bool: |v, buf| buf.put_u8(*v as u8), |r| r.bool()?;
-    u32: |v, buf| buf.put_u32_le(*v), |r| r.u32()?;
-    u64: |v, buf| buf.put_u64_le(*v), |r| r.u64()?;
-    TxnId: |v, buf| buf.put_u64_le(v.0), |r| TxnId(r.u64()?);
-    TableId: |v, buf| buf.put_u32_le(v.0), |r| TableId(r.u32()?);
-    DbAddr: |v, buf| buf.put_u64_le(v.0 as u64), |r| DbAddr(r.u64()? as usize);
-    RecId: |v, buf| { v.table.put(buf); buf.put_u32_le(v.slot.0) }, |r| r.rec()?;
-    Vec<u8>: |v, buf| put_blob(buf, v), |r| r.blob()?.to_vec();
-    String: |v, buf| put_blob(buf, v.as_bytes()), |r| r.str()?.to_string();
-    (u8, u64): |v, buf| { v.0.put(buf); v.1.put(buf) }, |r| (r.u8()?, r.u64()?);
-    // Lists: a u32 count, held against the smallest encoding of that many
-    // elements before the vector is reserved.
-    Vec<(u8, u64)>: |v, buf| put_list(v, buf), |r| get_list(r, 1 + 8)?;
-    Vec<VerbMetrics>: |v, buf| put_list(v, buf), |r| get_list(r, 1 + 8 + 8 + 4)?;
-}
-
-fn put_blob(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.extend_from_slice(data);
-}
-
-fn put_list<T: Wire>(items: &[T], buf: &mut BytesMut) {
-    buf.put_u32_le(items.len() as u32);
-    for item in items {
-        item.put(buf);
-    }
-}
-
-fn get_list<T: Wire>(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<Vec<T>> {
-    let n = r.count(min_elem_bytes)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(T::get(r)?);
-    }
-    Ok(items)
-}
-
-/// Declare a struct whose wire encoding is its fields in declaration
-/// order.
-macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ty ),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $name {
-            $( $(#[$fmeta])* pub $field: $fty, )*
-        }
-
-        impl Wire for $name {
-            fn put(&self, buf: &mut BytesMut) {
-                $( self.$field.put(buf); )*
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                Ok($name { $( $field: Wire::get(r)?, )* })
-            }
-        }
-    };
-}
-
-/// Declare an enum whose wire encoding is a tag byte followed by the
-/// variant's fields in declaration order. A variant is its tag, its
-/// display name, then `Variant`, `Variant { field: Type, .. }`, or
-/// `Variant(name: Type)` for a one-field tuple variant (the name only
-/// binds the payload inside the generated code).
-macro_rules! wire_enum {
-    (
-        $(#[$meta:meta])*
-        pub enum $name:ident {
-            $(
-                $(#[$vmeta:meta])* $tag:literal $label:literal $variant:ident
-                $( { $( $field:ident: $fty:ty ),* $(,)? } )?
-                $( ( $tfield:ident: $tty:ty ) )?
-            ),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        pub enum $name {
-            $( $(#[$vmeta])* $variant $( { $( $field: $fty ),* } )? $( ( $tty ) )?, )*
-        }
-
-        impl $name {
-            /// The encoding tag (for a request, the key [`MetricsReport`]
-            /// rows use for verbs).
-            pub fn tag(&self) -> u8 {
-                match self {
-                    $( $name::$variant { .. } => $tag, )*
-                }
-            }
-
-            /// Human-readable name of a tag (metrics display).
-            pub fn tag_name(tag: u8) -> &'static str {
-                match tag {
-                    $( $tag => $label, )*
-                    _ => "unknown",
-                }
-            }
-
-            /// Encode the payload (without framing) into `buf`.
-            pub fn encode(&self, buf: &mut BytesMut) {
-                self.put(buf);
-            }
-
-            /// Append this message's frame to `out`: reserve the header,
-            /// encode the payload in place, then patch its length and
-            /// checksum. Byte-identical to [`frame`] of the encoded payload.
-            pub fn frame_into(&self, out: &mut BytesMut) {
-                let start = out.len();
-                out.extend_from_slice(&[0; 8]);
-                self.put(out);
-                let header = frame_header(&out[start + 8..]);
-                out[start..start + 8].copy_from_slice(&header);
-            }
-
-            /// Decode a payload produced by [`encode`](Self::encode).
-            /// Total: any malformed input, trailing bytes included,
-            /// returns an error.
-            pub fn decode(payload: &[u8]) -> Result<$name> {
-                let mut r = Reader::new(payload, bad);
-                let value = Self::get(&mut r)?;
-                r.finish()?;
-                Ok(value)
-            }
-        }
-
-        impl Wire for $name {
-            fn put(&self, buf: &mut BytesMut) {
-                buf.put_u8(self.tag());
-                match self {
-                    $( $name::$variant $( { $( $field ),* } )? $( ( $tfield ) )? => {
-                        $( $( $field.put(buf); )* )?
-                        $( $tfield.put(buf); )?
-                    } )*
-                }
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                Ok(match r.u8()? {
-                    $( $tag => $name::$variant
-                        $( { $( $field: Wire::get(r)? ),* } )?
-                        $( ( <$tty>::get(r)? ) )?, )*
-                    tag => {
-                        return Err(r.fail(format_args!(
-                            "unknown {} tag {tag}",
-                            stringify!($name)
-                        )))
-                    }
-                })
-            }
-        }
-    };
 }
 
 // -------------------------------------------------------------------
@@ -450,6 +265,10 @@ wire_struct! {
     }
 }
 
+impl Listed for VerbMetrics {
+    const MIN_BYTES: usize = 1 + 8 + 8 + 4;
+}
+
 impl MetricsReport {
     /// The row for a verb tag, if any requests of that verb completed.
     pub fn verb(&self, tag: u8) -> Option<&VerbMetrics> {
@@ -593,10 +412,10 @@ impl From<WireError> for DaliError {
     }
 }
 
-fn encode_payload(message: &impl Wire) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(64);
+fn encode_payload<'a>(message: &impl Wire<'a>) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(64);
     message.put(&mut payload);
-    payload.to_vec()
+    payload
 }
 
 /// Encode a request payload into a fresh buffer (`frame` adds the
@@ -664,6 +483,31 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
         return Err(bad("frame checksum mismatch".into()));
     }
     Ok(Some(payload))
+}
+
+/// Append `message`'s frame to `out`: reserve the header, encode the
+/// payload in place, then patch its length and checksum. Byte-identical
+/// to [`frame`] of the encoded payload.
+fn frame_into<'a>(message: &impl Wire<'a>, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    message.put(out);
+    let header = frame_header(&out[start + 8..]);
+    out[start..start + 8].copy_from_slice(&header);
+}
+
+impl Request {
+    /// Append this request's frame to `out` (see [`frame`]).
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(self, out)
+    }
+}
+
+impl Response {
+    /// Append this response's frame to `out` (see [`frame`]).
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(self, out)
+    }
 }
 
 /// Build one wire frame (`[len][checksum][payload]`) as an owned buffer
@@ -739,7 +583,7 @@ mod tests {
             Request::Metrics,
         ];
         for req in samples {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             req.encode(&mut buf);
             assert_eq!(Request::decode(&buf).unwrap(), req);
             assert_eq!(buf[0], req.tag(), "tag() must match the encoding");
@@ -851,7 +695,7 @@ mod tests {
             Response::Metrics(MetricsReport::default()),
         ];
         for resp in samples {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             resp.encode(&mut buf);
             assert_eq!(Response::decode(&buf).unwrap(), resp);
         }

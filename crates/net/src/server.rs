@@ -53,7 +53,6 @@ use crate::protocol::{
     encode_response, frame, parse_frame, HealthReport, RepairSummary, Request, Response,
     ServerStats, WireError,
 };
-use bytes::BytesMut;
 use dali_common::Result;
 use dali_engine::{DaliEngine, TxnHandle};
 use std::collections::{HashMap, VecDeque};
@@ -286,7 +285,7 @@ struct CoreState {
     work: VecDeque<Work>,
     /// Framed replies ready for the event loop to write-drain, one
     /// buffer per exec run.
-    resps: Vec<BytesMut>,
+    resps: Vec<Vec<u8>>,
     /// How many replies in `resps` answer a decoded request (protocol
     /// error frames don't count against the pipeline budget).
     answered: usize,
@@ -431,7 +430,7 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
         state.txn.take()
     };
     loop {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         let (mut answered, mut close_after, mut cleanup) = (0, false, false);
         for item in run.drain(..) {
             match item {
@@ -510,7 +509,7 @@ struct Conn {
     /// Unparsed inbound bytes (read-accumulate).
     read_buf: Vec<u8>,
     /// Reply runs being drained, front partially written.
-    write_bufs: VecDeque<BytesMut>,
+    write_bufs: VecDeque<Vec<u8>>,
     write_pos: usize,
     /// Bytes across `write_bufs` not yet written (outbound budget).
     outbound: usize,

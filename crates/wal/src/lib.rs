@@ -12,9 +12,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`record`] — every log record type, including the paper's *read log
-//!   records* (§4.2, with optional region codewords per the §4.3
-//!   extension), with a checksummed binary encoding.
+//! * [`record`] — the log record, declared once for owned and borrowed
+//!   payloads, including the paper's *read log records* (§4.2, with
+//!   optional region codewords per the §4.3 extension), and its
+//!   checksummed framing.
 //! * [`locallog`] — per-transaction undo and redo logs.
 //! * [`dpt`] — the dual dirty-page sets backing ping-pong checkpointing.
 //! * [`segment`] — the stable log's segment files: naming, chain

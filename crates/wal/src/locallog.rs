@@ -22,11 +22,9 @@
 //! have the codeword-applied flag in its quiescent state.
 
 use crate::record::{
-    encode_op_commit, encode_physical_redo, frame_encoded, frame_len, put_blob, LogRecord,
-    LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
+    frame_into, frame_len, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
 };
-use bytes::{BufMut, BytesMut};
-use dali_common::codec::Reader;
+use dali_common::codec::{put_blob_with, Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
 
 /// A byte range of a [`LocalUndoLog`]'s arena.
@@ -212,10 +210,10 @@ impl LocalUndoLog {
     }
 
     /// Serialize for the checkpointed ATT.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.entries.len() as u32);
+    pub fn encode(&self, buf: &mut Vec<u8>) {
+        (self.entries.len() as u32).put(buf);
         for e in &self.entries {
-            buf.put_u32_le(e.op.0);
+            e.op.put(buf);
             match &e.kind {
                 UndoKind::Physical {
                     addr,
@@ -226,19 +224,20 @@ impl LocalUndoLog {
                         !codeword_pending,
                         "checkpointing an undo log with an update in flight"
                     );
-                    buf.put_u8(0);
-                    buf.put_u64_le(addr.0 as u64);
-                    put_blob(buf, self.bytes(*before));
+                    0u8.put(buf);
+                    addr.put(buf);
+                    self.bytes(*before).put(buf);
                 }
                 UndoKind::Logical(u) => {
                     // A blob holding the logical undo in an OpCommit
-                    // payload's shape; its length is patched in after.
-                    buf.put_u8(1);
-                    let at = buf.len();
-                    buf.put_u32_le(0);
-                    encode_op_commit(buf, TxnId(0), e.op, self.logical(u));
-                    let len = (buf.len() - at - 4) as u32;
-                    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                    // payload's shape.
+                    1u8.put(buf);
+                    let undo = LogRecordRef::OpCommit {
+                        txn: TxnId(0),
+                        op: e.op,
+                        undo: self.logical(u),
+                    };
+                    put_blob_with(buf, |buf| undo.put(buf));
                 }
             }
         }
@@ -281,7 +280,7 @@ impl LocalUndoLog {
 pub struct LocalRedoLog {
     /// Algebra of the frame checksums: the system log's.
     kind: CodewordAlgebraKind,
-    frames: BytesMut,
+    frames: Vec<u8>,
     count: usize,
     /// `(addr, len)` of each physical redo record, oldest first: the
     /// writes whose pages the system log notes dirty.
@@ -307,22 +306,30 @@ impl LocalRedoLog {
         if let LogRecord::PhysicalRedo { addr, data, .. } = &rec {
             self.writes.push((*addr, data.len()));
         }
-        self.push_with(|buf| rec.encode(buf));
+        self.append(&rec);
     }
 
     /// Append a physical redo record of `data` written at `addr`.
     pub fn push_redo(&mut self, txn: TxnId, op: OpSeq, addr: DbAddr, data: &[u8]) {
-        self.push_with(|buf| encode_physical_redo(buf, txn, op, addr, data));
+        self.append(&LogRecordRef::PhysicalRedo {
+            txn,
+            op,
+            addr,
+            data,
+        });
         self.writes.push((addr, data.len()));
     }
 
     /// Append an operation commit record.
     pub fn push_op_commit(&mut self, txn: TxnId, op: OpSeq, undo: LogicalUndoRef<'_>) {
-        self.push_with(|buf| encode_op_commit(buf, txn, op, undo));
+        self.append(&LogRecordRef::OpCommit { txn, op, undo });
     }
 
-    fn push_with(&mut self, encode: impl FnOnce(&mut BytesMut)) {
-        frame_encoded(self.kind, &mut self.frames, encode);
+    fn append<'a, B, S, C>(&mut self, rec: &LogRecord<B, S, C>)
+    where
+        LogRecord<B, S, C>: Wire<'a>,
+    {
+        frame_into(self.kind, rec, &mut self.frames);
         self.count += 1;
     }
 
@@ -385,7 +392,7 @@ impl LocalRedoLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{frame_with, LogicalUndo};
+    use crate::record::LogicalUndo;
     use dali_common::{SlotId, TableId};
 
     fn rec(t: u32, s: u32) -> RecId {
@@ -560,7 +567,7 @@ mod tests {
         log.push_physical(OpSeq(2), DbAddr(400), vec![1, 2, 3, 4]);
         log.seal_top_physical(OpSeq(2)).unwrap();
 
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         log.encode(&mut buf);
         let mut r = Reader::new(&buf, DaliError::RecoveryFailed);
         let back = LocalUndoLog::decode(&mut r).unwrap();
@@ -574,7 +581,7 @@ mod tests {
         let mut log = LocalUndoLog::new();
         log.push_physical(OpSeq(1), DbAddr(0), vec![9; 8]);
         log.seal_top_physical(OpSeq(1)).unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         log.encode(&mut buf);
         let mut short = Reader::new(&buf[..buf.len() - 2], DaliError::RecoveryFailed);
         assert!(LocalUndoLog::decode(&mut short).is_err());
@@ -594,10 +601,10 @@ mod tests {
         ];
         for kind in CodewordAlgebraKind::ALL {
             let mut r = LocalRedoLog::with_algebra(kind);
-            let mut framed = BytesMut::new();
+            let mut framed = Vec::new();
             for rec in &recs {
                 r.push(rec.clone());
-                frame_with(kind, rec, &mut framed);
+                frame_into(kind, rec, &mut framed);
             }
             assert_eq!(r.len(), 3);
             assert_eq!(r.bytes(), &framed[..], "{kind:?}");
@@ -642,7 +649,7 @@ mod tests {
             r.push(redo(op, 128));
             r.cut_op(op);
 
-            let mut want = BytesMut::new();
+            let mut want = Vec::new();
             let survivors = [
                 LogRecord::TxnBegin { txn },
                 read(0, vec![]),
@@ -651,7 +658,7 @@ mod tests {
                 read(128, vec![1, 2]),
             ];
             for rec in &survivors {
-                frame_with(kind, rec, &mut want);
+                frame_into(kind, rec, &mut want);
             }
             assert_eq!(r.bytes(), &want[..], "{kind:?}");
             assert_eq!(r.len(), survivors.len());

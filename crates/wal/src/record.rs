@@ -15,60 +15,46 @@
 //! LSN is the *global* byte offset of a frame's first byte — segment
 //! files partition the offset space without renumbering it.
 
-use bytes::{BufMut, BytesMut};
-use dali_common::codec::Reader;
+use bytes::BytesMut;
+use dali_common::codec::{CodewordsRef, Reader, Wire};
 use dali_common::{
-    fold, CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, TableId, TxnId,
+    fold, wire_enum, CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, TableId,
+    TxnId,
 };
 
-/// Kinds of level-1 (heap) operations, recorded in `OpBegin` so that
-/// delete-transaction recovery can test operation conflicts (§4.3: a begin
-/// operation record is "checked against the operations in the undo logs of
-/// all transactions currently in CorruptTransTable").
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum OpKind {
-    /// Insert a record.
-    Insert,
-    /// Delete a record.
-    Delete,
-    /// Update a record in place.
-    Update,
-}
-
-impl OpKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            OpKind::Insert => 0,
-            OpKind::Delete => 1,
-            OpKind::Update => 2,
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<OpKind> {
-        Ok(match r.u8()? {
-            0 => OpKind::Insert,
-            1 => OpKind::Delete,
-            2 => OpKind::Update,
-            b => return Err(r.fail(format_args!("unknown op kind {b}"))),
-        })
+wire_enum! {
+    /// Kinds of level-1 (heap) operations, recorded in `OpBegin` so that
+    /// delete-transaction recovery can test operation conflicts (§4.3: a
+    /// begin operation record is "checked against the operations in the
+    /// undo logs of all transactions currently in CorruptTransTable").
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub enum OpKind {
+        /// Insert a record.
+        0 "Insert" Insert,
+        /// Delete a record.
+        1 "Delete" Delete,
+        /// Update a record in place.
+        2 "Update" Update,
     }
 }
 
-/// Logical undo description, carried in operation commit log records and
-/// in the checkpointed ATT (paper §2.1: "a copy of the logical undo
-/// description is included in the operation commit log record for use in
-/// restart recovery"). `B` holds the saved record image: owned bytes by
-/// default, a slice of the frame it was decoded from in
-/// [`LogicalUndoRef`], or a range of a transaction's undo arena in
-/// [`LocalUndoLog`](crate::LocalUndoLog).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LogicalUndo<B = Vec<u8>> {
-    /// Undo an insert by deleting the slot.
-    HeapInsert { rec: RecId },
-    /// Undo a delete by re-inserting the saved image into the slot.
-    HeapDelete { rec: RecId, image: B },
-    /// Undo an in-place update by writing back the before-image.
-    HeapUpdate { rec: RecId, before: B },
+wire_enum! {
+    /// Logical undo description, carried in operation commit log records
+    /// and in the checkpointed ATT (paper §2.1: "a copy of the logical
+    /// undo description is included in the operation commit log record
+    /// for use in restart recovery"). `B` holds the saved record image:
+    /// owned bytes by default, a slice of the frame it was decoded from in
+    /// [`LogicalUndoRef`], or a range of a transaction's undo arena in
+    /// [`LocalUndoLog`](crate::LocalUndoLog).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum LogicalUndo<B = Vec<u8>> {
+        /// Undo an insert by deleting the slot.
+        0 "HeapInsert" HeapInsert { rec: RecId },
+        /// Undo a delete by re-inserting the saved image into the slot.
+        1 "HeapDelete" HeapDelete { rec: RecId, image: B },
+        /// Undo an in-place update by writing back the before-image.
+        2 "HeapUpdate" HeapUpdate { rec: RecId, before: B },
+    }
 }
 
 /// [`LogicalUndo`] borrowed from the bytes it was decoded from or lives
@@ -110,105 +96,61 @@ impl<B> LogicalUndo<B> {
     }
 }
 
-impl<'a> LogicalUndoRef<'a> {
-    /// Copy the borrowed image out (an undo log outlives the segment
-    /// buffer its operation-commit records were read from).
-    pub fn to_owned(&self) -> LogicalUndo {
-        self.map(|b| b.to_vec())
-    }
-
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            LogicalUndo::HeapInsert { .. } => buf.put_u8(0),
-            LogicalUndo::HeapDelete { .. } => buf.put_u8(1),
-            LogicalUndo::HeapUpdate { .. } => buf.put_u8(2),
-        }
-        put_rec(buf, self.target());
-        if let Some(image) = self.image() {
-            put_blob(buf, image);
-        }
-    }
-
-    fn decode(r: &mut Reader<'a>) -> Result<LogicalUndoRef<'a>> {
-        Ok(match r.u8()? {
-            0 => LogicalUndo::HeapInsert { rec: r.rec()? },
-            1 => LogicalUndo::HeapDelete {
-                rec: r.rec()?,
-                image: r.blob()?,
-            },
-            2 => LogicalUndo::HeapUpdate {
-                rec: r.rec()?,
-                before: r.blob()?,
-            },
-            tag => return Err(r.fail(format_args!("unknown logical undo tag {tag}"))),
-        })
+wire_enum! {
+    /// A record on the system log (or in a local redo log awaiting
+    /// migration). The type parameters hold its variable-length fields —
+    /// record bytes, a table name, read codewords — owned by default, and
+    /// borrowed from the bytes a scan decodes in [`LogRecordRef`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum LogRecord<B = Vec<u8>, S = String, C = Vec<u32>> {
+        /// Transaction start.
+        0 "TxnBegin" TxnBegin { txn: TxnId },
+        /// A level-1 operation started. Carried to the system log with the
+        /// operation's redo records at operation commit.
+        1 "OpBegin" OpBegin { txn: TxnId, op: OpSeq, kind: OpKind, rec: RecId },
+        /// Physical after-image of an in-place update (redo is always
+        /// physical in Dali, §2.1).
+        2 "PhysicalRedo" PhysicalRedo { txn: TxnId, op: OpSeq, addr: DbAddr, data: B },
+        /// Read log record (§4.2): the identity of data read — a start
+        /// point and a number of bytes, *not the value* — plus, in the CW
+        /// ReadLog scheme, the maintained codewords of the overlapped
+        /// protection regions (§4.3 extension).
+        3 "ReadLog" ReadLog { txn: TxnId, addr: DbAddr, len: u32, codewords: C },
+        /// Operation commit: the operation's logical undo description.
+        4 "OpCommit" OpCommit { txn: TxnId, op: OpSeq, undo: LogicalUndo<B> },
+        /// Transaction commit.
+        5 "TxnCommit" TxnCommit { txn: TxnId },
+        /// Transaction abort (all undo already applied and logged as
+        /// compensation redo).
+        6 "TxnAbort" TxnAbort { txn: TxnId },
+        /// An audit pass began. `Audit_SN` in §4.3 is the LSN of the last
+        /// AuditBegin whose matching AuditEnd reported clean.
+        7 "AuditBegin" AuditBegin { audit_id: u64 },
+        /// An audit pass ended; `clean` is false when corruption was found.
+        8 "AuditEnd" AuditEnd { audit_id: u64, clean: bool },
+        /// A checkpoint completed and was certified; recovery scans start
+        /// at the `redo_start` recorded in the checkpoint header, this
+        /// record is informational.
+        9 "CkptComplete" CkptComplete { ckpt_lsn: Lsn },
+        /// DDL: a table was created (auto-committed). Recovery replays
+        /// this to rebuild catalog entries added after the checkpoint.
+        10 "CreateTable" CreateTable {
+            table: TableId,
+            name: S,
+            rec_size: u32,
+            capacity: u64,
+            bitmap_base: DbAddr,
+            data_base: DbAddr,
+        },
     }
 }
 
-/// A record on the system log (or in a local redo log awaiting migration).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LogRecord {
-    /// Transaction start.
-    TxnBegin { txn: TxnId },
-    /// A level-1 operation started. Carried to the system log with the
-    /// operation's redo records at operation commit.
-    OpBegin {
-        txn: TxnId,
-        op: OpSeq,
-        kind: OpKind,
-        rec: RecId,
-    },
-    /// Physical after-image of an in-place update (redo is always physical
-    /// in Dali, §2.1).
-    PhysicalRedo {
-        txn: TxnId,
-        op: OpSeq,
-        addr: DbAddr,
-        data: Vec<u8>,
-    },
-    /// Read log record (§4.2): the identity of data read — a start point
-    /// and a number of bytes, *not the value* — plus, in the CW ReadLog
-    /// scheme, the maintained codewords of the overlapped protection
-    /// regions (§4.3 extension).
-    ReadLog {
-        txn: TxnId,
-        addr: DbAddr,
-        len: u32,
-        codewords: Vec<u32>,
-    },
-    /// Operation commit: the operation's logical undo description.
-    OpCommit {
-        txn: TxnId,
-        op: OpSeq,
-        undo: LogicalUndo,
-    },
-    /// Transaction commit.
-    TxnCommit { txn: TxnId },
-    /// Transaction abort (all undo already applied and logged as
-    /// compensation redo).
-    TxnAbort { txn: TxnId },
-    /// An audit pass began. `Audit_SN` in §4.3 is the LSN of the last
-    /// AuditBegin whose matching AuditEnd reported clean.
-    AuditBegin { audit_id: u64 },
-    /// An audit pass ended; `clean` is false when corruption was found.
-    AuditEnd { audit_id: u64, clean: bool },
-    /// A checkpoint completed and was certified; recovery scans start at
-    /// the `redo_start` recorded in the checkpoint header, this record is
-    /// informational.
-    CkptComplete { ckpt_lsn: Lsn },
-    /// DDL: a table was created (auto-committed). Recovery replays this to
-    /// rebuild catalog entries added after the checkpoint.
-    CreateTable {
-        table: TableId,
-        name: String,
-        rec_size: u32,
-        capacity: u64,
-        bitmap_base: DbAddr,
-        data_base: DbAddr,
-    },
-}
+/// A [`LogRecord`] decoded in place: every variable-length field is a
+/// slice of the buffer the record was decoded from, so walking a log
+/// segment allocates nothing.
+pub type LogRecordRef<'a> = LogRecord<&'a [u8], &'a str, CodewordsRef<'a>>;
 
-impl LogRecord {
+impl<B, S, C> LogRecord<B, S, C> {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
@@ -221,326 +163,6 @@ impl LogRecord {
             | LogRecord::TxnAbort { txn } => Some(*txn),
             _ => None,
         }
-    }
-
-    /// Encode the payload (without framing) into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            LogRecord::TxnBegin { txn } => {
-                buf.put_u8(0);
-                buf.put_u64_le(txn.0);
-            }
-            LogRecord::OpBegin { txn, op, kind, rec } => {
-                buf.put_u8(1);
-                buf.put_u64_le(txn.0);
-                buf.put_u32_le(op.0);
-                buf.put_u8(kind.to_u8());
-                put_rec(buf, *rec);
-            }
-            LogRecord::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data,
-            } => encode_physical_redo(buf, *txn, *op, *addr, data),
-            LogRecord::ReadLog {
-                txn,
-                addr,
-                len,
-                codewords,
-            } => {
-                buf.put_u8(3);
-                buf.put_u64_le(txn.0);
-                buf.put_u64_le(addr.0 as u64);
-                buf.put_u32_le(*len);
-                buf.put_u16_le(codewords.len() as u16);
-                for cw in codewords {
-                    buf.put_u32_le(*cw);
-                }
-            }
-            LogRecord::OpCommit { txn, op, undo } => {
-                encode_op_commit(buf, *txn, *op, undo.map(|b| b.as_slice()))
-            }
-            LogRecord::TxnCommit { txn } => {
-                buf.put_u8(5);
-                buf.put_u64_le(txn.0);
-            }
-            LogRecord::TxnAbort { txn } => {
-                buf.put_u8(6);
-                buf.put_u64_le(txn.0);
-            }
-            LogRecord::AuditBegin { audit_id } => {
-                buf.put_u8(7);
-                buf.put_u64_le(*audit_id);
-            }
-            LogRecord::AuditEnd { audit_id, clean } => {
-                buf.put_u8(8);
-                buf.put_u64_le(*audit_id);
-                buf.put_u8(*clean as u8);
-            }
-            LogRecord::CkptComplete { ckpt_lsn } => {
-                buf.put_u8(9);
-                buf.put_u64_le(ckpt_lsn.0);
-            }
-            LogRecord::CreateTable {
-                table,
-                name,
-                rec_size,
-                capacity,
-                bitmap_base,
-                data_base,
-            } => {
-                buf.put_u8(10);
-                buf.put_u32_le(table.0);
-                put_blob(buf, name.as_bytes());
-                buf.put_u32_le(*rec_size);
-                buf.put_u64_le(*capacity);
-                buf.put_u64_le(bitmap_base.0 as u64);
-                buf.put_u64_le(data_base.0 as u64);
-            }
-        }
-    }
-
-    /// Decode a payload produced by [`encode`](Self::encode): the
-    /// borrowed decoder, then one copy of whatever it borrowed.
-    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
-        LogRecordRef::decode(buf).map(|r| r.to_owned())
-    }
-}
-
-/// Encode a [`LogRecord::PhysicalRedo`] payload whose data is borrowed.
-pub fn encode_physical_redo(buf: &mut BytesMut, txn: TxnId, op: OpSeq, addr: DbAddr, data: &[u8]) {
-    buf.put_u8(2);
-    buf.put_u64_le(txn.0);
-    buf.put_u32_le(op.0);
-    buf.put_u64_le(addr.0 as u64);
-    put_blob(buf, data);
-}
-
-/// Encode a [`LogRecord::OpCommit`] payload whose undo image is borrowed.
-pub fn encode_op_commit(buf: &mut BytesMut, txn: TxnId, op: OpSeq, undo: LogicalUndoRef<'_>) {
-    buf.put_u8(4);
-    buf.put_u64_le(txn.0);
-    buf.put_u32_le(op.0);
-    undo.encode(buf);
-}
-
-/// The codewords of a [`LogRecordRef::ReadLog`] as they sit in the
-/// frame: packed little-endian `u32`s at no particular alignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodewordsRef<'a>(&'a [u8]);
-
-impl CodewordsRef<'_> {
-    /// Number of codewords.
-    pub fn len(&self) -> usize {
-        self.0.len() / 4
-    }
-
-    /// True if the read record carries no codewords.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The codewords, in logged order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("chunks_exact(4)")))
-    }
-}
-
-/// A [`LogRecord`] decoded in place: every variable-length field is a
-/// slice of the buffer the record was decoded from, so walking a log
-/// segment allocates nothing. This is the only decoder; the owned
-/// [`LogRecord::decode`] is this plus [`to_owned`](Self::to_owned).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LogRecordRef<'a> {
-    /// See [`LogRecord::TxnBegin`].
-    TxnBegin { txn: TxnId },
-    /// See [`LogRecord::OpBegin`].
-    OpBegin {
-        txn: TxnId,
-        op: OpSeq,
-        kind: OpKind,
-        rec: RecId,
-    },
-    /// See [`LogRecord::PhysicalRedo`].
-    PhysicalRedo {
-        txn: TxnId,
-        op: OpSeq,
-        addr: DbAddr,
-        data: &'a [u8],
-    },
-    /// See [`LogRecord::ReadLog`].
-    ReadLog {
-        txn: TxnId,
-        addr: DbAddr,
-        len: u32,
-        codewords: CodewordsRef<'a>,
-    },
-    /// See [`LogRecord::OpCommit`].
-    OpCommit {
-        txn: TxnId,
-        op: OpSeq,
-        undo: LogicalUndoRef<'a>,
-    },
-    /// See [`LogRecord::TxnCommit`].
-    TxnCommit { txn: TxnId },
-    /// See [`LogRecord::TxnAbort`].
-    TxnAbort { txn: TxnId },
-    /// See [`LogRecord::AuditBegin`].
-    AuditBegin { audit_id: u64 },
-    /// See [`LogRecord::AuditEnd`].
-    AuditEnd { audit_id: u64, clean: bool },
-    /// See [`LogRecord::CkptComplete`].
-    CkptComplete { ckpt_lsn: Lsn },
-    /// See [`LogRecord::CreateTable`].
-    CreateTable {
-        table: TableId,
-        name: &'a str,
-        rec_size: u32,
-        capacity: u64,
-        bitmap_base: DbAddr,
-        data_base: DbAddr,
-    },
-}
-
-impl<'a> LogRecordRef<'a> {
-    /// The transaction this record belongs to, if any.
-    pub fn txn(&self) -> Option<TxnId> {
-        match self {
-            LogRecordRef::TxnBegin { txn }
-            | LogRecordRef::OpBegin { txn, .. }
-            | LogRecordRef::PhysicalRedo { txn, .. }
-            | LogRecordRef::ReadLog { txn, .. }
-            | LogRecordRef::OpCommit { txn, .. }
-            | LogRecordRef::TxnCommit { txn }
-            | LogRecordRef::TxnAbort { txn } => Some(*txn),
-            _ => None,
-        }
-    }
-
-    /// Copy everything borrowed into an owned [`LogRecord`].
-    pub fn to_owned(&self) -> LogRecord {
-        match *self {
-            LogRecordRef::TxnBegin { txn } => LogRecord::TxnBegin { txn },
-            LogRecordRef::OpBegin { txn, op, kind, rec } => {
-                LogRecord::OpBegin { txn, op, kind, rec }
-            }
-            LogRecordRef::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data,
-            } => LogRecord::PhysicalRedo {
-                txn,
-                op,
-                addr,
-                data: data.to_vec(),
-            },
-            LogRecordRef::ReadLog {
-                txn,
-                addr,
-                len,
-                codewords,
-            } => LogRecord::ReadLog {
-                txn,
-                addr,
-                len,
-                codewords: codewords.iter().collect(),
-            },
-            LogRecordRef::OpCommit { txn, op, undo } => LogRecord::OpCommit {
-                txn,
-                op,
-                undo: undo.to_owned(),
-            },
-            LogRecordRef::TxnCommit { txn } => LogRecord::TxnCommit { txn },
-            LogRecordRef::TxnAbort { txn } => LogRecord::TxnAbort { txn },
-            LogRecordRef::AuditBegin { audit_id } => LogRecord::AuditBegin { audit_id },
-            LogRecordRef::AuditEnd { audit_id, clean } => LogRecord::AuditEnd { audit_id, clean },
-            LogRecordRef::CkptComplete { ckpt_lsn } => LogRecord::CkptComplete { ckpt_lsn },
-            LogRecordRef::CreateTable {
-                table,
-                name,
-                rec_size,
-                capacity,
-                bitmap_base,
-                data_base,
-            } => LogRecord::CreateTable {
-                table,
-                name: name.to_string(),
-                rec_size,
-                capacity,
-                bitmap_base,
-                data_base,
-            },
-        }
-    }
-
-    /// Decode a payload produced by [`LogRecord::encode`], borrowing
-    /// from `buf`. Total: any malformed input returns an error.
-    pub fn decode(buf: &'a [u8]) -> Result<LogRecordRef<'a>> {
-        let mut r = Reader::new(buf, bad);
-        let rec = Self::decode_inner(&mut r)?;
-        r.finish()?;
-        Ok(rec)
-    }
-
-    fn decode_inner(r: &mut Reader<'a>) -> Result<LogRecordRef<'a>> {
-        Ok(match r.u8()? {
-            0 => LogRecordRef::TxnBegin {
-                txn: TxnId(r.u64()?),
-            },
-            1 => LogRecordRef::OpBegin {
-                txn: TxnId(r.u64()?),
-                op: OpSeq(r.u32()?),
-                kind: OpKind::decode(r)?,
-                rec: r.rec()?,
-            },
-            2 => LogRecordRef::PhysicalRedo {
-                txn: TxnId(r.u64()?),
-                op: OpSeq(r.u32()?),
-                addr: DbAddr(r.u64()? as usize),
-                data: r.blob()?,
-            },
-            3 => LogRecordRef::ReadLog {
-                txn: TxnId(r.u64()?),
-                addr: DbAddr(r.u64()? as usize),
-                len: r.u32()?,
-                codewords: {
-                    let n = r.u16()? as usize;
-                    CodewordsRef(r.take(4 * n)?)
-                },
-            },
-            4 => LogRecordRef::OpCommit {
-                txn: TxnId(r.u64()?),
-                op: OpSeq(r.u32()?),
-                undo: LogicalUndoRef::decode(r)?,
-            },
-            5 => LogRecordRef::TxnCommit {
-                txn: TxnId(r.u64()?),
-            },
-            6 => LogRecordRef::TxnAbort {
-                txn: TxnId(r.u64()?),
-            },
-            7 => LogRecordRef::AuditBegin { audit_id: r.u64()? },
-            8 => LogRecordRef::AuditEnd {
-                audit_id: r.u64()?,
-                clean: r.bool()?,
-            },
-            9 => LogRecordRef::CkptComplete {
-                ckpt_lsn: Lsn(r.u64()?),
-            },
-            10 => LogRecordRef::CreateTable {
-                table: TableId(r.u32()?),
-                name: r.str()?,
-                rec_size: r.u32()?,
-                capacity: r.u64()?,
-                bitmap_base: DbAddr(r.u64()? as usize),
-                data_base: DbAddr(r.u64()? as usize),
-            },
-            tag => return Err(r.fail(format_args!("unknown log record tag {tag}"))),
-        })
     }
 }
 
@@ -572,19 +194,12 @@ pub const FRAME_RECORD: u8 = 1;
 /// A seal mid-file (bytes after it in the same segment) is corruption.
 pub const FRAME_SEAL: u8 = 2;
 
-/// One parsed frame off the stable log.
+/// One parsed frame off the stable log; `R` holds its record, owned by
+/// default and a [`LogRecordRef`] for a scan.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<R = LogRecord> {
     /// An ordinary log record.
-    Record(LogRecord),
-    /// A segment seal (clean end-of-segment marker).
-    Seal,
-}
-
-/// A [`Frame`] whose record borrows from the bytes it was parsed from.
-pub(crate) enum FrameRef<'a> {
-    /// An ordinary log record.
-    Record(LogRecordRef<'a>),
+    Record(R),
     /// A segment seal (clean end-of-segment marker).
     Seal,
 }
@@ -596,29 +211,20 @@ fn frame_checksum(kind: CodewordAlgebraKind, frame_type: u8, payload: &[u8]) -> 
     kind.combine(checksum_with(kind, payload), frame_type as u32)
 }
 
-/// Frame a record: `[len][checksum][type][payload]`. Returns bytes
-/// appended. XOR-checksummed — the historical default, kept for callers
-/// without an algebra in hand; algebra-aware paths use [`frame_with`].
-pub fn frame(rec: &LogRecord, out: &mut BytesMut) -> usize {
-    frame_with(CodewordAlgebraKind::XorFold, rec, out)
-}
-
-/// Frame a record with the payload checksummed under `kind`.
-pub fn frame_with(kind: CodewordAlgebraKind, rec: &LogRecord, out: &mut BytesMut) -> usize {
-    frame_encoded(kind, out, |buf| rec.encode(buf))
-}
-
-/// Frame the one record payload `encode` appends to `out`, in place:
-/// reserve the header, encode, then patch the length and checksum in.
-/// Returns bytes appended.
-pub(crate) fn frame_encoded(
+/// Frame a record, owned or borrowed, onto `out` in place: reserve the
+/// header `[len][checksum][type]`, encode the payload, then patch the
+/// length and the checksum (under `kind`) in. Returns bytes appended.
+pub fn frame_into<'a, B, S, C>(
     kind: CodewordAlgebraKind,
-    out: &mut BytesMut,
-    encode: impl FnOnce(&mut BytesMut),
-) -> usize {
+    rec: &LogRecord<B, S, C>,
+    out: &mut Vec<u8>,
+) -> usize
+where
+    LogRecord<B, S, C>: Wire<'a>,
+{
     let start = out.len();
     out.resize(start + FRAME_HDR, FRAME_RECORD);
-    encode(out);
+    rec.put(out);
     let len = out.len() - start - FRAME_HDR;
     let sum = frame_checksum(kind, FRAME_RECORD, &out[start + FRAME_HDR..]);
     out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
@@ -626,12 +232,21 @@ pub(crate) fn frame_encoded(
     FRAME_HDR + len
 }
 
+/// [`frame_into`] a `BytesMut`. The buffer moves into a `Vec` and back,
+/// so nothing is copied or allocated beyond what the frame needs.
+pub fn frame_with(kind: CodewordAlgebraKind, rec: &LogRecord, out: &mut BytesMut) -> usize {
+    let mut buf = Vec::from(std::mem::take(out));
+    let n = frame_into(kind, rec, &mut buf);
+    *out = buf.into();
+    n
+}
+
 /// Frame a segment seal (empty payload). Returns bytes appended
 /// (always [`FRAME_HDR`]).
-pub fn frame_seal(kind: CodewordAlgebraKind, out: &mut BytesMut) -> usize {
-    out.put_u32_le(0);
-    out.put_u32_le(frame_checksum(kind, FRAME_SEAL, &[]));
-    out.put_u8(FRAME_SEAL);
+pub fn frame_seal(kind: CodewordAlgebraKind, out: &mut Vec<u8>) -> usize {
+    0u32.put(out);
+    frame_checksum(kind, FRAME_SEAL, &[]).put(out);
+    FRAME_SEAL.put(out);
     FRAME_HDR
 }
 
@@ -648,26 +263,21 @@ pub fn unframe(buf: &[u8]) -> Result<(Frame, usize)> {
     unframe_with(CodewordAlgebraKind::XorFold, buf)
 }
 
-/// Parse one frame whose checksum was computed under `kind`, copying
-/// the record out of `buf`.
+/// Parse one frame whose checksum was computed under `kind` into an
+/// owned record.
 pub fn unframe_with(kind: CodewordAlgebraKind, buf: &[u8]) -> Result<(Frame, usize)> {
-    let (frame, n) = parse_frame(Some(kind), buf)?;
-    let frame = match frame {
-        FrameRef::Record(rec) => Frame::Record(rec.to_owned()),
-        FrameRef::Seal => Frame::Seal,
-    };
-    Ok((frame, n))
+    parse_frame(Some(kind), buf)
 }
 
-/// Parse the frame at `buf[0]`, borrowing its record from `buf`; returns
-/// the frame and its encoded length. The checksum is verified under
-/// `verify` — or not at all, for a second walk over frames already
-/// accepted. Errors on truncation, checksum mismatch or an undecodable
-/// payload.
-pub(crate) fn parse_frame(
+/// Parse the frame at `buf[0]`, its record held as `R` (borrowing from
+/// `buf` if `R` does); returns the frame and its encoded length. The
+/// checksum is verified under `verify` — or not at all, for a second walk
+/// over frames already accepted. Errors on truncation, checksum mismatch
+/// or an undecodable payload.
+pub(crate) fn parse_frame<'a, R: Wire<'a>>(
     verify: Option<CodewordAlgebraKind>,
-    buf: &[u8],
-) -> Result<(FrameRef<'_>, usize)> {
+    buf: &'a [u8],
+) -> Result<(Frame<R>, usize)> {
     let mut r = Reader::new(buf, bad);
     let len = r.u32()? as usize;
     let sum = r.u32()?;
@@ -677,8 +287,13 @@ pub(crate) fn parse_frame(
         return Err(r.fail("log frame checksum mismatch"));
     }
     let frame = match frame_type {
-        FRAME_RECORD => FrameRef::Record(LogRecordRef::decode(payload)?),
-        FRAME_SEAL if len == 0 => FrameRef::Seal,
+        FRAME_RECORD => {
+            let mut p = Reader::new(payload, bad);
+            let rec = R::get(&mut p)?;
+            p.finish()?;
+            Frame::Record(rec)
+        }
+        FRAME_SEAL if len == 0 => Frame::Seal,
         FRAME_SEAL => return Err(r.fail(format_args!("seal frame with {len}-byte payload"))),
         other => return Err(r.fail(format_args!("unknown frame type {other}"))),
     };
@@ -687,16 +302,6 @@ pub(crate) fn parse_frame(
 
 fn bad(msg: String) -> DaliError {
     DaliError::RecoveryFailed(format!("log record: {msg}"))
-}
-
-fn put_rec(buf: &mut BytesMut, rec: RecId) {
-    buf.put_u32_le(rec.table.0);
-    buf.put_u32_le(rec.slot.0);
-}
-
-pub(crate) fn put_blob(buf: &mut BytesMut, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.extend_from_slice(data);
 }
 
 #[cfg(test)]
@@ -774,22 +379,27 @@ mod tests {
         ]
     }
 
+    /// Owned and borrowed, every variant decodes to itself and encodes
+    /// to the same bytes.
     #[test]
     fn round_trip_all_variants() {
         for rec in rec_samples() {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             rec.encode(&mut buf);
             let back = LogRecord::decode(&buf).unwrap();
             assert_eq!(back, rec);
+            let mut again = Vec::new();
+            LogRecordRef::decode(&buf).unwrap().encode(&mut again);
+            assert_eq!(again, buf, "{rec:?}");
         }
     }
 
     #[test]
     fn frame_round_trip_sequence() {
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         let recs = rec_samples();
         for r in &recs {
-            frame(r, &mut out);
+            frame_into(CodewordAlgebraKind::XorFold, r, &mut out);
         }
         let mut cursor = &out[..];
         let mut got = vec![];
@@ -807,7 +417,7 @@ mod tests {
     #[test]
     fn seal_frame_round_trips_under_both_algebras() {
         for kind in CodewordAlgebraKind::ALL {
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             let n = frame_seal(kind, &mut out);
             assert_eq!(n, FRAME_HDR);
             assert_eq!(out.len(), FRAME_HDR);
@@ -823,9 +433,9 @@ mod tests {
     #[test]
     fn flipped_type_byte_fails_checksum() {
         for kind in CodewordAlgebraKind::ALL {
-            let rec = LogRecord::TxnCommit { txn: TxnId(42) };
-            let mut out = BytesMut::new();
-            frame_with(kind, &rec, &mut out);
+            let rec: LogRecord = LogRecord::TxnCommit { txn: TxnId(42) };
+            let mut out = Vec::new();
+            frame_into(kind, &rec, &mut out);
             for forged in [FRAME_SEAL, 0u8, 7u8] {
                 let mut bytes = out.to_vec();
                 bytes[8] = forged;
@@ -835,7 +445,7 @@ mod tests {
                 );
             }
             // And a seal forged into a record type.
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             frame_seal(kind, &mut out);
             let mut bytes = out.to_vec();
             bytes[8] = FRAME_RECORD;
@@ -867,10 +477,10 @@ mod tests {
     #[test]
     fn residue_frames_round_trip_and_reject_cross_kind() {
         for kind in CodewordAlgebraKind::ALL {
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             let recs = rec_samples();
             for r in &recs {
-                frame_with(kind, r, &mut out);
+                frame_into(kind, r, &mut out);
             }
             let mut cursor = &out[..];
             let mut got = vec![];
@@ -888,19 +498,19 @@ mod tests {
         // must not verify under the wrong one. The folds coincide when no
         // addition carries fire (disjoint bit columns), so pick a txn id
         // whose words overlap in every column.
-        let rec = LogRecord::TxnCommit {
+        let rec: LogRecord = LogRecord::TxnCommit {
             txn: TxnId(0x0000_FFFF_FFFF_FFFF),
         };
-        let mut out = BytesMut::new();
-        frame_with(CodewordAlgebraKind::Residue, &rec, &mut out);
+        let mut out = Vec::new();
+        frame_into(CodewordAlgebraKind::Residue, &rec, &mut out);
         assert!(unframe_with(CodewordAlgebraKind::XorFold, &out).is_err());
     }
 
     #[test]
     fn checksum_detects_flip() {
-        let rec = LogRecord::TxnCommit { txn: TxnId(42) };
-        let mut out = BytesMut::new();
-        frame(&rec, &mut out);
+        let rec: LogRecord = LogRecord::TxnCommit { txn: TxnId(42) };
+        let mut out = Vec::new();
+        frame_into(CodewordAlgebraKind::XorFold, &rec, &mut out);
         let mut bytes = out.to_vec();
         bytes[10] ^= 0x10; // flip a payload bit
         assert!(unframe(&bytes).is_err());
@@ -908,26 +518,29 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_error() {
-        let rec = LogRecord::TxnCommit { txn: TxnId(42) };
-        let mut out = BytesMut::new();
-        frame(&rec, &mut out);
+        let rec: LogRecord = LogRecord::TxnCommit { txn: TxnId(42) };
+        let mut out = Vec::new();
+        frame_into(CodewordAlgebraKind::XorFold, &rec, &mut out);
         assert!(unframe(&out[..out.len() - 1]).is_err());
         assert!(unframe(&out[..4]).is_err());
     }
 
     #[test]
     fn trailing_garbage_in_payload_rejected() {
-        let rec = LogRecord::TxnCommit { txn: TxnId(1) };
-        let mut buf = BytesMut::new();
+        let rec: LogRecord = LogRecord::TxnCommit { txn: TxnId(1) };
+        let mut buf = Vec::new();
         rec.encode(&mut buf);
-        buf.put_u8(0);
-        assert!(LogRecord::decode(&buf).is_err());
+        buf.push(0);
+        assert!(<LogRecord>::decode(&buf).is_err());
     }
 
     #[test]
     fn txn_accessor() {
-        assert_eq!(LogRecord::TxnBegin { txn: TxnId(5) }.txn(), Some(TxnId(5)));
-        assert_eq!(LogRecord::AuditBegin { audit_id: 1 }.txn(), None);
+        assert_eq!(
+            LogRecordRef::TxnBegin { txn: TxnId(5) }.txn(),
+            Some(TxnId(5))
+        );
+        assert_eq!(LogRecordRef::AuditBegin { audit_id: 1 }.txn(), None);
     }
 
     #[test]
@@ -952,13 +565,13 @@ mod tests {
             addr in 0usize..1_000_000_000,
             data in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
-            let rec = LogRecord::PhysicalRedo {
+            let rec: LogRecord = LogRecord::PhysicalRedo {
                 txn: TxnId(txn),
                 op: OpSeq(op),
                 addr: DbAddr(addr),
                 data,
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             rec.encode(&mut buf);
             prop_assert_eq!(LogRecord::decode(&buf).unwrap(), rec);
         }
@@ -970,13 +583,13 @@ mod tests {
             len in any::<u32>(),
             cws in proptest::collection::vec(any::<u32>(), 0..8),
         ) {
-            let rec = LogRecord::ReadLog {
+            let rec: LogRecord = LogRecord::ReadLog {
                 txn: TxnId(txn),
                 addr: DbAddr(addr),
                 len,
                 codewords: cws,
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             rec.encode(&mut buf);
             prop_assert_eq!(LogRecord::decode(&buf).unwrap(), rec);
         }
@@ -986,8 +599,8 @@ mod tests {
             which in 0usize..14,
         ) {
             let rec = rec_samples()[which].clone();
-            let mut out = BytesMut::new();
-            frame(&rec, &mut out);
+            let mut out = Vec::new();
+            frame_into(CodewordAlgebraKind::XorFold, &rec, &mut out);
             let (back, n) = unframe(&out).unwrap();
             prop_assert_eq!(n, out.len());
             prop_assert_eq!(back, Frame::Record(rec));

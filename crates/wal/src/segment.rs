@@ -35,10 +35,12 @@
 //! campaigns, `logdump` — walks it this way, so a scan's memory is one
 //! segment, not the log.
 
-use crate::record::{parse_frame, FrameRef, LogRecordRef};
+use crate::record::{parse_frame, Frame, LogRecordRef};
+use dali_common::codec::Wire;
 use dali_common::storage::{self, Open, Storage, StorageFile};
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, Result};
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
@@ -353,19 +355,24 @@ impl SegmentBuf {
     /// with its global LSN. Seal frames carry no record; the walk ends at
     /// one, or at the first byte that is not an intact frame.
     pub fn records(&self) -> SegmentRecords<'_> {
+        self.records_as()
+    }
+
+    /// [`records`](Self::records), each decoded as `R` — an owned
+    /// [`LogRecord`](crate::LogRecord) for a caller that keeps it.
+    pub fn records_as<'a, R: Wire<'a>>(&'a self) -> SegmentRecords<'a, R> {
         SegmentRecords {
             seg: self,
             pos: self.start,
+            holder: PhantomData,
         }
     }
 
     /// Whether the intact frames end with a seal frame.
     pub fn ends_with_seal(&self) -> bool {
         self.sealed.get().unwrap_or_else(|| {
-            let mut rest = SegmentRecords {
-                seg: self,
-                pos: self.checked.get(),
-            };
+            let mut rest = self.records();
+            rest.pos = self.checked.get();
             while rest.next().is_some() {}
             self.sealed.get().expect("a finished walk records its end")
         })
@@ -380,14 +387,15 @@ impl SegmentBuf {
     }
 }
 
-/// Iterator over a [`SegmentBuf`]'s records.
-pub struct SegmentRecords<'a> {
+/// Iterator over a [`SegmentBuf`]'s records, each held as `R`.
+pub struct SegmentRecords<'a, R = LogRecordRef<'a>> {
     seg: &'a SegmentBuf,
     pos: usize,
+    holder: PhantomData<R>,
 }
 
-impl<'a> Iterator for SegmentRecords<'a> {
-    type Item = (Lsn, LogRecordRef<'a>);
+impl<'a, R: Wire<'a>> Iterator for SegmentRecords<'a, R> {
+    type Item = (Lsn, R);
 
     fn next(&mut self) -> Option<Self::Item> {
         let seg = self.seg;
@@ -404,8 +412,8 @@ impl<'a> Iterator for SegmentRecords<'a> {
                     self.pos += n;
                     seg.checked.set(checked.max(self.pos));
                     match frame {
-                        FrameRef::Record(rec) => return Some((lsn, rec)),
-                        FrameRef::Seal => seg.sealed.set(Some(true)),
+                        Frame::Record(rec) => return Some((lsn, rec)),
+                        Frame::Seal => seg.sealed.set(Some(true)),
                     }
                 }
                 // Not a frame (or nothing left): the intact prefix ends.

@@ -53,13 +53,13 @@
 
 use crate::dpt::DualDirtySet;
 use crate::locallog::LocalRedoLog;
-use crate::record::{frame_len, frame_seal, frame_with, LogRecord, FRAME_HDR};
+use crate::record::{frame_into, frame_len, frame_seal, LogRecord, FRAME_HDR};
 use crate::segment::{self, LogReader, SegmentBuf};
-use bytes::BytesMut;
 use dali_common::storage::{Open, StorageFile};
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, PageId, Result, Store};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +67,7 @@ use std::thread::JoinHandle;
 
 struct Inner {
     /// Unflushed frames.
-    tail: BytesMut,
+    tail: Vec<u8>,
     /// LSN of the first byte of the tail (== bytes written to segments).
     tail_base: Lsn,
     /// The active (last, unsealed) segment file; [`SyncState::file`] is
@@ -446,7 +446,7 @@ impl SystemLog {
             store,
             dir,
             inner: Mutex::new(Inner {
-                tail: BytesMut::with_capacity(1 << 20),
+                tail: Vec::with_capacity(1 << 20),
                 tail_base: end,
                 file: Arc::clone(&file),
                 seg_base,
@@ -535,7 +535,7 @@ impl SystemLog {
 
     fn append_locked(&self, inner: &mut Inner, rec: &LogRecord) -> Lsn {
         let start = inner.tail.len();
-        let len = frame_with(self.kind, rec, &mut inner.tail);
+        let len = frame_into(self.kind, rec, &mut inner.tail);
         if let LogRecord::PhysicalRedo { addr, data, .. } = rec {
             self.note_dirty(addr.0, data.len());
         }
@@ -821,9 +821,9 @@ impl SystemLog {
         kind: CodewordAlgebraKind,
     ) -> Result<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
-        LogReader::open(path, from, kind)?.for_each(|lsn, rec| {
-            out.push((lsn, rec.to_owned()));
-            Ok(())
+        LogReader::open(path, from, kind)?.for_each_segment(|seg| {
+            out.extend(seg.records_as::<LogRecord>());
+            Ok(ControlFlow::Continue(()))
         })?;
         Ok(out)
     }

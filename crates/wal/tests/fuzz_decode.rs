@@ -3,8 +3,8 @@
 //! not a crash, because log corruption is exactly the adjacent failure
 //! mode this system exists to handle gracefully.
 
-use bytes::BytesMut;
-use dali_wal::record::{frame, unframe, Frame, LogRecord};
+use dali_common::CodewordAlgebraKind::XorFold;
+use dali_wal::record::{frame_into, unframe, Frame, LogRecord};
 use proptest::prelude::*;
 
 proptest! {
@@ -17,7 +17,8 @@ proptest! {
 
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = LogRecord::decode(&bytes); // must not panic
+        let _ = <LogRecord>::decode(&bytes); // must not panic
+        let _ = LogRecordRef::decode(&bytes);
     }
 
     #[test]
@@ -34,9 +35,8 @@ proptest! {
             addr: dali_common::DbAddr(addr),
             data,
         };
-        let mut buf = BytesMut::new();
-        frame(&rec, &mut buf);
-        let mut bytes = buf.to_vec();
+        let mut bytes = Vec::new();
+        frame_into(XorFold, &rec, &mut bytes);
         let i = flip_byte % bytes.len();
         bytes[i] ^= 1 << flip_bit;
         match unframe(&bytes) {
@@ -59,27 +59,27 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..64),
         cut in 0usize..100,
     ) {
-        let rec = LogRecord::PhysicalRedo {
+        let rec: LogRecord = LogRecord::PhysicalRedo {
             txn: dali_common::TxnId(txn),
             op: dali_common::OpSeq(0),
             addr: dali_common::DbAddr(0),
             data,
         };
-        let mut buf = BytesMut::new();
-        frame(&rec, &mut buf);
+        let mut buf = Vec::new();
+        frame_into(XorFold, &rec, &mut buf);
         let keep = cut.min(buf.len().saturating_sub(1));
         prop_assert!(unframe(&buf[..keep]).is_err());
     }
 }
 
-// ---- the borrowed decoder against the owned one it replaced ----
+// ---- the declared decoders against the hand-written one they replaced ----
 
 use dali_common::{DbAddr, Lsn, OpSeq, RecId, SlotId, TableId, TxnId};
 use dali_wal::record::{LogRecordRef, LogicalUndo, OpKind};
 
 /// The owned decoder as it stood before `LogRecordRef` (one `Vec` per
-/// blob, eager `String`), kept here as the reference the borrowed
-/// decoder must agree with byte for byte and error for error.
+/// blob, eager `String`), kept here as the reference the declared
+/// decoders must agree with byte for byte and error for error.
 fn reference_decode(mut buf: &[u8]) -> Option<LogRecord> {
     fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
         if buf.len() < n {
@@ -268,26 +268,42 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
     ]
 }
 
-fn encoded(rec: &LogRecord) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+fn encoded<'a, B, S, C>(rec: &LogRecord<B, S, C>) -> Vec<u8>
+where
+    LogRecord<B, S, C>: dali_common::codec::Wire<'a>,
+{
+    let mut buf = Vec::new();
     rec.encode(&mut buf);
-    buf.to_vec()
+    buf
+}
+
+/// Decode `bytes` both ways the record is declared: owned, and borrowed
+/// from `bytes`, which must fail together and otherwise hold the same
+/// record (the borrowed one re-encodes to the owned one's bytes).
+fn declared_decode(bytes: &[u8]) -> Option<LogRecord> {
+    let owned = <LogRecord>::decode(bytes).ok();
+    let borrowed = LogRecordRef::decode(bytes).ok();
+    assert_eq!(
+        borrowed.as_ref().map(encoded),
+        owned.as_ref().map(encoded),
+        "the borrowed decoder disagrees with the owned one"
+    );
+    owned
 }
 
 // Default config on purpose: CI deepens these with PROPTEST_CASES.
 proptest! {
-    /// encode → borrowed decode → to_owned is the identity on every
+    /// encode → decode, owned or borrowed, is the identity on every
     /// variant, and the reference decoder reads the same record.
     #[test]
     fn ref_decoder_round_trips_every_variant(rec in arb_record()) {
         let bytes = encoded(&rec);
-        let decoded = LogRecordRef::decode(&bytes).map(|r| r.to_owned()).ok();
-        prop_assert_eq!(decoded.as_ref(), Some(&rec));
+        prop_assert_eq!(declared_decode(&bytes), Some(rec.clone()));
         prop_assert_eq!(reference_decode(&bytes), Some(rec));
     }
 
     /// On damaged encodings — truncated, extended, bit-flipped — the
-    /// borrowed decoder fails exactly when the owned decoder did, reads
+    /// declared decoders fail exactly when the reference did, read
     /// the same record when both succeed, and never panics.
     #[test]
     fn ref_decoder_agrees_with_owned_on_damaged_records(
@@ -305,8 +321,7 @@ proptest! {
             bytes.truncate(cut);
         }
         bytes.extend_from_slice(&tail);
-        let decoded = LogRecordRef::decode(&bytes).map(|r| r.to_owned()).ok();
-        prop_assert_eq!(decoded, reference_decode(&bytes));
+        prop_assert_eq!(declared_decode(&bytes), reference_decode(&bytes));
     }
 
     /// The same agreement on bytes that never were a record.
@@ -314,7 +329,6 @@ proptest! {
     fn ref_decoder_agrees_with_owned_on_garbage(
         bytes in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
-        let decoded = LogRecordRef::decode(&bytes).map(|r| r.to_owned()).ok();
-        prop_assert_eq!(decoded, reference_decode(&bytes));
+        prop_assert_eq!(declared_decode(&bytes), reference_decode(&bytes));
     }
 }

@@ -8,8 +8,8 @@
 
 use bytes::BytesMut;
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId};
-use dali_wal::record::{frame_seal, frame_with, unframe_with, FRAME_HDR};
-use dali_wal::{segment, Frame, LogReader, LogRecord, SystemLog};
+use dali_wal::record::{frame_into, frame_seal, frame_with, unframe_with, FRAME_HDR};
+use dali_wal::{segment, Frame, LogReader, LogRecord, LogRecordRef, SystemLog};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,17 +80,24 @@ fn reference_scan(dir: &Path, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
     Ok(out)
 }
 
+/// A borrowed record as the owned one its bytes decode to.
+fn owned(rec: LogRecordRef<'_>) -> LogRecord {
+    let mut bytes = Vec::new();
+    rec.encode(&mut bytes);
+    LogRecord::decode(&bytes).expect("a decoded record decodes again")
+}
+
 fn streamed(dir: &Path, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
     let mut out = Vec::new();
     LogReader::open(dir, from, KIND)?.for_each(|lsn, rec| {
-        out.push((lsn, rec.to_owned()));
+        out.push((lsn, owned(rec)));
         Ok(())
     })?;
     Ok(out)
 }
 
 /// `for_each`, `for_each_segment` (each segment walked twice: the second
-/// walk re-reads frames the first already checked) and
+/// walk re-reads frames the first already checked, decoding them owned) and
 /// `scan_stable_with` (the reader's `collect()`) all equal the reference
 /// from `from`; returns the common sequence, `None` where all of them
 /// refuse the scan.
@@ -105,8 +112,8 @@ fn assert_same(dir: &Path, from: Lsn) -> Option<Vec<(Lsn, LogRecord)>> {
     let mut got = Vec::new();
     let scanned = LogReader::open(dir, from, KIND).and_then(|r| {
         r.for_each_segment(|seg| {
-            let first: Vec<_> = seg.records().map(|(l, r)| (l, r.to_owned())).collect();
-            let again: Vec<_> = seg.records().map(|(l, r)| (l, r.to_owned())).collect();
+            let first: Vec<_> = seg.records().map(|(l, r)| (l, owned(r))).collect();
+            let again: Vec<_> = seg.records_as::<LogRecord>().collect();
             assert_eq!(first, again, "second walk of segment {}", seg.base());
             got.extend(first);
             Ok(std::ops::ControlFlow::Continue(()))
@@ -196,9 +203,9 @@ fn mid_file_seal_ends_the_scan_at_the_seal() {
     build(&scratch.0, 9, SEGMENT);
     // A seal in the active segment with a good record after it: bytes
     // after a seal are garbage whatever they checksum to.
-    let mut extra = BytesMut::new();
+    let mut extra = Vec::new();
     frame_seal(KIND, &mut extra);
-    frame_with(KIND, &record(77, 16), &mut extra);
+    frame_into(KIND, &record(77, 16), &mut extra);
     append_bytes(&last_segment(&scratch.0), &extra);
     let got = assert_same(&scratch.0, Lsn::ZERO).unwrap();
     assert_eq!(got.len(), 9);

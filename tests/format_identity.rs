@@ -15,7 +15,7 @@ use dali::engine::db::Db;
 use dali::engine::CorruptionMarker;
 use dali::net::protocol::{encode_request, encode_response, frame, parse_frame};
 use dali::net::{Request, Response, ServerStats};
-use dali::wal::record::{frame_with, unframe_with};
+use dali::wal::record::{frame_seal, frame_with, unframe_with};
 use dali::wal::{segment, Frame, LocalUndoLog, LogRecord, LogicalUndo, OpKind};
 use dali::{
     CodewordAlgebraKind, DaliConfig, DaliEngine, DaliError, DbAddr, Lsn, RecId, SlotId, TableId,
@@ -278,7 +278,7 @@ fn att_undo_log_with_a_logical_and_a_physical_entry() {
     value.commit_op(OpSeq(1), LogicalUndo::HeapDelete { rec, image });
     value.push_physical(OpSeq(2), DbAddr(0x40), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     value.seal_top_physical(OpSeq(2)).unwrap();
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     value.encode(&mut out);
     assert_bytes(&out, UNDO_LOG);
 
@@ -287,7 +287,7 @@ fn att_undo_log_with_a_logical_and_a_physical_entry() {
     let back = LocalUndoLog::decode(&mut r).unwrap();
     r.finish().unwrap();
     assert!(back.iter().eq(value.iter()));
-    let mut again = BytesMut::new();
+    let mut again = Vec::new();
     back.encode(&mut again);
     assert_eq!(again, out);
 }
@@ -380,6 +380,134 @@ fn update_path_log_bytes_under_each_algebra() {
             to_hex(&stable[at(start)..at(end)]),
             to_hex(&want),
             "{kind:?}"
+        );
+    }
+}
+
+// [len][checksum][type], then the payload: tag and fields in order.
+const RECORD_FRAMES: [(&str, &str); 12] = [
+    // tag txn
+    ("TxnBegin", "09000000 050c0404 01 00 0807060504030201"),
+    // tag txn op kind rec.table rec.slot
+    (
+        "OpBegin",
+        "16000000 00050700 01 01 0700000000000000 03000000 01 02000000 05000000",
+    ),
+    ("TxnCommit", "09000000 04070000 01 05 0700000000000000"),
+    ("TxnAbort", "09000000 07090000 01 06 0900000000000000"),
+    // tag txn addr len codewords.len (u16) codewords
+    (
+        "ReadLog",
+        "17000000 02230000 01 03 0700000000000000 4000000000000000 64000000 0000",
+    ),
+    (
+        "ReadLog",
+        "1f000000 bf8edfeb 01 03 0700000000000000 4000000000000000 64000000 0200 efbeadde 04030201",
+    ),
+    // tag txn op undo.tag rec.table rec.slot [image.len image]
+    (
+        "OpCommit",
+        "16000000 05040700 01 04 0700000000000000 03000000 00 02000000 05000000",
+    ),
+    (
+        "OpCommit",
+        "1f000000 aea902ab 01 04 0700000000000000 04000000 01 02000000 05000000 05000000 ababababab",
+    ),
+    // tag audit_id [clean]
+    ("AuditBegin", "09000000 064d0000 01 07 4d00000000000000"),
+    ("AuditEnd", "0a000000 094c0000 01 08 4d00000000000000 01"),
+    // tag ckpt_lsn
+    ("CkptComplete", "09000000 08341200 01 09 3412000000000000"),
+    // tag table name.len name rec_size capacity bitmap_base data_base
+    (
+        "CreateTable",
+        "29000000 7f3f5973 01 0a 03000000 04000000 68697374 10000000 \
+         4000000000000000 0010000000000000 0020000000000000",
+    ),
+];
+
+#[test]
+fn every_other_log_record_frame() {
+    let rec = RecId::new(TableId(2), SlotId(5));
+    let (txn, addr) = (TxnId(7), DbAddr(0x40));
+    let values = [
+        LogRecord::TxnBegin {
+            txn: TxnId(0x0102_0304_0506_0708),
+        },
+        LogRecord::OpBegin {
+            txn,
+            op: OpSeq(3),
+            kind: OpKind::Delete,
+            rec,
+        },
+        LogRecord::TxnCommit { txn },
+        LogRecord::TxnAbort { txn: TxnId(9) },
+        LogRecord::ReadLog {
+            txn,
+            addr,
+            len: 100,
+            codewords: vec![],
+        },
+        LogRecord::ReadLog {
+            txn,
+            addr,
+            len: 100,
+            codewords: vec![0xDEAD_BEEF, 0x0102_0304],
+        },
+        LogRecord::OpCommit {
+            txn,
+            op: OpSeq(3),
+            undo: LogicalUndo::HeapInsert { rec },
+        },
+        LogRecord::OpCommit {
+            txn,
+            op: OpSeq(4),
+            undo: LogicalUndo::HeapDelete {
+                rec,
+                image: vec![0xAB; 5],
+            },
+        },
+        LogRecord::AuditBegin { audit_id: 77 },
+        LogRecord::AuditEnd {
+            audit_id: 77,
+            clean: true,
+        },
+        LogRecord::CkptComplete {
+            ckpt_lsn: Lsn(0x1234),
+        },
+        LogRecord::CreateTable {
+            table: TableId(3),
+            name: "hist".into(),
+            rec_size: 16,
+            capacity: 64,
+            bitmap_base: DbAddr(0x1000),
+            data_base: DbAddr(0x2000),
+        },
+    ];
+    let kind = CodewordAlgebraKind::XorFold;
+    for (value, (name, golden)) in values.into_iter().zip(RECORD_FRAMES) {
+        assert!(format!("{value:?}").starts_with(name), "{name}");
+        let mut out = BytesMut::new();
+        let n = frame_with(kind, &value, &mut out);
+        assert_bytes(&out, golden);
+        let (back, used) = unframe_with(kind, &hex(golden)).unwrap();
+        assert_eq!(used, n, "{name}");
+        assert_eq!(back, Frame::Record(value), "{name}");
+    }
+}
+
+// [len = 0][checksum: the frame type folded into an empty payload][type]
+const SEAL_FRAME: &str = "00000000 02000000 02";
+
+#[test]
+fn seal_log_frame_under_each_algebra() {
+    for kind in CodewordAlgebraKind::ALL {
+        let mut out = Vec::new();
+        assert_eq!(frame_seal(kind, &mut out), out.len());
+        assert_bytes(&out, SEAL_FRAME);
+        assert_eq!(
+            unframe_with(kind, &hex(SEAL_FRAME)).unwrap(),
+            (Frame::Seal, 9)
         );
     }
 }

@@ -18,7 +18,6 @@
 //! CI raises the case count via `PROPTEST_CASES`, as with the lock-model
 //! suite.
 
-use bytes::BytesMut;
 use dali::net::protocol::{
     encode_request, encode_response, frame, parse_frame, read_frame, HealthReport, MetricsReport,
     RepairSummary, Request, Response, ServerStats, VerbMetrics, WireError, MAX_FRAME,
@@ -243,7 +242,7 @@ proptest! {
     fn reply_run_framed_in_place_is_byte_identical(
         resps in proptest::collection::vec(arb_response(), 0..8),
     ) {
-        let mut run = BytesMut::new();
+        let mut run = Vec::new();
         let mut reference = Vec::new();
         for resp in &resps {
             resp.frame_into(&mut run);
@@ -264,7 +263,7 @@ proptest! {
     fn request_batch_framed_in_place_is_byte_identical(
         reqs in proptest::collection::vec(arb_request(), 0..8),
     ) {
-        let mut batch = BytesMut::new();
+        let mut batch = Vec::new();
         let mut reference = Vec::new();
         for req in &reqs {
             req.frame_into(&mut batch);
