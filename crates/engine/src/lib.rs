@@ -43,7 +43,7 @@ pub mod txn;
 pub use ckpt::CheckpointOutcome;
 pub use corruption::{CorruptionMarker, RangeSet};
 pub use lock::{LockManager, LockMode};
-pub use recovery::{RecoveryMode, RecoveryOutcome};
+pub use recovery::{RecoveryMode, RecoveryOutcome, RecoveryPhases};
 pub use repair::RepairOutcome;
 pub use txn::TxnHandle;
 

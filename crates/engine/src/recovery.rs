@@ -26,9 +26,12 @@
 //! * when the scan passes `Audit_SN` (the last clean audit), the failing
 //!   audit's regions join the CorruptDataTable.
 //!
-//! Recovery ends with the mandatory certified checkpoint; only then is
-//! the corruption marker cleared, so a crash during recovery simply
-//! repeats it.
+//! A normal restart logs its rollback, as an online abort does: each
+//! incomplete transaction's restores as physical redo records ended by its
+//! `TxnAbort`. It takes no checkpoint, since the log now holds the state
+//! it recovered. The other modes end with a certified checkpoint, because
+//! their image is not the log's history; only then do they log the aborts
+//! and clear the corruption marker, so a crash during them repeats them.
 
 use crate::att::{Att, TxnState};
 use crate::catalog::{Catalog, HeapMeta};
@@ -52,6 +55,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One buffered physical write. Its bytes are borrowed from the log
 /// segment being scanned; only a write that must outlive that segment
@@ -66,8 +70,8 @@ type Write<'s> = (DbAddr, Cow<'s, [u8]>);
 /// searched from the back finds it without hashing every record. What
 /// can sit in front of it is small — the compensation writes of
 /// transactions in mid-abort (until their TxnAbort) and the partial batch
-/// of one torn flush; every recovery ends in a checkpoint, so a scan
-/// never crosses two of those.
+/// of each torn flush since the checkpoint, which stays until the restart
+/// after it logs its transaction's abort.
 struct PendingWrites<'s> {
     ops: Vec<((TxnId, OpSeq), Vec<Write<'s>>)>,
     /// The emptied buffer of the last released operation, for the next.
@@ -151,6 +155,28 @@ pub struct RecoveryOutcome {
     pub corrupt_ranges: Vec<(DbAddr, usize)>,
     /// Log records processed by the redo scan.
     pub records_scanned: usize,
+    /// The log the redo scan read: from the checkpoint's `CK_end` to where
+    /// the scan stopped.
+    pub scanned: std::ops::Range<Lsn>,
+    /// Where the time went.
+    pub phases: RecoveryPhases,
+}
+
+/// Wall time of each phase of a recovery.
+#[derive(Clone, Debug, Default)]
+pub struct RecoveryPhases {
+    /// Loading the anchored checkpoint image.
+    pub load: Duration,
+    /// The redo scan.
+    pub redo: Duration,
+    /// Reopening the log and building the codeword table and parity.
+    pub build: Duration,
+    /// Rolling back (on a normal restart, logging) the incomplete
+    /// transactions, rebuilding the heaps' allocation mirrors, and the
+    /// rest of the wrap-up but the checkpoint.
+    pub undo: Duration,
+    /// The exit checkpoint; `None` when none ran (a normal restart).
+    pub exit_checkpoint: Option<Duration>,
 }
 
 impl RecoveryOutcome {
@@ -161,11 +187,14 @@ impl RecoveryOutcome {
             rolled_back_txns: Vec::new(),
             corrupt_ranges: Vec::new(),
             records_scanned: 0,
+            scanned: Lsn::ZERO..Lsn::ZERO,
+            phases: RecoveryPhases::default(),
         }
     }
 }
 
-/// Assemble a `Db` from its parts (shared by create and restart).
+/// Assemble a `Db` from its parts (shared by create and restart); a
+/// restart rebuilds the heaps' allocation mirrors after its undo phase.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_db(
     config: DaliConfig,
@@ -217,9 +246,6 @@ pub(crate) fn build_db(
         stats: EngineStats::default(),
         store,
     });
-    for h in db.heaps.read().iter() {
-        h.rebuild_from_image(&db.image)?;
-    }
     db.refresh_log_gauges()?;
     Ok(db)
 }
@@ -354,6 +380,12 @@ struct Redone {
     catalog: Catalog,
     /// Log records the scan processed.
     records_scanned: usize,
+    /// `(txn, addr, len)` of each write whose operation's commit never
+    /// reached the log (a torn final batch): redo left it out.
+    torn: Vec<(TxnId, DbAddr, usize)>,
+    /// Starts at `CK_end`; the end is where the log is reopened.
+    scanned: std::ops::Range<Lsn>,
+    phases: RecoveryPhases,
     next_txn: u64,
     next_audit: u64,
 }
@@ -576,35 +608,60 @@ fn redo_pass(
     if let Some(t) = taint {
         t.seed_marker_ranges();
     }
+    // A torn operation's number is taken: fresh ones must sort after it.
+    let mut torn = Vec::new();
+    for ((txn, op), writes) in carried {
+        if let Some(st) = att.get_mut(&txn) {
+            st.next_op = st.next_op.max(op.0 + 1);
+        }
+        torn.extend(writes.iter().map(|(addr, data)| (txn, *addr, data.len())));
+    }
 
     Ok(Redone {
         att,
         catalog,
         records_scanned,
+        torn,
+        scanned: meta.ck_end..meta.ck_end,
+        phases: RecoveryPhases::default(),
         next_txn: meta.next_txn.max(max_txn_seen),
         next_audit: meta.next_audit.max(max_audit_seen),
     })
 }
 
-/// Allocate the database image and load certified checkpoint image
-/// `image_idx` straight into it.
-fn load_checkpoint(config: &DaliConfig, store: &Store, image_idx: usize) -> Result<Arc<DbImage>> {
+/// Allocate the database image, load certified checkpoint image
+/// `image_idx` straight into it, and redo the log on it (stopping before
+/// `upto`, if given).
+fn load_and_redo(
+    config: &DaliConfig,
+    store: &Store,
+    meta: &ckpt::CkptMeta,
+    image_idx: usize,
+    upto: Option<Lsn>,
+    taint: Option<&mut Taint<'_>>,
+) -> Result<(Arc<DbImage>, Redone)> {
+    let start = Instant::now();
     let mut image = DbImage::new(config.db_pages, config.page_size)?;
     ckpt::load_image(&**store, &config.dir, image_idx, &mut image)?;
-    Ok(Arc::new(image))
+    let load = start.elapsed();
+    let mut redone = redo_pass(config, store, meta, &image, upto, taint)?;
+    (redone.phases.load, redone.phases.redo) = (load, start.elapsed() - load);
+    Ok((Arc::new(image), redone))
 }
 
-/// Reopen the log for append and assemble the engine around the redone
-/// image (heaps are needed for logical undo). Returns the reconstructed
-/// ATT for the undo phase.
-fn build_recovered(
+/// Everything after the redo pass: reopen the log for append, assemble
+/// the engine around the redone image (heaps are needed for logical
+/// undo), roll back, and report.
+fn finish(
     config: DaliConfig,
     store: Store,
     image: Arc<DbImage>,
-    image_idx: usize,
-    serial: u64,
-    redone: Redone,
-) -> Result<(Arc<Db>, HashMap<TxnId, TxnState>)> {
+    (image_idx, serial): (usize, u64),
+    mut redone: Redone,
+    mode: RecoveryMode,
+    ctt: &HashSet<TxnId>,
+) -> Result<(Arc<Db>, RecoveryOutcome)> {
+    let start = Instant::now();
     let syslog = SystemLog::open_on(
         Arc::clone(&store),
         Db::log_path(&config.dir),
@@ -632,27 +689,74 @@ fn build_recovered(
         redone.next_audit,
         None,
     )?;
-    Ok((db, redone.att))
+    let phases = &mut redone.phases;
+    (phases.build, redone.scanned.end) = (start.elapsed(), db.syslog.current_lsn());
+    let logged = mode == RecoveryMode::Normal;
+    let (deleted, rolled_back, ckpt) = undo_and_finish(&db, redone.att, &redone.torn, ctt, logged)?;
+    phases.undo = start.elapsed() - phases.build - ckpt.unwrap_or_default();
+    phases.exit_checkpoint = ckpt;
+    let outcome = RecoveryOutcome {
+        mode,
+        deleted_txns: deleted,
+        rolled_back_txns: rolled_back,
+        corrupt_ranges: Vec::new(),
+        records_scanned: redone.records_scanned,
+        scanned: redone.scanned,
+        phases: redone.phases,
+    };
+    Ok((db, outcome))
 }
 
 /// Undo phase and wrap-up: roll back every incomplete transaction level
-/// by level, log the aborts, rebuild runtime state, and take the
-/// mandatory certified checkpoint (only then is the corruption marker
-/// cleared). Returns the rolled-back ids, ascending, split into those in
-/// `ctt` (deleted from history) and the merely incomplete.
+/// by level, newest first, and make the rollback part of the history.
+///
+/// A normal restart (`logged`) appends each one's restores as physical
+/// redo records under a fresh operation, ended by its `TxnAbort`, as an
+/// online abort does, and takes no checkpoint. Before them it logs the
+/// bytes now at each write of the transaction's torn final batch, which
+/// the log keeps unapplied and a later restart would apply at that
+/// `TxnAbort` (cutting the log instead fails when the batch straddles a
+/// sealed segment). The other modes' image is not the log's history (the
+/// §4.3 scan suppresses writes, prior-state recovery drops a future), so
+/// they take the exit checkpoint and only then log the aborts and clear
+/// the corruption marker.
+///
+/// Returns the rolled-back ids, ascending, split into those in `ctt`
+/// (deleted from history) and the merely incomplete, and the exit
+/// checkpoint's wall time if one ran.
 fn undo_and_finish(
     db: &Arc<Db>,
     mut att: HashMap<TxnId, TxnState>,
+    torn: &[(TxnId, DbAddr, usize)],
     ctt: &HashSet<TxnId>,
-) -> Result<(Vec<TxnId>, Vec<TxnId>)> {
+    logged: bool,
+) -> Result<(Vec<TxnId>, Vec<TxnId>, Option<Duration>)> {
     let mut incomplete: Vec<TxnId> = att.keys().copied().collect();
     incomplete.sort_unstable();
     // Roll back in reverse id order (newest first) so that a quarantined
     // transaction's writes are removed before the corrupt transaction it
     // conflicted with is rolled back.
-    for id in incomplete.iter().rev() {
-        let st = att.get_mut(id).expect("present");
-        rollback_direct(db, &st.undo)?;
+    for &txn in incomplete.iter().rev() {
+        let st = att.get_mut(&txn).expect("present");
+        let mut writes = Vec::new();
+        for &(_, addr, len) in torn.iter().filter(|w| logged && w.0 == txn) {
+            let mut data = vec![0u8; len];
+            db.image.read(addr, &mut data)?;
+            writes.push((addr, data));
+        }
+        writes.extend(rollback_direct(db, &st.undo)?);
+        if logged {
+            let op = st.next_op_seq();
+            for (addr, data) in writes {
+                db.syslog.append(&LogRecord::PhysicalRedo {
+                    txn,
+                    op,
+                    addr,
+                    data,
+                });
+            }
+            db.syslog.append(&LogRecord::TxnAbort { txn });
+        }
     }
     let (deleted, rolled_back): (Vec<TxnId>, Vec<TxnId>) =
         incomplete.into_iter().partition(|id| ctt.contains(id));
@@ -660,26 +764,31 @@ fn undo_and_finish(
     for h in db.heaps.read().iter() {
         h.rebuild_from_image(&db.image)?;
     }
-    db.prot.resync(&db.image)?;
     // Every page may differ from both checkpoint images now.
     db.syslog.dirty().note_range(db.config.db_pages);
-    ckpt::checkpoint(db)?;
-    // Record the aborts so the history reflects the rollback — only now:
-    // the rollback itself is not logged, so until the exit checkpoint
-    // holds it a restart must find these transactions incomplete and
-    // roll them back again, not read an abort and skip them.
-    for &txn in deleted.iter().chain(&rolled_back) {
-        db.syslog.append(&LogRecord::TxnAbort { txn });
-    }
+    let ckpt = if logged {
+        None
+    } else {
+        db.prot.resync(&db.image)?;
+        let start = Instant::now();
+        ckpt::checkpoint(db)?;
+        let took = start.elapsed();
+        for &txn in deleted.iter().chain(&rolled_back) {
+            db.syslog.append(&LogRecord::TxnAbort { txn });
+        }
+        Some(took)
+    };
     db.syslog.flush(false)?;
     // `open` hands back a directory at rest: whoever opened it may copy
-    // or replace it without racing the exit checkpoint's retirement.
+    // or replace it without racing a roll's rename or a retirement.
     db.settle()?;
-    corruption::clear_marker(&*db.store, &db.config.dir)?;
+    if ckpt.is_some() {
+        corruption::clear_marker(&*db.store, &db.config.dir)?;
+    }
     if db.config.scheme.uses_mprotect() {
         db.protector.enable()?;
     }
-    Ok((deleted, rolled_back))
+    Ok((deleted, rolled_back, ckpt))
 }
 
 /// Open an existing database on `store`: restart recovery (normal or
@@ -709,22 +818,12 @@ pub fn restart(config: DaliConfig, store: Store) -> Result<(Arc<Db>, RecoveryOut
         )
     });
 
-    let image = load_checkpoint(&config, &store, image_idx)?;
-    let redone = redo_pass(&config, &store, &meta, &image, None, taint.as_mut())?;
-    let records_scanned = redone.records_scanned;
-    let (db, att) = build_recovered(config, store, image, image_idx, serial, redone)?;
+    let (image, redone) = load_and_redo(&config, &store, &meta, image_idx, None, taint.as_mut())?;
     let (ctt, cdt) = taint.map(|t| (t.ctt, t.cdt)).unwrap_or_default();
-    let (deleted, rolled_back) = undo_and_finish(&db, att, &ctt)?;
-    Ok((
-        db,
-        RecoveryOutcome {
-            mode,
-            deleted_txns: deleted,
-            rolled_back_txns: rolled_back,
-            corrupt_ranges: cdt.ranges(),
-            records_scanned,
-        },
-    ))
+    let idx = (image_idx, serial);
+    let (db, mut outcome) = finish(config, store, image, idx, redone, mode, &ctt)?;
+    outcome.corrupt_ranges = cdt.ranges();
+    Ok((db, outcome))
 }
 
 /// Prior-state recovery (paper §4.1's second model, "supported by most
@@ -765,9 +864,7 @@ pub fn restore_prior_state(
 
     // Redo up to (not beyond) `upto`; a prefix cut can split an
     // operation's batch, whose unmatched physical records are discarded.
-    let image = load_checkpoint(&config, &store, image_idx)?;
-    let redone = redo_pass(&config, &store, &meta, &image, Some(upto), None)?;
-    let records_scanned = redone.records_scanned;
+    let (image, redone) = load_and_redo(&config, &store, &meta, image_idx, Some(upto), None)?;
     // Anchor the image this recovery starts from before the log is cut
     // below the other one's `CK_end`, so a crash from here on restarts
     // from it; then truncate the discarded future before reopening the
@@ -776,21 +873,10 @@ pub fn restore_prior_state(
         ckpt::write_anchor(&*store, &dir, image_idx, serial)?;
     }
     dali_wal::segment::truncate_at_on(&*store, &Db::log_path(&dir), upto)?;
-    let (db, att) = build_recovered(config, store, image, image_idx, serial, redone)?;
     // Transactions in flight at `upto` are rolled back: the prior state
     // is transaction-consistent.
-    let (_, rolled_back) = undo_and_finish(&db, att, &HashSet::new())?;
-
-    Ok((
-        db,
-        RecoveryOutcome {
-            mode: RecoveryMode::PriorState,
-            deleted_txns: Vec::new(),
-            rolled_back_txns: rolled_back,
-            corrupt_ranges: Vec::new(),
-            records_scanned,
-        },
-    ))
+    let (mode, idx) = (RecoveryMode::PriorState, (image_idx, serial));
+    finish(config, store, image, idx, redone, mode, &HashSet::new())
 }
 
 /// Rebuild a `HeapMeta` from a replayed CreateTable record. The layout is

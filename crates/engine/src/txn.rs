@@ -680,52 +680,51 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndoR
     Ok(())
 }
 
-/// Apply a logical undo *directly* to the image without transactions,
-/// latching, or logging — used by restart recovery's undo phase, which is
-/// single-threaded and followed by a checkpoint.
-pub(crate) fn apply_logical_undo_direct(db: &Db, undo: LogicalUndoRef<'_>) -> Result<()> {
-    match undo {
-        LogicalUndo::HeapInsert { rec } => {
-            let heap = db.heap(rec.table)?;
-            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
-            let word = db.image.arena().read_u32(word_addr.0)?;
-            db.image
-                .write(word_addr, &(word & !(1 << bit)).to_le_bytes())?;
-        }
-        LogicalUndo::HeapDelete { rec, image } => {
-            let heap = db.heap(rec.table)?;
-            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
-            let word = db.image.arena().read_u32(word_addr.0)?;
-            db.image
-                .write(word_addr, &(word | (1 << bit)).to_le_bytes())?;
-            db.image.write(heap.meta().slot_addr(rec.slot), image)?;
-        }
-        LogicalUndo::HeapUpdate { rec, before } => {
-            let heap = db.heap(rec.table)?;
-            db.image.write(heap.meta().slot_addr(rec.slot), before)?;
-        }
-    }
-    Ok(())
-}
-
-/// Restore a physical before-image directly (recovery undo phase).
-pub(crate) fn apply_physical_undo_direct(db: &Db, addr: DbAddr, before: &[u8]) -> Result<()> {
-    db.image.write(addr, before)
-}
-
-/// Recovery-time helper: the undo entries of a transaction, applied
+/// Recovery-time rollback of one transaction: its undo entries applied
 /// directly in reverse (physical first — they are on top of the stack —
-/// then logical compensations).
-pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<()> {
+/// then logical compensations), without locks or logging. Each restore
+/// is a directed update like any other, so the codewords and the parity
+/// stripe stay current. Returns the `(addr, bytes)` written, in order,
+/// for the caller to log.
+pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<Vec<(DbAddr, Vec<u8>)>> {
+    let mut written = Vec::new();
+    let mut restore = |addr: DbAddr, bytes: &[u8]| -> Result<()> {
+        let (ws, wl) = dali_common::align::widen_to_words(addr.0, bytes.len());
+        let mut old = vec![0u8; wl];
+        db.image.read(DbAddr(ws), &mut old)?;
+        db.image.write(addr, bytes)?;
+        db.prot.apply_update(&db.image, DbAddr(ws), &old)?;
+        written.push((addr, bytes.to_vec()));
+        Ok(())
+    };
     for e in undo.iter().rev() {
-        match &e.kind {
+        // A logical entry restores a record's bytes, its allocation bit,
+        // or both.
+        let (rec, data, allocated) = match &e.kind {
             UndoKind::Physical { addr, before, .. } => {
-                apply_physical_undo_direct(db, *addr, undo.bytes(*before))?;
+                restore(*addr, undo.bytes(*before))?;
+                continue;
             }
-            UndoKind::Logical(u) => apply_logical_undo_direct(db, undo.logical(u))?,
+            UndoKind::Logical(u) => match undo.logical(u) {
+                LogicalUndo::HeapInsert { rec } => (rec, None, Some(false)),
+                LogicalUndo::HeapDelete { rec, image } => (rec, Some(image), Some(true)),
+                LogicalUndo::HeapUpdate { rec, before } => (rec, Some(before), None),
+            },
+        };
+        let heap = db.heap(rec.table)?;
+        if let Some(allocated) = allocated {
+            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
+            let word = db.image.arena().read_u32(word_addr.0)? & !(1 << bit);
+            restore(
+                word_addr,
+                &(word | u32::from(allocated) << bit).to_le_bytes(),
+            )?;
+        }
+        if let Some(data) = data {
+            restore(heap.meta().slot_addr(rec.slot), data)?;
         }
     }
-    Ok(())
+    Ok(written)
 }
 
 #[cfg(test)]

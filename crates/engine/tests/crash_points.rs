@@ -6,7 +6,8 @@
 //! at torn mid-frame offsets) in a copy of the database directory, and
 //! recovery runs from each. The recovered state must equal the snapshot
 //! taken after the last transaction whose commit record survived the
-//! truncation — nothing more, nothing less.
+//! truncation — nothing more, nothing less — and must survive a second
+//! crash right after one more commit, with no checkpoint in between.
 
 use dali_common::{DaliConfig, Lsn, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
@@ -113,29 +114,48 @@ fn every_log_prefix_recovers_to_the_committed_prefix() {
 
             let mut case_config = config.clone();
             case_config.dir = case.clone();
-            let (db, outcome) = DaliEngine::open(case_config)
+            let (db, outcome) = DaliEngine::open(case_config.clone())
                 .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
 
             // Expected: the snapshot of the last commit at or before the
             // intact prefix — torn bytes never complete a frame, so the
             // boundary `p` is what counts.
             let intact = p;
-            let expect = snapshots
+            let mut expect = snapshots
                 .iter()
                 .rev()
                 .find(|(l, _)| l.0 <= intact)
-                .map(|(_, s)| s)
-                .unwrap_or(&snapshots[0].1);
+                .map(|(_, s)| s.clone())
+                .unwrap_or_else(|| snapshots[0].1.clone());
 
-            let check = db.begin().unwrap();
-            for (&rec, v) in expect {
-                let got = check.read_vec(rec).unwrap_or_else(|e| {
-                    panic!("cut {cut}: record {rec} unreadable: {e} ({outcome:?})")
-                });
-                assert_eq!(&got, v, "cut {cut}, record {rec} ({outcome:?})");
-            }
-            check.commit().unwrap();
-            assert!(db.audit().unwrap().clean(), "cut {cut}");
+            let check = |db: &DaliEngine, expect: &HashMap<RecId, Vec<u8>>, outcome| {
+                let check = db.begin().unwrap();
+                for (&rec, v) in expect {
+                    let got = check.read_vec(rec).unwrap_or_else(|e| {
+                        panic!("cut {cut}: record {rec} unreadable: {e} ({outcome:?})")
+                    });
+                    assert_eq!(&got, v, "cut {cut}, record {rec} ({outcome:?})");
+                }
+                check.commit().unwrap();
+                assert!(db.audit().unwrap().clean(), "cut {cut}");
+            };
+            check(&db, &expect, outcome);
+
+            // One more commit, a crash before any checkpoint, and a
+            // second restart: the log alone must hold the first one's
+            // rollback of the cut transaction.
+            let txn = db.begin().unwrap();
+            let extra = txn.insert(t, &val(99, 0)).unwrap();
+            txn.commit().unwrap();
+            expect.insert(extra, val(99, 0));
+            db.crash();
+            let (db, outcome) = DaliEngine::open(case_config)
+                .unwrap_or_else(|e| panic!("second recovery failed at cut {cut}: {e}"));
+            assert!(
+                outcome.rolled_back_txns.is_empty(),
+                "cut {cut}: {outcome:?}"
+            );
+            check(&db, &expect, outcome);
             drop(db);
             let _ = std::fs::remove_dir_all(&case);
         }
