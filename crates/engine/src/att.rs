@@ -51,14 +51,9 @@ pub struct TxnState {
 }
 
 impl TxnState {
-    /// Fresh state for a transaction discovered during recovery, which
-    /// only ever undoes it: its redo log stays empty.
-    pub fn new_for_recovery(id: TxnId) -> TxnState {
-        TxnState::new(id, CodewordAlgebraKind::XorFold)
-    }
-
-    /// Fresh state whose redo frames are checksummed under `kind`.
-    fn new(id: TxnId, kind: CodewordAlgebraKind) -> TxnState {
+    /// Fresh state whose redo frames are checksummed under `kind`: the
+    /// log's algebra, also for a transaction recovery rebuilds.
+    pub fn new(id: TxnId, kind: CodewordAlgebraKind) -> TxnState {
         TxnState {
             id,
             status: TxnStatus::Active,
@@ -147,8 +142,9 @@ impl Att {
         Ok(buf)
     }
 
-    /// Decode a checkpointed ATT into recovery-time transaction states.
-    pub fn decode_for_recovery(bytes: &[u8]) -> Result<Vec<TxnState>> {
+    /// Decode a checkpointed ATT into recovery-time transaction states
+    /// framing redo under `kind`.
+    pub fn decode_for_recovery(bytes: &[u8], kind: CodewordAlgebraKind) -> Result<Vec<TxnState>> {
         let mut r = Reader::new(bytes, |msg| {
             DaliError::RecoveryFailed(format!("checkpointed ATT: {msg}"))
         });
@@ -156,7 +152,7 @@ impl Att {
         let n = r.count(8 + 4 + 4)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut st = TxnState::new_for_recovery(TxnId(r.u64()?));
+            let mut st = TxnState::new(TxnId(r.u64()?), kind);
             st.next_op = r.u32()?;
             st.undo = LocalUndoLog::decode(&mut r)?;
             out.push(st);
@@ -214,7 +210,7 @@ mod tests {
         }
         att.insert(TxnId(8));
         let blob = att.encode_for_ckpt().unwrap();
-        let states = Att::decode_for_recovery(&blob).unwrap();
+        let states = Att::decode_for_recovery(&blob, CodewordAlgebraKind::XorFold).unwrap();
         assert_eq!(states.len(), 2);
         let t7 = states.iter().find(|s| s.id == TxnId(7)).unwrap();
         assert_eq!(t7.next_op, 3);
@@ -233,8 +229,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Att::decode_for_recovery(&[1, 2]).is_err());
+        let kind = CodewordAlgebraKind::XorFold;
+        assert!(Att::decode_for_recovery(&[1, 2], kind).is_err());
         // Claims one entry but has no body.
-        assert!(Att::decode_for_recovery(&[1, 0, 0, 0]).is_err());
+        assert!(Att::decode_for_recovery(&[1, 0, 0, 0], kind).is_err());
     }
 }

@@ -692,7 +692,8 @@ mod tests {
         assert_eq!(back.ck_end, Lsn(1000));
         assert_eq!(back.audit_sn, Some(Lsn(900)));
         assert_eq!(back.catalog.len(), 1);
-        let states = Att::decode_for_recovery(&back.att_blob).unwrap();
+        let states =
+            Att::decode_for_recovery(&back.att_blob, CodewordAlgebraKind::XorFold).unwrap();
         assert_eq!(states.len(), 1);
     }
 

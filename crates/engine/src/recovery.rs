@@ -2,9 +2,11 @@
 //! recovery (paper §4.3).
 //!
 //! Restart recovery loads the certified checkpoint image, replays the
-//! system log from `CK_end` (repeating history physically), and rolls
-//! back incomplete transactions level by level using logical undo from the
-//! checkpointed ATT and operation commit records.
+//! system log from `CK_end` (repeating history physically, one segment
+//! at a time: the writes of the operations that committed in a segment
+//! go into the image together when it ends), and rolls back incomplete
+//! transactions level by level using logical undo from the checkpointed
+//! ATT and operation commit records.
 //!
 //! When a corruption marker is present (a failed audit brought the system
 //! down) — or unconditionally under the CW ReadLog scheme — the redo scan
@@ -47,7 +49,7 @@ use dali_common::{
     CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, Store, TxnId,
 };
 use dali_mem::{DbImage, PageProtector};
-use dali_wal::record::{LogRecord, LogRecordRef};
+use dali_wal::record::{LogRecord, LogRecordRef, LogicalUndoRef};
 use dali_wal::{LogReader, SystemLog, UndoKind};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
@@ -62,8 +64,10 @@ use std::time::{Duration, Instant};
 /// (its operation's batch straddles a segment roll) is ever copied.
 type Write<'s> = (DbAddr, Cow<'s, [u8]>);
 
-/// Physical redo buffered per (transaction, operation) until the
-/// operation's commit record arrives.
+/// What the scan holds borrowed from one log segment: physical redo
+/// buffered per (transaction, operation) until the operation's commit
+/// record arrives, committed writes not yet in the image, and operation
+/// commits' logical undo not yet copied into the ATT.
 ///
 /// An operation's records reach the log as one contiguous batch, so the
 /// entry a record belongs to is almost always the newest: a vector
@@ -72,13 +76,21 @@ type Write<'s> = (DbAddr, Cow<'s, [u8]>);
 /// transactions in mid-abort (until their TxnAbort) and the partial batch
 /// of each torn flush since the checkpoint, which stays until the restart
 /// after it logs its transaction's abort.
-struct PendingWrites<'s> {
+#[derive(Default)]
+struct Pending<'s> {
     ops: Vec<((TxnId, OpSeq), Vec<Write<'s>>)>,
     /// The emptied buffer of the last released operation, for the next.
     spare: Vec<Write<'s>>,
+    /// Released writes, in commit order: the image is history up to the
+    /// last commit scanned once these are applied.
+    ready: Vec<Write<'s>>,
+    /// The logical undo of each operation commit whose transaction has
+    /// not ended, in log order. Most end within the segment and are
+    /// dropped; the rest are copied into the ATT by `own_undo`.
+    undo: Vec<((TxnId, OpSeq), LogicalUndoRef<'s>)>,
 }
 
-impl<'s> PendingWrites<'s> {
+impl<'s> Pending<'s> {
     fn push(&mut self, op: (TxnId, OpSeq), write: Write<'s>) {
         match self.ops.iter_mut().rev().find(|(k, _)| *k == op) {
             Some((_, writes)) => writes.push(write),
@@ -96,28 +108,63 @@ impl<'s> PendingWrites<'s> {
         Some(self.ops.remove(at).1)
     }
 
-    /// Remove and return everything buffered for `txn`, in operation
-    /// order.
-    fn take_txn(&mut self, txn: TxnId) -> Vec<Vec<Write<'s>>> {
-        let mut taken = Vec::new();
-        self.ops.retain_mut(|((t, op), writes)| {
-            if *t == txn {
-                taken.push((*op, std::mem::take(writes)));
-            }
-            *t != txn
-        });
-        taken.sort_by_key(|(op, _)| op.0);
-        taken.into_iter().map(|(_, writes)| writes).collect()
+    /// `op` committed: its writes are covered by its logical undo.
+    fn commit(&mut self, op: (TxnId, OpSeq), undo: LogicalUndoRef<'s>) {
+        if let Some(mut writes) = self.take(op) {
+            self.ready.append(&mut writes);
+            self.spare = writes;
+        }
+        self.undo.push((op, undo));
+    }
+
+    /// `txn` ended: release what it buffered (an abort's compensations,
+    /// terminated by its TxnAbort) in operation order — compensations of
+    /// one rollback share an op only with themselves — or drop it, and
+    /// drop its undo.
+    fn end(&mut self, txn: TxnId, release: bool) {
+        let mut ended: Vec<_> = self.ops.extract_if(.., |((t, _), _)| *t == txn).collect();
+        ended.sort_by_key(|((_, op), _)| op.0);
+        if release {
+            self.ready
+                .extend(ended.into_iter().flat_map(|(_, writes)| writes));
+        }
+        self.undo.retain(|((t, _), _)| *t != txn);
+    }
+
+    /// Write the released writes into `image`, oldest first.
+    fn apply(&mut self, image: &DbImage) -> Result<()> {
+        for (addr, data) in self.ready.drain(..) {
+            image.write(addr, &data)?;
+        }
+        Ok(())
+    }
+
+    /// Copy the held undo into its transactions' ATT entries (`kind`
+    /// frames a new entry's redo) and return the ATT, now complete.
+    fn own_undo<'a>(
+        &mut self,
+        att: &'a mut HashMap<TxnId, TxnState>,
+        kind: CodewordAlgebraKind,
+    ) -> &'a HashMap<TxnId, TxnState> {
+        for ((txn, op), undo) in self.undo.drain(..) {
+            let st = att.entry(txn).or_insert_with(|| TxnState::new(txn, kind));
+            let undo = undo.map(|image| st.undo.copy_in(image));
+            st.undo.commit_op(op, undo);
+            st.next_op = st.next_op.max(op.0 + 1);
+        }
+        att
     }
 
     /// What is still buffered when the segment ends, copied out of its
     /// buffer: operations whose batch straddles the segment roll.
-    fn into_carried(self) -> Vec<((TxnId, OpSeq), Vec<Write<'static>>)> {
+    fn into_carried(self) -> Pending<'static> {
+        debug_assert!(self.ready.is_empty() && self.undo.is_empty());
         let own = |(addr, data): Write<'s>| (addr, Cow::Owned(data.into_owned()));
-        self.ops
-            .into_iter()
-            .map(|(op, writes)| (op, writes.into_iter().map(own).collect()))
-            .collect()
+        let own_op = |(op, writes): (_, Vec<_>)| (op, writes.into_iter().map(own).collect());
+        Pending {
+            ops: self.ops.into_iter().map(own_op).collect(),
+            ..Pending::default()
+        }
     }
 }
 
@@ -363,15 +410,6 @@ impl<'m> Taint<'m> {
     }
 }
 
-/// An operation committed (or an abort's compensations were
-/// terminated): apply its buffered writes to `image`, oldest first.
-fn apply(image: &DbImage, writes: &mut Vec<Write<'_>>) -> Result<()> {
-    for (addr, data) in writes.drain(..) {
-        image.write(addr, &data)?;
-    }
-    Ok(())
-}
-
 /// What the redo pass leaves for the rest of recovery.
 struct Redone {
     /// The reconstructed ATT: every transaction still incomplete at the
@@ -397,22 +435,25 @@ struct Redone {
 /// The reader ([`LogReader`]) holds one segment in memory and checks
 /// each frame as it is first walked over; the scan works on records
 /// *borrowed* from it, so a physical write is a `(DbAddr, &[u8])` into
-/// the segment buffer until it lands in the image. What outlives the
-/// segment is copied exactly once: operation-commit undo images (a
-/// loser's undo log is needed after the whole scan) and the writes of an
-/// operation whose batch straddles a segment roll.
+/// the segment buffer until it lands in the image, and an operation
+/// commit's undo image a slice of it until its transaction ends. What
+/// outlives the segment is copied exactly once: the undo of the
+/// transactions still open when it ends (a loser's undo log is needed
+/// after the whole scan) and the writes of an operation whose batch
+/// straddles a segment roll.
 ///
-/// Physical redo is buffered per operation and applied to `image` when
-/// the operation's commit record arrives, on the scanning thread, so the
-/// image is always the history up to the last applied commit — which is
-/// what the §4.3 scan's `codewords_match` reads mid-stream. Operation
-/// commit migrates its records to the system log as one batch, so in an
-/// intact log every physical record is followed by its OpCommit; the
-/// exception is a *torn final flush* (or a prior-state cut), whose
-/// trailing partial batch must be discarded — applying it would write
-/// bytes that no undo information covers. (Compensation records of an
-/// abort are terminated by the TxnAbort record of the same batch
-/// instead.)
+/// Physical redo is buffered per operation until the operation's commit
+/// record arrives, which releases it to a list in commit order; the list
+/// is written into `image` on the scanning thread when the segment ends,
+/// and before anything reads the image mid-scan (the §4.3 scan's
+/// `codewords_match`), so whatever looks at the image sees the history
+/// up to the last commit scanned. Operation commit migrates its records
+/// to the system log as one batch, so in an intact log every physical
+/// record is followed by its OpCommit; the exception is a *torn final
+/// flush* (or a prior-state cut), whose trailing partial batch must be
+/// discarded — applying it would write bytes that no undo information
+/// covers. (Compensation records of an abort are released by the
+/// TxnAbort record of the same batch instead.)
 fn redo_pass(
     config: &DaliConfig,
     store: &Store,
@@ -421,8 +462,9 @@ fn redo_pass(
     upto: Option<Lsn>,
     mut taint: Option<&mut Taint<'_>>,
 ) -> Result<Redone> {
+    let kind = config.codeword_algebra;
     let mut catalog = meta.catalog.clone();
-    let mut att: HashMap<TxnId, TxnState> = Att::decode_for_recovery(&meta.att_blob)?
+    let mut att: HashMap<TxnId, TxnState> = Att::decode_for_recovery(&meta.att_blob, kind)?
         .into_iter()
         .map(|s| (s.id, s))
         .collect();
@@ -433,18 +475,15 @@ fn redo_pass(
     // of one transaction need not look it up again to know it is there.
     let mut in_att: Option<TxnId> = None;
     // Writes of operations still uncommitted when their segment ended.
-    let mut carried = Vec::new();
+    let mut carried = Pending::default();
 
     // A roll the crash interrupted may have left its successor pending.
     let log_dir = Db::log_path(&config.dir);
-    dali_wal::segment::adopt_pending(&**store, &log_dir, config.codeword_algebra)?;
-    let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, config.codeword_algebra)?;
+    dali_wal::segment::adopt_pending(&**store, &log_dir, kind)?;
+    let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, kind)?;
     reader.for_each_segment(|seg| {
         let mut cut = false;
-        let mut pending = PendingWrites {
-            ops: std::mem::take(&mut carried),
-            spare: Vec::new(),
-        };
+        let mut pending: Pending = std::mem::take(&mut carried);
         for (lsn, rec) in seg.records() {
             if upto.is_some_and(|upto| lsn >= upto) {
                 cut = true;
@@ -456,26 +495,26 @@ fn redo_pass(
             }
             match rec {
                 LogRecordRef::TxnBegin { txn } => {
-                    att.entry(txn)
-                        .or_insert_with(|| TxnState::new_for_recovery(txn));
+                    att.entry(txn).or_insert_with(|| TxnState::new(txn, kind));
                     in_att = Some(txn);
                 }
                 LogRecordRef::OpBegin { txn, rec, .. } => {
                     if in_att != Some(txn) {
-                        att.entry(txn)
-                            .or_insert_with(|| TxnState::new_for_recovery(txn));
+                        att.entry(txn).or_insert_with(|| TxnState::new(txn, kind));
                         in_att = Some(txn);
                     }
                     if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
                         // §4.3: quarantine transactions whose new
                         // operation conflicts with an operation in a
-                        // corrupt transaction's undo log.
+                        // corrupt transaction's undo log. That log was
+                        // owned when its transaction was tainted, and
+                        // the scan ignores its later operation commits.
                         let conflicts = t.ctt.iter().any(|ct| {
                             att.get(ct)
                                 .is_some_and(|s| s.undo.logical_targets().any(|t| t == rec))
                         });
                         if conflicts {
-                            t.taint(txn, &att, &catalog);
+                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
                         }
                     }
                 }
@@ -500,7 +539,7 @@ fn redo_pass(
                             // transaction's rollback will restore): the
                             // transaction is corrupt and the write is
                             // suppressed.
-                            t.taint(txn, &att, &catalog);
+                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
                             t.cdt.insert(addr, data.len());
                             continue;
                         }
@@ -516,6 +555,7 @@ fn redo_pass(
                     let len = len as usize;
                     if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
                         let tainted = if !codewords.is_empty() {
+                            pending.apply(image)?;
                             !codewords_match(image, config, addr, len, codewords)?
                         } else {
                             t.cdt.overlaps(addr, len)
@@ -528,7 +568,7 @@ fn redo_pass(
                         // still matches what the reader saw; the
                         // divergence only appears at the undo phase).
                         if tainted || t.undo_ranges.overlaps(addr, len) {
-                            t.taint(txn, &att, &catalog);
+                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
                         }
                     }
                 }
@@ -537,34 +577,17 @@ fn redo_pass(
                         pending.take((txn, op));
                         continue; // logical records of corrupt txns are ignored
                     }
-                    // The operation committed: its buffered physical
-                    // writes are covered by the logical undo below.
-                    if let Some(mut writes) = pending.take((txn, op)) {
-                        apply(image, &mut writes)?;
-                        pending.spare = writes;
-                    }
-                    let st = att
-                        .entry(txn)
-                        .or_insert_with(|| TxnState::new_for_recovery(txn));
-                    let undo = undo.map(|image| st.undo.copy_in(image));
-                    st.undo.commit_op(op, undo);
-                    st.next_op = st.next_op.max(op.0 + 1);
-                    in_att = Some(txn);
+                    pending.commit((txn, op), undo);
                 }
                 LogRecordRef::TxnCommit { txn } | LogRecordRef::TxnAbort { txn } => {
-                    let ops = pending.take_txn(txn);
-                    if taint.as_ref().is_some_and(|t| t.ctt.contains(&txn)) {
-                        continue; // stays incomplete; undone in the undo phase
+                    // A corrupt transaction stays incomplete; it is
+                    // undone in the undo phase.
+                    let corrupt = taint.as_ref().is_some_and(|t| t.ctt.contains(&txn));
+                    pending.end(txn, !corrupt);
+                    if !corrupt {
+                        att.remove(&txn);
+                        in_att = in_att.filter(|t| *t != txn);
                     }
-                    // An abort's compensation records are terminated by
-                    // the TxnAbort record of the same batch: apply them
-                    // now (in op, then insertion order — compensations
-                    // of one rollback share an op only with themselves).
-                    for mut writes in ops {
-                        apply(image, &mut writes)?;
-                    }
-                    att.remove(&txn);
-                    in_att = in_att.filter(|t| *t != txn);
                 }
                 LogRecordRef::AuditBegin { audit_id } => {
                     max_audit_seen = max_audit_seen.max(audit_id + 1);
@@ -596,7 +619,9 @@ fn redo_pass(
             }
         }
 
-        // ---- end of segment: keep what it owes the next ----
+        // ---- end of segment: apply, own, and keep what it owes the next ----
+        pending.apply(image)?;
+        pending.own_undo(&mut att, kind);
         if cut {
             return Ok(ControlFlow::Break(()));
         }
@@ -610,7 +635,7 @@ fn redo_pass(
     }
     // A torn operation's number is taken: fresh ones must sort after it.
     let mut torn = Vec::new();
-    for ((txn, op), writes) in carried {
+    for ((txn, op), writes) in carried.ops {
         if let Some(st) = att.get_mut(&txn) {
             st.next_op = st.next_op.max(op.0 + 1);
         }

@@ -13,6 +13,14 @@
 //! are framed into its redo buffer as they are produced, so the update
 //! path allocates nothing and an operation reaches the log as one copy.
 //!
+//! A rewrite of a whole record (an update, the compensating update of a
+//! rollback, recovery's record restore) compares the record's current
+//! bytes with the new ones a `u64` at a time and brackets only the span
+//! from the first to the last 8-byte chunk that differs, or nothing if
+//! none does; the logical undo keeps the whole before-image. A TPC-B
+//! update, which changes one balance, thus writes, folds and logs 8
+//! bytes instead of its record.
+//!
 //! Reads dispatch per scheme: plain copy, precheck (§3.1), or read
 //! logging (§4.2, with codewords per the §4.3 extension).
 //!
@@ -243,7 +251,7 @@ impl TxnHandle {
         let before = st
             .undo
             .stage(data.len(), |b| read_persistent(&self.db, addr, b))?;
-        physical_update(&self.db, &mut st, self.id, op, addr, data)?;
+        rewrite_record(&self.db, &mut st, self.id, op, addr, before, data)?;
         commit_op(
             &self.db,
             &mut st,
@@ -533,6 +541,42 @@ fn physical_update(
     res
 }
 
+/// Rewrite the record at `addr`, whose current bytes `old` were staged in
+/// the undo arena, as `new`: one [`physical_update`] over the changed span
+/// only, or none if nothing changed. Bytes outside the span already hold
+/// `new`, so the image, codewords and parity end as a whole-record write
+/// leaves them, while the undo image, the delta and the redo shrink to
+/// the span.
+fn rewrite_record(
+    db: &Db,
+    st: &mut TxnState,
+    txn: TxnId,
+    op: dali_common::OpSeq,
+    addr: DbAddr,
+    old: Span,
+    new: &[u8],
+) -> Result<()> {
+    match changed_span(st.undo.bytes(old), new) {
+        Some(span) => physical_update(db, st, txn, op, DbAddr(addr.0 + span.start), &new[span]),
+        None => Ok(()),
+    }
+}
+
+/// The span of `new` that differs from `old` (of the same length), in
+/// whole 8-byte chunks from the start, the last one cut at the end:
+/// `None` when the two are equal. Compared one `u64` at a time.
+fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
+    debug_assert_eq!(old.len(), new.len());
+    let word = |c: &[u8]| u64::from_ne_bytes(c.try_into().expect("8-byte chunk"));
+    let (a, b) = (old.chunks_exact(8), new.chunks_exact(8));
+    // Chunks are numbered from 0; the tail is chunk `len / 8`.
+    let tail = (a.remainder() != b.remainder()).then_some(old.len() / 8);
+    let mut differs = a.zip(b).map(|(a, b)| word(a) != word(b));
+    let first = differs.position(|d| d).or(tail)?;
+    let last = tail.or_else(|| differs.rposition(|d| d).map(|i| first + 1 + i));
+    Some(first * 8..((last.unwrap_or(first) + 1) * 8).min(old.len()))
+}
+
 /// Roll back everything in the transaction's undo log, level by level:
 /// physical restores first (they are always on top of the stack), then
 /// logical compensations executed as fresh operations.
@@ -667,7 +711,7 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndoR
             let addr = heap.meta().slot_addr(rec.slot);
             let op = begin_op(st, txn, OpKind::Update, rec);
             let cur = st.undo.stage(before.len(), |b| db.image.read(addr, b))?;
-            physical_update(db, st, txn, op, addr, before)?;
+            rewrite_record(db, st, txn, op, addr, cur, before)?;
             commit_op(
                 db,
                 st,
@@ -684,14 +728,19 @@ fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndoR
 /// directly in reverse (physical first — they are on top of the stack —
 /// then logical compensations), without locks or logging. Each restore
 /// is a directed update like any other, so the codewords and the parity
-/// stripe stay current. Returns the `(addr, bytes)` written, in order,
-/// for the caller to log.
+/// stripe stay current, and like [`rewrite_record`] it writes only the
+/// span that changes. Returns the `(addr, bytes)` written, in order, for
+/// the caller to log.
 pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<Vec<(DbAddr, Vec<u8>)>> {
     let mut written = Vec::new();
     let mut restore = |addr: DbAddr, bytes: &[u8]| -> Result<()> {
         let (ws, wl) = dali_common::align::widen_to_words(addr.0, bytes.len());
         let mut old = vec![0u8; wl];
         db.image.read(DbAddr(ws), &mut old)?;
+        let Some(span) = changed_span(&old[addr.0 - ws..][..bytes.len()], bytes) else {
+            return Ok(());
+        };
+        let (addr, bytes) = (DbAddr(addr.0 + span.start), &bytes[span]);
         db.image.write(addr, bytes)?;
         db.prot.apply_update(&db.image, DbAddr(ws), &old)?;
         written.push((addr, bytes.to_vec()));
@@ -731,9 +780,110 @@ pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<Vec<(DbAdd
 mod tests {
     use super::*;
     use crate::DaliEngine;
-    use dali_common::{DaliConfig, ProtectionScheme};
+    use dali_common::{DaliConfig, Lsn, ProtectionScheme};
     use dali_testutil::TempDir;
     use dali_wal::SystemLog;
+    use proptest::collection::vec;
+    use proptest::prelude::any;
+
+    proptest::proptest! {
+        /// The changed span covers every differing byte, starts and ends
+        /// on an 8-byte boundary or at the end, begins and ends with a
+        /// chunk that differs, is `None` exactly when the two are equal,
+        /// and patching `old` with `new`'s span gives `new`.
+        #[test]
+        fn changed_span_covers_exactly_the_differing_chunks(
+            old in vec(any::<u8>(), 0..300),
+            flips in vec((any::<usize>(), 1u8..=255), 0..4),
+        ) {
+            let mut new = old.clone();
+            for &(at, by) in flips.iter().filter(|_| !old.is_empty()) {
+                new[at % old.len()] ^= by;
+            }
+            let differs = |i: usize| old[i] != new[i];
+            let Some(span) = changed_span(&old, &new) else {
+                proptest::prop_assert_eq!(&old, &new);
+                return Ok(());
+            };
+            proptest::prop_assert!(old != new);
+            proptest::prop_assert!((0..old.len()).filter(|&i| differs(i)).all(|i| span.contains(&i)));
+            proptest::prop_assert!(span.start % 8 == 0 && span.start < span.end);
+            proptest::prop_assert!(span.end % 8 == 0 || span.end == old.len());
+            proptest::prop_assert!(span.end <= old.len());
+            proptest::prop_assert!((span.start..(span.start + 8).min(span.end)).any(differs));
+            proptest::prop_assert!(((span.end - 1) / 8 * 8..span.end).any(differs));
+            let mut patched = old.clone();
+            patched[span.clone()].copy_from_slice(&new[span]);
+            proptest::prop_assert_eq!(patched, new);
+        }
+    }
+
+    /// An update writes and logs only the 8-byte chunks it changes: a
+    /// balance-only update one 8-byte `PhysicalRedo`, an identical one
+    /// none, a change of the first and last byte the whole record. The
+    /// audit is clean after each, and a restart keeps the committed
+    /// identical update and rolls back an uncommitted one.
+    #[test]
+    fn an_update_logs_only_the_chunks_it_changes() {
+        let dir = TempDir::new("txn-changed-span");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (engine, _) = DaliEngine::create(config.clone()).unwrap();
+        let table = engine.create_table("t", 100, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        let rec = setup.insert(table, &[7; 100]).unwrap();
+        setup.commit().unwrap();
+        let db = engine.db();
+        let slot = db.heap(table).unwrap().meta().slot_addr(rec.slot);
+        let writes = |txn: TxnId, start: Lsn| -> Vec<(DbAddr, Vec<u8>)> {
+            SystemLog::scan_stable_with(db.syslog.path(), start, db.config.codeword_algebra)
+                .unwrap()
+                .into_iter()
+                .filter_map(|(_, r)| match r {
+                    LogRecord::PhysicalRedo {
+                        txn: t, addr, data, ..
+                    } if t == txn => Some((addr, data)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let update = |data: &[u8], commit: bool| {
+            let start = db.syslog.current_lsn();
+            let txn = engine.begin().unwrap();
+            let id = txn.id();
+            txn.update(rec, data).unwrap();
+            if commit {
+                txn.commit().unwrap();
+            } else {
+                db.syslog.flush(false).unwrap();
+                std::mem::forget(txn);
+            }
+            assert!(engine.audit().unwrap().clean());
+            writes(id, start)
+        };
+
+        let mut balance = [7u8; 100];
+        balance[8..16].copy_from_slice(&(-42i64).to_le_bytes());
+        let logged = update(&balance, true);
+        assert_eq!(logged, [(DbAddr(slot.0 + 8), balance[8..16].to_vec())]);
+        assert_eq!(update(&balance, true), []);
+        let mut ends = balance;
+        (ends[0], ends[99]) = (1, 2);
+        assert_eq!(update(&ends, true), [(slot, ends.to_vec())]);
+        assert_eq!(update(&ends, true), [], "committed, then crashed");
+        assert_eq!(update(&ends, false), [], "open at the crash");
+        engine.crash();
+
+        // The second restart replays the first one's logged rollback.
+        for rolled_back in [1, 0] {
+            let (engine, outcome) = DaliEngine::open(config.clone()).unwrap();
+            assert_eq!(outcome.rolled_back_txns.len(), rolled_back);
+            let check = engine.begin().unwrap();
+            assert_eq!(check.read_vec(rec).unwrap(), ends);
+            check.commit().unwrap();
+            assert!(engine.audit().unwrap().clean());
+            engine.crash();
+        }
+    }
 
     /// An operation that fails after its first physical update is rolled
     /// back: its `OpBegin` and after-image never reach the log, while

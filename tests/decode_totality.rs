@@ -163,10 +163,16 @@ fn every_resealed_truncation_of_a_marker_is_an_error() {
 #[test]
 fn over_counted_att_and_undo_log_are_errors_not_reservations() {
     let over = u32::MAX.to_le_bytes();
-    assert!(is_recovery_failed(Att::decode_for_recovery(&over)));
+    assert!(is_recovery_failed(Att::decode_for_recovery(
+        &over,
+        CodewordAlgebraKind::XorFold
+    )));
     // One well-formed ATT entry (txn 7, next_op 1) whose undo log
     // over-counts.
     let mut blob = vec![1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0];
     blob.extend_from_slice(&over);
-    assert!(is_recovery_failed(Att::decode_for_recovery(&blob)));
+    assert!(is_recovery_failed(Att::decode_for_recovery(
+        &blob,
+        CodewordAlgebraKind::XorFold
+    )));
 }
