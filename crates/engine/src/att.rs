@@ -2,12 +2,13 @@
 //!
 //! Each entry carries the transaction's local undo and redo logs (Dali's
 //! local logging). The checkpointer serializes the ATT — including local
-//! undo logs — into checkpoint metadata so that restart recovery has
-//! physical undo for operations that were in flight at checkpoint time.
+//! undo logs — into checkpoint metadata so that restart recovery has the
+//! logical undo of the operations its transactions completed before it.
+//! No operation is in flight then: the checkpointer holds `quiesce`
+//! exclusively, and an operation holds it from begin to end.
 
 use dali_common::codec::{Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
-use dali_wal::record::OpKind;
 use dali_wal::{LocalRedoLog, LocalUndoLog};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -21,14 +22,6 @@ pub enum TxnStatus {
     Aborted,
 }
 
-/// A level-1 operation in progress.
-#[derive(Clone, Debug)]
-pub struct OpState {
-    pub seq: OpSeq,
-    pub kind: OpKind,
-    pub rec: RecId,
-}
-
 /// Per-transaction state (one ATT entry).
 pub struct TxnState {
     pub id: TxnId,
@@ -36,7 +29,6 @@ pub struct TxnState {
     pub undo: LocalUndoLog,
     pub redo: LocalRedoLog,
     pub next_op: u32,
-    pub cur_op: Option<OpState>,
     /// A physical update is between its beginUpdate and endUpdate: the
     /// checkpointer must not serialize this entry's undo log.
     pub update_in_flight: bool,
@@ -60,7 +52,6 @@ impl TxnState {
             undo: LocalUndoLog::new(),
             redo: LocalRedoLog::with_algebra(kind),
             next_op: 0,
-            cur_op: None,
             update_in_flight: false,
             op_exposures: Vec::new(),
             deferred_frees: Vec::new(),

@@ -16,7 +16,7 @@
 use crate::catalog::HeapMeta;
 use dali_common::{DaliError, Result, SlotId};
 use dali_mem::DbImage;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 struct AllocState {
     /// One bit per slot; set = allocated or reserved.
@@ -25,6 +25,11 @@ struct AllocState {
     cursor: usize,
     /// Number of set bits.
     in_use: usize,
+}
+
+/// The held allocation mutex of one heap ([`HeapRuntime::lock_alloc`]).
+pub struct AllocGuard<'a> {
+    _held: MutexGuard<'a, AllocState>,
 }
 
 /// Runtime allocation state for one heap.
@@ -122,13 +127,18 @@ impl HeapRuntime {
         }
     }
 
-    /// Run `f` while holding the heap's allocation mutex. Used to
-    /// serialize read-modify-write cycles on shared bitmap words (two
-    /// inserts allocating different slots of the same word must not race
-    /// on the word itself).
-    pub fn with_alloc_locked<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _g = self.alloc.lock();
-        f()
+    /// Hold the heap's allocation mutex until the guard drops. It
+    /// serializes read-modify-write cycles on shared bitmap words, and
+    /// it is held through the log append that follows one: an insert or
+    /// delete holds it from its bitmap write through its operation's
+    /// append, an abort through its batch's, so the log holds a word's
+    /// writes in the order they were made. [`reserve`](Self::reserve)
+    /// and [`release`](Self::release) take it too: never call them while
+    /// holding the guard.
+    pub fn lock_alloc(&self) -> AllocGuard<'_> {
+        AllocGuard {
+            _held: self.alloc.lock(),
+        }
     }
 
     /// Is the slot allocated *in the image* (authoritative, what readers

@@ -28,12 +28,14 @@
 //! * when the scan passes `Audit_SN` (the last clean audit), the failing
 //!   audit's regions join the CorruptDataTable.
 //!
-//! A normal restart logs its rollback, as an online abort does: each
-//! incomplete transaction's restores as physical redo records ended by its
-//! `TxnAbort`. It takes no checkpoint, since the log now holds the state
-//! it recovered. The other modes end with a certified checkpoint, because
-//! their image is not the log's history; only then do they log the aborts
-//! and clear the corruption marker, so a crash during them repeats them.
+//! Restart rolls back with the routine an online abort uses
+//! (`txn::rollback`), and a normal restart logs it the same way: each
+//! incomplete transaction's restores as physical redo records under one
+//! fresh operation, ended by its `TxnAbort`, in one batch. It takes no
+//! checkpoint, since the log now holds the state it recovered. The other
+//! modes end with a certified checkpoint, because their image is not the
+//! log's history; only then do they log the aborts and clear the
+//! corruption marker, so a crash during them repeats them.
 
 use crate::att::{Att, TxnState};
 use crate::catalog::{Catalog, HeapMeta};
@@ -42,7 +44,7 @@ use crate::corruption::{self, CorruptionMarker, RangeSet};
 use crate::db::{CkptState, Db, EngineStats};
 use crate::heap::HeapRuntime;
 use crate::lock::LockManager;
-use crate::txn::rollback_direct;
+use crate::txn::rollback;
 use dali_codeword::CodewordProtection;
 use dali_common::codec::CodewordsRef;
 use dali_common::{
@@ -72,10 +74,9 @@ type Write<'s> = (DbAddr, Cow<'s, [u8]>);
 /// An operation's records reach the log as one contiguous batch, so the
 /// entry a record belongs to is almost always the newest: a vector
 /// searched from the back finds it without hashing every record. What
-/// can sit in front of it is small — the compensation writes of
-/// transactions in mid-abort (until their TxnAbort) and the partial batch
-/// of each torn flush since the checkpoint, which stays until the restart
-/// after it logs its transaction's abort.
+/// can sit in front of it is small — the partial batch of each torn flush
+/// since the checkpoint, which stays until the restart after it logs its
+/// transaction's abort.
 #[derive(Default)]
 struct Pending<'s> {
     ops: Vec<((TxnId, OpSeq), Vec<Write<'s>>)>,
@@ -117,9 +118,10 @@ impl<'s> Pending<'s> {
         self.undo.push((op, undo));
     }
 
-    /// `txn` ended: release what it buffered (an abort's compensations,
-    /// terminated by its TxnAbort) in operation order — compensations of
-    /// one rollback share an op only with themselves — or drop it, and
+    /// `txn` ended: release what it buffered (an abort batch's restores,
+    /// terminated by its TxnAbort) in operation order — a rollback's
+    /// restores share one fresh op, numbered after every op its
+    /// transaction logged before, torn ones included — or drop it, and
     /// drop its undo.
     fn end(&mut self, txn: TxnId, release: bool) {
         let mut ended: Vec<_> = self.ops.extract_if(.., |((t, _), _)| *t == txn).collect();
@@ -129,6 +131,15 @@ impl<'s> Pending<'s> {
                 .extend(ended.into_iter().flat_map(|(_, writes)| writes));
         }
         self.undo.retain(|((t, _), _)| *t != txn);
+    }
+
+    /// The writes buffered for `txn`, oldest first: what its reads saw
+    /// on top of the image.
+    fn writes_of(&self, txn: TxnId) -> impl Iterator<Item = &Write<'s>> + Clone {
+        self.ops
+            .iter()
+            .filter(move |((t, _), _)| *t == txn)
+            .flat_map(|(_, writes)| writes)
     }
 
     /// Write the released writes into `image`, oldest first.
@@ -452,8 +463,8 @@ struct Redone {
 /// record is followed by its OpCommit; the exception is a *torn final
 /// flush* (or a prior-state cut), whose trailing partial batch must be
 /// discarded — applying it would write bytes that no undo information
-/// covers. (Compensation records of an abort are released by the
-/// TxnAbort record of the same batch instead.)
+/// covers. (The restores of an abort are released by the TxnAbort record
+/// of the same batch instead.)
 fn redo_pass(
     config: &DaliConfig,
     store: &Store,
@@ -556,7 +567,8 @@ fn redo_pass(
                     if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
                         let tainted = if !codewords.is_empty() {
                             pending.apply(image)?;
-                            !codewords_match(image, config, addr, len, codewords)?
+                            let own = pending.writes_of(txn);
+                            !codewords_match(image, config, addr, len, codewords, own)?
                         } else {
                             t.cdt.overlaps(addr, len)
                         };
@@ -732,19 +744,21 @@ fn finish(
     Ok((db, outcome))
 }
 
-/// Undo phase and wrap-up: roll back every incomplete transaction level
-/// by level, newest first, and make the rollback part of the history.
+/// Undo phase and wrap-up: roll back every incomplete transaction, newest
+/// first, with the online abort's `rollback`, and make the rollback part
+/// of the history.
 ///
-/// A normal restart (`logged`) appends each one's restores as physical
-/// redo records under a fresh operation, ended by its `TxnAbort`, as an
-/// online abort does, and takes no checkpoint. Before them it logs the
-/// bytes now at each write of the transaction's torn final batch, which
-/// the log keeps unapplied and a later restart would apply at that
-/// `TxnAbort` (cutting the log instead fails when the batch straddles a
-/// sealed segment). The other modes' image is not the log's history (the
-/// §4.3 scan suppresses writes, prior-state recovery drops a future), so
-/// they take the exit checkpoint and only then log the aborts and clear
-/// the corruption marker.
+/// A normal restart (`logged`) appends each one's redo and `TxnAbort` as
+/// one batch, as an online abort does, and takes no checkpoint. The batch
+/// starts with the bytes now at each write of the transaction's torn
+/// final batch, under an operation of their own, numbered before the
+/// rollback's: the log keeps those writes unapplied, and a later restart
+/// applies them at that `TxnAbort` (cutting the log instead fails when
+/// the batch straddles a sealed segment). The other modes' image is not
+/// the log's history (the §4.3 scan suppresses writes, prior-state
+/// recovery drops a future), so they discard the redo, take the exit
+/// checkpoint and only then log the aborts and clear the corruption
+/// marker.
 ///
 /// Returns the rolled-back ids, ascending, split into those in `ctt`
 /// (deleted from history) and the merely incomplete, and the exit
@@ -763,24 +777,16 @@ fn undo_and_finish(
     // conflicted with is rolled back.
     for &txn in incomplete.iter().rev() {
         let st = att.get_mut(&txn).expect("present");
-        let mut writes = Vec::new();
+        let torn_op = st.next_op_seq();
         for &(_, addr, len) in torn.iter().filter(|w| logged && w.0 == txn) {
             let mut data = vec![0u8; len];
             db.image.read(addr, &mut data)?;
-            writes.push((addr, data));
+            st.redo.push_redo(txn, torn_op, addr, &data);
         }
-        writes.extend(rollback_direct(db, &st.undo)?);
+        rollback(db, st, txn)?;
         if logged {
-            let op = st.next_op_seq();
-            for (addr, data) in writes {
-                db.syslog.append(&LogRecord::PhysicalRedo {
-                    txn,
-                    op,
-                    addr,
-                    data,
-                });
-            }
-            db.syslog.append(&LogRecord::TxnAbort { txn });
+            st.redo.push(LogRecord::TxnAbort { txn });
+            db.syslog.append_frames(&st.redo);
         }
     }
     let (deleted, rolled_back): (Vec<TxnId>, Vec<TxnId>) =
@@ -949,15 +955,18 @@ fn check_ckpt_algebra(meta: &ckpt::CkptMeta, configured: CodewordAlgebraKind) ->
     Ok(())
 }
 
-/// Compare logged read codewords against the recovering image: the read
-/// record covers `[addr, addr+len)` and carries one codeword per
-/// overlapped protection region.
-fn codewords_match(
+/// Compare logged read codewords against the recovering image, with the
+/// reader's own writes not yet applied (`own`: an operation or a rollback
+/// whose commit or abort record is still ahead) laid over it, as the
+/// reader saw them: the read record covers `[addr, addr+len)` and carries
+/// one codeword per overlapped protection region.
+fn codewords_match<'a, 's: 'a>(
     image: &DbImage,
     config: &DaliConfig,
     addr: DbAddr,
     len: usize,
     logged: CodewordsRef<'_>,
+    own: impl Iterator<Item = &'a Write<'s>> + Clone,
 ) -> Result<bool> {
     let region_size = config.region_size;
     let first = addr.0 / region_size;
@@ -970,13 +979,17 @@ fn codewords_match(
         // Geometry changed between runs; treat as mismatch (conservative).
         return Ok(false);
     }
+    let mut region = vec![0u8; region_size];
     for (r, cw) in (first..=last).zip(logged.iter()) {
-        if image.fold(
-            config.codeword_algebra,
-            DbAddr(r * region_size),
-            region_size,
-        )? != cw
-        {
+        let base = r * region_size;
+        image.read(DbAddr(base), &mut region)?;
+        for (at, data) in own.clone() {
+            let (start, end) = (at.0.max(base), (at.0 + data.len()).min(base + region_size));
+            if start < end {
+                region[start - base..end - base].copy_from_slice(&data[start - at.0..end - at.0]);
+            }
+        }
+        if dali_common::fold::fold(config.codeword_algebra, &region) != cw {
             return Ok(false);
         }
     }

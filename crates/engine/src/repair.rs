@@ -32,10 +32,10 @@
 //!    the corruption marker.
 //!
 //! Neither rung aborts anyone: a live transaction keeps its completed
-//! operations and may go on to commit or abort. An operation that failed
-//! after a write (its writes in the image, not in the log) loses those
-//! writes to a log rebuild early; its transaction can only abort, and
-//! the rollback restores the same before-image.
+//! operations and may go on to commit or abort. The image holds no write
+//! the log lacks: an operation in flight holds `quiesce`, which the
+//! ladder takes exclusively, and a failed one undid its writes before it
+//! returned.
 //!
 //! `auto_repair` is the hook the audit and checkpoint-certification
 //! paths call on a dirty report: it walks the ladder, then *re-audits*
@@ -241,8 +241,13 @@ impl Rebuild {
     /// history exactly; the rest of a record that spans into another page
     /// is not replayed, since that page is live and may hold a newer
     /// write.
+    ///
+    /// The log is made durable first. A transaction that committed before
+    /// the repair may have read its undo images from the damage; restart
+    /// would write them back if a power loss took its commit record.
     fn scan(db: &Db, pages: &[PageId]) -> Result<Rebuild> {
-        db.syslog.flush(false)?;
+        let end = db.syslog.flush(false)?;
+        db.syslog.wait_durable(end)?;
         // The scan lists the live log directory: every segment must carry
         // its name first.
         db.syslog.settle()?;

@@ -5,35 +5,43 @@
 //! [`physical_update`](TxnHandle) — the beginUpdate/endUpdate bracket of
 //! the paper (§2): capture a word-widened undo image, write in place,
 //! publish the codeword delta, emit a physical redo record. Heap
-//! operations (insert/update/delete) are level-1 operations: they begin
-//! with an `OpBegin` record, perform physical updates, and commit by
-//! migrating their redo records plus an `OpCommit` record (carrying the
-//! logical undo description) to the system log — Dali's local logging
-//! discipline. Images go into the transaction's undo arena and records
-//! are framed into its redo buffer as they are produced, so the update
-//! path allocates nothing and an operation reaches the log as one copy.
+//! operations (insert/update/delete) are level-1 operations, each run by
+//! one operation bracket: an `OpBegin` record, physical updates, and a
+//! commit that migrates their redo records plus an `OpCommit` record
+//! (carrying the logical undo description) to the system log — Dali's
+//! local logging discipline. Images go into the transaction's undo arena
+//! and records are framed into its redo buffer as they are produced, so
+//! the update path allocates nothing and an operation reaches the log as
+//! one copy. An operation that fails undoes itself before it returns:
+//! the bracket restores its physical undo, newest first, and cuts its
+//! frames, so it never reaches the log and a transaction's undo log holds
+//! only committed operations.
 //!
-//! A rewrite of a whole record (an update, the compensating update of a
-//! rollback, recovery's record restore) compares the record's current
-//! bytes with the new ones a `u64` at a time and brackets only the span
-//! from the first to the last 8-byte chunk that differs, or nothing if
-//! none does; the logical undo keeps the whole before-image. A TPC-B
-//! update, which changes one balance, thus writes, folds and logs 8
-//! bytes instead of its record.
+//! A rewrite of a whole record (an update, a restore of the rollback)
+//! compares the record's current bytes with the new ones a `u64` at a
+//! time and brackets only the span from the first to the last 8-byte
+//! chunk that differs, or nothing if none does; the logical undo keeps
+//! the whole before-image. A TPC-B update, which changes one balance,
+//! thus writes, folds and logs 8 bytes instead of its record.
 //!
 //! Reads dispatch per scheme: plain copy, precheck (§3.1), or read
 //! logging (§4.2, with codewords per the §4.3 extension).
 //!
 //! Lock ordering throughout the engine: `quiesce` (shared) → transaction
-//! state mutex → heap alloc mutex → protection latches (ascending
-//! stripes) → parity group-buffer mutex. The checkpointer takes
-//! `quiesce` exclusively and then transaction state mutexes, which is
-//! consistent with this order; online repair takes `quiesce` exclusively
-//! and no state mutex. The group-buffer mutex is a leaf: updaters take it
-//! inside their bracket, repair and resync under the group's exclusive
-//! latches, certification's `verify_group` under no latch, and nothing
-//! else is acquired while it is held.
+//! state mutex → heap alloc mutexes (ascending table order) → protection
+//! latches (ascending stripes) → parity group-buffer mutex. Nothing takes
+//! an alloc mutex while holding a latch. The checkpointer takes `quiesce`
+//! exclusively and then transaction state mutexes, which is consistent
+//! with this order; online repair takes `quiesce` exclusively and no state
+//! mutex. The group-buffer mutex is a leaf: updaters take it inside their
+//! bracket, repair and resync under the group's exclusive latches,
+//! certification's `verify_group` under no latch, and nothing else is
+//! acquired while it is held.
 //!
+//! There is one rollback, `rollback`, for an abort and for restart
+//! alike: it restores the transaction's committed operations, newest
+//! first, through the update bracket under one fresh operation number,
+//! and its caller appends those writes and the `TxnAbort` as one batch.
 //! Only [`TxnHandle::abort`] and the handle's drop roll a live
 //! transaction back. Online repair leaves it alone: an operation's redo
 //! reaches the system log in the same shared `quiesce` span as its
@@ -41,12 +49,13 @@
 //! from the log — keeps every completed operation. Reads still take
 //! `quiesce`, because a repair rewrites whole pages.
 
-use crate::att::{OpState, TxnState, TxnStatus};
+use crate::att::{TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
+use crate::heap::HeapRuntime;
 use crate::lock::LockMode;
-use dali_common::{DaliError, DbAddr, RecId, Result, TableId, TxnId};
-use dali_wal::record::{LogRecord, LogicalUndo, LogicalUndoRef, OpKind};
-use dali_wal::{LocalUndoLog, Span, UndoKind};
+use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TableId, TxnId};
+use dali_wal::record::{LogRecord, LogicalUndo, OpKind};
+use dali_wal::{Span, UndoKind};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -102,27 +111,8 @@ impl TxnHandle {
         let addr = heap.meta().slot_addr(rec.slot);
         let scheme = self.db.config.scheme;
         if scheme.prechecks_reads() {
-            match self.db.prot.checked_read(&self.db.image, addr, buf) {
-                Ok(()) => {}
-                Err(DaliError::CorruptionDetected {
-                    addr: caddr,
-                    len,
-                    expected,
-                    actual,
-                }) => {
-                    // Prevention: the corrupt value never reaches the
-                    // caller. Note the region and force a restart (cache
-                    // recovery), paper §4.2.
-                    crate::corruption::report_corruption(&self.db, &[(caddr, len)])?;
-                    return Err(DaliError::CorruptionDetected {
-                        addr: caddr,
-                        len,
-                        expected,
-                        actual,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
+            // Prevention: the corrupt value never reaches the caller.
+            read_persistent(&self.db, addr, buf)?;
         } else if scheme.logs_read_codewords() {
             let cws = self
                 .db
@@ -174,45 +164,34 @@ impl TxnHandle {
                 heap.meta().rec_size
             )));
         }
-        let slot = heap.reserve()?;
-        let rec = RecId::new(table, slot);
-        if let Err(e) = self.db.locks.lock(self.id, rec, LockMode::Exclusive) {
-            heap.release(slot);
-            return Err(e);
-        }
-        let _q = self.db.quiesce.read();
-        let mut st = self.state.lock();
-        let op = begin_op(&mut st, self.id, OpKind::Insert, rec);
-
-        // Physical update 1: set the allocation bit (control information
-        // on its own pages — serialized per heap so concurrent word RMWs
-        // don't race).
-        let (word_addr, bit) = heap.meta().bit_word_addr(slot);
-        heap.with_alloc_locked(|| -> Result<()> {
-            let word = read_bitmap_word(&self.db, word_addr)?;
-            physical_update(
-                &self.db,
-                &mut st,
-                self.id,
-                op,
-                word_addr,
-                &(word | (1 << bit)).to_le_bytes(),
-            )
-        })?;
-
-        // Physical update 2: the record data.
-        let addr = heap.meta().slot_addr(slot);
-        physical_update(&self.db, &mut st, self.id, op, addr, data)?;
-
-        commit_op(
-            &self.db,
-            &mut st,
-            self.id,
-            op,
-            LogicalUndo::HeapInsert { rec },
-        )?;
+        let rec = RecId::new(table, heap.reserve()?);
+        // A failed insert gives its reservation back, once it has dropped
+        // the alloc mutex (`release` takes it).
+        self.insert_at(&heap, rec, data)
+            .inspect_err(|_| heap.release(rec.slot))?;
         EngineStats::bump(&self.db.stats.inserts);
         Ok(rec)
+    }
+
+    /// Insert `data` into `rec`, whose slot this transaction reserved.
+    fn insert_at(&self, heap: &HeapRuntime, rec: RecId, data: &[u8]) -> Result<()> {
+        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
+        let _q = self.db.quiesce.read();
+        let mut st = self.state.lock();
+        // Held from the bitmap write through the operation's append.
+        let _alloc = heap.lock_alloc();
+        operation(&self.db, &mut st, self.id, OpKind::Insert, rec, |st, op| {
+            // Physical update 1: set the allocation bit (control
+            // information on its own pages).
+            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
+            let word = read_bitmap_word(&self.db, word_addr)?;
+            let word = (word | (1 << bit)).to_le_bytes();
+            physical_update(&self.db, st, self.id, op, word_addr, &word)?;
+            // Physical update 2: the record data.
+            let addr = heap.meta().slot_addr(rec.slot);
+            physical_update(&self.db, st, self.id, op, addr, data)
+                .map(|()| LogicalUndo::HeapInsert { rec })
+        })
     }
 
     /// Take the exclusive record lock without reading or writing —
@@ -247,18 +226,13 @@ impl TxnHandle {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
         let addr = heap.meta().slot_addr(rec.slot);
-        let op = begin_op(&mut st, self.id, OpKind::Update, rec);
-        let before = st
-            .undo
-            .stage(data.len(), |b| read_persistent(&self.db, addr, b))?;
-        rewrite_record(&self.db, &mut st, self.id, op, addr, before, data)?;
-        commit_op(
-            &self.db,
-            &mut st,
-            self.id,
-            op,
-            LogicalUndo::HeapUpdate { rec, before },
-        )?;
+        operation(&self.db, &mut st, self.id, OpKind::Update, rec, |st, op| {
+            let before = st
+                .undo
+                .stage(data.len(), |b| read_persistent(&self.db, addr, b))?;
+            rewrite_record(&self.db, st, self.id, op, addr, before, data)?;
+            Ok(LogicalUndo::HeapUpdate { rec, before })
+        })?;
         EngineStats::bump(&self.db.stats.updates);
         Ok(())
     }
@@ -274,29 +248,18 @@ impl TxnHandle {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
         let addr = heap.meta().slot_addr(rec.slot);
-        let op = begin_op(&mut st, self.id, OpKind::Delete, rec);
-        let image = st
-            .undo
-            .stage(heap.meta().rec_size, |b| read_persistent(&self.db, addr, b))?;
-        let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
-        heap.with_alloc_locked(|| -> Result<()> {
+        // Held from the bitmap write through the operation's append.
+        let _alloc = heap.lock_alloc();
+        operation(&self.db, &mut st, self.id, OpKind::Delete, rec, |st, op| {
+            let image = st
+                .undo
+                .stage(heap.meta().rec_size, |b| read_persistent(&self.db, addr, b))?;
+            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
             let word = read_bitmap_word(&self.db, word_addr)?;
-            physical_update(
-                &self.db,
-                &mut st,
-                self.id,
-                op,
-                word_addr,
-                &(word & !(1 << bit)).to_le_bytes(),
-            )
+            let word = (word & !(1 << bit)).to_le_bytes();
+            physical_update(&self.db, st, self.id, op, word_addr, &word)?;
+            Ok(LogicalUndo::HeapDelete { rec, image })
         })?;
-        commit_op(
-            &self.db,
-            &mut st,
-            self.id,
-            op,
-            LogicalUndo::HeapDelete { rec, image },
-        )?;
         // The slot becomes reusable only when this transaction finishes.
         st.deferred_frees.push(rec);
         EngineStats::bump(&self.db.stats.deletes);
@@ -316,20 +279,11 @@ impl TxnHandle {
         {
             let _q = self.db.quiesce.read();
             let mut st = self.state.lock();
-            if st.cur_op.is_some() {
-                return Err(DaliError::InvalidArg(
-                    "commit with an operation in progress".into(),
-                ));
-            }
             st.redo.push(LogRecord::TxnCommit { txn: self.id });
             commit_end = self.db.syslog.append_frames(&st.redo);
             st.redo.discard();
             st.status = TxnStatus::Committed;
-            for rec in std::mem::take(&mut st.deferred_frees) {
-                if let Ok(h) = self.db.heap(rec.table) {
-                    h.release(rec.slot);
-                }
-            }
+            self.release_slots(std::mem::take(&mut st.deferred_frees));
         }
         if self.db.config.sync_commit {
             self.db.syslog.commit_durable(commit_end)?;
@@ -342,33 +296,57 @@ impl TxnHandle {
         Ok(())
     }
 
-    /// Abort: roll back level by level (physical restores, then logical
-    /// compensations), log the compensations and the abort record.
+    /// Abort: roll back the committed operations (see `rollback`) and log
+    /// the restores and the abort record as one batch.
     pub fn abort(self) -> Result<()> {
         self.abort_inner()
     }
 
     fn abort_inner(&self) -> Result<()> {
         self.db.check_alive()?;
-        {
+        let freed = {
             let _q = self.db.quiesce.read();
             let mut st = self.state.lock();
-            rollback_txn(&self.db, &mut st, self.id)?;
+            // The alloc mutexes of the heaps the rollback restores into,
+            // held through the batch's append: a bitmap word it restores
+            // reaches the log in the order it was written.
+            let mut tables: Vec<TableId> = st.undo.logical_targets().map(|r| r.table).collect();
+            tables.sort_unstable();
+            tables.dedup();
+            let heaps = tables
+                .into_iter()
+                .map(|t| self.db.heap(t))
+                .collect::<Result<Vec<_>>>()?;
+            let _alloc: Vec<_> = heaps.iter().map(|h| h.lock_alloc()).collect();
+            if let Err(e) = rollback(&self.db, &mut st, self.id) {
+                // Half restored and unlogged: a restart rolls back from
+                // the log.
+                self.db.poison();
+                return Err(e);
+            }
             st.redo.push(LogRecord::TxnAbort { txn: self.id });
             self.db.syslog.append_frames(&st.redo);
             st.redo.discard();
             st.status = TxnStatus::Aborted;
-            for rec in std::mem::take(&mut st.deferred_frees) {
-                if let Ok(h) = self.db.heap(rec.table) {
-                    h.release(rec.slot);
-                }
-            }
-        }
+            std::mem::take(&mut st.deferred_frees)
+        };
+        // `release` takes the alloc mutexes dropped above.
+        self.release_slots(freed);
         self.db.locks.unlock_all(self.id);
         self.db.att.remove(self.id);
         EngineStats::bump(&self.db.stats.aborts);
         self.db.syslog.flush(false)?;
         Ok(())
+    }
+
+    /// Return the slots a finished transaction freed to their heaps'
+    /// mirrors.
+    fn release_slots(&self, freed: Vec<RecId>) {
+        for rec in freed {
+            if let Ok(h) = self.db.heap(rec.table) {
+                h.release(rec.slot);
+            }
+        }
     }
 }
 
@@ -385,35 +363,22 @@ impl Drop for TxnHandle {
 // Operation machinery (free functions so rollback can reuse them)
 // -------------------------------------------------------------------
 
-/// Read persistent data on behalf of an operation's internals (an
-/// update's before-image, a delete's record image, an insert's bitmap
-/// word). Under Read Prechecking *every* read of persistent data is
-/// checked against its codeword (§3.1), including these; a mismatch
-/// brings the database down for cache recovery like any other failed
-/// precheck.
+/// Read persistent data: a record for [`TxnHandle::read`], or an
+/// operation's internals (an update's before-image, a delete's record
+/// image, an insert's bitmap word). Under Read Prechecking *every* read
+/// of persistent data is checked against its codeword (§3.1); a mismatch
+/// notes the region and brings the database down for cache recovery
+/// (§4.2).
 fn read_persistent(db: &Db, addr: DbAddr, buf: &mut [u8]) -> Result<()> {
-    if db.config.scheme.prechecks_reads() {
-        match db.prot.checked_read(&db.image, addr, buf) {
-            Ok(()) => Ok(()),
-            Err(DaliError::CorruptionDetected {
-                addr: caddr,
-                len,
-                expected,
-                actual,
-            }) => {
-                crate::corruption::report_corruption(db, &[(caddr, len)])?;
-                Err(DaliError::CorruptionDetected {
-                    addr: caddr,
-                    len,
-                    expected,
-                    actual,
-                })
-            }
-            Err(e) => Err(e),
-        }
-    } else {
-        db.image.read(addr, buf)
+    if !db.config.scheme.prechecks_reads() {
+        return db.image.read(addr, buf);
     }
+    db.prot.checked_read(&db.image, addr, buf).or_else(|e| {
+        if let DaliError::CorruptionDetected { addr, len, .. } = e {
+            crate::corruption::report_corruption(db, &[(addr, len)])?;
+        }
+        Err(e)
+    })
 }
 
 /// Read a bitmap word through the persistent-read path.
@@ -423,38 +388,89 @@ fn read_bitmap_word(db: &Db, word_addr: DbAddr) -> Result<u32> {
     Ok(u32::from_le_bytes(w))
 }
 
-/// Begin a level-1 operation: allocate its sequence number and emit the
-/// OpBegin record into the local redo log.
-fn begin_op(st: &mut TxnState, txn: TxnId, kind: OpKind, rec: RecId) -> dali_common::OpSeq {
-    debug_assert!(st.cur_op.is_none(), "nested level-1 operations");
-    let seq = st.next_op_seq();
-    st.cur_op = Some(OpState { seq, kind, rec });
-    st.redo.push(LogRecord::OpBegin {
-        txn,
-        op: seq,
-        kind,
-        rec,
-    });
-    seq
+/// Run one level-1 operation: its `OpBegin`, `body`, then `commit_op` with
+/// the logical undo `body` returns. A failed body undoes itself here,
+/// while the caller still holds `quiesce`, the state mutex and any alloc
+/// mutex (see `undo_op`), so the operation never reaches the log. Either
+/// way the operation's pages are reprotected.
+///
+/// An `Err` thus means the operation did not happen, or the database is
+/// poisoned: the self-undo or the reprotection failed, and only a
+/// restart, which recovers from the log, knows the bytes.
+fn operation(
+    db: &Db,
+    st: &mut TxnState,
+    txn: TxnId,
+    kind: OpKind,
+    rec: RecId,
+    body: impl FnOnce(&mut TxnState, OpSeq) -> Result<LogicalUndo<Span>>,
+) -> Result<()> {
+    let op = st.next_op_seq();
+    let mark = st.undo.arena_len();
+    st.redo.push(LogRecord::OpBegin { txn, op, kind, rec });
+    let res = body(st, op);
+    let closed = match &res {
+        Ok(undo) => {
+            commit_op(db, st, txn, op, *undo);
+            Ok(())
+        }
+        Err(_) => undo_op(db, st, op, mark),
+    }
+    .and_then(|()| reprotect_op_exposures(db, st));
+    if closed.is_err() {
+        db.poison();
+    }
+    closed.and(res.map(drop))
 }
 
 /// Commit a level-1 operation: migrate its redo records plus the OpCommit
 /// record to the system log (one copy of its frames), and replace its
 /// physical undo with the logical undo description, whose image the
 /// operation staged in the undo arena.
-fn commit_op(
-    db: &Db,
-    st: &mut TxnState,
-    txn: TxnId,
-    op: dali_common::OpSeq,
-    undo: LogicalUndo<Span>,
-) -> Result<()> {
+fn commit_op(db: &Db, st: &mut TxnState, txn: TxnId, op: OpSeq, undo: LogicalUndo<Span>) {
     st.redo.push_op_commit(txn, op, st.undo.logical(&undo));
     db.syslog.append_frames(&st.redo);
     st.redo.discard();
     st.undo.commit_op(op, undo);
-    st.cur_op = None;
-    reprotect_op_exposures(db, st)?;
+}
+
+/// Undo failed operation `op` in place: restore its physical undo
+/// entries, newest first, then cut them and its `OpBegin` and redo
+/// frames. Its read records stay: the reads really happened, and
+/// corruption tracing may only overestimate reads, never underestimate
+/// (§4.2). An update still inside its window (`codeword_pending`) gets
+/// its bytes back only (§3.1: "the undo image for this update should be
+/// applied without updating the codeword"); the others publish the
+/// inverse delta. Every image it staged, from the arena's `mark` up,
+/// goes too. Nothing is logged, and the pages are still exposed.
+fn undo_op(db: &Db, st: &mut TxnState, op: OpSeq, mark: usize) -> Result<()> {
+    let mode = db.prot.update_latch_mode();
+    for e in st.undo.iter().rev().take_while(|e| e.op == op) {
+        let UndoKind::Physical {
+            addr,
+            before,
+            codeword_pending,
+        } = e.kind
+        else {
+            break;
+        };
+        let before = st.undo.bytes(before);
+        let (first, last) = db.prot.geometry().region_span(addr, before.len());
+        db.prot.latches().lock_span(first, last, mode);
+        let res = (|| -> Result<()> {
+            let mut cur = vec![0u8; before.len()];
+            db.image.read(addr, &mut cur)?;
+            db.image.write(addr, before)?;
+            if codeword_pending {
+                return Ok(());
+            }
+            db.prot.apply_update(&db.image, addr, &cur)
+        })();
+        db.prot.latches().unlock_span(first, last, mode);
+        res?;
+    }
+    st.undo.cut_op(op, mark);
+    st.redo.cut_op(op);
     Ok(())
 }
 
@@ -480,7 +496,7 @@ fn physical_update(
     db: &Db,
     st: &mut TxnState,
     txn: TxnId,
-    op: dali_common::OpSeq,
+    op: OpSeq,
     addr: DbAddr,
     data: &[u8],
 ) -> Result<()> {
@@ -551,7 +567,7 @@ fn rewrite_record(
     db: &Db,
     st: &mut TxnState,
     txn: TxnId,
-    op: dali_common::OpSeq,
+    op: OpSeq,
     addr: DbAddr,
     old: Span,
     new: &[u8],
@@ -577,181 +593,34 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
     Some(first * 8..((last.unwrap_or(first) + 1) * 8).min(old.len()))
 }
 
-/// Roll back everything in the transaction's undo log, level by level:
-/// physical restores first (they are always on top of the stack), then
-/// logical compensations executed as fresh operations.
-fn rollback_txn(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
-    // Close the failed operation's exposure window first.
-    reprotect_op_exposures(db, st)?;
-    // If an operation is in progress, its unmigrated redo records must not
-    // reach the system log — but keep the transaction's read log records:
-    // the reads really happened, and corruption tracing may only
-    // overestimate reads, never underestimate (§4.2).
-    if let Some(op) = st.cur_op.take() {
-        st.redo.cut_op(op.seq);
-    }
-
-    // Take the undo stack before compensating: the compensating
-    // operations themselves push fresh logical-undo entries (needed on the
-    // *log* so a crash mid-rollback resumes correctly), but processing
-    // those in this same loop would undo the compensations just made —
-    // an infinite regress. The in-memory entries they leave behind are
-    // discarded at the end; the transaction is over.
+/// The rollback, online and at restart: restore the transaction's undo
+/// log, newest entry first, through [`physical_update`] under one fresh
+/// operation number, each restore over its changed span only (as
+/// [`rewrite_record`] writes). Latching, exposure, codeword and parity
+/// deltas, CW ReadLog's write-as-read record and the redo frames all come
+/// from that bracket; the caller appends `st.redo` and the `TxnAbort` as
+/// one batch, which restart redo applies where it stands in the log. The
+/// batch has no `OpCommit`, so a crash that tears it leaves the
+/// transaction's logical undo intact, and the next restart rolls it back
+/// again under a higher operation number.
+///
+/// A logical entry restores a record's bytes, its allocation bit, or
+/// both; the caller holds the alloc mutex of each heap whose bit it
+/// restores. A slot the transaction inserted goes back to the mirror when
+/// it ends, one it deleted stays taken. A physical entry (only a
+/// checkpointed ATT written before operations undid themselves holds one)
+/// restores its bytes.
+pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
+    let op = st.next_op_seq();
     let undo = std::mem::take(&mut st.undo);
-    for entry in undo.iter().rev() {
-        match &entry.kind {
-            &UndoKind::Physical {
-                addr,
-                before,
-                codeword_pending,
-            } => {
-                let before = undo.bytes(before);
-                rollback_physical(db, st, txn, entry.op, addr, before, codeword_pending)?;
-            }
-            UndoKind::Logical(u) => compensate_logical(db, st, txn, undo.logical(u))?,
-        }
-    }
-    st.undo = LocalUndoLog::new();
-    Ok(())
-}
-
-/// Restore a physical before-image. If the codeword had already absorbed
-/// the update (flag clear), un-apply it and log a compensation redo record
-/// so recovery repeats the restore; if the update was still in its window
-/// (flag set), restore bytes only (§3.1: "the undo image for this update
-/// should be applied without updating the codeword").
-fn rollback_physical(
-    db: &Db,
-    st: &mut TxnState,
-    txn: TxnId,
-    op: dali_common::OpSeq,
-    addr: DbAddr,
-    before: &[u8],
-    codeword_pending: bool,
-) -> Result<()> {
-    let mode = db.prot.update_latch_mode();
-    let (first, last) = db.prot.geometry().region_span(addr, before.len());
-    db.protector.expose(addr, before.len())?;
-    db.prot.latches().lock_span(first, last, mode);
-    let res = (|| -> Result<()> {
-        if codeword_pending {
-            db.image.write(addr, before)?;
-        } else {
-            let mut cur = vec![0u8; before.len()];
-            db.image.read(addr, &mut cur)?;
-            db.image.write(addr, before)?;
-            // The restore is itself a directed update (current bytes →
-            // before-image), so publishing its delta inverts the original
-            // one under every algebra.
-            db.prot.apply_update(&db.image, addr, &cur)?;
-            st.redo.push_redo(txn, op, addr, before);
-        }
-        Ok(())
-    })();
-    db.prot.latches().unlock_span(first, last, mode);
-    db.protector.reprotect(addr, before.len())?;
-    res
-}
-
-/// Execute the compensating operation for a committed operation's logical
-/// undo. The compensation is itself a level-1 operation: it logs redo and
-/// an OpCommit with *its own* logical undo, so a crash mid-rollback
-/// resumes correctly (undoing the compensation re-establishes the original
-/// operation, which is then undone again).
-fn compensate_logical(db: &Db, st: &mut TxnState, txn: TxnId, undo: LogicalUndoRef) -> Result<()> {
-    match undo {
-        LogicalUndo::HeapInsert { rec } => {
-            // Compensating delete.
-            let heap = db.heap(rec.table)?;
-            let addr = heap.meta().slot_addr(rec.slot);
-            let op = begin_op(st, txn, OpKind::Delete, rec);
-            let image = st
-                .undo
-                .stage(heap.meta().rec_size, |b| db.image.read(addr, b))?;
-            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
-            heap.with_alloc_locked(|| -> Result<()> {
-                let word = db.image.arena().read_u32(word_addr.0)?;
-                physical_update(
-                    db,
-                    st,
-                    txn,
-                    op,
-                    word_addr,
-                    &(word & !(1 << bit)).to_le_bytes(),
-                )
-            })?;
-            commit_op(db, st, txn, op, LogicalUndo::HeapDelete { rec, image })?;
-            st.deferred_frees.push(rec);
-        }
-        LogicalUndo::HeapDelete { rec, image } => {
-            // Compensating insert into the same slot (still reserved: the
-            // delete's free is deferred to end of transaction).
-            let heap = db.heap(rec.table)?;
-            let addr = heap.meta().slot_addr(rec.slot);
-            let op = begin_op(st, txn, OpKind::Insert, rec);
-            let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
-            heap.with_alloc_locked(|| -> Result<()> {
-                let word = db.image.arena().read_u32(word_addr.0)?;
-                physical_update(
-                    db,
-                    st,
-                    txn,
-                    op,
-                    word_addr,
-                    &(word | (1 << bit)).to_le_bytes(),
-                )
-            })?;
-            physical_update(db, st, txn, op, addr, image)?;
-            commit_op(db, st, txn, op, LogicalUndo::HeapInsert { rec })?;
-            st.deferred_frees.retain(|r| *r != rec);
-        }
-        LogicalUndo::HeapUpdate { rec, before } => {
-            // Compensating update writing the before-image back.
-            let heap = db.heap(rec.table)?;
-            let addr = heap.meta().slot_addr(rec.slot);
-            let op = begin_op(st, txn, OpKind::Update, rec);
-            let cur = st.undo.stage(before.len(), |b| db.image.read(addr, b))?;
-            rewrite_record(db, st, txn, op, addr, cur, before)?;
-            commit_op(
-                db,
-                st,
-                txn,
-                op,
-                LogicalUndo::HeapUpdate { rec, before: cur },
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Recovery-time rollback of one transaction: its undo entries applied
-/// directly in reverse (physical first — they are on top of the stack —
-/// then logical compensations), without locks or logging. Each restore
-/// is a directed update like any other, so the codewords and the parity
-/// stripe stay current, and like [`rewrite_record`] it writes only the
-/// span that changes. Returns the `(addr, bytes)` written, in order, for
-/// the caller to log.
-pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<Vec<(DbAddr, Vec<u8>)>> {
-    let mut written = Vec::new();
-    let mut restore = |addr: DbAddr, bytes: &[u8]| -> Result<()> {
-        let (ws, wl) = dali_common::align::widen_to_words(addr.0, bytes.len());
-        let mut old = vec![0u8; wl];
-        db.image.read(DbAddr(ws), &mut old)?;
-        let Some(span) = changed_span(&old[addr.0 - ws..][..bytes.len()], bytes) else {
-            return Ok(());
-        };
-        let (addr, bytes) = (DbAddr(addr.0 + span.start), &bytes[span]);
-        db.image.write(addr, bytes)?;
-        db.prot.apply_update(&db.image, DbAddr(ws), &old)?;
-        written.push((addr, bytes.to_vec()));
-        Ok(())
+    let restore = |st: &mut TxnState, addr: DbAddr, bytes: &[u8]| -> Result<()> {
+        let cur = st.undo.stage(bytes.len(), |b| db.image.read(addr, b))?;
+        rewrite_record(db, st, txn, op, addr, cur, bytes)
     };
     for e in undo.iter().rev() {
-        // A logical entry restores a record's bytes, its allocation bit,
-        // or both.
         let (rec, data, allocated) = match &e.kind {
             UndoKind::Physical { addr, before, .. } => {
-                restore(*addr, undo.bytes(*before))?;
+                restore(st, *addr, undo.bytes(*before))?;
                 continue;
             }
             UndoKind::Logical(u) => match undo.logical(u) {
@@ -765,15 +634,20 @@ pub(crate) fn rollback_direct(db: &Db, undo: &LocalUndoLog) -> Result<Vec<(DbAdd
             let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
             let word = db.image.arena().read_u32(word_addr.0)? & !(1 << bit);
             restore(
+                st,
                 word_addr,
                 &(word | u32::from(allocated) << bit).to_le_bytes(),
             )?;
+            st.deferred_frees.retain(|r| *r != rec);
+            if !allocated {
+                st.deferred_frees.push(rec);
+            }
         }
         if let Some(data) = data {
-            restore(heap.meta().slot_addr(rec.slot), data)?;
+            restore(st, heap.meta().slot_addr(rec.slot), data)?;
         }
     }
-    Ok(written)
+    reprotect_op_exposures(db, st)
 }
 
 #[cfg(test)]
@@ -885,11 +759,42 @@ mod tests {
         }
     }
 
-    /// An operation that fails after its first physical update is rolled
-    /// back: its `OpBegin` and after-image never reach the log, while
-    /// the read records — the transaction's own read and the one Cw
-    /// ReadLogging logs for the write itself (§4.3) — survive in order,
-    /// followed by the compensation and the abort.
+    /// Run one operation of `kind` on `rec` through the operation bracket,
+    /// holding what `insert` holds, with a body that stages an image (as
+    /// update and delete do), writes `data` at `addr` and then fails.
+    fn fail_after_write(txn: &TxnHandle, kind: OpKind, rec: RecId, addr: DbAddr, data: &[u8]) {
+        let db = &txn.db;
+        let _q = db.quiesce.read();
+        let mut st = txn.state.lock();
+        let heap = db.heap(rec.table).unwrap();
+        let _alloc = heap.lock_alloc();
+        let mark = st.undo.arena_len();
+        let res = operation(db, &mut st, txn.id, kind, rec, |st, op| {
+            st.undo.copy_in(data);
+            physical_update(db, st, txn.id, op, addr, data)?;
+            Err(DaliError::InvalidArg("fails after its first write".into()))
+        });
+        assert!(matches!(res, Err(DaliError::InvalidArg(_))), "{res:?}");
+        assert!(st.undo.is_empty() || st.undo.logical_targets().count() == st.undo.len());
+        assert_eq!(st.undo.arena_len(), mark, "staged images left behind");
+    }
+
+    /// An insert into `table` that fails right after setting its
+    /// allocation bit; returns the slot it had reserved.
+    fn fail_insert(txn: &TxnHandle, table: TableId) -> RecId {
+        let heap = txn.db.heap(table).unwrap();
+        let rec = RecId::new(table, heap.reserve().unwrap());
+        let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
+        let word = txn.db.image.arena().read_u32(word_addr.0).unwrap() | 1 << bit;
+        fail_after_write(txn, OpKind::Insert, rec, word_addr, &word.to_le_bytes());
+        rec
+    }
+
+    /// A failed operation undoes itself before it returns: its `OpBegin`
+    /// and after-image never reach the log, while the read records — the
+    /// transaction's own read and the one Cw ReadLogging logs for the
+    /// write itself (§4.3) — survive in order. The abort that follows has
+    /// nothing to restore.
     #[test]
     fn a_failed_operation_rolls_back_but_keeps_its_read_records() {
         let dir = TempDir::new("txn-failed-op");
@@ -906,13 +811,9 @@ mod tests {
         let mut buf = [0u8; 16];
         txn.read(rec, &mut buf).unwrap();
         let addr = db.heap(table).unwrap().meta().slot_addr(rec.slot);
-        {
-            let _q = db.quiesce.read();
-            let mut st = txn.state.lock();
-            let op = begin_op(&mut st, txn.id, OpKind::Update, rec);
-            physical_update(db, &mut st, txn.id, op, addr, &[2; 16]).unwrap();
-            // ...and the operation fails here, before it commits.
-        }
+        fail_after_write(&txn, OpKind::Update, rec, addr, &[2; 16]);
+        db.image.read(addr, &mut buf).unwrap();
+        assert_eq!(buf, [1; 16], "restored before the operation returned");
         let id = txn.id;
         txn.abort().unwrap();
 
@@ -932,22 +833,17 @@ mod tests {
             matches!(&recs[2], LogRecord::ReadLog { codewords, .. } if !codewords.is_empty()),
             "the write's read: {recs:?}"
         );
-        assert!(
-            matches!(&recs[3], LogRecord::PhysicalRedo { data, .. } if data.iter().all(|&b| b == 1)),
-            "the compensation restores the before-image: {recs:?}"
-        );
-        assert!(matches!(recs[4], LogRecord::TxnAbort { .. }), "{recs:?}");
-        assert_eq!(recs.len(), 5, "{recs:?}");
-        db.image.read(addr, &mut buf).unwrap();
-        assert_eq!(buf, [1; 16]);
+        assert!(matches!(recs[3], LogRecord::TxnAbort { .. }), "{recs:?}");
+        assert_eq!(recs.len(), 4, "{recs:?}");
+        assert!(engine.audit().unwrap().clean());
     }
 
-    /// An operation that failed after its write leaves the write in the
-    /// image but not in the log. An online repair of that page rebuilds
-    /// it from the log, so the write is gone early; the abort that must
-    /// follow restores the same before-image and leaves the audit clean.
+    /// A failed operation leaves neither its write in the image nor its
+    /// undo on the stack, so an online repair of its page, which
+    /// rebuilds from the log, finds the image already agreeing with the
+    /// log, and the abort after it restores nothing.
     #[test]
-    fn a_repair_drops_a_failed_operations_write_and_the_abort_agrees() {
+    fn a_failed_operation_leaves_nothing_for_a_repair_or_the_abort() {
         let dir = TempDir::new("txn-failed-op-repair");
         let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
         let (engine, _) = DaliEngine::create(config).unwrap();
@@ -959,26 +855,175 @@ mod tests {
         let db = engine.db();
         let txn = engine.begin().unwrap();
         let addr = db.heap(table).unwrap().meta().slot_addr(rec.slot);
-        {
-            let _q = db.quiesce.read();
-            let mut st = txn.state.lock();
-            let op = begin_op(&mut st, txn.id, OpKind::Update, rec);
-            physical_update(db, &mut st, txn.id, op, addr, &[2; 16]).unwrap();
-            // ...and the operation fails here, before it commits.
-            assert!(st.cur_op.is_some());
-        }
+        fail_after_write(&txn, OpKind::Update, rec, addr, &[2; 16]);
+        assert!(txn.state.lock().undo.is_empty());
         let mut buf = [0u8; 16];
         db.image.read(addr, &mut buf).unwrap();
-        assert_eq!(buf, [2; 16]);
+        assert_eq!(buf, [1; 16]);
+        assert!(engine.audit().unwrap().clean());
 
         engine.cache_repair(&[(addr, 16)]).unwrap();
         db.image.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1; 16], "the rebuild holds only what the log holds");
-        assert!(engine.audit().unwrap().clean());
-
         txn.abort().unwrap();
         db.image.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1; 16]);
         assert!(engine.audit().unwrap().clean());
+    }
+
+    /// An aborted insert stays aborted across a restart when an insert of
+    /// the same transaction into the same bitmap word failed after its
+    /// bitmap write: the failed operation never reaches the log, so
+    /// redo cannot apply its restore after the abort's.
+    #[test]
+    fn an_aborted_insert_stays_gone_after_a_failed_insert_beside_it() {
+        let dir = TempDir::new("txn-failed-insert-restart");
+        let config = DaliConfig::small(dir.path());
+        let (engine, _) = DaliEngine::create(config.clone()).unwrap();
+        let table = engine.create_table("t", 16, 64).unwrap();
+        let txn = engine.begin().unwrap();
+        let a = txn.insert(table, &[1; 16]).unwrap();
+        let failed = fail_insert(&txn, table);
+        let meta = engine.db().heap(table).unwrap().meta().clone();
+        assert_eq!(
+            meta.bit_word_addr(a.slot).0,
+            meta.bit_word_addr(failed.slot).0
+        );
+        txn.abort().unwrap();
+        engine.db().syslog.flush(false).unwrap();
+        engine.crash();
+
+        let (engine, outcome) = DaliEngine::open(config).unwrap();
+        assert!(outcome.rolled_back_txns.is_empty());
+        let check = engine.begin().unwrap();
+        assert!(matches!(check.read_vec(a), Err(DaliError::NotFound(_))));
+        check.commit().unwrap();
+        assert!(engine.audit().unwrap().clean());
+    }
+
+    /// An abort leaves another transaction's committed insert into the
+    /// same bitmap word alone, online and after a restart, when the
+    /// aborted transaction's insert failed after its bitmap write.
+    #[test]
+    fn an_abort_keeps_another_transactions_insert_in_the_same_word() {
+        let dir = TempDir::new("txn-failed-insert-abort");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (engine, _) = DaliEngine::create(config.clone()).unwrap();
+        let table = engine.create_table("t", 16, 64).unwrap();
+        let t1 = engine.begin().unwrap();
+        let failed = fail_insert(&t1, table);
+        let t2 = engine.begin().unwrap();
+        let b = t2.insert(table, &[2; 16]).unwrap();
+        t2.commit().unwrap();
+        let meta = engine.db().heap(table).unwrap().meta().clone();
+        assert_eq!(
+            meta.bit_word_addr(b.slot).0,
+            meta.bit_word_addr(failed.slot).0
+        );
+        t1.abort().unwrap();
+
+        let check = engine.begin().unwrap();
+        assert_eq!(check.read_vec(b).unwrap(), [2; 16]);
+        check.commit().unwrap();
+        assert!(engine.audit().unwrap().clean());
+        engine.db().syslog.flush(false).unwrap();
+        engine.crash();
+        let (engine, _) = DaliEngine::open(config).unwrap();
+        let check = engine.begin().unwrap();
+        assert_eq!(check.read_vec(b).unwrap(), [2; 16]);
+        check.commit().unwrap();
+    }
+
+    /// Two inserts into one bitmap word reach the log in the order they
+    /// wrote it. T1 is held after its bitmap write (a latch on its record
+    /// region, its second write), while T2 inserts into the same word;
+    /// T1's alloc mutex, held through its append, keeps T2 out until T1's
+    /// word is in the log, so a restart keeps both records.
+    #[test]
+    fn concurrent_inserts_into_one_bitmap_word_both_survive_a_restart() {
+        use dali_codeword::LatchMode;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let dir = TempDir::new("txn-bitmap-word-order");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (engine, _) = DaliEngine::create(config.clone()).unwrap();
+        let table = engine.create_table("t", 64, 64).unwrap();
+        let db = engine.db();
+        let meta = db.heap(table).unwrap().meta().clone();
+        let (word_addr, _) = meta.bit_word_addr(dali_common::SlotId(0));
+        let region = |addr: DbAddr, len| db.prot.geometry().region_span(addr, len);
+        let (first, last) = region(meta.slot_addr(dali_common::SlotId(0)), 64);
+        // T2's writes (slot 1 and the bitmap word) must not wait on it.
+        assert!(region(meta.slot_addr(dali_common::SlotId(1)), 64).0 > last);
+        assert!(region(word_addr, 4).1 < first);
+
+        let insert = |byte: u8| {
+            let txn = engine.begin().unwrap();
+            let rec = txn.insert(table, &[byte; 64]).unwrap();
+            txn.commit().unwrap();
+            rec
+        };
+        let (a, b) = std::thread::scope(|s| {
+            db.prot
+                .latches()
+                .lock_span(first, last, LatchMode::Exclusive);
+            let t1 = s.spawn(|| insert(1));
+            while db.image.arena().read_u32(word_addr.0).unwrap() & 1 == 0 {
+                std::thread::yield_now();
+            }
+            let (tx, rx) = mpsc::channel();
+            let t2 = s.spawn(move || {
+                tx.send(()).unwrap();
+                let rec = insert(2);
+                let _ = tx.send(());
+                rec
+            });
+            rx.recv().unwrap();
+            // The time T2 gets to overtake T1's append. Without the held
+            // mutex it commits within it; with the mutex it cannot, and
+            // the outcome does not depend on the wait.
+            let _ = rx.recv_timeout(Duration::from_millis(200));
+            db.prot
+                .latches()
+                .unlock_span(first, last, LatchMode::Exclusive);
+            (t1.join().unwrap(), t2.join().unwrap())
+        });
+        assert_ne!(a, b);
+        db.syslog.flush(false).unwrap();
+        engine.crash();
+
+        let (engine, _) = DaliEngine::open(config).unwrap();
+        let check = engine.begin().unwrap();
+        assert_eq!(check.read_vec(a).unwrap(), [1; 64]);
+        assert_eq!(check.read_vec(b).unwrap(), [2; 64]);
+        check.commit().unwrap();
+    }
+
+    /// An insert that fails after it reserved its slot gives the
+    /// reservation back: here a failed precheck of its bitmap word.
+    #[test]
+    fn a_failed_insert_releases_its_slot_reservation() {
+        let dir = TempDir::new("txn-failed-insert-slot");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::ReadPrecheck);
+        let (engine, _) = DaliEngine::create(config).unwrap();
+        let table = engine.create_table("t", 16, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        setup.insert(table, &[1; 16]).unwrap();
+        setup.commit().unwrap();
+        let db = engine.db();
+        let heap = db.heap(table).unwrap();
+        let in_use = heap.in_use();
+        // A wild write beside the bitmap word, in its region.
+        let (word_addr, _) = heap.meta().bit_word_addr(dali_common::SlotId(0));
+        db.image.write(DbAddr(word_addr.0 + 8), &[0xa5]).unwrap();
+
+        let txn = engine.begin().unwrap();
+        let res = txn.insert(table, &[2; 16]);
+        assert!(
+            matches!(res, Err(DaliError::CorruptionDetected { .. })),
+            "{res:?}"
+        );
+        assert_eq!(heap.in_use(), in_use);
     }
 }

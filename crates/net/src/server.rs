@@ -33,8 +33,9 @@
 //!   (counted in [`ServerStats::conns_rejected`]), and the listener's
 //!   read interest is parked until a connection closes.
 //! * **Orphan rollback**: a dropped connection's open transaction is
-//!   aborted through the engine's level-by-level ATT rollback on the
-//!   exec pool (never on an event loop), releasing all its locks.
+//!   aborted on the exec pool (never on an event loop) through the
+//!   engine's one rollback, the one restart uses, releasing all its
+//!   locks.
 //!   Shutdown drains these cleanup jobs before returning.
 //! * **Observability**: per-verb log₂-bucket latency histograms
 //!   ([`Request::Metrics`]) measured decode→response (queue wait

@@ -6,7 +6,8 @@
 //!   to the system log as one copy when the operation commits.
 //! * [`LocalUndoLog`] — the transaction's undo stack: physical undo
 //!   entries for updates of in-flight operations, replaced by one logical
-//!   entry when the operation commits. The physical entry carries the
+//!   entry when the operation commits, or cut once a failed operation has
+//!   restored them ([`LocalUndoLog::cut_op`]). The physical entry carries the
 //!   paper's *codeword-applied* flag (§3.1): while an update is between
 //!   `beginUpdate` and `endUpdate` the codeword has not yet absorbed the
 //!   change, so a rollback in that window must restore the bytes *without*
@@ -18,8 +19,9 @@
 //!
 //! The undo log is serializable because checkpoints persist the ATT
 //! including each transaction's local undo log (§2.1). The checkpointer
-//! quiesces physical updates first, so serialized physical entries always
-//! have the codeword-applied flag in its quiescent state.
+//! quiesces operations first, so what it serializes is logical entries;
+//! a physical entry still encodes and decodes, with the codeword-applied
+//! flag in its quiescent state.
 
 use crate::record::{
     frame_into, frame_len, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
@@ -48,7 +50,7 @@ pub enum UndoKind {
         /// codeword adjustment.
         codeword_pending: bool,
     },
-    /// Execute a logical (level-1) compensation.
+    /// Undo a committed (level-1) operation through its logical undo.
     Logical(LogicalUndo<Span>),
 }
 
@@ -167,6 +169,33 @@ impl LocalUndoLog {
     /// before-images are the top of the arena, above the image the
     /// operation staged first, and are cut with them.
     pub fn commit_op(&mut self, op: OpSeq, undo: LogicalUndo<Span>) {
+        let cut = self.pop_physical(op);
+        self.arena
+            .truncate(cut.max(undo.image().map_or(0, |s| s.off + s.len)));
+        self.entries.push(UndoEntry {
+            op,
+            kind: UndoKind::Logical(undo),
+        });
+    }
+
+    /// The arena's length: taken when an operation begins, the `mark`
+    /// [`cut_op`](Self::cut_op) cuts back to.
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Operation `op` failed and its writes were restored: drop its
+    /// physical entries and every image it staged since `mark`, the
+    /// before-images and the image staged first alike.
+    pub fn cut_op(&mut self, op: OpSeq, mark: usize) {
+        let cut = self.pop_physical(op);
+        debug_assert!(mark <= cut, "{op:?} staged below its mark");
+        self.arena.truncate(mark);
+    }
+
+    /// Pop `op`'s physical entries off the top of the stack and return
+    /// where their before-images start in the arena.
+    fn pop_physical(&mut self, op: OpSeq) -> usize {
         let mut cut = self.arena.len();
         while let Some(&UndoEntry {
             op: top,
@@ -186,12 +215,7 @@ impl LocalUndoLog {
                 .any(|e| e.op == op && matches!(e.kind, UndoKind::Physical { .. })),
             "physical undo of {op:?} buried under another operation's entries"
         );
-        self.arena
-            .truncate(cut.max(undo.image().map_or(0, |s| s.off + s.len)));
-        self.entries.push(UndoEntry {
-            op,
-            kind: UndoKind::Logical(undo),
-        });
+        cut
     }
 
     /// Records targeted by the logical (committed-operation) entries —
@@ -518,6 +542,7 @@ mod tests {
             model.extend(log.iter().cloned());
             for (seq, (physical, commits)) in ops.into_iter().enumerate() {
                 let op = OpSeq(seq as u32);
+                let mark = if seq == 0 { 0 } else { log.arena_len() };
                 for i in 0..physical {
                     log.push_physical(op, DbAddr(8 * i), vec![seq as u8; 8]);
                     log.seal_top_physical(op).unwrap();
@@ -529,10 +554,9 @@ mod tests {
                     commit_op_by_retain(&mut model, op, undo);
                 } else {
                     let mine = if seq == 0 { in_flight_at_checkpoint } else { 0 } + physical;
-                    for _ in 0..mine {
-                        log.entries.pop();
-                        model.pop();
-                    }
+                    log.cut_op(op, mark);
+                    model.truncate(model.len() - mine);
+                    proptest::prop_assert_eq!(log.arena_len(), mark);
                 }
                 proptest::prop_assert_eq!(&log.entries, &model);
             }

@@ -120,8 +120,9 @@ wire_enum! {
         4 "OpCommit" OpCommit { txn: TxnId, op: OpSeq, undo: LogicalUndo<B> },
         /// Transaction commit.
         5 "TxnCommit" TxnCommit { txn: TxnId },
-        /// Transaction abort (all undo already applied and logged as
-        /// compensation redo).
+        /// Transaction abort: the end of the batch that logs its
+        /// rollback's restores as physical redo (after a recovery's exit
+        /// checkpoint, which holds them, alone).
         6 "TxnAbort" TxnAbort { txn: TxnId },
         /// An audit pass began. `Audit_SN` in §4.3 is the LSN of the last
         /// AuditBegin whose matching AuditEnd reported clean.

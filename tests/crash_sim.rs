@@ -93,7 +93,7 @@ const REGRESSION_SEEDS: [u64; 11] = [
     144,  // restart logged its aborts before the exit checkpoint held the rollback
     330,  // open claimed durable a log tail a process death left unsynced
     41,   // the parity rung wrote back a wild write a committed update overwrote
-    124,  // the log rung rolled back a transaction open across it
+    124,  // the log rung rolled back an open transaction; a repair left a carrier's commit unsynced
     4192, // a delta certification anchored past read-logged carriers
     559,  // a torn batch's writes resurfaced at the abort a restart logged
     1128, // (the same, under another configuration)
@@ -298,9 +298,9 @@ impl Run<'_> {
     /// One transaction. `Ok(false)` stops the workload: something failed,
     /// and what the engine holds in memory may no longer be what the
     /// shadow says. A carrier starts by reading or writing one of
-    /// `carrier`'s records, and commits: an abort would log the damaged
-    /// before-image as a compensation, and replay would write the damage
-    /// back, which is carried corruption no cache recovery undoes.
+    /// `carrier`'s records, and commits: an abort's rollback would log
+    /// the damaged before-image as a restore, and replay would write the
+    /// damage back, which is carried corruption no cache recovery undoes.
     fn transaction(&mut self, carrier: Option<&[RecId]>) -> Result<bool, String> {
         let Ok(txn) = self.engine.begin() else {
             return Ok(false);
@@ -357,7 +357,7 @@ impl Run<'_> {
             return Ok(false);
         }
         if carrier.is_none() && self.rng.gen_bool(0.2) {
-            // Compensations are logged writes too.
+            // The rollback's restores are logged writes too.
             let undone = c.writes.iter().filter(|w| w.1.is_some()).map(|w| w.0);
             self.shadow.logged.extend(undone);
             return Ok(txn.abort().is_ok());
@@ -1171,6 +1171,45 @@ fn a_seed_replays_its_storage_calls_exactly() {
         let mut tally = Tally::default();
         let first = run_seed(seed, &mut tally).unwrap();
         assert_eq!(run_seed(seed, &mut tally).unwrap(), first, "seed {seed}");
+    }
+}
+
+/// A repair makes every commit before it durable. An update of damaged
+/// bytes takes the damage as its before-image; if a power loss took its
+/// commit record, restart would roll it back and write the damage over
+/// the repaired record.
+#[test]
+fn a_repair_makes_the_commits_before_it_durable() {
+    let (clean, damage, carried) = (vec![1u8; REC], [0xaa; 4], vec![2u8; REC]);
+    for seed in 0..16 {
+        let mut config = DaliConfig::small(ROOT).with_scheme(ProtectionScheme::DataCodeword);
+        config.sync_commit = false;
+        config.parity_group_size = 8;
+        let sim = SimStore::new();
+        let (engine, _) = DaliEngine::create_on(config.clone(), sim.store()).unwrap();
+        let t = engine.create_table("t", REC, CAPACITY).unwrap();
+        let setup = engine.begin().unwrap();
+        let rec = setup.insert(t, &clean).unwrap();
+        setup.commit().unwrap();
+        engine.checkpoint().unwrap();
+
+        let addr = engine.record_addr(rec).unwrap().add(8);
+        FaultInjector::new(&engine)
+            .wild_write_bytes(addr, &damage)
+            .unwrap();
+        let carrier = engine.begin().unwrap();
+        carrier.update(rec, &carried).unwrap();
+        carrier.commit().unwrap();
+        assert!(!engine.audit().unwrap().clean(), "seed {seed}");
+        assert_eq!(engine.stats().repair_fell_back.load(Relaxed), 1);
+
+        sim.kill();
+        engine.crash();
+        let disk = sim.restart(Some(&mut StdRng::seed_from_u64(seed)));
+        let (engine, _) = DaliEngine::open_on(config, disk.store()).unwrap();
+        let got = read_table(&engine).unwrap().remove(&rec);
+        assert_eq!(got, Some(carried.clone()), "seed {seed}");
+        assert!(engine.audit().unwrap().clean(), "seed {seed}");
     }
 }
 
