@@ -1,11 +1,13 @@
 //! The Active Transaction Table (paper §2.1).
 //!
 //! Each entry carries the transaction's local undo and redo logs (Dali's
-//! local logging). The checkpointer serializes the ATT — including local
-//! undo logs — into checkpoint metadata so that restart recovery has the
-//! logical undo of the operations its transactions completed before it.
-//! No operation is in flight then: the checkpointer holds `quiesce`
-//! exclusively, and an operation holds it from begin to end.
+//! local logging). The checkpointer serializes the ATT — each live
+//! transaction's id and the logical undo of the operations it completed —
+//! into checkpoint metadata, for restart recovery to roll back from. It
+//! holds `quiesce` exclusively, which an operation holds from begin to
+//! end and a transaction from its `TxnCommit` or `TxnAbort` append to
+//! its removal from the table: no operation is in flight, and no
+//! transaction whose end the log already holds is in the table.
 
 use dali_common::codec::{Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
@@ -29,9 +31,6 @@ pub struct TxnState {
     pub undo: LocalUndoLog,
     pub redo: LocalRedoLog,
     pub next_op: u32,
-    /// A physical update is between its beginUpdate and endUpdate: the
-    /// checkpointer must not serialize this entry's undo log.
-    pub update_in_flight: bool,
     /// Ranges exposed (mprotect-unprotected) by the current operation's
     /// physical updates; reprotected together when the operation ends, so
     /// control information sharing a page with data costs no extra
@@ -52,7 +51,6 @@ impl TxnState {
             undo: LocalUndoLog::new(),
             redo: LocalRedoLog::with_algebra(kind),
             next_op: 0,
-            update_in_flight: false,
             op_exposures: Vec::new(),
             deferred_frees: Vec::new(),
         }
@@ -110,10 +108,9 @@ impl Att {
         self.map.lock().is_empty()
     }
 
-    /// Serialize the ATT for a checkpoint: each active transaction's id
-    /// and local undo log. Must be called while physical updates are
-    /// quiesced (no entry may have an update in flight).
-    pub fn encode_for_ckpt(&self) -> Result<Vec<u8>> {
+    /// Serialize the ATT for a checkpoint: each transaction's id, next
+    /// operation number and logical undo.
+    pub fn encode_for_ckpt(&self) -> Vec<u8> {
         let map = self.map.lock();
         let mut buf = Vec::new();
         let mut entries: Vec<_> = map.values().collect();
@@ -121,16 +118,11 @@ impl Att {
         (entries.len() as u32).put(&mut buf);
         for entry in entries {
             let st = entry.lock();
-            if st.update_in_flight {
-                return Err(DaliError::InvalidArg(
-                    "checkpointing ATT with a physical update in flight".into(),
-                ));
-            }
             st.id.put(&mut buf);
             st.next_op.put(&mut buf);
             st.undo.encode(&mut buf);
         }
-        Ok(buf)
+        buf
     }
 
     /// Decode a checkpointed ATT into recovery-time transaction states
@@ -191,7 +183,7 @@ mod tests {
             g.next_op = 3;
             g.undo
                 .push_physical(OpSeq(2), DbAddr(100), vec![1, 2, 3, 4]);
-            g.undo.seal_top_physical(OpSeq(2)).unwrap();
+            g.undo.seal_top_physical().unwrap();
             g.undo.commit_op(
                 OpSeq(2),
                 LogicalUndo::HeapInsert {
@@ -200,7 +192,7 @@ mod tests {
             );
         }
         att.insert(TxnId(8));
-        let blob = att.encode_for_ckpt().unwrap();
+        let blob = att.encode_for_ckpt();
         let states = Att::decode_for_recovery(&blob, CodewordAlgebraKind::XorFold).unwrap();
         assert_eq!(states.len(), 2);
         let t7 = states.iter().find(|s| s.id == TxnId(7)).unwrap();
@@ -208,14 +200,6 @@ mod tests {
         assert_eq!(t7.undo.len(), 1);
         let t8 = states.iter().find(|s| s.id == TxnId(8)).unwrap();
         assert!(t8.undo.is_empty());
-    }
-
-    #[test]
-    fn ckpt_rejects_in_flight_update() {
-        let att = Att::new();
-        let st = att.insert(TxnId(1));
-        st.lock().update_in_flight = true;
-        assert!(att.encode_for_ckpt().is_err());
     }
 
     #[test]

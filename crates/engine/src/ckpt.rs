@@ -277,7 +277,7 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         let _q = db.quiesce.write();
         db.syslog.flush(false)?;
         let ck_end = db.syslog.current_lsn();
-        let att_blob = db.att.encode_for_ckpt()?;
+        let att_blob = db.att.encode_for_ckpt();
         let catalog = db.catalog.read().clone();
         let drained = Drained {
             db,
@@ -684,7 +684,7 @@ mod tests {
             algebra: CodewordAlgebraKind::XorFold,
             parity_group_size: 8,
             catalog,
-            att_blob: att.encode_for_ckpt().unwrap(),
+            att_blob: att.encode_for_ckpt(),
         };
         write_meta(&OsStorage, d, 0, &meta).unwrap();
         let back = read_meta(&OsStorage, d, 0).unwrap();
@@ -710,7 +710,7 @@ mod tests {
             algebra: CodewordAlgebraKind::Residue,
             parity_group_size: 0,
             catalog: Catalog::new(),
-            att_blob: Att::new().encode_for_ckpt().unwrap(),
+            att_blob: Att::new().encode_for_ckpt(),
         };
         write_meta(&OsStorage, d, 1, &meta).unwrap();
         assert_eq!(read_meta(&OsStorage, d, 1).unwrap().audit_sn, None);

@@ -52,7 +52,7 @@ use dali_common::{
 };
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::record::{LogRecord, LogRecordRef, LogicalUndoRef};
-use dali_wal::{LogReader, SystemLog, UndoKind};
+use dali_wal::{LogReader, SystemLog};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -402,20 +402,10 @@ impl<'m> Taint<'m> {
             return;
         }
         let Some(st) = att.get(&txn) else { return };
-        for entry in st.undo.iter() {
-            match &entry.kind {
-                UndoKind::Logical(u) => {
-                    let target = u.target();
-                    if let Ok(meta) = catalog.get(target.table) {
-                        self.undo_ranges
-                            .insert(meta.slot_addr(target.slot), meta.rec_size);
-                    }
-                }
-                // Physical undo (an operation in flight at the
-                // checkpoint) restores these exact bytes.
-                UndoKind::Physical { addr, before, .. } => {
-                    self.undo_ranges.insert(*addr, before.len);
-                }
+        for target in st.undo.logical_targets() {
+            if let Ok(meta) = catalog.get(target.table) {
+                self.undo_ranges
+                    .insert(meta.slot_addr(target.slot), meta.rec_size);
             }
         }
     }

@@ -31,12 +31,13 @@
 //! state mutex → heap alloc mutexes (ascending table order) → protection
 //! latches (ascending stripes) → parity group-buffer mutex. Nothing takes
 //! an alloc mutex while holding a latch. The checkpointer takes `quiesce`
-//! exclusively and then transaction state mutexes, which is consistent
-//! with this order; online repair takes `quiesce` exclusively and no state
-//! mutex. The group-buffer mutex is a leaf: updaters take it inside their
-//! bracket, repair and resync under the group's exclusive latches,
-//! certification's `verify_group` under no latch, and nothing else is
-//! acquired while it is held.
+//! exclusively, then the ATT's map mutex, then transaction state mutexes;
+//! so a transaction leaves the ATT under `quiesce` (shared) after it drops
+//! its state mutex, in the span that appends its end. Online repair takes
+//! `quiesce` exclusively and no state mutex. The group-buffer mutex is a
+//! leaf: updaters take it inside their bracket, repair and resync under
+//! the group's exclusive latches, certification's `verify_group` under no
+//! latch, and nothing else is acquired while it is held.
 //!
 //! There is one rollback, `rollback`, for an abort and for restart
 //! alike: it restores the transaction's committed operations, newest
@@ -55,7 +56,7 @@ use crate::heap::HeapRuntime;
 use crate::lock::LockMode;
 use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TableId, TxnId};
 use dali_wal::record::{LogRecord, LogicalUndo, OpKind};
-use dali_wal::{Span, UndoKind};
+use dali_wal::Span;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -284,6 +285,10 @@ impl TxnHandle {
             st.redo.discard();
             st.status = TxnStatus::Committed;
             self.release_slots(std::mem::take(&mut st.deferred_frees));
+            drop(st);
+            // A checkpoint's ATT must not hold a transaction whose commit
+            // its `CK_end` already covers: a restart would roll it back.
+            self.db.att.remove(self.id);
         }
         if self.db.config.sync_commit {
             self.db.syslog.commit_durable(commit_end)?;
@@ -291,7 +296,6 @@ impl TxnHandle {
             self.db.syslog.flush(false)?;
         }
         self.db.locks.unlock_all(self.id);
-        self.db.att.remove(self.id);
         EngineStats::bump(&self.db.stats.commits);
         Ok(())
     }
@@ -328,12 +332,15 @@ impl TxnHandle {
             self.db.syslog.append_frames(&st.redo);
             st.redo.discard();
             st.status = TxnStatus::Aborted;
-            std::mem::take(&mut st.deferred_frees)
+            let freed = std::mem::take(&mut st.deferred_frees);
+            drop(st);
+            // As at commit: out of the ATT before a checkpoint can see it.
+            self.db.att.remove(self.id);
+            freed
         };
         // `release` takes the alloc mutexes dropped above.
         self.release_slots(freed);
         self.db.locks.unlock_all(self.id);
-        self.db.att.remove(self.id);
         EngineStats::bump(&self.db.stats.aborts);
         self.db.syslog.flush(false)?;
         Ok(())
@@ -445,23 +452,15 @@ fn commit_op(db: &Db, st: &mut TxnState, txn: TxnId, op: OpSeq, undo: LogicalUnd
 /// goes too. Nothing is logged, and the pages are still exposed.
 fn undo_op(db: &Db, st: &mut TxnState, op: OpSeq, mark: usize) -> Result<()> {
     let mode = db.prot.update_latch_mode();
-    for e in st.undo.iter().rev().take_while(|e| e.op == op) {
-        let UndoKind::Physical {
-            addr,
-            before,
-            codeword_pending,
-        } = e.kind
-        else {
-            break;
-        };
-        let before = st.undo.bytes(before);
+    for p in st.undo.physical().iter().rev() {
+        let (addr, before) = (p.addr, st.undo.bytes(p.before));
         let (first, last) = db.prot.geometry().region_span(addr, before.len());
         db.prot.latches().lock_span(first, last, mode);
         let res = (|| -> Result<()> {
             let mut cur = vec![0u8; before.len()];
             db.image.read(addr, &mut cur)?;
             db.image.write(addr, before)?;
-            if codeword_pending {
+            if p.codeword_pending {
                 return Ok(());
             }
             db.prot.apply_update(&db.image, addr, &cur)
@@ -469,7 +468,7 @@ fn undo_op(db: &Db, st: &mut TxnState, op: OpSeq, mark: usize) -> Result<()> {
         db.prot.latches().unlock_span(first, last, mode);
         res?;
     }
-    st.undo.cut_op(op, mark);
+    st.undo.cut_op(mark);
     st.redo.cut_op(op);
     Ok(())
 }
@@ -522,8 +521,7 @@ fn physical_update(
         // acquisition, and the stale before-image would corrupt the
         // codeword delta at endUpdate.
         let before = st.undo.stage(wl, |b| db.image.read(waddr, b))?;
-        st.undo.push_physical_at(op, waddr, before);
-        st.update_in_flight = true;
+        st.undo.push_physical_at(waddr, before);
 
         // CW ReadLog treats a write as a read followed by a write (§4.3):
         // log the pre-update region codewords, computed from the contents
@@ -546,14 +544,13 @@ fn physical_update(
         // --- endUpdate ---
         db.prot
             .apply_update(&db.image, waddr, st.undo.bytes(before))?;
-        st.undo.seal_top_physical(op)?;
+        st.undo.seal_top_physical()?;
         st.redo.push_redo(txn, op, addr, data);
         Ok(())
     })();
     db.prot.latches().unlock_span(first, last, mode);
     // Reprotection is deferred to the end of the operation (see
     // reprotect_op_exposures).
-    st.update_in_flight = false;
     res
 }
 
@@ -593,8 +590,8 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
     Some(first * 8..((last.unwrap_or(first) + 1) * 8).min(old.len()))
 }
 
-/// The rollback, online and at restart: restore the transaction's undo
-/// log, newest entry first, through [`physical_update`] under one fresh
+/// The rollback, online and at restart: restore the transaction's logical
+/// undo, newest entry first, through [`physical_update`] under one fresh
 /// operation number, each restore over its changed span only (as
 /// [`rewrite_record`] writes). Latching, exposure, codeword and parity
 /// deltas, CW ReadLog's write-as-read record and the redo frames all come
@@ -604,12 +601,11 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
 /// transaction's logical undo intact, and the next restart rolls it back
 /// again under a higher operation number.
 ///
-/// A logical entry restores a record's bytes, its allocation bit, or
-/// both; the caller holds the alloc mutex of each heap whose bit it
-/// restores. A slot the transaction inserted goes back to the mirror when
-/// it ends, one it deleted stays taken. A physical entry (only a
-/// checkpointed ATT written before operations undid themselves holds one)
-/// restores its bytes.
+/// Each entry restores a record's bytes, its allocation bit, or both; the
+/// caller holds the alloc mutex of each heap whose bit it restores. A slot
+/// the transaction inserted goes back to the mirror when it ends, one it
+/// deleted stays taken. There is no physical undo to restore: a failed
+/// operation restored its own before it returned.
 pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
     let op = st.next_op_seq();
     let undo = std::mem::take(&mut st.undo);
@@ -617,17 +613,11 @@ pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
         let cur = st.undo.stage(bytes.len(), |b| db.image.read(addr, b))?;
         rewrite_record(db, st, txn, op, addr, cur, bytes)
     };
-    for e in undo.iter().rev() {
-        let (rec, data, allocated) = match &e.kind {
-            UndoKind::Physical { addr, before, .. } => {
-                restore(st, *addr, undo.bytes(*before))?;
-                continue;
-            }
-            UndoKind::Logical(u) => match undo.logical(u) {
-                LogicalUndo::HeapInsert { rec } => (rec, None, Some(false)),
-                LogicalUndo::HeapDelete { rec, image } => (rec, Some(image), Some(true)),
-                LogicalUndo::HeapUpdate { rec, before } => (rec, Some(before), None),
-            },
+    for u in undo.iter().rev() {
+        let (rec, data, allocated) = match u {
+            LogicalUndo::HeapInsert { rec } => (rec, None, Some(false)),
+            LogicalUndo::HeapDelete { rec, image } => (rec, Some(image), Some(true)),
+            LogicalUndo::HeapUpdate { rec, before } => (rec, Some(before), None),
         };
         let heap = db.heap(rec.table)?;
         if let Some(allocated) = allocated {
@@ -775,7 +765,7 @@ mod tests {
             Err(DaliError::InvalidArg("fails after its first write".into()))
         });
         assert!(matches!(res, Err(DaliError::InvalidArg(_))), "{res:?}");
-        assert!(st.undo.is_empty() || st.undo.logical_targets().count() == st.undo.len());
+        assert!(st.undo.physical().is_empty());
         assert_eq!(st.undo.arena_len(), mark, "staged images left behind");
     }
 

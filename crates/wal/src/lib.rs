@@ -7,8 +7,8 @@
 //! the *stable system log* on transaction commit and at checkpoints.
 //! Because redo only reaches the system log at operation commit, every
 //! physical record on the stable log belongs to a committed operation —
-//! restart rollback is purely logical (plus physical undo from the
-//! checkpointed ATT for operations in flight at checkpoint time).
+//! restart rollback is purely logical, and a checkpointed ATT holds
+//! logical undo only.
 //!
 //! This crate provides:
 //!
@@ -33,7 +33,7 @@ pub mod segment;
 pub mod syslog;
 
 pub use dpt::{pages_to_regions, DualDirtySet};
-pub use locallog::{LocalRedoLog, LocalUndoLog, Span, UndoEntry, UndoKind};
+pub use locallog::{LocalRedoLog, LocalUndoLog, PhysicalUndo, Span};
 pub use record::{Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind};
 pub use segment::{LogReader, SegmentBuf};
 pub use syslog::{SegmentStats, SyncStats, SystemLog};

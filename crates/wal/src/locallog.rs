@@ -4,24 +4,23 @@
 //! * [`LocalRedoLog`] — redo (and read) records accumulated by the
 //!   transaction's current operation, framed as they are pushed; migrated
 //!   to the system log as one copy when the operation commits.
-//! * [`LocalUndoLog`] — the transaction's undo stack: physical undo
-//!   entries for updates of in-flight operations, replaced by one logical
-//!   entry when the operation commits, or cut once a failed operation has
-//!   restored them ([`LocalUndoLog::cut_op`]). The physical entry carries the
-//!   paper's *codeword-applied* flag (§3.1): while an update is between
+//! * [`LocalUndoLog`] — the transaction's undo, in two parts: the logical
+//!   undo of its committed operations, and the physical undo of the one
+//!   operation in flight. Operation commit replaces the latter with one
+//!   logical entry; a failed operation restores it and cuts it
+//!   ([`LocalUndoLog::cut_op`]). A physical entry carries the paper's
+//!   *codeword-applied* flag (§3.1): while an update is between
 //!   `beginUpdate` and `endUpdate` the codeword has not yet absorbed the
 //!   change, so a rollback in that window must restore the bytes *without*
 //!   touching the codeword.
 //!
-//! Every image the undo stack holds is a [`Span`] of one per-transaction
+//! Every image the undo log holds is a [`Span`] of one per-transaction
 //! byte arena, and the redo log is one reused frame buffer, so once both
 //! have grown an update allocates nothing.
 //!
-//! The undo log is serializable because checkpoints persist the ATT
-//! including each transaction's local undo log (§2.1). The checkpointer
-//! quiesces operations first, so what it serializes is logical entries;
-//! a physical entry still encodes and decodes, with the codeword-applied
-//! flag in its quiescent state.
+//! Checkpoints persist the ATT with each transaction's logical undo
+//! (§2.1); physical undo never leaves its operation, so it is never
+//! serialized.
 
 use crate::record::{
     frame_into, frame_len, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
@@ -36,38 +35,30 @@ pub struct Span {
     pub len: usize,
 }
 
-/// What a single undo entry restores.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum UndoKind {
-    /// Restore the `before` bytes at `addr` (both widened to word
-    /// alignment so the codeword delta is computable).
-    Physical {
-        addr: DbAddr,
-        before: Span,
-        /// Paper §3.1 "codeword-applied" flag. `true` means the update is
-        /// still inside its beginUpdate/endUpdate window: the codeword has
-        /// *not* yet been updated for it, so undoing must skip the
-        /// codeword adjustment.
-        codeword_pending: bool,
-    },
-    /// Undo a committed (level-1) operation through its logical undo.
-    Logical(LogicalUndo<Span>),
+/// The physical undo of one update of the operation in flight: restore
+/// the `before` bytes at `addr` (both widened to word alignment so the
+/// codeword delta is computable).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PhysicalUndo {
+    pub addr: DbAddr,
+    pub before: Span,
+    /// Paper §3.1 "codeword-applied" flag. `true` means the update is
+    /// still inside its beginUpdate/endUpdate window: the codeword has
+    /// *not* yet been updated for it, so undoing must skip the codeword
+    /// adjustment.
+    pub codeword_pending: bool,
 }
 
-/// One entry of a transaction's undo stack.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UndoEntry {
-    /// The operation that generated the entry.
-    pub op: OpSeq,
-    pub kind: UndoKind,
-}
-
-/// The transaction-local undo stack and the arena its images live in.
+/// A transaction's undo and the arena its images live in.
 #[derive(Clone, Debug, Default)]
 pub struct LocalUndoLog {
-    entries: Vec<UndoEntry>,
-    /// The entries' images, in push order (plus images staged for the
-    /// operation in flight).
+    /// The committed operations' logical undo, oldest first: all a
+    /// checkpoint saves.
+    logical: Vec<(OpSeq, LogicalUndo<Span>)>,
+    /// The operation in flight's physical undo, oldest first.
+    physical: Vec<PhysicalUndo>,
+    /// The images, in push order (plus images staged for the operation
+    /// in flight).
     arena: Vec<u8>,
 }
 
@@ -77,14 +68,14 @@ impl LocalUndoLog {
         LocalUndoLog::default()
     }
 
-    /// Number of entries.
+    /// Number of committed operations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.logical.len()
     }
 
-    /// True if no entries.
+    /// True if no operation committed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.logical.is_empty()
     }
 
     /// Append `len` bytes to the arena, written by `f` — which reads
@@ -119,36 +110,28 @@ impl LocalUndoLog {
 
     /// Push a physical undo entry (at `beginUpdate`) whose before-image
     /// is the staged `before`.
-    pub fn push_physical_at(&mut self, op: OpSeq, addr: DbAddr, before: Span) {
-        self.entries.push(UndoEntry {
-            op,
-            kind: UndoKind::Physical {
-                addr,
-                before,
-                codeword_pending: true,
-            },
+    pub fn push_physical_at(&mut self, addr: DbAddr, before: Span) {
+        self.physical.push(PhysicalUndo {
+            addr,
+            before,
+            codeword_pending: true,
         });
     }
 
-    /// Push a physical undo entry holding a copy of `before`.
-    pub fn push_physical(&mut self, op: OpSeq, addr: DbAddr, before: Vec<u8>) {
+    /// Push a physical undo entry of operation `op`, the one in flight,
+    /// holding a copy of `before`. The entry does not keep `op`: the stack
+    /// is that one operation's.
+    pub fn push_physical(&mut self, _op: OpSeq, addr: DbAddr, before: Vec<u8>) {
         let before = self.copy_in(&before);
-        self.push_physical_at(op, addr, before);
+        self.push_physical_at(addr, before);
     }
 
-    /// Clear the codeword-applied flag of the most recent physical entry
-    /// (at `endUpdate`). Errors if the top entry is not a pending physical
-    /// update of `op`.
-    pub fn seal_top_physical(&mut self, op: OpSeq) -> Result<()> {
-        match self.entries.last_mut() {
-            Some(UndoEntry {
-                op: eop,
-                kind:
-                    UndoKind::Physical {
-                        codeword_pending, ..
-                    },
-            }) if *eop == op && *codeword_pending => {
-                *codeword_pending = false;
+    /// Clear the codeword-applied flag of the newest physical entry (at
+    /// `endUpdate`). Errors if it is not pending.
+    pub fn seal_top_physical(&mut self) -> Result<()> {
+        match self.physical.last_mut() {
+            Some(p) if p.codeword_pending => {
+                p.codeword_pending = false;
                 Ok(())
             }
             _ => Err(DaliError::InvalidArg(
@@ -157,25 +140,26 @@ impl LocalUndoLog {
         }
     }
 
-    /// Operation commit: drop the operation's physical entries and push a
-    /// single logical entry in their place (paper §2: "the undo
-    /// information for that operation is replaced with a logical undo
-    /// record"), whose image is already in the arena.
-    ///
-    /// A transaction has one level-1 operation in flight at a time, so
-    /// those physical entries are exactly the run on top of the stack:
-    /// popping them is O(entries of this operation), where filtering the
-    /// whole stack made a transaction of n operations O(n²). Their
-    /// before-images are the top of the arena, above the image the
-    /// operation staged first, and are cut with them.
+    /// The operation in flight's physical undo, oldest first.
+    pub fn physical(&self) -> &[PhysicalUndo] {
+        &self.physical
+    }
+
+    /// Operation commit: drop the operation's physical undo and push a
+    /// single logical entry in its place (paper §2: "the undo information
+    /// for that operation is replaced with a logical undo record"), whose
+    /// image is already in the arena. The before-images are the top of
+    /// the arena, above the image the operation staged first, and are cut
+    /// with their entries.
     pub fn commit_op(&mut self, op: OpSeq, undo: LogicalUndo<Span>) {
-        let cut = self.pop_physical(op);
+        let cut = self
+            .physical
+            .first()
+            .map_or(self.arena.len(), |p| p.before.off);
+        self.physical.clear();
         self.arena
             .truncate(cut.max(undo.image().map_or(0, |s| s.off + s.len)));
-        self.entries.push(UndoEntry {
-            op,
-            kind: UndoKind::Logical(undo),
-        });
+        self.logical.push((op, undo));
     }
 
     /// The arena's length: taken when an operation begins, the `mark`
@@ -184,86 +168,39 @@ impl LocalUndoLog {
         self.arena.len()
     }
 
-    /// Operation `op` failed and its writes were restored: drop its
-    /// physical entries and every image it staged since `mark`, the
+    /// The operation in flight failed and its writes were restored: drop
+    /// its physical undo and every image it staged since `mark`, the
     /// before-images and the image staged first alike.
-    pub fn cut_op(&mut self, op: OpSeq, mark: usize) {
-        let cut = self.pop_physical(op);
-        debug_assert!(mark <= cut, "{op:?} staged below its mark");
+    pub fn cut_op(&mut self, mark: usize) {
+        self.physical.clear();
         self.arena.truncate(mark);
     }
 
-    /// Pop `op`'s physical entries off the top of the stack and return
-    /// where their before-images start in the arena.
-    fn pop_physical(&mut self, op: OpSeq) -> usize {
-        let mut cut = self.arena.len();
-        while let Some(&UndoEntry {
-            op: top,
-            kind: UndoKind::Physical { before, .. },
-        }) = self.entries.last()
-        {
-            if top != op {
-                break;
-            }
-            cut = before.off;
-            self.entries.pop();
-        }
-        debug_assert!(
-            !self
-                .entries
-                .iter()
-                .any(|e| e.op == op && matches!(e.kind, UndoKind::Physical { .. })),
-            "physical undo of {op:?} buried under another operation's entries"
-        );
-        cut
+    /// The committed operations' logical undo, oldest first.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = LogicalUndoRef<'_>> {
+        self.logical.iter().map(|(_, u)| self.logical(u))
     }
 
-    /// Records targeted by the logical (committed-operation) entries —
-    /// the conflict granules checked by delete-transaction recovery
-    /// (§4.3).
+    /// Records targeted by the committed operations — the conflict
+    /// granules checked by delete-transaction recovery (§4.3).
     pub fn logical_targets(&self) -> impl Iterator<Item = RecId> + '_ {
-        self.entries.iter().filter_map(|e| match &e.kind {
-            UndoKind::Logical(u) => Some(u.target()),
-            UndoKind::Physical { .. } => None,
-        })
+        self.logical.iter().map(|(_, u)| u.target())
     }
 
-    /// Iterate entries bottom (oldest) to top.
-    pub fn iter(&self) -> std::slice::Iter<'_, UndoEntry> {
-        self.entries.iter()
-    }
-
-    /// Serialize for the checkpointed ATT.
+    /// Serialize the logical undo for the checkpointed ATT.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        (self.entries.len() as u32).put(buf);
-        for e in &self.entries {
-            e.op.put(buf);
-            match &e.kind {
-                UndoKind::Physical {
-                    addr,
-                    before,
-                    codeword_pending,
-                } => {
-                    debug_assert!(
-                        !codeword_pending,
-                        "checkpointing an undo log with an update in flight"
-                    );
-                    0u8.put(buf);
-                    addr.put(buf);
-                    self.bytes(*before).put(buf);
-                }
-                UndoKind::Logical(u) => {
-                    // A blob holding the logical undo in an OpCommit
-                    // payload's shape.
-                    1u8.put(buf);
-                    let undo = LogRecordRef::OpCommit {
-                        txn: TxnId(0),
-                        op: e.op,
-                        undo: self.logical(u),
-                    };
-                    put_blob_with(buf, |buf| undo.put(buf));
-                }
-            }
+        (self.logical.len() as u32).put(buf);
+        for (op, u) in &self.logical {
+            op.put(buf);
+            // Tag 1 (logical; `decode` refuses any other), then a blob
+            // holding the logical undo in an OpCommit payload's shape.
+            1u8.put(buf);
+            let undo = LogRecordRef::OpCommit {
+                txn: TxnId(0),
+                op: *op,
+                undo: self.logical(u),
+            };
+            put_blob_with(buf, |buf| undo.put(buf));
         }
     }
 
@@ -272,24 +209,17 @@ impl LocalUndoLog {
         // The smallest entry is op + tag + an empty logical-undo blob.
         let n = r.count(4 + 1 + 4)?;
         let mut log = LocalUndoLog::new();
-        log.entries.reserve(n);
+        log.logical.reserve(n);
         for _ in 0..n {
             let op = OpSeq(r.u32()?);
-            let kind = match r.u8()? {
-                0 => UndoKind::Physical {
-                    addr: DbAddr(r.u64()? as usize),
-                    before: log.copy_in(r.blob()?),
-                    codeword_pending: false,
-                },
-                1 => match LogRecordRef::decode(r.blob()?)? {
-                    LogRecordRef::OpCommit { undo, .. } => {
-                        UndoKind::Logical(undo.map(|b| log.copy_in(b)))
-                    }
-                    _ => return Err(r.fail("expected logical undo in ATT")),
-                },
-                tag => return Err(r.fail(format_args!("unknown undo entry tag {tag}"))),
+            if r.u8()? != 1 {
+                return Err(r.fail("undo entry is not logical"));
+            }
+            let LogRecordRef::OpCommit { undo, .. } = LogRecordRef::decode(r.blob()?)? else {
+                return Err(r.fail("expected logical undo in ATT"));
             };
-            log.entries.push(UndoEntry { op, kind });
+            let undo = undo.map(|b| log.copy_in(b));
+            log.logical.push((op, undo));
         }
         Ok(log)
     }
@@ -427,21 +357,11 @@ mod tests {
     fn begin_end_update_flag_protocol() {
         let mut log = LocalUndoLog::new();
         log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
-        match &log.entries.last().unwrap().kind {
-            UndoKind::Physical {
-                codeword_pending, ..
-            } => assert!(*codeword_pending),
-            _ => panic!(),
-        }
-        log.seal_top_physical(OpSeq(1)).unwrap();
-        match &log.entries.last().unwrap().kind {
-            UndoKind::Physical {
-                codeword_pending, ..
-            } => assert!(!*codeword_pending),
-            _ => panic!(),
-        }
+        assert!(log.physical()[0].codeword_pending);
+        log.seal_top_physical().unwrap();
+        assert!(!log.physical()[0].codeword_pending);
         // Sealing twice is a protocol error.
-        assert!(log.seal_top_physical(OpSeq(1)).is_err());
+        assert!(log.seal_top_physical().is_err());
     }
 
     #[test]
@@ -450,9 +370,9 @@ mod tests {
         // The operation stages its record image first, then updates.
         let before = log.copy_in(&[1, 2, 3]);
         log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
-        log.seal_top_physical(OpSeq(1)).unwrap();
+        log.seal_top_physical().unwrap();
         log.push_physical(OpSeq(1), DbAddr(8), vec![0; 4]);
-        log.seal_top_physical(OpSeq(1)).unwrap();
+        log.seal_top_physical().unwrap();
         log.commit_op(
             OpSeq(1),
             LogicalUndo::HeapUpdate {
@@ -460,16 +380,13 @@ mod tests {
                 before,
             },
         );
-        assert_eq!(log.len(), 1);
-        let UndoKind::Logical(undo) = &log.entries.last().unwrap().kind else {
-            panic!("expected a logical entry");
-        };
+        assert!(log.physical().is_empty());
         assert_eq!(
-            log.logical(undo),
-            LogicalUndo::HeapUpdate {
+            log.iter().collect::<Vec<_>>(),
+            [LogicalUndo::HeapUpdate {
                 rec: rec(1, 2),
                 before: &[1, 2, 3][..],
-            }
+            }]
         );
         // The physical before-images left the arena with their entries.
         assert_eq!(log.arena.len(), 3);
@@ -497,86 +414,45 @@ mod tests {
         );
     }
 
-    #[test]
-    fn commit_op_keeps_other_ops_entries() {
-        let mut log = LocalUndoLog::new();
-        log.commit_op(OpSeq(1), LogicalUndo::HeapInsert { rec: rec(1, 1) });
-        log.push_physical(OpSeq(2), DbAddr(0), vec![0; 4]);
-        log.seal_top_physical(OpSeq(2)).unwrap();
-        log.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: rec(1, 2) });
-        assert_eq!(log.len(), 2);
-        let targets: Vec<_> = log.logical_targets().collect();
-        assert_eq!(targets, vec![rec(1, 1), rec(1, 2)]);
-    }
-
-    /// `commit_op` as it was: filter the *whole* stack. The reference
-    /// the pop-from-top version must match.
-    fn commit_op_by_retain(entries: &mut Vec<UndoEntry>, op: OpSeq, undo: LogicalUndo<Span>) {
-        entries.retain(|e| !(e.op == op && matches!(e.kind, UndoKind::Physical { .. })));
-        entries.push(UndoEntry {
-            op,
-            kind: UndoKind::Logical(undo),
-        });
-    }
-
     proptest::proptest! {
-        /// Under any history that keeps one operation in flight — each
-        /// operation pushes its physical entries, then either commits or
-        /// is rolled back (its entries popped) before the next begins —
-        /// popping the top run leaves exactly the stack that filtering
-        /// all of it left.
+        /// Under any history of operations — each stages an image or not,
+        /// pushes its physical entries, then commits or is cut — the
+        /// logical entries are the committed operations' in order, no
+        /// physical entry outlives its operation, and the arena holds
+        /// exactly the committed operations' images.
         #[test]
-        fn commit_op_pops_what_retain_removed(
-            ops in proptest::collection::vec((0usize..5, proptest::prelude::any::<bool>()), 0..40),
-            in_flight_at_checkpoint in 0usize..4,
+        fn an_operation_leaves_only_its_logical_entry(
+            ops in proptest::collection::vec((0usize..5, 0usize..3, proptest::prelude::any::<bool>()), 0..40),
         ) {
             let mut log = LocalUndoLog::new();
-            let mut model: Vec<UndoEntry> = Vec::new();
-            // A stack restored from a checkpointed ATT may start with an
-            // operation's physical entries already on it.
-            let first = OpSeq(0);
-            for i in 0..in_flight_at_checkpoint {
-                log.push_physical(first, DbAddr(8 * i), vec![i as u8; 8]);
-                log.seal_top_physical(first).unwrap();
-            }
-            model.extend(log.iter().cloned());
-            for (seq, (physical, commits)) in ops.into_iter().enumerate() {
-                let op = OpSeq(seq as u32);
-                let mark = if seq == 0 { 0 } else { log.arena_len() };
+            let mut model = Vec::new();
+            for (seq, (physical, image, commits)) in ops.into_iter().enumerate() {
+                let (op, rec) = (OpSeq(seq as u32), rec(1, seq as u32));
+                let mark = log.arena_len();
+                let before = log.copy_in(&vec![seq as u8; image]);
                 for i in 0..physical {
                     log.push_physical(op, DbAddr(8 * i), vec![seq as u8; 8]);
-                    log.seal_top_physical(op).unwrap();
-                    model.push(log.entries.last().unwrap().clone());
+                    log.seal_top_physical().unwrap();
                 }
                 if commits {
-                    let undo = LogicalUndo::HeapInsert { rec: rec(1, seq as u32) };
+                    let undo = match image {
+                        0 => LogicalUndo::HeapInsert { rec },
+                        _ => LogicalUndo::HeapUpdate { rec, before },
+                    };
                     log.commit_op(op, undo);
-                    commit_op_by_retain(&mut model, op, undo);
+                    model.push((op, undo));
+                    proptest::prop_assert_eq!(log.arena_len(), mark + image);
                 } else {
-                    let mine = if seq == 0 { in_flight_at_checkpoint } else { 0 } + physical;
-                    log.cut_op(op, mark);
-                    model.truncate(model.len() - mine);
+                    log.cut_op(mark);
                     proptest::prop_assert_eq!(log.arena_len(), mark);
                 }
-                proptest::prop_assert_eq!(&log.entries, &model);
+                proptest::prop_assert!(log.physical().is_empty());
+                proptest::prop_assert_eq!(&log.logical, &model);
             }
         }
     }
 
-    /// What the model above never does: a second operation commits over
-    /// the first one's physical entries. Debug builds refuse to bury
-    /// them silently.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "buried under another operation")]
-    fn commit_op_rejects_physical_entries_below_the_top_run() {
-        let mut log = LocalUndoLog::new();
-        log.push_physical(OpSeq(1), DbAddr(0), vec![0; 4]);
-        log.seal_top_physical(OpSeq(1)).unwrap();
-        log.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: rec(1, 2) });
-        log.commit_op(OpSeq(1), LogicalUndo::HeapInsert { rec: rec(1, 1) });
-    }
-
+    /// The encoding holds the committed operations' logical undo only.
     #[test]
     fn undo_log_encode_decode_round_trip() {
         let mut log = LocalUndoLog::new();
@@ -588,25 +464,17 @@ mod tests {
                 image,
             },
         );
-        log.push_physical(OpSeq(2), DbAddr(400), vec![1, 2, 3, 4]);
-        log.seal_top_physical(OpSeq(2)).unwrap();
+        log.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: rec(2, 4) });
+        log.push_physical(OpSeq(3), DbAddr(400), vec![1, 2, 3, 4]);
 
         let mut buf = Vec::new();
         log.encode(&mut buf);
         let mut r = Reader::new(&buf, DaliError::RecoveryFailed);
         let back = LocalUndoLog::decode(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(back.entries, log.entries);
-        assert_eq!(back.arena, log.arena);
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let mut log = LocalUndoLog::new();
-        log.push_physical(OpSeq(1), DbAddr(0), vec![9; 8]);
-        log.seal_top_physical(OpSeq(1)).unwrap();
-        let mut buf = Vec::new();
-        log.encode(&mut buf);
+        assert_eq!(back.logical, log.logical);
+        assert!(back.physical.is_empty());
+        assert_eq!(back.arena, [7; 16]);
         let mut short = Reader::new(&buf[..buf.len() - 2], DaliError::RecoveryFailed);
         assert!(LocalUndoLog::decode(&mut short).is_err());
     }

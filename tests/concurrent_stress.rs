@@ -222,3 +222,80 @@ fn stress_contended_read_precheck_sharded() {
 fn stress_contended_data_codeword_single_shard() {
     stress_contended(ProtectionScheme::DataCodeword, 1);
 }
+
+/// Updaters commit and abort while a checkpoint loop runs, then the
+/// process dies and the database reopens. A checkpoint's ATT holds only
+/// transactions the log has not ended, so every acknowledged commit
+/// survives the restart and no aborted value comes back; the audit is
+/// clean.
+#[test]
+fn stress_checkpoints_beside_commits_and_aborts_then_restart() {
+    const TXNS: usize = 150;
+    const REC: usize = 32;
+    let dir = dali_testutil::TempDir::new("stress-ckpt-restart");
+    let mut config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+    config.sync_commit = true;
+    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let t = db.create_table("t", REC, THREADS).unwrap();
+    let setup = db.begin().unwrap();
+    let recs: Vec<RecId> = (0..THREADS)
+        .map(|_| setup.insert(t, &[0; REC]).unwrap())
+        .collect();
+    setup.commit().unwrap();
+
+    // A value names its thread, its transaction and whether it commits.
+    let value = |thread: usize, i: usize, commits: bool| {
+        let mut v = [u8::from(commits); REC];
+        v[..8].copy_from_slice(&((thread * TXNS + i) as u64).to_le_bytes());
+        v
+    };
+    let stop = AtomicBool::new(false);
+    let acked = std::thread::scope(|s| {
+        let checkpointer = s.spawn(|| {
+            let mut checkpoints = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                db.checkpoint().unwrap();
+                checkpoints += 1;
+            }
+            checkpoints
+        });
+        let updaters: Vec<_> = (recs.iter().enumerate())
+            .map(|(thread, &rec)| {
+                let db = &db;
+                s.spawn(move || {
+                    let mut acked = [0; REC];
+                    for i in 0..TXNS {
+                        let commits = (i * 7 + thread) % 3 != 0;
+                        let txn = db.begin().unwrap();
+                        txn.update(rec, &value(thread, i, commits)).unwrap();
+                        if commits {
+                            txn.commit().unwrap();
+                            acked = value(thread, i, true);
+                        } else {
+                            txn.abort().unwrap();
+                        }
+                    }
+                    acked
+                })
+            })
+            .collect();
+        let acked: Vec<_> = updaters.into_iter().map(|u| u.join().unwrap()).collect();
+        stop.store(true, Ordering::Relaxed);
+        assert!(checkpointer.join().unwrap() >= 1);
+        acked
+    });
+    db.crash();
+
+    let (db, outcome) = DaliEngine::open(config).unwrap();
+    assert!(
+        outcome.rolled_back_txns.is_empty(),
+        "rolled back {:?}",
+        outcome.rolled_back_txns
+    );
+    let check = db.begin().unwrap();
+    for (thread, (rec, acked)) in recs.iter().zip(&acked).enumerate() {
+        assert_eq!(check.read_vec(*rec).unwrap(), acked, "thread {thread}");
+    }
+    check.commit().unwrap();
+    assert!(db.audit().unwrap().clean());
+}

@@ -85,18 +85,19 @@ use std::sync::atomic::Ordering::Relaxed;
 const DEFAULT_SEEDS: u64 = 64;
 /// Seeds that found a bug, run besides the range: each fails on the tree
 /// without its fix.
-const REGRESSION_SEEDS: [u64; 11] = [
-    96,   // a failed checkpoint dropped its dirty pages
-    493,  // (the same, seen by a checkpoint-image move)
-    37,   // prior-state recovery replayed onto a half-overwritten image
-    681,  // a retirement gap stopped restart
-    144,  // restart logged its aborts before the exit checkpoint held the rollback
-    330,  // open claimed durable a log tail a process death left unsynced
-    41,   // the parity rung wrote back a wild write a committed update overwrote
-    124,  // the log rung rolled back an open transaction; a repair left a carrier's commit unsynced
+const REGRESSION_SEEDS: [u64; 12] = [
+    96,    // a failed checkpoint dropped its dirty pages
+    493,   // (the same, seen by a checkpoint-image move)
+    37,    // prior-state recovery replayed onto a half-overwritten image
+    681,   // a retirement gap stopped restart
+    144,   // restart logged its aborts before the exit checkpoint held the rollback
+    330,   // open claimed durable a log tail a process death left unsynced
+    41,    // the parity rung wrote back a wild write a committed update overwrote
+    124, // the log rung rolled back an open transaction; a repair left a carrier's commit unsynced
     4192, // a delta certification anchored past read-logged carriers
-    559,  // a torn batch's writes resurfaced at the abort a restart logged
+    559, // a torn batch's writes resurfaced at the abort a restart logged
     1128, // (the same, under another configuration)
+    10494, // a deleted carrier's rollback restored damage the fold missed
 ];
 const REC: usize = 32;
 const CAPACITY: usize = 48;
@@ -278,6 +279,17 @@ struct Damage {
     addr: DbAddr,
     before: Vec<u8>,
     after: Vec<u8>,
+}
+
+/// Damage the fold misses, in a record carriers wrote.
+struct Leak {
+    rec: RecId,
+    /// Where the damage starts in the record.
+    at: usize,
+    /// The damaged bytes XOR their values.
+    xor: Vec<u8>,
+    /// The carriers that wrote the record.
+    writers: Vec<TxnId>,
 }
 
 impl Run<'_> {
@@ -623,6 +635,22 @@ impl Run<'_> {
         // those bytes.
         let shifted = |d: &Damage| DbAddr(moved.first().map_or(0, |r| r * size) + d.addr.0 % size);
         let blind = |d: &Damage| !moved.contains(&(d.addr.0 / size));
+        // A carrier that writes a record whose damage the fold misses takes
+        // the damage into its before-image. If the §4.3 scan deletes that
+        // carrier, its rollback writes the image back, damage and all,
+        // unless the scan tainted it before that write. The model does not
+        // replay the scan, so either value is the shadow's.
+        let leaks: Vec<Leak> = (damage.iter().filter(|d| blind(d)))
+            .map(|d| Leak {
+                rec: d.rec,
+                at: d.addr.0 - self.addr(d.rec).0,
+                xor: d.before.iter().zip(&d.after).map(|(b, a)| b ^ a).collect(),
+                writers: (carried.iter())
+                    .filter(|c| c.writes.iter().any(|(r, _)| *r == d.rec))
+                    .map(|c| c.txn)
+                    .collect(),
+            })
+            .collect();
         let contradicted = damage.iter().any(|d| {
             let overwritten =
                 (carried.iter().flat_map(|c| &c.writes)).any(|(r, v)| v.is_some() && *r == d.rec);
@@ -670,7 +698,7 @@ impl Run<'_> {
                 _ => true,
             },
             // The open transaction, if any, dies with the process.
-            _ => return self.reopen(&carriers, false).map(Some),
+            _ => return self.reopen(&carriers, &leaks, false).map(Some),
         };
         // The rung has run: the transaction open across it ends now,
         // unless detection poisoned the engine and takes it down.
@@ -694,7 +722,7 @@ impl Run<'_> {
             if ladder {
                 return Err("the repair ladder gave up".into());
             }
-            return self.reopen(&carriers, true).map(|_| Some(true));
+            return self.reopen(&carriers, &leaks, true).map(|_| Some(true));
         }
         let in_place = self.engine.stats().repair_fell_back.load(Relaxed) == fell_back;
         if in_place != parity {
@@ -727,9 +755,15 @@ impl Run<'_> {
     }
 
     /// Crash and reopen in place; the table must be the shadow without the
-    /// deleted transactions, which include `carriers`. Returns whether
-    /// recovery deleted any.
-    fn reopen(&mut self, carriers: &[TxnId], poisoned: bool) -> Result<bool, String> {
+    /// deleted transactions, which include `carriers`; a record of `leaks`
+    /// that a deleted transaction wrote may also hold its damage. Returns
+    /// whether recovery deleted any.
+    fn reopen(
+        &mut self,
+        carriers: &[TxnId],
+        leaks: &[Leak],
+        poisoned: bool,
+    ) -> Result<bool, String> {
         self.engine.clone().crash();
         let (engine, outcome) =
             DaliEngine::open_on(self.config.clone(), self.sim.store()).map_err(err)?;
@@ -753,7 +787,23 @@ impl Run<'_> {
             RecoveryMode::CacheRecovery => "CacheRecovery",
             _ => "DeleteTxn",
         });
-        let want = self.shadow.without(&deleted_txns);
+        let mut want = self.shadow.without(&deleted_txns);
+        let got = read_table(&self.engine)?;
+        for l in leaks
+            .iter()
+            .filter(|l| l.writers.iter().any(|t| deleted_txns.contains(t)))
+        {
+            if let (Some(w), Some(g)) = (want.get_mut(&l.rec), got.get(&l.rec)) {
+                let mut leaked = w.clone();
+                leaked[l.at..]
+                    .iter_mut()
+                    .zip(&l.xor)
+                    .for_each(|(b, x)| *b ^= x);
+                if *g == leaked {
+                    *w = leaked;
+                }
+            }
+        }
         self.holds(want.clone(), "recovery")?;
         self.shadow = Shadow::new(want);
         Ok(!deleted_txns.is_empty())
@@ -886,14 +936,28 @@ fn named_segments_follow_seals(disk: &SimStore, config: &DaliConfig) -> Result<(
     Ok(())
 }
 
-/// The records where `got` and `want` differ.
+/// The records where `got` and `want` differ, each with the first offset
+/// where they do and both values' bytes from there on (up to 8).
 fn diff(got: &Table, want: &Table) -> String {
     let keys: BTreeSet<_> = got.keys().chain(want.keys()).collect();
-    let show =
-        |v: Option<&Vec<u8>>| v.map_or("absent".to_string(), |v| format!("{:02x?}", &v[..4]));
+    let show = |v: Option<&Vec<u8>>, at: usize| {
+        v.map_or("absent".to_string(), |v| {
+            format!("{:02x?}", &v[at..(at + 8).min(REC)])
+        })
+    };
     keys.into_iter()
         .filter(|k| got.get(k) != want.get(k))
-        .map(|k| format!("{k}: got {} want {}", show(got.get(k)), show(want.get(k))))
+        .map(|k| {
+            let (g, w) = (got.get(k), want.get(k));
+            let at = g.zip(w).map_or(0, |(g, w)| {
+                g.iter().zip(w).position(|(a, b)| a != b).unwrap_or(0)
+            });
+            format!(
+                "{k} from byte {at}: got {} want {}",
+                show(g, at),
+                show(w, at)
+            )
+        })
         .collect::<Vec<_>>()
         .join(", ")
 }

@@ -47,7 +47,7 @@ fn meta_file(dir: &TempDir) -> Vec<u8> {
         algebra: CodewordAlgebraKind::XorFold,
         parity_group_size: 8,
         catalog,
-        att_blob: att.encode_for_ckpt().unwrap(),
+        att_blob: att.encode_for_ckpt(),
     };
     ckpt::write_meta(&OsStorage, dir.path(), 0, &meta).unwrap();
     std::fs::read(Db::meta_path(dir.path(), 0)).unwrap()

@@ -261,23 +261,42 @@ fn op_commit_heap_update_log_frame() {
     assert_eq!(back, Frame::Record(value));
 }
 
-// count / op tag addr before.len before / op tag blob.len, then the
-// blob: an OpCommit payload (tag txn=0 op) holding the logical undo
-// (undo.tag rec.table rec.slot image.len image)
+// count / op tag blob.len, then the blob: an OpCommit payload (tag txn=0
+// op) holding the logical undo (undo.tag rec.table rec.slot, then
+// image.len image for a delete)
 const UNDO_LOG: &str = "\
+    02000000 \
+    01000000 01 1f000000 \
+    04 0000000000000000 01000000 01 02000000 03000000 05000000 ababababab \
+    02000000 01 16000000 \
+    04 0000000000000000 02000000 00 02000000 04000000";
+
+// A logical entry, then a physical one (tag 0: op tag addr before.len
+// before), which no checkpointed ATT holds any more.
+const UNDO_LOG_WITH_PHYSICAL: &str = "\
     02000000 \
     01000000 01 1f000000 \
     04 0000000000000000 01000000 01 02000000 03000000 05000000 ababababab \
     02000000 00 4000000000000000 08000000 0102030405060708";
 
 #[test]
-fn att_undo_log_with_a_logical_and_a_physical_entry() {
+fn att_undo_log_holds_logical_entries_only() {
     let mut value = LocalUndoLog::new();
     let image = value.copy_in(&[0xAB; 5]);
-    let rec = RecId::new(TableId(2), SlotId(3));
-    value.commit_op(OpSeq(1), LogicalUndo::HeapDelete { rec, image });
-    value.push_physical(OpSeq(2), DbAddr(0x40), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    value.seal_top_physical(OpSeq(2)).unwrap();
+    let (deleted, inserted) = (
+        RecId::new(TableId(2), SlotId(3)),
+        RecId::new(TableId(2), SlotId(4)),
+    );
+    value.commit_op(
+        OpSeq(1),
+        LogicalUndo::HeapDelete {
+            rec: deleted,
+            image,
+        },
+    );
+    value.commit_op(OpSeq(2), LogicalUndo::HeapInsert { rec: inserted });
+    // The operation in flight's physical undo stays out.
+    value.push_physical(OpSeq(3), DbAddr(0x40), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     let mut out = Vec::new();
     value.encode(&mut out);
     assert_bytes(&out, UNDO_LOG);
@@ -290,6 +309,11 @@ fn att_undo_log_with_a_logical_and_a_physical_entry() {
     let mut again = Vec::new();
     back.encode(&mut again);
     assert_eq!(again, out);
+
+    let old = hex(UNDO_LOG_WITH_PHYSICAL);
+    let mut r = Reader::new(&old, DaliError::RecoveryFailed);
+    let res = LocalUndoLog::decode(&mut r);
+    assert!(matches!(res, Err(DaliError::RecoveryFailed(_))), "{res:?}");
 }
 
 /// One transaction's insert, update and delete on a fresh engine: the
