@@ -25,27 +25,20 @@
 //!   region ranges (a full audit is the single range `0..n`), striped
 //!   across scoped worker threads with reports identical to a serial
 //!   scan.
-//! * [`parity`] — the optional parity stripe: one XOR parity buffer per
-//!   group of protection regions, updated eagerly inside each update's
-//!   latch bracket, from which a region that fails its audit can be
-//!   rebuilt *in place* without log replay.
 //! * [`protection`] — [`CodewordProtection`], the façade bundling
-//!   geometry + table + latches + stripe and implementing the
-//!   per-scheme read/update protocols, including
-//!   [`repair_region`](CodewordProtection::repair_region).
+//!   geometry + table + latches and implementing the per-scheme
+//!   read/update protocols.
 
 pub mod algebra;
 pub mod audit;
 pub mod latch;
-pub mod parity;
 pub mod protection;
 pub mod region;
 pub mod table;
 
 pub use audit::{AuditReport, CorruptRegion};
 pub use latch::{LatchMode, LatchTable};
-pub use parity::{ParityGroupId, ParityStatsSnapshot, ParityStripe};
-pub use protection::{CodewordProtection, DeferredConfig, RepairFallback};
+pub use protection::{CodewordProtection, DeferredConfig};
 pub use region::{RegionGeometry, RegionId};
 pub use table::CodewordTable;
 

@@ -14,54 +14,16 @@
 //! path for every codeword scheme, generic over the configured
 //! [`CodewordAlgebraKind`] — the XOR fold or the mod-(2^32−1) residue
 //! code (see [`crate::algebra`]): each update's codeword delta lands in
-//! the table, and its `old ⊕ new` in its parity group buffer, inside the
-//! update's latch bracket. Nothing is queued, so nothing drains.
+//! the table inside the update's latch bracket. Nothing is queued, so
+//! nothing drains.
 
 use crate::algebra;
 use crate::audit::{self, AuditReport};
 use crate::latch::{LatchMode, LatchTable};
-use crate::parity::{ParityGroupId, ParityStatsSnapshot, ParityStripe};
 use crate::region::{RegionGeometry, RegionId};
 use crate::table::CodewordTable;
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, ProtectionScheme, Result};
 use dali_mem::DbImage;
-
-/// Why a parity repair declined to rebuild and the caller must fall back
-/// to log-based recovery (the bottom rung of the repair ladder).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RepairFallback {
-    /// No parity stripe is configured for this protection.
-    NotEnabled,
-    /// The group's parity buffer no longer folds to its maintained
-    /// codeword: the stripe itself took a wild write (or a torn update),
-    /// so its bytes cannot be trusted for reconstruction.
-    StaleParity {
-        /// The stale group.
-        group: ParityGroupId,
-    },
-    /// Another member of the same parity group also fails its codeword
-    /// check — a double fault; one XOR accumulator cannot disentangle
-    /// two unknowns.
-    SiblingCorrupt {
-        /// The second corrupt region.
-        region: RegionId,
-    },
-    /// The reconstructed bytes still do not fold to the region's
-    /// maintained codeword (e.g. the corruption also reached the
-    /// codeword table, or a delta was lost); nothing was written.
-    VerifyFailed {
-        /// The region whose rebuild failed verification.
-        region: RegionId,
-    },
-    /// The rebuild verifies but contradicts a write the log holds: an
-    /// update read its before-image from the damaged bytes, so the parity
-    /// buffer and the maintained codeword both moved by the damage, and
-    /// the rebuild would put it back. Only the log knows the bytes.
-    LogDisagrees {
-        /// The region whose rebuild the log contradicts.
-        region: RegionId,
-    },
-}
 
 /// How many consecutive regions an audit or certification sweep folds
 /// under one exclusive latch bracket unless told otherwise: one
@@ -87,11 +49,6 @@ pub struct CodewordProtection {
     geom: RegionGeometry,
     table: CodewordTable,
     latches: LatchTable,
-    /// Parity stripe for online repair (see [`crate::parity`]); present
-    /// when the config enables a parity group size and the scheme
-    /// maintains codewords. Updaters fold their byte deltas into it next
-    /// to their codeword deltas, under the same latch bracket.
-    parity: Option<ParityStripe>,
     /// Worker count for full-image scans (audits, resync, the initial
     /// table fold); ≥ 1. Per-region scans are unaffected.
     audit_threads: usize,
@@ -134,68 +91,23 @@ impl CodewordProtection {
             geom,
             table,
             latches,
-            parity: None,
             audit_threads,
             latch_run: DEFAULT_LATCH_RUN,
             kind,
         })
     }
 
-    /// Attach a parity stripe of `group_size` regions per group (no-op
-    /// when `group_size == 0` or the scheme maintains no codewords —
-    /// parity rides the codeword update path). The stripe is built from
-    /// the image's current contents; the caller must be quiesced, as at
-    /// construction and recovery.
-    ///
-    /// `_shards` and `_watermark` are unused: they sized the stripe's
-    /// delta queue, which eager maintenance removed. They stay only
-    /// because the frozen ledger (`benchmark/src/cells.rs`) passes them;
-    /// ROADMAP item 9 queues their removal.
+    /// Does nothing. Kept only because the frozen ledger
+    /// (`benchmark/src/cells.rs`) calls it; repair rebuilds from the
+    /// anchored checkpoint plus the log, so no parity is kept.
     pub fn enable_parity(
         &mut self,
-        image: &DbImage,
-        group_size: usize,
+        _image: &DbImage,
+        _group_size: usize,
         _shards: usize,
         _watermark: usize,
     ) -> Result<()> {
-        if group_size == 0 || !self.scheme.maintains_codewords() {
-            self.parity = None;
-            return Ok(());
-        }
-        let stripe = ParityStripe::new(&self.geom, group_size, self.kind)?;
-        stripe.resync(image, &self.geom)?;
-        self.parity = Some(stripe);
         Ok(())
-    }
-
-    /// The parity stripe, when online repair is enabled.
-    #[inline]
-    pub fn parity(&self) -> Option<&ParityStripe> {
-        self.parity.as_ref()
-    }
-
-    /// Rebuild one parity group from the image under the group's
-    /// exclusive latch bracket: recompute buffer + parity codeword. Used
-    /// by checkpoint certification to heal a group whose stripe memory
-    /// took a wild write, after the member regions themselves audited
-    /// clean. No-op without a stripe.
-    pub fn resync_parity_group(&self, image: &DbImage, group: ParityGroupId) -> Result<()> {
-        let Some(stripe) = &self.parity else {
-            return Ok(());
-        };
-        let (first, last) = stripe.members(group);
-        self.latches
-            .with_span(first, last, LatchMode::Exclusive, || {
-                stripe.rebuild_group(image, &self.geom, group)
-            })
-    }
-
-    /// Parity-stripe gauges and lifetime counters (zeroed default when
-    /// no stripe is configured).
-    pub fn parity_stats(&self) -> ParityStatsSnapshot {
-        self.parity
-            .as_ref()
-            .map_or_else(ParityStatsSnapshot::default, |p| p.snapshot())
     }
 
     /// The codeword algebra this protection folds and maintains under.
@@ -263,8 +175,7 @@ impl CodewordProtection {
         }
     }
 
-    /// Publish the codeword delta for a completed physical update, and
-    /// fold its `old ⊕ new` into the parity stripe when one is enabled.
+    /// Publish the codeword delta for a completed physical update.
     ///
     /// `waddr`/`old_widened` are the word-aligned address and before-image
     /// captured at `beginUpdate` (see
@@ -281,9 +192,6 @@ impl CodewordProtection {
             let new_fold = image.fold(self.kind, s, l)?;
             self.table
                 .apply_delta(region, self.kind.delta_of_folds(old_fold, new_fold));
-            if let Some(stripe) = &self.parity {
-                stripe.apply_update(image, s, old)?;
-            }
         }
         Ok(())
     }
@@ -388,68 +296,7 @@ impl CodewordProtection {
             self.table
                 .recompute_all_parallel(image, &self.geom, self.audit_threads)?;
         }
-        if let Some(stripe) = &self.parity {
-            stripe.resync(image, &self.geom)?;
-        }
         Ok(())
-    }
-
-    /// Attempt to rebuild `region` in place from its parity group.
-    ///
-    /// Takes the group's protection latches exclusively (quiescing
-    /// updaters for exactly that span, so the parity buffer is the XOR of
-    /// the members), then walks the fallback ladder:
-    ///
-    /// 1. parity buffer must fold to its maintained parity codeword
-    ///    (else [`RepairFallback::StaleParity`]);
-    /// 2. every sibling region must pass its codeword check (else
-    ///    [`RepairFallback::SiblingCorrupt`] — a double fault);
-    /// 3. the reconstruction `parity ⊕ (⊕ siblings)` must fold to the
-    ///    region's *maintained* codeword (else
-    ///    [`RepairFallback::VerifyFailed`]);
-    /// 4. `agrees` must accept it (else [`RepairFallback::LogDisagrees`]):
-    ///    the caller's check against the bytes the log says were written.
-    ///
-    /// Only a rebuild passing all four is written back — the returned
-    /// `Ok(Ok(bytes))` means the region's bytes once again match the
-    /// codeword the prescribed-update history maintained, with no log
-    /// replay. `Ok(Err(reason))` leaves the image untouched; the caller
-    /// falls back to checkpoint + WAL recovery.
-    pub fn repair_region(
-        &self,
-        image: &DbImage,
-        region: RegionId,
-        agrees: impl FnOnce(&[u8]) -> bool,
-    ) -> Result<std::result::Result<usize, RepairFallback>> {
-        let Some(stripe) = &self.parity else {
-            return Ok(Err(RepairFallback::NotEnabled));
-        };
-        let group = stripe.group_of(region);
-        let (first, last) = stripe.members(group);
-        self.latches
-            .with_span(first, last, LatchMode::Exclusive, || {
-                if !stripe.verify_group(group) {
-                    return Ok(Err(RepairFallback::StaleParity { group }));
-                }
-                for r in first..=last {
-                    if r == region {
-                        continue;
-                    }
-                    if audit::check_region(image, &self.geom, &self.table, r)?.is_some() {
-                        return Ok(Err(RepairFallback::SiblingCorrupt { region: r }));
-                    }
-                }
-                let mut rebuilt = vec![0u8; self.geom.region_size()];
-                stripe.reconstruct(image, &self.geom, region, &mut rebuilt)?;
-                if algebra::fold(self.kind, &rebuilt) != self.table.get(region) {
-                    return Ok(Err(RepairFallback::VerifyFailed { region }));
-                }
-                if !agrees(&rebuilt) {
-                    return Ok(Err(RepairFallback::LogDisagrees { region }));
-                }
-                image.write(self.geom.region_base(region), &rebuilt)?;
-                Ok(Ok(rebuilt.len()))
-            })
     }
 
     /// Compute the codeword of the region containing `addr` directly from

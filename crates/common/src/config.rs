@@ -305,18 +305,7 @@ pub struct DaliConfig {
     /// ablation explaining why Hardware Protection fares better on
     /// page-based systems.
     pub colocate_control: bool,
-    /// Parity-based online repair: number of protection regions per parity
-    /// group. Every group of consecutive regions is XOR-accumulated into a
-    /// region-sized parity buffer, updated eagerly with each update's
-    /// `old ⊕ new` inside its protection-latch bracket, letting a
-    /// corrupted region be *rebuilt in place* from its siblings instead
-    /// of replaying checkpoint + WAL. `0` disables the stripe. Parity
-    /// rides the codeword update path, so it is only effective when the
-    /// scheme maintains codewords (see
-    /// [`DaliConfig::resolved_parity_group_size`]). Space overhead is
-    /// `1/parity_group_size` of the image. The stripe is never persisted
-    /// — restart rebuilds it from the recovered image — so the size may
-    /// change between opens.
+    /// Unused; read only by the frozen ledger (`benchmark/`).
     pub parity_group_size: usize,
     /// Admission control: maximum concurrently open connections. At the
     /// cap the listener's read interest is parked (accept-pause) after
@@ -379,7 +368,7 @@ impl DaliConfig {
             full_certify_every: 0,
             codeword_algebra: CodewordAlgebraKind::XorFold,
             colocate_control: false,
-            parity_group_size: 8,
+            parity_group_size: 0,
             net_max_conns: 16384,
             net_pipeline_depth: 64,
             net_outbound_budget: 1 << 20,
@@ -443,24 +432,10 @@ impl DaliConfig {
         self
     }
 
-    /// Builder-style parity-group-size selection (`0` disables the parity
-    /// stripe and with it online repair).
-    pub fn with_parity_group_size(mut self, group_size: usize) -> Self {
-        self.parity_group_size = group_size;
-        self
-    }
-
-    /// The effective parity group size: `parity_group_size`, or `0` when
-    /// the scheme does not maintain codewords — parity maintenance rides
-    /// the codeword update path, so without codeword maintenance the stripe
-    /// could never be kept current and repair would rebuild garbage.
+    /// Unused; called only by the frozen ledger (`benchmark/`).
     #[inline]
     pub fn resolved_parity_group_size(&self) -> usize {
-        if self.scheme.maintains_codewords() {
-            self.parity_group_size
-        } else {
-            0
-        }
+        0
     }
 
     /// Builder-style connection cap (`0` = unlimited).
@@ -782,21 +757,6 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(CodewordAlgebraKind::XorFold.label(), "xor-fold");
         assert_eq!(CodewordAlgebraKind::Residue.label(), "residue-2^32-1");
-    }
-
-    #[test]
-    fn parity_group_size_resolves_by_scheme() {
-        let c = DaliConfig::small("/tmp/x");
-        assert_eq!(c.parity_group_size, 8, "stripe on by default");
-        // Baseline maintains no codewords, so parity resolves off.
-        assert_eq!(c.resolved_parity_group_size(), 0);
-        let c = c.with_scheme(ProtectionScheme::DataCodeword);
-        assert_eq!(c.resolved_parity_group_size(), 8);
-        let c = c.with_parity_group_size(4);
-        assert_eq!(c.resolved_parity_group_size(), 4);
-        let c = c.with_parity_group_size(0);
-        assert_eq!(c.resolved_parity_group_size(), 0, "0 disables");
-        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -40,9 +40,9 @@ use std::sync::Arc;
 
 // CB01 had no algebra tag; CB02 appends the codeword-algebra byte right
 // after the magic so recovery can reject an image certified under a
-// different algebra than the one configured. CB03 adds the parity-stripe
-// layout (`parity_group_size`, `0` = stripe off), recorded for the
-// operator; recovery rebuilds the stripe under the configured layout.
+// different algebra than the one configured. CB03 adds a `u64` slot that
+// held a parity-stripe layout; no stripe is kept any more, and it is
+// written as 0.
 const META_MAGIC: u32 = 0xDA11_CB03;
 const ANCHOR_MAGIC: u32 = 0xDA11_A0C1;
 
@@ -60,9 +60,9 @@ pub enum CheckpointOutcome {
     /// toggled, a corruption marker was written, and the engine is
     /// poisoned. Reopen the database to run corruption recovery.
     CorruptionDetected(AuditReport),
-    /// The certification audit found corruption but the repair ladder
-    /// healed it online (parity rebuild, or checkpoint+WAL cache
-    /// recovery) and the damaged regions re-audited clean. The anchor was
+    /// The certification audit found corruption but online repair healed
+    /// it from the anchored checkpoint plus the log, and the damaged
+    /// regions re-audited clean. The anchor was
     /// *not* toggled and the engine stays up; the repaired pages are
     /// re-noted dirty and the next certification sweeps everything, so a
     /// retried checkpoint covers the healed state.
@@ -87,10 +87,8 @@ pub struct CkptMeta {
     /// The codeword algebra the certifying audit ran under. Recovery
     /// refuses an image whose algebra differs from the configured one.
     pub algebra: CodewordAlgebraKind,
-    /// Parity-stripe layout at checkpoint time: regions per parity group,
-    /// `0` when the stripe is off. Informational: the stripe itself is
-    /// never persisted, so recovery rebuilds it from the replayed image
-    /// under whatever layout is configured now.
+    /// The CB03 slot a parity-stripe layout used; written as 0 and
+    /// ignored on read.
     pub parity_group_size: u64,
     pub catalog: Catalog,
     /// Serialized ATT (decoded lazily by recovery).
@@ -348,7 +346,7 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
         next_audit: db.audit_counter.load(std::sync::atomic::Ordering::Relaxed),
         audit_sn: *db.last_clean_audit.lock(),
         algebra: db.prot.kind(),
-        parity_group_size: db.config.resolved_parity_group_size() as u64,
+        parity_group_size: 0,
         catalog,
         att_blob,
     };
@@ -389,7 +387,7 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
 }
 
 /// Certify the checkpoint being taken: audit the database (full sweep or
-/// dirty delta) and the parity stripe's dirty footprint. `None` means
+/// dirty delta). `None` means
 /// certified (or a scheme with nothing to certify); otherwise the outcome
 /// [`checkpoint`] must return without toggling the anchor.
 fn certify(
@@ -462,7 +460,7 @@ fn certify(
         // everything next time — the failed certification proves the
         // footprint no longer bounds the damage.
         state.force_full = true;
-        // Try to heal online before bringing the database down: the
+        // Try to repair online before bringing the database down: the
         // ckpt_state lock is held across the repair, so no competing
         // checkpoint interleaves with the rebuild.
         if let Some(outcome) = crate::repair::auto_repair(db, &report)? {
@@ -473,25 +471,6 @@ fn certify(
         }
         crate::corruption::report_corruption(db, &report.corrupt_ranges())?;
         return Ok(Some(CheckpointOutcome::CorruptionDetected(report)));
-    }
-    // Certify the parity stripe's dirty footprint: parity buffers are
-    // not backed by image pages, so the dirty-page → region mapping
-    // above cannot see them; the stripe's own dirty-group flags are
-    // their certification channel. A group failing verification means
-    // the stripe memory itself took a wild write — its members just
-    // audited clean, so rebuild the group from the image under its
-    // latch bracket rather than distrusting the data.
-    if let Some(stripe) = db.prot.parity() {
-        let dirty_groups = stripe.take_dirty_groups();
-        db.stats.certify_parity_groups.fetch_add(
-            dirty_groups.len() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        for g in dirty_groups {
-            if !stripe.verify_group(g) {
-                db.prot.resync_parity_group(&db.image, g)?;
-            }
-        }
     }
     if full {
         state.ckpts_since_full = 0;
@@ -524,10 +503,9 @@ pub fn audit(db: &Arc<Db>) -> Result<AuditReport> {
     if clean {
         *db.last_clean_audit.lock() = Some(begin_lsn);
     } else {
-        // Self-healing hook: walk the repair ladder before bringing the
-        // database down. Only a clean re-audit of the damaged regions
-        // counts as healed; otherwise the legacy detect-and-crash path
-        // runs unchanged.
+        // Self-healing hook: repair before bringing the database down.
+        // Only a clean re-audit of the damaged regions counts as healed;
+        // otherwise the detect-and-crash path runs unchanged.
         db.ckpt_state.lock().force_full = true;
         if crate::repair::auto_repair(db, &report)?.is_none() {
             crate::corruption::report_corruption(db, &report.corrupt_ranges())?;

@@ -45,22 +45,16 @@ pub struct EngineStats {
     /// Exclusive latch brackets taken by audit and certification sweeps
     /// (one per region run; equals regions audited at latch run 1).
     pub audit_latch_brackets: AtomicU64,
-    /// Regions handed to the parity repair path (each corrupt region in a
-    /// failed audit counts once).
+    /// Regions handed to online repair (each corrupt region in a failed
+    /// audit counts once).
     pub repair_attempted: AtomicU64,
-    /// Regions rebuilt in place from their parity group (no log replay).
+    /// Regions online repair rebuilt from the anchored checkpoint plus
+    /// the log.
     pub repair_succeeded: AtomicU64,
-    /// Repair attempts that fell back to log-based recovery (stale
-    /// parity, double fault in a group, or failed re-verification).
-    pub repair_fell_back: AtomicU64,
-    /// Bytes written back by successful in-place rebuilds.
+    /// Bytes written back by online repairs (whole pages).
     pub repair_bytes_rebuilt: AtomicU64,
-    /// Wall-clock nanoseconds spent inside repair ladder calls: the one
-    /// log scan, the parity rung and any log-rung fallback.
+    /// Wall-clock nanoseconds spent inside successful online repairs.
     pub repair_ns: AtomicU64,
-    /// Parity groups verified by checkpoint certification (the dirty
-    /// parity footprint — see `ckpt`'s certification step).
-    pub certify_parity_groups: AtomicU64,
     /// Segment files currently retained in the log directory (gauge,
     /// refreshed at open and after each checkpoint).
     pub log_segments_active: AtomicU64,

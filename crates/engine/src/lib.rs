@@ -216,26 +216,20 @@ impl DaliEngine {
 
     /// Online cache recovery (paper §4.2 cache-recovery model): rebuild
     /// the pages under the given directly-corrupted ranges from the
-    /// certified checkpoint plus the stable log — the repair ladder's log
-    /// rung. Active transactions are left alone: their completed
-    /// operations are in the log, so they survive, and each may still
-    /// commit or abort. Returns the number of redo records replayed.
+    /// certified checkpoint plus the stable log — what online repair
+    /// runs for a region. Active transactions are left alone: their
+    /// completed operations are in the log, so they survive, and each may
+    /// still commit or abort. Returns the number of redo records replayed.
     pub fn cache_repair(&self, ranges: &[(DbAddr, usize)]) -> Result<usize> {
         repair::cache_repair(&self.db, ranges)
     }
 
-    /// Online parity repair of one protection region: rebuild it in place
-    /// from its parity group, falling back to online cache recovery when
-    /// the group's parity cannot be trusted. No transaction is disturbed
-    /// on either rung. See [`repair::RepairOutcome`].
+    /// Online repair of one protection region: rebuild the pages under
+    /// it from the certified checkpoint plus the stable log, then
+    /// recompute their codewords. No transaction is disturbed. Refused
+    /// under the read-logging schemes. See [`repair::RepairOutcome`].
     pub fn repair(&self, region: dali_codeword::RegionId) -> Result<RepairOutcome> {
         repair::repair_region(&self.db, region)
-    }
-
-    /// Parity-stripe gauges and counters (zeroed when the stripe is
-    /// disabled).
-    pub fn parity_stats(&self) -> dali_codeword::ParityStatsSnapshot {
-        self.db.prot.parity_stats()
     }
 
     /// Simulate a process crash: the in-memory image and any unflushed

@@ -227,7 +227,7 @@ pub struct RecoveryPhases {
     pub load: Duration,
     /// The redo scan.
     pub redo: Duration,
-    /// Reopening the log and building the codeword table and parity.
+    /// Reopening the log and building the codeword table.
     pub build: Duration,
     /// Rolling back (on a normal restart, logging) the incomplete
     /// transactions, rebuilding the heaps' allocation mirrors, and the
@@ -265,7 +265,7 @@ pub(crate) fn build_db(
     next_audit: u64,
     last_clean_audit: Option<Lsn>,
 ) -> Result<Arc<Db>> {
-    let mut prot = CodewordProtection::with_config(
+    let prot = CodewordProtection::with_config(
         &image,
         config.scheme,
         config.region_size,
@@ -274,7 +274,6 @@ pub(crate) fn build_db(
         config.resolved_audit_threads(),
         config.codeword_algebra,
     )?;
-    prot.enable_parity(&image, config.resolved_parity_group_size(), 0, 0)?;
     let protector = PageProtector::new(Arc::clone(&image), true);
     let heaps: Vec<Arc<HeapRuntime>> = catalog
         .iter()

@@ -29,15 +29,12 @@
 //!
 //! Lock ordering throughout the engine: `quiesce` (shared) → transaction
 //! state mutex → heap alloc mutexes (ascending table order) → protection
-//! latches (ascending stripes) → parity group-buffer mutex. Nothing takes
-//! an alloc mutex while holding a latch. The checkpointer takes `quiesce`
-//! exclusively, then the ATT's map mutex, then transaction state mutexes;
-//! so a transaction leaves the ATT under `quiesce` (shared) after it drops
-//! its state mutex, in the span that appends its end. Online repair takes
-//! `quiesce` exclusively and no state mutex. The group-buffer mutex is a
-//! leaf: updaters take it inside their bracket, repair and resync under
-//! the group's exclusive latches, certification's `verify_group` under no
-//! latch, and nothing else is acquired while it is held.
+//! latches (ascending stripes). Nothing takes an alloc mutex while
+//! holding a latch. The checkpointer takes `quiesce` exclusively, then the
+//! ATT's map mutex, then transaction state mutexes; so a transaction
+//! leaves the ATT under `quiesce` (shared) after it drops its state mutex,
+//! in the span that appends its end. Online repair takes `quiesce`
+//! exclusively and no state mutex.
 //!
 //! There is one rollback, `rollback`, for an abort and for restart
 //! alike: it restores the transaction's committed operations, newest
@@ -557,8 +554,8 @@ fn physical_update(
 /// Rewrite the record at `addr`, whose current bytes `old` were staged in
 /// the undo arena, as `new`: one [`physical_update`] over the changed span
 /// only, or none if nothing changed. Bytes outside the span already hold
-/// `new`, so the image, codewords and parity end as a whole-record write
-/// leaves them, while the undo image, the delta and the redo shrink to
+/// `new`, so the image and codewords end as a whole-record write leaves
+/// them, while the undo image, the delta and the redo shrink to
 /// the span.
 fn rewrite_record(
     db: &Db,
@@ -593,8 +590,8 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
 /// The rollback, online and at restart: restore the transaction's logical
 /// undo, newest entry first, through [`physical_update`] under one fresh
 /// operation number, each restore over its changed span only (as
-/// [`rewrite_record`] writes). Latching, exposure, codeword and parity
-/// deltas, CW ReadLog's write-as-read record and the redo frames all come
+/// [`rewrite_record`] writes). Latching, exposure, codeword deltas, CW
+/// ReadLog's write-as-read record and the redo frames all come
 /// from that bracket; the caller appends `st.redo` and the `TxnAbort` as
 /// one batch, which restart redo applies where it stands in the log. The
 /// batch has no `OpCommit`, so a crash that tears it leaves the

@@ -4,11 +4,14 @@
 //! so that corruption of one record never taints a neighbour's region and
 //! the expected deletion sets are exact.
 
-use dali_common::{DaliConfig, DaliError, DbAddr, OpSeq, ProtectionScheme, RecId, TxnId};
+use dali_common::{
+    DaliConfig, DaliError, DbAddr, OpSeq, OsStorage, ProtectionScheme, RecId, Store, TxnId,
+};
 use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
-use dali_testutil::TempDir;
+use dali_testutil::{FailImageRead, TempDir};
 use dali_wal::LogRecord;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 const REC: usize = 128;
 
@@ -38,17 +41,15 @@ struct Setup {
 }
 
 /// Common stage: table with four committed records, clean audit taken.
-///
-/// Parity repair is pinned off: every test here exercises the rungs
-/// *below* it (detect-and-crash, delete-transaction recovery, cache
-/// recovery), which only run when the stripe cannot heal the damage
-/// first. `tests/repair_model.rs` covers the parity rung.
 fn setup(name: &str, scheme: ProtectionScheme) -> Setup {
+    setup_on(name, scheme, OsStorage::store())
+}
+
+/// [`setup`] with the database's files on `store`.
+fn setup_on(name: &str, scheme: ProtectionScheme, store: Store) -> Setup {
     let dir = tmpdir(name);
-    let config = DaliConfig::small(dir.path())
-        .with_scheme(scheme)
-        .with_parity_group_size(0);
-    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let config = DaliConfig::small(dir.path()).with_scheme(scheme);
+    let (db, _) = DaliEngine::create_on(config.clone(), store).unwrap();
     let t = db.create_table("t", REC, 64).unwrap();
     let txn = db.begin().unwrap();
     let x = txn.insert(t, &val(1)).unwrap();
@@ -250,8 +251,12 @@ fn precheck_failure_triggers_cache_recovery_on_reopen() {
 
 #[test]
 fn data_codeword_audit_failure_cache_recovers() {
-    let s = setup("dcw", ProtectionScheme::DataCodeword);
+    // The online repair the audit runs cannot read the anchored image,
+    // so the damage stays and the engine poisons.
+    let store = Arc::new(FailImageRead::default());
+    let s = setup_on("dcw", ProtectionScheme::DataCodeword, store.clone());
     wild_write(&s.db, s.db.record_addr(s.y).unwrap(), &[0xAA; 8]);
+    store.arm();
     assert!(!s.db.audit().unwrap().clean());
 
     let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
@@ -261,12 +266,15 @@ fn data_codeword_audit_failure_cache_recovers() {
 
 #[test]
 fn checkpoint_certification_blocks_corrupt_checkpoint() {
-    let s = setup("cert", ProtectionScheme::DataCodeword);
+    // As above, the online repair fails, so certification poisons.
+    let store = Arc::new(FailImageRead::default());
+    let s = setup_on("cert", ProtectionScheme::DataCodeword, store.clone());
     // New committed value, then corruption, then a checkpoint attempt.
     let txn = s.db.begin().unwrap();
     txn.update(s.x, &val(11)).unwrap();
     txn.commit().unwrap();
     wild_write(&s.db, s.db.record_addr(s.y).unwrap(), &[0xAA; 8]);
+    store.arm();
 
     match s.db.checkpoint().unwrap() {
         CheckpointOutcome::CorruptionDetected(report) => assert!(!report.clean()),
@@ -363,7 +371,7 @@ fn a_transaction_open_across_online_cache_repair_can_abort() {
 #[test]
 fn online_cache_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
     let dir = tmpdir("online-span");
-    let config = DaliConfig::small(dir.path()).with_parity_group_size(0);
+    let config = DaliConfig::small(dir.path());
     let page = config.page_size;
     let (db, _) = DaliEngine::create(config).unwrap();
     // 100-byte records: some cross a page boundary.

@@ -94,10 +94,9 @@ fn ddl_replay_reconstructs_page_local_layout() {
 
 #[test]
 fn corruption_recovery_with_page_local_layout() {
-    // Parity repair pinned off: this test exercises the delete-transaction
-    // rung, which only runs when the stripe cannot heal the damage first.
+    // Online repair refuses under ReadLogging: the audit poisons, and
+    // restart runs delete-transaction recovery.
     let (config, _dir) = cfg("corr", ProtectionScheme::ReadLogging);
-    let config = config.with_parity_group_size(0);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 100, 200).unwrap();
     let txn = db.begin().unwrap();

@@ -228,10 +228,9 @@ impl DaliClient {
         }
     }
 
-    /// Online parity repair of one protection region (admin verb):
-    /// rebuild it in place from its parity group, falling back to
-    /// log-based cache recovery server-side when the group cannot be
-    /// trusted. The summary says which rung of the ladder repaired it.
+    /// Online repair of one protection region (admin verb): the server
+    /// rebuilds the pages under it from the certified checkpoint plus the
+    /// log. The summary says how much it wrote and replayed.
     pub fn repair(&mut self, region: u64) -> Result<RepairSummary> {
         match self.call_ok(&Request::Repair { region })? {
             Response::Repaired(summary) => Ok(summary),

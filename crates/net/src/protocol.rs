@@ -70,9 +70,8 @@ wire_enum! {
         12 "stats" Stats,
         /// Liveness probe.
         13 "ping" Ping,
-        /// Admin: online parity repair of one protection region — rebuild it
-        /// in place from its parity group, falling back to log-based cache
-        /// recovery when the group cannot be trusted.
+        /// Admin: online repair of one protection region — rebuild the
+        /// pages under it from the certified checkpoint plus the log.
         14 "repair" Repair { region: u64 },
         /// Admin: cheap liveness + load probe (answered without touching the
         /// engine's data path).
@@ -129,15 +128,17 @@ wire_struct! {
         pub certify_regions_skipped: u64,
         /// Exclusive latch brackets taken by audit/certification sweeps.
         pub audit_latch_brackets: u64,
-        /// Regions handed to the parity repair path.
+        /// Regions handed to online repair.
         pub repair_attempted: u64,
-        /// Regions rebuilt in place from their parity group.
+        /// Regions online repair rebuilt.
         pub repair_succeeded: u64,
-        /// Repair attempts that fell back to log-based recovery.
+        /// Retired: repair has no fallback; always `0`. The slot keeps
+        /// the frame layout.
         pub repair_fell_back: u64,
-        /// Bytes written back by successful in-place rebuilds.
+        /// Bytes written back by online repairs (whole pages).
         pub repair_bytes_rebuilt: u64,
-        /// Parity groups verified by checkpoint certification.
+        /// Retired: no parity is kept; always `0`. The slot keeps the
+        /// frame layout.
         pub certify_parity_groups: u64,
         /// Connections rejected by admission control (at `net_max_conns`).
         pub conns_rejected: u64,
@@ -171,17 +172,14 @@ wire_struct! {
 
 wire_struct! {
     /// Outcome of a [`Request::Repair`] — a wire mirror of the engine's
-    /// `RepairOutcome`, flattened to counters so the protocol stays free of
-    /// engine types.
+    /// `RepairOutcome`, so the protocol stays free of engine types.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct RepairSummary {
-        /// Whole batch stayed on the parity rung (no WAL replay).
-        pub in_place: bool,
-        /// Regions rebuilt from parity before any fallback.
-        pub regions_rebuilt: u64,
-        /// Bytes written back by parity rebuilds.
-        pub bytes_rebuilt: u64,
-        /// Stable-log records replayed by a fallback (0 when in place).
+        /// Regions repaired.
+        pub regions: u64,
+        /// Bytes written back (whole pages).
+        pub bytes_written: u64,
+        /// Stable-log records with a share in the rebuilt pages.
         pub records_replayed: u64,
     }
 }
@@ -645,15 +643,8 @@ mod tests {
                 redo_parallel_ns: 37,
             }),
             Response::Repaired(RepairSummary {
-                in_place: true,
-                regions_rebuilt: 1,
-                bytes_rebuilt: 64,
-                records_replayed: 0,
-            }),
-            Response::Repaired(RepairSummary {
-                in_place: false,
-                regions_rebuilt: 0,
-                bytes_rebuilt: 0,
+                regions: 1,
+                bytes_written: 4096,
                 records_replayed: 42,
             }),
             Response::Err(WireError::LockDenied {

@@ -177,29 +177,12 @@ fn execute_engine_inner(
         }
         Request::Ping => Response::Ok,
         Request::Repair { region } => {
-            use dali_engine::repair::RepairOutcome;
-            match engine.repair(region as usize)? {
-                RepairOutcome::RepairedInPlace {
-                    regions_rebuilt,
-                    bytes_rebuilt,
-                } => Response::Repaired(RepairSummary {
-                    in_place: true,
-                    regions_rebuilt: regions_rebuilt as u64,
-                    bytes_rebuilt: bytes_rebuilt as u64,
-                    records_replayed: 0,
-                }),
-                RepairOutcome::RecoveredViaLog {
-                    regions_rebuilt,
-                    bytes_rebuilt,
-                    records_replayed,
-                    ..
-                } => Response::Repaired(RepairSummary {
-                    in_place: false,
-                    regions_rebuilt: regions_rebuilt as u64,
-                    bytes_rebuilt: bytes_rebuilt as u64,
-                    records_replayed: records_replayed as u64,
-                }),
-            }
+            let outcome = engine.repair(region as usize)?;
+            Response::Repaired(RepairSummary {
+                regions: outcome.regions as u64,
+                bytes_written: outcome.bytes_written as u64,
+                records_replayed: outcome.records_replayed as u64,
+            })
         }
         // Server verbs the caller should have intercepted; answering
         // from engine state alone would report zeros, so refuse loudly.
@@ -243,9 +226,9 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         audit_latch_brackets: engine.stats().audit_latch_brackets.load(Ordering::Relaxed),
         repair_attempted: engine.stats().repair_attempted.load(Ordering::Relaxed),
         repair_succeeded: engine.stats().repair_succeeded.load(Ordering::Relaxed),
-        repair_fell_back: engine.stats().repair_fell_back.load(Ordering::Relaxed),
+        repair_fell_back: 0,
         repair_bytes_rebuilt: engine.stats().repair_bytes_rebuilt.load(Ordering::Relaxed),
-        certify_parity_groups: engine.stats().certify_parity_groups.load(Ordering::Relaxed),
+        certify_parity_groups: 0,
         conns_rejected: counters.conns_rejected.load(Ordering::Relaxed),
         frames_pipelined: counters.frames_pipelined.load(Ordering::Relaxed),
         read_parks: counters.read_parks.load(Ordering::Relaxed),

@@ -5,9 +5,12 @@
 //! and leaks a directory per test run. [`TempDir`] fixes both: the name
 //! is unique per instance (pid + process-wide counter + creation time)
 //! and the directory is removed when the value drops.
+//! [`FailImageRead`] is the OS store with one injected failure.
 
+use dali_common::storage::{Open, OsStorage, Storage, StorageFile};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -74,6 +77,50 @@ pub fn copy_dir(src: &Path, dst: &Path) {
         } else {
             std::fs::copy(entry.path(), &to).expect("copy file");
         }
+    }
+}
+
+/// The OS store, except that the first read-only open of a checkpoint
+/// image (`*.img`) after [`arm`](Self::arm) fails. That open is online
+/// repair's read of the anchored image, so a test reaches the poisoned
+/// engine and the restart that follow a failed repair.
+#[derive(Default)]
+pub struct FailImageRead {
+    armed: AtomicBool,
+}
+
+impl FailImageRead {
+    /// Fail the next read-only open of a checkpoint image.
+    pub fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Storage for FailImageRead {
+    fn open(&self, path: &Path, how: Open) -> io::Result<Box<dyn StorageFile>> {
+        let image = path.extension().is_some_and(|e| e == "img");
+        if how == Open::Read && image && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("checkpoint image unreadable"));
+        }
+        OsStorage.open(path, how)
+    }
+    fn read(&self, path: &Path, into: &mut Vec<u8>) -> io::Result<()> {
+        OsStorage.read(path, into)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        OsStorage.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        OsStorage.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<(String, u64)>> {
+        OsStorage.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        OsStorage.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        OsStorage.sync_dir(dir)
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! A writer thread runs TPC-B operations while an auditor thread sweeps
 //! the database; a fault-injector thread eventually fires a wild write
-//! and the audit catches it mid-workload.
+//! and the audit catches it mid-workload, then repairs it online.
 //!
 //! Run with: `cargo run --release --example audit_daemon`
 
@@ -86,9 +86,13 @@ fn main() {
         "[writer] completed ~{ops} operations concurrently with {} clean audit sweep(s)",
         sweeps - 1
     );
+    let after = if db.db().check_alive().is_ok() {
+        "the audit repaired it online from the checkpoint and the log"
+    } else {
+        "the engine is now down pending recovery"
+    };
     println!(
-        "corruption was confined to {} region(s) of {} bytes each; \
-         the engine is now down pending recovery",
+        "corruption was confined to {} region(s) of {} bytes each; {after}",
         report.corrupt.len(),
         report.corrupt[0].len
     );

@@ -66,7 +66,7 @@ pub use dali_net as net;
 pub use dali_wal as wal;
 pub use dali_workload as workload;
 
-pub use dali_codeword::{AuditReport, ParityStatsSnapshot, RepairFallback};
+pub use dali_codeword::AuditReport;
 pub use dali_common::{
     CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, PageId, ProtectionScheme, RecId,
     Result, SlotId, TableId, TxnId,

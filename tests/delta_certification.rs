@@ -122,14 +122,12 @@ proptest! {
 fn delta_certification_catches_corruption_inside_footprint() {
     let scratch = TempDir::new("delta-inside");
     let dir = scratch.path();
-    // Parity repair pinned off: this test pins down the *detection*
-    // cadence one rung below the self-healing layer (with the stripe on,
-    // the same wild write would be repaired in place and the checkpoint
-    // would certify — see `tests/repair_model.rs` for that path).
+    // The subject is the *detection* cadence: the certification that
+    // flags the write also repairs it online (`tests/repair_model.rs`),
+    // and keeps the previous certified checkpoint either way.
     let config = DaliConfig::small(dir)
         .with_scheme(ProtectionScheme::DataCodeword)
-        .with_full_certify_every(8)
-        .with_parity_group_size(0);
+        .with_full_certify_every(8);
     let (db, _) = DaliEngine::create(config).unwrap();
     let t = db.create_table("t", 32, 64).unwrap();
     // Flush the all-pages initial dirty sets out of both images so the
@@ -148,7 +146,7 @@ fn delta_certification_catches_corruption_inside_footprint() {
 
     let full_before = db.stats().certify_full.load(Ordering::Relaxed);
     match db.checkpoint().unwrap() {
-        CheckpointOutcome::CorruptionDetected(report) => {
+        CheckpointOutcome::CorruptionRepaired { report, .. } => {
             assert!(!report.clean());
         }
         other => panic!("delta certification missed in-footprint corruption: {other:?}"),
@@ -166,12 +164,11 @@ fn delta_certification_catches_corruption_inside_footprint() {
 fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
     let scratch = TempDir::new("delta-outside");
     let dir = scratch.path();
-    // Parity pinned off, as above: the subject is the cadence bound and
-    // the keep-prior-checkpoint / recover path, not the repair layer.
+    // The subject is the cadence bound and the keep-prior-checkpoint
+    // path; the full sweep that flags the write also repairs it.
     let config = DaliConfig::small(dir)
         .with_scheme(ProtectionScheme::DataCodeword)
-        .with_full_certify_every(3)
-        .with_parity_group_size(0);
+        .with_full_certify_every(3);
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 32, 64).unwrap();
     // create() ran the mandatory full checkpoint (image A). This one
@@ -202,7 +199,7 @@ fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
     // Next checkpoint hits the full-sweep cadence and finds it.
     let full_before = db.stats().certify_full.load(Ordering::Relaxed);
     match db.checkpoint().unwrap() {
-        CheckpointOutcome::CorruptionDetected(report) => {
+        CheckpointOutcome::CorruptionRepaired { report, .. } => {
             assert_eq!(report.corrupt.len(), 1);
             assert_eq!(report.corrupt[0].addr, far);
         }
@@ -214,77 +211,8 @@ fn out_of_footprint_corruption_is_caught_by_the_scheduled_full_sweep() {
     );
 
     // The failed certification kept the prior certified checkpoint:
-    // reopening runs corruption recovery and comes back audit-clean.
+    // reopening comes back audit-clean.
     db.crash();
     let (db, _) = DaliEngine::open(config).unwrap();
-    assert!(db.audit().unwrap().clean());
-}
-
-/// The certification footprint must include the parity stripe: parity
-/// buffers live outside the image, so the dirty-page → region mapping
-/// can never cover them — the groups dirtied by updates (eager parity
-/// maintenance; the test name predates it, when a drain dirtied them)
-/// are certified through the stripe's own dirty-group channel, and a
-/// delta checkpoint consumes that channel completely.
-#[test]
-fn delta_certification_covers_parity_groups_dirtied_by_drains() {
-    let scratch = TempDir::new("delta-parity-footprint");
-    let dir = scratch.path();
-    let config = DaliConfig::small(dir)
-        .with_scheme(ProtectionScheme::DataCodeword)
-        .with_full_certify_every(8);
-    assert!(
-        config.resolved_parity_group_size() > 0,
-        "stripe on by default"
-    );
-    let (db, _) = DaliEngine::create(config).unwrap();
-    let t = db.create_table("t", 32, 64).unwrap();
-    db.checkpoint().unwrap(); // flush the initial all-pages footprints
-
-    // One committed insert dirties at least the record's parity group
-    // (plus allocator metadata) as its update lands in the stripe.
-    let txn = db.begin().unwrap();
-    let rec = txn.insert(t, &[0x77; 32]).unwrap();
-    txn.commit().unwrap();
-    let addr = db.record_addr(rec).unwrap();
-    let stripe = db.db().prot.parity().expect("stripe enabled");
-    let geom = db.db().prot.geometry();
-    let rec_group = stripe.group_of(geom.region_of(addr));
-
-    let before = db.stats().certify_parity_groups.load(Ordering::Relaxed);
-    match db.checkpoint().unwrap() {
-        CheckpointOutcome::Certified { .. } => {}
-        other => panic!("clean workload must certify: {other:?}"),
-    }
-    // This was a delta sweep, and it still certified the dirtied groups.
-    assert!(db.stats().certify_delta.load(Ordering::Relaxed) >= 1);
-    let certified = db.stats().certify_parity_groups.load(Ordering::Relaxed) - before;
-    assert!(certified >= 1, "update-dirtied groups are in the footprint");
-    // The channel is fully consumed: nothing still dirty, and the
-    // record's group verifies against its own codeword.
-    let snap = db.parity_stats();
-    assert_eq!(snap.dirty_groups, 0);
-    assert!(stripe.verify_group(rec_group));
-
-    // A wild write to an *update-dirtied* parity buffer (not the image)
-    // is healed by the next certification: the members just audited
-    // clean, so the checkpoint rebuilds the group instead of distrusting
-    // data.
-    let txn = db.begin().unwrap();
-    txn.update(rec, &[0x78; 32]).unwrap();
-    txn.commit().unwrap();
-    assert!(
-        db.parity_stats().dirty_groups >= 1,
-        "the update dirtied its group"
-    );
-    stripe.wild_xor_group(rec_group, 0, &[0xA5, 0x5A]);
-    match db.checkpoint().unwrap() {
-        CheckpointOutcome::Certified { .. } => {}
-        other => panic!("stripe damage must not fail data certification: {other:?}"),
-    }
-    assert!(
-        stripe.verify_group(rec_group),
-        "checkpoint healed the group"
-    );
     assert!(db.audit().unwrap().clean());
 }

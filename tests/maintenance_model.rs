@@ -1,18 +1,14 @@
-//! Model-based test of eager codeword and parity maintenance.
+//! Model-based test of eager codeword maintenance.
 //!
 //! Generates arbitrary scripts of prescribed updates and applies each
 //! script to one shared database image through two `DataCodeword`
-//! protections at once, each with a parity stripe (groups of 8 regions):
-//! one under the paper's XOR fold, one under the mod-(2^32−1) residue
-//! code. Every update publishes its codeword delta
-//! and its parity `old ⊕ new` inside `apply_update`; nothing is queued.
+//! protections at once: one under the paper's XOR fold, one under the
+//! mod-(2^32−1) residue code. Every update publishes its codeword delta
+//! inside `apply_update`; nothing is queued.
 //!
-//! Checked invariants, after every update and for both algebras:
-//!
-//! * a full audit is clean — every delta is in the table once
-//!   `apply_update` returns;
-//! * each parity group's buffer equals the XOR of its member regions read
-//!   from the image, and its maintained parity codeword verifies.
+//! Checked invariant, after every update and for both algebras: a full
+//! audit is clean — every delta is in the table once `apply_update`
+//! returns.
 //!
 //! At the end of every script each maintained codeword table must equal
 //! the table a fresh protection folds from the image — incremental
@@ -26,16 +22,11 @@ use dali::mem::DbImage;
 use dali::{DbAddr, ProtectionScheme};
 use proptest::prelude::*;
 
-#[path = "support/parity.rs"]
-mod parity;
-
 /// 4 pages x 4096 bytes, 64-byte regions => 256 regions.
 const PAGES: usize = 4;
 const PAGE: usize = 4096;
 const REGION: usize = 64;
 const NREGIONS: usize = PAGES * PAGE / REGION;
-/// Regions per parity group.
-const GROUP: usize = 8;
 
 /// A prescribed update: `len` bytes at `addr`, filled with `fill`.
 type Update = (usize, usize, u8);
@@ -71,11 +62,7 @@ impl Harness {
         let image = DbImage::new(PAGES, PAGE).unwrap();
         let prots = CodewordAlgebraKind::ALL
             .into_iter()
-            .map(|kind| {
-                let mut prot = protect(&image, kind);
-                prot.enable_parity(&image, GROUP, 0, 0).unwrap();
-                prot
-            })
+            .map(|kind| protect(&image, kind))
             .collect();
         Harness { image, prots }
     }
@@ -103,8 +90,6 @@ impl Harness {
                 if !rep.clean() {
                     return Err(format!("update {i}: {kind:?} audit unclean: {rep:?}"));
                 }
-                parity::stripe_exact(&self.image, prot)
-                    .map_err(|e| format!("update {i}: {kind:?}: {e}"))?;
             }
         }
         for prot in &self.prots {
@@ -143,8 +128,8 @@ fn pinned_maintenance_scripts() {
         &[(64, 4, 3), (68, 4, 4), (64, 4, 5)],
         // Unaligned cross-region update: word widening at both edges.
         &[(101, 70, 7)],
-        // Parity: an update straddling the group boundary between regions
-        // 7 and 8, a sibling update in group 0, then region 7 again.
+        // An update straddling regions 7 and 8, another in region 2,
+        // then region 7 again.
         &[(488, 40, 8), (130, 12, 9), (500, 8, 10)],
     ];
     for (i, script) in scripts.iter().enumerate() {

@@ -199,12 +199,11 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_health().prop_map(Response::Health),
         arb_metrics().prop_map(Response::Metrics),
         arb_wire_error().prop_map(Response::Err),
-        (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(in_place, regions_rebuilt, bytes_rebuilt, records_replayed)| {
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(regions, bytes_written, records_replayed)| {
                 Response::Repaired(RepairSummary {
-                    in_place,
-                    regions_rebuilt,
-                    bytes_rebuilt,
+                    regions,
+                    bytes_written,
                     records_replayed,
                 })
             }

@@ -2,9 +2,13 @@
 //! the paper's Table 2 columns claim ("Direct" / "Indirect" corruption
 //! handling).
 
+use dali::common::storage::{OsStorage, Store};
 use dali::{
     DaliConfig, DaliEngine, DaliError, FaultInjector, ProtectionScheme, RecId, RecoveryMode,
 };
+use dali_testutil::FailImageRead;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 const REC: usize = 128;
 
@@ -26,13 +30,13 @@ struct World {
 }
 
 fn world(name: &str, scheme: ProtectionScheme) -> World {
-    world_cfg(name, |c| c.with_scheme(scheme))
+    world_on(name, scheme, OsStorage::store())
 }
 
-fn world_cfg(name: &str, tune: impl FnOnce(DaliConfig) -> DaliConfig) -> World {
+fn world_on(name: &str, scheme: ProtectionScheme, store: Store) -> World {
     let dir = tmpdir(name);
-    let config = tune(DaliConfig::small(dir.path()));
-    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let config = DaliConfig::small(dir.path()).with_scheme(scheme);
+    let (db, _) = DaliEngine::create_on(config.clone(), store).unwrap();
     let t = db.create_table("t", REC, 32).unwrap();
     let txn = db.begin().unwrap();
     let x = txn.insert(t, &val(1)).unwrap();
@@ -108,16 +112,19 @@ fn data_codeword_detects_direct_at_audit() {
 }
 
 #[test]
-fn data_codeword_recovers_by_restart_with_stripe_off() {
-    // Parity stripe off: pins the legacy detect → poison → restart path.
-    // (With the stripe on — the default — the audit heals the region
-    // online instead; the next test covers that.)
-    let w = world_cfg("dcw-rec", |c| {
-        c.with_scheme(ProtectionScheme::DataCodeword)
-            .with_parity_group_size(0)
-    });
+fn data_codeword_recovers_by_restart_when_repair_fails() {
+    // The repair the dirty audit runs cannot read the anchored image, so
+    // the damage stays: the engine poisons, and a restart on a plain
+    // store runs cache recovery.
+    let store = Arc::new(FailImageRead::default());
+    let w = world_on("dcw-rec", ProtectionScheme::DataCodeword, store.clone());
     assert!(corrupt_x(&w).landed());
+    store.arm();
     assert!(!w.db.audit().unwrap().clean());
+    let stats = w.db.stats();
+    assert_eq!(stats.repair_attempted.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.repair_succeeded.load(Ordering::Relaxed), 0);
+    assert!(matches!(w.db.begin(), Err(DaliError::Crashed)), "poisoned");
     let (db, outcome) = DaliEngine::open(w.config.clone()).unwrap();
     assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
     let txn = db.begin().unwrap();
@@ -127,10 +134,10 @@ fn data_codeword_recovers_by_restart_with_stripe_off() {
 }
 
 #[test]
-fn data_codeword_self_heals_with_stripe_on() {
-    // Same fault with the parity stripe on (the default): the dirty
-    // audit walks the repair ladder, the engine never poisons, and the
-    // restart is Normal with the bytes already healed.
+fn data_codeword_self_heals() {
+    // Same fault: the dirty audit repairs the region from the anchored
+    // checkpoint plus the log, the engine never poisons, and the restart
+    // is Normal with the bytes already healed.
     let w = world("dcw-heal", ProtectionScheme::DataCodeword);
     assert!(corrupt_x(&w).landed());
     assert!(

@@ -1,4 +1,4 @@
-//! Model-based test of online parity repair: a repaired database is
+//! Model-based test of online repair: a repaired database is
 //! byte-identical to one that was never corrupted.
 //!
 //! The property runs every scenario under `DataCodeword` with both
@@ -7,29 +7,22 @@
 //! protection region of the primary is corrupted behind the codeword's
 //! back, and `repair` must bring the primary back so that
 //!
-//! * the outcome is `RepairedInPlace` (a single fault never needs the
-//!   log),
+//! * the outcome names the one region,
 //! * the repaired region's raw bytes equal the shadow's same region,
 //! * every record reads back identical to the shadow, and
 //! * a full audit is clean.
 //!
-//! Two deterministic scenarios pin the fallback ladder below that
-//! property:
-//!
-//! * **double fault** — two corrupt regions in one parity group exceed
-//!   one XOR stripe; repair must ride the certified checkpoint + WAL
-//!   instead, and still restore the bytes;
-//! * **stale parity** — the stripe itself is scribbled on through the
-//!   unmaintained test hook, so the reconstruction cannot verify
-//!   against the maintained codeword; repair must notice (never write
-//!   back a wrong image) and fall back cleanly.
+//! Deterministic scenarios pin what a repair from the anchored
+//! checkpoint plus the log must get right: two damaged regions in one
+//! page, damage the fold misses beside a flagged region, and a wild
+//! write a committed update then overwrote.
 //!
 //! CI raises the case count via `PROPTEST_CASES`, as with the lock-model
 //! suite.
 
 use dali::{
-    CheckpointOutcome, CodewordAlgebraKind, DaliConfig, DaliEngine, FaultInjector,
-    ProtectionScheme, RecId, RepairOutcome,
+    CheckpointOutcome, CodewordAlgebraKind, DaliConfig, DaliEngine, DbAddr, FaultInjector,
+    ProtectionScheme, RecId,
 };
 use proptest::prelude::*;
 
@@ -105,9 +98,7 @@ proptest! {
             let recs_s = run_workload(&shadow, ts, &ops);
             prop_assert_eq!(recs_p.len(), recs_s.len());
 
-            // A certified checkpoint anchors the fallback rung; the
-            // property expects repair never to need it here, but a
-            // failed in-place attempt must not strand the database.
+            // A certified checkpoint anchors the repair.
             prop_assert!(matches!(
                 primary.checkpoint().unwrap(),
                 CheckpointOutcome::Certified { .. }
@@ -127,10 +118,7 @@ proptest! {
             prop_assert!(inj.wild_write_bytes(base, &corrupt).unwrap().landed());
 
             let outcome = primary.repair(region).unwrap();
-            prop_assert!(
-                matches!(outcome, RepairOutcome::RepairedInPlace { regions_rebuilt: 1, .. }),
-                "{scheme:?}/{kind:?}: single fault must rebuild in place, got {outcome:?}"
-            );
+            prop_assert_eq!(outcome.regions, 1, "{:?}/{:?}", scheme, kind);
 
             // Byte-identical to the shadow: the repaired region raw,
             // then every record through the read path.
@@ -153,11 +141,11 @@ proptest! {
     }
 }
 
-/// Two corrupt regions in one parity group: the stripe has one equation
-/// and two unknowns, so repair must fall back to the certified
-/// checkpoint + WAL replay — and still restore every byte.
+/// Two corrupt regions in one page: the repair of the first rebuilds the
+/// whole page from the certified checkpoint plus the log, the second
+/// region included, and restores every byte.
 #[test]
-fn double_fault_in_one_group_falls_back_cleanly() {
+fn two_corrupt_regions_in_one_page_are_rebuilt_from_the_log() {
     for (scheme, kind) in CORNERS {
         let (db, _dir) = make_engine(scheme, kind, "repair-model-double");
         let table = db.create_table("t", REC, 64).unwrap();
@@ -177,10 +165,7 @@ fn double_fault_in_one_group_falls_back_cleanly() {
             .collect();
 
         let geom = db.db().prot.geometry();
-        let stripe = db.db().prot.parity().expect("stripe enabled");
-        let group = stripe.group_of(geom.region_of(db.record_addr(recs[0]).unwrap()));
-        let (first, last) = stripe.members(group);
-        assert!(last > first, "group must hold two regions");
+        let first = geom.region_of(db.record_addr(recs[0]).unwrap());
         let inj = FaultInjector::new(&db);
         for region in [first, first + 1] {
             let base = geom.region_base(region);
@@ -191,11 +176,7 @@ fn double_fault_in_one_group_falls_back_cleanly() {
         }
 
         let outcome = db.repair(first).unwrap();
-        assert!(
-            !outcome.in_place(),
-            "{scheme:?}/{kind:?}: double fault must ride the log, got {outcome:?}"
-        );
-
+        assert_eq!(outcome.regions, 1, "{scheme:?}/{kind:?}");
         assert!(db.audit().unwrap().clean(), "{scheme:?}/{kind:?}");
         for (r, want) in recs.iter().zip(&originals) {
             let txn = db.begin().unwrap();
@@ -205,64 +186,69 @@ fn double_fault_in_one_group_falls_back_cleanly() {
     }
 }
 
-/// A scribbled-on parity stripe (through the unmaintained test hook)
-/// makes the reconstruction fail its codeword verification: repair must
-/// refuse to write the wrong image back and fall back to the log — the
-/// self-healing layer never trades detected corruption for silent
-/// corruption.
+/// Damage the XOR fold misses must not leak into the repair of a region
+/// beside it. Region `a` takes a flip the audit flags; region `b`, in the
+/// same 8-region block, takes a pair of flips in one bit column, which
+/// cancels in its fold, starting at the same offset. A rebuild of `a`
+/// from an XOR parity of the block (`parity ⊕ siblings`) would copy `b`'s
+/// damage into `a` and still verify against `a`'s codeword. The repair
+/// rebuilds the whole page from the certified checkpoint plus the log, so
+/// the audit leaves the database byte-identical to a shadow that was
+/// never damaged, `b` included.
 #[test]
-fn stale_parity_falls_back_instead_of_writing_garbage() {
-    for (scheme, kind) in CORNERS {
-        let (db, _dir) = make_engine(scheme, kind, "repair-model-stale");
-        let table = db.create_table("t", REC, 64).unwrap();
-        let recs = run_workload(&db, table, &[(0, 0x5A), (1, 0xC3)]);
+fn a_fold_blind_sibling_does_not_leak_into_the_repair() {
+    let (scheme, kind) = (ProtectionScheme::DataCodeword, CodewordAlgebraKind::XorFold);
+    let (db, _d1) = make_engine(scheme, kind, "repair-model-blind");
+    let (shadow, _d2) = make_engine(scheme, kind, "repair-model-blind-shadow");
+    let ops: Vec<(u8, u8)> = (0..16).map(|i| (0, 0x40 + i)).collect();
+    let mut recs = Vec::new();
+    for engine in [&db, &shadow] {
+        let table = engine.create_table("t", REC, 64).unwrap();
+        recs = run_workload(engine, table, &ops);
         assert!(matches!(
-            db.checkpoint().unwrap(),
+            engine.checkpoint().unwrap(),
             CheckpointOutcome::Certified { .. }
         ));
-        let txn = db.begin().unwrap();
-        let original = txn.read_vec(recs[0]).unwrap();
-        txn.commit().unwrap();
-
-        let addr = db.record_addr(recs[0]).unwrap();
-        let geom = db.db().prot.geometry();
-        let region = geom.region_of(addr);
-        let base = geom.region_base(region);
-        let stripe = db.db().prot.parity().expect("stripe enabled");
-        // Scribble on the group's parity buffer, bypassing maintenance:
-        // the stripe now disagrees with the image it claims to cover.
-        stripe.wild_xor_group(stripe.group_of(region), 0, &[0xA5, 0x5A, 0xFF]);
-
-        let inj = FaultInjector::new(&db);
-        let mut b = [0u8; 1];
-        db.db().image.read(base, &mut b).unwrap();
-        b[0] ^= 0x08;
-        assert!(inj.wild_write_bytes(base, &b).unwrap().landed());
-
-        let outcome = db.repair(region).unwrap();
-        assert!(
-            !outcome.in_place(),
-            "{scheme:?}/{kind:?}: a stale stripe must never be written back, got {outcome:?}"
-        );
-
-        assert!(db.audit().unwrap().clean(), "{scheme:?}/{kind:?}");
-        let txn = db.begin().unwrap();
-        assert_eq!(
-            txn.read_vec(recs[0]).unwrap(),
-            original,
-            "{scheme:?}/{kind:?}"
-        );
-        txn.commit().unwrap();
     }
+
+    let geom = db.db().prot.geometry();
+    let a = geom.region_of(db.record_addr(recs[0]).unwrap());
+    let b = a ^ 1;
+    let (at, bit) = (8, 0x10);
+    let inj = FaultInjector::new(&db);
+    let flip = |addr: DbAddr| {
+        let mut byte = [0u8; 1];
+        db.db().image.read(addr, &mut byte).unwrap();
+        byte[0] ^= bit;
+        assert!(inj.wild_write_bytes(addr, &byte).unwrap().landed());
+    };
+    flip(geom.region_base(a).add(at));
+    flip(geom.region_base(b).add(at));
+    flip(geom.region_base(b).add(at + 4));
+
+    let report = db.audit().unwrap();
+    let flagged: Vec<_> = report.corrupt.iter().map(|c| c.region).collect();
+    assert_eq!(flagged, vec![a], "the fold sees `a` and misses `b`");
+    let image = |engine: &DaliEngine| {
+        let mut bytes = vec![0u8; engine.db().image.len()];
+        engine.db().image.read(DbAddr(0), &mut bytes).unwrap();
+        bytes
+    };
+    let (got, want) = (image(&db), image(&shadow));
+    let differ: Vec<usize> = (0..got.len()).filter(|&i| got[i] != want[i]).collect();
+    assert!(
+        differ.is_empty(),
+        "bytes differ from the shadow at {differ:?}"
+    );
+    assert!(db.audit().unwrap().clean());
 }
 
 /// A wild write that a committed update then overwrites: the update read
-/// its before-image from the damaged bytes, so the parity buffer and the
-/// maintained codeword both moved by the damage. A parity rebuild would
-/// verify and write the damage back (`3b 33 33 33` for `33 33 33 33`);
-/// it must disagree with the log instead, and the log rung must restore
-/// the committed bytes — on the audit, the checkpoint certification and
-/// the repair verb, under both algebras.
+/// its before-image from the damaged bytes, so the maintained codeword
+/// moved by the damage and still flags the region. The repair must
+/// restore the committed bytes from the log (`33 33 33 33`, not the
+/// damaged `3b 33 33 33`) — on the audit, the checkpoint certification
+/// and the repair verb, under both algebras.
 #[test]
 fn a_wild_write_a_committed_update_overwrote_is_repaired_from_the_log() {
     for (scheme, kind) in CORNERS {
@@ -280,23 +266,19 @@ fn a_wild_write_a_committed_update_overwrote_is_repaired_from_the_log() {
             let txn = db.begin().unwrap();
             txn.update(rec, &[value; REC]).unwrap();
             txn.commit().unwrap();
-            let outcome = match path {
-                "audit" => {
-                    assert!(!db.audit().unwrap().clean(), "{kind:?}");
-                    None
-                }
+            match path {
+                "audit" => assert!(!db.audit().unwrap().clean(), "{kind:?}"),
                 "checkpoint" => match db.checkpoint().unwrap() {
-                    CheckpointOutcome::CorruptionRepaired { outcome, .. } => Some(outcome),
+                    CheckpointOutcome::CorruptionRepaired { .. } => {}
                     other => panic!("{kind:?}: certification must repair, got {other:?}"),
                 },
-                _ => Some(db.repair(region).unwrap()),
-            };
+                _ => assert_eq!(db.repair(region).unwrap().regions, 1, "{kind:?}"),
+            }
             let txn = db.begin().unwrap();
             let got = txn.read_vec(rec).unwrap();
             txn.commit().unwrap();
             let why = format!("{kind:?} / {path}: the committed update must survive the repair");
             assert_eq!(&got[..4], &[value; 4], "{why}");
-            assert!(outcome.is_none_or(|o| !o.in_place()), "{why}");
             assert!(db.audit().unwrap().clean(), "{kind:?} / {path}");
         }
     }

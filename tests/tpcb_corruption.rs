@@ -103,11 +103,10 @@ fn repeated_corruption_recovery_cycles() {
 
 /// Checkpoint certification striped across 4 audit workers must still
 /// find a wild write — and report exactly what a serial certification
-/// pass reports. With the parity stripe on (the default) the detection
-/// now resolves into an online in-place repair
-/// (`CorruptionRepaired`), which carries the same certification report
-/// the old poison path surfaced; the serial reference report comes from
-/// a second engine running the identical scenario.
+/// pass reports. The detection resolves into an online repair
+/// (`CorruptionRepaired`), which carries the certification report; the
+/// serial reference report comes from a second engine running the
+/// identical scenario.
 #[test]
 fn parallel_certification_detects_corruption() {
     let run = |name: &str, audit_threads: usize| {
@@ -127,7 +126,7 @@ fn parallel_certification_detects_corruption() {
             .unwrap();
         match db.checkpoint().unwrap() {
             dali::CheckpointOutcome::CorruptionRepaired { report, outcome } => {
-                assert!(outcome.in_place(), "single fault must rebuild in place");
+                assert_eq!(outcome.regions, 1, "one region repaired");
                 report
             }
             other => panic!("certification must detect the fault: {other:?}"),
@@ -140,7 +139,7 @@ fn parallel_certification_detects_corruption() {
     assert_eq!(
         parallel.corrupt.len(),
         serial.corrupt.len(),
-        "stripe workers must find the same corrupt regions"
+        "audit workers must find the same corrupt regions"
     );
     for (p, s) in parallel.corrupt.iter().zip(&serial.corrupt) {
         assert_eq!(p.region, s.region);
