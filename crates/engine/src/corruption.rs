@@ -1,7 +1,8 @@
 //! Corruption bookkeeping: the CorruptDataTable range set and the
 //! corruption marker that carries a failed audit across the deliberate
-//! crash. Online repair, cache recovery's in-place form included, is
-//! [`crate::repair`].
+//! crash. Only a ReadLog restart reads the marker: its §4.3 scan needs the
+//! failing audit's ranges and `Audit_SN`. Every other restart deletes one
+//! it finds. Online repair is [`crate::repair`].
 
 use crate::db::Db;
 use dali_common::codec::{self, Wire};
@@ -69,16 +70,6 @@ impl RangeSet {
         self.map.range(start..end).next().is_some()
     }
 
-    /// Number of disjoint ranges.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// The ranges as `(addr, len)` pairs.
     pub fn ranges(&self) -> Vec<(DbAddr, usize)> {
         self.map.iter().map(|(&s, &e)| (DbAddr(s), e - s)).collect()
@@ -133,9 +124,10 @@ impl CorruptionMarker {
     }
 }
 
-/// Write the corruption marker for `dir` (durably: the marker is what
-/// tells a restart to run corruption recovery instead of plain restart
-/// recovery, so it must survive a crash that follows the report).
+/// Write the corruption marker for `dir` (durably: under ReadLog the
+/// marker is what tells a restart to run corruption recovery instead of
+/// plain restart recovery, so it must survive a crash that follows the
+/// report).
 pub fn write_marker(store: &dyn Storage, dir: &Path, marker: &CorruptionMarker) -> Result<()> {
     Ok(storage::atomic_write(
         store,
@@ -151,6 +143,14 @@ pub fn read_marker(store: &dyn Storage, dir: &Path) -> Result<Option<CorruptionM
         Ok(()) => CorruptionMarker::decode(&bytes).map(Some),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
+    }
+}
+
+/// Whether `dir` holds a corruption marker; its bytes are not read.
+pub(crate) fn marker_present(store: &dyn Storage, dir: &Path) -> Result<bool> {
+    match store.open(&Db::marker_path(dir), storage::Open::Read) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        opened => Ok(opened.map(|_| true)?),
     }
 }
 
@@ -200,7 +200,6 @@ mod tests {
         let mut s = RangeSet::new();
         s.insert(DbAddr(100), 50);
         s.insert(DbAddr(120), 100);
-        assert_eq!(s.len(), 1);
         assert_eq!(s.ranges(), vec![(DbAddr(100), 120)]);
     }
 
@@ -209,7 +208,6 @@ mod tests {
         let mut s = RangeSet::new();
         s.insert(DbAddr(0), 10);
         s.insert(DbAddr(10), 10);
-        assert_eq!(s.len(), 1);
         assert_eq!(s.ranges(), vec![(DbAddr(0), 20)]);
     }
 
@@ -219,7 +217,7 @@ mod tests {
         s.insert(DbAddr(0), 10);
         s.insert(DbAddr(100), 10);
         s.insert(DbAddr(50), 10);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.ranges().len(), 3);
         assert_eq!(s.ranges().iter().map(|r| r.1).sum::<usize>(), 30);
     }
 
@@ -230,7 +228,6 @@ mod tests {
         s.insert(DbAddr(20), 10);
         s.insert(DbAddr(40), 10);
         s.insert(DbAddr(5), 40); // swallows all three
-        assert_eq!(s.len(), 1);
         assert_eq!(s.ranges(), vec![(DbAddr(0), 50)]);
     }
 
@@ -238,7 +235,7 @@ mod tests {
     fn rangeset_zero_len_noop() {
         let mut s = RangeSet::new();
         s.insert(DbAddr(5), 0);
-        assert!(s.is_empty());
+        assert!(s.ranges().is_empty());
         assert!(!s.overlaps(DbAddr(5), 0));
     }
 

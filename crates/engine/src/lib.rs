@@ -78,9 +78,11 @@ impl DaliEngine {
         Ok((DaliEngine { db }, outcome))
     }
 
-    /// Open an existing database, running restart recovery (normal or
-    /// corruption mode, depending on what brought the database down and
-    /// which protection scheme is configured).
+    /// Open an existing database, running its scheme's restart recovery
+    /// (delete-transaction recovery under CW ReadLog, and under ReadLog
+    /// after a failed audit; normal otherwise). A damaged sealed log
+    /// segment fails it with `RecoveryFailed`, naming the LSN for
+    /// `open_prior_state`.
     pub fn open(config: DaliConfig) -> Result<(DaliEngine, RecoveryOutcome)> {
         Self::open_on(config, OsStorage::store())
     }
@@ -214,20 +216,11 @@ impl DaliEngine {
         ckpt::audit(&self.db)
     }
 
-    /// Online cache recovery (paper §4.2 cache-recovery model): rebuild
-    /// the pages under the given directly-corrupted ranges from the
-    /// certified checkpoint plus the stable log — what online repair
-    /// runs for a region. Active transactions are left alone: their
-    /// completed operations are in the log, so they survive, and each may
-    /// still commit or abort. Returns the number of redo records replayed.
-    pub fn cache_repair(&self, ranges: &[(DbAddr, usize)]) -> Result<usize> {
-        repair::cache_repair(&self.db, ranges)
-    }
-
     /// Online repair of one protection region: rebuild the pages under
     /// it from the certified checkpoint plus the stable log, then
     /// recompute their codewords. No transaction is disturbed. Refused
-    /// under the read-logging schemes. See [`repair::RepairOutcome`].
+    /// ([`DaliError::InvalidArg`]) under the read-logging schemes and the
+    /// schemes without codewords. See [`repair::RepairOutcome`].
     pub fn repair(&self, region: dali_codeword::RegionId) -> Result<RepairOutcome> {
         repair::repair_region(&self.db, region)
     }

@@ -8,10 +8,10 @@
 //! transactions level by level using logical undo from the checkpointed
 //! ATT and operation commit records.
 //!
-//! When a corruption marker is present (a failed audit brought the system
-//! down) — or unconditionally under the CW ReadLog scheme — the redo scan
-//! runs in *corruption mode*, maintaining the `CorruptTransTable` and
-//! `CorruptDataTable` of §4.3:
+//! Each scheme has one restart. Under CW ReadLog every restart, and under
+//! ReadLog a restart that finds the corruption marker (a failed audit
+//! brought the system down), runs the redo scan in *corruption mode*,
+//! maintaining the `CorruptTransTable` and `CorruptDataTable` of §4.3:
 //!
 //! * a read or write record touching corrupt data puts its transaction in
 //!   the CorruptTransTable (with region codewords in read records, the
@@ -27,6 +27,10 @@
 //!   incomplete so the undo phase rolls back their pre-corruption prefix;
 //! * when the scan passes `Audit_SN` (the last clean audit), the failing
 //!   audit's regions join the CorruptDataTable.
+//!
+//! Every other restart is a normal one, marker or none: reloading the
+//! certified checkpoint and replaying the log is §4.1's cache-recovery
+//! model, which drops direct corruption without the marker.
 //!
 //! Restart rolls back with the routine an online abort uses
 //! (`txn::rollback`), and a normal restart logs it the same way: each
@@ -48,7 +52,8 @@ use crate::txn::rollback;
 use dali_codeword::CodewordProtection;
 use dali_common::codec::CodewordsRef;
 use dali_common::{
-    CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, Result, Store, TxnId,
+    CodewordAlgebraKind, DaliConfig, DaliError, DbAddr, Lsn, OpSeq, ProtectionScheme, Result,
+    Store, TxnId,
 };
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::record::{LogRecord, LogRecordRef, LogicalUndoRef};
@@ -184,13 +189,9 @@ impl<'s> Pending<'s> {
 pub enum RecoveryMode {
     /// Fresh database, nothing to recover.
     Fresh,
-    /// Normal restart recovery (redo + undo).
+    /// Normal restart recovery (redo + undo); after a failed audit, §4.1's
+    /// cache-recovery model (indirect corruption is assumed absent).
     Normal,
-    /// A corruption marker was present but the scheme keeps no read log:
-    /// rebuild from the certified checkpoint and clean redo (the
-    /// cache-recovery model — direct corruption vanishes, indirect
-    /// corruption is assumed absent).
-    CacheRecovery,
     /// Delete-transaction corruption recovery ran (§4.3).
     DeleteTxn,
     /// Prior-state recovery (§4.1's second model): the database was
@@ -375,7 +376,7 @@ impl<'m> Taint<'m> {
             ctt: HashSet::new(),
             cdt: RangeSet::new(),
             undo_ranges: RangeSet::new(),
-            marker_ranges: marker.filter(|_| !use_codewords),
+            marker_ranges: marker,
         };
         if t.marker_ranges
             .is_some_and(|m| m.audit_sn.is_none_or(|sn| sn <= scan_start))
@@ -482,11 +483,9 @@ fn redo_pass(
     dali_wal::segment::adopt_pending(&**store, &log_dir, kind)?;
     let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, kind)?;
     reader.for_each_segment(|seg| {
-        let mut cut = false;
         let mut pending: Pending = std::mem::take(&mut carried);
         for (lsn, rec) in seg.records() {
             if upto.is_some_and(|upto| lsn >= upto) {
-                cut = true;
                 break;
             }
             records_scanned += 1;
@@ -623,7 +622,9 @@ fn redo_pass(
         // ---- end of segment: apply, own, and keep what it owes the next ----
         pending.apply(image)?;
         pending.own_undo(&mut att, kind);
-        if cut {
+        // A cut at or before the end of the intact frames ends the scan
+        // here, before the reader looks at what follows them.
+        if upto.is_some_and(|upto| upto <= seg.intact_end()) {
             return Ok(ControlFlow::Break(()));
         }
         carried = pending.into_carried();
@@ -747,7 +748,8 @@ fn finish(
 /// the log's history (the §4.3 scan suppresses writes, prior-state
 /// recovery drops a future), so they discard the redo, take the exit
 /// checkpoint and only then log the aborts and clear the corruption
-/// marker.
+/// marker. A normal restart deletes a marker it finds once its log is
+/// durable.
 ///
 /// Returns the rolled-back ids, ascending, split into those in `ctt`
 /// (deleted from history) and the merely incomplete, and the exit
@@ -802,7 +804,7 @@ fn undo_and_finish(
     // `open` hands back a directory at rest: whoever opened it may copy
     // or replace it without racing a roll's rename or a retirement.
     db.settle()?;
-    if ckpt.is_some() {
+    if ckpt.is_some() || corruption::marker_present(&*db.store, &db.config.dir)? {
         corruption::clear_marker(&*db.store, &db.config.dir)?;
     }
     if db.config.scheme.uses_mprotect() {
@@ -819,24 +821,20 @@ pub fn restart(config: DaliConfig, store: Store) -> Result<(Arc<Db>, RecoveryOut
     let (image_idx, serial) = ckpt::read_anchor(&*store, &dir)?;
     let meta = ckpt::read_meta(&*store, &dir, image_idx)?;
     check_ckpt_algebra(&meta, config.codeword_algebra)?;
-    let marker = corruption::read_marker(&*store, &dir)?;
-
-    // Decide the mode. The CW ReadLog scheme runs corruption recovery on
-    // every restart (§4.3: codewords in read records detect corruption
-    // that occurred after the last audit but before a true crash).
-    let mode = match (&marker, config.scheme) {
-        (Some(_), s) if s.supports_delete_txn_recovery() => RecoveryMode::DeleteTxn,
-        (None, s) if s.logs_read_codewords() => RecoveryMode::DeleteTxn,
-        (Some(_), _) => RecoveryMode::CacheRecovery,
-        (None, _) => RecoveryMode::Normal,
+    // Only identity-only read records need the failing audit's ranges.
+    let marker = match config.scheme {
+        ProtectionScheme::ReadLogging => corruption::read_marker(&*store, &dir)?,
+        _ => None,
     };
-    let mut taint = (mode == RecoveryMode::DeleteTxn).then(|| {
-        Taint::new(
-            config.scheme.logs_read_codewords(),
-            marker.as_ref(),
-            meta.ck_end,
-        )
-    });
+    // The CW ReadLog scheme runs corruption recovery on every restart
+    // (§4.3: codewords in read records detect corruption that occurred
+    // after the last audit but before a true crash).
+    let cw = config.scheme.logs_read_codewords();
+    let mut taint = (marker.is_some() || cw).then(|| Taint::new(cw, marker.as_ref(), meta.ck_end));
+    let mode = match taint {
+        Some(_) => RecoveryMode::DeleteTxn,
+        None => RecoveryMode::Normal,
+    };
 
     let (image, redone) = load_and_redo(&config, &store, &meta, image_idx, None, taint.as_mut())?;
     let (ctt, cdt) = taint.map(|t| (t.ctt, t.cdt)).unwrap_or_default();

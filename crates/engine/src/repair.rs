@@ -1,8 +1,8 @@
 //! Online repair: the self-healing layer above the auditor.
 //!
 //! A failed audit names the corrupt regions; this module rebuilds them
-//! without a restart, from the log — paper §4.2's cache recovery, run
-//! online. A repair holds `quiesce` exclusively from start to finish, so
+//! without a restart, from the log — paper §4.1's cache-recovery model,
+//! run online. A repair holds `quiesce` exclusively from start to finish, so
 //! no update is inside its bracket and every completed operation's redo is
 //! in the log (an operation reaches the log at `commit_op`, inside the
 //! same shared `quiesce` span as its writes). The anchored checkpoint
@@ -12,8 +12,10 @@
 //! active. One scan of the log builds that copy of every page under the
 //! damaged regions (`Rebuild::scan`); the copies are written back and
 //! their codewords recomputed (`Rebuild::install`). That is the one
-//! rung: restart recovery, via the corruption marker, takes over only if
-//! the repair fails or leaves the damage in place.
+//! rung: restart recovery takes over only if the repair fails or leaves
+//! the damage in place. The audit then poisons the engine, and the normal
+//! restart reloads the anchored image and redoes the log — this rebuild,
+//! for every page.
 //!
 //! The rebuild trusts the anchored image, as restart does: neither checks
 //! the pages it loads against codewords. It aborts no one: a live transaction keeps
@@ -29,7 +31,9 @@
 //! a fault.
 //!
 //! **Scheme boundary.** Repair only exists for the direct-corruption
-//! schemes (`DataCodeword`, `ReadPrecheck`).
+//! schemes (`DataCodeword`, `ReadPrecheck`); [`repair_region`] (the admin
+//! verb) and `auto_repair` both enter through the one check, and refuse
+//! elsewhere.
 //! Under the read-logging schemes a detected region may already have
 //! been *read* by committed transactions — carried corruption that no
 //! byte-level rebuild can undo — so repair refuses and the
@@ -61,19 +65,8 @@ pub fn repair_region(db: &Arc<Db>, region: RegionId) -> Result<RepairOutcome> {
     let outcome = repair_regions(db, &[region])?;
     // A wild write happened somewhere; the dirty-page footprint no longer
     // bounds the damage, so the next certification must sweep everything.
-    // (The checkpoint path sets this itself — it holds the ckpt_state
-    // lock across its call into the repair, so the repair must not.)
     db.ckpt_state.lock().force_full = true;
     Ok(outcome)
-}
-
-/// Online cache recovery (paper §4.2): rebuild the pages under `ranges`
-/// from the anchored checkpoint plus the log, assuming no indirect
-/// corruption (valid when every checkpoint is certified and the damage
-/// was caught before any transaction read it). Returns the number of log
-/// records replayed.
-pub(crate) fn cache_repair(db: &Db, ranges: &[(DbAddr, usize)]) -> Result<usize> {
-    Ok(rebuild(db, ranges.iter().copied())?.records)
 }
 
 /// Repair `regions`. Counters land in
@@ -114,12 +107,24 @@ fn repair_regions(db: &Db, regions: &[RegionId]) -> Result<RepairOutcome> {
     stats
         .repair_attempted
         .fetch_add(regions.len() as u64, Relaxed);
-    let rebuilt = rebuild(
-        db,
-        regions
-            .iter()
-            .map(|&r| (geom.region_base(r), geom.region_size())),
-    )?;
+    // The one repair. No update may run from the scan to the last page
+    // written back: every write the image holds must be in the log the
+    // scan reads.
+    db.check_alive()?;
+    let quiesced = db.quiesce.write();
+    let mut pages: Vec<PageId> = (regions.iter())
+        .flat_map(|&r| {
+            db.image
+                .pages_overlapping(geom.region_base(r), geom.region_size())
+        })
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    let rebuilt = Rebuild::scan(db, pages)?;
+    rebuilt.install(db)?;
+    // The next checkpoint rewrites the pages.
+    db.syslog.dirty().note_all(rebuilt.pages.iter().copied());
+    drop(quiesced);
     let bytes_written = rebuilt.pages.len() * db.config.page_size;
     stats
         .repair_succeeded
@@ -135,24 +140,6 @@ fn repair_regions(db: &Db, regions: &[RegionId]) -> Result<RepairOutcome> {
         bytes_written,
         records_replayed: rebuilt.records,
     })
-}
-
-/// The one repair: rebuild the pages under `ranges` and note them dirty,
-/// so the next checkpoint rewrites them. No update may run from the scan
-/// to the last page written back: every write the image holds must be in
-/// the log the scan reads.
-fn rebuild(db: &Db, ranges: impl Iterator<Item = (DbAddr, usize)>) -> Result<Rebuild> {
-    db.check_alive()?;
-    let _q = db.quiesce.write();
-    let mut pages: Vec<PageId> = ranges
-        .flat_map(|(a, l)| db.image.pages_overlapping(a, l))
-        .collect();
-    pages.sort_unstable();
-    pages.dedup();
-    let rebuilt = Rebuild::scan(db, pages)?;
-    rebuilt.install(db)?;
-    db.syslog.dirty().note_all(rebuilt.pages.iter().copied());
-    Ok(rebuilt)
 }
 
 /// Pages as the log says they are: each page's anchored checkpoint copy

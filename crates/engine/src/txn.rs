@@ -90,7 +90,7 @@ impl TxnHandle {
     /// Takes a shared record lock (strict 2PL). The read path depends on
     /// the protection scheme; under Read Prechecking a codeword mismatch
     /// surfaces as [`DaliError::CorruptionDetected`] *and* poisons the
-    /// database so that the caller reopens it (cache recovery).
+    /// database so that the caller reopens it (a normal restart).
     pub fn read(&self, rec: RecId, buf: &mut [u8]) -> Result<()> {
         self.db.check_alive()?;
         let heap = self.db.heap(rec.table)?;
@@ -371,8 +371,8 @@ impl Drop for TxnHandle {
 /// operation's internals (an update's before-image, a delete's record
 /// image, an insert's bitmap word). Under Read Prechecking *every* read
 /// of persistent data is checked against its codeword (§3.1); a mismatch
-/// notes the region and brings the database down for cache recovery
-/// (§4.2).
+/// notes the region and brings the database down for a restart (§4.1's
+/// cache-recovery model).
 fn read_persistent(db: &Db, addr: DbAddr, buf: &mut [u8]) -> Result<()> {
     if !db.config.scheme.prechecks_reads() {
         return db.image.read(addr, buf);
@@ -849,7 +849,7 @@ mod tests {
         assert_eq!(buf, [1; 16]);
         assert!(engine.audit().unwrap().clean());
 
-        engine.cache_repair(&[(addr, 16)]).unwrap();
+        engine.repair(db.prot.geometry().region_of(addr)).unwrap();
         db.image.read(addr, &mut buf).unwrap();
         assert_eq!(buf, [1; 16], "the rebuild holds only what the log holds");
         txn.abort().unwrap();

@@ -7,9 +7,11 @@
 use dali_common::{
     DaliConfig, DaliError, DbAddr, OpSeq, OsStorage, ProtectionScheme, RecId, Store, TxnId,
 };
-use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
+use dali_engine::corruption::{self, CorruptionMarker};
+use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode, RecoveryOutcome};
 use dali_testutil::{FailImageRead, TempDir};
 use dali_wal::LogRecord;
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -70,6 +72,19 @@ fn setup_on(name: &str, scheme: ProtectionScheme, store: Store) -> Setup {
         z,
         w,
     }
+}
+
+/// The protection region under `addr`.
+fn region_of(db: &DaliEngine, addr: DbAddr) -> usize {
+    db.db().prot.geometry().region_of(addr)
+}
+
+/// A restart after a poison, under a scheme without read logging: the
+/// normal one, with no exit checkpoint and no marker left behind.
+fn assert_normal_restart(dir: &Path, outcome: &RecoveryOutcome) {
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    assert_eq!(outcome.phases.exit_checkpoint, None, "{outcome:?}");
+    assert!(!dir.join("corrupt.marker").exists(), "the marker is gone");
 }
 
 fn read_one(db: &DaliEngine, rec: RecId) -> Vec<u8> {
@@ -234,7 +249,7 @@ fn cw_readlog_view_consistency_spares_equal_write() {
 }
 
 #[test]
-fn precheck_failure_triggers_cache_recovery_on_reopen() {
+fn precheck_failure_recovers_by_a_normal_restart() {
     let s = setup("precheck", ProtectionScheme::ReadPrecheck);
     wild_write(&s.db, s.db.record_addr(s.x).unwrap(), &[0xEE; 16]);
 
@@ -242,15 +257,16 @@ fn precheck_failure_triggers_cache_recovery_on_reopen() {
     let err = txn.read_vec(s.x).unwrap_err();
     assert!(matches!(err, DaliError::CorruptionDetected { .. }));
     drop(txn);
+    assert!(s.config.dir.join("corrupt.marker").exists());
 
     let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
+    assert_normal_restart(&s.config.dir, &outcome);
     assert_eq!(read_one(&db, s.x), val(1));
     assert!(db.audit().unwrap().clean());
 }
 
 #[test]
-fn data_codeword_audit_failure_cache_recovers() {
+fn data_codeword_audit_failure_recovers_by_a_normal_restart() {
     // The online repair the audit runs cannot read the anchored image,
     // so the damage stays and the engine poisons.
     let store = Arc::new(FailImageRead::default());
@@ -260,7 +276,7 @@ fn data_codeword_audit_failure_cache_recovers() {
     assert!(!s.db.audit().unwrap().clean());
 
     let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
+    assert_normal_restart(&s.config.dir, &outcome);
     assert_eq!(read_one(&db, s.y), val(2));
 }
 
@@ -283,14 +299,14 @@ fn checkpoint_certification_blocks_corrupt_checkpoint() {
     // Recovery starts from the last *certified* checkpoint and replays
     // the committed update.
     let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
+    assert_normal_restart(&s.config.dir, &outcome);
     assert_eq!(read_one(&db, s.x), val(11), "post-ckpt commit survives");
     assert_eq!(read_one(&db, s.y), val(2), "corruption cleaned");
     assert!(db.audit().unwrap().clean());
 }
 
 #[test]
-fn online_cache_repair_fixes_region_in_place() {
+fn online_repair_fixes_region_in_place() {
     let s = setup("online", ProtectionScheme::DataCodeword);
     let txn = s.db.begin().unwrap();
     txn.update(s.x, &val(9)).unwrap();
@@ -299,8 +315,8 @@ fn online_cache_repair_fixes_region_in_place() {
     let addr = s.db.record_addr(s.x).unwrap();
     wild_write(&s.db, addr, &[0xEE; 32]);
     // Repair online, no restart.
-    let replayed = s.db.cache_repair(&[(addr, 32)]).unwrap();
-    assert!(replayed > 0);
+    let outcome = s.db.repair(region_of(&s.db, addr)).unwrap();
+    assert!(outcome.records_replayed > 0);
     assert_eq!(read_one(&s.db, s.x), val(9));
     assert!(s.db.audit().unwrap().clean());
 }
@@ -309,7 +325,7 @@ fn online_cache_repair_fixes_region_in_place() {
 /// update it made before the repair: the log holds it, so the rebuild
 /// does too. The transaction goes on and commits.
 #[test]
-fn online_cache_repair_keeps_active_transactions() {
+fn online_repair_keeps_active_transactions() {
     let s = setup("online2", ProtectionScheme::DataCodeword);
     let txn = s.db.begin().unwrap();
     txn.update(s.y, &val(77)).unwrap();
@@ -323,7 +339,7 @@ fn online_cache_repair_keeps_active_transactions() {
         "x and y share a page"
     );
     wild_write(&s.db, addr, &[0xEE; 8]);
-    s.db.cache_repair(&[(addr, 8)]).unwrap();
+    s.db.repair(region_of(&s.db, addr)).unwrap();
 
     assert_eq!(txn.read_vec(s.y).unwrap(), val(77), "the update survived");
     assert_eq!(read_one(&s.db, s.x), val(1), "the damage is gone");
@@ -343,14 +359,14 @@ fn online_cache_repair_keeps_active_transactions() {
 /// A transaction open across an online repair can still abort: its
 /// update, kept by the rebuild, is rolled back as any other.
 #[test]
-fn a_transaction_open_across_online_cache_repair_can_abort() {
+fn a_transaction_open_across_online_repair_can_abort() {
     let s = setup("online3", ProtectionScheme::DataCodeword);
     let txn = s.db.begin().unwrap();
     txn.update(s.y, &val(77)).unwrap();
 
     let addr = s.db.record_addr(s.x).unwrap();
     wild_write(&s.db, addr, &[0xEE; 8]);
-    s.db.cache_repair(&[(addr, 8)]).unwrap();
+    s.db.repair(region_of(&s.db, addr)).unwrap();
     txn.abort().unwrap();
 
     assert_eq!(read_one(&s.db, s.y), val(2));
@@ -369,9 +385,9 @@ fn a_transaction_open_across_online_cache_repair_can_abort() {
 /// a later write of just that span (what a changed-span redo record
 /// carries) must survive the repair.
 #[test]
-fn online_cache_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
+fn online_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
     let dir = tmpdir("online-span");
-    let config = DaliConfig::small(dir.path());
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
     let page = config.page_size;
     let (db, _) = DaliEngine::create(config).unwrap();
     // 100-byte records: some cross a page boundary.
@@ -406,10 +422,86 @@ fn online_cache_repair_leaves_the_healthy_half_of_a_spanning_record_alone() {
 
     // Damage the half before the boundary and repair its page online.
     wild_write(&db, addr, &[0xEE; 8]);
-    db.cache_repair(&[(addr, 8)]).unwrap();
+    db.repair(region_of(&db, addr)).unwrap();
     let mut expect = vec![0xAA; 100];
     expect[boundary - addr.0..].fill(0xBB);
     assert_eq!(read_one(&db, rec), expect);
+}
+
+/// `repair` is the one online repair, and it refuses where a rebuild is
+/// not the answer: under the read-logging schemes (a committed reader may
+/// carry the damage, which needs §4.3) and where there are no codewords.
+/// A refusal writes nothing and leaves the engine up; the next dirty audit
+/// still brings it down for delete-transaction recovery.
+#[test]
+fn repair_refuses_under_read_logging_and_without_codewords() {
+    for scheme in [
+        ProtectionScheme::ReadLogging,
+        ProtectionScheme::CwReadLogging,
+    ] {
+        let s = setup(&format!("refuse-{scheme:?}"), scheme);
+        let addr = s.db.record_addr(s.x).unwrap();
+        wild_write(&s.db, addr, &[0xEE; 16]);
+        let err = s.db.repair(region_of(&s.db, addr)).unwrap_err();
+        assert!(matches!(err, DaliError::InvalidArg(_)), "{scheme:?}: {err}");
+        let mut bytes = [0u8; 16];
+        s.db.raw_image().read(addr, &mut bytes).unwrap();
+        assert_eq!(bytes, [0xEE; 16], "{scheme:?}: the refusal wrote nothing");
+        assert_eq!(s.db.stats().repair_attempted.load(Ordering::Relaxed), 0);
+        s.db.begin().unwrap().commit().unwrap();
+
+        assert!(!s.db.audit().unwrap().clean());
+        assert!(
+            matches!(s.db.begin(), Err(DaliError::Crashed)),
+            "{scheme:?}"
+        );
+        let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
+        assert_eq!(outcome.mode, RecoveryMode::DeleteTxn, "{scheme:?}");
+        assert_eq!(read_one(&db, s.x), val(1), "{scheme:?}");
+    }
+    for scheme in [
+        ProtectionScheme::Baseline,
+        ProtectionScheme::MemoryProtection,
+    ] {
+        let s = setup(&format!("refuse-{scheme:?}"), scheme);
+        let err = s.db.repair(0).unwrap_err();
+        assert!(matches!(err, DaliError::InvalidArg(_)), "{scheme:?}: {err}");
+        assert_eq!(read_one(&s.db, s.x), val(1), "{scheme:?}");
+    }
+}
+
+/// A marker no failed audit left (or one a crash kept past its
+/// recovery) changes no restart: each scheme opens in the mode it runs
+/// without one, deletes it, and the next open sees the same mode.
+#[test]
+fn a_stray_marker_leaves_each_schemes_restart_as_it_is() {
+    for (scheme, mode) in [
+        (ProtectionScheme::DataCodeword, RecoveryMode::Normal),
+        (ProtectionScheme::ReadPrecheck, RecoveryMode::Normal),
+        (ProtectionScheme::CwReadLogging, RecoveryMode::DeleteTxn),
+    ] {
+        let s = setup(&format!("stray-{scheme:?}"), scheme);
+        let ranges = vec![(s.db.record_addr(s.x).unwrap(), REC)];
+        s.db.crash();
+        let marker = CorruptionMarker {
+            audit_sn: None,
+            ranges,
+        };
+        corruption::write_marker(&OsStorage, &s.config.dir, &marker).unwrap();
+
+        for open in 0..2 {
+            let (db, outcome) = DaliEngine::open(s.config.clone()).unwrap();
+            assert_eq!(outcome.mode, mode, "{scheme:?}, open {open}");
+            assert!(outcome.deleted_txns.is_empty(), "{scheme:?}: {outcome:?}");
+            assert_eq!(
+                corruption::read_marker(&OsStorage, &s.config.dir).unwrap(),
+                None,
+                "{scheme:?}, open {open}"
+            );
+            assert_eq!(read_one(&db, s.x), val(1), "{scheme:?}");
+            db.crash();
+        }
+    }
 }
 
 #[test]

@@ -2,9 +2,11 @@
 //! make Dali-style local logging subtle (paper §2.1).
 
 use dali_common::storage::{Open, Storage, StorageFile};
-use dali_common::{DaliConfig, DaliError, OsStorage, ProtectionScheme};
-use dali_engine::{DaliEngine, RecoveryMode};
+use dali_common::{DaliConfig, DaliError, Lsn, OsStorage, ProtectionScheme};
+use dali_engine::{CheckpointOutcome, DaliEngine, RecoveryMode};
 use dali_testutil::TempDir;
+use dali_wal::record::FRAME_HDR;
+use dali_wal::{segment, SegmentBuf};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -383,4 +385,78 @@ fn a_delete_txn_open_checkpoints_before_it_clears_the_marker() {
     let (anchor, marker) = (at("cur_ckpt"), at("corrupt.marker"));
     assert!(anchor.is_some() && anchor < marker, "{written:?}");
     assert!(!dir.path().join("corrupt.marker").exists());
+}
+
+/// A damaged sealed segment stops restart; it does not end the log. One
+/// flipped payload bit in the middle of the second of several sealed
+/// segments: `open` refuses and names the LSN where the intact log ends,
+/// and prior-state recovery to that LSN keeps every update logged before
+/// it. (A restart that took the damage for the log's end would drop every
+/// commit after it without a word.)
+#[test]
+fn a_damaged_sealed_segment_stops_restart_at_the_last_intact_lsn() {
+    let dir = tmpdir("sealed-damage");
+    let mut config = DaliConfig::small(dir.path())
+        .with_scheme(ProtectionScheme::DataCodeword)
+        .with_log_segment_bytes(16 << 10);
+    config.sync_commit = true;
+    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let t = db.create_table("t", 64, 32).unwrap();
+    let setup = db.begin().unwrap();
+    let rec = setup.insert(t, &val(0)).unwrap();
+    setup.commit().unwrap();
+    assert!(matches!(
+        db.checkpoint().unwrap(),
+        CheckpointOutcome::Certified { .. }
+    ));
+    // The log's end after each durable update, whose value is its index.
+    let value = |i: u32| i.to_le_bytes().repeat(16);
+    let ends: Vec<Lsn> = (0..200u32)
+        .map(|i| {
+            let txn = db.begin().unwrap();
+            txn.update(rec, &value(i)).unwrap();
+            txn.commit().unwrap();
+            db.current_lsn().unwrap()
+        })
+        .collect();
+    db.crash();
+
+    let log = dir.path().join("system.log");
+    let segments = segment::list(&log).unwrap();
+    assert!(segments.len() > 3, "{segments:?}");
+    let second = segments[1].base;
+    let kind = config.codeword_algebra;
+    let seg = SegmentBuf::load(&OsStorage, &log, second, 0, kind).unwrap();
+    let frames: Vec<Lsn> = seg.records().map(|(lsn, _)| lsn).collect();
+    let damaged = frames[frames.len() / 2];
+    let path = segment::path(&log, second);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(damaged.0 - second.0) as usize + FRAME_HDR + 1] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+
+    let err = DaliEngine::open(config.clone())
+        .err()
+        .expect("open refuses");
+    let msg = err.to_string();
+    assert!(matches!(err, DaliError::RecoveryFailed(_)), "{msg}");
+    assert!(msg.contains(&segment::file_name(second)), "{msg}");
+    assert!(
+        msg.contains(&format!("open_prior_state at {damaged}")),
+        "{msg}"
+    );
+
+    let (db, outcome) = DaliEngine::open_prior_state(config.clone(), damaged).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::PriorState);
+    let kept = ends.iter().rposition(|&end| end <= damaged).unwrap();
+    assert!(kept > 0 && kept < 199, "{kept}");
+    let check = db.begin().unwrap();
+    assert_eq!(check.read_vec(rec).unwrap(), value(kept as u32));
+    check.commit().unwrap();
+    assert!(db.audit().unwrap().clean());
+    db.crash();
+    let (db, outcome) = DaliEngine::open(config).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    let check = db.begin().unwrap();
+    assert_eq!(check.read_vec(rec).unwrap(), value(kept as u32));
+    check.commit().unwrap();
 }

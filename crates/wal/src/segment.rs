@@ -31,9 +31,8 @@
 //! time, each frame checked once as it is first walked over, its records
 //! handed out as [`LogRecordRef`]s that borrow from the segment's
 //! buffer. Every consumer of the stable log — restart, prior-state and
-//! corruption recovery, cache repair, taint tracing, the fault
-//! campaigns, `logdump` — walks it this way, so a scan's memory is one
-//! segment, not the log.
+//! corruption recovery, online repair, taint tracing — walks it this
+//! way, so a scan's memory is one segment, not the log.
 
 use crate::record::{parse_frame, Frame, LogRecordRef};
 use dali_common::codec::Wire;
@@ -385,6 +384,11 @@ impl SegmentBuf {
         self.ends_with_seal();
         self.bytes.len() - self.checked.get()
     }
+
+    /// Global LSN one past the last intact frame (the seal included).
+    pub fn intact_end(&self) -> Lsn {
+        Lsn(self.base.0 + (self.bytes.len() - self.torn_bytes()) as u64)
+    }
 }
 
 /// Iterator over a [`SegmentBuf`]'s records, each held as `R`.
@@ -426,9 +430,10 @@ impl<'a, R: Wire<'a>> Iterator for SegmentRecords<'a, R> {
 /// Streaming reader over a stable log directory from `from` onward, one
 /// [`SegmentBuf`] at a time. (The in-memory tail of a live log is *not*
 /// visible: after a crash it is gone.) The scan crosses segment
-/// boundaries transparently and ends after the first segment with
-/// [`torn_bytes`](SegmentBuf::torn_bytes): nothing past a torn frame can
-/// be trusted to be in sequence.
+/// boundaries transparently; bytes after the last segment's intact
+/// frames are a torn final flush. Every other segment must end with its
+/// seal, or the scan fails with [`DaliError::RecoveryFailed`], naming
+/// where the intact log ends.
 pub struct LogReader<'s> {
     store: &'s dyn Storage,
     dir: PathBuf,
@@ -494,18 +499,32 @@ impl<'s> LogReader<'s> {
 
     /// Run `f` over each segment of the scan in turn, until it breaks or
     /// the log ends. One segment is in memory at a time, in one buffer
-    /// reused for the next; what `f` keeps of a segment it must copy.
+    /// reused for the next; what `f` keeps of a segment it must copy. A
+    /// damaged sealed segment fails the scan only after `f` has seen its
+    /// intact records, so a caller that needs no more breaks out first.
     pub fn for_each_segment(
         self,
         mut f: impl FnMut(&SegmentBuf) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
         let mut buf = Vec::new();
-        for info in self.segments {
+        let mut segments = self.segments.into_iter().peekable();
+        while let Some(info) = segments.next() {
             let start = self.from.0.saturating_sub(info.base.0) as usize;
             let seg =
                 SegmentBuf::load_into(buf, self.store, &self.dir, info.base, start, self.kind)?;
-            if f(&seg)?.is_break() || seg.torn_bytes() > 0 {
+            if f(&seg)?.is_break() {
                 break;
+            }
+            // A successor is named only once its predecessor is sealed and
+            // synced: a sealed segment that is not whole is damaged.
+            if segments.peek().is_some() && (seg.torn_bytes() > 0 || !seg.ends_with_seal()) {
+                let end = seg.intact_end();
+                return Err(DaliError::RecoveryFailed(format!(
+                    "sealed log segment {} is damaged at offset {}: the intact log ends at \
+                     {end}; open_prior_state at {end} recovers everything logged before it",
+                    file_name(info.base),
+                    end.0 - info.base.0,
+                )));
             }
             buf = seg.bytes;
         }

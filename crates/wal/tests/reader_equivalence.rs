@@ -2,9 +2,11 @@
 //!
 //! `reference_scan` is the stable-log scan as it stood before
 //! `LogReader`: every segment read whole, every frame decoded into an
-//! owned record, the whole log returned as one vector. The reader must
-//! yield exactly that `(Lsn, record)` sequence — and fail exactly where
-//! it failed — on every shape of log directory recovery can meet.
+//! owned record, the whole log returned as one vector — with one rule
+//! added since: a segment with a successor must be whole up to its seal,
+//! or the scan fails. The reader must yield exactly that `(Lsn, record)`
+//! sequence — and fail exactly where it fails — on every shape of log
+//! directory recovery can meet.
 
 use bytes::BytesMut;
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId};
@@ -51,30 +53,29 @@ fn reference_scan(dir: &Path, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
         return Err(DaliError::RecoveryFailed("scan start out of range".into()));
     }
     let mut out = Vec::new();
-    for s in segments.iter().filter(|s| s.end() > from || s.len == 0) {
+    let scanned: Vec<_> = (segments.iter())
+        .filter(|s| s.end() > from || s.len == 0)
+        .collect();
+    for (i, s) in scanned.iter().enumerate() {
         let bytes = std::fs::read(segment::path(dir, s.base))?;
         let mut pos = from.0.saturating_sub(s.base.0) as usize;
-        let mut clean_end = pos == bytes.len();
+        let mut sealed = false;
         while pos < bytes.len() {
             match unframe_with(KIND, &bytes[pos..]) {
                 Ok((Frame::Record(rec), n)) => {
                     out.push((Lsn(s.base.0 + pos as u64), rec));
                     pos += n;
-                    clean_end = pos == bytes.len();
                 }
                 Ok((Frame::Seal, n)) => {
                     pos += n;
-                    clean_end = pos == bytes.len();
+                    sealed = true;
                     break;
                 }
-                Err(_) => {
-                    clean_end = false;
-                    break;
-                }
+                Err(_) => break,
             }
         }
-        if !clean_end {
-            break;
+        if i + 1 < scanned.len() && !(sealed && pos == bytes.len()) {
+            return Err(DaliError::RecoveryFailed("damaged sealed segment".into()));
         }
     }
     Ok(out)
@@ -175,9 +176,10 @@ fn intact_multi_segment_log_from_every_record_and_the_end() {
     // `from` == end of the log: an empty scan, not an error.
     let end = segments.last().unwrap().end();
     assert_eq!(assert_same(&scratch.0, end), Some(vec![]));
-    // Past the end, and not on a frame boundary.
+    // Past the end, and not on a frame boundary: inside a sealed
+    // segment, that reads as damage there.
     assert_eq!(assert_same(&scratch.0, Lsn(end.0 + 1)), None);
-    assert_eq!(assert_same(&scratch.0, Lsn(lsns[3].0 + 2)), Some(vec![]));
+    assert_eq!(assert_same(&scratch.0, Lsn(lsns[3].0 + 2)), None);
 }
 
 #[test]
@@ -213,10 +215,12 @@ fn mid_file_seal_ends_the_scan_at_the_seal() {
 }
 
 #[test]
-fn unsealed_interior_segment_is_read_through() {
+fn unsealed_interior_segment_refuses_the_scan() {
     // Hand-built: two segments, the first ending on a frame boundary
     // with no seal (what a lost seal write would leave). The chain still
-    // validates, so the reference reads through it; so must the reader.
+    // validates, but a successor is named only after its predecessor is
+    // sealed: the scan refuses to read through. One that starts past it
+    // reads the second.
     let scratch = Scratch::new("unsealed");
     std::fs::create_dir_all(&scratch.0).unwrap();
     let mut first = BytesMut::new();
@@ -229,7 +233,7 @@ fn unsealed_interior_segment_is_read_through() {
     }
     std::fs::write(segment::path(&scratch.0, Lsn::ZERO), &first).unwrap();
     std::fs::write(segment::path(&scratch.0, Lsn(first.len() as u64)), &second).unwrap();
-    assert_eq!(assert_same(&scratch.0, Lsn::ZERO).unwrap().len(), 5);
+    assert_eq!(assert_same(&scratch.0, Lsn::ZERO), None);
     assert_eq!(
         assert_same(&scratch.0, Lsn(first.len() as u64))
             .unwrap()
@@ -239,7 +243,7 @@ fn unsealed_interior_segment_is_read_through() {
 }
 
 #[test]
-fn damaged_interior_segment_hides_everything_after_it() {
+fn damaged_interior_segment_refuses_the_scan() {
     let scratch = Scratch::new("interior");
     build(&scratch.0, 14, SEGMENT);
     let segments = segment::list(&scratch.0).unwrap();
@@ -248,8 +252,8 @@ fn damaged_interior_segment_hides_everything_after_it() {
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[FRAME_HDR + 2] ^= 0x40;
     std::fs::write(&path, bytes).unwrap();
-    let got = assert_same(&scratch.0, Lsn::ZERO).unwrap();
-    assert!(got.iter().all(|(lsn, _)| *lsn < segments[1].base));
+    assert_eq!(assert_same(&scratch.0, Lsn::ZERO), None);
+    assert_eq!(assert_same(&scratch.0, segments[1].base), None);
     // Starting past the damage sees the rest.
     assert!(!assert_same(&scratch.0, segments[2].base)
         .unwrap()

@@ -42,10 +42,11 @@
 //! fold of a damaged region moves (maintenance moves a codeword by
 //! `fold(old)` → `fold(new)`, so the mismatch survives later updates);
 //! log damage is rejected iff the frame checksum moves or the payload no
-//! longer decodes. Detected damage leaves the shadow's latest table under
-//! `DataCodeword` (online repair from the anchored checkpoint plus the
-//! log, which rewrites the whole page, the second region included), and
-//! the shadow replayed without the deleted
+//! longer decodes (a damaged sealed segment refuses the scan; damage in
+//! the active segment ends it). Detected damage leaves the shadow's
+//! latest table under `DataCodeword` (online repair from the anchored
+//! checkpoint plus the log, which rewrites the whole page, the second
+//! region included), and the shadow replayed without the deleted
 //! transactions, every carrier among them, under `CwReadLogging`. A
 //! predicted miss runs no carriers and puts the bytes back. Half the
 //! arena moves hold a transaction open across detection, with 1–3
@@ -313,7 +314,7 @@ impl Run<'_> {
     /// shadow says. A carrier starts by reading or writing one of
     /// `carrier`'s records, and commits: an abort's rollback would log
     /// the damaged before-image as a restore, and replay would write the
-    /// damage back, which is carried corruption no cache recovery undoes.
+    /// damage back, which is carried corruption no restart undoes.
     fn transaction(&mut self, carrier: Option<&[RecId]>) -> Result<bool, String> {
         let Ok(txn) = self.engine.begin() else {
             return Ok(false);
@@ -669,7 +670,7 @@ impl Run<'_> {
                 _ => true,
             },
             // The open transaction, if any, dies with the process.
-            _ => return self.reopen(&carriers, &leaks, false).map(Some),
+            _ => return self.reopen(&carriers, &leaks).map(Some),
         };
         // Detection has run: the transaction open across it ends now,
         // unless detection poisoned the engine and takes it down.
@@ -693,7 +694,7 @@ impl Run<'_> {
             if self.config.scheme == ProtectionScheme::DataCodeword {
                 return Err("online repair gave up".into());
             }
-            return self.reopen(&carriers, &leaks, true).map(|_| Some(true));
+            return self.reopen(&carriers, &leaks).map(|_| Some(true));
         }
         self.rung("repaired from the log");
         self.holds(latest, "a repair").map(|()| Some(true))
@@ -703,12 +704,7 @@ impl Run<'_> {
     /// deleted transactions, which include `carriers`; a record of `leaks`
     /// that a deleted transaction wrote may also hold its damage. Returns
     /// whether recovery deleted any.
-    fn reopen(
-        &mut self,
-        carriers: &[TxnId],
-        leaks: &[Leak],
-        poisoned: bool,
-    ) -> Result<bool, String> {
+    fn reopen(&mut self, carriers: &[TxnId], leaks: &[Leak]) -> Result<bool, String> {
         self.engine.clone().crash();
         let (engine, outcome) =
             DaliEngine::open_on(self.config.clone(), self.sim.store()).map_err(err)?;
@@ -716,10 +712,9 @@ impl Run<'_> {
         let RecoveryOutcome {
             mode, deleted_txns, ..
         } = outcome;
-        let want = match (self.config.scheme, poisoned) {
-            (ProtectionScheme::CwReadLogging, _) => RecoveryMode::DeleteTxn,
-            (_, true) => RecoveryMode::CacheRecovery,
-            (_, false) => RecoveryMode::Normal,
+        let want = match self.config.scheme {
+            ProtectionScheme::CwReadLogging => RecoveryMode::DeleteTxn,
+            _ => RecoveryMode::Normal,
         };
         if mode != want {
             return Err(format!("recovered in {mode:?}, expected {want:?}"));
@@ -729,7 +724,6 @@ impl Run<'_> {
         }
         self.rung(match mode {
             RecoveryMode::Normal => "discarded by restart",
-            RecoveryMode::CacheRecovery => "CacheRecovery",
             _ => "DeleteTxn",
         });
         let mut want = self.shadow.without(&deleted_txns);
@@ -841,8 +835,18 @@ impl Run<'_> {
             || LogRecordRef::decode(&altered).is_err();
         let (f, pos) = (self.file(&path)?, (at + FRAME_HDR + off) as u64);
         f.write_at(&bytes, pos).map_err(err)?;
-        let kept = self.scan(&log, first)?.contains(&frame);
+        let scan = self.scan(&log, first);
         f.write_at(&payload[window], pos).map_err(err)?;
+        // A refused scan rejects the frame: a damaged sealed segment
+        // refuses the scan, and damage in the active segment ends it.
+        let kept = scan.as_ref().is_ok_and(|lsns| lsns.contains(&frame));
+        let sealed = seg != segments.last().unwrap().base;
+        if !kept && sealed == scan.is_ok() {
+            let refused = scan.is_err();
+            return Err(format!(
+                "WAL: sealed segment {sealed}, scan refused {refused}"
+            ));
+        }
         if kept == predicted {
             return Err(format!("WAL: rejected {}, predicted {predicted}", !kept));
         }
@@ -854,9 +858,11 @@ impl Run<'_> {
         {
             return Err("WAL: a frame with one or three flips was accepted".into());
         }
-        if kept {
-            self.rung("miss: wal");
-        }
+        self.rung(match (kept, sealed) {
+            (true, _) => "miss: wal",
+            (false, true) => "wal: a sealed segment refused the scan",
+            (false, false) => "wal: the active segment's scan ended",
+        });
         Ok(Some(!kept))
     }
 }

@@ -5,6 +5,7 @@
 use dali::common::storage::{OsStorage, Store};
 use dali::{
     DaliConfig, DaliEngine, DaliError, FaultInjector, ProtectionScheme, RecId, RecoveryMode,
+    RecoveryOutcome,
 };
 use dali_testutil::FailImageRead;
 use std::sync::atomic::Ordering;
@@ -50,6 +51,14 @@ fn world_on(name: &str, scheme: ProtectionScheme, store: Store) -> World {
         y,
         _dir: dir,
     }
+}
+
+/// A restart after a poison, under a scheme without read logging: the
+/// normal one, with no exit checkpoint and no marker left behind.
+fn assert_normal_restart(w: &World, outcome: &RecoveryOutcome) {
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    assert_eq!(outcome.phases.exit_checkpoint, None, "{outcome:?}");
+    assert!(!w.config.dir.join("corrupt.marker").exists());
 }
 
 fn corrupt_x(w: &World) -> dali::InjectionEffect {
@@ -114,8 +123,9 @@ fn data_codeword_detects_direct_at_audit() {
 #[test]
 fn data_codeword_recovers_by_restart_when_repair_fails() {
     // The repair the dirty audit runs cannot read the anchored image, so
-    // the damage stays: the engine poisons, and a restart on a plain
-    // store runs cache recovery.
+    // the damage stays: the engine poisons, and the normal restart on a
+    // plain store reloads the certified image and redoes the log (§4.1's
+    // cache-recovery model). It takes no checkpoint and drops the marker.
     let store = Arc::new(FailImageRead::default());
     let w = world_on("dcw-rec", ProtectionScheme::DataCodeword, store.clone());
     assert!(corrupt_x(&w).landed());
@@ -126,7 +136,7 @@ fn data_codeword_recovers_by_restart_when_repair_fails() {
     assert_eq!(stats.repair_succeeded.load(Ordering::Relaxed), 0);
     assert!(matches!(w.db.begin(), Err(DaliError::Crashed)), "poisoned");
     let (db, outcome) = DaliEngine::open(w.config.clone()).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
+    assert_normal_restart(&w, &outcome);
     let txn = db.begin().unwrap();
     assert_eq!(txn.read_vec(w.x).unwrap(), val(1));
     txn.commit().unwrap();
@@ -169,7 +179,7 @@ fn precheck_prevents_indirect() {
     drop(txn);
     // Unaffected regions are still readable after recovery.
     let (db, outcome) = DaliEngine::open(w.config.clone()).unwrap();
-    assert_eq!(outcome.mode, RecoveryMode::CacheRecovery);
+    assert_normal_restart(&w, &outcome);
     let txn = db.begin().unwrap();
     assert_eq!(txn.read_vec(w.x).unwrap(), val(1));
     assert_eq!(txn.read_vec(w.y).unwrap(), val(2));
