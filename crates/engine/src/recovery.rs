@@ -57,7 +57,7 @@ use dali_common::{
 };
 use dali_mem::{DbImage, PageProtector};
 use dali_wal::record::{LogRecord, LogRecordRef, LogicalUndoRef};
-use dali_wal::{LogReader, SystemLog};
+use dali_wal::{LogEnd, LogReader, SystemLog};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -424,6 +424,9 @@ struct Redone {
     torn: Vec<(TxnId, DbAddr, usize)>,
     /// Starts at `CK_end`; the end is where the log is reopened.
     scanned: std::ops::Range<Lsn>,
+    /// Where the scan found the log to end, if it read to the end: the
+    /// log reopens there without walking the last segment again.
+    log_end: Option<LogEnd>,
     phases: RecoveryPhases,
     next_txn: u64,
     next_audit: u64,
@@ -482,7 +485,7 @@ fn redo_pass(
     let log_dir = Db::log_path(&config.dir);
     dali_wal::segment::adopt_pending(&**store, &log_dir, kind)?;
     let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, kind)?;
-    reader.for_each_segment(|seg| {
+    let log_end = reader.for_each_segment(|seg| {
         let mut pending: Pending = std::mem::take(&mut carried);
         for (lsn, rec) in seg.records() {
             if upto.is_some_and(|upto| lsn >= upto) {
@@ -650,6 +653,7 @@ fn redo_pass(
         records_scanned,
         torn,
         scanned: meta.ck_end..meta.ck_end,
+        log_end,
         phases: RecoveryPhases::default(),
         next_txn: meta.next_txn.max(max_txn_seen),
         next_audit: meta.next_audit.max(max_audit_seen),
@@ -676,9 +680,10 @@ fn load_and_redo(
     Ok((Arc::new(image), redone))
 }
 
-/// Everything after the redo pass: reopen the log for append, assemble
-/// the engine around the redone image (heaps are needed for logical
-/// undo), roll back, and report.
+/// Everything after the redo pass: reopen the log for append where the
+/// scan found it to end (walking the last segment only when the scan did
+/// not get there), assemble the engine around the redone image (heaps are
+/// needed for logical undo), roll back, and report.
 fn finish(
     config: DaliConfig,
     store: Store,
@@ -689,13 +694,16 @@ fn finish(
     ctt: &HashSet<TxnId>,
 ) -> Result<(Arc<Db>, RecoveryOutcome)> {
     let start = Instant::now();
-    let syslog = SystemLog::open_on(
-        Arc::clone(&store),
-        Db::log_path(&config.dir),
+    let log = Db::log_path(&config.dir);
+    let (page, kind, seg) = (
         config.page_size,
         config.codeword_algebra,
         config.log_segment_bytes,
-    )?;
+    );
+    let syslog = match redone.log_end {
+        Some(end) => SystemLog::reopen_on(Arc::clone(&store), log, page, kind, seg, end),
+        None => SystemLog::open_on(Arc::clone(&store), log, page, kind, seg),
+    }?;
     let db = build_db(
         config,
         store,
@@ -882,7 +890,9 @@ pub fn restore_prior_state(
 
     // Redo up to (not beyond) `upto`; a prefix cut can split an
     // operation's batch, whose unmatched physical records are discarded.
-    let (image, redone) = load_and_redo(&config, &store, &meta, image_idx, Some(upto), None)?;
+    // The cut below moves the log's end, so the reopen walks to it.
+    let (image, mut redone) = load_and_redo(&config, &store, &meta, image_idx, Some(upto), None)?;
+    redone.log_end = None;
     // Anchor the image this recovery starts from before the log is cut
     // below the other one's `CK_end`, so a crash from here on restarts
     // from it; then truncate the discarded future before reopening the

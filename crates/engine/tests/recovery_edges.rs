@@ -460,3 +460,68 @@ fn a_damaged_sealed_segment_stops_restart_at_the_last_intact_lsn() {
     assert_eq!(check.read_vec(rec).unwrap(), value(kept as u32));
     check.commit().unwrap();
 }
+
+/// One flipped bit in a frame below the anchored checkpoint's `CK_end`,
+/// in the segment the log appends to: restart's scan starts at `CK_end`
+/// and never reads it, so the log reopens where that scan ended. Cutting
+/// the log at the damage instead would drop every durable commit after
+/// it and leave the checkpoint's `CK_end` past the log's end, which the
+/// next restart refuses.
+#[test]
+fn damage_before_ck_end_in_the_active_segment_keeps_every_commit() {
+    let dir = tmpdir("active-damage");
+    let mut config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+    config.sync_commit = true;
+    let (db, _) = DaliEngine::create(config.clone()).unwrap();
+    let t = db.create_table("t", 64, 32).unwrap();
+    let setup = db.begin().unwrap();
+    let rec = setup.insert(t, &val(0)).unwrap();
+    setup.commit().unwrap();
+    let value = |i: u32| i.to_le_bytes().repeat(16);
+    let update = |db: &DaliEngine, i: u32| {
+        let txn = db.begin().unwrap();
+        txn.update(rec, &value(i)).unwrap();
+        txn.commit().unwrap();
+    };
+    (1..=10).for_each(|i| update(&db, i));
+    let CheckpointOutcome::Certified { ck_end, .. } = db.checkpoint().unwrap() else {
+        panic!("checkpoint not certified");
+    };
+    (11..=30).for_each(|i| update(&db, i));
+    let end = db.current_lsn().unwrap();
+    db.crash();
+
+    let log = dir.path().join("system.log");
+    let segments = segment::list(&log).unwrap();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    let base = segments[0].base;
+    let seg = SegmentBuf::load(&OsStorage, &log, base, 0, config.codeword_algebra).unwrap();
+    let before: Vec<Lsn> = (seg.records().map(|(lsn, _)| lsn))
+        .filter(|&lsn| lsn < ck_end)
+        .collect();
+    let damaged = before[before.len() / 2];
+    let path = segment::path(&log, base);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(damaged.0 - base.0) as usize + FRAME_HDR + 1] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+
+    let read = |db: &DaliEngine| {
+        let check = db.begin().unwrap();
+        let got = check.read_vec(rec).unwrap();
+        check.commit().unwrap();
+        got
+    };
+    let (db, outcome) = DaliEngine::open(config.clone()).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    assert_eq!(read(&db), value(30));
+    assert!(
+        db.current_lsn().unwrap() >= end,
+        "the log was cut below {end}"
+    );
+    update(&db, 31);
+    db.crash();
+    let (db, outcome) = DaliEngine::open(config).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    assert_eq!(read(&db), value(31));
+    assert!(db.audit().unwrap().clean());
+}

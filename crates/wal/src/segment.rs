@@ -389,6 +389,38 @@ impl SegmentBuf {
     pub fn intact_end(&self) -> Lsn {
         Lsn(self.base.0 + (self.bytes.len() - self.torn_bytes()) as u64)
     }
+
+    /// Where this segment's intact frames end, as the log's end if it is
+    /// the last segment.
+    ///
+    /// A walk from `start` sees only the frames from there on, so one
+    /// that starts at the file's end reports no seal. That is the truth
+    /// for a scan from a checkpoint's `CK_end`: the writer puts a seal
+    /// only in front of the frame that overflowed, so the log's end never
+    /// directly follows one — except after a reopen at a seal, which
+    /// creates the successor durably, and a scan from its base reads the
+    /// successor.
+    pub fn log_end(&self) -> LogEnd {
+        LogEnd {
+            base: self.base,
+            end: self.intact_end(),
+            sealed: self.ends_with_seal(),
+        }
+    }
+}
+
+/// Where a scan found the stable log's end: the last segment, the end of
+/// its intact frames, and whether they end with a seal.
+/// [`SystemLog::reopen_on`](crate::SystemLog::reopen_on) resumes
+/// appending there. Only a walk of a segment makes one.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct LogEnd {
+    /// Base LSN of the last segment.
+    pub(crate) base: Lsn,
+    /// One past its last intact frame.
+    pub(crate) end: Lsn,
+    /// Whether that frame is a seal.
+    pub(crate) sealed: bool,
 }
 
 /// Iterator over a [`SegmentBuf`]'s records, each held as `R`.
@@ -481,7 +513,11 @@ impl<'s> LogReader<'s> {
                 "scan start {from} beyond stable log ({end})"
             )));
         }
+        // The last segment is always read, if only to say where the log
+        // ends.
+        let last = segments.pop().expect("non-empty");
         segments.retain(|s| s.end() > from || s.len == 0);
+        segments.push(last);
         validate_chain(&segments)?;
         if segments.first().is_some_and(|s| from < s.base) {
             return Err(DaliError::RecoveryFailed(format!(
@@ -502,22 +538,28 @@ impl<'s> LogReader<'s> {
     /// reused for the next; what `f` keeps of a segment it must copy. A
     /// damaged sealed segment fails the scan only after `f` has seen its
     /// intact records, so a caller that needs no more breaks out first.
+    /// Returns where the log ends ([`SegmentBuf::log_end`] of the last
+    /// segment) if the scan got there, `None` if `f` broke out.
     pub fn for_each_segment(
         self,
         mut f: impl FnMut(&SegmentBuf) -> Result<ControlFlow<()>>,
-    ) -> Result<()> {
-        let mut buf = Vec::new();
+    ) -> Result<Option<LogEnd>> {
+        let (mut buf, mut end) = (Vec::new(), None);
         let mut segments = self.segments.into_iter().peekable();
         while let Some(info) = segments.next() {
             let start = self.from.0.saturating_sub(info.base.0) as usize;
             let seg =
                 SegmentBuf::load_into(buf, self.store, &self.dir, info.base, start, self.kind)?;
             if f(&seg)?.is_break() {
+                return Ok(None);
+            }
+            if segments.peek().is_none() {
+                end = Some(seg.log_end());
                 break;
             }
             // A successor is named only once its predecessor is sealed and
             // synced: a sealed segment that is not whole is damaged.
-            if segments.peek().is_some() && (seg.torn_bytes() > 0 || !seg.ends_with_seal()) {
+            if seg.torn_bytes() > 0 || !seg.ends_with_seal() {
                 let end = seg.intact_end();
                 return Err(DaliError::RecoveryFailed(format!(
                     "sealed log segment {} is damaged at offset {}: the intact log ends at \
@@ -528,7 +570,7 @@ impl<'s> LogReader<'s> {
             }
             buf = seg.bytes;
         }
-        Ok(())
+        Ok(end)
     }
 
     /// Run `f` over every record of the scan, in log order.
@@ -538,7 +580,8 @@ impl<'s> LogReader<'s> {
                 f(lsn, rec)?;
             }
             Ok(ControlFlow::Continue(()))
-        })
+        })?;
+        Ok(())
     }
 }
 

@@ -47,14 +47,16 @@
 //! loses its in-memory tail, while the worker finishes what was already
 //! written and is joined, so the directory is in one deterministic state
 //! and no longer changes. Recovery scans the stable segments with a
-//! [`LogReader`]; [`SystemLog::open_on`] truncates a torn trailing frame (a
-//! partially completed flush) in the last segment before resuming
-//! appends.
+//! [`LogReader`], which reports where the last segment's intact frames
+//! end; [`SystemLog::reopen_on`] truncates a torn trailing frame (a
+//! partially completed flush) there before resuming appends.
+//! [`SystemLog::open_on`] finds that end by walking the last segment
+//! itself.
 
 use crate::dpt::DualDirtySet;
 use crate::locallog::LocalRedoLog;
 use crate::record::{frame_into, frame_len, frame_seal, LogRecord, FRAME_HDR};
-use crate::segment::{self, LogReader, SegmentBuf};
+use crate::segment::{self, LogEnd, LogReader, SegmentBuf};
 use dali_common::storage::{Open, StorageFile};
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, PageId, Result, Store};
 use parking_lot::{Condvar, Mutex};
@@ -378,10 +380,9 @@ impl SystemLog {
     }
 
     /// Open an existing log through `store`: settle what a crash left
-    /// pending ([`segment::adopt_pending`]) or stranded
-    /// ([`segment::unlink_stranded`]), cut the last segment after its
-    /// last intact frame and fsync it and the directory; after a seal,
-    /// start a fresh segment at the sealed end.
+    /// pending ([`segment::adopt_pending`]), walk the last segment from
+    /// its first byte to find where its intact frames end, and
+    /// [`reopen_on`](Self::reopen_on) there.
     pub fn open_on(
         store: Store,
         path: impl AsRef<Path>,
@@ -391,23 +392,48 @@ impl SystemLog {
     ) -> Result<SystemLog> {
         let dir = path.as_ref().to_path_buf();
         segment::adopt_pending(&*store, &dir, kind)?;
-        let Some(last) = segment::unlink_stranded(&*store, &dir)?.pop() else {
-            return Err(DaliError::RecoveryFailed(format!(
-                "no log segments in {}",
-                dir.display()
-            )));
+        let end = match segment::list_on(&*store, &dir)?.last() {
+            // One borrowed walk over the last segment's frames: nothing is
+            // decoded into owned records just to find where they end.
+            Some(last) => SegmentBuf::load(&*store, &dir, last.base, 0, kind)?.log_end(),
+            None => return Err(no_segments(&dir)),
         };
-        // One borrowed walk over the last segment's frames: nothing is
-        // decoded into owned records just to find where they end.
-        let tail = SegmentBuf::load(&*store, &dir, last.base, 0, kind)?;
-        let (sealed, torn) = (tail.ends_with_seal(), tail.torn_bytes());
-        let valid = (tail.len() - torn) as u64;
-        let end = Lsn(last.base.0 + valid);
+        Self::reopen_on(store, dir, page_size, kind, segment_bytes, end)
+    }
+
+    /// Reopen a log at `end`, where a scan of it (after
+    /// [`segment::adopt_pending`]) found the last segment's intact frames
+    /// to end — restart's redo scan, which has just walked them: unlink
+    /// what a crash left stranded ([`segment::unlink_stranded`]), cut the
+    /// last segment at `end` and fsync it and the directory; after a
+    /// seal, start a fresh segment at the sealed end.
+    ///
+    /// Only the scan's start bounds what it saw: a damaged frame before
+    /// it (below a checkpoint's `CK_end`) does not end the log.
+    pub fn reopen_on(
+        store: Store,
+        path: impl AsRef<Path>,
+        page_size: usize,
+        kind: CodewordAlgebraKind,
+        segment_bytes: u64,
+        end: LogEnd,
+    ) -> Result<SystemLog> {
+        let dir = path.as_ref().to_path_buf();
+        let Some(last) = segment::unlink_stranded(&*store, &dir)?.pop() else {
+            return Err(no_segments(&dir));
+        };
+        if last.base != end.base || end.end > last.end() {
+            return Err(DaliError::RecoveryFailed(format!(
+                "log end {end:?} is not inside the last segment {}",
+                segment::file_name(last.base)
+            )));
+        }
+        let (sealed, end) = (end.sealed, end.end);
         // What a process death left unsynced — the last segment's bytes,
         // a roll's rename — is durable from here on, as `durable` will
         // claim: a checkpoint may name `end` at once.
         let f = store.open(&segment::path(&dir, last.base), Open::Write)?;
-        f.set_len(valid)?;
+        f.set_len(end.0 - last.base.0)?;
         f.fsync()?;
         let (file, seg_base) = if sealed {
             // The sealed file is immutable from here on; start its
@@ -833,6 +859,10 @@ impl Drop for SystemLog {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+fn no_segments(dir: &Path) -> DaliError {
+    DaliError::RecoveryFailed(format!("no log segments in {}", dir.display()))
 }
 
 #[cfg(test)]

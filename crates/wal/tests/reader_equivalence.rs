@@ -121,7 +121,7 @@ fn assert_same(dir: &Path, from: Lsn) -> Option<Vec<(Lsn, LogRecord)>> {
         })
     });
     assert_eq!(
-        scanned.ok().map(|()| got),
+        scanned.ok().map(|_| got),
         want,
         "for_each_segment from {from}"
     );

@@ -43,12 +43,21 @@
 //! `fold(old)` → `fold(new)`, so the mismatch survives later updates);
 //! log damage is rejected iff the frame checksum moves or the payload no
 //! longer decodes (a damaged sealed segment refuses the scan; damage in
-//! the active segment ends it). Detected damage leaves the shadow's
-//! latest table under `DataCodeword` (online repair from the anchored
-//! checkpoint plus the log, which rewrites the whole page, the second
-//! region included), and the shadow replayed without the deleted
-//! transactions, every carrier among them, under `CwReadLogging`. A
-//! predicted miss runs no carriers and puts the bytes back. Half the
+//! the active segment ends it). On half the seeds (a stream of their
+//! own) a WAL move then crashes and reopens over rejected damage instead
+//! of putting the bytes back first: below the anchored checkpoint's
+//! `CK_end` the restart never reads it and every commit survives; past
+//! it, a sealed segment makes `open` refuse, naming the frame's LSN, and
+//! `open_prior_state` there holds the shadow as of that LSN, while the
+//! active segment's damage cuts the log there with the same table (the
+//! residual gap EXPERIMENTS.md states). A cut that would undo a carrier,
+//! or land before the shadow's floor, is not made. Detected damage
+//! leaves the shadow's latest table under `DataCodeword` (online repair
+//! from the anchored checkpoint plus the log, which rewrites the whole
+//! page, the second region included), and the shadow replayed without
+//! the deleted transactions, every carrier among them, under
+//! `CwReadLogging`. A predicted miss runs no carriers and puts the bytes
+//! back. Half the
 //! arena moves hold a transaction open across detection, with 1–3
 //! updates of live records the damage missed (often the damaged
 //! region's other record); once the rung has run it commits or aborts,
@@ -88,7 +97,7 @@ use std::sync::atomic::Ordering::Relaxed;
 const DEFAULT_SEEDS: u64 = 64;
 /// Seeds that found a bug, run besides the range: each fails on the tree
 /// without its fix.
-const REGRESSION_SEEDS: [u64; 12] = [
+const REGRESSION_SEEDS: [u64; 13] = [
     96,    // a failed checkpoint dropped its dirty pages
     493,   // (the same, seen by a checkpoint-image move)
     37,    // prior-state recovery replayed onto a half-overwritten image
@@ -101,6 +110,7 @@ const REGRESSION_SEEDS: [u64; 12] = [
     559, // a torn batch's writes resurfaced at the abort a restart logged
     1128, // (the same, under another configuration)
     10494, // a deleted carrier's rollback restored damage the fold missed
+    2311, // a reopen cut the active segment at damage below CK_end
 ];
 const REC: usize = 32;
 const CAPACITY: usize = 48;
@@ -117,6 +127,9 @@ struct Commit {
     /// Records whose bytes it read or wrote (§4.3 treats a write as a
     /// read).
     touched: Vec<RecId>,
+    /// It carried an arena move's damage: its undo may hold the damaged
+    /// bytes, which rolling it back writes again.
+    carrier: bool,
 }
 
 /// What the workload did, as far as recovery is concerned.
@@ -132,16 +145,20 @@ struct Shadow {
     written: usize,
     /// Prior-state targets: a log position and the last commit before it.
     points: Vec<(Lsn, usize)>,
+    /// The log position from which `states[0]` holds: the state at an
+    /// earlier one is not known.
+    floor: Lsn,
 }
 
 impl Shadow {
-    fn new(table: Table) -> Shadow {
+    fn new(table: Table, floor: Lsn) -> Shadow {
         Shadow {
             states: vec![table],
             commits: Vec::new(),
             durable: 0,
             written: 0,
             points: Vec::new(),
+            floor,
         }
     }
 
@@ -271,6 +288,9 @@ struct Run<'a> {
     side: StdRng,
     /// Does the current move hold a transaction open?
     txn_open: bool,
+    /// Does a WAL move reopen over the damage it finds rejected? Drawn
+    /// once per seed from a stream of its own.
+    reopens: bool,
     shadow: Shadow,
     tally: &'a mut Tally,
 }
@@ -325,6 +345,7 @@ impl Run<'_> {
             txn: txn.id(),
             writes: Vec::new(),
             touched: Vec::new(),
+            carrier: carrier.is_some(),
         };
         for i in 0..self.rng.gen_range(1..=3) {
             let rng = &mut *self.rng;
@@ -485,6 +506,7 @@ impl Run<'_> {
             txn: txn.id(),
             writes: Vec::new(),
             touched: Vec::new(),
+            carrier: false,
         };
         for (rec, v) in writes {
             next.insert(rec, v.clone());
@@ -670,7 +692,7 @@ impl Run<'_> {
                 _ => true,
             },
             // The open transaction, if any, dies with the process.
-            _ => return self.reopen(&carriers, &leaks).map(Some),
+            _ => return self.reopen(&carriers, &leaks, None).map(Some),
         };
         // Detection has run: the transaction open across it ends now,
         // unless detection poisoned the engine and takes it down.
@@ -694,7 +716,7 @@ impl Run<'_> {
             if self.config.scheme == ProtectionScheme::DataCodeword {
                 return Err("online repair gave up".into());
             }
-            return self.reopen(&carriers, &leaks).map(|_| Some(true));
+            return self.reopen(&carriers, &leaks, None).map(|_| Some(true));
         }
         self.rung("repaired from the log");
         self.holds(latest, "a repair").map(|()| Some(true))
@@ -702,9 +724,15 @@ impl Run<'_> {
 
     /// Crash and reopen in place; the table must be the shadow without the
     /// deleted transactions, which include `carriers`; a record of `leaks`
-    /// that a deleted transaction wrote may also hold its damage. Returns
+    /// that a deleted transaction wrote may also hold its damage. Counts
+    /// the move under `rung`, or under the restart's mode. Returns
     /// whether recovery deleted any.
-    fn reopen(&mut self, carriers: &[TxnId], leaks: &[Leak]) -> Result<bool, String> {
+    fn reopen(
+        &mut self,
+        carriers: &[TxnId],
+        leaks: &[Leak],
+        rung: Option<&'static str>,
+    ) -> Result<bool, String> {
         self.engine.clone().crash();
         let (engine, outcome) =
             DaliEngine::open_on(self.config.clone(), self.sim.store()).map_err(err)?;
@@ -722,10 +750,10 @@ impl Run<'_> {
         if let Some(c) = carriers.iter().find(|c| !deleted_txns.contains(c)) {
             return Err(format!("carrier {c:?} survived, deleted {deleted_txns:?}"));
         }
-        self.rung(match mode {
+        self.rung(rung.unwrap_or(match mode {
             RecoveryMode::Normal => "discarded by restart",
             _ => "DeleteTxn",
-        });
+        }));
         let mut want = self.shadow.without(&deleted_txns);
         let got = read_table(&self.engine)?;
         for l in leaks
@@ -744,7 +772,7 @@ impl Run<'_> {
             }
         }
         self.holds(want.clone(), "recovery")?;
-        self.shadow = Shadow::new(want);
+        self.shadow = Shadow::new(want, self.engine.current_lsn().map_err(err)?);
         Ok(!deleted_txns.is_empty())
     }
 
@@ -794,13 +822,18 @@ impl Run<'_> {
         Ok(Some(moved))
     }
 
-    /// The LSN of every record a scan of the stable log from `from` returns.
-    fn scan(&self, log: &Path, from: Lsn) -> Result<Vec<Lsn>, String> {
+    /// The LSN of every record a scan of the stable log from `from`
+    /// returns, with the transaction a commit record commits.
+    fn scan(&self, log: &Path, from: Lsn) -> Result<Vec<(Lsn, Option<TxnId>)>, String> {
         let mut lsns = Vec::new();
         let reader = LogReader::open_on(&self.sim, log, from, self.config.codeword_algebra);
         let scan = reader.and_then(|r| {
-            r.for_each(|lsn, _| {
-                lsns.push(lsn);
+            r.for_each(|lsn, rec| {
+                let commit = match rec {
+                    LogRecordRef::TxnCommit { txn } => Some(txn),
+                    _ => None,
+                };
+                lsns.push((lsn, commit));
                 Ok(())
             })
         });
@@ -815,7 +848,7 @@ impl Run<'_> {
         let log = Path::new(ROOT).join("system.log");
         let first = segment::list_on(&self.sim, &log).map_err(err)?[0].base;
         let frames = self.scan(&log, first)?;
-        let frame = frames[self.rng.gen_range(0..frames.len())];
+        let frame = frames[self.rng.gen_range(0..frames.len())].0;
         let segments = segment::list_on(&self.sim, &log).map_err(err)?;
         let seg = segments.iter().rfind(|s| s.base <= frame).unwrap().base;
         let mut file = Vec::new();
@@ -836,10 +869,9 @@ impl Run<'_> {
         let (f, pos) = (self.file(&path)?, (at + FRAME_HDR + off) as u64);
         f.write_at(&bytes, pos).map_err(err)?;
         let scan = self.scan(&log, first);
-        f.write_at(&payload[window], pos).map_err(err)?;
         // A refused scan rejects the frame: a damaged sealed segment
         // refuses the scan, and damage in the active segment ends it.
-        let kept = scan.as_ref().is_ok_and(|lsns| lsns.contains(&frame));
+        let kept = (scan.as_ref()).is_ok_and(|lsns| lsns.iter().any(|&(l, _)| l == frame));
         let sealed = seg != segments.last().unwrap().base;
         if !kept && sealed == scan.is_ok() {
             let refused = scan.is_err();
@@ -858,12 +890,82 @@ impl Run<'_> {
         {
             return Err("WAL: a frame with one or three flips was accepted".into());
         }
+        let (image, _) = dali_engine::ckpt::read_anchor(&self.sim, Path::new(ROOT)).map_err(err)?;
+        let ck_end = (dali_engine::ckpt::read_meta(&self.sim, Path::new(ROOT), image))
+            .map_err(err)?
+            .ck_end;
+        // The commits whose record lies past the damage: a cut there
+        // undoes them. The shadow knows the table only from its floor on,
+        // and not what undoing a carrier writes back.
+        let later: Vec<TxnId> = (frames.iter())
+            .filter(|&&(lsn, _)| lsn >= frame)
+            .filter_map(|&(_, commit)| commit)
+            .collect();
+        let known = frame >= self.shadow.floor
+            && !(self.shadow.commits.iter()).any(|c| c.carrier && later.contains(&c.txn));
+        if !kept && self.reopens && (frame < ck_end || known) {
+            self.reopen_over(frame, sealed, ck_end, &later)?;
+            // Damage the restart never read stays in the log: put the
+            // bytes back, durably, so later scans from older positions
+            // read them whole.
+            let segments = segment::list_on(&self.sim, &log).map_err(err)?;
+            if frame < ck_end && segments.iter().any(|s| s.base == seg) {
+                f.write_at(&payload[window], pos).map_err(err)?;
+                f.fsync().map_err(err)?;
+            }
+            return Ok(Some(true));
+        }
+        f.write_at(&payload[window], pos).map_err(err)?;
         self.rung(match (kept, sealed) {
             (true, _) => "miss: wal",
             (false, true) => "wal: a sealed segment refused the scan",
             (false, false) => "wal: the active segment's scan ended",
         });
         Ok(Some(!kept))
+    }
+
+    /// Crash with the frame at `frame` damaged and reopen over it. Damage
+    /// below the anchored checkpoint's `CK_end` is never read: every
+    /// commit survives. Past it, a damaged sealed segment makes `open`
+    /// refuse, naming `frame`, and prior-state recovery to `frame` holds
+    /// the table without the commits in `later`; damage in the active
+    /// segment reads as a torn flush, and `open` cuts the log there, with
+    /// the same table.
+    fn reopen_over(
+        &mut self,
+        frame: Lsn,
+        sealed: bool,
+        ck_end: Lsn,
+        later: &[TxnId],
+    ) -> Result<(), String> {
+        if frame < ck_end {
+            self.reopen(&[], &[], Some("wal: reopened past damage below CK_end"))?;
+            return Ok(());
+        }
+        self.engine.clone().crash();
+        let (config, store) = (self.config.clone(), self.sim.store());
+        let (engine, outcome) = match DaliEngine::open_on(config.clone(), store.clone()) {
+            Err(e) if sealed => {
+                let msg = e.to_string();
+                if !msg.contains(&format!("open_prior_state at {frame}")) {
+                    return Err(format!("WAL: open over a damaged sealed segment: {msg}"));
+                }
+                self.rung("wal: open refused, prior state at it");
+                DaliEngine::open_prior_state_on(config, frame, store).map_err(err)?
+            }
+            Ok(_) if sealed => return Err("WAL: open read a damaged sealed segment".into()),
+            Ok(opened) => {
+                self.rung("wal: active segment cut at the damage");
+                opened
+            }
+            Err(e) => return Err(format!("WAL: open over the active segment's damage: {e}")),
+        };
+        self.engine = engine;
+        let gone: Vec<TxnId> = later.iter().chain(&outcome.deleted_txns).copied().collect();
+        let want = self.shadow.without(&gone);
+        self.holds(want.clone(), "reopening over WAL damage")?;
+        self.shadow = Shadow::new(want, self.engine.current_lsn().map_err(err)?);
+        Ok(())
     }
 }
 
@@ -959,6 +1061,7 @@ impl Case {
             table.insert(setup.insert(t, &v).unwrap(), v);
         }
         setup.commit().unwrap();
+        let floor = engine.current_lsn().unwrap();
         let mut run = Run {
             engine,
             sim,
@@ -967,7 +1070,8 @@ impl Case {
             rng,
             side: StdRng::seed_from_u64(!*seed),
             txn_open: false,
-            shadow: Shadow::new(table),
+            reopens: StdRng::seed_from_u64(*seed ^ 0x5851_f42d_4c95_7f2d).gen_bool(0.5),
+            shadow: Shadow::new(table, floor),
             tally,
         };
         assert!(run.checkpoint()?, "setup checkpoint");
