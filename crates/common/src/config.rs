@@ -313,16 +313,6 @@ pub struct DaliConfig {
     /// structured error; rejects are counted in
     /// `ServerStats::conns_rejected`. `0` = unlimited.
     pub net_max_conns: usize,
-    /// Per-connection pipelining budget: maximum decoded-but-unanswered
-    /// frames in flight. When a session reaches the budget its socket's
-    /// read interest is parked until responses drain — backpressure, not
-    /// disconnect. Minimum 1 (a zero is treated as 1).
-    pub net_pipeline_depth: usize,
-    /// Per-connection outbound-byte budget: when a session's queued
-    /// response bytes exceed this, its read interest is parked until the
-    /// peer drains below the watermark. Bounds server memory under slow
-    /// consumers. `0` = unbounded.
-    pub net_outbound_budget: usize,
     /// Capacity at which a system-log segment is sealed and a new one
     /// started. Sealed segments are immutable; once a certified
     /// checkpoint's `CK_end` is past a sealed segment's last byte the
@@ -370,8 +360,6 @@ impl DaliConfig {
             colocate_control: false,
             parity_group_size: 0,
             net_max_conns: 16384,
-            net_pipeline_depth: 64,
-            net_outbound_budget: 1 << 20,
             log_segment_bytes: 4 << 20,
             log_retire: true,
         }
@@ -442,25 +430,6 @@ impl DaliConfig {
     pub fn with_net_max_conns(mut self, n: usize) -> Self {
         self.net_max_conns = n;
         self
-    }
-
-    /// Builder-style pipelining budget (`0` is treated as `1`).
-    pub fn with_net_pipeline_depth(mut self, n: usize) -> Self {
-        self.net_pipeline_depth = n;
-        self
-    }
-
-    /// Builder-style outbound-byte budget (`0` = unbounded).
-    pub fn with_net_outbound_budget(mut self, n: usize) -> Self {
-        self.net_outbound_budget = n;
-        self
-    }
-
-    /// The effective pipelining budget: `net_pipeline_depth` with `0`
-    /// treated as `1` (strict request/response).
-    #[inline]
-    pub fn resolved_net_pipeline_depth(&self) -> usize {
-        self.net_pipeline_depth.max(1)
     }
 
     /// The effective audit-scan worker count: `audit_threads`, or one per
@@ -763,16 +732,9 @@ mod tests {
     fn net_knobs_default_and_resolve() {
         let c = DaliConfig::small("/tmp/x");
         assert_eq!(c.net_max_conns, 16384);
-        assert_eq!(c.net_pipeline_depth, 64);
-        assert_eq!(c.net_outbound_budget, 1 << 20);
 
-        let c = c
-            .with_net_max_conns(100)
-            .with_net_pipeline_depth(0)
-            .with_net_outbound_budget(4096);
+        let c = c.with_net_max_conns(100);
         assert_eq!(c.net_max_conns, 100);
-        assert_eq!(c.resolved_net_pipeline_depth(), 1, "0 means strict RPC");
-        assert_eq!(c.net_outbound_budget, 4096);
         assert_eq!(c.validate(), Ok(()));
     }
 }

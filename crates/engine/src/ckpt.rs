@@ -377,8 +377,6 @@ pub fn checkpoint(db: &Arc<Db>) -> Result<CheckpointOutcome> {
             db.syslog.post_retire(Lsn(ck_end.0.min(other.ck_end.0)));
         }
     }
-    db.refresh_log_gauges()?;
-
     EngineStats::bump(&db.stats.checkpoints);
     Ok(CheckpointOutcome::Certified {
         ck_end,

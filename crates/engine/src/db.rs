@@ -55,14 +55,6 @@ pub struct EngineStats {
     pub repair_bytes_rebuilt: AtomicU64,
     /// Wall-clock nanoseconds spent inside successful online repairs.
     pub repair_ns: AtomicU64,
-    /// Segment files currently retained in the log directory (gauge,
-    /// refreshed at open and after each checkpoint).
-    pub log_segments_active: AtomicU64,
-    /// Segments retired (unlinked) by checkpoint-driven retention since
-    /// this database was opened.
-    pub log_segments_retired: AtomicU64,
-    /// Total bytes of retained log segments on disk (gauge).
-    pub log_bytes_on_disk: AtomicU64,
 }
 
 impl EngineStats {
@@ -158,31 +150,6 @@ impl Db {
     /// Allocate a fresh audit id.
     pub fn next_audit_id(&self) -> u64 {
         self.audit_counter.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Refresh the log-directory gauges in [`EngineStats`] from the
-    /// segment directory (called at open and after each checkpoint's
-    /// retirement pass).
-    pub fn refresh_log_gauges(&self) -> Result<()> {
-        let seg = self.syslog.segment_stats()?;
-        self.stats
-            .log_segments_active
-            .store(seg.segments, Ordering::Relaxed);
-        self.stats
-            .log_segments_retired
-            .store(seg.retired, Ordering::Relaxed);
-        self.stats
-            .log_bytes_on_disk
-            .store(seg.bytes_on_disk, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Wait for the log worker to finish its queued segment syncs and
-    /// retirements, then refresh the gauges from the directory at rest.
-    /// Returns the first error a background job met.
-    pub fn settle(&self) -> Result<()> {
-        self.syslog.settle()?;
-        self.refresh_log_gauges()
     }
 
     // ---- file layout ----

@@ -236,12 +236,11 @@ impl DaliEngine {
     }
 
     /// Wait for the log worker to finish its queued segment syncs and
-    /// retirements, refresh the log-directory gauges, and return the
-    /// first failure the log kept (a failed fsync or retirement).
-    /// Afterwards the log directory does not change until the next
-    /// append rolls or checkpoint retires.
+    /// retirements, and return the first failure the log kept (a failed
+    /// fsync or retirement). Afterwards the log directory does not
+    /// change until the next append rolls or checkpoint retires.
     pub fn settle(&self) -> Result<()> {
-        self.db.settle()
+        self.db.syslog.settle()
     }
 
     /// Engine statistics.

@@ -304,7 +304,6 @@ pub(crate) fn build_db(
         stats: EngineStats::default(),
         store,
     });
-    db.refresh_log_gauges()?;
     Ok(db)
 }
 
@@ -483,7 +482,7 @@ fn redo_pass(
 
     // A roll the crash interrupted may have left its successor pending.
     let log_dir = Db::log_path(&config.dir);
-    dali_wal::segment::adopt_pending(&**store, &log_dir, kind)?;
+    dali_wal::segment::adopt_pending(&**store, &log_dir, meta.ck_end, kind)?;
     let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, kind)?;
     let log_end = reader.for_each_segment(|seg| {
         let mut pending: Pending = std::mem::take(&mut carried);
@@ -811,7 +810,7 @@ fn undo_and_finish(
     db.syslog.flush(false)?;
     // `open` hands back a directory at rest: whoever opened it may copy
     // or replace it without racing a roll's rename or a retirement.
-    db.settle()?;
+    db.syslog.settle()?;
     if ckpt.is_some() || corruption::marker_present(&*db.store, &db.config.dir)? {
         corruption::clear_marker(&*db.store, &db.config.dir)?;
     }

@@ -66,6 +66,37 @@ impl Storage for Recording {
     }
 }
 
+/// The OS file system with the log's background work run in line, by
+/// `settle`: a rolled segment's successor stays pending until then.
+struct Foreground;
+
+impl Storage for Foreground {
+    fn open(&self, path: &Path, how: Open) -> io::Result<Box<dyn StorageFile>> {
+        OsStorage.open(path, how)
+    }
+    fn read(&self, path: &Path, into: &mut Vec<u8>) -> io::Result<()> {
+        OsStorage.read(path, into)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        OsStorage.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        OsStorage.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<(String, u64)>> {
+        OsStorage.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        OsStorage.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        OsStorage.sync_dir(dir)
+    }
+    fn background_threads(&self) -> bool {
+        false
+    }
+}
+
 /// A transaction that spans a checkpoint and never commits: its
 /// pre-checkpoint operation's logical undo lives only in the checkpointed
 /// ATT, its post-checkpoint operation's undo only in the log. Recovery
@@ -523,5 +554,69 @@ fn damage_before_ck_end_in_the_active_segment_keeps_every_commit() {
     let (db, outcome) = DaliEngine::open(config).unwrap();
     assert_eq!(outcome.mode, RecoveryMode::Normal);
     assert_eq!(read(&db), value(31));
+    assert!(db.audit().unwrap().clean());
+}
+
+/// A process dies while a rolled segment's successor is still pending,
+/// and a frame below the anchored checkpoint's `CK_end` in its
+/// predecessor is damaged. Restart's scan starts at `CK_end`, so the
+/// damage does not end the log: the successor is adopted and every
+/// commit written into it survives.
+#[test]
+fn damage_below_ck_end_keeps_a_pending_successor() {
+    let dir = tmpdir("pending-damage");
+    let store: dali_common::Store = Arc::new(Foreground);
+    let mut config = DaliConfig::small(dir.path())
+        .with_scheme(ProtectionScheme::DataCodeword)
+        .with_log_segment_bytes(4096);
+    config.sync_commit = false;
+    let (db, _) = DaliEngine::create_on(config.clone(), store.clone()).unwrap();
+    let t = db.create_table("t", 64, 32).unwrap();
+    let setup = db.begin().unwrap();
+    let rec = setup.insert(t, &val(0)).unwrap();
+    setup.commit().unwrap();
+    let value = |i: u32| i.to_le_bytes().repeat(16);
+    let update = |db: &DaliEngine, i: u32| {
+        let txn = db.begin().unwrap();
+        txn.update(rec, &value(i)).unwrap();
+        txn.commit().unwrap();
+        // Write the tail to the segment files, without an fsync.
+        db.current_lsn().unwrap();
+    };
+    let CheckpointOutcome::Certified { ck_end, .. } = db.checkpoint().unwrap() else {
+        panic!("checkpoint not certified");
+    };
+    let log = dir.path().join("system.log");
+    let mut last = 0;
+    while segment::list_pending(&*store, &log).unwrap().is_empty() {
+        last += 1;
+        assert!(last < 1000, "the log never rolled");
+        update(&db, last);
+    }
+    for _ in 0..2 {
+        last += 1;
+        update(&db, last);
+    }
+    db.crash();
+
+    let segments = segment::list(&log).unwrap();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    let base = segments[0].base;
+    assert!(ck_end > base && ck_end < segments[0].end(), "{ck_end}");
+    let seg = SegmentBuf::load(&OsStorage, &log, base, 0, config.codeword_algebra).unwrap();
+    let below: Vec<Lsn> = (seg.records().map(|(lsn, _)| lsn))
+        .filter(|&lsn| lsn < ck_end)
+        .collect();
+    let damaged = below[below.len() / 2];
+    let path = segment::path(&log, base);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(damaged.0 - base.0) as usize + FRAME_HDR + 1] ^= 0x10;
+    std::fs::write(&path, bytes).unwrap();
+
+    let (db, outcome) = DaliEngine::open_on(config, store).unwrap();
+    assert_eq!(outcome.mode, RecoveryMode::Normal);
+    let check = db.begin().unwrap();
+    assert_eq!(check.read_vec(rec).unwrap(), value(last));
+    check.commit().unwrap();
     assert!(db.audit().unwrap().clean());
 }

@@ -1,8 +1,8 @@
 //! dali-net: the engine over TCP.
 //!
 //! Turns the embedded engine into a networked database: an event-driven
-//! [`DaliServer`] runs epoll readiness loops over nonblocking sessions
-//! and executes verbs on a bounded pool, a blocking [`DaliClient`] speaks the length-prefixed,
+//! [`DaliServer`] runs one epoll readiness loop over the listener and
+//! every nonblocking session and executes verbs on a bounded pool, a blocking [`DaliClient`] speaks the length-prefixed,
 //! checksummed binary protocol in [`protocol`] (with optional frame
 //! [`pipelining`](DaliClient::pipeline)). A [`DaliClient`] is a
 //! `dali_workload::Session`, so the one TPC-B driver runs over N client
@@ -19,11 +19,12 @@
 //!   A connection the server closed surfaces as
 //!   [`DaliError::ConnectionClosed`].
 //! * **Event-driven sessions**: each connection is a state machine
-//!   (read-accumulate → decode → execute → write-drain) owned by an
+//!   (read-accumulate → decode → execute → write-drain) owned by the
 //!   event loop; a session's queued frames execute as one run, answered
-//!   in receive order with one write per run, and per-connection budgets
-//!   (`net_pipeline_depth`, `net_outbound_budget`) park the read side
-//!   instead of buffering without bound. `net_max_conns` caps admission.
+//!   in receive order with one write per run, and two per-connection
+//!   budgets ([`server::PIPELINE_DEPTH`], [`server::OUTBOUND_BUDGET`])
+//!   park the read side instead of buffering without bound.
+//!   `net_max_conns` caps admission.
 //! * **Orphan cleanup**: a dropped connection's open transaction is
 //!   rolled back level by level through the engine's ATT rollback,
 //!   releasing all its locks.

@@ -2,7 +2,7 @@
 //!
 //! Level-triggered — a socket with unread bytes keeps signalling until
 //! drained, which lets the event loop stop reading mid-stream
-//! (backpressure parks) without losing the wakeup. Each event worker owns
+//! (backpressure parks) without losing the wakeup. The event loop owns
 //! one `Poller`; cross-thread wakeups (a finished execution, shutdown) go
 //! through [`Waker`], a nonblocking socketpair whose read end is
 //! registered like any other source.

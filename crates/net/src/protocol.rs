@@ -98,21 +98,10 @@ wire_struct! {
         pub durable_commits: u64,
         /// Durable commits that rode a neighbour's fsync.
         pub piggybacked: u64,
-        /// Always 0; kept so the wire layout does not change.
-        pub group_followers: u64,
         /// Currently connected sessions.
         pub sessions: u64,
         /// Transactions rolled back because their connection dropped.
         pub orphans_rolled_back: u64,
-        /// Retired with the deferred-maintenance scheme; always `0`. The
-        /// four `deferred_*` slots keep the frame layout.
-        pub deferred_drains: u64,
-        /// Retired; always `0`.
-        pub deferred_coalesced: u64,
-        /// Retired; always `0`.
-        pub deferred_max_shard_depth: u64,
-        /// Retired; always `0`.
-        pub deferred_pending: u64,
         /// Full-database audit sweeps run (on-demand + checkpoint
         /// certification).
         pub audits_run: u64,
@@ -132,14 +121,8 @@ wire_struct! {
         pub repair_attempted: u64,
         /// Regions online repair rebuilt.
         pub repair_succeeded: u64,
-        /// Retired: repair has no fallback; always `0`. The slot keeps
-        /// the frame layout.
-        pub repair_fell_back: u64,
         /// Bytes written back by online repairs (whole pages).
         pub repair_bytes_rebuilt: u64,
-        /// Retired: no parity is kept; always `0`. The slot keeps the
-        /// frame layout.
-        pub certify_parity_groups: u64,
         /// Connections rejected by admission control (at `net_max_conns`).
         pub conns_rejected: u64,
         /// Frames decoded while an earlier frame from the same connection was
@@ -152,21 +135,16 @@ wire_struct! {
         pub exec_queue_depth: u64,
         /// High-watermark of the execution-pool queue depth.
         pub exec_queue_max: u64,
-        /// Readiness-loop wakeups across all event workers.
+        /// Readiness-loop wakeups.
         pub loop_iterations: u64,
         /// High-watermark of any one connection's buffered outbound bytes.
         pub outbound_buffered_max: u64,
-        /// Segment files currently retained in the log directory.
+        /// Segment files in the log directory when the verb is answered.
         pub log_segments_active: u64,
         /// Segments retired by checkpoint-driven retention since open.
         pub log_segments_retired: u64,
-        /// Total bytes of retained log segments on disk.
+        /// Total bytes of those segment files.
         pub log_bytes_on_disk: u64,
-        /// Retired: restart redo is applied by the scanning thread, so
-        /// the server always sends `1`. The slot keeps the frame layout.
-        pub redo_threads_used: u64,
-        /// Retired: redo apply is no longer a separate phase; always `0`.
-        pub redo_parallel_ns: u64,
     }
 }
 
@@ -610,13 +588,8 @@ mod tests {
                 log_flushes: 4,
                 durable_commits: 5,
                 piggybacked: 6,
-                group_followers: 7,
                 sessions: 8,
                 orphans_rolled_back: 9,
-                deferred_drains: 10,
-                deferred_coalesced: 11,
-                deferred_max_shard_depth: 12,
-                deferred_pending: 13,
                 audits_run: 14,
                 audit_regions: 15,
                 audit_bytes_folded: 16,
@@ -626,9 +599,7 @@ mod tests {
                 audit_latch_brackets: 20,
                 repair_attempted: 21,
                 repair_succeeded: 22,
-                repair_fell_back: 23,
                 repair_bytes_rebuilt: 24,
-                certify_parity_groups: 25,
                 conns_rejected: 26,
                 frames_pipelined: 27,
                 read_parks: 28,
@@ -639,8 +610,6 @@ mod tests {
                 log_segments_active: 33,
                 log_segments_retired: 34,
                 log_bytes_on_disk: 35,
-                redo_threads_used: 36,
-                redo_parallel_ns: 37,
             }),
             Response::Repaired(RepairSummary {
                 regions: 1,

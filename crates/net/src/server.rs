@@ -1,33 +1,34 @@
-//! The event-driven network front-end: a readiness loop owning
-//! nonblocking sessions as explicit state machines, with execution on a
-//! bounded worker pool.
+//! The event-driven network front-end: one readiness loop owning the
+//! listener and every nonblocking session as an explicit state machine,
+//! with execution on a bounded worker pool.
 //!
 //! # Architecture (DESIGN.md §6)
 //!
 //! ```text
-//!            accept                    decode                 execute
-//!  listener ───────► event workers ────────────► exec pool ──────────► engine
-//!  (worker 0)        (epoll/poll)     Work queue  (bounded)   TxnHandle
-//!                       ▲  │ read-accumulate          │
-//!                       │  │ write-drain              │ encoded responses
-//!                       └──┴──────── waker ◄──────────┘
+//!            accept                   decode                 execute
+//!  listener ───────► event loop ─────────────► exec pool ──────────► engine
+//!                    (epoll)     Work queue    (bounded)   TxnHandle
+//!                     ▲  │ read-accumulate          │
+//!                     │  │ write-drain              │ encoded responses
+//!                     └──┴──────── waker ◄──────────┘
 //! ```
 //!
-//! * **Event workers** own nonblocking sockets. Each session is a state
-//!   machine: *read-accumulate* bytes into a buffer, *decode* complete
-//!   frames, hand requests to the exec pool, *write-drain* encoded
-//!   responses. Event workers never block on a socket or the engine.
+//! * **The event loop** owns the listener and every nonblocking socket.
+//!   Each session is a state machine: *read-accumulate* bytes into a
+//!   buffer, *decode* complete frames, hand requests to the exec pool,
+//!   *write-drain* encoded responses. The loop never blocks on a socket
+//!   or the engine.
 //! * **Exec pool** runs the verbs (which may block: lock waits, fsyncs,
 //!   audits). One session is served by at most one exec worker at a
 //!   time, so pipelined responses come back in receive order. A worker
 //!   takes a session's whole queued *run* at once, frames its replies
 //!   into one buffer and wakes the event loop once for it.
-//! * **Pipelining**: up to `net_pipeline_depth` decoded-but-unanswered
+//! * **Pipelining**: up to [`PIPELINE_DEPTH`] decoded-but-unanswered
 //!   frames per connection. At the budget the session's read interest is
 //!   *parked* — TCP backpressure, not disconnect.
 //! * **Outbound budget**: a slow consumer whose queued response bytes
-//!   exceed `net_outbound_budget` also parks reads; buffering is bounded
-//!   by `budget + pipeline_depth × frame`, never unbounded.
+//!   exceed [`OUTBOUND_BUDGET`] also parks reads; buffering is bounded
+//!   by `budget + depth × frame`, never unbounded.
 //! * **Admission control**: at `net_max_conns` open connections, newly
 //!   accepted sockets get a best-effort structured error and close
 //!   (counted in [`ServerStats::conns_rejected`]), and the listener's
@@ -67,8 +68,12 @@ use std::time::Instant;
 
 /// Token the event loop's waker registers under.
 const WAKER_TOKEN: u64 = u64::MAX;
-/// Token worker 0's listener registers under.
+/// Token the listener registers under.
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
+/// Decoded-but-unanswered frames per connection before its reads park.
+pub const PIPELINE_DEPTH: usize = 64;
+/// Unsent reply bytes per connection past which its reads park.
+pub const OUTBOUND_BUDGET: usize = 1 << 20;
 
 /// Server-side counters.
 #[derive(Default)]
@@ -194,23 +199,20 @@ fn execute_engine_inner(
     })
 }
 
-/// Build the snapshot the `Stats` verb serves.
-fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerStats {
+/// Build the snapshot the `Stats` verb serves. The log slots come from
+/// a listing of the log directory, taken now.
+fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> Result<ServerStats> {
     let log = engine.log_stats();
-    ServerStats {
+    let segments = engine.db().syslog.segment_stats()?;
+    Ok(ServerStats {
         commits: engine.stats().commits.load(Ordering::Relaxed),
         aborts: engine.stats().aborts.load(Ordering::Relaxed),
         fsyncs: log.fsyncs,
         log_flushes: log.flushes,
         durable_commits: log.durable_commits,
         piggybacked: log.piggybacked,
-        group_followers: 0,
         sessions: counters.sessions.load(Ordering::Relaxed),
         orphans_rolled_back: counters.orphans_rolled_back.load(Ordering::Relaxed),
-        deferred_drains: 0,
-        deferred_coalesced: 0,
-        deferred_max_shard_depth: 0,
-        deferred_pending: 0,
         audits_run: engine.stats().audits.load(Ordering::Relaxed),
         audit_regions: engine.stats().regions_audited.load(Ordering::Relaxed),
         audit_bytes_folded: engine.stats().bytes_folded.load(Ordering::Relaxed),
@@ -226,9 +228,7 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         audit_latch_brackets: engine.stats().audit_latch_brackets.load(Ordering::Relaxed),
         repair_attempted: engine.stats().repair_attempted.load(Ordering::Relaxed),
         repair_succeeded: engine.stats().repair_succeeded.load(Ordering::Relaxed),
-        repair_fell_back: 0,
         repair_bytes_rebuilt: engine.stats().repair_bytes_rebuilt.load(Ordering::Relaxed),
-        certify_parity_groups: 0,
         conns_rejected: counters.conns_rejected.load(Ordering::Relaxed),
         frames_pipelined: counters.frames_pipelined.load(Ordering::Relaxed),
         read_parks: counters.read_parks.load(Ordering::Relaxed),
@@ -236,12 +236,10 @@ fn build_server_stats(engine: &DaliEngine, counters: &ServerCounters) -> ServerS
         exec_queue_max: counters.exec_queue_max.load(Ordering::Relaxed),
         loop_iterations: counters.loop_iterations.load(Ordering::Relaxed),
         outbound_buffered_max: counters.outbound_buffered_max.load(Ordering::Relaxed),
-        log_segments_active: engine.stats().log_segments_active.load(Ordering::Relaxed),
-        log_segments_retired: engine.stats().log_segments_retired.load(Ordering::Relaxed),
-        log_bytes_on_disk: engine.stats().log_bytes_on_disk.load(Ordering::Relaxed),
-        redo_threads_used: 1,
-        redo_parallel_ns: 0,
-    }
+        log_segments_active: segments.segments,
+        log_segments_retired: segments.retired,
+        log_bytes_on_disk: segments.bytes_on_disk,
+    })
 }
 
 // -------------------------------------------------------------------
@@ -283,20 +281,16 @@ struct CoreState {
     closed: bool,
 }
 
-/// The session state shared between its owning event worker and the
-/// exec pool.
+/// The session state shared between the event loop and the exec pool.
 struct SessionCore {
     conn_id: u64,
-    /// Index of the owning event worker (where readiness notifications go).
-    worker: usize,
     state: Mutex<CoreState>,
 }
 
 impl SessionCore {
-    fn new(conn_id: u64, worker: usize) -> SessionCore {
+    fn new(conn_id: u64) -> SessionCore {
         SessionCore {
             conn_id,
-            worker,
             state: Mutex::new(CoreState {
                 work: VecDeque::new(),
                 resps: Vec::new(),
@@ -314,15 +308,6 @@ impl SessionCore {
 // Shared server state
 // -------------------------------------------------------------------
 
-/// New connections and readiness notifications bound for one event
-/// worker (paired with that worker's waker).
-#[derive(Default)]
-struct Inbox {
-    new_conns: Vec<(TcpStream, u64)>,
-    /// Session tokens with freshly enqueued responses.
-    ready: Vec<u64>,
-}
-
 struct ExecQueue {
     jobs: Mutex<VecDeque<Arc<SessionCore>>>,
     cv: Condvar,
@@ -335,11 +320,9 @@ struct Shared {
     histograms: LatencyHistograms,
     stop: AtomicBool,
     start: Instant,
-    max_conns: usize,
-    pipeline_depth: usize,
-    outbound_budget: usize,
-    inboxes: Vec<Mutex<Inbox>>,
-    wakers: Vec<Waker>,
+    /// Session tokens with freshly framed replies, for the event loop.
+    ready: Mutex<Vec<u64>>,
+    waker: Waker,
     exec: ExecQueue,
 }
 
@@ -355,14 +338,10 @@ impl Shared {
         }
     }
 
-    /// Tell a session's event worker it has replies to drain.
+    /// Tell the event loop a session has replies to drain.
     fn notify_ready(&self, core: &SessionCore) {
-        self.inboxes[core.worker]
-            .lock()
-            .unwrap()
-            .ready
-            .push(core.conn_id);
-        self.wakers[core.worker].wake();
+        self.ready.lock().unwrap().push(core.conn_id);
+        self.waker.wake();
     }
 
     fn health(&self) -> HealthReport {
@@ -423,9 +402,8 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
                     // may block (locks, fsync), so the state lock is not
                     // held across the run.
                     let resp = match req {
-                        Request::Stats => {
-                            Response::Stats(build_server_stats(&shared.engine, &shared.counters))
-                        }
+                        Request::Stats => build_server_stats(&shared.engine, &shared.counters)
+                            .map_or_else(|e| Response::Err(e.into()), Response::Stats),
                         Request::Health => Response::Health(shared.health()),
                         Request::Metrics => Response::Metrics(
                             shared
@@ -481,7 +459,7 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
 }
 
 // -------------------------------------------------------------------
-// Event workers
+// The event loop
 // -------------------------------------------------------------------
 
 /// The loop-owned half of a session: socket, accumulate buffer, write
@@ -519,18 +497,19 @@ impl Conn {
     }
 }
 
-struct EventWorker {
-    id: usize,
+struct EventLoop {
     shared: Arc<Shared>,
     poller: Poller,
     conns: HashMap<u64, Conn>,
-    /// Worker 0 only: the listener and its accept-pause state.
-    listener: Option<TcpListener>,
+    listener: TcpListener,
+    /// `net_max_conns`, with `0` (unlimited) as `usize::MAX`.
+    max_conns: usize,
+    /// The listener is out of the poller while at `max_conns`.
     listener_parked: bool,
-    next_conn_id: Arc<AtomicU64>,
+    next_conn_id: u64,
 }
 
-impl EventWorker {
+impl EventLoop {
     fn run(mut self) {
         let mut events = Vec::with_capacity(512);
         loop {
@@ -547,7 +526,7 @@ impl EventWorker {
             let mut touched: Vec<u64> = Vec::new();
             for ev in &events {
                 match ev.token {
-                    WAKER_TOKEN => self.shared.wakers[self.id].drain(),
+                    WAKER_TOKEN => self.shared.waker.drain(),
                     LISTENER_TOKEN => accept_ready = true,
                     token => {
                         if let Some(conn) = self.conns.get_mut(&token) {
@@ -573,18 +552,7 @@ impl EventWorker {
                 break;
             }
 
-            // Inbox: adopt new connections, drain ready sessions.
-            let (new_conns, ready) = {
-                let mut inbox = self.shared.inboxes[self.id].lock().unwrap();
-                (
-                    std::mem::take(&mut inbox.new_conns),
-                    std::mem::take(&mut inbox.ready),
-                )
-            };
-            for (stream, conn_id) in new_conns {
-                self.adopt(stream, conn_id);
-                touched.push(conn_id);
-            }
+            let ready = std::mem::take(&mut *self.shared.ready.lock().unwrap());
             for token in ready {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     Self::pump_responses(&self.shared, conn);
@@ -607,7 +575,7 @@ impl EventWorker {
         self.teardown();
     }
 
-    /// Register a freshly assigned connection and poll its first bytes.
+    /// Register a freshly accepted connection.
     fn adopt(&mut self, stream: TcpStream, conn_id: u64) {
         if stream.set_nonblocking(true).is_err() {
             self.shared
@@ -630,7 +598,7 @@ impl EventWorker {
         }
         let conn = Conn {
             stream,
-            core: Arc::new(SessionCore::new(conn_id, self.id)),
+            core: Arc::new(SessionCore::new(conn_id)),
             read_buf: Vec::new(),
             write_bufs: VecDeque::new(),
             write_pos: 0,
@@ -685,9 +653,7 @@ impl EventWorker {
         {
             let mut state = conn.core.state.lock().unwrap();
             loop {
-                if conn.pending >= shared.pipeline_depth
-                    || conn.outbound > shared.outbound_budget && shared.outbound_budget > 0
-                {
+                if conn.pending >= PIPELINE_DEPTH || conn.outbound > OUTBOUND_BUDGET {
                     if !conn.parked {
                         conn.parked = true;
                         shared.counters.read_parks.fetch_add(1, Ordering::Relaxed);
@@ -808,9 +774,8 @@ impl EventWorker {
             // our userspace buffer.
             if conn.parked
                 && !conn.closing
-                && conn.pending < self.shared.pipeline_depth
-                && (self.shared.outbound_budget == 0
-                    || conn.outbound <= self.shared.outbound_budget)
+                && conn.pending < PIPELINE_DEPTH
+                && conn.outbound <= OUTBOUND_BUDGET
             {
                 conn.parked = false;
                 if !conn.read_dead {
@@ -878,26 +843,18 @@ impl EventWorker {
             state.work.push_back(Work::Cleanup);
             self.shared.schedule_locked(&conn.core, &mut state);
         }
-        // A slot freed: worker 0 may need to resume accepting.
-        if self.shared.max_conns > 0 {
-            self.shared.wakers[0].wake();
-        }
     }
 
     /// Accept until the listener would block, rejecting past the cap.
     fn accept_drain(&mut self) {
-        let n_workers = self.shared.inboxes.len();
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     if self.shared.stop.load(Ordering::Acquire) {
                         continue;
                     }
                     let open = self.shared.counters.sessions.load(Ordering::Relaxed);
-                    if self.shared.max_conns > 0 && open as usize >= self.shared.max_conns {
+                    if open as usize >= self.max_conns {
                         Self::reject(&self.shared, stream);
                         continue;
                     }
@@ -905,19 +862,10 @@ impl EventWorker {
                         .counters
                         .sessions
                         .fetch_add(1, Ordering::Relaxed);
-                    let conn_id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                    let target = (conn_id as usize) % n_workers;
-                    if target == self.id {
-                        self.adopt(stream, conn_id);
-                        self.settle(conn_id);
-                    } else {
-                        self.shared.inboxes[target]
-                            .lock()
-                            .unwrap()
-                            .new_conns
-                            .push((stream, conn_id));
-                        self.shared.wakers[target].wake();
-                    }
+                    let conn_id = self.next_conn_id;
+                    self.next_conn_id += 1;
+                    self.adopt(stream, conn_id);
+                    self.settle(conn_id);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -926,16 +874,11 @@ impl EventWorker {
         }
         // At the cap: park the listener until a connection closes
         // (accept-pause). The kernel backlog queues the overflow.
-        if self.shared.max_conns > 0
-            && self.shared.counters.sessions.load(Ordering::Relaxed) as usize
-                >= self.shared.max_conns
+        if self.shared.counters.sessions.load(Ordering::Relaxed) as usize >= self.max_conns
             && !self.listener_parked
+            && self.poller.deregister(self.listener.as_raw_fd()).is_ok()
         {
-            if let Some(listener) = &self.listener {
-                if self.poller.deregister(listener.as_raw_fd()).is_ok() {
-                    self.listener_parked = true;
-                }
-            }
+            self.listener_parked = true;
         }
     }
 
@@ -951,26 +894,22 @@ impl EventWorker {
         // Dropping the stream closes it; the error frame is advisory.
     }
 
+    /// Resume accepting once a connection closed below the cap (runs at
+    /// the end of every loop iteration, after the closes).
     fn maybe_unpark_listener(&mut self) {
-        if !self.listener_parked {
-            return;
-        }
-        let open = self.shared.counters.sessions.load(Ordering::Relaxed) as usize;
-        if self.shared.max_conns == 0 || open < self.shared.max_conns {
-            if let Some(listener) = &self.listener {
-                if self
-                    .poller
-                    .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                    .is_ok()
-                {
-                    self.listener_parked = false;
-                }
-            }
+        if self.listener_parked
+            && (self.shared.counters.sessions.load(Ordering::Relaxed) as usize) < self.max_conns
+            && self
+                .poller
+                .register(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+                .is_ok()
+        {
+            self.listener_parked = false;
         }
     }
 
     /// Shutdown: close every connection, scheduling orphan cleanups on
-    /// the exec pool (the server joins the pool after the event workers,
+    /// the exec pool (the server joins the pool after the event loop,
     /// so every rollback completes before `shutdown()` returns).
     fn teardown(&mut self) {
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -986,55 +925,41 @@ impl EventWorker {
 
 /// A running event-driven server. Dropping (or calling
 /// [`shutdown`](Self::shutdown)) parks the listener, disconnects open
-/// sessions, drains orphan rollbacks, and joins every worker.
+/// sessions, drains orphan rollbacks, and joins every thread.
 pub struct DaliServer {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    event_threads: Vec<JoinHandle<()>>,
+    event_thread: Option<JoinHandle<()>>,
     exec_threads: Vec<JoinHandle<()>>,
 }
 
 impl DaliServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral loopback port)
-    /// and start the event workers and exec pool. The budgets come from
-    /// the engine's [`DaliConfig`](dali_common::DaliConfig)
-    /// (`net_max_conns`, `net_pipeline_depth`, `net_outbound_budget`);
-    /// the thread counts follow the host.
+    /// and start the event loop and the exec pool. Admission control
+    /// comes from the engine's [`DaliConfig`](dali_common::DaliConfig)
+    /// (`net_max_conns`); the exec pool's size follows the host.
     pub fn start(engine: DaliEngine, addr: impl ToSocketAddrs) -> Result<DaliServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let config = engine.config();
+        let max_conns = match engine.config().net_max_conns {
+            0 => usize::MAX,
+            n => n,
+        };
         let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // Event loops do no blocking work, so a handful saturates the NIC
-        // long before the execution pool does.
-        let n_event = cpus.min(4);
         // The floor of eight matters on small hosts: a lock holder's
         // commit must find a free worker even when every other session is
         // blocked waiting on its locks.
         let n_exec = (2 * cpus).max(8);
-        let max_conns = config.net_max_conns;
-        let pipeline_depth = config.resolved_net_pipeline_depth();
-        let outbound_budget = config.net_outbound_budget;
 
-        // Every fd the event workers need (waker pair, epoll instance,
-        // worker 0's listener handle) is created before any thread is
-        // spawned, so running out of descriptors fails `start` cleanly
-        // instead of leaving half a server running.
-        let mut wakers = Vec::with_capacity(n_event);
-        let mut inboxes = Vec::with_capacity(n_event);
-        let mut pollers = Vec::with_capacity(n_event);
-        for _ in 0..n_event {
-            let waker = Waker::new()?;
-            let mut poller = Poller::new()?;
-            poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
-            wakers.push(waker);
-            inboxes.push(Mutex::new(Inbox::default()));
-            pollers.push(poller);
-        }
-        pollers[0].register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        let mut listener = Some(listener);
+        // Every fd the event loop needs (waker pair, epoll instance) is
+        // created before any thread is spawned, so running out of
+        // descriptors fails `start` before anything runs.
+        let waker = Waker::new()?;
+        let mut poller = Poller::new()?;
+        poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
 
         let shared = Arc::new(Shared {
             engine,
@@ -1042,54 +967,46 @@ impl DaliServer {
             histograms: LatencyHistograms::new(),
             stop: AtomicBool::new(false),
             start: Instant::now(),
-            max_conns,
-            pipeline_depth,
-            outbound_budget,
-            inboxes,
-            wakers,
+            ready: Mutex::new(Vec::new()),
+            waker,
             exec: ExecQueue {
                 jobs: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
                 stop: AtomicBool::new(false),
             },
         });
+        let event_loop = EventLoop {
+            shared: Arc::clone(&shared),
+            poller,
+            conns: HashMap::new(),
+            listener,
+            max_conns,
+            listener_parked: false,
+            next_conn_id: 0,
+        };
 
-        let next_conn_id = Arc::new(AtomicU64::new(0));
-        let mut event_threads = Vec::with_capacity(n_event);
-        for (id, poller) in pollers.into_iter().enumerate() {
-            let worker = EventWorker {
-                id,
-                shared: Arc::clone(&shared),
-                poller,
-                conns: HashMap::new(),
-                // Worker 0 owns the listener whose fd its poller watches.
-                listener: listener.take(),
-                listener_parked: false,
-                next_conn_id: Arc::clone(&next_conn_id),
-            };
-            event_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dali-net-ev{id}"))
-                    .spawn(move || worker.run())?,
-            );
-        }
-
-        let mut exec_threads = Vec::with_capacity(n_exec);
+        // Each thread joins the server as it starts: if a later spawn
+        // fails, dropping the server stops and joins what already runs.
+        let mut server = DaliServer {
+            shared,
+            addr,
+            event_thread: None,
+            exec_threads: Vec::with_capacity(n_exec),
+        };
+        server.event_thread = Some(
+            std::thread::Builder::new()
+                .name("dali-net-ev".into())
+                .spawn(move || event_loop.run())?,
+        );
         for id in 0..n_exec {
-            let shared = Arc::clone(&shared);
-            exec_threads.push(
+            let shared = Arc::clone(&server.shared);
+            server.exec_threads.push(
                 std::thread::Builder::new()
                     .name(format!("dali-net-ex{id}"))
                     .spawn(move || exec_worker(shared))?,
             );
         }
-
-        Ok(DaliServer {
-            shared,
-            addr,
-            event_threads,
-            exec_threads,
-        })
+        Ok(server)
     }
 
     /// The bound address (use after binding port 0).
@@ -1103,23 +1020,23 @@ impl DaliServer {
     }
 
     /// Stop accepting, disconnect open sessions, drain orphan rollbacks,
-    /// and join every worker. Idle clients see the connection close;
+    /// and join every thread. Idle clients see the connection close;
     /// their open transactions are rolled back through the orphan path
     /// *before* this returns.
-    pub fn shutdown(mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        drop(self);
     }
+}
 
-    fn stop(&mut self) {
+impl Drop for DaliServer {
+    fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        for w in &self.shared.wakers {
-            w.wake();
-        }
-        for h in self.event_threads.drain(..) {
+        self.shared.waker.wake();
+        if let Some(h) = self.event_thread.take() {
             let _ = h.join();
         }
-        // Event workers have enqueued every cleanup job; now let the
-        // exec pool drain to empty and exit.
+        // The event loop has enqueued every cleanup job; now let the exec
+        // pool drain to empty and exit.
         // The flag is raised under the queue's lock: a worker that has
         // just read it clear is then already waiting, not about to, when
         // the wake-up is sent.
@@ -1131,14 +1048,6 @@ impl DaliServer {
         self.shared.exec.cv.notify_all();
         for h in self.exec_threads.drain(..) {
             let _ = h.join();
-        }
-    }
-}
-
-impl Drop for DaliServer {
-    fn drop(&mut self) {
-        if !self.event_threads.is_empty() || !self.exec_threads.is_empty() {
-            self.stop();
         }
     }
 }

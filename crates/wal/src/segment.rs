@@ -146,13 +146,20 @@ pub fn name_successor(
 /// give every pending segment its `.seg` name or remove it.
 ///
 /// A pending file joins the chain iff the chain's last segment is intact
-/// from its first byte to a seal frame that ends exactly at the pending
+/// from `from` (restart's `CK_end`, when it lies in that segment; its
+/// first byte otherwise) to a seal frame that ends exactly at the pending
 /// file's base — the state a process death leaves while the log worker
-/// still owed the predecessor its fsync. Any other pending file (its
+/// still owed the predecessor its fsync. Damage below `from` is never
+/// scanned, so it does not end the log. Any other pending file (its
 /// predecessor lost part of its writeback to a power failure, or is
 /// gone) is unlinked: nothing in it was ever acknowledged durable, and
 /// appends resume at the end of the intact chain.
-pub fn adopt_pending(store: &dyn Storage, dir: &Path, kind: CodewordAlgebraKind) -> Result<()> {
+pub fn adopt_pending(
+    store: &dyn Storage,
+    dir: &Path,
+    from: Lsn,
+    kind: CodewordAlgebraKind,
+) -> Result<()> {
     let pending = list_pending(store, dir)?;
     if pending.is_empty() {
         return Ok(());
@@ -161,7 +168,12 @@ pub fn adopt_pending(store: &dyn Storage, dir: &Path, kind: CodewordAlgebraKind)
     for p in pending {
         let predecessor = match last {
             Some(prev) if prev.end() == p.base => {
-                let seg = SegmentBuf::load(store, dir, prev.base, 0, kind)?;
+                let start = if from > prev.base && from < p.base {
+                    (from.0 - prev.base.0) as usize
+                } else {
+                    0
+                };
+                let seg = SegmentBuf::load(store, dir, prev.base, start, kind)?;
                 (seg.ends_with_seal() && seg.torn_bytes() == 0).then_some(prev)
             }
             _ => None,

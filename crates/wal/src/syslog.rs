@@ -391,7 +391,7 @@ impl SystemLog {
         segment_bytes: u64,
     ) -> Result<SystemLog> {
         let dir = path.as_ref().to_path_buf();
-        segment::adopt_pending(&*store, &dir, kind)?;
+        segment::adopt_pending(&*store, &dir, Lsn::ZERO, kind)?;
         let end = match segment::list_on(&*store, &dir)?.last() {
             // One borrowed walk over the last segment's frames: nothing is
             // decoded into owned records just to find where they end.

@@ -93,7 +93,7 @@ fn shape(dir: &Path, shape: Shape, cut: usize, from: Lsn) -> Lsn {
 
 /// Where restart's redo scan from `from` finds the log to end.
 fn scanned_end(dir: &Path, from: Lsn) -> LogEnd {
-    segment::adopt_pending(&OsStorage, dir, KIND).unwrap();
+    segment::adopt_pending(&OsStorage, dir, from, KIND).unwrap();
     let reader = LogReader::open(dir, from, KIND).unwrap();
     let end = reader.for_each_segment(|seg| {
         seg.records().for_each(drop);

@@ -113,19 +113,9 @@ fn retirement_bounds_the_log_and_retained_segments_recover_everything() {
         sizes[3] <= sizes[1] + 1024,
         "log directory kept growing across steady-state checkpoint cycles: {sizes:?}"
     );
-    let stats = db.stats();
-    assert!(
-        stats
-            .log_segments_retired
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-    );
-    assert_eq!(
-        stats
-            .log_bytes_on_disk
-            .load(std::sync::atomic::Ordering::Relaxed),
-        retained
-    );
+    let stats = db.db().syslog.segment_stats().unwrap();
+    assert!(stats.retired > 0);
+    assert_eq!(stats.bytes_on_disk, retained);
 
     // More work after the last checkpoint, then crash: recovery must
     // reproduce everything from the retained segments alone.

@@ -1,5 +1,5 @@
 //! Event-server behaviors beyond the wire protocol: admission control
-//! at the connection cap, and the `Health`/`Metrics` admin verbs.
+//! at the connection cap, and the `Health`/`Metrics`/`Stats` admin verbs.
 
 use dali::net::{DaliClient, DaliServer, Request, Response};
 use dali::{DaliConfig, DaliEngine, DaliError, ProtectionScheme};
@@ -150,7 +150,7 @@ fn orphan_rollback_with_pipelined_work_in_flight() {
     server.shutdown();
 }
 
-/// A few readiness loops hold hundreds of open connections at once:
+/// One readiness loop holds hundreds of open connections at once:
 /// every one of 256 connections has a 100-frame pipelined burst
 /// outstanding before the first response is read, and every burst is
 /// answered in full, in order, with nobody rejected.
@@ -183,5 +183,47 @@ fn hundreds_of_open_connections_each_pipelining_all_complete() {
     assert_eq!(stats.conns_rejected, 0);
     assert!(admin.health().unwrap().conns_open > CONNS as u64);
     drop(streams);
+    server.shutdown();
+}
+
+/// The `Stats` reply's three log slots describe the log directory as it
+/// is when the verb is answered: after checkpoints have retired
+/// segments, they equal `segment_stats()` and a listing of the directory.
+#[test]
+fn stats_log_slots_match_the_log_directory() {
+    let (server, dir) = server_with("net-log-slots", |c| {
+        let mut c = c.with_log_segment_bytes(1024);
+        c.db_pages = 64;
+        c
+    });
+    let mut client = DaliClient::connect(server.addr()).unwrap();
+    let table = client.create_table("t", 64, 16).unwrap();
+    client.begin().unwrap();
+    let recs: Vec<_> = (0..8u8)
+        .map(|i| client.insert(table, &[i; 64]).unwrap())
+        .collect();
+    client.commit().unwrap();
+    for cycle in 0..4u8 {
+        client.begin().unwrap();
+        for &rec in &recs {
+            client.update(rec, &[cycle; 64]).unwrap();
+        }
+        client.commit().unwrap();
+        server.engine().checkpoint().unwrap();
+    }
+    server.engine().settle().unwrap();
+
+    let stats = client.stats().unwrap();
+    let segments = server.engine().db().syslog.segment_stats().unwrap();
+    assert!(segments.retired > 0, "nothing was retired");
+    assert_eq!(stats.log_segments_active, segments.segments);
+    assert_eq!(stats.log_segments_retired, segments.retired);
+    assert_eq!(stats.log_bytes_on_disk, segments.bytes_on_disk);
+    let listed = dali::wal::segment::list(&dir.path().join("system.log")).unwrap();
+    assert_eq!(stats.log_segments_active, listed.len() as u64);
+    assert_eq!(
+        stats.log_bytes_on_disk,
+        listed.iter().map(|s| s.len).sum::<u64>()
+    );
     server.shutdown();
 }

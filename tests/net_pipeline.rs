@@ -13,8 +13,8 @@
 //!   backpressure), not balloon its buffers — the outbound watermark
 //!   stays within `budget + depth × frame`, orders of magnitude below
 //!   the response volume.
-//! * **Budget sanity**: pipelined bursts still land correctly through a
-//!   depth-1 pipeline budget (every extra frame parks), just slower.
+//! * **Pipeline depth**: a burst longer than the pipeline depth parks
+//!   the read side and is still answered whole, in order.
 //! * **One session run**: a burst the server may execute as one run
 //!   threads the connection's transaction through it — engine errors,
 //!   `NoTxn` and a trailing protocol error land at their positions, and
@@ -26,6 +26,7 @@
 use dali::net::protocol::{
     encode_request, encode_response, frame, read_frame, Request, Response, WireError,
 };
+use dali::net::server::{OUTBOUND_BUDGET, PIPELINE_DEPTH};
 use dali::net::{DaliClient, DaliServer};
 use dali::{DaliConfig, DaliEngine, ProtectionScheme, RecId, SlotId};
 use proptest::prelude::*;
@@ -136,23 +137,20 @@ proptest! {
 
 /// A consumer that stops reading must park the server's read side. The
 /// burst asks for ~32 MiB of responses; the kernel's socket buffers
-/// absorb a few MiB at most, after which the outbound budget (64 KiB)
+/// absorb a few MiB at most, after which the outbound budget (1 MiB)
 /// parks further decoding. The provable buffering bound is
 /// `budget + pipeline_depth × frame` — in-flight requests admitted
 /// before the budget tripped may still deliver their responses — which
-/// here is ~³⁄₁₀₀ of the response volume. Once the consumer drains,
+/// here is ~¹⁄₂₅ of the response volume. Once the consumer drains,
 /// every response arrives in order and intact.
 #[test]
 fn slow_consumer_parks_reads_and_bounds_buffering() {
     const REC: usize = 4096;
     const FRAME_OVERHEAD: usize = 64;
-    const BUDGET: usize = 64 * 1024;
-    const DEPTH: usize = 64;
+    const BUDGET: usize = OUTBOUND_BUDGET;
+    const DEPTH: usize = PIPELINE_DEPTH;
     const N: usize = 8192;
-    let (server, _dir) = server_with("net-pipe-slow", |c| {
-        c.with_net_pipeline_depth(DEPTH)
-            .with_net_outbound_budget(BUDGET)
-    });
+    let (server, _dir) = server_with("net-pipe-slow", |c| c);
 
     // Seed one fat record.
     let mut seeder = DaliClient::connect(server.addr()).unwrap();
@@ -215,21 +213,34 @@ fn slow_consumer_parks_reads_and_bounds_buffering() {
     server.shutdown();
 }
 
-/// With the pipeline budget clamped to 1 every frame beyond the first
-/// parks the connection, but the burst still completes in order — the
-/// degenerate budget degrades throughput, never correctness.
+/// A burst of 200 frames in one write is more than the pipeline depth:
+/// the connection parks its reads once the depth is reached, and every
+/// frame is still answered, in order. The frames are `Begin, Abort`
+/// pairs, so an answer out of order shows as a misuse error or a
+/// transaction id that does not rise.
 #[test]
-fn depth_one_pipeline_still_serves_bursts() {
-    let (server, _dir) = server_with("net-pipe-depth1", |c| c.with_net_pipeline_depth(1));
+fn a_burst_past_the_pipeline_depth_parks_and_answers_in_order() {
+    const N: usize = 200;
+    const { assert!(N > PIPELINE_DEPTH) };
+    let (server, _dir) = server_with("net-pipe-burst", |c| c);
     let mut client = DaliClient::connect(server.addr()).unwrap();
-    let reqs: Vec<Request> = std::iter::repeat_with(|| Request::Ping).take(32).collect();
+    let reqs: Vec<Request> = (0..N / 2)
+        .flat_map(|_| [Request::Begin, Request::Abort])
+        .collect();
     let resps = client.pipeline(&reqs).unwrap();
-    assert_eq!(resps.len(), 32);
-    assert!(resps.iter().all(|r| matches!(r, Response::Ok)));
+    assert_eq!(resps.len(), N);
+    let mut last = None;
+    for pair in resps.chunks(2) {
+        let [Response::Began { txn }, Response::Ok] = pair else {
+            panic!("expected Began then Ok, got {pair:?}");
+        };
+        assert!(last < Some(*txn), "{last:?} then {txn:?}");
+        last = Some(*txn);
+    }
     let stats = client.stats().unwrap();
     assert!(
         stats.read_parks > 0,
-        "a depth-1 budget must park a 32-frame burst at least once"
+        "a {N}-frame burst must park at depth {PIPELINE_DEPTH} at least once"
     );
     server.shutdown();
 }

@@ -113,13 +113,8 @@ fn arb_stats() -> impl Strategy<Value = ServerStats> {
             log_flushes: d,
             durable_commits: e,
             piggybacked: f,
-            group_followers: a ^ b,
             sessions: c ^ d,
             orphans_rolled_back: e ^ f,
-            deferred_drains: a ^ c,
-            deferred_coalesced: b ^ d,
-            deferred_max_shard_depth: a ^ e,
-            deferred_pending: b ^ f,
             audits_run: c ^ e,
             audit_regions: d ^ f,
             audit_bytes_folded: a ^ f,
@@ -129,9 +124,7 @@ fn arb_stats() -> impl Strategy<Value = ServerStats> {
             audit_latch_brackets: c.wrapping_add(f),
             repair_attempted: d ^ e,
             repair_succeeded: a.wrapping_add(b),
-            repair_fell_back: c ^ d ^ e,
             repair_bytes_rebuilt: a.wrapping_mul(3),
-            certify_parity_groups: f.wrapping_add(1),
             conns_rejected: a ^ b ^ c,
             frames_pipelined: d.wrapping_add(e),
             read_parks: b ^ c ^ d,
@@ -142,8 +135,6 @@ fn arb_stats() -> impl Strategy<Value = ServerStats> {
             log_segments_active: c.wrapping_add(d),
             log_segments_retired: e.wrapping_mul(7),
             log_bytes_on_disk: f ^ a ^ b,
-            redo_threads_used: d.wrapping_add(1),
-            redo_parallel_ns: e ^ c,
         })
 }
 
