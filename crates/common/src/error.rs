@@ -34,6 +34,10 @@ pub enum DaliError {
     TxnAborted(TxnId),
     /// A lock request timed out or would deadlock.
     LockDenied { txn: TxnId, rec: RecId },
+    /// A verb run in no-wait mode met a record lock it could not take at
+    /// once, or `quiesce` held or wanted by a writer, and returned before
+    /// any effect. Only a caller that asked for that mode sees it.
+    WouldWait,
     /// A request referenced a table, record, or address that does not exist.
     NotFound(String),
     /// Allocation failed (heap full, arena exhausted, no free slot).
@@ -73,6 +77,7 @@ impl fmt::Display for DaliError {
             DaliError::LockDenied { txn, rec } => {
                 write!(f, "lock denied to {txn} on {rec}")
             }
+            DaliError::WouldWait => write!(f, "a no-wait request would have waited"),
             DaliError::NotFound(s) => write!(f, "not found: {s}"),
             DaliError::OutOfSpace(s) => write!(f, "out of space: {s}"),
             DaliError::InvalidArg(s) => write!(f, "invalid argument: {s}"),

@@ -8,6 +8,10 @@
 //! end and a transaction from its `TxnCommit` or `TxnAbort` append to
 //! its removal from the table: no operation is in flight, and no
 //! transaction whose end the log already holds is in the table.
+//!
+//! A finished transaction's buffers — undo arena and stacks, redo
+//! frames, side lists — go back to the table emptied, and the next
+//! begin takes them, so a short transaction allocates none of them.
 
 use dali_common::codec::{Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
@@ -42,6 +46,17 @@ pub struct TxnState {
 }
 
 impl TxnState {
+    /// Empty every buffer for a later transaction, keeping (bounded)
+    /// allocations, and make the state a fresh active one.
+    fn recycle(&mut self) {
+        self.status = TxnStatus::Active;
+        self.undo.recycle();
+        self.redo.recycle();
+        self.next_op = 0;
+        self.op_exposures.clear();
+        self.deferred_frees.clear();
+    }
+
     /// Fresh state whose redo frames are checksummed under `kind`: the
     /// log's algebra, also for a transaction recovery rebuilds.
     pub fn new(id: TxnId, kind: CodewordAlgebraKind) -> TxnState {
@@ -64,12 +79,18 @@ impl TxnState {
     }
 }
 
+/// Finished transactions' states kept for reuse, at most.
+const SPARE_STATES: usize = 64;
+
 /// The active transaction table.
 #[derive(Default)]
 pub struct Att {
     map: Mutex<HashMap<TxnId, Arc<Mutex<TxnState>>>>,
     /// Algebra of the transactions' redo frame checksums: the log's.
     kind: CodewordAlgebraKind,
+    /// Emptied states of finished transactions, for the next begins.
+    /// A leaf lock: taken under a state mutex, never the other way.
+    spare: Mutex<Vec<TxnState>>,
 }
 
 impl Att {
@@ -86,11 +107,32 @@ impl Att {
         }
     }
 
-    /// Register a new transaction.
+    /// Register a new transaction, on a finished one's buffers if any
+    /// are spare.
     pub fn insert(&self, id: TxnId) -> Arc<Mutex<TxnState>> {
-        let state = Arc::new(Mutex::new(TxnState::new(id, self.kind)));
+        let st = match self.spare.lock().pop() {
+            Some(mut st) => {
+                st.id = id;
+                st
+            }
+            None => TxnState::new(id, self.kind),
+        };
+        let state = Arc::new(Mutex::new(st));
         self.map.lock().insert(id, Arc::clone(&state));
         state
+    }
+
+    /// Keep a finished transaction's buffers for a later
+    /// [`insert`](Self::insert), up to a bound; `st` is left with empty
+    /// ones and its status.
+    pub fn recycle(&self, st: &mut TxnState) {
+        let mut spare = self.spare.lock();
+        if spare.len() < SPARE_STATES {
+            let mut kept = std::mem::replace(st, TxnState::new(st.id, self.kind));
+            st.status = kept.status;
+            kept.recycle();
+            spare.push(kept);
+        }
     }
 
     /// Remove a finished transaction.

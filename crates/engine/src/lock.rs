@@ -135,6 +135,10 @@ impl Hasher for RecHasher {
 type RecHash = BuildHasherDefault<RecHasher>;
 type RecMap = HashMap<RecId, LockState, RecHash>;
 
+/// A record's holders, as [`LockManager::snapshot`] lists them.
+#[cfg(test)]
+type Holders = Vec<(TxnId, LockMode)>;
+
 /// One shard of the lock table.
 #[derive(Default)]
 struct Shard {
@@ -210,6 +214,33 @@ impl LockManager {
         det.doomed.remove(&txn);
     }
 
+    /// Grant `rec` in `mode` to `txn` if that needs no wait: true when
+    /// `txn` already holds a sufficient mode or the grant was made. A
+    /// refused request leaves `rec`'s entry in the table, possibly empty.
+    fn grant_now(table: &mut RecMap, txn: TxnId, rec: RecId, mode: LockMode) -> bool {
+        let state = table.entry(rec).or_default();
+        match state.held_by(txn) {
+            Some(held) if held == LockMode::Exclusive || mode == LockMode::Shared => true,
+            _ if state.can_grant(txn, mode) => {
+                state.grant(txn, mode);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Acquire `rec` in `mode` for `txn` only if no wait is needed;
+    /// otherwise fail with [`DaliError::WouldWait`], leaving the table and
+    /// the deadlock detector as they were.
+    pub fn try_lock(&self, txn: TxnId, rec: RecId, mode: LockMode) -> Result<()> {
+        let mut table = self.shards[self.shard_of(rec)].table.lock();
+        if Self::grant_now(&mut table, txn, rec, mode) {
+            return Ok(());
+        }
+        Self::drop_if_empty(&mut table, rec);
+        Err(DaliError::WouldWait)
+    }
+
     /// Acquire `rec` in `mode` for `txn`. Reentrant: re-requesting a held
     /// mode (or a weaker one) succeeds immediately; shared→exclusive
     /// upgrades wait for other readers to drain.
@@ -219,17 +250,7 @@ impl LockManager {
         // Read from the clock only once the request has to wait.
         let mut deadline: Option<Instant> = None;
         loop {
-            let state = table.entry(rec).or_default();
-            let granted = match state.held_by(txn) {
-                // Already holding a sufficient mode?
-                Some(held) if held == LockMode::Exclusive || mode == LockMode::Shared => true,
-                _ if state.can_grant(txn, mode) => {
-                    state.grant(txn, mode);
-                    true
-                }
-                _ => false,
-            };
-            if granted {
+            if Self::grant_now(&mut table, txn, rec, mode) {
                 if deadline.is_some() && self.detect_every.is_some() {
                     self.stop_waiting(txn);
                 }
@@ -373,6 +394,25 @@ impl LockManager {
     pub fn held_mode(&self, txn: TxnId, rec: RecId) -> Option<LockMode> {
         let table = self.shards[self.shard_of(rec)].table.lock();
         table.get(&rec).and_then(|s| s.held_by(txn))
+    }
+
+    /// Every record's holders, sorted, and the detector's registered
+    /// waiters: the whole table, for a test to compare before and after.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> (Vec<(RecId, Holders)>, usize) {
+        let mut held: Vec<_> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                let table = s.table.lock();
+                table
+                    .iter()
+                    .map(|(&rec, st)| (rec, st.holders().copied().collect::<Vec<_>>()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        held.sort_unstable_by_key(|&(rec, _)| rec);
+        (held, self.detector.lock().waiting.len())
     }
 
     /// Number of records currently locked (diagnostics). Sums the shards
@@ -617,6 +657,39 @@ mod tests {
         ));
         m.unlock_all(TxnId(1));
         assert_eq!(m.locked_records(), 0);
+    }
+
+    /// A no-wait request that would wait, on a held record or as an
+    /// upgrade beside another reader, is refused and leaves the table and
+    /// the detector exactly as they were.
+    #[test]
+    fn a_no_wait_request_that_would_wait_changes_nothing() {
+        let m =
+            LockManager::with_config(Duration::from_secs(30), 4, Some(Duration::from_millis(2)));
+        m.lock(TxnId(1), rec(1), LockMode::Exclusive).unwrap();
+        m.lock(TxnId(1), rec(2), LockMode::Shared).unwrap();
+        m.lock(TxnId(2), rec(2), LockMode::Shared).unwrap();
+        let before = m.snapshot();
+        for (txn, r, mode) in [
+            (TxnId(2), rec(1), LockMode::Shared),
+            (TxnId(3), rec(1), LockMode::Exclusive),
+            (TxnId(2), rec(2), LockMode::Exclusive),
+            (TxnId(3), rec(2), LockMode::Exclusive),
+        ] {
+            let res = m.try_lock(txn, r, mode);
+            assert!(matches!(res, Err(DaliError::WouldWait)), "{res:?}");
+            assert_eq!(m.snapshot(), before, "{txn:?} {mode:?} on {r:?}");
+        }
+        // What needs no wait is granted, as `lock` grants it.
+        m.try_lock(TxnId(3), rec(2), LockMode::Shared).unwrap();
+        m.try_lock(TxnId(1), rec(2), LockMode::Shared).unwrap();
+        m.try_lock(TxnId(3), rec(3), LockMode::Exclusive).unwrap();
+        assert_eq!(m.held_mode(TxnId(3), rec(2)), Some(LockMode::Shared));
+        assert_eq!(m.held_mode(TxnId(3), rec(3)), Some(LockMode::Exclusive));
+        for t in 1..=3 {
+            m.unlock_all(TxnId(t));
+        }
+        assert_eq!(m.snapshot(), (Vec::new(), 0));
     }
 
     #[test]

@@ -46,6 +46,17 @@
 //! writes, so a repair — which holds `quiesce` exclusively and rebuilds
 //! from the log — keeps every completed operation. Reads still take
 //! `quiesce`, because a repair rewrites whole pages.
+//!
+//! A handle's verbs can run in *no-wait* mode
+//! ([`TxnHandle::set_no_wait`]), for a caller that must not block — the
+//! network server's readiness loop. There a record lock that cannot be
+//! granted at once, or `quiesce` held or wanted by a writer, fails the
+//! verb with [`DaliError::WouldWait`] before it has any effect: `quiesce`
+//! is tried before the record lock, a refused lock leaves no trace in
+//! the lock table or the deadlock detector, and nothing reaches the undo,
+//! the redo or the ATT. The caller runs the verb again, waiting. A
+//! durable commit's fsync is not such a wait: a caller that must not
+//! block leaves `sync_commit` commits to a thread that may.
 
 use crate::att::{TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
@@ -54,7 +65,7 @@ use crate::lock::LockMode;
 use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TableId, TxnId};
 use dali_wal::record::{LogRecord, LogicalUndo, OpKind};
 use dali_wal::Span;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLockReadGuard};
 use std::sync::Arc;
 
 /// Handle to an active transaction.
@@ -64,6 +75,8 @@ pub struct TxnHandle {
     db: Arc<Db>,
     id: TxnId,
     state: Arc<Mutex<TxnState>>,
+    /// Refuse to wait (see the module docs); off unless set.
+    no_wait: bool,
 }
 
 impl TxnHandle {
@@ -73,12 +86,57 @@ impl TxnHandle {
         let id = db.next_txn_id();
         let state = db.att.insert(id);
         state.lock().redo.push(LogRecord::TxnBegin { txn: id });
-        Ok(TxnHandle { db, id, state })
+        Ok(TxnHandle {
+            db,
+            id,
+            state,
+            no_wait: false,
+        })
     }
 
     /// This transaction's id.
     pub fn id(&self) -> TxnId {
         self.id
+    }
+
+    /// Run the verbs that follow in no-wait mode, or not: a verb that
+    /// would wait for a record lock or for `quiesce` then fails with
+    /// [`DaliError::WouldWait`] and has no effect.
+    pub fn set_no_wait(&mut self, no_wait: bool) {
+        self.no_wait = no_wait;
+    }
+
+    /// Take `quiesce` shared, or in no-wait mode only if it is free.
+    fn quiesce(&self) -> Result<RwLockReadGuard<'_, ()>> {
+        if self.no_wait {
+            self.db.quiesce.try_read().ok_or(DaliError::WouldWait)
+        } else {
+            Ok(self.db.quiesce.read())
+        }
+    }
+
+    /// Take `rec`'s lock in `mode`, or in no-wait mode only if it is
+    /// granted at once.
+    fn lock(&self, rec: RecId, mode: LockMode) -> Result<()> {
+        if self.no_wait {
+            self.db.locks.try_lock(self.id, rec, mode)
+        } else {
+            self.db.locks.lock(self.id, rec, mode)
+        }
+    }
+
+    /// Take `rec`'s lock in `mode`, then `quiesce` shared. In no-wait
+    /// mode `quiesce` is tried first, so that a refusal of either leaves
+    /// nothing taken; the order does not matter there, as neither waits.
+    fn lock_and_quiesce(&self, rec: RecId, mode: LockMode) -> Result<RwLockReadGuard<'_, ()>> {
+        if self.no_wait {
+            let q = self.quiesce()?;
+            self.lock(rec, mode)?;
+            Ok(q)
+        } else {
+            self.lock(rec, mode)?;
+            self.quiesce()
+        }
     }
 
     // ---------------------------------------------------------------
@@ -101,8 +159,7 @@ impl TxnHandle {
                 heap.meta().rec_size
             )));
         }
-        self.db.locks.lock(self.id, rec, LockMode::Shared)?;
-        let _q = self.db.quiesce.read();
+        let _q = self.lock_and_quiesce(rec, LockMode::Shared)?;
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
@@ -173,8 +230,7 @@ impl TxnHandle {
 
     /// Insert `data` into `rec`, whose slot this transaction reserved.
     fn insert_at(&self, heap: &HeapRuntime, rec: RecId, data: &[u8]) -> Result<()> {
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
-        let _q = self.db.quiesce.read();
+        let _q = self.lock_and_quiesce(rec, LockMode::Exclusive)?;
         let mut st = self.state.lock();
         // Held from the bitmap write through the operation's append.
         let _alloc = heap.lock_alloc();
@@ -203,7 +259,7 @@ impl TxnHandle {
     /// with respect to that record.
     pub fn lock_exclusive(&self, rec: RecId) -> Result<()> {
         self.db.check_alive()?;
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)
+        self.lock(rec, LockMode::Exclusive)
     }
 
     /// Update a record in place.
@@ -217,8 +273,7 @@ impl TxnHandle {
                 heap.meta().rec_size
             )));
         }
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
-        let _q = self.db.quiesce.read();
+        let _q = self.lock_and_quiesce(rec, LockMode::Exclusive)?;
         let mut st = self.state.lock();
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
@@ -239,8 +294,7 @@ impl TxnHandle {
     pub fn delete(&self, rec: RecId) -> Result<()> {
         self.db.check_alive()?;
         let heap = self.db.heap(rec.table)?;
-        self.db.locks.lock(self.id, rec, LockMode::Exclusive)?;
-        let _q = self.db.quiesce.read();
+        let _q = self.lock_and_quiesce(rec, LockMode::Exclusive)?;
         let mut st = self.state.lock();
         if !heap.is_allocated_in_image(&self.db.image, rec.slot)? {
             return Err(DaliError::NotFound(format!("record {rec}")));
@@ -272,10 +326,18 @@ impl TxnHandle {
     /// the system log, flush it (durably when `sync_commit` is set),
     /// release locks.
     pub fn commit(self) -> Result<()> {
+        self.commit_in_place()
+    }
+
+    /// [`commit`](Self::commit) through a shared reference, for a caller
+    /// that keeps the handle in a slot: a [`DaliError::WouldWait`]
+    /// refusal leaves the transaction open, and any other outcome ends
+    /// it, after which the handle is only dropped.
+    pub fn commit_in_place(&self) -> Result<()> {
         self.db.check_alive()?;
         let commit_end;
         {
-            let _q = self.db.quiesce.read();
+            let _q = self.quiesce()?;
             let mut st = self.state.lock();
             st.redo.push(LogRecord::TxnCommit { txn: self.id });
             commit_end = self.db.syslog.append_frames(&st.redo);
@@ -300,13 +362,15 @@ impl TxnHandle {
     /// Abort: roll back the committed operations (see `rollback`) and log
     /// the restores and the abort record as one batch.
     pub fn abort(self) -> Result<()> {
-        self.abort_inner()
+        self.abort_in_place()
     }
 
-    fn abort_inner(&self) -> Result<()> {
+    /// [`abort`](Self::abort) through a shared reference, as
+    /// [`commit_in_place`](Self::commit_in_place) commits.
+    pub fn abort_in_place(&self) -> Result<()> {
         self.db.check_alive()?;
         let freed = {
-            let _q = self.db.quiesce.read();
+            let _q = self.quiesce()?;
             let mut st = self.state.lock();
             // The alloc mutexes of the heaps the rollback restores into,
             // held through the batch's append: a bitmap word it restores
@@ -358,7 +422,12 @@ impl Drop for TxnHandle {
     fn drop(&mut self) {
         let active = self.state.lock().status == TxnStatus::Active;
         if active && !self.db.crashed.load(std::sync::atomic::Ordering::Acquire) {
-            let _ = self.abort_inner();
+            self.no_wait = false;
+            let _ = self.abort_in_place();
+        }
+        let mut st = self.state.lock();
+        if st.status != TxnStatus::Active {
+            self.db.att.recycle(&mut st);
         }
     }
 }
@@ -985,6 +1054,80 @@ mod tests {
         assert_eq!(check.read_vec(a).unwrap(), [1; 64]);
         assert_eq!(check.read_vec(b).unwrap(), [2; 64]);
         check.commit().unwrap();
+    }
+
+    /// What a refused no-wait verb must leave as it was: the lock table
+    /// and the deadlock detector, the ATT, and the transaction's undo
+    /// (arena and stacks) and redo.
+    fn footprint(txn: &TxnHandle) -> impl PartialEq + std::fmt::Debug {
+        let st = txn.state.lock();
+        (
+            txn.db.locks.snapshot(),
+            txn.db.att.len(),
+            (st.undo.arena_len(), st.undo.len(), st.undo.physical().len()),
+            (st.redo.len(), st.next_op),
+        )
+    }
+
+    /// Every verb in no-wait mode that would wait — for a record another
+    /// transaction holds, for an upgrade beside another reader, or for a
+    /// held `quiesce` — fails with `WouldWait` and has no effect; an
+    /// insert gives its reserved slot back. Waiting again, the same
+    /// transaction runs on.
+    #[test]
+    fn a_no_wait_verb_that_would_wait_has_no_effect() {
+        let dir = TempDir::new("txn-no-wait");
+        let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+        let (engine, _) = DaliEngine::create(config).unwrap();
+        let table = engine.create_table("t", 16, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        let [a, b, c] = [1u8, 2, 3].map(|v| setup.insert(table, &[v; 16]).unwrap());
+        setup.commit().unwrap();
+        let db = engine.db();
+        let heap = db.heap(table).unwrap();
+
+        let holder = engine.begin().unwrap();
+        holder.lock_exclusive(a).unwrap();
+        holder.read_vec(b).unwrap();
+        let mut txn = engine.begin().unwrap();
+        txn.update(c, &[4; 16]).unwrap();
+        txn.set_no_wait(true);
+        txn.read_vec(b).unwrap();
+        let would_wait = |what: &str, res: Result<()>| {
+            assert!(matches!(res, Err(DaliError::WouldWait)), "{what}: {res:?}");
+        };
+
+        let before = footprint(&txn);
+        let in_use = heap.in_use();
+        would_wait("read of a held record", txn.read_vec(a).map(drop));
+        would_wait("update of a held record", txn.update(a, &[5; 16]));
+        would_wait("delete of a held record", txn.delete(a));
+        would_wait("lock of a held record", txn.lock_exclusive(a));
+        would_wait("upgrade beside a reader", txn.update(b, &[5; 16]));
+        assert_eq!(footprint(&txn), before);
+        {
+            let _q = db.quiesce.write();
+            would_wait("read", txn.read_vec(c).map(drop));
+            would_wait("update", txn.update(c, &[5; 16]));
+            would_wait("delete", txn.delete(c));
+            would_wait("insert", txn.insert(table, &[5; 16]).map(drop));
+            would_wait("commit", txn.commit_in_place());
+            would_wait("abort", txn.abort_in_place());
+            assert_eq!(footprint(&txn), before);
+            assert_eq!(heap.in_use(), in_use, "the insert kept its slot");
+        }
+
+        holder.commit().unwrap();
+        txn.update(b, &[6; 16]).unwrap();
+        txn.set_no_wait(false);
+        txn.update(a, &[6; 16]).unwrap();
+        txn.commit().unwrap();
+        let check = engine.begin().unwrap();
+        for (rec, v) in [(a, 6), (b, 6), (c, 4)] {
+            assert_eq!(check.read_vec(rec).unwrap(), [v; 16]);
+        }
+        check.commit().unwrap();
+        assert!(engine.audit().unwrap().clean());
     }
 
     /// An insert that fails after it reserved its slot gives the

@@ -33,12 +33,20 @@ fn map_closed(e: DaliError) -> DaliError {
     }
 }
 
+/// Request bytes [`DaliClient::pipeline`] keeps sent but unanswered, at
+/// most (or one frame, if that is larger). A loopback connection buffers
+/// more than this toward the server, so a write of them completes even
+/// while the server, its replies unread, has stopped reading.
+const PIPELINE_WINDOW: usize = 64 << 10;
+
 /// A connection to a [`DaliServer`](crate::DaliServer).
 pub struct DaliClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// The outgoing batch, framed in place and written in one go.
+    /// The outgoing batch, framed in place.
     wire: Vec<u8>,
+    /// Where each frame of `wire` ends.
+    ends: Vec<usize>,
 }
 
 impl DaliClient {
@@ -51,6 +59,7 @@ impl DaliClient {
             reader,
             writer: stream,
             wire: Vec::new(),
+            ends: Vec::new(),
         })
     }
 
@@ -58,29 +67,54 @@ impl DaliClient {
     /// A connection the server closed — mid-request or between requests —
     /// surfaces as [`DaliError::ConnectionClosed`], not a raw I/O error.
     fn call(&mut self, req: &Request) -> Result<Response> {
-        self.send(std::slice::from_ref(req))?;
+        self.wire.clear();
+        req.frame_into(&mut self.wire);
+        self.send(0..self.wire.len())?;
         self.receive()
     }
 
-    /// Send a batch of requests, then collect the responses, which the
-    /// server returns in receive order. Every request is framed into one
-    /// buffer that is written once, so the batch leaves as one write; the
-    /// replies are read through the connection's buffered reader. The
-    /// server overlaps the frames in its execution pool up to the
-    /// connection's pipeline budget, amortizing round trips.
+    /// Send a batch of requests and collect the responses, which the
+    /// server returns in receive order, one round trip for the batch.
+    /// The requests are framed back to back into one buffer; a batch of
+    /// up to 64 KiB leaves in one write. A larger one is written in
+    /// windows, replies read in between: the server stops reading a
+    /// connection whose replies go unread, so a client that wrote all
+    /// before reading any could wait on it for good. The server runs the
+    /// frames as it decodes them, handing only those that must wait to
+    /// its execution pool, up to the connection's pipeline budget.
     pub fn pipeline(&mut self, reqs: &[Request]) -> Result<Vec<Response>> {
-        self.send(reqs)?;
-        reqs.iter().map(|_| self.receive()).collect()
-    }
-
-    /// Frame `reqs` back to back and send them in one write.
-    fn send(&mut self, reqs: &[Request]) -> Result<()> {
         self.wire.clear();
+        self.ends.clear();
         for req in reqs {
             req.frame_into(&mut self.wire);
+            self.ends.push(self.wire.len());
         }
+        let end_of = |ends: &[usize], frames: usize| frames.checked_sub(1).map_or(0, |i| ends[i]);
+        let mut resps = Vec::with_capacity(reqs.len());
+        let mut sent = 0;
+        while resps.len() < reqs.len() {
+            let (answered, written) = (end_of(&self.ends, resps.len()), end_of(&self.ends, sent));
+            // Refill once half the window is answered: at least the next
+            // frame, then every frame that ends inside the window.
+            if written - answered <= PIPELINE_WINDOW / 2 {
+                let mut upto = sent.max(resps.len() + 1);
+                while upto < reqs.len() && self.ends[upto] - answered <= PIPELINE_WINDOW {
+                    upto += 1;
+                }
+                if upto > sent {
+                    self.send(written..self.ends[upto - 1])?;
+                    sent = upto;
+                }
+            }
+            resps.push(self.receive()?);
+        }
+        Ok(resps)
+    }
+
+    /// Write the framed bytes `range` of the outgoing buffer.
+    fn send(&mut self, range: std::ops::Range<usize>) -> Result<()> {
         self.writer
-            .write_all(&self.wire)
+            .write_all(&self.wire[range])
             .map_err(|e| map_closed(e.into()))
     }
 

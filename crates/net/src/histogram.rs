@@ -3,14 +3,16 @@
 //! Fixed log₂-nanosecond buckets: a latency of `t` ns lands in bucket
 //! `floor(log2(t))` (bucket 0 holds `t <= 1`). Recording is one atomic
 //! add on a fixed-size array — no allocation, no locking — so the
-//! execution pool can stamp every response without contending. Snapshots
+//! event loop and the execution pool can stamp every response without
+//! contending. Snapshots
 //! are sparse [`VerbMetrics`] rows, and merging two reports is bucketwise
 //! addition, which lets a scraper aggregate across servers or intervals
 //! without losing percentile fidelity beyond the 2× bucket width.
 //!
-//! Latency is measured from frame decode to response enqueue, so queue
-//! wait in the execution pool is *included*: the histogram reflects what
-//! the client experiences, not just verb CPU time.
+//! Latency is measured from frame decode to response framing, so the
+//! wait behind earlier frames of the same pass, and queue wait in the
+//! execution pool, are *included*: the histogram reflects what the
+//! client experiences, not just verb CPU time.
 
 use crate::protocol::{MetricsReport, VerbMetrics};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,7 +2,9 @@
 //!
 //! Turns the embedded engine into a networked database: an event-driven
 //! [`DaliServer`] runs one epoll readiness loop over the listener and
-//! every nonblocking session and executes verbs on a bounded pool, a blocking [`DaliClient`] speaks the length-prefixed,
+//! every nonblocking session, executes every verb that need not wait on
+//! that loop and the waits on a bounded pool; a blocking [`DaliClient`]
+//! speaks the length-prefixed,
 //! checksummed binary protocol in [`protocol`] (with optional frame
 //! [`pipelining`](DaliClient::pipeline)). A [`DaliClient`] is a
 //! `dali_workload::Session`, so the one TPC-B driver runs over N client
@@ -20,8 +22,9 @@
 //!   [`DaliError::ConnectionClosed`].
 //! * **Event-driven sessions**: each connection is a state machine
 //!   (read-accumulate → decode → execute → write-drain) owned by the
-//!   event loop; a session's queued frames execute as one run, answered
-//!   in receive order with one write per run, and two per-connection
+//!   event loop, which runs a decoded request where it is decoded unless
+//!   it must wait; what waits goes to the pool with every frame behind
+//!   it, so replies keep receive order, and two per-connection
 //!   budgets ([`server::PIPELINE_DEPTH`], [`server::OUTBOUND_BUDGET`])
 //!   park the read side instead of buffering without bound.
 //!   `net_max_conns` caps admission.

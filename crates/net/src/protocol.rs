@@ -131,9 +131,11 @@ wire_struct! {
         /// Times a session's read interest was parked by backpressure
         /// (pipeline budget exhausted or outbound budget exceeded).
         pub read_parks: u64,
-        /// Requests currently queued for the execution pool.
+        /// Requests currently handed off to the execution pool and not yet
+        /// answered: those that must or would wait, and the frames queued
+        /// behind them. A request the event loop runs itself never counts.
         pub exec_queue_depth: u64,
-        /// High-watermark of the execution-pool queue depth.
+        /// High-watermark of `exec_queue_depth`.
         pub exec_queue_max: u64,
         /// Readiness-loop wakeups.
         pub loop_iterations: u64,
@@ -168,11 +170,13 @@ wire_struct! {
     /// data path is wedged.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct HealthReport {
-        /// The server is accepting work (not shutting down, engine alive).
+        /// The server is accepting work (not shutting down, engine alive,
+        /// no log failure kept).
         pub healthy: bool,
         /// Connections currently open.
         pub conns_open: u64,
-        /// Requests queued for the execution pool right now.
+        /// Requests handed off to the execution pool right now (see
+        /// [`ServerStats::exec_queue_depth`]).
         pub exec_queue_depth: u64,
         /// Nanoseconds since the server started.
         pub uptime_ns: u64,
@@ -340,6 +344,9 @@ impl From<&DaliError> for WireError {
                 txn: *txn,
                 rec: *rec,
             },
+            // The server runs a refused verb again, waiting; this arm is
+            // only for totality.
+            DaliError::WouldWait => WireError::InvalidArg(e.to_string()),
             DaliError::NotFound(s) => WireError::NotFound(s.clone()),
             DaliError::OutOfSpace(s) => WireError::OutOfSpace(s.clone()),
             DaliError::InvalidArg(s) => WireError::InvalidArg(s.clone()),

@@ -1,34 +1,48 @@
 //! The event-driven network front-end: one readiness loop owning the
 //! listener and every nonblocking session as an explicit state machine,
-//! with execution on a bounded worker pool.
+//! executing every request that need not wait, with the waits on a
+//! bounded worker pool.
 //!
 //! # Architecture (DESIGN.md §6)
 //!
 //! ```text
-//!            accept                   decode                 execute
-//!  listener ───────► event loop ─────────────► exec pool ──────────► engine
-//!                    (epoll)     Work queue    (bounded)   TxnHandle
-//!                     ▲  │ read-accumulate          │
-//!                     │  │ write-drain              │ encoded responses
-//!                     └──┴──────── waker ◄──────────┘
+//!            accept                 decode + execute
+//!  listener ───────► event loop ───────────────────────────► engine
+//!                    (epoll)      no-wait TxnHandle verbs      ▲
+//!                     ▲  │ read-accumulate                     │
+//!                     │  │ write-drain      would wait         │ waits
+//!                     │  └──────────────► exec pool ───────────┘
+//!                     │    Work queue     (bounded)
+//!                     └──────── waker ◄──────┘ encoded responses
 //! ```
 //!
 //! * **The event loop** owns the listener and every nonblocking socket.
 //!   Each session is a state machine: *read-accumulate* bytes into a
-//!   buffer, *decode* complete frames, hand requests to the exec pool,
-//!   *write-drain* encoded responses. The loop never blocks on a socket
-//!   or the engine.
-//! * **Exec pool** runs the verbs (which may block: lock waits, fsyncs,
-//!   audits). One session is served by at most one exec worker at a
-//!   time, so pipelined responses come back in receive order. A worker
-//!   takes a session's whole queued *run* at once, frames its replies
-//!   into one buffer and wakes the event loop once for it.
+//!   buffer, *decode* complete frames, *execute* them, *write-drain*
+//!   encoded responses. While a session has nothing on the exec pool the
+//!   loop runs each request itself, in the engine's no-wait mode, and
+//!   frames its reply straight into the write queue: a pipelined batch
+//!   crosses no thread. The loop never blocks on a socket, a record lock
+//!   or `quiesce`.
+//! * **Exec pool** takes the work that may block: a request that would
+//!   wait for a record lock or for `quiesce` (the engine refuses it in
+//!   no-wait mode, having done nothing), a `Commit` under `sync_commit`,
+//!   `Audit`, `Repair`, the catalog verbs and `Stats`. Once a request is
+//!   handed off, every later frame of the session queues behind it until
+//!   the pool has drained the session, so replies keep receive order.
+//!   One session is served by at most one exec worker at a time. A
+//!   worker takes a session's whole queued *run* at once, frames its
+//!   replies into one buffer — the first behind the replies the loop
+//!   answered ahead of the hand-off in the same pass — and wakes the
+//!   event loop once for it.
 //! * **Pipelining**: up to [`PIPELINE_DEPTH`] decoded-but-unanswered
-//!   frames per connection. At the budget the session's read interest is
-//!   *parked* — TCP backpressure, not disconnect.
+//!   frames per connection; a frame the loop runs counts until its reply
+//!   is queued. At the budget the session's read interest is *parked* —
+//!   TCP backpressure, not disconnect.
 //! * **Outbound budget**: a slow consumer whose queued response bytes
-//!   exceed [`OUTBOUND_BUDGET`] also parks reads; buffering is bounded
-//!   by `budget + depth × frame`, never unbounded.
+//!   (counted as they are framed) exceed [`OUTBOUND_BUDGET`] also parks
+//!   reads; buffering is bounded by `budget + depth × frame`, never
+//!   unbounded.
 //! * **Admission control**: at `net_max_conns` open connections, newly
 //!   accepted sockets get a best-effort structured error and close
 //!   (counted in [`ServerStats::conns_rejected`]), and the listener's
@@ -55,7 +69,7 @@ use crate::protocol::{
     encode_response, frame, parse_frame, HealthReport, RepairSummary, Request, Response,
     ServerStats, WireError,
 };
-use dali_common::Result;
+use dali_common::{DaliError, Result};
 use dali_engine::{DaliEngine, TxnHandle};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -102,64 +116,141 @@ impl ServerCounters {
     }
 }
 
-/// Execute one *engine* verb against a session's transaction slot.
-/// `Stats`/`Health`/`Metrics` are intercepted by the caller (they need
-/// server state, not engine state). Session semantics: one txn per
-/// connection, `NoTxn`/`TxnAlreadyOpen` misuse errors, errors leave the
-/// txn open.
+/// Whether the event loop may run `req` itself. Everything may but what
+/// blocks by nature: a durable commit (its fsync), an audit, a repair,
+/// the catalog verbs (DDL holds the catalog across a log flush) and
+/// `Stats`, which lists the log directory.
+fn runs_inline(req: &Request, sync_commit: bool) -> bool {
+    match req {
+        Request::Commit => !sync_commit,
+        Request::Audit
+        | Request::Repair { .. }
+        | Request::CreateTable { .. }
+        | Request::OpenTable { .. }
+        | Request::Stats => false,
+        _ => true,
+    }
+}
+
+/// Execute one request against a session's transaction slot, the server
+/// verbs (`Stats`, `Health`, `Metrics`) from server state and the rest
+/// through [`execute_engine_request`]. `None` only when `wait` is false
+/// and the verb would have waited.
+fn execute_request(
+    shared: &Shared,
+    txn_slot: &mut Option<TxnHandle>,
+    req: &Request,
+    wait: bool,
+) -> Option<Response> {
+    Some(match req {
+        Request::Stats => build_server_stats(&shared.engine, &shared.counters)
+            .map_or_else(|e| Response::Err(e.into()), Response::Stats),
+        Request::Health => Response::Health(shared.health()),
+        Request::Metrics => Response::Metrics(
+            shared
+                .histograms
+                .report(shared.start.elapsed().as_nanos() as u64),
+        ),
+        req => return execute_engine_request(&shared.engine, txn_slot, req, wait),
+    })
+}
+
+/// Why an engine verb gave no plain reply: an error to answer with, or,
+/// in no-wait mode only, a wait it declined to begin.
+enum Failure {
+    Reply(WireError),
+    WouldWait,
+}
+
+impl From<WireError> for Failure {
+    fn from(e: WireError) -> Failure {
+        Failure::Reply(e)
+    }
+}
+
+impl From<DaliError> for Failure {
+    fn from(e: DaliError) -> Failure {
+        match e {
+            DaliError::WouldWait => Failure::WouldWait,
+            e => Failure::Reply(e.into()),
+        }
+    }
+}
+
+/// Execute one *engine* verb against a session's transaction slot, the
+/// one executor of the event loop and the exec pool. Session semantics:
+/// one txn per connection, `NoTxn`/`TxnAlreadyOpen` misuse errors, errors
+/// leave the txn open. Without `wait` the verb runs in the engine's
+/// no-wait mode ([`TxnHandle::set_no_wait`]) and returns `None` if it
+/// would have waited, having done nothing; the caller runs it again,
+/// waiting.
 fn execute_engine_request(
     engine: &DaliEngine,
     txn_slot: &mut Option<TxnHandle>,
-    req: Request,
-) -> Response {
-    match execute_engine_inner(engine, txn_slot, req) {
-        Ok(resp) => resp,
-        Err(e) => Response::Err(e),
+    req: &Request,
+    wait: bool,
+) -> Option<Response> {
+    if let Some(txn) = txn_slot {
+        txn.set_no_wait(!wait);
+    }
+    let res = execute_engine_inner(engine, txn_slot, req);
+    // A handle at rest waits: the orphan rollback runs on it as it is.
+    if let Some(txn) = txn_slot {
+        txn.set_no_wait(false);
+    }
+    match res {
+        Ok(resp) => Some(resp),
+        Err(Failure::Reply(e)) => Some(Response::Err(e)),
+        Err(Failure::WouldWait) => None,
     }
 }
 
 fn execute_engine_inner(
     engine: &DaliEngine,
     txn_slot: &mut Option<TxnHandle>,
-    req: Request,
-) -> std::result::Result<Response, WireError> {
+    req: &Request,
+) -> std::result::Result<Response, Failure> {
     fn open(txn_slot: &Option<TxnHandle>) -> std::result::Result<&TxnHandle, WireError> {
         txn_slot.as_ref().ok_or(WireError::NoTxn)
     }
     Ok(match req {
         Request::Begin => {
             if txn_slot.is_some() {
-                return Err(WireError::TxnAlreadyOpen);
+                return Err(WireError::TxnAlreadyOpen.into());
             }
             let txn = engine.begin()?;
             let id = txn.id();
             *txn_slot = Some(txn);
             Response::Began { txn: id }
         }
-        Request::Read { rec } => Response::Data(open(txn_slot)?.read_vec(rec)?),
+        Request::Read { rec } => Response::Data(open(txn_slot)?.read_vec(*rec)?),
         Request::Insert { table, data } => Response::Inserted {
-            rec: open(txn_slot)?.insert(table, &data)?,
+            rec: open(txn_slot)?.insert(*table, data)?,
         },
         Request::Update { rec, data } => {
-            open(txn_slot)?.update(rec, &data)?;
+            open(txn_slot)?.update(*rec, data)?;
             Response::Ok
         }
         Request::Delete { rec } => {
-            open(txn_slot)?.delete(rec)?;
+            open(txn_slot)?.delete(*rec)?;
             Response::Ok
         }
         Request::LockExclusive { rec } => {
-            open(txn_slot)?.lock_exclusive(rec)?;
+            open(txn_slot)?.lock_exclusive(*rec)?;
             Response::Ok
         }
-        Request::Commit => {
-            let txn = txn_slot.take().ok_or(WireError::NoTxn)?;
-            txn.commit()?;
-            Response::Ok
-        }
-        Request::Abort => {
-            let txn = txn_slot.take().ok_or(WireError::NoTxn)?;
-            txn.abort()?;
+        Request::Commit | Request::Abort => {
+            let txn = open(txn_slot)?;
+            let ended = match req {
+                Request::Commit => txn.commit_in_place(),
+                _ => txn.abort_in_place(),
+            };
+            // Refused, the transaction is still open; otherwise it ended
+            // (an error too ends it) and the handle goes.
+            if !matches!(ended, Err(DaliError::WouldWait)) {
+                *txn_slot = None;
+            }
+            ended?;
             Response::Ok
         }
         Request::CreateTable {
@@ -167,12 +258,12 @@ fn execute_engine_inner(
             rec_size,
             capacity,
         } => Response::Table {
-            table: engine.create_table(&name, rec_size as usize, capacity as usize)?,
+            table: engine.create_table(name, *rec_size as usize, *capacity as usize)?,
         },
         Request::OpenTable { name } => Response::Table {
-            table: engine.table(&name)?,
+            table: engine.table(name)?,
         },
-        Request::RecordCount { table } => Response::Count(engine.record_count(table)? as u64),
+        Request::RecordCount { table } => Response::Count(engine.record_count(*table)? as u64),
         Request::Audit => {
             let report = engine.audit()?;
             Response::Audited {
@@ -182,7 +273,7 @@ fn execute_engine_inner(
         }
         Request::Ping => Response::Ok,
         Request::Repair { region } => {
-            let outcome = engine.repair(region as usize)?;
+            let outcome = engine.repair(*region as usize)?;
             Response::Repaired(RepairSummary {
                 regions: outcome.regions as u64,
                 bytes_written: outcome.bytes_written as u64,
@@ -192,9 +283,9 @@ fn execute_engine_inner(
         // Server verbs the caller should have intercepted; answering
         // from engine state alone would report zeros, so refuse loudly.
         Request::Stats | Request::Health | Request::Metrics => {
-            return Err(WireError::InvalidArg(
-                "server verb reached the engine executor".into(),
-            ))
+            return Err(
+                WireError::InvalidArg("server verb reached the engine executor".into()).into(),
+            )
         }
     })
 }
@@ -264,7 +355,12 @@ enum Work {
 }
 
 struct CoreState {
+    /// Work handed to the exec pool, in receive order.
     work: VecDeque<Work>,
+    /// Replies the event loop answered in the pass that handed `work`
+    /// off, ahead of it, and how many: they go out in front of the
+    /// worker's first run, in one buffer with it.
+    prefix: (Vec<u8>, usize),
     /// Framed replies ready for the event loop to write-drain, one
     /// buffer per exec run.
     resps: Vec<Vec<u8>>,
@@ -293,6 +389,7 @@ impl SessionCore {
             conn_id,
             state: Mutex::new(CoreState {
                 work: VecDeque::new(),
+                prefix: (Vec::new(), 0),
                 resps: Vec::new(),
                 answered: 0,
                 close_after_resps: false,
@@ -344,9 +441,14 @@ impl Shared {
         self.waker.wake();
     }
 
+    /// Liveness from flags alone: the loop answers it, so it waits for
+    /// no lock and no I/O.
     fn health(&self) -> HealthReport {
+        let db = self.engine.db();
         HealthReport {
-            healthy: !self.stop.load(Ordering::Acquire) && self.engine.current_lsn().is_ok(),
+            healthy: !self.stop.load(Ordering::Acquire)
+                && db.check_alive().is_ok()
+                && db.syslog.failed().is_ok(),
             conns_open: self.counters.sessions.load(Ordering::Relaxed),
             exec_queue_depth: self.counters.exec_queue_depth.load(Ordering::Relaxed),
             uptime_ns: self.start.elapsed().as_nanos() as u64,
@@ -379,7 +481,8 @@ fn exec_worker(shared: Arc<Shared>) {
 /// Drain one session's work FIFO a run at a time until it is empty. A
 /// run is everything queued when the worker looks: taken with the txn
 /// slot under one lock, executed in receive order with the slot
-/// threaded through, its replies framed into one buffer. One more lock
+/// threaded through, waiting where a verb must, its replies framed into
+/// one buffer — the first run's behind the loop's prefix. One more lock
 /// publishes the buffer with one loop wake and takes the next run, or,
 /// when none is queued, restores the slot and releases the session, so
 /// the loop that drains the last run already sees the exec side idle.
@@ -387,33 +490,23 @@ fn exec_worker(shared: Arc<Shared>) {
 /// replies are pushed in exactly the order frames were decoded.
 fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
     let mut run = VecDeque::new();
-    let mut txn = {
+    let (mut txn, (mut out, mut answered)) = {
         let mut state = core.state.lock().unwrap();
         std::mem::swap(&mut state.work, &mut run);
-        state.txn.take()
+        (state.txn.take(), std::mem::take(&mut state.prefix))
     };
     loop {
-        let mut out = Vec::new();
-        let (mut answered, mut close_after, mut cleanup) = (0, false, false);
+        let (mut executed, mut close_after, mut cleanup) = (0, false, false);
         for item in run.drain(..) {
             match item {
                 Work::Req { tag, started, req } => {
-                    // Server verbs answer from shared state; engine verbs
-                    // may block (locks, fsync), so the state lock is not
-                    // held across the run.
-                    let resp = match req {
-                        Request::Stats => build_server_stats(&shared.engine, &shared.counters)
-                            .map_or_else(|e| Response::Err(e.into()), Response::Stats),
-                        Request::Health => Response::Health(shared.health()),
-                        Request::Metrics => Response::Metrics(
-                            shared
-                                .histograms
-                                .report(shared.start.elapsed().as_nanos() as u64),
-                        ),
-                        req => execute_engine_request(&shared.engine, &mut txn, req),
-                    };
+                    // The state lock is not held across the run: verbs
+                    // here may block (locks, fsync). A waiting call is
+                    // never refused.
+                    let resp = execute_request(shared, &mut txn, &req, true)
+                        .unwrap_or_else(|| Response::Err(DaliError::WouldWait.into()));
                     resp.frame_into(&mut out);
-                    answered += 1;
+                    executed += 1;
                     shared
                         .histograms
                         .record(tag, started.elapsed().as_nanos() as u64);
@@ -428,16 +521,17 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
         shared
             .counters
             .exec_queue_depth
-            .fetch_sub(answered as u64, Ordering::Relaxed);
+            .fetch_sub(executed as u64, Ordering::Relaxed);
         let orphan = if cleanup { txn.take() } else { None };
         let idle = {
             let mut state = core.state.lock().unwrap();
             if !state.closed && !out.is_empty() {
-                state.resps.push(out);
-                state.answered += answered;
+                state.resps.push(std::mem::take(&mut out));
+                state.answered += answered + executed;
                 state.close_after_resps |= close_after;
                 shared.notify_ready(core);
             }
+            (out, answered) = (Vec::new(), 0);
             std::mem::swap(&mut state.work, &mut run);
             if run.is_empty() {
                 state.txn = txn.take();
@@ -464,7 +558,8 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
 
 /// The loop-owned half of a session: socket, accumulate buffer, write
 /// queue, and interest bookkeeping. The state machine: read-accumulate
-/// → decode (enqueue to exec) → write-drain, with parks in between.
+/// → decode (execute, or enqueue to exec) → write-drain, with parks in
+/// between.
 struct Conn {
     stream: TcpStream,
     core: Arc<SessionCore>,
@@ -644,93 +739,136 @@ impl EventLoop {
     }
 
     /// Decode as many complete frames from the accumulate buffer as the
-    /// budgets allow, handing work to the exec pool in one batch stamped
-    /// with one decode time.
+    /// budgets allow, stamped with one decode time. While the session
+    /// has nothing on the exec pool, each request runs here, in no-wait
+    /// mode, and its reply is framed into the pass's buffer. The first
+    /// request that must or would wait goes to the pool, and every later
+    /// frame of the pass queues behind it. The pass's replies then join
+    /// the write queue, or, behind a hand-off, ride in front of the
+    /// worker's first run. A frame counts against the pipeline depth
+    /// until its reply is queued, and a reply's bytes against the
+    /// outbound budget from when they are framed.
     fn decode_frames(shared: &Arc<Shared>, conn: &mut Conn) {
         let mut consumed_total = 0usize;
         let (mut enqueued, mut pipelined) = (0u64, 0u64);
+        let (mut out, mut answered) = (Vec::new(), 0usize);
+        let sync_commit = shared.engine.config().sync_commit;
         let started = Instant::now();
-        {
-            let mut state = conn.core.state.lock().unwrap();
-            loop {
-                if conn.pending >= PIPELINE_DEPTH || conn.outbound > OUTBOUND_BUDGET {
-                    if !conn.parked {
-                        conn.parked = true;
-                        shared.counters.read_parks.fetch_add(1, Ordering::Relaxed);
+        // A second handle to the core, so that the connection stays free
+        // to borrow while its state is locked.
+        let core = Arc::clone(&conn.core);
+        let mut state = core.state.lock().unwrap();
+        // Replies a worker published that the loop has not pumped go
+        // first: this pass's answer later frames.
+        Self::take_replies(shared, conn, &mut state);
+        loop {
+            if conn.pending >= PIPELINE_DEPTH || conn.outbound + out.len() > OUTBOUND_BUDGET {
+                if !conn.parked {
+                    conn.parked = true;
+                    shared.counters.read_parks.fetch_add(1, Ordering::Relaxed);
+                }
+                break;
+            }
+            let parsed = match parse_frame(&conn.read_buf[consumed_total..]) {
+                Ok(None) => break,
+                Ok(Some((payload, consumed))) => {
+                    consumed_total += consumed;
+                    Request::decode(payload)
+                }
+                Err(e) => Err(e),
+            };
+            let inline = state.work.is_empty() && !state.exec_scheduled;
+            match parsed {
+                Ok(req) => {
+                    pipelined += u64::from(conn.pending > 0);
+                    conn.pending += 1;
+                    let tag = req.tag();
+                    if inline && runs_inline(&req, sync_commit) {
+                        if let Some(resp) = execute_request(shared, &mut state.txn, &req, false) {
+                            resp.frame_into(&mut out);
+                            answered += 1;
+                            shared
+                                .histograms
+                                .record(tag, started.elapsed().as_nanos() as u64);
+                            continue;
+                        }
                     }
+                    enqueued += 1;
+                    state.work.push_back(Work::Req { tag, started, req });
+                }
+                Err(e) => {
+                    let e = WireError::from(&e);
+                    if inline {
+                        Response::Err(e).frame_into(&mut out);
+                    } else {
+                        state.work.push_back(Work::ProtocolError(e));
+                    }
+                    conn.read_dead = true;
                     break;
                 }
-                let parsed = match parse_frame(&conn.read_buf[consumed_total..]) {
-                    Ok(None) => break,
-                    Ok(Some((payload, consumed))) => {
-                        consumed_total += consumed;
-                        Request::decode(payload)
-                    }
-                    Err(e) => Err(e),
-                };
-                match parsed {
-                    Ok(req) => {
-                        pipelined += u64::from(conn.pending > 0);
-                        conn.pending += 1;
-                        enqueued += 1;
-                        state.work.push_back(Work::Req {
-                            tag: req.tag(),
-                            started,
-                            req,
-                        });
-                    }
-                    Err(e) => {
-                        state
-                            .work
-                            .push_back(Work::ProtocolError(WireError::from(&e)));
-                        conn.read_dead = true;
-                        break;
-                    }
-                }
-            }
-            shared
-                .counters
-                .frames_pipelined
-                .fetch_add(pipelined, Ordering::Relaxed);
-            // Bump the queue gauge *before* the work becomes visible to
-            // the exec pool, or a fast worker's decrement could race
-            // ahead of this increment and underflow the gauge.
-            if enqueued > 0 {
-                let depth = shared
-                    .counters
-                    .exec_queue_depth
-                    .fetch_add(enqueued, Ordering::Relaxed)
-                    + enqueued;
-                ServerCounters::raise_max(&shared.counters.exec_queue_max, depth);
-            }
-            if !state.work.is_empty() {
-                shared.schedule_locked(&conn.core, &mut state);
             }
         }
+        shared
+            .counters
+            .frames_pipelined
+            .fetch_add(pipelined, Ordering::Relaxed);
+        // Bump the queue gauge *before* the work becomes visible to the
+        // exec pool, or a fast worker's decrement could race ahead of
+        // this increment and underflow the gauge.
+        if enqueued > 0 {
+            let depth = shared
+                .counters
+                .exec_queue_depth
+                .fetch_add(enqueued, Ordering::Relaxed)
+                + enqueued;
+            ServerCounters::raise_max(&shared.counters.exec_queue_max, depth);
+        }
+        if !state.work.is_empty() {
+            // Replies framed here precede the first hand-off: no prefix
+            // is pending, as nothing ran here while the pool had work.
+            if !out.is_empty() {
+                state.prefix = (std::mem::take(&mut out), answered);
+            }
+            shared.schedule_locked(&core, &mut state);
+        }
+        drop(state);
         if consumed_total > 0 {
             conn.read_buf.drain(..consumed_total);
         }
+        if !out.is_empty() {
+            conn.pending -= answered;
+            Self::queue_replies(shared, conn, out);
+        }
+        Self::write_drain(conn);
     }
 
-    /// Move the reply runs from the session core into the write queue,
-    /// then try to drain them to the socket immediately. After a
-    /// protocol error's frame the connection closes once the queue drains.
-    fn pump_responses(shared: &Arc<Shared>, conn: &mut Conn) {
-        let (runs, answered, close_after) = {
-            let mut state = conn.core.state.lock().unwrap();
-            (
-                std::mem::take(&mut state.resps),
-                std::mem::take(&mut state.answered),
-                state.close_after_resps,
-            )
-        };
-        conn.pending = conn.pending.saturating_sub(answered);
-        for run in runs {
-            conn.outbound += run.len();
-            conn.write_bufs.push_back(run);
-        }
+    /// Append a buffer of framed replies to the write queue.
+    fn queue_replies(shared: &Shared, conn: &mut Conn, replies: Vec<u8>) {
+        conn.outbound += replies.len();
+        conn.write_bufs.push_back(replies);
         ServerCounters::raise_max(&shared.counters.outbound_buffered_max, conn.outbound as u64);
-        conn.closing |= close_after;
+    }
+
+    /// Move the reply runs a worker published into the write queue,
+    /// freeing their frames' pipeline budget. After a protocol error's
+    /// frame the connection closes once the queue drains.
+    fn take_replies(shared: &Shared, conn: &mut Conn, state: &mut CoreState) {
+        conn.pending = conn
+            .pending
+            .saturating_sub(std::mem::take(&mut state.answered));
+        for run in state.resps.drain(..) {
+            Self::queue_replies(shared, conn, run);
+        }
+        conn.closing |= state.close_after_resps;
+    }
+
+    /// Move the published reply runs into the write queue, then try to
+    /// drain them to the socket immediately.
+    fn pump_responses(shared: &Arc<Shared>, conn: &mut Conn) {
+        let core = Arc::clone(&conn.core);
+        let mut state = core.state.lock().unwrap();
+        Self::take_replies(shared, conn, &mut state);
+        drop(state);
         Self::write_drain(conn);
     }
 
@@ -768,11 +906,13 @@ impl EventLoop {
                 return;
             };
             // Budgets may have relaxed (responses answered, outbound
-            // flushed — whether via pump_responses or a bare writable
-            // event): unpark, and re-parse leftover buffered bytes —
-            // the kernel will not re-signal data that already sits in
-            // our userspace buffer.
-            if conn.parked
+            // flushed — whether via pump_responses, a bare writable
+            // event or a pass that answered its own frames): unpark, and
+            // re-parse leftover buffered bytes — the kernel will not
+            // re-signal data that already sits in our userspace buffer.
+            // Each pass that parks again has consumed frames, so this
+            // ends.
+            while conn.parked
                 && !conn.closing
                 && conn.pending < PIPELINE_DEPTH
                 && conn.outbound <= OUTBOUND_BUDGET
@@ -948,9 +1088,11 @@ impl DaliServer {
             n => n,
         };
         let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // The floor of eight matters on small hosts: a lock holder's
-        // commit must find a free worker even when every other session is
-        // blocked waiting on its locks.
+        // The pool carries every wait: lock and `quiesce` waits, durable
+        // commits. The floor of eight matters on small hosts: a lock
+        // holder's commit, handed off behind a wait of its own, must find
+        // a free worker even when every other session is blocked waiting
+        // on its locks.
         let n_exec = (2 * cpus).max(8);
 
         // Every fd the event loop needs (waker pair, epoll instance) is

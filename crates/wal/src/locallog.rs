@@ -62,10 +62,27 @@ pub struct LocalUndoLog {
     arena: Vec<u8>,
 }
 
+/// Bytes of capacity a buffer keeps when it is emptied for reuse by a
+/// later transaction; a larger one is shrunk to this.
+const REUSE_CAPACITY: usize = 64 << 10;
+
 impl LocalUndoLog {
     /// Empty undo log.
     pub fn new() -> LocalUndoLog {
         LocalUndoLog::default()
+    }
+
+    /// Empty the log for a later transaction, keeping its allocations up
+    /// to a bound.
+    pub fn recycle(&mut self) {
+        self.logical.clear();
+        self.physical.clear();
+        self.arena.clear();
+        self.logical
+            .shrink_to(REUSE_CAPACITY / size_of::<(OpSeq, LogicalUndo<Span>)>());
+        self.physical
+            .shrink_to(REUSE_CAPACITY / size_of::<PhysicalUndo>());
+        self.arena.shrink_to(REUSE_CAPACITY);
     }
 
     /// Number of committed operations.
@@ -313,6 +330,15 @@ impl LocalRedoLog {
         self.frames.clear();
         self.count = 0;
         self.writes.clear();
+    }
+
+    /// Empty the log for a later transaction, keeping its allocations up
+    /// to a bound.
+    pub fn recycle(&mut self) {
+        self.discard();
+        self.frames.shrink_to(REUSE_CAPACITY);
+        self.writes
+            .shrink_to(REUSE_CAPACITY / size_of::<(DbAddr, usize)>());
     }
 
     /// Roll back operation `op`, in flight: cut its `OpBegin` and

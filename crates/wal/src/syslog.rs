@@ -811,6 +811,12 @@ impl SystemLog {
         }
     }
 
+    /// The failure the durability path kept, if any: a failed write,
+    /// fsync, roll or retirement. Waits for no I/O.
+    pub fn failed(&self) -> Result<()> {
+        self.core.failed()
+    }
+
     /// Gauges for the segmented layout (directory listing + lifetime
     /// retirement counter).
     pub fn segment_stats(&self) -> Result<SegmentStats> {

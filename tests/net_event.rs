@@ -1,8 +1,17 @@
 //! Event-server behaviors beyond the wire protocol: admission control
-//! at the connection cap, and the `Health`/`Metrics`/`Stats` admin verbs.
+//! at the connection cap, the `Health`/`Metrics`/`Stats` admin verbs, and
+//! the hand-off of a verb that must wait from the readiness loop to the
+//! exec pool.
 
+use dali::common::storage::{Open, Storage, StorageFile};
+use dali::common::{OsStorage, Store};
+use dali::net::protocol::{encode_request, frame};
 use dali::net::{DaliClient, DaliServer, Request, Response};
-use dali::{DaliConfig, DaliEngine, DaliError, ProtectionScheme};
+use dali::{DaliConfig, DaliEngine, DaliError, ProtectionScheme, RecId};
+use std::io::Write;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn server_with(
@@ -225,5 +234,275 @@ fn stats_log_slots_match_the_log_directory() {
         stats.log_bytes_on_disk,
         listed.iter().map(|s| s.len).sum::<u64>()
     );
+    server.shutdown();
+}
+
+/// How long a hand-off test waits for anything before it fails.
+const DEADLINE: Duration = Duration::from_secs(30);
+
+/// Run `f` on its own thread and return its result, failing the test if
+/// it takes longer than [`DEADLINE`].
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("{what}: nothing within {DEADLINE:?}"))
+}
+
+/// Probe `client`'s server until one request is handed off to the exec
+/// pool, and return that health report.
+fn await_hand_off(client: &mut DaliClient) -> dali::net::HealthReport {
+    loop {
+        let health = client.health().unwrap();
+        if health.exec_queue_depth == 1 {
+            return health;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A table of two 16-byte records, `[1; 16]` and `[2; 16]`, made over
+/// the wire.
+fn seed_two(server: &DaliServer) -> [RecId; 2] {
+    let mut setup = DaliClient::connect(server.addr()).unwrap();
+    let table = setup.create_table("t", 16, 8).unwrap();
+    setup.begin().unwrap();
+    let recs = [1u8, 2].map(|v| setup.insert(table, &[v; 16]).unwrap());
+    setup.commit().unwrap();
+    recs
+}
+
+/// A server with [`seed_two`]'s records whose lock waits outlast every
+/// deadline here.
+fn two_records(name: &str) -> (DaliServer, dali_testutil::TempDir, [RecId; 2]) {
+    let (server, dir) = server_with(name, |mut c| {
+        c.lock_timeout = Duration::from_secs(120);
+        c
+    });
+    let recs = seed_two(&server);
+    (server, dir, recs)
+}
+
+/// A record lock another session holds sends the update that needs it
+/// to the exec pool, where it waits; meanwhile a third session's `Ping`
+/// and its read of another record are answered. When the holder
+/// commits, the waiting update is answered `Ok` and its transaction
+/// commits.
+#[test]
+fn an_update_waiting_for_a_held_lock_leaves_other_sessions_answered() {
+    let (server, _dir, [r, s]) = two_records("net-handoff-lock");
+    let addr = server.addr();
+    let mut a = DaliClient::connect(addr).unwrap();
+    a.begin().unwrap();
+    a.lock_exclusive(r).unwrap();
+
+    let (tx, updated) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut b = DaliClient::connect(addr).unwrap();
+        b.begin().unwrap();
+        let res = b.update(r, &[7; 16]);
+        let _ = tx.send((res, b));
+    });
+    let read = within("a third session beside the wait", move || {
+        let mut c = DaliClient::connect(addr).unwrap();
+        await_hand_off(&mut c);
+        c.ping().unwrap();
+        c.begin().unwrap();
+        let read = c.read(s).unwrap();
+        c.commit().unwrap();
+        read
+    });
+    assert_eq!(read, [2; 16]);
+    assert!(updated.try_recv().is_err(), "the update did not wait");
+
+    a.commit().unwrap();
+    let (res, mut b) = updated
+        .recv_timeout(DEADLINE)
+        .expect("the update was not answered after the holder committed");
+    res.unwrap();
+    b.commit().unwrap();
+    a.begin().unwrap();
+    assert_eq!(a.read(r).unwrap(), [7; 16]);
+    a.commit().unwrap();
+    server.shutdown();
+}
+
+/// The OS store, except that once `armed` the next write to a log
+/// segment waits until it is released.
+#[derive(Default)]
+struct Gate {
+    armed: AtomicBool,
+    /// (a segment write is parked, it may go on)
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn set(&self, f: impl FnOnce(&mut (bool, bool))) {
+        f(&mut self.state.lock().unwrap());
+        self.cv.notify_all();
+    }
+
+    fn wait(&self, until: impl Fn(&(bool, bool)) -> bool) {
+        let state = self.state.lock().unwrap();
+        drop(self.cv.wait_while(state, |s| !until(s)).unwrap());
+    }
+}
+
+struct GatedFile {
+    file: Box<dyn StorageFile>,
+    gate: Option<Arc<Gate>>,
+}
+
+impl StorageFile for GatedFile {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        self.file.read_at(buf, offset)
+    }
+    fn write_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+        if let Some(gate) = self.gate.as_ref().filter(|g| g.armed.swap(false, SeqCst)) {
+            gate.set(|s| s.0 = true);
+            gate.wait(|s| s.1);
+        }
+        self.file.write_at(buf, offset)
+    }
+    fn size(&self) -> std::io::Result<u64> {
+        self.file.size()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.file.set_len(len)
+    }
+    fn fsync(&self) -> std::io::Result<()> {
+        self.file.fsync()
+    }
+}
+
+struct GatedStore(Arc<Gate>);
+
+impl Storage for GatedStore {
+    fn open(&self, path: &Path, how: Open) -> std::io::Result<Box<dyn StorageFile>> {
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        Ok(Box::new(GatedFile {
+            file: OsStorage.open(path, how)?,
+            gate: name.contains(".seg").then(|| Arc::clone(&self.0)),
+        }))
+    }
+    fn read(&self, path: &Path, into: &mut Vec<u8>) -> std::io::Result<()> {
+        OsStorage.read(path, into)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        OsStorage.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        OsStorage.remove(path)
+    }
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<(String, u64)>> {
+        OsStorage.list(dir)
+    }
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        OsStorage.create_dir_all(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        OsStorage.sync_dir(dir)
+    }
+}
+
+/// A checkpoint parked in the log write it makes inside its exclusive
+/// `quiesce` span: a pipelined `Begin, Read` is handed off at the read
+/// and waits, while `Health` on another connection is answered. Once the
+/// checkpoint goes on, the read completes.
+#[test]
+fn a_read_waiting_for_a_checkpoint_leaves_health_answered() {
+    let dir = dali_testutil::TempDir::new("net-handoff-quiesce");
+    let gate = Arc::new(Gate::default());
+    let store: Store = Arc::new(GatedStore(Arc::clone(&gate)));
+    let config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+    let (engine, _) = DaliEngine::create_on(config, store).unwrap();
+    let server = DaliServer::start(engine, "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    let [r, s] = seed_two(&server);
+
+    // An operation left in the log's tail, for the checkpoint's flush to
+    // write.
+    let engine = server.engine().clone();
+    let open = engine.begin().unwrap();
+    open.update(s, &[3; 16]).unwrap();
+    gate.armed.store(true, SeqCst);
+    let checkpoint = std::thread::spawn(move || engine.checkpoint().map(drop));
+    let parked = Arc::clone(&gate);
+    within("the checkpoint's log write", move || parked.wait(|s| s.0));
+
+    let (tx, read) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut b = DaliClient::connect(addr).unwrap();
+        let res = b.pipeline(&[Request::Begin, Request::Read { rec: r }]);
+        let _ = tx.send((res, b));
+    });
+    let health = within("health beside the checkpoint", move || {
+        let mut c = DaliClient::connect(addr).unwrap();
+        await_hand_off(&mut c)
+    });
+    assert!(health.healthy);
+    assert!(read.try_recv().is_err(), "the read did not wait");
+
+    gate.set(|s| s.1 = true);
+    within("the checkpoint", move || checkpoint.join().unwrap()).unwrap();
+    let (res, mut b) = read
+        .recv_timeout(DEADLINE)
+        .expect("the read was not answered after the checkpoint");
+    let resps = res.unwrap();
+    assert!(matches!(resps[0], Response::Began { .. }), "{resps:?}");
+    assert_eq!(resps[1], Response::Data(vec![1; 16]));
+    b.commit().unwrap();
+    open.commit().unwrap();
+    server.shutdown();
+}
+
+/// A session that disconnects while its handed-off update waits for a
+/// record lock leaves an orphan: once the holder commits, the update
+/// runs, the orphan is rolled back, and the holder's next lock on the
+/// record is granted over the record's old value.
+#[test]
+fn a_disconnect_during_a_handed_off_wait_rolls_the_orphan_back() {
+    let (server, _dir, [r, _]) = two_records("net-handoff-orphan");
+    let addr = server.addr();
+    let mut a = DaliClient::connect(addr).unwrap();
+    a.begin().unwrap();
+    a.lock_exclusive(r).unwrap();
+
+    let mut b = std::net::TcpStream::connect(addr).unwrap();
+    let burst: Vec<u8> = [
+        Request::Begin,
+        Request::Update {
+            rec: r,
+            data: vec![7; 16],
+        },
+    ]
+    .iter()
+    .flat_map(|req| frame(&encode_request(req)))
+    .collect();
+    b.write_all(&burst).unwrap();
+    let admin = within("the update's hand-off", move || {
+        let mut admin = DaliClient::connect(addr).unwrap();
+        await_hand_off(&mut admin);
+        admin
+    });
+    drop(b);
+    a.commit().unwrap();
+
+    let read = within("the orphan rollback and the next lock", move || {
+        let mut admin = admin;
+        while admin.stats().unwrap().orphans_rolled_back == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        a.begin().unwrap();
+        a.lock_exclusive(r).unwrap();
+        let read = a.read(r).unwrap();
+        a.commit().unwrap();
+        read
+    });
+    assert_eq!(read, [1; 16]);
+    assert_eq!(server.engine().db().locks.locked_records(), 0);
     server.shutdown();
 }

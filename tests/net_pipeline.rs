@@ -21,7 +21,8 @@
 //!   no transaction outlives the connection.
 //! * **Client wire bytes**: `DaliClient::pipeline` sends exactly the
 //!   concatenated request frames and reassembles replies that arrive in
-//!   arbitrary fragments.
+//!   arbitrary fragments; a batch larger than the socket buffers both
+//!   ways completes.
 
 use dali::net::protocol::{
     encode_request, encode_response, frame, read_frame, Request, Response, WireError,
@@ -309,6 +310,51 @@ fn txn_slot_threads_through_one_coalesced_run() {
     other.lock_exclusive(rec).unwrap();
     assert_eq!(other.read(rec).unwrap(), vec![2u8; 8]);
     other.commit().unwrap();
+    server.shutdown();
+}
+
+/// One `pipeline` batch far larger than the socket buffers in both
+/// directions — 4 000 pairs of a 4 KiB `Update` and a `Read` of a 4 KiB
+/// record, 16 MiB each way — completes: the server stops reading while
+/// its replies go unread, so a client that wrote the whole batch before
+/// reading a reply would wait for it for good. Deadline-guarded.
+#[test]
+fn a_batch_larger_than_the_socket_buffers_both_ways_completes() {
+    const REC: usize = 4096;
+    const PAIRS: usize = 4000;
+    let (server, _dir) = server_with("net-pipe-both-ways", |c| c);
+    let mut client = DaliClient::connect(server.addr()).unwrap();
+    let table = client.create_table("fat", REC, 4).unwrap();
+    client.begin().unwrap();
+    let rec = client.insert(table, &[1u8; REC]).unwrap();
+    client.commit().unwrap();
+
+    let mut reqs = vec![Request::Begin];
+    for _ in 0..PAIRS {
+        reqs.push(Request::Update {
+            rec,
+            data: vec![2u8; REC],
+        });
+        reqs.push(Request::Read { rec });
+    }
+    reqs.push(Request::Commit);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let n = reqs.len();
+    std::thread::spawn(move || {
+        let _ = tx.send(client.pipeline(&reqs).map(|resps| (client, resps)));
+    });
+    let (mut client, resps) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the batch did not complete within 60 s")
+        .unwrap();
+    assert_eq!(resps.len(), n);
+    assert!(matches!(resps[0], Response::Began { .. }), "{:?}", resps[0]);
+    for pair in resps[1..n - 1].chunks(2) {
+        assert_eq!(pair[0], Response::Ok);
+        assert_eq!(pair[1], Response::Data(vec![2u8; REC]));
+    }
+    assert_eq!(resps[n - 1], Response::Ok);
+    client.ping().unwrap();
     server.shutdown();
 }
 

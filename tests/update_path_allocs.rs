@@ -144,3 +144,42 @@ fn tpcb_operations_allocate_within_bound_under_baseline_and_data_codeword() {
         );
     }
 }
+
+/// Allocations per short transaction — begin, one update, commit — once
+/// a few have run: the transaction's undo arena, undo stacks, redo
+/// buffer and side lists come back from the ones finished before it, so
+/// what is left is the handle's shared state and nothing that grows.
+const CYCLE_BOUND: u64 = 1;
+
+#[test]
+fn a_warmed_begin_update_commit_cycle_reuses_its_buffers() {
+    const CYCLES: u64 = 200;
+    for scheme in [ProtectionScheme::Baseline, ProtectionScheme::DataCodeword] {
+        let dir = TempDir::new("cycle-allocs");
+        let (db, tables, _) = warm_engine(&dir, scheme);
+        let mut buf = [3u8; 100];
+        let cycle = |i: u64, buf: &mut [u8; 100]| {
+            buf[..8].copy_from_slice(&i.to_le_bytes());
+            let txn = db.begin().unwrap();
+            txn.update(RecId::new(tables[0], SlotId((i % 100) as u32)), buf)
+                .unwrap();
+            txn.commit().unwrap();
+        };
+        for i in 0..CYCLES {
+            cycle(i, &mut buf);
+        }
+        let before = allocs();
+        for i in 0..CYCLES {
+            cycle(CYCLES + i, &mut buf);
+        }
+        let total = allocs() - before;
+        eprintln!(
+            "{scheme:?}: {:.2} allocations per begin, update and commit",
+            total as f64 / CYCLES as f64
+        );
+        assert!(
+            total <= CYCLE_BOUND * CYCLES,
+            "{scheme:?}: {total} allocations in {CYCLES} cycles, bound {CYCLE_BOUND} each"
+        );
+    }
+}
