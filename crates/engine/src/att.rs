@@ -24,6 +24,9 @@ use std::sync::Arc;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TxnStatus {
     Active,
+    /// The commit is in the log; its record locks wait for its
+    /// acknowledgment.
+    Logged,
     Committed,
     Aborted,
 }

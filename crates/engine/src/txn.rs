@@ -55,14 +55,16 @@
 //! is tried before the record lock, a refused lock leaves no trace in
 //! the lock table or the deadlock detector, and nothing reaches the undo,
 //! the redo or the ATT. The caller runs the verb again, waiting. A
-//! durable commit's fsync is not such a wait: a caller that must not
-//! block leaves `sync_commit` commits to a thread that may.
+//! commit is two steps, [`TxnHandle::log_commit`] and
+//! [`TxnHandle::acknowledge`]: a caller that must not block holds the
+//! handle in between, with its record locks, instead of waiting for the
+//! fsync.
 
 use crate::att::{TxnState, TxnStatus};
 use crate::db::{Db, EngineStats};
 use crate::heap::HeapRuntime;
 use crate::lock::LockMode;
-use dali_common::{DaliError, DbAddr, OpSeq, RecId, Result, TableId, TxnId};
+use dali_common::{DaliError, DbAddr, Lsn, OpSeq, RecId, Result, TableId, TxnId};
 use dali_wal::record::{LogRecord, LogicalUndo, OpKind};
 use dali_wal::Span;
 use parking_lot::{Mutex, RwLockReadGuard};
@@ -334,29 +336,58 @@ impl TxnHandle {
     /// refusal leaves the transaction open, and any other outcome ends
     /// it, after which the handle is only dropped.
     pub fn commit_in_place(&self) -> Result<()> {
+        let end = self.log_commit()?;
+        let durable = if self.db.config.sync_commit {
+            self.db.syslog.request_durable(end);
+            self.db.syslog.wait_durable(end)
+        } else {
+            Ok(())
+        };
+        self.acknowledge(durable)
+    }
+
+    /// The log step of a commit: append the commit, leave the ATT and
+    /// write the tail; returns the LSN its durability waits for. The
+    /// record locks stay until [`acknowledge`](Self::acknowledge) or the
+    /// drop; a failed write releases them here.
+    pub fn log_commit(&self) -> Result<Lsn> {
         self.db.check_alive()?;
-        let commit_end;
         {
             let _q = self.quiesce()?;
             let mut st = self.state.lock();
             st.redo.push(LogRecord::TxnCommit { txn: self.id });
-            commit_end = self.db.syslog.append_frames(&st.redo);
+            self.db.syslog.append_frames(&st.redo);
             st.redo.discard();
-            st.status = TxnStatus::Committed;
+            st.status = TxnStatus::Logged;
             self.release_slots(std::mem::take(&mut st.deferred_frees));
             drop(st);
             // A checkpoint's ATT must not hold a transaction whose commit
             // its `CK_end` already covers: a restart would roll it back.
             self.db.att.remove(self.id);
         }
-        if self.db.config.sync_commit {
-            self.db.syslog.commit_durable(commit_end)?;
-        } else {
-            self.db.syslog.flush(false)?;
-        }
-        self.db.locks.unlock_all(self.id);
+        self.db
+            .syslog
+            .flush(false)
+            .inspect_err(|_| self.release_locks())
+    }
+
+    /// Acknowledge a logged commit with the outcome of the wait for its
+    /// LSN: release its record locks, and count it if it holds.
+    pub fn acknowledge(&self, durable: Result<()>) -> Result<()> {
+        self.release_locks();
+        durable?;
         EngineStats::bump(&self.db.stats.commits);
         Ok(())
+    }
+
+    /// Release a logged commit's record locks, once.
+    fn release_locks(&self) {
+        let mut st = self.state.lock();
+        if st.status == TxnStatus::Logged {
+            st.status = TxnStatus::Committed;
+            drop(st);
+            self.db.locks.unlock_all(self.id);
+        }
     }
 
     /// Abort: roll back the committed operations (see `rollback`) and log
@@ -425,6 +456,7 @@ impl Drop for TxnHandle {
             self.no_wait = false;
             let _ = self.abort_in_place();
         }
+        self.release_locks();
         let mut st = self.state.lock();
         if st.status != TxnStatus::Active {
             self.db.att.recycle(&mut st);
@@ -710,11 +742,13 @@ pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
 mod tests {
     use super::*;
     use crate::DaliEngine;
-    use dali_common::{DaliConfig, Lsn, ProtectionScheme};
+    use dali_common::storage::{Open, Storage, StorageFile};
+    use dali_common::{DaliConfig, Lsn, OsStorage, ProtectionScheme};
     use dali_testutil::TempDir;
     use dali_wal::SystemLog;
     use proptest::collection::vec;
     use proptest::prelude::any;
+    use std::path::Path;
 
     proptest::proptest! {
         /// The changed span covers every differing byte, starts and ends
@@ -1128,6 +1162,93 @@ mod tests {
         }
         check.commit().unwrap();
         assert!(engine.audit().unwrap().clean());
+    }
+
+    /// The OS store, except that once `armed` every fsync of a log
+    /// segment fails.
+    #[derive(Default)]
+    struct FailSegmentFsync(std::sync::atomic::AtomicBool);
+
+    struct FailingFile(Box<dyn StorageFile>, Arc<FailSegmentFsync>);
+
+    impl StorageFile for FailingFile {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.0.read_at(buf, offset)
+        }
+        fn write_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+            self.0.write_at(buf, offset)
+        }
+        fn size(&self) -> std::io::Result<u64> {
+            self.0.size()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.0.set_len(len)
+        }
+        fn fsync(&self) -> std::io::Result<()> {
+            if self.1 .0.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(std::io::Error::other("segment fsync fails"));
+            }
+            self.0.fsync()
+        }
+    }
+
+    struct FailingStore(Arc<FailSegmentFsync>);
+
+    impl Storage for FailingStore {
+        fn open(&self, path: &Path, how: Open) -> std::io::Result<Box<dyn StorageFile>> {
+            let file = OsStorage.open(path, how)?;
+            if path.to_string_lossy().contains(".seg") {
+                return Ok(Box::new(FailingFile(file, Arc::clone(&self.0))));
+            }
+            Ok(file)
+        }
+        fn read(&self, path: &Path, into: &mut Vec<u8>) -> std::io::Result<()> {
+            OsStorage.read(path, into)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            OsStorage.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            OsStorage.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<(String, u64)>> {
+            OsStorage.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            OsStorage.create_dir_all(dir)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            OsStorage.sync_dir(dir)
+        }
+    }
+
+    /// A durable commit whose fsync fails ends the transaction with the
+    /// error and releases its record locks: a second transaction's
+    /// no-wait lock on the record is granted at once, while the failed
+    /// handle is still held.
+    #[test]
+    fn a_failed_durable_commit_releases_its_locks() {
+        let dir = TempDir::new("txn-failed-fsync");
+        let fail = Arc::new(FailSegmentFsync::default());
+        let mut config = DaliConfig::small(dir.path());
+        config.sync_commit = true;
+        let (engine, _) =
+            DaliEngine::create_on(config, Arc::new(FailingStore(Arc::clone(&fail)))).unwrap();
+        let table = engine.create_table("t", 16, 8).unwrap();
+        let setup = engine.begin().unwrap();
+        let rec = setup.insert(table, &[1; 16]).unwrap();
+        setup.commit().unwrap();
+
+        let txn = engine.begin().unwrap();
+        txn.update(rec, &[2; 16]).unwrap();
+        fail.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        let res = txn.commit_in_place();
+        assert!(matches!(res, Err(DaliError::Io(_))), "{res:?}");
+        let mut other = engine.begin().unwrap();
+        other.set_no_wait(true);
+        other.lock_exclusive(rec).unwrap();
+        drop(txn);
+        drop(other);
     }
 
     /// An insert that fails after it reserved its slot gives the

@@ -31,10 +31,11 @@
 //! * **Orphan cleanup**: a dropped connection's open transaction is
 //!   rolled back level by level through the engine's ATT rollback,
 //!   releasing all its locks.
-//! * **Group commit**: durable committers from different connections
-//!   share an fsync — one covers every commit written before it, and a
-//!   committer it covered skips its own (see `SystemLog::commit_durable`);
-//!   the [`ServerStats`] verb exposes the fsync/flush counters.
+//! * **Group commit**: the loop logs a durable commit and holds its
+//!   reply and locks; the log worker's one fsync covers every commit
+//!   written before it starts, and its durability notification wakes the
+//!   loop to answer them (see `SystemLog::request_durable`); the
+//!   [`ServerStats`] verb exposes the fsync/flush counters.
 //! * **Observability**: per-verb log₂-bucket latency histograms via the
 //!   `Metrics` verb ([`MetricsReport`]), a cheap `Health` probe
 //!   ([`HealthReport`]), and loop/queue counters in [`ServerStats`].

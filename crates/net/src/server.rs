@@ -1,19 +1,20 @@
 //! The event-driven network front-end: one readiness loop owning the
 //! listener and every nonblocking session as an explicit state machine,
 //! executing every request that need not wait, with the waits on a
-//! bounded worker pool.
+//! bounded worker pool and durable commits' fsyncs on the log worker.
 //!
 //! # Architecture (DESIGN.md §6)
 //!
 //! ```text
 //!            accept                 decode + execute
 //!  listener ───────► event loop ───────────────────────────► engine
-//!                    (epoll)      no-wait TxnHandle verbs      ▲
-//!                     ▲  │ read-accumulate                     │
-//!                     │  │ write-drain      would wait         │ waits
-//!                     │  └──────────────► exec pool ───────────┘
-//!                     │    Work queue     (bounded)
-//!                     └──────── waker ◄──────┘ encoded responses
+//!                    (epoll)      no-wait TxnHandle verbs    ▲   │ durable
+//!                     ▲  │ read-accumulate                   │   │ watermark
+//!                     │  │ write-drain      would wait       │   ▼
+//!                     │  └──────────────► exec pool ─────────┘  log worker
+//!                     │    Work queue     (bounded)              (fsync)
+//!                     └──────── waker ◄──────┴───────────────────────┘
+//!                          encoded responses, durability notifications
 //! ```
 //!
 //! * **The event loop** owns the listener and every nonblocking socket.
@@ -22,19 +23,24 @@
 //!   encoded responses. While a session has nothing on the exec pool the
 //!   loop runs each request itself, in the engine's no-wait mode, and
 //!   frames its reply straight into the write queue: a pipelined batch
-//!   crosses no thread. The loop never blocks on a socket, a record lock
-//!   or `quiesce`.
+//!   crosses no thread. The loop never blocks on a socket, a record lock,
+//!   `quiesce` or the disk.
+//! * **Durable commits** run on the loop too: after the engine's log
+//!   step ([`TxnHandle::log_commit`]) the loop asks the log worker for an
+//!   fsync past the commit and *holds* its reply and its transaction,
+//!   record locks included; the session decodes nothing more meanwhile.
+//!   The worker's durability notification wakes the loop, which answers
+//!   every held commit the log is durable past, or has failed for, and
+//!   releases its locks.
 //! * **Exec pool** takes the work that may block: a request that would
 //!   wait for a record lock or for `quiesce` (the engine refuses it in
-//!   no-wait mode, having done nothing), a `Commit` under `sync_commit`,
-//!   `Audit`, `Repair`, the catalog verbs and `Stats`. Once a request is
-//!   handed off, every later frame of the session queues behind it until
-//!   the pool has drained the session, so replies keep receive order.
-//!   One session is served by at most one exec worker at a time. A
-//!   worker takes a session's whole queued *run* at once, frames its
-//!   replies into one buffer — the first behind the replies the loop
-//!   answered ahead of the hand-off in the same pass — and wakes the
-//!   event loop once for it.
+//!   no-wait mode, having done nothing), `Audit`, `Repair`, the catalog
+//!   verbs and `Stats`. Once a request is handed off, every later frame
+//!   of the session queues behind it until the pool has drained the
+//!   session, so replies keep receive order. One session is served by at
+//!   most one exec worker at a time. A worker takes a session's whole
+//!   queued *run* at once, frames its replies into one buffer and wakes
+//!   the event loop once for it.
 //! * **Pipelining**: up to [`PIPELINE_DEPTH`] decoded-but-unanswered
 //!   frames per connection; a frame the loop runs counts until its reply
 //!   is queued. At the budget the session's read interest is *parked* —
@@ -50,12 +56,12 @@
 //! * **Orphan rollback**: a dropped connection's open transaction is
 //!   aborted on the exec pool (never on an event loop) through the
 //!   engine's one rollback, the one restart uses, releasing all its
-//!   locks.
-//!   Shutdown drains these cleanup jobs before returning.
+//!   locks; a held commit stands. Shutdown releases every held commit
+//!   once it is decided and drains these cleanup jobs before returning.
 //! * **Observability**: per-verb log₂-bucket latency histograms
-//!   ([`Request::Metrics`]) measured decode→response (queue wait
-//!   included), plus queue-depth/park/loop counters in [`ServerStats`]
-//!   and a cheap [`Request::Health`] probe.
+//!   ([`Request::Metrics`]) measured decode→response (queue wait and a
+//!   held commit's fsync included), plus queue-depth/park/loop counters
+//!   in [`ServerStats`] and a cheap [`Request::Health`] probe.
 //!
 //! Protocol errors (garbage frame, bad checksum, unknown tag) still
 //! terminate the connection after a best-effort error response — once
@@ -69,7 +75,7 @@ use crate::protocol::{
     encode_response, frame, parse_frame, HealthReport, RepairSummary, Request, Response,
     ServerStats, WireError,
 };
-use dali_common::{DaliError, Result};
+use dali_common::{DaliError, Lsn, Result};
 use dali_engine::{DaliEngine, TxnHandle};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -117,32 +123,30 @@ impl ServerCounters {
 }
 
 /// Whether the event loop may run `req` itself. Everything may but what
-/// blocks by nature: a durable commit (its fsync), an audit, a repair,
-/// the catalog verbs (DDL holds the catalog across a log flush) and
-/// `Stats`, which lists the log directory.
-fn runs_inline(req: &Request, sync_commit: bool) -> bool {
-    match req {
-        Request::Commit => !sync_commit,
+/// blocks by nature: an audit, a repair, the catalog verbs (DDL holds the
+/// catalog across a log flush) and `Stats`, which lists the log
+/// directory.
+fn runs_inline(req: &Request) -> bool {
+    !matches!(
+        req,
         Request::Audit
-        | Request::Repair { .. }
-        | Request::CreateTable { .. }
-        | Request::OpenTable { .. }
-        | Request::Stats => false,
-        _ => true,
-    }
+            | Request::Repair { .. }
+            | Request::CreateTable { .. }
+            | Request::OpenTable { .. }
+            | Request::Stats
+    )
 }
 
 /// Execute one request against a session's transaction slot, the server
 /// verbs (`Stats`, `Health`, `Metrics`) from server state and the rest
-/// through [`execute_engine_request`]. `None` only when `wait` is false
-/// and the verb would have waited.
+/// through [`execute_engine_request`]. With `wait`, always a reply.
 fn execute_request(
     shared: &Shared,
     txn_slot: &mut Option<TxnHandle>,
     req: &Request,
     wait: bool,
-) -> Option<Response> {
-    Some(match req {
+) -> std::result::Result<Response, Failure> {
+    Ok(match req {
         Request::Stats => build_server_stats(&shared.engine, &shared.counters)
             .map_or_else(|e| Response::Err(e.into()), Response::Stats),
         Request::Health => Response::Health(shared.health()),
@@ -156,10 +160,12 @@ fn execute_request(
 }
 
 /// Why an engine verb gave no plain reply: an error to answer with, or,
-/// in no-wait mode only, a wait it declined to begin.
+/// in no-wait mode only, a wait it declined to begin, or a durable
+/// `Commit` out of its slot whose reply waits for the log's fsync.
 enum Failure {
     Reply(WireError),
     WouldWait,
+    Held(TxnHandle, Lsn),
 }
 
 impl From<WireError> for Failure {
@@ -181,27 +187,26 @@ impl From<DaliError> for Failure {
 /// one executor of the event loop and the exec pool. Session semantics:
 /// one txn per connection, `NoTxn`/`TxnAlreadyOpen` misuse errors, errors
 /// leave the txn open. Without `wait` the verb runs in the engine's
-/// no-wait mode ([`TxnHandle::set_no_wait`]) and returns `None` if it
-/// would have waited, having done nothing; the caller runs it again,
-/// waiting.
+/// no-wait mode ([`TxnHandle::set_no_wait`]) and fails with
+/// [`Failure::WouldWait`] if it would have waited, having done nothing;
+/// the caller runs it again, waiting. An error is a reply.
 fn execute_engine_request(
     engine: &DaliEngine,
     txn_slot: &mut Option<TxnHandle>,
     req: &Request,
     wait: bool,
-) -> Option<Response> {
+) -> std::result::Result<Response, Failure> {
     if let Some(txn) = txn_slot {
         txn.set_no_wait(!wait);
     }
-    let res = execute_engine_inner(engine, txn_slot, req);
+    let res = execute_engine_inner(engine, txn_slot, req, wait);
     // A handle at rest waits: the orphan rollback runs on it as it is.
     if let Some(txn) = txn_slot {
         txn.set_no_wait(false);
     }
     match res {
-        Ok(resp) => Some(resp),
-        Err(Failure::Reply(e)) => Some(Response::Err(e)),
-        Err(Failure::WouldWait) => None,
+        Err(Failure::Reply(e)) => Ok(Response::Err(e)),
+        res => res,
     }
 }
 
@@ -209,6 +214,7 @@ fn execute_engine_inner(
     engine: &DaliEngine,
     txn_slot: &mut Option<TxnHandle>,
     req: &Request,
+    wait: bool,
 ) -> std::result::Result<Response, Failure> {
     fn open(txn_slot: &Option<TxnHandle>) -> std::result::Result<&TxnHandle, WireError> {
         txn_slot.as_ref().ok_or(WireError::NoTxn)
@@ -241,14 +247,19 @@ fn execute_engine_inner(
         }
         Request::Commit | Request::Abort => {
             let txn = open(txn_slot)?;
+            // A durable commit that may not wait is held for its fsync.
+            let hold = !wait && engine.config().sync_commit;
             let ended = match req {
-                Request::Commit => txn.commit_in_place(),
-                _ => txn.abort_in_place(),
+                Request::Commit if hold => txn.log_commit().map(Some),
+                Request::Commit => txn.commit_in_place().map(|()| None),
+                _ => txn.abort_in_place().map(|()| None),
             };
             // Refused, the transaction is still open; otherwise it ended
-            // (an error too ends it) and the handle goes.
+            // (an error too ends it) and the handle goes, or is held.
             if !matches!(ended, Err(DaliError::WouldWait)) {
-                *txn_slot = None;
+                if let (Some(txn), Ok(Some(lsn))) = (txn_slot.take(), &ended) {
+                    return Err(Failure::Held(txn, *lsn));
+                }
             }
             ended?;
             Response::Ok
@@ -357,10 +368,6 @@ enum Work {
 struct CoreState {
     /// Work handed to the exec pool, in receive order.
     work: VecDeque<Work>,
-    /// Replies the event loop answered in the pass that handed `work`
-    /// off, ahead of it, and how many: they go out in front of the
-    /// worker's first run, in one buffer with it.
-    prefix: (Vec<u8>, usize),
     /// Framed replies ready for the event loop to write-drain, one
     /// buffer per exec run.
     resps: Vec<Vec<u8>>,
@@ -389,7 +396,6 @@ impl SessionCore {
             conn_id,
             state: Mutex::new(CoreState {
                 work: VecDeque::new(),
-                prefix: (Vec::new(), 0),
                 resps: Vec::new(),
                 answered: 0,
                 close_after_resps: false,
@@ -419,7 +425,9 @@ struct Shared {
     start: Instant,
     /// Session tokens with freshly framed replies, for the event loop.
     ready: Mutex<Vec<u64>>,
-    waker: Waker,
+    /// Shared with the log's durability notification, which must not
+    /// own the engine: the log worker could then join itself.
+    waker: Arc<Waker>,
     exec: ExecQueue,
 }
 
@@ -482,18 +490,18 @@ fn exec_worker(shared: Arc<Shared>) {
 /// run is everything queued when the worker looks: taken with the txn
 /// slot under one lock, executed in receive order with the slot
 /// threaded through, waiting where a verb must, its replies framed into
-/// one buffer — the first run's behind the loop's prefix. One more lock
+/// one buffer. One more lock
 /// publishes the buffer with one loop wake and takes the next run, or,
 /// when none is queued, restores the slot and releases the session, so
 /// the loop that drains the last run already sees the exec side idle.
 /// The `exec_scheduled` flag guarantees a single worker per session, so
 /// replies are pushed in exactly the order frames were decoded.
 fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
-    let mut run = VecDeque::new();
-    let (mut txn, (mut out, mut answered)) = {
+    let (mut run, mut out) = (VecDeque::new(), Vec::new());
+    let mut txn = {
         let mut state = core.state.lock().unwrap();
         std::mem::swap(&mut state.work, &mut run);
-        (state.txn.take(), std::mem::take(&mut state.prefix))
+        state.txn.take()
     };
     loop {
         let (mut executed, mut close_after, mut cleanup) = (0, false, false);
@@ -502,9 +510,10 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
                 Work::Req { tag, started, req } => {
                     // The state lock is not held across the run: verbs
                     // here may block (locks, fsync). A waiting call is
-                    // never refused.
-                    let resp = execute_request(shared, &mut txn, &req, true)
-                        .unwrap_or_else(|| Response::Err(DaliError::WouldWait.into()));
+                    // never refused nor held.
+                    let Ok(resp) = execute_request(shared, &mut txn, &req, true) else {
+                        unreachable!("a waiting call came back without a reply")
+                    };
                     resp.frame_into(&mut out);
                     executed += 1;
                     shared
@@ -527,11 +536,11 @@ fn run_session(shared: &Shared, core: &Arc<SessionCore>) {
             let mut state = core.state.lock().unwrap();
             if !state.closed && !out.is_empty() {
                 state.resps.push(std::mem::take(&mut out));
-                state.answered += answered + executed;
+                state.answered += executed;
                 state.close_after_resps |= close_after;
                 shared.notify_ready(core);
             }
-            (out, answered) = (Vec::new(), 0);
+            out.clear();
             std::mem::swap(&mut state.work, &mut run);
             if run.is_empty() {
                 state.txn = txn.take();
@@ -574,6 +583,9 @@ struct Conn {
     pending: usize,
     /// Read interest parked by a budget.
     parked: bool,
+    /// A `Commit` is held for its fsync: nothing more is decoded or read
+    /// until it is answered.
+    holding: bool,
     /// Stop parsing/reading: a protocol error poisoned the framing, or
     /// the peer half-closed.
     read_dead: bool,
@@ -586,16 +598,27 @@ struct Conn {
 impl Conn {
     fn wants(&self) -> Interest {
         Interest {
-            read: !self.parked && !self.read_dead && !self.closing,
+            read: !self.parked && !self.read_dead && !self.closing && !self.holding,
             write: !self.write_bufs.is_empty(),
         }
     }
+}
+
+/// A durable commit the loop holds between its log step and the fsync
+/// that covers it.
+struct Held {
+    token: u64,
+    txn: TxnHandle,
+    lsn: Lsn,
+    started: Instant,
 }
 
 struct EventLoop {
     shared: Arc<Shared>,
     poller: Poller,
     conns: HashMap<u64, Conn>,
+    /// Held commits, of open connections and of closed ones alike.
+    held: Vec<Held>,
     listener: TcpListener,
     /// `net_max_conns`, with `0` (unlimited) as `usize::MAX`.
     max_conns: usize,
@@ -626,7 +649,7 @@ impl EventLoop {
                     token => {
                         if let Some(conn) = self.conns.get_mut(&token) {
                             if ev.readable && !conn.read_dead && !conn.parked {
-                                Self::read_accumulate(&self.shared, conn);
+                                Self::read_accumulate(&self.shared, &mut self.held, conn);
                             }
                             if ev.writable {
                                 Self::write_drain(conn);
@@ -653,6 +676,11 @@ impl EventLoop {
                     Self::pump_responses(&self.shared, conn);
                     touched.push(token);
                 }
+            }
+            // Also only after the drain: the log's durability
+            // notification that a drain swallowed is read here.
+            if !self.held.is_empty() {
+                self.answer_held(&mut touched);
             }
 
             // Interest upkeep + deferred closes for every touched conn.
@@ -700,6 +728,7 @@ impl EventLoop {
             outbound: 0,
             pending: 0,
             parked: false,
+            holding: false,
             read_dead: false,
             closing: false,
             registered: Interest::READ,
@@ -709,7 +738,7 @@ impl EventLoop {
 
     /// Read until the socket would block (or a budget parks the read),
     /// decoding complete frames into the session's work FIFO.
-    fn read_accumulate(shared: &Arc<Shared>, conn: &mut Conn) {
+    fn read_accumulate(shared: &Arc<Shared>, held: &mut Vec<Held>, conn: &mut Conn) {
         let mut scratch = [0u8; 16 * 1024];
         loop {
             match conn.stream.read(&mut scratch) {
@@ -722,8 +751,8 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     conn.read_buf.extend_from_slice(&scratch[..n]);
-                    Self::decode_frames(shared, conn);
-                    if conn.parked || conn.read_dead {
+                    Self::decode_frames(shared, held, conn);
+                    if conn.parked || conn.read_dead || conn.holding {
                         break;
                     }
                 }
@@ -744,15 +773,15 @@ impl EventLoop {
     /// mode, and its reply is framed into the pass's buffer. The first
     /// request that must or would wait goes to the pool, and every later
     /// frame of the pass queues behind it. The pass's replies then join
-    /// the write queue, or, behind a hand-off, ride in front of the
-    /// worker's first run. A frame counts against the pipeline depth
-    /// until its reply is queued, and a reply's bytes against the
-    /// outbound budget from when they are framed.
-    fn decode_frames(shared: &Arc<Shared>, conn: &mut Conn) {
+    /// the write queue. A durable `Commit` whose log step ran here is
+    /// held in `held`, and decoding stops until it is answered. A frame
+    /// counts against the pipeline depth until its reply is queued, and
+    /// a reply's bytes against the outbound budget from when they are
+    /// framed.
+    fn decode_frames(shared: &Arc<Shared>, held: &mut Vec<Held>, conn: &mut Conn) {
         let mut consumed_total = 0usize;
         let (mut enqueued, mut pipelined) = (0u64, 0u64);
         let (mut out, mut answered) = (Vec::new(), 0usize);
-        let sync_commit = shared.engine.config().sync_commit;
         let started = Instant::now();
         // A second handle to the core, so that the connection stays free
         // to borrow while its state is locked.
@@ -761,7 +790,7 @@ impl EventLoop {
         // Replies a worker published that the loop has not pumped go
         // first: this pass's answer later frames.
         Self::take_replies(shared, conn, &mut state);
-        loop {
+        while !conn.holding {
             if conn.pending >= PIPELINE_DEPTH || conn.outbound + out.len() > OUTBOUND_BUDGET {
                 if !conn.parked {
                     conn.parked = true;
@@ -783,14 +812,31 @@ impl EventLoop {
                     pipelined += u64::from(conn.pending > 0);
                     conn.pending += 1;
                     let tag = req.tag();
-                    if inline && runs_inline(&req, sync_commit) {
-                        if let Some(resp) = execute_request(shared, &mut state.txn, &req, false) {
-                            resp.frame_into(&mut out);
-                            answered += 1;
-                            shared
-                                .histograms
-                                .record(tag, started.elapsed().as_nanos() as u64);
-                            continue;
+                    if inline && runs_inline(&req) {
+                        match execute_request(shared, &mut state.txn, &req, false) {
+                            Ok(resp) => {
+                                resp.frame_into(&mut out);
+                                answered += 1;
+                                shared
+                                    .histograms
+                                    .record(tag, started.elapsed().as_nanos() as u64);
+                                continue;
+                            }
+                            Err(Failure::Held(txn, lsn)) => {
+                                held.push(Held {
+                                    token: core.conn_id,
+                                    txn,
+                                    lsn,
+                                    started,
+                                });
+                                // Asked for at once: the worker's next
+                                // fsync covers every commit logged
+                                // before it starts.
+                                shared.engine.db().syslog.request_durable(lsn);
+                                conn.holding = true;
+                                continue;
+                            }
+                            Err(_) => {}
                         }
                     }
                     enqueued += 1;
@@ -824,11 +870,6 @@ impl EventLoop {
             ServerCounters::raise_max(&shared.counters.exec_queue_max, depth);
         }
         if !state.work.is_empty() {
-            // Replies framed here precede the first hand-off: no prefix
-            // is pending, as nothing ran here while the pool had work.
-            if !out.is_empty() {
-                state.prefix = (std::mem::take(&mut out), answered);
-            }
             shared.schedule_locked(&core, &mut state);
         }
         drop(state);
@@ -919,12 +960,13 @@ impl EventLoop {
             {
                 conn.parked = false;
                 if !conn.read_dead {
-                    Self::decode_frames(&self.shared, conn);
+                    Self::decode_frames(&self.shared, &mut self.held, conn);
                 }
             }
-            // A dead read side with no queued work, in-flight exec, or
-            // unflushed output has nothing left to produce: close.
-            if conn.read_dead && !conn.closing && conn.write_bufs.is_empty() {
+            // A dead read side with no queued work, in-flight exec, held
+            // commit or unflushed output has nothing left to produce:
+            // close.
+            if conn.read_dead && !conn.closing && !conn.holding && conn.write_bufs.is_empty() {
                 let state = conn.core.state.lock().unwrap();
                 if state.work.is_empty() && !state.exec_scheduled && state.resps.is_empty() {
                     conn.closing = true;
@@ -947,6 +989,45 @@ impl EventLoop {
         };
         if close {
             self.close_conn(token);
+        }
+    }
+
+    /// Answer every held commit the log has decided (its kept failure
+    /// first, as the log checks) and release its locks. A closed
+    /// connection's commit stands, unanswered.
+    fn answer_held(&mut self, touched: &mut Vec<u64>) {
+        let log = &self.shared.engine.db().syslog;
+        let mut i = 0;
+        while i < self.held.len() {
+            let lsn = self.held[i].lsn;
+            let durable = match log.failed() {
+                Ok(()) if log.durable_lsn() < lsn => {
+                    i += 1;
+                    continue;
+                }
+                decided => decided,
+            };
+            let held = self.held.swap_remove(i);
+            let acked = held.txn.acknowledge(durable);
+            let resp = acked.map_or_else(|e| Response::Err(e.into()), |()| Response::Ok);
+            self.shared.histograms.record(
+                Request::Commit.tag(),
+                held.started.elapsed().as_nanos() as u64,
+            );
+            let Some(conn) = self.conns.get_mut(&held.token) else {
+                continue;
+            };
+            conn.holding = false;
+            conn.pending -= 1;
+            let mut out = Vec::new();
+            resp.frame_into(&mut out);
+            Self::queue_replies(&self.shared, conn, out);
+            if conn.read_dead {
+                Self::write_drain(conn);
+            } else {
+                Self::decode_frames(&self.shared, &mut self.held, conn);
+            }
+            touched.push(held.token);
         }
     }
 
@@ -1048,10 +1129,16 @@ impl EventLoop {
         }
     }
 
-    /// Shutdown: close every connection, scheduling orphan cleanups on
-    /// the exec pool (the server joins the pool after the event loop,
-    /// so every rollback completes before `shutdown()` returns).
+    /// Shutdown: release every held commit once the log has decided it,
+    /// unanswered, then close every connection, scheduling orphan
+    /// cleanups on the exec pool (the server joins the pool after the
+    /// event loop, so every rollback completes before `shutdown()`
+    /// returns).
     fn teardown(&mut self) {
+        let log = &self.shared.engine.db().syslog;
+        for held in self.held.drain(..) {
+            let _ = held.txn.acknowledge(log.wait_durable(held.lsn));
+        }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close_conn(token);
@@ -1088,17 +1175,17 @@ impl DaliServer {
             n => n,
         };
         let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // The pool carries every wait: lock and `quiesce` waits, durable
-        // commits. The floor of eight matters on small hosts: a lock
-        // holder's commit, handed off behind a wait of its own, must find
-        // a free worker even when every other session is blocked waiting
-        // on its locks.
+        // The pool carries every wait for a lock or `quiesce`, and the
+        // verbs behind one. The floor of eight matters on small hosts: a
+        // lock holder's commit, handed off behind a wait of its own, must
+        // find a free worker even when every other session is blocked
+        // waiting on its locks.
         let n_exec = (2 * cpus).max(8);
 
         // Every fd the event loop needs (waker pair, epoll instance) is
         // created before any thread is spawned, so running out of
         // descriptors fails `start` before anything runs.
-        let waker = Waker::new()?;
+        let waker = Arc::new(Waker::new()?);
         let mut poller = Poller::new()?;
         poller.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
@@ -1117,10 +1204,18 @@ impl DaliServer {
                 stop: AtomicBool::new(false),
             },
         });
+        // The log worker wakes the loop for its held commits.
+        let notify = Arc::clone(&shared.waker);
+        shared
+            .engine
+            .db()
+            .syslog
+            .set_durable_notify(Some(Box::new(move || notify.wake())));
         let event_loop = EventLoop {
             shared: Arc::clone(&shared),
             poller,
             conns: HashMap::new(),
+            held: Vec::new(),
             listener,
             max_conns,
             listener_parked: false,
@@ -1191,5 +1286,6 @@ impl Drop for DaliServer {
         for h in self.exec_threads.drain(..) {
             let _ = h.join();
         }
+        self.shared.engine.db().syslog.set_durable_notify(None);
     }
 }

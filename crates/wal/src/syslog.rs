@@ -18,29 +18,40 @@
 //! cadence. Records never span segments, and LSNs stay global byte
 //! offsets, so no caller of the log had to renumber anything.
 //!
+//! # Group commit
+//!
+//! Every fsync belongs to the **log worker**, a background thread every
+//! `SystemLog` owns. A durable commit writes the tail and raises one
+//! *durable watermark* ([`SystemLog::request_durable`]); the worker
+//! serves it ahead of its jobs with one fsync, which covers every byte
+//! written before it starts. [`SystemLog::wait_durable`] blocks for it; a
+//! caller that must not block registers a
+//! [notification](SystemLog::set_durable_notify) instead.
+//!
 //! # The roll protocol
 //!
 //! The appender pays for a roll with one `create_new` of the successor
 //! as `{lsn}.seg.pending`, under the latch. Making the roll durable —
 //! [`segment::name_successor`]: fsync the sealed segment, rename the
 //! successor to `.seg`, sync the directory, and only then advance
-//! `durable` — belongs to the **log worker**, a background thread every
-//! `SystemLog` owns, or to a durable committer that cannot wait for it.
-//! So `durable` covers a contiguous, fsynced, named prefix of the log; a
-//! crash in between leaves a pending file, which
-//! [`segment::adopt_pending`] settles at restart. Retirement's unlinks
-//! are the worker's other job. A store that runs no background threads
+//! `durable` — is the worker's too, queued as a job, or done first when
+//! the watermark is past the seal. So `durable` covers a contiguous,
+//! fsynced, named prefix of the log; a crash in between leaves a pending
+//! file, which [`segment::adopt_pending`] settles at restart.
+//! Retirement's unlinks are the worker's other job. A store that runs no
+//! background threads
 //! ([`Storage::background_threads`](dali_common::Storage::background_threads))
 //! gets no worker: its jobs queue until [`SystemLog::settle`] runs them on
-//! the caller, so when a sync or unlink lands is the caller's choice.
+//! the caller, and a durability request is served on the caller that
+//! makes it, so when a sync or unlink lands is the caller's choice.
 //!
 //! Every file operation goes through the log's
 //! [`Storage`](dali_common::Storage). The first failure on the
-//! durability path — a background job's or a foreground fsync's — is
-//! kept and returned by [`SystemLog::settle`], every durable flush or
-//! commit and [`SystemLog::wait_durable`] from then on: a failed fsync is
-//! never acknowledged over. A failed tail write also closes the log to
-//! writes, since what reached the file is unknown.
+//! durability path — a background job's or a commit's fsync — is kept
+//! and returned by [`SystemLog::settle`], every durable flush or commit
+//! and [`SystemLog::wait_durable`] from then on: a failed fsync is never
+//! acknowledged over. A failed tail write also closes the log to writes,
+//! since what reached the file is unknown.
 //!
 //! A *simulated crash* shuts the log down ([`SystemLog::shutdown`], also
 //! what dropping it does): the unflushed tail is lost, exactly as Dali
@@ -98,9 +109,9 @@ struct Sealed {
     end: Lsn,
 }
 
-/// fsync state, deliberately on its own mutex: syncing must not hold the
-/// append latch, or every concurrent committer serializes behind each
-/// fsync (~hundreds of microseconds each).
+/// What an fsync needs, on its own mutex, which no fsync holds: syncing
+/// must not hold the append latch, or every concurrent committer
+/// serializes behind each fsync (~hundreds of microseconds each).
 struct SyncState {
     /// The active segment, for `fsync`. Swapped on every roll.
     file: Arc<dyn StorageFile>,
@@ -108,8 +119,6 @@ struct SyncState {
     /// segments, so `durable >= active_base` says none of them still
     /// waits for its fsync and the active segment has its `.seg` name.
     active_base: Lsn,
-    /// Everything below this LSN is known to be on disk.
-    durable: Lsn,
     /// Sealed segments waiting for `drain_sealed`, oldest first.
     sealed: VecDeque<Sealed>,
 }
@@ -126,16 +135,20 @@ pub struct SyncStats {
     pub fsyncs: u64,
     /// Tail→file writes (buffered flushes, durable or not).
     pub flushes: u64,
-    /// Durable-commit requests served (`flush(true)` / `commit_durable`).
+    /// Durable commits requested ([`SystemLog::request_durable`], also
+    /// made by `flush(true)` and `commit_durable`).
     pub durable_commits: u64,
-    /// Durable commits satisfied by an fsync some other committer issued.
+    /// Durable commits that needed no fsync of their own:
+    /// `durable_commits` less the worker fsyncs made for commits, each of
+    /// which counts one commit it covered as its own. A commit whose
+    /// fsync is still under way counts here meanwhile.
     pub piggybacked: u64,
-    /// The share of `fsyncs` the log worker issued: sealed segments made
-    /// durable with no foreground thread waiting.
+    /// The share of `fsyncs` the worker issued for sealed segments with
+    /// no durability request waiting on them.
     pub background_fsyncs: u64,
-    /// Times a durable commit, checkpoint or online scan had to perform
-    /// or wait for a sealed segment's sync itself — the foreground
-    /// stalls that background work did not absorb.
+    /// Times a durable commit, checkpoint or online scan had to wait for
+    /// a sealed segment's sync, or a [`SystemLog::settle`] for the worker
+    /// — the foreground stalls that background work did not absorb.
     pub settle_waits: u64,
 }
 
@@ -156,11 +169,14 @@ struct Counters {
     fsyncs: AtomicU64,
     flushes: AtomicU64,
     durable_commits: AtomicU64,
-    piggybacked: AtomicU64,
+    commit_fsyncs: AtomicU64,
     background_fsyncs: AtomicU64,
     settle_waits: AtomicU64,
     segments_retired: AtomicU64,
 }
+
+/// A durability notification ([`SystemLog::set_durable_notify`]).
+pub type DurableNotify = Box<dyn Fn() + Send + Sync>;
 
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
@@ -177,12 +193,29 @@ enum Job {
 #[derive(Default)]
 struct Jobs {
     queue: VecDeque<Job>,
-    /// The worker is running a job it took off the queue.
+    /// The durable watermark, served ahead of `queue`.
+    want: Lsn,
+    /// A durable commit asked past `durable` since `want` was last
+    /// taken up, so the next fsync served is a commit's.
+    asked: bool,
+    /// The worker is running a job or serving `want`.
     busy: bool,
     /// Finish the queue and exit.
     stop: bool,
     /// The first failure on the durability path (see the module docs).
     error: Option<String>,
+}
+
+impl Jobs {
+    /// The kept failure, if the durability path has failed.
+    fn failed(&self) -> Result<()> {
+        match &self.error {
+            None => Ok(()),
+            Some(e) => Err(DaliError::Io(std::io::Error::other(format!(
+                "log failed: {e}"
+            )))),
+        }
+    }
 }
 
 /// The stable side of the log: what the worker shares with the threads
@@ -198,9 +231,12 @@ struct Core {
     /// before `sync`, never under it or under the append latch.
     drain: Mutex<()>,
     jobs: Mutex<Jobs>,
-    /// Signalled when a job is posted, the worker goes idle, or `stop`
-    /// is set.
+    /// Signalled when a job is posted, `want` rises, the worker goes
+    /// idle, `durable` advances, a failure is kept, or `stop` is set.
     jobs_cv: Condvar,
+    /// Everything below this LSN is known to be on disk.
+    durable: AtomicU64,
+    notify: Mutex<Option<DurableNotify>>,
     counters: Counters,
     /// End of the bytes handed to the kernel, stored under the append
     /// latch. An fsync begun after reading it under the sync lock (which
@@ -217,20 +253,110 @@ impl Core {
         }
     }
 
-    /// The kept failure, if the durability path has failed.
-    fn failed(&self) -> Result<()> {
-        match &self.jobs.lock().error {
-            None => Ok(()),
-            Some(e) => Err(DaliError::Io(std::io::Error::other(format!(
-                "log failed: {e}"
-            )))),
-        }
+    fn durable(&self) -> Lsn {
+        Lsn(self.durable.load(Ordering::Acquire))
     }
 
     /// Keep `e` unless an earlier failure is kept already; returns it.
     fn keep(&self, e: DaliError) -> DaliError {
         self.jobs.lock().error.get_or_insert_with(|| e.to_string());
+        self.wake_waiters();
         e
+    }
+
+    fn wake_waiters(&self) {
+        self.jobs_cv.notify_all();
+        if let Some(notify) = &*self.notify.lock() {
+            notify();
+        }
+    }
+
+    /// Whether the worker has the watermark to serve.
+    fn wants_sync(&self, jobs: &Jobs) -> bool {
+        jobs.error.is_none() && jobs.want > self.durable()
+    }
+
+    /// Ask for everything below `upto` to be made durable, counted as a
+    /// durable commit if `commit`; served here if there is no worker.
+    fn request(&self, upto: Lsn, commit: bool) {
+        if commit {
+            bump(&self.counters.durable_commits);
+        }
+        let mut jobs = self.jobs.lock();
+        if self.durable() >= upto || jobs.stop {
+            return;
+        }
+        jobs.asked |= commit;
+        if upto > jobs.want {
+            jobs.want = upto;
+            self.jobs_cv.notify_all();
+        }
+        drop(jobs);
+        if !self.store.background_threads() {
+            self.serve_durable();
+        }
+    }
+
+    /// Wait until everything below `upto` is durable; the kept failure
+    /// comes first, as nothing is acknowledged over it.
+    fn await_durable(&self, upto: Lsn) -> Result<()> {
+        let mut jobs = self.jobs.lock();
+        loop {
+            jobs.failed()?;
+            if self.durable() >= upto {
+                return Ok(());
+            }
+            if jobs.stop {
+                return Err(DaliError::Crashed);
+            }
+            self.jobs_cv.wait(&mut jobs);
+        }
+    }
+
+    /// Serve the watermark and wake the waiters; `false` if there was
+    /// nothing to serve.
+    fn serve_durable(&self) -> bool {
+        let want = {
+            let mut jobs = self.jobs.lock();
+            if !self.wants_sync(&jobs) {
+                return false;
+            }
+            jobs.busy = true;
+            if std::mem::take(&mut jobs.asked) {
+                bump(&self.counters.commit_fsyncs);
+            }
+            jobs.want
+        };
+        // A failure is kept, and so reaches every waiter.
+        let _ = self.sync_upto(want);
+        self.jobs.lock().busy = false;
+        self.wake_waiters();
+        true
+    }
+
+    /// Make everything below `want` durable: the sealed segments first,
+    /// then one fsync of the active segment, which covers every byte
+    /// written before it starts.
+    fn sync_upto(&self, want: Lsn) -> Result<()> {
+        loop {
+            self.drain_sealed(false)?;
+            if self.durable() >= want {
+                return Ok(());
+            }
+            // Under the sync lock, which a roll takes: every byte below
+            // `written` is in `file` or in a drained segment.
+            let s = self.sync.lock();
+            if self.durable() < s.active_base {
+                continue;
+            }
+            let (file, written) = (Arc::clone(&s.file), self.written.load(Ordering::Acquire));
+            drop(s);
+            file.fsync().map_err(|e| self.keep(e.into()))?;
+            bump(&self.counters.fsyncs);
+            self.durable
+                .fetch_max(written.max(want.0), Ordering::AcqRel);
+            return Ok(());
+        }
     }
 
     /// Take the oldest job off the queue, run it and keep its failure;
@@ -253,17 +379,18 @@ impl Core {
             self.keep(e);
         }
         self.jobs.lock().busy = false;
-        self.jobs_cv.notify_all();
+        // A drain may have made a requested commit durable.
+        self.wake_waiters();
         true
     }
 
     fn run_worker(&self) {
         loop {
-            if self.run_next() {
+            if self.serve_durable() || self.run_next() {
                 continue;
             }
             let mut jobs = self.jobs.lock();
-            while jobs.queue.is_empty() {
+            while jobs.queue.is_empty() && !self.wants_sync(&jobs) {
                 if jobs.stop {
                     return;
                 }
@@ -286,13 +413,16 @@ impl Core {
             let mut s = self.sync.lock();
             if let Err(e) = done {
                 s.sealed.push_front(sealed);
+                drop(s);
                 return Err(self.keep(e));
             }
             bump(&self.counters.fsyncs);
             if background {
                 bump(&self.counters.background_fsyncs);
+            } else {
+                bump(&self.counters.settle_waits);
             }
-            s.durable = s.durable.max(sealed.end);
+            self.durable.fetch_max(sealed.end.0, Ordering::AcqRel);
         }
     }
 
@@ -302,7 +432,7 @@ impl Core {
     /// a segment is never unlinked while its successor waits for a name.
     fn retire_covered(&self, horizon: Lsn) -> Result<()> {
         let keep_from = self.inner.lock().seg_base;
-        let horizon = horizon.min(self.sync.lock().durable);
+        let horizon = horizon.min(self.durable());
         let retired = segment::retire_covered(&*self.store, &self.dir, horizon, keep_from)?;
         self.counters
             .segments_retired
@@ -483,12 +613,13 @@ impl SystemLog {
             sync: Mutex::new(SyncState {
                 file,
                 active_base: seg_base,
-                durable: end,
                 sealed: VecDeque::new(),
             }),
             drain: Mutex::new(()),
             jobs: Mutex::new(Jobs::default()),
             jobs_cv: Condvar::new(),
+            durable: AtomicU64::new(end.0),
+            notify: Mutex::new(None),
             counters: Counters::default(),
             written: AtomicU64::new(end.0),
         });
@@ -606,20 +737,19 @@ impl SystemLog {
     /// LSN below which the log is known to be on disk: a contiguous,
     /// fsynced prefix of `.seg`-named segments.
     pub fn durable_lsn(&self) -> Lsn {
-        self.core.sync.lock().durable
+        self.core.durable()
     }
 
     /// Flush the tail to the stable segments. The file writes happen
-    /// under the system log latch; with `sync`, the fsync happens
-    /// *outside* it, so concurrent appenders and committers are not
-    /// serialized behind the disk. A committer whose bytes a neighbour's
-    /// fsync already covered skips its own (commit piggybacking).
+    /// under the system log latch; with `sync`, this is a durable commit:
+    /// [`request_durable`](Self::request_durable) and
+    /// [`wait_durable`](Self::wait_durable).
     /// Returns the new end of stable log.
     pub fn flush(&self, sync: bool) -> Result<Lsn> {
         let end = self.write_tail()?;
         if sync {
-            bump(&self.core.counters.durable_commits);
-            self.sync_upto(end)?;
+            self.request_durable(end);
+            self.wait_durable(end)?;
         }
         Ok(end)
     }
@@ -703,47 +833,19 @@ impl SystemLog {
         Ok(())
     }
 
-    /// Make everything below `upto` (already written) durable. Sealed
-    /// segments come first — drained here if the worker has not got to
-    /// them — then one `fsync` of the active segment, covering all bytes
-    /// written before it. Returns whether that fsync was needed, or a
-    /// neighbour's (or the drain) had already covered `upto`.
-    fn ensure_durable(&self, upto: Lsn) -> Result<bool> {
-        self.core.failed()?;
-        loop {
-            let mut s = self.core.sync.lock();
-            if s.durable >= upto {
-                return Ok(false);
-            }
-            if s.durable < s.active_base {
-                drop(s);
-                bump(&self.core.counters.settle_waits);
-                self.core.drain_sealed(false)?;
-                continue;
-            }
-            let written = Lsn(self.core.written.load(Ordering::Acquire));
-            s.file.fsync().map_err(|e| self.core.keep(e.into()))?;
-            s.durable = upto.max(written);
-            bump(&self.core.counters.fsyncs);
-            return Ok(true);
-        }
-    }
-
-    /// fsync so that everything below `upto` is durable, unless a
-    /// neighbour's fsync already covered it (commit piggybacking).
-    fn sync_upto(&self, upto: Lsn) -> Result<Lsn> {
-        if !self.ensure_durable(upto)? {
-            bump(&self.core.counters.piggybacked);
-        }
-        Ok(self.durable_lsn())
+    /// A durable commit whose records, already written, end at `upto`:
+    /// raise the worker's durable watermark to `upto` and return at once
+    /// (on a store without background threads, after serving it here).
+    pub fn request_durable(&self, upto: Lsn) {
+        self.core.request(upto, true);
     }
 
     /// Block until everything below `upto` — which the caller has
-    /// already flushed — is on disk. What a checkpoint waits for before
-    /// it toggles the anchor to an image consistent with `upto`; not a
-    /// commit, so it leaves the durable-commit counters alone.
+    /// already flushed — is on disk: what a durable commit and a
+    /// checkpoint wait for. Raises the watermark, counting no commit.
     pub fn wait_durable(&self, upto: Lsn) -> Result<()> {
-        self.ensure_durable(upto).map(drop)
+        self.core.request(upto, false);
+        self.core.await_durable(upto)
     }
 
     /// Make the log durable up to `upto`: [`flush(true)`](Self::flush).
@@ -754,6 +856,12 @@ impl SystemLog {
     /// [`append_frames`](Self::append_frames)).
     pub fn commit_durable(&self, upto: Lsn) -> Result<Lsn> {
         Ok(self.flush(true)?.max(upto))
+    }
+
+    /// Call `notify` whenever [`durable_lsn`](Self::durable_lsn) may have
+    /// advanced or a failure was kept: a waker, quick and lock-free.
+    pub fn set_durable_notify(&self, notify: Option<DurableNotify>) {
+        *self.core.notify.lock() = notify;
     }
 
     /// Have the log worker retire (unlink) sealed segments every byte of
@@ -781,14 +889,15 @@ impl SystemLog {
             while self.core.run_next() {}
         }
         let mut jobs = self.core.jobs.lock();
-        if jobs.busy || !jobs.queue.is_empty() {
+        let working =
+            |jobs: &Jobs| jobs.busy || !jobs.queue.is_empty() || self.core.wants_sync(jobs);
+        if working(&jobs) {
             bump(&self.core.counters.settle_waits);
         }
-        while jobs.busy || !jobs.queue.is_empty() {
+        while working(&jobs) {
             self.core.jobs_cv.wait(&mut jobs);
         }
-        drop(jobs);
-        self.core.failed()
+        jobs.failed()
     }
 
     /// Stop the log: refuse further writes, let the worker finish what
@@ -814,7 +923,7 @@ impl SystemLog {
     /// The failure the durability path kept, if any: a failed write,
     /// fsync, roll or retirement. Waits for no I/O.
     pub fn failed(&self) -> Result<()> {
-        self.core.failed()
+        self.core.jobs.lock().failed()
     }
 
     /// Gauges for the segmented layout (directory listing + lifetime
@@ -831,11 +940,14 @@ impl SystemLog {
     /// Snapshot of the flush/fsync counters.
     pub fn sync_stats(&self) -> SyncStats {
         let c = &self.core.counters;
+        // Read first: it trails the commits it is subtracted from.
+        let commit_fsyncs = c.commit_fsyncs.load(Ordering::Relaxed);
+        let durable_commits = c.durable_commits.load(Ordering::Relaxed);
         SyncStats {
             fsyncs: c.fsyncs.load(Ordering::Relaxed),
             flushes: c.flushes.load(Ordering::Relaxed),
-            durable_commits: c.durable_commits.load(Ordering::Relaxed),
-            piggybacked: c.piggybacked.load(Ordering::Relaxed),
+            durable_commits,
+            piggybacked: durable_commits.saturating_sub(commit_fsyncs),
             background_fsyncs: c.background_fsyncs.load(Ordering::Relaxed),
             settle_waits: c.settle_waits.load(Ordering::Relaxed),
         }
@@ -1130,6 +1242,148 @@ mod tests {
         let stats = log.sync_stats();
         assert_eq!(stats.fsyncs, 1, "{stats:?}");
         assert_eq!(stats.piggybacked, 1, "{stats:?}");
+    }
+
+    /// The OS store, except that once `armed` the next segment fsync
+    /// parks until `open`, and that it runs background threads only if
+    /// `threads`.
+    #[derive(Default)]
+    struct GatedFsync {
+        threads: bool,
+        armed: std::sync::atomic::AtomicBool,
+        /// (an fsync is parked, it may go on)
+        state: std::sync::Mutex<(bool, bool)>,
+        cv: std::sync::Condvar,
+    }
+
+    impl GatedFsync {
+        fn set(&self, f: impl FnOnce(&mut (bool, bool))) {
+            f(&mut self.state.lock().unwrap());
+            self.cv.notify_all();
+        }
+
+        fn wait(&self, until: impl Fn(&(bool, bool)) -> bool) {
+            let state = self.state.lock().unwrap();
+            drop(self.cv.wait_while(state, |s| !until(s)).unwrap());
+        }
+    }
+
+    struct GatedFile(Box<dyn StorageFile>, Arc<GatedFsync>);
+
+    impl StorageFile for GatedFile {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+            self.0.read_at(buf, offset)
+        }
+        fn write_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
+            self.0.write_at(buf, offset)
+        }
+        fn size(&self) -> std::io::Result<u64> {
+            self.0.size()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.0.set_len(len)
+        }
+        fn fsync(&self) -> std::io::Result<()> {
+            if self.1.armed.swap(false, Ordering::SeqCst) {
+                self.1.set(|s| s.0 = true);
+                self.1.wait(|s| s.1);
+            }
+            self.0.fsync()
+        }
+    }
+
+    struct GatedStore(Arc<GatedFsync>);
+
+    impl dali_common::Storage for GatedStore {
+        fn open(&self, path: &Path, how: Open) -> std::io::Result<Box<dyn StorageFile>> {
+            Ok(Box::new(GatedFile(
+                OsStorage.open(path, how)?,
+                Arc::clone(&self.0),
+            )))
+        }
+        fn read(&self, path: &Path, into: &mut Vec<u8>) -> std::io::Result<()> {
+            OsStorage.read(path, into)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            OsStorage.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            OsStorage.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<(String, u64)>> {
+            OsStorage.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            OsStorage.create_dir_all(dir)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            OsStorage.sync_dir(dir)
+        }
+        fn background_threads(&self) -> bool {
+            self.0.threads
+        }
+    }
+
+    fn create_gated(path: &Path, threads: bool) -> (SystemLog, Arc<GatedFsync>) {
+        let gate = Arc::new(GatedFsync {
+            threads,
+            ..GatedFsync::default()
+        });
+        let store: Store = Arc::new(GatedStore(Arc::clone(&gate)));
+        let log = SystemLog::create_on(store, path, 4096, XorFold, BIG).unwrap();
+        (log, gate)
+    }
+
+    /// Commit `txn` durably without waiting: append, write, request.
+    fn request_commit(log: &SystemLog, txn: u64) -> Lsn {
+        commit_run(log, &[LogRecord::TxnCommit { txn: TxnId(txn) }]);
+        let end = log.flush(false).unwrap();
+        log.request_durable(end);
+        end
+    }
+
+    /// Durable requests posted while the worker's fsync is parked return
+    /// at once, and the one fsync the worker makes next covers them all:
+    /// of the K, one is counted as served by it and the rest piggyback.
+    #[test]
+    fn requests_posted_during_a_parked_fsync_share_the_next_one() {
+        const K: u64 = 5;
+        let scratch = TempDir::new("syslog-watermark");
+        let (log, gate) = create_gated(&scratch.path().join("system.log"), true);
+        gate.armed.store(true, Ordering::SeqCst);
+        let first = request_commit(&log, 0);
+        gate.wait(|s| s.0);
+        let ends: Vec<Lsn> = (1..=K).map(|t| request_commit(&log, t)).collect();
+        assert!(log.durable_lsn() < first, "the parked fsync returned");
+        let before = log.sync_stats();
+        assert_eq!(before.fsyncs, 0, "{before:?}");
+
+        gate.set(|s| s.1 = true);
+        log.wait_durable(*ends.last().unwrap()).unwrap();
+        let stats = log.sync_stats();
+        assert_eq!(stats.fsyncs, 2, "the parked fsync and one more: {stats:?}");
+        assert_eq!(stats.durable_commits, K + 1);
+        assert_eq!(stats.piggybacked, K - 1, "{stats:?}");
+        assert_eq!(stats.fsyncs + stats.piggybacked, stats.durable_commits);
+    }
+
+    /// Without background threads a durability request is served on the
+    /// caller: durable when it returns, with its own fsync, and one more
+    /// request past nothing new piggybacks.
+    #[test]
+    fn a_request_without_background_threads_runs_on_the_caller() {
+        let scratch = TempDir::new("syslog-watermark-caller");
+        let (log, _gate) = create_gated(&scratch.path().join("system.log"), false);
+        assert!(log.worker.lock().is_none());
+        let end = request_commit(&log, 1);
+        assert_eq!(log.durable_lsn(), end);
+        log.request_durable(end);
+        let stats = log.sync_stats();
+        assert_eq!(
+            (stats.fsyncs, stats.durable_commits, stats.piggybacked),
+            (1, 2, 1)
+        );
+        log.wait_durable(end).unwrap();
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Event-server behaviors beyond the wire protocol: admission control
-//! at the connection cap, the `Health`/`Metrics`/`Stats` admin verbs, and
-//! the hand-off of a verb that must wait from the readiness loop to the
-//! exec pool.
+//! at the connection cap, the `Health`/`Metrics`/`Stats` admin verbs, the
+//! hand-off of a verb that must wait from the readiness loop to the exec
+//! pool, and the durable commits the loop holds until the log worker's
+//! fsync covers them.
 
 use dali::common::storage::{Open, Storage, StorageFile};
 use dali::common::{OsStorage, Store};
-use dali::net::protocol::{encode_request, frame};
+use dali::net::protocol::{encode_request, frame, read_frame};
 use dali::net::{DaliClient, DaliServer, Request, Response};
 use dali::{DaliConfig, DaliEngine, DaliError, ProtectionScheme, RecId};
-use std::io::Write;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -330,11 +332,14 @@ fn an_update_waiting_for_a_held_lock_leaves_other_sessions_answered() {
 }
 
 /// The OS store, except that once `armed` the next write to a log
-/// segment waits until it is released.
+/// segment waits until it is released, once `fsync_armed` the next
+/// segment fsync does, and once `fail` every segment fsync fails.
 #[derive(Default)]
 struct Gate {
     armed: AtomicBool,
-    /// (a segment write is parked, it may go on)
+    fsync_armed: AtomicBool,
+    fail: AtomicBool,
+    /// (a segment write or fsync is parked, it may go on)
     state: Mutex<(bool, bool)>,
     cv: Condvar,
 }
@@ -374,6 +379,15 @@ impl StorageFile for GatedFile {
         self.file.set_len(len)
     }
     fn fsync(&self) -> std::io::Result<()> {
+        if let Some(gate) = self.gate.as_ref() {
+            if gate.fsync_armed.swap(false, SeqCst) {
+                gate.set(|s| s.0 = true);
+                gate.wait(|s| s.1);
+            }
+            if gate.fail.load(SeqCst) {
+                return Err(std::io::Error::other("segment fsync fails"));
+            }
+        }
         self.file.fsync()
     }
 }
@@ -503,6 +517,215 @@ fn a_disconnect_during_a_handed_off_wait_rolls_the_orphan_back() {
         read
     });
     assert_eq!(read, [1; 16]);
+    assert_eq!(server.engine().db().locks.locked_records(), 0);
+    server.shutdown();
+}
+
+/// A server with [`seed_two`]'s records on a [`Gate`]d store that
+/// commits durably and whose lock waits outlast every deadline here.
+fn durable_server(name: &str) -> (DaliServer, dali_testutil::TempDir, Arc<Gate>, [RecId; 2]) {
+    durable_server_with(name, |c| c)
+}
+
+/// [`durable_server`] with its configuration tweaked.
+fn durable_server_with(
+    name: &str,
+    tweak: impl FnOnce(DaliConfig) -> DaliConfig,
+) -> (DaliServer, dali_testutil::TempDir, Arc<Gate>, [RecId; 2]) {
+    let dir = dali_testutil::TempDir::new(name);
+    let gate = Arc::new(Gate::default());
+    let store: Store = Arc::new(GatedStore(Arc::clone(&gate)));
+    let mut config = DaliConfig::small(dir.path()).with_scheme(ProtectionScheme::DataCodeword);
+    config.sync_commit = true;
+    config.lock_timeout = Duration::from_secs(120);
+    let (engine, _) = DaliEngine::create_on(tweak(config), store).unwrap();
+    let server = DaliServer::start(engine, "127.0.0.1:0").unwrap();
+    let recs = seed_two(&server);
+    (server, dir, gate, recs)
+}
+
+/// A raw connection that has sent `reqs` as one burst.
+fn burst(addr: std::net::SocketAddr, reqs: &[Request]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let bytes: Vec<u8> = reqs
+        .iter()
+        .flat_map(|req| frame(&encode_request(req)))
+        .collect();
+    stream.write_all(&bytes).unwrap();
+    stream
+}
+
+/// The next reply on `stream`, waiting for it at most [`DEADLINE`].
+fn reply(stream: &mut TcpStream) -> Response {
+    stream.set_read_timeout(Some(DEADLINE)).unwrap();
+    let payload = read_frame(stream).unwrap().expect("the server closed");
+    Response::decode(&payload).unwrap()
+}
+
+/// Whether a reply has arrived on `stream` that was not read yet.
+fn has_reply(stream: &mut TcpStream) -> bool {
+    stream.set_nonblocking(true).unwrap();
+    let got = stream.read(&mut [0u8; 1]);
+    stream.set_nonblocking(false).unwrap();
+    match got {
+        Ok(n) => n > 0,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+fn update(rec: RecId, v: u8) -> Request {
+    Request::Update {
+        rec,
+        data: vec![v; 16],
+    }
+}
+
+/// Opens the gate when dropped, before the server is: a test that fails
+/// while an fsync is parked then fails instead of hanging in the
+/// shutdown, which answers every held commit.
+struct OpenOnDrop(Arc<Gate>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.set(|s| s.1 = true);
+    }
+}
+
+/// A durable commit held for its fsync: session A's pipelined `Begin,
+/// Update r, Commit` gets its first two replies and no `Commit` reply
+/// while the log worker's fsync is parked, and `Health` on another
+/// connection is answered meanwhile. B's `Update r` is handed off and
+/// waits for A's lock on the exec pool, unanswered. Once the fsync goes
+/// on, A's commit is answered `Ok`, its lock is released, and B's update
+/// is answered.
+#[test]
+fn a_durable_commit_is_answered_and_unlocked_only_after_its_fsync() {
+    let (server, _dir, gate, [r, _]) = durable_server("net-held-commit");
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.addr();
+    gate.fsync_armed.store(true, SeqCst);
+    let mut a = burst(addr, &[Request::Begin, update(r, 7), Request::Commit]);
+    assert!(matches!(reply(&mut a), Response::Began { .. }));
+    assert_eq!(reply(&mut a), Response::Ok);
+    let parked = Arc::clone(&gate);
+    within("the commit's fsync", move || parked.wait(|s| s.0));
+
+    let health = within("health beside the held commit", move || {
+        DaliClient::connect(addr).unwrap().health().unwrap()
+    });
+    assert!(health.healthy);
+    let mut b = burst(addr, &[Request::Begin, update(r, 8)]);
+    assert!(matches!(reply(&mut b), Response::Began { .. }));
+    within("B's hand-off", move || {
+        await_hand_off(&mut DaliClient::connect(addr).unwrap())
+    });
+    assert!(
+        !has_reply(&mut a),
+        "the commit was answered before its fsync"
+    );
+    assert!(!has_reply(&mut b), "the update did not wait for A's lock");
+
+    gate.set(|s| s.1 = true);
+    assert_eq!(reply(&mut a), Response::Ok);
+    assert_eq!(reply(&mut b), Response::Ok);
+    b.write_all(&frame(&encode_request(&Request::Commit)))
+        .unwrap();
+    assert_eq!(reply(&mut b), Response::Ok);
+    let mut c = DaliClient::connect(addr).unwrap();
+    c.begin().unwrap();
+    assert_eq!(c.read(r).unwrap(), [8; 16]);
+    c.commit().unwrap();
+    server.shutdown();
+}
+
+/// A segment fsync that fails answers every commit it held with an error
+/// and none with `Ok`, releases their locks, and `Health` then reports
+/// the server unhealthy.
+#[test]
+fn a_failed_fsync_answers_every_held_commit_with_an_error() {
+    let (server, _dir, gate, [r, s]) = durable_server("net-held-fail");
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.addr();
+    gate.fsync_armed.store(true, SeqCst);
+    gate.fail.store(true, SeqCst);
+    let mut sessions =
+        [r, s].map(|rec| burst(addr, &[Request::Begin, update(rec, 9), Request::Commit]));
+    for session in &mut sessions {
+        // The pass that answered these ran the commit's log step too.
+        assert!(matches!(reply(session), Response::Began { .. }));
+        assert_eq!(reply(session), Response::Ok);
+    }
+    let parked = Arc::clone(&gate);
+    within("the commit's fsync", move || parked.wait(|s| s.0));
+
+    gate.set(|s| s.1 = true);
+    for session in &mut sessions {
+        let resp = reply(session);
+        assert!(matches!(resp, Response::Err(_)), "{resp:?}");
+    }
+    assert_eq!(server.engine().db().locks.locked_records(), 0);
+    let health = within("health after the failure", move || {
+        DaliClient::connect(addr).unwrap().health().unwrap()
+    });
+    assert!(!health.healthy);
+    server.shutdown();
+}
+
+/// The log segments of `dir`'s engine still waiting for their names.
+fn pending_segments(dir: &Path) -> usize {
+    std::fs::read_dir(dir.join("system.log"))
+        .unwrap()
+        .filter(|e| {
+            e.as_ref()
+                .unwrap()
+                .file_name()
+                .to_string_lossy()
+                .ends_with(".pending")
+        })
+        .count()
+}
+
+/// A held commit that a segment roll's fsync makes durable is answered
+/// with no other traffic to wake the loop. The log worker is parked in
+/// the fsync of a sealed segment when A's commit asks for durability;
+/// B's aborts (which ask for none) then roll the segment A's commit is
+/// in, and once the gate opens the same drain makes that one durable too.
+#[test]
+fn a_held_commit_a_segment_drain_covers_is_answered() {
+    let (server, dir, gate, [r, _]) =
+        durable_server_with("net-held-drain", |c| c.with_log_segment_bytes(4096));
+    let _open = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.addr();
+    let mut b = DaliClient::connect(addr).unwrap();
+    let table = b.create_table("big", 1024, 4).unwrap();
+    b.begin().unwrap();
+    let big = b.insert(table, &[1; 1024]).unwrap();
+    b.commit().unwrap();
+    let mut roll_to = |pending: usize| {
+        while pending_segments(dir.path()) < pending {
+            b.begin().unwrap();
+            b.update(big, &[3; 1024]).unwrap();
+            b.abort().unwrap();
+        }
+    };
+
+    gate.fsync_armed.store(true, SeqCst);
+    roll_to(1);
+    let parked = Arc::clone(&gate);
+    within("the sealed segment's fsync", move || parked.wait(|s| s.0));
+    let mut a = burst(addr, &[Request::Begin, update(r, 7), Request::Commit]);
+    assert!(matches!(reply(&mut a), Response::Began { .. }));
+    assert_eq!(reply(&mut a), Response::Ok);
+    assert_eq!(pending_segments(dir.path()), 1, "A's commit rolled");
+    roll_to(2);
+    assert!(
+        !has_reply(&mut a),
+        "the commit was answered before its fsync"
+    );
+
+    gate.set(|s| s.1 = true);
+    assert_eq!(reply(&mut a), Response::Ok);
     assert_eq!(server.engine().db().locks.locked_records(), 0);
     server.shutdown();
 }
