@@ -13,7 +13,7 @@
 
 use dali_common::{CodewordAlgebraKind, Lsn, OsStorage};
 use dali_wal::segment::{self, SegmentBuf};
-use dali_wal::{LogRecordRef, LogicalUndoRef};
+use dali_wal::{EntriesRef, Entry, LogRecordRef, LogicalUndoRef};
 
 /// Histogram of a segment's frames keyed by record kind (plus "Seal").
 fn histogram(seg: &SegmentBuf) -> std::collections::BTreeMap<&'static str, usize> {
@@ -152,15 +152,29 @@ fn main() {
 fn render(rec: &LogRecordRef<'_>) -> String {
     match rec {
         LogRecordRef::TxnBegin { txn } => format!("BEGIN       {txn}"),
-        LogRecordRef::OpBegin { txn, op, kind, rec } => {
-            format!("OP-BEGIN    {txn} op{} {kind:?} {rec}", op.0)
-        }
         LogRecordRef::PhysicalRedo {
             txn,
             op,
             addr,
             data,
         } => format!("REDO        {txn} op{} {addr}+{}", op.0, data.len()),
+        LogRecordRef::Op {
+            txn,
+            op,
+            kind,
+            rec,
+            entries,
+            undo,
+        } => format!(
+            "OP          {txn} op{} {kind:?} {rec}{} undo {}",
+            op.0,
+            render_entries(entries),
+            match undo {
+                LogicalUndoRef::HeapInsert { rec } => format!("delete {rec}"),
+                LogicalUndoRef::HeapDelete { rec, .. } => format!("reinsert {rec}"),
+                LogicalUndoRef::HeapUpdate { rec, .. } => format!("writeback {rec}"),
+            }
+        ),
         LogRecordRef::ReadLog {
             txn,
             addr,
@@ -176,17 +190,10 @@ fn render(rec: &LogRecordRef<'_>) -> String {
                 )
             }
         }
-        LogRecordRef::OpCommit { txn, op, undo } => format!(
-            "OP-COMMIT   {txn} op{} undo {}",
-            op.0,
-            match undo {
-                LogicalUndoRef::HeapInsert { rec } => format!("delete {rec}"),
-                LogicalUndoRef::HeapDelete { rec, .. } => format!("reinsert {rec}"),
-                LogicalUndoRef::HeapUpdate { rec, .. } => format!("writeback {rec}"),
-            }
-        ),
         LogRecordRef::TxnCommit { txn } => format!("COMMIT      {txn}"),
-        LogRecordRef::TxnAbort { txn } => format!("ABORT       {txn}"),
+        LogRecordRef::TxnAbort { txn, entries } => {
+            format!("ABORT       {txn}{}", render_entries(entries))
+        }
         LogRecordRef::AuditBegin { audit_id } => format!("AUDIT-BEGIN #{audit_id}"),
         LogRecordRef::AuditEnd { audit_id, clean } => {
             format!(
@@ -203,4 +210,14 @@ fn render(rec: &LogRecordRef<'_>) -> String {
             ..
         } => format!("DDL         create {table} '{name}' rec={rec_size}B cap={capacity}"),
     }
+}
+
+/// An operation's or rollback's entries, in order: `w` a write, `r` a
+/// write-as-read.
+fn render_entries(entries: &EntriesRef<'_>) -> String {
+    let entry = |e| match e {
+        Entry::Write { addr, data } => format!(" w{addr}+{}", <[u8]>::len(data)),
+        Entry::Read { addr, len, .. } => format!(" r{addr}+{len}"),
+    };
+    entries.iter().map(entry).collect()
 }

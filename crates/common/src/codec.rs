@@ -51,6 +51,12 @@ impl<'a> Reader<'a> {
         ))
     }
 
+    /// The bytes not read yet.
+    #[inline]
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
     /// The next `n` bytes.
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {

@@ -42,8 +42,11 @@ use std::sync::Arc;
 // after the magic so recovery can reject an image certified under a
 // different algebra than the one configured. CB03 adds a `u64` slot that
 // held a parity-stripe layout; no stripe is kept any more, and it is
-// written as 0.
-const META_MAGIC: u32 = 0xDA11_CB03;
+// written as 0. CB04 marks the log format of one frame per operation,
+// its checksum folding in its LSN, and the ATT's undo blobs holding the
+// logical undo alone; its fields are CB03's.
+const META_MAGIC: u32 = 0xDA11_CB04;
+const OLD_LOG_META_MAGIC: u32 = 0xDA11_CB03;
 const ANCHOR_MAGIC: u32 = 0xDA11_A0C1;
 
 /// Outcome of a checkpoint attempt.
@@ -118,8 +121,15 @@ impl CkptMeta {
 
     fn decode(bytes: &[u8]) -> Result<CkptMeta> {
         let mut r = codec::unseal(bytes, bad_meta)?;
-        if r.u32()? != META_MAGIC {
-            return Err(r.fail("bad magic"));
+        match r.u32()? {
+            META_MAGIC => {}
+            OLD_LOG_META_MAGIC => {
+                return Err(r.fail(
+                    "the CB03 format of an older release, whose log frames this release \
+                     cannot read",
+                ))
+            }
+            _ => return Err(r.fail("bad magic")),
         }
         let algebra = CodewordAlgebraKind::from_tag(r.u8()?)
             .ok_or_else(|| r.fail("unknown codeword algebra tag"))?;

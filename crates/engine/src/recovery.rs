@@ -2,11 +2,11 @@
 //! recovery (paper §4.3).
 //!
 //! Restart recovery loads the certified checkpoint image, replays the
-//! system log from `CK_end` (repeating history physically, one segment
-//! at a time: the writes of the operations that committed in a segment
-//! go into the image together when it ends), and rolls back incomplete
-//! transactions level by level using logical undo from the checkpointed
-//! ATT and operation commit records.
+//! system log from `CK_end` (repeating history physically, one frame at a
+//! time: an operation's or a rollback's frame is whole, so its writes go
+//! into the image as it is read), and rolls back incomplete transactions
+//! level by level using logical undo from the checkpointed ATT and the
+//! operation frames.
 //!
 //! Each scheme has one restart. Under CW ReadLog every restart, and under
 //! ReadLog a restart that finds the corruption marker (a failed audit
@@ -19,12 +19,12 @@
 //!   the view-consistent variant);
 //! * writes of corrupt transactions are suppressed and their target
 //!   ranges become corrupt;
-//! * a begin-operation record of a clean transaction that conflicts with
-//!   an operation in a corrupt transaction's undo log quarantines that
-//!   transaction too (so the corrupt transaction can still be rolled
-//!   back);
-//! * logical records of corrupt transactions are ignored, leaving them
-//!   incomplete so the undo phase rolls back their pre-corruption prefix;
+//! * an operation of a clean transaction that conflicts with an operation
+//!   in a corrupt transaction's undo log quarantines that transaction too
+//!   (so the corrupt transaction can still be rolled back);
+//! * logical undo and ends of corrupt transactions are ignored, leaving
+//!   them incomplete so the undo phase rolls back their pre-corruption
+//!   prefix;
 //! * when the scan passes `Audit_SN` (the last clean audit), the failing
 //!   audit's regions join the CorruptDataTable.
 //!
@@ -34,8 +34,7 @@
 //!
 //! Restart rolls back with the routine an online abort uses
 //! (`txn::rollback`), and a normal restart logs it the same way: each
-//! incomplete transaction's restores as physical redo records under one
-//! fresh operation, ended by its `TxnAbort`, in one batch. It takes no
+//! incomplete transaction's restores in one frame, its `TxnAbort`. It takes no
 //! checkpoint, since the log now holds the state it recovered. The other
 //! modes end with a certified checkpoint, because their image is not the
 //! log's history; only then do they log the aborts and clear the
@@ -56,103 +55,28 @@ use dali_common::{
     Store, TxnId,
 };
 use dali_mem::{DbImage, PageProtector};
-use dali_wal::record::{LogRecord, LogRecordRef, LogicalUndoRef};
+use dali_wal::record::{Entry, EntryRef, LogRecord, LogRecordRef, LogicalUndoRef};
 use dali_wal::{LogEnd, LogReader, SystemLog};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One buffered physical write. Its bytes are borrowed from the log
-/// segment being scanned; only a write that must outlive that segment
-/// (its operation's batch straddles a segment roll) is ever copied.
-type Write<'s> = (DbAddr, Cow<'s, [u8]>);
-
-/// What the scan holds borrowed from one log segment: physical redo
-/// buffered per (transaction, operation) until the operation's commit
-/// record arrives, committed writes not yet in the image, and operation
-/// commits' logical undo not yet copied into the ATT.
-///
-/// An operation's records reach the log as one contiguous batch, so the
-/// entry a record belongs to is almost always the newest: a vector
-/// searched from the back finds it without hashing every record. What
-/// can sit in front of it is small — the partial batch of each torn flush
-/// since the checkpoint, which stays until the restart after it logs its
-/// transaction's abort.
+/// The logical undo the scan holds borrowed from one log segment: each
+/// committed operation's, in log order, while its transaction has not
+/// ended. Most end within the segment and are dropped; the rest are
+/// copied into the ATT by `own_undo`.
 #[derive(Default)]
 struct Pending<'s> {
-    ops: Vec<((TxnId, OpSeq), Vec<Write<'s>>)>,
-    /// The emptied buffer of the last released operation, for the next.
-    spare: Vec<Write<'s>>,
-    /// Released writes, in commit order: the image is history up to the
-    /// last commit scanned once these are applied.
-    ready: Vec<Write<'s>>,
-    /// The logical undo of each operation commit whose transaction has
-    /// not ended, in log order. Most end within the segment and are
-    /// dropped; the rest are copied into the ATT by `own_undo`.
     undo: Vec<((TxnId, OpSeq), LogicalUndoRef<'s>)>,
 }
 
 impl<'s> Pending<'s> {
-    fn push(&mut self, op: (TxnId, OpSeq), write: Write<'s>) {
-        match self.ops.iter_mut().rev().find(|(k, _)| *k == op) {
-            Some((_, writes)) => writes.push(write),
-            None => {
-                let mut writes = std::mem::take(&mut self.spare);
-                writes.push(write);
-                self.ops.push((op, writes));
-            }
-        }
-    }
-
-    /// Remove and return the writes buffered for `op`, oldest first.
-    fn take(&mut self, op: (TxnId, OpSeq)) -> Option<Vec<Write<'s>>> {
-        let at = self.ops.iter().rposition(|(k, _)| *k == op)?;
-        Some(self.ops.remove(at).1)
-    }
-
-    /// `op` committed: its writes are covered by its logical undo.
-    fn commit(&mut self, op: (TxnId, OpSeq), undo: LogicalUndoRef<'s>) {
-        if let Some(mut writes) = self.take(op) {
-            self.ready.append(&mut writes);
-            self.spare = writes;
-        }
-        self.undo.push((op, undo));
-    }
-
-    /// `txn` ended: release what it buffered (an abort batch's restores,
-    /// terminated by its TxnAbort) in operation order — a rollback's
-    /// restores share one fresh op, numbered after every op its
-    /// transaction logged before, torn ones included — or drop it, and
-    /// drop its undo.
-    fn end(&mut self, txn: TxnId, release: bool) {
-        let mut ended: Vec<_> = self.ops.extract_if(.., |((t, _), _)| *t == txn).collect();
-        ended.sort_by_key(|((_, op), _)| op.0);
-        if release {
-            self.ready
-                .extend(ended.into_iter().flat_map(|(_, writes)| writes));
-        }
+    /// `txn` ended: drop its undo.
+    fn end(&mut self, txn: TxnId) {
         self.undo.retain(|((t, _), _)| *t != txn);
-    }
-
-    /// The writes buffered for `txn`, oldest first: what its reads saw
-    /// on top of the image.
-    fn writes_of(&self, txn: TxnId) -> impl Iterator<Item = &Write<'s>> + Clone {
-        self.ops
-            .iter()
-            .filter(move |((t, _), _)| *t == txn)
-            .flat_map(|(_, writes)| writes)
-    }
-
-    /// Write the released writes into `image`, oldest first.
-    fn apply(&mut self, image: &DbImage) -> Result<()> {
-        for (addr, data) in self.ready.drain(..) {
-            image.write(addr, &data)?;
-        }
-        Ok(())
     }
 
     /// Copy the held undo into its transactions' ATT entries (`kind`
@@ -169,18 +93,6 @@ impl<'s> Pending<'s> {
             st.next_op = st.next_op.max(op.0 + 1);
         }
         att
-    }
-
-    /// What is still buffered when the segment ends, copied out of its
-    /// buffer: operations whose batch straddles the segment roll.
-    fn into_carried(self) -> Pending<'static> {
-        debug_assert!(self.ready.is_empty() && self.undo.is_empty());
-        let own = |(addr, data): Write<'s>| (addr, Cow::Owned(data.into_owned()));
-        let own_op = |(op, writes): (_, Vec<_>)| (op, writes.into_iter().map(own).collect());
-        Pending {
-            ops: self.ops.into_iter().map(own_op).collect(),
-            ..Pending::default()
-        }
     }
 }
 
@@ -410,6 +322,101 @@ impl<'m> Taint<'m> {
     }
 }
 
+/// Writes the redo scan queues before it puts them into the image in one
+/// loop: enough to overlap their cache misses, few enough that the queue
+/// stays in the cache.
+const READY_BATCH: usize = 4096;
+
+/// Put the queued writes into `image`, oldest first.
+fn apply(image: &DbImage, ready: &mut Vec<(DbAddr, &[u8])>) -> Result<()> {
+    for (addr, data) in ready.drain(..) {
+        image.write(addr, data)?;
+    }
+    Ok(())
+}
+
+/// Redo the entries of one record of `txn`: queue its writes on `ready`,
+/// which the scan writes into the image in one loop when it holds
+/// `READY_BATCH` of them or the segment ends. A corruption-mode scan,
+/// which reads the image as it goes, writes them into `image` at once
+/// instead, after judging the entries one by one: an entry that touches
+/// corrupt data makes the transaction corrupt through `taint_txn` — a
+/// write overlapping the CorruptDataTable (without codewords), a read
+/// whose codewords disagree with the recovering image (the frame's
+/// earlier writes laid over it, as the reader saw them) or that overlaps
+/// the CorruptDataTable (without codewords), or either of them on data a
+/// corrupt transaction's rollback will restore, a value absent from the
+/// delete history. Then none of the writes is applied, and each from
+/// there on joins the CorruptDataTable. Returns whether the transaction
+/// is still clean.
+fn redo_frame<'s>(
+    image: &DbImage,
+    config: &DaliConfig,
+    taint: Option<&mut Taint<'_>>,
+    txn: TxnId,
+    entries: impl Iterator<Item = EntryRef<'s>>,
+    ready: &mut Vec<(DbAddr, &'s [u8])>,
+    mut taint_txn: impl FnMut(&mut Taint<'_>, TxnId),
+) -> Result<bool> {
+    let Some(t) = taint else {
+        ready.extend(entries.filter_map(|entry| match entry {
+            Entry::Write { addr, data } => Some((addr, data)),
+            Entry::Read { .. } => None,
+        }));
+        if ready.len() >= READY_BATCH {
+            apply(image, ready)?;
+        }
+        return Ok(true);
+    };
+    let mut writes: Vec<(DbAddr, &'s [u8])> = Vec::new();
+    for entry in entries {
+        let clean = !t.ctt.contains(&txn);
+        match entry {
+            Entry::Write { addr, data } => {
+                let len = data.len();
+                if clean
+                    && ((!t.use_codewords && t.cdt.overlaps(addr, len))
+                        || t.undo_ranges.overlaps(addr, len))
+                {
+                    taint_txn(t, txn);
+                }
+                if t.ctt.contains(&txn) {
+                    // Suppress the write; what it would have written is
+                    // now (conservatively) corrupt.
+                    t.cdt.insert(addr, len);
+                } else {
+                    writes.push((addr, data));
+                }
+            }
+            Entry::Read {
+                addr,
+                len,
+                codewords,
+            } => {
+                let len = len as usize;
+                let tainted = clean
+                    && (t.undo_ranges.overlaps(addr, len)
+                        || match codewords.is_empty() {
+                            true => t.cdt.overlaps(addr, len),
+                            false => {
+                                !codewords_match(image, config, addr, len, codewords, &writes)?
+                            }
+                        });
+                if tainted {
+                    taint_txn(t, txn);
+                }
+            }
+        }
+    }
+    if t.ctt.contains(&txn) {
+        return Ok(false);
+    }
+    for (addr, data) in writes {
+        image.write(addr, data)?;
+    }
+    Ok(true)
+}
+
 /// What the redo pass leaves for the rest of recovery.
 struct Redone {
     /// The reconstructed ATT: every transaction still incomplete at the
@@ -418,9 +425,6 @@ struct Redone {
     catalog: Catalog,
     /// Log records the scan processed.
     records_scanned: usize,
-    /// `(txn, addr, len)` of each write whose operation's commit never
-    /// reached the log (a torn final batch): redo left it out.
-    torn: Vec<(TxnId, DbAddr, usize)>,
     /// Starts at `CK_end`; the end is where the log is reopened.
     scanned: std::ops::Range<Lsn>,
     /// Where the scan found the log to end, if it read to the end: the
@@ -432,31 +436,25 @@ struct Redone {
 }
 
 /// The redo pass of every recovery mode: stream the stable log from the
-/// checkpoint's `CK_end` (stopping before `upto`, if given), rebuild the
-/// ATT and catalog, and repeat history on `image`.
+/// checkpoint's `CK_end` (stopping before the first frame that does not
+/// end by `upto`, if given), rebuild the ATT and catalog, and repeat
+/// history on `image`.
 ///
 /// The reader ([`LogReader`]) holds one segment in memory and checks
 /// each frame as it is first walked over; the scan works on records
-/// *borrowed* from it, so a physical write is a `(DbAddr, &[u8])` into
-/// the segment buffer until it lands in the image, and an operation
-/// commit's undo image a slice of it until its transaction ends. What
-/// outlives the segment is copied exactly once: the undo of the
-/// transactions still open when it ends (a loser's undo log is needed
-/// after the whole scan) and the writes of an operation whose batch
-/// straddles a segment roll.
+/// *borrowed* from it, so a write is a slice of the segment buffer until
+/// it goes into the image, and an operation's undo image one until its
+/// transaction ends. What outlives the segment is copied exactly once:
+/// the undo of the transactions still open when it ends (a loser's undo
+/// log is needed after the whole scan).
 ///
-/// Physical redo is buffered per operation until the operation's commit
-/// record arrives, which releases it to a list in commit order; the list
-/// is written into `image` on the scanning thread when the segment ends,
-/// and before anything reads the image mid-scan (the §4.3 scan's
-/// `codewords_match`), so whatever looks at the image sees the history
-/// up to the last commit scanned. Operation commit migrates its records
-/// to the system log as one batch, so in an intact log every physical
-/// record is followed by its OpCommit; the exception is a *torn final
-/// flush* (or a prior-state cut), whose trailing partial batch must be
-/// discarded — applying it would write bytes that no undo information
-/// covers. (The restores of an abort are released by the TxnAbort record
-/// of the same batch instead.)
+/// An operation reaches the log as one frame holding its writes and its
+/// logical undo, and a rollback as one frame holding its restores and
+/// ending its transaction, so every write the scan reads is covered by
+/// the undo or the end beside it: redo applies a frame at a time. A torn
+/// final flush (or a prior-state cut) loses whole frames only. Writes go
+/// into the image `READY_BATCH` at a time and when the segment ends: a
+/// tight loop of scattered stores, which overlaps their cache misses.
 fn redo_pass(
     config: &DaliConfig,
     store: &Store,
@@ -477,119 +475,71 @@ fn redo_pass(
     // The transaction last seen to have an ATT entry: consecutive records
     // of one transaction need not look it up again to know it is there.
     let mut in_att: Option<TxnId> = None;
-    // Writes of operations still uncommitted when their segment ended.
-    let mut carried = Pending::default();
 
     // A roll the crash interrupted may have left its successor pending.
     let log_dir = Db::log_path(&config.dir);
     dali_wal::segment::adopt_pending(&**store, &log_dir, meta.ck_end, kind)?;
     let reader = LogReader::open_on(&**store, log_dir, meta.ck_end, kind)?;
     let log_end = reader.for_each_segment(|seg| {
-        let mut pending: Pending = std::mem::take(&mut carried);
-        for (lsn, rec) in seg.records() {
-            if upto.is_some_and(|upto| lsn >= upto) {
+        let (mut pending, mut ready) = (Pending::default(), Vec::new());
+        let mut frames = seg.records();
+        while let Some((lsn, rec)) = frames.next() {
+            if upto.is_some_and(|upto| frames.next_lsn() > upto) {
                 break;
             }
             records_scanned += 1;
             if let Some(t) = rec.txn() {
                 max_txn_seen = max_txn_seen.max(t.0 + 1);
             }
-            match rec {
-                LogRecordRef::TxnBegin { txn } => {
+            if let LogRecordRef::TxnBegin { txn } | LogRecordRef::Op { txn, .. } = rec {
+                if in_att != Some(txn) {
                     att.entry(txn).or_insert_with(|| TxnState::new(txn, kind));
                     in_att = Some(txn);
                 }
-                LogRecordRef::OpBegin { txn, rec, .. } => {
-                    if in_att != Some(txn) {
-                        att.entry(txn).or_insert_with(|| TxnState::new(txn, kind));
-                        in_att = Some(txn);
-                    }
-                    if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
-                        // §4.3: quarantine transactions whose new
-                        // operation conflicts with an operation in a
-                        // corrupt transaction's undo log. That log was
-                        // owned when its transaction was tainted, and
-                        // the scan ignores its later operation commits.
-                        let conflicts = t.ctt.iter().any(|ct| {
-                            att.get(ct)
-                                .is_some_and(|s| s.undo.logical_targets().any(|t| t == rec))
-                        });
-                        if conflicts {
-                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
-                        }
-                    }
+            }
+            // §4.3: quarantine a clean transaction whose new operation
+            // conflicts with an operation in a corrupt transaction's undo
+            // log. That log was owned when its transaction was tainted,
+            // and the scan ignores its later operations' undo.
+            let conflicts = match (&taint, rec) {
+                (Some(t), LogRecordRef::Op { txn, rec, .. }) if !t.ctt.contains(&txn) => {
+                    t.ctt.iter().any(|ct| {
+                        att.get(ct)
+                            .is_some_and(|s| s.undo.logical_targets().any(|t| t == rec))
+                    })
                 }
-                LogRecordRef::PhysicalRedo {
-                    txn,
-                    op,
-                    addr,
-                    data,
-                } => {
-                    if let Some(t) = taint.as_mut() {
-                        if t.ctt.contains(&txn) {
-                            // Suppress the write; what it would have
-                            // written is now (conservatively) corrupt.
-                            t.cdt.insert(addr, data.len());
-                            continue;
-                        }
-                        if (!t.use_codewords && t.cdt.overlaps(addr, data.len()))
-                            || t.undo_ranges.overlaps(addr, data.len())
-                        {
-                            // Write record of a transaction touching
-                            // corrupt data (or data a corrupt
-                            // transaction's rollback will restore): the
-                            // transaction is corrupt and the write is
-                            // suppressed.
-                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
-                            t.cdt.insert(addr, data.len());
-                            continue;
-                        }
+                _ => false,
+            };
+            let mut taint_txn =
+                |t: &mut Taint<'_>, txn| t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
+            let clean = match rec {
+                LogRecordRef::Op { txn, entries, .. } | LogRecordRef::TxnAbort { txn, entries } => {
+                    if let Some(t) = taint.as_deref_mut().filter(|_| conflicts) {
+                        taint_txn(t, txn);
                     }
-                    pending.push((txn, op), (addr, Cow::Borrowed(data)));
+                    let (t, entries) = (taint.as_deref_mut(), entries.iter());
+                    redo_frame(image, config, t, txn, entries, &mut ready, &mut taint_txn)?
                 }
-                LogRecordRef::ReadLog {
-                    txn,
-                    addr,
-                    len,
-                    codewords,
-                } => {
-                    let len = len as usize;
-                    if let Some(t) = taint.as_mut().filter(|t| !t.ctt.contains(&txn)) {
-                        let tainted = if !codewords.is_empty() {
-                            pending.apply(image)?;
-                            let own = pending.writes_of(txn);
-                            !codewords_match(image, config, addr, len, codewords, own)?
-                        } else {
-                            t.cdt.overlaps(addr, len)
-                        };
-                        // A read of data that a corrupt transaction's
-                        // rollback will restore observes a value absent
-                        // from the delete history — the reader must be
-                        // deleted too, even under the codeword variant
-                        // (the recovering image at this scan position
-                        // still matches what the reader saw; the
-                        // divergence only appears at the undo phase).
-                        if tainted || t.undo_ranges.overlaps(addr, len) {
-                            t.taint(txn, pending.own_undo(&mut att, kind), &catalog);
-                        }
-                    }
+                LogRecordRef::ReadLog { txn, .. } => {
+                    let (t, entries) = (taint.as_deref_mut(), rec.entries());
+                    redo_frame(image, config, t, txn, entries, &mut ready, &mut taint_txn)?
                 }
-                LogRecordRef::OpCommit { txn, op, undo } => {
-                    if taint.as_ref().is_some_and(|t| t.ctt.contains(&txn)) {
-                        pending.take((txn, op));
-                        continue; // logical records of corrupt txns are ignored
-                    }
-                    pending.commit((txn, op), undo);
+                LogRecordRef::TxnCommit { txn } => {
+                    !taint.as_ref().is_some_and(|t| t.ctt.contains(&txn))
                 }
-                LogRecordRef::TxnCommit { txn } | LogRecordRef::TxnAbort { txn } => {
-                    // A corrupt transaction stays incomplete; it is
-                    // undone in the undo phase.
-                    let corrupt = taint.as_ref().is_some_and(|t| t.ctt.contains(&txn));
-                    pending.end(txn, !corrupt);
-                    if !corrupt {
-                        att.remove(&txn);
-                        in_att = in_att.filter(|t| *t != txn);
-                    }
+                // The engine logs no standalone after-image.
+                _ => true,
+            };
+            // A corrupt transaction's undo and end are ignored: it stays
+            // incomplete and is undone in the undo phase.
+            match rec {
+                LogRecordRef::Op { txn, op, undo, .. } if clean => {
+                    pending.undo.push(((txn, op), undo));
+                }
+                LogRecordRef::TxnCommit { txn } | LogRecordRef::TxnAbort { txn, .. } if clean => {
+                    pending.end(txn);
+                    att.remove(&txn);
+                    in_att = None;
                 }
                 LogRecordRef::AuditBegin { audit_id } => {
                     max_audit_seen = max_audit_seen.max(audit_id + 1);
@@ -599,7 +549,6 @@ fn redo_pass(
                         }
                     }
                 }
-                LogRecordRef::AuditEnd { .. } | LogRecordRef::CkptComplete { .. } => {}
                 LogRecordRef::CreateTable {
                     table,
                     name,
@@ -618,18 +567,19 @@ fn redo_pass(
                         config.page_size,
                     )?)?;
                 }
+                _ => {}
             }
         }
 
-        // ---- end of segment: apply, own, and keep what it owes the next ----
-        pending.apply(image)?;
+        // ---- end of segment: apply its writes, own the undo of the
+        // transactions it leaves open ----
+        apply(image, &mut ready)?;
         pending.own_undo(&mut att, kind);
         // A cut at or before the end of the intact frames ends the scan
         // here, before the reader looks at what follows them.
         if upto.is_some_and(|upto| upto <= seg.intact_end()) {
             return Ok(ControlFlow::Break(()));
         }
-        carried = pending.into_carried();
         Ok(ControlFlow::Continue(()))
     })?;
     // If Audit_SN was never passed (e.g. its record sat in a lost tail),
@@ -637,20 +587,11 @@ fn redo_pass(
     if let Some(t) = taint {
         t.seed_marker_ranges();
     }
-    // A torn operation's number is taken: fresh ones must sort after it.
-    let mut torn = Vec::new();
-    for ((txn, op), writes) in carried.ops {
-        if let Some(st) = att.get_mut(&txn) {
-            st.next_op = st.next_op.max(op.0 + 1);
-        }
-        torn.extend(writes.iter().map(|(addr, data)| (txn, *addr, data.len())));
-    }
 
     Ok(Redone {
         att,
         catalog,
         records_scanned,
-        torn,
         scanned: meta.ck_end..meta.ck_end,
         log_end,
         phases: RecoveryPhases::default(),
@@ -726,7 +667,7 @@ fn finish(
     let phases = &mut redone.phases;
     (phases.build, redone.scanned.end) = (start.elapsed(), db.syslog.current_lsn());
     let logged = mode == RecoveryMode::Normal;
-    let (deleted, rolled_back, ckpt) = undo_and_finish(&db, redone.att, &redone.torn, ctt, logged)?;
+    let (deleted, rolled_back, ckpt) = undo_and_finish(&db, redone.att, ctt, logged)?;
     phases.undo = start.elapsed() - phases.build - ckpt.unwrap_or_default();
     phases.exit_checkpoint = ckpt;
     let outcome = RecoveryOutcome {
@@ -745,13 +686,8 @@ fn finish(
 /// first, with the online abort's `rollback`, and make the rollback part
 /// of the history.
 ///
-/// A normal restart (`logged`) appends each one's redo and `TxnAbort` as
-/// one batch, as an online abort does, and takes no checkpoint. The batch
-/// starts with the bytes now at each write of the transaction's torn
-/// final batch, under an operation of their own, numbered before the
-/// rollback's: the log keeps those writes unapplied, and a later restart
-/// applies them at that `TxnAbort` (cutting the log instead fails when
-/// the batch straddles a sealed segment). The other modes' image is not
+/// A normal restart (`logged`) appends each one's `TxnAbort` frame, as an
+/// online abort does, and takes no checkpoint. The other modes' image is not
 /// the log's history (the §4.3 scan suppresses writes, prior-state
 /// recovery drops a future), so they discard the redo, take the exit
 /// checkpoint and only then log the aborts and clear the corruption
@@ -764,7 +700,6 @@ fn finish(
 fn undo_and_finish(
     db: &Arc<Db>,
     mut att: HashMap<TxnId, TxnState>,
-    torn: &[(TxnId, DbAddr, usize)],
     ctt: &HashSet<TxnId>,
     logged: bool,
 ) -> Result<(Vec<TxnId>, Vec<TxnId>, Option<Duration>)> {
@@ -775,15 +710,8 @@ fn undo_and_finish(
     // conflicted with is rolled back.
     for &txn in incomplete.iter().rev() {
         let st = att.get_mut(&txn).expect("present");
-        let torn_op = st.next_op_seq();
-        for &(_, addr, len) in torn.iter().filter(|w| logged && w.0 == txn) {
-            let mut data = vec![0u8; len];
-            db.image.read(addr, &mut data)?;
-            st.redo.push_redo(txn, torn_op, addr, &data);
-        }
         rollback(db, st, txn)?;
         if logged {
-            st.redo.push(LogRecord::TxnAbort { txn });
             db.syslog.append_frames(&st.redo);
         }
     }
@@ -803,7 +731,8 @@ fn undo_and_finish(
         ckpt::checkpoint(db)?;
         let took = start.elapsed();
         for &txn in deleted.iter().chain(&rolled_back) {
-            db.syslog.append(&LogRecord::TxnAbort { txn });
+            let entries = Vec::new();
+            db.syslog.append(&LogRecord::TxnAbort { txn, entries });
         }
         Some(took)
     };
@@ -952,17 +881,17 @@ fn check_ckpt_algebra(meta: &ckpt::CkptMeta, configured: CodewordAlgebraKind) ->
 }
 
 /// Compare logged read codewords against the recovering image, with the
-/// reader's own writes not yet applied (`own`: an operation or a rollback
-/// whose commit or abort record is still ahead) laid over it, as the
-/// reader saw them: the read record covers `[addr, addr+len)` and carries
-/// one codeword per overlapped protection region.
-fn codewords_match<'a, 's: 'a>(
+/// reader's own writes not yet applied (`own`: the earlier writes of the
+/// frame the read is in) laid over it, as the reader saw them: the read
+/// covers `[addr, addr+len)` and carries one codeword per overlapped
+/// protection region.
+fn codewords_match(
     image: &DbImage,
     config: &DaliConfig,
     addr: DbAddr,
     len: usize,
     logged: CodewordsRef<'_>,
-    own: impl Iterator<Item = &'a Write<'s>> + Clone,
+    own: &[(DbAddr, &[u8])],
 ) -> Result<bool> {
     let region_size = config.region_size;
     let first = addr.0 / region_size;
@@ -979,7 +908,7 @@ fn codewords_match<'a, 's: 'a>(
     for (r, cw) in (first..=last).zip(logged.iter()) {
         let base = r * region_size;
         image.read(DbAddr(base), &mut region)?;
-        for (at, data) in own.clone() {
+        for &(at, data) in own {
             let (start, end) = (at.0.max(base), (at.0 + data.len()).min(base + region_size));
             if start < end {
                 region[start - base..end - base].copy_from_slice(&data[start - at.0..end - at.0]);

@@ -7,7 +7,7 @@
 //! in the log (an operation reaches the log at `commit_op`, inside the
 //! same shared `quiesce` span as its writes). The anchored checkpoint
 //! equals memory at its `CK_end`, so the anchored copy of a page plus
-//! every `PhysicalRedo` logged since is the live page without the damage —
+//! every write logged since is the live page without the damage —
 //! including the completed operations of transactions that are still
 //! active. One scan of the log builds that copy of every page under the
 //! damaged regions (`Rebuild::scan`); the copies are written back and
@@ -45,7 +45,7 @@ use crate::db::Db;
 use dali_codeword::{AuditReport, RegionId};
 use dali_common::align::split_by_chunks;
 use dali_common::{DaliError, DbAddr, PageId, Result};
-use dali_wal::{LogReader, LogRecordRef};
+use dali_wal::{Entry, LogReader};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -179,14 +179,17 @@ impl Rebuild {
         let mut records = 0;
         LogReader::open_on(store, db.syslog.path(), from, db.config.codeword_algebra)?.for_each(
             |_, rec| {
-                if let LogRecordRef::PhysicalRedo { addr, data, .. } = rec {
-                    let mut hit = false;
+                let mut hit = false;
+                for entry in rec.entries() {
+                    let Entry::Write { addr, data } = entry else {
+                        continue;
+                    };
                     for (at, off, len) in shares(&pages, page_size, addr, data.len()) {
                         bytes[at..at + len].copy_from_slice(&data[off..off + len]);
                         hit = true;
                     }
-                    records += usize::from(hit);
                 }
+                records += usize::from(hit);
                 Ok(())
             },
         )?;

@@ -17,7 +17,7 @@
 
 use crate::corruption::RangeSet;
 use dali_common::{DbAddr, Lsn, Result, TxnId};
-use dali_wal::{LogReader, LogRecordRef};
+use dali_wal::{Entry, LogReader};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -50,9 +50,10 @@ impl TaintReport {
 /// Mechanics mirror the delete-transaction redo scan (§4.3), but no state
 /// is modified:
 ///
-/// * a write (`PhysicalRedo`) by a tainted transaction taints its range;
-/// * a read (`ReadLog`) or write overlapping tainted data taints the
-///   transaction;
+/// * a write (an entry of an operation or rollback frame) by a tainted
+///   transaction taints its range;
+/// * a read (`ReadLog`, or CW ReadLog's write-as-read entry) or a write
+///   overlapping tainted data taints the transaction;
 /// * a tainted transaction's rollback (abort) *un*taints nothing — the
 ///   trace is conservative.
 pub fn trace_taint(
@@ -76,27 +77,29 @@ pub fn trace_taint(
     // existed and cascade over the entire history.
     LogReader::open_on(store, log_path, from, kind)?.for_each(|_lsn, rec| {
         records_scanned += 1;
-        match rec {
-            LogRecordRef::PhysicalRedo {
-                txn, addr, data: d, ..
-            } => {
-                if tainted.contains(&txn) {
-                    data.insert(addr, d.len());
-                } else if data.overlaps(addr, d.len()) {
-                    // Overwrote tainted bytes without (necessarily)
-                    // reading them: conservatively taint the writer, as
-                    // the basic §4.3 scan does for write records.
-                    tainted.insert(txn);
-                    data.insert(addr, d.len());
+        let Some(txn) = rec.txn() else {
+            return Ok(());
+        };
+        for entry in rec.entries() {
+            match entry {
+                Entry::Write { addr, data: d } => {
+                    if tainted.contains(&txn) {
+                        data.insert(addr, d.len());
+                    } else if data.overlaps(addr, d.len()) {
+                        // Overwrote tainted bytes without (necessarily)
+                        // reading them: conservatively taint the writer,
+                        // as the basic §4.3 scan does for write records.
+                        tainted.insert(txn);
+                        data.insert(addr, d.len());
+                    }
+                }
+                Entry::Read { addr, len, .. } => {
+                    read_records_seen += 1;
+                    if !tainted.contains(&txn) && data.overlaps(addr, len as usize) {
+                        tainted.insert(txn);
+                    }
                 }
             }
-            LogRecordRef::ReadLog { txn, addr, len, .. } => {
-                read_records_seen += 1;
-                if !tainted.contains(&txn) && data.overlaps(addr, len as usize) {
-                    tainted.insert(txn);
-                }
-            }
-            _ => {}
         }
         Ok(())
     })?;

@@ -4,18 +4,18 @@
 //! Every write to the database image goes through
 //! [`physical_update`](TxnHandle) — the beginUpdate/endUpdate bracket of
 //! the paper (§2): capture a word-widened undo image, write in place,
-//! publish the codeword delta, emit a physical redo record. Heap
+//! publish the codeword delta, push the write's after-image. Heap
 //! operations (insert/update/delete) are level-1 operations, each run by
-//! one operation bracket: an `OpBegin` record, physical updates, and a
-//! commit that migrates their redo records plus an `OpCommit` record
-//! (carrying the logical undo description) to the system log — Dali's
-//! local logging discipline. Images go into the transaction's undo arena
-//! and records are framed into its redo buffer as they are produced, so
-//! the update path allocates nothing and an operation reaches the log as
-//! one copy. An operation that fails undoes itself before it returns:
-//! the bracket restores its physical undo, newest first, and cuts its
-//! frames, so it never reaches the log and a transaction's undo log holds
-//! only committed operations.
+//! one operation bracket: its physical updates push their entries into
+//! the transaction's redo buffers, and its commit frames them with the
+//! logical undo description and migrates the frame to the system log —
+//! Dali's local logging discipline, one frame per operation. Images go
+//! into the transaction's undo arena and entries into reused buffers as
+//! they are produced, so the update path allocates nothing and an
+//! operation reaches the log as one copy. An operation that fails undoes
+//! itself before it returns: the bracket restores its physical undo,
+//! newest first, and drops its entries, so it never reaches the log and
+//! a transaction's undo log holds only committed operations.
 //!
 //! A rewrite of a whole record (an update, a restore of the rollback)
 //! compares the record's current bytes with the new ones a `u64` at a
@@ -38,8 +38,8 @@
 //!
 //! There is one rollback, `rollback`, for an abort and for restart
 //! alike: it restores the transaction's committed operations, newest
-//! first, through the update bracket under one fresh operation number,
-//! and its caller appends those writes and the `TxnAbort` as one batch.
+//! first, through the update bracket, into one frame that is the
+//! transaction's `TxnAbort`, which its caller appends.
 //! Only [`TxnHandle::abort`] and the handle's drop roll a live
 //! transaction back. Online repair leaves it alone: an operation's redo
 //! reaches the system log in the same shared `quiesce` span as its
@@ -236,17 +236,16 @@ impl TxnHandle {
         let mut st = self.state.lock();
         // Held from the bitmap write through the operation's append.
         let _alloc = heap.lock_alloc();
-        operation(&self.db, &mut st, self.id, OpKind::Insert, rec, |st, op| {
+        operation(&self.db, &mut st, self.id, OpKind::Insert, rec, |st| {
             // Physical update 1: set the allocation bit (control
             // information on its own pages).
             let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
             let word = read_bitmap_word(&self.db, word_addr)?;
             let word = (word | (1 << bit)).to_le_bytes();
-            physical_update(&self.db, st, self.id, op, word_addr, &word)?;
+            physical_update(&self.db, st, word_addr, &word)?;
             // Physical update 2: the record data.
             let addr = heap.meta().slot_addr(rec.slot);
-            physical_update(&self.db, st, self.id, op, addr, data)
-                .map(|()| LogicalUndo::HeapInsert { rec })
+            physical_update(&self.db, st, addr, data).map(|()| LogicalUndo::HeapInsert { rec })
         })
     }
 
@@ -281,11 +280,11 @@ impl TxnHandle {
             return Err(DaliError::NotFound(format!("record {rec}")));
         }
         let addr = heap.meta().slot_addr(rec.slot);
-        operation(&self.db, &mut st, self.id, OpKind::Update, rec, |st, op| {
+        operation(&self.db, &mut st, self.id, OpKind::Update, rec, |st| {
             let before = st
                 .undo
                 .stage(data.len(), |b| read_persistent(&self.db, addr, b))?;
-            rewrite_record(&self.db, st, self.id, op, addr, before, data)?;
+            rewrite_record(&self.db, st, addr, before, data)?;
             Ok(LogicalUndo::HeapUpdate { rec, before })
         })?;
         EngineStats::bump(&self.db.stats.updates);
@@ -304,14 +303,14 @@ impl TxnHandle {
         let addr = heap.meta().slot_addr(rec.slot);
         // Held from the bitmap write through the operation's append.
         let _alloc = heap.lock_alloc();
-        operation(&self.db, &mut st, self.id, OpKind::Delete, rec, |st, op| {
+        operation(&self.db, &mut st, self.id, OpKind::Delete, rec, |st| {
             let image = st
                 .undo
                 .stage(heap.meta().rec_size, |b| read_persistent(&self.db, addr, b))?;
             let (word_addr, bit) = heap.meta().bit_word_addr(rec.slot);
             let word = read_bitmap_word(&self.db, word_addr)?;
             let word = (word & !(1 << bit)).to_le_bytes();
-            physical_update(&self.db, st, self.id, op, word_addr, &word)?;
+            physical_update(&self.db, st, word_addr, &word)?;
             Ok(LogicalUndo::HeapDelete { rec, image })
         })?;
         // The slot becomes reusable only when this transaction finishes.
@@ -391,7 +390,7 @@ impl TxnHandle {
     }
 
     /// Abort: roll back the committed operations (see `rollback`) and log
-    /// the restores and the abort record as one batch.
+    /// the abort, its restores inside it.
     pub fn abort(self) -> Result<()> {
         self.abort_in_place()
     }
@@ -404,7 +403,7 @@ impl TxnHandle {
             let _q = self.quiesce()?;
             let mut st = self.state.lock();
             // The alloc mutexes of the heaps the rollback restores into,
-            // held through the batch's append: a bitmap word it restores
+            // held through the abort's append: a bitmap word it restores
             // reaches the log in the order it was written.
             let mut tables: Vec<TableId> = st.undo.logical_targets().map(|r| r.table).collect();
             tables.sort_unstable();
@@ -420,7 +419,6 @@ impl TxnHandle {
                 self.db.poison();
                 return Err(e);
             }
-            st.redo.push(LogRecord::TxnAbort { txn: self.id });
             self.db.syslog.append_frames(&st.redo);
             st.redo.discard();
             st.status = TxnStatus::Aborted;
@@ -493,8 +491,8 @@ fn read_bitmap_word(db: &Db, word_addr: DbAddr) -> Result<u32> {
     Ok(u32::from_le_bytes(w))
 }
 
-/// Run one level-1 operation: its `OpBegin`, `body`, then `commit_op` with
-/// the logical undo `body` returns. A failed body undoes itself here,
+/// Run one level-1 operation: `body`, then `commit_op` with the logical
+/// undo `body` returns. A failed body undoes itself here,
 /// while the caller still holds `quiesce`, the state mutex and any alloc
 /// mutex (see `undo_op`), so the operation never reaches the log. Either
 /// way the operation's pages are reprotected.
@@ -508,18 +506,17 @@ fn operation(
     txn: TxnId,
     kind: OpKind,
     rec: RecId,
-    body: impl FnOnce(&mut TxnState, OpSeq) -> Result<LogicalUndo<Span>>,
+    body: impl FnOnce(&mut TxnState) -> Result<LogicalUndo<Span>>,
 ) -> Result<()> {
     let op = st.next_op_seq();
     let mark = st.undo.arena_len();
-    st.redo.push(LogRecord::OpBegin { txn, op, kind, rec });
-    let res = body(st, op);
+    let res = body(st);
     let closed = match &res {
         Ok(undo) => {
-            commit_op(db, st, txn, op, *undo);
+            commit_op(db, st, (txn, op, kind, rec), *undo);
             Ok(())
         }
-        Err(_) => undo_op(db, st, op, mark),
+        Err(_) => undo_op(db, st, mark),
     }
     .and_then(|()| reprotect_op_exposures(db, st));
     if closed.is_err() {
@@ -528,27 +525,33 @@ fn operation(
     closed.and(res.map(drop))
 }
 
-/// Commit a level-1 operation: migrate its redo records plus the OpCommit
-/// record to the system log (one copy of its frames), and replace its
-/// physical undo with the logical undo description, whose image the
-/// operation staged in the undo arena.
-fn commit_op(db: &Db, st: &mut TxnState, txn: TxnId, op: OpSeq, undo: LogicalUndo<Span>) {
-    st.redo.push_op_commit(txn, op, st.undo.logical(&undo));
+/// Commit a level-1 operation: frame it with its logical undo description
+/// and migrate the frame to the system log (one copy), and replace its
+/// physical undo with that description, whose image the operation staged
+/// in the undo arena.
+fn commit_op(
+    db: &Db,
+    st: &mut TxnState,
+    (txn, op, kind, rec): (TxnId, OpSeq, OpKind, RecId),
+    undo: LogicalUndo<Span>,
+) {
+    st.redo
+        .commit_op((txn, op, kind, rec), st.undo.logical(&undo));
     db.syslog.append_frames(&st.redo);
     st.redo.discard();
     st.undo.commit_op(op, undo);
 }
 
-/// Undo failed operation `op` in place: restore its physical undo
-/// entries, newest first, then cut them and its `OpBegin` and redo
-/// frames. Its read records stay: the reads really happened, and
-/// corruption tracing may only overestimate reads, never underestimate
-/// (§4.2). An update still inside its window (`codeword_pending`) gets
+/// Undo the failed operation in place: restore its physical undo
+/// entries, newest first, then cut them and its redo entries. Its read
+/// entries stay, as read records of their own: the reads really
+/// happened, and corruption tracing may only overestimate reads, never
+/// underestimate (§4.2). An update still inside its window (`codeword_pending`) gets
 /// its bytes back only (§3.1: "the undo image for this update should be
 /// applied without updating the codeword"); the others publish the
 /// inverse delta. Every image it staged, from the arena's `mark` up,
 /// goes too. Nothing is logged, and the pages are still exposed.
-fn undo_op(db: &Db, st: &mut TxnState, op: OpSeq, mark: usize) -> Result<()> {
+fn undo_op(db: &Db, st: &mut TxnState, mark: usize) -> Result<()> {
     let mode = db.prot.update_latch_mode();
     for p in st.undo.physical().iter().rev() {
         let (addr, before) = (p.addr, st.undo.bytes(p.before));
@@ -567,7 +570,7 @@ fn undo_op(db: &Db, st: &mut TxnState, op: OpSeq, mark: usize) -> Result<()> {
         res?;
     }
     st.undo.cut_op(mark);
-    st.redo.cut_op(op);
+    st.redo.cut_op(st.id);
     Ok(())
 }
 
@@ -589,14 +592,7 @@ fn reprotect_op_exposures(db: &Db, st: &mut TxnState) -> Result<()> {
 ///
 /// Caller must hold the quiesce lock (shared) and, for bitmap words, the
 /// heap's alloc mutex.
-fn physical_update(
-    db: &Db,
-    st: &mut TxnState,
-    txn: TxnId,
-    op: OpSeq,
-    addr: DbAddr,
-    data: &[u8],
-) -> Result<()> {
+fn physical_update(db: &Db, st: &mut TxnState, addr: DbAddr, data: &[u8]) -> Result<()> {
     let len = data.len();
     // --- beginUpdate ---
     // Only a scheme that write-protects pages (fixed when the database is
@@ -628,12 +624,7 @@ fn physical_update(
         // reentrant.
         if db.config.scheme.logs_read_codewords() {
             let cws = db.prot.compute_region_codewords(&db.image, waddr, wl)?;
-            st.redo.push(LogRecord::ReadLog {
-                txn,
-                addr: waddr,
-                len: wl as u32,
-                codewords: cws,
-            });
+            st.redo.push_read(waddr, wl as u32, cws);
             EngineStats::bump(&db.stats.read_log_records);
         }
 
@@ -643,7 +634,7 @@ fn physical_update(
         db.prot
             .apply_update(&db.image, waddr, st.undo.bytes(before))?;
         st.undo.seal_top_physical()?;
-        st.redo.push_redo(txn, op, addr, data);
+        st.redo.push_redo(addr, data);
         Ok(())
     })();
     db.prot.latches().unlock_span(first, last, mode);
@@ -658,17 +649,9 @@ fn physical_update(
 /// `new`, so the image and codewords end as a whole-record write leaves
 /// them, while the undo image, the delta and the redo shrink to
 /// the span.
-fn rewrite_record(
-    db: &Db,
-    st: &mut TxnState,
-    txn: TxnId,
-    op: OpSeq,
-    addr: DbAddr,
-    old: Span,
-    new: &[u8],
-) -> Result<()> {
+fn rewrite_record(db: &Db, st: &mut TxnState, addr: DbAddr, old: Span, new: &[u8]) -> Result<()> {
     match changed_span(st.undo.bytes(old), new) {
-        Some(span) => physical_update(db, st, txn, op, DbAddr(addr.0 + span.start), &new[span]),
+        Some(span) => physical_update(db, st, DbAddr(addr.0 + span.start), &new[span]),
         None => Ok(()),
     }
 }
@@ -689,15 +672,14 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
 }
 
 /// The rollback, online and at restart: restore the transaction's logical
-/// undo, newest entry first, through [`physical_update`] under one fresh
-/// operation number, each restore over its changed span only (as
-/// [`rewrite_record`] writes). Latching, exposure, codeword deltas, CW
-/// ReadLog's write-as-read record and the redo frames all come
-/// from that bracket; the caller appends `st.redo` and the `TxnAbort` as
-/// one batch, which restart redo applies where it stands in the log. The
-/// batch has no `OpCommit`, so a crash that tears it leaves the
-/// transaction's logical undo intact, and the next restart rolls it back
-/// again under a higher operation number.
+/// undo, newest entry first, through [`physical_update`], each restore
+/// over its changed span only (as [`rewrite_record`] writes). Latching,
+/// exposure, codeword deltas and CW ReadLog's write-as-read entries all
+/// come from that bracket, and its entries go into one frame, the
+/// transaction's `TxnAbort`, which the caller appends and restart redo
+/// applies where it stands in the log. A crash that loses the frame leaves
+/// the transaction's logical undo intact, and the next restart rolls it
+/// back again.
 ///
 /// Each entry restores a record's bytes, its allocation bit, or both; the
 /// caller holds the alloc mutex of each heap whose bit it restores. A slot
@@ -705,11 +687,10 @@ fn changed_span(old: &[u8], new: &[u8]) -> Option<std::ops::Range<usize>> {
 /// deleted stays taken. There is no physical undo to restore: a failed
 /// operation restored its own before it returned.
 pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
-    let op = st.next_op_seq();
     let undo = std::mem::take(&mut st.undo);
     let restore = |st: &mut TxnState, addr: DbAddr, bytes: &[u8]| -> Result<()> {
         let cur = st.undo.stage(bytes.len(), |b| db.image.read(addr, b))?;
-        rewrite_record(db, st, txn, op, addr, cur, bytes)
+        rewrite_record(db, st, addr, cur, bytes)
     };
     for u in undo.iter().rev() {
         let (rec, data, allocated) = match u {
@@ -735,6 +716,7 @@ pub(crate) fn rollback(db: &Db, st: &mut TxnState, txn: TxnId) -> Result<()> {
             restore(st, heap.meta().slot_addr(rec.slot), data)?;
         }
     }
+    st.redo.abort(txn);
     reprotect_op_exposures(db, st)
 }
 
@@ -745,7 +727,7 @@ mod tests {
     use dali_common::storage::{Open, Storage, StorageFile};
     use dali_common::{DaliConfig, Lsn, OsStorage, ProtectionScheme};
     use dali_testutil::TempDir;
-    use dali_wal::SystemLog;
+    use dali_wal::{Entry, SystemLog};
     use proptest::collection::vec;
     use proptest::prelude::any;
     use std::path::Path;
@@ -783,7 +765,7 @@ mod tests {
     }
 
     /// An update writes and logs only the 8-byte chunks it changes: a
-    /// balance-only update one 8-byte `PhysicalRedo`, an identical one
+    /// balance-only update one 8-byte write entry, an identical one
     /// none, a change of the first and last byte the whole record. The
     /// audit is clean after each, and a restart keeps the committed
     /// identical update and rolls back an uncommitted one.
@@ -802,11 +784,15 @@ mod tests {
             SystemLog::scan_stable_with(db.syslog.path(), start, db.config.codeword_algebra)
                 .unwrap()
                 .into_iter()
-                .filter_map(|(_, r)| match r {
-                    LogRecord::PhysicalRedo {
-                        txn: t, addr, data, ..
-                    } if t == txn => Some((addr, data)),
-                    _ => None,
+                .flat_map(|(_, r)| match r {
+                    LogRecord::Op {
+                        txn: t, entries, ..
+                    } if t == txn => entries,
+                    _ => Vec::new(),
+                })
+                .filter_map(|e| match e {
+                    Entry::Write { addr, data } => Some((addr, data)),
+                    Entry::Read { .. } => None,
                 })
                 .collect()
         };
@@ -859,9 +845,9 @@ mod tests {
         let heap = db.heap(rec.table).unwrap();
         let _alloc = heap.lock_alloc();
         let mark = st.undo.arena_len();
-        let res = operation(db, &mut st, txn.id, kind, rec, |st, op| {
+        let res = operation(db, &mut st, txn.id, kind, rec, |st| {
             st.undo.copy_in(data);
-            physical_update(db, st, txn.id, op, addr, data)?;
+            physical_update(db, st, addr, data)?;
             Err(DaliError::InvalidArg("fails after its first write".into()))
         });
         assert!(matches!(res, Err(DaliError::InvalidArg(_))), "{res:?}");
@@ -880,11 +866,10 @@ mod tests {
         rec
     }
 
-    /// A failed operation undoes itself before it returns: its `OpBegin`
-    /// and after-image never reach the log, while the read records — the
-    /// transaction's own read and the one Cw ReadLogging logs for the
-    /// write itself (§4.3) — survive in order. The abort that follows has
-    /// nothing to restore.
+    /// A failed operation undoes itself before it returns: its frame never
+    /// reaches the log, while the read records — the transaction's own
+    /// read and the one Cw ReadLogging logs for the write itself (§4.3) —
+    /// survive in order. The abort that follows has nothing to restore.
     #[test]
     fn a_failed_operation_rolls_back_but_keeps_its_read_records() {
         let dir = TempDir::new("txn-failed-op");
@@ -923,7 +908,10 @@ mod tests {
             matches!(&recs[2], LogRecord::ReadLog { codewords, .. } if !codewords.is_empty()),
             "the write's read: {recs:?}"
         );
-        assert!(matches!(recs[3], LogRecord::TxnAbort { .. }), "{recs:?}");
+        assert!(
+            matches!(&recs[3], LogRecord::TxnAbort { entries, .. } if entries.is_empty()),
+            "{recs:?}"
+        );
         assert_eq!(recs.len(), 4, "{recs:?}");
         assert!(engine.audit().unwrap().clean());
     }

@@ -429,7 +429,7 @@ fn a_damaged_sealed_segment_stops_restart_at_the_last_intact_lsn() {
     let dir = tmpdir("sealed-damage");
     let mut config = DaliConfig::small(dir.path())
         .with_scheme(ProtectionScheme::DataCodeword)
-        .with_log_segment_bytes(16 << 10);
+        .with_log_segment_bytes(8 << 10);
     config.sync_commit = true;
     let (db, _) = DaliEngine::create(config.clone()).unwrap();
     let t = db.create_table("t", 64, 32).unwrap();

@@ -57,7 +57,9 @@
 //!   aborted on the exec pool (never on an event loop) through the
 //!   engine's one rollback, the one restart uses, releasing all its
 //!   locks; a held commit stands. Shutdown releases every held commit
-//!   once it is decided and drains these cleanup jobs before returning.
+//!   once it is decided, or past the engine's `lock_timeout` with an
+//!   error that says its durability is unknown, and drains these cleanup
+//!   jobs before returning.
 //! * **Observability**: per-verb log₂-bucket latency histograms
 //!   ([`Request::Metrics`]) measured decode→response (queue wait and a
 //!   held commit's fsync included), plus queue-depth/park/loop counters
@@ -1130,14 +1132,17 @@ impl EventLoop {
     }
 
     /// Shutdown: release every held commit once the log has decided it,
-    /// unanswered, then close every connection, scheduling orphan
-    /// cleanups on the exec pool (the server joins the pool after the
-    /// event loop, so every rollback completes before `shutdown()`
-    /// returns).
+    /// or with an error that says its durability is unknown once the
+    /// engine's `lock_timeout` has passed, unanswered; then close every
+    /// connection, scheduling orphan cleanups on the exec pool (the server
+    /// joins the pool after the event loop, so every rollback completes
+    /// before `shutdown()` returns).
     fn teardown(&mut self) {
-        let log = &self.shared.engine.db().syslog;
+        let engine = &self.shared.engine;
+        let deadline = Instant::now() + engine.config().lock_timeout;
         for held in self.held.drain(..) {
-            let _ = held.txn.acknowledge(log.wait_durable(held.lsn));
+            let durable = engine.db().syslog.wait_durable_until(held.lsn, deadline);
+            let _ = held.txn.acknowledge(durable);
         }
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {

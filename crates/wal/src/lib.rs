@@ -34,6 +34,9 @@ pub mod syslog;
 
 pub use dpt::{pages_to_regions, DualDirtySet};
 pub use locallog::{LocalRedoLog, LocalUndoLog, PhysicalUndo, Span};
-pub use record::{Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind};
+pub use record::{
+    EntriesRef, Entry, EntryRef, Frame, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef,
+    OpKind,
+};
 pub use segment::{LogEnd, LogReader, SegmentBuf};
 pub use syslog::{SegmentStats, SyncStats, SystemLog};

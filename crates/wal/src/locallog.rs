@@ -1,8 +1,9 @@
 //! Per-transaction local logs (paper §2: "undo and redo logs in Dali are
 //! stored on a per-transaction basis").
 //!
-//! * [`LocalRedoLog`] — redo (and read) records accumulated by the
-//!   transaction's current operation, framed as they are pushed; migrated
+//! * [`LocalRedoLog`] — the records a transaction has not yet migrated,
+//!   framed as they are pushed, and the entries of its operation or
+//!   rollback in flight, framed with it when it commits or ends; migrated
 //!   to the system log as one copy when the operation commits.
 //! * [`LocalUndoLog`] — the transaction's undo, in two parts: the logical
 //!   undo of its committed operations, and the physical undo of the one
@@ -23,7 +24,7 @@
 //! serialized.
 
 use crate::record::{
-    frame_into, frame_len, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, FRAME_HDR,
+    frame_into, EntriesRef, Entry, LogRecord, LogRecordRef, LogicalUndo, LogicalUndoRef, OpKind,
 };
 use dali_common::codec::{put_blob_with, Reader, Wire};
 use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, OpSeq, RecId, Result, TxnId};
@@ -210,20 +211,15 @@ impl LocalUndoLog {
         for (op, u) in &self.logical {
             op.put(buf);
             // Tag 1 (logical; `decode` refuses any other), then a blob
-            // holding the logical undo in an OpCommit payload's shape.
+            // holding the logical undo.
             1u8.put(buf);
-            let undo = LogRecordRef::OpCommit {
-                txn: TxnId(0),
-                op: *op,
-                undo: self.logical(u),
-            };
-            put_blob_with(buf, |buf| undo.put(buf));
+            put_blob_with(buf, |buf| self.logical(u).put(buf));
         }
     }
 
     /// Deserialize from a checkpointed ATT.
     pub fn decode(r: &mut Reader<'_>) -> Result<LocalUndoLog> {
-        // The smallest entry is op + tag + an empty logical-undo blob.
+        // The smallest entry is op + tag + an empty blob.
         let n = r.count(4 + 1 + 4)?;
         let mut log = LocalUndoLog::new();
         log.logical.reserve(n);
@@ -232,30 +228,31 @@ impl LocalUndoLog {
             if r.u8()? != 1 {
                 return Err(r.fail("undo entry is not logical"));
             }
-            let LogRecordRef::OpCommit { undo, .. } = LogRecordRef::decode(r.blob()?)? else {
-                return Err(r.fail("expected logical undo in ATT"));
-            };
-            let undo = undo.map(|b| log.copy_in(b));
+            let undo = LogicalUndoRef::decode(r.blob()?)?.map(|b| log.copy_in(b));
             log.logical.push((op, undo));
         }
         Ok(log)
     }
 }
 
-/// Redo (and read) records of the transaction's current operation,
-/// awaiting migration to the system log at operation commit. Each record
-/// is framed (`[len][checksum][type][payload]`, the system log's bytes)
-/// into one reused buffer as it is pushed, so encoding and checksumming
-/// happen outside the log latch.
+/// Records of a transaction awaiting migration to the system log, framed
+/// (`[len][checksum][type][payload]`, the system log's bytes) into one
+/// reused buffer as they are pushed, so encoding and checksumming happen
+/// outside the log latch. The entries of the operation or rollback in
+/// flight are encoded into a second reused buffer as the update brackets
+/// produce them, and framed with it when it commits or ends.
 #[derive(Clone, Debug, Default)]
 pub struct LocalRedoLog {
     /// Algebra of the frame checksums: the system log's.
     kind: CodewordAlgebraKind,
     frames: Vec<u8>,
     count: usize,
-    /// `(addr, len)` of each physical redo record, oldest first: the
-    /// writes whose pages the system log notes dirty.
+    /// `(addr, len)` of each write, oldest first: the writes whose pages
+    /// the system log notes dirty.
     writes: Vec<(DbAddr, usize)>,
+    /// The entries in flight, encoded, and how many.
+    entries: Vec<u8>,
+    entry_count: u32,
 }
 
 impl LocalRedoLog {
@@ -272,7 +269,7 @@ impl LocalRedoLog {
         }
     }
 
-    /// Append a record.
+    /// Append a record in a frame of its own.
     pub fn push(&mut self, rec: LogRecord) {
         if let LogRecord::PhysicalRedo { addr, data, .. } = &rec {
             self.writes.push((*addr, data.len()));
@@ -280,28 +277,77 @@ impl LocalRedoLog {
         self.append(&rec);
     }
 
-    /// Append a physical redo record of `data` written at `addr`.
-    pub fn push_redo(&mut self, txn: TxnId, op: OpSeq, addr: DbAddr, data: &[u8]) {
-        self.append(&LogRecordRef::PhysicalRedo {
-            txn,
-            op,
-            addr,
-            data,
-        });
-        self.writes.push((addr, data.len()));
-    }
-
-    /// Append an operation commit record.
-    pub fn push_op_commit(&mut self, txn: TxnId, op: OpSeq, undo: LogicalUndoRef<'_>) {
-        self.append(&LogRecordRef::OpCommit { txn, op, undo });
-    }
-
-    fn append<'a, B, S, C>(&mut self, rec: &LogRecord<B, S, C>)
+    fn append<'a, B, S, C, E>(&mut self, rec: &LogRecord<B, S, C, E>)
     where
-        LogRecord<B, S, C>: Wire<'a>,
+        LogRecord<B, S, C, E>: Wire<'a>,
     {
         frame_into(self.kind, rec, &mut self.frames);
         self.count += 1;
+    }
+
+    /// Push the after-image of `data` written at `addr`: an entry of the
+    /// operation or rollback in flight.
+    pub fn push_redo(&mut self, addr: DbAddr, data: &[u8]) {
+        Entry::<_, Vec<u32>>::Write { addr, data }.put(&mut self.entries);
+        self.entry_count += 1;
+        self.writes.push((addr, data.len()));
+    }
+
+    /// Push a write-as-read entry (§4.3): `codewords` of the regions over
+    /// `[addr, addr + len)`.
+    pub fn push_read(&mut self, addr: DbAddr, len: u32, codewords: Vec<u32>) {
+        Entry::<&[u8], _>::Read {
+            addr,
+            len,
+            codewords,
+        }
+        .put(&mut self.entries);
+        self.entry_count += 1;
+    }
+
+    /// Frame the operation in flight ([`LogRecord::Op`]): its entries,
+    /// then its logical undo.
+    pub fn commit_op(
+        &mut self,
+        (txn, op, kind, rec): (TxnId, OpSeq, OpKind, RecId),
+        undo: LogicalUndoRef<'_>,
+    ) {
+        let entries = EntriesRef {
+            count: self.entry_count,
+            bytes: &self.entries,
+        };
+        let frame = LogRecordRef::Op {
+            txn,
+            op,
+            kind,
+            rec,
+            entries,
+            undo,
+        };
+        frame_into(self.kind, &frame, &mut self.frames);
+        self.count += 1;
+        self.clear_entries();
+    }
+
+    /// Frame the rollback in flight, its restores as its entries: the
+    /// transaction's [`LogRecord::TxnAbort`].
+    pub fn abort(&mut self, txn: TxnId) {
+        let entries = EntriesRef {
+            count: self.entry_count,
+            bytes: &self.entries,
+        };
+        frame_into(
+            self.kind,
+            &LogRecordRef::TxnAbort { txn, entries },
+            &mut self.frames,
+        );
+        self.count += 1;
+        self.clear_entries();
+    }
+
+    fn clear_entries(&mut self) {
+        self.entries.clear();
+        self.entry_count = 0;
     }
 
     /// Number of pending records.
@@ -319,7 +365,7 @@ impl LocalRedoLog {
         &self.frames
     }
 
-    /// `(addr, len)` of each pending physical redo record, oldest first.
+    /// `(addr, len)` of each pending write, oldest first.
     pub(crate) fn writes(&self) -> &[(DbAddr, usize)] {
         &self.writes
     }
@@ -330,6 +376,7 @@ impl LocalRedoLog {
         self.frames.clear();
         self.count = 0;
         self.writes.clear();
+        self.clear_entries();
     }
 
     /// Empty the log for a later transaction, keeping its allocations up
@@ -337,35 +384,41 @@ impl LocalRedoLog {
     pub fn recycle(&mut self) {
         self.discard();
         self.frames.shrink_to(REUSE_CAPACITY);
+        self.entries.shrink_to(REUSE_CAPACITY);
         self.writes
             .shrink_to(REUSE_CAPACITY / size_of::<(DbAddr, usize)>());
     }
 
-    /// Roll back operation `op`, in flight: cut its `OpBegin` and
-    /// physical redo frames. Every other frame stays byte-identical and in
-    /// order — above all its read records: the reads really happened, and
-    /// corruption tracing may only overestimate reads, never underestimate
-    /// (§4.2).
-    pub fn cut_op(&mut self, op: OpSeq) {
-        let (mut read, mut kept) = (0, 0);
-        self.writes.clear();
-        while read < self.frames.len() {
-            let len = frame_len(&self.frames[read..]);
-            match LogRecordRef::decode(&self.frames[read + FRAME_HDR..read + len]) {
-                Ok(
-                    LogRecordRef::OpBegin { op: o, .. } | LogRecordRef::PhysicalRedo { op: o, .. },
-                ) if o == op => self.count -= 1,
-                rec => {
-                    if let Ok(LogRecordRef::PhysicalRedo { addr, data, .. }) = rec {
-                        self.writes.push((addr, data.len()));
-                    }
-                    self.frames.copy_within(read..read + len, kept);
-                    kept += len;
-                }
-            }
-            read += len;
+    /// Roll back `txn`'s operation in flight: drop its entries and its
+    /// writes, and push each of its read entries as a `ReadLog` record of
+    /// its own. Every earlier frame stays byte-identical: the reads really
+    /// happened, and corruption tracing may only overestimate reads, never
+    /// underestimate (§4.2).
+    pub fn cut_op(&mut self, txn: TxnId) {
+        let entries = EntriesRef {
+            count: self.entry_count,
+            bytes: &self.entries,
+        };
+        for entry in entries.iter() {
+            let Entry::Read {
+                addr,
+                len,
+                codewords,
+            } = entry
+            else {
+                self.writes.pop();
+                continue;
+            };
+            let read = LogRecordRef::ReadLog {
+                txn,
+                addr,
+                len,
+                codewords,
+            };
+            frame_into(self.kind, &read, &mut self.frames);
+            self.count += 1;
         }
-        self.frames.truncate(kept);
+        self.clear_entries();
     }
 }
 
@@ -532,54 +585,97 @@ mod tests {
         }
     }
 
-    /// Rolling back an in-flight operation cuts its own `OpBegin` and
-    /// physical redo frames and keeps every other frame — the read
-    /// records pushed during it among them — byte for byte and in order.
+    /// An operation's frame built from its pushed entries is the frame of
+    /// the owned `Op` record it stands for, and a rollback's the
+    /// `TxnAbort`'s, under each algebra; the writes are noted in order.
     #[test]
-    fn cut_op_keeps_read_frames_byte_identical_and_in_order() {
-        let (txn, op) = (TxnId(4), OpSeq(2));
+    fn a_frame_built_from_its_entries_is_its_records_frame() {
+        let (txn, r) = (TxnId(4), rec(1, 1));
+        for kind in CodewordAlgebraKind::ALL {
+            let mut log = LocalRedoLog::with_algebra(kind);
+            log.push(LogRecord::TxnBegin { txn });
+            log.push_read(DbAddr(64), 8, vec![0xdead_beef]);
+            log.push_redo(DbAddr(72), &[1; 8]);
+            let undo = LogicalUndo::HeapUpdate {
+                rec: r,
+                before: &[2; 16][..],
+            };
+            log.commit_op((txn, OpSeq(2), OpKind::Update, r), undo);
+            log.push_redo(DbAddr(72), &[2; 8]);
+            log.abort(txn);
+            let records: [LogRecord; 3] = [
+                LogRecord::TxnBegin { txn },
+                LogRecord::Op {
+                    txn,
+                    op: OpSeq(2),
+                    kind: OpKind::Update,
+                    rec: r,
+                    entries: vec![
+                        Entry::Read {
+                            addr: DbAddr(64),
+                            len: 8,
+                            codewords: vec![0xdead_beef],
+                        },
+                        Entry::Write {
+                            addr: DbAddr(72),
+                            data: vec![1; 8],
+                        },
+                    ],
+                    undo: LogicalUndo::HeapUpdate {
+                        rec: r,
+                        before: vec![2; 16],
+                    },
+                },
+                LogRecord::TxnAbort {
+                    txn,
+                    entries: vec![Entry::Write {
+                        addr: DbAddr(72),
+                        data: vec![2; 8],
+                    }],
+                },
+            ];
+            let mut want = Vec::new();
+            for record in &records {
+                frame_into(kind, record, &mut want);
+            }
+            assert_eq!(log.bytes(), &want[..], "{kind:?}");
+            assert_eq!(log.len(), 3);
+            assert_eq!(log.writes(), &[(DbAddr(72), 8), (DbAddr(72), 8)]);
+        }
+    }
+
+    /// Rolling back an in-flight operation cuts its frame and keeps every
+    /// frame before it byte for byte; each read entry it held follows as
+    /// a read record of its own, in order, and its writes are forgotten.
+    #[test]
+    fn cut_op_keeps_earlier_frames_and_re_emits_its_reads() {
+        let txn = TxnId(4);
         let read = |addr: usize, codewords: Vec<u32>| LogRecord::ReadLog {
             txn,
             addr: DbAddr(addr),
             len: 64,
             codewords,
         };
-        let redo = |op, addr: usize| LogRecord::PhysicalRedo {
-            txn,
-            op,
-            addr: DbAddr(addr),
-            data: vec![addr as u8; 8],
-        };
         for kind in CodewordAlgebraKind::ALL {
             let mut r = LocalRedoLog::with_algebra(kind);
             r.push(LogRecord::TxnBegin { txn });
             r.push(read(0, vec![]));
-            r.push(redo(OpSeq(1), 8)); // another operation's record survives
-            r.push(LogRecord::OpBegin {
-                txn,
-                op,
-                kind: crate::record::OpKind::Update,
-                rec: rec(1, 1),
-            });
-            r.push(read(64, vec![0xdead_beef]));
-            r.push(redo(op, 64));
-            r.push(read(128, vec![1, 2]));
-            r.push(redo(op, 128));
-            r.cut_op(op);
+            r.push_redo(DbAddr(8), &[8; 8]);
+            let undo = LogicalUndo::HeapInsert { rec: rec(1, 0) };
+            r.commit_op((txn, OpSeq(1), OpKind::Insert, rec(1, 0)), undo);
+            let kept = r.bytes().to_vec();
+            r.push_read(DbAddr(64), 64, vec![0xdead_beef]);
+            r.push_redo(DbAddr(64), &[64; 8]);
+            r.push_read(DbAddr(128), 64, vec![1, 2]);
+            r.push_redo(DbAddr(128), &[128; 8]);
+            r.cut_op(txn);
 
-            let mut want = Vec::new();
-            let survivors = [
-                LogRecord::TxnBegin { txn },
-                read(0, vec![]),
-                redo(OpSeq(1), 8),
-                read(64, vec![0xdead_beef]),
-                read(128, vec![1, 2]),
-            ];
-            for rec in &survivors {
-                frame_into(kind, rec, &mut want);
+            let mut want = kept;
+            for rec in [read(64, vec![0xdead_beef]), read(128, vec![1, 2])] {
+                frame_into(kind, &rec, &mut want);
             }
             assert_eq!(r.bytes(), &want[..], "{kind:?}");
-            assert_eq!(r.len(), survivors.len());
+            assert_eq!(r.len(), 5);
             assert_eq!(r.writes(), &[(DbAddr(8), 8)]);
         }
     }

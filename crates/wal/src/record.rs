@@ -3,30 +3,40 @@
 //! Framing on the system log is `[len: u32][checksum: u32][type: u8][payload]`
 //! where `checksum` folds the payload under the *configured codeword
 //! algebra* (in the same spirit as the paper's codewords — cheap parity
-//! that catches torn or overwritten log frames) and then folds the frame
-//! *type* byte in as one more word. Checksumming the type matters: the
-//! type is what sequences the segmented log (a [`FRAME_SEAL`] marks the
-//! clean end of a segment), so a flipped type byte must fail the
-//! checksum rather than silently resequence the stream. Historically the
-//! frame checksum was hardwired to the XOR fold even when the data image
-//! used the residue algebra, which left paired same-direction bit-column
-//! flips inside one frame as a silent residual; [`checksum_with`] closes
-//! that gap by giving residue configurations residue-checked frames. An
-//! LSN is the *global* byte offset of a frame's first byte — segment
-//! files partition the offset space without renumbering it.
+//! that catches torn or overwritten log frames), then folds in the frame
+//! *type* byte and, once the log has placed the frame, its LSN
+//! ([`seed_frame`]), each as one more word. Checksumming the type matters:
+//! the type is what sequences the segmented log (a [`FRAME_SEAL`] marks the
+//! clean end of a segment), so a flipped type byte must fail the checksum
+//! rather than silently resequence the stream. The LSN makes an intact
+//! frame found at any offset but its own fail too. The residue algebra
+//! gives residue configurations residue-checked frames, closing the XOR
+//! fold's blind spot for paired same-direction bit-column flips inside one
+//! frame. An LSN is the *global* byte offset of a frame's first byte —
+//! segment files partition the offset space without renumbering it.
+//!
+//! A level-1 operation is one frame ([`LogRecord::Op`]): its identity
+//! `(txn, op, kind, rec)` once, then the entries its update brackets
+//! produced in order — each write's after-image and, under CW ReadLog,
+//! the write-as-read codewords logged before it (§4.3) — then its logical
+//! undo (§2.1's operation commit record). A rollback is one frame too, its
+//! restores as entries, and that frame is the transaction's
+//! [`LogRecord::TxnAbort`]. A frame is whole on the log or absent, so an
+//! operation's redo is never found without its undo.
 
 use bytes::BytesMut;
-use dali_common::codec::{CodewordsRef, Reader, Wire};
+use dali_common::codec::{CodewordsRef, Listed, Reader, Wire};
 use dali_common::{
     fold, wire_enum, CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, TableId,
     TxnId,
 };
 
 wire_enum! {
-    /// Kinds of level-1 (heap) operations, recorded in `OpBegin` so that
-    /// delete-transaction recovery can test operation conflicts (§4.3: a
-    /// begin operation record is "checked against the operations in the
-    /// undo logs of all transactions currently in CorruptTransTable").
+    /// Kinds of level-1 (heap) operations, recorded in an operation's frame
+    /// beside the record it targets, on which delete-transaction recovery
+    /// tests operation conflicts (§4.3: a begin operation record is
+    /// "checked against the operations in the undo logs of all
+    /// transactions currently in CorruptTransTable").
     #[derive(Copy, Clone, Debug, PartialEq, Eq)]
     pub enum OpKind {
         /// Insert a record.
@@ -97,33 +107,94 @@ impl<B> LogicalUndo<B> {
 }
 
 wire_enum! {
+    /// One entry of an operation or rollback frame, in the order its
+    /// update brackets produced it. The type parameters hold the
+    /// after-image and the codewords, as in [`LogRecord`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Entry<B = Vec<u8>, C = Vec<u32>> {
+        /// Physical after-image of a write (redo is always physical in
+        /// Dali, §2.1).
+        0 "Write" Write { addr: DbAddr, data: B },
+        /// CW ReadLog's write-as-read (§4.3): the codewords of the regions
+        /// over `[addr, addr + len)` as the writer found them, just before
+        /// its write.
+        1 "Read" Read { addr: DbAddr, len: u32, codewords: C },
+    }
+}
+
+/// An [`Entry`] borrowed from the frame it was decoded from.
+pub type EntryRef<'a> = Entry<&'a [u8], CodewordsRef<'a>>;
+
+impl<B, C> Listed for Entry<B, C> {
+    /// Tag, address and an empty image's length.
+    const MIN_BYTES: usize = 1 + 8 + 4;
+}
+
+/// The entries of a frame as they sit in the bytes it was decoded from,
+/// `[count: u32][entries]` as a `Vec<Entry>` encodes them: every entry
+/// was decoded once to validate it, and [`iter`](Self::iter) reads them
+/// again in place.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EntriesRef<'a> {
+    pub(crate) count: u32,
+    pub(crate) bytes: &'a [u8],
+}
+
+impl<'a> EntriesRef<'a> {
+    /// True if there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The entries, in logged order.
+    pub fn iter(&self) -> impl Iterator<Item = EntryRef<'a>> + 'a {
+        let mut r = Reader::new(self.bytes, bad);
+        (0..self.count).map(move |_| EntryRef::get(&mut r).expect("validated when decoded"))
+    }
+}
+
+impl<'a> Wire<'a> for EntriesRef<'a> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.count.put(buf);
+        buf.extend_from_slice(self.bytes);
+    }
+
+    fn get(r: &mut Reader<'a>) -> Result<Self> {
+        let count = r.count(Entry::<(), ()>::MIN_BYTES)? as u32;
+        let from = r.rest();
+        for _ in 0..count {
+            EntryRef::get(r)?;
+        }
+        let bytes = &from[..from.len() - r.rest().len()];
+        Ok(EntriesRef { count, bytes })
+    }
+}
+
+wire_enum! {
     /// A record on the system log (or in a local redo log awaiting
     /// migration). The type parameters hold its variable-length fields —
-    /// record bytes, a table name, read codewords — owned by default, and
-    /// borrowed from the bytes a scan decodes in [`LogRecordRef`].
+    /// record bytes, a table name, read codewords, a frame's entries —
+    /// owned by default, and borrowed from the bytes a scan decodes in
+    /// [`LogRecordRef`].
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum LogRecord<B = Vec<u8>, S = String, C = Vec<u32>> {
+    pub enum LogRecord<B = Vec<u8>, S = String, C = Vec<u32>, E = Vec<Entry>> {
         /// Transaction start.
         0 "TxnBegin" TxnBegin { txn: TxnId },
-        /// A level-1 operation started. Carried to the system log with the
-        /// operation's redo records at operation commit.
-        1 "OpBegin" OpBegin { txn: TxnId, op: OpSeq, kind: OpKind, rec: RecId },
-        /// Physical after-image of an in-place update (redo is always
-        /// physical in Dali, §2.1).
+        /// A standalone physical after-image. The engine logs every write
+        /// inside an [`Op`](LogRecord::Op) or
+        /// [`TxnAbort`](LogRecord::TxnAbort) frame; online repair still
+        /// replays one of these, restart redo skips it.
         2 "PhysicalRedo" PhysicalRedo { txn: TxnId, op: OpSeq, addr: DbAddr, data: B },
         /// Read log record (§4.2): the identity of data read — a start
         /// point and a number of bytes, *not the value* — plus, in the CW
         /// ReadLog scheme, the maintained codewords of the overlapped
         /// protection regions (§4.3 extension).
         3 "ReadLog" ReadLog { txn: TxnId, addr: DbAddr, len: u32, codewords: C },
-        /// Operation commit: the operation's logical undo description.
-        4 "OpCommit" OpCommit { txn: TxnId, op: OpSeq, undo: LogicalUndo<B> },
         /// Transaction commit.
         5 "TxnCommit" TxnCommit { txn: TxnId },
-        /// Transaction abort: the end of the batch that logs its
-        /// rollback's restores as physical redo (after a recovery's exit
-        /// checkpoint, which holds them, alone).
-        6 "TxnAbort" TxnAbort { txn: TxnId },
+        /// Transaction abort, one frame with its rollback's restores
+        /// (none after a recovery's exit checkpoint, which holds them).
+        6 "TxnAbort" TxnAbort { txn: TxnId, entries: E },
         /// An audit pass began. `Audit_SN` in §4.3 is the LSN of the last
         /// AuditBegin whose matching AuditEnd reported clean.
         7 "AuditBegin" AuditBegin { audit_id: u64 },
@@ -143,27 +214,68 @@ wire_enum! {
             bitmap_base: DbAddr,
             data_base: DbAddr,
         },
+        /// A committed level-1 operation: its kind and target record (the
+        /// §4.3 scan tests conflicts on `rec`), its entries, and its
+        /// logical undo (paper §2.1: "a copy of the logical undo
+        /// description is included in the operation commit log record for
+        /// use in restart recovery").
+        11 "Op" Op {
+            txn: TxnId,
+            op: OpSeq,
+            kind: OpKind,
+            rec: RecId,
+            entries: E,
+            undo: LogicalUndo<B>,
+        },
     }
 }
 
 /// A [`LogRecord`] decoded in place: every variable-length field is a
 /// slice of the buffer the record was decoded from, so walking a log
 /// segment allocates nothing.
-pub type LogRecordRef<'a> = LogRecord<&'a [u8], &'a str, CodewordsRef<'a>>;
+pub type LogRecordRef<'a> = LogRecord<&'a [u8], &'a str, CodewordsRef<'a>, EntriesRef<'a>>;
 
-impl<B, S, C> LogRecord<B, S, C> {
+impl<B, S, C, E> LogRecord<B, S, C, E> {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
             LogRecord::TxnBegin { txn }
-            | LogRecord::OpBegin { txn, .. }
             | LogRecord::PhysicalRedo { txn, .. }
             | LogRecord::ReadLog { txn, .. }
-            | LogRecord::OpCommit { txn, .. }
             | LogRecord::TxnCommit { txn }
-            | LogRecord::TxnAbort { txn } => Some(*txn),
+            | LogRecord::TxnAbort { txn, .. }
+            | LogRecord::Op { txn, .. } => Some(*txn),
             _ => None,
         }
+    }
+}
+
+impl<'a> LogRecordRef<'a> {
+    /// What this record logs of writes and reads, in log order: a
+    /// standalone after-image or read as one entry, or the entries of an
+    /// operation or rollback.
+    pub fn entries(&self) -> impl Iterator<Item = EntryRef<'a>> + 'a {
+        let (one, many) = match *self {
+            LogRecord::PhysicalRedo { addr, data, .. } => (Some(Entry::Write { addr, data }), None),
+            LogRecord::ReadLog {
+                addr,
+                len,
+                codewords: c,
+                ..
+            } => (
+                Some(Entry::Read {
+                    addr,
+                    len,
+                    codewords: c,
+                }),
+                None,
+            ),
+            LogRecord::Op { entries, .. } | LogRecord::TxnAbort { entries, .. } => {
+                (None, Some(entries))
+            }
+            _ => (None, None),
+        };
+        one.into_iter().chain(many.unwrap_or_default().iter())
     }
 }
 
@@ -212,16 +324,33 @@ fn frame_checksum(kind: CodewordAlgebraKind, frame_type: u8, payload: &[u8]) -> 
     kind.combine(checksum_with(kind, payload), frame_type as u32)
 }
 
-/// Frame a record, owned or borrowed, onto `out` in place: reserve the
-/// header `[len][checksum][type]`, encode the payload, then patch the
-/// length and the checksum (under `kind`) in. Returns bytes appended.
-pub fn frame_into<'a, B, S, C>(
+/// Fold `lsn` into a checksum: one more `combine`, of its two halves
+/// folded into a word. Zero at `Lsn::ZERO`, so an unplaced frame reads
+/// as one placed there.
+fn at_lsn(kind: CodewordAlgebraKind, sum: u32, lsn: Lsn) -> u32 {
+    kind.combine(sum, lsn.0 as u32 ^ (lsn.0 >> 32) as u32)
+}
+
+/// Place the intact frame at `frame[0]` at `lsn`: fold the LSN into its
+/// checksum. The system log does this to every frame it appends, once its
+/// position is final; the frame then verifies only at `lsn`
+/// ([`unframe_at`]).
+pub fn seed_frame(kind: CodewordAlgebraKind, frame: &mut [u8], lsn: Lsn) {
+    let sum = u32::from_le_bytes(frame[4..8].try_into().expect("frame header"));
+    frame[4..8].copy_from_slice(&at_lsn(kind, sum, lsn).to_le_bytes());
+}
+
+/// Frame a record, owned or borrowed, onto `out` in place, as if placed
+/// at `Lsn::ZERO` ([`seed_frame`] moves it): reserve the header
+/// `[len][checksum][type]`, encode the payload, then patch the length and
+/// the checksum (under `kind`) in. Returns bytes appended.
+pub fn frame_into<'a, B, S, C, E>(
     kind: CodewordAlgebraKind,
-    rec: &LogRecord<B, S, C>,
+    rec: &LogRecord<B, S, C, E>,
     out: &mut Vec<u8>,
 ) -> usize
 where
-    LogRecord<B, S, C>: Wire<'a>,
+    LogRecord<B, S, C, E>: Wire<'a>,
 {
     let start = out.len();
     out.resize(start + FRAME_HDR, FRAME_RECORD);
@@ -242,8 +371,8 @@ pub fn frame_with(kind: CodewordAlgebraKind, rec: &LogRecord, out: &mut BytesMut
     n
 }
 
-/// Frame a segment seal (empty payload). Returns bytes appended
-/// (always [`FRAME_HDR`]).
+/// Frame a segment seal (empty payload), as if placed at `Lsn::ZERO`.
+/// Returns bytes appended (always [`FRAME_HDR`]).
 pub fn frame_seal(kind: CodewordAlgebraKind, out: &mut Vec<u8>) -> usize {
     0u32.put(out);
     frame_checksum(kind, FRAME_SEAL, &[]).put(out);
@@ -257,26 +386,34 @@ pub(crate) fn frame_len(buf: &[u8]) -> usize {
     FRAME_HDR + u32::from_le_bytes(buf[..4].try_into().expect("frame header")) as usize
 }
 
-/// Parse one XOR-checksummed frame starting at `buf[0]`; returns the
-/// frame and its encoded length. Errors on truncation or checksum
-/// mismatch. Algebra-aware paths use [`unframe_with`].
+/// Parse one XOR-checksummed frame placed at `Lsn::ZERO` (an unplaced
+/// one) starting at `buf[0]`; returns the frame and its encoded length.
+/// Errors on truncation or checksum mismatch. Algebra-aware paths use
+/// [`unframe_with`].
 pub fn unframe(buf: &[u8]) -> Result<(Frame, usize)> {
     unframe_with(CodewordAlgebraKind::XorFold, buf)
 }
 
-/// Parse one frame whose checksum was computed under `kind` into an
-/// owned record.
+/// Parse one unplaced frame whose checksum was computed under `kind`
+/// into an owned record.
 pub fn unframe_with(kind: CodewordAlgebraKind, buf: &[u8]) -> Result<(Frame, usize)> {
-    parse_frame(Some(kind), buf)
+    unframe_at(kind, Lsn::ZERO, buf)
 }
 
-/// Parse the frame at `buf[0]`, its record held as `R` (borrowing from
-/// `buf` if `R` does); returns the frame and its encoded length. The
-/// checksum is verified under `verify` — or not at all, for a second walk
-/// over frames already accepted. Errors on truncation, checksum mismatch
-/// or an undecodable payload.
+/// Parse one frame placed at `lsn` whose checksum was computed under
+/// `kind` into an owned record.
+pub fn unframe_at(kind: CodewordAlgebraKind, lsn: Lsn, buf: &[u8]) -> Result<(Frame, usize)> {
+    parse_frame(Some(kind), lsn, buf)
+}
+
+/// Parse the frame placed at `lsn` that starts at `buf[0]`, its record
+/// held as `R` (borrowing from `buf` if `R` does); returns the frame and
+/// its encoded length. The checksum is verified under `verify` — or not at
+/// all, for a second walk over frames already accepted. Errors on
+/// truncation, checksum mismatch or an undecodable payload.
 pub(crate) fn parse_frame<'a, R: Wire<'a>>(
     verify: Option<CodewordAlgebraKind>,
+    lsn: Lsn,
     buf: &'a [u8],
 ) -> Result<(Frame<R>, usize)> {
     let mut r = Reader::new(buf, bad);
@@ -284,7 +421,9 @@ pub(crate) fn parse_frame<'a, R: Wire<'a>>(
     let sum = r.u32()?;
     let frame_type = r.u8()?;
     let payload = r.take(len)?;
-    if verify.is_some_and(|kind| frame_checksum(kind, frame_type, payload) != sum) {
+    if verify
+        .is_some_and(|kind| at_lsn(kind, frame_checksum(kind, frame_type, payload), lsn) != sum)
+    {
         return Err(r.fail("log frame checksum mismatch"));
     }
     let frame = match frame_type {
@@ -312,14 +451,13 @@ mod tests {
     use proptest::prelude::*;
 
     fn rec_samples() -> Vec<LogRecord> {
+        let rec = RecId::new(TableId(3), SlotId(4));
+        let write = |addr, data: &[u8]| Entry::Write {
+            addr: DbAddr(addr),
+            data: data.to_vec(),
+        };
         vec![
             LogRecord::TxnBegin { txn: TxnId(1) },
-            LogRecord::OpBegin {
-                txn: TxnId(1),
-                op: OpSeq(2),
-                kind: OpKind::Update,
-                rec: RecId::new(TableId(3), SlotId(4)),
-            },
             LogRecord::PhysicalRedo {
                 txn: TxnId(1),
                 op: OpSeq(2),
@@ -338,31 +476,52 @@ mod tests {
                 len: 100,
                 codewords: vec![0xabcd, 0x1234],
             },
-            LogRecord::OpCommit {
+            LogRecord::Op {
                 txn: TxnId(1),
                 op: OpSeq(2),
+                kind: OpKind::Update,
+                rec,
+                entries: vec![
+                    Entry::Read {
+                        addr: DbAddr(64),
+                        len: 8,
+                        codewords: vec![0xabcd],
+                    },
+                    write(72, &[1, 2, 3, 4, 5, 6, 7, 8]),
+                ],
                 undo: LogicalUndo::HeapUpdate {
-                    rec: RecId::new(TableId(3), SlotId(4)),
+                    rec,
                     before: vec![9; 100],
                 },
             },
-            LogRecord::OpCommit {
+            LogRecord::Op {
                 txn: TxnId(1),
                 op: OpSeq(3),
-                undo: LogicalUndo::HeapInsert {
-                    rec: RecId::new(TableId(1), SlotId(0)),
-                },
+                kind: OpKind::Insert,
+                rec,
+                entries: vec![write(8, &[1, 0, 0, 0]), write(64, &[7; 16])],
+                undo: LogicalUndo::HeapInsert { rec },
             },
-            LogRecord::OpCommit {
+            LogRecord::Op {
                 txn: TxnId(1),
                 op: OpSeq(4),
+                kind: OpKind::Delete,
+                rec,
+                entries: vec![],
                 undo: LogicalUndo::HeapDelete {
-                    rec: RecId::new(TableId(1), SlotId(7)),
+                    rec,
                     image: vec![0xaa; 32],
                 },
             },
             LogRecord::TxnCommit { txn: TxnId(1) },
-            LogRecord::TxnAbort { txn: TxnId(9) },
+            LogRecord::TxnAbort {
+                txn: TxnId(9),
+                entries: vec![],
+            },
+            LogRecord::TxnAbort {
+                txn: TxnId(9),
+                entries: vec![write(8, &[0; 4]), write(72, &[])],
+            },
             LogRecord::AuditBegin { audit_id: 77 },
             LogRecord::AuditEnd {
                 audit_id: 77,
@@ -451,6 +610,73 @@ mod tests {
             let mut bytes = out.to_vec();
             bytes[8] = FRAME_RECORD;
             assert!(unframe_with(kind, &bytes).is_err(), "{kind:?}");
+        }
+    }
+
+    /// A placed frame verifies at its own LSN and at no other, under
+    /// both algebras; unplaced, it reads as placed at `Lsn::ZERO`.
+    #[test]
+    fn a_placed_frame_verifies_only_at_its_lsn() {
+        for kind in CodewordAlgebraKind::ALL {
+            for rec in rec_samples() {
+                let mut out = Vec::new();
+                frame_into(kind, &rec, &mut out);
+                assert!(unframe_at(kind, Lsn::ZERO, &out).is_ok());
+                for lsn in [Lsn(9), Lsn(4096), Lsn(1 << 33)] {
+                    let mut placed = out.clone();
+                    seed_frame(kind, &mut placed, lsn);
+                    let (back, _) = unframe_at(kind, lsn, &placed).unwrap();
+                    assert_eq!(back, Frame::Record(rec.clone()));
+                    for other in [Lsn::ZERO, Lsn(lsn.0 + 9), Lsn(lsn.0 - 9)] {
+                        assert!(unframe_at(kind, other, &placed).is_err(), "{kind:?} {lsn}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A record's entries are its standalone after-image or read, or its
+    /// frame's entries, in order.
+    #[test]
+    fn entries_are_a_records_writes_and_reads_in_order() {
+        for rec in rec_samples() {
+            let mut buf = Vec::new();
+            rec.encode(&mut buf);
+            let back = LogRecordRef::decode(&buf).unwrap();
+            let mut got = Vec::new();
+            for e in back.entries() {
+                match e {
+                    Entry::Write { addr, data } => got.push(Entry::Write {
+                        addr,
+                        data: data.to_vec(),
+                    }),
+                    Entry::Read {
+                        addr,
+                        len,
+                        codewords,
+                    } => got.push(Entry::Read {
+                        addr,
+                        len,
+                        codewords: codewords.iter().collect(),
+                    }),
+                }
+            }
+            let want = match rec {
+                LogRecord::PhysicalRedo { addr, data, .. } => vec![Entry::Write { addr, data }],
+                LogRecord::ReadLog {
+                    addr,
+                    len,
+                    codewords,
+                    ..
+                } => vec![Entry::Read {
+                    addr,
+                    len,
+                    codewords,
+                }],
+                LogRecord::Op { entries, .. } | LogRecord::TxnAbort { entries, .. } => entries,
+                _ => vec![],
+            };
+            assert_eq!(got, want);
         }
     }
 

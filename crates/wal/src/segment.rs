@@ -28,7 +28,8 @@
 //! "everything before this is sealed and on disk".
 //!
 //! Reading goes through [`LogReader`]: one segment file in memory at a
-//! time, each frame checked once as it is first walked over, its records
+//! time, each frame checked once — against its own LSN — as it is first
+//! walked over, its records
 //! handed out as [`LogRecordRef`]s that borrow from the segment's
 //! buffer. Every consumer of the stable log — restart, prior-state and
 //! corruption recovery, online repair, taint tracing — walks it this
@@ -442,6 +443,13 @@ pub struct SegmentRecords<'a, R = LogRecordRef<'a>> {
     holder: PhantomData<R>,
 }
 
+impl<R> SegmentRecords<'_, R> {
+    /// LSN of the next frame: one past the last record handed out.
+    pub fn next_lsn(&self) -> Lsn {
+        Lsn(self.seg.base.0 + self.pos as u64)
+    }
+}
+
 impl<'a, R: Wire<'a>> Iterator for SegmentRecords<'a, R> {
     type Item = (Lsn, R);
 
@@ -454,9 +462,9 @@ impl<'a, R: Wire<'a>> Iterator for SegmentRecords<'a, R> {
             }
             // Frames an earlier walk accepted are only decoded again.
             let verify = (self.pos == checked).then_some(seg.kind);
-            match parse_frame(verify, &seg.bytes[self.pos..]) {
+            let lsn = self.next_lsn();
+            match parse_frame(verify, lsn, &seg.bytes[self.pos..]) {
                 Ok((frame, n)) => {
-                    let lsn = Lsn(seg.base.0 + self.pos as u64);
                     self.pos += n;
                     seg.checked.set(checked.max(self.pos));
                     match frame {

@@ -66,7 +66,7 @@
 
 use crate::dpt::DualDirtySet;
 use crate::locallog::LocalRedoLog;
-use crate::record::{frame_into, frame_len, frame_seal, LogRecord, FRAME_HDR};
+use crate::record::{frame_into, frame_len, frame_seal, seed_frame, Entry, LogRecord, FRAME_HDR};
 use crate::segment::{self, LogEnd, LogReader, SegmentBuf};
 use dali_common::storage::{Open, StorageFile};
 use dali_common::{CodewordAlgebraKind, DaliError, Lsn, OsStorage, PageId, Result, Store};
@@ -77,6 +77,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 struct Inner {
     /// Unflushed frames.
@@ -297,9 +298,10 @@ impl Core {
         }
     }
 
-    /// Wait until everything below `upto` is durable; the kept failure
-    /// comes first, as nothing is acknowledged over it.
-    fn await_durable(&self, upto: Lsn) -> Result<()> {
+    /// Wait until everything below `upto` is durable, or past `deadline`
+    /// fail with an error that says its durability is unknown; the kept
+    /// failure comes first, as nothing is acknowledged over it.
+    fn await_durable(&self, upto: Lsn, deadline: Option<Instant>) -> Result<()> {
         let mut jobs = self.jobs.lock();
         loop {
             jobs.failed()?;
@@ -309,7 +311,15 @@ impl Core {
             if jobs.stop {
                 return Err(DaliError::Crashed);
             }
-            self.jobs_cv.wait(&mut jobs);
+            match deadline {
+                None => self.jobs_cv.wait(&mut jobs),
+                Some(d) if Instant::now() < d => drop(self.jobs_cv.wait_until(&mut jobs, d)),
+                Some(_) => {
+                    return Err(DaliError::Io(std::io::Error::other(format!(
+                        "durability unknown: the log was not made durable to {upto} in time"
+                    ))))
+                }
+            }
         }
     }
 
@@ -659,26 +669,19 @@ impl SystemLog {
         self.append_locked(&mut inner, rec)
     }
 
-    /// Migrate a local redo log's frames — an operation's records, or a
-    /// transaction's last ones — atomically with respect to other
-    /// appenders: one copy into the tail under one lock acquisition, and
-    /// the pages of its physical redo records noted dirty. Only a run
-    /// that would overflow the active segment is walked frame by frame,
-    /// so seals land exactly where one-record appends put them. Returns
-    /// the LSN of the next byte after the run.
+    /// Migrate a local redo log's frames — an operation's, with the
+    /// records before it, or a transaction's last ones — atomically with
+    /// respect to other appenders: copied into the tail under one lock
+    /// acquisition, each placed after a seal if it would overflow the
+    /// active segment and its checksum seeded with its final LSN, and the
+    /// pages of their writes noted dirty. Returns the LSN of the next byte
+    /// after the run.
     pub fn append_frames(&self, run: &LocalRedoLog) -> Lsn {
         let frames = run.bytes();
         let mut inner = self.core.inner.lock();
-        let seg_used = inner.tail_base.0 + inner.tail.len() as u64 - inner.cur_seg_start.0;
-        // A run that fits is placed whole, as if it were one frame.
-        let fits = seg_used + frames.len() as u64 <= self.segment_bytes - FRAME_HDR as u64;
         let mut at = 0;
         while at < frames.len() {
-            let len = if fits {
-                frames.len()
-            } else {
-                frame_len(&frames[at..])
-            };
+            let len = frame_len(&frames[at..]);
             let start = inner.tail.len();
             inner.tail.extend_from_slice(&frames[at..at + len]);
             self.place(&mut inner, start, len);
@@ -696,24 +699,35 @@ impl SystemLog {
         if let LogRecord::PhysicalRedo { addr, data, .. } = rec {
             self.note_dirty(addr.0, data.len());
         }
+        if let LogRecord::Op { entries, .. } | LogRecord::TxnAbort { entries, .. } = rec {
+            for e in entries {
+                if let Entry::Write { addr, data } = e {
+                    self.note_dirty(addr.0, data.len());
+                }
+            }
+        }
         self.place(inner, start, len)
     }
 
-    /// Roll decision for the `len`-byte frame just appended at tail
-    /// offset `start`: if it pushes the active segment past its capacity
-    /// (reserving room for the seal that must always fit), move it past
-    /// a seal so that it opens the next segment. A frame larger than a
-    /// whole segment gets a segment to itself — records never span
+    /// Place the `len`-byte frame just appended at tail offset `start`: if
+    /// it pushes the active segment past its capacity (reserving room for
+    /// the seal that must always fit), move it past a seal so that it
+    /// opens the next segment, then fold its final LSN into its checksum
+    /// ([`seed_frame`]), and the seal's into the seal's. A frame larger
+    /// than a whole segment gets a segment to itself — records never span
     /// segments. Returns the frame's LSN.
     fn place(&self, inner: &mut Inner, start: usize, len: usize) -> Lsn {
         let lsn = Lsn(inner.tail_base.0 + start as u64);
         let seg_used = lsn.0 - inner.cur_seg_start.0;
         if seg_used == 0 || seg_used + len as u64 <= self.segment_bytes - FRAME_HDR as u64 {
+            seed_frame(self.kind, &mut inner.tail[start..], lsn);
             return lsn;
         }
         frame_seal(self.kind, &mut inner.tail);
         inner.tail[start..].rotate_right(FRAME_HDR);
+        seed_frame(self.kind, &mut inner.tail[start..], lsn);
         let split = Lsn(lsn.0 + FRAME_HDR as u64);
+        seed_frame(self.kind, &mut inner.tail[start + FRAME_HDR..], split);
         inner.cur_seg_start = split;
         inner.seg_splits.push_back(split);
         split
@@ -845,7 +859,14 @@ impl SystemLog {
     /// checkpoint wait for. Raises the watermark, counting no commit.
     pub fn wait_durable(&self, upto: Lsn) -> Result<()> {
         self.core.request(upto, false);
-        self.core.await_durable(upto)
+        self.core.await_durable(upto, None)
+    }
+
+    /// [`wait_durable`](Self::wait_durable) until `deadline` at most:
+    /// past it, an error that says the durability of `upto` is unknown.
+    pub fn wait_durable_until(&self, upto: Lsn, deadline: Instant) -> Result<()> {
+        self.core.request(upto, false);
+        self.core.await_durable(upto, Some(deadline))
     }
 
     /// Make the log durable up to `upto`: [`flush(true)`](Self::flush).
@@ -1413,7 +1434,10 @@ mod tests {
         // Reopening with the right kind resumes after the intact frames.
         let log = SystemLog::open_with(&path, 4096, r, BIG).unwrap();
         assert!(log.current_lsn() > Lsn::ZERO);
-        log.append(&LogRecord::TxnAbort { txn: TxnId(3) });
+        log.append(&LogRecord::TxnAbort {
+            txn: TxnId(3),
+            entries: vec![],
+        });
         log.flush(false).unwrap();
         assert_eq!(
             SystemLog::scan_stable_with(&path, Lsn::ZERO, r)

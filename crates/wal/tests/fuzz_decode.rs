@@ -75,7 +75,7 @@ proptest! {
 // ---- the declared decoders against the hand-written one they replaced ----
 
 use dali_common::{DbAddr, Lsn, OpSeq, RecId, SlotId, TableId, TxnId};
-use dali_wal::record::{LogRecordRef, LogicalUndo, OpKind};
+use dali_wal::record::{Entry, LogRecordRef, LogicalUndo, OpKind};
 
 /// The owned decoder as it stood before `LogRecordRef` (one `Vec` per
 /// blob, eager `String`), kept here as the reference the declared
@@ -108,21 +108,31 @@ fn reference_decode(mut buf: &[u8]) -> Option<LogRecord> {
     fn rec(buf: &mut &[u8]) -> Option<RecId> {
         Some(RecId::new(TableId(u32_(buf)?), SlotId(u32_(buf)?)))
     }
+    fn codewords(buf: &mut &[u8]) -> Option<Vec<u32>> {
+        let n = u16_(buf)?;
+        (0..n).map(|_| u32_(buf)).collect()
+    }
+    fn entries(buf: &mut &[u8]) -> Option<Vec<Entry>> {
+        let n = u32_(buf)?;
+        (0..n)
+            .map(|_| match u8_(buf)? {
+                0 => Some(Entry::Write {
+                    addr: DbAddr(u64_(buf)? as usize),
+                    data: blob(buf)?,
+                }),
+                1 => Some(Entry::Read {
+                    addr: DbAddr(u64_(buf)? as usize),
+                    len: u32_(buf)?,
+                    codewords: codewords(buf)?,
+                }),
+                _ => None,
+            })
+            .collect()
+    }
     let buf = &mut buf;
     let record = match u8_(buf)? {
         0 => LogRecord::TxnBegin {
             txn: TxnId(u64_(buf)?),
-        },
-        1 => LogRecord::OpBegin {
-            txn: TxnId(u64_(buf)?),
-            op: OpSeq(u32_(buf)?),
-            kind: match u8_(buf)? {
-                0 => OpKind::Insert,
-                1 => OpKind::Delete,
-                2 => OpKind::Update,
-                _ => return None,
-            },
-            rec: rec(buf)?,
         },
         2 => LogRecord::PhysicalRedo {
             txn: TxnId(u64_(buf)?),
@@ -134,8 +144,7 @@ fn reference_decode(mut buf: &[u8]) -> Option<LogRecord> {
             let txn = TxnId(u64_(buf)?);
             let addr = DbAddr(u64_(buf)? as usize);
             let len = u32_(buf)?;
-            let n = u16_(buf)?;
-            let codewords = (0..n).map(|_| u32_(buf)).collect::<Option<Vec<u32>>>()?;
+            let codewords = codewords(buf)?;
             LogRecord::ReadLog {
                 txn,
                 addr,
@@ -143,27 +152,12 @@ fn reference_decode(mut buf: &[u8]) -> Option<LogRecord> {
                 codewords,
             }
         }
-        4 => LogRecord::OpCommit {
-            txn: TxnId(u64_(buf)?),
-            op: OpSeq(u32_(buf)?),
-            undo: match u8_(buf)? {
-                0 => LogicalUndo::HeapInsert { rec: rec(buf)? },
-                1 => LogicalUndo::HeapDelete {
-                    rec: rec(buf)?,
-                    image: blob(buf)?,
-                },
-                2 => LogicalUndo::HeapUpdate {
-                    rec: rec(buf)?,
-                    before: blob(buf)?,
-                },
-                _ => return None,
-            },
-        },
         5 => LogRecord::TxnCommit {
             txn: TxnId(u64_(buf)?),
         },
         6 => LogRecord::TxnAbort {
             txn: TxnId(u64_(buf)?),
+            entries: entries(buf)?,
         },
         7 => LogRecord::AuditBegin {
             audit_id: u64_(buf)?,
@@ -182,6 +176,30 @@ fn reference_decode(mut buf: &[u8]) -> Option<LogRecord> {
             capacity: u64_(buf)?,
             bitmap_base: DbAddr(u64_(buf)? as usize),
             data_base: DbAddr(u64_(buf)? as usize),
+        },
+        11 => LogRecord::Op {
+            txn: TxnId(u64_(buf)?),
+            op: OpSeq(u32_(buf)?),
+            kind: match u8_(buf)? {
+                0 => OpKind::Insert,
+                1 => OpKind::Delete,
+                2 => OpKind::Update,
+                _ => return None,
+            },
+            rec: rec(buf)?,
+            entries: entries(buf)?,
+            undo: match u8_(buf)? {
+                0 => LogicalUndo::HeapInsert { rec: rec(buf)? },
+                1 => LogicalUndo::HeapDelete {
+                    rec: rec(buf)?,
+                    image: blob(buf)?,
+                },
+                2 => LogicalUndo::HeapUpdate {
+                    rec: rec(buf)?,
+                    before: blob(buf)?,
+                },
+                _ => return None,
+            },
         },
         _ => return None,
     };
@@ -205,6 +223,25 @@ fn arb_undo() -> impl Strategy<Value = LogicalUndo> {
     ]
 }
 
+/// An operation's or rollback's entries, writes and reads mixed.
+fn arb_entries() -> impl Strategy<Value = Vec<Entry>> {
+    let addr = || (0usize..1 << 40).prop_map(DbAddr);
+    let entry = prop_oneof![
+        (addr(), arb_blob()).prop_map(|(addr, data)| Entry::Write { addr, data }),
+        (
+            addr(),
+            any::<u32>(),
+            proptest::collection::vec(any::<u32>(), 0..4)
+        )
+            .prop_map(|(addr, len, codewords)| Entry::Read {
+                addr,
+                len,
+                codewords
+            }),
+    ];
+    proptest::collection::vec(entry, 0..4)
+}
+
 /// Any `LogRecord`, every variant equally likely.
 fn arb_record() -> impl Strategy<Value = LogRecord> {
     let txn = || any::<u64>().prop_map(TxnId);
@@ -212,12 +249,16 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
     let addr = || (0usize..1 << 40).prop_map(DbAddr);
     prop_oneof![
         txn().prop_map(|txn| LogRecord::TxnBegin { txn }),
-        (txn(), op(), 0u8..3, arb_rec_id()).prop_map(|(txn, op, kind, rec)| LogRecord::OpBegin {
-            txn,
-            op,
-            kind: [OpKind::Insert, OpKind::Delete, OpKind::Update][kind as usize],
-            rec,
-        }),
+        (txn(), op(), 0u8..3, arb_rec_id(), arb_entries(), arb_undo()).prop_map(
+            |(txn, op, kind, rec, entries, undo)| LogRecord::Op {
+                txn,
+                op,
+                kind: [OpKind::Insert, OpKind::Delete, OpKind::Update][kind as usize],
+                rec,
+                entries,
+                undo,
+            }
+        ),
         (txn(), op(), addr(), arb_blob()).prop_map(|(txn, op, addr, data)| {
             LogRecord::PhysicalRedo {
                 txn,
@@ -238,9 +279,8 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
                 len,
                 codewords,
             }),
-        (txn(), op(), arb_undo()).prop_map(|(txn, op, undo)| LogRecord::OpCommit { txn, op, undo }),
         txn().prop_map(|txn| LogRecord::TxnCommit { txn }),
-        txn().prop_map(|txn| LogRecord::TxnAbort { txn }),
+        (txn(), arb_entries()).prop_map(|(txn, entries)| LogRecord::TxnAbort { txn, entries }),
         any::<u64>().prop_map(|audit_id| LogRecord::AuditBegin { audit_id }),
         (any::<u64>(), any::<bool>())
             .prop_map(|(audit_id, clean)| LogRecord::AuditEnd { audit_id, clean }),
@@ -268,9 +308,9 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
     ]
 }
 
-fn encoded<'a, B, S, C>(rec: &LogRecord<B, S, C>) -> Vec<u8>
+fn encoded<'a, B, S, C, E>(rec: &LogRecord<B, S, C, E>) -> Vec<u8>
 where
-    LogRecord<B, S, C>: dali_common::codec::Wire<'a>,
+    LogRecord<B, S, C, E>: dali_common::codec::Wire<'a>,
 {
     let mut buf = Vec::new();
     rec.encode(&mut buf);

@@ -9,9 +9,13 @@
 //! directory recovery can meet.
 
 use bytes::BytesMut;
-use dali_common::{CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, Result, TxnId};
-use dali_wal::record::{frame_into, frame_seal, frame_with, unframe_with, FRAME_HDR};
-use dali_wal::{segment, Frame, LogReader, LogRecord, LogRecordRef, SystemLog};
+use dali_common::{
+    CodewordAlgebraKind, DaliError, DbAddr, Lsn, OpSeq, RecId, Result, SlotId, TableId, TxnId,
+};
+use dali_wal::record::{frame_into, frame_seal, frame_with, seed_frame, unframe_at, FRAME_HDR};
+use dali_wal::{
+    segment, Entry, Frame, LogReader, LogRecord, LogRecordRef, LogicalUndo, OpKind, SystemLog,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +65,7 @@ fn reference_scan(dir: &Path, from: Lsn) -> Result<Vec<(Lsn, LogRecord)>> {
         let mut pos = from.0.saturating_sub(s.base.0) as usize;
         let mut sealed = false;
         while pos < bytes.len() {
-            match unframe_with(KIND, &bytes[pos..]) {
+            match unframe_at(KIND, Lsn(s.base.0 + pos as u64), &bytes[pos..]) {
                 Ok((Frame::Record(rec), n)) => {
                     out.push((Lsn(s.base.0 + pos as u64), rec));
                     pos += n;
@@ -128,13 +132,52 @@ fn assert_same(dir: &Path, from: Lsn) -> Option<Vec<(Lsn, LogRecord)>> {
     want
 }
 
+/// Record `i`: an operation's frame (a read entry, a write, its undo)
+/// for odd `i`, a standalone after-image for even `i`, `len` bytes of
+/// image either way.
 fn record(i: u64, len: usize) -> LogRecord {
-    LogRecord::PhysicalRedo {
-        txn: TxnId(i),
-        op: OpSeq(i as u32),
-        addr: DbAddr(64 * i as usize),
-        data: vec![i as u8; len],
+    let (txn, op, addr, data) = (
+        TxnId(i),
+        OpSeq(i as u32),
+        DbAddr(64 * i as usize),
+        vec![i as u8; len],
+    );
+    if i.is_multiple_of(2) {
+        return LogRecord::PhysicalRedo {
+            txn,
+            op,
+            addr,
+            data,
+        };
     }
+    let rec = RecId::new(TableId(1), SlotId(i as u32));
+    LogRecord::Op {
+        txn,
+        op,
+        kind: OpKind::Update,
+        rec,
+        entries: vec![
+            Entry::Read {
+                addr,
+                len: len as u32,
+                codewords: vec![i as u32],
+            },
+            Entry::Write { addr, data },
+        ],
+        undo: LogicalUndo::HeapInsert { rec },
+    }
+}
+
+/// `frames` (each begins with its header) as the log places them from
+/// `lsn` on: each checksum seeded with its own LSN.
+fn placed(lsn: Lsn, mut frames: Vec<u8>) -> Vec<u8> {
+    let mut at = 0;
+    while at < frames.len() {
+        let len = FRAME_HDR + u32::from_le_bytes(frames[at..at + 4].try_into().unwrap()) as usize;
+        seed_frame(KIND, &mut frames[at..], Lsn(lsn.0 + at as u64));
+        at += len;
+    }
+    frames
 }
 
 /// A flushed log of `n` records over several sealed segments; returns
@@ -208,10 +251,33 @@ fn mid_file_seal_ends_the_scan_at_the_seal() {
     let mut extra = Vec::new();
     frame_seal(KIND, &mut extra);
     frame_into(KIND, &record(77, 16), &mut extra);
-    append_bytes(&last_segment(&scratch.0), &extra);
+    let end = segment::list(&scratch.0).unwrap().last().unwrap().end();
+    append_bytes(&last_segment(&scratch.0), &placed(end, extra));
     let got = assert_same(&scratch.0, Lsn::ZERO).unwrap();
     assert_eq!(got.len(), 9);
     assert!(got.iter().all(|(_, r)| *r != record(77, 16)));
+}
+
+/// An intact frame copied to a later offset fails its checksum there: the
+/// scan stops at it and reads nothing of it, whatever it holds.
+#[test]
+fn a_frame_copied_to_a_later_offset_stops_the_scan_there() {
+    let scratch = Scratch::new("copied");
+    let lsns = build(&scratch.0, 9, SEGMENT);
+    let last = segment::list(&scratch.0).unwrap().pop().unwrap();
+    let frames = assert_same(&scratch.0, last.base).unwrap();
+    assert!(!frames.is_empty());
+    let bytes = std::fs::read(segment::path(&scratch.0, last.base)).unwrap();
+    let first = FRAME_HDR + u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    append_bytes(&last_segment(&scratch.0), &bytes[..first]);
+    let got = assert_same(&scratch.0, Lsn::ZERO).unwrap();
+    assert_eq!(got.len(), lsns.len());
+    let log = SystemLog::open_with(&scratch.0, 4096, KIND, SEGMENT).unwrap();
+    assert_eq!(
+        log.current_lsn(),
+        last.end(),
+        "the copy reads as a torn flush"
+    );
 }
 
 #[test]
@@ -231,8 +297,17 @@ fn unsealed_interior_segment_refuses_the_scan() {
     for i in 3..5 {
         frame_with(KIND, &record(i, 20), &mut second);
     }
-    std::fs::write(segment::path(&scratch.0, Lsn::ZERO), &first).unwrap();
-    std::fs::write(segment::path(&scratch.0, Lsn(first.len() as u64)), &second).unwrap();
+    let base = Lsn(first.len() as u64);
+    std::fs::write(
+        segment::path(&scratch.0, Lsn::ZERO),
+        placed(Lsn::ZERO, first.to_vec()),
+    )
+    .unwrap();
+    std::fs::write(
+        segment::path(&scratch.0, base),
+        placed(base, second.to_vec()),
+    )
+    .unwrap();
     assert_eq!(assert_same(&scratch.0, Lsn::ZERO), None);
     assert_eq!(
         assert_same(&scratch.0, Lsn(first.len() as u64))

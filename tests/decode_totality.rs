@@ -1,10 +1,12 @@
 //! The recovery files read before anything else at restart
-//! (`ckpt_*.meta` with its catalog and ATT, `corrupt.marker`) must decode
-//! *totally*: short or over-counted input whose trailer checksum verifies
-//! is `RecoveryFailed`, never a panic and never a multi-GiB reservation.
+//! (`ckpt_*.meta` with its catalog and ATT, `corrupt.marker`), and the log
+//! frames redo reads after them, must decode *totally*: short or
+//! over-counted input whose trailer checksum verifies is
+//! `RecoveryFailed`, never a panic and never a multi-GiB reservation.
 //! Each file is cut at every length and re-sealed, so the decoder gets
 //! past the checksum and has to bounds-check every field itself.
 
+use dali::common::OpSeq;
 use dali::common::OsStorage;
 use dali::engine::att::Att;
 use dali::engine::catalog::Catalog;
@@ -13,7 +15,8 @@ use dali::engine::corruption::{read_marker, write_marker};
 use dali::engine::db::Db;
 use dali::engine::CorruptionMarker;
 use dali::wal::record::checksum;
-use dali::{CodewordAlgebraKind, DaliError, DbAddr, Lsn, TxnId};
+use dali::wal::{Entry, LogRecord, LogRecordRef, LogicalUndo, OpKind};
+use dali::{CodewordAlgebraKind, DaliError, DbAddr, Lsn, RecId, SlotId, TableId, TxnId};
 use dali_testutil::TempDir;
 
 /// `body` with the trailer checksum a writer would have appended.
@@ -175,4 +178,52 @@ fn over_counted_att_and_undo_log_are_errors_not_reservations() {
         &blob,
         CodewordAlgebraKind::XorFold
     )));
+}
+
+/// An operation's frame and a rollback's, their payload cut at every
+/// length, decode to an error, owned or borrowed; so does one whose entry
+/// count is `u32::MAX`, on the missing bytes and not after reserving them.
+#[test]
+fn every_truncation_of_an_operation_or_rollback_frame_is_an_error() {
+    let rec = RecId::new(TableId(1), SlotId(2));
+    let entries = vec![
+        Entry::Read {
+            addr: DbAddr(64),
+            len: 8,
+            codewords: vec![0xDEAD_BEEF],
+        },
+        Entry::Write {
+            addr: DbAddr(72),
+            data: vec![7; 8],
+        },
+    ];
+    let op: LogRecord = LogRecord::Op {
+        txn: TxnId(7),
+        op: OpSeq(3),
+        kind: OpKind::Update,
+        rec,
+        entries: entries.clone(),
+        undo: LogicalUndo::HeapUpdate {
+            rec,
+            before: vec![9; 16],
+        },
+    };
+    let abort: LogRecord = LogRecord::TxnAbort {
+        txn: TxnId(7),
+        entries,
+    };
+    // Where each one's entry count sits: after the tag and the fields
+    // before it.
+    for (value, count_at) in [(op, 1 + 8 + 4 + 1 + 8), (abort, 1 + 8)] {
+        let mut payload = Vec::new();
+        value.encode(&mut payload);
+        assert_eq!(LogRecordRef::decode(&payload).map(|_| ()).ok(), Some(()));
+        for cut in 0..payload.len() {
+            assert!(is_recovery_failed(<LogRecord>::decode(&payload[..cut])));
+            assert!(is_recovery_failed(LogRecordRef::decode(&payload[..cut])));
+        }
+        payload[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(is_recovery_failed(<LogRecord>::decode(&payload)));
+        assert!(is_recovery_failed(LogRecordRef::decode(&payload)));
+    }
 }

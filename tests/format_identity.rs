@@ -5,7 +5,7 @@
 //! log, checkpoint or peer.
 
 use bytes::BytesMut;
-use dali::common::codec::Reader;
+use dali::common::codec::{self, Reader};
 use dali::common::OpSeq;
 use dali::common::OsStorage;
 use dali::engine::catalog::Catalog;
@@ -15,8 +15,8 @@ use dali::engine::db::Db;
 use dali::engine::CorruptionMarker;
 use dali::net::protocol::{encode_request, encode_response, frame, parse_frame};
 use dali::net::{Request, Response, ServerStats};
-use dali::wal::record::{frame_seal, frame_with, unframe_with};
-use dali::wal::{segment, Frame, LocalUndoLog, LogRecord, LogicalUndo, OpKind};
+use dali::wal::record::{frame_into, frame_seal, frame_with, seed_frame, unframe_with};
+use dali::wal::{segment, Entry, Frame, LocalUndoLog, LogRecord, LogicalUndo, OpKind};
 use dali::{
     CodewordAlgebraKind, DaliConfig, DaliEngine, DaliError, DbAddr, Lsn, RecId, SlotId, TableId,
     TxnId,
@@ -168,14 +168,14 @@ fn sample_meta() -> CkptMeta {
 // audit_sn / catalog.len tables / "acct" (separate bitmap) / "hist"
 // (page-local) / watermark / att.len att / trailer checksum
 const META_FILE: &str = "\
-    03cb11da 02 0800000000000000 0300000000000000 \
+    04cb11da 02 0800000000000000 0300000000000000 \
     0010000000000000 0800000000000000 0200000000000000 0009000000000000 \
     6a000000 02000000 \
     00000000 04000000 61636374 64000000 e803000000000000 0000000000000000 0010000000000000 00 \
     01000000 04000000 68697374 10000000 4000000000000000 00a0010000000000 00a0010000000000 01 fe000000 20000000 00100000 \
     00b0010000000000 \
     14000000 0100000007000000000000000100000000000000 \
-    a63e441d";
+    a13e441d";
 
 #[test]
 fn ckpt_meta_file() {
@@ -202,6 +202,49 @@ fn ckpt_meta_file() {
     );
 }
 
+/// A directory whose anchored meta carries the CB03 magic — the format
+/// whose log holds one frame per record, each checksummed without its
+/// LSN — is refused by `open` with an error that names the format, and
+/// its log directory is left byte for byte as it was: without the
+/// refusal, redo would read every frame of the old log as a torn flush.
+#[test]
+fn a_meta_in_the_old_log_format_is_refused_and_the_log_left_as_it_was() {
+    let dir = TempDir::new("golden-old-format");
+    let config = DaliConfig::small(dir.path());
+    let (engine, _) = DaliEngine::create(config.clone()).unwrap();
+    let table = engine.create_table("t", 16, 8).unwrap();
+    let txn = engine.begin().unwrap();
+    txn.insert(table, &[1; 16]).unwrap();
+    txn.commit().unwrap();
+    engine.settle().unwrap();
+    engine.crash();
+
+    let (image, _) = ckpt::read_anchor(&OsStorage, dir.path()).unwrap();
+    let path = Db::meta_path(dir.path(), image);
+    let mut meta = std::fs::read(&path).unwrap();
+    meta.truncate(meta.len() - 4);
+    meta[..4].copy_from_slice(&0xDA11_CB03u32.to_le_bytes());
+    codec::seal(&mut meta);
+    std::fs::write(&path, &meta).unwrap();
+    let log = || -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir.path().join("system.log"))
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = log();
+    let Err(DaliError::RecoveryFailed(msg)) = DaliEngine::open(config).map(drop) else {
+        panic!("a CB03 directory was opened");
+    };
+    assert!(msg.contains("CB03"), "{msg}");
+    assert_eq!(log(), before);
+}
+
 // magic audit_sn ranges.len (addr len)* trailer checksum
 const MARKER_FILE: &str = "\
     d1ba11da 0903000000000000 02000000 \
@@ -224,19 +267,31 @@ fn corruption_marker_file() {
     assert_eq!(read_marker(&OsStorage, dir.path()).unwrap(), Some(value));
 }
 
-// [len][checksum][type] tag txn op undo.tag rec.table rec.slot
-// before.len before
+// [len][checksum][type] tag txn op kind rec.table rec.slot, entries.len,
+// one write entry (tag addr data.len data), then the logical undo:
+// undo.tag rec.table rec.slot before.len before
 const OP_COMMIT_FRAME: &str = "\
-    23000000 7a796f7f 01 \
-    04 0700000000000000 03000000 02 01000000 11000000 09000000 fffefdfc8081828309";
+    45000000 1a06114a 01 \
+    0b 0700000000000000 03000000 02 01000000 11000000 \
+    01000000 00 4000000000000000 08000000 fffefdfc80818283 \
+    02 01000000 11000000 09000000 fffefdfc8081828309";
 
+/// An update's operation frame: its identity, its entries and its
+/// logical undo, the operation's commit record, in one frame.
 #[test]
 fn op_commit_heap_update_log_frame() {
-    let value = LogRecord::OpCommit {
+    let rec = RecId::new(TableId(1), SlotId(17));
+    let value = LogRecord::Op {
         txn: TxnId(7),
         op: OpSeq(3),
+        kind: OpKind::Update,
+        rec,
+        entries: vec![Entry::Write {
+            addr: DbAddr(0x40),
+            data: vec![0xFF, 0xFE, 0xFD, 0xFC, 0x80, 0x81, 0x82, 0x83],
+        }],
         undo: LogicalUndo::HeapUpdate {
-            rec: RecId::new(TableId(1), SlotId(17)),
+            rec,
             before: vec![0xFF, 0xFE, 0xFD, 0xFC, 0x80, 0x81, 0x82, 0x83, 9],
         },
     };
@@ -249,22 +304,21 @@ fn op_commit_heap_update_log_frame() {
     assert_eq!(back, Frame::Record(value));
 }
 
-// count / op tag blob.len, then the blob: an OpCommit payload (tag txn=0
-// op) holding the logical undo (undo.tag rec.table rec.slot, then
-// image.len image for a delete)
+// count / op tag blob.len, then the blob: the logical undo (undo.tag
+// rec.table rec.slot, then image.len image for a delete)
 const UNDO_LOG: &str = "\
     02000000 \
-    01000000 01 1f000000 \
-    04 0000000000000000 01000000 01 02000000 03000000 05000000 ababababab \
-    02000000 01 16000000 \
-    04 0000000000000000 02000000 00 02000000 04000000";
+    01000000 01 12000000 \
+    01 02000000 03000000 05000000 ababababab \
+    02000000 01 09000000 \
+    00 02000000 04000000";
 
 // A logical entry, then a physical one (tag 0: op tag addr before.len
 // before), which no checkpointed ATT holds any more.
 const UNDO_LOG_WITH_PHYSICAL: &str = "\
     02000000 \
-    01000000 01 1f000000 \
-    04 0000000000000000 01000000 01 02000000 03000000 05000000 ababababab \
+    01000000 01 12000000 \
+    01 02000000 03000000 05000000 ababababab \
     02000000 00 4000000000000000 08000000 0102030405060708";
 
 #[test]
@@ -306,7 +360,7 @@ fn att_undo_log_holds_logical_entries_only() {
 
 /// One transaction's insert, update and delete on a fresh engine: the
 /// stable log holds exactly the frames of the records they stand for,
-/// in order, under each algebra.
+/// in order, each placed at its LSN, under each algebra.
 #[test]
 fn update_path_log_bytes_under_each_algebra() {
     for kind in CodewordAlgebraKind::ALL {
@@ -333,42 +387,39 @@ fn update_path_log_bytes_under_each_algebra() {
             let (word, bit) = meta.bit_word_addr(rec.slot);
             (word, bit, meta.slot_addr(rec.slot))
         };
-        let op_begin = |op, kind| LogRecord::OpBegin {
+        let write = |addr, data: &[u8]| Entry::Write {
+            addr,
+            data: data.to_vec(),
+        };
+        let op = |op, kind, entries, undo| LogRecord::Op {
             txn: txn_id,
             op: OpSeq(op),
             kind,
             rec,
-        };
-        let redo = |op, addr, data: &[u8]| LogRecord::PhysicalRedo {
-            txn: txn_id,
-            op: OpSeq(op),
-            addr,
-            data: data.to_vec(),
-        };
-        let op_commit = |op, undo| LogRecord::OpCommit {
-            txn: txn_id,
-            op: OpSeq(op),
+            entries,
             undo,
         };
-        let records = [
+        let records: [LogRecord; 5] = [
             LogRecord::TxnBegin { txn: txn_id },
-            op_begin(0, OpKind::Insert),
-            redo(0, word, &(1u32 << bit).to_le_bytes()),
-            redo(0, slot, &a),
-            op_commit(0, LogicalUndo::HeapInsert { rec }),
-            op_begin(1, OpKind::Update),
-            redo(1, slot, &b),
-            op_commit(
+            op(
+                0,
+                OpKind::Insert,
+                vec![write(word, &(1u32 << bit).to_le_bytes()), write(slot, &a)],
+                LogicalUndo::HeapInsert { rec },
+            ),
+            op(
                 1,
+                OpKind::Update,
+                vec![write(slot, &b)],
                 LogicalUndo::HeapUpdate {
                     rec,
                     before: a.to_vec(),
                 },
             ),
-            op_begin(2, OpKind::Delete),
-            redo(2, word, &0u32.to_le_bytes()),
-            op_commit(
+            op(
                 2,
+                OpKind::Delete,
+                vec![write(word, &0u32.to_le_bytes())],
                 LogicalUndo::HeapDelete {
                     rec,
                     image: b.to_vec(),
@@ -376,9 +427,12 @@ fn update_path_log_bytes_under_each_algebra() {
             ),
             LogRecord::TxnCommit { txn: txn_id },
         ];
-        let mut want = BytesMut::new();
+        // Each frame placed at its LSN.
+        let mut want = Vec::new();
         for r in &records {
-            frame_with(kind, r, &mut want);
+            let at = want.len();
+            frame_into(kind, r, &mut want);
+            seed_frame(kind, &mut want[at..], Lsn(start.0 + at as u64));
         }
         let segs = segment::list(db.syslog.path()).unwrap();
         let seg = segs.iter().rfind(|s| s.base <= start).unwrap();
@@ -400,13 +454,16 @@ fn update_path_log_bytes_under_each_algebra() {
 const RECORD_FRAMES: [(&str, &str); 12] = [
     // tag txn
     ("TxnBegin", "09000000 050c0404 01 00 0807060504030201"),
-    // tag txn op kind rec.table rec.slot
-    (
-        "OpBegin",
-        "16000000 00050700 01 01 0700000000000000 03000000 01 02000000 05000000",
-    ),
     ("TxnCommit", "09000000 04070000 01 05 0700000000000000"),
-    ("TxnAbort", "09000000 07090000 01 06 0900000000000000"),
+    // tag txn entries.len [entry.tag addr data.len data]
+    (
+        "TxnAbort",
+        "0d000000 07090000 01 06 0900000000000000 00000000",
+    ),
+    (
+        "TxnAbort",
+        "1e000000 07080510 01 06 0900000000000000 01000000 00 0010000000000000 04000000 01000000",
+    ),
     // tag txn addr len codewords.len (u16) codewords
     (
         "ReadLog",
@@ -416,14 +473,20 @@ const RECORD_FRAMES: [(&str, &str); 12] = [
         "ReadLog",
         "1f000000 bf8edfeb 01 03 0700000000000000 4000000000000000 64000000 0200 efbeadde 04030201",
     ),
-    // tag txn op undo.tag rec.table rec.slot [image.len image]
+    // tag txn op kind rec.table rec.slot entries.len [entry.tag addr
+    // (data.len data | len codewords.len codewords)] undo.tag rec.table
+    // rec.slot [image.len image]
     (
-        "OpCommit",
-        "16000000 05040700 01 04 0700000000000000 03000000 00 02000000 05000000",
+        "Op",
+        "47000000 c4ebbfb3 01 0b 0700000000000000 03000000 00 02000000 05000000 02000000 \
+         01 0010000000000000 08000000 0100 efbeadde \
+         00 0010000000000000 04000000 01000000 \
+         00 02000000 05000000",
     ),
     (
-        "OpCommit",
-        "1f000000 aea902ab 01 04 0700000000000000 04000000 01 02000000 05000000 05000000 ababababab",
+        "Op",
+        "2c000000 a1a9ad02 01 0b 0700000000000000 04000000 01 02000000 05000000 00000000 \
+         01 02000000 05000000 05000000 ababababab",
     ),
     // tag audit_id [clean]
     ("AuditBegin", "09000000 064d0000 01 07 4d00000000000000"),
@@ -442,18 +505,23 @@ const RECORD_FRAMES: [(&str, &str); 12] = [
 fn every_other_log_record_frame() {
     let rec = RecId::new(TableId(2), SlotId(5));
     let (txn, addr) = (TxnId(7), DbAddr(0x40));
+    let restore = Entry::Write {
+        addr: DbAddr(0x1000),
+        data: vec![1, 0, 0, 0],
+    };
     let values = [
         LogRecord::TxnBegin {
             txn: TxnId(0x0102_0304_0506_0708),
         },
-        LogRecord::OpBegin {
-            txn,
-            op: OpSeq(3),
-            kind: OpKind::Delete,
-            rec,
-        },
         LogRecord::TxnCommit { txn },
-        LogRecord::TxnAbort { txn: TxnId(9) },
+        LogRecord::TxnAbort {
+            txn: TxnId(9),
+            entries: vec![],
+        },
+        LogRecord::TxnAbort {
+            txn: TxnId(9),
+            entries: vec![restore.clone()],
+        },
         LogRecord::ReadLog {
             txn,
             addr,
@@ -466,14 +534,27 @@ fn every_other_log_record_frame() {
             len: 100,
             codewords: vec![0xDEAD_BEEF, 0x0102_0304],
         },
-        LogRecord::OpCommit {
+        LogRecord::Op {
             txn,
             op: OpSeq(3),
+            kind: OpKind::Insert,
+            rec,
+            entries: vec![
+                Entry::Read {
+                    addr: DbAddr(0x1000),
+                    len: 8,
+                    codewords: vec![0xDEAD_BEEF],
+                },
+                restore,
+            ],
             undo: LogicalUndo::HeapInsert { rec },
         },
-        LogRecord::OpCommit {
+        LogRecord::Op {
             txn,
             op: OpSeq(4),
+            kind: OpKind::Delete,
+            rec,
+            entries: vec![],
             undo: LogicalUndo::HeapDelete {
                 rec,
                 image: vec![0xAB; 5],

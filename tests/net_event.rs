@@ -729,3 +729,38 @@ fn a_held_commit_a_segment_drain_covers_is_answered() {
     assert_eq!(server.engine().db().locks.locked_records(), 0);
     server.shutdown();
 }
+
+/// A held commit whose fsync never returns does not hang the shutdown:
+/// past the engine's `lock_timeout` the loop releases it, and its record
+/// locks, with an error that says its durability is unknown, and the
+/// server's drop returns within that bound while the fsync stays parked.
+/// The gate opens only afterwards, so that the engine, the test's clone
+/// of which outlives the server, can join its log worker; a failure
+/// leaks that clone instead of waiting on the gate.
+#[test]
+fn a_shutdown_behind_an_fsync_that_never_returns_ends_within_the_bound() {
+    let bound = Duration::from_millis(500);
+    let (server, _dir, gate, [r, _]) = durable_server_with("net-held-stuck", |mut c| {
+        c.lock_timeout = bound;
+        c
+    });
+    let engine = std::mem::ManuallyDrop::new(server.engine().clone());
+    gate.fsync_armed.store(true, SeqCst);
+    let mut a = burst(
+        server.addr(),
+        &[Request::Begin, update(r, 7), Request::Commit],
+    );
+    assert!(matches!(reply(&mut a), Response::Began { .. }));
+    assert_eq!(reply(&mut a), Response::Ok);
+    let parked = Arc::clone(&gate);
+    within("the commit's fsync", move || parked.wait(|s| s.0));
+
+    let start = Instant::now();
+    within("the server's drop", move || drop(server));
+    let took = start.elapsed();
+    assert!(took < bound + Duration::from_secs(5), "{took:?}");
+    assert_eq!(engine.db().locks.locked_records(), 0);
+    assert!(!gate.state.lock().unwrap().1, "the fsync was still parked");
+    gate.set(|s| s.1 = true);
+    drop(std::mem::ManuallyDrop::into_inner(engine));
+}

@@ -1,12 +1,11 @@
-//! An operation's log batch that straddles a segment roll.
+//! Operations around a segment roll.
 //!
-//! Streaming redo classifies one segment at a time and applies that
-//! segment's released writes before dropping its buffer, so an operation
-//! whose physical redo sits in segment *k* and whose operation-commit
-//! record sits in segment *k+1* is the case that needs care: the first
-//! half must be carried across the boundary and released by the second
-//! — or, when the crash lands between the halves, discarded, because no
-//! undo information covers it.
+//! An operation reaches the log as one frame, and a frame never spans
+//! segments: the log seals the active segment in front of a frame that
+//! would overflow it. So a log cut at a segment's base — what a crash
+//! between a roll's halves, or prior-state recovery there, leaves —
+//! holds every operation before the cut whole and none after it, and
+//! restart recovers exactly the transactions committed before the cut.
 
 use dali_common::{DaliConfig, Lsn, ProtectionScheme, RecId};
 use dali_engine::DaliEngine;
@@ -61,7 +60,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: cases(), .. ProptestConfig::default() })]
 
     #[test]
-    fn straddling_batch_is_carried_when_whole_and_discarded_when_cut(
+    fn a_cut_at_a_segment_roll_recovers_the_commits_before_it(
         rec_words in 10usize..75,
         txns in proptest::collection::vec(
             proptest::collection::vec((0usize..8, any::<u8>()), 1..4),
@@ -97,44 +96,34 @@ proptest! {
         db.db().syslog.flush(true).unwrap();
         db.crash();
 
-        // Operations whose physical redo and commit record sit in
-        // different segments: (base of the commit record's segment).
+        // The rolls after the first snapshot: each frame of an operation
+        // lies wholly on one side of each.
         let log_dir = dir.path().join("system.log");
-        let segments = segment::list(&log_dir).unwrap();
-        let segment_of = |lsn: Lsn| segments.iter().rev().find(|s| s.base <= lsn).unwrap().base;
-        let mut redo_at = HashMap::new();
-        let mut straddles = Vec::new();
-        LogReader::open(&log_dir, snapshots[0].0, config_for(dir.path()).codeword_algebra)
+        let rolls: Vec<Lsn> = segment::list(&log_dir)
             .unwrap()
-            .for_each(|lsn, rec| {
-                match rec {
-                    LogRecordRef::PhysicalRedo { txn, op, .. } => {
-                        redo_at.insert((txn, op), segment_of(lsn));
-                    }
-                    LogRecordRef::OpCommit { txn, op, .. }
-                        if redo_at
-                            .get(&(txn, op))
-                            .is_some_and(|&s| s != segment_of(lsn)) =>
-                    {
-                        straddles.push(segment_of(lsn));
-                    }
-                    _ => {}
-                }
+            .iter()
+            .map(|s| s.base)
+            .filter(|&base| base > snapshots[0].0)
+            .collect();
+        prop_assume!(!rolls.is_empty());
+        let kind = config_for(dir.path()).codeword_algebra;
+        let mut ops = 0;
+        LogReader::open(&log_dir, snapshots[0].0, kind)
+            .unwrap()
+            .for_each(|_, rec| {
+                ops += usize::from(matches!(rec, LogRecordRef::Op { .. }));
                 Ok(())
             })
             .unwrap();
-        prop_assume!(!straddles.is_empty());
+        prop_assert_eq!(ops, txns.iter().map(Vec::len).sum::<usize>());
 
-        // Whole log: every straddling batch is carried over its roll and
-        // released — all committed work is there.
+        // Whole log: all committed work is there.
         let whole = recover(dir.path(), None, &recs)?;
         prop_assert_eq!(&whole, &snapshots.last().unwrap().1);
 
-        // Crash between the halves: the log ends with the segment that
-        // holds the physical redo; the commit record's segment is gone.
-        // The open transaction rolls back, and the orphaned half — which
-        // nothing could undo — must not have been applied.
-        let cut = straddles[pick % straddles.len()];
+        // Cut at a roll: the open transaction rolls back, and the state is
+        // the one committed last before the cut.
+        let cut = rolls[pick % rolls.len()];
         let expect = &snapshots.iter().rev().find(|(end, _)| *end <= cut).unwrap().1;
         let halved = recover(dir.path(), Some(cut), &recs)?;
         prop_assert_eq!(&halved, expect);
